@@ -18,8 +18,8 @@ properties at once:
   a single-core CI host, where wall-clock scaling is physically
   impossible; wall-clock aggregates are reported alongside, labeled.
 * **bit-identical scores** — every shard's running ``blake2b`` score
-  digest must equal an in-process :func:`repro.cluster.replay_scored`
-  replay of the same trace split, and the shard's hit decisions must
+  digest must equal an in-process :class:`repro.core.DecisionEngine`
+  run over the same trace split, and the shard's hit decisions must
   equal single-process ``simulate`` over that split.  Sharding changes
   where a request is served, never what the model says about it.
 
@@ -32,13 +32,20 @@ Results land in ``results/ext_cluster.txt`` (table) and
 from __future__ import annotations
 
 import os
+import struct
 from hashlib import blake2b
 from time import perf_counter
 
 from common import RESULTS_DIR, cache_for, cdn_mix_trace, report, table
 
-from repro.cluster import CacheCluster, HashRing, replay_scored
-from repro.core import LFOCache, LFOModel, LFOOnline, OptLabelConfig
+from repro.cluster import CacheCluster, HashRing
+from repro.core import (
+    DecisionEngine,
+    LFOCache,
+    LFOModel,
+    LFOOnline,
+    OptLabelConfig,
+)
 from repro.gbdt import GBDTParams
 from repro.obs import write_json
 from repro.sim import simulate
@@ -108,10 +115,12 @@ def _reference_split(requests, cache_size, n_shards, model):
     for bucket in ring.partition(requests):
         split = [request for _index, request in bucket]
         digest = blake2b(digest_size=16)
-        replay_scored(
-            LFOCache(cache_size // n_shards, model=model), split,
-            digest=digest,
-        )
+        DecisionEngine(
+            LFOCache(cache_size // n_shards, model=model),
+            tap=lambda _index, _request, _hit, score, digest=digest: (
+                digest.update(struct.pack("<d", score))
+            ),
+        ).run(split)
         digests.append(digest.hexdigest())
         # Independent oracle: the stock simulator over the same split.
         result = simulate(

@@ -33,7 +33,7 @@ from .cluster import CacheCluster, ClusterReport
 from .ring import HashRing
 from .serving import ClusterScorer
 from .slab import ModelSlab, SlabModel, SlabReader
-from .worker import ShardConfig, replay_scored, shard_main
+from .worker import ShardConfig, shard_main
 
 __all__ = [
     "CacheCluster",
@@ -45,6 +45,5 @@ __all__ = [
     "SlabModel",
     "SlabReader",
     "StripedBuffer",
-    "replay_scored",
     "shard_main",
 ]

@@ -151,6 +151,10 @@ class CacheCluster:
         self.report = ClusterReport()
         self._started = False
         self._closed = False
+        #: Set by the first shard failure; every later ``process`` raises
+        #: it again without touching the pipes (live shards may hold
+        #: unread replies to the batch the failure interrupted).
+        self._failed: str | None = None
 
     @property
     def ship_features(self) -> bool:
@@ -223,7 +227,7 @@ class CacheCluster:
                 for shard_id, conn in enumerate(self._conns):
                     try:
                         self._collect(shard_id, conn, registry, "stopped")
-                    except (EOFError, OSError, RuntimeError):
+                    except RuntimeError:
                         # Shutdown is best-effort: a shard that died or
                         # errored mid-drain must not keep the others from
                         # stopping or the slab from unlinking.
@@ -284,23 +288,34 @@ class CacheCluster:
         """
         if not self._started:
             raise RuntimeError("CacheCluster.process before start()")
+        if self._failed is not None:
+            raise RuntimeError(self._failed)
         if not requests:
             return []
         registry = get_registry()
         began = perf_counter()
         buckets = self.ring.partition(requests)
         dispatched: list[int] = []
-        for shard_id, bucket in enumerate(buckets):
-            if bucket:
-                self._conns[shard_id].send(("batch", bucket))
-                dispatched.append(shard_id)
         hits = [False] * len(requests)
-        for shard_id in dispatched:
-            shard_hits = self._collect(
-                shard_id, self._conns[shard_id], registry, "done"
-            )
-            for (index, _request), hit in zip(buckets[shard_id], shard_hits):
-                hits[index] = hit
+        try:
+            for shard_id, bucket in enumerate(buckets):
+                if bucket:
+                    try:
+                        self._conns[shard_id].send(("batch", bucket))
+                    except OSError:
+                        raise self._exited(shard_id) from None
+                    dispatched.append(shard_id)
+            for shard_id in dispatched:
+                shard_hits = self._collect(
+                    shard_id, self._conns[shard_id], registry, "done"
+                )
+                for (index, _request), hit in zip(
+                    buckets[shard_id], shard_hits
+                ):
+                    hits[index] = hit
+        except RuntimeError as exc:
+            self._failed = str(exc)
+            raise
         report = self.report
         report.requests += len(requests)
         report.hits += sum(hits)
@@ -336,12 +351,23 @@ class CacheCluster:
         """The latest cumulative stats reported by each shard."""
         return [dict(stats) for stats in self._stats]
 
+    def _exited(self, shard_id: int) -> RuntimeError:
+        """The error for a shard whose pipe closed: its id and exit code."""
+        process = self._processes[shard_id]
+        process.join(timeout=5)  # the pipe closed, so exit is imminent
+        return RuntimeError(
+            f"shard {shard_id} exited (code {process.exitcode})"
+        )
+
     def _collect(
         self, shard_id: int, conn, registry, final: str
     ) -> list[bool]:
         """Receive one shard's messages up to ``final``, folding drains."""
         while True:
-            message = conn.recv()
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                raise self._exited(shard_id) from None
             kind = message[0]
             if kind == "drain":
                 _, _, payload_kind, items = message

@@ -12,12 +12,12 @@ Per batch the worker:
    on a new generation it attaches the published model zero-copy
    (:class:`repro.cluster.SlabReader`) and swaps it in with
    ``cache.set_model`` — the cross-process warm handoff;
-2. replays the batch through :func:`replay_scored` — the exact
-   ``LFOCache.on_request`` decomposition (live features →
-   ``likelihood_single`` → ``apply_scored``), additionally folding every
-   score into a running ``blake2b`` digest.  The digest is what the
-   cluster benchmark compares against a single-process replay of the
-   same trace split: equal digests mean bit-identical scores;
+2. decides the batch through the decision engine
+   (:mod:`repro.core.engine` — the same speculative windows as
+   ``simulate(batch_size=N)`` and ``lfo serve``), whose post-decision
+   tap folds every score into a running ``blake2b`` digest.  The digest
+   is what the cluster benchmark compares against an in-process engine
+   over the same trace split: equal digests mean bit-identical scores;
 3. pushes telemetry deltas and observed-access records through striped
    write buffers (:class:`repro.cluster.StripedBuffer`); size-triggered
    drains go down the pipe immediately, and the batch boundary drains
@@ -38,8 +38,9 @@ import zlib
 from dataclasses import dataclass
 from hashlib import blake2b
 from time import perf_counter, process_time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
+from ..core.engine import DecisionEngine
 from ..core.lfo import ADMISSION_SCORE_BUCKETS, LFOCache
 from ..obs.registry import Histogram
 from ..trace import Request
@@ -49,7 +50,7 @@ from .slab import SlabReader
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-__all__ = ["ShardConfig", "replay_scored", "shard_main"]
+__all__ = ["ShardConfig", "shard_main"]
 
 _PACK_SCORE = struct.Struct("<d")
 
@@ -82,38 +83,6 @@ class ShardConfig:
     ship_features: bool = False
 
 
-def replay_scored(
-    cache: LFOCache,
-    requests: Sequence[Request],
-    digest: "blake2b | None" = None,
-    hist: Histogram | None = None,
-) -> list[bool]:
-    """Replay ``requests`` through ``cache`` exactly like ``on_request``.
-
-    The scalar decomposition (live features → ``likelihood_single`` →
-    ``apply_scored``) with the score captured in flight: every score is
-    folded into ``digest`` (when given) and observed into ``hist`` (when
-    given and a model is live).  Decisions and scores are bit-identical
-    to calling ``cache.on_request`` per request — this is both the shard
-    worker's serving loop and the benchmark's in-process reference.
-    """
-    tracker = cache.tracker
-    hits = []
-    for request in requests:
-        features = tracker.features(request, cache.free_bytes)
-        model = cache.model
-        if model is not None:
-            score = model.likelihood_single(features)
-            if hist is not None:
-                hist.observe(score)
-        else:
-            score = 0.0
-        if digest is not None:
-            digest.update(_PACK_SCORE.pack(score))
-        hits.append(cache.apply_scored(request, features, score))
-    return hits
-
-
 def _metric_key(name: str) -> int:
     """Deterministic stripe key for a metric name (no hash salting)."""
     return zlib.crc32(name.encode())
@@ -131,6 +100,8 @@ class _ShardState:
             n_gaps=config.n_gaps,
             eviction=config.eviction,
         )
+        self.engine = DecisionEngine(self.cache, tap=self._tap)
+        self._batch: list[tuple[int, Request]] = []
         self.reader = SlabReader(config.slab_token)
         self.generation = 0
         self.attaches = 0
@@ -180,55 +151,47 @@ class _ShardState:
             ("counter", "cluster.shard_attaches", 1),
         )
 
+    def _tap(
+        self, k: int, request: Request, hit: bool, score: float
+    ) -> None:
+        """Post-decision: digest, score histogram, bytes, access record."""
+        self.digest.update(_PACK_SCORE.pack(score))
+        cache = self.cache
+        if cache.model is not None:
+            self.score_hist.observe(score)
+        if hit:
+            self.hits += 1
+            self.hit_bytes += request.size
+        else:
+            self.miss_bytes += request.size
+        self.access_buffer.add(
+            request.obj,
+            (
+                self._batch[k][0],
+                request,
+                hit,
+                cache.last_features.copy()
+                if self.config.ship_features else None,
+            ),
+        )
+
     def process(self, batch: list[tuple[int, Request]]) -> None:
         """Score one routed batch and reply with cumulative stats."""
         self.maybe_attach()
-        cache = self.cache
-        tracker = cache.tracker
-        digest = self.digest
-        hist = self.score_hist
-        ship_features = self.config.ship_features
-        hit_bytes = 0.0
-        miss_bytes = 0.0
-        hits: list[bool] = []
-        n_hits = 0
+        self._batch = batch
+        requests = [request for _index, request in batch]
+        hit_bytes = self.hit_bytes
+        miss_bytes = self.miss_bytes
         began_cpu = process_time()
         began_wall = perf_counter()
-        for index, request in batch:
-            features = tracker.features(request, cache.free_bytes)
-            model = cache.model
-            if model is not None:
-                score = model.likelihood_single(features)
-                hist.observe(score)
-            else:
-                score = 0.0
-            digest.update(_PACK_SCORE.pack(score))
-            hit = cache.apply_scored(request, features, score)
-            hits.append(hit)
-            if hit:
-                n_hits += 1
-                hit_bytes += request.size
-            else:
-                miss_bytes += request.size
-            self.access_buffer.add(
-                request.obj,
-                (
-                    index,
-                    request,
-                    hit,
-                    features.copy() if ship_features else None,
-                ),
-            )
+        hits = self.engine.run(requests)
         self.cpu_seconds += process_time() - began_cpu
         self.busy_seconds += perf_counter() - began_wall
         self.requests += len(batch)
-        self.hits += n_hits
-        self.hit_bytes += hit_bytes
-        self.miss_bytes += miss_bytes
         for name, delta in (
             ("sim.requests", len(batch)),
-            ("sim.hit_bytes", hit_bytes),
-            ("sim.miss_bytes", miss_bytes),
+            ("sim.hit_bytes", self.hit_bytes - hit_bytes),
+            ("sim.miss_bytes", self.miss_bytes - miss_bytes),
         ):
             if delta:
                 self.metrics_buffer.add(
@@ -323,9 +286,11 @@ def shard_main(config: ShardConfig, conn: "Connection") -> None:
             pass
         raise
     finally:
-        # Drop the zero-copy model before detaching: its numpy views pin
-        # the shared mapping, and a pinned mapping can be closed neither
-        # here nor in ``SharedMemory.__del__`` (interpreter-exit noise).
+        # Drop the zero-copy model (and the engine caching its predictor)
+        # before detaching: its numpy views pin the shared mapping, and a
+        # pinned mapping can be closed neither here nor in
+        # ``SharedMemory.__del__`` (interpreter-exit noise).
         state.cache.model = None
+        del state.engine
         state.reader.close()
         conn.close()

@@ -2,6 +2,7 @@
 
 from .cutoff import CutoffSweep, cutoff_sweep, equal_error_cutoff
 from .drift import AdaptiveLFOOnline, DriftDetector
+from .engine import DecisionEngine
 from .hierarchy import TieredLFOCache, TieredLFOOnline, TierStats
 from .irl import IRLCache, IRLOnline, LinearRewardIRL
 from .lfo import LFOCache, LFOModel, SampledEvictionConfig
@@ -18,6 +19,7 @@ from .throughput import ThroughputPoint, gbits_served, measure_throughput
 __all__ = [
     "AdaptiveLFOOnline",
     "DriftDetector",
+    "DecisionEngine",
     "CutoffSweep",
     "cutoff_sweep",
     "equal_error_cutoff",

@@ -26,12 +26,11 @@ from typing import Any
 
 import numpy as np
 
+from ..obs.health import population_stability_index
 from ..trace import Request
 from .online import LFOOnline, OptLabelConfig
 
 __all__ = ["DriftDetector", "AdaptiveLFOOnline"]
-
-_EPS = 1e-6
 
 
 class DriftDetector:
@@ -53,7 +52,7 @@ class DriftDetector:
         self.n_bins = n_bins
         self.features = features
         self._edges: list[np.ndarray] | None = None
-        self._reference: list[np.ndarray] | None = None
+        self._reference: list[list[int]] | None = None
 
     def fit(self, X: np.ndarray) -> "DriftDetector":
         """Learn reference quantile bins from a training window."""
@@ -67,13 +66,16 @@ class DriftDetector:
         for c in cols:
             col = X[:, c]
             edges = np.unique(np.percentile(col, qs))
-            counts = np.bincount(
-                np.searchsorted(edges, col, side="left"),
-                minlength=len(edges) + 1,
-            ).astype(np.float64)
             self._edges.append(edges)
-            self._reference.append(counts / counts.sum())
+            self._reference.append(self._bucket_counts(edges, col))
         return self
+
+    @staticmethod
+    def _bucket_counts(edges: np.ndarray, col: np.ndarray) -> list[int]:
+        return np.bincount(
+            np.searchsorted(edges, col, side="left"),
+            minlength=len(edges) + 1,
+        ).tolist()
 
     def score(self, X: np.ndarray) -> float:
         """Maximum per-feature PSI of a live window vs the reference."""
@@ -85,17 +87,10 @@ class DriftDetector:
         cols = self.features or list(range(X.shape[1]))
         worst = 0.0
         for k, c in enumerate(cols):
-            edges = self._edges[k]
-            ref = self._reference[k]
-            counts = np.bincount(
-                np.searchsorted(edges, X[:, c], side="left"),
-                minlength=len(edges) + 1,
-            ).astype(np.float64)
-            live = counts / counts.sum()
-            p = np.clip(live, _EPS, None)
-            q = np.clip(ref, _EPS, None)
-            psi = float(((p - q) * np.log(p / q)).sum())
-            worst = max(worst, psi)
+            live = self._bucket_counts(self._edges[k], X[:, c])
+            worst = max(
+                worst, population_stability_index(self._reference[k], live)
+            )
         return worst
 
 

@@ -251,7 +251,7 @@ class LFOCache(CachePolicy):
         :meth:`apply_scored` against live tracker/free-bytes state, and
         its seeded generator advances only on evictions, which the
         batched engine replays in exactly the scalar order (see
-        :mod:`repro.sim.batched`).  Subclasses with request-path side
+        :mod:`repro.core.engine`).  Subclasses with request-path side
         effects (e.g. :class:`LFOOnline`) opt out.
         """
         return self.model is not None and self.rescore_interval == 0
@@ -326,7 +326,7 @@ class LFOCache(CachePolicy):
 
         Everything :meth:`on_request` does *after* feature extraction and
         model scoring, so the batched scoring engine
-        (:mod:`repro.sim.batched`) can pre-score lookahead batches and
+        (:mod:`repro.core.engine`) can pre-score lookahead batches and
         replay decisions through exactly this code path.
         """
         self._now = request.time

@@ -36,7 +36,7 @@ the reference loop, and is bit-identical to it; the numpy backend sums
 with numpy's pairwise reduction and agrees to well under 1e-12.  Within
 one predictor, batch and single-row scoring are bit-identical to each
 other, which is what lets the batched simulator replay decisions
-deterministically (see :mod:`repro.sim.batched`).
+deterministically (see :mod:`repro.core.engine`).
 """
 
 from __future__ import annotations

@@ -1,103 +1,84 @@
 """Speculative batched scoring around a continuously retraining policy.
 
-:func:`repro.sim.batched.run_batched` assumes a static model — speculated
-scores would silently go stale across a model swap, which is why
+``simulate(batch_size=N)`` assumes a static model — speculated scores
+would silently go stale across a model swap, which is why
 ``LFOOnline.supports_batched_scoring`` is false.  The serving loop wants
 both: batched scoring throughput *and* continuous window retraining with
-warm model handoff.  :class:`BatchScorer` reconciles them by driving the
-policy's serving hooks explicitly and treating a model swap exactly like
-the free-bytes bucket drift the batched simulator already handles:
+warm model handoff.  :class:`BatchScorer` gets them by handing the
+policy's serving hooks to the decision engine
+(:mod:`repro.core.engine`, which owns the window protocol):
 
-1. poll the trainer (:meth:`repro.core.LFOOnline.poll_training`) before
-   scoring each request — a completed background model installs here, an
-   overdue one is watchdog-cancelled — and when the install lands
-   mid-window, abandon the remaining speculated scores and re-speculate
-   under the new model.  The swapped-in predictor was compiled at train
-   time (``set_model`` guarantees it), so the handoff costs one aborted
-   lookahead, never a compile on the request path;
-2. cap every speculation window at
-   :attr:`repro.core.LFOOnline.window_remaining`, so a training-window
-   boundary (and the retrain it triggers) always falls *between*
-   speculation windows, never under in-flight speculated scores;
-3. otherwise replay exactly the batched simulator's protocol — dirty-set
-   tracking, free-bytes bucket reuse, adaptive lookahead — through
-   ``apply_scored``, then feed each live feature row back with
-   :meth:`repro.core.LFOOnline.record_for_training`.
+* **poll** — :meth:`repro.core.LFOOnline.poll_training` before each
+  request is scored: a completed background model installs here, an
+  overdue one is watchdog-cancelled.  The engine runs it exactly once
+  per request and abandons a window the install lands in.  The
+  swapped-in predictor was compiled at train time (``set_model``
+  guarantees it), so a handoff costs one aborted lookahead, never a
+  compile on the request path; every new model seen after a poll counts
+  as one handoff;
+* **cap** — :attr:`repro.core.LFOOnline.window_remaining`, so a
+  training-window boundary (and the retrain it triggers) always falls
+  *between* speculation windows;
+* **tap** — :meth:`repro.core.LFOOnline.record_for_training` with the
+  live feature row each decision used.
 
-The result is bit-identical to the scalar ``policy.on_request`` loop
-(pinned by ``tests/test_serve.py``): speculation changes how fast a
-decision was computed, never what it was.
-
-Before the first model trains (``policy.model is None``) requests take a
-scalar path — there is no predictor to speculate with — and the engine
-upgrades itself the moment the first install lands.
+The result is bit-identical to the scalar ``policy.on_request`` loop:
+speculation changes how fast a decision was computed, never what it was.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
+from ..core.engine import MAX_LOOKAHEAD, DecisionEngine
 from ..obs import get_registry
-from ..sim.batched import (
-    DECISION_LATENCY_BUCKETS,
-    FREE_BYTES_COLUMN,
-    free_bytes_thresholds,
-)
+from ..sim.batched import DECISION_LATENCY_BUCKETS
 from ..trace import Request
 
-if TYPE_CHECKING:  # annotation only; avoids repro.core import at runtime.
+if TYPE_CHECKING:
     from ..core.lfo import LFOModel
     from ..core.online import LFOOnline
-    from ..gbdt import CompiledPredictor
 
 __all__ = ["BatchScorer"]
-
-#: Smallest adaptive lookahead — mirrors ``repro.sim.batched``: below
-#: this the vectorised probe cannot amortise its setup cost.
-_MIN_WINDOW = 16
 
 
 class BatchScorer:
     """Score request batches against a live :class:`LFOOnline` policy.
 
     Synchronous and single-consumer by design: the serving loop calls
-    :meth:`process` from one task/thread at a time, and the policy's
-    watchdog clock advances exactly once per request through
-    ``poll_training`` (the ``_polled`` carry-over flag keeps that true
-    across abandoned speculation windows).
+    :meth:`process` from one task/thread at a time.
     """
 
-    def __init__(self, policy: "LFOOnline", max_batch: int = 256) -> None:
+    def __init__(
+        self, policy: "LFOOnline", max_batch: int = MAX_LOOKAHEAD
+    ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if policy.rescore_interval:
-            raise ValueError(
-                "periodic full rescore invalidates speculated scores; "
-                "serving requires rescore_interval=0"
-            )
         self.policy = policy
         self.max_batch = max_batch
         #: Warm handoffs observed: every time the serving path picks up a
         #: newly installed model (including the cold-start first install).
         self.n_handoffs = 0
         self._active_model: "LFOModel | None" = policy.model
-        self._window = min(_MIN_WINDOW * 4, max_batch)
-        self._polled = False
-        self._predictor_for: "LFOModel | None" = None
-        self._predictor: "CompiledPredictor | None" = None
-        self._thresholds: list[float] = []
         registry = get_registry()
-        self._observing = registry.enabled
         if registry.enabled:
-            self._latency_hist = registry.histogram(
+            latency = registry.histogram(
                 "serve.decision_latency_seconds", DECISION_LATENCY_BUCKETS
             )
             self._handoff_counter = registry.counter("serve.model_handoffs")
         else:
-            self._latency_hist = None
+            latency = None
             self._handoff_counter = None
+        self._engine = DecisionEngine(
+            policy,
+            max_batch,
+            poll=self._poll,
+            cap=lambda: policy.window_remaining,
+            tap=lambda _index, request, _hit, _score: (
+                policy.record_for_training(request, policy.last_features)
+            ),
+            latency=latency,
+        )
 
     def process(self, requests: Sequence[Request]) -> list[bool]:
         """Score and apply ``requests`` in order; returns per-request hits.
@@ -105,147 +86,14 @@ class BatchScorer:
         Decisions are bit-identical to calling ``policy.on_request`` for
         each request in sequence.
         """
+        return self._engine.run(requests)
+
+    def _poll(self) -> None:
+        """Poll the trainer; count a model that went live as a handoff."""
         policy = self.policy
-        n = len(requests)
-        hits = [False] * n
-        i = 0
-        while i < n:
-            if not self._polled:
-                policy.poll_training()
-                self._polled = True
-            model = policy.model
-            if model is not self._active_model:
-                self._note_handoff(model)
-            if model is None:
-                # Cold start: nothing to speculate with yet.  Scalar
-                # score (likelihood 0.0, admit-all) until the first
-                # trained model installs.
-                hits[i] = self._apply_cold(requests[i])
-                i += 1
-                continue
-            i += self._speculate(requests, i, hits, model)
-        return hits
-
-    def _apply_cold(self, request: Request) -> bool:
-        """One pre-model request: live features, score 0.0, record."""
-        policy = self.policy
-        if self._observing:
-            began = perf_counter()
-            features = policy.tracker.features(request, policy.free_bytes)
-            hit = policy.apply_scored(request, features, 0.0)
-            assert self._latency_hist is not None
-            self._latency_hist.observe(perf_counter() - began)
-        else:
-            features = policy.tracker.features(request, policy.free_bytes)
-            hit = policy.apply_scored(request, features, 0.0)
-        policy.record_for_training(request, policy.last_features)
-        self._polled = False
-        return hit
-
-    def _note_handoff(self, model: "LFOModel | None") -> None:
-        """Record one warm handoff: a new model went live on this path."""
-        self._active_model = model
-        self.n_handoffs += 1
-        if self._handoff_counter is not None:
-            self._handoff_counter.inc()
-
-    def _compiled_for(
-        self, model: "LFOModel"
-    ) -> tuple["CompiledPredictor", list[float]]:
-        """Per-model predictor + free-bytes thresholds, cached by identity."""
-        if model is not self._predictor_for:
-            predictor = model.classifier.compiled()
-            self._predictor_for = model
-            self._predictor = predictor
-            self._thresholds = free_bytes_thresholds(predictor)
-        assert self._predictor is not None
-        return self._predictor, self._thresholds
-
-    def _speculate(
-        self,
-        requests: Sequence[Request],
-        i: int,
-        hits: list[bool],
-        model: "LFOModel",
-    ) -> int:
-        """One speculation window from ``requests[i]``; returns consumed.
-
-        Mirrors ``run_batched``'s window protocol, with two extra exits:
-        the window never crosses the policy's training-window boundary
-        (``window_remaining`` cap) and a model install observed by a
-        mid-window poll abandons the remaining speculated scores.
-        Always consumes at least one request: row 0 was polled before
-        entry and its free-bytes value is the probe's by construction.
-        """
-        policy = self.policy
-        tracker = policy.tracker
-        predictor, thresholds = self._compiled_for(model)
-        limit = min(
-            self._window,
-            self.max_batch,
-            policy.window_remaining,
-            len(requests) - i,
-        )
-        batch = requests[i:i + limit]
-        free0 = policy.free_bytes
-        speculated = tracker.features_batch(batch, free0)
-        scores = predictor.predict_proba(speculated)
-        spec_bucket = bisect_left(thresholds, float(free0))
-        observing = self._observing
-        dirty: set[int] = set()
-        consumed = len(batch)
-        for k, request in enumerate(batch):
-            if not self._polled:
-                policy.poll_training()
-                self._polled = True
-                if policy.model is not model:
-                    # Warm handoff landed mid-window: every remaining
-                    # speculated score came from the old model.  Abandon
-                    # the window and re-speculate under the new predictor
-                    # — exactly the decision the scalar loop would make
-                    # for this request.  ``_polled`` stays set so
-                    # re-entry does not advance the watchdog clock twice.
-                    self._note_handoff(policy.model)
-                    consumed = k
-                    break
-            obj = request.obj
-            if obj in dirty:
-                # Re-requested (or cap-evicted) inside the window; score
-                # the live row — identical to the scalar loop's value.
-                features = tracker.features(request, policy.free_bytes)
-                score = model.likelihood_single(features)
-            else:
-                free_live = policy.free_bytes
-                if bisect_left(thresholds, float(free_live)) != spec_bucket:
-                    # Free bytes left the speculated bucket: abandon and
-                    # re-speculate from this row (never k == 0 — row 0's
-                    # free bytes are exactly ``free0``).
-                    consumed = k
-                    break
-                features = speculated[k]
-                features[FREE_BYTES_COLUMN] = free_live
-                score = float(scores[k])
-            if observing:
-                began = perf_counter()
-                hit = policy.apply_scored(request, features, score)
-                assert self._latency_hist is not None
-                self._latency_hist.observe(perf_counter() - began)
-            else:
-                hit = policy.apply_scored(request, features, score)
-            # ``last_features`` is the row the decision actually used —
-            # what training must see (clean rows are bit-identical to a
-            # live extraction after the free-bytes patch).
-            policy.record_for_training(request, policy.last_features)
-            self._polled = False
-            dirty.add(obj)
-            evicted = tracker.last_evicted
-            if evicted is not None:
-                dirty.add(evicted)
-            hits[i + k] = hit
-        # Adaptive lookahead, mirroring run_batched: grow on a fully
-        # consumed window, shrink toward the observed break distance.
-        if consumed == len(batch):
-            self._window = min(self._window * 2, self.max_batch)
-        else:
-            self._window = min(max(_MIN_WINDOW, consumed + 1), self.max_batch)
-        return consumed
+        policy.poll_training()
+        if policy.model is not self._active_model:
+            self._active_model = policy.model
+            self.n_handoffs += 1
+            if self._handoff_counter is not None:
+                self._handoff_counter.inc()

@@ -1,69 +1,19 @@
-"""Micro-batched scoring for static-model policies.
+"""``simulate(batch_size=N)``: the decision engine over a whole trace.
 
-The scalar simulation loop scores one request at a time; even with the
-compiled predictor, per-call overhead dominates at one row per call.
-This module scores *lookahead windows* instead — but replays every
-admission/eviction decision sequentially, so cache semantics and the
-``free_bytes`` trajectory stay bit-identical to the scalar loop (the
-equivalence gate in ``tests/test_sim_batched.py`` pins exact ``hits``
-equality).
+The speculate → replay → abandon protocol lives in
+:mod:`repro.core.engine`; this module is its simulator driver.  What is
+the simulator's own: the ``on_request`` observer rides the engine's
+post-decision tap, and telemetry folds (counter sums, window-roll
+checkpoints) happen at speculation-window edges, so a windowed registry
+sees live deltas without anything added to the per-request path.
 
-The hazard is the feedback loop: a request's feature vector includes the
-cache's *current* free bytes and the object's gap history, both of which
-earlier requests in the same window can change.  The engine therefore
-speculates and tracks exactly what could invalidate the speculation:
-
-1. extract a lookahead window's features against the tracker state and
-   free bytes *at window start* (one vectorised probe, nothing
-   recorded), and score them in one compiled-predictor call;
-2. replay requests in order, maintaining a *dirty set* of objects whose
-   tracker state changed since the probe — each replayed request's
-   object, plus any object the tracker's LRU cap evicted
-   (:attr:`repro.features.FeatureTracker.last_evicted`).  Only the
-   tracker mutates gap/cost state, and during replay it mutates exactly
-   these objects, so a clean object's speculated row *is* its live
-   extraction except for the free-bytes column;
-3. a clean row therefore reuses the speculative score after patching the
-   live free-bytes value into the row — valid whenever the live value
-   falls between the same pair of consecutive ensemble thresholds as the
-   speculated one (two values no tree split can tell apart take
-   identical paths, hence score identically — see
-   :meth:`repro.gbdt.CompiledPredictor.feature_thresholds`).  No
-   per-row extraction, no comparison;
-4. a dirty row is extracted and scored individually — identical to what
-   the scalar loop computes;
-5. once the free-bytes value drifts *out of the speculated bucket*, every
-   remaining speculative score is stale at once, so the engine abandons
-   the window and re-speculates from the current row.  The lookahead
-   length adapts to the observed drift interval (shrinks toward the
-   distance actually consumed, doubles back toward ``batch_size`` on
-   fully consumed windows), so thrashy traffic degrades to small windows
-   instead of wasted full-batch probes.
-
-Either way the features and score applied through
-:meth:`repro.core.LFOCache.apply_scored` are bit-identical to the scalar
-path's, so speculation can never change an outcome — only how fast it
-was computed.
-
-Engaged by ``simulate(..., batch_size=N)`` for policies whose
-``supports_batched_scoring`` is true (a static model, no periodic
-rescore).  Policies that retrain mid-stream (``LFOOnline``) opt out.
-
-Sampled eviction (``LFOCache(eviction="sampled")``) composes with
-speculation unchanged: candidate sampling and scoring happen inside
-``apply_scored``'s eviction plan, against the *live* tracker and
-free-bytes state at that replay point — identical to the scalar loop —
-and candidate probes are pure reads (``features_batch`` probe mode), so
-they neither dirty speculated rows nor advance tracker state.  The
-sampler's seeded generator is consumed per eviction plan, and plans
-replay in exactly the scalar order, so hits stay bit-identical (pinned
-by ``tests/test_evict_sampled.py``).
+Engaged for policies whose ``supports_batched_scoring`` is true (a
+static model, no periodic rescore).  Policies that retrain mid-stream
+(``LFOOnline``) opt out here and are served by :mod:`repro.serve`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -73,23 +23,9 @@ from ..trace import Trace
 
 if TYPE_CHECKING:  # repro.core imports repro.sim; annotation only.
     from ..core.lfo import LFOCache
-    from ..gbdt import CompiledPredictor
     from .runner import _MetricsFolder
 
-__all__ = [
-    "run_batched",
-    "free_bytes_thresholds",
-    "FREE_BYTES_COLUMN",
-    "DECISION_LATENCY_BUCKETS",
-]
-
-#: Column of the free-bytes feature in the tracker's layout
-#: (size, cost, free_bytes, gap_1..gap_N).
-FREE_BYTES_COLUMN = 2
-
-#: Smallest adaptive lookahead: below this the vectorised probe cannot
-#: amortise its setup, so thrashy traffic stops shrinking here.
-_MIN_WINDOW = 16
+__all__ = ["run_batched", "DECISION_LATENCY_BUCKETS"]
 
 #: Bounds for the per-decision latency histogram: 1µs .. 10ms with 1-2-5
 #: steps, fine enough that p99/p999 interpolation stays meaningful for a
@@ -103,20 +39,6 @@ DECISION_LATENCY_BUCKETS = (
 #: Decisions timed per speculation window — clustered sampling, same
 #: rationale as the scalar loop's per-chunk cluster.
 _TIMED_PER_WINDOW = 8
-
-
-def free_bytes_thresholds(predictor: "CompiledPredictor") -> list[float]:
-    """Ensemble split thresholds on the free-bytes feature, as floats.
-
-    Two free-bytes values falling between the same pair of consecutive
-    thresholds take identical paths through every tree, so a speculated
-    score stays valid while the live value remains in the speculated
-    bucket (``bisect_left`` index).  Python floats so the per-row bisect
-    costs the same comparisons as ``np.searchsorted(..., side="left")``
-    at a fraction of the call overhead.  Shared by this loop and the
-    serving engine (:mod:`repro.serve`).
-    """
-    return predictor.feature_thresholds(FREE_BYTES_COLUMN).tolist()
 
 
 def run_batched(
@@ -137,86 +59,41 @@ def run_batched(
     edges, and the leading decisions of each window are timed into the
     shared decision-latency histogram.
     """
-    model = policy.model
-    predictor = model.classifier.compiled()
-    tracker = policy.tracker
-    thresholds = free_bytes_thresholds(predictor)
+    from ..core.engine import DecisionEngine  # repro.core imports repro.sim
+
     registry = get_registry()
     observing = registry.enabled
-    timed_limit = 0
+    engine = DecisionEngine(
+        policy,
+        batch_size,
+        tap=(
+            None if on_request is None
+            else lambda index, _request, hit, _score: on_request(index, hit)
+        ),
+        latency=(
+            registry.histogram(
+                "sim.decision_latency_seconds", DECISION_LATENCY_BUCKETS
+            )
+            if observing else None
+        ),
+        timed_per_window=_TIMED_PER_WINDOW,
+    )
     if observing:
         rows_hist = registry.histogram("sim.batch_rows")
-        latency_hist = registry.histogram(
-            "sim.decision_latency_seconds", DECISION_LATENCY_BUCKETS
-        )
-        timed_limit = _TIMED_PER_WINDOW
     requests = list(trace)
     n = len(requests)
-    n_rescored = 0
-    n_respeculations = 0
-    window = min(_MIN_WINDOW * 4, batch_size)
     i = 0
     while i < n:
-        batch = requests[i:i + window]
-        free0 = policy.free_bytes
-        speculated = tracker.features_batch(batch, free0)
-        scores = predictor.predict_proba(speculated)
-        spec_bucket = bisect_left(thresholds, float(free0))
+        probed = engine.rows_probed
+        i += engine.step(requests, i, hits)
         if observing:
-            rows_hist.observe(len(batch))
-        #: objects whose tracker state changed since the probe — their
-        #: speculated rows are stale and must be recomputed live.
-        dirty: set[int] = set()
-        consumed = len(batch)
-        for k, request in enumerate(batch):
-            obj = request.obj
-            if obj in dirty:
-                # Re-requested (or cap-evicted) inside the window; score
-                # the live row — identical to the scalar loop's value.
-                features = tracker.features(request, policy.free_bytes)
-                score = model.likelihood_single(features)
-                n_rescored += 1
-            else:
-                free_live = policy.free_bytes
-                if bisect_left(thresholds, float(free_live)) != spec_bucket:
-                    # Free bytes left the speculated bucket: every
-                    # remaining clean score is stale at once.  Abandon
-                    # the window and re-speculate from this row.  Never
-                    # hits k == 0: the first row's free bytes are exactly
-                    # ``free0``, so progress is guaranteed.
-                    consumed = k
-                    break
-                # Clean object + same bucket: the speculated row with the
-                # live free-bytes value patched in is bit-identical to a
-                # live extraction, and its score is the speculated one.
-                features = speculated[k]
-                features[FREE_BYTES_COLUMN] = free_live
-                score = float(scores[k])
-            if k < timed_limit:
-                began = perf_counter()
-                hit = policy.apply_scored(request, features, score)
-                latency_hist.observe(perf_counter() - began)
-            else:
-                hit = policy.apply_scored(request, features, score)
-            dirty.add(obj)
-            evicted = tracker.last_evicted
-            if evicted is not None:
-                dirty.add(evicted)
-            hits[i + k] = hit
-            if on_request is not None:
-                on_request(i + k, hit)
-        if consumed == len(batch):
-            window = min(window * 2, batch_size)
-        else:
-            n_respeculations += 1
-            # Track the observed drift interval (+1 so the broken row,
-            # which the next window must re-cover, still fits).
-            window = min(max(_MIN_WINDOW, consumed + 1), batch_size)
-        i += consumed
+            rows_hist.observe(engine.rows_probed - probed)
         if folder is not None:
             folder.fold(i)
     if observing:
-        if n_rescored:
-            registry.counter("sim.batch_rescored").inc(n_rescored)
-        if n_respeculations:
-            registry.counter("sim.batch_respeculations").inc(n_respeculations)
+        if engine.n_rescored:
+            registry.counter("sim.batch_rescored").inc(engine.n_rescored)
+        if engine.n_respeculations:
+            registry.counter("sim.batch_respeculations").inc(
+                engine.n_respeculations
+            )

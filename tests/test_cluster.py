@@ -21,6 +21,7 @@ The load-bearing claims, each pinned here:
 """
 
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
@@ -37,9 +38,8 @@ from repro.cluster import (
     ModelSlab,
     SlabReader,
     StripedBuffer,
-    replay_scored,
 )
-from repro.core import LFOCache, LFOOnline, OptLabelConfig
+from repro.core import DecisionEngine, LFOCache, LFOOnline, OptLabelConfig
 from repro.gbdt import GBDTParams
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.fold import fold_deltas
@@ -287,8 +287,10 @@ class TestModelSlab:
 
 
 class TestClusterEndToEnd:
-    def test_matches_single_process_replay(self, trace, cache_size, model):
-        """Cold then warm: hits and score digests equal in-process replay."""
+    def test_matches_in_process_engine(self, trace, cache_size, model):
+        """Cold then warm: hits and score digests equal an in-process
+        ``DecisionEngine`` per split (itself pinned to the scalar loop in
+        ``test_engines_differential.py``)."""
         requests = list(trace)
         cluster = CacheCluster(cache_size, 2, seed=7, n_gaps=N_GAPS)
         with cluster:
@@ -304,12 +306,18 @@ class TestClusterEndToEnd:
             split = [request for _index, request in bucket]
             cache = LFOCache(cache_size // 2, model=None, n_gaps=N_GAPS)
             digest = blake2b(digest_size=16)
+            engine = DecisionEngine(
+                cache,
+                tap=lambda _index, _request, _hit, score, digest=digest: (
+                    digest.update(struct.pack("<d", score))
+                ),
+            )
             # Replay the same cold→warm switch the cluster saw: the model
             # goes live at the first request routed after the publish.
             boundary = sum(1 for index, _request in bucket if index < 1000)
-            split_hits = replay_scored(cache, split[:boundary], digest=digest)
+            split_hits = engine.run(split[:boundary])
             cache.set_model(model)
-            split_hits += replay_scored(cache, split[boundary:], digest=digest)
+            split_hits += engine.run(split[boundary:])
             digests.append(digest.hexdigest())
             for (index, _request), hit in zip(bucket, split_hits):
                 expected[index] = hit
@@ -383,17 +391,39 @@ class TestClusterEndToEnd:
 _SHUTDOWN_SCRIPT = textwrap.dedent("""
     import sys
 
+    import numpy as np
+
     from repro.cluster import CacheCluster
+    from repro.core import LFOModel
+    from repro.features import Dataset, feature_names
+    from repro.gbdt import GBDTParams
     from repro.trace import SyntheticConfig, generate_trace
 
     def main():
         trace = list(generate_trace(
             SyntheticConfig(n_requests=2000, n_objects=200, seed=3)
         ))
+        X = np.random.default_rng(0).uniform(0, 100, size=(400, 53))
+        model = LFOModel.train(
+            Dataset(X, (X[:, 0] < 50).astype(float), feature_names(50)),
+            params=GBDTParams(num_iterations=3),
+        )
         cluster = CacheCluster(50_000, 2, seed=1).start()
         try:
+            # Shards must exit without their attached model's zero-copy
+            # views still pinning the shared mapping (BufferError noise).
+            cluster.publish(model)
             cluster.process(trace[:500])
-            if "--wait-sigint" in sys.argv:
+            if "--kill-shard" in sys.argv:
+                import os, signal
+                print("TOKEN", cluster.slab.token, flush=True)
+                os.kill(cluster._processes[0].pid, signal.SIGKILL)
+                for _ in range(2):
+                    try:
+                        cluster.process(trace[500:1000])
+                    except RuntimeError as exc:
+                        print("FAILED", exc, flush=True)
+            elif "--wait-sigint" in sys.argv:
                 try:
                     # READY inside the try: the parent signals only after
                     # reading it, so the interrupt always lands in here.
@@ -440,6 +470,24 @@ class TestShutdownLeakFree:
         )
         assert proc.returncode == 0, proc.stderr
         assert "CLOSED" in proc.stdout
+        for marker in _NOISE:
+            assert marker not in proc.stderr, proc.stderr
+
+    def test_killed_shard_fails_the_cluster_by_name(self, tmp_path):
+        """A dead worker is named with its exit code, the failure latches
+        (live shards still hold unread replies to the interrupted batch),
+        and shutdown stays silent and unlinks the slab."""
+        proc = subprocess.run(
+            [sys.executable, self._write_script(tmp_path), "--kill-shard"],
+            capture_output=True, text=True, timeout=120, env=self._env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.split("\n")
+        assert lines[1:4] == ["FAILED shard 0 exited (code -9)"] * 2 + [
+            "CLOSED"
+        ]
+        token = lines[0].removeprefix("TOKEN ")
+        assert not Path("/dev/shm", f"{token}-ctrl").exists()
         for marker in _NOISE:
             assert marker not in proc.stderr, proc.stderr
 

@@ -1,0 +1,253 @@
+"""One differential suite: every engine decides like the scalar loop.
+
+``policy.on_request`` per request is the reference.  Against it, on
+hypothesis-generated traces (objects larger than the cache, zero cost,
+timestamp ties, one hot key, a cache of a few objects) x eviction mode x
+capped/uncapped tracker: ``simulate(batch_size=N)``, ``BatchScorer`` over
+a retraining ``LFOOnline``, and one ``DecisionEngine`` per shard over
+``HashRing.partition`` with a cold -> warm model attach.  Equal means
+equal hit vectors and equal digests of every score that reached
+``apply_scored``; ``used_bytes <= cache_size`` is checked on every run.
+"""
+
+import struct
+from dataclasses import replace
+from hashlib import blake2b
+from itertools import count
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import HashRing
+from repro.core import (
+    DecisionEngine, LFOCache, LFOModel, LFOOnline, OptLabelConfig,
+    SampledEvictionConfig,
+)
+from repro.features import Dataset, FeatureTracker, feature_names
+from repro.gbdt import GBDTParams
+from repro.resilience import (
+    FaultPlan, FaultSpec, SimulatedTrainerExecutor, use_fault_plan,
+)
+from repro.serve import BatchScorer
+from repro.sim import policy_factories, simulate
+from repro.trace import Request, SyntheticConfig, Trace, generate_trace
+
+N_GAPS = 4
+SAMPLED = SampledEvictionConfig(k=4, seed=3)
+
+
+@pytest.fixture(scope="module")
+def model():
+    """Splits on size, free bytes and the last gap, so admission, bucket
+    drift and dirty-row rescoring all change outcomes."""
+    rng = np.random.default_rng(0)
+    X = np.zeros((3000, 3 + N_GAPS))
+    X[:, 0] = rng.integers(1, 160, size=len(X))
+    X[:, 1] = X[:, 0] * rng.integers(0, 2, size=len(X))
+    X[:, 2] = rng.integers(0, 400, size=len(X))
+    X[:, 3:] = rng.exponential(5, size=(len(X), N_GAPS))
+    y = ((X[:, 0] < 60) ^ (X[:, 2] % 97 < 30) ^ (X[:, 3] < 2)).astype(float)
+    return LFOModel.train(
+        Dataset(X, y, feature_names(N_GAPS)), GBDTParams(num_iterations=8)
+    )
+
+
+@st.composite
+def traces(draw):
+    """``(requests, cache_size)``: fixed per-object sizes, time ties, all
+    costs zero or cost = size, objects drawn with a skew to object 0."""
+    sizes = draw(st.lists(st.integers(1, 150), min_size=1, max_size=24))
+    zero_cost = draw(st.booleans())
+    steps = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(sizes) - 1) | st.just(0),
+            st.sampled_from([0.0, 0.0, 0.5, 1.0, 7.0]),
+        ),
+        min_size=30, max_size=220,
+    ))
+    now, requests = 0.0, []
+    for obj, gap in steps:
+        now += gap
+        cost = 0.0 if zero_cost else sizes[obj]
+        requests.append(Request(now, obj, sizes[obj], cost))
+    return requests, draw(st.integers(1, 400))
+
+
+HOT_KEY = ([Request(float(t // 3), 0, 40) for t in range(120)], 100)
+TOO_LARGE = (
+    [Request(float(t), t % 5, 30 if t % 5 else 500, 0.0) for t in range(90)],
+    70,
+)
+
+
+def outcome(policy, drive):
+    """``(hits, score digest)`` of ``drive(policy)``.  The score tap (the
+    whole test-local reference): hash what reaches ``apply_scored``."""
+    digest, inner = blake2b(digest_size=16), policy.apply_scored
+
+    def apply_scored(request, features, score):
+        digest.update(struct.pack("<d", score))
+        return inner(request, features, score)
+
+    policy.apply_scored = apply_scored
+    hits = [bool(hit) for hit in drive(policy)]
+    assert policy.used_bytes <= policy.cache_size
+    return hits, digest.hexdigest()
+
+
+def scalar(requests):
+    return lambda policy: [policy.on_request(r) for r in requests]
+
+
+def served(requests, max_batch, chunk):
+    def drive(policy):
+        scorer = BatchScorer(policy, max_batch=max_batch)
+        return [
+            hit
+            for start in range(0, len(requests), chunk)
+            for hit in scorer.process(requests[start:start + chunk])
+        ]
+    return drive
+
+
+def attach_between(model, cold, warm, run):
+    """What a shard sees: a model attached at a batch edge."""
+    def drive(policy):
+        engine = DecisionEngine(policy)
+        hits = run(engine, policy, cold)
+        policy.set_model(model)
+        return hits + run(engine, policy, warm)
+    return drive
+
+
+@pytest.mark.parametrize("eviction", ["likelihood", "lru", "sampled"])
+@pytest.mark.parametrize("capped", [False, True])
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(traces())
+@example(HOT_KEY)
+@example(TOO_LARGE)
+def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
+    requests, cache_size = case
+    cap = 3 if capped else 0
+
+    def static(size=cache_size, model=model):
+        tracker = FeatureTracker(n_gaps=N_GAPS, max_objects=cap)
+        return LFOCache(
+            size, model, tracker=tracker, eviction=eviction, sampled=SAMPLED
+        )
+
+    def online():
+        policy = LFOOnline(
+            cache_size, window=40, gbdt_params=GBDTParams(num_iterations=3),
+            n_gaps=N_GAPS, min_positive_labels=1,
+            label_config=OptLabelConfig(mode="greedy"), eviction=eviction,
+            sampled=SAMPLED, background=True,
+            executor=SimulatedTrainerExecutor(),
+        )
+        policy.tracker.max_objects = cap
+        policy.set_model(model)
+        return policy
+
+    reference = outcome(static(), scalar(requests))
+    for batch_size in (1, 7, 256):
+        seen = []
+        assert reference == outcome(static(), lambda policy: simulate(
+            Trace(requests), policy, batch_size=batch_size,
+            on_request=lambda index, _hit: seen.append(index),
+        ).hits), f"simulate(batch_size={batch_size})"
+        assert seen == list(range(len(requests)))
+
+    reference = outcome(online(), scalar(requests))
+    assert reference == outcome(online(), served(requests, 256, 64))
+    assert reference == outcome(online(), served(requests, 7, 50))
+
+    for bucket in HashRing(2, seed=7).partition(requests):
+        split = [request for _index, request in bucket]
+        cold, warm = split[: len(split) // 3], split[len(split) // 3:]
+        shard_size = max(1, cache_size // 2)
+        assert outcome(static(shard_size, None), attach_between(
+            model, cold, warm, lambda _e, policy, part: scalar(part)(policy)
+        )) == outcome(static(shard_size, None), attach_between(
+            model, cold, warm, lambda engine, _p, part: engine.run(part)
+        )), "shard engine"
+
+
+def test_batch_scorer_under_a_hung_trainer(model):
+    """The watchdog counts requests through ``poll``, and its deadline is
+    one request past a window edge: a request polled twice (or never)
+    moves the cancel across the edge and changes which windows train.
+    Releasing the first hung job mid-window makes its model install under
+    in-flight speculated scores."""
+    trace = generate_trace(
+        SyntheticConfig(n_requests=4000, n_objects=300, seed=7)
+    )
+    requests = list(trace)
+
+    def run(drive):
+        plan = FaultPlan(
+            [FaultSpec(site="trainer.submit", kind="hang", at=(0, 1))],
+            seed=5,
+        )
+        executor = SimulatedTrainerExecutor()
+        with use_fault_plan(plan):
+            policy = LFOOnline(
+                trace.footprint() // 10, window=1000,
+                gbdt_params=GBDTParams(num_iterations=8), n_gaps=N_GAPS,
+                label_config=OptLabelConfig("segmented", segment_length=500),
+                background=True, executor=executor, train_deadline=1001,
+            )
+            policy.set_model(model)
+            inner, decided = policy.apply_scored, count(1)
+
+            def apply_scored(*args):
+                hit = inner(*args)
+                if next(decided) == 1537:
+                    executor.release_hung()
+                return hit
+
+            policy.apply_scored = apply_scored
+            result = outcome(policy, drive)
+        executor.shutdown(cancel_futures=True)
+        return (
+            result, policy.n_watchdog_cancels, policy.n_skipped_retrains,
+            policy.n_retrains,
+        )
+
+    reference = run(scalar(requests))
+    assert reference == run(served(requests, 256, 300))
+    assert reference[1:] == (1, 1, 1)  # second hang cancelled, one skip
+
+
+def test_poll_hook_runs_once_per_request(model):
+    """Also across windows abandoned because the poll swapped the model."""
+    requests = list(generate_trace(
+        SyntheticConfig(n_requests=600, n_objects=60, seed=3)
+    ))
+
+    def policy():
+        return LFOCache(4000, model, tracker=FeatureTracker(n_gaps=N_GAPS))
+
+    polled, polls = policy(), count(1)
+
+    def poll():
+        if next(polls) in (70, 71, 300):
+            polled.set_model(replace(model))
+
+    hits = DecisionEngine(polled, poll=poll).run(requests)
+    assert next(polls) == len(requests) + 1
+    assert hits == scalar(requests)(policy())
+
+
+@pytest.mark.parametrize("name", list(policy_factories()))
+def test_batch_size_is_a_noop_for_non_lfo_policies(name):
+    trace = generate_trace(
+        SyntheticConfig(n_requests=1500, n_objects=120, seed=13)
+    )
+    factory = policy_factories()[name]
+    cache_size = trace.footprint() // 8
+    assert np.array_equal(
+        simulate(trace, factory(cache_size), batch_size=512).hits,
+        simulate(trace, factory(cache_size)).hits,
+    )

@@ -3,8 +3,9 @@
 Covers the minimal-overhead eviction contract: seeded determinism,
 equivalence with full likelihood eviction when the sample covers every
 resident, the K+1 candidate-count ceiling, the heap-minimum safety
-candidate, bounded-heap compaction under churn, composition with the
-batched scoring engine, and the aborted-plan restore path.
+candidate, bounded-heap compaction under churn, and the aborted-plan
+restore path (composition with the decision engine:
+``tests/test_engines_differential.py``, ``eviction="sampled"``).
 """
 
 import numpy as np
@@ -257,29 +258,6 @@ class TestColdStartAndFallback:
         result = simulate(trace, policy)
         assert result.bhr > 0.0
         assert policy.n_retrains >= 1
-
-
-class TestBatchedComposition:
-    def test_batched_hits_identical_to_scalar(self):
-        model = _toy_model(cutoff=0.3)
-        trace = generate_trace(
-            SyntheticConfig(
-                n_requests=3000, n_objects=200, size_median=15,
-                size_sigma=1.0, size_max=90, seed=21,
-            )
-        )
-
-        def policy():
-            return LFOCache(
-                cache_size=1500, model=model, n_gaps=4, eviction="sampled",
-                sampled=SampledEvictionConfig(k=8, seed=4),
-            )
-
-        assert policy().supports_batched_scoring
-        scalar = simulate(trace, policy(), batch_size=0)
-        batched = simulate(trace, policy(), batch_size=64)
-        assert np.array_equal(scalar.hits, batched.hits)
-        assert scalar.bhr == batched.bhr
 
 
 class TestAbortedSampledPlan:

@@ -1,10 +1,9 @@
-"""Equivalence gate for the batched (speculative) scoring engine.
+"""``simulate(..., batch_size=N)``: opt-outs, support flags, telemetry.
 
-``simulate(..., batch_size=N)`` must be a pure performance knob: for
-every supported policy the per-request ``hits`` vector — and therefore
-every hit ratio — must equal the scalar loop's exactly, at every batch
-size, including under tracker-state churn.  Policies that don't support
-batching must silently fall back to the scalar loop.
+That batched hits equal the scalar loop's is pinned for every engine at
+once in ``tests/test_engines_differential.py`` (with ``batch_size`` as a
+no-op for every non-LFO policy); here: an LFO that cannot be batched
+silently falls back to the scalar loop.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from repro.cache import CachePolicy, LRUCache
 from repro.core import LFOCache, LFOModel, LFOOnline
 from repro.core.pipeline import prepare_windows
-from repro.features import FeatureTracker
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim import simulate
 from repro.trace import SyntheticConfig, Trace, generate_trace
@@ -42,62 +40,7 @@ def run(tail, policy, batch_size):
     return simulate(tail, policy, batch_size=batch_size)
 
 
-class TestEquivalence:
-    @pytest.mark.parametrize("batch_size", [2, 16, 128, 1024])
-    def test_lfo_hits_identical(self, setup, batch_size):
-        model, tail = setup
-        scalar = run(tail, LFOCache(CACHE_SIZE, model=model), 0)
-        batched = run(tail, LFOCache(CACHE_SIZE, model=model), batch_size)
-        assert np.array_equal(scalar.hits, batched.hits)
-        assert scalar.bhr == batched.bhr
-        assert scalar.ohr == batched.ohr
-
-    def test_capped_tracker_identical(self, setup):
-        """The tracker's LRU cap recycles rows mid-window; the dirty-set
-        invalidation must catch evicted objects too."""
-        model, tail = setup
-
-        def policy():
-            return LFOCache(
-                CACHE_SIZE, model=model,
-                tracker=FeatureTracker(n_gaps=50, max_objects=64),
-            )
-
-        scalar = run(tail, policy(), 0)
-        batched = run(tail, policy(), 256)
-        assert np.array_equal(scalar.hits, batched.hits)
-
-    def test_lru_eviction_variant_identical(self, setup):
-        model, tail = setup
-        scalar = run(tail, LFOCache(CACHE_SIZE, model=model, eviction="lru"), 0)
-        batched = run(
-            tail, LFOCache(CACHE_SIZE, model=model, eviction="lru"), 128
-        )
-        assert np.array_equal(scalar.hits, batched.hits)
-
-    def test_batch_size_one_is_scalar(self, setup):
-        model, tail = setup
-        a = run(tail, LFOCache(CACHE_SIZE, model=model), 1)
-        b = run(tail, LFOCache(CACHE_SIZE, model=model), 0)
-        assert np.array_equal(a.hits, b.hits)
-
-    def test_on_request_callback_sees_every_request(self, setup):
-        model, tail = setup
-        seen = []
-        simulate(
-            tail, LFOCache(CACHE_SIZE, model=model), batch_size=64,
-            on_request=lambda i, hit: seen.append((i, hit)),
-        )
-        assert [i for i, _ in seen] == list(range(len(tail)))
-
-
 class TestFallbacks:
-    def test_lru_unaffected_by_batch_size(self, setup):
-        _, tail = setup
-        a = run(tail, LRUCache(CACHE_SIZE), 512)
-        b = run(tail, LRUCache(CACHE_SIZE), 0)
-        assert np.array_equal(a.hits, b.hits)
-
     def test_rescore_interval_opts_out(self, setup):
         model, tail = setup
         policy = LFOCache(CACHE_SIZE, model=model, rescore_interval=100)
