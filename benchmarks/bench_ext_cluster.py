@@ -3,7 +3,7 @@
 ``bench_fig7_throughput`` sweeps predictor *threads* over a static
 feature matrix; this benchmark extends the sweep to the full cluster
 data plane — consistent-hash routing, shard worker processes, the
-shared-memory model slab, and striped telemetry buffers — and gates two
+shared-memory model slab, and the columnar request wire — and gates two
 properties at once:
 
 * **near-linear scaling** — each shard worker accumulates
@@ -16,7 +16,10 @@ properties at once:
   gate is CPU-time based it measures real serialization overhead (lock
   contention, per-request routing cost leaking into shards) and holds on
   a single-core CI host, where wall-clock scaling is physically
-  impossible; wall-clock aggregates are reported alongside, labeled.
+  impossible.  The *wall* rate is the table's first rate column, with
+  the host's core count beside it; it times the request path only —
+  every batch after the first, so spawn, publish, model attach and the
+  shards' C-kernel build are set-up.
 * **bit-identical scores** — every shard's running ``blake2b`` score
   digest must equal an in-process :class:`repro.core.DecisionEngine`
   run over the same trace split, and the shard's hit decisions must
@@ -84,11 +87,11 @@ def _train_model(requests: list, cache_size: int) -> LFOModel:
 def _run_cluster(requests, cache_size, n_shards, model):
     """One sweep point: route the trace, return rates + digests + hits."""
     cluster = CacheCluster(cache_size, n_shards, seed=RING_SEED)
-    hits: list[bool] = []
-    began = perf_counter()
     with cluster:
         cluster.publish(model)
-        for start in range(0, len(requests), BATCH):
+        hits = cluster.process(requests[:BATCH])  # warm-up: set-up, untimed
+        began = perf_counter()
+        for start in range(BATCH, len(requests), BATCH):
             hits.extend(cluster.process(requests[start:start + BATCH]))
         wall = perf_counter() - began
         shards = cluster.shard_stats()
@@ -99,7 +102,7 @@ def _run_cluster(requests, cache_size, n_shards, model):
         "hits": sum(hits),
         "hit_list": hits,
         "wall_seconds": wall,
-        "wall_rate": len(requests) / wall,
+        "wall_rate": max(0, len(requests) - BATCH) / wall,
         "modeled_rate": sum(cpu_rates),
         "shard_cpu_seconds": [s["cpu_seconds"] for s in shards],
         "shard_requests": [s["requests"] for s in shards],
@@ -165,9 +168,10 @@ def test_cluster_scaling(benchmark):
         identical = point["shard_digests"] == point["ref_digests"]
         rows.append([
             point["n_shards"],
+            int(point["wall_rate"]),
+            os.cpu_count(),
             int(point["modeled_rate"]),
             round(speedup, 2),
-            int(point["wall_rate"]),
             round(point["hits"] / point["requests"], 4),
             "yes" if identical else "NO",
         ])
@@ -189,13 +193,13 @@ def test_cluster_scaling(benchmark):
     report(
         "ext_cluster",
         table(
-            ["shards", "modeled req/s", "speedup", "wall req/s",
-             "ohr", "bit-identical"],
+            ["shards", "wall req/s", "host_cores", "modeled req/s",
+             "speedup", "ohr", "bit-identical"],
             rows,
         )
-        + f"\nhost cores: {os.cpu_count()} — modeled req/s sums per-shard "
-        "CPU-time service rates (one core per shard); wall req/s is this "
-        "host's wall clock.\n"
+        + "\nwall req/s is this host's wall clock over the request path "
+        f"(every {BATCH}-request batch after the first); modeled req/s "
+        "sums per-shard CPU-time service rates (one core per shard).\n"
         + "(gates: "
         + ", ".join(
             f">={gate}x @ {n} shards" for n, gate in SCALING_GATES.items()

@@ -453,8 +453,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     executor.release_hung()
                 lfo.close()
                 if cluster is not None:
-                    # Drain-then-flush: stop the shards, fold their final
-                    # buffered telemetry, then unlink the slab segments
+                    # Drain-then-flush: stop the shards, fold their last
+                    # replies' telemetry, then unlink the slab segments
                     # exactly once (also the SIGINT path).
                     cluster.close()
                 if executor is not None:

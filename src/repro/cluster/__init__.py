@@ -15,10 +15,11 @@ exactly those three plus the router that composes them:
   (``np.frombuffer``) with bit-identical scores.  Publish is
   write-new-then-flip, never in-place: readers either see the old
   generation or the complete new one;
-* **striped cross-shard buffers** (:class:`StripedBuffer`,
-  ``buffers.py``) — telemetry deltas and observed accesses batch
-  through per-shard striped write buffers and drain on size/boundary
-  triggers, so cross-shard traffic never serializes on a lock.
+* **a columnar wire** (``wire.py``) — a routed bucket goes down a
+  shard's pipe as fixed-width request records and comes back as one
+  reply per batch (hit bytes, cumulative stats, telemetry deltas and,
+  for training, one feature matrix); no request object is pickled in
+  either direction.
 
 :class:`CacheCluster` (``cluster.py``) wires them together — spawn-safe
 shard workers (``worker.py``), fan-out/collect batch dispatch, and
@@ -28,7 +29,6 @@ drops the cluster into the always-on serving loop with the trainer
 publishing into the slab (``lfo serve --shards N``).
 """
 
-from .buffers import StripedBuffer
 from .cluster import CacheCluster, ClusterReport
 from .ring import HashRing
 from .serving import ClusterScorer
@@ -44,6 +44,5 @@ __all__ = [
     "ShardConfig",
     "SlabModel",
     "SlabReader",
-    "StripedBuffer",
     "shard_main",
 ]

@@ -11,38 +11,46 @@ them together:
   each trained model into shared memory; shards attach zero-copy at
   batch boundaries.  :meth:`publish` is shaped to be handed directly to
   :class:`repro.core.LFOOnline` as its ``publish_hook``;
-* the **telemetry fold** — striped-buffer drains from every shard
-  (counter/histogram deltas, observed accesses) are folded into the
-  active registry (:func:`repro.obs.fold_deltas`), so a
+* the **telemetry fold** — the counter/histogram deltas in every
+  shard's reply are folded into the active registry
+  (:func:`repro.obs.fold_deltas`), so a
   :class:`~repro.obs.WindowedRegistry` sees cluster-wide windows and the
   BHR / latency SLO / drift machinery works unchanged.
 
 Shard workers are ``spawn``-started processes (no inherited state; every
-argument pickles), fed over pipes in routed batches.  Dispatch fans out
-first and collects second, so shards compute concurrently; each reply
-carries the shard's per-request hit bits (re-interleaved into the
-caller's order) and cumulative stats including a running score digest —
-the bit-identity witness the cluster benchmark checks against a
-single-process replay of the same split.
+argument pickles), fed over pipes in routed batches: each bucket goes
+down as fixed-width request records (:mod:`repro.cluster.wire`), and
+each shard answers with one message (see
+:func:`repro.cluster.shard_main`).  Dispatch fans out first and collects
+second, so shards compute concurrently; a reply carries the shard's
+per-request hit bytes (re-interleaved into the caller's order) and
+cumulative stats including a running score digest — the bit-identity
+witness the cluster benchmark checks against a single-process replay of
+the same split.  Requests never travel back: observed-access records
+are rebuilt from the bucket the router sent.
 
 Shutdown (:meth:`close`, idempotent, also the context-manager exit and
 the SIGINT path) mirrors the serve loop's drain-then-flush: every shard
-is stopped and its final buffered drains folded, workers are joined,
-and only then are the shared-memory segments unlinked — exactly once.
+is stopped and its last reply folded, workers are joined, and only then
+are the shared-memory segments unlinked — exactly once.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from ..obs import get_registry
 from ..obs.fold import fold_deltas
 from ..trace import Request
 from .ring import HashRing
 from .slab import ModelSlab
+from .wire import pack_requests
 from .worker import ShardConfig, shard_main
 
 if TYPE_CHECKING:  # annotation only; avoids repro.core import at runtime.
@@ -107,11 +115,11 @@ class CacheCluster:
             ``(seed, n_shards, vnodes)``).
         n_gaps: gap-feature count of each shard's tracker.
         eviction: shard cache eviction mode.
-        stripes / stripe_capacity: shard-side striped write buffer shape.
-        ship_features: include live feature rows in access drains (the
+        ship_features: have shards reply with live feature rows (the
             serving/training path needs them; plain replay does not).
-        on_access: called with each drained batch of access records
-            ``(index, request, hit, features | None)`` — the
+        on_access: called once per shard and batch, after every shard
+            has replied, with that shard's access records ``(index,
+            request, hit, features | None)`` in bucket order — the
             training-sample tap.
         slab_token: override the shared-memory token (testing).
     """
@@ -125,8 +133,6 @@ class CacheCluster:
         seed: int = 0,
         n_gaps: int = 50,
         eviction: str = "likelihood",
-        stripes: int = 8,
-        stripe_capacity: int = 256,
         ship_features: bool = False,
         on_access: Callable[[list], None] | None = None,
         slab_token: str | None = None,
@@ -141,8 +147,6 @@ class CacheCluster:
         self._config = dict(
             n_gaps=n_gaps,
             eviction=eviction,
-            stripes=stripes,
-            stripe_capacity=stripe_capacity,
             ship_features=ship_features,
         )
         self._processes: list[multiprocessing.process.BaseProcess] = []
@@ -151,9 +155,10 @@ class CacheCluster:
         self.report = ClusterReport()
         self._started = False
         self._closed = False
-        #: Set by the first shard failure; every later ``process`` raises
-        #: it again without touching the pipes (live shards may hold
-        #: unread replies to the batch the failure interrupted).
+        #: Set by the first exception between a batch's first send and
+        #: its last receive; every later ``process`` raises it again
+        #: without touching the pipes (live shards may hold unread
+        #: replies to the batch the failure interrupted).
         self._failed: str | None = None
 
     @property
@@ -206,7 +211,7 @@ class CacheCluster:
         self.close()
 
     def close(self) -> None:
-        """Stop shards, fold their final drains, unlink shared memory.
+        """Stop shards, fold their last replies, unlink shared memory.
 
         Idempotent and exception-safe: whatever happens while stopping
         workers, the slab segments are unlinked exactly once — the
@@ -226,11 +231,14 @@ class CacheCluster:
                         continue
                 for shard_id, conn in enumerate(self._conns):
                     try:
-                        self._collect(shard_id, conn, registry, "stopped")
+                        stats, deltas, *_ = self._receive(
+                            shard_id, "stopped"
+                        )
+                        self._absorb(shard_id, stats, deltas)
                     except RuntimeError:
                         # Shutdown is best-effort: a shard that died or
-                        # errored mid-drain must not keep the others from
-                        # stopping or the slab from unlinking.
+                        # errored must not keep the others from stopping
+                        # or the slab from unlinking.
                         continue
                     finally:
                         conn.close()
@@ -282,9 +290,10 @@ class CacheCluster:
         """Route one batch across the shards; per-request hits in order.
 
         Fan-out first (every shard's sub-batch is dispatched before any
-        reply is awaited), then collect — shards compute concurrently.
-        Telemetry drains arriving with the replies are folded into the
-        active registry before this returns.
+        reply is awaited), then collect every reply — shards compute
+        concurrently — and only then fold telemetry and call
+        ``on_access``, so an exception out of either leaves no reply
+        unread.
         """
         if not self._started:
             raise RuntimeError("CacheCluster.process before start()")
@@ -296,29 +305,47 @@ class CacheCluster:
         began = perf_counter()
         buckets = self.ring.partition(requests)
         dispatched: list[int] = []
-        hits = [False] * len(requests)
         try:
             for shard_id, bucket in enumerate(buckets):
                 if bucket:
                     try:
-                        self._conns[shard_id].send(("batch", bucket))
+                        self._conns[shard_id].send(
+                            ("batch", pack_requests(bucket))
+                        )
                     except OSError:
                         raise self._exited(shard_id) from None
                     dispatched.append(shard_id)
-            for shard_id in dispatched:
-                shard_hits = self._collect(
-                    shard_id, self._conns[shard_id], registry, "done"
-                )
-                for (index, _request), hit in zip(
-                    buckets[shard_id], shard_hits
-                ):
-                    hits[index] = hit
-        except RuntimeError as exc:
-            self._failed = str(exc)
+            replies = [
+                self._receive(shard_id, "done") for shard_id in dispatched
+            ]
+        except BaseException as exc:
+            self._failed = str(exc) or repr(exc)
             raise
+        hits = np.zeros(len(requests), dtype=np.bool_)
+        accesses: list[list[tuple]] = []
+        for shard_id, (stats, deltas, hit_bytes, features) in zip(
+            dispatched, replies
+        ):
+            self._absorb(shard_id, stats, deltas)
+            bucket = buckets[shard_id]
+            shard_hits = np.frombuffer(hit_bytes, dtype=np.bool_)
+            hits[[index for index, _request in bucket]] = shard_hits
+            if self.on_access is not None:
+                if features is None:
+                    rows = repeat(None)
+                else:
+                    rows = np.frombuffer(features, dtype="<f8").reshape(
+                        len(bucket), -1
+                    )
+                accesses.append([
+                    (index, request, hit, row)
+                    for (index, request), hit, row in zip(
+                        bucket, shard_hits.tolist(), rows
+                    )
+                ])
         report = self.report
         report.requests += len(requests)
-        report.hits += sum(hits)
+        report.hits += int(hits.sum())
         report.batches += 1
         report.generation = self.generation
         report.shards = [dict(stats) for stats in self._stats if stats]
@@ -334,8 +361,10 @@ class CacheCluster:
             registry.histogram(
                 "cluster.batch_seconds", _BATCH_SECONDS_BUCKETS
             ).observe(perf_counter() - began)
+        for records in accesses:
+            self.on_access(records)
         registry.maybe_roll()
-        return hits
+        return hits.tolist()
 
     def run(
         self, requests: Sequence[Request], batch_size: int = 2048
@@ -359,43 +388,32 @@ class CacheCluster:
             f"shard {shard_id} exited (code {process.exitcode})"
         )
 
-    def _collect(
-        self, shard_id: int, conn, registry, final: str
-    ) -> list[bool]:
-        """Receive one shard's messages up to ``final``, folding drains."""
+    def _receive(self, shard_id: int, final: str) -> tuple:
+        """One shard's ``final`` reply: ``(stats, deltas, hits, features)``."""
         while True:
             try:
-                message = conn.recv()
+                message = self._conns[shard_id].recv()
             except (EOFError, OSError):
                 raise self._exited(shard_id) from None
             kind = message[0]
-            if kind == "drain":
-                _, _, payload_kind, items = message
-                if registry.enabled:
-                    registry.counter("cluster.drains").inc()
-                if payload_kind == "metrics":
-                    fold_deltas(registry, items)
-                elif payload_kind == "accesses":
-                    if self.on_access is not None:
-                        self.on_access(items)
-                else:
-                    raise RuntimeError(
-                        f"shard {shard_id}: unknown drain {payload_kind!r}"
-                    )
-            elif kind == "error":
+            if kind == final:
+                return message[2:]
+            if kind == "error":
                 raise RuntimeError(
                     f"shard {shard_id} failed: {message[2]}"
                 )
-            elif kind == final:
-                self._stats[message[1]] = message[2]
-                return message[3] if len(message) > 3 else []
-            elif kind == "done" and final == "stopped":
+            if kind == "done" and final == "stopped":
                 # A batch reply whose collection was interrupted (SIGINT
-                # mid-process): fold its stats and keep waiting for the
-                # shutdown ack instead of failing the drain.
-                self._stats[message[1]] = message[2]
-            else:
-                raise RuntimeError(
-                    f"shard {shard_id}: unexpected {kind!r} "
-                    f"while waiting for {final!r}"
-                )
+                # mid-process): fold it and keep waiting for the
+                # shutdown ack instead of failing the shutdown.
+                self._absorb(shard_id, *message[2:4])
+                continue
+            raise RuntimeError(
+                f"shard {shard_id}: unexpected {kind!r} "
+                f"while waiting for {final!r}"
+            )
+
+    def _absorb(self, shard_id: int, stats: dict, deltas: list) -> None:
+        """Keep a reply's cumulative stats and fold its telemetry deltas."""
+        self._stats[shard_id] = stats
+        fold_deltas(get_registry(), deltas)

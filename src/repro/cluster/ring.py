@@ -131,9 +131,9 @@ class HashRing:
         ]
         if not requests:
             return buckets
-        shards = self.shard_of_batch([r.obj for r in requests])
+        shards = self.shard_of_batch([r.obj for r in requests]).tolist()
         for i, (request, shard) in enumerate(zip(requests, shards)):
-            buckets[int(shard)].append((i, request))
+            buckets[shard].append((i, request))
         return buckets
 
     def spread(self, keys: "Sequence[int] | np.ndarray") -> np.ndarray:

@@ -7,9 +7,9 @@ cache, while the control plane — one :class:`repro.core.LFOOnline`
 trainer living in the router process — keeps the paper's Figure-2 loop
 intact:
 
-1. shards serve each routed batch and ship observed-access records
-   (request, hit, the *live* feature row it was scored with) through
-   their striped buffers;
+1. shards serve each routed batch and reply with hits and the *live*
+   feature rows the requests were scored with; the cluster pairs them
+   with the requests it routed into observed-access records;
 2. the scorer replays those records, in global request order, into the
    trainer's window buffer (``poll_training`` + ``record_for_training``
    — the same serving hooks ``BatchScorer`` drives), so training sees
@@ -100,9 +100,9 @@ class ClusterScorer:
         """Route one batch through the cluster; per-request hits in order.
 
         All of the batch's access records arrive before
-        :meth:`CacheCluster.process` returns (the batch boundary drains
-        every shard buffer), so replaying them sorted by original index
-        feeds the trainer in exactly the order the requests were served.
+        :meth:`CacheCluster.process` returns (one ``on_access`` call per
+        shard), so replaying them sorted by original index feeds the
+        trainer in exactly the order the requests were served.
         """
         self._accesses = []
         began = perf_counter()

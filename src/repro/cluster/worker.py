@@ -18,34 +18,36 @@ Per batch the worker:
    tap folds every score into a running ``blake2b`` digest.  The digest
    is what the cluster benchmark compares against an in-process engine
    over the same trace split: equal digests mean bit-identical scores;
-3. pushes telemetry deltas and observed-access records through striped
-   write buffers (:class:`repro.cluster.StripedBuffer`); size-triggered
-   drains go down the pipe immediately, and the batch boundary drains
-   the rest — the router folds them into its windowed registry, the
-   trainer consumes the access records as training samples.
+3. answers with one message: cumulative stats, the batch's hits as a
+   byte string, the telemetry deltas the router folds into its windowed
+   registry and — only with ``ship_features`` — the live feature rows
+   as one float64 matrix.  Neither requests nor indices travel back:
+   the router still holds the bucket it sent and rebuilds the access
+   records the trainer consumes from it.
 
 Timing: the worker accumulates ``process_time`` (CPU seconds) and
 ``perf_counter`` (busy wall seconds) around the scoring loop only —
-attach, pickling, and pipe waits are excluded, so per-shard service
-rates measure the work a dedicated core would do.
+attach, record unpacking, and pipe waits are excluded, so per-shard
+service rates measure the work a dedicated core would do.
 """
 
 from __future__ import annotations
 
 import signal
 import struct
-import zlib
 from dataclasses import dataclass
 from hashlib import blake2b
 from time import perf_counter, process_time
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..core.engine import DecisionEngine
 from ..core.lfo import ADMISSION_SCORE_BUCKETS, LFOCache
 from ..obs.registry import Histogram
 from ..trace import Request
-from .buffers import StripedBuffer
 from .slab import SlabReader
+from .wire import unpack_requests
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -66,11 +68,9 @@ class ShardConfig:
             the total evenly).
         n_gaps: gap-feature count of the shard's feature tracker.
         eviction: the shard cache's eviction mode.
-        stripes: stripe count for the telemetry/access write buffers.
-        stripe_capacity: per-stripe items before a size-triggered drain.
-        ship_features: include each request's live feature row in the
-            access records (the trainer needs them; plain replay does
-            not, and the rows dominate pipe traffic).
+        ship_features: reply with each request's live feature row (the
+            trainer needs them; plain replay does not, and the rows
+            dominate pipe traffic).
     """
 
     shard_id: int
@@ -78,18 +78,11 @@ class ShardConfig:
     cache_size: int
     n_gaps: int = 50
     eviction: str = "likelihood"
-    stripes: int = 8
-    stripe_capacity: int = 256
     ship_features: bool = False
 
 
-def _metric_key(name: str) -> int:
-    """Deterministic stripe key for a metric name (no hash salting)."""
-    return zlib.crc32(name.encode())
-
-
 class _ShardState:
-    """One worker's live state: cache, slab reader, buffers, counters."""
+    """One worker's live state: cache, slab reader, counters, deltas."""
 
     def __init__(self, config: ShardConfig, conn: "Connection") -> None:
         self.config = config
@@ -101,7 +94,6 @@ class _ShardState:
             eviction=config.eviction,
         )
         self.engine = DecisionEngine(self.cache, tap=self._tap)
-        self._batch: list[tuple[int, Request]] = []
         self.reader = SlabReader(config.slab_token)
         self.generation = 0
         self.attaches = 0
@@ -118,22 +110,11 @@ class _ShardState:
         self._hist_shipped = [0] * len(self.score_hist.bucket_counts)
         self._hist_shipped_count = 0
         self._hist_shipped_total = 0.0
-        self.metrics_buffer = StripedBuffer(
-            self._send_metrics,
-            stripes=config.stripes,
-            capacity=config.stripe_capacity,
-        )
-        self.access_buffer = StripedBuffer(
-            self._send_accesses,
-            stripes=config.stripes,
-            capacity=config.stripe_capacity,
-        )
-
-    def _send_metrics(self, batch: list) -> None:
-        self.conn.send(("drain", self.config.shard_id, "metrics", batch))
-
-    def _send_accesses(self, batch: list) -> None:
-        self.conn.send(("drain", self.config.shard_id, "accesses", batch))
+        #: Telemetry records (:func:`repro.obs.fold.fold_deltas` shapes)
+        #: since the last reply.
+        self._deltas: list[tuple] = []
+        #: The batch's feature rows, one per request (``ship_features``).
+        self._rows: np.ndarray | None = None
 
     def maybe_attach(self) -> None:
         """Batch-boundary model check: attach a new generation if flipped."""
@@ -146,15 +127,12 @@ class _ShardState:
         self.generation, model = attached
         self.cache.set_model(model)
         self.attaches += 1
-        self.metrics_buffer.add(
-            _metric_key("cluster.shard_attaches"),
-            ("counter", "cluster.shard_attaches", 1),
-        )
+        self._deltas.append(("counter", "cluster.shard_attaches", 1))
 
     def _tap(
         self, k: int, request: Request, hit: bool, score: float
     ) -> None:
-        """Post-decision: digest, score histogram, bytes, access record."""
+        """Post-decision: digest, score histogram, bytes, feature row."""
         self.digest.update(_PACK_SCORE.pack(score))
         cache = self.cache
         if cache.model is not None:
@@ -164,22 +142,17 @@ class _ShardState:
             self.hit_bytes += request.size
         else:
             self.miss_bytes += request.size
-        self.access_buffer.add(
-            request.obj,
-            (
-                self._batch[k][0],
-                request,
-                hit,
-                cache.last_features.copy()
-                if self.config.ship_features else None,
-            ),
-        )
+        if self._rows is not None:
+            self._rows[k] = cache.last_features
 
-    def process(self, batch: list[tuple[int, Request]]) -> None:
-        """Score one routed batch and reply with cumulative stats."""
+    def process(self, data: bytes) -> None:
+        """Score one routed batch of request records and reply."""
+        requests = unpack_requests(data)
         self.maybe_attach()
-        self._batch = batch
-        requests = [request for _index, request in batch]
+        if self.config.ship_features:
+            self._rows = np.empty(
+                (len(requests), self.cache.tracker.n_features), dtype="<f8"
+            )
         hit_bytes = self.hit_bytes
         miss_bytes = self.miss_bytes
         began_cpu = process_time()
@@ -187,24 +160,31 @@ class _ShardState:
         hits = self.engine.run(requests)
         self.cpu_seconds += process_time() - began_cpu
         self.busy_seconds += perf_counter() - began_wall
-        self.requests += len(batch)
+        self.requests += len(requests)
         for name, delta in (
-            ("sim.requests", len(batch)),
+            ("sim.requests", len(requests)),
             ("sim.hit_bytes", self.hit_bytes - hit_bytes),
             ("sim.miss_bytes", self.miss_bytes - miss_bytes),
         ):
             if delta:
-                self.metrics_buffer.add(
-                    _metric_key(name), ("counter", name, delta)
-                )
-        self._ship_histogram_delta()
-        # Boundary trigger: the router folds complete batches only.
-        self.access_buffer.drain_all()
-        self.metrics_buffer.drain_all()
-        self.conn.send(("done", self.config.shard_id, self.stats(), hits))
+                self._deltas.append(("counter", name, delta))
+        self._note_histogram_delta()
+        rows = self._rows
+        self.reply(
+            "done", bytes(hits), None if rows is None else rows.tobytes()
+        )
 
-    def _ship_histogram_delta(self) -> None:
-        """Queue the admission-score histogram's since-last-ship delta."""
+    def reply(
+        self, kind: str, hits: bytes = b"", features: bytes | None = None
+    ) -> None:
+        """Send ``(kind, shard, stats, deltas, hits, features)``."""
+        deltas, self._deltas = self._deltas, []
+        self.conn.send(
+            (kind, self.config.shard_id, self.stats(), deltas, hits, features)
+        )
+
+    def _note_histogram_delta(self) -> None:
+        """Record the admission-score histogram's since-last-reply delta."""
         hist = self.score_hist
         delta = [
             now - before
@@ -217,16 +197,13 @@ class _ShardState:
         self._hist_shipped = list(hist.bucket_counts)
         self._hist_shipped_count = hist.count
         self._hist_shipped_total = hist.total
-        self.metrics_buffer.add(
-            _metric_key(hist.name),
-            (
-                "hist", hist.name, hist.bounds,
-                delta, count_delta, total_delta, hist.max,
-            ),
-        )
+        self._deltas.append((
+            "hist", hist.name, hist.bounds,
+            delta, count_delta, total_delta, hist.max,
+        ))
 
     def stats(self) -> dict:
-        """Cumulative per-shard stats (the ``done``/``stopped`` payload)."""
+        """Cumulative per-shard stats (in every reply)."""
         return {
             "shard": self.config.shard_id,
             "requests": self.requests,
@@ -237,9 +214,6 @@ class _ShardState:
             "busy_seconds": self.busy_seconds,
             "generation": self.generation,
             "attaches": self.attaches,
-            "buffer_drains": (
-                self.metrics_buffer.drains + self.access_buffer.drains
-            ),
             "score_digest": self.digest.copy().hexdigest(),
         }
 
@@ -247,18 +221,22 @@ class _ShardState:
 def shard_main(config: ShardConfig, conn: "Connection") -> None:
     """Worker entry point: serve routed batches until ``stop``.
 
-    Message protocol (parent → worker): ``("batch", [(index, request),
-    ...])`` and ``("stop",)``.  Worker → parent: zero or more
-    ``("drain", shard, kind, items)`` per batch, then ``("done", shard,
-    stats, hits)``; ``("stopped", shard, stats)`` acknowledges shutdown after
-    a final drain.  Any worker exception is reported as ``("error",
-    shard, message)`` before re-raising, so the router can fail fast
-    instead of deadlocking on a silent child.
+    Message protocol (parent → worker): ``("batch", records)`` — the
+    bucket's requests as :mod:`repro.cluster.wire` records — and
+    ``("stop",)``.  Worker → parent: exactly one ``("done", shard,
+    stats, deltas, hits, features)`` per batch, where ``hits`` is one
+    byte per request in bucket order, ``deltas`` the telemetry records
+    since the last reply and ``features`` the ``(n, n_features)``
+    little-endian float64 rows as bytes (``None`` unless
+    ``ship_features``); ``("stopped", ...)`` of the same shape
+    acknowledges shutdown.  Any worker exception is reported as
+    ``("error", shard, message)`` before re-raising, so the router can
+    fail fast instead of deadlocking on a silent child.
     """
     # A terminal Ctrl-C signals the whole foreground process group —
     # workers included.  Shutdown is the router's job (a "stop" message
     # followed by join-or-terminate), so the worker must keep serving
-    # through the router's drain instead of dying mid-batch with a
+    # through the router's shutdown instead of dying mid-batch with a
     # KeyboardInterrupt half-reply in the pipe.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     state = _ShardState(config, conn)
@@ -269,13 +247,7 @@ def shard_main(config: ShardConfig, conn: "Connection") -> None:
             if kind == "batch":
                 state.process(message[1])
             elif kind == "stop":
-                # Drain-then-flush, mirroring the serve loop's shutdown:
-                # ship every buffered record before acknowledging.
-                state.access_buffer.drain_all()
-                state.metrics_buffer.drain_all()
-                state._ship_histogram_delta()
-                state.metrics_buffer.drain_all()
-                conn.send(("stopped", config.shard_id, state.stats()))
+                state.reply("stopped")
                 return
             else:
                 raise ValueError(f"unknown cluster message: {kind!r}")

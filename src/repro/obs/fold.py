@@ -3,9 +3,9 @@
 Shard worker processes cannot report into the router's registry — the
 instruments are process-local by design.  Instead each worker observes
 into plain local ``Counter``/``Histogram`` instances and ships *deltas*
-through its striped write buffers (:mod:`repro.cluster.buffers`); the
-router calls :func:`fold_deltas` on every drained batch, replaying the
-deltas into its own (usually windowed) registry.  Because windows are
+in its reply to each batch (:mod:`repro.cluster.worker`); the router
+calls :func:`fold_deltas` on every reply, replaying the deltas into its
+own (usually windowed) registry.  Because windows are
 delta-encoded to begin with (:class:`repro.obs.WindowedRegistry`), a
 folded counter increment or histogram bucket delta is indistinguishable
 from a local observation — BHR, latency SLOs, and drift detection work
@@ -32,7 +32,7 @@ def fold_deltas(
     registry: "MetricsRegistry | NullRegistry",
     items: Iterable[Sequence],
 ) -> int:
-    """Replay drained telemetry records into ``registry``; returns count.
+    """Replay shipped telemetry records into ``registry``; returns count.
 
     Two record shapes (produced by :mod:`repro.cluster.worker`):
 

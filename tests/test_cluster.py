@@ -6,8 +6,8 @@ The load-bearing claims, each pinned here:
   ``(seed, n_shards, vnodes)`` triple always yields the same key→shard
   mapping, and growing N→N+1 remaps at most ``2/N`` of keys, all of
   them onto the new shard;
-* **striped buffers batch without loss** — size-triggered and boundary
-  drains together deliver every item exactly once, in per-stripe order;
+* **the wire is lossless and validating** — request records round-trip
+  field by field, and a shard rejects a malformed one;
 * **the shared-memory slab is bit-exact and leak-free** — publish/attach
   round-trips reproduce the publisher's scores exactly, generations
   flip atomically, and shutdown (normal or SIGINT) unlinks every
@@ -30,21 +30,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     CacheCluster,
     ClusterScorer,
     HashRing,
     ModelSlab,
+    ShardConfig,
     SlabReader,
-    StripedBuffer,
 )
+from repro.cluster.wire import RECORD, pack_requests, unpack_requests
+from repro.cluster.worker import _ShardState
 from repro.core import DecisionEngine, LFOCache, LFOOnline, OptLabelConfig
 from repro.gbdt import GBDTParams
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.fold import fold_deltas
 from repro.obs.registry import Histogram
-from repro.trace import SyntheticConfig, generate_trace
+from repro.trace import Request, SyntheticConfig, generate_trace
 
 FAST_PARAMS = GBDTParams(num_iterations=8)
 N_GAPS = 10
@@ -149,54 +153,95 @@ class TestHashRing:
             HashRing(2, vnodes=0)
 
 
-class TestStripedBuffer:
-    def test_size_trigger_drains_one_stripe(self):
-        drained = []
-        buf = StripedBuffer(drained.append, stripes=4, capacity=3)
-        for i in range(3):
-            buf.add(0, f"a{i}")
-        assert drained == [["a0", "a1", "a2"]]
-        assert len(buf) == 0
-        assert buf.drains == 1
-        assert buf.items_drained == 3
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
-    def test_other_stripes_keep_batching(self):
-        drained = []
-        buf = StripedBuffer(drained.append, stripes=4, capacity=3)
-        buf.add(0, "a0")
-        buf.add(1, "b0")
-        buf.add(0, "a1")
-        assert drained == [] and len(buf) == 3
-        buf.add(0, "a2")  # fills stripe 0 only
-        assert drained == [["a0", "a1", "a2"]]
-        assert len(buf) == 1  # b0 still buffered
+wire_requests = st.builds(
+    Request,
+    time=st.integers(0, 2**40) | st.floats(0, 1e12),
+    obj=st.integers(INT64_MIN, INT64_MAX),
+    size=st.integers(1, INT64_MAX),
+    # Default (cost = size), zero, and a cost unrelated to the size.
+    cost=st.just(-1.0) | st.just(0.0) | st.floats(0, 1e15),
+)
 
-    def test_drain_all_flushes_boundary(self):
-        drained = []
-        buf = StripedBuffer(drained.append, stripes=2, capacity=100)
-        buf.add(0, "x")
-        buf.add(1, "y")
-        buf.add(3, "z")  # stripe 1 again (3 & 1)
-        buf.drain_all()
-        assert drained == [["x"], ["y", "z"]]
-        assert len(buf) == 0
-        buf.drain_all()  # empty stripes do not re-drain
-        assert buf.drains == 2
 
-    def test_every_item_delivered_exactly_once(self):
-        drained = []
-        buf = StripedBuffer(drained.extend, stripes=8, capacity=5)
-        for i in range(137):
-            buf.add(i * 2654435761, i)
-        buf.drain_all()
-        assert sorted(drained) == list(range(137))
-        assert buf.items_drained == 137
+class TestWire:
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(wire_requests, min_size=1, max_size=50))
+    @example([Request(0, INT64_MIN, 1), Request(0.5, INT64_MAX, INT64_MAX, 3.0)])
+    def test_round_trip_field_by_field(self, requests):
+        data = pack_requests(list(enumerate(requests)))
+        assert len(data) == RECORD.size * len(requests)
+        rebuilt = unpack_requests(data)
+        assert len(rebuilt) == len(requests)
+        for sent, got in zip(requests, rebuilt):
+            assert (got.time, got.obj, got.size, got.cost) == (
+                sent.time, sent.obj, sent.size, sent.cost
+            )
+            assert type(got.obj) is int and type(got.size) is int
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="power of two"):
-            StripedBuffer(lambda batch: None, stripes=3)
-        with pytest.raises(ValueError, match="capacity"):
-            StripedBuffer(lambda batch: None, capacity=0)
+    def test_malformed_records_are_rejected(self):
+        good = pack_requests([(0, Request(1.0, 2, 3)), (1, Request(2.0, 4, 5))])
+        for length in (len(good) - 1, len(good) + 1, 1):
+            with pytest.raises(ValueError, match="32 bytes"):
+                unpack_requests((good + b"\0")[:length])
+        for size in (0, -7):
+            with pytest.raises(ValueError, match="size must be positive"):
+                unpack_requests(good + RECORD.pack(3.0, 6, size, 1.0))
+
+
+class _Outbox:
+    """The worker's end of a pipe: keeps what a shard sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+class TestShardReply:
+    """One message per batch, in-process (no spawn): its parts against an
+    in-process engine over the same requests."""
+
+    @pytest.mark.parametrize("ship_features", [False, True])
+    def test_one_reply_per_batch(self, trace, cache_size, model, ship_features):
+        requests = list(trace)[:400]
+        cache = LFOCache(cache_size, model=model, n_gaps=N_GAPS)
+        rows = []
+        expected_hits = DecisionEngine(
+            cache, tap=lambda *_: rows.append(cache.last_features.copy())
+        ).run(requests)
+
+        outbox = _Outbox()
+        with ModelSlab() as slab:
+            slab.publish_model(model)
+            state = _ShardState(
+                ShardConfig(
+                    0, slab.token, cache_size,
+                    n_gaps=N_GAPS, ship_features=ship_features,
+                ),
+                outbox,
+            )
+            try:
+                state.process(pack_requests(list(enumerate(requests))))
+            finally:  # what shard_main's ``finally`` does before detaching
+                state.cache.model = None
+                del state.engine
+                state.reader.close()
+
+        (kind, shard, stats, deltas, hits, features), = outbox.sent
+        assert (kind, shard) == ("done", 0)
+        assert hits == bytes(expected_hits)
+        assert stats["requests"] == len(requests)
+        assert stats["hits"] == sum(expected_hits)
+        assert ("counter", "sim.requests", len(requests)) in deltas
+        assert ("counter", "cluster.shard_attaches", 1) in deltas
+        if ship_features:
+            shipped = np.frombuffer(features).reshape(len(requests), -1)
+            assert np.array_equal(shipped, np.array(rows))
+        else:
+            assert features is None
 
 
 class TestFoldDeltas:
@@ -350,7 +395,6 @@ class TestClusterEndToEnd:
                 + registry.counter("sim.miss_bytes").value
             )
             assert folded_bytes == pytest.approx(total)
-            assert registry.counter("cluster.drains").value > 0
             assert registry.counter("cluster.publishes").value == 1
             score_hist = registry.histogram("lfo.admission_score", (0.5,))
             assert score_hist.count > 0
@@ -373,6 +417,38 @@ class TestClusterEndToEnd:
             assert request.obj == requests[index].obj
             assert hit == hits[index]
             assert features is not None and len(features) > 0
+
+    def test_failing_on_access_leaves_the_pipes_in_step(
+        self, trace, cache_size
+    ):
+        """A callback that raises must not strand the other shards'
+        replies for the next call to mistake for its own."""
+        requests = list(trace)[:600]
+        calls = []
+
+        def on_access(records):
+            calls.append(len(records))
+            if len(calls) == 1:
+                raise ValueError("trainer tap failed")
+
+        cluster = CacheCluster(
+            cache_size, 2, seed=7, n_gaps=N_GAPS, on_access=on_access
+        )
+        with cluster:
+            with pytest.raises(ValueError, match="trainer tap failed"):
+                cluster.process(requests[:300])
+            second = cluster.process(requests[300:])
+
+        expected = [False] * len(requests)
+        for bucket in cluster.ring.partition(requests):
+            split = [request for _index, request in bucket]
+            cache = LFOCache(cache_size // 2, model=None, n_gaps=N_GAPS)
+            for (index, _request), hit in zip(
+                bucket, DecisionEngine(cache).run(split)
+            ):
+                expected[index] = hit
+        assert second == expected[300:]
+        assert sum(calls[1:]) == 300  # the second batch's records arrived
 
     def test_lifecycle_errors(self, cache_size):
         cluster = CacheCluster(cache_size, 2)

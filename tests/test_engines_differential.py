@@ -5,9 +5,10 @@ hypothesis-generated traces (objects larger than the cache, zero cost,
 timestamp ties, one hot key, a cache of a few objects) x eviction mode x
 capped/uncapped tracker: ``simulate(batch_size=N)``, ``BatchScorer`` over
 a retraining ``LFOOnline``, and one ``DecisionEngine`` per shard over
-``HashRing.partition`` with a cold -> warm model attach.  Equal means
-equal hit vectors and equal digests of every score that reached
-``apply_scored``; ``used_bytes <= cache_size`` is checked on every run.
+``HashRing.partition`` — its requests through the cluster's wire records
+— with a cold -> warm model attach.  Equal means equal hit vectors and
+equal digests of every score that reached ``apply_scored``;
+``used_bytes <= cache_size`` is checked on every run.
 """
 
 import struct
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import HashRing
+from repro.cluster.wire import pack_requests, unpack_requests
 from repro.core import (
     DecisionEngine, LFOCache, LFOModel, LFOOnline, OptLabelConfig,
     SampledEvictionConfig,
@@ -165,13 +167,16 @@ def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
 
     for bucket in HashRing(2, seed=7).partition(requests):
         split = [request for _index, request in bucket]
-        cold, warm = split[: len(split) // 3], split[len(split) // 3:]
+        wired = unpack_requests(pack_requests(bucket))
+        third = len(split) // 3
         shard_size = max(1, cache_size // 2)
         assert outcome(static(shard_size, None), attach_between(
-            model, cold, warm, lambda _e, policy, part: scalar(part)(policy)
+            model, split[:third], split[third:],
+            lambda _e, policy, part: scalar(part)(policy),
         )) == outcome(static(shard_size, None), attach_between(
-            model, cold, warm, lambda engine, _p, part: engine.run(part)
-        )), "shard engine"
+            model, wired[:third], wired[third:],
+            lambda engine, _p, part: engine.run(part),
+        )), "shard engine over the wire"
 
 
 def test_batch_scorer_under_a_hung_trainer(model):
