@@ -73,7 +73,7 @@ def _run(trace, lfo, plan):
     with use_registry(registry), use_fault_plan(plan):
         result = simulate(trace, lfo)
         lfo.finish_training(timeout=0)  # never blocks on a hung future
-    lfo._executor.shutdown(cancel_futures=True)
+    lfo.trainer.executor.shutdown(cancel_futures=True)
     counters = registry.to_dict()["counters"]
     return result, counters
 

@@ -99,7 +99,7 @@ def _serve(trace, lfo, plan):
     )
     monitor = HealthMonitor(HealthConfig()).attach(registry)
     engine = SloEngine(default_serving_slo()).attach(registry)
-    executor = lfo._executor
+    executor = lfo.trainer.executor
     with use_registry(registry), use_fault_plan(plan):
         loop = ServingLoop(lfo, TraceReplayDriver(trace))
         serve_report = asyncio.run(loop.run())

@@ -34,10 +34,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Sequence
 
-from .core import LFOOnline, OptLabelConfig, SampledEvictionConfig
+from .core import (
+    LabelFitJob,
+    LFOOnline,
+    OptLabelConfig,
+    SampledEvictionConfig,
+    WindowTrainer,
+)
 from .obs import MetricsRegistry, get_registry, use_registry
 from .opt import opt_bhr_bounds, solve_segmented
 from .resilience import FaultPlan, use_fault_plan
@@ -190,6 +196,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _label_config(args: argparse.Namespace) -> OptLabelConfig:
+    return OptLabelConfig(mode=args.label_mode, segment_length=args.segment)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     registry = _make_registry(args)
     # Trace loading happens inside both scopes so a --fault-plan with
@@ -206,9 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             cache_size,
             window=args.window,
             cutoff=args.cutoff,
-            label_config=OptLabelConfig(
-                mode=args.label_mode, segment_length=args.segment
-            ),
+            label_config=_label_config(args),
             eviction=args.eviction,
             sampled=SampledEvictionConfig(
                 k=args.evict_sample_k, seed=args.evict_sample_seed
@@ -231,28 +239,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_health(args: argparse.Namespace) -> int:
+@contextmanager
+def _telemetry(
+    args: argparse.Namespace, spec, health_config, render, **registry_kwargs
+):
+    """The observability stack ``health`` and ``serve`` run under.
+
+    A windowed registry with the health detectors and the SLO engine
+    attached, the ``--follow`` renderer, the ``--jsonl`` sink and the
+    ``--serve-metrics`` endpoint; installed (with any ``--fault-plan``)
+    for the body, the endpoint stopped on the way out.  Yields
+    ``(registry, monitor, engine)``.
+    """
     from .obs import (
-        HealthConfig,
         HealthMonitor,
+        JsonlSink,
         MetricsServer,
         SloEngine,
-        SloSpec,
         WindowedRegistry,
     )
 
-    spec = SloSpec.from_json(args.slo) if args.slo else SloSpec.default()
-    registry = WindowedRegistry(every_requests=args.every, ring=args.ring)
-    monitor = HealthMonitor(
-        HealthConfig(
-            bhr_ph_lambda=args.bhr_lambda,
-            score_psi_threshold=args.psi_threshold,
-            staleness_windows=args.staleness_alert,
-        )
-    ).attach(registry)
+    registry = WindowedRegistry(
+        every_requests=args.every, ring=args.ring, **registry_kwargs
+    )
+    monitor = HealthMonitor(health_config).attach(registry)
     engine = SloEngine(spec).attach(registry)
     if args.follow:
-        registry.on_close(_render_window)
+        registry.on_close(render)
+    if getattr(args, "jsonl", None):
+        JsonlSink(args.jsonl).attach(registry)
+        _diag(f"streaming closed windows to {args.jsonl}")
     server = None
     if args.serve_metrics is not None:
         server = MetricsServer(
@@ -264,43 +280,31 @@ def _cmd_health(args: argparse.Namespace) -> int:
         )
     try:
         with use_registry(registry), _fault_plan_scope(args):
-            trace = _trace_from_args(args)
-            cache_size = _resolve_cache(args, trace)
-            _diag(
-                f"health run over {len(trace)} requests, cache "
-                f"{cache_size} bytes, telemetry window {args.every} requests"
-            )
-            lfo = LFOOnline(
-                cache_size,
-                window=args.window,
-                cutoff=args.cutoff,
-                label_config=OptLabelConfig(
-                    mode=args.label_mode, segment_length=args.segment
-                ),
-                staleness_limit=args.staleness_limit,
-            )
-            result = simulate(trace, lfo, warmup_fraction=args.warmup)
-            registry.flush()  # close the partial tail window, if any
+            yield registry, monitor, engine
     finally:
         if server is not None:
             server.stop()
-    verdict = {
-        "ok": engine.ok and monitor.ok,
-        "slo": engine.verdict(),
-        "health": monitor.status(),
-        "result": {"bhr": result.bhr, "ohr": result.ohr},
-    }
+
+
+def _report_verdict(
+    args: argparse.Namespace, registry, monitor, engine,
+    verdict: dict, summary: list[str],
+) -> int:
+    """Write ``--windows-out``, then print the verdict: the JSON under
+    ``--check``, else ``summary`` between the headline and the alert/SLO
+    table.  Returns 0 when the verdict is ok, else 1."""
     if args.windows_out:
         with open(args.windows_out, "w") as handle:
             json.dump(registry.to_windows_dict(), handle, indent=2)
             handle.write("\n")
         _diag(f"window ring written to {args.windows_out}")
+    code = 0 if verdict["ok"] else 1
     if args.check:
         print(json.dumps(verdict, indent=2))
-        return 0 if verdict["ok"] else 1
+        return code
     print(f"verdict    {'HEALTHY' if verdict['ok'] else 'UNHEALTHY'}")
-    print(f"BHR        {result.bhr:.4f}")
-    print(f"windows    {monitor.windows_observed}")
+    for line in summary:
+        print(line)
     print(f"alerts     {len(monitor.alerts)}")
     for alert in monitor.alerts:
         print(f"  [{alert.kind}] window {alert.window_index}: "
@@ -312,21 +316,53 @@ def _cmd_health(args: argparse.Namespace) -> int:
             f"burn {objective['burn_rate']:.2f} "
             f"last {objective['last_value']:.6g}"
         )
-    return 0
+    return code
+
+
+def _cmd_health(args: argparse.Namespace) -> int:
+    from .obs import HealthConfig, SloSpec
+
+    spec = SloSpec.from_json(args.slo) if args.slo else SloSpec.default()
+    health_config = HealthConfig(
+        bhr_ph_lambda=args.bhr_lambda,
+        score_psi_threshold=args.psi_threshold,
+        staleness_windows=args.staleness_alert,
+    )
+    with _telemetry(args, spec, health_config, _render_window) as (
+        registry, monitor, engine,
+    ):
+        trace = _trace_from_args(args)
+        cache_size = _resolve_cache(args, trace)
+        _diag(
+            f"health run over {len(trace)} requests, cache "
+            f"{cache_size} bytes, telemetry window {args.every} requests"
+        )
+        lfo = LFOOnline(
+            cache_size,
+            window=args.window,
+            cutoff=args.cutoff,
+            label_config=_label_config(args),
+            staleness_limit=args.staleness_limit,
+        )
+        result = simulate(trace, lfo, warmup_fraction=args.warmup)
+        registry.flush()  # close the partial tail window, if any
+    verdict = {
+        "ok": engine.ok and monitor.ok,
+        "slo": engine.verdict(),
+        "health": monitor.status(),
+        "result": {"bhr": result.bhr, "ohr": result.ohr},
+    }
+    code = _report_verdict(args, registry, monitor, engine, verdict, [
+        f"BHR        {result.bhr:.4f}",
+        f"windows    {monitor.windows_observed}",
+    ])
+    return code if args.check else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .obs import (
-        HealthConfig,
-        HealthMonitor,
-        JsonlSink,
-        MetricsServer,
-        SloEngine,
-        SloSpec,
-        WindowedRegistry,
-    )
+    from .obs import HealthConfig, SloSpec
     from .resilience import SimulatedTrainerExecutor
     from .serve import (
         ServeConfig,
@@ -344,124 +380,118 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
     else:
         spec = default_serving_slo()
-    registry = WindowedRegistry(
-        every_requests=args.every, ring=args.ring,
-        request_counter="serve.requests",
-    )
-    monitor = HealthMonitor(HealthConfig()).attach(registry)
-    engine = SloEngine(spec).attach(registry)
-    if args.follow:
-        registry.on_close(_render_serve_window)
-    if args.jsonl:
-        JsonlSink(args.jsonl).attach(registry)
-        _diag(f"streaming closed windows to {args.jsonl}")
-    server = None
-    if args.serve_metrics is not None:
-        server = MetricsServer(
-            registry, port=args.serve_metrics, health=monitor, slo=engine
-        ).start()
-        _diag(
-            "serving /metrics /health /windows on "
-            f"http://127.0.0.1:{server.port}"
-        )
     interrupted = False
-    try:
-        with use_registry(registry), _fault_plan_scope(args):
-            if args.synthetic:
-                trace = generate_trace(
-                    SyntheticConfig(n_requests=args.synthetic, seed=args.seed)
-                )
-                _diag(f"serving a synthetic trace of {len(trace)} requests")
-            elif args.trace:
-                trace = _trace_from_args(args)
-            else:
-                _diag("serve needs a trace path or --synthetic N")
-                return 2
-            cache_size = _resolve_cache(args, trace)
-            if args.shards < 1:
-                _diag("--shards must be at least 1")
-                return 2
-            _diag(
-                f"serving {len(trace)} requests, cache {cache_size} bytes, "
-                f"training window {args.window}, queue {args.queue_depth}, "
-                f"batch {args.max_batch}"
-                + (f", {args.shards} shard processes"
-                   if args.shards > 1 else "")
+    with _telemetry(
+        args, spec, HealthConfig(), _render_serve_window,
+        request_counter="serve.requests",
+    ) as (registry, monitor, engine):
+        if args.synthetic:
+            trace = generate_trace(
+                SyntheticConfig(n_requests=args.synthetic, seed=args.seed)
             )
-            executor = (
-                SimulatedTrainerExecutor()
-                if args.trainer == "inline"
-                else None  # LFOOnline owns a background thread trainer
-            )
-            cluster = None
-            scorer = None
-            if args.shards > 1:
-                from .cluster import CacheCluster, ClusterScorer
+            _diag(f"serving a synthetic trace of {len(trace)} requests")
+        elif args.trace:
+            trace = _trace_from_args(args)
+        else:
+            _diag("serve needs a trace path or --synthetic N")
+            return 2
+        cache_size = _resolve_cache(args, trace)
+        if args.shards < 1:
+            _diag("--shards must be at least 1")
+            return 2
+        _diag(
+            f"serving {len(trace)} requests, cache {cache_size} bytes, "
+            f"training window {args.window}, queue {args.queue_depth}, "
+            f"batch {args.max_batch}"
+            + (f", {args.shards} shard processes"
+               if args.shards > 1 else "")
+        )
+        executor = (
+            SimulatedTrainerExecutor()
+            if args.trainer == "inline"
+            else None  # the trainer owns a background thread
+        )
+        supervision = dict(
+            background=True,
+            executor=executor,
+            train_deadline=args.train_deadline,
+            staleness_limit=args.staleness_limit,
+            retry_backoff=args.retry_backoff,
+        )
+        cluster = None
+        policy = None
+        scorer = None
+        if args.shards > 1:
+            from .cluster import CacheCluster, ClusterScorer
 
-                cluster = CacheCluster(
-                    cache_size, args.shards,
-                    vnodes=args.vnodes, seed=args.seed,
-                    ship_features=True,
-                ).start()
-            lfo = LFOOnline(
-                # The cluster trainer labels against one shard's capacity
-                # — the cache each OPT decision actually lands in.
-                cluster.shard_size if cluster is not None else cache_size,
+            cluster = CacheCluster(
+                cache_size, args.shards,
+                vnodes=args.vnodes, seed=args.seed,
+                ship_features=True,
+            ).start()
+            # Nothing serves in the router, so there is no policy: a bare
+            # trainer labels against one shard's capacity — the cache
+            # each OPT decision actually lands in — and a trained model
+            # goes live through the slab publish hook ClusterScorer
+            # installs, not through a local swap.
+            trainer = WindowTrainer(
+                args.window,
+                LabelFitJob(
+                    cluster.shard_size,
+                    label_config=_label_config(args),
+                    cutoff=args.cutoff,
+                    n_gaps=cluster.n_gaps,
+                ),
+                install=lambda model: None,
+                **supervision,
+            )
+            scorer = ClusterScorer(trainer, cluster)
+        else:
+            policy = LFOOnline(
+                cache_size,
                 window=args.window,
                 cutoff=args.cutoff,
-                label_config=OptLabelConfig(
-                    mode=args.label_mode, segment_length=args.segment
-                ),
-                background=True,
-                executor=executor,
-                train_deadline=args.train_deadline,
-                staleness_limit=args.staleness_limit,
-                retry_backoff=args.retry_backoff,
+                label_config=_label_config(args),
+                **supervision,
             )
+            trainer = policy.trainer
+        requests = list(trace)
+        if args.arrival_rate > 0:
+            driver = SyntheticArrivalDriver(
+                requests, rate=args.arrival_rate, seed=args.seed
+            )
+        else:
+            driver = TraceReplayDriver(requests)
+        loop = ServingLoop(
+            policy, driver,
+            ServeConfig(
+                queue_depth=args.queue_depth, max_batch=args.max_batch
+            ),
+            scorer=scorer,
+        )
+        try:
+            report = asyncio.run(loop.run())
+        except KeyboardInterrupt:
+            interrupted = True
+            report = loop.report
+            _diag(
+                "interrupted: queue drained through the scorer, "
+                "telemetry flushed"
+            )
+        finally:
+            if executor is not None:
+                # End of drill: un-park any fault-plan-hung training
+                # job so close() can drain it instead of waiting on a
+                # future that will never complete.
+                executor.release_hung()
+            trainer.close()
             if cluster is not None:
-                # Installs the slab publish hook on the trainer and takes
-                # over the cluster's access tap.
-                scorer = ClusterScorer(lfo, cluster)
-            requests = list(trace)
-            if args.arrival_rate > 0:
-                driver = SyntheticArrivalDriver(
-                    requests, rate=args.arrival_rate, seed=args.seed
-                )
-            else:
-                driver = TraceReplayDriver(requests)
-            loop = ServingLoop(
-                lfo, driver,
-                ServeConfig(
-                    queue_depth=args.queue_depth, max_batch=args.max_batch
-                ),
-                scorer=scorer,
-            )
-            try:
-                report = asyncio.run(loop.run())
-            except KeyboardInterrupt:
-                interrupted = True
-                report = loop.report
-                _diag(
-                    "interrupted: queue drained through the scorer, "
-                    "telemetry flushed"
-                )
-            finally:
-                if executor is not None:
-                    # End of drill: un-park any fault-plan-hung training
-                    # job so close() can drain it instead of waiting on a
-                    # future that will never complete.
-                    executor.release_hung()
-                lfo.close()
-                if cluster is not None:
-                    # Drain-then-flush: stop the shards, fold their last
-                    # replies' telemetry, then unlink the slab segments
-                    # exactly once (also the SIGINT path).
-                    cluster.close()
-                if executor is not None:
-                    executor.shutdown(cancel_futures=True)
-    finally:
-        if server is not None:
-            server.stop()
+                # Drain-then-flush: stop the shards, fold their last
+                # replies' telemetry, then unlink the slab segments
+                # exactly once (also the SIGINT path).
+                cluster.close()
+            if executor is not None:
+                executor.shutdown(cancel_futures=True)
     verdict = {
         "ok": engine.ok and monitor.ok and report.dropped == 0,
         "interrupted": interrupted,
@@ -469,34 +499,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "health": monitor.status(),
         "serve": report.as_dict(),
     }
-    if args.windows_out:
-        with open(args.windows_out, "w") as handle:
-            json.dump(registry.to_windows_dict(), handle, indent=2)
-            handle.write("\n")
-        _diag(f"window ring written to {args.windows_out}")
-    if args.check:
-        print(json.dumps(verdict, indent=2))
-        return 0 if verdict["ok"] else 1
     bhr = report.bhr
-    print(f"verdict    {'HEALTHY' if verdict['ok'] else 'UNHEALTHY'}")
-    print(f"requests   {report.requests}"
-          f"{' (interrupted, drained)' if interrupted else ''}")
-    print(f"BHR        {'  --  ' if bhr is None else format(bhr, '.4f')}")
-    print(f"handoffs   {report.model_handoffs}")
-    print(f"dropped    {report.dropped}")
-    print(f"waits      {report.backpressure_waits} (backpressure)")
-    print(f"alerts     {len(monitor.alerts)}")
-    for alert in monitor.alerts:
-        print(f"  [{alert.kind}] window {alert.window_index}: "
-              f"{alert.message}")
-    for name, objective in engine.verdict()["objectives"].items():
-        state = "ok" if objective["ok"] else "BREACHED"
-        print(
-            f"slo {name:<24} {state:<9} "
-            f"burn {objective['burn_rate']:.2f} "
-            f"last {objective['last_value']:.6g}"
-        )
-    return 0 if verdict["ok"] else 1
+    return _report_verdict(args, registry, monitor, engine, verdict, [
+        f"requests   {report.requests}"
+        f"{' (interrupted, drained)' if interrupted else ''}",
+        f"BHR        {'  --  ' if bhr is None else format(bhr, '.4f')}",
+        f"handoffs   {report.model_handoffs}",
+        f"dropped    {report.dropped}",
+        f"waits      {report.backpressure_waits} (backpressure)",
+    ])
 
 
 def _render_serve_window(snapshot) -> None:
@@ -677,14 +688,63 @@ def build_parser() -> argparse.ArgumentParser:
                             "(resilience.trace_lines_skipped) instead of "
                             "aborting on the first one")
 
-    def add_cache_args(p: argparse.ArgumentParser) -> None:
-        add_trace_arg(p)
+    def add_cache_size_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache-fraction", type=int, default=10,
                        help="cache = footprint / fraction (default 10)")
         p.add_argument("--cache-mb", type=float,
                        help="cache size in MB (overrides fraction)")
         p.add_argument("--cache-bytes", type=int,
                        help="cache size in bytes (overrides everything)")
+
+    def add_cache_args(p: argparse.ArgumentParser) -> None:
+        add_trace_arg(p)
+        add_cache_size_args(p)
+
+    def add_training_args(
+        p: argparse.ArgumentParser, window_help: str | None
+    ) -> None:
+        p.add_argument("--window", type=int, default=5_000, help=window_help)
+        p.add_argument("--cutoff", type=float, default=0.5)
+        p.add_argument("--segment", type=int, default=1_000)
+        p.add_argument("--label-mode", default="segmented",
+                       choices=("exact", "segmented", "pruned"))
+
+    def add_fault_args(
+        p: argparse.ArgumentParser,
+        plan_help: str = "JSON fault plan installed for the run",
+        staleness_help: str = "degrade admission to the LRU fallback after "
+                              "this many windows without a fresh model",
+        retry_backoff: bool = True,
+    ) -> None:
+        p.add_argument("--fault-plan", metavar="PATH", default=None,
+                       help=plan_help)
+        p.add_argument("--staleness-limit", type=int, default=None,
+                       help=staleness_help)
+        if retry_backoff:
+            p.add_argument("--retry-backoff", type=int, default=0,
+                           help="windows to skip after a training failure "
+                                "(doubles per consecutive failure)")
+
+    def add_telemetry_args(
+        p: argparse.ArgumentParser,
+        slo_default: str, check_help: str, follow_help: str,
+    ) -> None:
+        p.add_argument("--every", type=int, default=2_000,
+                       help="telemetry window (requests per snapshot)")
+        p.add_argument("--ring", type=int, default=120,
+                       help="telemetry windows retained in the ring")
+        p.add_argument("--slo", metavar="PATH", default=None,
+                       help="SLO spec JSON (SloSpec.as_dict shape); "
+                            f"default: {slo_default}")
+        p.add_argument("--check", action="store_true", help=check_help)
+        p.add_argument("--follow", action="store_true", help=follow_help)
+        p.add_argument("--serve-metrics", type=int, metavar="PORT",
+                       default=None,
+                       help="serve /metrics, /health and /windows over "
+                            "HTTP on PORT for the duration of the run "
+                            "(0 = ephemeral port, printed to stderr)")
+        p.add_argument("--windows-out", metavar="PATH", default=None,
+                       help="write the final window-ring dump as JSON")
 
     def add_metrics_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -711,11 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run online LFO over a trace")
     add_cache_args(p_sim)
-    p_sim.add_argument("--window", type=int, default=5_000)
-    p_sim.add_argument("--cutoff", type=float, default=0.5)
-    p_sim.add_argument("--segment", type=int, default=1_000)
-    p_sim.add_argument("--label-mode", default="segmented",
-                       choices=("exact", "segmented", "pruned"))
+    add_training_args(p_sim, window_help=None)
     p_sim.add_argument("--warmup", type=float, default=0.25)
     p_sim.add_argument("--eviction", default="likelihood",
                        choices=("likelihood", "lru", "sampled"),
@@ -728,16 +784,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "--eviction sampled (default 64)")
     p_sim.add_argument("--evict-sample-seed", type=int, default=0,
                        help="seed for the eviction candidate sampler")
-    p_sim.add_argument("--fault-plan", metavar="PATH", default=None,
-                       help="JSON fault plan (repro.resilience.FaultPlan) "
-                            "installed for the run — deterministic fault "
-                            "injection drills, see docs/robustness.md")
-    p_sim.add_argument("--staleness-limit", type=int, default=None,
-                       help="degrade admission to the LRU fallback after "
-                            "this many windows without a fresh model")
-    p_sim.add_argument("--retry-backoff", type=int, default=0,
-                       help="windows to skip after a training failure "
-                            "(doubles per consecutive failure)")
+    add_fault_args(
+        p_sim,
+        plan_help="JSON fault plan (repro.resilience.FaultPlan) "
+                  "installed for the run — deterministic fault "
+                  "injection drills, see docs/robustness.md",
+    )
     add_metrics_out(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -747,34 +799,16 @@ def build_parser() -> argparse.ArgumentParser:
              "and SLO evaluation",
     )
     add_cache_args(p_health)
-    p_health.add_argument("--window", type=int, default=5_000,
-                          help="training window (requests)")
-    p_health.add_argument("--every", type=int, default=2_000,
-                          help="telemetry window (requests per snapshot)")
-    p_health.add_argument("--ring", type=int, default=120,
-                          help="telemetry windows retained in the ring")
-    p_health.add_argument("--cutoff", type=float, default=0.5)
-    p_health.add_argument("--segment", type=int, default=1_000)
-    p_health.add_argument("--label-mode", default="segmented",
-                          choices=("exact", "segmented", "pruned"))
+    add_training_args(p_health, window_help="training window (requests)")
     p_health.add_argument("--warmup", type=float, default=0.25)
-    p_health.add_argument("--slo", metavar="PATH", default=None,
-                          help="SLO spec JSON (SloSpec.as_dict shape); "
-                               "default: built-in objectives")
-    p_health.add_argument("--check", action="store_true",
-                          help="one-shot mode: print the verdict JSON and "
-                               "exit 1 when any SLO is breached or any "
-                               "health alert fired")
-    p_health.add_argument("--follow", action="store_true",
-                          help="render each telemetry window live to "
-                               "stderr as it closes")
-    p_health.add_argument("--serve-metrics", type=int, metavar="PORT",
-                          default=None,
-                          help="serve /metrics, /health and /windows over "
-                               "HTTP on PORT for the duration of the run "
-                               "(0 = ephemeral port, printed to stderr)")
-    p_health.add_argument("--windows-out", metavar="PATH", default=None,
-                          help="write the final window-ring dump as JSON")
+    add_telemetry_args(
+        p_health,
+        slo_default="built-in objectives",
+        check_help="one-shot mode: print the verdict JSON and exit 1 when "
+                   "any SLO is breached or any health alert fired",
+        follow_help="render each telemetry window live to stderr as it "
+                    "closes",
+    )
     p_health.add_argument("--bhr-lambda", type=float, default=0.10,
                           help="Page-Hinkley budget for BHR-drop alerts")
     p_health.add_argument("--psi-threshold", type=float, default=0.25,
@@ -782,11 +816,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_health.add_argument("--staleness-alert", type=int, default=0,
                           help="alert after this many training windows "
                                "without a model install (0 = off)")
-    p_health.add_argument("--staleness-limit", type=int, default=None,
-                          help="degrade admission to the LRU fallback "
-                               "after this many stale windows")
-    p_health.add_argument("--fault-plan", metavar="PATH", default=None,
-                          help="JSON fault plan installed for the run")
+    add_fault_args(
+        p_health,
+        staleness_help="degrade admission to the LRU fallback after this "
+                       "many stale windows",
+        retry_backoff=False,
+    )
     p_health.set_defaults(func=_cmd_health)
 
     p_serve = sub.add_parser(
@@ -806,22 +841,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=42,
                          help="seed for --synthetic generation and the "
                               "--arrival-rate process")
-    p_serve.add_argument("--cache-fraction", type=int, default=10,
-                         help="cache = footprint / fraction (default 10)")
-    p_serve.add_argument("--cache-mb", type=float,
-                         help="cache size in MB (overrides fraction)")
-    p_serve.add_argument("--cache-bytes", type=int,
-                         help="cache size in bytes (overrides everything)")
-    p_serve.add_argument("--window", type=int, default=5_000,
-                         help="training window (requests)")
-    p_serve.add_argument("--segment", type=int, default=1_000)
-    p_serve.add_argument("--label-mode", default="segmented",
-                         choices=("exact", "segmented", "pruned"))
-    p_serve.add_argument("--cutoff", type=float, default=0.5)
-    p_serve.add_argument("--every", type=int, default=2_000,
-                         help="telemetry window (requests per snapshot)")
-    p_serve.add_argument("--ring", type=int, default=120,
-                         help="telemetry windows retained in the ring")
+    add_cache_size_args(p_serve)
+    add_training_args(p_serve, window_help="training window (requests)")
+    add_telemetry_args(
+        p_serve,
+        slo_default="serving objectives (p50/p99/p999 decision latency, "
+                    "BHR, staleness)",
+        check_help="print the verdict JSON and exit 1 when any SLO is "
+                   "breached, any health alert fired, or any request was "
+                   "dropped",
+        follow_help="render each telemetry window live to stderr",
+    )
     p_serve.add_argument("--queue-depth", type=int, default=1024,
                          help="ingestion queue bound: a full queue waits "
                               "the driver (backpressure), never drops")
@@ -838,10 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--vnodes", type=int, default=64,
                          help="virtual nodes per shard on the routing ring "
                               "(more = flatter load, longer ring)")
-    p_serve.add_argument("--slo", metavar="PATH", default=None,
-                         help="SLO spec JSON (SloSpec.as_dict shape); "
-                              "default: serving objectives (p50/p99/p999 "
-                              "decision latency, BHR, staleness)")
     p_serve.add_argument("--trainer", choices=("thread", "inline"),
                          default="thread",
                          help="background trainer: a worker thread "
@@ -850,30 +876,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--train-deadline", type=int, default=None,
                          help="watchdog: cancel a training job still in "
                               "flight after this many requests")
-    p_serve.add_argument("--staleness-limit", type=int, default=None,
-                         help="degrade admission to the LRU fallback after "
-                              "this many windows without a fresh model")
-    p_serve.add_argument("--retry-backoff", type=int, default=0,
-                         help="windows to skip after a training failure "
-                              "(doubles per consecutive failure)")
-    p_serve.add_argument("--fault-plan", metavar="PATH", default=None,
-                         help="JSON fault plan installed for the run")
-    p_serve.add_argument("--serve-metrics", type=int, metavar="PORT",
-                         default=None,
-                         help="serve /metrics, /health and /windows over "
-                              "HTTP on PORT for the duration of the run "
-                              "(0 = ephemeral port, printed to stderr)")
+    add_fault_args(p_serve)
     p_serve.add_argument("--jsonl", metavar="PATH", default=None,
                          help="append each closed telemetry window to PATH "
                               "as one JSON line")
-    p_serve.add_argument("--windows-out", metavar="PATH", default=None,
-                         help="write the final window-ring dump as JSON")
-    p_serve.add_argument("--check", action="store_true",
-                         help="print the verdict JSON and exit 1 when any "
-                              "SLO is breached, any health alert fired, or "
-                              "any request was dropped")
-    p_serve.add_argument("--follow", action="store_true",
-                         help="render each telemetry window live to stderr")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_hrc = sub.add_parser(

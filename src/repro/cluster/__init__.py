@@ -25,8 +25,9 @@ exactly those three plus the router that composes them:
 shard workers (``worker.py``), fan-out/collect batch dispatch, and
 telemetry folding into the registry (cluster-wide windows, SLOs, and
 drift detection unchanged) — and :class:`ClusterScorer` (``serving.py``)
-drops the cluster into the always-on serving loop with the trainer
-publishing into the slab (``lfo serve --shards N``).
+drops the cluster into the always-on serving loop with a bare
+:class:`repro.core.WindowTrainer` in the router publishing into the slab
+(``lfo serve --shards N``).
 """
 
 from .cluster import CacheCluster, ClusterReport

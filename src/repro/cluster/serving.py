@@ -3,17 +3,17 @@
 :class:`ClusterScorer` gives the always-on serving harness
 (:class:`repro.serve.ServingLoop`) a sharded data plane: request batches
 route through a :class:`~repro.cluster.CacheCluster` instead of a local
-cache, while the control plane — one :class:`repro.core.LFOOnline`
-trainer living in the router process — keeps the paper's Figure-2 loop
-intact:
+cache, while the control plane — one bare
+:class:`repro.core.WindowTrainer` in the router process, no cache and no
+feature tracker behind it — keeps the paper's Figure-2 loop intact:
 
 1. shards serve each routed batch and reply with hits and the *live*
    feature rows the requests were scored with; the cluster pairs them
    with the requests it routed into observed-access records;
 2. the scorer replays those records, in global request order, into the
-   trainer's window buffer (``poll_training`` + ``record_for_training``
-   — the same serving hooks ``BatchScorer`` drives), so training sees
-   exactly what the shards served;
+   trainer's window buffer (``poll`` + ``record`` — the same two steps
+   ``BatchScorer`` drives through its policy), so training sees exactly
+   what the shards served;
 3. when a window closes and a fresh model installs, the trainer's
    ``publish_hook`` (installed by this class when unset) writes it into
    the shared slab — and every shard warm-hands-off to the new
@@ -31,13 +31,15 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from ..obs import get_registry
 from ..sim.batched import DECISION_LATENCY_BUCKETS
 from ..trace import Request
 from .cluster import CacheCluster
 
 if TYPE_CHECKING:  # annotation only; avoids repro.core import at runtime.
-    from ..core.online import LFOOnline
+    from ..core.trainer import WindowTrainer
 
 __all__ = ["ClusterScorer"]
 
@@ -46,14 +48,15 @@ class ClusterScorer:
     """Score request batches through a shard cluster; train in-router.
 
     Args:
-        trainer: the router-process :class:`~repro.core.LFOOnline`.  Its
-            cache never serves — only its training windows, retraining
-            machinery, and ``publish_hook`` matter.  Size it to one
-            *shard's* capacity so the OPT oracle labels against the
-            capacity each shard actually serves.  When its
+        trainer: the router-process
+            :class:`~repro.core.WindowTrainer`.  Build its job from the
+            cluster — ``LabelFitJob(cluster.shard_size,
+            n_gaps=cluster.n_gaps, ...)`` — so the OPT oracle labels
+            against the capacity each shard actually serves, over the
+            columns the shards ship.  Nothing serves in the router, so
+            its ``install`` has nothing to swap; when its
             ``publish_hook`` is unset, :meth:`CacheCluster.publish` is
-            installed — every installed model then goes live
-            cluster-wide.
+            installed — every trained model then goes live cluster-wide.
         cluster: a started-or-startable cluster built with
             ``ship_features=True`` (training needs the live rows).  The
             scorer takes over its ``on_access`` tap.
@@ -63,17 +66,14 @@ class ClusterScorer:
     #: the cluster's telemetry fold, so the loop must not count them too.
     folds_bytes = True
 
-    def __init__(self, trainer: "LFOOnline", cluster: CacheCluster) -> None:
+    def __init__(
+        self, trainer: "WindowTrainer", cluster: CacheCluster
+    ) -> None:
         if not cluster.ship_features:
             raise ValueError(
                 "ClusterScorer needs a cluster built with "
                 "ship_features=True: training must see the live feature "
                 "rows the shards scored with"
-            )
-        if trainer.tracker.n_gaps != cluster.n_gaps:
-            raise ValueError(
-                f"trainer n_gaps ({trainer.tracker.n_gaps}) != cluster "
-                f"n_gaps ({cluster.n_gaps}); feature rows would not match"
             )
         self.trainer = trainer
         self.cluster = cluster
@@ -84,14 +84,10 @@ class ClusterScorer:
         self._generation = cluster.generation
         self._accesses: list = []
         registry = get_registry()
-        if registry.enabled:
-            self._latency_hist = registry.histogram(
-                "serve.decision_latency_seconds", DECISION_LATENCY_BUCKETS
-            )
-            self._handoff_counter = registry.counter("serve.model_handoffs")
-        else:
-            self._latency_hist = None
-            self._handoff_counter = None
+        self._latency_hist = registry.histogram(
+            "serve.decision_latency_seconds", DECISION_LATENCY_BUCKETS
+        )
+        self._handoff_counter = registry.counter("serve.model_handoffs")
 
     def _take_accesses(self, items: list) -> None:
         self._accesses.extend(items)
@@ -112,19 +108,18 @@ class ClusterScorer:
         for _index, request, _hit, features in sorted(
             self._accesses, key=lambda record: record[0]
         ):
-            trainer.poll_training()
-            if features is not None:
-                trainer.record_for_training(request, features)
+            trainer.poll()
+            if features is not None and trainer.record(request, features):
+                trainer.close_window()
         self._accesses = []
         generation = self.cluster.generation
         if generation != self._generation:
             fresh = generation - self._generation
             self._generation = generation
             self.n_handoffs += fresh
-            if self._handoff_counter is not None:
-                self._handoff_counter.inc(fresh)
-        if self._latency_hist is not None and requests:
-            per_request = elapsed / len(requests)
-            for _ in requests:
-                self._latency_hist.observe(per_request)
+            self._handoff_counter.inc(fresh)
+        if requests:
+            self._latency_hist.observe_batch(
+                np.full(len(requests), elapsed / len(requests))
+            )
         return hits

@@ -6,7 +6,7 @@ from .engine import DecisionEngine
 from .hierarchy import TieredLFOCache, TieredLFOOnline, TierStats
 from .irl import IRLCache, IRLOnline, LinearRewardIRL
 from .lfo import LFOCache, LFOModel, SampledEvictionConfig
-from .online import LFOOnline, OptLabelConfig
+from .online import LabelFitJob, LFOOnline, OptLabelConfig
 from .pipeline import (
     AccuracyReport,
     WindowData,
@@ -15,6 +15,7 @@ from .pipeline import (
     train_and_evaluate,
 )
 from .throughput import ThroughputPoint, gbits_served, measure_throughput
+from .trainer import WindowTrainer
 
 __all__ = [
     "AdaptiveLFOOnline",
@@ -32,6 +33,7 @@ __all__ = [
     "LFOCache",
     "LFOModel",
     "LFOOnline",
+    "LabelFitJob",
     "SampledEvictionConfig",
     "OptLabelConfig",
     "AccuracyReport",
@@ -42,4 +44,5 @@ __all__ = [
     "ThroughputPoint",
     "gbits_served",
     "measure_throughput",
+    "WindowTrainer",
 ]

@@ -129,24 +129,24 @@ class AdaptiveLFOOnline(LFOOnline):
     def on_request(self, request: Request) -> bool:
         """Process one request, checking the drift monitor periodically."""
         hit = super().on_request(request)
-        buffered = len(self._buffer_requests)
+        buffered = len(self.trainer.requests)
         if (
             self._detector is not None
             and buffered >= self.min_retrain_size
             and buffered % self.check_interval == 0
         ):
-            live = np.vstack(self._buffer_features[-self.check_interval:])
+            live = np.vstack(self.trainer.features[-self.check_interval:])
             if self._detector.score(live) > self.drift_threshold:
                 self.n_drift_retrains += 1
                 self._retrain()
         return hit
 
     def _retrain(self) -> None:
-        if self._buffer_features:
+        if self.trainer.features:
             # Reference distribution = the window we are about to train on,
             # skipping the free-bytes column (index 2): it reflects the
             # cache's own behaviour rather than the workload.
-            features = np.vstack(self._buffer_features)
+            features = np.vstack(self.trainer.features)
             monitored = [
                 i for i in range(features.shape[1]) if i != 2
             ]

@@ -5,55 +5,26 @@ online features observed live, computes OPT's decisions for the window once
 it closes, trains a fresh model, and serves window ``W[t+1]`` with it.  The
 first window runs in cold-start (admit-all LRU) mode.
 
-Two production-shaping knobs address the paper's Section 4 warning that "a
-production implementation would need to carefully optimize priorities such
-that training tasks do not interfere with the request traffic":
+The loop itself — window buffer, submit → wait → install, watchdog,
+backoff, halt, staleness guard, and what happens when any of it fails —
+is :class:`repro.core.trainer.WindowTrainer` (read its module docstring
+for the contract).  This module holds what is LFO-specific:
 
-* ``OptLabelConfig(n_jobs=...)`` fans the independent segment solves of the
-  time-axis OPT approximation out over a process pool (bit-identical
-  labels, ~``1/n_jobs`` the wall-clock on a multi-core machine);
-* ``LFOOnline(background=True)`` moves the whole label-solve + GBDT fit off
-  the request path: the closed window is snapshotted and handed to a worker,
-  requests keep being served by the current model, and the fresh model is
-  swapped in atomically once training completes.  A still-busy trainer or a
-  training failure never blocks or breaks ``on_request`` — the window is
-  dropped (counted in ``n_skipped_retrains``) or the failure recorded
-  (``n_failed_retrains``) and serving continues on the current model.
-
-Graceful degradation (the "robust" half of the paper's title; drilled by
-:mod:`repro.resilience` and the ``bench_ext_fault_matrix`` benchmark):
-
-* **watchdog** — ``train_deadline`` bounds how many *requests* a background
-  training job may stay in flight; past it the job is cancelled (or, if
-  already running, abandoned) and counted as a failure.  The deadline is
-  logical time, not wall clock, so drills replay deterministically;
-* **backoff** — ``retry_backoff`` skips a doubling number of windows after
-  consecutive training failures instead of re-failing every boundary;
-* **bounded retries** — ``max_train_failures`` halts retraining entirely
-  after that many consecutive failures (a crash-looping trainer should
-  stop burning CPU); serving continues on the fallback;
-* **staleness guard** — after ``staleness_limit`` windows without a fresh
-  model, admission degrades to the configured heuristic ``fallback``
-  (``"lru"``: admit everything, evict LRU; ``"bypass"``: admit nothing)
-  and recovers on the next successful install.
-
-Every transition is loud: ``resilience.*`` counters/gauges plus span-tree
-events on the active :mod:`repro.obs` registry, and the
-``logging.getLogger("repro.online")`` channel.
+* :class:`LabelFitJob`, the training job: label the window with OPT
+  (:class:`OptLabelConfig`; ``n_jobs`` fans the independent segment solves
+  out over a process pool, bit-identical labels at ~``1/n_jobs`` the
+  wall-clock) and fit a GBDT on the live features;
+* :class:`LFOOnline`, an :class:`~repro.core.LFOCache` whose model slot is
+  the trainer's install target, whose admission and eviction degrade to a
+  heuristic ``fallback`` while the trainer reports the model stale, and
+  which publishes the feature-arena and admission-score-PSI gauges at
+  every window close.
 """
 
 from __future__ import annotations
 
-import logging
-import warnings
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    Executor,
-    Future,
-    ThreadPoolExecutor,
-)
-from dataclasses import dataclass
+from concurrent.futures import Executor
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -62,7 +33,6 @@ from ..features import Dataset, feature_names
 from ..gbdt import GBDTParams
 from ..obs import get_registry
 from ..obs.health import population_stability_index
-from ..resilience.faults import get_fault_plan
 from ..opt import (
     solve_greedy,
     solve_opt,
@@ -72,16 +42,9 @@ from ..opt import (
 )
 from ..trace import Request, Trace
 from .lfo import LFOCache, LFOModel, SampledEvictionConfig
+from .trainer import WindowTrainer
 
-__all__ = ["LFOOnline", "OptLabelConfig"]
-
-#: Production log channel for the retraining loop: dropped windows, failed
-#: or unsubmittable training jobs (with tracebacks via ``exc_info``).
-logger = logging.getLogger("repro.online")
-
-#: Exponential backoff never skips more than this many windows in a row —
-#: past it the trainer keeps probing at a fixed, bounded cadence.
-_MAX_BACKOFF_WINDOWS = 8
+__all__ = ["LFOOnline", "LabelFitJob", "OptLabelConfig"]
 
 
 @dataclass(frozen=True)
@@ -139,62 +102,67 @@ class OptLabelConfig:
         raise ValueError(f"unknown OPT label mode: {self.mode!r}")
 
 
-def _train_window(
-    requests: list[Request],
-    features: np.ndarray,
-    label_config: OptLabelConfig,
-    cache_size: int,
-    gbdt_params: GBDTParams,
-    cutoff: float,
-    min_positive_labels: int,
-    n_gaps: int,
-    window_name: str,
-) -> tuple[LFOModel | None, float]:
-    """Label one closed window with OPT and fit a fresh model.
+@dataclass(frozen=True)
+class LabelFitJob:
+    """The LFO training job: label one closed window with OPT, fit a model.
 
-    A pure function of its snapshotted inputs, so it runs identically
-    inline, in a worker thread, or in a worker process.  Returns
-    ``(model, training_seconds)``; the model is ``None`` for degenerate
-    windows with fewer than ``min_positive_labels`` positive decisions
-    (e.g. a pure scan), where training would produce a broken
-    all-negative predictor.
+    A frozen value with a pure ``__call__``, so it runs identically
+    inline, in a worker thread, or (pickled) in a worker process.
 
-    Timing comes from :mod:`repro.obs` spans — ``online.label_solve`` and
-    ``online.gbdt_fit`` nested under ``online.train_window`` — which also
-    aggregate into the active registry (a no-op in process-pool workers,
-    whose registry defaults to ``NullRegistry``).
-
-    Fault drills: an installed :class:`repro.resilience.FaultPlan` with an
-    ``online.train_window`` spec crashes or delays the job here, before
-    any real work — exercising the caller's failure handling, watchdog,
-    backoff, and staleness machinery.  (Like the registry, the plan is
-    process-wide state and therefore invisible to process-pool workers;
-    use thread/inline executors for trainer drills.)
+    Attributes:
+        cache_size: capacity the OPT oracle labels against — the cache
+            the decisions will actually land in (one *shard's* capacity
+            in a cluster).
+        label_config: how OPT labels are derived.
+        gbdt_params: learner hyperparameters (paper defaults).
+        cutoff: admission likelihood threshold of the trained model.
+        min_positive_labels: return no model when the window contains
+            fewer positive OPT decisions than this (e.g. a pure scan),
+            where training would produce a broken all-negative predictor.
+        n_gaps: gap-feature count of the rows the window was scored with.
     """
-    plan = get_fault_plan()
-    if plan is not None:
-        plan.inject("online.train_window")
-    registry = get_registry()
-    model: LFOModel | None = None
-    with registry.span("online.train_window") as train_span:
-        window_trace = Trace(requests, name=window_name)
+
+    cache_size: int
+    label_config: OptLabelConfig = field(default_factory=OptLabelConfig)
+    gbdt_params: GBDTParams = field(default_factory=GBDTParams)
+    cutoff: float = 0.5
+    min_positive_labels: int = 10
+    n_gaps: int = 50
+
+    def __call__(
+        self, requests: list[Request], features: np.ndarray, name: str
+    ) -> LFOModel | None:
+        """Label + fit, under ``online.label_solve`` / ``online.gbdt_fit``
+        spans (nested in the trainer's ``online.train_window``)."""
+        registry = get_registry()
+        window = Trace(requests, name=name)
         with registry.span("online.label_solve"):
-            labels = label_config.compute(window_trace, cache_size)
-        if labels.sum() >= min_positive_labels:
-            dataset = Dataset(
-                X=features,
-                y=labels.astype(np.float64),
-                names=feature_names(n_gaps),
+            labels = self.label_config.compute(window, self.cache_size)
+        if labels.sum() < self.min_positive_labels:
+            return None
+        dataset = Dataset(
+            X=features,
+            y=labels.astype(np.float64),
+            names=feature_names(self.n_gaps),
+        )
+        with registry.span("online.gbdt_fit"):
+            return LFOModel.train(
+                dataset, params=self.gbdt_params, cutoff=self.cutoff
             )
-            with registry.span("online.gbdt_fit"):
-                model = LFOModel.train(
-                    dataset, params=gbdt_params, cutoff=cutoff
-                )
-    return model, train_span.elapsed
 
 
 class LFOOnline(LFOCache):
     """LFO with periodic retraining on sliding windows.
+
+    An :class:`LFOCache` plus :attr:`trainer`, the
+    :class:`~repro.core.trainer.WindowTrainer` that owns the window
+    buffer and the training supervisor.  ``window`` and the arguments
+    from ``background`` on are the trainer's (documented there);
+    everything about a training run beyond the members below —
+    ``training_pending``, ``degraded``, ``training_halted``,
+    ``last_training_seconds``, ``publish_hook``, the ``n_watchdog_*`` /
+    ``n_backoff_*`` / ``n_staleness_*`` counters — is read as
+    ``policy.trainer.<name>``.
 
     Args:
         cache_size: capacity in bytes.
@@ -205,59 +173,10 @@ class LFOOnline(LFOCache):
         n_gaps: gap-feature count.
         min_positive_labels: skip retraining when a window contains fewer
             positive OPT decisions than this (degenerate windows).
-        background: when True, window boundaries only snapshot the closed
-            window and submit it to a trainer; the label solve and GBDT fit
-            run off the request path and the new model is installed
-            atomically on completion.  A window that closes while the
-            trainer is still busy is dropped (``n_skipped_retrains``); a
-            failed training job keeps the current model
-            (``n_failed_retrains``).
-        executor: the trainer used in background mode.  ``None`` lazily
-            creates a private single-worker :class:`ThreadPoolExecutor`;
-            pass a :class:`~concurrent.futures.ProcessPoolExecutor` to keep
-            training off the GIL entirely (all submitted arguments and the
-            returned model pickle cleanly), or a
-            :class:`repro.resilience.SimulatedTrainerExecutor` for
-            deterministic fault drills.
-        train_deadline: watchdog, in *requests*: a background job still in
-            flight after this many requests is cancelled (abandoned if
-            already running) and counted as a failure.  None disables it.
-        staleness_limit: after this many closed windows without a fresh
-            model install, admission degrades to ``fallback`` until the
-            next successful install.  None disables the guard.
-        fallback: degraded-mode admission heuristic — ``"lru"`` admits
-            everything and evicts LRU (cold-start behaviour), ``"bypass"``
-            admits nothing (serves the resident set read-only).
-        retry_backoff: after a training failure, skip this many windows
-            before trying again, doubling per consecutive failure (capped
-            at 8 windows).  0 retries at the very next boundary.
-        max_train_failures: halt retraining for good after this many
-            consecutive failures (None = never halt); serving continues,
-            degraded by the staleness guard if enabled.
-        publish_hook: called with each freshly *installed* model, right
-            after the atomic swap — the cluster publish path
-            (:meth:`repro.cluster.CacheCluster.publish` writes the
-            compiled model into the shared slab here).  A raising hook is
-            absorbed loudly (``online.publish_failures``): shards keep
-            serving the previous generation, this process the new one.
-
-    Counters (also bundled by :attr:`training_stats` and surfaced in
-    :class:`repro.sim.SimResult`):
-
-    * ``n_retrains`` — models actually trained and installed;
-    * ``n_skipped_retrains`` — windows dropped because the trainer was busy;
-    * ``n_failed_retrains`` — training jobs that raised (model kept);
-    * ``last_training_seconds`` — duration of the latest label+fit job;
-    * ``training_pending`` — True while a background job is in flight.
-
-    Degradation counters (bundled by :attr:`resilience_stats`, surfaced as
-    ``SimResult.resilience``, and mirrored as ``resilience.*`` metrics):
-
-    * ``n_watchdog_cancels`` — jobs cancelled/abandoned past the deadline;
-    * ``n_backoff_skips`` — windows skipped while backing off;
-    * ``n_staleness_fallbacks`` / ``n_staleness_recoveries`` — fallback
-      engagements and the recoveries that ended them;
-    * ``degraded`` / ``training_halted`` — the current mode flags.
+        fallback: admission heuristic while the trainer reports the model
+            stale (``staleness_limit``) — ``"lru"`` admits everything and
+            evicts LRU (cold-start behaviour), ``"bypass"`` admits
+            nothing (serves the resident set read-only).
     """
 
     name = "LFO-online"
@@ -288,59 +207,36 @@ class LFOOnline(LFOCache):
             eviction=eviction, rescore_interval=rescore_interval,
             sampled=sampled,
         )
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if train_deadline is not None and train_deadline <= 0:
-            raise ValueError("train_deadline must be positive (in requests)")
-        if staleness_limit is not None and staleness_limit <= 0:
-            raise ValueError("staleness_limit must be positive (in windows)")
         if fallback not in ("lru", "bypass"):
             raise ValueError(
                 f"unknown fallback {fallback!r}; expected 'lru' or 'bypass'"
             )
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
-        if max_train_failures is not None and max_train_failures <= 0:
-            raise ValueError("max_train_failures must be positive")
-        self.window = window
-        self.gbdt_params = gbdt_params or GBDTParams()
-        self.cutoff = cutoff
-        self.label_config = label_config or OptLabelConfig()
-        self.min_positive_labels = min_positive_labels
-        self.background = background
-        self.train_deadline = train_deadline
-        self.staleness_limit = staleness_limit
         self.fallback = fallback
-        self.retry_backoff = retry_backoff
-        self.max_train_failures = max_train_failures
-        self.publish_hook = publish_hook
-        self.n_retrains = 0
-        self.n_skipped_retrains = 0
-        self.n_failed_retrains = 0
-        self.n_watchdog_cancels = 0
-        self.n_backoff_skips = 0
-        self.n_staleness_fallbacks = 0
-        self.n_staleness_recoveries = 0
-        self.last_training_seconds = 0.0
-        self._buffer_requests: list[Request] = []
-        self._buffer_features: list[np.ndarray] = []
-        self._executor = executor
-        self._owns_executor = False
-        self._pending: Future | None = None
-        self._pending_submitted_at = 0
-        self._requests_observed = 0  # logical clock for the watchdog
-        self._windows_closed = 0
-        self._windows_since_model = 0
-        self._consecutive_failures = 0
-        self._backoff_remaining = 0
-        self._degraded = False
-        self._halted = False
+        self.trainer = WindowTrainer(
+            window,
+            LabelFitJob(
+                cache_size,
+                label_config=label_config or OptLabelConfig(),
+                gbdt_params=gbdt_params or GBDTParams(),
+                cutoff=cutoff,
+                min_positive_labels=min_positive_labels,
+                n_gaps=n_gaps,
+            ),
+            self.set_model,
+            background=background,
+            executor=executor,
+            train_deadline=train_deadline,
+            staleness_limit=staleness_limit,
+            retry_backoff=retry_backoff,
+            max_train_failures=max_train_failures,
+            publish_hook=publish_hook,
+        )
         # Admission-score PSI state: cumulative histogram counts at the
         # previous window close, and that window's per-bucket delta.
         self._score_cum_prev: list[int] | None = None
         self._score_delta_prev: list[int] | None = None
 
-    # -- training status -----------------------------------------------------
+    # -- the trainer's surface, as the serving loop and simulate see it --------
 
     @property
     def supports_batched_scoring(self) -> bool:
@@ -349,91 +245,58 @@ class LFOOnline(LFOCache):
         return False
 
     @property
-    def training_pending(self) -> bool:
-        """True while a background training job is in flight."""
-        return self._pending is not None and not self._pending.done()
+    def window(self) -> int:
+        """Requests per training window."""
+        return self.trainer.window
+
+    @property
+    def window_remaining(self) -> int:
+        """Requests left before the current training window closes."""
+        return self.trainer.remaining
+
+    @property
+    def n_retrains(self) -> int:
+        """Models actually trained and installed."""
+        return self.trainer.n_retrains
+
+    @property
+    def n_skipped_retrains(self) -> int:
+        """Windows dropped because the trainer was busy."""
+        return self.trainer.n_skipped_retrains
+
+    @property
+    def n_failed_retrains(self) -> int:
+        """Training jobs that failed (model kept)."""
+        return self.trainer.n_failed_retrains
 
     @property
     def training_stats(self) -> dict[str, float | int | bool]:
         """The retraining counters as one dict (surfaced by ``simulate``)."""
-        return {
-            "n_retrains": self.n_retrains,
-            "n_skipped_retrains": self.n_skipped_retrains,
-            "n_failed_retrains": self.n_failed_retrains,
-            "last_training_seconds": self.last_training_seconds,
-            "training_pending": self.training_pending,
-        }
-
-    @property
-    def degraded(self) -> bool:
-        """True while admission runs on the heuristic ``fallback``."""
-        return self._degraded
-
-    @property
-    def training_halted(self) -> bool:
-        """True once ``max_train_failures`` consecutive failures hit."""
-        return self._halted
+        return self.trainer.training_stats
 
     @property
     def resilience_stats(self) -> dict[str, float | int | bool]:
         """Degradation counters/flags as one dict (``SimResult.resilience``)."""
-        return {
-            "n_watchdog_cancels": self.n_watchdog_cancels,
-            "n_backoff_skips": self.n_backoff_skips,
-            "n_staleness_fallbacks": self.n_staleness_fallbacks,
-            "n_staleness_recoveries": self.n_staleness_recoveries,
-            "consecutive_failures": self._consecutive_failures,
-            "windows_since_model": self._windows_since_model,
-            "degraded": self._degraded,
-            "training_halted": self._halted,
-        }
+        return self.trainer.resilience_stats
 
     def finish_training(self, timeout: float | None = None) -> bool:
-        """Wait for an in-flight training job and install its model.
-
-        Useful at end-of-trace (the final window's model would otherwise
-        only land on the next request) and in tests.  Returns True when a
-        pending job was drained (completed, failed, or cancelled — the
-        installer sorts them out) within ``timeout`` seconds; False when
-        nothing was pending or the job is still running at the deadline
-        (it stays pending and can be drained later).
-        """
-        if self._pending is None:
-            return False
-        try:
-            self._pending.exception(timeout)  # waits; doesn't raise job errors
-        except TimeoutError:
-            logger.debug(
-                "finish_training timed out after %s s; job still pending",
-                timeout,
-            )
-            return False
-        except CancelledError:
-            logger.debug(
-                "finish_training found a cancelled job; handing to installer"
-            )
-        self._install_trained_model()
-        return True
+        """Wait for an in-flight training job and install its model
+        (:meth:`WindowTrainer.finish`)."""
+        return self.trainer.finish(timeout)
 
     def close(self) -> None:
         """Drain pending training and release a privately owned executor."""
-        self.finish_training()
-        if self._owns_executor and self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._owns_executor = False
+        self.trainer.close()
 
     # -- request path --------------------------------------------------------
 
     def on_request(self, request: Request) -> bool:
         """Process one request, retraining at window boundaries.
 
-        In background mode this never solves labels or fits a model
-        inline: a completed trainer result is installed (an O(1) model
-        pointer swap), the request is served, and a window boundary only
-        snapshots buffers and enqueues the training job.  An in-flight job
-        past its ``train_deadline`` (counted in requests) is cancelled by
-        the watchdog here — two integer compares on the hot path.
+        The scalar composition of the three steps the serving loop
+        (:mod:`repro.serve`) drives itself around speculative batches —
+        poll, decide, record — so both paths stay bit-identical.  In
+        background mode this never solves labels or fits a model inline.
         """
         self.poll_training()
         hit = super().on_request(request)
@@ -442,29 +305,10 @@ class LFOOnline(LFOCache):
         self.record_for_training(request, self.last_features)
         return hit
 
-    # -- serving hooks -------------------------------------------------------
-    # The serving loop (repro.serve) scores speculative batches and replays
-    # them through ``apply_scored`` directly, so it drives these two hooks
-    # itself — poll before scoring each request (a model install must land
-    # *before* the request it precedes, exactly as in ``on_request``), and
-    # record after applying.  ``on_request`` is the scalar composition of
-    # the same three steps, so both paths stay bit-identical.
-
     def poll_training(self) -> None:
-        """Advance the watchdog clock one request and poll the trainer.
-
-        Installs a completed background model (atomic pointer swap) or
-        cancels a job past its ``train_deadline``.  Must run exactly once
-        per request, *before* the request is scored: ``on_request`` calls
-        it first; the batched serving path calls it before reusing or
-        recomputing a speculated score.
-        """
-        self._requests_observed += 1
-        if self._pending is not None:
-            if self._pending.done():
-                self._install_trained_model()
-            elif self._watchdog_expired():
-                self._watchdog_cancel()
+        """Once per request, *before* it is scored
+        (:meth:`WindowTrainer.poll`)."""
+        self.trainer.poll()
 
     def record_for_training(
         self, request: Request, features: np.ndarray
@@ -472,55 +316,27 @@ class LFOOnline(LFOCache):
         """Buffer one served request's live features; retrain at the edge.
 
         ``features`` must be the row the request was actually scored with
-        (``last_features`` after :meth:`~repro.core.LFOCache.apply_scored`)
-        — training must see exactly what serving saw.
+        (``last_features`` after :meth:`~repro.core.LFOCache.apply_scored`).
         """
-        self._buffer_requests.append(request)
-        self._buffer_features.append(features)
-        if len(self._buffer_requests) >= self.window:
+        if self.trainer.record(request, features):
             self._retrain()
 
-    @property
-    def window_remaining(self) -> int:
-        """Requests left before the current training window closes.
-
-        The serving loop caps each speculation batch here so no batch
-        straddles a window boundary: the retrain (and any model swap it
-        triggers) lands between batches, never under speculated scores.
-        """
-        return self.window - len(self._buffer_requests)
-
-    # -- window hand-over ----------------------------------------------------
-
     def _retrain(self) -> None:
-        registry = get_registry()
-        with registry.span("online.window_close"):
-            self._close_window(registry)
-            self._check_staleness(registry)
-            self._publish_model_health(registry)
+        self.trainer.close_window()
+        self._publish_model_health()
 
-    def _publish_model_health(self, registry) -> None:
-        """Publish the per-window-close model-health snapshot.
+    def _publish_model_health(self) -> None:
+        """Per-window-close gauges only a cache can compute.
 
-        Gauges the health layer (``repro.obs.health``) and the staleness
-        SLO read: training posture (``windows_since_model``,
-        ``consecutive_failures``, ``last_train_seconds``), the feature
-        arena summary, and the admission-score PSI between the score
-        distributions of the last two training windows (a fixed model
-        whose score distribution jumps is seeing shifted inputs).  Runs
-        once per training window, off the request path.
+        The feature arena summary, and the admission-score PSI between
+        the score distributions of the last two training windows (a fixed
+        model whose score distribution jumps is seeing shifted inputs).
+        Runs once per training window, off the request path; the
+        training-posture gauges are the trainer's.
         """
+        registry = get_registry()
         if not registry.enabled:
             return
-        registry.gauge("online.windows_since_model").set(
-            float(self._windows_since_model)
-        )
-        registry.gauge("online.consecutive_failures").set(
-            float(self._consecutive_failures)
-        )
-        registry.gauge("online.last_train_seconds").set(
-            self.last_training_seconds
-        )
         summary = self._tracker.arena_summary(self._now)
         registry.gauge("online.feature_tracked").set(
             float(summary["tracked"])
@@ -550,218 +366,17 @@ class LFOOnline(LFOCache):
                 population_stability_index(previous_delta, delta)
             )
 
-    def _close_window(self, registry) -> None:
-        """Snapshot the closed window and train on it (inline or submitted)."""
-        requests = self._buffer_requests
-        self._buffer_requests = []
-        features = np.vstack(self._buffer_features)
-        self._buffer_features = []
-        name = f"W[{self._windows_closed}]"
-        self._windows_closed += 1
-        self._windows_since_model += 1
-        args = (
-            requests, features, self.label_config, self.cache_size,
-            self.gbdt_params, self.cutoff, self.min_positive_labels,
-            self._tracker.n_gaps, name,
-        )
-
-        if self._halted:
-            registry.counter("resilience.halted_window_drops").inc()
-            logger.info(
-                "training halted after %d consecutive failures; "
-                "dropping window %s",
-                self._consecutive_failures, name,
-            )
-            return
-
-        if self._backoff_remaining > 0:
-            self._backoff_remaining -= 1
-            self.n_backoff_skips += 1
-            registry.counter("resilience.backoff_skips").inc()
-            registry.event("resilience.backoff_skip")
-            logger.info(
-                "retrain backoff: dropping window %s "
-                "(%d more window(s) to skip)",
-                name, self._backoff_remaining,
-            )
-            return
-
-        if not self.background:
-            try:
-                model, elapsed = _train_window(*args)
-            except Exception as exc:
-                # Inline training failures are absorbed exactly like
-                # background ones: the window is lost, the current model
-                # keeps serving, and the failure is loud.
-                self.n_failed_retrains += 1
-                registry.counter("online.failed_retrains").inc()
-                registry.counter("online_trainer_errors").inc()
-                logger.warning(
-                    "inline retrain for window %s failed (%s); "
-                    "keeping current model",
-                    name, type(exc).__name__, exc_info=exc,
-                )
-                warnings.warn(
-                    f"retrain failed ({exc!r}); keeping current model",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-                self._note_training_failure(registry)
-                return
-            self.last_training_seconds = elapsed
-            if model is not None:
-                with registry.span("online.model_install"):
-                    self.set_model(model)
-                self.n_retrains += 1
-                registry.counter("online.model_installs").inc()
-                self._note_training_success(registry)
-                self._publish(model, registry)
-            return
-
-        if self._pending is not None:
-            if not self._pending.done():
-                # Trainer still busy: drop this window, keep serving on
-                # the current model rather than queueing unbounded work.
-                self.n_skipped_retrains += 1
-                registry.counter("online.skipped_retrains").inc()
-                logger.info(
-                    "trainer busy; dropping window %s (%d requests, "
-                    "%d windows dropped so far)",
-                    name, len(requests), self.n_skipped_retrains,
-                )
-                return
-            self._install_trained_model()
-        try:
-            self._pending = self._trainer().submit(_train_window, *args)
-            self._pending_submitted_at = self._requests_observed
-        except (RuntimeError, BrokenExecutor) as exc:
-            # The two submit-time failures (shut-down executor, broken
-            # pool); neither must ever break serving.
-            self.n_failed_retrains += 1
-            registry.counter("online.failed_retrains").inc()
-            registry.counter("online_trainer_errors").inc()
-            logger.warning(
-                "could not submit background retrain for window %s "
-                "(%s); keeping current model",
-                name, type(exc).__name__, exc_info=exc,
-            )
-            warnings.warn(
-                f"could not submit background retrain ({exc!r}); "
-                "keeping current model",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            self._note_training_failure(registry)
-
-    # -- graceful degradation ------------------------------------------------
-
-    def _watchdog_expired(self) -> bool:
-        return (
-            self.train_deadline is not None
-            and self._requests_observed - self._pending_submitted_at
-            >= self.train_deadline
-        )
-
-    def _watchdog_cancel(self) -> None:
-        """Abandon a training job that outlived its request-count deadline."""
-        future = self._pending
-        self._pending = None
-        cancelled = future.cancel() if future is not None else False
-        self.n_watchdog_cancels += 1
-        registry = get_registry()
-        registry.counter("resilience.watchdog_cancels").inc()
-        registry.event("resilience.watchdog_cancel")
-        logger.warning(
-            "background retrain exceeded its deadline (%s requests); %s; "
-            "keeping current model",
-            self.train_deadline,
-            "job cancelled" if cancelled else "job abandoned (already running)",
-        )
-        self._note_training_failure(registry)
-
-    def _note_training_failure(self, registry) -> None:
-        """Advance the consecutive-failure state machine: halt or back off."""
-        self._consecutive_failures += 1
-        if (
-            self.max_train_failures is not None
-            and self._consecutive_failures >= self.max_train_failures
-        ):
-            if not self._halted:
-                self._halted = True
-                registry.counter("resilience.training_halts").inc()
-                registry.gauge("resilience.training_halted").set(1.0)
-                registry.event("resilience.training_halt")
-                logger.error(
-                    "halting retraining after %d consecutive failures; "
-                    "serving continues without fresh models",
-                    self._consecutive_failures,
-                )
-            return
-        if self.retry_backoff > 0:
-            backoff = min(
-                self.retry_backoff * 2 ** (self._consecutive_failures - 1),
-                _MAX_BACKOFF_WINDOWS,
-            )
-            self._backoff_remaining = backoff
-            registry.gauge("resilience.backoff_windows").set(float(backoff))
-            logger.info(
-                "retrain backoff set to %d window(s) after %d consecutive "
-                "failure(s)",
-                backoff, self._consecutive_failures,
-            )
-
-    def _note_training_success(self, registry) -> None:
-        """A fresh model landed: clear failure state, leave degraded mode."""
-        self._consecutive_failures = 0
-        self._backoff_remaining = 0
-        self._windows_since_model = 0
-        registry.gauge("resilience.backoff_windows").set(0.0)
-        if self._degraded:
-            self._degraded = False
-            self.n_staleness_recoveries += 1
-            registry.counter("resilience.staleness_recoveries").inc()
-            registry.gauge("resilience.staleness_fallback_active").set(0.0)
-            registry.event("resilience.staleness_recovery")
-            logger.info(
-                "fresh model installed; leaving %s fallback mode",
-                self.fallback,
-            )
-
-    def _check_staleness(self, registry) -> None:
-        """Degrade admission once the model has missed too many windows.
-
-        Only a *trained* model can go stale: cold start (no model yet) is
-        already the admit-all LRU mode the "lru" fallback would pick.
-        """
-        if (
-            self.staleness_limit is None
-            or self._degraded
-            or self.model is None
-            or self._windows_since_model < self.staleness_limit
-        ):
-            return
-        self._degraded = True
-        self.n_staleness_fallbacks += 1
-        registry.counter("resilience.staleness_fallbacks").inc()
-        registry.gauge("resilience.staleness_fallback_active").set(1.0)
-        registry.event("resilience.staleness_fallback")
-        logger.warning(
-            "model stale for %d window(s) without a successful retrain; "
-            "degrading admission to %s fallback",
-            self._windows_since_model, self.fallback,
-        )
-
     # -- degraded-mode serving -----------------------------------------------
 
     def _should_admit(self, score: float) -> bool:
-        if self._degraded:
+        if self.trainer.degraded:
             # The stale model's scores are no longer trusted: "lru" admits
             # everything (cold-start behaviour), "bypass" admits nothing.
             return self.fallback == "lru"
         return super()._should_admit(score)
 
     def _select_victim(self, incoming: Request) -> int | None:
-        if self._degraded and self.fallback == "lru":
+        if self.trainer.degraded and self.fallback == "lru":
             return next(iter(self._lru), None)
         return super()._select_victim(incoming)
 
@@ -769,105 +384,13 @@ class LFOOnline(LFOCache):
         # The staleness fallback outranks sampled eviction: a stale
         # model's candidate scores are exactly what degraded mode stops
         # trusting, so victims come from the LRU order until recovery.
-        if self._degraded and self.fallback == "lru":
+        if self.trainer.degraded and self.fallback == "lru":
             victim = next(iter(self._lru), None)
             return [] if victim is None else [victim]
         return super()._select_victims(incoming)
 
-    def _install_trained_model(self) -> None:
-        """Consume a finished training future; atomic model swap on success."""
-        future = self._pending
-        self._pending = None
-        if future is None:
-            return
-        try:
-            model, elapsed = future.result()
-        except CancelledError:
-            self.n_failed_retrains += 1
-            registry = get_registry()
-            registry.counter("online.failed_retrains").inc()
-            registry.counter("online_trainer_errors").inc()
-            logger.warning(
-                "background retrain cancelled; keeping current model"
-            )
-            self._note_training_failure(registry)
-            return
-        except Exception as exc:
-            # Training jobs can raise anything (labeling, fitting, pickling
-            # in process pools); the install path stays broad by design but
-            # is loud: exception class logged, error counter bumped.
-            self.n_failed_retrains += 1
-            registry = get_registry()
-            registry.counter("online.failed_retrains").inc()
-            registry.counter("online_trainer_errors").inc()
-            logger.warning(
-                "background retrain failed (%s); keeping current model",
-                type(exc).__name__, exc_info=exc,
-            )
-            warnings.warn(
-                f"background retrain failed ({exc!r}); keeping current model",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._note_training_failure(registry)
-            return
-        self.last_training_seconds = elapsed
-        if model is not None:
-            registry = get_registry()
-            with registry.span("online.model_install"):
-                self.set_model(model)
-            self.n_retrains += 1
-            registry.counter("online.model_installs").inc()
-            self._note_training_success(registry)
-            self._publish(model, registry)
-
-    def _publish(self, model: LFOModel, registry) -> None:
-        """Hand a freshly installed model to the external publish path."""
-        if self.publish_hook is None:
-            return
-        try:
-            self.publish_hook(model)
-            registry.counter("online.model_publishes").inc()
-        except Exception as exc:
-            # Publishing is off the install path by contract: a failed
-            # slab write must never undo the local swap that already
-            # happened.  Loud — counted and logged with the traceback.
-            registry.counter("online.publish_failures").inc()
-            logger.warning(
-                "model publish hook failed (%s); downstream consumers "
-                "keep the previous generation",
-                type(exc).__name__, exc_info=exc,
-            )
-
-    def _trainer(self) -> Executor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="lfo-trainer"
-            )
-            self._owns_executor = True
-        return self._executor
-
     def _reset_policy_state(self) -> None:
         super()._reset_policy_state()
-        self.finish_training()
-        self._buffer_requests = []
-        self._buffer_features = []
-        self.n_retrains = 0
-        self.n_skipped_retrains = 0
-        self.n_failed_retrains = 0
-        self.n_watchdog_cancels = 0
-        self.n_backoff_skips = 0
-        self.n_staleness_fallbacks = 0
-        self.n_staleness_recoveries = 0
-        self.last_training_seconds = 0.0
-        self._pending = None
-        self._pending_submitted_at = 0
-        self._requests_observed = 0
+        self.trainer.reset()
         self._score_cum_prev = None
         self._score_delta_prev = None
-        self._windows_closed = 0
-        self._windows_since_model = 0
-        self._consecutive_failures = 0
-        self._backoff_remaining = 0
-        self._degraded = False
-        self._halted = False

@@ -10,7 +10,8 @@ policy's serving hooks to the decision engine
 
 * **poll** — :meth:`repro.core.LFOOnline.poll_training` before each
   request is scored: a completed background model installs here, an
-  overdue one is watchdog-cancelled.  The engine runs it exactly once
+  overdue one is watchdog-cancelled (the policy's
+  :class:`repro.core.WindowTrainer`).  The engine runs it exactly once
   per request and abandons a window the install lands in.  The
   swapped-in predictor was compiled at train time (``set_model``
   guarantees it), so a handoff costs one aborted lookahead, never a
@@ -61,14 +62,14 @@ class BatchScorer:
         self.n_handoffs = 0
         self._active_model: "LFOModel | None" = policy.model
         registry = get_registry()
+        self._handoff_counter = registry.counter("serve.model_handoffs")
+        # The engine reads the clock around each decision it is given a
+        # histogram for — a per-request cost a disabled registry skips.
+        latency = None
         if registry.enabled:
             latency = registry.histogram(
                 "serve.decision_latency_seconds", DECISION_LATENCY_BUCKETS
             )
-            self._handoff_counter = registry.counter("serve.model_handoffs")
-        else:
-            latency = None
-            self._handoff_counter = None
         self._engine = DecisionEngine(
             policy,
             max_batch,
@@ -95,5 +96,4 @@ class BatchScorer:
         if policy.model is not self._active_model:
             self._active_model = policy.model
             self.n_handoffs += 1
-            if self._handoff_counter is not None:
-                self._handoff_counter.inc()
+            self._handoff_counter.inc()

@@ -8,7 +8,8 @@ Deployment shape (see ``docs/serving.md`` for the operations runbook)::
                                                           record_for_training
                                                                  │
                              background trainer ◀── window boundary
-                             (warm handoff at next poll)
+                             (repro.core.trainer; warm handoff at
+                              next poll)
 
 Zero dropped requests is structural, not aspirational: the only buffer is
 the bounded queue, producers ``await put`` into it (they *wait* when it is
@@ -176,15 +177,17 @@ class ServingLoop:
     ``scorer`` swaps the scoring engine: anything exposing
     ``process(requests) -> list[bool]`` and ``n_handoffs`` (e.g.
     :class:`repro.cluster.ClusterScorer`, which fans batches out across
-    shard processes).  A scorer with a true ``folds_bytes`` attribute
-    already folds the ``sim.hit_bytes``/``sim.miss_bytes`` counters into
-    the registry itself, so the loop skips its own fold to avoid
-    double-counting window BHR.
+    shard processes and trains through a bare
+    :class:`repro.core.WindowTrainer` — ``policy`` is then ``None``,
+    nothing serves in this process).  A scorer with a true
+    ``folds_bytes`` attribute already folds the ``sim.hit_bytes`` /
+    ``sim.miss_bytes`` counters into the registry itself, so the loop
+    skips its own fold to avoid double-counting window BHR.
     """
 
     def __init__(
         self,
-        policy: "LFOOnline",
+        policy: "LFOOnline | None",
         driver: AsyncIterable[Request],
         config: ServeConfig | None = None,
         on_decision: Callable[[Request, bool], None] | None = None,
@@ -203,28 +206,18 @@ class ServingLoop:
         )
         registry = get_registry()
         self._registry = registry
-        self._observing = registry.enabled
-        if registry.enabled:
-            self._requests_counter = registry.counter("serve.requests")
-            self._batches_counter = registry.counter("serve.batches")
-            self._dropped_counter = registry.counter("serve.dropped")
-            self._backpressure_counter = registry.counter(
-                "serve.backpressure_waits"
-            )
-            self._queue_depth_gauge = registry.gauge("serve.queue_depth")
-            # Producer-shared series (see repro.obs.windows): folding the
-            # hit/miss bytes here keeps window_bhr and the BHR SLO
-            # objective working unchanged over serving windows.
-            self._hit_bytes_counter = registry.counter("sim.hit_bytes")
-            self._miss_bytes_counter = registry.counter("sim.miss_bytes")
-        else:
-            self._requests_counter = None
-            self._batches_counter = None
-            self._dropped_counter = None
-            self._backpressure_counter = None
-            self._queue_depth_gauge = None
-            self._hit_bytes_counter = None
-            self._miss_bytes_counter = None
+        self._requests_counter = registry.counter("serve.requests")
+        self._batches_counter = registry.counter("serve.batches")
+        self._dropped_counter = registry.counter("serve.dropped")
+        self._backpressure_counter = registry.counter(
+            "serve.backpressure_waits"
+        )
+        self._queue_depth_gauge = registry.gauge("serve.queue_depth")
+        # Producer-shared series (see repro.obs.windows): folding the
+        # hit/miss bytes here keeps window_bhr and the BHR SLO
+        # objective working unchanged over serving windows.
+        self._hit_bytes_counter = registry.counter("sim.hit_bytes")
+        self._miss_bytes_counter = registry.counter("sim.miss_bytes")
         self._finalised = False
 
     async def run(self) -> ServeReport:
@@ -258,8 +251,7 @@ class ServingLoop:
                     # Structural zero-drop: a full queue *waits* the
                     # producer instead of shedding the request.
                     self.report.backpressure_waits += 1
-                    if self._backpressure_counter is not None:
-                        self._backpressure_counter.inc()
+                    self._backpressure_counter.inc()
                 await queue.put(request)
         except asyncio.CancelledError:
             raise  # shutdown: the drain path takes over, no EOF needed
@@ -315,19 +307,13 @@ class ServingLoop:
         report.miss_bytes += miss_bytes
         report.batches += 1
         report.model_handoffs = self.scorer.n_handoffs
-        if self._observing:
-            assert self._requests_counter is not None
-            assert self._batches_counter is not None
-            assert self._hit_bytes_counter is not None
-            assert self._miss_bytes_counter is not None
-            assert self._queue_depth_gauge is not None
-            self._requests_counter.inc(len(batch))
-            self._batches_counter.inc()
-            if not self._scorer_folds_bytes:
-                self._hit_bytes_counter.inc(hit_bytes)
-                self._miss_bytes_counter.inc(miss_bytes)
-            self._queue_depth_gauge.set(queue.qsize())
-            self._registry.maybe_roll()
+        self._requests_counter.inc(len(batch))
+        self._batches_counter.inc()
+        if not self._scorer_folds_bytes:
+            self._hit_bytes_counter.inc(hit_bytes)
+            self._miss_bytes_counter.inc(miss_bytes)
+        self._queue_depth_gauge.set(queue.qsize())
+        self._registry.maybe_roll()
         if self.on_decision is not None:
             for request, hit in zip(batch, hits):
                 self.on_decision(request, hit)
@@ -358,8 +344,7 @@ class ServingLoop:
             left = len(pending) - done
             self.report.dropped += left
             self.report.drained = False
-            if self._dropped_counter is not None:
-                self._dropped_counter.inc(left)
+            self._dropped_counter.inc(left)
             raise
 
     def _finalise(self) -> None:
@@ -367,7 +352,5 @@ class ServingLoop:
         if self._finalised:
             return
         self._finalised = True
-        if self._observing:
-            assert self._queue_depth_gauge is not None
-            self._queue_depth_gauge.set(0)
-            self._registry.flush()
+        self._queue_depth_gauge.set(0)
+        self._registry.flush()

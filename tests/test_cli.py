@@ -20,7 +20,72 @@ def trace_file(tmp_path):
     return str(path)
 
 
+#: Option strings and defaults of the three sub-parsers that share option
+#: groups, plus a digest of everything else an option declares (help,
+#: choices, type, nargs, metavar), order-insensitive.
+_CACHE = {
+    "trace": None, "--tolerant-trace": False, "--cache-fraction": 10,
+    "--cache-mb": None, "--cache-bytes": None,
+}
+_TRAINING = {
+    "--window": 5000, "--cutoff": 0.5, "--segment": 1000,
+    "--label-mode": "segmented",
+}
+_TELEMETRY = {
+    "--every": 2000, "--ring": 120, "--slo": None, "--check": False,
+    "--follow": False, "--serve-metrics": None, "--windows-out": None,
+}
+PINNED_OPTIONS = {
+    "simulate": ("72c65831d44ae9ae", {
+        **_CACHE, **_TRAINING, "--warmup": 0.25,
+        "--eviction": "likelihood", "--evict-sample-k": 64,
+        "--evict-sample-seed": 0, "--fault-plan": None,
+        "--staleness-limit": None, "--retry-backoff": 0,
+        "--metrics-out": None,
+    }),
+    "health": ("ffff6fcd24105854", {
+        **_CACHE, **_TRAINING, **_TELEMETRY, "--warmup": 0.25,
+        "--bhr-lambda": 0.1, "--psi-threshold": 0.25,
+        "--staleness-alert": 0, "--staleness-limit": None,
+        "--fault-plan": None,
+    }),
+    "serve": ("6ac1e959923cb291", {
+        **_CACHE, **_TRAINING, **_TELEMETRY, "--synthetic": None,
+        "--seed": 42, "--queue-depth": 1024, "--max-batch": 256,
+        "--arrival-rate": 0.0, "--shards": 1, "--vnodes": 64,
+        "--trainer": "thread", "--train-deadline": None,
+        "--staleness-limit": None, "--retry-backoff": 0,
+        "--fault-plan": None, "--jsonl": None,
+    }),
+}
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", list(PINNED_OPTIONS))
+    def test_shared_option_groups_keep_every_flag(self, command):
+        import hashlib
+
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action.choices, dict)
+        )
+        actions = [
+            action for action in subparsers.choices[command]._actions
+            if action.dest != "help"
+        ]
+        digest, defaults = PINNED_OPTIONS[command]
+        assert {
+            ",".join(a.option_strings) or a.dest: a.default for a in actions
+        } == defaults
+        declared = sorted(
+            f"{a.option_strings}|{a.help}|{a.choices}|"
+            f"{getattr(a.type, '__name__', None)}|{a.nargs}|{a.metavar}"
+            for a in actions
+        )
+        assert hashlib.sha256(
+            "\n".join(declared).encode()
+        ).hexdigest()[:16] == digest
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

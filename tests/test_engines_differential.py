@@ -4,7 +4,8 @@
 hypothesis-generated traces (objects larger than the cache, zero cost,
 timestamp ties, one hot key, a cache of a few objects) x eviction mode x
 capped/uncapped tracker: ``simulate(batch_size=N)``, ``BatchScorer`` over
-a retraining ``LFOOnline``, and one ``DecisionEngine`` per shard over
+a retraining ``LFOOnline`` (training inline and submitted), and one
+``DecisionEngine`` per shard over
 ``HashRing.partition`` — its requests through the cluster's wire records
 — with a cold -> warm model attach.  Equal means equal hit vectors and
 equal digests of every score that reached ``apply_scored``;
@@ -140,17 +141,22 @@ def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
             size, model, tracker=tracker, eviction=eviction, sampled=SAMPLED
         )
 
-    def online():
+    def online(background):
         policy = LFOOnline(
             cache_size, window=40, gbdt_params=GBDTParams(num_iterations=3),
             n_gaps=N_GAPS, min_positive_labels=1,
             label_config=OptLabelConfig(mode="greedy"), eviction=eviction,
-            sampled=SAMPLED, background=True,
-            executor=SimulatedTrainerExecutor(),
+            sampled=SAMPLED, background=background,
+            executor=SimulatedTrainerExecutor() if background else None,
         )
         policy.tracker.max_objects = cap
         policy.set_model(model)
         return policy
+
+    def trained(policy, drive):
+        result = outcome(policy, drive)
+        policy.finish_training()  # a window closed by the last request
+        return result, policy.n_retrains
 
     reference = outcome(static(), scalar(requests))
     for batch_size in (1, 7, 256):
@@ -161,9 +167,17 @@ def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
         ).hits), f"simulate(batch_size={batch_size})"
         assert seen == list(range(len(requests)))
 
-    reference = outcome(online(), scalar(requests))
-    assert reference == outcome(online(), served(requests, 256, 64))
-    assert reference == outcome(online(), served(requests, 7, 50))
+    # Where the training job runs is one more engine input: on the
+    # caller's thread at the window edge, or submitted and polled.
+    reference = trained(online(False), scalar(requests))
+    assert reference == trained(online(True), scalar(requests))
+    for background in (False, True):
+        assert reference == trained(
+            online(background), served(requests, 256, 64)
+        )
+        assert reference == trained(
+            online(background), served(requests, 7, 50)
+        )
 
     for bucket in HashRing(2, seed=7).partition(requests):
         split = [request for _index, request in bucket]
@@ -216,8 +230,8 @@ def test_batch_scorer_under_a_hung_trainer(model):
             result = outcome(policy, drive)
         executor.shutdown(cancel_futures=True)
         return (
-            result, policy.n_watchdog_cancels, policy.n_skipped_retrains,
-            policy.n_retrains,
+            result, policy.trainer.n_watchdog_cancels,
+            policy.n_skipped_retrains, policy.n_retrains,
         )
 
     reference = run(scalar(requests))

@@ -1,10 +1,10 @@
 """Tests for the fault-injection harness and graceful degradation.
 
 Covers the declarative :class:`FaultPlan` machinery itself, the
-deterministic :class:`SimulatedTrainerExecutor`, and — via small
-end-to-end drills — each degradation path in :class:`LFOOnline`:
-watchdog cancels, failure backoff, bounded retries (halt), and the
-staleness fallback with recovery.
+deterministic :class:`SimulatedTrainerExecutor`, and — via a small
+end-to-end drill — what :class:`LFOOnline` does with a stale model.  The
+trainer's own state machine (watchdog, backoff, halt, staleness) is
+drilled with a stub job in ``test_core_trainer.py``.
 """
 
 import pickle
@@ -235,109 +235,6 @@ class TestConstructorValidation:
             LFOOnline(1000, **kwargs)
 
 
-class TestWatchdog:
-    def test_hung_trainer_is_cancelled_and_loop_recovers(self):
-        pool = SimulatedTrainerExecutor()
-        plan = FaultPlan([
-            FaultSpec(site="trainer.submit", kind="hang", at=(0,))
-        ])
-        lfo = make_online(
-            background=True, executor=pool, train_deadline=30
-        )
-        registry = MetricsRegistry()
-        with use_registry(registry), use_fault_plan(plan):
-            for request in recurring_trace(200):
-                lfo.on_request(request)
-        # The first window's job hung and was cancelled by the watchdog;
-        # later windows trained inline and installed a model.
-        assert lfo.n_watchdog_cancels == 1
-        assert lfo.n_retrains >= 1
-        assert lfo.model is not None
-        assert not lfo.training_pending
-        assert registry.counter("resilience.watchdog_cancels").value == 1
-        assert "resilience.watchdog_cancel" in registry.to_dict()["spans"]
-
-    def test_no_deadline_means_no_cancel(self):
-        pool = SimulatedTrainerExecutor()
-        plan = FaultPlan([
-            FaultSpec(site="trainer.submit", kind="hang", at=(0,))
-        ])
-        lfo = make_online(background=True, executor=pool)
-        with use_fault_plan(plan):
-            for request in recurring_trace(200):
-                lfo.on_request(request)
-        assert lfo.n_watchdog_cancels == 0
-        assert lfo.training_pending  # still hung; nothing watched it
-        pool.shutdown(cancel_futures=True)
-
-
-class TestBackoffAndHalt:
-    def test_serial_crash_warns_and_backs_off(self):
-        plan = FaultPlan([
-            FaultSpec(site="online.train_window", kind="crash", every=1)
-        ])
-        lfo = make_online(retry_backoff=1)
-        registry = MetricsRegistry()
-        with use_registry(registry), use_fault_plan(plan):
-            with pytest.warns(RuntimeWarning, match="retrain failed"):
-                for request in recurring_trace(400):  # 10 windows
-                    lfo.on_request(request)
-        # Failures and skips interleave: fail, skip 1, fail, skip 2, ...
-        assert lfo.n_failed_retrains >= 2
-        assert lfo.n_backoff_skips >= 3
-        assert lfo.n_retrains == 0
-        assert (
-            registry.counter("resilience.backoff_skips").value
-            == lfo.n_backoff_skips
-        )
-
-    def test_backoff_doubles_up_to_cap(self):
-        plan = FaultPlan([
-            FaultSpec(site="online.train_window", kind="crash", every=1)
-        ])
-        lfo = make_online(retry_backoff=2)
-        with use_fault_plan(plan):
-            with pytest.warns(RuntimeWarning):
-                for request in recurring_trace(40 * 16):
-                    lfo.on_request(request)
-        # 16 windows: fail, 2 skips, fail, 4 skips, fail, then 7 of the 8
-        # backoff windows before the trace ends.
-        assert lfo.n_failed_retrains == 3
-        assert lfo.n_backoff_skips == 13
-
-    def test_max_train_failures_halts_retraining(self):
-        plan = FaultPlan([
-            FaultSpec(site="online.train_window", kind="crash", every=1)
-        ])
-        lfo = make_online(max_train_failures=2)
-        registry = MetricsRegistry()
-        with use_registry(registry), use_fault_plan(plan):
-            with pytest.warns(RuntimeWarning):
-                for request in recurring_trace(240):  # 6 windows
-                    lfo.on_request(request)
-        assert lfo.training_halted
-        assert lfo.n_failed_retrains == 2  # halted windows don't retry
-        snapshot = registry.to_dict()
-        assert snapshot["counters"]["resilience.training_halts"] == 1
-        assert snapshot["counters"]["resilience.halted_window_drops"] >= 1
-        assert snapshot["gauges"]["resilience.training_halted"] == 1.0
-
-    def test_success_resets_consecutive_failures(self):
-        plan = FaultPlan([
-            FaultSpec(site="online.train_window", kind="crash", at=(0, 2))
-        ])
-        lfo = make_online(max_train_failures=2)
-        with use_fault_plan(plan):
-            with pytest.warns(RuntimeWarning):
-                for request in recurring_trace(400):
-                    lfo.on_request(request)
-        # Failures at windows 0 and 2 are separated by a success, so the
-        # consecutive counter never reaches 2 and training keeps running.
-        assert not lfo.training_halted
-        assert lfo.n_failed_retrains == 2
-        assert lfo.n_retrains >= 2
-
-
 class TestStalenessFallback:
     def test_fallback_engages_and_recovers(self):
         pool = SimulatedTrainerExecutor()
@@ -359,16 +256,16 @@ class TestStalenessFallback:
             with use_fault_plan(plan):
                 for request in trace.requests[81:400]:
                     lfo.on_request(request)
-                assert lfo.degraded
-                assert lfo.n_staleness_fallbacks == 1
+                assert lfo.trainer.degraded
+                assert lfo.trainer.n_staleness_fallbacks == 1
                 # Degraded "lru" mode admits everything.
                 assert lfo._should_admit(0.0) is True
                 # The parked job finally finishes: next request installs
                 # the fresh model and leaves fallback mode.
                 assert pool.release_hung() == 1
                 lfo.on_request(trace.requests[400])
-            assert not lfo.degraded
-            assert lfo.n_staleness_recoveries == 1
+            assert not lfo.trainer.degraded
+            assert lfo.trainer.n_staleness_recoveries == 1
         snapshot = registry.to_dict()
         assert snapshot["counters"]["resilience.staleness_fallbacks"] == 1
         assert snapshot["counters"]["resilience.staleness_recoveries"] == 1
@@ -377,22 +274,8 @@ class TestStalenessFallback:
 
     def test_bypass_fallback_admits_nothing(self):
         lfo = make_online(fallback="bypass", staleness_limit=1)
-        lfo._degraded = True
+        lfo.trainer.degraded = True
         assert lfo._should_admit(1.0) is False
-
-    def test_cold_start_is_exempt(self):
-        # No model has ever been installed: closing windows without a
-        # successful retrain must NOT trip the staleness guard.
-        plan = FaultPlan([
-            FaultSpec(site="online.train_window", kind="crash", every=1)
-        ])
-        lfo = make_online(staleness_limit=1)
-        with use_fault_plan(plan):
-            with pytest.warns(RuntimeWarning):
-                for request in recurring_trace(200):
-                    lfo.on_request(request)
-        assert not lfo.degraded
-        assert lfo.n_staleness_fallbacks == 0
 
 
 class TestResilienceSurfacing:
@@ -421,14 +304,3 @@ class TestResilienceSurfacing:
         result = simulate(recurring_trace(100), LRUCache(200))
         assert result.resilience is None
         assert result.to_dict()["resilience"] is None
-
-    def test_reset_clears_degradation_state(self):
-        lfo = make_online(staleness_limit=1, retry_backoff=1)
-        lfo._degraded = True
-        lfo._halted = True
-        lfo.n_watchdog_cancels = 3
-        lfo.reset()
-        assert not lfo.degraded
-        assert not lfo.training_halted
-        assert lfo.n_watchdog_cancels == 0
-        assert lfo.resilience_stats["consecutive_failures"] == 0
