@@ -1,0 +1,315 @@
+"""The repo's one native module: a C source built once per process.
+
+Two routines live in one shared object, compiled with the system C
+compiler on first use and bound through :mod:`ctypes`:
+
+* ``predict_raw`` — the GBDT scoring kernel behind
+  :class:`repro.gbdt.CompiledPredictor` (branchless fixed-depth walk,
+  several interleaved rows to hide load latency);
+* ``ssp_augment`` — the augmentation loop of
+  :func:`repro.flow.solve_min_cost_flow`, a statement-by-statement
+  transliteration of the Python loop it replaces (see
+  :mod:`repro.flow.ssp` for why the two are bit-identical).
+
+:func:`load` returns the process-wide handle, or ``None`` when there is
+no toolchain (``cc`` missing, a sandboxed tempdir, a failed compile) or
+``REPRO_GBDT_NO_CC`` is set; every caller keeps a pure-Python/numpy path
+for that case.  ctypes releases the GIL around each call, so a trainer
+thread inside either routine does not hold the request thread.  The
+source is compiled with ``-ffp-contract=off``: no fused multiply-add may
+change a float the Python reference would have rounded twice.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from time import perf_counter
+
+from .obs import get_registry
+
+__all__ = ["Native", "load"]
+
+logger = logging.getLogger("repro.native")
+
+#: Environment switch forcing every fallback path (useful for the
+#: fallbacks' own tests and for machines without a C toolchain).
+_NO_CC_ENV = "REPRO_GBDT_NO_CC"
+
+#: Interleaved rows per ``predict_raw`` iteration: enough independent
+#: dependency chains to hide node-table load latency without spilling
+#: registers.
+_LANES = 8
+
+_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+typedef struct {
+    double threshold;
+    int32_t feature;
+    int32_t kids[2];
+    int32_t pad;
+    double value;
+} Node;
+
+#define LANES %(lanes)d
+
+void predict_raw(const double *X, long n, long d,
+                 const Node *nodes, const int32_t *roots,
+                 const int32_t *depths, long n_trees,
+                 double init_score, double *out)
+{
+    long i = 0;
+    for (; i + LANES <= n; i += LANES) {
+        const double *x[LANES];
+        double acc[LANES];
+        int32_t cur[LANES];
+        for (int l = 0; l < LANES; l++) {
+            x[l] = X + (i + l) * d;
+            acc[l] = init_score;
+        }
+        for (long t = 0; t < n_trees; t++) {
+            const int32_t root = roots[t];
+            const int32_t depth = depths[t];
+            for (int l = 0; l < LANES; l++)
+                cur[l] = root;
+            for (int32_t k = 0; k < depth; k++)
+                for (int l = 0; l < LANES; l++) {
+                    const Node *nd = nodes + cur[l];
+                    cur[l] = nd->kids[x[l][nd->feature] > nd->threshold];
+                }
+            for (int l = 0; l < LANES; l++)
+                acc[l] += nodes[cur[l]].value;
+        }
+        for (int l = 0; l < LANES; l++)
+            out[i + l] = acc[l];
+    }
+    for (; i < n; i++) {
+        const double *x = X + i * d;
+        double acc = init_score;
+        for (long t = 0; t < n_trees; t++) {
+            int32_t cur = roots[t];
+            for (int32_t k = 0, depth = depths[t]; k < depth; k++) {
+                const Node *nd = nodes + cur;
+                cur = nd->kids[x[nd->feature] > nd->threshold];
+            }
+            acc += nodes[cur].value;
+        }
+        out[i] = acc;
+    }
+}
+
+/* Heap entries are ordered lexicographically on (dist, node), the order
+   Python gives (d, u) tuples.  That order is total, so the pop sequence
+   does not depend on the heap's internal layout. */
+#define HEAP_LESS(da, ua, db, ub) ((da) < (db) || ((da) == (db) && (ua) < (ub)))
+
+/* Successive-shortest-path augmentation over a CSR residual graph.
+   `scratch` holds 3 * n_total + 2 * (n_arcs + 1) eight-byte slots.
+   Returns the supply that could not be routed (0 = solved); stores the
+   routed cost in *total_cost and the path count in *augmentations. */
+int64_t ssp_augment(int64_t n_total, int64_t n_arcs,
+                    int64_t source, int64_t sink,
+                    const int64_t *adj_start, const int64_t *adj_arcs,
+                    const int64_t *arc_to, const int64_t *arc_tail,
+                    int64_t *arc_cap, const double *arc_cost,
+                    double *potential, int64_t remaining,
+                    double *total_cost, int64_t *augmentations,
+                    void *scratch)
+{
+    double *dist = (double *)scratch;
+    double *heap_d = dist + n_total;
+    int64_t *heap_u = (int64_t *)(heap_d + n_arcs + 1);
+    int64_t *parent_arc = heap_u + n_arcs + 1;
+    int64_t *visited = parent_arc + n_total;
+    double cost_sum = 0.0;
+    int64_t paths = 0;
+
+    while (remaining > 0) {
+        for (int64_t v = 0; v < n_total; v++) {
+            dist[v] = INFINITY;
+            parent_arc[v] = -1;
+            visited[v] = 0;
+        }
+        dist[source] = 0.0;
+        heap_d[0] = 0.0;
+        heap_u[0] = source;
+        int64_t size = 1;
+        while (size > 0) {
+            const double d = heap_d[0];
+            const int64_t u = heap_u[0];
+            size--;
+            if (size > 0) {
+                /* sift the last entry down from the root */
+                const double ld = heap_d[size];
+                const int64_t lu = heap_u[size];
+                int64_t pos = 0;
+                for (;;) {
+                    int64_t kid = 2 * pos + 1;
+                    if (kid >= size)
+                        break;
+                    if (kid + 1 < size
+                        && HEAP_LESS(heap_d[kid + 1], heap_u[kid + 1],
+                                     heap_d[kid], heap_u[kid]))
+                        kid++;
+                    if (!HEAP_LESS(heap_d[kid], heap_u[kid], ld, lu))
+                        break;
+                    heap_d[pos] = heap_d[kid];
+                    heap_u[pos] = heap_u[kid];
+                    pos = kid;
+                }
+                heap_d[pos] = ld;
+                heap_u[pos] = lu;
+            }
+            if (visited[u])
+                continue;
+            visited[u] = 1;
+            const double pot_u = potential[u];
+            for (int64_t k = adj_start[u]; k < adj_start[u + 1]; k++) {
+                const int64_t arc = adj_arcs[k];
+                if (arc_cap[arc] <= 0)
+                    continue;
+                const int64_t v = arc_to[arc];
+                if (visited[v])
+                    continue;
+                const double nd = ((d + arc_cost[arc]) + pot_u) - potential[v];
+                if (nd < dist[v] - 1e-12) {
+                    dist[v] = nd;
+                    parent_arc[v] = arc;
+                    int64_t pos = size++;
+                    while (pos > 0) {
+                        const int64_t up = (pos - 1) / 2;
+                        if (!HEAP_LESS(nd, v, heap_d[up], heap_u[up]))
+                            break;
+                        heap_d[pos] = heap_d[up];
+                        heap_u[pos] = heap_u[up];
+                        pos = up;
+                    }
+                    heap_d[pos] = nd;
+                    heap_u[pos] = v;
+                }
+            }
+        }
+        if (dist[sink] == INFINITY)
+            break;
+
+        for (int64_t v = 0; v < n_total; v++)
+            if (visited[v])
+                potential[v] += dist[v];
+
+        int64_t bottleneck = remaining;
+        for (int64_t v = sink; v != source; v = arc_tail[parent_arc[v]])
+            if (arc_cap[parent_arc[v]] < bottleneck)
+                bottleneck = arc_cap[parent_arc[v]];
+
+        for (int64_t v = sink; v != source; v = arc_tail[parent_arc[v]]) {
+            const int64_t arc = parent_arc[v];
+            arc_cap[arc] -= bottleneck;
+            arc_cap[arc ^ 1] += bottleneck;
+            cost_sum += (double)bottleneck * arc_cost[arc];
+        }
+        remaining -= bottleneck;
+        paths++;
+    }
+    *total_cost = cost_sum;
+    *augmentations = paths;
+    return remaining;
+}
+""" % {"lanes": _LANES}
+
+
+class Native:
+    """The loaded shared object's two entry points.
+
+    Array arguments are declared ``void*`` so callers can pass the plain
+    integer addresses from ``ndarray.ctypes.data`` — this skips the
+    ``data_as``/``cast`` machinery, which costs more than a single-row
+    tree walk.  Callers own dtype, contiguity and bounds.
+    """
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self.predict_raw = lib.predict_raw
+        self.predict_raw.restype = None
+        self.predict_raw.argtypes = [
+            ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
+        ]
+        self.ssp_augment = lib.ssp_augment
+        self.ssp_augment.restype = ctypes.c_int64
+        self.ssp_augment.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_void_p,
+        ]
+
+
+#: Process-wide handle: None = not attempted, False = unavailable (don't
+#: retry), Native = ready.  Guarded by a lock because the first load may
+#: race between the trainer thread and the request loop.
+_state: Native | bool | None = None
+_lock = threading.Lock()
+
+
+def _build() -> Native | bool:
+    """Compile and load the shared object; False when that cannot be done."""
+    if os.environ.get(_NO_CC_ENV):
+        logger.info("%s set; using the pure-Python/numpy paths", _NO_CC_ENV)
+        return False
+    build_dir = None
+    try:
+        build_dir = tempfile.mkdtemp(prefix="repro-native-")
+        source_path = os.path.join(build_dir, "repro_native.c")
+        lib_path = os.path.join(build_dir, "repro_native.so")
+        with open(source_path, "w") as handle:
+            handle.write(_SOURCE)
+        subprocess.run(
+            ["cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared",
+             "-o", lib_path, source_path],
+            check=True,
+            capture_output=True,
+        )
+        return Native(ctypes.CDLL(lib_path))
+    except (OSError, subprocess.SubprocessError) as exc:
+        # Missing `cc`, a sandboxed tempdir, or a failed compile: every
+        # caller still works on its fallback path, just slower.
+        logger.warning(
+            "could not build the native module (%s); falling back to the "
+            "pure-Python/numpy paths",
+            type(exc).__name__,
+        )
+        return False
+    finally:
+        # The mapping outlives the file: once CDLL has mapped the object
+        # (or the build has failed) nothing needs the directory.
+        if build_dir is not None:
+            shutil.rmtree(build_dir, ignore_errors=True)
+
+
+def load() -> Native | None:
+    """The process-wide native handle, building it on first call."""
+    global _state
+    state = _state
+    if state is None:
+        with _lock:
+            state = _state
+            if state is None:
+                started = perf_counter()
+                state = _build()
+                _state = state
+                if state:
+                    registry = get_registry()
+                    if registry.enabled:
+                        registry.histogram("gbdt.kernel_build_seconds").observe(
+                            perf_counter() - started
+                        )
+    return state if isinstance(state, Native) else None

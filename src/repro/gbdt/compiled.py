@@ -19,16 +19,18 @@ never touches Python lists again:
 
 Two execution backends share that layout:
 
-* **kernel** — a small C routine (branchless fixed-depth walk, several
-  interleaved rows to hide load latency) compiled once per process with
-  the system C compiler and bound through :mod:`ctypes`.  The kernel is
-  model-independent: every predictor in the process reuses the same
-  shared object.  ctypes releases the GIL for the call, so predictor
-  *threads* scale too, not just processes.
+* **kernel** — the ``predict_raw`` routine of :mod:`repro._native`
+  (branchless fixed-depth walk, several interleaved rows to hide load
+  latency).  That module is the repo's one native build — it also holds
+  the min-cost-flow augmentation loop — compiled once per process and
+  bound through :mod:`ctypes`.  The kernel is model-independent: every
+  predictor in the process reuses the same shared object.  ctypes
+  releases the GIL for the call, so predictor *threads* scale too, not
+  just processes.
 * **numpy** — a vectorised self-loop level walk over the same arrays,
-  used when no C compiler is available (``cc`` missing, sandboxed, or
-  ``REPRO_GBDT_NO_CC=1``).  Slower than the kernel but still far ahead
-  of the reference path, and always available.
+  used when the native module is unavailable (``cc`` missing, sandboxed,
+  or ``REPRO_GBDT_NO_CC=1``).  Slower than the kernel but still far
+  ahead of the reference path, and always available.
 
 Numerical contract (pinned by ``tests/test_gbdt_compiled.py``): the
 kernel accumulates ``init_score + Σ value`` in tree order, exactly like
@@ -41,32 +43,17 @@ deterministically (see :mod:`repro.core.engine`).
 
 from __future__ import annotations
 
-import ctypes
-import logging
-import os
 import struct
-import subprocess
-import tempfile
-import threading
 from time import perf_counter
 
 import numpy as np
 
+from .. import _native
 from ..obs import get_registry
 from .losses import sigmoid
 from .tree import Tree
 
 __all__ = ["CompiledPredictor", "kernel_available"]
-
-logger = logging.getLogger("repro.gbdt")
-
-#: Environment switch forcing the portable numpy backend (useful for the
-#: fallback's own tests and for machines without a C toolchain).
-_NO_CC_ENV = "REPRO_GBDT_NO_CC"
-
-#: Interleaved rows per kernel iteration: enough independent dependency
-#: chains to hide node-table load latency without spilling registers.
-_LANES = 8
 
 #: One node record: raw-value threshold, split feature (0 at leaves),
 #: child ids for the ``<=`` / ``>`` outcomes (self-loop at leaves), pad
@@ -93,84 +80,6 @@ _SLAB_MAGIC = b"LFOSLAB1"
 #: ``32 + 8 * n_trees``) 8-byte aligned with no pad bytes.
 _SLAB_HEADER = struct.Struct("<8sIIQd")
 
-_KERNEL_SOURCE = r"""
-#include <stdint.h>
-
-typedef struct {
-    double threshold;
-    int32_t feature;
-    int32_t kids[2];
-    int32_t pad;
-    double value;
-} Node;
-
-#define LANES %(lanes)d
-
-void predict_raw(const double *X, long n, long d,
-                 const Node *nodes, const int32_t *roots,
-                 const int32_t *depths, long n_trees,
-                 double init_score, double *out)
-{
-    long i = 0;
-    for (; i + LANES <= n; i += LANES) {
-        const double *x[LANES];
-        double acc[LANES];
-        int32_t cur[LANES];
-        for (int l = 0; l < LANES; l++) {
-            x[l] = X + (i + l) * d;
-            acc[l] = init_score;
-        }
-        for (long t = 0; t < n_trees; t++) {
-            const int32_t root = roots[t];
-            const int32_t depth = depths[t];
-            for (int l = 0; l < LANES; l++)
-                cur[l] = root;
-            for (int32_t k = 0; k < depth; k++)
-                for (int l = 0; l < LANES; l++) {
-                    const Node *nd = nodes + cur[l];
-                    cur[l] = nd->kids[x[l][nd->feature] > nd->threshold];
-                }
-            for (int l = 0; l < LANES; l++)
-                acc[l] += nodes[cur[l]].value;
-        }
-        for (int l = 0; l < LANES; l++)
-            out[i + l] = acc[l];
-    }
-    for (; i < n; i++) {
-        const double *x = X + i * d;
-        double acc = init_score;
-        for (long t = 0; t < n_trees; t++) {
-            int32_t cur = roots[t];
-            for (int32_t k = 0, depth = depths[t]; k < depth; k++) {
-                const Node *nd = nodes + cur;
-                cur = nd->kids[x[nd->feature] > nd->threshold];
-            }
-            acc += nodes[cur].value;
-        }
-        out[i] = acc;
-    }
-}
-""" % {"lanes": _LANES}
-
-
-class _Kernel:
-    """A loaded ``predict_raw`` C routine (one per process, shared).
-
-    All pointer arguments are declared ``void*`` so callers can pass the
-    plain integer addresses from ``ndarray.ctypes.data`` — this skips the
-    ``data_as``/``cast`` machinery, which costs more than the walk itself
-    on single-row calls.
-    """
-
-    def __init__(self, lib: ctypes.CDLL) -> None:
-        self.fn = lib.predict_raw
-        self.fn.restype = None
-        self.fn.argtypes = [
-            ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
-        ]
-
 
 def _sigmoid_scalar(x: float) -> float:
     """Scalar logistic, bit-identical to :func:`repro.gbdt.losses.sigmoid`.
@@ -186,63 +95,10 @@ def _sigmoid_scalar(x: float) -> float:
     return ex / (1.0 + ex)
 
 
-#: Process-wide kernel cache: None = not attempted, False = build failed
-#: (don't retry), _Kernel = ready.  Guarded by a lock because the first
-#: bind may race between the trainer thread and the request loop.
-_kernel_state: _Kernel | bool | None = None
-_kernel_lock = threading.Lock()
-
-
-def _build_kernel() -> _Kernel | bool:
-    """Compile and load the C kernel; False when the toolchain is absent."""
-    if os.environ.get(_NO_CC_ENV):
-        logger.info("%s set; using the numpy prediction backend", _NO_CC_ENV)
-        return False
-    build_dir = tempfile.mkdtemp(prefix="repro-gbdt-kernel-")
-    source_path = os.path.join(build_dir, "predict.c")
-    lib_path = os.path.join(build_dir, "predict.so")
-    try:
-        with open(source_path, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            ["cc", "-O3", "-fPIC", "-shared", "-o", lib_path, source_path],
-            check=True,
-            capture_output=True,
-        )
-        return _Kernel(ctypes.CDLL(lib_path))
-    except (OSError, subprocess.SubprocessError) as exc:
-        # Missing `cc`, a sandboxed tempdir, or a failed compile: every
-        # prediction still works on the numpy backend, just slower.
-        logger.warning(
-            "could not build the GBDT C kernel (%s); "
-            "falling back to the numpy prediction backend",
-            type(exc).__name__,
-        )
-        return False
-
-
-def _get_kernel() -> _Kernel | None:
-    global _kernel_state
-    state = _kernel_state
-    if state is None:
-        with _kernel_lock:
-            state = _kernel_state
-            if state is None:
-                started = perf_counter()
-                state = _build_kernel()
-                _kernel_state = state
-                if state:
-                    registry = get_registry()
-                    if registry.enabled:
-                        registry.histogram("gbdt.kernel_build_seconds").observe(
-                            perf_counter() - started
-                        )
-    return state if isinstance(state, _Kernel) else None
-
-
 def kernel_available() -> bool:
-    """True when the C backend is (or can be made) ready in this process."""
-    return _get_kernel() is not None
+    """True when the native module is (or can be made) loaded in this
+    process — the C backend of prediction and of the min-cost-flow solver."""
+    return _native.load() is not None
 
 
 class CompiledPredictor:
@@ -275,7 +131,7 @@ class CompiledPredictor:
         self._depths = depths
         self.init_score = float(init_score)
         self.n_features = int(n_features)
-        self._kernel: _Kernel | None = None
+        self._kernel: _native.Native | None = None
         self._kernel_resolved = False
         # numpy-backend views, built on first fallback use.
         self._numpy_views: tuple[np.ndarray, ...] | None = None
@@ -339,9 +195,9 @@ class CompiledPredictor:
         """The execution backend this process resolved to."""
         return "kernel" if self._resolve_kernel() is not None else "numpy"
 
-    def _resolve_kernel(self) -> _Kernel | None:
+    def _resolve_kernel(self) -> _native.Native | None:
         if not self._kernel_resolved:
-            self._kernel = _get_kernel()
+            self._kernel = _native.load()
             self._kernel_resolved = True
         return self._kernel
 
@@ -358,7 +214,7 @@ class CompiledPredictor:
         kernel = self._resolve_kernel()
         out = np.empty(X.shape[0], dtype=np.float64)
         if kernel is not None:
-            kernel.fn(
+            kernel.predict_raw(
                 X.ctypes.data, X.shape[0], X.shape[1],
                 self._nodes.ctypes.data, self._roots.ctypes.data,
                 self._depths.ctypes.data, len(self._roots),
@@ -396,7 +252,7 @@ class CompiledPredictor:
         row, out, row_ptr, out_ptr, nodes_ptr, roots_ptr, depths_ptr, \
             n_trees = self._fast_buffers()
         row[:] = x
-        kernel.fn(
+        kernel.predict_raw(
             row_ptr, 1, self.n_features,
             nodes_ptr, roots_ptr, depths_ptr, n_trees,
             self.init_score, out_ptr,

@@ -230,61 +230,143 @@ def _leaf_value(grad_sum: float, hess_sum: float, lambda_l2: float) -> float:
     return -grad_sum / (hess_sum + lambda_l2)
 
 
+#: Element budget (rows × features) of one histogram block in
+#: :func:`_find_best_split`.  Blocking features leaves every cell's
+#: accumulation order alone; it only bounds the key/weight temporaries —
+#: a few hundred KB instead of rows × all features, which on an
+#: 8000-row fit would show up as megabytes of peak RSS.
+_HIST_BLOCK_ELEMENTS = 2**16
+
+
+@dataclass(frozen=True)
+class _SplitTables:
+    """What the split search needs to know about the features, per tree.
+
+    Attributes:
+        features: candidate columns in ``feature_subset`` order, features
+            with fewer than two bins (nothing to split) dropped.
+        stride: histogram row width — the largest bin count among them.
+        keys: ``(n_samples, len(features))`` histogram cell of every
+            sample under every candidate feature, ``slot * stride + bin``,
+            in the narrowest unsigned type that holds it.
+        candidate: ``(len(features), stride)`` mask of real split points,
+            ``bin < n_bins[feature] - 1`` (the last occupied bin and the
+            padding beyond it send nothing right).
+    """
+
+    features: np.ndarray
+    stride: int
+    keys: np.ndarray
+    candidate: np.ndarray
+
+
+def _split_tables(
+    binned: np.ndarray, n_bins: list[int], feature_subset: np.ndarray
+) -> _SplitTables:
+    subset = np.asarray(feature_subset, dtype=np.intp)
+    widths = np.asarray(n_bins, dtype=np.intp)[subset]
+    features = subset[widths >= 2]
+    widths = widths[widths >= 2]
+    stride = int(widths.max(initial=0))
+    n_cells = len(features) * stride
+    key_type = np.min_scalar_type(max(n_cells - 1, 0))
+    keys = binned[:, features].astype(key_type)
+    keys += np.arange(0, n_cells, max(stride, 1), dtype=key_type)
+    return _SplitTables(
+        features=features,
+        stride=stride,
+        keys=keys,
+        candidate=np.arange(stride)[None, :] < (widths - 1)[:, None],
+    )
+
+
 def _find_best_split(
     leaf: _LeafState,
-    binned: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
-    n_bins: list[int],
-    feature_subset: np.ndarray,
+    tables: _SplitTables,
     params: TreeGrowthParams,
 ) -> None:
-    """Fill ``leaf.best_*`` with the highest-gain (feature, bin) split."""
+    """Fill ``leaf.best_*`` with the highest-gain (feature, bin) split.
+
+    One histogram pass over all candidate features: cell ``(slot, bin)``
+    of the flattened ``bincount`` accumulates its rows in row order, a
+    row-wise ``cumsum`` adds bins left to right, and the first ``argmax``
+    over the feature-major cells is the first feature (in subset order)
+    reaching the best gain at its first best bin — the floats and the
+    tie-breaks of scanning the features one by one.  Gains are evaluated
+    only on the cells whose child counts allow a split.
+    """
+    leaf.best_gain = params.min_gain_to_split
+    leaf.best_feature = -1
+    leaf.best_bin = -1
+    stride = tables.stride
+    n_features = len(tables.features)
+    if n_features == 0:
+        return
     idx = leaf.sample_idx
+    n_rows = len(idx)
     g = grad[idx]
     h = hess[idx]
+    keys = tables.keys[idx]
+    n_cells = n_features * stride
+    grad_hist = np.empty(n_cells, dtype=np.float64)
+    hess_hist = np.empty(n_cells, dtype=np.float64)
+    count_hist = np.empty(n_cells, dtype=np.intp)
+    block = max(1, _HIST_BLOCK_ELEMENTS // max(n_rows, 1))
+    for start in range(0, n_features, block):
+        stop = min(start + block, n_features)
+        width = stop - start
+        # Keys are tree-global, so the block's cells are
+        # [start, stop) * stride: count up to the end, keep the tail.
+        block_keys = keys[:, start:stop].ravel()
+        first, end = start * stride, stop * stride
+        grad_hist[first:end] = np.bincount(
+            block_keys, weights=np.repeat(g, width), minlength=end
+        )[first:]
+        hess_hist[first:end] = np.bincount(
+            block_keys, weights=np.repeat(h, width), minlength=end
+        )[first:]
+        count_hist[first:end] = np.bincount(block_keys, minlength=end)[first:]
+    shape = (n_features, stride)
+
+    # c_right >= min_data  <=>  c_left <= n_rows - min_data (integers).
+    c_left = np.cumsum(count_hist.reshape(shape), axis=1)
+    cells = np.flatnonzero(
+        tables.candidate
+        & (c_left >= params.min_data_in_leaf)
+        & (c_left <= n_rows - params.min_data_in_leaf)
+    )
+    if cells.size == 0:
+        return
     lam = params.lambda_l2
     parent_score = leaf.grad_sum**2 / (leaf.hess_sum + lam)
-    best_gain = params.min_gain_to_split
-    best_feature = -1
-    best_bin = -1
-    for f in feature_subset:
-        bins_f = binned[idx, f]
-        nb = n_bins[f]
-        if nb < 2:
-            continue
-        grad_hist = np.bincount(bins_f, weights=g, minlength=nb)
-        hess_hist = np.bincount(bins_f, weights=h, minlength=nb)
-        count_hist = np.bincount(bins_f, minlength=nb)
-        g_left = np.cumsum(grad_hist)[:-1]
-        h_left = np.cumsum(hess_hist)[:-1]
-        c_left = np.cumsum(count_hist)[:-1]
-        g_right = leaf.grad_sum - g_left
-        h_right = leaf.hess_sum - h_left
-        c_right = len(idx) - c_left
-        valid = (
-            (c_left >= params.min_data_in_leaf)
-            & (c_right >= params.min_data_in_leaf)
-            & (h_left >= params.min_sum_hessian_in_leaf)
-            & (h_right >= params.min_sum_hessian_in_leaf)
+    g_left = np.cumsum(grad_hist.reshape(shape), axis=1).ravel()[cells]
+    h_left = np.cumsum(hess_hist.reshape(shape), axis=1).ravel()[cells]
+    g_right = leaf.grad_sum - g_left
+    h_right = leaf.hess_sum - h_left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = (
+            g_left**2 / (h_left + lam)
+            + g_right**2 / (h_right + lam)
+            - parent_score
         )
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = (
-                g_left**2 / (h_left + lam)
-                + g_right**2 / (h_right + lam)
-                - parent_score
-            )
-        gain = np.where(valid, gain, -np.inf)
-        b = int(np.argmax(gain))
-        if gain[b] > best_gain:
-            best_gain = float(gain[b])
-            best_feature = int(f)
-            best_bin = b
-    leaf.best_gain = best_gain
-    leaf.best_feature = best_feature
-    leaf.best_bin = best_bin
+    enough_hessian = (h_left >= params.min_sum_hessian_in_leaf) & (
+        h_right >= params.min_sum_hessian_in_leaf
+    )
+    gain = np.where(enough_hessian, gain, -np.inf)
+    best = int(np.argmax(gain))
+    if np.isnan(gain[best]):
+        # argmax stops at the first NaN.  Scanned one by one, a feature
+        # with a NaN gain loses (NaN > x is false) and the others still
+        # compete.
+        slots = cells // stride
+        gain[np.isin(slots, slots[np.isnan(gain)])] = -np.inf
+        best = int(np.argmax(gain))
+    if gain[best] > params.min_gain_to_split:
+        slot, leaf.best_bin = divmod(int(cells[best]), stride)
+        leaf.best_gain = float(gain[best])
+        leaf.best_feature = int(tables.features[slot])
 
 
 def grow_tree(
@@ -311,7 +393,9 @@ def grow_tree(
         sample_idx = np.arange(binned.shape[0], dtype=np.int64)
     if feature_subset is None:
         feature_subset = np.arange(n_features, dtype=np.int64)
-    n_bins = [mapper.n_bins(f) for f in range(n_features)]
+    tables = _split_tables(
+        binned, [mapper.n_bins(f) for f in range(n_features)], feature_subset
+    )
 
     tree = Tree()
     root = tree._new_node()
@@ -325,9 +409,7 @@ def grow_tree(
     tree._set_value(
         root, _leaf_value(root_leaf.grad_sum, root_leaf.hess_sum, params.lambda_l2)
     )
-    _find_best_split(
-        root_leaf, binned, grad, hess, n_bins, feature_subset, params
-    )
+    _find_best_split(root_leaf, grad, hess, tables, params)
 
     # Max-heap of splittable leaves keyed by gain; counter breaks ties
     # deterministically.
@@ -374,9 +456,7 @@ def grow_tree(
                 _leaf_value(child.grad_sum, child.hess_sum, params.lambda_l2),
             )
             if len(child_idx) >= 2 * params.min_data_in_leaf:
-                _find_best_split(
-                    child, binned, grad, hess, n_bins, feature_subset, params
-                )
+                _find_best_split(child, grad, hess, tables, params)
                 if child.best_feature >= 0:
                     heapq.heappush(heap, (-child.best_gain, counter, child))
                     counter += 1

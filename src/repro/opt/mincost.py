@@ -118,33 +118,32 @@ def solve_opt(trace: Trace, cache_size: int) -> OptResult:
 
     sizes = trace.sizes
     costs = trace.costs
-    nxt = trace.next_occurrence()
+    has_next = trace.next_occurrence() >= 0
     prv = trace.prev_occurrence()
+    has_prev = prv >= 0
+
+    # Bytes of each recurring interval that bypass the cache (a miss at
+    # the object's next request), by the request that opens the interval.
+    missed = np.zeros(n, dtype=np.int64)
+    missed[np.fromiter(bypass_arc, dtype=np.intp, count=len(bypass_arc))] = (
+        np.fromiter(
+            map(result.flow.__getitem__, bypass_arc.values()),
+            dtype=np.int64,
+            count=len(bypass_arc),
+        )
+    )
 
     cached_fraction = np.zeros(n, dtype=np.float64)
-    decisions = np.zeros(n, dtype=bool)
+    cached_fraction[has_next] = 1.0 - missed[has_next] / sizes[has_next]
+    decisions = has_next & (missed == 0)
     hit_bytes = np.zeros(n, dtype=np.int64)
+    hit_bytes[has_prev] = sizes[has_prev] - missed[prv[has_prev]]
 
-    bypass_flow: dict[int, int] = {}
-    for i, arc in bypass_arc.items():
-        bypass_flow[i] = result.flow.get(arc, 0)
-
-    for i in range(n):
-        if int(nxt[i]) >= 0:
-            size = int(sizes[i])
-            missed = bypass_flow[i]
-            cached_fraction[i] = 1.0 - missed / size
-            decisions[i] = missed == 0
-
-    miss_cost = float(result.total_cost)
-    for i in range(n):
-        p = int(prv[i])
-        size = int(sizes[i])
-        if p < 0:
-            # Compulsory miss: the first request is always fetched.
-            miss_cost += float(costs[i])
-        else:
-            hit_bytes[i] = size - bypass_flow[p]
+    # Compulsory misses: every first request is fetched.  A running sum
+    # (not ``np.sum``'s pairwise tree) adds them in trace order.
+    miss_cost = float(
+        np.cumsum(np.concatenate(([result.total_cost], costs[~has_prev])))[-1]
+    )
 
     return OptResult(
         decisions=decisions,

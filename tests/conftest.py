@@ -5,7 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.trace import Request, SyntheticConfig, Trace, generate_trace
+
+
+@pytest.fixture(scope="session")
+def native():
+    """Skip unless the native module loads: for tests that hold a C
+    routine equal to its Python reference."""
+    if _native.load() is None:
+        pytest.skip("native module unavailable (no C compiler, or REPRO_GBDT_NO_CC)")
+
+
+@pytest.fixture
+def python_fallback(monkeypatch):
+    """Run the test as if the native module could not be built: numpy
+    prediction backend, Python min-cost-flow loop."""
+    monkeypatch.setattr(_native, "_state", False)
 
 
 @pytest.fixture

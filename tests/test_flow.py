@@ -1,11 +1,14 @@
 """Tests for the min-cost flow substrate, including randomised
 cross-validation against networkx's exact network simplex."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.flow import (
     FlowNetwork,
     InfeasibleFlowError,
@@ -13,6 +16,7 @@ from repro.flow import (
     solve_min_cost_flow,
     solve_with_networkx,
 )
+from repro.flow.ssp import _initial_potentials
 
 
 def _snapshot_capacities(net: FlowNetwork) -> dict[int, int]:
@@ -221,3 +225,175 @@ class TestSolverReentrancy:
         second = solve_min_cost_flow(net)
         assert second.total_cost == pytest.approx(12.0)
         assert net.arc_flow(0) == 8 and net.arc_flow(2) == 8
+
+
+def _reference_initial_potentials(network, n_total):
+    """`_initial_potentials` before its fast path looked at capacities:
+    any negative cost — every residual partner of a positive-cost arc —
+    sent it through Bellman-Ford."""
+    if all(c >= 0 for c in network.arc_cost):
+        return [0.0] * n_total
+    dist = [0.0] * n_total
+    for _ in range(n_total - 1):
+        changed = False
+        for arc in range(len(network.arc_to)):
+            if network.arc_cap[arc] <= 0:
+                continue
+            candidate = dist[network.arc_tail(arc)] + network.arc_cost[arc]
+            if candidate < dist[network.arc_to[arc]] - 1e-12:
+                dist[network.arc_to[arc]] = candidate
+                changed = True
+        if not changed:
+            break
+    return dist
+
+
+class TestInitialPotentials:
+    def test_zero_without_bellman_ford_on_non_negative_costs(self):
+        net = FlowNetwork(3)
+        net.add_arc(0, 1, 5, 2.0)
+        net.add_arc(1, 2, 5, 0.0)
+
+        class NoTails(list):
+            def __getitem__(self, index):
+                raise AssertionError("Bellman-Ford ran on non-negative costs")
+
+        net._arc_tail = NoTails(net._arc_tail)
+        assert _initial_potentials(net, 3) == [0.0, 0.0, 0.0]
+
+    def test_negative_cost_dag_unchanged(self):
+        net = FlowNetwork(4)
+        net.add_arc(0, 1, 3, -2.0)
+        net.add_arc(1, 2, 3, 1.5)
+        net.add_arc(0, 2, 0, -9.0)  # no capacity: must not count
+        net.add_arc(2, 3, 3, -0.25)
+        expected = _reference_initial_potentials(net, 4)
+        assert expected == [0.0, -2.0, -0.5, -0.75]
+        assert _initial_potentials(net, 4) == expected
+
+    def test_augmented_network_still_runs_bellman_ford(self):
+        """After a solve the residual partners of the used arcs have
+        capacity *and* negative cost."""
+        net = FlowNetwork(3)
+        net.add_arc(0, 1, 10, 1.0)
+        net.add_arc(1, 2, 10, 2.0)
+        net.add_supply(0, 4)
+        net.add_supply(2, -4)
+        solve_min_cost_flow(net)
+        expected = _reference_initial_potentials(net, 3)
+        assert expected == [-3.0, -2.0, 0.0]
+        assert _initial_potentials(net, 3) == expected
+
+
+#: Cost palettes.  Unit costs tie constantly, so which path wins is down
+#: to the solver's tie-breaks (as in the OPT graphs); the decimal ones tie
+#: on paper but round differently under a different association.
+_PALETTES = st.sampled_from(
+    [(0.0, 1.0), (0.1, 0.2, 0.3, 0.4, 0.7), (-2.0, -0.5, 0.0, 1.0 / 3.0, 3.0)]
+)
+
+
+@st.composite
+def _flow_instances(draw):
+    """Small dense networks whose arcs all point forward (``tail < head``),
+    so negative costs cannot form a cycle.  Parallel and zero-capacity
+    arcs included; demands sit downstream of their supplies and most
+    instances get a roomy chain, so many route — over tied paths — while
+    the rest strand some supply or are unbalanced."""
+    n = draw(st.integers(3, 8))
+    costs = st.sampled_from(draw(_PALETTES))
+    pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(
+        lambda pair: pair[0] < pair[1]
+    )
+    arcs = [
+        (tail, head, capacity, cost)
+        for (tail, head), capacity, cost in draw(st.lists(
+            st.tuples(pairs, st.integers(0, 3), costs),
+            min_size=2 * n, max_size=4 * n,
+        ))
+    ]
+    if draw(st.integers(0, 3)):
+        chain_cost = draw(costs)
+        arcs += [(i, i + 1, 12, chain_cost) for i in range(n - 1)]
+    supplies = [0] * n
+    for (tail, head), amount in draw(st.lists(
+        st.tuples(pairs, st.integers(1, 4)), min_size=1, max_size=3
+    )):
+        supplies[tail] += amount
+        supplies[head] -= amount
+    if not draw(st.integers(0, 7)):
+        supplies[draw(st.integers(0, n - 1))] += 1
+    return n, arcs, supplies
+
+
+#: Two supplies at distance 0 race for one free path: the node popped
+#: first takes it, so any other order of equal heap keys changes the flow.
+_TIED_SUPPLIES = (
+    4,
+    [(0, 3, 5, 1.0), (1, 3, 5, 1.0), (0, 2, 1, 0.0), (1, 2, 1, 0.0),
+     (2, 3, 1, 0.0)],
+    [2, 2, 0, -4],
+)
+
+
+def _build(instance):
+    n, arcs, supplies = instance
+    net = FlowNetwork(n)
+    for arc in arcs:
+        net.add_arc(*arc)
+    for node, amount in enumerate(supplies):
+        net.add_supply(node, amount)
+    return net
+
+
+def _outcome(net):
+    """Everything a solve leaves behind, floats as bit patterns."""
+    try:
+        result = solve_min_cost_flow(net)
+        outcome = (result.total_cost.hex(), result.flow, result.augmentations)
+    except InfeasibleFlowError as exc:
+        outcome = str(exc)
+    return outcome, list(net.arc_cap), [list(a) for a in net.adjacency]
+
+
+class TestNativeMatchesPython:
+    """The C augmentation loop is a transliteration: same cost bits, same
+    flow, same path count, same residual capacities, same error text."""
+
+    @given(_flow_instances())
+    @example(_TIED_SUPPLIES)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_generated_networks(self, native, instance):
+        fast, slow = _build(instance), _build(instance)
+        capacities = _snapshot_capacities(fast)
+        for attempt in ("first solve", "second solve on the residual"):
+            found = _outcome(fast)
+            with mock.patch.object(_native, "_state", False):
+                expected = _outcome(slow)
+            assert found == expected, attempt
+        # (the second solve re-routes the supply, so only the first
+        # is a flow of the original instance)
+        verified = _build(instance)
+        try:
+            result = solve_min_cost_flow(verified)
+        except InfeasibleFlowError:
+            return
+        check_flow(verified, result, capacities)
+
+    def test_oversized_capacity_takes_the_python_loop(self):
+        """Beyond 2**53 a capacity no longer converts to double exactly
+        (and 2**70 does not fit int64 at all)."""
+
+        class Unreachable:
+            def ssp_augment(self, *args):
+                raise AssertionError("fixed-width routine got a big integer")
+
+        for capacity in (2**53, 2**70):
+            net = FlowNetwork(2)
+            net.add_arc(0, 1, capacity, 1.0)
+            net.add_supply(0, 3)
+            net.add_supply(1, -3)
+            with mock.patch.object(_native, "load", return_value=Unreachable()):
+                result = solve_min_cost_flow(net)
+            assert result.total_cost == 3.0
+            assert net.arc_cap == [capacity - 3, 3]

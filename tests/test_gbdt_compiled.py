@@ -7,11 +7,15 @@ survive pickling.  These identities are what the batched simulator and
 the throughput benchmarks build on.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.gbdt import (
     CompiledPredictor,
     GBDTClassifier,
@@ -31,12 +35,6 @@ def fitted():
     clf.fit(X, y)
     X_eval = np.vstack([X[:100], rng.normal(scale=4.0, size=(100, 8))])
     return clf, X_eval
-
-
-@pytest.fixture
-def numpy_backend(monkeypatch):
-    """Force the portable numpy backend for freshly built predictors."""
-    monkeypatch.setattr(compiled_module, "_kernel_state", False)
 
 
 def fresh_compiled(clf) -> CompiledPredictor:
@@ -64,7 +62,7 @@ class TestAgainstReference:
         # Same accumulation order as the reference loop → exact equality.
         assert np.array_equal(predictor.predict_raw(X_eval), clf.predict_raw(X_eval))
 
-    def test_numpy_backend_matches(self, fitted, numpy_backend):
+    def test_numpy_backend_matches(self, fitted, python_fallback):
         clf, X_eval = fitted
         predictor = fresh_compiled(clf)
         assert predictor.backend == "numpy"
@@ -118,7 +116,7 @@ class TestSingleVsBatch:
         for i in range(32):
             assert predictor.predict_proba_single(X_eval[i]) == batch[i]
 
-    def test_single_equals_batch_on_numpy_backend(self, fitted, numpy_backend):
+    def test_single_equals_batch_on_numpy_backend(self, fitted, python_fallback):
         clf, X_eval = fitted
         predictor = fresh_compiled(clf)
         batch = predictor.predict_raw(X_eval[:16])
@@ -203,7 +201,7 @@ class TestSlabWire:
         for i in range(16):
             assert clone.predict_raw_single(X_eval[i]) == batch[i]
 
-    def test_roundtrip_numpy_backend(self, fitted, numpy_backend):
+    def test_roundtrip_numpy_backend(self, fitted, python_fallback):
         clf, X_eval = fitted
         predictor = fresh_compiled(clf)
         assert predictor.backend == "numpy"
@@ -281,3 +279,22 @@ class TestFeatureThresholds:
         a[feature] = lo + 0.25 * (hi - lo)
         b[feature] = lo + 0.75 * (hi - lo)
         assert predictor.predict_raw_single(a) == predictor.predict_raw_single(b)
+
+
+def test_native_build_leaves_no_temp_directory(tmp_path):
+    """Every process that loads the native module builds it in a fresh
+    temp directory — and must remove it once the object is mapped."""
+    if not kernel_available():
+        pytest.skip("no C toolchain in this environment")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.gbdt import kernel_available; print(kernel_available())"],
+        env={
+            **os.environ,
+            "TMPDIR": str(tmp_path),
+            "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+        },
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.strip() == "True", done.stderr
+    assert list(tmp_path.iterdir()) == []

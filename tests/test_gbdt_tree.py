@@ -1,9 +1,20 @@
 """Tests for single-tree growth (leaf-wise, histogram-based)."""
 
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 
-from repro.gbdt import BinMapper, Tree, TreeGrowthParams, grow_tree
+from repro.gbdt import (
+    BinMapper,
+    GBDTClassifier,
+    GBDTParams,
+    Tree,
+    TreeGrowthParams,
+    grow_tree,
+)
+from repro.gbdt import tree as tree_module
+from repro.gbdt.tree import _LeafState, _find_best_split, _split_tables
 
 
 def _fit_tree(X, grad, hess=None, **kwargs):
@@ -132,3 +143,178 @@ class TestGrowTree:
         assert np.allclose(
             clone.predict_raw_values(X), tree.predict_raw_values(X)
         )
+
+
+def _reference_best_split(leaf, binned, grad, hess, n_bins, feature_subset, params):
+    """The split search as one feature at a time — the oracle the
+    one-pass histogram search must reproduce to the bit."""
+    idx = leaf.sample_idx
+    g = grad[idx]
+    h = hess[idx]
+    lam = params.lambda_l2
+    parent_score = leaf.grad_sum**2 / (leaf.hess_sum + lam)
+    best_gain = params.min_gain_to_split
+    best_feature = -1
+    best_bin = -1
+    for f in feature_subset:
+        bins_f = binned[idx, f]
+        nb = n_bins[f]
+        if nb < 2:
+            continue
+        grad_hist = np.bincount(bins_f, weights=g, minlength=nb)
+        hess_hist = np.bincount(bins_f, weights=h, minlength=nb)
+        count_hist = np.bincount(bins_f, minlength=nb)
+        g_left = np.cumsum(grad_hist)[:-1]
+        h_left = np.cumsum(hess_hist)[:-1]
+        c_left = np.cumsum(count_hist)[:-1]
+        g_right = leaf.grad_sum - g_left
+        h_right = leaf.hess_sum - h_left
+        c_right = len(idx) - c_left
+        valid = (
+            (c_left >= params.min_data_in_leaf)
+            & (c_right >= params.min_data_in_leaf)
+            & (h_left >= params.min_sum_hessian_in_leaf)
+            & (h_right >= params.min_sum_hessian_in_leaf)
+        )
+        if not valid.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = (
+                g_left**2 / (h_left + lam)
+                + g_right**2 / (h_right + lam)
+                - parent_score
+            )
+        gain = np.where(valid, gain, -np.inf)
+        b = int(np.argmax(gain))
+        if gain[b] > best_gain:
+            best_gain = float(gain[b])
+            best_feature = int(f)
+            best_bin = b
+    return best_feature, best_bin, best_gain
+
+
+class TestSplitSearchMatchesPerFeatureScan:
+    """`_find_best_split` against the per-feature loop it replaced:
+    equal (feature, bin, gain), gain compared as a bit pattern."""
+
+    @staticmethod
+    def _dataset(seed, n=600):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 7))
+        X[:, 2] = 3.0  # constant: one bin, never a candidate
+        X[:, 3] = rng.integers(0, 3, size=n)  # three bins
+        X[:, 5] = X[:, 1]  # duplicate: equal best gain on two features
+        X[:, 6] = rng.integers(0, 2, size=n)  # two bins
+        mapper = BinMapper(max_bins=32).fit(X)
+        binned = mapper.transform(X)
+        n_bins = [mapper.n_bins(f) for f in range(X.shape[1])]
+        grad = rng.normal(size=n) + np.where(X[:, 1] > 0.2, 1.5, -0.5)
+        hess = rng.uniform(0.05, 0.25, size=n)
+        return binned, n_bins, grad, hess, rng
+
+    @staticmethod
+    def _compare(binned, n_bins, grad, hess, idx, subset, params):
+        def leaf():
+            return _LeafState(
+                node=0,
+                sample_idx=idx,
+                grad_sum=float(grad[idx].sum()),
+                hess_sum=float(hess[idx].sum()),
+                depth=0,
+            )
+
+        found = leaf()
+        _find_best_split(
+            found, grad, hess, _split_tables(binned, n_bins, subset), params
+        )
+        expected = _reference_best_split(
+            leaf(), binned, grad, hess, n_bins, subset, params
+        )
+        assert (found.best_feature, found.best_bin) == expected[:2]
+        assert float(found.best_gain).hex() == float(expected[2]).hex()
+        return found
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"min_data_in_leaf": 1},
+            {"min_data_in_leaf": 290},  # only the middle bins qualify
+            {"min_data_in_leaf": 301},  # no bin qualifies at 600 rows
+            {"min_sum_hessian_in_leaf": 40.0},
+            {"lambda_l2": 2.5, "min_gain_to_split": 0.5},
+            {"min_gain_to_split": 1e9},
+        ],
+    )
+    def test_random_leaves(self, seed, kwargs):
+        binned, n_bins, grad, hess, rng = self._dataset(seed)
+        params = TreeGrowthParams(**kwargs)
+        everything = np.arange(len(grad))
+        all_features = np.arange(binned.shape[1])
+        self._compare(binned, n_bins, grad, hess, everything, all_features, params)
+        # a bagged leaf, and a shuffled feature subset
+        bag = np.sort(rng.choice(len(grad), size=len(grad) // 3, replace=False))
+        subset = rng.permutation(binned.shape[1])[:4]
+        self._compare(binned, n_bins, grad, hess, bag, subset, params)
+
+    def test_equal_gain_goes_to_first_feature_in_subset_order(self):
+        binned, n_bins, grad, hess, _ = self._dataset(0)
+        idx = np.arange(len(grad))
+        params = TreeGrowthParams()
+        for subset, winner in ((np.array([1, 5]), 1), (np.array([5, 1]), 5)):
+            found = self._compare(binned, n_bins, grad, hess, idx, subset, params)
+            assert found.best_feature == winner
+
+    def test_only_constant_features(self):
+        binned, n_bins, grad, hess, _ = self._dataset(1)
+        found = self._compare(
+            binned, n_bins, grad, hess, np.arange(len(grad)),
+            np.array([2]), TreeGrowthParams(),
+        )
+        assert found.best_feature == -1
+
+    def test_leaf_larger_than_block_budget(self, monkeypatch):
+        """Several feature blocks (and a block of one) change nothing."""
+        binned, n_bins, grad, hess, _ = self._dataset(2)
+        idx = np.arange(len(grad))
+        all_features = np.arange(binned.shape[1])
+        for budget in (2 * len(idx), len(idx) // 2):
+            monkeypatch.setattr(tree_module, "_HIST_BLOCK_ELEMENTS", budget)
+            self._compare(
+                binned, n_bins, grad, hess, idx, all_features,
+                TreeGrowthParams(),
+            )
+
+    def test_nan_gain_disqualifies_only_its_feature(self):
+        """0/0 gains (zero hessians, no hessian floor): the per-feature
+        scan skips a feature whose argmax lands on NaN and keeps going."""
+        binned, n_bins, grad, hess, _ = self._dataset(3)
+        idx = np.arange(len(grad))
+        low = binned[:, 0] == 0
+        grad = np.where(low, 0.0, grad)
+        hess = np.where(low, 0.0, hess)
+        params = TreeGrowthParams(
+            min_data_in_leaf=1, min_sum_hessian_in_leaf=0.0
+        )
+        found = self._compare(
+            binned, n_bins, grad, hess, idx, np.arange(binned.shape[1]), params
+        )
+        assert found.best_feature not in (-1, 0)
+
+
+def test_model_digest_pinned():
+    """A float-order change in binning, split search or boosting moves
+    this digest (value recorded before the one-pass split search landed);
+    `benchmarks/perf/pins.json` pins the same thing at ledger scale."""
+    rng = np.random.default_rng(2018)
+    X = rng.normal(size=(400, 6))
+    X[:, 4] = 1.0
+    X[:, 5] = np.round(X[:, 5])
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(np.float64)
+    params = GBDTParams(
+        num_iterations=8, num_leaves=7, min_data_in_leaf=5,
+        bagging_fraction=0.8, feature_fraction=0.8, lambda_l2=0.5, seed=5,
+    )
+    blob = GBDTClassifier(params).fit(X, y).compiled().to_bytes()
+    assert blake2b(blob, digest_size=8).hexdigest() == "0bb3bf36ea56a533"

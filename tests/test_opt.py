@@ -1,15 +1,22 @@
 """Tests for the OPT computation (min-cost flow encoding and extraction)."""
 
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _native
+from repro.flow import solve_min_cost_flow
 from repro.opt import (
+    OptResult,
     belady_unit_size,
     build_opt_network,
     opt_hit_ratios,
     solve_opt,
+    solve_segmented,
 )
 from repro.trace import Request, Trace
 
@@ -151,3 +158,104 @@ class TestBeladyValidation:
         result = belady_unit_size(unit_size_trace, cache_slots=5)
         assert result.n_hits == int(result.hits.sum())
         assert result.ohr == pytest.approx(result.n_hits / len(unit_size_trace))
+
+
+def _generated_trace(seed: int, lognormal_costs: bool, n: int = 260) -> Trace:
+    """Zipf-ish requests over 60 objects; ``cost == size`` (every bypass
+    arc costs 1.0/byte — the degenerate case) or lognormal costs."""
+    rng = np.random.default_rng(seed)
+    n_objects = 60
+    sizes = rng.integers(1, 40, size=n_objects)
+    costs = (
+        rng.lognormal(mean=1.0, sigma=0.8, size=n_objects)
+        if lognormal_costs
+        else sizes.astype(np.float64)
+    )
+    weights = 1.0 / np.arange(1, n_objects + 1) ** 0.8
+    objs = rng.choice(n_objects, size=n, p=weights / weights.sum())
+    return Trace(
+        [Request(t, int(o), int(sizes[o]), float(costs[o]))
+         for t, o in enumerate(objs)]
+    )
+
+
+def _assert_same_result(found, expected):
+    """Every field equal; floats as bit patterns, arrays element-wise."""
+    assert type(found) is type(expected)
+    for spec in fields(found):
+        a, b = getattr(found, spec.name), getattr(expected, spec.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), spec.name
+        elif isinstance(a, float):
+            assert a.hex() == b.hex(), spec.name
+        else:
+            assert a == b, spec.name
+
+
+def _solve_opt_row_by_row(trace: Trace, cache_size: int) -> OptResult:
+    """`solve_opt`'s extraction as one Python loop per field — the oracle
+    of its columnar form."""
+    n = len(trace)
+    network, bypass_arc = build_opt_network(trace, cache_size)
+    result = solve_min_cost_flow(network)
+    sizes, costs = trace.sizes, trace.costs
+    nxt, prv = trace.next_occurrence(), trace.prev_occurrence()
+    cached_fraction = np.zeros(n, dtype=np.float64)
+    decisions = np.zeros(n, dtype=bool)
+    hit_bytes = np.zeros(n, dtype=np.int64)
+    bypass_flow = {i: result.flow.get(arc, 0) for i, arc in bypass_arc.items()}
+    for i in range(n):
+        if int(nxt[i]) >= 0:
+            missed = bypass_flow[i]
+            cached_fraction[i] = 1.0 - missed / int(sizes[i])
+            decisions[i] = missed == 0
+    miss_cost = float(result.total_cost)
+    for i in range(n):
+        p = int(prv[i])
+        if p < 0:
+            miss_cost += float(costs[i])
+        else:
+            hit_bytes[i] = int(sizes[i]) - bypass_flow[p]
+    return OptResult(
+        decisions=decisions,
+        cached_fraction=cached_fraction,
+        hit_bytes=hit_bytes,
+        miss_cost=miss_cost,
+        flow_cost=float(result.total_cost),
+        augmentations=result.augmentations,
+    )
+
+
+@pytest.mark.parametrize("lognormal_costs", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_columnar_extraction_matches_row_by_row(seed, lognormal_costs):
+    trace = _generated_trace(seed, lognormal_costs)
+    for cache_size in (25, 200):  # fractional intervals at the small one
+        _assert_same_result(
+            solve_opt(trace, cache_size),
+            _solve_opt_row_by_row(trace, cache_size),
+        )
+
+
+class TestNativeMatchesPython:
+    """OPT through the C augmentation loop and through the Python one:
+    labels are whatever the solver's tie-breaks say, so every field —
+    not just the optimum — must agree."""
+
+    @pytest.mark.parametrize("lognormal_costs", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_opt(self, native, seed, lognormal_costs):
+        trace = _generated_trace(seed, lognormal_costs)
+        for cache_size in (25, 200):
+            found = solve_opt(trace, cache_size)
+            with mock.patch.object(_native, "_state", False):
+                expected = solve_opt(trace, cache_size)
+            _assert_same_result(found, expected)
+
+    @pytest.mark.parametrize("lognormal_costs", [False, True])
+    def test_solve_segmented(self, native, lognormal_costs):
+        trace = _generated_trace(11, lognormal_costs, n=500)
+        found = solve_segmented(trace, 120, segment_length=150)
+        with mock.patch.object(_native, "_state", False):
+            expected = solve_segmented(trace, 120, segment_length=150)
+        _assert_same_result(found, expected)
