@@ -23,16 +23,16 @@ def run_measurement(n_requests: int = 20_000):
 
     unbounded = FeatureTracker(n_gaps=50)
     for request in trace:
-        unbounded.update(request)
+        unbounded.update(request.obj, request.time, request.cost)
 
     capped = FeatureTracker(n_gaps=50, max_objects=2_000)
     for request in trace:
-        capped.update(request)
+        capped.update(request.obj, request.time, request.cost)
 
     scan = generate_adversarial_scan(50_000, object_size=1_000)
     scanned = FeatureTracker(n_gaps=50, max_objects=2_000)
     for request in scan:
-        scanned.update(request)
+        scanned.update(request.obj, request.time, request.cost)
 
     return stats, unbounded, capped, scanned
 

@@ -35,10 +35,10 @@ Results land in ``results/ext_cluster.txt`` (table) and
 from __future__ import annotations
 
 import os
-import struct
 from hashlib import blake2b
 from time import perf_counter
 
+import numpy as np
 from common import RESULTS_DIR, cache_for, cdn_mix_trace, report, table
 
 from repro.cluster import CacheCluster, HashRing
@@ -116,20 +116,14 @@ def _reference_split(requests, cache_size, n_shards, model):
     ring = HashRing(n_shards, seed=RING_SEED)
     digests, sim_hits = [], []
     for bucket in ring.partition(requests):
-        split = [request for _index, request in bucket]
-        digest = blake2b(digest_size=16)
-        DecisionEngine(
-            LFOCache(cache_size // n_shards, model=model),
-            tap=lambda _index, _request, _hit, score, digest=digest: (
-                digest.update(struct.pack("<d", score))
-            ),
-        ).run(split)
-        digests.append(digest.hexdigest())
-        # Independent oracle: the stock simulator over the same split.
-        result = simulate(
-            Trace(split, name="split"),
-            LFOCache(cache_size // n_shards, model=model),
+        split = Trace([request for _index, request in bucket], name="split")
+        scores = np.empty(len(split))
+        DecisionEngine(LFOCache(cache_size // n_shards, model=model)).run(
+            split.times, split.objs, split.sizes, split.costs, scores
         )
+        digests.append(blake2b(scores.tobytes(), digest_size=16).hexdigest())
+        # Independent oracle: the stock simulator over the same split.
+        result = simulate(split, LFOCache(cache_size // n_shards, model=model))
         sim_hits.append(
             {index: hit for (index, _r), hit in zip(bucket, result.hits)}
         )

@@ -3,9 +3,12 @@
 The paper's deployability argument is a latency budget: admission must
 cost microseconds, not milliseconds, or the predictor throttles the CDN
 it is supposed to speed up.  This benchmark times each stage of the
-request path in isolation — feature extraction (scalar and batched),
-single-row prediction, and batch prediction, plus the reference
-(uncompiled) predictor for scale — and reports nanoseconds per request.
+request path in isolation — feature extraction (scalar per ``Request``,
+one columnar probe over the same rows, and a 256-row lookahead window in
+which three rows in four repeat an earlier object of the window — the
+decision engine's shape), the scalar ``update``, single-row prediction,
+and batch prediction, plus the reference (uncompiled) predictor for
+scale — and reports nanoseconds per request.
 
 Two regression gates, both machine-invariant ratios rather than absolute
 times (CI machines vary wildly):
@@ -14,7 +17,7 @@ times (CI machines vary wildly):
   ``0.85 ×`` the speedup recorded in the committed baseline
   (``results/ext_hotpath.json``), when the baseline was measured on the
   same backend;
-* batched feature extraction must amortise to cheaper than scalar
+* columnar feature extraction must amortise to cheaper than scalar
   extraction per row.
 
 The JSON baseline is rewritten on every run so a real improvement only
@@ -23,6 +26,7 @@ needs to be committed to become the new floor.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from time import perf_counter
@@ -58,7 +62,16 @@ def run_hotpath(acc_report, acc_windows, acc_trace, acc_cache):
     tracker = FeatureTracker(n_gaps=50)
     warm, probe = acc_trace.requests[:8_000], acc_trace.requests[8_000:8_512]
     for request in warm:
-        tracker.update(request)
+        tracker.update(request.obj, request.time, request.cost)
+    span = slice(8_000, 8_512)
+    objs = acc_trace.objs[span].tolist()
+    times, sizes, costs = (
+        acc_trace.times[span], acc_trace.sizes[span], acc_trace.costs[span]
+    )
+    # One lookahead window: 64 objects, each requested four times.
+    window = np.tile(np.arange(64), 4)
+    window_objs = [objs[i] for i in window]
+    window_columns = (times[:256], sizes[window], costs[window])
 
     X = np.ascontiguousarray(acc_windows.test.X[:4_096])
     rows = [np.ascontiguousarray(x) for x in X[:256]]
@@ -68,7 +81,17 @@ def run_hotpath(acc_report, acc_windows, acc_trace, acc_cache):
             tracker.features(request, acc_cache)
 
     def extract_batch():
-        tracker.features_batch(probe, acc_cache)
+        tracker.features_batch(objs, times, sizes, costs, acc_cache)
+
+    def extract_window():
+        tracker.features_batch(window_objs, *window_columns, acc_cache)
+
+    def update():
+        scratch = copy.deepcopy(tracker)
+        began = perf_counter()
+        for obj, time, cost in zip(objs, times.tolist(), costs.tolist()):
+            scratch.update(obj, time, cost)
+        return perf_counter() - began
 
     def predict_single():
         for row in rows:
@@ -83,6 +106,8 @@ def run_hotpath(acc_report, acc_windows, acc_trace, acc_cache):
     timings = {
         "extract_scalar_ns": _best_ns_per(extract_scalar, len(probe)),
         "extract_batch_ns": _best_ns_per(extract_batch, len(probe)),
+        "extract_window_ns": _best_ns_per(extract_window, len(window)),
+        "update_ns": min(update() for _ in range(ROUNDS)) * 1e9 / len(objs),
         "predict_single_ns": _best_ns_per(predict_single, len(rows)),
         "predict_batch_ns": _best_ns_per(predict_batch, len(X)),
         "predict_reference_ns": _best_ns_per(predict_reference, len(X)),

@@ -12,12 +12,16 @@ Per batch the worker:
    on a new generation it attaches the published model zero-copy
    (:class:`repro.cluster.SlabReader`) and swaps it in with
    ``cache.set_model`` — the cross-process warm handoff;
-2. decides the batch through the decision engine
-   (:mod:`repro.core.engine` — the same speculative windows as
-   ``simulate(batch_size=N)`` and ``lfo serve``), whose post-decision
-   tap folds every score into a running ``blake2b`` digest.  The digest
-   is what the cluster benchmark compares against an in-process engine
-   over the same trace split: equal digests mean bit-identical scores;
+2. views the batch's records as four columns
+   (:func:`repro.cluster.wire.unpack_requests` — no ``Request`` is
+   built) and decides them through the decision engine
+   (:mod:`repro.core.engine` — the same lookahead windows as
+   ``simulate(batch_size=N)`` and ``lfo serve``), which fills a hits and
+   a scores column.  After the batch, the scores column goes into a
+   running ``blake2b`` digest — what the cluster benchmark compares
+   against an in-process engine over the same trace split: equal digests
+   mean bit-identical scores — and into the admission-score histogram,
+   and the hit/miss byte sums are one dot product and one sum;
 3. answers with one message: cumulative stats, the batch's hits as a
    byte string, the telemetry deltas the router folds into its windowed
    registry and — only with ``ship_features`` — the live feature rows
@@ -26,15 +30,15 @@ Per batch the worker:
    records the trainer consumes from it.
 
 Timing: the worker accumulates ``process_time`` (CPU seconds) and
-``perf_counter`` (busy wall seconds) around the scoring loop only —
-attach, record unpacking, and pipe waits are excluded, so per-shard
+``perf_counter`` (busy wall seconds) around the scoring loop and the
+per-batch fold of its hits and scores only — attach, record unpacking,
+and pipe waits are excluded, so per-shard
 service rates measure the work a dedicated core would do.
 """
 
 from __future__ import annotations
 
 import signal
-import struct
 from dataclasses import dataclass
 from hashlib import blake2b
 from time import perf_counter, process_time
@@ -45,7 +49,6 @@ import numpy as np
 from ..core.engine import DecisionEngine
 from ..core.lfo import ADMISSION_SCORE_BUCKETS, LFOCache
 from ..obs.registry import Histogram
-from ..trace import Request
 from .slab import SlabReader
 from .wire import unpack_requests
 
@@ -53,8 +56,6 @@ if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
 __all__ = ["ShardConfig", "shard_main"]
-
-_PACK_SCORE = struct.Struct("<d")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class _ShardState:
             n_gaps=config.n_gaps,
             eviction=config.eviction,
         )
-        self.engine = DecisionEngine(self.cache, tap=self._tap)
+        self.engine = DecisionEngine(self.cache)
         self.reader = SlabReader(config.slab_token)
         self.generation = 0
         self.attaches = 0
@@ -113,8 +114,6 @@ class _ShardState:
         #: Telemetry records (:func:`repro.obs.fold.fold_deltas` shapes)
         #: since the last reply.
         self._deltas: list[tuple] = []
-        #: The batch's feature rows, one per request (``ship_features``).
-        self._rows: np.ndarray | None = None
 
     def maybe_attach(self) -> None:
         """Batch-boundary model check: attach a new generation if flipped."""
@@ -129,47 +128,45 @@ class _ShardState:
         self.attaches += 1
         self._deltas.append(("counter", "cluster.shard_attaches", 1))
 
-    def _tap(
-        self, k: int, request: Request, hit: bool, score: float
-    ) -> None:
-        """Post-decision: digest, score histogram, bytes, feature row."""
-        self.digest.update(_PACK_SCORE.pack(score))
-        cache = self.cache
-        if cache.model is not None:
-            self.score_hist.observe(score)
-        if hit:
-            self.hits += 1
-            self.hit_bytes += request.size
-        else:
-            self.miss_bytes += request.size
-        if self._rows is not None:
-            self._rows[k] = cache.last_features
-
     def process(self, data: bytes) -> None:
         """Score one routed batch of request records and reply."""
-        requests = unpack_requests(data)
+        times, objs, sizes, costs = unpack_requests(data)
+        n = len(objs)
         self.maybe_attach()
+        cache = self.cache
+        scores = np.empty(n, dtype="<f8")
+        rows = None
         if self.config.ship_features:
-            self._rows = np.empty(
-                (len(requests), self.cache.tracker.n_features), dtype="<f8"
-            )
-        hit_bytes = self.hit_bytes
-        miss_bytes = self.miss_bytes
+            rows = np.empty((n, cache.tracker.n_features), dtype="<f8")
+        # Whether each decision was scored by a model: a model attaches
+        # only between batches (above), so one read covers the batch.
+        scored = cache.model is not None
         began_cpu = process_time()
         began_wall = perf_counter()
-        hits = self.engine.run(requests)
+        hits = self.engine.run(times, objs, sizes, costs, scores, rows)
+        # The same byte stream as one ``<d`` pack per decision.
+        self.digest.update(scores.tobytes())
+        if scored:
+            self.score_hist.observe_batch(scores)
+        # Float sums, as the counters are: exact below 2**53 bytes, and
+        # an absurd size cannot wrap them.
+        byte_sizes = sizes.astype(np.float64)
+        hit_bytes = float(np.dot(byte_sizes, hits))
+        miss_bytes = float(byte_sizes.sum()) - hit_bytes
         self.cpu_seconds += process_time() - began_cpu
         self.busy_seconds += perf_counter() - began_wall
-        self.requests += len(requests)
+        self.requests += n
+        self.hits += sum(hits)
+        self.hit_bytes += hit_bytes
+        self.miss_bytes += miss_bytes
         for name, delta in (
-            ("sim.requests", len(requests)),
-            ("sim.hit_bytes", self.hit_bytes - hit_bytes),
-            ("sim.miss_bytes", self.miss_bytes - miss_bytes),
+            ("sim.requests", n),
+            ("sim.hit_bytes", hit_bytes),
+            ("sim.miss_bytes", miss_bytes),
         ):
             if delta:
                 self._deltas.append(("counter", name, delta))
         self._note_histogram_delta()
-        rows = self._rows
         self.reply(
             "done", bytes(hits), None if rows is None else rows.tobytes()
         )

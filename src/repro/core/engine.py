@@ -1,83 +1,77 @@
-"""The decision engine: speculate a lookahead window, replay, abandon.
+"""The decision engine: probe a lookahead window once, score it in
+chunks, replay.
 
 The scalar request loop (:meth:`repro.core.LFOCache.on_request`) scores
 one request at a time; even with the compiled predictor, per-call
-overhead dominates at one row per call.  :class:`DecisionEngine` scores
-*lookahead windows* instead — but replays every admission/eviction
-decision sequentially through :meth:`~repro.core.LFOCache.apply_scored`,
-so cache semantics, the ``free_bytes`` trajectory and every score stay
+overhead dominates at one row per call.  :class:`DecisionEngine` takes
+*lookahead windows* instead — four column slices ``(times, objs, sizes,
+costs)``, never ``Request`` objects — but replays every decision
+sequentially through :meth:`~repro.core.LFOCache.apply_scored`, so cache
+semantics, the ``free_bytes`` trajectory and every score stay
 bit-identical to the scalar loop (``tests/test_engines_differential.py``
-pins hit vectors and score digests against it).  The simulator
-(``simulate(batch_size=N)``), the serving loop (``lfo serve``) and the
-cluster's shard workers are all drivers of this one engine.
+pins hit vectors and score digests against it).  ``simulate(batch_size=N)``,
+``lfo serve`` and the cluster's shard workers all drive this one engine.
 
-The hazard is the feedback loop: a request's feature vector includes the
-cache's *current* free bytes and the object's gap history, both of which
-earlier requests in the same window can change.  One :meth:`step`
-therefore speculates and tracks exactly what could invalidate the
-speculation:
+The hazard is the feedback loop: a request's features include the
+cache's *current* free bytes and the object's gap history, and earlier
+requests of the same window change both.  One :meth:`step`:
 
-1. extract the window's features against the tracker state and free
-   bytes *at window start* (one vectorised probe, nothing recorded), and
-   score them in one compiled-predictor call;
-2. replay requests in order, maintaining a *dirty set* of objects whose
-   tracker state changed since the probe — each replayed request's
-   object, plus any object the tracker's LRU cap evicted
-   (:attr:`repro.features.FeatureTracker.last_evicted`).  Only the
-   tracker mutates gap/cost state, and during replay it mutates exactly
-   these objects, so a clean object's speculated row *is* its live
-   extraction except for the free-bytes column;
-3. a clean row therefore reuses the speculative score after patching the
-   live free-bytes value into the row — valid whenever the live value
-   falls between the same pair of consecutive ensemble thresholds as the
-   speculated one (two values no tree split can tell apart take
-   identical paths, hence score identically — see
-   :meth:`repro.gbdt.CompiledPredictor.feature_thresholds`);
-4. a dirty row is extracted and scored individually — what the scalar
-   loop computes;
-5. once the free-bytes value drifts *out of the speculated bucket*, every
-   remaining speculative score is stale at once, so the step abandons
-   the window and the next step re-speculates from the broken row.  The
-   lookahead length adapts to the observed drift interval (shrinks
-   toward the distance actually consumed, doubles back toward
-   ``max_window`` on fully consumed windows), so thrashy traffic
-   degrades to small windows instead of wasted full-size probes.
+1. **probes once** — one vectorised, read-only
+   :meth:`~repro.features.FeatureTracker.features_batch` call, which
+   resolves in-window repeats itself (a repeat's row is its object's
+   previous row shifted one gap; why that is bit-exact is argued in its
+   docstring).  The matrix then holds every row the scalar loop will
+   see, except the free-bytes column: nothing is re-extracted, nothing
+   probed is thrown away;
+2. **scores in chunks** — what goes stale is scores, not rows.  The live
+   free bytes are patched into the next chunk of rows and the chunk is
+   scored in one compiled-predictor call.  A score holds for every
+   free-bytes value between the same two consecutive ensemble
+   thresholds (no split can tell such values apart —
+   :meth:`repro.gbdt.CompiledPredictor.feature_thresholds`); the row
+   handed on always carries the value its decision saw;
+3. **re-scores on drift** — once the live value leaves the bucket (every
+   admission into a full cache) a new chunk is scored from the current
+   row: same rows, new free bytes.  The chunk length follows the
+   observed drift interval (shrinks to the distance consumed, doubles
+   back toward ``max_window`` on fully consumed chunks);
+4. **keeps a dirty set for the one thing a probe cannot foresee** — a
+   bounded tracker (``max_objects``) evicting another object's history
+   mid-window (:attr:`~repro.features.FeatureTracker.last_evicted`).
+   A dirty object's later rows are extracted and scored live, one at a
+   time, as the scalar loop would.  Unbounded trackers never fill it;
+5. **ends early only on a model swap** seen after a mid-window
+   ``poll()``: the remaining scores came from the old model.
 
-Three hooks let a driver put its own work on the request path without
-knowing any of the above:
+Three hooks let a driver put its own work on the request path:
 
-* ``poll()`` runs exactly once per request, *before* the request is
-  scored — the flag that says so is carried across abandoned windows.
-  A model swap seen after a mid-window poll (a background trainer's
-  install) abandons the window like a bucket drift: the remaining
-  speculated scores came from the old model;
+* ``poll()`` runs exactly once per request, *before* it is decided — the
+  flag that says so is carried across a step a swap ended;
 * ``cap()`` bounds each window (``LFOOnline.window_remaining``), so a
-  training-window boundary and the retrain it triggers fall *between*
-  windows, never under in-flight speculated scores;
-* ``tap(index, request, hit, score)`` runs after each decision.  The row
-  the decision used is ``policy.last_features``.
+  training-window boundary and its retrain fall *between* windows;
+* ``tap(index, hit, score)`` runs after each decision; drivers index the
+  requests they hold, and the row used is ``policy.last_features``.
 
 While ``policy.model`` is ``None`` (cold start) a step is the scalar
-decomposition of one request — live features, score 0.0 — and the
-engine starts speculating at the first step that finds a model.  The
-per-model predictor and thresholds are cached by model identity, so a
-swap between steps (a shard attaching a new slab generation) costs one
-lookup.
+decomposition of one request — live features, score 0.0.  The per-model
+predictor and thresholds are cached by model identity, so a swap between
+steps (a shard attaching a new slab generation) costs one lookup.  The
+cold-start step and the dirty rows are the only places a ``Request`` is
+built here (``FeatureTracker.features`` takes one).
 
-Sampled eviction (``LFOCache(eviction="sampled")``) composes unchanged:
-candidate sampling and scoring happen inside ``apply_scored``'s eviction
-plan, against the *live* tracker and free-bytes state at that replay
-point, candidate probes are pure reads (``features_batch`` probe mode),
-so they neither dirty speculated rows nor advance tracker state, and the
-sampler's seeded generator is consumed per plan in exactly the scalar
-order.
+Sampled eviction composes unchanged: candidate scoring happens inside
+``apply_scored``'s eviction plan against the *live* state at that replay
+point, its probes are pure reads, and the sampler's seeded generator is
+consumed per plan in exactly the scalar order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, MutableSequence, Sequence
+from typing import TYPE_CHECKING, Callable, MutableSequence
+
+import numpy as np
 
 from ..trace import Request
 
@@ -91,8 +85,8 @@ __all__ = ["DecisionEngine", "MAX_LOOKAHEAD"]
 #: (size, cost, free_bytes, gap_1..gap_N).
 FREE_BYTES_COLUMN = 2
 
-#: Smallest adaptive lookahead: below this the vectorised probe cannot
-#: amortise its setup, so thrashy traffic stops shrinking here.
+#: Smallest adaptive scoring chunk: below this the compiled-predictor
+#: call cannot amortise its setup, so thrashy traffic stops shrinking here.
 _MIN_WINDOW = 16
 
 #: Default lookahead cap, shared by ``lfo serve`` and the shard workers.
@@ -100,13 +94,14 @@ MAX_LOOKAHEAD = 256
 
 
 class DecisionEngine:
-    """Drive an :class:`~repro.core.LFOCache` in speculative windows.
+    """Drive an :class:`~repro.core.LFOCache` in lookahead windows.
 
     Args:
         policy: the cache to decide for.  Periodic full rescore
             (``rescore_interval``) is entangled with request order and
             is refused.
-        max_window: cap on the adaptive lookahead length.
+        max_window: rows probed per step (and the cap on the adaptive
+            scoring chunk).
         poll / cap / tap: the driver hooks (module docstring).
         latency: histogram the time of each timed ``apply_scored`` call
             is observed into (None = time nothing).
@@ -114,14 +109,17 @@ class DecisionEngine:
             timed; None times every decision.  Two values are in use
             and cannot be one: the serving SLO reads p999 per telemetry
             window and needs every decision, while timing one costs
-            ~0.4 µs (two clock reads, one histogram observe) — ~4% of a
-            ~10 µs batched-simulator decision, over the <3% telemetry
+            ~0.4 µs (two clock reads, one histogram observe) — ~5% of a
+            ~7 µs batched-simulator decision, over the <3% telemetry
             budget ``bench_ext_obs_overhead`` holds the simulator to —
             so the simulator times a leading cluster of 8.
 
-    Single-consumer: one ``step`` at a time.  ``n_rescored`` (dirty rows
-    scored live), ``n_respeculations`` (abandoned windows) and
-    ``rows_probed`` (rows speculated) count the protocol's work.
+    Single-consumer: one ``step`` at a time.  ``rows_probed`` (rows
+    extracted, one per request unless a swap ended a step),
+    ``n_respeculations`` (chunks re-scored because the free bytes left
+    their bucket) and ``n_rescored`` (rows extracted and scored live
+    because the tracker's cap evicted their object) count the protocol's
+    work.
     """
 
     def __init__(
@@ -131,7 +129,7 @@ class DecisionEngine:
         *,
         poll: Callable[[], None] | None = None,
         cap: Callable[[], int] | None = None,
-        tap: Callable[[int, Request, bool, float], None] | None = None,
+        tap: Callable[[int, bool, float], None] | None = None,
         latency: "Histogram | None" = None,
         timed_per_window: int | None = None,
     ) -> None:
@@ -158,27 +156,47 @@ class DecisionEngine:
         self._predictor = None
         self._thresholds: list[float] = []
 
-    def run(self, requests: Sequence[Request]) -> list[bool]:
-        """Decide every request in order; per-request hits."""
-        n = len(requests)
+    def run(
+        self,
+        times: np.ndarray,
+        objs: np.ndarray,
+        sizes: np.ndarray,
+        costs: np.ndarray,
+        scores: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
+    ) -> list[bool]:
+        """Decide every request of the four columns in order; the hits.
+
+        ``scores`` / ``rows``, when given, are filled like :meth:`step`
+        fills them.
+        """
+        n = len(objs)
         hits = [False] * n
         i = 0
         while i < n:
-            i += self.step(requests, i, hits)
+            i += self.step(times, objs, sizes, costs, i, hits, scores, rows)
         return hits
 
     def step(
         self,
-        requests: Sequence[Request],
+        times: np.ndarray,
+        objs: np.ndarray,
+        sizes: np.ndarray,
+        costs: np.ndarray,
         start: int,
         hits: MutableSequence[bool],
+        scores: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> int:
-        """Decide one window from ``requests[start]``; returns consumed.
+        """Decide one window from row ``start`` of the request columns
+        (numpy arrays of equal length); returns the rows consumed.
 
         ``hits[start + k]`` is set for each consumed request (a list or
-        a boolean array, at least ``len(requests)`` long).  Always
-        consumes at least one: row 0 is polled before the probe and its
-        free-bytes value is the probe's by construction.
+        a boolean array, at least ``len(objs)`` long); ``scores`` (a
+        float64 array) and ``rows`` (an ``(n, n_features)`` float64
+        matrix) receive, per window, each decision's score and the
+        feature row it used.  Always consumes at least one: row 0 is
+        polled before the probe.
         """
         policy = self.policy
         tracker = policy.tracker
@@ -187,41 +205,55 @@ class DecisionEngine:
         latency = self._latency
         if poll is not None and not self._polled:
             poll()
-            self._polled = True
+        self._polled = False
         model = policy.model
         if model is None:
-            request = requests[start]
+            request = Request(
+                times.item(start), objs.item(start),
+                sizes.item(start), costs.item(start),
+            )
             features = tracker.features(request, policy.free_bytes)
+            began = perf_counter()
+            hit = policy.apply_scored(
+                request.time, request.obj, request.size, request.cost,
+                features, 0.0,
+            )
             if latency is not None:
-                began = perf_counter()
-                hit = policy.apply_scored(request, features, 0.0)
                 latency.observe(perf_counter() - began)
-            else:
-                hit = policy.apply_scored(request, features, 0.0)
             hits[start] = hit
-            self._polled = False
+            if scores is not None:
+                scores[start] = 0.0
+            if rows is not None:
+                rows[start] = features
             if tap is not None:
-                tap(start, request, hit, 0.0)
+                tap(start, hit, 0.0)
             return 1
         if model is not self._model:
             predictor = model.classifier.compiled()
             self._model = model
             self._predictor = predictor
-            # Python floats: the per-row bisect costs the comparisons of
+            # Python floats: the bisect costs the comparisons of
             # ``np.searchsorted(side="left")`` without the call overhead.
             self._thresholds = predictor.feature_thresholds(
                 FREE_BYTES_COLUMN
             ).tolist()
         predictor = self._predictor
         thresholds = self._thresholds
-        limit = min(self._window, len(requests) - start)
+        limit = min(self.max_window, len(objs) - start)
         if self._cap is not None:
             limit = min(limit, self._cap())
-        batch = requests[start:start + limit]
-        free0 = policy.free_bytes
-        speculated = tracker.features_batch(batch, free0)
-        scores = predictor.predict_proba(speculated)
-        spec_bucket = bisect_left(thresholds, float(free0))
+        # Per window, not per trace: the replay wants Python scalars, and
+        # a whole-trace copy of them would sit in memory for the run.
+        window = slice(start, start + limit)
+        w_objs = objs[window].tolist()
+        w_times, w_sizes, w_costs = times[window], sizes[window], costs[window]
+        X = tracker.features_batch(
+            w_objs, w_times, w_sizes, w_costs, policy.free_bytes
+        )
+        w_times, w_sizes, w_costs = (
+            w_times.tolist(), w_sizes.tolist(), w_costs.tolist()
+        )
+        w_scores = [0.0] * limit
         self.rows_probed += limit
         if latency is None:
             timed_limit = 0
@@ -229,57 +261,86 @@ class DecisionEngine:
             timed_limit = limit
         else:
             timed_limit = self._timed_per_window
-        #: objects whose tracker state changed since the probe — their
-        #: speculated rows are stale and must be recomputed live.
+        apply_scored = policy.apply_scored
+        polls = poll is not None
+        #: The next row still owes its poll (row 0 had it above).
+        due = False
+        capped = tracker.max_objects > 0
+        #: Objects the tracker's cap evicted since the probe: their
+        #: probed rows are stale and are recomputed live.
         dirty: set[int] = set()
         consumed = limit
-        n_rescored = 0
-        for k, request in enumerate(batch):
-            if poll is not None and not self._polled:
-                poll()
-                # Stays set across an abandon, so re-entry does not run
-                # the hook twice for this request.
-                self._polled = True
-                if policy.model is not model:
-                    consumed = k
-                    break
-            obj = request.obj
-            if obj in dirty:
-                # Re-requested (or cap-evicted) inside the window.
-                features = tracker.features(request, policy.free_bytes)
-                score = predictor.predict_proba_single(features)
-                n_rescored += 1
+        k = 0
+        while k < limit:
+            # One scoring chunk: rows [k, m) under the live free bytes.
+            m = min(k + self._window, limit)
+            free = policy.free_bytes
+            bucket = bisect_left(thresholds, float(free))
+            X[k:m, FREE_BYTES_COLUMN] = free
+            chunk = predictor.predict_proba(X[k:m]).tolist()
+            w_scores[k:m] = chunk
+            for j, obj, time, size, cost, score, features in zip(
+                range(k, m), w_objs[k:m], w_times[k:m], w_sizes[k:m],
+                w_costs[k:m], chunk, X[k:m],
+            ):
+                if due:
+                    poll()
+                    due = False
+                    if policy.model is not model:
+                        # Stays set, so re-entry does not run the hook
+                        # twice for this request.
+                        self._polled = True
+                        break
+                if dirty and obj in dirty:
+                    features = tracker.features(
+                        Request(time, obj, size, cost), policy.free_bytes
+                    )
+                    score = predictor.predict_proba_single(features)
+                    X[j] = features
+                    w_scores[j] = score
+                    self.n_rescored += 1
+                else:
+                    live = policy.free_bytes
+                    if live != free:
+                        if bisect_left(thresholds, float(live)) != bucket:
+                            break
+                        # Same bucket, same scores; the rows still
+                        # carry the value their decision sees.
+                        free = live
+                        X[j:m, FREE_BYTES_COLUMN] = free
+                if j < timed_limit:
+                    began = perf_counter()
+                    hit = apply_scored(time, obj, size, cost, features, score)
+                    latency.observe(perf_counter() - began)
+                else:
+                    hit = apply_scored(time, obj, size, cost, features, score)
+                if capped:
+                    evicted = tracker.last_evicted
+                    if evicted is not None:
+                        dirty.add(evicted)
+                hits[start + j] = hit
+                due = polls
+                if tap is not None:
+                    tap(start + j, hit, score)
             else:
-                free_live = policy.free_bytes
-                if bisect_left(thresholds, float(free_live)) != spec_bucket:
-                    # Never at k == 0: row 0's free bytes are ``free0``.
-                    consumed = k
-                    break
-                features = speculated[k]
-                features[FREE_BYTES_COLUMN] = free_live
-                score = float(scores[k])
-            if k < timed_limit:
-                began = perf_counter()
-                hit = policy.apply_scored(request, features, score)
-                latency.observe(perf_counter() - began)
-            else:
-                hit = policy.apply_scored(request, features, score)
-            dirty.add(obj)
-            evicted = tracker.last_evicted
-            if evicted is not None:
-                dirty.add(evicted)
-            hits[start + k] = hit
-            self._polled = False
-            if tap is not None:
-                tap(start + k, request, hit, score)
-        self.n_rescored += n_rescored
-        if consumed == limit:
-            self._window = min(self._window * 2, self.max_window)
-        else:
+                # A chunk the window's end cut short is no evidence.
+                if m - k == self._window:
+                    self._window = min(self._window * 2, self.max_window)
+                k = m
+                continue
+            if self._polled:
+                consumed = j
+                break
+            # Free bytes left the bucket at row j (never the chunk's
+            # first, which was scored under this very value): track the
+            # observed drift interval and score again from there.
             self.n_respeculations += 1
-            # Track the observed drift interval (+1 so the broken row,
-            # which the next window must re-cover, still fits).
             self._window = min(
-                max(_MIN_WINDOW, consumed + 1), self.max_window
+                max(_MIN_WINDOW, j - k + 1), self.max_window
             )
+            k = j
+        if scores is not None:
+            scores[start:start + consumed] = w_scores[:consumed]
+        if rows is not None:
+            rows[start:start + consumed] = X[:consumed]
         return consumed

@@ -239,7 +239,7 @@ class TieredLFOCache:
             self.stats.miss_bytes += request.size
             self._admit(request, admit_score, place_score)
 
-        self._tracker.update(request)
+        self._tracker.update(request.obj, request.time, request.cost)
         return hit
 
     def _admit(

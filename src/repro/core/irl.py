@@ -176,7 +176,7 @@ class IRLCache(CachePolicy):
             if self.used_bytes + request.size <= self.cache_size:
                 self._insert(request)
                 self._rank(request.obj, reward)
-        self._tracker.update(request)
+        self._tracker.update(request.obj, request.time, request.cost)
         return hit
 
     def _insert(self, request: Request) -> None:

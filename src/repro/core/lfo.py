@@ -29,8 +29,8 @@ of resident objects:
 * ``eviction="sampled"`` (LRB-style, "Learned Cache Eviction Framework
   with Minimal Overhead") draws ``SampledEvictionConfig.k`` seeded-random
   resident candidates plus the current heap minimum as a safety
-  candidate, scores only those in one ``features_batch`` + compiled-
-  predictor call (``evict.candidates_scored``), and returns them
+  candidate, scores only those in one columnar ``features_batch`` probe
+  + compiled-predictor call (``evict.candidates_scored``), and returns them
   worst-first as a multi-victim plan — eviction cost is O(k), independent
   of the resident-set size (``bench_ext_evict`` gates this at 10^6
   residents).
@@ -217,6 +217,10 @@ class LFOCache(CachePolicy):
         self._requests_seen = 0
         self._now = 0.0
         self.last_features: np.ndarray | None = None
+        #: A refused miss needs a ``Request`` only for an overridden hook.
+        self._observes_misses = (
+            type(self)._on_miss_observed is not CachePolicy._on_miss_observed
+        )
         # Bind-cached score instrument (None while obs is disabled), so
         # the per-request cost is one identity compare — see
         # ``_bind_score_instrument``.
@@ -290,18 +294,30 @@ class LFOCache(CachePolicy):
         ]
         heapq.heapify(self._heap)
 
+    def _score_residents(self, objs: list[int]) -> list[float]:
+        """Fresh likelihoods of resident ``objs``: one read-only columnar
+        probe of live tracker state, one compiled-predictor call.
+
+        The cost column is the resident's recorded retrieval cost (its
+        size where :meth:`CachePolicy._evict_until_fits` falls back to
+        it too) — it shows only for a resident whose tracker row the
+        ``max_objects`` cap dropped; a tracked row carries its own.
+        """
+        sizes = [self._entries[obj] for obj in objs]
+        known = self._costs
+        costs = [known.get(obj, float(size)) for obj, size in zip(objs, sizes)]
+        matrix = self._tracker.features_batch(
+            objs, [self._now] * len(objs), sizes, costs, self.free_bytes
+        )
+        return self.model.likelihood(matrix).tolist()
+
     def _rescore_all(self) -> None:
         """Batch-refresh every resident object's likelihood."""
         if self.model is None or not self._entries:
             return
         objs = list(self._entries)
-        probes = [
-            Request(self._now, obj, self._entries[obj]) for obj in objs
-        ]
-        matrix = self._tracker.features_batch(probes, self.free_bytes)
-        scores = self.model.likelihood(matrix)
-        for obj, score in zip(objs, scores):
-            self._rank(obj, float(score))
+        for obj, score in zip(objs, self._score_residents(objs)):
+            self._rank(obj, score)
 
     def on_request(self, request: Request) -> bool:
         """Process one request: score, admit/evict, learn features."""
@@ -317,19 +333,32 @@ class LFOCache(CachePolicy):
             if self.model is not None
             else 0.0
         )
-        return self.apply_scored(request, features, score)
+        return self.apply_scored(
+            request.time, request.obj, request.size, request.cost,
+            features, score,
+        )
 
     def apply_scored(
-        self, request: Request, features: np.ndarray, score: float
+        self,
+        time: float,
+        obj: int,
+        size: int,
+        cost: float,
+        features: np.ndarray,
+        score: float,
     ) -> bool:
         """Apply one already-scored request: admit/evict/record.
 
         Everything :meth:`on_request` does *after* feature extraction and
-        model scoring, so the batched scoring engine
-        (:mod:`repro.core.engine`) can pre-score lookahead batches and
-        replay decisions through exactly this code path.
+        model scoring, so the decision engine (:mod:`repro.core.engine`)
+        can score lookahead windows and replay decisions through exactly
+        this code path.  The request arrives as scalars: the engine
+        holds columns, and hits and refused admissions need nothing
+        else.  A ``Request`` is built only where a :class:`CachePolicy`
+        hook takes one — the admit branch and a subclass's own
+        ``_on_miss_observed``.
         """
-        self._now = request.time
+        self._now = time
         self._requests_seen += 1
         self.last_features = features
         registry = get_registry()
@@ -337,21 +366,23 @@ class LFOCache(CachePolicy):
             self._bind_score_instrument(registry)
         if self._score_hist is not None and self.model is not None:
             self._score_hist.observe(score)
-        hit = request.obj in self._entries
+        hit = obj in self._entries
         if hit:
             # Re-evaluate the hit object's likelihood (Section 2.4).
-            self._costs[request.obj] = request.cost
-            self._rank(request.obj, score)
-            self._lru.move_to_end(request.obj)
+            self._costs[obj] = cost
+            self._rank(obj, score)
+            self._lru.move_to_end(obj)
         else:
             # Base-class contract: every observed miss reaches the hook,
             # even when admission is refused or the object cannot fit.
-            self._on_miss_observed(request)
-            if request.size <= self.cache_size and self._should_admit(score):
+            if self._observes_misses:
+                self._on_miss_observed(Request(time, obj, size, cost))
+            if size <= self.cache_size and self._should_admit(score):
+                request = Request(time, obj, size, cost)
                 if self._evict_until_fits(request):
                     self._insert(request)
-                    self._rank(request.obj, score)
-        self._tracker.update(request)
+                    self._rank(obj, score)
+        self._tracker.update(obj, time, cost)
         return hit
 
     def _bind_score_instrument(self, registry) -> None:
@@ -403,9 +434,7 @@ class LFOCache(CachePolicy):
         # invisible to likelihood eviction (stuck resident forever).
         super()._restore(obj, size, incoming, cost)
         if self.model is not None:
-            probe = Request(self._now, obj, size)
-            features = self._tracker.features(probe, self.free_bytes)
-            self._rank(obj, self.model.likelihood_single(features))
+            self._rank(obj, self._score_residents([obj])[0])
 
     def _heap_min(self) -> int | None:
         """Current valid heap minimum (lazily popping stale tuples)."""
@@ -456,13 +485,9 @@ class LFOCache(CachePolicy):
             if safety is not None:
                 picked[safety] = None
             candidates = list(picked)
-        probes = [
-            Request(self._now, obj, self._entries[obj]) for obj in candidates
-        ]
-        matrix = self._tracker.features_batch(probes, self.free_bytes)
-        scores = self.model.likelihood(matrix)
+        scores = self._score_residents(candidates)
         for obj, score in zip(candidates, scores):
-            self._rank(obj, float(score))
+            self._rank(obj, score)
         registry = get_registry()
         if registry.enabled:
             registry.counter("evict.candidates_scored").inc(len(candidates))

@@ -62,7 +62,8 @@ def prepare_windows(
     tracker = FeatureTracker(n_gaps=n_gaps)
     names = feature_names(n_gaps)
     X = tracker.features_batch(
-        list(span), free.astype(np.float64), update=True
+        span.objs.tolist(), span.times, span.sizes, span.costs,
+        free.astype(np.float64), update=True,
     )
 
     train_trace = span[:train_size]

@@ -53,15 +53,17 @@ def build_features(
             constant (``cache_size``) is used.
         cache_size: fallback free-bytes value when ``free_bytes_fn`` is None.
     """
-    requests = list(trace)
     if free_bytes_fn is not None:
         free = np.array(
-            [free_bytes_fn(i) for i in range(len(requests))],
+            [free_bytes_fn(i) for i in range(len(trace))],
             dtype=np.float64,
         )
     else:
         free = float(cache_size)
-    return tracker.features_batch(requests, free, update=True)
+    return tracker.features_batch(
+        trace.objs.tolist(), trace.times, trace.sizes, trace.costs, free,
+        update=True,
+    )
 
 
 def build_dataset(

@@ -14,14 +14,15 @@ important for robustness, unlike LRU-K's absolute-age representation.
 
 Storage is an *arena*: every tracked object owns one row of a dense
 ``(capacity, n_gaps + 1)`` float64 slab of request times, plus parallel
-``head``/``count``/``last_cost`` vectors.  An ordered object → row map
+``seen`` (requests recorded — ring head and fill level both derive from
+it) and ``last_cost`` vectors.  An ordered object → row map
 preserves LRU order for the optional ``max_objects`` cap, and evicted
 rows go on a free list for recycling, so memory stays bounded on
 adversarial one-touch scans and the slab never fragments.  Feature
 extraction is pure slice arithmetic over the slab — no per-gap Python
 loop — and :meth:`FeatureTracker.features_batch` gathers whole request
-batches in one shot for the rescoring, dataset-construction, and
-labeling paths.
+windows, given as columns, in one shot for the decision engine, the
+eviction probes and dataset construction.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class FeatureTracker:
     Usage per request (order matters)::
 
         features = tracker.features(request, free_bytes)  # before updating
-        tracker.update(request)                           # then record it
+        tracker.update(request.obj, request.time, request.cost)  # then record
 
     Attributes:
         n_gaps: number of gap features (the paper uses 50).
@@ -78,8 +79,9 @@ class FeatureTracker:
         capacity = max_objects if max_objects else _INITIAL_CAPACITY
         self._times = np.zeros((capacity, self._n_slots), dtype=np.float64)
         self._last_cost = np.zeros(capacity, dtype=np.float64)
-        self._head = np.zeros(capacity, dtype=np.int64)
-        self._count = np.zeros(capacity, dtype=np.int64)
+        #: requests recorded per row: the ring head is ``seen % n_slots``,
+        #: the fill level ``min(seen, n_slots)``.
+        self._seen = np.zeros(capacity, dtype=np.int64)
         #: object id → arena row, in LRU order (oldest first).
         self._rows: OrderedDict[int, int] = OrderedDict()
         #: rows released by eviction/forget, recycled before slab growth.
@@ -115,30 +117,27 @@ class FeatureTracker:
     # -- arena bookkeeping --------------------------------------------------
 
     def _grow(self) -> None:
-        capacity = len(self._head)
+        capacity = len(self._seen)
         new_capacity = capacity * 2
         times = np.zeros((new_capacity, self._n_slots), dtype=np.float64)
         times[:capacity] = self._times
         self._times = times
         self._last_cost = np.resize(self._last_cost, new_capacity)
         self._last_cost[capacity:] = 0.0
-        self._head = np.resize(self._head, new_capacity)
-        self._head[capacity:] = 0
-        self._count = np.resize(self._count, new_capacity)
-        self._count[capacity:] = 0
+        self._seen = np.resize(self._seen, new_capacity)
+        self._seen[capacity:] = 0
 
     def _alloc_row(self) -> int:
         if self._free:
             row = self._free.pop()
         else:
-            if self._next_row >= len(self._head):
+            if self._next_row >= len(self._seen):
                 self._grow()
             row = self._next_row
             self._next_row += 1
-        # Stale slab times are invisible while count is 0, so resetting
-        # the scalars is all recycling needs.
-        self._head[row] = 0
-        self._count[row] = 0
+        # Stale slab times are invisible while nothing is recorded, so
+        # resetting the scalars is all recycling needs.
+        self._seen[row] = 0
         self._last_cost[row] = 0.0
         return row
 
@@ -157,11 +156,16 @@ class FeatureTracker:
         """
         registry = get_registry()
         if not registry.enabled:
-            return self._extract(request, free_bytes)
+            return self._extract(
+                request.obj, request.time, request.size, request.cost,
+                free_bytes,
+            )
         if registry is not self._obs_registry:
             self._bind_instruments(registry)
         started = perf_counter()
-        vec = self._extract(request, free_bytes)
+        vec = self._extract(
+            request.obj, request.time, request.size, request.cost, free_bytes
+        )
         self._obs_hist.observe(perf_counter() - started)
         return vec
 
@@ -173,124 +177,161 @@ class FeatureTracker:
         )
         self._obs_batch_rows = registry.histogram("features.batch_rows")
 
-    def _extract(self, request: Request, free_bytes: int) -> np.ndarray:
+    def _extract(
+        self, obj: int, time: float, size: int, cost: float, free_bytes
+    ) -> np.ndarray:
         vec = np.empty(self.n_features, dtype=np.float64)
-        vec[0] = request.size
+        vec[0] = size
         vec[2] = free_bytes
-        row = self._rows.get(request.obj)
+        row = self._rows.get(obj)
         if row is None:
-            vec[1] = request.cost
+            vec[1] = cost
             vec[3:] = MISSING_GAP
         else:
             vec[1] = self._last_cost[row]
-            self._gaps_into(row, request.time, vec[3:])
-        return vec
-
-    def _gaps_into(self, row: int, now: float, out: np.ndarray) -> None:
-        """Write gaps (most-recent first, MISSING_GAP padded) into ``out``."""
-        m = min(int(self._count[row]), self.n_gaps)
-        out[m:] = MISSING_GAP
-        if m:
-            t = self._times[row, self._idx[self._head[row], :m]]
-            out[0] = now - t[0]
+            seen = self._seen.item(row)
+            m = min(seen, self.n_gaps)
+            gaps = vec[3:]
+            gaps[m:] = MISSING_GAP
+            # Most-recent-first; every mapped row has seen >= 1.
+            t = self._times[row, self._idx[seen % self._n_slots, :m]]
+            gaps[0] = time - t[0]
             if m > 1:
-                out[1:m] = t[: m - 1] - t[1:m]
+                gaps[1:m] = t[: m - 1] - t[1:m]
+        return vec
 
     def features_batch(
         self,
-        requests: Sequence[Request],
+        objs: Sequence[int],
+        times: Sequence[float],
+        sizes: Sequence[int],
+        costs: Sequence[float],
         free_bytes,
         update: bool = False,
     ) -> np.ndarray:
-        """Feature matrix for a batch of requests.
+        """Feature matrix for a window of requests given as columns.
 
         Args:
-            requests: the requests to featurise, in stream order.
+            objs / times / sizes / costs: the window's request columns
+                (lists or arrays of equal length), in stream order.
             free_bytes: free cache bytes — one scalar applied to every
                 row, or a per-request sequence.
-            update: with ``False`` (probe mode) every row is extracted
-                against the *current* tracker state and nothing is
-                recorded — the rescoring and speculative-scoring case,
-                fully vectorised across the batch.  With ``True`` each
-                request is extracted and then recorded before the next,
-                exactly like a ``features``/``update`` loop — the
-                dataset-construction case, where in-batch repeats of an
-                object must see each other.
+            update: ``False`` (probe mode) records nothing and leaves the
+                tracker exactly as found; ``True`` extracts and records
+                request by request (dataset construction).
 
         Returns:
-            ``(len(requests), n_features)`` float64 matrix whose rows are
-            bit-identical to the equivalent :meth:`features` calls.
+            ``(len(objs), n_features)`` float64 matrix, bit-identical in
+            either mode to the rows of a :meth:`features` /
+            :meth:`update` loop over the window.  A probe gets there
+            without recording: objects new to the window are one
+            vectorised gather from the arena, and a row whose object
+            last occurred in the window at row ``p`` is row ``p``
+            shifted — ``gap_1 = times[i] - times[p]``, ``gap_2.. =
+            gap_1..`` of row ``p``, cost ``costs[p]``.  That is exact,
+            not approximate: ``update`` would have stored ``times[p]``
+            and ``costs[p]``, the next extraction computes gap_1 as this
+            very subtraction and every older gap from the same pair of
+            stored floats row ``p`` was computed from, and the
+            ``MISSING_GAP`` padding moves along.  What a probe cannot
+            foresee is the ``max_objects`` cap evicting an object
+            mid-window: its rows agree with the loop's up to the first
+            cap eviction.
         """
         registry = get_registry()
         if not registry.enabled:
-            return self._extract_batch(requests, free_bytes, update)
+            return self._extract_batch(
+                objs, times, sizes, costs, free_bytes, update
+            )
         if registry is not self._obs_registry:
             self._bind_instruments(registry)
         started = perf_counter()
-        X = self._extract_batch(requests, free_bytes, update)
+        X = self._extract_batch(objs, times, sizes, costs, free_bytes, update)
         self._obs_batch_hist.observe(perf_counter() - started)
-        self._obs_batch_rows.observe(len(requests))
+        self._obs_batch_rows.observe(len(objs))
         return X
 
     def _extract_batch(
-        self,
-        requests: Sequence[Request],
-        free_bytes,
-        update: bool,
+        self, objs, times, sizes, costs, free_bytes, update: bool
     ) -> np.ndarray:
-        n = len(requests)
-        fb = np.broadcast_to(
-            np.asarray(free_bytes, dtype=np.float64), (n,)
-        )
-        if update:
-            X = np.empty((n, self.n_features), dtype=np.float64)
-            for i, request in enumerate(requests):
-                X[i] = self._extract(request, fb[i])
-                self.update(request)
-            return X
+        n = len(objs)
         X = np.empty((n, self.n_features), dtype=np.float64)
-        X[:, 0] = [r.size for r in requests]
-        X[:, 1] = [r.cost for r in requests]
-        X[:, 2] = fb
-        X[:, 3:] = MISSING_GAP
-        rows = np.array(
-            [self._rows.get(r.obj, -1) for r in requests], dtype=np.int64
-        )
-        known = np.flatnonzero(rows >= 0)
-        if len(known) == 0:
+        if update:
+            fb = np.broadcast_to(
+                np.asarray(free_bytes, dtype=np.float64), (n,)
+            )
+            for i, (obj, time, size, cost) in enumerate(
+                zip(objs, times, sizes, costs)
+            ):
+                X[i] = self._extract(obj, time, size, cost, fb[i])
+                self.update(obj, time, cost)
             return X
-        kr = rows[known]
-        now = np.array([requests[i].time for i in known], dtype=np.float64)
-        X[known, 1] = self._last_cost[kr]
-        counts = np.minimum(self._count[kr], self.n_gaps)
-        positions = self._idx[self._head[kr], : self.n_gaps]
-        t = self._times[kr[:, None], positions]
-        gaps = np.empty_like(t)
-        gaps[:, 0] = now - t[:, 0]
-        gaps[:, 1:] = t[:, :-1] - t[:, 1:]
-        gaps[np.arange(self.n_gaps)[None, :] >= counts[:, None]] = MISSING_GAP
-        X[known, 3:] = gaps
+        X[:, 0] = sizes
+        X[:, 1] = costs
+        X[:, 2] = free_bytes
+        gaps = X[:, 3:]
+        gaps[:] = MISSING_GAP
+        if n == 0:
+            return X
+        times = np.asarray(times, dtype=np.float64)
+        lookup = self._rows.get
+        rows = np.array([lookup(obj, -1) for obj in objs], dtype=np.int64)
+        known = np.flatnonzero(rows >= 0)
+        if len(known):
+            kr = rows[known]
+            X[known, 1] = self._last_cost[kr]
+            seen = self._seen[kr]
+            t = self._times[
+                kr[:, None], self._idx[seen % self._n_slots, : self.n_gaps]
+            ]
+            found = np.empty_like(t)
+            found[:, 0] = times[known] - t[:, 0]
+            found[:, 1:] = t[:, :-1] - t[:, 1:]
+            found[np.arange(self.n_gaps)[None, :] >= seen[:, None]] = (
+                MISSING_GAP
+            )
+            gaps[known] = found
+        if len(set(objs)) == n:
+            return X
+        # In-window repeats: (row, the same object's previous row), in
+        # row order so that chains of repeats resolve front to back.
+        ids = np.asarray(objs)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        again = np.flatnonzero(ids[1:] == ids[:-1])
+        repeat = order[again + 1]
+        in_order = np.argsort(repeat)
+        repeat = repeat[in_order]
+        previous = order[again][in_order]
+        X[repeat, 1] = np.asarray(costs, dtype=np.float64)[previous]
+        gaps[repeat, 0] = times[repeat] - times[previous]
+        for i, p in zip(repeat.tolist(), previous.tolist()):
+            gaps[i, 1:] = gaps[p, :-1]
         return X
 
     # -- recording ----------------------------------------------------------
 
-    def update(self, request: Request) -> None:
-        """Record a request in the object's history."""
-        row = self._rows.get(request.obj)
+    def update(self, obj: int, time: float, cost: float) -> None:
+        """Record one request in the object's history — as scalars: this
+        runs once per request on every path, and the decision engine's
+        callers hold columns, not ``Request`` objects.  ``last_evicted``
+        afterwards names the object the ``max_objects`` cap dropped to
+        make room (None = nothing).
+        """
+        rows = self._rows
+        row = rows.get(obj)
         if row is None:
             row = self._alloc_row()
-            self._rows[request.obj] = row
+            rows[obj] = row
         else:
-            self._rows.move_to_end(request.obj)
-        head = self._head[row]
-        self._times[row, head] = request.time
-        self._head[row] = (head + 1) % self._n_slots
-        if self._count[row] < self._n_slots:
-            self._count[row] += 1
-        self._last_cost[row] = request.cost
+            rows.move_to_end(obj)
+        seen = self._seen.item(row)
+        self._times[row, seen % self._n_slots] = time
+        self._seen[row] = seen + 1
+        self._last_cost[row] = cost
         evicted = None
-        if self.max_objects and len(self._rows) > self.max_objects:
-            evicted, released = self._rows.popitem(last=False)
+        if self.max_objects and len(rows) > self.max_objects:
+            evicted, released = rows.popitem(last=False)
             self._free.append(released)
         self.last_evicted = evicted
 
@@ -311,10 +352,9 @@ class FeatureTracker:
         if n == 0:
             return {"tracked": 0, "recency_mean": 0.0, "cost_mean": 0.0}
         rows = np.fromiter(self._rows.values(), dtype=np.int64, count=n)
-        # Every mapped row has count >= 1 (update records before mapping
-        # is observable), so the slot behind head is always a real time.
-        heads = self._head[rows]
-        last_times = self._times[rows, (heads - 1) % self._n_slots]
+        # Every mapped row has seen >= 1 (update records before mapping
+        # is observable), so the slot behind the head is a real time.
+        last_times = self._times[rows, (self._seen[rows] - 1) % self._n_slots]
         return {
             "tracked": n,
             "recency_mean": float(now - last_times.mean()),

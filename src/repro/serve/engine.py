@@ -21,7 +21,9 @@ policy's serving hooks to the decision engine
   training-window boundary (and the retrain it triggers) always falls
   *between* speculation windows;
 * **tap** — :meth:`repro.core.LFOOnline.record_for_training` with the
-  live feature row each decision used.
+  request (the scorer holds the batch; the engine only sees its four
+  columns, built once per batch) and the live feature row its decision
+  used.
 
 The result is bit-identical to the scalar ``policy.on_request`` loop:
 speculation changes how fast a decision was computed, never what it was.
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..core.engine import MAX_LOOKAHEAD, DecisionEngine
 from ..obs import get_registry
 from ..sim.batched import DECISION_LATENCY_BUCKETS
-from ..trace import Request
+from ..trace import Request, Trace
 
 if TYPE_CHECKING:
     from ..core.lfo import LFOModel
@@ -75,11 +77,12 @@ class BatchScorer:
             max_batch,
             poll=self._poll,
             cap=lambda: policy.window_remaining,
-            tap=lambda _index, request, _hit, _score: (
-                policy.record_for_training(request, policy.last_features)
+            tap=lambda index, _hit, _score: policy.record_for_training(
+                self._batch[index], policy.last_features
             ),
             latency=latency,
         )
+        self._batch: Sequence[Request] = ()
 
     def process(self, requests: Sequence[Request]) -> list[bool]:
         """Score and apply ``requests`` in order; returns per-request hits.
@@ -87,7 +90,11 @@ class BatchScorer:
         Decisions are bit-identical to calling ``policy.on_request`` for
         each request in sequence.
         """
-        return self._engine.run(requests)
+        self._batch = requests
+        columns = Trace(requests)  # materialises the four columns once
+        return self._engine.run(
+            columns.times, columns.objs, columns.sizes, columns.costs
+        )
 
     def _poll(self) -> None:
         """Poll the trainer; count a model that went live as a handoff."""

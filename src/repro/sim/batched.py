@@ -1,11 +1,12 @@
 """``simulate(batch_size=N)``: the decision engine over a whole trace.
 
-The speculate → replay → abandon protocol lives in
-:mod:`repro.core.engine`; this module is its simulator driver.  What is
-the simulator's own: the ``on_request`` observer rides the engine's
-post-decision tap, and telemetry folds (counter sums, window-roll
-checkpoints) happen at speculation-window edges, so a windowed registry
-sees live deltas without anything added to the per-request path.
+The probe → score → replay protocol lives in :mod:`repro.core.engine`;
+this module is its simulator driver.  What is the simulator's own: the
+trace's four columns go to the engine as they are (no ``Request`` is
+touched), the ``on_request`` observer rides the engine's post-decision
+tap, and telemetry folds (counter sums, window-roll checkpoints) happen
+at lookahead-window edges, so a windowed registry sees live deltas
+without anything added to the per-request path.
 
 Engaged for policies whose ``supports_batched_scoring`` is true (a
 static model, no periodic rescore).  Policies that retrain mid-stream
@@ -36,7 +37,7 @@ DECISION_LATENCY_BUCKETS = (
     1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2,
 )
 
-#: Decisions timed per speculation window — clustered sampling, same
+#: Decisions timed per lookahead window — clustered sampling, same
 #: rationale as the scalar loop's per-chunk cluster.
 _TIMED_PER_WINDOW = 8
 
@@ -49,14 +50,14 @@ def run_batched(
     on_request: Callable[[int, bool], None] | None = None,
     folder: "_MetricsFolder | None" = None,
 ) -> None:
-    """Drive ``policy`` over ``trace`` in speculative scoring windows.
+    """Drive ``policy`` over ``trace`` in lookahead windows.
 
     Fills ``hits`` in place with the per-request hit flags; semantics are
     bit-identical to the scalar ``policy.on_request`` loop.
-    ``batch_size`` caps the adaptive lookahead length.  When telemetry is
-    enabled, ``folder`` (built by :func:`repro.sim.simulate`) folds
-    counters and offers window-roll checkpoints at speculation-window
-    edges, and the leading decisions of each window are timed into the
+    ``batch_size`` is the lookahead length (rows probed per step).  When
+    telemetry is enabled, ``folder`` (built by :func:`repro.sim.simulate`)
+    folds counters and offers window-roll checkpoints at window edges,
+    and the leading decisions of each window are timed into the
     shared decision-latency histogram.
     """
     from ..core.engine import DecisionEngine  # repro.core imports repro.sim
@@ -68,7 +69,7 @@ def run_batched(
         batch_size,
         tap=(
             None if on_request is None
-            else lambda index, _request, hit, _score: on_request(index, hit)
+            else lambda index, hit, _score: on_request(index, hit)
         ),
         latency=(
             registry.histogram(
@@ -80,12 +81,14 @@ def run_batched(
     )
     if observing:
         rows_hist = registry.histogram("sim.batch_rows")
-    requests = list(trace)
-    n = len(requests)
+    times, objs, sizes, costs = (
+        trace.times, trace.objs, trace.sizes, trace.costs
+    )
+    n = len(objs)
     i = 0
     while i < n:
         probed = engine.rows_probed
-        i += engine.step(requests, i, hits)
+        i += engine.step(times, objs, sizes, costs, i, hits)
         if observing:
             rows_hist.observe(engine.rows_probed - probed)
         if folder is not None:

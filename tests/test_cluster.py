@@ -51,10 +51,16 @@ from repro.gbdt import GBDTParams
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.fold import fold_deltas
 from repro.obs.registry import Histogram
-from repro.trace import Request, SyntheticConfig, generate_trace
+from repro.trace import Request, SyntheticConfig, Trace, generate_trace
 
 FAST_PARAMS = GBDTParams(num_iterations=8)
 N_GAPS = 10
+
+
+def columns(requests):
+    """What ``DecisionEngine.run`` takes for a list of requests."""
+    trace = Trace(list(requests))
+    return trace.times, trace.objs, trace.sizes, trace.costs
 
 
 @pytest.fixture(scope="module")
@@ -175,13 +181,20 @@ class TestWire:
     def test_round_trip_field_by_field(self, requests):
         data = pack_requests(list(enumerate(requests)))
         assert len(data) == RECORD.size * len(requests)
-        rebuilt = unpack_requests(data)
-        assert len(rebuilt) == len(requests)
-        for sent, got in zip(requests, rebuilt):
-            assert (got.time, got.obj, got.size, got.cost) == (
-                sent.time, sent.obj, sent.size, sent.cost
-            )
-            assert type(got.obj) is int and type(got.size) is int
+        times, objs, sizes, costs = unpack_requests(data)
+        assert objs.dtype == sizes.dtype == np.int64
+        assert times.dtype == costs.dtype == np.float64
+        # ``tolist`` is how the engine reads them: Python ints and floats.
+        rebuilt = list(zip(
+            times.tolist(), objs.tolist(), sizes.tolist(), costs.tolist()
+        ))
+        assert rebuilt == [
+            (sent.time, sent.obj, sent.size, sent.cost) for sent in requests
+        ]
+        assert all(
+            type(obj) is int and type(size) is int
+            for _time, obj, size, _cost in rebuilt
+        )
 
     def test_malformed_records_are_rejected(self):
         good = pack_requests([(0, Request(1.0, 2, 3)), (1, Request(2.0, 4, 5))])
@@ -191,6 +204,13 @@ class TestWire:
         for size in (0, -7):
             with pytest.raises(ValueError, match="size must be positive"):
                 unpack_requests(good + RECORD.pack(3.0, 6, size, 1.0))
+
+    def test_negative_cost_means_the_size(self):
+        """What ``Request.__post_init__`` does, on the columnar decode."""
+        data = RECORD.pack(1.0, 2, 30, -1.0) + RECORD.pack(2.0, 4, 5, 0.0)
+        *_, sizes, costs = unpack_requests(data)
+        assert sizes.tolist() == [30, 5]
+        assert costs.tolist() == [30.0, 0.0]
 
 
 class _Outbox:
@@ -214,7 +234,7 @@ class TestShardReply:
         rows = []
         expected_hits = DecisionEngine(
             cache, tap=lambda *_: rows.append(cache.last_features.copy())
-        ).run(requests)
+        ).run(*columns(requests))
 
         outbox = _Outbox()
         with ModelSlab() as slab:
@@ -245,6 +265,35 @@ class TestShardReply:
             assert np.array_equal(shipped, np.array(rows))
         else:
             assert features is None
+
+
+    def test_malformed_batch_is_rejected_before_any_of_it_is_scored(
+        self, cache_size, model
+    ):
+        """The shard decodes records straight into columns; what the
+        ``Request`` constructor used to refuse one by one is refused for
+        the batch, and ``shard_main`` turns the raise into ``error``."""
+        good = pack_requests(
+            [(0, Request(1.0, 2, 3)), (1, Request(2.0, 4, 5))]
+        )
+        outbox = _Outbox()
+        with ModelSlab() as slab:
+            slab.publish_model(model)
+            state = _ShardState(
+                ShardConfig(0, slab.token, cache_size, n_gaps=N_GAPS), outbox
+            )
+            try:
+                for bad in (good[:-1], good + RECORD.pack(3.0, 6, 0, 1.0)):
+                    with pytest.raises(ValueError):
+                        state.process(bad)
+                assert outbox.sent == []
+                assert state.stats()["requests"] == 0
+                assert state.cache.n_objects == 0
+                assert state.cache.tracker.n_tracked == 0
+            finally:
+                state.cache.model = None
+                del state.engine
+                state.reader.close()
 
 
 class TestFoldDeltas:
@@ -356,16 +405,16 @@ class TestClusterEndToEnd:
             digest = blake2b(digest_size=16)
             engine = DecisionEngine(
                 cache,
-                tap=lambda _index, _request, _hit, score, digest=digest: (
+                tap=lambda _index, _hit, score, digest=digest: (
                     digest.update(struct.pack("<d", score))
                 ),
             )
             # Replay the same cold→warm switch the cluster saw: the model
             # goes live at the first request routed after the publish.
             boundary = sum(1 for index, _request in bucket if index < 1000)
-            split_hits = engine.run(split[:boundary])
+            split_hits = engine.run(*columns(split[:boundary]))
             cache.set_model(model)
-            split_hits += engine.run(split[boundary:])
+            split_hits += engine.run(*columns(split[boundary:]))
             digests.append(digest.hexdigest())
             for (index, _request), hit in zip(bucket, split_hits):
                 expected[index] = hit
@@ -447,7 +496,7 @@ class TestClusterEndToEnd:
             split = [request for _index, request in bucket]
             cache = LFOCache(cache_size // 2, model=None, n_gaps=N_GAPS)
             for (index, _request), hit in zip(
-                bucket, DecisionEngine(cache).run(split)
+                bucket, DecisionEngine(cache).run(*columns(split))
             ):
                 expected[index] = hit
         assert second == expected[300:]

@@ -222,19 +222,21 @@ class TestMissHookParity:
     """``apply_scored`` must honour the base-class miss-observation
     contract (regression: LFO skipped ``_on_miss_observed`` entirely)."""
 
-    def _observing(self, policy):
+    def _observing(self, **kwargs):
+        """An ``LFOCache`` whose class overrides the hook — the override is
+        looked up once per class, which is what lets a refused miss skip
+        building the ``Request`` the default no-op would ignore."""
         observed = []
-        original = type(policy)._on_miss_observed
 
-        def patched(self_, request):
-            observed.append(request.obj)
-            original(self_, request)
+        class Observing(LFOCache):
+            def _on_miss_observed(self, request):
+                observed.append(request.obj)
+                super()._on_miss_observed(request)
 
-        policy._on_miss_observed = patched.__get__(policy)
-        return observed
+        return Observing(**kwargs), observed
 
-    def _assert_one_call_per_miss(self, policy):
-        observed = self._observing(policy)
+    def _assert_one_call_per_miss(self, **kwargs):
+        policy, observed = self._observing(**kwargs)
         rng = np.random.default_rng(17)
         sizes = {}
         misses = 0
@@ -248,17 +250,16 @@ class TestMissHookParity:
 
     def test_model_mode_observes_every_miss(self):
         model = _toy_model(n_gaps=4)
-        self._assert_one_call_per_miss(
-            LFOCache(cache_size=300, model=model, n_gaps=4)
-        )
+        self._assert_one_call_per_miss(cache_size=300, model=model, n_gaps=4)
 
     def test_cold_start_observes_every_miss(self):
-        self._assert_one_call_per_miss(LFOCache(cache_size=300, n_gaps=4))
+        self._assert_one_call_per_miss(cache_size=300, n_gaps=4)
 
     def test_refused_admission_still_observed(self):
         model = _toy_model(n_gaps=4)  # rejects large objects
-        policy = LFOCache(cache_size=1000, model=model, n_gaps=4)
-        observed = self._observing(policy)
+        policy, observed = self._observing(
+            cache_size=1000, model=model, n_gaps=4
+        )
         policy.on_request(Request(0, 1, 90))  # rejected by the model
         assert not policy.contains(1)
         assert observed == [1]
@@ -308,3 +309,49 @@ class TestEvictionAbortRestore:
         policy.on_request(Request(3, 3, 90))
         assert policy.contains(3)
         assert not policy.contains(1) and not policy.contains(2)
+
+
+class TestProbesCarryTheRealCost:
+    """Eviction and restore probes score a resident with the retrieval
+    cost the cache recorded for it.  It only shows for a resident whose
+    tracker row the ``max_objects`` cap dropped (a tracked object's row
+    carries the tracker's own last cost): the probe used to build
+    ``Request(now, obj, size)``, whose cost defaults to the size."""
+
+    def _policy_with_untracked_resident(self, eviction="likelihood"):
+        model = _toy_model(cutoff=0.0)  # admit everything
+        policy = LFOCache(
+            cache_size=1000, model=model, eviction=eviction,
+            tracker=FeatureTracker(n_gaps=4, max_objects=2),
+        )
+        for t, obj in enumerate((1, 2, 3)):
+            policy.on_request(Request(float(t), obj, 100, 1.0))
+        assert policy.contains(1) and policy.entry_cost(1) == 1.0
+        assert policy.tracker.n_tracked == 2  # object 1 was capped away
+        probed = []
+        inner = policy.tracker.features_batch
+
+        def features_batch(objs, *columns, **kwargs):
+            X = inner(objs, *columns, **kwargs)
+            probed.extend(zip(objs, X[:, 1].tolist()))
+            return X
+
+        policy.tracker.features_batch = features_batch
+        return policy, probed
+
+    def test_rescore_all(self):
+        policy, probed = self._policy_with_untracked_resident()
+        policy._rescore_all()
+        assert dict(probed) == {1: 1.0, 2: 1.0, 3: 1.0}
+
+    def test_sampled_plan(self):
+        policy, probed = self._policy_with_untracked_resident("sampled")
+        assert sorted(policy._sampled_plan()) == [1, 2, 3]
+        assert dict(probed) == {1: 1.0, 2: 1.0, 3: 1.0}
+
+    def test_restore(self):
+        policy, probed = self._policy_with_untracked_resident()
+        policy._remove(1)
+        policy._restore(1, 100, Request(3.0, 4, 950, 7.0), cost=1.0)
+        assert probed == [(1, 1.0)]
+        assert policy.entry_cost(1) == 1.0

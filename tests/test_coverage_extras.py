@@ -71,7 +71,7 @@ class TestDatasetFreeBytesArray:
 
     def test_warm_tracker_carries_state(self, paper_trace):
         tracker = FeatureTracker(n_gaps=4)
-        tracker.update(Request(-5.0, 0, 3))  # object 'a' seen before window
+        tracker.update(0, -5.0, 3.0)  # object 'a' seen before window
         ds = build_dataset(
             paper_trace, np.zeros(len(paper_trace)), tracker=tracker,
             cache_size=10,

@@ -2,8 +2,9 @@
 
 ``policy.on_request`` per request is the reference.  Against it, on
 hypothesis-generated traces (objects larger than the cache, zero cost,
-timestamp ties, one hot key, a cache of a few objects) x eviction mode x
-capped/uncapped tracker: ``simulate(batch_size=N)``, ``BatchScorer`` over
+timestamp ties, one hot key, a cache of a few objects, a bucket drift
+ahead of an in-window repeat, a cap eviction ahead of one) x eviction
+mode x capped/uncapped tracker: ``simulate(batch_size=N)``, ``BatchScorer`` over
 a retraining ``LFOOnline`` (training inline and submitted), and one
 ``DecisionEngine`` per shard over
 ``HashRing.partition`` — its requests through the cluster's wire records
@@ -43,15 +44,18 @@ SAMPLED = SampledEvictionConfig(k=4, seed=3)
 
 @pytest.fixture(scope="module")
 def model():
-    """Splits on size, free bytes and the last gap, so admission, bucket
-    drift and dirty-row rescoring all change outcomes."""
+    """Splits on size, cost, free bytes and the last gap, so admission,
+    bucket drift, the probe's in-window shift (gaps and cost) and
+    dirty-row rescoring all change outcomes."""
     rng = np.random.default_rng(0)
     X = np.zeros((3000, 3 + N_GAPS))
     X[:, 0] = rng.integers(1, 160, size=len(X))
     X[:, 1] = X[:, 0] * rng.integers(0, 2, size=len(X))
     X[:, 2] = rng.integers(0, 400, size=len(X))
     X[:, 3:] = rng.exponential(5, size=(len(X), N_GAPS))
-    y = ((X[:, 0] < 60) ^ (X[:, 2] % 97 < 30) ^ (X[:, 3] < 2)).astype(float)
+    y = (
+        (X[:, 0] < 60) ^ (X[:, 1] > 15) ^ (X[:, 2] % 97 < 30) ^ (X[:, 3] < 2)
+    ).astype(float)
     return LFOModel.train(
         Dataset(X, y, feature_names(N_GAPS)), GBDTParams(num_iterations=8)
     )
@@ -85,19 +89,61 @@ TOO_LARGE = (
 )
 
 
+# Every second request admits a new small object into a nearly full cache
+# (the free bytes leave their bucket) and the next one repeats object 0,
+# whose row the probe shifted: the re-scored chunk has to score that
+# shifted row under the new free bytes, not a fresh extraction.
+DRIFT_THEN_REPEAT = (
+    [
+        Request(t * 0.5, 0, 40) if t % 2 == 0
+        else Request(t * 0.5, 1 + (t // 2) % 9, 20 + (t // 2) % 4 * 7)
+        for t in range(160)
+    ],
+    150,
+)
+# With the capped legs' three tracked objects, 0 is capped away by the
+# time it returns, returns twice in a row, and 1 and 2 follow suit — all
+# inside one lookahead window.
+_CAP_SIZES = [40, 30, 25, 35, 20, 45]
+CAP_EVICTS_THEN_REPEATS = (
+    [
+        Request(float(t), obj, _CAP_SIZES[obj])
+        for t, obj in enumerate([0, 1, 2, 3, 0, 0, 1, 4, 0, 2, 2, 5] * 10)
+    ],
+    120,
+)
+
+
+# One object's retrieval cost changes from request to request: a repeat's
+# cost feature is what the previous request of the object carried.
+COST_CHANGES = (
+    [
+        Request(t * 0.5, t % 3, 30 + 10 * (t % 3), (t * 7 % 4) * 10.0)
+        for t in range(150)
+    ],
+    100,
+)
+
+
 def outcome(policy, drive):
     """``(hits, score digest)`` of ``drive(policy)``.  The score tap (the
     whole test-local reference): hash what reaches ``apply_scored``."""
     digest, inner = blake2b(digest_size=16), policy.apply_scored
 
-    def apply_scored(request, features, score):
+    def apply_scored(time, obj, size, cost, features, score):
         digest.update(struct.pack("<d", score))
-        return inner(request, features, score)
+        return inner(time, obj, size, cost, features, score)
 
     policy.apply_scored = apply_scored
     hits = [bool(hit) for hit in drive(policy)]
     assert policy.used_bytes <= policy.cache_size
     return hits, digest.hexdigest()
+
+
+def columns(requests):
+    """What the engine takes: ``(times, objs, sizes, costs)``."""
+    trace = Trace(requests)
+    return trace.times, trace.objs, trace.sizes, trace.costs
 
 
 def scalar(requests):
@@ -131,6 +177,9 @@ def attach_between(model, cold, warm, run):
 @given(traces())
 @example(HOT_KEY)
 @example(TOO_LARGE)
+@example(DRIFT_THEN_REPEAT)
+@example(CAP_EVICTS_THEN_REPEATS)
+@example(COST_CHANGES)
 def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
     requests, cache_size = case
     cap = 3 if capped else 0
@@ -188,8 +237,10 @@ def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
             model, split[:third], split[third:],
             lambda _e, policy, part: scalar(part)(policy),
         )) == outcome(static(shard_size, None), attach_between(
-            model, wired[:third], wired[third:],
-            lambda engine, _p, part: engine.run(part),
+            model,
+            [column[:third] for column in wired],
+            [column[third:] for column in wired],
+            lambda engine, _p, part: engine.run(*part),
         )), "shard engine over the wire"
 
 
@@ -240,13 +291,15 @@ def test_batch_scorer_under_a_hung_trainer(model):
 
 
 def test_poll_hook_runs_once_per_request(model):
-    """Also across windows abandoned because the poll swapped the model."""
-    requests = list(generate_trace(
-        SyntheticConfig(n_requests=600, n_objects=60, seed=3)
-    ))
+    """Also for a row a swap ended the step at (polled, decided by the
+    next step) and a row a bucket drift re-scored from (polled, then its
+    chunk scored again)."""
+    requests = list(generate_trace(SyntheticConfig(
+        n_requests=600, n_objects=60, size_median=40.0, size_max=150, seed=3,
+    )))
 
     def policy():
-        return LFOCache(4000, model, tracker=FeatureTracker(n_gaps=N_GAPS))
+        return LFOCache(300, model, tracker=FeatureTracker(n_gaps=N_GAPS))
 
     polled, polls = policy(), count(1)
 
@@ -254,7 +307,9 @@ def test_poll_hook_runs_once_per_request(model):
         if next(polls) in (70, 71, 300):
             polled.set_model(replace(model))
 
-    hits = DecisionEngine(polled, poll=poll).run(requests)
+    engine = DecisionEngine(polled, poll=poll)
+    hits = engine.run(*columns(requests))
+    assert engine.n_respeculations > 10
     assert next(polls) == len(requests) + 1
     assert hits == scalar(requests)(policy())
 

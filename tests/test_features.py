@@ -17,6 +17,11 @@ from repro.features import (
 from repro.trace import Request, Trace
 
 
+def record(tracker, request):
+    """``update`` takes the three scalars it stores."""
+    tracker.update(request.obj, request.time, request.cost)
+
+
 class TestFeatureNames:
     def test_layout(self):
         names = feature_names(3)
@@ -34,7 +39,7 @@ class TestFeatureTracker:
 
     def test_gap_one_is_time_since_last_request(self):
         tracker = FeatureTracker(n_gaps=5)
-        tracker.update(Request(10.0, 1, 100))
+        record(tracker, Request(10.0, 1, 100))
         vec = tracker.features(Request(17.0, 1, 100), free_bytes=0)
         assert vec[3] == 7.0
         assert (vec[4:] == MISSING_GAP).all()
@@ -42,7 +47,7 @@ class TestFeatureTracker:
     def test_gap_sequence_most_recent_first(self):
         tracker = FeatureTracker(n_gaps=4)
         for t in (0.0, 1.0, 3.0, 6.0):
-            tracker.update(Request(t, 1, 10))
+            record(tracker, Request(t, 1, 10))
         vec = tracker.features(Request(10.0, 1, 10), free_bytes=0)
         # gaps: now-6=4, 6-3=3, 3-1=2, 1-0=1
         assert vec[3:].tolist() == [4.0, 3.0, 2.0, 1.0]
@@ -54,7 +59,7 @@ class TestFeatureTracker:
         def gaps_for(offset):
             tracker = FeatureTracker(n_gaps=3)
             for t in (0.0, 2.0, 5.0):
-                tracker.update(Request(t + offset, 1, 10))
+                record(tracker, Request(t + offset, 1, 10))
             return tracker.features(
                 Request(9.0 + offset, 1, 10), free_bytes=0
             )[3:]
@@ -63,41 +68,41 @@ class TestFeatureTracker:
     def test_ring_buffer_keeps_latest(self):
         tracker = FeatureTracker(n_gaps=2)
         for t in range(10):
-            tracker.update(Request(float(t), 1, 10))
+            record(tracker, Request(float(t), 1, 10))
         vec = tracker.features(Request(20.0, 1, 10), free_bytes=0)
         assert vec[3] == 11.0  # 20 - 9
         assert vec[4] == 1.0  # 9 - 8
 
     def test_last_cost_tracked(self):
         tracker = FeatureTracker(n_gaps=2)
-        tracker.update(Request(0.0, 1, 10, 99.0))
+        record(tracker, Request(0.0, 1, 10, 99.0))
         vec = tracker.features(Request(1.0, 1, 10, 5.0), free_bytes=0)
         assert vec[1] == 99.0  # most recent *retrieval* cost
 
     def test_objects_independent(self):
         tracker = FeatureTracker(n_gaps=2)
-        tracker.update(Request(0.0, 1, 10))
+        record(tracker, Request(0.0, 1, 10))
         vec = tracker.features(Request(5.0, 2, 20), free_bytes=0)
         assert (vec[3:] == MISSING_GAP).all()
 
     def test_max_objects_evicts_lru_state(self):
         tracker = FeatureTracker(n_gaps=2, max_objects=2)
-        tracker.update(Request(0.0, 1, 10))
-        tracker.update(Request(1.0, 2, 10))
-        tracker.update(Request(2.0, 3, 10))
+        record(tracker, Request(0.0, 1, 10))
+        record(tracker, Request(1.0, 2, 10))
+        record(tracker, Request(2.0, 3, 10))
         assert tracker.n_tracked == 2
         vec = tracker.features(Request(3.0, 1, 10), free_bytes=0)
         assert (vec[3:] == MISSING_GAP).all()  # object 1 was forgotten
 
     def test_forget(self):
         tracker = FeatureTracker(n_gaps=2)
-        tracker.update(Request(0.0, 1, 10))
+        record(tracker, Request(0.0, 1, 10))
         tracker.forget(1)
         assert tracker.n_tracked == 0
 
     def test_memory_accounting_positive(self):
         tracker = FeatureTracker(n_gaps=50)
-        tracker.update(Request(0.0, 1, 10))
+        record(tracker, Request(0.0, 1, 10))
         # The paper's naive estimate: 208 B per object at 50 gaps.
         assert tracker.memory_bytes_naive() == 208
 
@@ -114,7 +119,7 @@ class TestFeatureTracker:
         tracker = FeatureTracker(n_gaps=50)
         t = 0.0
         for d in deltas:
-            tracker.update(Request(t, 1, 10))
+            record(tracker, Request(t, 1, 10))
             t += d
         vec = tracker.features(Request(t, 1, 10), free_bytes=0)
         gaps = vec[3:]

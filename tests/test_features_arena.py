@@ -8,12 +8,27 @@ churn that forces row recycling, explicit forgets, and slab growth — and
 demand bit-identical feature vectors throughout.
 """
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.features import MISSING_GAP, FeatureTracker
 from repro.features import tracker as tracker_module
-from repro.trace import Request
+from repro.trace import Request, Trace
+
+
+def record(tracker, request: Request) -> None:
+    """``update`` takes the three scalars it stores."""
+    tracker.update(request.obj, request.time, request.cost)
+
+
+def columns(requests):
+    """``features_batch``'s leading arguments for a list of requests."""
+    trace = Trace(list(requests))
+    return trace.objs.tolist(), trace.times, trace.sizes, trace.costs
 
 
 class ReferenceTracker:
@@ -85,7 +100,7 @@ def test_bit_identical_to_reference_under_churn(max_objects, n_gaps):
         got = tracker.features(request, free)
         want = reference.features(request, free)
         assert np.array_equal(got, want), f"diverged at request {i}"
-        tracker.update(request)
+        record(tracker, request)
         reference.update(request)
         if rng.random() < 0.01:
             victim = int(rng.integers(0, 60))
@@ -104,7 +119,7 @@ def test_slab_growth_preserves_state(monkeypatch):
         assert np.array_equal(
             tracker.features(request, 0), reference.features(request, 0)
         )
-        tracker.update(request)
+        record(tracker, request)
         reference.update(request)
     assert tracker.n_tracked == 37
 
@@ -114,8 +129,8 @@ def test_recycled_rows_start_clean():
     object allocated into it."""
     tracker = FeatureTracker(n_gaps=3, max_objects=1)
     for t in range(5):
-        tracker.update(Request(float(t), 1, 10))
-    tracker.update(Request(5.0, 2, 10))  # evicts object 1, recycles its row
+        record(tracker, Request(float(t), 1, 10))
+    record(tracker, Request(5.0, 2, 10))  # evicts object 1, recycles its row
     vec = tracker.features(Request(6.0, 2, 10), free_bytes=0)
     assert vec[3] == 1.0
     assert (vec[4:] == MISSING_GAP).all()
@@ -123,12 +138,12 @@ def test_recycled_rows_start_clean():
 
 def test_last_evicted_reported():
     tracker = FeatureTracker(n_gaps=2, max_objects=2)
-    tracker.update(Request(0.0, 1, 10))
+    record(tracker, Request(0.0, 1, 10))
     assert tracker.last_evicted is None
-    tracker.update(Request(1.0, 2, 10))
-    tracker.update(Request(2.0, 3, 10))
+    record(tracker, Request(1.0, 2, 10))
+    record(tracker, Request(2.0, 3, 10))
     assert tracker.last_evicted == 1
-    tracker.update(Request(3.0, 3, 10))
+    record(tracker, Request(3.0, 3, 10))
     assert tracker.last_evicted is None
 
 
@@ -139,8 +154,9 @@ class TestFeaturesBatch:
         t = 0.0
         for _ in range(n):
             t += float(rng.exponential(1.0))
-            tracker.update(
-                Request(t, int(rng.integers(0, 40)), int(rng.integers(1, 50)))
+            record(
+                tracker,
+                Request(t, int(rng.integers(0, 40)), int(rng.integers(1, 50))),
             )
         return tracker, rng, t
 
@@ -150,15 +166,17 @@ class TestFeaturesBatch:
             Request(t + i, int(rng.integers(0, 60)), int(rng.integers(1, 50)))
             for i in range(64)
         ]
-        X = tracker.features_batch(batch, 777)
+        X = tracker.features_batch(*columns(batch), 777)
+        # 64 draws from 60 objects repeat: the probe is the loop.
         for i, request in enumerate(batch):
             assert np.array_equal(X[i], tracker.features(request, 777))
+            record(tracker, request)
 
     def test_probe_per_row_free_bytes(self):
         tracker, rng, t = self._warm()
         batch = [Request(t + i, i % 40, 10) for i in range(16)]
         free = np.arange(16, dtype=np.float64) * 100
-        X = tracker.features_batch(batch, free)
+        X = tracker.features_batch(*columns(batch), free)
         assert np.array_equal(X[:, 2], free)
         for i, request in enumerate(batch):
             assert np.array_equal(X[i], tracker.features(request, free[i]))
@@ -166,7 +184,7 @@ class TestFeaturesBatch:
     def test_probe_does_not_mutate_state(self):
         tracker, rng, t = self._warm()
         before = tracker.n_tracked
-        tracker.features_batch([Request(t + 1, 9999, 10)], 0)
+        tracker.features_batch(*columns([Request(t + 1, 9999, 10)]), 0)
         assert tracker.n_tracked == before
 
     def test_update_mode_matches_sequential_loop(self):
@@ -176,16 +194,16 @@ class TestFeaturesBatch:
             Request(t + i * 0.5, int(i % 12), 10 + i) for i in range(40)
         ]
         free = np.linspace(0, 4000, 40)
-        X = tracker_a.features_batch(batch, free, update=True)
+        X = tracker_a.features_batch(*columns(batch), free, update=True)
         for i, request in enumerate(batch):
             expected = tracker_b.features(request, free[i])
-            tracker_b.update(request)
+            record(tracker_b, request)
             assert np.array_equal(X[i], expected), f"row {i}"
         assert tracker_a.n_tracked == tracker_b.n_tracked
 
     def test_unknown_objects_all_missing(self):
         tracker = FeatureTracker(n_gaps=4)
-        X = tracker.features_batch([Request(1.0, 5, 30, 2.5)], 100)
+        X = tracker.features_batch(*columns([Request(1.0, 5, 30, 2.5)]), 100)
         assert X[0, 0] == 30
         assert X[0, 1] == 2.5
         assert X[0, 2] == 100
@@ -193,5 +211,122 @@ class TestFeaturesBatch:
 
     def test_empty_batch(self):
         tracker = FeatureTracker(n_gaps=4)
-        X = tracker.features_batch([], 0)
+        X = tracker.features_batch([], [], [], [], 0)
         assert X.shape == (0, tracker.n_features)
+
+
+# -- the probe *is* the loop -------------------------------------------------
+
+# Objects drawn with a heavy skew to 0 and 1, so chains of three and more
+# in-window repeats are the common case; gaps of 0.0 are timestamp ties.
+_event = st.tuples(
+    st.sampled_from([0, 0, 0, 0, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 7.0]),
+    st.integers(1, 100),
+    st.sampled_from([0.0, 1.0, 3.5]),
+)
+
+
+@st.composite
+def warm_tracker_and_window(draw, max_objects=st.just(0)):
+    """A tracker warmed by a features/update loop (so object 0 usually
+    holds ``n_gaps + 1`` recorded times) and the window that follows."""
+    n_gaps = draw(st.integers(1, 5))
+    tracker = FeatureTracker(n_gaps=n_gaps, max_objects=draw(max_objects))
+    now, window = 0.0, []
+    for obj, gap, _size, cost in draw(st.lists(_event, max_size=60)):
+        now += gap
+        tracker.update(obj, now, cost)
+    for obj, gap, size, cost in draw(
+        st.lists(_event, min_size=1, max_size=300)
+    ):
+        now += gap
+        window.append(Request(now, obj, size, cost))
+    return tracker, window
+
+
+def _state(tracker):
+    return (
+        tracker._times.copy(), tracker._seen.copy(),
+        tracker._last_cost.copy(), list(tracker._rows.items()),
+        list(tracker._free), tracker._next_row, tracker.last_evicted,
+    )
+
+
+def _loop_rows(tracker, window, free):
+    """Rows of a features/update loop, and the index of the row whose
+    ``update`` performed the first cap eviction (``len(window)`` = none)."""
+    rows, first_eviction = [], len(window)
+    for i, request in enumerate(window):
+        rows.append(tracker.features(request, free))
+        record(tracker, request)
+        if tracker.last_evicted is not None:
+            first_eviction = min(first_eviction, i)
+    return np.array(rows), first_eviction
+
+
+HOT_WINDOW = [Request(float(t // 3), t % 2, 10 + t % 7, 0.0) for t in range(300)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(warm_tracker_and_window())
+@example((FeatureTracker(n_gaps=3), HOT_WINDOW))
+def test_probe_rows_are_the_loops_rows_bitwise(case):
+    tracker, window = case
+    before = _state(tracker)
+    X = tracker.features_batch(*columns(window), 4242)
+    for was, now in zip(before, _state(tracker)):
+        assert np.array_equal(was, now)  # arena, LRU order, last_evicted
+    want, _ = _loop_rows(copy.deepcopy(tracker), window, 4242)
+    assert np.array_equal(X, want)  # bitwise: no allclose anywhere
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(warm_tracker_and_window(max_objects=st.integers(1, 4)))
+@example((FeatureTracker(n_gaps=3, max_objects=1), HOT_WINDOW))
+def test_capped_probe_agrees_up_to_the_first_cap_eviction(case):
+    """What the probe cannot know is exactly the cap: rows up to and
+    including the one whose ``update`` first evicts are the loop's."""
+    tracker, window = case
+    before = _state(tracker)
+    X = tracker.features_batch(*columns(window), 0)
+    for was, now in zip(before, _state(tracker)):
+        assert np.array_equal(was, now)
+    want, first_eviction = _loop_rows(copy.deepcopy(tracker), window, 0)
+    assert np.array_equal(X[: first_eviction + 1], want[: first_eviction + 1])
+
+
+def test_one_counter_is_head_and_count(monkeypatch):
+    """``update`` keeps one counter per row; ring head and fill level
+    derive from it.  Against the reference: summary, tracked count, row
+    recycling after ``forget`` and growth across two doublings."""
+    monkeypatch.setattr(tracker_module, "_INITIAL_CAPACITY", 4)
+    tracker = FeatureTracker(n_gaps=3)
+    reference = ReferenceTracker(n_gaps=3)
+    rng = np.random.default_rng(3)
+    now = 0.0
+    for i in range(600):
+        now += float(rng.choice([0.0, 0.5, 2.0]))
+        request = Request(
+            now, int(rng.integers(0, 13)), 10, float(rng.integers(0, 5))
+        )
+        record(tracker, request)
+        reference.update(request)
+        if i % 41 == 40:
+            tracker.forget(i % 13)
+            reference.forget(i % 13)
+        assert tracker.n_tracked == len(reference.state)
+        last = np.array([st["times"][0] for st in reference.state.values()])
+        costs = np.array([st["cost"] for st in reference.state.values()])
+        assert tracker.arena_summary(now) == {
+            "tracked": len(reference.state),
+            "recency_mean": float(now - last.mean()),
+            "cost_mean": float(costs.mean()),
+        }
+    assert len(tracker._seen) == 16  # 4 -> 8 -> 16 for 13 objects
+    assert tracker._next_row == 13  # forgotten rows were recycled
+    for obj in range(13):
+        probe = Request(now + 1.0, obj, 10)
+        assert np.array_equal(
+            tracker.features(probe, 0), reference.features(probe, 0)
+        )
