@@ -1,6 +1,6 @@
 """The repo's one native module: a C source built once per process.
 
-Two routines live in one shared object, compiled with the system C
+Three routines live in one shared object, compiled with the system C
 compiler on first use and bound through :mod:`ctypes`:
 
 * ``predict_raw`` — the GBDT scoring kernel behind
@@ -9,15 +9,19 @@ compiler on first use and bound through :mod:`ctypes`:
 * ``ssp_augment`` — the augmentation loop of
   :func:`repro.flow.solve_min_cost_flow`, a statement-by-statement
   transliteration of the Python loop it replaces (see
-  :mod:`repro.flow.ssp` for why the two are bit-identical).
+  :mod:`repro.flow.ssp` for why the two are bit-identical);
+* ``hist_best_split`` — the per-leaf histogram build and split scan of
+  :func:`repro.gbdt.tree.grow_tree`: the additions, in the order, of the
+  numpy search it stands in for (see ``_find_best_split`` there).
 
 :func:`load` returns the process-wide handle, or ``None`` when there is
-no toolchain (``cc`` missing, a sandboxed tempdir, a failed compile) or
-``REPRO_GBDT_NO_CC`` is set; every caller keeps a pure-Python/numpy path
-for that case.  ctypes releases the GIL around each call, so a trainer
-thread inside either routine does not hold the request thread.  The
-source is compiled with ``-ffp-contract=off``: no fused multiply-add may
-change a float the Python reference would have rounded twice.
+no toolchain (``cc`` missing, a sandboxed tempdir, a failed or timed-out
+compile) or ``REPRO_GBDT_NO_CC`` is set; every caller keeps a
+pure-Python/numpy path for that case.  ctypes releases the GIL around
+each call, so a trainer thread inside any routine does not hold the
+request thread.  The source is compiled with ``-ffp-contract=off``: no
+fused multiply-add may change a float the Python reference would have
+rounded twice.
 """
 
 from __future__ import annotations
@@ -30,10 +34,14 @@ import subprocess
 import tempfile
 import threading
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 from .obs import get_registry
 
-__all__ = ["Native", "load"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["Native", "all_below", "load"]
 
 logger = logging.getLogger("repro.native")
 
@@ -46,9 +54,15 @@ _NO_CC_ENV = "REPRO_GBDT_NO_CC"
 #: registers.
 _LANES = 8
 
+#: Seconds the one compiler call may take.  It runs under ``_lock``, so
+#: without a bound a wedged ``cc`` would hang the first fit, the first
+#: label solve and the request thread's first prediction together.
+_CC_TIMEOUT_SECONDS = 60.0
+
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {
     double threshold;
@@ -221,11 +235,95 @@ int64_t ssp_augment(int64_t n_total, int64_t n_arcs,
     *augmentations = paths;
     return remaining;
 }
+
+typedef struct {
+    double grad;
+    double hess;
+    int64_t count;
+} Cell;
+
+/* Best split of one leaf.  Candidate feature `s` is column features[s]
+   of the row-major uint8 matrix `binned` and owns histogram cells
+   [offsets[s], offsets[s + 1]) of `scratch`, one per bin.  A cell sums
+   its rows in `rows` order and a feature's bins are prefix-summed left
+   to right: the additions numpy's bincount and cumsum make, in their
+   order.  Returns slot * 256 + bin of the first strictly greatest gain
+   above `min_gain`, or -1, and stores that gain in *best_gain. */
+int64_t hist_best_split(const uint8_t *binned, int64_t n_cols,
+                        const int64_t *rows, int64_t n_rows,
+                        const int64_t *features, const int64_t *offsets,
+                        int64_t n_features,
+                        const double *grad, const double *hess,
+                        double grad_sum, double hess_sum,
+                        double parent_score, int64_t min_data,
+                        double min_hess, double lam, double min_gain,
+                        void *scratch, double *best_gain)
+{
+    Cell *hist = (Cell *)scratch;
+    memset(hist, 0, (size_t)offsets[n_features] * sizeof(Cell));
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t i = rows[r];
+        const uint8_t *row = binned + i * n_cols;
+        const double g = grad[i];
+        const double h = hess[i];
+        for (int64_t s = 0; s < n_features; s++) {
+            Cell *cell = hist + offsets[s] + row[features[s]];
+            cell->grad += g;
+            cell->hess += h;
+            cell->count++;
+        }
+    }
+
+    int64_t best = -1;
+    double best_so_far = min_gain;
+    for (int64_t s = 0; s < n_features; s++) {
+        const Cell *cells = hist + offsets[s];
+        /* The last bin sends nothing right: not a split point. */
+        const int64_t last = offsets[s + 1] - offsets[s] - 1;
+        /* 0.0 + x is x: a cell starts at +0.0 and so is never -0.0. */
+        double g_left = 0.0;
+        double h_left = 0.0;
+        int64_t c_left = 0;
+        double feature_gain = best_so_far;
+        int64_t feature_bin = -1;
+        for (int64_t b = 0; b < last; b++) {
+            g_left += cells[b].grad;
+            h_left += cells[b].hess;
+            c_left += cells[b].count;
+            if (c_left < min_data)
+                continue;
+            if (c_left > n_rows - min_data)
+                break;  /* counts only grow: no later bin qualifies */
+            const double g_right = grad_sum - g_left;
+            const double h_right = hess_sum - h_left;
+            double gain = g_left * g_left / (h_left + lam)
+                          + g_right * g_right / (h_right + lam)
+                          - parent_score;
+            if (!(h_left >= min_hess && h_right >= min_hess))
+                gain = -INFINITY;
+            if (gain != gain) {
+                /* A NaN gain (0/0) takes its whole feature out. */
+                feature_bin = -1;
+                break;
+            }
+            if (gain > feature_gain) {
+                feature_gain = gain;
+                feature_bin = b;
+            }
+        }
+        if (feature_bin >= 0) {
+            best_so_far = feature_gain;
+            best = s * 256 + feature_bin;
+        }
+    }
+    *best_gain = best_so_far;
+    return best;
+}
 """ % {"lanes": _LANES}
 
 
 class Native:
-    """The loaded shared object's two entry points.
+    """The loaded shared object's three entry points.
 
     Array arguments are declared ``void*`` so callers can pass the plain
     integer addresses from ``ndarray.ctypes.data`` — this skips the
@@ -251,6 +349,24 @@ class Native:
             ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
             ctypes.c_void_p,
         ]
+        self.hist_best_split = lib.hist_best_split
+        self.hist_best_split.restype = ctypes.c_int64
+        self.hist_best_split.argtypes = [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_double, ctypes.c_double, ctypes.c_double,
+            ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+            ctypes.c_void_p, ctypes.POINTER(ctypes.c_double),
+        ]
+
+
+def all_below(indices: np.ndarray, bound: int) -> bool:
+    """True when every index lies in ``[0, bound)`` — the bounds check a
+    caller owes a routine that will dereference ``indices`` unchecked."""
+    return indices.size == 0 or (
+        int(indices.min()) >= 0 and int(indices.max()) < bound
+    )
 
 
 #: Process-wide handle: None = not attempted, False = unavailable (don't
@@ -277,11 +393,12 @@ def _build() -> Native | bool:
              "-o", lib_path, source_path],
             check=True,
             capture_output=True,
+            timeout=_CC_TIMEOUT_SECONDS,
         )
         return Native(ctypes.CDLL(lib_path))
     except (OSError, subprocess.SubprocessError) as exc:
-        # Missing `cc`, a sandboxed tempdir, or a failed compile: every
-        # caller still works on its fallback path, just slower.
+        # Missing `cc`, a sandboxed tempdir, a failed or timed-out compile:
+        # every caller still works on its fallback path, just slower.
         logger.warning(
             "could not build the native module (%s); falling back to the "
             "pure-Python/numpy paths",

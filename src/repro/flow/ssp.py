@@ -184,13 +184,6 @@ def _augment_python(
     return total_cost, augmentations, remaining
 
 
-def _all_below(indices: np.ndarray, bound: int) -> bool:
-    """True when every index lies in ``[0, bound)``."""
-    return indices.size == 0 or (
-        int(indices.min()) >= 0 and int(indices.max()) < bound
-    )
-
-
 def _augment_native(
     native: _native.Native,
     network: FlowNetwork,
@@ -235,9 +228,9 @@ def _augment_native(
         len(arc_to) == len(arc_tail) == len(arc_cost) == n_arcs
         and int(adj_start[-1]) == n_arcs
         and len(pot) == n_total
-        and _all_below(adj_arcs, n_arcs)
-        and _all_below(arc_to, n_total)
-        and _all_below(arc_tail, n_total)
+        and _native.all_below(adj_arcs, n_arcs)
+        and _native.all_below(arc_to, n_total)
+        and _native.all_below(arc_tail, n_total)
     ):
         raise ValueError("flow network arc tables are inconsistent")
     scratch = np.empty(3 * n_total + 2 * (n_arcs + 1), dtype=np.int64)

@@ -18,7 +18,7 @@ from ..obs import get_registry
 from .binning import BinMapper
 from .compiled import CompiledPredictor
 from .losses import LogisticLoss, SquaredLoss
-from .tree import Tree, TreeGrowthParams, grow_tree
+from .tree import Tree, TreeGrowthParams, _bin_counts, _grow, _split_tables
 
 __all__ = ["GBDTParams", "GBDTClassifier", "GBDTRegressor"]
 
@@ -126,6 +126,15 @@ class _GBDTBase:
         timing = registry.enabled
         iteration_hist = registry.histogram("gbdt.iteration_seconds")
 
+        # Split tables depend on the candidate features alone: without
+        # feature subsampling one set serves every tree of the fit.
+        n_bins = _bin_counts(self.mapper)
+        fit_tables = None
+        if not params.feature_fraction < 1.0:
+            fit_tables = _split_tables(
+                binned, n_bins, np.arange(self.n_features, dtype=np.int64)
+            )
+
         for iteration in range(params.num_iterations):
             iteration_start = perf_counter() if timing else 0.0
             grad, hess = loss.grad_hess(y, raw)
@@ -133,15 +142,15 @@ class _GBDTBase:
             if params.bagging_fraction < 1.0:
                 k = max(1, int(round(params.bagging_fraction * n)))
                 sample_idx = np.sort(rng.choice(n, size=k, replace=False))
-            feature_subset = None
-            if params.feature_fraction < 1.0:
+            tables = fit_tables
+            if tables is None:
                 k = max(1, int(round(params.feature_fraction * self.n_features)))
                 feature_subset = np.sort(
                     rng.choice(self.n_features, size=k, replace=False)
                 )
-            tree = grow_tree(
-                binned, grad, hess, self.mapper, tree_params,
-                sample_idx=sample_idx, feature_subset=feature_subset,
+                tables = _split_tables(binned, n_bins, feature_subset)
+            tree = _grow(
+                tables, grad, hess, self.mapper, tree_params, sample_idx
             )
             self.trees.append(tree)
             raw += params.learning_rate * tree.predict_binned(binned)

@@ -9,11 +9,13 @@ split search is O(n_bins) per feature.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import _native
 from .binning import BinMapper
 
 __all__ = ["Tree", "TreeGrowthParams", "grow_tree"]
@@ -230,49 +232,96 @@ def _leaf_value(grad_sum: float, hess_sum: float, lambda_l2: float) -> float:
     return -grad_sum / (hess_sum + lambda_l2)
 
 
-#: Element budget (rows × features) of one histogram block in
-#: :func:`_find_best_split`.  Blocking features leaves every cell's
-#: accumulation order alone; it only bounds the key/weight temporaries —
-#: a few hundred KB instead of rows × all features, which on an
-#: 8000-row fit would show up as megabytes of peak RSS.
+#: Element budget (rows × features) of one histogram block in the numpy
+#: split search: it bounds the key/weight temporaries and leaves every
+#: cell's accumulation order alone.
 _HIST_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
 class _SplitTables:
-    """What the split search needs to know about the features, per tree.
+    """What the split search needs to know about the features.
+
+    Built once per tree — or once per fit when every tree sees every
+    feature — and never shared between fits, so ``scratch`` has one
+    writer even when a background trainer and a foreground fit overlap.
 
     Attributes:
+        binned: the bin matrix the tables were checked against.
         features: candidate columns in ``feature_subset`` order, features
-            with fewer than two bins (nothing to split) dropped.
-        stride: histogram row width — the largest bin count among them.
-        keys: ``(n_samples, len(features))`` histogram cell of every
-            sample under every candidate feature, ``slot * stride + bin``,
-            in the narrowest unsigned type that holds it.
-        candidate: ``(len(features), stride)`` mask of real split points,
-            ``bin < n_bins[feature] - 1`` (the last occupied bin and the
-            padding beyond it send nothing right).
+            with fewer than two bins (nothing to split) dropped (int64).
+        native: the :mod:`repro._native` handle, or ``None`` for the
+            numpy search; each field below exists for one backend only.
+        offsets: native — first histogram cell of every candidate plus
+            the total; a feature owns ``n_bins`` cells, not ``stride``.
+        scratch: native — the histogram, three 8-byte slots per cell.
+        stride: numpy — histogram row width, the largest bin count.
+        keys: numpy — ``(n_samples, len(features))`` histogram cell of
+            every sample under every candidate feature,
+            ``slot * stride + bin``, in the narrowest unsigned type that
+            holds it.
+        candidate: numpy — ``(len(features), stride)`` mask of real split
+            points, ``bin < n_bins[feature] - 1`` (the last occupied bin
+            and the padding beyond it send nothing right).
     """
 
+    binned: np.ndarray
     features: np.ndarray
-    stride: int
-    keys: np.ndarray
-    candidate: np.ndarray
+    native: _native.Native | None = None
+    offsets: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+    stride: int = 0
+    keys: np.ndarray | None = None
+    candidate: np.ndarray | None = None
 
 
 def _split_tables(
     binned: np.ndarray, n_bins: list[int], feature_subset: np.ndarray
 ) -> _SplitTables:
-    subset = np.asarray(feature_subset, dtype=np.intp)
-    widths = np.asarray(n_bins, dtype=np.intp)[subset]
+    """Check ``binned`` against ``n_bins`` and lay out the histograms.
+
+    The native routine indexes its histogram with the bins it reads, so a
+    bin at or past its feature's count would be a write out of bounds
+    where numpy only grew the ``bincount``; both backends refuse it here.
+    """
+    if not (
+        isinstance(binned, np.ndarray)
+        and binned.dtype == np.uint8
+        and binned.ndim == 2
+        and binned.flags.c_contiguous
+    ):
+        raise ValueError("binned must be a C-contiguous 2-D uint8 array")
+    n_features = binned.shape[1]
+    subset = np.asarray(feature_subset, dtype=np.int64)
+    if len(n_bins) != n_features or not _native.all_below(
+        subset, n_features
+    ):
+        raise ValueError(
+            f"feature_subset and n_bins must describe {n_features} columns"
+        )
+    widths = np.asarray(n_bins, dtype=np.int64)[subset]
     features = subset[widths >= 2]
     widths = widths[widths >= 2]
+    if (binned.max(axis=0, initial=0)[features] >= widths).any():
+        raise ValueError("binned holds a bin index >= its feature's n_bins")
+    native = _native.load()
+    if native is not None:
+        offsets = np.zeros(len(features) + 1, dtype=np.int64)
+        np.cumsum(widths, out=offsets[1:])
+        return _SplitTables(
+            binned=binned,
+            features=features,
+            native=native,
+            offsets=offsets,
+            scratch=np.empty(3 * int(offsets[-1]), dtype=np.float64),
+        )
     stride = int(widths.max(initial=0))
     n_cells = len(features) * stride
     key_type = np.min_scalar_type(max(n_cells - 1, 0))
     keys = binned[:, features].astype(key_type)
     keys += np.arange(0, n_cells, max(stride, 1), dtype=key_type)
     return _SplitTables(
+        binned=binned,
         features=features,
         stride=stride,
         keys=keys,
@@ -296,6 +345,12 @@ def _find_best_split(
     reaching the best gain at its first best bin — the floats and the
     tie-breaks of scanning the features one by one.  Gains are evaluated
     only on the cells whose child counts allow a split.
+
+    That numpy body is the reference, and what runs without a C
+    toolchain; with one, ``hist_best_split`` in :mod:`repro._native`
+    makes the same additions in the same order and returns the same
+    split.  :func:`_split_tables` and :func:`_grow` have checked every
+    index the routine dereferences.
     """
     leaf.best_gain = params.min_gain_to_split
     leaf.best_feature = -1
@@ -306,6 +361,26 @@ def _find_best_split(
         return
     idx = leaf.sample_idx
     n_rows = len(idx)
+    if tables.native is not None:
+        binned = tables.binned
+        best_gain = ctypes.c_double()
+        # The parent's score is computed here, as below: C's pow() need
+        # not round x**2 the way Python's does.
+        cell = tables.native.hist_best_split(
+            binned.ctypes.data, binned.shape[1], idx.ctypes.data, n_rows,
+            tables.features.ctypes.data, tables.offsets.ctypes.data,
+            n_features, grad.ctypes.data, hess.ctypes.data,
+            leaf.grad_sum, leaf.hess_sum,
+            leaf.grad_sum**2 / (leaf.hess_sum + params.lambda_l2),
+            params.min_data_in_leaf, params.min_sum_hessian_in_leaf,
+            params.lambda_l2, params.min_gain_to_split,
+            tables.scratch.ctypes.data, ctypes.byref(best_gain),
+        )
+        if cell >= 0:
+            slot, leaf.best_bin = divmod(cell, 256)
+            leaf.best_gain = best_gain.value
+            leaf.best_feature = int(tables.features[slot])
+        return
     g = grad[idx]
     h = hess[idx]
     keys = tables.keys[idx]
@@ -381,21 +456,67 @@ def grow_tree(
     """Grow one leaf-wise tree on the given gradients.
 
     Args:
-        binned: uint8 bin matrix of shape (n_samples, n_features).
-        grad, hess: per-sample gradient/hessian arrays.
+        binned: uint8 bin matrix of shape (n_samples, n_features),
+            C-contiguous, every bin below its feature's ``mapper.n_bins``.
+        grad, hess: per-sample gradient/hessian arrays (contiguous
+            float64, one entry per row of ``binned``).
         mapper: the fitted :class:`BinMapper` (for raw-value thresholds).
         params: growth parameters.
-        sample_idx: optional bagging subset of row indices.
+        sample_idx: optional bagging subset of row indices (int64, each
+            in ``[0, n_samples)``).
         feature_subset: optional subset of feature columns to consider.
+
+    Raises:
+        ValueError: an argument is not of the stated type, shape or range.
     """
-    n_features = binned.shape[1]
-    if sample_idx is None:
-        sample_idx = np.arange(binned.shape[0], dtype=np.int64)
+    n_bins = _bin_counts(mapper)
     if feature_subset is None:
-        feature_subset = np.arange(n_features, dtype=np.int64)
-    tables = _split_tables(
-        binned, [mapper.n_bins(f) for f in range(n_features)], feature_subset
-    )
+        feature_subset = np.arange(len(n_bins), dtype=np.int64)
+    tables = _split_tables(binned, n_bins, feature_subset)
+    return _grow(tables, grad, hess, mapper, params, sample_idx)
+
+
+def _bin_counts(mapper: BinMapper) -> list[int]:
+    return [mapper.n_bins(f) for f in range(len(mapper.upper_bounds))]
+
+
+def _grow(
+    tables: _SplitTables,
+    grad: np.ndarray,
+    hess: np.ndarray,
+    mapper: BinMapper,
+    params: TreeGrowthParams,
+    sample_idx: np.ndarray | None,
+) -> Tree:
+    """:func:`grow_tree` over split tables the caller already built (one
+    set serves every tree of a fit that subsamples no features)."""
+    binned = tables.binned
+    n_samples = binned.shape[0]
+    for name, values in (("grad", grad), ("hess", hess)):
+        if not (
+            isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+            and values.shape == (n_samples,)
+            and values.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"{name} must be a contiguous float64 array of length "
+                f"{n_samples}"
+            )
+    if sample_idx is None:
+        sample_idx = np.arange(n_samples, dtype=np.int64)
+    if not (
+        isinstance(sample_idx, np.ndarray)
+        and sample_idx.dtype == np.int64
+        and sample_idx.ndim == 1
+        and _native.all_below(sample_idx, n_samples)
+    ):
+        # A negative index would wrap silently in numpy and read before
+        # the matrix in C.
+        raise ValueError(
+            f"sample_idx must be a 1-D int64 array of rows in [0, {n_samples})"
+        )
+    sample_idx = np.ascontiguousarray(sample_idx)
 
     tree = Tree()
     root = tree._new_node()

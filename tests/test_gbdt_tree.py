@@ -195,7 +195,15 @@ def _reference_best_split(leaf, binned, grad, hess, n_bins, feature_subset, para
 
 class TestSplitSearchMatchesPerFeatureScan:
     """`_find_best_split` against the per-feature loop it replaced:
-    equal (feature, bin, gain), gain compared as a bit pattern."""
+    equal (feature, bin, gain), gain compared as a bit pattern.  This
+    class holds the C routine to that oracle, the subclass below the
+    numpy search."""
+
+    backend = "native"
+
+    @pytest.fixture(autouse=True)
+    def _backend(self, request):
+        request.getfixturevalue(self.backend)
 
     @staticmethod
     def _dataset(seed, n=600):
@@ -274,8 +282,9 @@ class TestSplitSearchMatchesPerFeatureScan:
         )
         assert found.best_feature == -1
 
-    def test_leaf_larger_than_block_budget(self, monkeypatch):
-        """Several feature blocks (and a block of one) change nothing."""
+    def test_leaf_larger_than_block_budget(self, monkeypatch, python_fallback):
+        """Several feature blocks (and a block of one) change nothing
+        (only the numpy search works in blocks)."""
         binned, n_bins, grad, hess, _ = self._dataset(2)
         idx = np.arange(len(grad))
         all_features = np.arange(binned.shape[1])
@@ -301,6 +310,41 @@ class TestSplitSearchMatchesPerFeatureScan:
             binned, n_bins, grad, hess, idx, np.arange(binned.shape[1]), params
         )
         assert found.best_feature not in (-1, 0)
+
+    def test_last_bin_is_never_a_split_point(self):
+        """With no count or hessian floor only the candidate mask keeps
+        the last bin out; integer sums make its right side exactly 0/0,
+        which would take every feature out."""
+        binned, n_bins, grad, _, _ = self._dataset(4)
+        found = self._compare(
+            binned, n_bins, np.sign(grad), np.ones(len(grad)),
+            np.arange(len(grad)), np.arange(binned.shape[1]),
+            TreeGrowthParams(min_data_in_leaf=0, min_sum_hessian_in_leaf=0.0),
+        )
+        assert found.best_feature != -1
+
+    def test_hessian_floor_applies_before_the_nan_test(self):
+        """The same 0/0 cell under a hessian floor is -inf, not NaN: its
+        feature stays in, and here it wins."""
+        binned, n_bins, grad, hess, _ = self._dataset(3)
+        idx = np.arange(len(grad))
+        low = binned[:, 0] == 0
+        grad = np.where(low, 0.0, grad + np.where(binned[:, 0] > 16, 4.0, -4.0))
+        hess = np.where(low, 0.0, hess)
+        for floor, winner_is_0 in ((1e-3, True), (0.0, False)):
+            found = self._compare(
+                binned, n_bins, grad, hess, idx, np.arange(binned.shape[1]),
+                TreeGrowthParams(
+                    min_data_in_leaf=1, min_sum_hessian_in_leaf=floor
+                ),
+            )
+            assert (found.best_feature == 0) == winner_is_0
+
+
+class TestNumpySplitSearchMatchesPerFeatureScan(
+    TestSplitSearchMatchesPerFeatureScan
+):
+    backend = "python_fallback"
 
 
 def test_model_digest_pinned():
