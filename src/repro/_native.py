@@ -1,6 +1,6 @@
 """The repo's one native module: a C source built once per process.
 
-Three routines live in one shared object, compiled with the system C
+Five routines live in one shared object, compiled with the system C
 compiler on first use and bound through :mod:`ctypes`:
 
 * ``predict_raw`` — the GBDT scoring kernel behind
@@ -12,7 +12,14 @@ compiler on first use and bound through :mod:`ctypes`:
   :mod:`repro.flow.ssp` for why the two are bit-identical);
 * ``hist_best_split`` — the per-leaf histogram build and split scan of
   :func:`repro.gbdt.tree.grow_tree`: the additions, in the order, of the
-  numpy search it stands in for (see ``_find_best_split`` there).
+  numpy search it stands in for (see ``_find_best_split`` there);
+* ``tracker_gather`` — the cost and gap columns of a
+  :meth:`repro.features.FeatureTracker.features_batch` probe window:
+  the subtractions over the arena's stored times that the numpy gather
+  makes, row by row, in-window repeats included;
+* ``tracker_record`` — a run of deferred
+  :meth:`~repro.features.FeatureTracker.update` records written to the
+  arena in request order.
 
 :func:`load` returns the process-wide handle, or ``None`` when there is
 no toolchain (``cc`` missing, a sandboxed tempdir, a failed or timed-out
@@ -319,11 +326,73 @@ int64_t hist_best_split(const uint8_t *binned, int64_t n_cols,
     *best_gain = best_so_far;
     return best;
 }
+
+/* Cost and gap columns of a probe window (`X` is n x n_features,
+   row-major; columns 0 and 2 are the caller's).  Row i takes them from
+   the same object's previous in-window row previous[i] (shifted one
+   gap), else from arena row rows[i] (the ring walked backwards from its
+   head, `missing` past the recorded requests), else — rows[i] < 0, an
+   unseen object — from costs[i] and `missing`.  `previous` may be NULL
+   (no in-window repeats).  Subtractions and copies only. */
+void tracker_gather(int64_t n, int64_t n_gaps, int64_t n_features,
+                    const int64_t *rows, const int64_t *previous,
+                    const double *times, const double *costs,
+                    const double *slab, const int64_t *seen,
+                    const double *last_cost, double missing, double *X)
+{
+    const int64_t n_slots = n_gaps + 1;
+    for (int64_t i = 0; i < n; i++) {
+        double *out = X + i * n_features;
+        double *gaps = out + 3;
+        const int64_t p = previous ? previous[i] : -1;
+        const int64_t r = rows[i];
+        if (p >= 0) {
+            const double *before = X + p * n_features + 3;
+            out[1] = costs[p];
+            gaps[0] = times[i] - times[p];
+            for (int64_t k = 1; k < n_gaps; k++)
+                gaps[k] = before[k - 1];
+        } else if (r >= 0) {
+            const double *ring = slab + r * n_slots;
+            const int64_t m = seen[r] < n_gaps ? seen[r] : n_gaps;
+            int64_t slot = seen[r] %% n_slots;  /* the head: next write */
+            double newer = times[i];
+            out[1] = last_cost[r];
+            for (int64_t k = 0; k < m; k++) {
+                slot = slot ? slot - 1 : n_slots - 1;
+                gaps[k] = newer - ring[slot];
+                newer = ring[slot];
+            }
+            for (int64_t k = m; k < n_gaps; k++)
+                gaps[k] = missing;
+        } else {
+            out[1] = costs[i];
+            for (int64_t k = 0; k < n_gaps; k++)
+                gaps[k] = missing;
+        }
+    }
+}
+
+/* Record a run of requests in order: request i stores times[i] at the
+   ring head of arena row rows[i], advances the head and overwrites the
+   row's last cost.  In-run repeats and a ring that wraps inside the run
+   are the same three stores. */
+void tracker_record(int64_t n, int64_t n_slots, const int64_t *rows,
+                    const double *times, const double *costs,
+                    double *slab, int64_t *seen, double *last_cost)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t r = rows[i];
+        slab[r * n_slots + seen[r] %% n_slots] = times[i];
+        seen[r]++;
+        last_cost[r] = costs[i];
+    }
+}
 """ % {"lanes": _LANES}
 
 
 class Native:
-    """The loaded shared object's three entry points.
+    """The loaded shared object's five entry points.
 
     Array arguments are declared ``void*`` so callers can pass the plain
     integer addresses from ``ndarray.ctypes.data`` — this skips the
@@ -358,6 +427,21 @@ class Native:
             ctypes.c_double, ctypes.c_double, ctypes.c_double,
             ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double,
             ctypes.c_void_p, ctypes.POINTER(ctypes.c_double),
+        ]
+        self.tracker_gather = lib.tracker_gather
+        self.tracker_gather.restype = None
+        self.tracker_gather.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
+        ]
+        self.tracker_record = lib.tracker_record
+        self.tracker_record.restype = None
+        self.tracker_record.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         ]
 
 

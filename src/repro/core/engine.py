@@ -43,6 +43,12 @@ requests of the same window change both.  One :meth:`step`:
 5. **ends early only on a model swap** seen after a mid-window
    ``poll()``: the remaining scores came from the old model.
 
+The replay runs inside the tracker's *deferred window*
+(:meth:`~repro.features.FeatureTracker.defer_updates`): on an uncapped
+tracker ``apply_scored``'s ``update`` calls only queue their records,
+and whoever reads the tracker next — the next window's probe, an
+eviction probe mid-window — writes them first, in one run.
+
 Three hooks let a driver put its own work on the request path:
 
 * ``poll()`` runs exactly once per request, *before* it is decided — the
@@ -271,74 +277,84 @@ class DecisionEngine:
         dirty: set[int] = set()
         consumed = limit
         k = 0
-        while k < limit:
-            # One scoring chunk: rows [k, m) under the live free bytes.
-            m = min(k + self._window, limit)
-            free = policy.free_bytes
-            bucket = bisect_left(thresholds, float(free))
-            X[k:m, FREE_BYTES_COLUMN] = free
-            chunk = predictor.predict_proba(X[k:m]).tolist()
-            w_scores[k:m] = chunk
-            for j, obj, time, size, cost, score, features in zip(
-                range(k, m), w_objs[k:m], w_times[k:m], w_sizes[k:m],
-                w_costs[k:m], chunk, X[k:m],
-            ):
-                if due:
-                    poll()
-                    due = False
-                    if policy.model is not model:
-                        # Stays set, so re-entry does not run the hook
-                        # twice for this request.
-                        self._polled = True
-                        break
-                if dirty and obj in dirty:
-                    features = tracker.features(
-                        Request(time, obj, size, cost), policy.free_bytes
-                    )
-                    score = predictor.predict_proba_single(features)
-                    X[j] = features
-                    w_scores[j] = score
-                    self.n_rescored += 1
-                else:
-                    live = policy.free_bytes
-                    if live != free:
-                        if bisect_left(thresholds, float(live)) != bucket:
+        # The replay's ``update`` calls are written in one run before the
+        # next read of the tracker (a capped one records immediately).
+        tracker.defer_updates(True)
+        try:
+            while k < limit:
+                # One scoring chunk: rows [k, m) under the live free bytes.
+                m = min(k + self._window, limit)
+                free = policy.free_bytes
+                bucket = bisect_left(thresholds, float(free))
+                X[k:m, FREE_BYTES_COLUMN] = free
+                chunk = predictor.predict_proba(X[k:m]).tolist()
+                w_scores[k:m] = chunk
+                for j, obj, time, size, cost, score, features in zip(
+                    range(k, m), w_objs[k:m], w_times[k:m], w_sizes[k:m],
+                    w_costs[k:m], chunk, X[k:m],
+                ):
+                    if due:
+                        poll()
+                        due = False
+                        if policy.model is not model:
+                            # Stays set, so re-entry does not run the hook
+                            # twice for this request.
+                            self._polled = True
                             break
-                        # Same bucket, same scores; the rows still
-                        # carry the value their decision sees.
-                        free = live
-                        X[j:m, FREE_BYTES_COLUMN] = free
-                if j < timed_limit:
-                    began = perf_counter()
-                    hit = apply_scored(time, obj, size, cost, features, score)
-                    latency.observe(perf_counter() - began)
+                    if dirty and obj in dirty:
+                        features = tracker.features(
+                            Request(time, obj, size, cost), policy.free_bytes
+                        )
+                        score = predictor.predict_proba_single(features)
+                        X[j] = features
+                        w_scores[j] = score
+                        self.n_rescored += 1
+                    else:
+                        live = policy.free_bytes
+                        if live != free:
+                            if bisect_left(thresholds, float(live)) != bucket:
+                                break
+                            # Same bucket, same scores; the rows still
+                            # carry the value their decision sees.
+                            free = live
+                            X[j:m, FREE_BYTES_COLUMN] = free
+                    if j < timed_limit:
+                        began = perf_counter()
+                        hit = apply_scored(
+                            time, obj, size, cost, features, score
+                        )
+                        latency.observe(perf_counter() - began)
+                    else:
+                        hit = apply_scored(
+                            time, obj, size, cost, features, score
+                        )
+                    if capped:
+                        evicted = tracker.last_evicted
+                        if evicted is not None:
+                            dirty.add(evicted)
+                    hits[start + j] = hit
+                    due = polls
+                    if tap is not None:
+                        tap(start + j, hit, score)
                 else:
-                    hit = apply_scored(time, obj, size, cost, features, score)
-                if capped:
-                    evicted = tracker.last_evicted
-                    if evicted is not None:
-                        dirty.add(evicted)
-                hits[start + j] = hit
-                due = polls
-                if tap is not None:
-                    tap(start + j, hit, score)
-            else:
-                # A chunk the window's end cut short is no evidence.
-                if m - k == self._window:
-                    self._window = min(self._window * 2, self.max_window)
-                k = m
-                continue
-            if self._polled:
-                consumed = j
-                break
-            # Free bytes left the bucket at row j (never the chunk's
-            # first, which was scored under this very value): track the
-            # observed drift interval and score again from there.
-            self.n_respeculations += 1
-            self._window = min(
-                max(_MIN_WINDOW, j - k + 1), self.max_window
-            )
-            k = j
+                    # A chunk the window's end cut short is no evidence.
+                    if m - k == self._window:
+                        self._window = min(self._window * 2, self.max_window)
+                    k = m
+                    continue
+                if self._polled:
+                    consumed = j
+                    break
+                # Free bytes left the bucket at row j (never the chunk's
+                # first, which was scored under this very value): track the
+                # observed drift interval and score again from there.
+                self.n_respeculations += 1
+                self._window = min(
+                    max(_MIN_WINDOW, j - k + 1), self.max_window
+                )
+                k = j
+        finally:
+            tracker.defer_updates(False)
         if scores is not None:
             scores[start:start + consumed] = w_scores[:consumed]
         if rows is not None:

@@ -23,6 +23,23 @@ extraction is pure slice arithmetic over the slab — no per-gap Python
 loop — and :meth:`FeatureTracker.features_batch` gathers whole request
 windows, given as columns, in one shot for the decision engine, the
 eviction probes and dataset construction.
+
+With the native module (:mod:`repro._native`) the window gather and the
+arena writes are two of its routines.  ``tracker_gather`` fills a probe
+window's cost and gap columns row by row — the numpy gather below stays
+as the reference and the no-compiler path, and the two are bit-identical
+(subtractions over the same stored floats).  ``tracker_record`` writes a
+*deferred window*: while the decision engine replays a window on an
+uncapped tracker (:meth:`FeatureTracker.defer_updates`),
+:meth:`~FeatureTracker.update` only appends, and the pending records are
+resolved to rows in request order and written by one call before the
+next read.  The invariant is **no read sees an unflushed arena**: every
+public reader — ``features``, ``features_batch``, ``arena_summary``,
+``n_tracked``, ``memory_bytes_naive``, ``forget``, an immediate
+``update`` — flushes first.  Nothing native is stored on the instance
+(no handle, no address): array addresses are read off the live arrays
+at each call, after any ``_grow``, so a grown, deep-copied or unpickled
+tracker cannot hand C a stale pointer.
 """
 
 from __future__ import annotations
@@ -33,6 +50,7 @@ from time import perf_counter
 
 import numpy as np
 
+from .. import _native
 from ..obs import get_registry
 from ..trace import Request
 
@@ -91,6 +109,12 @@ class FeatureTracker:
         #: :meth:`update` (None when nothing was evicted).  The batched
         #: scoring engine uses this to invalidate speculated rows.
         self.last_evicted: int | None = None
+        #: Records of the open deferred window, in request order and
+        #: flat — ``obj, time, cost, obj, time, cost, ...`` — so that a
+        #: record leaves no container behind for the collector to walk;
+        #: every reader flushes them first.
+        self._pending: list = []
+        self._deferring = False
         # Most-recent-first slab positions for every possible head value:
         # row ``h`` lists ``(h - 1 - k) % n_slots`` for k = 0.., so a
         # ring-buffer read is one table row away.
@@ -112,6 +136,8 @@ class FeatureTracker:
     @property
     def n_tracked(self) -> int:
         """Number of objects with live state."""
+        if self._pending:
+            self._flush()
         return len(self._rows)
 
     # -- arena bookkeeping --------------------------------------------------
@@ -130,15 +156,16 @@ class FeatureTracker:
     def _alloc_row(self) -> int:
         if self._free:
             row = self._free.pop()
+            # Stale slab times are invisible while nothing is recorded,
+            # so resetting the scalars is all recycling needs.
+            self._seen[row] = 0
+            self._last_cost[row] = 0.0
         else:
+            # A row never handed out is still all zeros.
             if self._next_row >= len(self._seen):
                 self._grow()
             row = self._next_row
             self._next_row += 1
-        # Stale slab times are invisible while nothing is recorded, so
-        # resetting the scalars is all recycling needs.
-        self._seen[row] = 0
-        self._last_cost[row] = 0.0
         return row
 
     # -- extraction ---------------------------------------------------------
@@ -180,6 +207,8 @@ class FeatureTracker:
     def _extract(
         self, obj: int, time: float, size: int, cost: float, free_bytes
     ) -> np.ndarray:
+        if self._pending:
+            self._flush()
         vec = np.empty(self.n_features, dtype=np.float64)
         vec[0] = size
         vec[2] = free_bytes
@@ -237,6 +266,12 @@ class FeatureTracker:
             foresee is the ``max_objects`` cap evicting an object
             mid-window: its rows agree with the loop's up to the first
             cap eviction.
+
+        Raises:
+            ValueError: the columns differ in length, or the object →
+                row map names a row outside the arena — checked before
+                the gather on either backend (the native one would read
+                foreign memory where numpy raised).
         """
         registry = get_registry()
         if not registry.enabled:
@@ -266,16 +301,57 @@ class FeatureTracker:
                 X[i] = self._extract(obj, time, size, cost, fb[i])
                 self.update(obj, time, cost)
             return X
+        if not len(times) == len(sizes) == len(costs) == n:
+            raise ValueError("request columns differ in length")
+        if self._pending:
+            self._flush()
         X[:, 0] = sizes
-        X[:, 1] = costs
         X[:, 2] = free_bytes
-        gaps = X[:, 3:]
-        gaps[:] = MISSING_GAP
         if n == 0:
             return X
-        times = np.asarray(times, dtype=np.float64)
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        costs = np.ascontiguousarray(costs, dtype=np.float64)
         lookup = self._rows.get
         rows = np.array([lookup(obj, -1) for obj in objs], dtype=np.int64)
+        if not _native.all_below(rows + 1, len(self._seen) + 1):
+            raise ValueError("tracked row outside the arena")
+        if len(set(objs)) == n:
+            repeat = previous = None
+        else:
+            # In-window repeats: (row, the same object's previous row).
+            ids = np.asarray(objs)
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            again = np.flatnonzero(ids[1:] == ids[:-1])
+            repeat = order[again + 1]
+            previous = order[again]
+            if not (previous < repeat).all():
+                raise ValueError("a repeat must follow its previous row")
+        native = _native.load()
+        if native is None:
+            self._gather_numpy(X, rows, repeat, previous, times, costs)
+            return X
+        before = None
+        if repeat is not None:
+            before = np.full(n, -1, dtype=np.int64)
+            before[repeat] = previous
+        # Addresses are read off the live arrays here, never kept: the
+        # arena arrays move on ``_grow`` and on every copy of the tracker.
+        native.tracker_gather(
+            n, self.n_gaps, self.n_features, rows.ctypes.data,
+            None if before is None else before.ctypes.data,
+            times.ctypes.data, costs.ctypes.data,
+            self._times.ctypes.data, self._seen.ctypes.data,
+            self._last_cost.ctypes.data, MISSING_GAP, X.ctypes.data,
+        )
+        return X
+
+    def _gather_numpy(self, X, rows, repeat, previous, times, costs) -> None:
+        """The cost and gap columns of a probe window in numpy: the
+        reference for ``tracker_gather`` and the no-compiler path."""
+        X[:, 1] = costs
+        gaps = X[:, 3:]
+        gaps[:] = MISSING_GAP
         known = np.flatnonzero(rows >= 0)
         if len(known):
             kr = rows[known]
@@ -291,23 +367,16 @@ class FeatureTracker:
                 MISSING_GAP
             )
             gaps[known] = found
-        if len(set(objs)) == n:
-            return X
-        # In-window repeats: (row, the same object's previous row), in
-        # row order so that chains of repeats resolve front to back.
-        ids = np.asarray(objs)
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        again = np.flatnonzero(ids[1:] == ids[:-1])
-        repeat = order[again + 1]
+        if repeat is None:
+            return
+        # In row order, so that chains of repeats resolve front to back.
         in_order = np.argsort(repeat)
         repeat = repeat[in_order]
-        previous = order[again][in_order]
-        X[repeat, 1] = np.asarray(costs, dtype=np.float64)[previous]
+        previous = previous[in_order]
+        X[repeat, 1] = costs[previous]
         gaps[repeat, 0] = times[repeat] - times[previous]
         for i, p in zip(repeat.tolist(), previous.tolist()):
             gaps[i, 1:] = gaps[p, :-1]
-        return X
 
     # -- recording ----------------------------------------------------------
 
@@ -318,6 +387,11 @@ class FeatureTracker:
         afterwards names the object the ``max_objects`` cap dropped to
         make room (None = nothing).
         """
+        if self._deferring:
+            self._pending.extend((obj, time, cost))
+            return
+        if self._pending:
+            self._flush()
         rows = self._rows
         row = rows.get(obj)
         if row is None:
@@ -335,6 +409,62 @@ class FeatureTracker:
             self._free.append(released)
         self.last_evicted = evicted
 
+    def defer_updates(self, on: bool) -> None:
+        """Open (``True``) or close the deferred window.
+
+        While it is open :meth:`update` only appends; the records are
+        written, in request order, by one ``tracker_record`` call before
+        the next read (module docstring).  The decision engine opens it
+        around each window's replay.  A tracker with a ``max_objects``
+        cap (read here, at each opening: the cap may be set after
+        construction) and a process without the native module never
+        defer — :meth:`update` records immediately, as it does for the
+        scalar loop.  Closing writes nothing: what is pending is flushed
+        by whoever reads next.  Set a cap between windows, not inside
+        one: pending records are written without one.
+        """
+        self._deferring = (
+            on and not self.max_objects and _native.load() is not None
+        )
+
+    def _flush(self) -> None:
+        """Write the pending records to the arena, in request order."""
+        pending = self._pending
+        self._pending = []
+        objs, times, costs = pending[0::3], pending[1::3], pending[2::3]
+        tracked = self._rows
+        lookup, touch = tracked.get, tracked.move_to_end
+        rows = []
+        for obj in objs:
+            row = lookup(obj)
+            if row is None:
+                row = tracked[obj] = self._alloc_row()
+            else:
+                touch(obj)
+            rows.append(row)
+        self.last_evicted = None
+        native = _native.load()
+        if native is None:
+            # Records deferred where the module was loaded (a tracker
+            # unpickled elsewhere): the stores ``update`` makes.
+            for row, time, cost in zip(rows, times, costs):
+                seen = self._seen.item(row)
+                self._times[row, seen % self._n_slots] = time
+                self._seen[row] = seen + 1
+                self._last_cost[row] = cost
+            return
+        rows = np.array(rows, dtype=np.int64)
+        if not _native.all_below(rows, len(self._seen)):
+            raise ValueError("tracked row outside the arena")
+        times = np.array(times, dtype=np.float64)
+        costs = np.array(costs, dtype=np.float64)
+        # After the loop above: ``_alloc_row`` may have grown the arena.
+        native.tracker_record(
+            len(rows), self._n_slots, rows.ctypes.data,
+            times.ctypes.data, costs.ctypes.data, self._times.ctypes.data,
+            self._seen.ctypes.data, self._last_cost.ctypes.data,
+        )
+
     def arena_summary(self, now: float) -> dict:
         """Distribution summary of the live arena state at time ``now``.
 
@@ -348,7 +478,7 @@ class FeatureTracker:
         time since each object's last request — the gap_1 population), and
         ``cost_mean`` (mean last retrieval cost).
         """
-        n = len(self._rows)
+        n = self.n_tracked
         if n == 0:
             return {"tracked": 0, "recency_mean": 0.0, "cost_mean": 0.0}
         rows = np.fromiter(self._rows.values(), dtype=np.int64, count=n)
@@ -365,10 +495,12 @@ class FeatureTracker:
         """The paper's back-of-envelope accounting: a dense per-object record
         of 50 gaps (4 B each) plus size, cost, and bookkeeping ≈ 208 B."""
         per_object = 4 * self.n_gaps + 8  # gaps + size/cost words
-        return per_object * len(self._rows)
+        return per_object * self.n_tracked
 
     def forget(self, obj: int) -> None:
         """Drop state for an object (e.g. after long inactivity)."""
+        if self._pending:
+            self._flush()
         row = self._rows.pop(obj, None)
         if row is not None:
             self._free.append(row)

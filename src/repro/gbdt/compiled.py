@@ -214,10 +214,14 @@ class CompiledPredictor:
         kernel = self._resolve_kernel()
         out = np.empty(X.shape[0], dtype=np.float64)
         if kernel is not None:
+            # The model-side addresses are cached: deriving one costs
+            # about as much as scoring three rows.
+            nodes_ptr, roots_ptr, depths_ptr, n_trees = (
+                self._fast_buffers()[4:]
+            )
             kernel.predict_raw(
                 X.ctypes.data, X.shape[0], X.shape[1],
-                self._nodes.ctypes.data, self._roots.ctypes.data,
-                self._depths.ctypes.data, len(self._roots),
+                nodes_ptr, roots_ptr, depths_ptr, n_trees,
                 self.init_score, out.ctypes.data,
             )
             return out

@@ -13,13 +13,12 @@ __all__ = ["LogisticLoss", "SquaredLoss", "sigmoid"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function: ``1 / (1 + exp(-x))`` for
+    ``x >= 0`` and ``exp(x) / (1 + exp(x))`` below, both over the one
+    ``e = exp(-|x|)`` (which never overflows)."""
+    e = np.exp(-np.abs(x))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
 class LogisticLoss:

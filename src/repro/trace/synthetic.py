@@ -205,10 +205,11 @@ def generate_mixed_trace(
     gaps = rng.exponential(mean_interarrival, size=n_requests)
     times = np.cumsum(gaps)
 
+    objs = _draw_objects(rng, catalogues, class_draw)
     requests: list[Request] = []
     for i in range(n_requests):
-        ids, weights, sizes_by_id, costs_by_id = catalogues[class_draw[i]]
-        obj = int(rng.choice(ids, p=weights))
+        _ids, _weights, sizes_by_id, costs_by_id = catalogues[class_draw[i]]
+        obj = objs[i]
         requests.append(
             Request(
                 float(times[i]), obj, sizes_by_id[obj],
@@ -216,6 +217,28 @@ def generate_mixed_trace(
             )
         )
     return Trace(requests, name="mixed")
+
+
+def _draw_objects(
+    rng: np.random.Generator, catalogues: list[tuple], class_draw: np.ndarray
+) -> list[int]:
+    """One object per request, from the catalogue of its drawn class.
+
+    The stream of ``int(rng.choice(ids, p=weights))`` once per request,
+    which re-sums a catalogue-long CDF per draw: ``Generator.choice``
+    with ``p`` consumes exactly one ``random()`` per draw and looks it up
+    in the normalised cumulative weights, so one ``random(n)`` and one
+    ``searchsorted`` per class yield the same objects
+    (``tests/test_trace_synthetic.py`` keeps the loop as the reference).
+    """
+    uniforms = rng.random(len(class_draw))
+    objs = np.empty(len(class_draw), dtype=np.int64)
+    for index, (ids, weights, _sizes, _costs) in enumerate(catalogues):
+        drawn = np.flatnonzero(class_draw == index)
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        objs[drawn] = ids[cdf.searchsorted(uniforms[drawn], side="right")]
+    return objs.tolist()
 
 
 def _build_catalogues(
@@ -268,10 +291,11 @@ def generate_mix_shift_trace(
         shares = shares / shares.sum()
         class_draw = rng.choice(len(classes), size=requests_per_phase, p=shares)
         gaps = rng.exponential(1.0, size=requests_per_phase)
+        objs = _draw_objects(rng, catalogues, class_draw)
         for i in range(requests_per_phase):
             time += float(gaps[i])
-            ids, weights, sizes_by_id, costs_by_id = catalogues[class_draw[i]]
-            obj = int(rng.choice(ids, p=weights))
+            _ids, _weights, sizes_by_id, costs_by_id = catalogues[class_draw[i]]
+            obj = objs[i]
             requests.append(
                 Request(time, obj, sizes_by_id[obj], costs_by_id.get(obj, -1.0))
             )

@@ -20,7 +20,8 @@ def native():
 @pytest.fixture
 def python_fallback(monkeypatch):
     """Run the test as if the native module could not be built: numpy
-    prediction backend, Python min-cost-flow loop."""
+    prediction backend and split search, Python min-cost-flow loop, the
+    tracker's numpy window gather and immediate (never deferred) records."""
     monkeypatch.setattr(_native, "_state", False)
 
 

@@ -3,7 +3,8 @@
 ``policy.on_request`` per request is the reference.  Against it, on
 hypothesis-generated traces (objects larger than the cache, zero cost,
 timestamp ties, one hot key, a cache of a few objects, a bucket drift
-ahead of an in-window repeat, a cap eviction ahead of one) x eviction
+ahead of an in-window repeat, a cap eviction ahead of one, an eviction
+probe of objects updated earlier in its window) x eviction
 mode x capped/uncapped tracker: ``simulate(batch_size=N)``, ``BatchScorer`` over
 a retraining ``LFOOnline`` (training inline and submitted), and one
 ``DecisionEngine`` per shard over
@@ -125,6 +126,25 @@ COST_CHANGES = (
 )
 
 
+# Two of four residents are requested again and then a new object is
+# admitted into the full cache, forty times inside one lookahead window:
+# each sampled eviction plan probes residents whose latest request is a
+# record of this very window, so their gap_1 is right only if the
+# deferred records were written before the probe read the arena.
+_rounds = [
+    [(r % 4, 25 + 5 * (r % 4)), ((r + 1) % 4, 25 + 5 * ((r + 1) % 4)),
+     (10 + r, 20 + (10 + r) % 3 * 15)]
+    for r in range(40)
+]
+EVICTION_PROBES_A_WINDOW_UPDATE = (
+    [
+        Request(0.5 * (t + 1), obj, size)
+        for t, (obj, size) in enumerate(sum(_rounds, []))
+    ],
+    130,
+)
+
+
 def outcome(policy, drive):
     """``(hits, score digest)`` of ``drive(policy)``.  The score tap (the
     whole test-local reference): hash what reaches ``apply_scored``."""
@@ -180,6 +200,7 @@ def attach_between(model, cold, warm, run):
 @example(DRIFT_THEN_REPEAT)
 @example(CAP_EVICTS_THEN_REPEATS)
 @example(COST_CHANGES)
+@example(EVICTION_PROBES_A_WINDOW_UPDATE)
 def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
     requests, cache_size = case
     cap = 3 if capped else 0

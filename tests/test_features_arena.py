@@ -9,12 +9,15 @@ demand bit-identical feature vectors throughout.
 """
 
 import copy
+import pickle
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.features import MISSING_GAP, FeatureTracker
 from repro.features import tracker as tracker_module
 from repro.trace import Request, Trace
@@ -330,3 +333,248 @@ def test_one_counter_is_head_and_count(monkeypatch):
         assert np.array_equal(
             tracker.features(probe, 0), reference.features(probe, 0)
         )
+
+
+# -- the native routines: gather == numpy == loop, deferred == immediate ------
+
+
+@contextmanager
+def backend(name):
+    """Run a block on the named backend (``"native"`` as loaded, or
+    ``"numpy"``: the module reported unavailable, as ``python_fallback``
+    does — a context manager because hypothesis reuses fixtures)."""
+    state = _native._state
+    if name == "numpy":
+        _native._state = False
+    try:
+        yield
+    finally:
+        _native._state = state
+
+
+def small_tracker(n_gaps, capacity=2):
+    """A tracker whose arena starts at ``capacity`` rows, so that a
+    handful of objects doubles it several times."""
+    initial = tracker_module._INITIAL_CAPACITY
+    tracker_module._INITIAL_CAPACITY = capacity
+    try:
+        return FeatureTracker(n_gaps=n_gaps)
+    finally:
+        tracker_module._INITIAL_CAPACITY = initial
+
+
+def _arena(tracker):
+    """Full arena state, pending records written first."""
+    tracker.n_tracked
+    assert not tracker._pending
+    return _state(tracker)
+
+
+def _assert_same_arena(left, right):
+    for a, b in zip(_arena(left), _arena(right)):
+        assert np.array_equal(a, b)
+
+
+#: update | forget, weighted to updates; object 0 and 1 dominate, so with
+#: ``n_gaps <= 3`` one object fills its ring many times inside one window.
+_warm_op = st.one_of(
+    st.tuples(st.just("update"), _event),
+    st.tuples(st.just("update"), _event),
+    st.tuples(st.just("update"), _event),
+    st.tuples(st.just("forget"), st.integers(0, 9)),
+)
+
+
+@st.composite
+def churned_tracker_and_window(draw):
+    """A tracker that grew from two rows and recycled forgotten ones, as
+    built, deep-copied or unpickled, and the window probed next (objects
+    10.. are unseen; ``grow`` makes the window's own flush allocate)."""
+    n_gaps = draw(st.integers(1, 3))
+    tracker = small_tracker(n_gaps)
+    now = 0.0
+    for kind, arg in draw(st.lists(_warm_op, max_size=80)):
+        if kind == "forget":
+            tracker.forget(arg)
+        else:
+            obj, gap, _size, cost = arg
+            now += gap
+            tracker.update(obj, now, cost)
+    window = []
+    for obj, gap, size, cost in draw(
+        st.lists(_event, min_size=1, max_size=120)
+    ):
+        now += gap
+        obj += draw(st.sampled_from([0, 0, 0, 10]))
+        window.append(Request(now, obj, size, cost))
+    via = draw(st.sampled_from(["built", "deepcopy", "pickle"]))
+    if via == "deepcopy":
+        tracker = copy.deepcopy(tracker)
+    elif via == "pickle":
+        tracker = pickle.loads(pickle.dumps(tracker))
+    return tracker, window
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(churned_tracker_and_window())
+@example((small_tracker(3), HOT_WINDOW))
+def test_native_gather_is_the_numpy_gather_is_the_loop(native, case):
+    tracker, window = case
+    before = _state(tracker)
+    got = tracker.features_batch(*columns(window), 4242)
+    with backend("numpy"):
+        reference = tracker.features_batch(*columns(window), 4242)
+    for was, now in zip(before, _state(tracker)):
+        assert np.array_equal(was, now)
+    assert got.tobytes() == reference.tobytes()
+    want, _ = _loop_rows(tracker, window, 4242)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_probe_straight_after_growth_reads_the_new_arena(native):
+    """The flush a probe triggers may double the arena (here three
+    times): the gather must take its addresses after that."""
+    deferred, immediate = small_tracker(2), small_tracker(2)
+    deferred.defer_updates(True)
+    for t in range(40):
+        deferred.update(t % 13, float(t), 1.0 + t)
+        immediate.update(t % 13, float(t), 1.0 + t)
+    assert len(deferred._seen) == 2 and deferred._pending
+    window = [Request(40.0 + t, t % 17, 10, 2.0) for t in range(34)]
+    assert np.array_equal(
+        deferred.features_batch(*columns(window), 5),
+        immediate.features_batch(*columns(window), 5),
+    )
+    assert len(deferred._seen) == 16
+    _assert_same_arena(deferred, immediate)
+
+
+_read = st.sampled_from(
+    ["features", "batch", "n_tracked", "summary", "forget", "memory",
+     "close", "open", "copy", "pickle"]
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.one_of(_event, _event, _event, _read), max_size=200),
+)
+def test_deferred_record_is_the_immediate_loop(native, n_gaps, ops):
+    """No read sees an unflushed arena: whatever is read, wherever, the
+    deferred tracker answers as the immediate one, and the arenas agree
+    to the last field — rings that wrap inside one run, rows allocated,
+    grown and recycled by the flush, LRU order."""
+    deferred, immediate = small_tracker(n_gaps), small_tracker(n_gaps)
+    deferred.defer_updates(True)
+    now = 0.0
+    for op in ops:
+        if isinstance(op, tuple):
+            obj, gap, _size, cost = op
+            now += gap
+            deferred.update(obj, now, cost)
+            immediate.update(obj, now, cost)
+            continue
+        probe = [Request(now + 1.0, obj, 10, 2.0) for obj in (0, 1, 0, 5, 11)]
+        if op == "features":
+            got, want = (
+                t.features(probe[0], 7) for t in (deferred, immediate)
+            )
+        elif op == "batch":
+            got, want = (
+                t.features_batch(*columns(probe), 7)
+                for t in (deferred, immediate)
+            )
+        elif op == "n_tracked":
+            got, want = deferred.n_tracked, immediate.n_tracked
+        elif op == "memory":
+            got, want = (
+                t.memory_bytes_naive() for t in (deferred, immediate)
+            )
+        elif op == "summary":
+            got, want = (
+                list(t.arena_summary(now).values())
+                for t in (deferred, immediate)
+            )
+        elif op == "forget":
+            got, want = deferred.forget(1), immediate.forget(1)
+        elif op in ("close", "open"):
+            # Closing writes nothing; the next immediate update flushes.
+            got, want = deferred.defer_updates(op == "open"), None
+        elif op == "copy":
+            got, want = None, None
+            deferred = copy.deepcopy(deferred)
+        else:
+            got, want = None, None
+            deferred = pickle.loads(pickle.dumps(deferred))
+        assert np.array_equal(got, want), op
+    _assert_same_arena(deferred, immediate)
+
+
+def test_records_deferred_elsewhere_are_written_without_the_module(native):
+    """A tracker pickled with records pending and opened where the
+    module cannot be built writes them with ``update``'s own stores."""
+    deferred, immediate = small_tracker(2), small_tracker(2)
+    deferred.defer_updates(True)
+    for t in range(30):
+        deferred.update(t % 4, float(t), 0.5 * t)
+        immediate.update(t % 4, float(t), 0.5 * t)
+    shipped = pickle.loads(pickle.dumps(deferred))
+    with backend("numpy"):
+        assert shipped._pending
+        _assert_same_arena(shipped, immediate)
+
+
+def test_cap_set_after_construction_records_immediately(native):
+    tracker = FeatureTracker(n_gaps=2)
+    tracker.max_objects = 2
+    tracker.defer_updates(True)
+    for t, obj in enumerate([1, 2, 3]):
+        tracker.update(obj, float(t), 1.0)
+    assert not tracker._pending
+    assert tracker.last_evicted == 1 and tracker.n_tracked == 2
+
+
+def test_no_module_records_immediately(python_fallback):
+    tracker = FeatureTracker(n_gaps=2)
+    tracker.defer_updates(True)
+    tracker.update(1, 0.0, 1.0)
+    assert not tracker._pending and tracker._seen[0] == 1
+
+
+@pytest.mark.parametrize("name", ["native", "numpy"])
+def test_bad_windows_are_refused_alike_on_both_backends(name):
+    if name == "native" and _native.load() is None:
+        pytest.skip("native module unavailable")
+    tracker = FeatureTracker(n_gaps=2)
+    tracker.update(7, 0.0, 1.0)
+    objs, times, sizes, costs = columns(
+        [Request(1.0, 7, 10), Request(2.0, 8, 10), Request(3.0, 7, 10)]
+    )
+    with backend(name):
+        for bad in (
+            (objs, times[:2], sizes, costs),
+            (objs, times, sizes[:2], costs),
+            (objs, times, sizes, costs[:2]),
+            (objs[:2], times, sizes, costs),
+        ):
+            with pytest.raises(ValueError, match="differ in length"):
+                tracker.features_batch(*bad, 0)
+        with pytest.raises(ValueError):
+            tracker.features_batch(objs, times, sizes, costs, [0.0, 1.0])
+        for row in (len(tracker._seen), -2):
+            tracker._rows[7] = row
+            with pytest.raises(ValueError, match="outside the arena"):
+                tracker.features_batch(objs, times, sizes, costs, 0)
+        tracker._rows[7] = 0
+        assert tracker.features_batch(objs, times, sizes, costs, 0)[2, 3] == 2.0
+
+
+def test_a_deferred_record_to_a_row_outside_the_arena_is_refused(native):
+    tracker = FeatureTracker(n_gaps=2)
+    tracker.update(7, 0.0, 1.0)
+    tracker._rows[7] = len(tracker._seen)
+    tracker.defer_updates(True)
+    tracker.update(7, 1.0, 1.0)
+    with pytest.raises(ValueError, match="outside the arena"):
+        tracker.n_tracked

@@ -18,6 +18,7 @@ from repro.trace import (
     sample_sizes,
     zipf_weights,
 )
+from repro.trace import synthetic
 
 
 class TestZipfWeights:
@@ -178,3 +179,66 @@ class TestHeterogeneousCosts:
         cls = ContentClass("lat", 30, 1.0, 100, 0.5, 1000, cost_median=50.0)
         t = generate_mix_shift_trace([cls], [[1.0], [1.0]], 300, seed=6)
         assert (t.costs != t.sizes).any()
+
+
+class TestObjectDrawsAreTheChoiceLoop:
+    """The generators draw a window's objects with one ``random(n)`` and a
+    ``searchsorted`` per class; the reference here is what they replaced:
+    ``rng.choice(ids, p=weights)`` once per request."""
+
+    CLASSES = [
+        WEB_CLASS,
+        ContentClass("tiny", 3, 0.0, 50, 0.5, 500),
+        ContentClass("priced", 700, 1.3, 900, 1.0, 90_000, cost_median=40.0),
+    ]
+
+    @staticmethod
+    def _phase(rng, catalogues, shares, n):
+        """One phase of the per-request loop: ``(class, obj)`` draws."""
+        shares = np.asarray(shares, dtype=np.float64)
+        class_draw = rng.choice(len(catalogues), size=n, p=shares / shares.sum())
+        gaps = rng.exponential(1.0, size=n)
+        objs = [
+            int(rng.choice(catalogues[c][0], p=catalogues[c][1]))
+            for c in class_draw
+        ]
+        return class_draw, gaps, objs
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    @pytest.mark.parametrize(
+        "shares", [(0.55, 0.35, 0.10), (1.0, 0.0, 0.0), (2.0, 5.0, 3.0)]
+    )
+    def test_mixed(self, seed, shares):
+        rng = np.random.default_rng(seed)
+        catalogues = synthetic._build_catalogues(rng, self.CLASSES)
+        class_draw, gaps, objs = self._phase(rng, catalogues, shares, 1500)
+        trace = generate_mixed_trace(self.CLASSES, shares, 1500, seed=seed)
+        assert trace.objs.tolist() == objs
+        assert np.array_equal(trace.times, np.cumsum(gaps))
+        for c, request in zip(class_draw, trace):
+            _ids, _weights, sizes, costs = catalogues[c]
+            assert request.size == sizes[request.obj]
+            assert request.cost == costs.get(request.obj, request.size)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "phases",
+        [
+            [(0.7, 0.2, 0.1), (0.1, 0.2, 0.7)],
+            [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0)],
+            [(0.2, 0.3, 0.5)],
+        ],
+    )
+    def test_mix_shift(self, seed, phases):
+        rng = np.random.default_rng(seed)
+        catalogues = synthetic._build_catalogues(rng, self.CLASSES)
+        objs, times, now = [], [], 0.0
+        for shares in phases:
+            _classes, gaps, drawn = self._phase(rng, catalogues, shares, 400)
+            objs.extend(drawn)
+            for gap in gaps:
+                now += float(gap)
+                times.append(now)
+        trace = generate_mix_shift_trace(self.CLASSES, phases, 400, seed=seed)
+        assert trace.objs.tolist() == objs
+        assert trace.times.tolist() == times
