@@ -2,8 +2,8 @@
 
 The paper's "robust" claim is usually read as robustness to *workload*
 (traffic mix, drift).  A production CDN cache also has to be robust to
-*itself*: trainers crash, training jobs hang, segment solves die with
-their worker process, and trace feeds deliver garbage lines.  This
+*itself*: trainers crash, training jobs hang, and trace feeds deliver garbage
+lines.  This
 benchmark drives the full LFO-online loop through one deterministic fault
 scenario per failure mode — using :mod:`repro.resilience` fault plans and
 the :class:`SimulatedTrainerExecutor` so every run replays identically —
@@ -12,8 +12,7 @@ baseline.
 
 The headline gate: **every scenario finishes, and no single injected
 fault moves BHR by more than 5 points** — the degradation machinery
-(watchdog, backoff, retry-then-serial segment fallback, tolerant trace
-reading) turns each fault into a counted, bounded event instead of an
+(watchdog, backoff, tolerant trace reading) turns each fault into a counted, bounded event instead of an
 outage.  The per-scenario ``resilience.*`` counters are asserted nonzero,
 so the run also proves each degradation path actually engaged.
 
@@ -48,16 +47,14 @@ BHR_TOLERANCE = 0.05  # max |BHR - baseline| under any single fault
 FAST_PARAMS = GBDTParams(num_iterations=10)
 
 
-def _make_lfo(cache_size: int, *, n_jobs: int = 1, **kwargs) -> LFOOnline:
+def _make_lfo(cache_size: int, **kwargs) -> LFOOnline:
     """The scenario-standard online loop: background mode on the inline
     deterministic executor, with backoff and the staleness guard armed."""
     defaults = dict(
         window=WINDOW,
         gbdt_params=FAST_PARAMS,
         n_gaps=10,
-        label_config=OptLabelConfig(
-            mode="segmented", segment_length=SEGMENT, n_jobs=n_jobs
-        ),
+        label_config=OptLabelConfig(mode="segmented", segment_length=SEGMENT),
         background=True,
         executor=SimulatedTrainerExecutor(),
         staleness_limit=2,
@@ -124,18 +121,6 @@ def run_fault_matrix(tmp_dir: str):
     scenarios["trainer_hang"] = {
         "result": result, "counters": counters,
         "engaged": counters.get("resilience.watchdog_cancels", 0) >= 1,
-    }
-
-    # -- flaky segment solves: one retried in-pool, one forced serial --------
-    plan = FaultPlan([
-        FaultSpec(site="opt.segment_solve", kind="crash", at=(0,), attempts=1),
-        FaultSpec(site="opt.segment_solve", kind="crash", at=(2,), attempts=9),
-    ])
-    result, counters = _run(trace, _make_lfo(cache, n_jobs=2), plan)
-    scenarios["segment_flaky"] = {
-        "result": result, "counters": counters,
-        "engaged": counters.get("resilience.segment_retries", 0) >= 1
-        and counters.get("resilience.segment_serial_fallbacks", 0) >= 1,
     }
 
     # -- corrupt trace feed: tolerant reader skips mangled lines -------------

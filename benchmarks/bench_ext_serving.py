@@ -74,15 +74,13 @@ LATENCY_OBJECTIVES = (
 FAST_PARAMS = GBDTParams(num_iterations=10)
 
 
-def _make_lfo(cache_size: int, *, n_jobs: int = 1, **kwargs) -> LFOOnline:
+def _make_lfo(cache_size: int, **kwargs) -> LFOOnline:
     """Scenario-standard policy: background mode on the inline executor."""
     defaults = dict(
         window=WINDOW,
         gbdt_params=FAST_PARAMS,
         n_gaps=10,
-        label_config=OptLabelConfig(
-            mode="segmented", segment_length=SEGMENT, n_jobs=n_jobs
-        ),
+        label_config=OptLabelConfig(mode="segmented", segment_length=SEGMENT),
         background=True,
         executor=SimulatedTrainerExecutor(),
         staleness_limit=2,
@@ -159,18 +157,6 @@ def run_serving_matrix(tmp_dir: str):
         data["counters"].get("resilience.watchdog_cancels", 0) >= 1
     )
     scenarios["trainer_hang"] = data
-
-    # -- flaky segment solves: one retried in-pool, one forced serial --------
-    plan = FaultPlan([
-        FaultSpec(site="opt.segment_solve", kind="crash", at=(0,), attempts=1),
-        FaultSpec(site="opt.segment_solve", kind="crash", at=(2,), attempts=9),
-    ])
-    data = _serve(trace, _make_lfo(cache, n_jobs=2), plan)
-    data["engaged"] = (
-        data["counters"].get("resilience.segment_retries", 0) >= 1
-        and data["counters"].get("resilience.segment_serial_fallbacks", 0) >= 1
-    )
-    scenarios["segment_flaky"] = data
 
     # -- corrupt trace feed: tolerant reader skips mangled lines -------------
     plan = FaultPlan([

@@ -7,12 +7,14 @@ compiler on first use and bound through :mod:`ctypes`:
   :class:`repro.gbdt.CompiledPredictor` (branchless fixed-depth walk,
   several interleaved rows to hide load latency);
 * ``ssp_augment`` — the augmentation loop of
-  :func:`repro.flow.solve_min_cost_flow`, a statement-by-statement
-  transliteration of the Python loop it replaces (see
-  :mod:`repro.flow.ssp` for why the two are bit-identical);
+  :func:`repro.flow.solve_min_cost_flow`: the Python loop's statements
+  around an indexed heap where that loop pushes duplicates, finishing
+  the same nodes in the same order (see :mod:`repro.flow.ssp` for why
+  the two are bit-identical);
 * ``hist_best_split`` — the per-leaf histogram build and split scan of
   :func:`repro.gbdt.tree.grow_tree`: the additions, in the order, of the
-  numpy search it stands in for (see ``_find_best_split`` there);
+  numpy search it stands in for (see ``_find_best_split`` there), less
+  the features a leaf's parent found in one bin;
 * ``tracker_gather`` — the cost and gap columns of a
   :meth:`repro.features.FeatureTracker.features_batch` probe window:
   the subtractions over the arena's stored times that the numpy gather
@@ -132,7 +134,12 @@ void predict_raw(const double *X, long n, long d,
 #define HEAP_LESS(da, ua, db, ub) ((da) < (db) || ((da) == (db) && (ua) < (ub)))
 
 /* Successive-shortest-path augmentation over a CSR residual graph.
-   `scratch` holds 3 * n_total + 2 * (n_arcs + 1) eight-byte slots.
+   `scratch` holds 5 * n_total eight-byte slots.  The heap is indexed:
+   a node occupies at most one slot, pos[v] (-1 = not yet reached), its
+   key is dist[v], and a relaxation sifts it up from where it is.  The
+   reference's heapq instead pushes a second (d, v) pair and skips the
+   stale one when it surfaces; both pop the least (dist, node) among the
+   reached, unfinished nodes, so both finish the nodes in one order.
    Returns the supply that could not be routed (0 = solved); stores the
    routed cost in *total_cost and the path count in *augmentations. */
 int64_t ssp_augment(int64_t n_total, int64_t n_arcs,
@@ -145,51 +152,61 @@ int64_t ssp_augment(int64_t n_total, int64_t n_arcs,
                     void *scratch)
 {
     double *dist = (double *)scratch;
-    double *heap_d = dist + n_total;
-    int64_t *heap_u = (int64_t *)(heap_d + n_arcs + 1);
-    int64_t *parent_arc = heap_u + n_arcs + 1;
+    int64_t *heap = (int64_t *)(dist + n_total);
+    int64_t *pos = heap + n_total;
+    int64_t *parent_arc = pos + n_total;
     int64_t *visited = parent_arc + n_total;
     double cost_sum = 0.0;
     int64_t paths = 0;
+    (void)n_arcs;
 
     while (remaining > 0) {
         for (int64_t v = 0; v < n_total; v++) {
             dist[v] = INFINITY;
+            pos[v] = -1;
             parent_arc[v] = -1;
             visited[v] = 0;
         }
         dist[source] = 0.0;
-        heap_d[0] = 0.0;
-        heap_u[0] = source;
+        heap[0] = source;
+        pos[source] = 0;
         int64_t size = 1;
         while (size > 0) {
-            const double d = heap_d[0];
-            const int64_t u = heap_u[0];
+            const int64_t u = heap[0];
+            const double d = dist[u];
             size--;
             if (size > 0) {
-                /* sift the last entry down from the root */
-                const double ld = heap_d[size];
-                const int64_t lu = heap_u[size];
-                int64_t pos = 0;
+                /* as heapq pops: the hole at the root sinks to a leaf
+                   along the lesser children (one comparison a level),
+                   then the last entry rises from there */
+                const int64_t lu = heap[size];
+                const double ld = dist[lu];
+                int64_t p = 0;
                 for (;;) {
-                    int64_t kid = 2 * pos + 1;
+                    int64_t kid = 2 * p + 1;
                     if (kid >= size)
                         break;
                     if (kid + 1 < size
-                        && HEAP_LESS(heap_d[kid + 1], heap_u[kid + 1],
-                                     heap_d[kid], heap_u[kid]))
+                        && HEAP_LESS(dist[heap[kid + 1]], heap[kid + 1],
+                                     dist[heap[kid]], heap[kid]))
                         kid++;
-                    if (!HEAP_LESS(heap_d[kid], heap_u[kid], ld, lu))
-                        break;
-                    heap_d[pos] = heap_d[kid];
-                    heap_u[pos] = heap_u[kid];
-                    pos = kid;
+                    const int64_t ku = heap[kid];
+                    heap[p] = ku;
+                    pos[ku] = p;
+                    p = kid;
                 }
-                heap_d[pos] = ld;
-                heap_u[pos] = lu;
+                while (p > 0) {
+                    const int64_t up = (p - 1) / 2;
+                    const int64_t hu = heap[up];
+                    if (!HEAP_LESS(ld, lu, dist[hu], hu))
+                        break;
+                    heap[p] = hu;
+                    pos[hu] = p;
+                    p = up;
+                }
+                heap[p] = lu;
+                pos[lu] = p;
             }
-            if (visited[u])
-                continue;
             visited[u] = 1;
             const double pot_u = potential[u];
             for (int64_t k = adj_start[u]; k < adj_start[u + 1]; k++) {
@@ -203,17 +220,21 @@ int64_t ssp_augment(int64_t n_total, int64_t n_arcs,
                 if (nd < dist[v] - 1e-12) {
                     dist[v] = nd;
                     parent_arc[v] = arc;
-                    int64_t pos = size++;
-                    while (pos > 0) {
-                        const int64_t up = (pos - 1) / 2;
-                        if (!HEAP_LESS(nd, v, heap_d[up], heap_u[up]))
+                    /* decrease-key: up from the node's own slot */
+                    int64_t p = pos[v];
+                    if (p < 0)
+                        p = size++;
+                    while (p > 0) {
+                        const int64_t up = (p - 1) / 2;
+                        const int64_t hu = heap[up];
+                        if (!HEAP_LESS(nd, v, dist[hu], hu))
                             break;
-                        heap_d[pos] = heap_d[up];
-                        heap_u[pos] = heap_u[up];
-                        pos = up;
+                        heap[p] = hu;
+                        pos[hu] = p;
+                        p = up;
                     }
-                    heap_d[pos] = nd;
-                    heap_u[pos] = v;
+                    heap[p] = v;
+                    pos[v] = p;
                 }
             }
         }
@@ -251,11 +272,19 @@ typedef struct {
 
 /* Best split of one leaf.  Candidate feature `s` is column features[s]
    of the row-major uint8 matrix `binned` and owns histogram cells
-   [offsets[s], offsets[s + 1]) of `scratch`, one per bin.  A cell sums
-   its rows in `rows` order and a feature's bins are prefix-summed left
-   to right: the additions numpy's bincount and cumsum make, in their
-   order.  Returns slot * 256 + bin of the first strictly greatest gain
-   above `min_gain`, or -1, and stores that gain in *best_gain. */
+   [offsets[s], offsets[s + 1]) of `scratch`, one per bin; behind the
+   histogram `scratch` holds 3 * n_features more eight-byte slots.  A
+   cell sums its rows in `rows` order and a feature's bins are
+   prefix-summed left to right: the additions numpy's bincount and cumsum
+   make, in their order.  `candidates` (NULL = all) flags the features to
+   look at, and `splittable` (NULL = not wanted) receives that flag per
+   feature for this leaf's children: set where the leaf's rows occupy two
+   bins or more.  A feature with one occupied bin has no cell with rows
+   on both sides, here or in any subset of these rows, so with
+   min_data >= 1 skipping it changes no histogram that is read and no
+   gain that competes.  Returns slot * 256 + bin of the first strictly
+   greatest gain above `min_gain`, or -1, and stores that gain in
+   *best_gain. */
 int64_t hist_best_split(const uint8_t *binned, int64_t n_cols,
                         const int64_t *rows, int64_t n_rows,
                         const int64_t *features, const int64_t *offsets,
@@ -264,29 +293,52 @@ int64_t hist_best_split(const uint8_t *binned, int64_t n_cols,
                         double grad_sum, double hess_sum,
                         double parent_score, int64_t min_data,
                         double min_hess, double lam, double min_gain,
-                        void *scratch, double *best_gain)
+                        void *scratch, double *best_gain,
+                        const uint8_t *candidates, uint8_t *splittable)
 {
     Cell *hist = (Cell *)scratch;
-    memset(hist, 0, (size_t)offsets[n_features] * sizeof(Cell));
+    int64_t *slot = (int64_t *)(hist + offsets[n_features]);
+    int64_t *col = slot + n_features;
+    int64_t *off = col + n_features;
+    int64_t n_active = 0;
+    for (int64_t s = 0; s < n_features; s++) {
+        if (candidates && !candidates[s])
+            continue;
+        slot[n_active] = s;
+        col[n_active] = features[s];
+        off[n_active] = offsets[s];
+        n_active++;
+        memset(hist + offsets[s], 0,
+               (size_t)(offsets[s + 1] - offsets[s]) * sizeof(Cell));
+    }
     for (int64_t r = 0; r < n_rows; r++) {
         const int64_t i = rows[r];
         const uint8_t *row = binned + i * n_cols;
         const double g = grad[i];
         const double h = hess[i];
-        for (int64_t s = 0; s < n_features; s++) {
-            Cell *cell = hist + offsets[s] + row[features[s]];
+        for (int64_t a = 0; a < n_active; a++) {
+            Cell *cell = hist + off[a] + row[col[a]];
             cell->grad += g;
             cell->hess += h;
             cell->count++;
         }
     }
+    if (splittable)
+        memset(splittable, 0, (size_t)n_features);
 
     int64_t best = -1;
     double best_so_far = min_gain;
-    for (int64_t s = 0; s < n_features; s++) {
-        const Cell *cells = hist + offsets[s];
+    for (int64_t a = 0; a < n_active; a++) {
+        const int64_t s = slot[a];
+        const Cell *cells = hist + off[a];
         /* The last bin sends nothing right: not a split point. */
         const int64_t last = offsets[s + 1] - offsets[s] - 1;
+        if (splittable) {
+            int64_t b = 0;
+            while (b < last && cells[b].count == 0)
+                b++;
+            splittable[s] = cells[b].count < n_rows;
+        }
         /* 0.0 + x is x: a cell starts at +0.0 and so is never -0.0. */
         double g_left = 0.0;
         double h_left = 0.0;
@@ -427,6 +479,7 @@ class Native:
             ctypes.c_double, ctypes.c_double, ctypes.c_double,
             ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double,
             ctypes.c_void_p, ctypes.POINTER(ctypes.c_double),
+            ctypes.c_void_p, ctypes.c_void_p,
         ]
         self.tracker_gather = lib.tracker_gather
         self.tracker_gather.restype = None

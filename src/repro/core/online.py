@@ -11,9 +11,7 @@ is :class:`repro.core.trainer.WindowTrainer` (read its module docstring
 for the contract).  This module holds what is LFO-specific:
 
 * :class:`LabelFitJob`, the training job: label the window with OPT
-  (:class:`OptLabelConfig`; ``n_jobs`` fans the independent segment solves
-  out over a process pool, bit-identical labels at ~``1/n_jobs`` the
-  wall-clock) and fit a GBDT on the live features;
+  (:class:`OptLabelConfig`) and fit a GBDT on the live features;
 * :class:`LFOOnline`, an :class:`~repro.core.LFOCache` whose model slot is
   the trainer's install target, whose admission and eviction degrade to a
   heuristic ``fallback`` while the trainer reports the model stale, and
@@ -38,7 +36,6 @@ from ..opt import (
     solve_opt,
     solve_pruned,
     solve_segmented,
-    solve_segmented_parallel,
 )
 from ..trace import Request, Trace
 from .lfo import LFOCache, LFOModel, SampledEvictionConfig
@@ -62,30 +59,18 @@ class OptLabelConfig:
       ``keep_fraction`` top-ranked requests (optionally also segmented);
     * ``"greedy"`` — rank-ordered greedy interval packing (fastest; a
       feasible approximation rather than the flow optimum).
-
-    ``n_jobs`` parallelises the ``"segmented"`` mode's independent segment
-    solves over a process pool (see
-    :func:`repro.opt.parallel.solve_segmented_parallel`); labels are
-    bit-identical to the serial path.  ``1`` keeps the serial solve, ``None``
-    uses every core.
     """
 
     mode: str = "segmented"
     segment_length: int = 1000
     keep_fraction: float = 0.3
     lookahead: int | None = None
-    n_jobs: int | None = 1
 
     def compute(self, window: Trace, cache_size: int) -> np.ndarray:
         """Return per-request OPT admission labels for a window."""
         if self.mode == "exact":
             return solve_opt(window, cache_size).decisions
         if self.mode == "segmented":
-            if self.n_jobs != 1:
-                return solve_segmented_parallel(
-                    window, cache_size, self.segment_length,
-                    lookahead=self.lookahead, n_jobs=self.n_jobs,
-                ).decisions
             return solve_segmented(
                 window, cache_size, self.segment_length,
                 lookahead=self.lookahead,

@@ -10,7 +10,11 @@ request.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from .._native import all_below
 
 __all__ = ["FlowNetwork"]
 
@@ -55,6 +59,54 @@ class FlowNetwork:
         self.adjacency[head].append(index + 1)
         self._arc_tail.append(head)
         return index
+
+    def add_arcs(
+        self,
+        tails: np.ndarray,
+        heads: np.ndarray,
+        capacities: Sequence[int],
+        costs: np.ndarray,
+    ) -> int:
+        """Add ``len(tails)`` arcs as if by :meth:`add_arc`, one after the
+        other; return the first one's index (the rest follow at +2 each).
+
+        Every list ends up exactly as the loop would leave it, adjacency
+        order included: a node's list grows by its new arcs in index
+        order, which is what a stable sort on the arcs' tails yields.
+        """
+        tails = np.asarray(tails, dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
+        costs = np.asarray(costs, dtype=np.float64)
+        capacities = list(capacities)
+        m = len(tails)
+        if not len(heads) == len(capacities) == len(costs) == m:
+            raise ValueError("arc columns differ in length")
+        first = len(self.arc_to)
+        if m == 0:
+            return first
+        ends = np.empty((m, 2), dtype=np.int64)
+        ends[:, 0], ends[:, 1] = tails, heads
+        if not all_below(ends, self.n_nodes):
+            raise IndexError("arc endpoint out of range")
+        if min(capacities) < 0:
+            raise ValueError("arc capacity must be non-negative")
+        owners = ends.ravel()  # arc 2i leaves tails[i], arc 2i + 1 heads[i]
+        self._arc_tail.extend(owners.tolist())
+        self.arc_to.extend(ends[:, ::-1].ravel().tolist())
+        caps = [0] * (2 * m)
+        caps[0::2] = capacities
+        self.arc_cap.extend(caps)
+        signed = np.empty((m, 2), dtype=np.float64)
+        signed[:, 0], signed[:, 1] = costs, -costs
+        self.arc_cost.extend(signed.ravel().tolist())
+        order = np.argsort(owners, kind="stable")
+        nodes, starts = np.unique(owners[order], return_index=True)
+        arcs = (order + first).tolist()
+        bounds = starts.tolist() + [2 * m]
+        adjacency = self.adjacency
+        for node, lo, hi in zip(nodes.tolist(), bounds, bounds[1:]):
+            adjacency[node].extend(arcs[lo:hi])
+        return first
 
     def add_supply(self, node: int, amount: int) -> None:
         """Add flow supply (positive) or demand (negative) at a node."""

@@ -10,18 +10,24 @@ Dijkstra stays valid after augmentation; with all-non-negative input costs
 This is the same optimum as LEMON's network simplex used by the paper, just
 a different exact algorithm that is short enough to implement and verify.
 
-The augmentation loop exists twice, as one algorithm in two languages:
-:func:`_augment_python` is the reference (and the path taken without a C
-toolchain), ``ssp_augment`` in :mod:`repro._native` is its transliteration
-over a CSR copy of the residual graph flattened *in adjacency order*.  They
-are bit-identical, not merely both optimal — the OPT graphs are massively
-degenerate (every bypass arc of a ``cost == size`` trace costs 1.0/byte),
-so the labels are whatever the tie-breaks say:
+The augmentation loop exists twice: :func:`_augment_python` is the
+reference (and the path taken without a C toolchain), ``ssp_augment`` in
+:mod:`repro._native` runs the same algorithm over a CSR copy of the
+residual graph flattened *in adjacency order*.  Everything but the
+priority queue is a statement-by-statement transliteration; the queue is
+``heapq`` with lazy deletion here and an indexed binary heap with
+decrease-key there.  What is guaranteed is the outcome: the two are
+bit-identical — flow, residual capacities, potentials, total cost, path
+count — not merely both optimal.  The OPT graphs are massively degenerate
+(every bypass arc of a ``cost == size`` trace costs 1.0/byte), so the
+labels are whatever the tie-breaks say:
 
-* ``heapq`` over ``(dist, node)`` tuples pops the minimum of a *total*
-  order, so the pop sequence does not depend on the heap's layout and the
-  C binary heap, ordered lexicographically on the same pair, pops the same
-  nodes in the same order;
+* both queues order entries lexicographically on ``(dist, node)``, a
+  *total* order, and a node's live key is its current ``dist`` (a stale
+  ``heapq`` pair is larger than the live one and is skipped when it
+  surfaces).  Each pop therefore returns the least ``(dist, node)`` among
+  the reached, unfinished nodes whatever the heap's layout, and the two
+  loops finish the same nodes in the same order;
 * every float expression keeps its association —
   ``((d + cost) + pot_u) - pot_v``, accepted iff ``< dist[v] - 1e-12``,
   ``total_cost += bottleneck * cost`` walked sink→source — and the module
@@ -31,7 +37,8 @@ so the labels are whatever the tie-breaks say:
   whose capacities or supply do not convert to ``double`` exactly stays
   on the Python loop).
 
-``tests/test_flow.py`` holds the two paths equal on generated networks.
+``tests/test_flow.py`` holds the two paths equal on generated networks,
+heavily tied ones included, and shows that mutants of the C heap fail.
 """
 
 from __future__ import annotations
@@ -196,10 +203,11 @@ def _augment_native(
 
     Flattens the residual graph to CSR in adjacency order, runs
     ``ssp_augment`` and writes the residual capacities back into
-    ``network.arc_cap``.  Returns ``None`` — nothing touched — when a
-    capacity or the supply is too large for the routine's fixed-width
-    arithmetic.  Scratch is allocated per call: the trainer thread and
-    the segment pool may be in here concurrently.
+    ``network.arc_cap`` and the final potentials into ``potential``.
+    Returns ``None`` — nothing touched — when a capacity or the supply
+    is too large for the routine's fixed-width arithmetic.  Scratch is
+    allocated per call: a trainer thread and a foreground solve may be
+    in here concurrently.
     """
     n_total = network.n_nodes
     adjacency = network.adjacency
@@ -233,7 +241,7 @@ def _augment_native(
         and _native.all_below(arc_tail, n_total)
     ):
         raise ValueError("flow network arc tables are inconsistent")
-    scratch = np.empty(3 * n_total + 2 * (n_arcs + 1), dtype=np.int64)
+    scratch = np.empty(5 * n_total, dtype=np.int64)
     total_cost = ctypes.c_double()
     augmentations = ctypes.c_int64()
     stranded = native.ssp_augment(
@@ -246,6 +254,7 @@ def _augment_native(
         scratch.ctypes.data,
     )
     network.arc_cap[:] = arc_cap.tolist()
+    potential[:] = pot.tolist()
     return total_cost.value, augmentations.value, stranded
 
 

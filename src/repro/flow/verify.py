@@ -8,8 +8,6 @@ network simplex) to cross-check our solver on small instances.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .graph import FlowNetwork
 from .ssp import MinCostFlowResult
 
@@ -75,6 +73,10 @@ def solve_with_networkx(
     Returns:
         The minimum total cost.
     """
+    # Imported here: the solver's importers should not pay for its
+    # cross-check.
+    import networkx as nx
+
     graph = nx.DiGraph()
     for node, supply in enumerate(supplies):
         # networkx uses "demand" = -supply.

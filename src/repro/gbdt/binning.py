@@ -41,19 +41,25 @@ class BinMapper:
             raise ValueError("X must be finite; encode missing values "
                              "as finite sentinels before binning")
         self.n_features = X.shape[1]
+        uniques = [np.unique(X[:, f]) for f in range(self.n_features)]
+        wide = [
+            f for f, values in enumerate(uniques)
+            if len(values) > self.max_bins
+        ]
+        # One call for every quantile-binned column: numpy selects and
+        # interpolates along the axis lane by lane, so column f's cuts
+        # are the floats ``np.percentile(X[:, f], qs)`` returns.
+        qs = np.linspace(0, 100, self.max_bins + 1)[1:-1]
+        cuts = dict(zip(wide, np.percentile(X[:, wide], qs, axis=0).T))
         self.upper_bounds = []
-        for f in range(self.n_features):
-            col = X[:, f]
-            uniques = np.unique(col)
-            if len(uniques) <= self.max_bins:
-                # One bin per distinct value; boundaries at midpoints.
-                if len(uniques) == 1:
-                    bounds = np.array([], dtype=np.float64)
-                else:
-                    bounds = (uniques[:-1] + uniques[1:]) / 2.0
+        for f, values in enumerate(uniques):
+            if f in cuts:
+                bounds = np.unique(cuts[f])
+            elif len(values) == 1:
+                bounds = np.array([], dtype=np.float64)
             else:
-                qs = np.linspace(0, 100, self.max_bins + 1)[1:-1]
-                bounds = np.unique(np.percentile(col, qs))
+                # One bin per distinct value; boundaries at midpoints.
+                bounds = (values[:-1] + values[1:]) / 2.0
             self.upper_bounds.append(bounds.astype(np.float64))
         return self
 

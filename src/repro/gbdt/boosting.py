@@ -149,11 +149,17 @@ class _GBDTBase:
                     rng.choice(self.n_features, size=k, replace=False)
                 )
                 tables = _split_tables(binned, n_bins, feature_subset)
-            tree = _grow(
+            tree, leaves = _grow(
                 tables, grad, hess, self.mapper, tree_params, sample_idx
             )
             self.trees.append(tree)
-            raw += params.learning_rate * tree.predict_binned(binned)
+            if sample_idx is None:
+                # Growth left every row in its leaf: the product and the
+                # add `predict_binned` would make, without the walk.
+                for node, rows in leaves.items():
+                    raw[rows] += params.learning_rate * tree.value[node]
+            else:
+                raw += params.learning_rate * tree.predict_binned(binned)
             if timing:
                 iteration_hist.observe(perf_counter() - iteration_start)
 

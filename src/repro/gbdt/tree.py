@@ -254,7 +254,8 @@ class _SplitTables:
             numpy search; each field below exists for one backend only.
         offsets: native — first histogram cell of every candidate plus
             the total; a feature owns ``n_bins`` cells, not ``stride``.
-        scratch: native — the histogram, three 8-byte slots per cell.
+        scratch: native — the histogram, three 8-byte slots per cell,
+            and three more per candidate for the routine's own lists.
         stride: numpy — histogram row width, the largest bin count.
         keys: numpy — ``(n_samples, len(features))`` histogram cell of
             every sample under every candidate feature,
@@ -313,7 +314,9 @@ def _split_tables(
             features=features,
             native=native,
             offsets=offsets,
-            scratch=np.empty(3 * int(offsets[-1]), dtype=np.float64),
+            scratch=np.empty(
+                3 * (int(offsets[-1]) + len(features)), dtype=np.float64
+            ),
         )
     stride = int(widths.max(initial=0))
     n_cells = len(features) * stride
@@ -327,6 +330,62 @@ def _split_tables(
         keys=keys,
         candidate=np.arange(stride)[None, :] < (widths - 1)[:, None],
     )
+
+
+def _native_addresses(
+    tables: _SplitTables, grad: np.ndarray, hess: np.ndarray
+) -> tuple[int, int, int, int, int, int]:
+    """Where ``hist_best_split`` finds the four per-fit and two per-tree
+    arrays.  For locals only: an address stored on an object would
+    outlive a reallocation and survive pickle or deepcopy, and a C store
+    through it is memory corruption where numpy raised."""
+    return (
+        tables.binned.ctypes.data, tables.features.ctypes.data,
+        tables.offsets.ctypes.data, tables.scratch.ctypes.data,
+        grad.ctypes.data, hess.ctypes.data,
+    )
+
+
+def _native_best_split(
+    leaf: _LeafState,
+    tables: _SplitTables,
+    params: TreeGrowthParams,
+    addresses: tuple[int, int, int, int, int, int],
+    candidates: int = 0,
+    splittable: int = 0,
+) -> None:
+    """:func:`_find_best_split` by ``hist_best_split``.
+
+    ``candidates`` / ``splittable`` are the addresses (0 = none) of one
+    byte per candidate feature: which to search, and where to leave the
+    same flags for this leaf's children (see the routine's comment).
+    :func:`_split_tables` and :func:`_grow` have checked every index the
+    routine dereferences.
+    """
+    leaf.best_gain = params.min_gain_to_split
+    leaf.best_feature = -1
+    leaf.best_bin = -1
+    n_features = len(tables.features)
+    if n_features == 0:
+        return
+    binned, features, offsets, scratch, grad, hess = addresses
+    idx = leaf.sample_idx
+    best_gain = ctypes.c_double()
+    # The parent's score is computed here, as in the numpy search: C's
+    # pow() need not round x**2 the way Python's does.
+    cell = tables.native.hist_best_split(
+        binned, tables.binned.shape[1], idx.ctypes.data, len(idx),
+        features, offsets, n_features, grad, hess,
+        leaf.grad_sum, leaf.hess_sum,
+        leaf.grad_sum**2 / (leaf.hess_sum + params.lambda_l2),
+        params.min_data_in_leaf, params.min_sum_hessian_in_leaf,
+        params.lambda_l2, params.min_gain_to_split,
+        scratch, ctypes.byref(best_gain), candidates, splittable,
+    )
+    if cell >= 0:
+        slot, leaf.best_bin = divmod(cell, 256)
+        leaf.best_gain = best_gain.value
+        leaf.best_feature = int(tables.features[slot])
 
 
 def _find_best_split(
@@ -349,9 +408,13 @@ def _find_best_split(
     That numpy body is the reference, and what runs without a C
     toolchain; with one, ``hist_best_split`` in :mod:`repro._native`
     makes the same additions in the same order and returns the same
-    split.  :func:`_split_tables` and :func:`_grow` have checked every
-    index the routine dereferences.
+    split (:func:`_native_best_split`).
     """
+    if tables.native is not None:
+        _native_best_split(
+            leaf, tables, params, _native_addresses(tables, grad, hess)
+        )
+        return
     leaf.best_gain = params.min_gain_to_split
     leaf.best_feature = -1
     leaf.best_bin = -1
@@ -361,26 +424,6 @@ def _find_best_split(
         return
     idx = leaf.sample_idx
     n_rows = len(idx)
-    if tables.native is not None:
-        binned = tables.binned
-        best_gain = ctypes.c_double()
-        # The parent's score is computed here, as below: C's pow() need
-        # not round x**2 the way Python's does.
-        cell = tables.native.hist_best_split(
-            binned.ctypes.data, binned.shape[1], idx.ctypes.data, n_rows,
-            tables.features.ctypes.data, tables.offsets.ctypes.data,
-            n_features, grad.ctypes.data, hess.ctypes.data,
-            leaf.grad_sum, leaf.hess_sum,
-            leaf.grad_sum**2 / (leaf.hess_sum + params.lambda_l2),
-            params.min_data_in_leaf, params.min_sum_hessian_in_leaf,
-            params.lambda_l2, params.min_gain_to_split,
-            tables.scratch.ctypes.data, ctypes.byref(best_gain),
-        )
-        if cell >= 0:
-            slot, leaf.best_bin = divmod(cell, 256)
-            leaf.best_gain = best_gain.value
-            leaf.best_feature = int(tables.features[slot])
-        return
     g = grad[idx]
     h = hess[idx]
     keys = tables.keys[idx]
@@ -473,7 +516,7 @@ def grow_tree(
     if feature_subset is None:
         feature_subset = np.arange(len(n_bins), dtype=np.int64)
     tables = _split_tables(binned, n_bins, feature_subset)
-    return _grow(tables, grad, hess, mapper, params, sample_idx)
+    return _grow(tables, grad, hess, mapper, params, sample_idx)[0]
 
 
 def _bin_counts(mapper: BinMapper) -> list[int]:
@@ -487,9 +530,14 @@ def _grow(
     mapper: BinMapper,
     params: TreeGrowthParams,
     sample_idx: np.ndarray | None,
-) -> Tree:
+) -> tuple[Tree, dict[int, np.ndarray]]:
     """:func:`grow_tree` over split tables the caller already built (one
-    set serves every tree of a fit that subsamples no features)."""
+    set serves every tree of a fit that subsamples no features).
+
+    Also returns the partition growth ends with — leaf node -> its rows
+    of ``sample_idx`` — so a caller that needs the tree's value on those
+    rows does not have to walk them down the tree again.
+    """
     binned = tables.binned
     n_samples = binned.shape[0]
     for name, values in (("grad", grad), ("hess", hess)):
@@ -530,7 +578,31 @@ def _grow(
     tree._set_value(
         root, _leaf_value(root_leaf.grad_sum, root_leaf.hess_sum, params.lambda_l2)
     )
-    _find_best_split(root_leaf, grad, hess, tables, params)
+    if tables.native is not None:
+        # Addresses are read once per tree and live in this frame only,
+        # as do the arrays behind them.
+        addresses = _native_addresses(tables, grad, hess)
+        # One byte per (node, candidate): a leaf's children search only
+        # the features that occupied two bins or more in it.  Exact only
+        # when a split needs a row on each side.
+        n_candidates = len(tables.features)
+        flags = np.empty(
+            (max(2 * params.num_leaves - 1, 1), n_candidates), dtype=np.uint8
+        )
+        flags_at = flags.ctypes.data if params.min_data_in_leaf >= 1 else 0
+
+        def search(leaf: _LeafState, parent: int) -> None:
+            _native_best_split(
+                leaf, tables, params, addresses,
+                flags_at + parent * n_candidates if flags_at and parent >= 0 else 0,
+                flags_at + leaf.node * n_candidates if flags_at else 0,
+            )
+    else:
+        def search(leaf: _LeafState, parent: int) -> None:
+            _find_best_split(leaf, grad, hess, tables, params)
+
+    search(root_leaf, -1)
+    leaves = {root: sample_idx}
 
     # Max-heap of splittable leaves keyed by gain; counter breaks ties
     # deterministically.
@@ -549,7 +621,7 @@ def _grow(
             continue
         f, b = leaf.best_feature, leaf.best_bin
         idx = leaf.sample_idx
-        mask = binned[idx, f] <= b
+        mask = binned[:, f][idx] <= b
         left_idx = idx[mask]
         right_idx = idx[~mask]
         if len(left_idx) == 0 or len(right_idx) == 0:
@@ -563,6 +635,7 @@ def _grow(
             left_node, right_node, leaf.best_gain,
         )
         n_leaves += 1
+        del leaves[node]
 
         for child_node, child_idx in ((left_node, left_idx), (right_node, right_idx)):
             child = _LeafState(
@@ -576,9 +649,13 @@ def _grow(
                 child_node,
                 _leaf_value(child.grad_sum, child.hess_sum, params.lambda_l2),
             )
+            leaves[child_node] = child_idx
             if len(child_idx) >= 2 * params.min_data_in_leaf:
-                _find_best_split(child, grad, hess, tables, params)
+                search(child, node)
                 if child.best_feature >= 0:
                     heapq.heappush(heap, (-child.best_gain, counter, child))
                     counter += 1
-    return tree
+    # Growth is over: build the node arrays once, here, for every reader
+    # that follows (tree walks, the ensemble compiler).
+    tree._materialise()
+    return tree, leaves

@@ -5,7 +5,6 @@ from .belady import BeladyResult, belady_unit_size
 from .bounds import OptBounds, opt_bhr_bounds, opt_miss_cost_bounds
 from .greedy import GreedyOptResult, solve_greedy
 from .mincost import OptResult, build_opt_network, opt_hit_ratios, solve_opt
-from .parallel import solve_segmented_parallel
 from .segmentation import (
     SegmentedOptResult,
     decisions_to_miss_cost,
@@ -31,5 +30,4 @@ __all__ = [
     "rank_requests",
     "solve_pruned",
     "solve_segmented",
-    "solve_segmented_parallel",
 ]

@@ -80,27 +80,27 @@ def build_opt_network(
     nxt = trace.next_occurrence()
     prv = trace.prev_occurrence()
 
+    # Arc order is part of the labels (it breaks the solver's ties):
+    # the n - 1 central arcs first, then one bypass arc per recurring
+    # request, in trace order.
+    opens = np.flatnonzero(nxt >= 0)
+    chain = np.arange(n - 1, dtype=np.int64)
     network = FlowNetwork(n)
-    for i in range(n - 1):
-        network.add_arc(i, i + 1, cache_size, 0.0)
+    first_bypass = network.add_arcs(
+        np.concatenate((chain, opens)),
+        np.concatenate((chain + 1, nxt[opens])),
+        [cache_size] * (n - 1) + sizes[opens].tolist(),
+        np.concatenate((np.zeros(n - 1), costs[opens] / sizes[opens])),
+    ) + 2 * (n - 1)
+    bypass_arc = dict(zip(
+        opens.tolist(), range(first_bypass, first_bypass + 2 * len(opens), 2)
+    ))
 
-    bypass_arc: dict[int, int] = {}
-    for i in range(n):
-        j = int(nxt[i])
-        if j >= 0:
-            size = int(sizes[i])
-            per_byte_cost = float(costs[i]) / size
-            bypass_arc[i] = network.add_arc(i, j, size, per_byte_cost)
-
-    for i in range(n):
-        has_prev = prv[i] >= 0
-        has_next = nxt[i] >= 0
-        size = int(sizes[i])
-        if not has_prev and has_next:
-            network.add_supply(i, size)
-        elif has_prev and not has_next:
-            network.add_supply(i, -size)
-        # single-occurrence objects and middle occurrences: no net supply
+    # Supply at an object's first request, demand at its last; single
+    # occurrences and middle occurrences have no net supply.
+    network.supply[:] = np.where(
+        prv < 0, np.where(nxt >= 0, sizes, 0), np.where(nxt < 0, -sizes, 0)
+    ).tolist()
     return network, bypass_arc
 
 

@@ -4,13 +4,12 @@ Two halves, one goal — proving the caching loop degrades instead of dying:
 
 * :mod:`repro.resilience.faults` — deterministic, declarative fault plans
   (:class:`FaultPlan` / :class:`FaultSpec`) installed process-wide and
-  consulted by hooks in ``core.online``, ``opt.parallel`` and
-  ``trace.readers``;
+  consulted by hooks in ``core.online`` and ``trace.readers``;
 * :mod:`repro.resilience.harness` — :class:`SimulatedTrainerExecutor`, the
   deterministic trainer used to drill hang/watchdog scenarios.
 
 The degradation machinery itself (watchdog, backoff, staleness fallback,
-segment retry, tolerant trace reading) lives in the hardened components;
+tolerant trace reading) lives in the hardened components;
 ``docs/robustness.md`` is the operations runbook tying fault → metric →
 behaviour → recovery together.
 """

@@ -16,11 +16,6 @@ site                      kinds                    hooked in
 ``online.train_window``   ``crash``, ``latency``   ``repro.core.online``
 ``trainer.submit``        ``hang``                 :class:`repro.resilience.\
 SimulatedTrainerExecutor`
-``opt.segment_solve``     ``crash``                ``repro.opt.parallel``
-                                                   (selector matches the
-                                                   *segment index*; ``attempts``
-                                                   = consecutive failing solve
-                                                   attempts per segment)
 ``trace.read_line``       ``corrupt``              ``repro.trace.readers``
                                                    (selector matches the
                                                    data-line index)
@@ -87,9 +82,6 @@ class FaultSpec:
             the plan's seeded generator.  ``at``/``every``/``probability``
             are mutually exclusive; with none given the spec always fires.
         max_fires: stop firing after this many hits (None = unbounded).
-        attempts: for ``opt.segment_solve`` crashes, how many consecutive
-            solve attempts of the matched segment fail (1 = the retry
-            succeeds; a large value forces the serial fallback).
         latency_seconds: sleep duration for ``kind="latency"``.
     """
 
@@ -99,7 +91,6 @@ class FaultSpec:
     every: int | None = None
     probability: float | None = None
     max_fires: int | None = None
-    attempts: int = 1
     latency_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -123,8 +114,6 @@ class FaultSpec:
             raise ValueError("probability must be in [0, 1]")
         if self.max_fires is not None and self.max_fires <= 0:
             raise ValueError("max_fires must be positive")
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
         if self.latency_seconds < 0:
             raise ValueError("latency_seconds must be non-negative")
 
@@ -232,20 +221,6 @@ class FaultPlan:
         if spec is None or spec.kind != "corrupt":
             return line
         return "!corrupt! " + line
-
-    def segment_failures(self, index: int) -> int:
-        """Segment-solve hook: consecutive failing attempts for segment
-        ``index`` (0 = the segment solves normally).
-
-        Unlike the other hooks this matches on the segment *index*, not an
-        occurrence counter, so a plan pins faults to specific segments
-        regardless of submission order.
-        """
-        with self._lock:
-            spec = self._select("opt.segment_solve", index)
-        if spec is not None and spec.kind == "crash":
-            return spec.attempts
-        return 0
 
     # -- introspection / serialisation --------------------------------------
 

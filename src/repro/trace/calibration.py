@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .record import Trace
 
@@ -52,6 +51,10 @@ def fit_zipf(trace: Trace) -> ZipfFit:
         log_norm = np.log(np.exp(log_weights - log_weights.max()).sum())
         log_norm += log_weights.max()
         return -float((counts * (log_weights - log_norm)).sum())
+
+    # Imported here: every shard and trainer imports this package, one
+    # calibration report calls this.
+    from scipy import optimize
 
     result = optimize.minimize_scalar(
         neg_log_likelihood, bounds=(0.0, 5.0), method="bounded"

@@ -147,6 +147,14 @@ class Trace:
 
     # -- derived structure ---------------------------------------------------
 
+    def _occurrence_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(earlier, later)`` index pairs of consecutive requests to one
+        object: a stable sort groups each object's requests in trace order."""
+        objs = self.objs
+        order = np.argsort(objs, kind="stable")
+        same = objs[order[1:]] == objs[order[:-1]]
+        return order[:-1][same], order[1:][same]
+
     def next_occurrence(self) -> np.ndarray:
         """Index of the next request to the same object, or -1 if none.
 
@@ -154,24 +162,16 @@ class Trace:
         (Section 2.1) and of the OPT min-cost-flow graph (bypass edges connect
         consecutive requests to the same object).
         """
-        objs = self.objs
-        nxt = np.full(len(objs), -1, dtype=np.int64)
-        last_seen: dict[int, int] = {}
-        for i in range(len(objs) - 1, -1, -1):
-            o = int(objs[i])
-            nxt[i] = last_seen.get(o, -1)
-            last_seen[o] = i
+        earlier, later = self._occurrence_links()
+        nxt = np.full(len(self.requests), -1, dtype=np.int64)
+        nxt[earlier] = later
         return nxt
 
     def prev_occurrence(self) -> np.ndarray:
         """Index of the previous request to the same object, or -1 if none."""
-        objs = self.objs
-        prv = np.full(len(objs), -1, dtype=np.int64)
-        last_seen: dict[int, int] = {}
-        for i in range(len(objs)):
-            o = int(objs[i])
-            prv[i] = last_seen.get(o, -1)
-            last_seen[o] = i
+        earlier, later = self._occurrence_links()
+        prv = np.full(len(self.requests), -1, dtype=np.int64)
+        prv[later] = earlier
         return prv
 
     def unique_objects(self) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Coverage for smaller API corners across subsystems."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,3 +133,23 @@ class TestHitRatioCurveAt:
         assert curve.at(15) == pytest.approx(0.4)
         assert curve.at(5) == pytest.approx(0.2)   # clamped below
         assert curve.at(100) == pytest.approx(0.6)  # clamped above
+
+
+def test_serving_imports_leave_scipy_and_networkx_out():
+    """The router, every shard and every trainer import these packages;
+    `scipy` (one calibration fit) and `networkx` (the solver's
+    cross-check) are imported by the functions that use them — ~0.6 s
+    and ~55 MB a process otherwise."""
+    code = (
+        "import sys; import repro.core, repro.sim, repro.serve, repro.cluster; "
+        "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src")]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

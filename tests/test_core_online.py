@@ -88,16 +88,6 @@ class TestOptLabelConfig:
         with pytest.raises(ValueError):
             OptLabelConfig(mode="magic").compute(small_zipf_trace, 500)
 
-    def test_parallel_segmented_labels_identical(self, small_zipf_trace):
-        serial = OptLabelConfig(mode="segmented", segment_length=500)
-        parallel = OptLabelConfig(
-            mode="segmented", segment_length=500, n_jobs=2
-        )
-        assert (
-            serial.compute(small_zipf_trace, 500)
-            == parallel.compute(small_zipf_trace, 500)
-        ).all()
-
 
 class TestLFOOnline:
     def test_retrains_per_window(self, online_trace):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro import _native
@@ -16,7 +16,11 @@ from repro.flow import (
     solve_min_cost_flow,
     solve_with_networkx,
 )
-from repro.flow.ssp import _initial_potentials
+from repro.flow.ssp import (
+    _augment_native,
+    _augment_python,
+    _initial_potentials,
+)
 
 
 def _snapshot_capacities(net: FlowNetwork) -> dict[int, int]:
@@ -54,6 +58,28 @@ class TestFlowNetwork:
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
             FlowNetwork(0)
+
+    def test_add_arcs_rejects_what_add_arc_rejects(self):
+        net = FlowNetwork(3)
+        with pytest.raises(IndexError):
+            net.add_arcs([0, 1], [1, 3], [1, 1], [0.0, 0.0])
+        with pytest.raises(IndexError):
+            net.add_arcs([-1], [1], [1], [0.0])
+        with pytest.raises(ValueError):
+            net.add_arcs([0], [1], [-1], [0.0])
+        with pytest.raises(ValueError):
+            net.add_arcs([0, 1], [1, 2], [1], [0.0, 0.0])
+        assert net.arc_to == [] and net.adjacency == [[], [], []]
+        assert net.add_arcs([], [], [], []) == 0
+
+
+def _network_lists(net):
+    """Every list a FlowNetwork exposes, floats as bit patterns (the
+    reverse of a zero-cost arc costs -0.0)."""
+    return (
+        net.n_nodes, net.arc_to, net._arc_tail, net.arc_cap,
+        [cost.hex() for cost in net.arc_cost], net.adjacency, net.supply,
+    )
 
 
 class TestSolver:
@@ -336,6 +362,31 @@ _TIED_SUPPLIES = (
 )
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_add_arcs_equals_the_add_arc_loop(data):
+    """In every list, adjacency order included — whether the arcs go in
+    as one bulk call, several, or mixed with single adds."""
+    n, arcs, _ = data.draw(_flow_instances())
+    cut = data.draw(st.integers(0, len(arcs)))
+    looped, bulk = FlowNetwork(n), FlowNetwork(n)
+    for arc in arcs:
+        looped.add_arc(*arc)
+    first = None
+    for part in (arcs[:cut], arcs[cut:]):
+        if len(part) == 1:
+            bulk.add_arc(*part[0])
+        elif part:
+            tails, heads, capacities, costs = zip(*part)
+            index = bulk.add_arcs(
+                np.array(tails), np.array(heads), capacities, np.array(costs)
+            )
+            first = index if first is None else first
+    assert _network_lists(bulk) == _network_lists(looped)
+    assert first in (None, 0, 2)
+    assert all(type(cap) is int for cap in bulk.arc_cap)
+
+
 def _build(instance):
     n, arcs, supplies = instance
     net = FlowNetwork(n)
@@ -397,3 +448,151 @@ class TestNativeMatchesPython:
                 result = solve_min_cost_flow(net)
             assert result.total_cost == 3.0
             assert net.arc_cap == [capacity - 3, 3]
+
+
+#: Few distinct costs: distances tie constantly, so the finishing order is
+#: whatever the heap's (dist, node) order says.
+_TIED_PALETTES = st.sampled_from(
+    [(1.0,), (0.0,), (0.0, 1.0), (1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 2.0)]
+)
+
+
+@st.composite
+def _tied_instances(draw):
+    """Balanced networks with arcs in both directions (non-negative
+    costs, so cycles cost zero at best), duplicated parallel arcs and
+    capacities small enough that a solve takes many paths through the
+    reverse arcs of earlier ones."""
+    n = draw(st.integers(4, 10))
+    costs = st.sampled_from(draw(_TIED_PALETTES))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda pair: pair[0] != pair[1]
+    )
+    arcs = [
+        (tail, head, capacity, cost)
+        for (tail, head), capacity, cost in draw(st.lists(
+            st.tuples(pairs, st.integers(1, 3), costs),
+            min_size=2 * n, max_size=5 * n,
+        ))
+    ]
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=n))
+    supplies = [0] * n
+    for (tail, head), amount in draw(st.lists(
+        st.tuples(pairs, st.integers(1, 4)), min_size=1, max_size=4
+    )):
+        supplies[tail] += amount
+        supplies[head] -= amount
+    return n, arcs, supplies
+
+
+#: Node 3 is relaxed three times (9, then 6, then 3) before it is popped:
+#: each relaxation moves it up the heap from the slot it is in.
+_RELAXED_THRICE = (
+    4,
+    [(0, 3, 2, 9.0), (0, 1, 2, 1.0), (0, 2, 2, 2.0), (1, 3, 1, 5.0),
+     (2, 3, 1, 1.0)],
+    [3, 0, 0, -3],
+)
+
+#: Node 2 is reached at 1e-12, then offered 0.0: `0.0 < 1e-12 - 1e-12` is
+#: false, so the first path stands; under `<=` the second would win.
+_TOLERANCE_EDGE = (
+    3,
+    [(0, 2, 1, 1e-12), (0, 1, 1, 0.0), (1, 2, 1, 0.0)],
+    [1, 0, -1],
+)
+
+
+def _augmented(instance, native):
+    """What one augmentation loop leaves behind on ``instance`` — cost
+    and potentials as bit patterns, path count, stranded supply, residual
+    capacities (the flow is their odd entries) — by the C routine behind
+    ``native``, or by the Python loop when ``native`` is None."""
+    net = _build(instance)
+    source, sink = net.n_nodes, net.n_nodes + 1
+    net.adjacency += [[], []]
+    net.n_nodes += 2
+    remaining = 0
+    for node, supply in enumerate(net.supply):
+        if supply > 0:
+            net.add_arc(source, node, supply, 0.0)
+            remaining += supply
+        elif supply < 0:
+            net.add_arc(node, sink, -supply, 0.0)
+    potential = _initial_potentials(net, net.n_nodes)
+    if native is None:
+        solved = _augment_python(net, potential, source, sink, remaining)
+    else:
+        solved = _augment_native(
+            native, net, potential, source, sink, remaining
+        )
+    total_cost, augmentations, stranded = solved
+    return (
+        total_cost.hex(), augmentations, stranded, net.arc_cap,
+        [p.hex() for p in potential],
+    )
+
+
+def _run_tied_leg(handle, phases=tuple(Phase)):
+    @given(_tied_instances())
+    @example(_TIED_SUPPLIES)
+    @example(_RELAXED_THRICE)
+    @example(_TOLERANCE_EDGE)
+    @settings(
+        max_examples=300, deadline=None, derandomize=True,
+        report_multiple_bugs=False, phases=phases,
+    )
+    def leg(instance):
+        assert _augmented(instance, handle) == _augmented(instance, None)
+
+    leg()
+
+
+#: Source edits that each break the order argument: (what, old, new).
+_HEAP_MUTANTS = [
+    pytest.param(
+        "((da) < (db) || ((da) == (db) && (ua) < (ub)))", "((da) < (db))",
+        id="HEAP_LESS without the node tie-break",
+    ),
+    pytest.param(
+        "                        heap[p] = hu;\n"
+        "                        pos[hu] = p;\n",
+        "                        heap[p] = hu;\n",
+        id="decrease-key forgets pos",
+    ),
+    pytest.param(
+        "int64_t p = pos[v];\n"
+        "                    if (p < 0)\n"
+        "                        p = size++;\n",
+        "int64_t p = pos[v] < 0 ? size++ : size ? size - 1 : 0;\n",
+        id="sift-up from the heap's end",
+    ),
+    pytest.param(
+        "if (nd < dist[v] - 1e-12) {", "if (nd <= dist[v] - 1e-12) {",
+        id="<= in the relaxation test",
+    ),
+]
+
+
+class TestIndexedHeapOrder:
+    """The C heap is indexed (decrease-key) where the Python loop pushes
+    duplicates and skips stale pops; what makes them finish nodes in one
+    order is the total order on (dist, node).  Heavy ties put that order
+    to work, and each mutant of it must be caught."""
+
+    def test_tied_networks(self, native):
+        _run_tied_leg(_native.load())
+
+    @pytest.mark.parametrize("old, new", _HEAP_MUTANTS)
+    def test_mutants_are_caught(self, native, monkeypatch, old, new):
+        # Each mutant keeps every heap index inside [0, size) and pushes a
+        # node at most once, so a wrong answer is all it can produce.
+        assert _native._SOURCE.count(old) == 1
+        monkeypatch.setattr(
+            _native, "_SOURCE", _native._SOURCE.replace(old, new)
+        )
+        mutant = _native._build()
+        assert isinstance(mutant, _native.Native)
+        with pytest.raises(AssertionError):
+            # The first counterexample will do: no shrinking.
+            _run_tied_leg(mutant, phases=(Phase.explicit, Phase.generate))

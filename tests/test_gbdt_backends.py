@@ -22,6 +22,8 @@ from repro.gbdt import (
     TreeGrowthParams,
     grow_tree,
 )
+from repro.gbdt import tree as tree_module
+from repro.gbdt.losses import LogisticLoss
 
 from . import test_gbdt_tree
 
@@ -219,3 +221,130 @@ def test_wedged_compiler_times_out_onto_the_fallbacks(monkeypatch, caplog):
     warnings = [r for r in caplog.records if r.name == "repro.native"]
     assert len(warnings) == 1
     assert "TimeoutExpired" in warnings[0].getMessage()
+
+
+class TestScoreUpdateThroughThePartition:
+    """`fit` adds a new tree's leaf values through the row partition
+    growth ends with; the oracle is the tree walk, `raw + lr *
+    predict_binned(binned)`, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partition_update_equals_the_tree_walk(self, backend, seed):
+        X, target = _awkward_dataset(seed)
+        mapper = BinMapper(max_bins=16).fit(X)
+        binned = mapper.transform(X)
+        n_bins = [mapper.n_bins(f) for f in range(X.shape[1])]
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=len(X))
+        hess = rng.uniform(0.05, 0.25, size=len(X))
+        tables = tree_module._split_tables(
+            binned, n_bins, np.arange(X.shape[1])
+        )
+        bag = np.sort(rng.choice(len(X), size=150, replace=False))
+        for sample_idx in (None, bag):
+            tree, leaves = tree_module._grow(
+                tables, raw - target, hess, mapper,
+                TreeGrowthParams(num_leaves=9, min_data_in_leaf=3), sample_idx,
+            )
+            rows = np.arange(len(X)) if sample_idx is None else sample_idx
+            assert sorted(leaves) == [
+                node for node, f in enumerate(tree.feature) if f < 0
+            ]
+            assert np.array_equal(
+                np.sort(np.concatenate(list(leaves.values()))), rows
+            )
+            updated = raw.copy()
+            for node, members in leaves.items():
+                updated[members] += 0.1 * tree.value[node]
+            walked = raw + 0.1 * tree.predict_binned(binned)
+            assert updated[rows].tobytes() == walked[rows].tobytes()
+
+    @pytest.mark.parametrize("bagging_fraction", [1.0, 0.6])
+    def test_fit_equals_the_loop_that_walks_every_tree(
+        self, backend, bagging_fraction
+    ):
+        X, target = _awkward_dataset(4)
+        y = (target > 0).astype(np.float64)
+        params = GBDTParams(
+            num_iterations=6, num_leaves=8, min_data_in_leaf=4,
+            bagging_fraction=bagging_fraction, seed=11,
+        )
+        model = GBDTClassifier(params).fit(X, y)
+
+        mapper = BinMapper(max_bins=params.max_bins)
+        binned = mapper.fit_transform(X)
+        raw = np.full(len(y), LogisticLoss.init_score(y))
+        rng = np.random.default_rng(params.seed)
+        for tree in model.trees:
+            grad, hess = LogisticLoss.grad_hess(y, raw)
+            sample_idx = None
+            if bagging_fraction < 1.0:
+                k = max(1, int(round(bagging_fraction * len(y))))
+                sample_idx = np.sort(rng.choice(len(y), size=k, replace=False))
+            expected = grow_tree(
+                binned, grad, hess, mapper, params.tree_params(), sample_idx
+            )
+            assert tree.to_dict() == expected.to_dict()
+            raw += params.learning_rate * expected.predict_binned(binned)
+
+
+class TestSplittableInheritance:
+    """A leaf hands its children only the features that occupied two
+    bins or more in it.  Exact when a split needs a row on each side
+    (`min_data_in_leaf >= 1`); otherwise the routine gets no flags."""
+
+    @staticmethod
+    def _grow(min_data_in_leaf, seed=2):
+        X, target = _awkward_dataset(seed)
+        mapper = BinMapper(max_bins=16).fit(X)
+        return grow_tree(
+            mapper.transform(X), -target, np.ones(len(X)), mapper,
+            TreeGrowthParams(num_leaves=12, min_data_in_leaf=min_data_in_leaf),
+        )
+
+    @staticmethod
+    def _flag_arguments(monkeypatch):
+        """(candidates, splittable) of every `hist_best_split` call."""
+        seen = []
+        routine = _native.load().hist_best_split
+
+        def spy(*args):
+            seen.append(args[-2:])
+            return routine(*args)
+
+        handle = mock.Mock(wraps=_native.load(), hist_best_split=spy)
+        monkeypatch.setattr(_native, "load", lambda: handle)
+        return seen
+
+    @pytest.mark.parametrize("min_data_in_leaf", [1, 5])
+    def test_same_tree_with_the_inheritance_disabled(
+        self, native, monkeypatch, min_data_in_leaf
+    ):
+        flags = self._flag_arguments(monkeypatch)
+        inherited = self._grow(min_data_in_leaf)
+        (root_candidates, _), *below = flags
+        assert root_candidates == 0
+        assert below and all(c and s for c, s in below)
+
+        search = tree_module._native_best_split
+        monkeypatch.setattr(
+            tree_module, "_native_best_split",
+            lambda leaf, tables, params, addresses, *_: search(
+                leaf, tables, params, addresses
+            ),
+        )
+        del flags[:]
+        unfiltered = self._grow(min_data_in_leaf)
+        assert flags and all(pair == (0, 0) for pair in flags)
+        assert inherited.n_leaves > 2
+        assert inherited.to_dict() == unfiltered.to_dict()
+
+    def test_no_flags_when_a_split_may_leave_a_side_empty(
+        self, native, monkeypatch
+    ):
+        flags = self._flag_arguments(monkeypatch)
+        fast = self._grow(min_data_in_leaf=0)
+        assert flags and all(pair == (0, 0) for pair in flags)
+        with mock.patch.object(_native, "_state", False):
+            slow = self._grow(min_data_in_leaf=0)
+        assert fast.to_dict() == slow.to_dict()

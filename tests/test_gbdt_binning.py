@@ -106,3 +106,43 @@ class TestBinMapper:
                 assert value > bounds[b - 1]
             if b < len(bounds):
                 assert value <= bounds[b]
+
+
+def _bounds_column_by_column(X, max_bins):
+    """`BinMapper.fit` as one `np.unique` / `np.percentile` per column —
+    the oracle of its batched percentile call."""
+    bounds = []
+    for f in range(X.shape[1]):
+        col = X[:, f]
+        uniques = np.unique(col)
+        if len(uniques) == 1:
+            bounds.append(np.array([], dtype=np.float64))
+        elif len(uniques) <= max_bins:
+            bounds.append((uniques[:-1] + uniques[1:]) / 2.0)
+        else:
+            qs = np.linspace(0, 100, max_bins + 1)[1:-1]
+            bounds.append(np.unique(np.percentile(col, qs)))
+    return bounds
+
+
+@pytest.mark.parametrize("max_bins", [2, 7, 255])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_percentiles_equal_per_column_calls(seed, max_bins):
+    """Bit for bit, on columns that tie heavily, mix the two zeros, hold
+    a constant, or stay under the bin budget beside ones that do not."""
+    rng = np.random.default_rng(seed)
+    n = 700
+    X = np.column_stack([
+        rng.normal(size=n),
+        rng.lognormal(sigma=2.0, size=n),
+        np.round(rng.normal(size=n), 1),  # ~60 distinct values
+        rng.choice([-0.0, 0.0, 1.0, 2.5], size=n),
+        np.where(rng.random(n) < 0.9, 3.0, rng.normal(size=n)),
+        np.full(n, 4.0),
+        rng.integers(0, 300, size=n).astype(np.float64),
+    ])
+    found = BinMapper(max_bins=max_bins).fit(X).upper_bounds
+    expected = _bounds_column_by_column(X, max_bins)
+    assert len(found) == len(expected)
+    for a, b in zip(found, expected):
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()

@@ -478,18 +478,6 @@ class TestSimulateIntegration:
         assert len(full["hits"]) == len(obs_trace)
         json.dumps(full)
 
-    def test_parallel_labeling_segment_histogram(self, obs_trace):
-        registry = MetricsRegistry()
-        from repro.opt import solve_segmented_parallel
-
-        with use_registry(registry):
-            solve_segmented_parallel(obs_trace, 2_000, 500, n_jobs=2)
-        snapshot = registry.to_dict()
-        hist = snapshot["histograms"].get("opt.segment_solve_seconds")
-        if hist is not None:  # pool available: per-segment timings observed
-            assert hist["count"] == (len(obs_trace) + 499) // 500
-            assert "opt.pool_setup" in snapshot["spans"]
-
 
 class TestOnlineLogging:
     def test_skipped_window_logged(self, caplog):

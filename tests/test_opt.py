@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _native
-from repro.flow import solve_min_cost_flow
+from repro.flow import FlowNetwork, solve_min_cost_flow
 from repro.opt import (
     OptResult,
     belady_unit_size,
@@ -51,6 +51,55 @@ class TestBuildNetwork:
             build_opt_network(paper_trace, cache_size=0)
         with pytest.raises(ValueError):
             build_opt_network(Trace(), cache_size=5)
+
+
+def _build_opt_network_arc_by_arc(trace: Trace, cache_size: int):
+    """`build_opt_network` as the `add_arc` / `add_supply` loops it was
+    before it built its columns with numpy: the oracle of arc order,
+    adjacency order and every float."""
+    n = len(trace)
+    sizes, costs = trace.sizes, trace.costs
+    nxt, prv = trace.next_occurrence(), trace.prev_occurrence()
+    network = FlowNetwork(n)
+    for i in range(n - 1):
+        network.add_arc(i, i + 1, cache_size, 0.0)
+    bypass_arc = {}
+    for i in range(n):
+        if nxt[i] >= 0:
+            size = int(sizes[i])
+            bypass_arc[i] = network.add_arc(
+                i, int(nxt[i]), size, float(costs[i]) / size
+            )
+    for i in range(n):
+        if prv[i] < 0 <= nxt[i]:
+            network.add_supply(i, int(sizes[i]))
+        elif nxt[i] < 0 <= prv[i]:
+            network.add_supply(i, -int(sizes[i]))
+    return network, bypass_arc
+
+
+@pytest.mark.parametrize("lognormal_costs", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_array_built_network_equals_arc_by_arc(seed, lognormal_costs):
+    trace = _generated_trace(seed, lognormal_costs)
+    cache_size = 2**62 if seed == 3 else 150
+    found, found_bypass = build_opt_network(trace, cache_size)
+    expected, expected_bypass = _build_opt_network_arc_by_arc(
+        trace, cache_size
+    )
+    assert list(found_bypass.items()) == list(expected_bypass.items())
+    for name in ("n_nodes", "arc_to", "_arc_tail", "arc_cap", "adjacency",
+                 "supply"):
+        assert getattr(found, name) == getattr(expected, name), name
+    assert [c.hex() for c in found.arc_cost] == [
+        c.hex() for c in expected.arc_cost
+    ]
+    assert {type(c) for c in found.arc_cap + found.supply} == {int}
+
+
+def test_single_request_network():
+    net, bypass = build_opt_network(Trace([Request(0, 1, 5)]), cache_size=9)
+    assert (net.arc_to, net.adjacency, net.supply, bypass) == ([], [[]], [0], {})
 
 
 class TestSolveOpt:

@@ -52,6 +52,23 @@ class TestSolveSegmented:
             solve_segmented(small_zipf_trace, 500, 0)
 
 
+class TestSolvedRequestsAccounting:
+    def test_counts_lookahead_overlap(self, small_zipf_trace):
+        """solved_requests is the work done: core + lookahead per segment."""
+        n = len(small_zipf_trace)
+        plain = solve_segmented(small_zipf_trace, 500, 500, lookahead=0)
+        assert plain.solved_requests == n
+        overlap = solve_segmented(small_zipf_trace, 500, 500, lookahead=250)
+        # 4 segments; the first three re-solve 250 lookahead requests each,
+        # the last one ends at the trace boundary.
+        assert overlap.solved_requests == n + 3 * 250
+
+    def test_single_segment_counts_once(self, small_zipf_trace):
+        n = len(small_zipf_trace)
+        seg = solve_segmented(small_zipf_trace, 500, n)
+        assert seg.solved_requests == n
+
+
 class TestRankRequests:
     def test_non_recurring_rank_zero(self, paper_trace):
         rank = rank_requests(paper_trace)

@@ -146,3 +146,19 @@ class TestTrace:
             later = [j for j in range(i + 1, len(objs)) if objs[j] == objs[i]]
             expected = later[0] if later else -1
             assert nxt[i] == expected
+
+
+@given(st.lists(st.integers(0, 6), max_size=40))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_occurrence_links_match_the_dict_walk(objs):
+    trace = Trace([Request(float(t), o, 1) for t, o in enumerate(objs)])
+    nxt, prv, seen = [-1] * len(objs), [-1] * len(objs), {}
+    for i, o in enumerate(objs):
+        if o in seen:
+            prv[i] = seen[o]
+            nxt[seen[o]] = i
+        seen[o] = i
+    for found, expected in (
+        (trace.next_occurrence(), nxt), (trace.prev_occurrence(), prv)
+    ):
+        assert found.dtype == np.int64 and found.tolist() == expected

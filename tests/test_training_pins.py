@@ -1,0 +1,74 @@
+"""What "same labels, same models" means for the training job: the
+three 4000-request windows of the perf ledger's ``mix-12000`` trace,
+driven through ``LabelFitJob`` with library defaults, digest by digest.
+
+The constants were recorded at the commit before the indexed heap, the
+array-built OPT network, the partition score update, batched percentiles
+and the splittable-feature inheritance landed (PR 20); the native module
+and its Python/numpy references must both reproduce them.
+"""
+
+from hashlib import blake2b
+
+import numpy as np
+import pytest
+
+from repro.core import LFOOnline, OptLabelConfig
+from repro.trace import ContentClass, generate_mixed_trace
+
+#: The ledger's CDN-like mix (``benchmarks/perf/workloads.py``).
+_CLASSES = (
+    ContentClass("web", 2_000, 1.1, 40, 1.0, 800),
+    ContentClass("photo", 15_000, 0.6, 100, 0.8, 2_000),
+    ContentClass("software", 150, 0.9, 3_000, 1.0, 30_000),
+)
+_SHARES = (0.55, 0.35, 0.10)
+
+#: ``benchmarks/perf/pins.json``, key ``mix-12000``.
+_TRACE_DIGEST = "0a142d21569885fe"
+_LABEL_DIGESTS = ["224b5c937931de75", "492b8665fdfaee19", "c65790b5e14b9956"]
+_MODEL_DIGESTS = ["c7db1f0b6aedaf1b", "02500fa71c9eb6c7", "fa784c9b636942f5"]
+
+
+def _digest(blob: bytes) -> str:
+    return blake2b(blob, digest_size=8).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def mix_trace():
+    trace = generate_mixed_trace(
+        _CLASSES, _SHARES, n_requests=12_000, seed=42
+    )
+    digest = blake2b(digest_size=8)
+    for column in (trace.objs, trace.sizes, trace.costs, trace.times):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    assert digest.hexdigest() == _TRACE_DIGEST
+    return trace
+
+
+@pytest.mark.parametrize("backend", ["native", "python_fallback"])
+def test_window_labels_and_models_pinned(request, mix_trace, backend):
+    request.getfixturevalue(backend)
+    labels, models = [], []
+
+    class Recording(OptLabelConfig):
+        def compute(self, window, cache_size):
+            found = super().compute(window, cache_size)
+            labels.append(_digest(found.tobytes()))
+            return found
+
+    policy = LFOOnline(
+        mix_trace.footprint() // 10, window=4_000, label_config=Recording()
+    )
+    job = policy.trainer.job
+
+    def recording(requests, features, name):
+        model = job(requests, features, name)
+        models.append(_digest(model.classifier.compiled().to_bytes()))
+        return model
+
+    policy.trainer.job = recording
+    for req in mix_trace:
+        policy.on_request(req)
+    assert labels == _LABEL_DIGESTS
+    assert models == _MODEL_DIGESTS
