@@ -87,11 +87,10 @@ class SlabModel:
     """A duck-typed :class:`~repro.core.LFOModel` over an attached slab.
 
     Exposes exactly the surface :class:`~repro.core.LFOCache` touches —
-    ``classifier.compiled()``, ``cutoff``, ``n_gaps``, ``likelihood``,
-    ``likelihood_single`` — backed by a zero-copy
-    :class:`CompiledPredictor` whose node tables live in the shared
-    segment.  The instance keeps the segment mapped for as long as the
-    model is alive.
+    ``classifier.compiled()``, ``cutoff``, ``n_gaps``, ``likelihood`` —
+    backed by a zero-copy :class:`CompiledPredictor` whose node tables
+    live in the shared segment.  The instance keeps the segment mapped
+    for as long as the model is alive.
     """
 
     def __init__(
@@ -118,14 +117,6 @@ class SlabModel:
     def likelihood(self, features: np.ndarray) -> np.ndarray:
         """Predicted admission probability per feature row."""
         return self.predictor.predict_proba(features)
-
-    def likelihood_single(self, features: np.ndarray) -> float:
-        """Admission probability for one feature vector."""
-        return self.predictor.predict_proba_single(features)
-
-    def admit(self, features: np.ndarray) -> bool:
-        """Admission decision for a single feature vector."""
-        return self.likelihood_single(features) >= self.cutoff
 
 
 class ModelSlab:

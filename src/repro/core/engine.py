@@ -197,12 +197,12 @@ class DecisionEngine:
         """Decide one window from row ``start`` of the request columns
         (numpy arrays of equal length); returns the rows consumed.
 
-        ``hits[start + k]`` is set for each consumed request (a list or
-        a boolean array, at least ``len(objs)`` long); ``scores`` (a
-        float64 array) and ``rows`` (an ``(n, n_features)`` float64
-        matrix) receive, per window, each decision's score and the
-        feature row it used.  Always consumes at least one: row 0 is
-        polled before the probe.
+        ``hits[start:start + consumed]`` — a list or a boolean array at
+        least ``len(objs)`` long, nothing else of it — is written once,
+        after the replay; ``scores`` (a float64 array) and ``rows`` (an
+        ``(n, n_features)`` float64 matrix) receive, per window, each
+        decision's score and the feature row it used.  Always consumes
+        at least one: row 0 is polled before the probe.
         """
         policy = self.policy
         tracker = policy.tracker
@@ -260,6 +260,8 @@ class DecisionEngine:
             w_times.tolist(), w_sizes.tolist(), w_costs.tolist()
         )
         w_scores = [0.0] * limit
+        w_hits: list[bool] = []  # one per decision: ``consumed`` of them
+        cache_size = policy.cache_size  # fixed at construction
         self.rows_probed += limit
         if latency is None:
             timed_limit = 0
@@ -284,7 +286,7 @@ class DecisionEngine:
             while k < limit:
                 # One scoring chunk: rows [k, m) under the live free bytes.
                 m = min(k + self._window, limit)
-                free = policy.free_bytes
+                free = cache_size - policy.used_bytes
                 bucket = bisect_left(thresholds, float(free))
                 X[k:m, FREE_BYTES_COLUMN] = free
                 chunk = predictor.predict_proba(X[k:m]).tolist()
@@ -310,7 +312,7 @@ class DecisionEngine:
                         w_scores[j] = score
                         self.n_rescored += 1
                     else:
-                        live = policy.free_bytes
+                        live = cache_size - policy.used_bytes
                         if live != free:
                             if bisect_left(thresholds, float(live)) != bucket:
                                 break
@@ -332,7 +334,7 @@ class DecisionEngine:
                         evicted = tracker.last_evicted
                         if evicted is not None:
                             dirty.add(evicted)
-                    hits[start + j] = hit
+                    w_hits.append(hit)
                     due = polls
                     if tap is not None:
                         tap(start + j, hit, score)
@@ -355,6 +357,7 @@ class DecisionEngine:
                 k = j
         finally:
             tracker.defer_updates(False)
+        hits[start:start + consumed] = w_hits
         if scores is not None:
             scores[start:start + consumed] = w_scores[:consumed]
         if rows is not None:

@@ -134,18 +134,9 @@ class LFOModel:
         """Predicted probability that OPT would cache each row."""
         return self.classifier.compiled().predict_proba(features)
 
-    def likelihood_single(self, features: np.ndarray) -> float:
-        """Likelihood for one feature vector, no batch-shape overhead.
-
-        The per-request scoring path: skips ``atleast_2d`` and the
-        result-array allocation of :meth:`likelihood` and returns a bare
-        float.  Identical value to ``likelihood(features)[0]``.
-        """
-        return self.classifier.compiled().predict_proba_single(features)
-
     def admit(self, features: np.ndarray) -> bool:
         """Admission decision for a single feature vector."""
-        return self.likelihood_single(features) >= self.cutoff
+        return self.classifier.compiled().predict_proba_single(features) >= self.cutoff
 
     def prediction_error(self, X: np.ndarray, y: np.ndarray) -> float:
         """Fraction of requests where the model disagrees with OPT."""
@@ -205,7 +196,8 @@ class LFOCache(CachePolicy):
         self.sampled_config = sampled or SampledEvictionConfig()
         self._rng = np.random.default_rng(self.sampled_config.seed)
         self._tracker = tracker or FeatureTracker(n_gaps=n_gaps)
-        self._score: dict[int, float] = {}
+        self._predictor = None  # of ``_predictor_model``, for on_request
+        self._predictor_model: LFOModel | None = None
         self._heap: list[tuple[float, int, int]] = []  # (score, stamp, obj)
         self._stamp: dict[int, int] = {}
         self._counter = 0
@@ -261,7 +253,6 @@ class LFOCache(CachePolicy):
         return self.model is not None and self.rescore_interval == 0
 
     def _rank(self, obj: int, score: float) -> None:
-        self._score[obj] = score
         self._counter += 1
         self._stamp[obj] = self._counter
         heapq.heappush(self._heap, (score, self._counter, obj))
@@ -328,11 +319,14 @@ class LFOCache(CachePolicy):
         ):
             self._rescore_all()
         features = self._tracker.features(request, self.free_bytes)
-        score = (
-            self.model.likelihood_single(features)
-            if self.model is not None
-            else 0.0
-        )
+        model = self.model
+        if model is None:
+            score = 0.0
+        else:
+            if model is not self._predictor_model:
+                self._predictor = model.classifier.compiled()
+                self._predictor_model = model
+            score = self._predictor.predict_proba_single(features)
         return self.apply_scored(
             request.time, request.obj, request.size, request.cost,
             features, score,
@@ -413,7 +407,6 @@ class LFOCache(CachePolicy):
 
     def _remove(self, obj: int) -> None:
         super()._remove(obj)
-        self._score.pop(obj, None)
         self._stamp.pop(obj, None)
         self._lru.pop(obj, None)
         # O(1) swap-remove keeps the sampler's candidate pool dense.
@@ -495,7 +488,6 @@ class LFOCache(CachePolicy):
         return [candidates[i] for i in order]
 
     def _reset_policy_state(self) -> None:
-        self._score.clear()
         self._heap.clear()
         self._stamp.clear()
         self._lru.clear()

@@ -15,14 +15,15 @@ important for robustness, unlike LRU-K's absolute-age representation.
 Storage is an *arena*: every tracked object owns one row of a dense
 ``(capacity, n_gaps + 1)`` float64 slab of request times, plus parallel
 ``seen`` (requests recorded — ring head and fill level both derive from
-it) and ``last_cost`` vectors.  An ordered object → row map
-preserves LRU order for the optional ``max_objects`` cap, and evicted
-rows go on a free list for recycling, so memory stays bounded on
-adversarial one-touch scans and the slab never fragments.  Feature
-extraction is pure slice arithmetic over the slab — no per-gap Python
-loop — and :meth:`FeatureTracker.features_batch` gathers whole request
-windows, given as columns, in one shot for the decision engine, the
-eviction probes and dataset construction.
+it) and ``last_cost`` vectors.  The object → row map is in LRU order
+**iff the tracker is capped** (``max_objects``) — only the cap's
+eviction reads recency — and evicted rows go on a free list for
+recycling, so memory stays bounded on adversarial one-touch scans and
+the slab never fragments.  A feature row is one ring read and one
+subtraction over the slab — no per-gap Python loop — and
+:meth:`FeatureTracker.features_batch` gathers whole request windows,
+given as columns, in one shot for the decision engine, the eviction
+probes and dataset construction.
 
 With the native module (:mod:`repro._native`) the window gather and the
 arena writes are two of its routines.  ``tracker_gather`` fills a probe
@@ -93,14 +94,14 @@ class FeatureTracker:
         # One extra slot so gap_1 (now - last request) plus n_gaps-1
         # historical gaps are all available.
         self._n_slots = n_gaps + 1
-        self.max_objects = max_objects
+        self._max_objects = max_objects
         capacity = max_objects if max_objects else _INITIAL_CAPACITY
         self._times = np.zeros((capacity, self._n_slots), dtype=np.float64)
         self._last_cost = np.zeros(capacity, dtype=np.float64)
         #: requests recorded per row: the ring head is ``seen % n_slots``,
         #: the fill level ``min(seen, n_slots)``.
         self._seen = np.zeros(capacity, dtype=np.int64)
-        #: object id → arena row, in LRU order (oldest first).
+        #: object id → arena row, in LRU order (oldest first) iff capped.
         self._rows: OrderedDict[int, int] = OrderedDict()
         #: rows released by eviction/forget, recycled before slab growth.
         self._free: list[int] = []
@@ -134,6 +135,22 @@ class FeatureTracker:
         return 3 + self.n_gaps
 
     @property
+    def max_objects(self) -> int:
+        """LRU bound on tracked objects (0 = unbounded).  ``_rows`` is in
+        LRU order iff it is set: a cap is imposed only on an empty tracker
+        (``ValueError`` otherwise), changed or lifted on any."""
+        return self._max_objects
+
+    @max_objects.setter
+    def max_objects(self, value: int) -> None:
+        if value < 0:
+            raise ValueError("max_objects must be >= 0")
+        if value and not self._max_objects and self.n_tracked:
+            raise ValueError("a tracker that already tracks objects kept no LRU order")
+        self._max_objects = value
+        self._deferring = self._deferring and not value
+
+    @property
     def n_tracked(self) -> int:
         """Number of objects with live state."""
         if self._pending:
@@ -156,10 +173,9 @@ class FeatureTracker:
     def _alloc_row(self) -> int:
         if self._free:
             row = self._free.pop()
-            # Stale slab times are invisible while nothing is recorded,
-            # so resetting the scalars is all recycling needs.
+            # Stale times are invisible while nothing is recorded, the
+            # stale cost until the first record overwrites it.
             self._seen[row] = 0
-            self._last_cost[row] = 0.0
         else:
             # A row never handed out is still all zeros.
             if self._next_row >= len(self._seen):
@@ -209,7 +225,7 @@ class FeatureTracker:
     ) -> np.ndarray:
         if self._pending:
             self._flush()
-        vec = np.empty(self.n_features, dtype=np.float64)
+        vec = np.empty(3 + self.n_gaps, dtype=np.float64)
         vec[0] = size
         vec[2] = free_bytes
         row = self._rows.get(obj)
@@ -219,14 +235,13 @@ class FeatureTracker:
         else:
             vec[1] = self._last_cost[row]
             seen = self._seen.item(row)
-            m = min(seen, self.n_gaps)
-            gaps = vec[3:]
-            gaps[m:] = MISSING_GAP
-            # Most-recent-first; every mapped row has seen >= 1.
-            t = self._times[row, self._idx[seen % self._n_slots, :m]]
-            gaps[0] = time - t[0]
-            if m > 1:
-                gaps[1:m] = t[: m - 1] - t[1:m]
+            # The whole ring, most recent first (seen >= 1 on a mapped
+            # row); row view + 1-D read costs a quarter of [row, idx].
+            t = self._times[row][self._idx[seen % self._n_slots]]
+            vec[3] = time - t[0]
+            np.subtract(t[:-2], t[1:-1], out=vec[4:])
+            if seen < self.n_gaps:  # unwritten slots only fed these gaps
+                vec[3 + seen:] = MISSING_GAP
         return vec
 
     def features_batch(
@@ -394,17 +409,17 @@ class FeatureTracker:
             self._flush()
         rows = self._rows
         row = rows.get(obj)
+        cap = self._max_objects
         if row is None:
-            row = self._alloc_row()
-            rows[obj] = row
-        else:
+            row = rows[obj] = self._alloc_row()
+        elif cap:
             rows.move_to_end(obj)
         seen = self._seen.item(row)
         self._times[row, seen % self._n_slots] = time
         self._seen[row] = seen + 1
         self._last_cost[row] = cost
         evicted = None
-        if self.max_objects and len(rows) > self.max_objects:
+        if cap and len(rows) > cap:
             evicted, released = rows.popitem(last=False)
             self._free.append(released)
         self.last_evicted = evicted
@@ -420,11 +435,10 @@ class FeatureTracker:
         construction) and a process without the native module never
         defer — :meth:`update` records immediately, as it does for the
         scalar loop.  Closing writes nothing: what is pending is flushed
-        by whoever reads next.  Set a cap between windows, not inside
-        one: pending records are written without one.
+        by whoever reads next.
         """
         self._deferring = (
-            on and not self.max_objects and _native.load() is not None
+            on and not self._max_objects and _native.load() is not None
         )
 
     def _flush(self) -> None:
@@ -433,15 +447,12 @@ class FeatureTracker:
         self._pending = []
         objs, times, costs = pending[0::3], pending[1::3], pending[2::3]
         tracked = self._rows
-        lookup, touch = tracked.get, tracked.move_to_end
-        rows = []
-        for obj in objs:
-            row = lookup(obj)
-            if row is None:
-                row = tracked[obj] = self._alloc_row()
-            else:
-                touch(obj)
-            rows.append(row)
+        rows = list(map(tracked.get, objs))  # uncapped: no recency to keep
+        if None in rows:
+            for obj in objs:  # rows are handed out in request order
+                if obj not in tracked:
+                    tracked[obj] = self._alloc_row()
+            rows = [tracked[obj] for obj in objs]
         self.last_evicted = None
         native = _native.load()
         if native is None:
@@ -476,12 +487,13 @@ class FeatureTracker:
 
         Returns ``tracked`` (live objects), ``recency_mean`` (mean trace
         time since each object's last request — the gap_1 population), and
-        ``cost_mean`` (mean last retrieval cost).
+        ``cost_mean`` (mean last retrieval cost), both summed in ascending
+        arena-row order, whatever order the map is in.
         """
         n = self.n_tracked
         if n == 0:
             return {"tracked": 0, "recency_mean": 0.0, "cost_mean": 0.0}
-        rows = np.fromiter(self._rows.values(), dtype=np.int64, count=n)
+        rows = np.sort(np.fromiter(self._rows.values(), dtype=np.int64, count=n))
         # Every mapped row has seen >= 1 (update records before mapping
         # is observable), so the slot behind the head is a real time.
         last_times = self._times[rows, (self._seen[rows] - 1) % self._n_slots]

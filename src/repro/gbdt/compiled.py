@@ -248,20 +248,20 @@ class CompiledPredictor:
         persistent row/output buffers, so the only per-call work is one
         52-element copy and the kernel walk itself.
         """
-        kernel = self._resolve_kernel()
-        if kernel is None:
-            out = np.empty(1, dtype=np.float64)
-            x2 = np.ascontiguousarray(x, dtype=np.float64)[None, :]
-            return float(self._predict_raw_numpy(x2, out)[0])
+        fast = self._fast
+        if fast is None:
+            if self._resolve_kernel() is None:
+                return float(self.predict_raw(x)[0])
+            fast = self._fast_buffers()
         row, out, row_ptr, out_ptr, nodes_ptr, roots_ptr, depths_ptr, \
-            n_trees = self._fast_buffers()
+            n_trees = fast
         row[:] = x
-        kernel.predict_raw(
+        self._kernel.predict_raw(  # loaded, or ``_fast`` would not exist
             row_ptr, 1, self.n_features,
             nodes_ptr, roots_ptr, depths_ptr, n_trees,
             self.init_score, out_ptr,
         )
-        return float(out[0])
+        return out.item(0)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probability per row (logistic link)."""

@@ -650,7 +650,8 @@ def _grow(
                 _leaf_value(child.grad_sum, child.hess_sum, params.lambda_l2),
             )
             leaves[child_node] = child_idx
-            if len(child_idx) >= 2 * params.min_data_in_leaf:
+            wide = len(child_idx) >= 2 * params.min_data_in_leaf
+            if wide and n_leaves < params.num_leaves:  # else never popped
                 search(child, node)
                 if child.best_feature >= 0:
                     heapq.heappush(heap, (-child.best_gain, counter, child))

@@ -350,7 +350,7 @@ class TestModelSlab:
             )
             for i in range(8):
                 assert (
-                    attached.likelihood_single(X[i])
+                    attached.compiled().predict_proba_single(X[i])
                     == predictor.predict_proba_single(X[i])
                 )
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import LFOCache, LFOModel
+from repro.core import LFOCache, LFOModel, LFOOnline, OptLabelConfig
 from repro.features import Dataset, FeatureTracker, feature_names
-from repro.gbdt import GBDTParams
+from repro.gbdt import CompiledPredictor, GBDTParams
 from repro.trace import Request
 
 
@@ -27,6 +27,16 @@ def _toy_model(cutoff=0.5, n_gaps=4, positive_small=True):
     return LFOModel.train(
         ds, params=GBDTParams(num_iterations=10), cutoff=cutoff
     )
+
+
+def _live_rank(policy, obj):
+    """The score ``obj`` is ranked by: its one heap entry whose stamp is
+    the live one (superseded entries stay in the heap until compacted)."""
+    (score,) = [
+        score for score, stamp, ranked in policy._heap
+        if ranked == obj and stamp == policy._stamp[obj]
+    ]
+    return score
 
 
 class TestLFOModel:
@@ -97,9 +107,9 @@ class TestLFOCache:
         model = _toy_model(n_gaps=4)
         policy = LFOCache(cache_size=100, model=model, n_gaps=4)
         policy.on_request(Request(0, 1, 10))
-        before = policy._score[1]
+        before = _live_rank(policy, 1)
         policy.on_request(Request(50.0, 1, 10))
-        after = policy._score[1]
+        after = _live_rank(policy, 1)
         # The score was recomputed (gap features changed the input).
         assert before != after or policy._stamp[1] == policy._counter
 
@@ -168,11 +178,11 @@ class TestLFOVariants:
             cache_size=1000, model=model, n_gaps=4, rescore_interval=3
         )
         policy.on_request(Request(0.0, 1, 10))
-        stale = policy._score[1]
+        stale = _live_rank(policy, 1)
         # Two more requests trigger the batch rescore at request #3.
         policy.on_request(Request(50.0, 2, 10))
         policy.on_request(Request(100.0, 3, 10))
-        refreshed = policy._score[1]
+        refreshed = _live_rank(policy, 1)
         # Object 1's gap_1 grew from 0 to 100: the score must have been
         # recomputed (stamp advanced even if the value barely moved).
         assert policy._stamp[1] > 1
@@ -355,3 +365,105 @@ class TestProbesCarryTheRealCost:
         policy._restore(1, 100, Request(3.0, 4, 950, 7.0), cost=1.0)
         assert probed == [(1, 1.0)]
         assert policy.entry_cost(1) == 1.0
+
+
+class TestPredictorResolvedOncePerModel:
+    """``on_request`` keeps the compiled predictor of the model it last
+    scored with and resolves again when ``policy.model`` is another
+    object — however it got there."""
+
+    @staticmethod
+    def _tap_scores(policy):
+        """The scores that reach ``policy.apply_scored``, as they come."""
+        scores = []
+        inner = policy.apply_scored
+
+        def apply_scored(time, obj, size, cost, features, score):
+            scores.append(score)
+            return inner(time, obj, size, cost, features, score)
+
+        policy.apply_scored = apply_scored
+        return scores
+
+    @staticmethod
+    def _record_single_row_calls(monkeypatch):
+        """Wrap ``CompiledPredictor.predict_proba_single`` on the class, as
+        the perf ledger's tracer does; the ``(predictor, row)`` calls."""
+        calls = []
+        inner = CompiledPredictor.predict_proba_single
+
+        def recorded(self, x):
+            calls.append((self, x))
+            return inner(self, x)
+
+        monkeypatch.setattr(CompiledPredictor, "predict_proba_single", recorded)
+        return calls
+
+    @pytest.mark.parametrize("how", ["assign", "set_model"])
+    def test_scalar_loop_follows_a_swapped_model(self, how):
+        small, large = _toy_model(), _toy_model(positive_small=False)
+        requests = [
+            Request(float(t), t % 7, 10 + 12 * (t % 7)) for t in range(60)
+        ]
+        policy = LFOCache(cache_size=400, model=small, n_gaps=4)
+        got = self._tap_scores(policy)
+        for i, request in enumerate(requests):
+            if i == 30 and how == "assign":
+                policy.model = large
+            elif i == 30:
+                policy.set_model(large)
+            policy.on_request(request)
+        # The same loop with the model looked up at every request.
+        reference = LFOCache(cache_size=400, model=small, n_gaps=4)
+        want = []
+        for i, request in enumerate(requests):
+            if i == 30:
+                reference.model = large
+            features = reference.tracker.features(request, reference.free_bytes)
+            want.append(
+                reference.model.classifier.compiled().predict_proba_single(
+                    features
+                )
+            )
+            reference.apply_scored(
+                request.time, request.obj, request.size, request.cost,
+                features, want[-1],
+            )
+        assert got == want
+        never_swapped = LFOCache(cache_size=400, model=small, n_gaps=4)
+        stale = self._tap_scores(never_swapped)
+        for request in requests:
+            never_swapped.on_request(request)
+        assert got[:30] == stale[:30] and got[30:] != stale[30:]
+
+    def test_scalar_loop_follows_a_trainer_install(
+        self, small_zipf_trace, monkeypatch
+    ):
+        """Inline training installs at a window's last request: the next
+        one is scored by the new model's predictor."""
+        scored_by = self._record_single_row_calls(monkeypatch)
+        policy = LFOOnline(
+            small_zipf_trace.footprint() // 10, window=500, n_gaps=4,
+            gbdt_params=GBDTParams(num_iterations=4), min_positive_labels=1,
+            label_config=OptLabelConfig(mode="greedy"),
+        )
+        models = []
+        for request in list(small_zipf_trace)[:1600]:
+            live = policy.model
+            policy.on_request(request)
+            if live is not None:
+                models.append(live)
+                assert scored_by[-1][0] is live.classifier.compiled()
+        assert len(scored_by) == len(models) == 1100  # cold for 500
+        assert policy.n_retrains == 3
+        assert len(set(map(id, models))) == 3  # every install was used
+
+    def test_predict_proba_single_is_looked_up_at_call_time(self, monkeypatch):
+        """What the perf ledger's tracer relies on: a wrapper put on the
+        class after the first request still sees every later one."""
+        policy = LFOCache(cache_size=400, model=_toy_model(), n_gaps=4)
+        policy.on_request(Request(0.0, 1, 10))
+        calls = self._record_single_row_calls(monkeypatch)
+        for t in range(1, 6):
+            policy.on_request(Request(float(t), t % 2, 10))
+        assert len(calls) == 5 and calls[-1][1] is policy.last_features

@@ -335,6 +335,44 @@ def test_poll_hook_runs_once_per_request(model):
     assert hits == scalar(requests)(policy())
 
 
+@pytest.mark.parametrize(
+    "blank",
+    [lambda n: [None] * n, lambda n: np.full(n, -1, dtype=np.int8)],
+    ids=["list", "ndarray"],
+)
+def test_step_writes_exactly_the_rows_it_consumed(model, blank):
+    """A window's hits land in one slice assignment after the replay;
+    when a swap ends the window early nothing past the consumed rows —
+    and nothing before ``start`` — is touched, in a list or an array."""
+    requests = list(generate_trace(SyntheticConfig(
+        n_requests=400, n_objects=60, size_median=40.0, size_max=150, seed=3,
+    )))
+    policy = LFOCache(300, model, tracker=FeatureTracker(n_gaps=N_GAPS))
+    polls = count(1)
+
+    def poll():
+        if next(polls) == 150:
+            policy.set_model(replace(model))
+
+    engine = DecisionEngine(policy, max_window=64, poll=poll)
+    cols = columns(requests)
+    hits = blank(len(requests))
+    start, steps = 0, []
+    while start < len(requests):
+        before = list(hits)
+        consumed = engine.step(*cols, start, hits)
+        steps.append(consumed)
+        assert list(hits[:start]) == before[:start]
+        assert list(hits[start + consumed:]) == before[start + consumed:]
+        assert all(flag in (0, 1) for flag in hits[start:start + consumed])
+        start += consumed
+    assert len(hits) == len(requests)
+    # 149 = 64 + 64 + 21: the swap cut the third window short.
+    assert steps[:3] == [64, 64, 21] and sum(steps) == len(requests)
+    reference = LFOCache(300, model, tracker=FeatureTracker(n_gaps=N_GAPS))
+    assert [bool(h) for h in hits] == scalar(requests)(reference)
+
+
 @pytest.mark.parametrize("name", list(policy_factories()))
 def test_batch_size_is_a_noop_for_non_lfo_policies(name):
     trace = generate_trace(

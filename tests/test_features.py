@@ -1,5 +1,7 @@
 """Tests for the online feature tracker and dataset assembly."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,55 @@ class TestFeatureTracker:
         assert tracker.n_tracked == 2
         vec = tracker.features(Request(3.0, 1, 10), free_bytes=0)
         assert (vec[3:] == MISSING_GAP).all()  # object 1 was forgotten
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.integers(0, 9) | st.just(0), min_size=1, max_size=200),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_capped_tracker_evicts_in_exact_lru_order(self, cap, objs):
+        """Against an ``OrderedDict`` model, hits interleaved: the same
+        victim at the same request, the same recency order after each."""
+        tracker = FeatureTracker(n_gaps=2, max_objects=cap)
+        model = OrderedDict()
+        for t, obj in enumerate(objs):
+            tracker.update(obj, float(t), 1.0)
+            model[obj] = None
+            model.move_to_end(obj)
+            victim = None
+            if len(model) > cap:
+                victim, _ = model.popitem(last=False)
+            assert tracker.last_evicted == victim
+            assert list(tracker._rows) == list(model)
+
+    def test_uncapped_tracker_keeps_no_recency(self):
+        """``_rows`` is in LRU order iff capped: nothing reads the order
+        of an uncapped tracker, so a hit does not pay for it."""
+        tracker = FeatureTracker(n_gaps=2)
+        for t, obj in enumerate([1, 2, 3, 1, 2, 1]):
+            tracker.update(obj, float(t), 1.0)
+        assert list(tracker._rows) == [1, 2, 3]
+
+    def test_cap_is_imposed_only_on_an_empty_tracker(self):
+        tracker = FeatureTracker(n_gaps=2)
+        tracker.max_objects = 0  # not a cap
+        tracker.max_objects = 2
+        for t, obj in enumerate([1, 2, 1, 3]):
+            tracker.update(obj, float(t), 1.0)
+        assert tracker.last_evicted == 2 and tracker.n_tracked == 2
+        tracker.max_objects = 3  # a kept order serves any cap
+        tracker.update(2, 4.0, 1.0)
+        assert tracker.last_evicted is None and tracker.n_tracked == 3
+        tracker.max_objects = 0  # lifting one is always possible
+        with pytest.raises(ValueError, match="already tracks"):
+            tracker.max_objects = 2
+        assert tracker.max_objects == 0
+        with pytest.raises(ValueError):
+            tracker.max_objects = -1
+        for obj in (1, 2, 3):
+            tracker.forget(obj)
+        tracker.max_objects = 1
+        assert tracker.max_objects == 1
 
     def test_forget(self):
         tracker = FeatureTracker(n_gaps=2)

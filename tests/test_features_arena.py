@@ -9,7 +9,9 @@ demand bit-identical feature vectors throughout.
 """
 
 import copy
+import inspect
 import pickle
+import textwrap
 from contextlib import contextmanager
 
 import numpy as np
@@ -525,6 +527,16 @@ def test_records_deferred_elsewhere_are_written_without_the_module(native):
         _assert_same_arena(shipped, immediate)
 
 
+def test_imposing_a_cap_closes_the_deferred_window(native):
+    tracker = FeatureTracker(n_gaps=2)
+    tracker.defer_updates(True)
+    tracker.max_objects = 2
+    for t, obj in enumerate([1, 2, 1, 3]):
+        tracker.update(obj, float(t), 1.0)
+    assert not tracker._pending
+    assert tracker.last_evicted == 2 and list(tracker._rows) == [1, 3]
+
+
 def test_cap_set_after_construction_records_immediately(native):
     tracker = FeatureTracker(n_gaps=2)
     tracker.max_objects = 2
@@ -533,6 +545,18 @@ def test_cap_set_after_construction_records_immediately(native):
         tracker.update(obj, float(t), 1.0)
     assert not tracker._pending
     assert tracker.last_evicted == 1 and tracker.n_tracked == 2
+
+
+def test_cap_is_refused_while_records_are_pending(native):
+    """Pending records are tracked objects: the setter writes them, then
+    refuses — their recency was never kept."""
+    tracker = FeatureTracker(n_gaps=2)
+    tracker.defer_updates(True)
+    tracker.update(1, 0.0, 1.0)
+    assert tracker._pending
+    with pytest.raises(ValueError, match="already tracks"):
+        tracker.max_objects = 2
+    assert not tracker._pending and tracker.n_tracked == 1
 
 
 def test_no_module_records_immediately(python_fallback):
@@ -578,3 +602,157 @@ def test_a_deferred_record_to_a_row_outside_the_arena_is_refused(native):
     tracker.update(7, 1.0, 1.0)
     with pytest.raises(ValueError, match="outside the arena"):
         tracker.n_tracked
+
+
+# -- the row formula: one ring read, one subtraction ---------------------------
+
+
+def reference_extract(tracker, obj, time, size, cost, free_bytes):
+    """``FeatureTracker._extract`` as it stood through PR 21 — a sliced
+    read of the ``min(seen, n_gaps)`` valid slots, two slice fills, two
+    subtractions — kept as the reference the one-read form must equal
+    bitwise."""
+    tracker.n_tracked  # pending records first, as every reader
+    vec = np.empty(tracker.n_features, dtype=np.float64)
+    vec[0] = size
+    vec[2] = free_bytes
+    row = tracker._rows.get(obj)
+    if row is None:
+        vec[1] = cost
+        vec[3:] = MISSING_GAP
+    else:
+        vec[1] = tracker._last_cost[row]
+        seen = tracker._seen.item(row)
+        m = min(seen, tracker.n_gaps)
+        gaps = vec[3:]
+        gaps[m:] = MISSING_GAP
+        t = tracker._times[row, tracker._idx[seen % tracker._n_slots, :m]]
+        gaps[0] = time - t[0]
+        if m > 1:
+            gaps[1:m] = t[: m - 1] - t[1:m]
+    return vec
+
+
+#: One op of a history: a request (``_event``), ``("forget", obj)``, or
+#: ``("burst", k)`` — object 0 requested ``k`` more times, ties included,
+#: which is how a ring of 51 slots gets past its second wrap.
+_history_op = st.one_of(
+    _event, _event, _event,
+    st.tuples(st.just("forget"), st.integers(0, 9)),
+    st.tuples(st.just("burst"), st.integers(1, 40)),
+)
+
+#: Every row class at ``n_gaps`` 5 and 50 in one history: an unseen
+#: object, ``seen`` = 1, 2, .. through two ring wraps of object 0 (ties
+#: inside), a forgotten object's row recycled by a new one.
+COVERING_HISTORY = (
+    [(0, 1.0, 10, 1.0), (1, 0.5, 10, 2.0), (2, 0.0, 10, 0.0)]
+    + [("burst", 1)] * 7
+    + [("forget", 1), (3, 7.0, 10, 3.5), (3, 0.0, 10, 1.0)]
+    + [("burst", 40), ("burst", 40), ("burst", 30)]
+)
+
+
+def _check_rows_against_reference(name, n_gaps, ops):
+    """Apply ``ops`` — inside a deferred window where the backend has
+    one — and compare every object's row, and an unseen object's, with
+    the reference after each op."""
+    with backend(name):
+        tracker = small_tracker(n_gaps)
+        tracker.defer_updates(True)
+        now = 0.0
+        for op in ops:
+            if op[0] == "forget":
+                tracker.forget(op[1])
+            elif op[0] == "burst":
+                for i in range(op[1]):
+                    now += (0.0, 0.5, 3.0)[i % 3]
+                    tracker.update(0, now, float(i))
+            else:
+                obj, gap, _size, cost = op
+                now += gap
+                tracker.update(obj, now, cost)
+            for obj in (*range(10), 99):
+                probe = (obj, now + 0.25, 7, 1.5, 1234)
+                got = tracker._extract(*probe)
+                want = reference_extract(tracker, *probe)
+                assert got.tobytes() == want.tobytes(), (obj, got, want)
+        seen = tracker._seen[tracker._rows[0]] if 0 in tracker._rows else 0
+    return int(seen)
+
+
+@pytest.mark.parametrize("name", ["native", "numpy"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([1, 2, 5, 50]),
+    st.lists(_history_op, min_size=1, max_size=40),
+)
+@example(5, COVERING_HISTORY)
+@example(50, COVERING_HISTORY)
+def test_rows_equal_the_sliced_reference_bitwise(name, n_gaps, ops):
+    if name == "native" and _native.load() is None:
+        pytest.skip("native module unavailable")
+    seen = _check_rows_against_reference(name, n_gaps, ops)
+    if ops == COVERING_HISTORY:
+        assert seen > 2 * (n_gaps + 1)  # past the second wrap
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        # slice off by one
+        ("np.subtract(t[:-2], t[1:-1],", "np.subtract(t[1:-1], t[2:],"),
+        # the MISSING_GAP fill dropped
+        ("if seen < self.n_gaps:", "if seen < 0:"),
+        # head taken from ``seen - 1``
+        ("self._idx[seen % self._n_slots]",
+         "self._idx[(seen - 1) % self._n_slots]"),
+    ],
+)
+def test_row_formula_mutants_are_caught(monkeypatch, old, new):
+    source = textwrap.dedent(inspect.getsource(FeatureTracker._extract))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(tracker_module), namespace)
+    monkeypatch.setattr(FeatureTracker, "_extract", namespace["_extract"])
+    for n_gaps in (5, 50):
+        with pytest.raises(AssertionError):
+            _check_rows_against_reference("numpy", n_gaps, COVERING_HISTORY)
+
+
+# -- arena_summary: summed in row order, whatever order the map is in ---------
+
+
+def test_arena_summary_does_not_depend_on_map_order():
+    """The map of a capped tracker is in LRU order, an uncapped one's in
+    insertion order, a recycled row sits out of either: all of them sum
+    the same rows in ascending row order, to the last bit."""
+    rng = np.random.default_rng(8)
+    capped = FeatureTracker(n_gaps=3, max_objects=64)  # never reached
+    plain, deferred = FeatureTracker(n_gaps=3), FeatureTracker(n_gaps=3)
+    deferred.defer_updates(True)
+    now = 0.0
+    for i in range(900):
+        now += float(rng.exponential(1.0))
+        obj, cost = int(rng.zipf(1.4)) % 40, float(rng.uniform(0.1, 9.0))
+        for tracker in (capped, plain, deferred):
+            tracker.update(obj, now, cost)
+        if i % 97 == 96:
+            for tracker in (capped, plain, deferred):
+                tracker.forget(i % 40)
+    assert deferred._pending or _native.load() is None
+    assert list(capped._rows) != list(plain._rows)  # LRU vs insertion
+    assert dict(capped._rows) == dict(plain._rows)
+    rows = np.sort(np.fromiter(plain._rows.values(), dtype=np.int64))
+    assert not np.array_equal(rows, list(plain._rows.values()))
+    last = plain._times[rows, (plain._seen[rows] - 1) % plain._n_slots]
+    want = {
+        "tracked": len(rows),
+        "recency_mean": float(now - last.mean()),
+        "cost_mean": float(plain._last_cost[rows].mean()),
+    }
+    for tracker in (
+        capped, plain, deferred, copy.deepcopy(plain),
+        pickle.loads(pickle.dumps(capped)),
+    ):
+        assert tracker.arena_summary(now) == want

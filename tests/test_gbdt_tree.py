@@ -55,6 +55,39 @@ class TestGrowTree:
         tree, _, _ = _fit_tree(X, grad, num_leaves=8, min_data_in_leaf=5)
         assert tree.n_leaves <= 8
 
+    @pytest.mark.parametrize(
+        "backend,search",
+        [("native", "_native_best_split"), ("python_fallback", "_find_best_split")],
+    )
+    def test_children_of_the_last_split_are_not_searched(
+        self, request, monkeypatch, backend, search
+    ):
+        """The loop exits once ``num_leaves`` is reached: a split search
+        for the two leaves made last could never be used."""
+        request.getfixturevalue(backend)
+        searched = []
+        inner = getattr(tree_module, search)
+
+        def counted(leaf, *args, **kwargs):
+            searched.append(leaf.node)
+            return inner(leaf, *args, **kwargs)
+
+        monkeypatch.setattr(tree_module, search, counted)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(500, 3))
+        grad = rng.normal(size=500)
+        for num_leaves in (2, 8):
+            searched.clear()
+            tree, _, _ = _fit_tree(
+                X, grad, num_leaves=num_leaves, min_data_in_leaf=5
+            )
+            assert tree.n_leaves == num_leaves
+            n_nodes = 2 * num_leaves - 1
+            # Every node but the last two, less the leaves too small
+            # to split (none at two leaves: only the root is searched).
+            assert set(searched) <= set(range(n_nodes - 2))
+            assert len(searched) == len(set(searched)) >= num_leaves - 1
+
     def test_min_data_in_leaf_respected(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(200, 2))
