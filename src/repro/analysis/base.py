@@ -1,11 +1,12 @@
 """Core types of the static-analysis framework: violations, file context,
-and the visitor-based :class:`Rule` plugin API.
+and the :class:`Rule` plugin API.
 
 A rule is an :class:`ast.NodeVisitor` subclass with a stable ``rule_id``.
-The engine instantiates each selected rule once per run (so cross-file
-rules can accumulate state), feeds it every in-scope file via
-:meth:`Rule.check`, and finally calls :meth:`Rule.finish` for whole-tree
-invariants such as metric-name uniqueness.
+The engine instantiates each selected rule once per run and calls
+:meth:`Rule.check` with the whole-program model.  The default walks every
+in-scope file's AST (a visitor rule only overrides ``visit_*``); a
+whole-program rule overrides :meth:`Rule.check` and reads the model's
+symbol table, call graph or metric surface instead.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-__all__ = ["FileContext", "ProjectRule", "Rule", "Violation"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .project import ProjectModel
+
+__all__ = ["FileContext", "Rule", "Violation"]
 
 #: ``# lint: ignore[rule-a, rule-b]`` — file-wide suppression marker.
 SUPPRESSION_RE = re.compile(r"#\s*lint:\s*ignore\[([A-Za-z0-9_,\s-]+)\]")
@@ -131,10 +136,12 @@ class Rule(ast.NodeVisitor):
     """Base class for all analysis rules.
 
     Subclasses set ``rule_id`` (stable, kebab-case, what ``--select`` and
-    suppressions match) and ``summary`` (one line for reports), override
-    ``visit_*`` methods, and call :meth:`report` on findings.  Override
-    :meth:`applies_to` to scope a rule to particular modules and
-    :meth:`finish` for cross-file invariants.
+    suppressions match) and ``summary`` (one line for reports).  A visitor
+    rule overrides ``visit_*`` methods, calls :meth:`report` on findings
+    and may override :meth:`applies_to` to scope itself to particular
+    modules.  A whole-program rule overrides :meth:`check` and builds its
+    findings with :meth:`report_at`; they still anchor to a concrete
+    ``path:line`` so suppression markers apply to both kinds alike.
     """
 
     rule_id: str = ""
@@ -144,25 +151,23 @@ class Rule(ast.NodeVisitor):
         self._violations: list[Violation] = []
         self._ctx: FileContext | None = None
 
-    # -- engine entry points -------------------------------------------------
+    # -- engine entry point --------------------------------------------------
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule inspects ``ctx`` at all (default: every file)."""
         return True
 
-    def check(self, ctx: FileContext) -> list[Violation]:
-        """Visit one file's AST; returns the violations found in it."""
-        self._ctx = ctx
+    def check(self, model: "ProjectModel") -> list[Violation]:
+        """All findings over ``model`` (default: visit each in-scope AST)."""
         self._violations = []
         try:
-            self.visit(ctx.tree)
+            for ctx in model.contexts.values():
+                if self.applies_to(ctx):
+                    self._ctx = ctx
+                    self.visit(ctx.tree)
         finally:
             self._ctx = None
         return self._violations
-
-    def finish(self) -> list[Violation]:
-        """Cross-file findings, emitted once after every file was checked."""
-        return []
 
     # -- helpers for subclasses ----------------------------------------------
 
@@ -174,33 +179,13 @@ class Rule(ast.NodeVisitor):
     def report(self, node: ast.AST, message: str) -> None:
         """Record a violation anchored at ``node`` in the current file."""
         self._violations.append(
-            Violation(
-                rule_id=self.rule_id,
+            self.report_at(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 0),
                 col=getattr(node, "col_offset", 0) + 1,
                 message=message,
             )
         )
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules (the ``lfo lint --deep`` tier).
-
-    A project rule never visits single files: the engine builds one
-    :class:`repro.analysis.project.ProjectModel` — repo-wide symbol
-    table, import/call graph, dataflow summaries — and hands it to
-    :meth:`check_project` once.  Findings still anchor to a concrete
-    ``path:line`` so suppressions and baselines apply uniformly.
-    """
-
-    def check(self, ctx: FileContext) -> list[Violation]:
-        """Project rules do not participate in the per-file pass."""
-        return []
-
-    def check_project(self, model: object) -> list[Violation]:
-        """All findings over the whole-program ``model``."""
-        raise NotImplementedError
 
     def report_at(
         self, *, path: str, line: int, col: int, message: str

@@ -1,6 +1,6 @@
 """Intraprocedural effect summaries with call-graph propagation.
 
-The deep-lint rules need two whole-program facts that per-file visitors
+The ``xf-*`` rules need two whole-program facts that single-file visitors
 cannot establish: *does this function (transitively) touch a
 non-reproducible source* (wall clock, process-global RNG), and *is this
 function free of externally visible side effects* (I/O, metrics-registry
@@ -26,10 +26,10 @@ mutation, module-global writes).  Both reduce to the same shape:
    say *how* the effect is reached.
 
 Summaries are conservative in the lint direction: dynamic calls that
-cannot be resolved contribute no transitive effects (per-file rules
-still cover direct uses), while the effect *sources* themselves are
-matched syntactically and so cannot be hidden behind aliasing tricks
-the per-file tier already rejects (literal-name rules).
+cannot be resolved contribute no transitive effects (the ``det-*``
+visitor rules still cover direct uses), while the effect *sources*
+themselves are matched syntactically and so cannot be hidden behind
+aliasing tricks the visitor rules already reject (literal-name rules).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .base import dotted_name
+from .metrics import FACTORY_ATTRS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .project import FunctionInfo, ProjectModel
@@ -52,12 +53,6 @@ _IO_WRITE_ATTRS = frozenset(
 
 #: Builtins that perform I/O outright.
 _IO_CALLS = frozenset({"open", "print", "input"})
-
-#: Instrument/span/event factory methods on registries and tracers
-#: (mirrors the per-file obs rules) plus the instrument mutators.
-_REGISTRY_ATTRS = frozenset(
-    {"counter", "gauge", "histogram", "span", "event"}
-)
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,7 @@ def function_effects(
         if isinstance(node.func, ast.Attribute):
             attr = node.func.attr
             receiver = _receiver_text(node.func.value)
-            if attr in _REGISTRY_ATTRS and (
+            if attr in FACTORY_ATTRS and (
                 "registry" in receiver or "tracer" in receiver
             ):
                 add("registry", f"registry mutation `.{attr}(...)`", node)

@@ -1,54 +1,26 @@
-"""The analysis engine: file discovery, rule dispatch, suppression.
+"""The analysis engine: one pass — build the model, run every rule, apply
+the suppression markers once, report.
 
-:func:`run_analysis` walks a set of files/directories, parses each Python
-file once, hands the AST to every selected rule that claims the module,
-and returns an :class:`AnalysisReport`.  Module names are derived from
-paths (``src/repro/...`` loses the ``src/`` prefix) so rule scoping works
-on dotted names regardless of where the tree is checked out.
-
-:func:`run_deep_analysis` is the whole-program tier (``lfo lint --deep``):
-it builds one :class:`~repro.analysis.project.ProjectModel` (reusing the
-parsed per-file contexts, optionally from the on-disk model cache), runs
-the per-file suite over those contexts *and* every
-:class:`~repro.analysis.base.ProjectRule` over the model, then applies
-suppressions and an optional :class:`Baseline` of accepted findings.
+:func:`run_analysis` builds one :class:`~repro.analysis.project.ProjectModel`
+over the default roots, hands it to every selected rule, and returns an
+:class:`AnalysisReport`.  ``paths`` narrows which files' findings are
+*reported*, never what the rules see: a whole-program rule run over one
+file would report everything the rest of the program explains.
+:func:`check_sources` is the same pass over in-memory fixtures.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .base import FileContext, Rule, Violation
-from .rules import (
-    all_project_rules,
-    all_rules,
-    project_rule_ids,
-    rule_ids,
-)
+from .base import Rule, Violation
+from .project import ProjectModel, display_path, iter_python_files
+from .rules import all_rules
 
-__all__ = [
-    "AnalysisReport",
-    "Baseline",
-    "check_project_sources",
-    "check_source",
-    "iter_python_files",
-    "run_analysis",
-    "run_deep_analysis",
-    "split_select",
-]
-
-#: Directory names never descended into.
-_SKIP_DIRS = frozenset(
-    {".git", "__pycache__", ".venv", "venv", "build", "dist", ".mypy_cache",
-     ".ruff_cache", ".pytest_cache", "node_modules"}
-)
-
-#: Default roots checked when the CLI is given no paths, relative to cwd.
-DEFAULT_ROOTS = ("src", "benchmarks", "examples")
+__all__ = ["AnalysisReport", "check_sources", "run_analysis"]
 
 
 @dataclass
@@ -59,16 +31,7 @@ class AnalysisReport:
     files_checked: int
     rule_ids: list[str]
     parse_errors: list[Violation] = field(default_factory=list)
-    #: Findings matched (and silenced) by the committed baseline; SARIF
-    #: still carries them with an external suppression marker.
-    suppressed: list[Violation] = field(default_factory=list)
     duration_seconds: float = 0.0
-    #: Whether the whole-program tier ran.
-    deep: bool = False
-    #: Whether the project model came from the on-disk cache unchanged.
-    model_cached: bool = False
-    #: rule id -> one-line summary (feeds the SARIF rule catalogue).
-    rule_meta: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -81,298 +44,71 @@ class AnalysisReport:
         return counts
 
 
-@dataclass(frozen=True)
-class Baseline:
-    """Accepted findings, matched on ``(rule id, posix path)``.
-
-    Deliberately line-insensitive: edits above a baselined finding must
-    not resurrect it, while any *new* rule/file pairing still fails the
-    run.  Tightening is monotone — fixing the last finding of a pair
-    makes the entry dead weight that ``--write-baseline`` drops.
-    """
-
-    entries: frozenset[tuple[str, str]]
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline | None":
-        """Read a baseline file; None when it does not exist."""
-        file = Path(path)
-        if not file.is_file():
-            return None
-        payload = json.loads(file.read_text(encoding="utf-8"))
-        return cls(
-            entries=frozenset(
-                (entry["rule"], entry["path"])
-                for entry in payload.get("entries", [])
-            )
-        )
-
-    def matches(self, violation: Violation) -> bool:
-        key = (violation.rule_id, violation.path.replace("\\", "/"))
-        return key in self.entries
-
-    @staticmethod
-    def render(violations: Sequence[Violation]) -> str:
-        """Serialise ``violations`` as a fresh baseline document."""
-        entries = sorted(
-            {(v.rule_id, v.path.replace("\\", "/")) for v in violations}
-        )
-        return json.dumps(
-            {
-                "version": 1,
-                "entries": [
-                    {"rule": rule, "path": path} for rule, path in entries
-                ],
-            },
-            indent=2,
-        ) + "\n"
-
-
-def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    """Every ``.py`` file under ``paths`` (files pass through directly)."""
-    for raw in paths:
-        path = Path(raw)
-        if path.is_file():
-            yield path
-        elif path.is_dir():
-            for candidate in sorted(path.rglob("*.py")):
-                if not _SKIP_DIRS.intersection(candidate.parts):
-                    yield candidate
-
-
-def module_name_for(path: Path, root: Path | None = None) -> str:
-    """Dotted module name for ``path`` (``src/`` layout aware)."""
-    resolved = path.resolve()
-    base = (root or Path.cwd()).resolve()
-    try:
-        relative = resolved.relative_to(base)
-    except ValueError:
-        relative = Path(resolved.name)
-    parts = list(relative.with_suffix("").parts)
-    if parts and parts[0] == "src":
-        parts = parts[1:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) or resolved.stem
-
-
-def split_select(
-    select: list[str] | None,
-) -> tuple[list[str] | None, list[str] | None]:
-    """Partition ``--select`` ids into (per-file ids, project ids).
-
-    Raises ValueError on ids known to neither tier; (None, None) when no
-    selection was given (meaning: run everything).
-    """
-    if select is None:
-        return None, None
-    file_known = set(rule_ids())
-    project_known = set(project_rule_ids())
-    unknown = sorted(set(select) - file_known - project_known)
-    if unknown:
-        raise ValueError(
-            f"unknown rule id(s): {', '.join(unknown)}; known: "
-            f"{', '.join(sorted(file_known | project_known))}"
-        )
-    return (
-        [s for s in select if s in file_known],
-        [s for s in select if s in project_known],
-    )
-
-
 def run_analysis(
     paths: Sequence[str | Path] | None = None,
     *,
     select: list[str] | None = None,
     root: str | Path | None = None,
 ) -> AnalysisReport:
-    """Run the (selected) per-file rule suite over ``paths``.
+    """Run the (selected) rules over the tree under ``root`` (default: cwd).
 
-    ``paths`` defaults to the ``src``/``benchmarks``/``examples`` roots
-    that exist under ``root`` (itself defaulting to the current working
-    directory).  Violations are sorted by location; file-wide
-    (``# lint: ignore[rule-id]``) and line-scoped
-    (``# lint: ignore-next-line[rule-id]``) suppressions are applied.
+    With ``paths``, only findings anchored in those files/directories are
+    reported (and counted in ``files_checked``); without, every finding
+    is, including ones anchored in non-Python artifacts such as the docs
+    metric table.  Raises ValueError on an unknown ``select`` id.
     """
     start = time.perf_counter()
-    base = Path(root) if root is not None else Path.cwd()
-    if paths is None:
-        paths = [base / name for name in DEFAULT_ROOTS if (base / name).is_dir()]
     rules = all_rules(select)
-    contexts: dict[str, FileContext] = {}
-    violations: list[Violation] = []
-    parse_errors: list[Violation] = []
-    files_checked = 0
-    for path in iter_python_files(paths):
-        files_checked += 1
-        source = path.read_text(encoding="utf-8")
-        display = _display_path(path, base)
-        try:
-            ctx = FileContext.from_source(
-                source, path=display, module=module_name_for(path, base)
-            )
-        except SyntaxError as exc:
-            parse_errors.append(
-                Violation(
-                    rule_id="parse-error",
-                    path=display,
-                    line=exc.lineno or 0,
-                    col=(exc.offset or 0),
-                    message=f"could not parse file: {exc.msg}",
-                )
-            )
-            continue
-        contexts[ctx.path] = ctx
-        violations.extend(_check_file(ctx, rules))
-    for rule in rules:
-        violations.extend(rule.finish())
-    violations = _apply_suppressions(violations, contexts)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
+    base = Path(root) if root is not None else Path.cwd()
+    model = ProjectModel.build(paths, root=base)
+    violations = _check_model(model, rules)
+    parse_errors = list(model.parse_errors)
+    files_checked = len(model.contexts) + len(parse_errors)
+    if paths is not None:
+        shown = {display_path(p, base) for p in iter_python_files(paths)}
+        violations = [v for v in violations if v.path in shown]
+        parse_errors = [v for v in parse_errors if v.path in shown]
+        files_checked = len(shown)
     return AnalysisReport(
         violations=violations,
         files_checked=files_checked,
         rule_ids=[rule.rule_id for rule in rules],
         parse_errors=parse_errors,
         duration_seconds=time.perf_counter() - start,
-        rule_meta={rule.rule_id: rule.summary for rule in rules},
     )
 
 
-def run_deep_analysis(
-    paths: Sequence[str | Path] | None = None,
-    *,
-    select: list[str] | None = None,
-    root: str | Path | None = None,
-    baseline: Baseline | None = None,
-    model_cache: str | Path | None = None,
-) -> AnalysisReport:
-    """Run the per-file suite *and* the whole-program tier.
-
-    The :class:`~repro.analysis.project.ProjectModel` is built once (or
-    loaded from ``model_cache`` when no file changed) and its parsed
-    contexts are reused for the per-file pass, so ``--deep`` costs one
-    parse of the tree, not two.  ``baseline`` entries silence matching
-    findings into :attr:`AnalysisReport.suppressed`.
-    """
-    from .project import ProjectModel
-
-    start = time.perf_counter()
-    file_select, project_select = split_select(select)
-    model = ProjectModel.load_or_build(
-        paths, root=root, cache_path=model_cache
-    )
-    rules = all_rules(file_select)
-    project_rules = all_project_rules(project_select)
-    violations: list[Violation] = []
-    for ctx in model.contexts.values():
-        violations.extend(_check_file(ctx, rules))
-    for rule in rules:
-        violations.extend(rule.finish())
-    for project_rule in project_rules:
-        violations.extend(project_rule.check_project(model))
-    contexts = {ctx.path: ctx for ctx in model.contexts.values()}
-    violations = _apply_suppressions(violations, contexts)
-    suppressed: list[Violation] = []
-    if baseline is not None:
-        kept: list[Violation] = []
-        for violation in violations:
-            if baseline.matches(violation):
-                suppressed.append(violation)
-            else:
-                kept.append(violation)
-        violations = kept
-    order = lambda v: (v.path, v.line, v.col, v.rule_id)  # noqa: E731
-    violations.sort(key=order)
-    suppressed.sort(key=order)
-    all_checked = rules + project_rules
-    return AnalysisReport(
-        violations=violations,
-        files_checked=len(model.contexts) + len(model.parse_errors),
-        rule_ids=[rule.rule_id for rule in all_checked],
-        parse_errors=list(model.parse_errors),
-        suppressed=suppressed,
-        duration_seconds=time.perf_counter() - start,
-        deep=True,
-        model_cached=model.from_cache,
-        rule_meta={rule.rule_id: rule.summary for rule in all_checked},
-    )
-
-
-def check_source(
-    source: str,
-    *,
-    module: str = "module",
-    path: str = "<string>",
-    select: list[str] | None = None,
-) -> list[Violation]:
-    """Run per-file rules over one source string (test-fixture entry)."""
-    ctx = FileContext.from_source(source, path=path, module=module)
-    rules = all_rules(select)
-    violations = _check_file(ctx, rules)
-    for rule in rules:
-        violations.extend(rule.finish())
-    violations = _apply_suppressions(violations, {ctx.path: ctx})
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    return violations
-
-
-def check_project_sources(
+def check_sources(
     sources: Mapping[str, str],
     *,
     docs: Mapping[str, str] | None = None,
     select: list[str] | None = None,
 ) -> list[Violation]:
-    """Run project rules over in-memory ``{module: source}`` fixtures.
+    """Run the rules over in-memory ``{module: source}`` fixtures (tests).
 
-    Only the whole-program tier runs (fixtures for per-file rules go
-    through :func:`check_source`); ``docs`` feeds artifacts such as the
-    metric reference table.
+    ``docs`` feeds artifacts such as the metric reference table.  Only
+    findings anchored in the fixture's own files (sources and docs) come
+    back, so a fixture without a docs table is not told it lacks one.
     """
-    from .project import ProjectModel
-
-    _, project_select = split_select(select)
     model = ProjectModel.from_sources(sources, docs=docs)
-    violations: list[Violation] = []
-    for rule in all_project_rules(project_select):
-        violations.extend(rule.check_project(model))
+    own = {ctx.path for ctx in model.contexts.values()} | set(docs or ())
+    found = _check_model(model, all_rules(select))
+    return [v for v in found if v.path in own]
+
+
+def _check_model(model: ProjectModel, rules: list[Rule]) -> list[Violation]:
+    """Every rule's findings over ``model``, minus the ones a
+    ``# lint: ignore[...]`` / ``ignore-next-line[...]`` marker silences,
+    sorted by location.  Findings in non-Python artifacts (no context)
+    cannot be suppressed."""
     contexts = {ctx.path: ctx for ctx in model.contexts.values()}
-    violations = _apply_suppressions(violations, contexts)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    return violations
-
-
-def _check_file(ctx: FileContext, rules: list[Rule]) -> list[Violation]:
-    found: list[Violation] = []
-    for rule in rules:
-        if rule.rule_id in ctx.suppressed or not rule.applies_to(ctx):
-            continue
-        found.extend(rule.check(ctx))
-    return found
-
-
-def _apply_suppressions(
-    violations: list[Violation], contexts: Mapping[str, FileContext]
-) -> list[Violation]:
-    """Drop findings silenced by file-wide or line-scoped markers.
-
-    Catches what the per-rule skip in :func:`_check_file` cannot:
-    line-scoped markers, ``finish()`` findings, and project-rule findings
-    anchored in files whose rules were never individually skipped.
-    Findings in non-Python artifacts (no context) pass through.
-    """
     kept: list[Violation] = []
-    for violation in violations:
-        ctx = contexts.get(violation.path)
-        if ctx is not None and ctx.suppressed_at(
-            violation.rule_id, violation.line
-        ):
-            continue
-        kept.append(violation)
+    for rule in rules:
+        for violation in rule.check(model):
+            ctx = contexts.get(violation.path)
+            if ctx is None or not ctx.suppressed_at(
+                violation.rule_id, violation.line
+            ):
+                kept.append(violation)
+    kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return kept
-
-
-def _display_path(path: Path, base: Path) -> str:
-    try:
-        return str(path.resolve().relative_to(base.resolve()))
-    except ValueError:
-        return str(path)

@@ -13,30 +13,31 @@ spread across the tree.  Three views of that surface must agree:
   collision-free after dot-to-underscore sanitisation.
 
 :func:`collect_metric_surface` extracts the code view from a
-:class:`~repro.analysis.project.ProjectModel`;
-:func:`render_metrics_markdown` / :func:`render_metrics_json` render it
-(the ``lfo lint --metrics-dump`` output, and what
-``tools/update_metrics_doc.py`` splices into the docs); and
-:func:`parse_doc_table` reads the docs view back for the
-``xf-metric-surface`` rule to reconcile.
+:class:`~repro.analysis.project.ProjectModel` (``obs-name-unique`` and
+``xf-metric-surface`` both read it); :func:`render_metrics_markdown`
+renders the docs view from it and :func:`splice_doc_table` puts that
+between the markers.  Because the table is generated, "the docs agree
+with the code" is checked by generating it again and comparing — which is
+also all ``tools/update_metrics_doc.py`` does before writing.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
+
+from .base import dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .project import ProjectModel
 
 __all__ = [
+    "FACTORY_ATTRS",
     "MARKER_END",
     "MARKER_START",
     "MetricInfo",
     "collect_metric_surface",
-    "parse_doc_table",
-    "render_metrics_json",
+    "iter_factory_calls",
     "render_metrics_markdown",
     "splice_doc_table",
 ]
@@ -49,19 +50,24 @@ MARKER_END = "<!-- metric-surface:end -->"
 _TABLE_KINDS = ("counter", "gauge", "histogram")
 
 
+#: Instrument/span/event factory methods on registries and tracers.
+FACTORY_ATTRS = frozenset({"counter", "gauge", "histogram", "span", "event"})
+
+
 class MetricInfo:
     """One instrument: dotted name, kind, exposition series, first site."""
 
-    __slots__ = ("name", "kind", "prom", "path", "line")
+    __slots__ = ("name", "kind", "prom", "path", "line", "col")
 
     def __init__(
-        self, name: str, kind: str, prom: str, path: str, line: int
+        self, name: str, kind: str, prom: str, path: str, line: int, col: int
     ) -> None:
         self.name = name
         self.kind = kind
         self.prom = prom
         self.path = path
         self.line = line
+        self.col = col
 
 
 def prom_series_name(name: str, kind: str, prefix: str = "repro") -> str:
@@ -71,22 +77,54 @@ def prom_series_name(name: str, kind: str, prefix: str = "repro") -> str:
     return _impl(name, kind, prefix)
 
 
+def _receiver_is_registry(func: ast.Attribute) -> bool:
+    """Heuristic: the call target reads like a registry/tracer object."""
+    receiver = func.value
+    text = dotted_name(receiver).lower()
+    if "registry" in text or "tracer" in text:
+        return True
+    if isinstance(receiver, ast.Call):
+        return dotted_name(receiver.func).rsplit(".", 1)[-1] in (
+            "get_registry",
+        )
+    return False
+
+
+def iter_factory_calls(
+    tree: ast.Module,
+) -> "Iterator[tuple[str, ast.Call, list[ast.FunctionDef | ast.AsyncFunctionDef]]]":
+    """Yield ``(kind, call, enclosing_functions)`` for every
+    registry.counter/gauge/histogram/span call in ``tree``."""
+
+    def walk(node: ast.AST, stack: list) -> Iterator:
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in FACTORY_ATTRS
+                and _receiver_is_registry(child.func)
+            ):
+                yield child.func.attr, child, stack
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, stack + [child])
+            else:
+                yield from walk(child, stack)
+
+    yield from walk(tree, [])
+
+
 def collect_metric_surface(model: "ProjectModel") -> list[MetricInfo]:
     """Every literal counter/gauge/histogram name registered in code.
 
     One entry per ``(name, kind)`` pair, anchored at the first
-    registration site in ``(path, line)`` order; span/event names are
-    excluded (own namespace).  Kind conflicts are *not* collapsed — the
-    per-file ``obs-name-unique`` rule owns that invariant — so a name
-    registered as two kinds yields two entries for the reconciler to see.
+    registration site in ``(path, line, col)`` order; span/event names
+    are excluded (own namespace).  Kind conflicts are *not* collapsed: a
+    name registered as two kinds yields two entries, which is what
+    ``obs-name-unique`` reports.
     """
-    # Imported lazily: the rules package imports this module (via
-    # ``rules.crossfile``), so a top-level import here would be circular.
-    from .rules.obs import _is_forwarded_param, _iter_factory_calls
-
-    sites: dict[tuple[str, str], tuple[str, int]] = {}
+    sites: dict[tuple[str, str], tuple[str, int, int]] = {}
     for ctx in model.contexts.values():
-        for kind, call, stack in _iter_factory_calls(ctx.tree):
+        for kind, call, _stack in iter_factory_calls(ctx.tree):
             if kind not in _TABLE_KINDS:
                 continue
             name_arg = call.args[0] if call.args else None
@@ -95,21 +133,13 @@ def collect_metric_surface(model: "ProjectModel") -> list[MetricInfo]:
                 and isinstance(name_arg.value, str)
             ):
                 continue
-            if _is_forwarded_param(name_arg, stack):
-                continue
             key = (name_arg.value, kind)
-            site = (ctx.path, name_arg.lineno)
+            site = (ctx.path, name_arg.lineno, name_arg.col_offset + 1)
             if key not in sites or site < sites[key]:
                 sites[key] = site
     return [
-        MetricInfo(
-            name=name,
-            kind=kind,
-            prom=prom_series_name(name, kind),
-            path=path,
-            line=line,
-        )
-        for (name, kind), (path, line) in sorted(sites.items())
+        MetricInfo(name, kind, prom_series_name(name, kind), *site)
+        for (name, kind), site in sorted(sites.items())
     ]
 
 
@@ -122,53 +152,6 @@ def render_metrics_markdown(infos: list[MetricInfo]) -> str:
     for info in infos:
         lines.append(f"| `{info.name}` | {info.kind} | `{info.prom}` |")
     return "\n".join(lines)
-
-
-def render_metrics_json(infos: list[MetricInfo]) -> str:
-    """Machine-readable reconciliation table (``--metrics-dump json``)."""
-    return json.dumps(
-        {
-            "metrics": [
-                {
-                    "name": info.name,
-                    "kind": info.kind,
-                    "prometheus": info.prom,
-                    "registered_at": f"{info.path}:{info.line}",
-                }
-                for info in infos
-            ]
-        },
-        indent=2,
-    )
-
-
-def parse_doc_table(text: str) -> list[tuple[str, str, str]] | None:
-    """Parse the generated table out of a docs file.
-
-    Returns ``(name, kind, prometheus_series)`` rows, or None when the
-    marker pair is missing entirely (a distinct finding: the docs have no
-    metric reference to reconcile against).
-    """
-    start = text.find(MARKER_START)
-    end = text.find(MARKER_END)
-    if start < 0 or end < 0 or end < start:
-        return None
-    rows: list[tuple[str, str, str]] = []
-    body = text[start + len(MARKER_START) : end]
-    for line in body.splitlines():
-        line = line.strip()
-        if not line.startswith("|"):
-            continue
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
-        if len(cells) != 3 or cells[0] in ("Metric", "---", "--- "):
-            continue
-        if set(cells[0]) <= {"-", " "}:
-            continue
-        name = cells[0].strip("`")
-        kind = cells[1]
-        prom = cells[2].strip("`")
-        rows.append((name, kind, prom))
-    return rows
 
 
 def splice_doc_table(text: str, table: str) -> str | None:

@@ -1,6 +1,6 @@
-"""The whole-program model behind ``lfo lint --deep``.
+"""The whole-program model behind ``lfo lint``.
 
-Per-file AST rules cannot see cross-module contract breaks — the class of
+Per-file AST visitors cannot see cross-module contract breaks — the class of
 defect every recent regression fell into (a ``CachePolicy`` subclass
 skipping the ``_on_miss_observed`` hook, a ``_restore`` dropping the
 victim's true cost).  :class:`ProjectModel` gives rules the repo-wide
@@ -19,31 +19,40 @@ view those checks need:
   re-exports (dynamic calls stay unresolved and carry their trailing
   attribute name for conservative matching).
 
-Building the model costs one parse of the tree, so it is cached on disk
-keyed on every file's ``(path, mtime_ns, size)`` signature — an unchanged
-tree loads the pickled model instead of re-parsing (the CI deep-lint
-budget relies on this; ``REPRO_LINT_NO_CACHE=1`` or ``cache_path=None``
-disables it).  :meth:`ProjectModel.from_sources` builds a model from an
-in-memory ``{module: source}`` mapping, which is how rule fixtures are
-tested without touching disk.
+:meth:`ProjectModel.build` always parses the default roots (``src``,
+``benchmarks``, ``examples``) — the program is the whole tree whatever
+subset of it a run reports on, because a whole-program rule over part of
+a program reports what the missing part would have explained.
+:meth:`ProjectModel.from_sources` builds a model from an in-memory
+``{module: source}`` mapping, which is how rule fixtures are tested
+without touching disk.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .base import FileContext, Violation, dotted_name
 
-__all__ = ["CallSite", "ClassInfo", "FunctionInfo", "ProjectModel"]
+__all__ = [
+    "CallSite",
+    "ClassInfo",
+    "FunctionInfo",
+    "ProjectModel",
+    "iter_python_files",
+]
 
-#: Cache-format version: bump when the model shape changes so stale
-#: pickles are rebuilt instead of unpickled into the wrong shape.
-_CACHE_VERSION = 1
+#: Directory names never descended into.
+_SKIP_DIRS = frozenset(
+    {".git", "__pycache__", ".venv", "venv", "build", "dist", ".mypy_cache",
+     ".ruff_cache", ".pytest_cache", "node_modules"}
+)
+
+#: The roots every model is built over, relative to the run's root.
+DEFAULT_ROOTS = ("src", "benchmarks", "examples")
 
 #: Re-export chasing depth bound (a.b re-exporting c.d re-exporting ...).
 _CHASE_LIMIT = 10
@@ -96,6 +105,42 @@ class CallSite:
     col: int
 
 
+def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
+    """Every ``.py`` file under ``paths`` (files pass through directly)."""
+    for raw in paths:
+        path = Path(raw)
+        if path.is_file():
+            yield path
+        elif path.is_dir():
+            for candidate in sorted(path.rglob("*.py")):
+                if not _SKIP_DIRS.intersection(candidate.parts):
+                    yield candidate
+
+
+def module_name_for(path: Path, root: Path | None = None) -> str:
+    """Dotted module name for ``path`` (``src/`` layout aware)."""
+    resolved = path.resolve()
+    base = (root or Path.cwd()).resolve()
+    try:
+        relative = resolved.relative_to(base)
+    except ValueError:
+        relative = Path(resolved.name)
+    parts = list(relative.with_suffix("").parts)
+    if parts and parts[0] == "src":
+        parts = parts[1:]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) or resolved.stem
+
+
+def display_path(path: Path, base: Path) -> str:
+    """``path`` relative to ``base`` when inside it (what findings print)."""
+    try:
+        return str(path.resolve().relative_to(base.resolve()))
+    except ValueError:
+        return str(path)
+
+
 def _is_property(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     for decorator in node.decorator_list:
         name = dotted_name(decorator)
@@ -119,8 +164,6 @@ class ProjectModel:
         self.parse_errors: list[Violation] = []
         #: In-memory docs overlay (fixtures); real trees read from disk.
         self._docs: dict[str, str] = {}
-        #: Whether this model came from the on-disk cache unchanged.
-        self.from_cache = False
 
     # -- construction --------------------------------------------------------
 
@@ -131,23 +174,21 @@ class ProjectModel:
         *,
         root: str | Path | None = None,
     ) -> "ProjectModel":
-        """Parse the tree under ``paths`` (default roots) into a model."""
-        from .engine import (
-            DEFAULT_ROOTS,
-            _display_path,
-            iter_python_files,
-            module_name_for,
-        )
+        """Parse the default roots under ``root`` (default: cwd) into a model.
 
+        ``paths`` only *adds* files the roots do not already hold (a file
+        linted from outside the tree); it never makes the program smaller.
+        """
         base = Path(root) if root is not None else Path.cwd()
-        if paths is None:
-            paths = [
-                base / name for name in DEFAULT_ROOTS if (base / name).is_dir()
-            ]
         model = cls(root=base)
-        for path in iter_python_files(paths):
+        roots = [base / name for name in DEFAULT_ROOTS if (base / name).is_dir()]
+        files = {  # a path inside a root names files the roots already hold
+            path.resolve(): path
+            for path in iter_python_files([*roots, *(paths or ())])
+        }
+        for path in files.values():
             source = path.read_text(encoding="utf-8")
-            display = _display_path(path, base)
+            display = display_path(path, base)
             try:
                 ctx = FileContext.from_source(
                     source, path=display, module=module_name_for(path, base)
@@ -188,59 +229,6 @@ class ProjectModel:
             model._docs = dict(docs)
         model._link()
         return model
-
-    @classmethod
-    def load_or_build(
-        cls,
-        paths: Sequence[str | Path] | None = None,
-        *,
-        root: str | Path | None = None,
-        cache_path: str | Path | None = None,
-    ) -> "ProjectModel":
-        """Return a cached model when no file changed, else rebuild.
-
-        The signature is every in-scope file's ``(path, mtime_ns, size)``;
-        any difference — content, addition, removal — invalidates.  Cache
-        I/O failures fall back to a rebuild, never an error.
-        """
-        if cache_path is None or os.environ.get("REPRO_LINT_NO_CACHE"):
-            return cls.build(paths, root=root)
-        cache_file = Path(cache_path)
-        signature = _tree_signature(paths, root=root)
-        if cache_file.is_file():
-            try:
-                with cache_file.open("rb") as handle:
-                    payload = pickle.load(handle)
-                if (
-                    payload.get("version") == _CACHE_VERSION
-                    and payload.get("signature") == signature
-                ):
-                    model = payload["model"]
-                    model.from_cache = True
-                    return model
-            except (OSError, pickle.PickleError, AttributeError, EOFError,
-                    KeyError, ImportError):
-                pass  # corrupt/stale cache: rebuild below
-        model = cls.build(paths, root=root)
-        try:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            with cache_file.open("wb") as handle:
-                pickle.dump(
-                    {
-                        "version": _CACHE_VERSION,
-                        "signature": signature,
-                        "model": model,
-                    },
-                    handle,
-                )
-        except (OSError, pickle.PickleError):
-            pass  # cache is best-effort
-        return model
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["from_cache"] = False
-        return state
 
     # -- docs access ---------------------------------------------------------
 
@@ -487,12 +475,6 @@ class ProjectModel:
             ):
                 yield info
 
-    def context_for_path(self, path: str) -> FileContext | None:
-        for ctx in self.contexts.values():
-            if ctx.path == path:
-                return ctx
-        return None
-
 
 def _import_aliases(ctx: FileContext) -> dict[str, str]:
     """Bound name -> fully qualified target for every import in ``ctx``."""
@@ -533,24 +515,3 @@ def _from_import_base(
     if node.module:
         parts = parts + node.module.split(".")
     return ".".join(parts) if parts else None
-
-
-def _tree_signature(
-    paths: Sequence[str | Path] | None, *, root: str | Path | None
-) -> tuple:
-    """Mtime/size fingerprint of every in-scope file (cache key)."""
-    from .engine import DEFAULT_ROOTS, iter_python_files
-
-    base = Path(root) if root is not None else Path.cwd()
-    if paths is None:
-        paths = [
-            base / name for name in DEFAULT_ROOTS if (base / name).is_dir()
-        ]
-    entries = []
-    for path in iter_python_files(paths):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((str(path), stat.st_mtime_ns, stat.st_size))
-    return tuple(sorted(entries))

@@ -1,24 +1,18 @@
-"""Reporters: render an :class:`AnalysisReport` as text, JSON, or SARIF."""
+"""Reporters: render an :class:`AnalysisReport` as text or JSON."""
 
 from __future__ import annotations
 
 import json
 
-from .base import Violation
 from .engine import AnalysisReport
 
-__all__ = ["render_json", "render_sarif", "render_text"]
-
-#: SARIF 2.1.0 is the interchange format CI code-scanning UIs ingest.
-_SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-_SARIF_VERSION = "2.1.0"
+__all__ = ["render_json", "render_text"]
 
 
 def render_text(report: AnalysisReport) -> str:
     """Human-readable report: one line per violation plus a summary."""
     lines = [v.render() for v in report.parse_errors + report.violations]
     total = len(report.violations) + len(report.parse_errors)
-    tier = " (deep)" if report.deep else ""
     if total:
         counts = report.counts_by_rule()
         breakdown = ", ".join(
@@ -26,17 +20,13 @@ def render_text(report: AnalysisReport) -> str:
         )
         lines.append("")
         lines.append(
-            f"{total} violation(s) in {report.files_checked} file(s){tier}"
+            f"{total} violation(s) in {report.files_checked} file(s)"
             + (f" ({breakdown})" if breakdown else "")
         )
     else:
         lines.append(
             f"ok: {report.files_checked} file(s) clean "
-            f"({len(report.rule_ids)} rules){tier}"
-        )
-    if report.suppressed:
-        lines.append(
-            f"{len(report.suppressed)} finding(s) suppressed by baseline"
+            f"({len(report.rule_ids)} rules)"
         )
     return "\n".join(lines)
 
@@ -50,71 +40,6 @@ def render_json(report: AnalysisReport) -> str:
         "counts": report.counts_by_rule(),
         "violations": [v.as_dict() for v in report.violations],
         "parse_errors": [v.as_dict() for v in report.parse_errors],
-        "suppressed": [v.as_dict() for v in report.suppressed],
-        "deep": report.deep,
-        "model_cached": report.model_cached,
         "duration_seconds": round(report.duration_seconds, 3),
     }
     return json.dumps(document, indent=2)
-
-
-def render_sarif(report: AnalysisReport) -> str:
-    """SARIF 2.1.0 document (what CI uploads for code-scanning ingestion).
-
-    Baseline-suppressed findings are *included* with an external
-    suppression marker — scanners show them as reviewed, not hidden —
-    and parse errors surface under the synthetic ``parse-error`` rule.
-    """
-    rule_meta = dict(report.rule_meta)
-    if report.parse_errors:
-        rule_meta.setdefault("parse-error", "File could not be parsed")
-    rules = [
-        {
-            "id": rule_id,
-            "shortDescription": {"text": summary or rule_id},
-        }
-        for rule_id, summary in sorted(rule_meta.items())
-    ]
-    results = [_sarif_result(v) for v in report.violations]
-    for violation in report.suppressed:
-        result = _sarif_result(violation)
-        result["suppressions"] = [{"kind": "external"}]
-        results.append(result)
-    results.extend(_sarif_result(v) for v in report.parse_errors)
-    document = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "lfo-lint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2)
-
-
-def _sarif_result(violation: Violation) -> dict:
-    return {
-        "ruleId": violation.rule_id,
-        "level": "error",
-        "message": {"text": violation.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": violation.path.replace("\\", "/")
-                    },
-                    "region": {
-                        "startLine": max(violation.line, 1),
-                        "startColumn": max(violation.col, 1),
-                    },
-                }
-            }
-        ],
-    }

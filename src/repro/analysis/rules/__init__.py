@@ -1,15 +1,15 @@
 """The built-in rule suite.
 
-Adding a per-file rule is three steps: subclass
-:class:`repro.analysis.Rule` in one of the modules here (or a new one),
-give it a stable ``rule_id``, and list the class in :data:`ALL_RULES`.
-Whole-program rules subclass :class:`repro.analysis.ProjectRule` instead
-and go in :data:`PROJECT_RULES`; they only run under ``lfo lint --deep``.
+Adding a rule is three steps: subclass :class:`repro.analysis.Rule` in
+one of the modules here (or a new one), give it a stable ``rule_id``, and
+list the class in :data:`ALL_RULES`.  Visitor rules override ``visit_*``;
+whole-program rules override ``check(model)``.  Every rule runs on every
+``lfo lint``.
 """
 
 from __future__ import annotations
 
-from ..base import ProjectRule, Rule
+from ..base import Rule
 from .api import PublicApiAnnotationRule
 from .concurrency import ExecutorSharedStateRule, RequestPathLockRule
 from .crossfile import (
@@ -20,21 +20,9 @@ from .crossfile import (
 )
 from .determinism import DeterminismRngRule, DeterminismWallClockRule
 from .obs import ObsLiteralNameRule, ObsNameStyleRule, ObsNameUniqueRule
-from .robustness import (
-    BroadExceptRule,
-    FloatEqualityRule,
-    MutableDefaultRule,
-    SilentDegradeRule,
-)
+from .robustness import BroadExceptRule, FloatEqualityRule, SilentDegradeRule
 
-__all__ = [
-    "ALL_RULES",
-    "PROJECT_RULES",
-    "all_project_rules",
-    "all_rules",
-    "project_rule_ids",
-    "rule_ids",
-]
+__all__ = ["ALL_RULES", "all_rules", "rule_ids"]
 
 ALL_RULES: tuple[type[Rule], ...] = (
     DeterminismRngRule,
@@ -45,15 +33,9 @@ ALL_RULES: tuple[type[Rule], ...] = (
     ObsNameStyleRule,
     ObsNameUniqueRule,
     BroadExceptRule,
-    MutableDefaultRule,
     FloatEqualityRule,
     SilentDegradeRule,
     PublicApiAnnotationRule,
-)
-
-#: Whole-program rules (the ``--deep`` tier); never part of the per-file
-#: pass because each needs a built :class:`~repro.analysis.project.ProjectModel`.
-PROJECT_RULES: tuple[type[ProjectRule], ...] = (
     RngTaintRule,
     PolicyContractRule,
     DetectorPurityRule,
@@ -62,39 +44,18 @@ PROJECT_RULES: tuple[type[ProjectRule], ...] = (
 
 
 def all_rules(select: list[str] | None = None) -> list[Rule]:
-    """Fresh instances of every per-file rule, narrowed to ``select`` ids."""
-    if select is not None:
-        known = {cls.rule_id for cls in ALL_RULES}
-        unknown = sorted(set(select) - known)
-        deep_only = sorted(set(unknown) & set(project_rule_ids()))
-        if deep_only:
-            raise ValueError(
-                f"rule id(s) {', '.join(deep_only)} are whole-program "
-                f"rules; run them with `lfo lint --deep`"
-            )
-        if unknown:
-            raise ValueError(
-                f"unknown rule id(s): {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        return [cls() for cls in ALL_RULES if cls.rule_id in select]
-    return [cls() for cls in ALL_RULES]
-
-
-def all_project_rules(
-    select: list[str] | None = None,
-) -> list[ProjectRule]:
-    """Fresh instances of every project rule, narrowed to ``select`` ids."""
-    if select is not None:
-        return [cls() for cls in PROJECT_RULES if cls.rule_id in select]
-    return [cls() for cls in PROJECT_RULES]
+    """Fresh instances of every rule, narrowed to ``select`` ids."""
+    if select is None:
+        return [cls() for cls in ALL_RULES]
+    unknown = sorted(set(select) - set(rule_ids()))
+    if unknown:
+        raise ValueError(
+            f"unknown rule id(s): {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(rule_ids()))}"
+        )
+    return [cls() for cls in ALL_RULES if cls.rule_id in select]
 
 
 def rule_ids() -> list[str]:
-    """Stable ids of every built-in per-file rule."""
+    """Stable ids of every built-in rule."""
     return [cls.rule_id for cls in ALL_RULES]
-
-
-def project_rule_ids() -> list[str]:
-    """Stable ids of every whole-program (``--deep``) rule."""
-    return [cls.rule_id for cls in PROJECT_RULES]

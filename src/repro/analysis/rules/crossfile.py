@@ -1,12 +1,13 @@
-"""Whole-program rules: the ``lfo lint --deep`` tier.
+"""Whole-program rules.
 
-Each rule here consumes one :class:`repro.analysis.project.ProjectModel`
-instead of a single file, which is what lets it see the defect classes
-the per-file tier structurally cannot:
+Each rule here overrides :meth:`Rule.check` and reads the
+:class:`repro.analysis.project.ProjectModel` as a whole instead of one
+file's AST, which is what lets it see the defect classes a visitor
+structurally cannot:
 
 * ``xf-rng-taint`` — a deterministic-scope function calling out into a
   helper module that (transitively) reads the wall clock or draws from a
-  process-global RNG.  The per-file determinism rules only see direct
+  process-global RNG.  The ``det-*`` visitor rules only see direct
   uses; this rule walks the call graph with the dataflow summaries and
   reports at the boundary-crossing call site with the full chain.
 * ``xf-policy-contract`` — ``CachePolicy`` subclasses breaking the
@@ -20,10 +21,10 @@ the per-file tier structurally cannot:
   be replay-pure (fold window state, append findings, nothing else);
   transitive I/O, registry mutation, global writes, or nondeterminism
   make replayed verdicts diverge from live ones.
-* ``xf-metric-surface`` — the registered metric surface, the generated
-  reference table in ``docs/architecture.md``, and the Prometheus
-  exposition names must reconcile exactly (no undocumented instruments,
-  no stale rows, no kind drift, no post-sanitisation collisions).
+* ``xf-metric-surface`` — the generated reference table in
+  ``docs/architecture.md`` must be what generating it from the registered
+  metric surface yields now, and the Prometheus exposition names must not
+  collide after sanitisation.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator
 
-from ..base import ProjectRule, Violation, dotted_name, references_name
+from ..base import Rule, Violation, dotted_name, references_name
 from ..dataflow import EffectIndex
 from ..metrics import (
     MARKER_END,
     MARKER_START,
     collect_metric_surface,
-    parse_doc_table,
+    render_metrics_markdown,
+    splice_doc_table,
 )
 from .determinism import DETERMINISTIC_SCOPES
 
@@ -85,14 +87,14 @@ def _own_body(node: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(child))
 
 
-class RngTaintRule(ProjectRule):
+class RngTaintRule(Rule):
     rule_id = "xf-rng-taint"
     summary = (
         "Deterministic-scope code reaches wall-clock or process-global "
         "RNG through a cross-module call"
     )
 
-    def check_project(self, model: "ProjectModel") -> list[Violation]:
+    def check(self, model: "ProjectModel") -> list[Violation]:
         index = EffectIndex(model)
         out: list[Violation] = []
         for info in model.functions_in(*DETERMINISTIC_SCOPES):
@@ -104,7 +106,7 @@ class RngTaintRule(ProjectRule):
                 if target is None or _module_in(
                     target.module, DETERMINISTIC_SCOPES
                 ):
-                    # In-scope callees are the per-file rules' territory
+                    # In-scope callees are the det-* rules' territory
                     # (and recursion reports at *their* boundary sites).
                     continue
                 for chain in index.reachable(callee, _TAINT_KINDS):
@@ -128,7 +130,7 @@ class RngTaintRule(ProjectRule):
         return out
 
 
-class PolicyContractRule(ProjectRule):
+class PolicyContractRule(Rule):
     rule_id = "xf-policy-contract"
     summary = (
         "CachePolicy subclass breaks the eviction/admission protocol "
@@ -136,7 +138,7 @@ class PolicyContractRule(ProjectRule):
         "cost-true restore)"
     )
 
-    def check_project(self, model: "ProjectModel") -> list[Violation]:
+    def check(self, model: "ProjectModel") -> list[Violation]:
         out: list[Violation] = []
         for cls in model.subclasses_of("CachePolicy"):
             out.extend(self._check_miss_hook(model, cls))
@@ -313,14 +315,14 @@ def _may_return_true(node: ast.AST) -> bool:
     return False
 
 
-class DetectorPurityRule(ProjectRule):
+class DetectorPurityRule(Rule):
     rule_id = "xf-detector-purity"
     summary = (
         "HealthMonitor window detector has externally visible side "
         "effects (must stay replay-pure)"
     )
 
-    def check_project(self, model: "ProjectModel") -> list[Violation]:
+    def check(self, model: "ProjectModel") -> list[Violation]:
         index = EffectIndex(model)
         out: list[Violation] = []
         for qualname in sorted(model.classes):
@@ -358,17 +360,17 @@ class DetectorPurityRule(ProjectRule):
         return out
 
 
-class MetricSurfaceRule(ProjectRule):
+class MetricSurfaceRule(Rule):
     rule_id = "xf-metric-surface"
     summary = (
-        "Metric registrations, the docs reference table, and Prometheus "
-        "exposition names disagree"
+        "The docs metric reference table is stale against the registered "
+        "metric surface, or two metrics share a Prometheus series name"
     )
 
     #: The docs artifact carrying the generated reference table.
     doc_path = "docs/architecture.md"
 
-    def check_project(self, model: "ProjectModel") -> list[Violation]:
+    def check(self, model: "ProjectModel") -> list[Violation]:
         out: list[Violation] = []
         infos = collect_metric_surface(model)
 
@@ -394,23 +396,10 @@ class MetricSurfaceRule(ProjectRule):
             else:
                 by_prom.setdefault(info.prom, info)
 
+        # The table is generated, so it is checked the way it is made.
         text = model.read_text(self.doc_path)
-        if text is None:
-            out.append(
-                self.report_at(
-                    path=self.doc_path,
-                    line=1,
-                    col=1,
-                    message=(
-                        f"metric reference missing: `{self.doc_path}` "
-                        f"not found, so the registered surface cannot "
-                        f"be reconciled against documentation"
-                    ),
-                )
-            )
-            return out
-        rows = parse_doc_table(text)
-        if rows is None:
+        updated = splice_doc_table(text or "", render_metrics_markdown(infos))
+        if updated is None:
             out.append(
                 self.report_at(
                     path=self.doc_path,
@@ -424,80 +413,18 @@ class MetricSurfaceRule(ProjectRule):
                     ),
                 )
             )
-            return out
-
-        doc_by_name: dict[str, tuple[str, str]] = {}
-        for name, kind, prom in rows:
-            doc_by_name.setdefault(name, (kind, prom))
-        code_by_name: dict[str, object] = {}
-        for info in infos:
-            code_by_name.setdefault(info.name, info)
-
-        for name in sorted(code_by_name):
-            info = code_by_name[name]
-            doc = doc_by_name.get(name)
-            if doc is None:
-                out.append(
-                    self.report_at(
-                        path=info.path,
-                        line=info.line,
-                        col=1,
-                        message=(
-                            f"metric `{name}` is registered here but "
-                            f"missing from the `{self.doc_path}` metric "
-                            f"reference (regenerate with "
-                            f"tools/update_metrics_doc.py)"
-                        ),
-                    )
+        elif updated != text:
+            out.append(
+                self.report_at(
+                    path=self.doc_path,
+                    line=text[: text.index(MARKER_START)].count("\n") + 1,
+                    col=1,
+                    message=(
+                        f"metric reference table in `{self.doc_path}` is "
+                        f"stale: it is not what the registered metric "
+                        f"surface generates — run "
+                        f"`python tools/update_metrics_doc.py`"
+                    ),
                 )
-                continue
-            doc_kind, doc_prom = doc
-            if doc_kind != info.kind:
-                out.append(
-                    self.report_at(
-                        path=info.path,
-                        line=info.line,
-                        col=1,
-                        message=(
-                            f"metric `{name}` is a {info.kind} in code "
-                            f"but documented as a {doc_kind}"
-                        ),
-                    )
-                )
-            if doc_prom != info.prom:
-                out.append(
-                    self.report_at(
-                        path=self.doc_path,
-                        line=_row_line(text, name),
-                        col=1,
-                        message=(
-                            f"metric `{name}` documents Prometheus "
-                            f"series `{doc_prom}` but the exporter "
-                            f"emits `{info.prom}`"
-                        ),
-                    )
-                )
-        for name in sorted(doc_by_name):
-            if name not in code_by_name:
-                out.append(
-                    self.report_at(
-                        path=self.doc_path,
-                        line=_row_line(text, name),
-                        col=1,
-                        message=(
-                            f"documented metric `{name}` is not "
-                            f"registered anywhere in code (stale row; "
-                            f"regenerate the table)"
-                        ),
-                    )
-                )
+            )
         return out
-
-
-def _row_line(text: str, name: str) -> int:
-    """Line number of the docs-table row mentioning ``name`` (1 if absent)."""
-    needle = f"`{name}`"
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return 1

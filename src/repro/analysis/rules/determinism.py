@@ -93,9 +93,9 @@ class DeterminismRngRule(_ScopedRule):
         super().__init__()
         self._default_rng_aliases: set[str] = set()
 
-    def check(self, ctx: FileContext) -> list:
-        self._default_rng_aliases = {"default_rng"}
-        return super().check(ctx)
+    def visit_Module(self, node: ast.Module) -> None:
+        self._default_rng_aliases = {"default_rng"}  # aliases are per file
+        self.generic_visit(node)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -171,9 +171,9 @@ class DeterminismWallClockRule(_ScopedRule):
         super().__init__()
         self._from_imports: set[str] = set()
 
-    def check(self, ctx: FileContext) -> list:
-        self._from_imports = set()
-        return super().check(ctx)
+    def visit_Module(self, node: ast.Module) -> None:
+        self._from_imports = set()  # imports are per file
+        self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "time":

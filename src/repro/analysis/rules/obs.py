@@ -12,58 +12,22 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator
+from typing import TYPE_CHECKING
 
-from ..base import FileContext, Rule, Violation, dotted_name
+from ..base import Rule, Violation
+from ..metrics import FACTORY_ATTRS, collect_metric_surface, iter_factory_calls
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..project import ProjectModel
 
 __all__ = ["ObsLiteralNameRule", "ObsNameStyleRule", "ObsNameUniqueRule"]
-
-#: Instrument/span/event factory methods on registries and tracers.
-_FACTORY_ATTRS = frozenset({"counter", "gauge", "histogram", "span", "event"})
 
 #: Dotted snake_case: ``online.skipped_retrains``, ``sim.hits`` ...
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
 
-
-def _receiver_is_registry(func: ast.Attribute) -> bool:
-    """Heuristic: the call target reads like a registry/tracer object."""
-    receiver = func.value
-    text = dotted_name(receiver).lower()
-    if "registry" in text or "tracer" in text:
-        return True
-    if isinstance(receiver, ast.Call):
-        return dotted_name(receiver.func).rsplit(".", 1)[-1] in (
-            "get_registry",
-        )
-    return False
-
-
 #: Functions allowed to forward a ``name`` parameter into a factory call:
 #: the registry/tracer wrapper layer itself.
-_FORWARDER_NAMES = _FACTORY_ATTRS | {"traced"}
-
-
-def _iter_factory_calls(
-    tree: ast.Module,
-) -> "Iterator[tuple[str, ast.Call, list[ast.FunctionDef | ast.AsyncFunctionDef]]]":
-    """Yield ``(kind, call, enclosing_functions)`` for every
-    registry.counter/gauge/histogram/span call in ``tree``."""
-
-    def walk(node: ast.AST, stack: list) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in _FACTORY_ATTRS
-                and _receiver_is_registry(child.func)
-            ):
-                yield child.func.attr, child, stack
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from walk(child, stack + [child])
-            else:
-                yield from walk(child, stack)
-
-    yield from walk(tree, [])
+_FORWARDER_NAMES = FACTORY_ATTRS | {"traced"}
 
 
 def _is_forwarded_param(name_arg: ast.AST, stack: list) -> bool:
@@ -91,10 +55,8 @@ class ObsLiteralNameRule(Rule):
         "values into the instrument key and explodes cardinality"
     )
 
-    def check(self, ctx: FileContext) -> list[Violation]:
-        self._ctx = ctx
-        self._violations = []
-        for kind, call, stack in _iter_factory_calls(ctx.tree):
+    def visit_Module(self, node: ast.Module) -> None:
+        for kind, call, stack in iter_factory_calls(node):
             name_arg = call.args[0] if call.args else None
             if name_arg is None or _is_forwarded_param(name_arg, stack):
                 continue
@@ -113,8 +75,6 @@ class ObsLiteralNameRule(Rule):
                     f"{kind} name must be a literal string, not a computed "
                     "expression",
                 )
-        self._ctx = None
-        return self._violations
 
 
 class ObsNameStyleRule(Rule):
@@ -126,10 +86,8 @@ class ObsNameStyleRule(Rule):
         "(`component.metric_name`) so exporters can prefix and group them"
     )
 
-    def check(self, ctx: FileContext) -> list[Violation]:
-        self._ctx = ctx
-        self._violations = []
-        for kind, call, _stack in _iter_factory_calls(ctx.tree):
+    def visit_Module(self, node: ast.Module) -> None:
+        for kind, call, _stack in iter_factory_calls(node):
             name_arg = call.args[0] if call.args else None
             if (
                 isinstance(name_arg, ast.Constant)
@@ -141,8 +99,6 @@ class ObsNameStyleRule(Rule):
                     f"{kind} name {name_arg.value!r} is not dotted "
                     "snake_case (expected e.g. 'online.failed_retrains')",
                 )
-        self._ctx = None
-        return self._violations
 
 
 class ObsNameUniqueRule(Rule):
@@ -155,48 +111,23 @@ class ObsNameUniqueRule(Rule):
         "every name must have a single kind across the tree"
     )
 
-    def __init__(self) -> None:
-        super().__init__()
-        # name -> {kind -> first (path, line, col)}
-        self._seen: dict[str, dict[str, tuple[str, int, int]]] = {}
-        self._suppressed_files: dict[str, frozenset[str]] = {}
-
-    def check(self, ctx: FileContext) -> list[Violation]:
-        self._suppressed_files[ctx.path] = ctx.suppressed
-        for kind, call, _stack in _iter_factory_calls(ctx.tree):
-            if kind in ("span", "event"):  # spans/events: own namespace
-                continue
-            name_arg = call.args[0] if call.args else None
-            if isinstance(name_arg, ast.Constant) and isinstance(
-                name_arg.value, str
-            ):
-                kinds = self._seen.setdefault(name_arg.value, {})
-                kinds.setdefault(
-                    kind,
-                    (ctx.path, name_arg.lineno, name_arg.col_offset + 1),
-                )
-        return []
-
-    def finish(self) -> list[Violation]:
+    def check(self, model: "ProjectModel") -> list[Violation]:
+        by_name: dict[str, list] = {}
+        for info in collect_metric_surface(model):
+            by_name.setdefault(info.name, []).append(info)
         violations = []
-        for name, kinds in sorted(self._seen.items()):
-            if len(kinds) < 2:
+        for name, infos in by_name.items():
+            if len(infos) < 2:
                 continue
             sites = ", ".join(
-                f"{kind} at {path}:{line}"
-                for kind, (path, line, _col) in sorted(kinds.items())
+                f"{info.kind} at {info.path}:{info.line}" for info in infos
             )
-            for _kind, (path, line, col) in sorted(kinds.items()):
-                if self.rule_id in self._suppressed_files.get(
-                    path, frozenset()
-                ):
-                    continue
+            for info in infos:
                 violations.append(
-                    Violation(
-                        rule_id=self.rule_id,
-                        path=path,
-                        line=line,
-                        col=col,
+                    self.report_at(
+                        path=info.path,
+                        line=info.line,
+                        col=info.col,
                         message=(
                             f"metric name {name!r} is registered as "
                             f"multiple instrument kinds ({sites})"

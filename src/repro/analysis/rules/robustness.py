@@ -1,10 +1,9 @@
 """Robustness rules.
 
 Production caches fail quietly: a swallowed exception drops retraining on
-the floor, a mutable default argument leaks one call's state into the
-next, a float equality in a split comparison flips with the optimisation
-level.  Each rule here turns one of those silent failure modes into a
-build error.
+the floor, a float equality in a split comparison flips with the
+optimisation level.  Each rule here turns one of those silent failure
+modes into a build error.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from ..base import FileContext, Rule, dotted_name
 __all__ = [
     "BroadExceptRule",
     "FloatEqualityRule",
-    "MutableDefaultRule",
     "SilentDegradeRule",
 ]
 
@@ -135,46 +133,6 @@ def _is_loud(nodes: Iterable[ast.AST]) -> bool:
             if isinstance(child, ast.Call) and _is_loud_call(child):
                 return True
     return False
-
-
-class MutableDefaultRule(Rule):
-    """No mutable default argument values."""
-
-    rule_id = "rob-mutable-default"
-    summary = (
-        "a list/dict/set default argument is shared across calls and "
-        "mutates under the caller's feet; default to None and materialise "
-        "inside the function"
-    )
-
-    _MUTABLE_CALLS = frozenset(
-        {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter"}
-    )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        args = node.args
-        for default in list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]:
-            if self._is_mutable(default):
-                self.report(
-                    default,
-                    f"mutable default argument in `{node.name}()`; use "
-                    "None and build the value inside the function",
-                )
-        self.generic_visit(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def _is_mutable(self, node: ast.AST) -> bool:
-        if isinstance(
-            node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-        ):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and dotted_name(node.func).rsplit(".", 1)[-1] in self._MUTABLE_CALLS
-        )
 
 
 class FloatEqualityRule(Rule):

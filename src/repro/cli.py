@@ -12,8 +12,8 @@ Installed as the ``lfo`` console script::
     lfo health trace.bin --follow --serve-metrics 9100
     lfo serve trace.bin --serve-metrics 9100 --follow
     lfo serve --synthetic 20000 --slo slo.json --check
-    lfo lint --deep --format sarif
-    lfo lint --metrics-dump md
+    lfo lint --format json
+    lfo lint src/repro/core --select det-rng,xf-rng-taint
 
 Results go to stdout; progress and diagnostics go to stderr, so output
 stays pipeable.  ``--metrics-out PATH`` (on ``simulate``, ``compare`` and
@@ -551,81 +551,17 @@ def _cmd_hrc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_cache_path(args: argparse.Namespace):
-    """Where the deep tier caches its project model (None = disabled)."""
-    from pathlib import Path
-
-    if getattr(args, "no_model_cache", False):
-        return None
-    return Path(".lint-cache") / "project-model.pkl"
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import (
-        Baseline,
-        render_json,
-        render_sarif,
-        render_text,
-        run_analysis,
-        run_deep_analysis,
-    )
-
-    if args.metrics_dump:
-        from .analysis import (
-            ProjectModel,
-            collect_metric_surface,
-            render_metrics_json,
-            render_metrics_markdown,
-        )
-
-        model = ProjectModel.load_or_build(
-            args.paths or None, cache_path=_model_cache_path(args)
-        )
-        infos = collect_metric_surface(model)
-        renderer = (
-            render_metrics_json
-            if args.metrics_dump == "json"
-            else render_metrics_markdown
-        )
-        print(renderer(infos))
-        return 0
+    from .analysis import render_json, render_text, run_analysis
 
     select = args.select.split(",") if args.select else None
-    deep = args.deep or args.write_baseline
     try:
-        if deep:
-            baseline = (
-                None if args.write_baseline else Baseline.load(args.baseline)
-            )
-            report = run_deep_analysis(
-                args.paths or None,
-                select=select,
-                baseline=baseline,
-                model_cache=_model_cache_path(args),
-            )
-        else:
-            report = run_analysis(args.paths or None, select=select)
+        report = run_analysis(args.paths or None, select=select)
     except ValueError as exc:  # unknown --select rule id
         _diag(str(exc))
         return 2
-    if deep:
-        _diag(
-            f"deep lint: {report.files_checked} file(s) in "
-            f"{report.duration_seconds:.2f}s (model "
-            f"{'cached' if report.model_cached else 'rebuilt'})"
-        )
-    if args.write_baseline:
-        with open(args.baseline, "w") as handle:
-            handle.write(Baseline.render(report.violations))
-        _diag(
-            f"baseline written to {args.baseline} "
-            f"({len(report.violations)} finding(s) accepted)"
-        )
-        return 0
     if args.format == "json":
         print(render_json(report))
-    elif args.format == "sarif":
-        print(render_sarif(report))
     else:
         print(render_text(report))
     return 0 if report.ok else 1
@@ -895,38 +831,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "paths", nargs="*",
-        help="files/dirs to check (default: src, benchmarks, examples)",
+        help="report only findings in these files/dirs (default: all of "
+             "src, benchmarks, examples; the whole tree is always analysed)",
     )
-    p_lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
+    p_lint.add_argument("--format", choices=("text", "json"), default="text")
     p_lint.add_argument(
         "--select", default=None, metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
-    )
-    p_lint.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program tier (call-graph, dataflow and "
-             "cross-file contract rules; builds a cached project model)",
-    )
-    p_lint.add_argument(
-        "--baseline", default=".lint-baseline.json", metavar="PATH",
-        help="accepted-findings file applied under --deep "
-             "(default: .lint-baseline.json; missing file = empty)",
-    )
-    p_lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="run the deep tier and rewrite --baseline from the current "
-             "findings instead of reporting them",
-    )
-    p_lint.add_argument(
-        "--metrics-dump", choices=("json", "md"), default=None,
-        help="print the reconciled metric surface (name, kind, Prometheus "
-             "series) and exit; 'md' is the docs/architecture.md table",
-    )
-    p_lint.add_argument(
-        "--no-model-cache", action="store_true",
-        help="always rebuild the project model (skip .lint-cache/)",
     )
     p_lint.set_defaults(func=_cmd_lint)
 

@@ -9,6 +9,8 @@ clean by construction.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import textwrap
@@ -16,7 +18,8 @@ import unittest
 from pathlib import Path
 
 from repro.analysis import (
-    check_source,
+    Violation,
+    check_sources,
     render_json,
     render_text,
     rule_ids,
@@ -27,14 +30,18 @@ from repro.cli import main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def check_source(
+    source: str, *, module: str = "module", select: list[str] | None = None
+) -> list[Violation]:
+    """Findings on one dedented source snippet (a one-module program)."""
+    return check_sources({module: textwrap.dedent(source)}, select=select)
+
+
 def violations(
     source: str, module: str = "repro.sim.fake", select: list[str] | None = None
 ) -> list[str]:
     """Rule ids fired on a dedented source snippet."""
-    found = check_source(
-        textwrap.dedent(source), module=module, select=select
-    )
-    return [v.rule_id for v in found]
+    return [v.rule_id for v in check_source(source, module=module, select=select)]
 
 
 class DeterminismRngRuleTest(unittest.TestCase):
@@ -319,6 +326,44 @@ class ObsNameUniqueRuleTest(unittest.TestCase):
             2, sum(1 for rule in fired if rule == "obs-name-unique")
         )
 
+    CLASH = {
+        "repro.core.a": (
+            "def f(registry: object) -> None:\n"
+            "    registry.counter('sim.depth')\n"
+        ),
+        "repro.sim.b": (
+            "def g(registry: object) -> None:\n"
+            "    registry.gauge('sim.depth')\n"
+        ),
+    }
+
+    def test_bad_clash_across_modules_reported_once_per_site(self) -> None:
+        # Every rule runs: xf-metric-surface reads the same surface (two
+        # entries for the name) and must leave the clash to this rule.
+        found = check_sources(self.CLASH)
+        self.assertEqual(
+            [("obs-name-unique", "repro/core/a.py", 2),
+             ("obs-name-unique", "repro/sim/b.py", 2)],
+            [(v.rule_id, v.path, v.line) for v in found],
+        )
+
+    def test_markers_silence_each_site_through_the_one_pass(self) -> None:
+        sources = dict(self.CLASH)
+        sources["repro.core.a"] = (
+            "# lint: ignore[obs-name-unique]  # fixture\n"
+            + sources["repro.core.a"]
+        )
+        found = check_sources(sources, select=["obs-name-unique"])
+        self.assertEqual(["repro/sim/b.py"], [v.path for v in found])
+        sources["repro.sim.b"] = (
+            "def g(registry: object) -> None:\n"
+            "    # lint: ignore-next-line[obs-name-unique]  # fixture\n"
+            "    registry.gauge('sim.depth')\n"
+        )
+        self.assertEqual(
+            [], check_sources(sources, select=["obs-name-unique"])
+        )
+
     def test_good_one_kind_many_sites(self) -> None:
         self.assertEqual(
             [],
@@ -599,40 +644,6 @@ class SilentDegradeRuleTest(unittest.TestCase):
         )
 
 
-class MutableDefaultRuleTest(unittest.TestCase):
-    def test_bad_list_default(self) -> None:
-        self.assertIn(
-            "rob-mutable-default",
-            violations(
-                "def f(items=[]):\n    items.append(1)\n",
-                module="repro.core.fake",
-            ),
-        )
-
-    def test_bad_dict_call_default(self) -> None:
-        self.assertIn(
-            "rob-mutable-default",
-            violations(
-                "def f(*, options=dict()):\n    return options\n",
-                module="repro.core.fake",
-            ),
-        )
-
-    def test_good_none_default(self) -> None:
-        self.assertEqual(
-            [],
-            violations(
-                """
-                def f(items=None):
-                    items = [] if items is None else items
-                    return items
-                """,
-                module="repro.core.fake",
-                select=["rob-mutable-default"],
-            ),
-        )
-
-
 class FloatEqualityRuleTest(unittest.TestCase):
     def test_bad_float_literal_eq_in_gbdt(self) -> None:
         self.assertIn(
@@ -793,49 +804,59 @@ class EngineTest(unittest.TestCase):
 
 
 class LintCliTest(unittest.TestCase):
-    def test_repo_tree_is_lint_clean_json(self) -> None:
-        """`lfo lint --format json` on the repo tree exits 0."""
+    def _lint(self, *argv: str) -> tuple[int, str, str]:
+        """``lfo lint`` from the repo root: (exit code, stdout, stderr)."""
+        stdout, stderr = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
         try:
             os.chdir(REPO_ROOT)
-            import contextlib
-            import io
-
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main(["lint", "--format", "json"])
-            self.assertEqual(0, code, stdout.getvalue())
-            document = json.loads(stdout.getvalue())
-            self.assertTrue(document["ok"])
-            self.assertEqual([], document["violations"])
-            self.assertGreater(document["files_checked"], 50)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
+                stderr
+            ):
+                code = main(["lint", *argv])
         finally:
             os.chdir(cwd)
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    def test_repo_tree_is_lint_clean_json(self) -> None:
+        """`lfo lint --format json` on the repo tree exits 0."""
+        code, out, _ = self._lint("--format", "json")
+        self.assertEqual(0, code, out)
+        document = json.loads(out)
+        self.assertTrue(document["ok"])
+        self.assertEqual([], document["violations"])
+        self.assertGreater(document["files_checked"], 50)
 
     def test_select_subset_and_explicit_path(self) -> None:
-        import contextlib
-        import io
+        # Visitor and whole-program ids select alike; no tier flag exists.
+        code, out, _ = self._lint(
+            "--select", "det-rng,det-wallclock,xf-rng-taint",
+            "--format", "json",
+            str(REPO_ROOT / "src" / "repro" / "sim"),
+        )
+        self.assertEqual(0, code, out)
+        self.assertEqual(
+            ["det-rng", "det-wallclock", "xf-rng-taint"],
+            json.loads(out)["rules"],
+        )
 
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main(
-                [
-                    "lint",
-                    "--select", "det-rng,det-wallclock",
-                    str(REPO_ROOT / "src" / "repro" / "sim"),
-                ]
-            )
-        self.assertEqual(0, code, stdout.getvalue())
+    def test_one_real_file_is_reported_alone(self) -> None:
+        # `paths` filters what is printed; the program stays the whole
+        # tree, so whole-program rules do not misfire on a one-file run
+        # (a one-file "program" drew 65 false xf-metric-surface findings).
+        code, out, _ = self._lint("src/repro/core/lfo.py", "--format", "json")
+        self.assertEqual(0, code, out)
+        document = json.loads(out)
+        self.assertEqual([], document["violations"])
+        self.assertEqual(1, document["files_checked"])
+        self.assertEqual(rule_ids(), document["rules"])
 
     def test_unknown_rule_id_is_usage_error(self) -> None:
-        import contextlib
-        import io
-
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = main(["lint", "--select", "bogus-rule"])
+        code, _, err = self._lint("--select", "bogus-rule")
         self.assertEqual(2, code)
-        self.assertIn("bogus-rule", stderr.getvalue())
+        self.assertIn("bogus-rule", err)
+        for rule_id in rule_ids():  # every id listed, each once
+            self.assertEqual(1, err.count(rule_id), rule_id)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
-"""Tests for the whole-program analysis tier (``lfo lint --deep``).
+"""Tests for the whole-program model and the rules that read it.
 
 Covers the :class:`ProjectModel` itself (symbols, imports, re-export
-chasing, MRO, call resolution, the mtime-keyed cache), the dataflow
-effect summaries, each cross-file rule with good/bad fixtures — including
-a regression fixture reproducing the mixture-policy ``_on_miss_observed``
-hook break — and finally the repo-clean gate: the actual tree must pass
-the deep tier modulo the committed (empty) baseline.
+chasing, MRO, call resolution), the dataflow effect summaries, each
+cross-file rule with good/bad fixtures — including a regression fixture
+reproducing the mixture-policy ``_on_miss_observed`` hook break — and
+finally the repo-clean gate: the actual tree must pass every rule.
 """
 
 from __future__ import annotations
@@ -14,16 +13,16 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 import textwrap
 import unittest
 from pathlib import Path
 
 from repro.analysis import (
-    Baseline,
     ProjectModel,
-    check_project_sources,
-    project_rule_ids,
-    run_deep_analysis,
+    check_sources,
+    rule_ids,
+    run_analysis,
 )
 from repro.analysis.dataflow import EffectIndex
 from repro.cli import main
@@ -69,7 +68,7 @@ def fired(
     docs: dict[str, str] | None = None,
     select: list[str] | None = None,
 ) -> list[str]:
-    found = check_project_sources(
+    found = check_sources(
         {m: textwrap.dedent(s) for m, s in sources.items()},
         docs=docs,
         select=select,
@@ -153,30 +152,6 @@ class ProjectModelTest(unittest.TestCase):
         self.assertIn("repro.b.Sub.local", callees)
         self.assertIn("repro.util.helper", callees)
         self.assertIn("repro.a.CachePolicy.on_request", callees)
-
-
-class ModelCacheTest(unittest.TestCase):
-    def test_cache_hit_and_mtime_invalidation(self) -> None:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            (root / "src").mkdir()
-            target = root / "src" / "mod.py"
-            target.write_text("def f():\n    pass\n")
-            cache = root / "cache.pkl"
-
-            first = ProjectModel.load_or_build(root=root, cache_path=cache)
-            self.assertFalse(first.from_cache)
-            self.assertIn("mod.f", first.functions)
-
-            second = ProjectModel.load_or_build(root=root, cache_path=cache)
-            self.assertTrue(second.from_cache)
-
-            stat = target.stat()
-            os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
-            third = ProjectModel.load_or_build(root=root, cache_path=cache)
-            self.assertFalse(third.from_cache)
 
 
 class DataflowTest(unittest.TestCase):
@@ -313,7 +288,7 @@ class PolicyContractRuleTest(unittest.TestCase):
     def test_regression_apply_scored_without_miss_hook(self) -> None:
         # Regression fixture: the mixture-policy break — apply_scored
         # handles the miss path without ever observing the miss.
-        found = check_project_sources(
+        found = check_sources(
             {
                 "repro.a": POLICY_BASE,
                 "repro.core.mixture": textwrap.dedent(
@@ -374,7 +349,7 @@ class PolicyContractRuleTest(unittest.TestCase):
         )
 
     def test_select_victims_shape_violations(self) -> None:
-        found = check_project_sources(
+        found = check_sources(
             {
                 "repro.a": POLICY_BASE,
                 "repro.b": textwrap.dedent(
@@ -445,7 +420,7 @@ class PolicyContractRuleTest(unittest.TestCase):
         )
 
     def test_restore_must_take_and_use_cost(self) -> None:
-        found = check_project_sources(
+        found = check_sources(
             {
                 "repro.a": POLICY_BASE,
                 "repro.b": textwrap.dedent(
@@ -468,7 +443,7 @@ class PolicyContractRuleTest(unittest.TestCase):
 
 class DetectorPurityRuleTest(unittest.TestCase):
     def test_bad_direct_and_transitive_impurity(self) -> None:
-        found = check_project_sources(
+        found = check_sources(
             {
                 "repro.obs.custom": textwrap.dedent(
                     "from repro.obs.health import HealthMonitor\n"
@@ -559,33 +534,30 @@ class MetricSurfaceRuleTest(unittest.TestCase):
         )
 
     def test_undocumented_and_stale_and_mismatches(self) -> None:
-        found = check_project_sources(
-            {"repro.obs.custom": self.REGISTERS},
-            docs=_doc_table(
-                [
-                    ("sim.gone", "counter", "repro_sim_gone_total"),
-                ]
-            ),
-            select=["xf-metric-surface"],
-        )
-        messages = " / ".join(v.message for v in found)
-        self.assertEqual(2, len(found))
-        self.assertIn("missing from", messages)  # sim.hits undocumented
-        self.assertIn("stale row", messages)  # sim.gone gone
-
-        found = check_project_sources(
-            {"repro.obs.custom": self.REGISTERS},
-            docs=_doc_table(
-                [("sim.hits", "gauge", "repro_sim_hits")]
-            ),
-            select=["xf-metric-surface"],
-        )
-        messages = " / ".join(v.message for v in found)
-        self.assertIn("documented as a gauge", messages)
-        self.assertIn("exporter emits", messages)
+        # The table is generated, so any difference from regenerating it
+        # — a missing row, an extra row, one edited cell — is the same
+        # single finding, anchored at the table.
+        good = ("sim.hits", "counter", prom_series_name("sim.hits", "counter"))
+        for rows in (
+            [],  # sim.hits undocumented
+            [good, ("sim.gone", "counter", "repro_sim_gone_total")],
+            [("sim.hits", "gauge", good[2])],  # kind cell edited
+            [("sim.hits", "counter", "repro_sim_hits")],  # series cell edited
+        ):
+            found = check_sources(
+                {"repro.obs.custom": self.REGISTERS},
+                docs=_doc_table(rows),
+                select=["xf-metric-surface"],
+            )
+            self.assertEqual(1, len(found), rows)
+            self.assertEqual(
+                ("docs/architecture.md", 3), (found[0].path, found[0].line)
+            )
+            self.assertIn("stale", found[0].message)
+            self.assertIn("tools/update_metrics_doc.py", found[0].message)
 
     def test_missing_markers_reported(self) -> None:
-        found = check_project_sources(
+        found = check_sources(
             {"repro.obs.custom": self.REGISTERS},
             docs={"docs/architecture.md": "# doc without markers\n"},
             select=["xf-metric-surface"],
@@ -594,7 +566,7 @@ class MetricSurfaceRuleTest(unittest.TestCase):
         self.assertIn("table not found", found[0].message)
 
     def test_prometheus_collision_reported(self) -> None:
-        found = check_project_sources(
+        found = check_sources(
             {
                 "repro.obs.custom": (
                     "def setup(registry):\n"
@@ -618,6 +590,7 @@ class MetricSurfaceRuleTest(unittest.TestCase):
 
 class DeepTierIntegrationTest(unittest.TestCase):
     def test_project_rule_ids_registered(self) -> None:
+        # One registry: the whole-program ids sit beside the visitor ids.
         self.assertEqual(
             [
                 "xf-rng-taint",
@@ -625,46 +598,57 @@ class DeepTierIntegrationTest(unittest.TestCase):
                 "xf-detector-purity",
                 "xf-metric-surface",
             ],
-            project_rule_ids(),
+            [rule for rule in rule_ids() if rule.startswith("xf-")],
         )
-
-    def test_deep_only_id_rejected_without_deep(self) -> None:
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = main(["lint", "--select", "xf-rng-taint"])
-        self.assertEqual(2, code)
-        self.assertIn("--deep", stderr.getvalue())
+        self.assertEqual(15, len(set(rule_ids())))
 
     def test_repo_tree_is_deep_clean(self) -> None:
-        """The actual tree passes the whole-program tier modulo baseline."""
-        baseline = Baseline.load(REPO_ROOT / ".lint-baseline.json")
-        report = run_deep_analysis(root=REPO_ROOT, baseline=baseline)
+        """The actual tree passes every rule, whole-program ones included."""
+        report = run_analysis(root=REPO_ROOT)
         self.assertTrue(
             report.ok,
             "\n".join(v.render() for v in report.violations)
             + "\n".join(v.render() for v in report.parse_errors),
         )
-        self.assertTrue(report.deep)
+        self.assertEqual(rule_ids(), report.rule_ids)
         self.assertGreater(report.files_checked, 50)
 
     def test_cli_deep_json_gate(self) -> None:
+        """A planted whole-program violation fails the CLI, and a one-file
+        run reports exactly it: `paths` filters the findings, never the
+        program (the tainted helper is outside the path given)."""
+        files = {
+            "src/repro/viz.py":
+                "import random\n\n\ndef jitter():\n"
+                "    return random.random()\n",
+            "src/repro/sim/a.py":
+                "from repro.viz import jitter\n\n\n"
+                "def step() -> float:\n    return jitter()\n",
+            "src/repro/sim/b.py": "import random\n",  # not asked about
+        }
         cwd = os.getcwd()
-        try:
-            os.chdir(REPO_ROOT)
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
-                io.StringIO()
-            ):
-                code = main(
-                    ["lint", "--deep", "--format", "json", "--no-model-cache"]
-                )
-            self.assertEqual(0, code, stdout.getvalue())
-            document = json.loads(stdout.getvalue())
-            self.assertTrue(document["ok"])
-            self.assertTrue(document["deep"])
-            self.assertIn("xf-policy-contract", document["rules"])
-        finally:
-            os.chdir(cwd)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, source in files.items():
+                target = Path(tmp) / name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text(source)
+            try:
+                os.chdir(tmp)
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = main(
+                        ["lint", "--format", "json", "src/repro/sim/a.py"]
+                    )
+            finally:
+                os.chdir(cwd)
+        self.assertEqual(1, code, stdout.getvalue())
+        document = json.loads(stdout.getvalue())
+        self.assertFalse(document["ok"])
+        self.assertEqual(1, document["files_checked"])
+        self.assertEqual(
+            [("xf-rng-taint", "src/repro/sim/a.py", 5)],
+            [(v["rule"], v["path"], v["line"]) for v in document["violations"]],
+        )
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
-"""Tests for the lint reporters and baseline machinery.
+"""Tests for the lint reporters and the CLI's exit codes.
 
-The JSON key set and the SARIF structure are interchange contracts (CI
-archives both as artifacts), so these tests pin them: exit codes, JSON
-schema stability, SARIF 2.1.0 structural validity, the empty and
-baseline-suppressed paths, and the baseline round-trip.
+The JSON key set is an interchange contract (CI archives the report as an
+artifact), so these tests pin it, the text summary lines, and the exit
+code of every outcome: clean, violation, unknown rule id.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ from pathlib import Path
 
 from repro.analysis import (
     AnalysisReport,
-    Baseline,
     Violation,
     render_json,
-    render_sarif,
     render_text,
 )
 from repro.cli import main
@@ -41,10 +38,6 @@ def _report(**overrides: object) -> AnalysisReport:
         violations=[],
         files_checked=4,
         rule_ids=["det-rng", "xf-policy-contract"],
-        rule_meta={
-            "det-rng": "No unseeded RNG in deterministic scopes",
-            "xf-policy-contract": "CachePolicy subclasses honour the contract",
-        },
         duration_seconds=0.1234,
     )
     base.update(overrides)
@@ -61,9 +54,6 @@ class JsonReporterTest(unittest.TestCase):
         "counts",
         "violations",
         "parse_errors",
-        "suppressed",
-        "deep",
-        "model_cached",
         "duration_seconds",
     }
 
@@ -83,134 +73,35 @@ class JsonReporterTest(unittest.TestCase):
             render_json(
                 _report(
                     violations=[_violation()],
-                    suppressed=[_violation(rule="rob-broad-except")],
-                    deep=True,
-                    model_cached=True,
+                    parse_errors=[_violation(rule="parse-error")],
                 )
             )
         )
         self.assertFalse(document["ok"])
-        self.assertTrue(document["deep"])
-        self.assertTrue(document["model_cached"])
         self.assertEqual({"det-rng": 1}, document["counts"])
         entry = document["violations"][0]
         self.assertEqual(
             {"rule", "path", "line", "col", "message"}, set(entry)
         )
-        self.assertEqual(
-            "rob-broad-except", document["suppressed"][0]["rule"]
-        )
-
-
-class SarifReporterTest(unittest.TestCase):
-    def _run(self, report: AnalysisReport) -> dict:
-        document = json.loads(render_sarif(report))
-        self.assertEqual(
-            "https://json.schemastore.org/sarif-2.1.0.json",
-            document["$schema"],
-        )
-        self.assertEqual("2.1.0", document["version"])
-        self.assertEqual(1, len(document["runs"]))
-        return document["runs"][0]
-
-    def test_empty_report_structure(self) -> None:
-        run = self._run(_report())
-        self.assertEqual("lfo-lint", run["tool"]["driver"]["name"])
-        self.assertEqual([], run["results"])
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        self.assertEqual(["det-rng", "xf-policy-contract"], rule_ids)
-        for rule in run["tool"]["driver"]["rules"]:
-            self.assertTrue(rule["shortDescription"]["text"])
-
-    def test_result_location_and_region(self) -> None:
-        run = self._run(_report(violations=[_violation()]))
-        result = run["results"][0]
-        self.assertEqual("det-rng", result["ruleId"])
-        self.assertEqual("error", result["level"])
-        self.assertEqual("unseeded RNG", result["message"]["text"])
-        location = result["locations"][0]["physicalLocation"]
-        self.assertEqual(
-            "src/repro/sim/bad.py",
-            location["artifactLocation"]["uri"],
-        )
-        self.assertEqual(3, location["region"]["startLine"])
-        self.assertNotIn("suppressions", result)
-
-    def test_region_clamped_to_one(self) -> None:
-        run = self._run(
-            _report(violations=[_violation(line=0)])
-        )
-        region = run["results"][0]["locations"][0]["physicalLocation"][
-            "region"
-        ]
-        self.assertEqual(1, region["startLine"])
-        self.assertGreaterEqual(region["startColumn"], 1)
-
-    def test_baseline_suppressed_marked_external(self) -> None:
-        run = self._run(
-            _report(
-                violations=[_violation()],
-                suppressed=[_violation(rule="obs-literal-name")],
-            )
-        )
-        by_rule = {r["ruleId"]: r for r in run["results"]}
-        self.assertNotIn("suppressions", by_rule["det-rng"])
-        self.assertEqual(
-            [{"kind": "external"}],
-            by_rule["obs-literal-name"]["suppressions"],
-        )
-
-    def test_parse_errors_under_synthetic_rule(self) -> None:
-        run = self._run(
-            _report(
-                parse_errors=[
-                    _violation(
-                        rule="parse-error", message="invalid syntax"
-                    )
-                ]
-            )
-        )
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        self.assertIn("parse-error", rule_ids)
-        self.assertEqual("parse-error", run["results"][0]["ruleId"])
+        self.assertEqual("parse-error", document["parse_errors"][0]["rule"])
 
 
 class TextReporterTest(unittest.TestCase):
     def test_clean_and_deep_tags(self) -> None:
-        self.assertIn("ok: 4 file(s) clean", render_text(_report()))
-        self.assertIn("(deep)", render_text(_report(deep=True)))
-        self.assertNotIn("(deep)", render_text(_report()))
+        # One pass, so the summary carries no tier tag.
+        self.assertEqual(
+            "ok: 4 file(s) clean (2 rules)", render_text(_report())
+        )
 
     def test_breakdown_and_suppressed_line(self) -> None:
         text = render_text(
-            _report(
-                violations=[_violation(), _violation(line=9)],
-                suppressed=[_violation(rule="rob-broad-except")],
-            )
+            _report(violations=[_violation(), _violation(line=9)])
         )
-        self.assertIn("2 violation(s) in 4 file(s) (det-rng=2)", text)
-        self.assertIn("1 finding(s) suppressed by baseline", text)
-
-
-class BaselineTest(unittest.TestCase):
-    def test_render_load_round_trip(self) -> None:
-        rendered = Baseline.render([_violation(), _violation(line=99)])
-        payload = json.loads(rendered)
-        self.assertEqual(1, payload["version"])
-        self.assertEqual(1, len(payload["entries"]))  # same (rule, path)
-        with tempfile.TemporaryDirectory() as tmp:
-            target = Path(tmp) / "baseline.json"
-            target.write_text(rendered)
-            baseline = Baseline.load(target)
-        assert baseline is not None
-        self.assertTrue(baseline.matches(_violation(line=12345)))
-        self.assertFalse(baseline.matches(_violation(rule="other-rule")))
-        self.assertFalse(
-            baseline.matches(_violation(path="src/repro/other.py"))
+        self.assertIn("src/repro/sim/bad.py:9:5: [det-rng]", text)
+        # The summary is the last line: no suppressed-count line follows.
+        self.assertTrue(
+            text.endswith("2 violation(s) in 4 file(s) (det-rng=2)"), text
         )
-
-    def test_load_missing_file_is_none(self) -> None:
-        self.assertIsNone(Baseline.load("/nonexistent/baseline.json"))
 
 
 class ExitCodeTest(unittest.TestCase):
@@ -243,7 +134,7 @@ class ExitCodeTest(unittest.TestCase):
             )
             try:
                 os.chdir(tmp)
-                for fmt in ("text", "json", "sarif"):
+                for fmt in ("text", "json"):
                     code, out = self._lint(
                         "repro/sim/bad.py", "--format", fmt
                     )

@@ -153,3 +153,25 @@ def test_serving_imports_leave_scipy_and_networkx_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_analysis_package_exports_one_of_each():
+    """`lfo lint` is one pass, so `repro.analysis` has one base class, one
+    registry, one run, one fixture entry and the two reporters — the
+    tiered twins and the baseline/SARIF/JSON-dump names are gone."""
+    import repro.analysis as analysis
+
+    assert sorted(analysis.__all__) == [
+        "ALL_RULES", "AnalysisReport", "FileContext", "ProjectModel", "Rule",
+        "Violation", "all_rules", "check_sources", "collect_metric_surface",
+        "iter_python_files", "render_json", "render_metrics_markdown",
+        "render_text", "rule_ids", "run_analysis",
+    ]
+    for name in analysis.__all__:
+        assert hasattr(analysis, name), name
+    for gone in (
+        "Baseline", "ProjectRule", "PROJECT_RULES", "all_project_rules",
+        "project_rule_ids", "render_sarif", "render_metrics_json",
+        "run_deep_analysis", "check_source", "check_project_sources",
+    ):
+        assert not hasattr(analysis, gone), gone

@@ -1,33 +1,25 @@
 #!/usr/bin/env python
-"""Run every lint tier with graceful degradation for missing tools.
+"""Run every linter with graceful degradation for missing tools.
 
-CI's lint job calls this instead of invoking each checker inline, for two
-reasons:
+CI's lint job calls this instead of invoking each checker inline:
+``ruff`` and ``mypy`` come from the ``[dev]`` extra and have repeatedly
+been unavailable in constrained build containers, so a missing
+third-party checker is a loud *warning*, not a job failure, while the
+repo's own ``lfo lint`` (stdlib-only, one pass, every rule — including
+the staleness check of the generated docs metric table) always runs and
+always gates.  ``--json-out`` writes its JSON report to a file for upload.
 
-* **resilience** — ``ruff`` and ``mypy`` come from the ``[dev]`` extra
-  and have repeatedly been unavailable in constrained build containers;
-  a missing third-party checker is a loud *warning*, not a job failure,
-  while the repo's own ``lfo lint`` tiers (stdlib-only) always run and
-  always gate.
-* **artifacts & budget** — the deep tier's JSON and SARIF reports are
-  written to files for upload, the deep runtime is printed, and the run
-  fails when it exceeds the budget (``DEEP_LINT_BUDGET_SECONDS``, default
-  60) — the mtime-keyed project-model cache is what keeps real runs far
-  under it.
-
-Exit code: non-zero when any tier that *ran* found problems (or the deep
-tier blew its budget); skipped tools never fail the job.
+Exit code: non-zero when any checker that *ran* found problems; skipped
+tools never fail the job.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import os
 import shutil
 import subprocess
 import sys
-import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -69,57 +61,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--json-out", type=Path, default=None, metavar="PATH",
-        help="write the deep-lint JSON report here (CI artifact)",
-    )
-    parser.add_argument(
-        "--sarif-out", type=Path, default=None, metavar="PATH",
-        help="write the deep-lint SARIF report here (CI artifact)",
-    )
-    parser.add_argument(
-        "--budget-seconds", type=float,
-        default=float(os.environ.get("DEEP_LINT_BUDGET_SECONDS", "60")),
-        help="fail when the deep tier takes longer than this (default "
-             "60, or DEEP_LINT_BUDGET_SECONDS)",
+        help="write the lfo lint JSON report here (CI artifact)",
     )
     args = parser.parse_args(argv)
 
     failures: list[str] = []
-
-    # Tier 1: per-file invariants (always available, stdlib only).
-    if _capture(["lint", "--format", "json"], None) != 0:
+    if _capture(["lint", "--format", "json"], args.json_out) != 0:
         failures.append("lfo lint")
-
-    # Tier 2: whole-program rules, against the committed baseline.  Two
-    # renders of the same model: the second reuses the mtime-keyed cache
-    # built by the first, so the pair costs ~one analysis.
-    start = time.perf_counter()
-    deep_json = _capture(
-        ["lint", "--deep", "--format", "json"], args.json_out
-    )
-    deep_sarif = _capture(
-        ["lint", "--deep", "--format", "sarif"], args.sarif_out
-    )
-    deep_seconds = time.perf_counter() - start
-    print(f"deep lint wall time: {deep_seconds:.2f}s "
-          f"(budget {args.budget_seconds:.0f}s)")
-    if deep_json != 0 or deep_sarif != 0:
-        failures.append("lfo lint --deep")
-    if deep_seconds > args.budget_seconds:
-        failures.append(
-            f"deep lint budget exceeded "
-            f"({deep_seconds:.2f}s > {args.budget_seconds:.0f}s)"
-        )
-
-    # Tier 3: the docs metric table must match the registered surface.
-    check = subprocess.call(
-        [sys.executable, str(ROOT / "tools" / "update_metrics_doc.py"),
-         "--check"],
-        cwd=ROOT,
-    )
-    if check != 0:
-        failures.append("metric reference table stale")
-
-    # Tier 4: third-party checkers, skip-with-warning when absent.
+    # Third-party checkers, skip-with-warning when absent.
     if _external("ruff", ["ruff", "check", "src", "benchmarks", "examples"]):
         failures.append("ruff")
     if _external("mypy", ["mypy", "src/repro"]):
@@ -128,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print("FAILED: " + "; ".join(failures), file=sys.stderr)
         return 1
-    print("all lint tiers clean")
+    print("all linters clean")
     return 0
 
 

@@ -2,18 +2,15 @@
 """Regenerate the metric reference table in ``docs/architecture.md``.
 
 The table between the ``<!-- metric-surface:begin/end -->`` markers is
-generated from the code's actual instrument registrations (the same
-collector behind ``lfo lint --metrics-dump``), and the deep-lint
-``xf-metric-surface`` rule fails CI when the two drift.  Run this after
-adding, renaming or removing a metric::
+generated from the code's actual instrument registrations, and the
+``xf-metric-surface`` rule of ``lfo lint`` fails CI when regenerating it
+would change it.  Run this after adding, renaming or removing a metric::
 
-    python tools/update_metrics_doc.py          # rewrite in place
-    python tools/update_metrics_doc.py --check  # exit 1 when stale
+    python tools/update_metrics_doc.py
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -30,15 +27,7 @@ from repro.analysis.metrics import splice_doc_table  # noqa: E402
 DOC = ROOT / "docs" / "architecture.md"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 when the committed table is stale (CI mode)",
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
     model = ProjectModel.build(root=ROOT)
     table = render_metrics_markdown(collect_metric_surface(model))
     text = DOC.read_text(encoding="utf-8")
@@ -52,13 +41,6 @@ def main(argv: list[str] | None = None) -> int:
     if updated == text:
         print("metric reference table up to date")
         return 0
-    if args.check:
-        print(
-            "metric reference table is stale; "
-            "run `python tools/update_metrics_doc.py`",
-            file=sys.stderr,
-        )
-        return 1
     DOC.write_text(updated, encoding="utf-8")
     print(f"rewrote metric reference table in {DOC}")
     return 0
