@@ -28,29 +28,32 @@ no toolchain (``cc`` missing, a sandboxed tempdir, a failed or timed-out
 compile) or ``REPRO_GBDT_NO_CC`` is set; every caller keeps a
 pure-Python/numpy path for that case.  ctypes releases the GIL around
 each call, so a trainer thread inside any routine does not hold the
-request thread.  The source is compiled with ``-ffp-contract=off``: no
-fused multiply-add may change a float the Python reference would have
-rounded twice.
+request thread, and :func:`fan_out` / :func:`start` can share work with
+idle cores.  The source is compiled with ``-ffp-contract=off``: no fused
+multiply-add may change a float the Python reference would have rounded
+twice.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import logging
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .obs import get_registry
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["Native", "all_below", "load"]
+__all__ = ["Native", "Shared", "all_below", "fan_out", "load", "reservation", "start"]
 
 logger = logging.getLogger("repro.native")
 
@@ -567,3 +570,62 @@ def load() -> Native | None:
                             perf_counter() - started
                         )
     return state if isinstance(state, Native) else None
+
+
+#: ``reservation.cores``, per thread: cores left to work beside it (each
+#: training job sets it: 1 beside a serving thread, else 0).
+reservation = threading.local()
+_pool: ThreadPoolExecutor | None = None  # a forked child makes its own
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def _claim(fn, items, claims, results, errors) -> None:
+    """Run items off the shared counter (``next`` is atomic) to its end."""
+    for i in itertools.takewhile(len(items).__gt__, claims):
+        try:
+            results[i] = fn(items[i])
+        # Kept for ``Shared.result``, which raises it once all started items end.
+        # lint: ignore-next-line[rob-broad-except, rob-silent-degrade]
+        except Exception as exc:
+            errors[i] = exc
+
+
+class Shared:
+    """``fn`` over ``items``, offered to up to ``wanted`` pool threads (none
+    with the module off, on a pool thread, or past ``cores - 1 -
+    reservation.cores``).  ``result()`` claims what no helper did, cancels
+    helpers that never started, waits for the rest, and returns the results
+    in order or raises the lowest failing index's exception."""
+
+    def __init__(self, fn: Callable[[Any], Any], items: list, wanted: int) -> None:
+        global _pool
+        self.work = work = (fn, items, itertools.count(), [None] * len(items), {})
+        cores = len(os.sched_getaffinity(0)) - 1
+        wanted = min(wanted, cores - getattr(reservation, "cores", 0))
+        if load() is None or threading.current_thread().name.startswith("repro-helper"):
+            wanted = 0
+        with _lock:
+            if wanted > 0 and _pool is None:
+                _pool = ThreadPoolExecutor(cores, "repro-helper")
+        self.helpers = [_pool.submit(_claim, *work) for _ in range(wanted)]
+
+    def result(self) -> list:
+        _claim(*self.work)
+        for future in self.helpers:
+            if not future.cancel():
+                future.result()
+        *_, results, errors = self.work
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+
+def fan_out(fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
+    """``[fn(item) for item in items]``, shared with idle cores (:class:`Shared`)."""
+    items = list(items)
+    return Shared(fn, items, len(items) - 1).result()
+
+
+def start(fn: Callable[..., Any], *args: Any) -> Shared:
+    """``fn(*args)`` begun on a free pool thread; ``result()`` is ``[fn(*args)]``."""
+    return Shared(lambda _: fn(*args), [None], 1)

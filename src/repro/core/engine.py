@@ -58,12 +58,11 @@ Three hooks let a driver put its own work on the request path:
 * ``tap(index, hit, score)`` runs after each decision; drivers index the
   requests they hold, and the row used is ``policy.last_features``.
 
-While ``policy.model`` is ``None`` (cold start) a step is the scalar
-decomposition of one request — live features, score 0.0.  The per-model
-predictor and thresholds are cached by model identity, so a swap between
-steps (a shard attaching a new slab generation) costs one lookup.  The
-cold-start step and the dirty rows are the only places a ``Request`` is
-built here (``FeatureTracker.features`` takes one).
+While ``policy.model`` is ``None`` (cold start) every score is 0.0 and
+no free-bytes threshold splits a window.  The per-model predictor and
+thresholds are cached by model identity, so a swap between steps (a shard
+attaching a new slab generation) costs one lookup.  The dirty rows are the
+only place a ``Request`` is built here (``FeatureTracker.features`` takes one).
 
 Sampled eviction composes unchanged: candidate scoring happens inside
 ``apply_scored``'s eviction plan against the *live* state at that replay
@@ -213,36 +212,15 @@ class DecisionEngine:
             poll()
         self._polled = False
         model = policy.model
-        if model is None:
-            request = Request(
-                times.item(start), objs.item(start),
-                sizes.item(start), costs.item(start),
-            )
-            features = tracker.features(request, policy.free_bytes)
-            began = perf_counter()
-            hit = policy.apply_scored(
-                request.time, request.obj, request.size, request.cost,
-                features, 0.0,
-            )
-            if latency is not None:
-                latency.observe(perf_counter() - began)
-            hits[start] = hit
-            if scores is not None:
-                scores[start] = 0.0
-            if rows is not None:
-                rows[start] = features
-            if tap is not None:
-                tap(start, hit, 0.0)
-            return 1
         if model is not self._model:
-            predictor = model.classifier.compiled()
+            predictor = None if model is None else model.classifier.compiled()
             self._model = model
             self._predictor = predictor
             # Python floats: the bisect costs the comparisons of
             # ``np.searchsorted(side="left")`` without the call overhead.
-            self._thresholds = predictor.feature_thresholds(
-                FREE_BYTES_COLUMN
-            ).tolist()
+            self._thresholds = [] if predictor is None else (
+                predictor.feature_thresholds(FREE_BYTES_COLUMN).tolist()
+            )
         predictor = self._predictor
         thresholds = self._thresholds
         limit = min(self.max_window, len(objs) - start)
@@ -289,7 +267,9 @@ class DecisionEngine:
                 free = cache_size - policy.used_bytes
                 bucket = bisect_left(thresholds, float(free))
                 X[k:m, FREE_BYTES_COLUMN] = free
-                chunk = predictor.predict_proba(X[k:m]).tolist()
+                chunk = [0.0] * (m - k) if predictor is None else (
+                    predictor.predict_proba(X[k:m]).tolist()
+                )
                 w_scores[k:m] = chunk
                 for j, obj, time, size, cost, score, features in zip(
                     range(k, m), w_objs[k:m], w_times[k:m], w_sizes[k:m],
@@ -307,7 +287,9 @@ class DecisionEngine:
                         features = tracker.features(
                             Request(time, obj, size, cost), policy.free_bytes
                         )
-                        score = predictor.predict_proba_single(features)
+                        score = 0.0 if predictor is None else (
+                            predictor.predict_proba_single(features)
+                        )
                         X[j] = features
                         w_scores[j] = score
                         self.n_rescored += 1

@@ -116,6 +116,7 @@ class LFOModel:
         params: GBDTParams | None = None,
         cutoff: float = 0.5,
         eval_set: tuple[np.ndarray, np.ndarray] | None = None,
+        binning: tuple | None = None,
     ) -> "LFOModel":
         """Train a model on a (features, OPT labels) dataset.
 
@@ -125,7 +126,7 @@ class LFOModel:
         request path never pays compilation cost.
         """
         classifier = GBDTClassifier(params or GBDTParams())
-        classifier.fit(dataset.X, dataset.y, eval_set=eval_set)
+        classifier.fit(dataset.X, dataset.y, eval_set=eval_set, binning=binning)
         classifier.compiled()
         n_gaps = len(dataset.names) - 3
         return cls(classifier=classifier, cutoff=cutoff, n_gaps=n_gaps)

@@ -27,8 +27,10 @@ from typing import Callable
 
 import numpy as np
 
+from .._native import start
 from ..features import Dataset, feature_names
 from ..gbdt import GBDTParams
+from ..gbdt.boosting import bin_matrix
 from ..obs import get_registry
 from ..obs.health import population_stability_index
 from ..opt import (
@@ -118,7 +120,9 @@ class LabelFitJob:
         self, requests: list[Request], features: np.ndarray, name: str
     ) -> LFOModel | None:
         """Label + fit, under ``online.label_solve`` / ``online.gbdt_fit``
-        spans (nested in the trainer's ``online.train_window``)."""
+        spans (nested in the trainer's ``online.train_window``); the fit's
+        binning needs no label, so an idle core makes it during the solve."""
+        binning = start(bin_matrix, features, self.gbdt_params.max_bins)
         registry = get_registry()
         window = Trace(requests, name=name)
         with registry.span("online.label_solve"):
@@ -132,7 +136,7 @@ class LabelFitJob:
         )
         with registry.span("online.gbdt_fit"):
             return LFOModel.train(
-                dataset, params=self.gbdt_params, cutoff=self.cutoff
+                dataset, self.gbdt_params, self.cutoff, binning=binning.result()[0]
             )
 
 

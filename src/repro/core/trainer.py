@@ -55,6 +55,7 @@ training-posture gauges the staleness SLO and ``HealthMonitor`` read
 from __future__ import annotations
 
 import logging
+import threading
 import warnings
 from concurrent.futures import (
     BrokenExecutor,
@@ -67,6 +68,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .._native import reservation
 from ..obs import get_registry
 from ..resilience.faults import get_fault_plan
 from ..trace import Request
@@ -89,9 +91,11 @@ TrainingJob = Callable[[list[Request], np.ndarray, str], Any]
 
 
 def _run_job(
-    job: TrainingJob, requests: list[Request], features: np.ndarray, name: str
+    job: TrainingJob, requests: list[Request], features: np.ndarray, name: str,
+    submitter: int,
 ) -> tuple[Any, float]:
-    """Run one training job wherever the executor put it.
+    """Run one training job wherever the executor put it — beside
+    ``submitter``, the serving thread, leaving that thread its core.
 
     Returns ``(model, seconds)``; the seconds come from the
     ``online.train_window`` span, which also aggregates into the active
@@ -108,6 +112,7 @@ def _run_job(
     plan = get_fault_plan()
     if plan is not None:
         plan.inject("online.train_window")
+    reservation.cores = int(threading.get_native_id() != submitter)
     with get_registry().span("online.train_window") as span:
         model = job(requests, features, name)
     return model, span.elapsed
@@ -431,7 +436,7 @@ class WindowTrainer:
         features = np.vstack(rows)
         try:
             future = self.executor.submit(
-                _run_job, job, requests, features, name
+                _run_job, job, requests, features, name, threading.get_native_id()
             )
         # The two submit-time failures (shut-down executor, broken pool);
         # neither must ever break serving.  Loud inside ``_failed``.

@@ -20,7 +20,13 @@ from .compiled import CompiledPredictor
 from .losses import LogisticLoss, SquaredLoss
 from .tree import Tree, TreeGrowthParams, _bin_counts, _grow, _split_tables
 
-__all__ = ["GBDTParams", "GBDTClassifier", "GBDTRegressor"]
+__all__ = ["GBDTParams", "GBDTClassifier", "GBDTRegressor", "bin_matrix"]
+
+
+def bin_matrix(X: np.ndarray, max_bins: int) -> tuple:
+    """The fit's binning, ``(X, mapper, binned)``; it needs no label."""
+    mapper = BinMapper(max_bins=max_bins)
+    return X, mapper, mapper.fit_transform(X)
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,7 @@ class _GBDTBase:
         X: np.ndarray,
         y: np.ndarray,
         eval_set: tuple[np.ndarray, np.ndarray] | None = None,
+        binning: tuple[np.ndarray, BinMapper, np.ndarray] | None = None,
     ) -> "_GBDTBase":
         """Fit the ensemble.
 
@@ -86,7 +93,11 @@ class _GBDTBase:
             y: labels — {0,1} for the classifier, reals for the regressor.
             eval_set: optional (X_val, y_val) used for loss tracking and,
                 when ``early_stopping_rounds > 0``, early stopping.
+            binning: :func:`bin_matrix` of this very ``X``, made in advance.
         """
+        params = self.params
+        if binning and (binning[0] is not X or binning[1].max_bins != params.max_bins):
+            raise ValueError("binning was not made from this X at max_bins")
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2:
@@ -95,12 +106,10 @@ class _GBDTBase:
             raise ValueError("X and y length mismatch")
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        params = self.params
         loss = self._loss_cls
 
         self.n_features = X.shape[1]
-        self.mapper = BinMapper(max_bins=params.max_bins)
-        binned = self.mapper.fit_transform(X)
+        _, self.mapper, binned = binning or bin_matrix(X, params.max_bins)
         self.init_score = loss.init_score(y)
         raw = np.full(len(y), self.init_score, dtype=np.float64)
 

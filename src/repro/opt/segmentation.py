@@ -15,9 +15,11 @@ with the original trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .._native import fan_out
 from ..trace import Trace
 from .mincost import OptResult, solve_opt
 
@@ -101,24 +103,19 @@ def solve_segmented(
         lookahead = segment_length // 2
     if lookahead < 0:
         raise ValueError("lookahead must be non-negative")
-    n = len(trace)
-    decisions = np.zeros(n, dtype=bool)
-    n_segments = 0
-    solved_requests = 0
-    for start in range(0, n, segment_length):
-        core_end = min(start + segment_length, n)
-        window = trace[start : min(core_end + lookahead, n)]
-        if len(window) == 0:
-            continue
-        result = solve_opt(window, cache_size)
-        decisions[start:core_end] = result.decisions[: core_end - start]
-        n_segments += 1
-        solved_requests += len(window)
+    decisions = np.zeros(len(trace), dtype=bool)
+    starts = range(0, len(trace), segment_length)
+    windows = [trace[start : start + segment_length + lookahead] for start in starts]
+    # Independent solves, their augmentation loops GIL-free: idle cores
+    # take some (labels do not depend on which thread solved what).
+    results = fan_out(partial(solve_opt, cache_size=cache_size), windows)
+    for start, result in zip(starts, results):
+        decisions[start : start + segment_length] = result.decisions[:segment_length]
     return SegmentedOptResult(
         decisions=decisions,
         miss_cost=decisions_to_miss_cost(trace, decisions),
-        n_segments=n_segments,
-        solved_requests=solved_requests,
+        n_segments=len(windows),
+        solved_requests=sum(len(window) for window in windows),
     )
 
 

@@ -6,6 +6,7 @@ window's name as the "model" and an ``install`` that appends to a list.
 """
 
 import pickle
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -266,7 +267,9 @@ def test_what_crosses_a_process_boundary_pickles():
         min_positive_labels=1, n_gaps=5,
     )
     runner, *args = pickle.loads(
-        pickle.dumps((_run_job, job, requests, features, "W[0]"))
+        pickle.dumps(
+            (_run_job, job, requests, features, "W[0]", threading.get_native_id())
+        )
     )
     assert args[0] == job
     model, seconds = runner(*args)

@@ -265,6 +265,47 @@ def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
         )), "shard engine over the wire"
 
 
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("lands_at", [None, 37, 150])
+def test_cold_windows_match_the_scalar_loop(model, capped, lands_at):
+    """No model yet: the engine's cold windows (every score 0.0, live free
+    bytes patched row by row) decide and record exactly what the scalar
+    loop does — hits, scores, and the bytes of every training window —
+    also when a model lands after a mid-window poll."""
+    requests = list(generate_trace(SyntheticConfig(
+        n_requests=900, n_objects=80, size_median=40.0, size_max=150, seed=11,
+    )))
+
+    def run(drive):
+        policy = LFOOnline(
+            600, window=300, gbdt_params=GBDTParams(num_iterations=3),
+            n_gaps=N_GAPS, min_positive_labels=1,
+            label_config=OptLabelConfig(mode="greedy"),
+        )
+        policy.tracker.max_objects = 3 if capped else 0
+        polls, poll = count(1), policy.poll_training
+
+        def poll_training():
+            poll()
+            if next(polls) == lands_at:
+                policy.set_model(model)
+
+        rows, job = [], policy.trainer.job
+
+        def recording(requests, features, name):
+            rows.append(features.tobytes())
+            return job(requests, features, name)
+
+        policy.poll_training = poll_training
+        policy.trainer.job = recording
+        return outcome(policy, drive), rows, policy.n_retrains
+
+    reference = run(scalar(requests))
+    assert reference[2] == 3
+    assert reference == run(served(requests, 256, 64))
+    assert reference == run(served(requests, 7, 50))
+
+
 def test_batch_scorer_under_a_hung_trainer(model):
     """The watchdog counts requests through ``poll``, and its deadline is
     one request past a window edge: a request polled twice (or never)

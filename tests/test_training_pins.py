@@ -13,6 +13,7 @@ from hashlib import blake2b
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.core import LFOOnline, OptLabelConfig
 from repro.trace import ContentClass, generate_mixed_trace
 
@@ -46,9 +47,9 @@ def mix_trace():
     return trace
 
 
-@pytest.mark.parametrize("backend", ["native", "python_fallback"])
-def test_window_labels_and_models_pinned(request, mix_trace, backend):
-    request.getfixturevalue(backend)
+def _window_digests(trace):
+    """``(labels, models)``: the digests of every window's labels and
+    compiled model, on the scalar online loop with library defaults."""
     labels, models = [], []
 
     class Recording(OptLabelConfig):
@@ -58,7 +59,7 @@ def test_window_labels_and_models_pinned(request, mix_trace, backend):
             return found
 
     policy = LFOOnline(
-        mix_trace.footprint() // 10, window=4_000, label_config=Recording()
+        trace.footprint() // 10, window=4_000, label_config=Recording()
     )
     job = policy.trainer.job
 
@@ -68,7 +69,28 @@ def test_window_labels_and_models_pinned(request, mix_trace, backend):
         return model
 
     policy.trainer.job = recording
-    for req in mix_trace:
+    for req in trace:
         policy.on_request(req)
-    assert labels == _LABEL_DIGESTS
-    assert models == _MODEL_DIGESTS
+    return labels, models
+
+
+@pytest.mark.parametrize("backend", ["native", "python_fallback"])
+def test_window_labels_and_models_pinned(request, mix_trace, backend):
+    request.getfixturevalue(backend)
+    assert _window_digests(mix_trace) == (_LABEL_DIGESTS, _MODEL_DIGESTS)
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_pins_hold_at_every_width(monkeypatch, mix_trace, helpers):
+    """Segment solves and the fit's binning on 0, 1 or 3 helper threads
+    beside the job's own (``_native.fan_out`` / ``start``); without the
+    native module every width is the serial loop."""
+    monkeypatch.setattr(
+        _native.os, "sched_getaffinity", lambda _pid: range(helpers + 1)
+    )
+    monkeypatch.setattr(_native, "_pool", None)
+    try:
+        assert _window_digests(mix_trace) == (_LABEL_DIGESTS, _MODEL_DIGESTS)
+    finally:
+        if _native._pool is not None:
+            _native._pool.shutdown(wait=True)
