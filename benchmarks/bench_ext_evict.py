@@ -103,7 +103,7 @@ def _populated_cache(model: LFOModel, n_residents: int) -> LFOCache:
     )
     for obj in range(n_residents):
         policy._insert(Request(float(obj), obj, 10))
-        policy._rank(obj, 0.5)
+        policy._ranked.push(obj, 0.5)
     policy._now = float(n_residents)
     return policy
 

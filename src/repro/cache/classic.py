@@ -6,13 +6,13 @@ LRU from Figure 1).
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict, deque
 
 import numpy as np
 
 from ..trace import Request
 from .base import CachePolicy
+from .ranked import RankedHeap
 
 __all__ = ["RandomCache", "LRUCache", "LRUKCache", "LFUCache", "LFUDACache"]
 
@@ -98,9 +98,7 @@ class LRUKCache(CachePolicy):
         self.k = k
         self._history: OrderedDict[int, deque] = OrderedDict()
         self._history_size = history_size
-        self._heap: list[tuple[float, int, int]] = []  # (kth_time, stamp, obj)
-        self._stamp: dict[int, int] = {}
-        self._counter = 0
+        self._ranked = RankedHeap()  # by K-th most recent reference time
 
     def _record(self, request: Request) -> float:
         hist = self._history.get(request.obj)
@@ -119,13 +117,8 @@ class LRUKCache(CachePolicy):
                 break
         return hist[0] if len(hist) >= self.k else float("-inf")
 
-    def _push(self, obj: int, kth_time: float) -> None:
-        self._counter += 1
-        self._stamp[obj] = self._counter
-        heapq.heappush(self._heap, (kth_time, self._counter, obj))
-
     def _on_hit(self, request: Request) -> None:
-        self._push(request.obj, self._record(request))
+        self._ranked.push(request.obj, self._record(request))
 
     def _on_miss_observed(self, request: Request) -> None:
         self._record(request)
@@ -134,25 +127,18 @@ class LRUKCache(CachePolicy):
         super()._insert(request)
         hist = self._history[request.obj]
         kth = hist[0] if len(hist) >= self.k else float("-inf")
-        self._push(request.obj, kth)
+        self._ranked.push(request.obj, kth)
 
     def _remove(self, obj: int) -> None:
         super()._remove(obj)
-        self._stamp.pop(obj, None)
+        self._ranked.discard(obj)
 
     def _select_victim(self, incoming: Request) -> int | None:
-        while self._heap:
-            _, stamp, obj = self._heap[0]
-            if obj in self._entries and self._stamp.get(obj) == stamp:
-                return obj
-            heapq.heappop(self._heap)
-        return None
+        return self._ranked.peek()
 
     def _reset_policy_state(self) -> None:
         self._history.clear()
-        self._heap.clear()
-        self._stamp.clear()
-        self._counter = 0
+        self._ranked.clear()
 
 
 class _AgedFrequencyCache(CachePolicy):
@@ -160,17 +146,17 @@ class _AgedFrequencyCache(CachePolicy):
 
     Priority of an object is ``age_offset + key(request, frequency)``; the
     aging offset is bumped to the victim's priority on eviction, which is
-    the classic GreedyDual trick for O(log n) aging.
+    the classic GreedyDual trick for O(log n) aging (LFU turns it off).
     """
+
+    _aging = True
 
     def __init__(self, cache_size: int) -> None:
         super().__init__(cache_size)
         self._age = 0.0
         self._freq: dict[int, int] = {}
         self._prio: dict[int, float] = {}
-        self._heap: list[tuple[float, int, int]] = []
-        self._stamp: dict[int, int] = {}
-        self._counter = 0
+        self._ranked = RankedHeap()
 
     def _key(self, request: Request, freq: int) -> float:
         raise NotImplementedError
@@ -180,9 +166,7 @@ class _AgedFrequencyCache(CachePolicy):
         self._freq[request.obj] = freq
         prio = self._age + self._key(request, freq)
         self._prio[request.obj] = prio
-        self._counter += 1
-        self._stamp[request.obj] = self._counter
-        heapq.heappush(self._heap, (prio, self._counter, request.obj))
+        self._ranked.push(request.obj, prio)
 
     def _on_hit(self, request: Request) -> None:
         self._reprioritise(request)
@@ -193,43 +177,30 @@ class _AgedFrequencyCache(CachePolicy):
 
     def _remove(self, obj: int) -> None:
         super()._remove(obj)
-        self._stamp.pop(obj, None)
+        self._ranked.discard(obj)
         victim_prio = self._prio.pop(obj, None)
-        if victim_prio is not None:
+        if victim_prio is not None and self._aging:
             self._age = max(self._age, victim_prio)
         self._freq.pop(obj, None)
 
     def _select_victim(self, incoming: Request) -> int | None:
-        while self._heap:
-            _, stamp, obj = self._heap[0]
-            if obj in self._entries and self._stamp.get(obj) == stamp:
-                return obj
-            heapq.heappop(self._heap)
-        return None
+        return self._ranked.peek()
 
     def _reset_policy_state(self) -> None:
         self._age = 0.0
         self._freq.clear()
         self._prio.clear()
-        self._heap.clear()
-        self._stamp.clear()
-        self._counter = 0
+        self._ranked.clear()
 
 
 class LFUCache(_AgedFrequencyCache):
     """Plain least-frequently-used (no aging)."""
 
     name = "LFU"
+    _aging = False
 
     def _key(self, request: Request, freq: int) -> float:
         return float(freq)
-
-    def _remove(self, obj: int) -> None:
-        # Plain LFU keeps no dynamic aging: pop without bumping the age.
-        CachePolicy._remove(self, obj)
-        self._stamp.pop(obj, None)
-        self._prio.pop(obj, None)
-        self._freq.pop(obj, None)
 
 
 class LFUDACache(_AgedFrequencyCache):

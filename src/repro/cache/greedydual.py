@@ -7,8 +7,6 @@ with cost wheels to avoid the priority queue; both appear in Figure 6.
 
 from __future__ import annotations
 
-import heapq
-
 from ..trace import Request
 from .base import CachePolicy
 from .classic import _AgedFrequencyCache

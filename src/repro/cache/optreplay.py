@@ -10,7 +10,6 @@ the true decisions.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from typing import Sequence
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from ..trace import Request, Trace
 from .base import CachePolicy
+from .ranked import RankedHeap
 
 __all__ = ["OptReplayCache"]
 
@@ -55,8 +55,8 @@ class OptReplayCache(CachePolicy):
         self._next_use = trace.next_occurrence()
         self._cursor = -1
         self._lru: OrderedDict[int, None] = OrderedDict()
-        self._heap: list[tuple[float, int]] = []  # (-next_use, obj)
-        self._next_of: dict[int, float] = {}
+        # Farthest next use first; among never-reused objects, lowest id.
+        self._ranked = RankedHeap()
 
     def on_request(self, request: Request) -> bool:
         """Process the next request of the aligned trace."""
@@ -68,8 +68,7 @@ class OptReplayCache(CachePolicy):
     def _record_next_use(self, obj: int) -> None:
         nxt = self._next_use[self._cursor]
         next_use = float(nxt) if nxt >= 0 else float("inf")
-        self._next_of[obj] = next_use
-        heapq.heappush(self._heap, (-next_use, obj))
+        self._ranked.push(obj, (-next_use, obj))
 
     def _on_hit(self, request: Request) -> None:
         self._lru.move_to_end(request.obj)
@@ -90,22 +89,14 @@ class OptReplayCache(CachePolicy):
     def _remove(self, obj: int) -> None:
         super()._remove(obj)
         self._lru.pop(obj, None)
-        self._next_of.pop(obj, None)
+        self._ranked.discard(obj)
 
     def _select_victim(self, incoming: Request) -> int | None:
         if self.eviction == "lru":
-            if not self._lru:
-                return None
-            return next(iter(self._lru))
-        while self._heap:
-            neg_use, obj = self._heap[0]
-            if obj in self._entries and self._next_of.get(obj) == -neg_use:
-                return obj
-            heapq.heappop(self._heap)
-        return None
+            return next(iter(self._lru), None)
+        return self._ranked.peek()
 
     def _reset_policy_state(self) -> None:
         self._cursor = -1
         self._lru.clear()
-        self._heap.clear()
-        self._next_of.clear()
+        self._ranked.clear()

@@ -126,9 +126,12 @@ class AdaptiveLFOOnline(LFOOnline):
         self.n_drift_retrains = 0
         self._detector: DriftDetector | None = None
 
-    def on_request(self, request: Request) -> bool:
-        """Process one request, checking the drift monitor periodically."""
-        hit = super().on_request(request)
+    def record_for_training(
+        self, request: Request, features: np.ndarray
+    ) -> None:
+        """Buffer the request, then check the drift monitor periodically —
+        in the hook every serving path calls after a decision."""
+        super().record_for_training(request, features)
         buffered = len(self.trainer.requests)
         if (
             self._detector is not None
@@ -139,7 +142,6 @@ class AdaptiveLFOOnline(LFOOnline):
             if self._detector.score(live) > self.drift_threshold:
                 self.n_drift_retrains += 1
                 self._retrain()
-        return hit
 
     def _retrain(self) -> None:
         if self.trainer.features:

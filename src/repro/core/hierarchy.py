@@ -20,16 +20,17 @@ ratio, SSD read load) can be reported.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cache.ranked import RankedHeap
 from ..features import Dataset, FeatureTracker, feature_names
 from ..gbdt import GBDTParams
 from ..trace import Request, Trace
 from .lfo import LFOModel
 from .online import OptLabelConfig
+from .trainer import WindowTrainer
 
 __all__ = ["TierStats", "TieredLFOCache", "TieredLFOOnline"]
 
@@ -79,40 +80,23 @@ class _Tier:
         self.size = size
         self.used = 0
         self.entries: dict[int, int] = {}
-        self._heap: list[tuple[float, int, int]] = []
-        self._stamp: dict[int, int] = {}
-        self._counter = 0
-
-    def rank(self, obj: int, score: float) -> None:
-        self._counter += 1
-        self._stamp[obj] = self._counter
-        heapq.heappush(self._heap, (score, self._counter, obj))
+        self.ranked = RankedHeap()
 
     def insert(self, obj: int, size: int, score: float) -> None:
         self.entries[obj] = size
         self.used += size
-        self.rank(obj, score)
+        self.ranked.push(obj, score)
 
     def remove(self, obj: int) -> int:
         size = self.entries.pop(obj)
         self.used -= size
-        self._stamp.pop(obj, None)
+        self.ranked.discard(obj)
         return size
-
-    def victim(self) -> int | None:
-        while self._heap:
-            _, stamp, obj = self._heap[0]
-            if obj in self.entries and self._stamp.get(obj) == stamp:
-                return obj
-            heapq.heappop(self._heap)
-        return None
 
     def clear(self) -> None:
         self.used = 0
         self.entries.clear()
-        self._heap.clear()
-        self._stamp.clear()
-        self._counter = 0
+        self.ranked.clear()
 
 
 class TieredLFOCache:
@@ -195,7 +179,7 @@ class TieredLFOCache:
     def _make_room(self, tier: _Tier, need: int, demote: bool) -> bool:
         """Evict (or demote) from a tier until ``need`` bytes fit."""
         while tier.used + need > tier.size:
-            victim = tier.victim()
+            victim = tier.ranked.peek()
             if victim is None:
                 return False
             size = tier.remove(victim)
@@ -220,7 +204,7 @@ class TieredLFOCache:
             hit = True
             self.stats.ram_hits += 1
             self.stats.ram_hit_bytes += request.size
-            self.ram.rank(request.obj, admit_score)
+            self.ram.ranked.push(request.obj, admit_score)
         elif request.obj in self.ssd.entries:
             hit = True
             self.stats.ssd_hits += 1
@@ -233,7 +217,7 @@ class TieredLFOCache:
                 else:
                     self.ssd.insert(request.obj, size, admit_score)
             else:
-                self.ssd.rank(request.obj, admit_score)
+                self.ssd.ranked.push(request.obj, admit_score)
         else:
             self.stats.misses += 1
             self.stats.miss_bytes += request.size
@@ -267,15 +251,52 @@ class TieredLFOCache:
         self.last_features = None
 
 
+@dataclass(frozen=True)
+class TieredFitJob:
+    """The tiered training job: ``(admission, placement)`` models for one
+    closed window, placement None when its labels are too few or all
+    positive, no models below ``min_positive_labels`` admissions."""
+
+    cache_size: int
+    ram_horizon: int
+    gbdt_params: GBDTParams
+    label_config: OptLabelConfig
+    n_gaps: int
+    min_positive_labels: int
+
+    def __call__(
+        self, requests: list[Request], features: np.ndarray, name: str
+    ) -> tuple[LFOModel, LFOModel | None] | None:
+        window = Trace(requests, name=name)
+        admit = self.label_config.compute(window, self.cache_size)
+        if admit.sum() < self.min_positive_labels:
+            return None
+        admission = self._fit(features, admit)
+        nxt = window.next_occurrence()
+        idx = np.arange(len(window))
+        place = admit & (nxt >= 0) & (nxt - idx <= self.ram_horizon)
+        if not self.min_positive_labels <= place.sum() < len(place):
+            return admission, None
+        return admission, self._fit(features, place)
+
+    def _fit(self, features: np.ndarray, labels: np.ndarray) -> LFOModel:
+        names = feature_names(self.n_gaps)
+        return LFOModel.train(
+            Dataset(features, labels.astype(np.float64), names),
+            params=self.gbdt_params,
+        )
+
+
 @dataclass
 class TieredLFOOnline:
     """Online windowed trainer for the two-level model.
 
-    Wraps :class:`TieredLFOCache` with the Figure-2 loop: per window, solve
-    OPT over the aggregate space for admission labels, derive placement
-    labels ("OPT caches it *and* reuse comes within ``ram_horizon``
-    requests"), and train both models.
+    Wraps :class:`TieredLFOCache` with the Figure-2 loop: an inline
+    :class:`~repro.core.WindowTrainer` runs a :class:`TieredFitJob` on
+    every closed window and installs right after its last request.
     """
+
+    name = "LFO-tiered-online"
 
     ram_size: int
     ssd_size: int
@@ -290,62 +311,36 @@ class TieredLFOOnline:
         self.cache = TieredLFOCache(
             self.ram_size, self.ssd_size, n_gaps=self.n_gaps
         )
-        self.n_retrains = 0
-        self._buffer_requests: list[Request] = []
-        self._buffer_features: list[np.ndarray] = []
-
-    @property
-    def name(self) -> str:
-        """Policy name for result tables."""
-        return "LFO-tiered-online"
+        self.trainer = WindowTrainer(
+            self.window,
+            TieredFitJob(
+                self.ram_size + self.ssd_size, self.ram_horizon,
+                self.gbdt_params, self.label_config, self.n_gaps,
+                self.min_positive_labels,
+            ),
+            self._install,
+        )
 
     @property
     def stats(self) -> TierStats:
         """Per-tier hit statistics of the underlying cache."""
         return self.cache.stats
 
+    @property
+    def n_retrains(self) -> int:
+        """Windows whose models were installed."""
+        return self.trainer.n_retrains
+
     def on_request(self, request: Request) -> bool:
         """Process one request through the tiered cache, retraining at
         window boundaries."""
         hit = self.cache.on_request(request)
-        self._buffer_requests.append(request)
-        self._buffer_features.append(self.cache.last_features)
-        if len(self._buffer_requests) >= self.window:
-            self._retrain()
+        if self.trainer.record(request, self.cache.last_features):
+            self.trainer.close_window()
         return hit
 
-    def _retrain(self) -> None:
-        window_trace = Trace(self._buffer_requests)
-        self._buffer_requests = []
-        features = np.vstack(self._buffer_features)
-        self._buffer_features = []
-
-        aggregate = self.ram_size + self.ssd_size
-        admit_labels = self.label_config.compute(window_trace, aggregate)
-        if admit_labels.sum() < self.min_positive_labels:
-            return
-
-        names = feature_names(self.n_gaps)
-        admission = LFOModel.train(
-            Dataset(features, admit_labels.astype(np.float64), names),
-            params=self.gbdt_params,
-        )
-
-        nxt = window_trace.next_occurrence()
-        idx = np.arange(len(window_trace))
-        reuse_soon = (nxt >= 0) & (nxt - idx <= self.ram_horizon)
-        place_labels = admit_labels & reuse_soon
-        placement = None
-        if (
-            place_labels.sum() >= self.min_positive_labels
-            and place_labels.sum() < len(place_labels)
-        ):
-            placement = LFOModel.train(
-                Dataset(features, place_labels.astype(np.float64), names),
-                params=self.gbdt_params,
-            )
-
+    def _install(self, models: tuple[LFOModel, LFOModel | None]) -> None:
+        admission, placement = models
         self.cache.admission_model = admission
         if placement is not None:
             self.cache.placement_model = placement
-        self.n_retrains += 1

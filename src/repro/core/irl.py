@@ -17,20 +17,21 @@ Because the reward is linear, this model is strictly weaker than the
 boosted trees LFO uses — which is exactly the comparison the extension
 benchmark draws: the reduction to supervised learning is what matters, and
 given the reduction, nonlinear learners win.
+
+:class:`IRLCache` is an :class:`~repro.core.LFOCache` ranked by reward;
+:class:`IRLOnline` retrains on a :class:`~repro.core.WindowTrainer`.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..cache import CachePolicy
-from ..features import Dataset, FeatureTracker, feature_names
 from ..trace import Request, Trace
+from .lfo import LFOCache
 from .online import OptLabelConfig
+from .trainer import WindowTrainer
 
 __all__ = ["LinearRewardIRL", "IRLCache", "IRLOnline"]
 
@@ -118,98 +119,73 @@ class LinearRewardIRL:
         return float((predictions == np.asarray(admitted, dtype=bool)).mean())
 
 
-class IRLCache(CachePolicy):
-    """Cache policy acting greedily on a learned linear reward."""
+class IRLCache(LFOCache):
+    """Cache policy acting greedily on a learned linear reward: an
+    :class:`~repro.core.LFOCache` scoring (and re-scoring) by reward,
+    admitting when it beats bypassing (> 0).  Rewards are not
+    likelihoods: they stay out of ``lfo.admission_score``."""
 
     name = "IRL"
 
     def __init__(
-        self,
-        cache_size: int,
-        model: LinearRewardIRL | None = None,
+        self, cache_size: int, model: LinearRewardIRL | None = None,
         n_gaps: int = 50,
     ) -> None:
-        super().__init__(cache_size)
-        self.model = model
-        self._tracker = FeatureTracker(n_gaps=n_gaps)
-        self._reward: dict[int, float] = {}
-        self._heap: list[tuple[float, int, int]] = []
-        self._stamp: dict[int, int] = {}
-        self._counter = 0
-        self._lru: OrderedDict[int, None] = OrderedDict()
-        self.last_features: np.ndarray | None = None
+        super().__init__(cache_size, model, n_gaps)
 
     @property
-    def tracker(self) -> FeatureTracker:
-        """Shared online feature state."""
-        return self._tracker
+    def supports_batched_scoring(self) -> bool:
+        """Never: the decision engine scores with a compiled GBDT."""
+        return False
 
-    def _rank(self, obj: int, reward: float) -> None:
-        self._reward[obj] = reward
-        self._counter += 1
-        self._stamp[obj] = self._counter
-        heapq.heappush(self._heap, (reward, self._counter, obj))
+    def set_model(self, model: LinearRewardIRL) -> None:
+        """Swap in a freshly fitted reward (nothing to compile)."""
+        self.model = model
 
     def on_request(self, request: Request) -> bool:
         """Process one request under the learned-reward policy."""
         features = self._tracker.features(request, self.free_bytes)
-        self.last_features = features
-        reward = (
-            float(self.model.reward(features)[0])
-            if self.model is not None
-            else 0.0
+        score = 0.0 if self.model is None else self._score_rows(features)[0]
+        return self.apply_scored(
+            request.time, request.obj, request.size, request.cost,
+            features, score,
         )
-        hit = request.obj in self._entries
-        if hit:
-            self._rank(request.obj, reward)
-            self._lru.move_to_end(request.obj)
-        else:
-            self._on_miss_observed(request)
-        if not hit and request.size <= self.cache_size and (
-            self.model is None or reward > 0.0
-        ):
-            while self.used_bytes + request.size > self.cache_size:
-                victim = self._select_victim(request)
-                if victim is None:
-                    break
-                self._remove(victim)
-            if self.used_bytes + request.size <= self.cache_size:
-                self._insert(request)
-                self._rank(request.obj, reward)
-        self._tracker.update(request.obj, request.time, request.cost)
-        return hit
 
-    def _insert(self, request: Request) -> None:
-        super()._insert(request)
-        self._lru[request.obj] = None
+    def _score_rows(self, matrix: np.ndarray) -> list[float]:
+        return self.model.reward(matrix).tolist()
 
-    def _remove(self, obj: int) -> None:
-        super()._remove(obj)
-        self._reward.pop(obj, None)
-        self._stamp.pop(obj, None)
-        self._lru.pop(obj, None)
+    def _should_admit(self, score: float) -> bool:
+        return self.model is None or score > 0.0
 
-    def _select_victim(self, incoming: Request) -> int | None:
-        if self.model is None:
-            return next(iter(self._lru), None)
-        while self._heap:
-            _, stamp, obj = self._heap[0]
-            if obj in self._entries and self._stamp.get(obj) == stamp:
-                return obj
-            heapq.heappop(self._heap)
-        return None
+    def _bind_score_instrument(self, registry) -> None:
+        self._obs_registry = registry  # no admission-score histogram
 
-    def _reset_policy_state(self) -> None:
-        self._reward.clear()
-        self._heap.clear()
-        self._stamp.clear()
-        self._lru.clear()
-        self._counter = 0
-        self.last_features = None
+
+@dataclass(frozen=True)
+class IRLFitJob:
+    """The IRL training job: label one closed window with OPT, fit a copy
+    of ``template`` (None below ``min_positive_labels`` admissions)."""
+
+    cache_size: int
+    template: LinearRewardIRL
+    label_config: OptLabelConfig
+    min_positive_labels: int
+
+    def __call__(
+        self, requests: list[Request], features: np.ndarray, name: str
+    ) -> LinearRewardIRL | None:
+        labels = self.label_config.compute(
+            Trace(requests, name=name), self.cache_size
+        )
+        if labels.sum() < self.min_positive_labels:
+            return None
+        return replace(self.template).fit(features, labels)
 
 
 class IRLOnline(IRLCache):
-    """Windowed online loop for the IRL policy (mirrors LFOOnline)."""
+    """Windowed online loop for the IRL policy: an inline
+    :class:`~repro.core.WindowTrainer` runs an :class:`IRLFitJob` on every
+    closed window and installs right after the window's last request."""
 
     name = "IRL-online"
 
@@ -223,39 +199,25 @@ class IRLOnline(IRLCache):
         min_positive_labels: int = 10,
     ) -> None:
         super().__init__(cache_size, model=None, n_gaps=n_gaps)
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._irl_template = irl_params or LinearRewardIRL()
-        self.label_config = label_config or OptLabelConfig()
-        self.min_positive_labels = min_positive_labels
-        self.n_retrains = 0
-        self._buffer_requests: list[Request] = []
-        self._buffer_features: list[np.ndarray] = []
+        self.trainer = WindowTrainer(
+            window,
+            IRLFitJob(
+                cache_size,
+                irl_params or LinearRewardIRL(),
+                label_config or OptLabelConfig(),
+                min_positive_labels,
+            ),
+            self.set_model,
+        )
+
+    @property
+    def n_retrains(self) -> int:
+        """Windows whose reward was installed."""
+        return self.trainer.n_retrains
 
     def on_request(self, request: Request) -> bool:
         """Process one request, retraining at window boundaries."""
         hit = super().on_request(request)
-        self._buffer_requests.append(request)
-        self._buffer_features.append(self.last_features)
-        if len(self._buffer_requests) >= self.window:
-            self._retrain()
+        if self.trainer.record(request, self.last_features):
+            self.trainer.close_window()
         return hit
-
-    def _retrain(self) -> None:
-        window_trace = Trace(self._buffer_requests)
-        self._buffer_requests = []
-        X = np.vstack(self._buffer_features)
-        self._buffer_features = []
-        labels = self.label_config.compute(window_trace, self.cache_size)
-        if labels.sum() < self.min_positive_labels:
-            return
-        model = LinearRewardIRL(
-            epochs=self._irl_template.epochs,
-            margin=self._irl_template.margin,
-            learning_rate=self._irl_template.learning_rate,
-            l2=self._irl_template.l2,
-            seed=self._irl_template.seed,
-        ).fit(X, labels)
-        self.model = model
-        self.n_retrains += 1

@@ -21,11 +21,9 @@ when it is requested (the paper's rule) or when it becomes an eviction
 candidate — never globally.  Two structures keep that cheap at millions
 of resident objects:
 
-* the likelihood heap is *bounded*: every re-rank pushes a superseded
-  tuple, and once stale entries exceed ``stale_compact_ratio`` of the
-  heap it is compacted in place down to the live entries (observable as
-  ``evict.compactions`` / ``evict.heap_stale_ratio``), so heap memory
-  stays O(resident objects) on hit-heavy traffic;
+* the likelihood heap is the bounded ``repro.cache.ranked.RankedHeap``
+  every score-ordered policy ranks in (compacted once stale entries
+  exceed ``stale_compact_ratio``: O(resident objects) memory);
 * ``eviction="sampled"`` (LRB-style, "Learned Cache Eviction Framework
   with Minimal Overhead") draws ``SampledEvictionConfig.k`` seeded-random
   resident candidates plus the current heap minimum as a safety
@@ -38,7 +36,6 @@ of resident objects:
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -47,14 +44,11 @@ import numpy as np
 from ..features import Dataset, FeatureTracker
 from ..gbdt import GBDTClassifier, GBDTParams
 from ..cache import CachePolicy
+from ..cache.ranked import RankedHeap
 from ..obs import get_registry
 from ..trace import Request
 
 __all__ = ["LFOModel", "LFOCache", "SampledEvictionConfig"]
-
-#: Below this heap length compaction is never triggered: rebuilding tiny
-#: heaps buys nothing, and the floor gives tests a hard O(n_objects) bound.
-_COMPACT_MIN_HEAP = 64
 
 #: Bucket edges for the admission-score histogram: deciles of the
 #: predicted likelihood (a sigmoid output in [0, 1]; the overflow bucket
@@ -199,9 +193,7 @@ class LFOCache(CachePolicy):
         self._tracker = tracker or FeatureTracker(n_gaps=n_gaps)
         self._predictor = None  # of ``_predictor_model``, for on_request
         self._predictor_model: LFOModel | None = None
-        self._heap: list[tuple[float, int, int]] = []  # (score, stamp, obj)
-        self._stamp: dict[int, int] = {}
-        self._counter = 0
+        self._ranked = RankedHeap(self.sampled_config.stale_compact_ratio)
         self._lru: OrderedDict[int, None] = OrderedDict()  # cold-start rank
         #: Residents as a swap-remove list + position map, so the sampler
         #: can draw uniform candidates in O(k) regardless of cache size.
@@ -253,39 +245,6 @@ class LFOCache(CachePolicy):
         """
         return self.model is not None and self.rescore_interval == 0
 
-    def _rank(self, obj: int, score: float) -> None:
-        self._counter += 1
-        self._stamp[obj] = self._counter
-        heapq.heappush(self._heap, (score, self._counter, obj))
-        # Bounded-heap discipline: every re-rank leaves a superseded tuple
-        # behind; compact once stale entries dominate (len(_stamp) is
-        # exactly the live-entry count — stamps are popped on removal).
-        heap_len = len(self._heap)
-        if (
-            heap_len >= _COMPACT_MIN_HEAP
-            and heap_len - len(self._stamp)
-            > self.sampled_config.stale_compact_ratio * heap_len
-        ):
-            self._compact_heap()
-
-    def _compact_heap(self) -> None:
-        """Drop superseded/evicted heap tuples and re-heapify in place.
-
-        Cost is O(live entries), amortised O(1) per :meth:`_rank` because
-        at least half the heap (at the default ratio) is discarded.
-        """
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("evict.compactions").inc()
-            registry.gauge("evict.heap_stale_ratio").set(
-                1.0 - len(self._stamp) / len(self._heap)
-            )
-        stamps = self._stamp
-        self._heap = [
-            entry for entry in self._heap if stamps.get(entry[2]) == entry[1]
-        ]
-        heapq.heapify(self._heap)
-
     def _score_residents(self, objs: list[int]) -> list[float]:
         """Fresh likelihoods of resident ``objs``: one read-only columnar
         probe of live tracker state, one compiled-predictor call.
@@ -298,9 +257,12 @@ class LFOCache(CachePolicy):
         sizes = [self._entries[obj] for obj in objs]
         known = self._costs
         costs = [known.get(obj, float(size)) for obj, size in zip(objs, sizes)]
-        matrix = self._tracker.features_batch(
+        return self._score_rows(self._tracker.features_batch(
             objs, [self._now] * len(objs), sizes, costs, self.free_bytes
-        )
+        ))
+
+    def _score_rows(self, matrix: np.ndarray) -> list[float]:
+        """The model's ranking score of each feature row."""
         return self.model.likelihood(matrix).tolist()
 
     def _rescore_all(self) -> None:
@@ -309,7 +271,7 @@ class LFOCache(CachePolicy):
             return
         objs = list(self._entries)
         for obj, score in zip(objs, self._score_residents(objs)):
-            self._rank(obj, score)
+            self._ranked.push(obj, score)
 
     def on_request(self, request: Request) -> bool:
         """Process one request: score, admit/evict, learn features."""
@@ -365,7 +327,7 @@ class LFOCache(CachePolicy):
         if hit:
             # Re-evaluate the hit object's likelihood (Section 2.4).
             self._costs[obj] = cost
-            self._rank(obj, score)
+            self._ranked.push(obj, score)
             self._lru.move_to_end(obj)
         else:
             # Base-class contract: every observed miss reaches the hook,
@@ -376,7 +338,7 @@ class LFOCache(CachePolicy):
                 request = Request(time, obj, size, cost)
                 if self._evict_until_fits(request):
                     self._insert(request)
-                    self._rank(obj, score)
+                    self._ranked.push(obj, score)
         self._tracker.update(obj, time, cost)
         return hit
 
@@ -408,7 +370,7 @@ class LFOCache(CachePolicy):
 
     def _remove(self, obj: int) -> None:
         super()._remove(obj)
-        self._stamp.pop(obj, None)
+        self._ranked.discard(obj)
         self._lru.pop(obj, None)
         # O(1) swap-remove keeps the sampler's candidate pool dense.
         pos = self._resident_pos.pop(obj)
@@ -428,22 +390,12 @@ class LFOCache(CachePolicy):
         # invisible to likelihood eviction (stuck resident forever).
         super()._restore(obj, size, incoming, cost)
         if self.model is not None:
-            self._rank(obj, self._score_residents([obj])[0])
-
-    def _heap_min(self) -> int | None:
-        """Current valid heap minimum (lazily popping stale tuples)."""
-        heap = self._heap
-        while heap:
-            _, stamp, obj = heap[0]
-            if self._stamp.get(obj) == stamp:
-                return obj
-            heapq.heappop(heap)
-        return None
+            self._ranked.push(obj, self._score_residents([obj])[0])
 
     def _select_victim(self, incoming: Request) -> int | None:
         if self.model is None or self.eviction == "lru":
             return next(iter(self._lru), None)
-        return self._heap_min()
+        return self._ranked.peek()
 
     def _select_victims(self, incoming: Request) -> list[int]:
         if (
@@ -475,13 +427,13 @@ class LFOCache(CachePolicy):
         else:
             drawn = self._rng.integers(0, n, size=config.k)
             picked = dict.fromkeys(self._resident[i] for i in drawn)
-            safety = self._heap_min()
+            safety = self._ranked.peek()
             if safety is not None:
                 picked[safety] = None
             candidates = list(picked)
         scores = self._score_residents(candidates)
         for obj, score in zip(candidates, scores):
-            self._rank(obj, score)
+            self._ranked.push(obj, score)
         registry = get_registry()
         if registry.enabled:
             registry.counter("evict.candidates_scored").inc(len(candidates))
@@ -489,13 +441,11 @@ class LFOCache(CachePolicy):
         return [candidates[i] for i in order]
 
     def _reset_policy_state(self) -> None:
-        self._heap.clear()
-        self._stamp.clear()
+        self._ranked.clear()
         self._lru.clear()
         self._resident.clear()
         self._resident_pos.clear()
         self._rng = np.random.default_rng(self.sampled_config.seed)
-        self._counter = 0
         self._requests_seen = 0
         self._now = 0.0
         self.last_features = None

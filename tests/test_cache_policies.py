@@ -1,5 +1,8 @@
 """Behavioural tests for individual cache policies."""
 
+from functools import lru_cache
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 
@@ -9,16 +12,31 @@ from repro.cache import (
     GDSFCache,
     GDWheelCache,
     HyperbolicCache,
+    LFUCache,
     LFUDACache,
     LHDCache,
     LRUCache,
     LRUKCache,
+    OptReplayCache,
     RandomCache,
     RLCache,
     S4LRUCache,
     TinyLFUCache,
 )
-from repro.trace import Request
+from repro.core import (
+    IRLOnline, LFOCache, LFOModel, OptLabelConfig, TieredLFOOnline,
+)
+from repro.features import Dataset, FeatureTracker, feature_names
+from repro.gbdt import GBDTParams
+from repro.opt import solve_greedy
+from repro.sim import policy_factories, simulate
+from repro.trace import (
+    ContentClass,
+    Request,
+    SyntheticConfig,
+    generate_mixed_trace,
+    generate_trace,
+)
 
 
 def _fill(policy, objects):
@@ -296,3 +314,189 @@ class TestRandom:
             policy.on_request(Request(float(10 + t), 100 + t, 10))
             assert len(policy._order) == policy.n_objects
             assert set(policy._order) == set(policy._entries)
+
+
+# -- bit-identity pins --------------------------------------------------------
+#
+# Digests of every score-ordered policy's hits on two generated traces,
+# recorded before those policies moved onto the one bounded heap
+# (``repro.cache.ranked``): how a heap holds its entries may never
+# change which object is evicted.
+
+_N_GAPS = 8
+
+
+@lru_cache(maxsize=None)
+def _pin_trace(name):
+    """``(trace, cache_size)``: a Zipf synthetic or a web + photo mix."""
+    if name == "zipf":
+        trace = generate_trace(SyntheticConfig(
+            n_requests=4000, n_objects=600, alpha=0.9, size_median=30,
+            size_sigma=1.2, size_max=600, locality=0.2, seed=26,
+        ))
+    else:
+        web = ContentClass("web", 400, 1.1, 40, 1.0, 800, cost_median=50.0)
+        photo = ContentClass("photo", 1500, 0.6, 100, 0.8, 2000)
+        trace = generate_mixed_trace(
+            [web, photo], [0.6, 0.4], n_requests=4000, seed=26
+        )
+    return trace, trace.footprint() // 10
+
+
+@lru_cache(maxsize=None)
+def _pin_model(name):
+    """An LFO model fitted on OPT's decisions over the trace's first half."""
+    trace, cache_size = _pin_trace(name)
+    prefix = trace[:2000]
+    tracker = FeatureTracker(n_gaps=_N_GAPS)
+    rows = []
+    for request in prefix:
+        rows.append(np.array(tracker.features(request, cache_size)))
+        tracker.update(request.obj, request.time, request.cost)
+    labels = solve_greedy(prefix, cache_size).decisions
+    return LFOModel.train(
+        Dataset(np.vstack(rows), labels.astype(np.float64),
+                feature_names(_N_GAPS)),
+        GBDTParams(num_iterations=8),
+    )
+
+
+def _simulated(make, **kwargs):
+    def run(name):
+        trace, cache_size = _pin_trace(name)
+        return simulate(trace, make(name, cache_size), **kwargs).hits, ()
+    return run
+
+
+def _opt_replay(eviction):
+    def make(name, cache_size):
+        # Decisions for twice the space: replayed, they must evict.
+        trace, _ = _pin_trace(name)
+        decisions = solve_greedy(trace, 2 * cache_size).decisions
+        return OptReplayCache(cache_size, decisions, trace, eviction=eviction)
+    return _simulated(make)
+
+
+def _lfo(eviction, batch_size):
+    return _simulated(
+        lambda name, cache_size: LFOCache(
+            cache_size, _pin_model(name), n_gaps=_N_GAPS, eviction=eviction
+        ),
+        batch_size=batch_size,
+    )
+
+
+def _irl_online(name):
+    trace, cache_size = _pin_trace(name)
+    policy = IRLOnline(
+        cache_size, window=1000, label_config=OptLabelConfig("greedy"),
+        n_gaps=_N_GAPS,
+    )
+    return simulate(trace, policy).hits, (policy.n_retrains,)
+
+
+def _tiered_online(name):
+    trace, cache_size = _pin_trace(name)
+    policy = TieredLFOOnline(
+        cache_size // 4, cache_size - cache_size // 4, window=1000,
+        ram_horizon=200, gbdt_params=GBDTParams(num_iterations=8),
+        label_config=OptLabelConfig("greedy"), n_gaps=_N_GAPS,
+    )
+    hits = [policy.on_request(request) for request in trace]
+    stats = policy.stats
+    return np.array(hits), (
+        stats.ram_hits, stats.ssd_hits, stats.misses, policy.n_retrains,
+    )
+
+
+_PIN_RUNS = {
+    **{
+        name: _simulated(lambda _n, size, factory=factory: factory(size))
+        for name, factory in policy_factories().items()
+    },
+    "LFU": _simulated(lambda _n, size: LFUCache(size)),
+    "OPT-replay-belady": _opt_replay("belady"),
+    "OPT-replay-lru": _opt_replay("lru"),
+    "IRL-online": _irl_online,
+    "LFO-tiered-online": _tiered_online,
+    **{
+        f"LFO-{eviction}{suffix}": _lfo(eviction, batch_size)
+        for eviction in ("likelihood", "lru", "sampled")
+        for suffix, batch_size in (("", 0), ("-b64", 64))
+    },
+}
+
+
+def pin_digest(trace_name, policy_name):
+    """16 hex digits over the packed hit vector and the extra counters."""
+    hits, extra = _PIN_RUNS[policy_name](trace_name)
+    digest = blake2b(digest_size=8)
+    digest.update(np.packbits(np.asarray(hits, dtype=bool)).tobytes())
+    digest.update(repr(extra).encode())
+    return digest.hexdigest()
+
+
+PIN_DIGESTS = {
+    ('zipf', 'RND'): '0b6406170577d516',
+    ('zipf', 'LRU'): '559a99c6cbdec9b0',
+    ('zipf', 'LRU-K'): '85b97b87affb91ce',
+    ('zipf', 'LFUDA'): '63d861f11f755766',
+    ('zipf', 'S4LRU'): '6275efeeb959b06d',
+    ('zipf', 'GDSF'): '63d861f11f755766',
+    ('zipf', 'GD-Wheel'): '1161f3d6d29d182e',
+    ('zipf', 'AdaptSize'): 'ce45cfbed2cc1eb4',
+    ('zipf', 'Hyperbolic'): '2b93c64843e0b8ea',
+    ('zipf', 'LHD'): 'f4129966bb8a399e',
+    ('zipf', 'TinyLFU'): 'c659ea92a7f88cfe',
+    ('zipf', 'RLC'): '0718998a108e9410',
+    ('zipf', 'FIFO'): 'f7e70ca2f251b818',
+    ('zipf', 'CLOCK'): '13f6aa0d27721f81',
+    ('zipf', 'GDS'): '559a99c6cbdec9b0',
+    ('zipf', '2Q'): '2be25c825e459d10',
+    ('zipf', 'LFU'): 'c23b60c2aba98a1a',
+    ('zipf', 'OPT-replay-belady'): '971fa5c5c7add58b',
+    ('zipf', 'OPT-replay-lru'): '5d56aa563e5080be',
+    ('zipf', 'IRL-online'): 'ae09b732a8972f3c',
+    ('zipf', 'LFO-tiered-online'): '22bf04c771a54969',
+    ('zipf', 'LFO-likelihood'): 'e944316e8a4b0bd8',
+    ('zipf', 'LFO-likelihood-b64'): 'e944316e8a4b0bd8',
+    ('zipf', 'LFO-lru'): '9980ef21969e4014',
+    ('zipf', 'LFO-lru-b64'): '9980ef21969e4014',
+    ('zipf', 'LFO-sampled'): 'e41bbed4048898dc',
+    ('zipf', 'LFO-sampled-b64'): 'e41bbed4048898dc',
+    ('mix', 'RND'): '35a20418295c0c57',
+    ('mix', 'LRU'): '903a43a40b236d41',
+    ('mix', 'LRU-K'): 'b479c5b697a52472',
+    ('mix', 'LFUDA'): '336fb7e02539a1df',
+    ('mix', 'S4LRU'): '1c1bf0662c984fc5',
+    ('mix', 'GDSF'): 'e5fba20abbc46868',
+    ('mix', 'GD-Wheel'): '56e590445871bbf8',
+    ('mix', 'AdaptSize'): '2552662f1e2f0d2b',
+    ('mix', 'Hyperbolic'): '884f3a89b1256b9a',
+    ('mix', 'LHD'): 'a484e7c69986c624',
+    ('mix', 'TinyLFU'): 'da0186328cf6dcf6',
+    ('mix', 'RLC'): '16b8d0842b33bcee',
+    ('mix', 'FIFO'): 'b8b3e1ac928a94d9',
+    ('mix', 'CLOCK'): '85e672f686ebede0',
+    ('mix', 'GDS'): 'dbea556cccc8f26f',
+    ('mix', '2Q'): '9f1f8a04ce930d9c',
+    ('mix', 'LFU'): '0cfec9fc6f70555f',
+    ('mix', 'OPT-replay-belady'): '1810d59613fd461c',
+    ('mix', 'OPT-replay-lru'): '52a932380f23cf93',
+    ('mix', 'IRL-online'): '3ff2d2c10ae70ae2',
+    ('mix', 'LFO-tiered-online'): 'cfdf8e76598d5c01',
+    ('mix', 'LFO-likelihood'): 'd6a45c8b40d2f8db',
+    ('mix', 'LFO-likelihood-b64'): 'd6a45c8b40d2f8db',
+    ('mix', 'LFO-lru'): 'd79248415fbcdbe4',
+    ('mix', 'LFO-lru-b64'): 'd79248415fbcdbe4',
+    ('mix', 'LFO-sampled'): '8794fc412d113903',
+    ('mix', 'LFO-sampled-b64'): '8794fc412d113903',
+}
+
+
+@pytest.mark.parametrize("trace_name", ["zipf", "mix"])
+@pytest.mark.parametrize("policy_name", list(_PIN_RUNS))
+def test_hits_match_the_recorded_digest(trace_name, policy_name):
+    assert pin_digest(trace_name, policy_name) == (
+        PIN_DIGESTS[trace_name, policy_name]
+    )

@@ -91,6 +91,26 @@ class TestIRLCache:
             cache.on_request(Request(float(t), obj, size))
             assert 0 <= cache.used_bytes <= 100
 
+    def test_every_eviction_is_counted(self):
+        """Evictions run through ``CachePolicy._evict_until_fits``
+        (regression: a private eviction loop reported zero)."""
+        X, admitted = _linear_demos()
+        model = LinearRewardIRL(epochs=5).fit(X, admitted)
+        cache = IRLCache(cache_size=100, model=model, n_gaps=4)
+        removed = []
+        inner = cache._remove
+
+        def _remove(obj):
+            removed.append(obj)
+            inner(obj)
+
+        cache._remove = _remove
+        rng = np.random.default_rng(1)
+        for t in range(300):
+            obj = int(rng.integers(0, 50))
+            cache.on_request(Request(float(t), obj, 10 + obj % 30))
+        assert cache.n_evictions == len(removed) > 0
+
 
 class TestIRLOnline:
     def test_retrains_and_beats_random(self):
@@ -113,6 +133,20 @@ class TestIRLOnline:
         )
         assert irl.n_retrains >= 3
         assert r_irl.bhr > r_rnd.bhr
+
+    def test_a_failed_fit_is_counted_not_raised(self):
+        """Retraining rides the trainer's one failure sink."""
+        irl = IRLOnline(cache_size=500, window=50, n_gaps=4)
+
+        def failing(requests, features, name):
+            raise RuntimeError("fit exploded")
+
+        irl.trainer.job = failing
+        with pytest.warns(RuntimeWarning, match="fit exploded"):
+            for t in range(50):
+                irl.on_request(Request(float(t), t % 7, 10))
+        assert irl.trainer.n_failed_retrains == 1
+        assert irl.n_retrains == 0
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

@@ -32,9 +32,10 @@ def _toy_model(cutoff=0.5, n_gaps=4, positive_small=True):
 def _live_rank(policy, obj):
     """The score ``obj`` is ranked by: its one heap entry whose stamp is
     the live one (superseded entries stay in the heap until compacted)."""
+    ranked = policy._ranked
     (score,) = [
-        score for score, stamp, ranked in policy._heap
-        if ranked == obj and stamp == policy._stamp[obj]
+        score for score, stamp, entry in ranked._heap
+        if entry == obj and stamp == ranked._stamp[obj]
     ]
     return score
 
@@ -111,7 +112,8 @@ class TestLFOCache:
         policy.on_request(Request(50.0, 1, 10))
         after = _live_rank(policy, 1)
         # The score was recomputed (gap features changed the input).
-        assert before != after or policy._stamp[1] == policy._counter
+        ranked = policy._ranked
+        assert before != after or ranked._stamp[1] == ranked._counter
 
     def test_capacity_invariant_with_model(self):
         model = _toy_model(n_gaps=4)
@@ -185,7 +187,7 @@ class TestLFOVariants:
         refreshed = _live_rank(policy, 1)
         # Object 1's gap_1 grew from 0 to 100: the score must have been
         # recomputed (stamp advanced even if the value barely moved).
-        assert policy._stamp[1] > 1
+        assert policy._ranked._stamp[1] > 1
         assert isinstance(refreshed, float) and isinstance(stale, float)
 
     def test_rescore_capacity_invariant(self):
@@ -207,14 +209,12 @@ class TestHeapBounded:
     without bound (one stale tuple per re-rank, never reclaimed)."""
 
     def test_heap_stays_proportional_to_residents(self):
-        from repro.core.lfo import _COMPACT_MIN_HEAP
-
         model = _toy_model(cutoff=0.0, n_gaps=4)
         policy = LFOCache(cache_size=10_000, model=model, n_gaps=4)
         for t in range(5000):
             policy.on_request(Request(float(t), t % 25, 10))
-            live = len(policy._stamp)
-            assert len(policy._heap) <= max(_COMPACT_MIN_HEAP, 2 * live + 1)
+            live = len(policy._ranked._stamp)
+            assert len(policy._ranked._heap) <= max(64, 2 * live + 1)
         assert policy.n_objects == 25
 
     def test_compaction_preserves_victim_choice(self):
@@ -222,10 +222,10 @@ class TestHeapBounded:
         policy = LFOCache(cache_size=10_000, model=model, n_gaps=4)
         for t in range(500):
             policy.on_request(Request(float(t), t % 10, 10))
-        before = policy._heap_min()
-        policy._compact_heap()
-        assert policy._heap_min() == before
-        assert len(policy._heap) == len(policy._stamp)
+        before = policy._ranked.peek()
+        policy._ranked._compact()
+        assert policy._ranked.peek() == before
+        assert len(policy._ranked._heap) == len(policy._ranked._stamp)
 
 
 class TestMissHookParity:

@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 from repro.cluster import HashRing
 from repro.cluster.wire import pack_requests, unpack_requests
 from repro.core import (
-    DecisionEngine, LFOCache, LFOModel, LFOOnline, OptLabelConfig,
-    SampledEvictionConfig,
+    AdaptiveLFOOnline, DecisionEngine, LFOCache, LFOModel, LFOOnline,
+    OptLabelConfig, SampledEvictionConfig,
 )
 from repro.features import Dataset, FeatureTracker, feature_names
 from repro.gbdt import GBDTParams
@@ -302,6 +302,45 @@ def test_cold_windows_match_the_scalar_loop(model, capped, lands_at):
 
     reference = run(scalar(requests))
     assert reference[2] == 3
+    assert reference == run(served(requests, 256, 64))
+    assert reference == run(served(requests, 7, 50))
+
+
+def test_drift_retrains_on_every_serving_path():
+    """``AdaptiveLFOOnline``'s early retrain fires from the post-decision
+    hook both paths call: the scorer retrains at the same request as the
+    scalar loop (regression: it never checked drift at all).  Here the
+    detector fires at checks inside windows (the gap features of a warm
+    cache, then a shift to large objects), so models install mid-window,
+    under in-flight speculated scores."""
+    rng = np.random.default_rng(4)
+    requests = [
+        Request(float(t), int(obj), 20 + int(obj) % 20)
+        for t, obj in enumerate(rng.integers(0, 60, size=900))
+    ] + [
+        Request(900.0 + t, int(obj), 200 + int(obj) % 150)
+        for t, obj in enumerate(rng.integers(100, 160, size=900))
+    ]
+
+    def run(drive):
+        policy = AdaptiveLFOOnline(
+            3000, window=600, check_interval=100, min_retrain_size=100,
+            gbdt_params=GBDTParams(num_iterations=3), n_gaps=N_GAPS,
+            min_positive_labels=1, label_config=OptLabelConfig("greedy"),
+        )
+        windows, job = [], policy.trainer.job
+
+        def recording(requests, features, name):
+            windows.append(len(requests))
+            return job(requests, features, name)
+
+        policy.trainer.job = recording
+        return outcome(policy, drive), windows, policy.n_drift_retrains
+
+    reference = run(scalar(requests))
+    _, windows, n_drift_retrains = reference
+    assert n_drift_retrains >= 1
+    assert any(size < 600 for size in windows)  # one closed early
     assert reference == run(served(requests, 256, 64))
     assert reference == run(served(requests, 7, 50))
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import LFOCache, LFOModel, LFOOnline, SampledEvictionConfig
-from repro.core.lfo import _COMPACT_MIN_HEAP
 from repro.features import Dataset, FeatureTracker, feature_names
 from repro.gbdt import GBDTParams
 from repro.obs import MetricsRegistry, use_registry
@@ -196,7 +195,7 @@ class TestCandidateBudget:
         for t in range(50):
             policy.on_request(Request(float(t), t, 10))
         assert policy.n_objects > policy.sampled_config.k
-        safety = policy._heap_min()
+        safety = policy._ranked.peek()
         plan = policy._sampled_plan()
         # The lazily stale heap minimum always rides along, so a cold
         # object cannot dodge eviction by never being sampled...
@@ -227,10 +226,8 @@ class TestCompactionUnderChurn:
         with use_registry(MetricsRegistry()) as registry:
             for t in range(4000):
                 policy.on_request(Request(float(t), t % 40, 10))
-                live = len(policy._stamp)
-                assert len(policy._heap) <= max(
-                    _COMPACT_MIN_HEAP, 2 * live + 1
-                )
+                live = len(policy._ranked._stamp)
+                assert len(policy._ranked._heap) <= max(64, 2 * live + 1)
             assert registry.counter("evict.compactions").value > 0
 
 
@@ -283,6 +280,7 @@ class TestAbortedSampledPlan:
         assert policy.contains(1) and policy.contains(2)
         assert not policy.contains(3)
         assert policy.used_bytes == 100
-        # Restored victims are re-ranked: both stay visible to the heap.
-        assert set(policy._stamp) == {1, 2}
-        assert policy._heap_min() in (1, 2)
+        # Restored victims are re-ranked: both stay visible to the heap,
+        # and the refused admission left no live rank behind.
+        assert set(policy._ranked._stamp) == {1, 2}
+        assert policy._ranked.peek() in (1, 2)
