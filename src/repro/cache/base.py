@@ -47,8 +47,9 @@ class CachePolicy(ABC):
     @property
     def supports_batched_scoring(self) -> bool:
         """Whether :func:`repro.sim.simulate` may use its micro-batching
-        fast path for this policy (see :mod:`repro.sim.batched`).  Only
-        model-driven policies with a static scorer opt in."""
+        fast path for this policy (the decision engine,
+        :mod:`repro.core.engine`).  Only model-driven policies with a
+        static scorer opt in."""
         return False
 
     @property

@@ -1,8 +1,9 @@
 """The one heap every score-ordered policy (LFO, IRL, LRU-K, LFU, LFUDA,
 GDSF, GDS, OPT replay, the tiers) ranks its residents in.  A re-rank
 leaves the superseded entry behind, so once stale entries exceed
-``stale_ratio`` the heap is compacted in place (``evict.compactions`` /
-``evict.heap_stale_ratio``): O(residents) memory, amortised O(1) per push.
+``_STALE_RATIO`` of it the heap is compacted in place
+(``evict.compactions`` / ``evict.heap_stale_ratio``): O(residents)
+memory, amortised O(1) per push.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ from ..obs import get_registry
 #: heaps buys nothing, and the floor gives tests a hard O(n_objects) bound.
 _COMPACT_MIN_HEAP = 64
 
+#: Compact once more than this share of the entries is stale (superseded
+#: or discarded): the heap stays within ~2x its live entries.
+_STALE_RATIO = 0.5
+
 
 class RankedHeap:
     """Min-heap of ``(priority, stamp, obj)``, one live entry per object:
     the stamp grows with every push, breaking priority ties by push order
     and telling the live entry from superseded ones."""
 
-    def __init__(self, stale_ratio: float = 0.5) -> None:
-        self.stale_ratio = stale_ratio
+    def __init__(self) -> None:
         self._heap: list[tuple[Any, int, int]] = []
         self._stamp: dict[int, int] = {}  # obj -> stamp of its live entry
         self._counter = 0
@@ -37,7 +41,7 @@ class RankedHeap:
         heap_len = len(heap)
         if (
             heap_len >= _COMPACT_MIN_HEAP
-            and heap_len - len(self._stamp) > self.stale_ratio * heap_len
+            and heap_len - len(self._stamp) > _STALE_RATIO * heap_len
         ):
             self._compact()
 

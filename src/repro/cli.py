@@ -425,9 +425,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from .cluster import CacheCluster, ClusterScorer
 
             cluster = CacheCluster(
-                cache_size, args.shards,
-                vnodes=args.vnodes, seed=args.seed,
-                ship_features=True,
+                cache_size, args.shards, vnodes=args.vnodes, seed=args.seed
             ).start()
             # Nothing serves in the router, so there is no policy: a bare
             # trainer labels against one shard's capacity — the cache

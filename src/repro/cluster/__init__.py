@@ -18,19 +18,22 @@ exactly those three plus the router that composes them:
 * **a columnar wire** (``wire.py``) — a routed bucket goes down a
   shard's pipe as fixed-width request records and comes back as one
   reply per batch (hit bytes, cumulative stats, telemetry deltas and,
-  for training, one feature matrix); no request object is pickled in
-  either direction.
+  when the caller passes ``rows``, one feature matrix); no request
+  object is pickled in either direction.
 
 :class:`CacheCluster` (``cluster.py``) wires them together — spawn-safe
 shard workers (``worker.py``), fan-out/collect batch dispatch, and
-telemetry folding into the registry (cluster-wide windows, SLOs, and
-drift detection unchanged) — and :class:`ClusterScorer` (``serving.py``)
-drops the cluster into the always-on serving loop with a bare
+folding the shards' own telemetry (``cluster.*``, the admission-score
+histogram) into the registry.  It is a backend:
+``CacheCluster.process(requests[, rows])`` decides and fills rows the
+way ``DecisionEngine.run`` does, and the driver counts requests, hits
+and bytes.  :class:`ClusterScorer` (``serving.py``) drops the cluster
+into the always-on serving loop with a bare
 :class:`repro.core.WindowTrainer` in the router publishing into the slab
 (``lfo serve --shards N``).
 """
 
-from .cluster import CacheCluster, ClusterReport
+from .cluster import CacheCluster
 from .ring import HashRing
 from .serving import ClusterScorer
 from .slab import ModelSlab, SlabModel, SlabReader
@@ -38,7 +41,6 @@ from .worker import ShardConfig, shard_main
 
 __all__ = [
     "CacheCluster",
-    "ClusterReport",
     "ClusterScorer",
     "HashRing",
     "ModelSlab",

@@ -13,9 +13,10 @@ them together:
   :class:`repro.core.LFOOnline` as its ``publish_hook``;
 * the **telemetry fold** — the counter/histogram deltas in every
   shard's reply are folded into the active registry
-  (:func:`repro.obs.fold_deltas`), so a
-  :class:`~repro.obs.WindowedRegistry` sees cluster-wide windows and the
-  BHR / latency SLO / drift machinery works unchanged.
+  (:func:`repro.obs.fold_deltas`), so the driver's
+  :class:`~repro.obs.WindowedRegistry` windows carry every shard's
+  admission scores and attaches, and score drift is detected
+  cluster-wide unchanged.
 
 Shard workers are ``spawn``-started processes (no inherited state; every
 argument pickles), fed over pipes in routed batches: each bucket goes
@@ -23,11 +24,13 @@ down as fixed-width request records (:mod:`repro.cluster.wire`), and
 each shard answers with one message (see
 :func:`repro.cluster.shard_main`).  Dispatch fans out first and collects
 second, so shards compute concurrently; a reply carries the shard's
-per-request hit bytes (re-interleaved into the caller's order) and
-cumulative stats including a running score digest — the bit-identity
-witness the cluster benchmark checks against a single-process replay of
-the same split.  Requests never travel back: observed-access records
-are rebuilt from the bucket the router sent.
+per-request hit bytes (re-interleaved into the caller's order), the
+feature rows when the caller asked for them, and cumulative stats
+including a running score digest — the bit-identity witness the
+cluster benchmark checks against a single-process replay of the same
+split.  The cluster is a backend: it decides and counts its own
+internals (``cluster.*``); the driver calling :meth:`process` counts
+requests, hits and bytes, and rolls telemetry windows.
 
 Shutdown (:meth:`close`, idempotent, also the context-manager exit and
 the SIGINT path) mirrors the serve loop's drain-then-flush: every shard
@@ -38,10 +41,8 @@ are the shared-memory segments unlinked — exactly once.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
-from itertools import repeat
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -57,51 +58,12 @@ if TYPE_CHECKING:  # annotation only; avoids repro.core import at runtime.
     from ..core.lfo import LFOModel
     from ..gbdt import CompiledPredictor
 
-__all__ = ["CacheCluster", "ClusterReport"]
+__all__ = ["CacheCluster"]
 
 #: Histogram bounds for per-batch routing/dispatch round-trips: 10µs..10s.
 _BATCH_SECONDS_BUCKETS = (
     1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
 )
-
-
-@dataclass
-class ClusterReport:
-    """Aggregate + per-shard outcome of a cluster run.
-
-    ``shards`` holds each worker's final cumulative stats dict
-    (requests, hits, byte counts, ``cpu_seconds`` / ``busy_seconds``
-    around the scoring loop only, attach count, and the running
-    ``score_digest``).
-    """
-
-    requests: int = 0
-    hits: int = 0
-    hit_bytes: float = 0.0
-    miss_bytes: float = 0.0
-    batches: int = 0
-    generation: int = 0
-    shards: list[dict] = field(default_factory=list)
-
-    @property
-    def bhr(self) -> float | None:
-        """Cluster-wide byte hit ratio (None before any bytes)."""
-        total = self.hit_bytes + self.miss_bytes
-        if total <= 0:
-            return None
-        return self.hit_bytes / total
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "hit_bytes": self.hit_bytes,
-            "miss_bytes": self.miss_bytes,
-            "bhr": self.bhr,
-            "batches": self.batches,
-            "generation": self.generation,
-            "shards": list(self.shards),
-        }
 
 
 class CacheCluster:
@@ -115,12 +77,6 @@ class CacheCluster:
             ``(seed, n_shards, vnodes)``).
         n_gaps: gap-feature count of each shard's tracker.
         eviction: shard cache eviction mode.
-        ship_features: have shards reply with live feature rows (the
-            serving/training path needs them; plain replay does not).
-        on_access: called once per shard and batch, after every shard
-            has replied, with that shard's access records ``(index,
-            request, hit, features | None)`` in bucket order — the
-            training-sample tap.
         slab_token: override the shared-memory token (testing).
     """
 
@@ -133,8 +89,6 @@ class CacheCluster:
         seed: int = 0,
         n_gaps: int = 50,
         eviction: str = "likelihood",
-        ship_features: bool = False,
-        on_access: Callable[[list], None] | None = None,
         slab_token: str | None = None,
     ) -> None:
         if cache_size < n_shards:
@@ -143,16 +97,10 @@ class CacheCluster:
         self.slab = ModelSlab(slab_token)
         self.n_shards = n_shards
         self.shard_size = cache_size // n_shards
-        self.on_access = on_access
-        self._config = dict(
-            n_gaps=n_gaps,
-            eviction=eviction,
-            ship_features=ship_features,
-        )
+        self._config = dict(n_gaps=n_gaps, eviction=eviction)
         self._processes: list[multiprocessing.process.BaseProcess] = []
         self._conns: list = []
         self._stats: list[dict] = [{} for _ in range(n_shards)]
-        self.report = ClusterReport()
         self._started = False
         self._closed = False
         #: Set by the first exception between a batch's first send and
@@ -160,11 +108,6 @@ class CacheCluster:
         #: without touching the pipes (live shards may hold unread
         #: replies to the batch the failure interrupted).
         self._failed: str | None = None
-
-    @property
-    def ship_features(self) -> bool:
-        """Whether shard access records carry live feature rows."""
-        return bool(self._config["ship_features"])
 
     @property
     def n_gaps(self) -> int:
@@ -223,7 +166,6 @@ class CacheCluster:
         self._closed = True
         try:
             if self._started:
-                registry = get_registry()
                 for conn in self._conns:
                     try:
                         conn.send(("stop",))
@@ -247,7 +189,6 @@ class CacheCluster:
                     if process.is_alive():
                         process.terminate()
                         process.join(timeout=5)
-                registry.maybe_roll()
         finally:
             self._started = False
             self.slab.close()
@@ -286,14 +227,19 @@ class CacheCluster:
 
     # -- request path --------------------------------------------------------
 
-    def process(self, requests: Sequence[Request]) -> list[bool]:
+    def process(
+        self, requests: Sequence[Request], rows: np.ndarray | None = None
+    ) -> list[bool]:
         """Route one batch across the shards; per-request hits in order.
 
-        Fan-out first (every shard's sub-batch is dispatched before any
-        reply is awaited), then collect every reply — shards compute
-        concurrently — and only then fold telemetry and call
-        ``on_access``, so an exception out of either leaves no reply
-        unread.
+        ``rows``, when given, is an ``(n, n_features)`` float64 array the
+        shards' live feature rows are written into, row ``i`` the one
+        request ``i`` was scored with — what ``DecisionEngine.run(...,
+        rows=)`` fills in-process.  Fan-out first (every shard's
+        sub-batch is dispatched before any reply is awaited), then
+        collect every reply — shards compute concurrently — and only then
+        fold telemetry and fill ``hits`` / ``rows``, so an exception out
+        of either leaves no reply unread.
         """
         if not self._started:
             raise RuntimeError("CacheCluster.process before start()")
@@ -301,16 +247,16 @@ class CacheCluster:
             raise RuntimeError(self._failed)
         if not requests:
             return []
-        registry = get_registry()
         began = perf_counter()
         buckets = self.ring.partition(requests)
+        with_rows = rows is not None
         dispatched: list[int] = []
         try:
             for shard_id, bucket in enumerate(buckets):
                 if bucket:
                     try:
                         self._conns[shard_id].send(
-                            ("batch", pack_requests(bucket))
+                            ("batch", pack_requests(bucket), with_rows)
                         )
                     except OSError:
                         raise self._exited(shard_id) from None
@@ -322,59 +268,24 @@ class CacheCluster:
             self._failed = str(exc) or repr(exc)
             raise
         hits = np.zeros(len(requests), dtype=np.bool_)
-        accesses: list[list[tuple]] = []
-        for shard_id, (stats, deltas, hit_bytes, features) in zip(
+        for shard_id, (stats, deltas, shard_hits, features) in zip(
             dispatched, replies
         ):
             self._absorb(shard_id, stats, deltas)
-            bucket = buckets[shard_id]
-            shard_hits = np.frombuffer(hit_bytes, dtype=np.bool_)
-            hits[[index for index, _request in bucket]] = shard_hits
-            if self.on_access is not None:
-                if features is None:
-                    rows = repeat(None)
-                else:
-                    rows = np.frombuffer(features, dtype="<f8").reshape(
-                        len(bucket), -1
-                    )
-                accesses.append([
-                    (index, request, hit, row)
-                    for (index, request), hit, row in zip(
-                        bucket, shard_hits.tolist(), rows
-                    )
-                ])
-        report = self.report
-        report.requests += len(requests)
-        report.hits += int(hits.sum())
-        report.batches += 1
-        report.generation = self.generation
-        report.shards = [dict(stats) for stats in self._stats if stats]
-        report.hit_bytes = sum(
-            s.get("hit_bytes", 0.0) for s in report.shards
-        )
-        report.miss_bytes = sum(
-            s.get("miss_bytes", 0.0) for s in report.shards
-        )
+            indices = [index for index, _request in buckets[shard_id]]
+            hits[indices] = np.frombuffer(shard_hits, dtype=np.bool_)
+            if with_rows:
+                rows[indices] = np.frombuffer(features, dtype="<f8").reshape(
+                    len(indices), -1
+                )
+        registry = get_registry()
         if registry.enabled:
             registry.counter("cluster.requests").inc(len(requests))
             registry.counter("cluster.shard_batches").inc(len(dispatched))
             registry.histogram(
                 "cluster.batch_seconds", _BATCH_SECONDS_BUCKETS
             ).observe(perf_counter() - began)
-        for records in accesses:
-            self.on_access(records)
-        registry.maybe_roll()
         return hits.tolist()
-
-    def run(
-        self, requests: Sequence[Request], batch_size: int = 2048
-    ) -> ClusterReport:
-        """Process a whole trace in routed batches; the final report."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        for start in range(0, len(requests), batch_size):
-            self.process(requests[start:start + batch_size])
-        return self.report
 
     def shard_stats(self) -> list[dict]:
         """The latest cumulative stats reported by each shard."""

@@ -20,18 +20,18 @@ Per batch the worker:
    a scores column.  After the batch, the scores column goes into a
    running ``blake2b`` digest — what the cluster benchmark compares
    against an in-process engine over the same trace split: equal digests
-   mean bit-identical scores — and into the admission-score histogram,
-   and the hit/miss byte sums are one dot product and one sum;
+   mean bit-identical scores — and into the admission-score histogram;
 3. answers with one message: cumulative stats, the batch's hits as a
    byte string, the telemetry deltas the router folds into its windowed
-   registry and — only with ``ship_features`` — the live feature rows
+   registry and — when the batch asked for them — the live feature rows
    as one float64 matrix.  Neither requests nor indices travel back:
-   the router still holds the bucket it sent and rebuilds the access
-   records the trainer consumes from it.
+   the router still holds the bucket it sent.  Hits and bytes are the
+   driver's to count; the worker's stats and deltas cover its own work
+   only (its request count and timings, attaches, scores).
 
 Timing: the worker accumulates ``process_time`` (CPU seconds) and
 ``perf_counter`` (busy wall seconds) around the scoring loop and the
-per-batch fold of its hits and scores only — attach, record unpacking,
+per-batch fold of its scores only — attach, record unpacking,
 and pipe waits are excluded, so per-shard
 service rates measure the work a dedicated core would do.
 """
@@ -69,9 +69,6 @@ class ShardConfig:
             the total evenly).
         n_gaps: gap-feature count of the shard's feature tracker.
         eviction: the shard cache's eviction mode.
-        ship_features: reply with each request's live feature row (the
-            trainer needs them; plain replay does not, and the rows
-            dominate pipe traffic).
     """
 
     shard_id: int
@@ -79,7 +76,6 @@ class ShardConfig:
     cache_size: int
     n_gaps: int = 50
     eviction: str = "likelihood"
-    ship_features: bool = False
 
 
 class _ShardState:
@@ -99,9 +95,6 @@ class _ShardState:
         self.generation = 0
         self.attaches = 0
         self.requests = 0
-        self.hits = 0
-        self.hit_bytes = 0.0
-        self.miss_bytes = 0.0
         self.cpu_seconds = 0.0
         self.busy_seconds = 0.0
         self.digest = blake2b(digest_size=16)
@@ -128,7 +121,7 @@ class _ShardState:
         self.attaches += 1
         self._deltas.append(("counter", "cluster.shard_attaches", 1))
 
-    def process(self, data: bytes) -> None:
+    def process(self, data: bytes, with_rows: bool = False) -> None:
         """Score one routed batch of request records and reply."""
         times, objs, sizes, costs = unpack_requests(data)
         n = len(objs)
@@ -136,7 +129,7 @@ class _ShardState:
         cache = self.cache
         scores = np.empty(n, dtype="<f8")
         rows = None
-        if self.config.ship_features:
+        if with_rows:
             rows = np.empty((n, cache.tracker.n_features), dtype="<f8")
         # Whether each decision was scored by a model: a model attaches
         # only between batches (above), so one read covers the batch.
@@ -148,24 +141,9 @@ class _ShardState:
         self.digest.update(scores.tobytes())
         if scored:
             self.score_hist.observe_batch(scores)
-        # Float sums, as the counters are: exact below 2**53 bytes, and
-        # an absurd size cannot wrap them.
-        byte_sizes = sizes.astype(np.float64)
-        hit_bytes = float(np.dot(byte_sizes, hits))
-        miss_bytes = float(byte_sizes.sum()) - hit_bytes
         self.cpu_seconds += process_time() - began_cpu
         self.busy_seconds += perf_counter() - began_wall
         self.requests += n
-        self.hits += sum(hits)
-        self.hit_bytes += hit_bytes
-        self.miss_bytes += miss_bytes
-        for name, delta in (
-            ("sim.requests", n),
-            ("sim.hit_bytes", hit_bytes),
-            ("sim.miss_bytes", miss_bytes),
-        ):
-            if delta:
-                self._deltas.append(("counter", name, delta))
         self._note_histogram_delta()
         self.reply(
             "done", bytes(hits), None if rows is None else rows.tobytes()
@@ -204,9 +182,6 @@ class _ShardState:
         return {
             "shard": self.config.shard_id,
             "requests": self.requests,
-            "hits": self.hits,
-            "hit_bytes": self.hit_bytes,
-            "miss_bytes": self.miss_bytes,
             "cpu_seconds": self.cpu_seconds,
             "busy_seconds": self.busy_seconds,
             "generation": self.generation,
@@ -218,15 +193,15 @@ class _ShardState:
 def shard_main(config: ShardConfig, conn: "Connection") -> None:
     """Worker entry point: serve routed batches until ``stop``.
 
-    Message protocol (parent → worker): ``("batch", records)`` — the
-    bucket's requests as :mod:`repro.cluster.wire` records — and
-    ``("stop",)``.  Worker → parent: exactly one ``("done", shard,
-    stats, deltas, hits, features)`` per batch, where ``hits`` is one
-    byte per request in bucket order, ``deltas`` the telemetry records
-    since the last reply and ``features`` the ``(n, n_features)``
-    little-endian float64 rows as bytes (``None`` unless
-    ``ship_features``); ``("stopped", ...)`` of the same shape
-    acknowledges shutdown.  Any worker exception is reported as
+    Message protocol (parent → worker): ``("batch", records,
+    with_rows)`` — the bucket's requests as :mod:`repro.cluster.wire`
+    records, and whether to ship feature rows back — and ``("stop",)``.
+    Worker → parent: exactly one ``("done", shard, stats, deltas, hits,
+    features)`` per batch, where ``hits`` is one byte per request in
+    bucket order, ``deltas`` the telemetry records since the last reply
+    and ``features`` the ``(n, n_features)`` little-endian float64 rows
+    as bytes (``None`` unless ``with_rows``); ``("stopped", ...)`` of
+    the same shape acknowledges shutdown.  Any worker exception is reported as
     ``("error", shard, message)`` before re-raising, so the router can
     fail fast instead of deadlocking on a silent child.
     """
@@ -242,7 +217,7 @@ def shard_main(config: ShardConfig, conn: "Connection") -> None:
             message = conn.recv()
             kind = message[0]
             if kind == "batch":
-                state.process(message[1])
+                state.process(message[1], message[2])
             elif kind == "stop":
                 state.reply("stopped")
                 return

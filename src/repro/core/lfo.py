@@ -23,7 +23,7 @@ of resident objects:
 
 * the likelihood heap is the bounded ``repro.cache.ranked.RankedHeap``
   every score-ordered policy ranks in (compacted once stale entries
-  exceed ``stale_compact_ratio``: O(resident objects) memory);
+  exceed half of it: O(resident objects) memory);
 * ``eviction="sampled"`` (LRB-style, "Learned Cache Eviction Framework
   with Minimal Overhead") draws ``SampledEvictionConfig.k`` seeded-random
   resident candidates plus the current heap minimum as a safety
@@ -72,20 +72,14 @@ class SampledEvictionConfig:
         seed: seed for the candidate sampler's ``np.random.Generator``
             (re-seeded on :meth:`LFOCache.reset`, so victim sequences are
             reproducible run-to-run).
-        stale_compact_ratio: compact the likelihood heap once more than
-            this fraction of its entries is stale (superseded or
-            evicted).  ``0.5`` bounds the heap at ~2x the live entries.
     """
 
     k: int = 64
     seed: int = 0
-    stale_compact_ratio: float = 0.5
 
     def __post_init__(self) -> None:
         if self.k <= 0:
             raise ValueError("k must be positive")
-        if not 0.0 < self.stale_compact_ratio < 1.0:
-            raise ValueError("stale_compact_ratio must be in (0, 1)")
 
 
 @dataclass
@@ -174,9 +168,8 @@ class LFOCache(CachePolicy):
                 resident objects are re-scored in one vectorised batch, so
                 eviction ranks never go stale (another §5 variant; the
                 paper only re-scores an object when it is requested).
-            sampled: sampling/compaction knobs for ``eviction="sampled"``
-                (defaults apply when None); its ``stale_compact_ratio``
-                governs heap compaction in every eviction mode.
+            sampled: sampling knobs for ``eviction="sampled"`` (defaults
+                apply when None).
         """
         super().__init__(cache_size)
         if eviction not in ("likelihood", "lru", "sampled"):
@@ -193,7 +186,7 @@ class LFOCache(CachePolicy):
         self._tracker = tracker or FeatureTracker(n_gaps=n_gaps)
         self._predictor = None  # of ``_predictor_model``, for on_request
         self._predictor_model: LFOModel | None = None
-        self._ranked = RankedHeap(self.sampled_config.stale_compact_ratio)
+        self._ranked = RankedHeap()
         self._lru: OrderedDict[int, None] = OrderedDict()  # cold-start rank
         #: Residents as a swap-remove list + position map, so the sampler
         #: can draw uniform candidates in O(k) regardless of cache size.

@@ -15,8 +15,7 @@ for the contract).  This module holds what is LFO-specific:
 * :class:`LFOOnline`, an :class:`~repro.core.LFOCache` whose model slot is
   the trainer's install target, whose admission and eviction degrade to a
   heuristic ``fallback`` while the trainer reports the model stale, and
-  which publishes the feature-arena and admission-score-PSI gauges at
-  every window close.
+  which publishes the feature-arena gauges at every window close.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from ..features import Dataset, feature_names
 from ..gbdt import GBDTParams
 from ..gbdt.boosting import bin_matrix
 from ..obs import get_registry
-from ..obs.health import population_stability_index
 from ..opt import (
     solve_greedy,
     solve_opt,
@@ -220,10 +218,6 @@ class LFOOnline(LFOCache):
             max_train_failures=max_train_failures,
             publish_hook=publish_hook,
         )
-        # Admission-score PSI state: cumulative histogram counts at the
-        # previous window close, and that window's per-bucket delta.
-        self._score_cum_prev: list[int] | None = None
-        self._score_delta_prev: list[int] | None = None
 
     # -- the trainer's surface, as the serving loop and simulate see it --------
 
@@ -315,13 +309,9 @@ class LFOOnline(LFOCache):
         self._publish_model_health()
 
     def _publish_model_health(self) -> None:
-        """Per-window-close gauges only a cache can compute.
-
-        The feature arena summary, and the admission-score PSI between
-        the score distributions of the last two training windows (a fixed
-        model whose score distribution jumps is seeing shifted inputs).
-        Runs once per training window, off the request path; the
-        training-posture gauges are the trainer's.
+        """Per-window-close gauges only a cache can compute: the feature
+        arena summary.  Runs once per training window, off the request
+        path; the training-posture gauges are the trainer's.
         """
         registry = get_registry()
         if not registry.enabled:
@@ -334,26 +324,6 @@ class LFOOnline(LFOCache):
             summary["recency_mean"]
         )
         registry.gauge("online.feature_cost_mean").set(summary["cost_mean"])
-        hist = self._score_hist
-        if hist is None:
-            return
-        current = list(hist.bucket_counts)
-        previous_cum = self._score_cum_prev
-        if previous_cum is None or len(previous_cum) != len(current):
-            delta = current
-        else:
-            delta = [c - p for c, p in zip(current, previous_cum)]
-        self._score_cum_prev = current
-        previous_delta = self._score_delta_prev
-        self._score_delta_prev = delta
-        if (
-            previous_delta is not None
-            and sum(previous_delta) > 0
-            and sum(delta) > 0
-        ):
-            registry.gauge("online.score_psi").set(
-                population_stability_index(previous_delta, delta)
-            )
 
     # -- degraded-mode serving -----------------------------------------------
 
@@ -381,5 +351,3 @@ class LFOOnline(LFOCache):
     def _reset_policy_state(self) -> None:
         super()._reset_policy_state()
         self.trainer.reset()
-        self._score_cum_prev = None
-        self._score_delta_prev = None

@@ -39,6 +39,13 @@ from .windows import WindowSnapshot, window_bhr
 __all__ = ["SloObjective", "SloSpec", "SloEngine"]
 
 DECISION_LATENCY_HISTOGRAM = "sim.decision_latency_seconds"
+#: Bounds for every per-decision latency histogram: 1µs .. 10ms with 1-2-5
+#: steps, fine enough that p99/p999 interpolation stays meaningful for a
+#: sub-millisecond decision budget (Cold-RL's deployment constraint).
+DECISION_LATENCY_BUCKETS = (
+    1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5,
+    1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2,
+)
 STALENESS_GAUGE = "online.windows_since_model"
 
 _KINDS = ("latency_quantile", "window_bhr", "staleness")

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..core.engine import MAX_LOOKAHEAD, DecisionEngine
 from ..obs import get_registry
-from ..sim.batched import DECISION_LATENCY_BUCKETS
+from ..obs.slo import DECISION_LATENCY_BUCKETS
 from ..trace import Request, Trace
 
 if TYPE_CHECKING:
@@ -64,7 +64,6 @@ class BatchScorer:
         self.n_handoffs = 0
         self._active_model: "LFOModel | None" = policy.model
         registry = get_registry()
-        self._handoff_counter = registry.counter("serve.model_handoffs")
         # The engine reads the clock around each decision it is given a
         # histogram for — a per-request cost a disabled registry skips.
         latency = None
@@ -103,4 +102,3 @@ class BatchScorer:
         if policy.model is not self._active_model:
             self._active_model = policy.model
             self.n_handoffs += 1
-            self._handoff_counter.inc()

@@ -179,10 +179,8 @@ class ServingLoop:
     :class:`repro.cluster.ClusterScorer`, which fans batches out across
     shard processes and trains through a bare
     :class:`repro.core.WindowTrainer` — ``policy`` is then ``None``,
-    nothing serves in this process).  A scorer with a true
-    ``folds_bytes`` attribute already folds the ``sim.hit_bytes`` /
-    ``sim.miss_bytes`` counters into the registry itself, so the loop
-    skips its own fold to avoid double-counting window BHR.
+    nothing serves in this process).  A scorer decides; the loop counts
+    every request, hit, byte and handoff, whichever scorer decided.
     """
 
     def __init__(
@@ -201,13 +199,11 @@ class ServingLoop:
         self.scorer = scorer or BatchScorer(
             policy, max_batch=self.config.max_batch
         )
-        self._scorer_folds_bytes = bool(
-            getattr(self.scorer, "folds_bytes", False)
-        )
         registry = get_registry()
         self._registry = registry
         self._requests_counter = registry.counter("serve.requests")
         self._batches_counter = registry.counter("serve.batches")
+        self._handoff_counter = registry.counter("serve.model_handoffs")
         self._dropped_counter = registry.counter("serve.dropped")
         self._backpressure_counter = registry.counter(
             "serve.backpressure_waits"
@@ -306,12 +302,13 @@ class ServingLoop:
         report.hit_bytes += hit_bytes
         report.miss_bytes += miss_bytes
         report.batches += 1
-        report.model_handoffs = self.scorer.n_handoffs
+        handoffs = self.scorer.n_handoffs
+        self._handoff_counter.inc(handoffs - report.model_handoffs)
+        report.model_handoffs = handoffs
         self._requests_counter.inc(len(batch))
         self._batches_counter.inc()
-        if not self._scorer_folds_bytes:
-            self._hit_bytes_counter.inc(hit_bytes)
-            self._miss_bytes_counter.inc(miss_bytes)
+        self._hit_bytes_counter.inc(hit_bytes)
+        self._miss_bytes_counter.inc(miss_bytes)
         self._queue_depth_gauge.set(queue.qsize())
         self._registry.maybe_roll()
         if self.on_decision is not None:

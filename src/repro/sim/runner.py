@@ -1,4 +1,12 @@
-"""Trace-driven cache simulation and hit-ratio accounting."""
+"""Trace-driven cache simulation and hit-ratio accounting.
+
+``simulate`` drives a policy one request at a time, or — when
+``batch_size > 1`` and the policy's ``supports_batched_scoring`` is true
+(a static model, no periodic rescore) — through the decision engine
+(:mod:`repro.core.engine`, which owns the probe → score → replay
+protocol) in lookahead windows.  Policies that retrain mid-stream
+(``LFOOnline``) opt out here and are served by :mod:`repro.serve`.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +18,8 @@ import numpy as np
 
 from ..cache import CachePolicy
 from ..obs import get_registry
+from ..obs.slo import DECISION_LATENCY_BUCKETS
 from ..trace import Trace
-from .batched import DECISION_LATENCY_BUCKETS, run_batched
 
 __all__ = ["SimResult", "simulate", "record_free_bytes"]
 
@@ -24,6 +32,10 @@ _FOLD_CHUNK = 1024
 #: blow the <3% observability budget; a leading cluster per chunk keeps
 #: the sampling fraction ~3% while still filling the window histogram.
 _LATENCY_SAMPLE = 32
+
+#: Decisions timed per lookahead window of the batched loop — clustered
+#: sampling, same rationale as the scalar loop's per-chunk cluster.
+_TIMED_PER_WINDOW = 8
 
 
 class _MetricsFolder:
@@ -196,6 +208,64 @@ def _run_observed(
         start = end
 
 
+def _run_batched(
+    trace: Trace,
+    policy: CachePolicy,
+    batch_size: int,
+    hits: np.ndarray,
+    on_request: Callable[[int, bool], None] | None,
+    folder: _MetricsFolder | None,
+) -> None:
+    """The decision engine over ``trace`` in ``batch_size`` lookahead
+    windows, filling ``hits`` — bit-identical to the scalar loop.
+
+    The trace's four columns go to the engine as they are (no
+    ``Request`` is touched), ``on_request`` rides the engine's
+    post-decision tap, and ``folder`` folds counters and offers window
+    rolls at window edges, so nothing is added to the per-request path.
+    """
+    from ..core.engine import DecisionEngine  # repro.core imports repro.sim
+
+    registry = get_registry()
+    observing = registry.enabled
+    engine = DecisionEngine(
+        policy,
+        batch_size,
+        tap=(
+            None if on_request is None
+            else lambda index, hit, _score: on_request(index, hit)
+        ),
+        latency=(
+            registry.histogram(
+                "sim.decision_latency_seconds", DECISION_LATENCY_BUCKETS
+            )
+            if observing else None
+        ),
+        timed_per_window=_TIMED_PER_WINDOW,
+    )
+    if observing:
+        rows_hist = registry.histogram("sim.batch_rows")
+    times, objs, sizes, costs = (
+        trace.times, trace.objs, trace.sizes, trace.costs
+    )
+    n = len(objs)
+    i = 0
+    while i < n:
+        probed = engine.rows_probed
+        i += engine.step(times, objs, sizes, costs, i, hits)
+        if observing:
+            rows_hist.observe(engine.rows_probed - probed)
+        if folder is not None:
+            folder.fold(i)
+    if observing:
+        if engine.n_rescored:
+            registry.counter("sim.batch_rescored").inc(engine.n_rescored)
+        if engine.n_respeculations:
+            registry.counter("sim.batch_respeculations").inc(
+                engine.n_respeculations
+            )
+
+
 @dataclass
 class SimResult:
     """Outcome of simulating one policy over one trace.
@@ -293,8 +363,8 @@ def simulate(
         series_window: if > 0, also compute a windowed BHR series.
         on_request: optional observer called with (index, hit) per request.
         batch_size: when > 1 and the policy's ``supports_batched_scoring``
-            is true, score requests in speculative lookahead batches via
-            :mod:`repro.sim.batched` — bit-identical hits and free-bytes
+            is true, score requests in speculative lookahead batches
+            through the decision engine — bit-identical hits and free-bytes
             trajectory, just faster.  0 (default) keeps the scalar loop;
             the value is a pure performance knob, never a semantic one.
     """
@@ -315,7 +385,7 @@ def simulate(
     )
     with registry.span("sim.request_loop"):
         if batched:
-            run_batched(trace, policy, batch_size, hits, on_request, folder)
+            _run_batched(trace, policy, batch_size, hits, on_request, folder)
         elif folder is None:
             for i, request in enumerate(trace):
                 hit = policy.on_request(request)

@@ -15,9 +15,10 @@ The load-bearing claims, each pinned here:
 * **sharding never changes decisions** — a 2-shard cluster's hits and
   score digests equal a single-process replay of the same splits, cold
   and warm;
-* **telemetry folds once** — shard deltas land in the router registry
-  and the serving loop does not double-count bytes under a
-  ``ClusterScorer``.
+* **a backend decides, the driver counts** — shards fill feature rows
+  exactly as the in-process engine does, fold only their own telemetry
+  into the router registry, and the serving loop counts every byte once
+  under either scorer.
 """
 
 import signal
@@ -48,7 +49,7 @@ from repro.core import (
     WindowTrainer,
 )
 from repro.gbdt import GBDTParams
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, WindowedRegistry, use_registry
 from repro.obs.fold import fold_deltas
 from repro.obs.registry import Histogram
 from repro.trace import Request, SyntheticConfig, Trace, generate_trace
@@ -227,8 +228,8 @@ class TestShardReply:
     """One message per batch, in-process (no spawn): its parts against an
     in-process engine over the same requests."""
 
-    @pytest.mark.parametrize("ship_features", [False, True])
-    def test_one_reply_per_batch(self, trace, cache_size, model, ship_features):
+    @pytest.mark.parametrize("with_rows", [False, True])
+    def test_one_reply_per_batch(self, trace, cache_size, model, with_rows):
         requests = list(trace)[:400]
         cache = LFOCache(cache_size, model=model, n_gaps=N_GAPS)
         rows = []
@@ -240,14 +241,12 @@ class TestShardReply:
         with ModelSlab() as slab:
             slab.publish_model(model)
             state = _ShardState(
-                ShardConfig(
-                    0, slab.token, cache_size,
-                    n_gaps=N_GAPS, ship_features=ship_features,
-                ),
-                outbox,
+                ShardConfig(0, slab.token, cache_size, n_gaps=N_GAPS), outbox
             )
             try:
-                state.process(pack_requests(list(enumerate(requests))))
+                state.process(
+                    pack_requests(list(enumerate(requests))), with_rows
+                )
             finally:  # what shard_main's ``finally`` does before detaching
                 state.cache.model = None
                 del state.engine
@@ -257,10 +256,10 @@ class TestShardReply:
         assert (kind, shard) == ("done", 0)
         assert hits == bytes(expected_hits)
         assert stats["requests"] == len(requests)
-        assert stats["hits"] == sum(expected_hits)
-        assert ("counter", "sim.requests", len(requests)) in deltas
         assert ("counter", "cluster.shard_attaches", 1) in deltas
-        if ship_features:
+        # Requests, hits and bytes are the driver's to count.
+        assert not [d for d in deltas if d[1].startswith("sim.")]
+        if with_rows:
             shipped = np.frombuffer(features).reshape(len(requests), -1)
             assert np.array_equal(shipped, np.array(rows))
         else:
@@ -425,82 +424,62 @@ class TestClusterEndToEnd:
         assert all(s["attaches"] == 1 for s in stats)
 
     def test_report_and_folded_telemetry(self, trace, cache_size, model):
+        """A bare cluster folds its own telemetry — ``cluster.*`` and the
+        admission scores — and reports per-shard stats; requests, hits
+        and bytes are left to the driver."""
         requests = list(trace)[:2000]
         with use_registry(MetricsRegistry()) as registry:
             cluster = CacheCluster(cache_size, 2, seed=7, n_gaps=N_GAPS)
             with cluster:
                 cluster.publish(model)
-                report = cluster.run(requests, batch_size=512)
-            assert report.requests == len(requests)
-            assert report.batches == 4
-            assert report.generation == 1
-            assert len(report.shards) == 2
-            total = sum(r.size for r in requests)
-            assert report.hit_bytes + report.miss_bytes == pytest.approx(total)
-            assert report.as_dict()["bhr"] == report.bhr
-            # Folded shard telemetry: the registry saw every request and
-            # every byte exactly once, plus the admission-score histogram.
-            assert registry.counter("cluster.requests").value == len(requests)
-            assert registry.counter("sim.requests").value == len(requests)
-            folded_bytes = (
-                registry.counter("sim.hit_bytes").value
-                + registry.counter("sim.miss_bytes").value
-            )
-            assert folded_bytes == pytest.approx(total)
-            assert registry.counter("cluster.publishes").value == 1
+                for start in range(0, len(requests), 512):
+                    cluster.process(requests[start:start + 512])
+                stats = cluster.shard_stats()
+            assert [set(s) for s in stats] == [{
+                "shard", "requests", "cpu_seconds", "busy_seconds",
+                "attaches", "generation", "score_digest",
+            }] * 2
+            assert sum(s["requests"] for s in stats) == len(requests)
+            counters = registry.to_dict()["counters"]
+            assert counters["cluster.requests"] == len(requests)
+            assert counters["cluster.shard_batches"] == 8
+            assert counters["cluster.shard_attaches"] == 2
+            assert counters["cluster.publishes"] == 1
+            assert not [name for name in counters if name.startswith("sim.")]
             score_hist = registry.histogram("lfo.admission_score", (0.5,))
-            assert score_hist.count > 0
+            assert score_hist.count == len(requests)
 
-    def test_access_records_ship_features_when_asked(
-        self, trace, cache_size
-    ):
-        requests = list(trace)[:300]
-        records = []
-        cluster = CacheCluster(
-            cache_size, 2, seed=7, n_gaps=N_GAPS,
-            ship_features=True, on_access=records.extend,
-        )
+    def test_rows_match_the_in_process_engine(self, trace, cache_size, model):
+        """``process(requests, rows)`` fills row ``i`` with the row request
+        ``i`` was scored with: ``DecisionEngine.run(..., rows=)`` over
+        each split, re-interleaved into request order."""
+        requests = list(trace)[:1200]
+        rows = np.full((len(requests), 3 + N_GAPS), np.nan)
+        cluster = CacheCluster(cache_size, 2, seed=7, n_gaps=N_GAPS)
         with cluster:
-            hits = cluster.process(requests)
-        assert len(records) == len(requests)
-        by_index = {index: record for index, *record in records}
-        assert sorted(by_index) == list(range(len(requests)))
-        for index, (request, hit, features) in by_index.items():
-            assert request.obj == requests[index].obj
-            assert hit == hits[index]
-            assert features is not None and len(features) > 0
+            cold = cluster.process(requests[:600], rows[:600])
+            cluster.publish(model)
+            warm = cluster.process(requests[600:], rows[600:])
 
-    def test_failing_on_access_leaves_the_pipes_in_step(
-        self, trace, cache_size
-    ):
-        """A callback that raises must not strand the other shards'
-        replies for the next call to mistake for its own."""
-        requests = list(trace)[:600]
-        calls = []
-
-        def on_access(records):
-            calls.append(len(records))
-            if len(calls) == 1:
-                raise ValueError("trainer tap failed")
-
-        cluster = CacheCluster(
-            cache_size, 2, seed=7, n_gaps=N_GAPS, on_access=on_access
-        )
-        with cluster:
-            with pytest.raises(ValueError, match="trainer tap failed"):
-                cluster.process(requests[:300])
-            second = cluster.process(requests[300:])
-
-        expected = [False] * len(requests)
+        expected = np.full_like(rows, np.nan)
+        expected_hits = [False] * len(requests)
         for bucket in cluster.ring.partition(requests):
-            split = [request for _index, request in bucket]
             cache = LFOCache(cache_size // 2, model=None, n_gaps=N_GAPS)
-            for (index, _request), hit in zip(
-                bucket, DecisionEngine(cache).run(*columns(split))
-            ):
-                expected[index] = hit
-        assert second == expected[300:]
-        assert sum(calls[1:]) == 300  # the second batch's records arrived
+            engine = DecisionEngine(cache)
+            boundary = sum(1 for index, _request in bucket if index < 600)
+            for part in (bucket[:boundary], bucket[boundary:]):
+                split_rows = np.empty((len(part), 3 + N_GAPS))
+                split_hits = engine.run(
+                    *columns(request for _index, request in part),
+                    rows=split_rows,
+                )
+                indices = [index for index, _request in part]
+                expected[indices] = split_rows
+                for index, hit in zip(indices, split_hits):
+                    expected_hits[index] = hit
+                cache.set_model(model)
+        assert cold + warm == expected_hits
+        assert np.array_equal(rows, expected)
 
     def test_lifecycle_errors(self, cache_size):
         cluster = CacheCluster(cache_size, 2)
@@ -655,14 +634,6 @@ class TestClusterScorer:
         )
         return WindowTrainer(800, job, install=lambda model: None)
 
-    def test_requires_shipped_features(self, cache_size):
-        cluster = CacheCluster(cache_size, 2, n_gaps=N_GAPS)
-        try:
-            with pytest.raises(ValueError, match="ship_features"):
-                ClusterScorer(self._trainer(cluster), cluster)
-        finally:
-            cluster.close()
-
     def test_serving_loop_trains_and_hands_off(self, trace, cache_size):
         """Figure-2 loop over shards: serve → train → publish → attach."""
         import asyncio
@@ -671,7 +642,7 @@ class TestClusterScorer:
 
         with use_registry(MetricsRegistry()) as registry:
             cluster = CacheCluster(
-                cache_size, 2, seed=7, n_gaps=N_GAPS, ship_features=True
+                cache_size, 2, seed=7, n_gaps=N_GAPS
             ).start()
             trainer = self._trainer(cluster)
             scorer = ClusterScorer(trainer, cluster)
@@ -694,24 +665,71 @@ class TestClusterScorer:
             assert all(
                 s["generation"] >= 1 for s in cluster.shard_stats()
             ), "every shard must warm-hand-off to a published generation"
-            # folds_bytes: the loop skipped its own byte counters, so the
-            # registry holds exactly the shard-folded bytes (not doubled).
-            folded = (
-                registry.counter("sim.hit_bytes").value
-                + registry.counter("sim.miss_bytes").value
-            )
-            total = sum(r.size for r in trace)
-            assert folded == pytest.approx(total)
-            assert (
-                registry.counter("serve.model_handoffs").value
-                == scorer.n_handoffs
-            )
             # The router tracks no features: it publishes the training
             # posture the staleness SLO reads and no flat-line arena
             # summary for the feature-drift detector to watch.
             gauges = registry.to_dict()["gauges"]
             assert "online.windows_since_model" in gauges
             assert not [name for name in gauges if "online.feature_" in name]
+
+    @pytest.mark.parametrize("backend", ["batch", "cluster"])
+    def test_every_window_counts_each_byte_once(
+        self, trace, cache_size, backend
+    ):
+        """Whichever scorer decides, each window's byte delta is the
+        sizes of exactly the requests its ``serve.requests`` counted."""
+        import asyncio
+
+        from repro.serve import ServeConfig, ServingLoop, TraceReplayDriver
+
+        registry = WindowedRegistry(
+            every_requests=500, request_counter="serve.requests"
+        )
+        with use_registry(registry):
+            cluster = policy = None
+            if backend == "cluster":
+                cluster = CacheCluster(
+                    cache_size, 2, seed=7, n_gaps=N_GAPS
+                ).start()
+                trainer = self._trainer(cluster)
+                scorer = ClusterScorer(trainer, cluster)
+            else:
+                policy = LFOOnline(
+                    cache_size, window=800, gbdt_params=FAST_PARAMS,
+                    n_gaps=N_GAPS, label_config=OptLabelConfig(mode="greedy"),
+                )
+                trainer = policy.trainer
+                scorer = None
+            loop = ServingLoop(
+                policy, TraceReplayDriver(trace), ServeConfig(max_batch=256),
+                scorer=scorer,
+            )
+            try:
+                asyncio.run(loop.run())
+            finally:
+                trainer.close()
+                if cluster is not None:
+                    cluster.close()
+        sizes = [request.size for request in trace]
+        served = 0
+        windows = registry.windows()
+        assert len(windows) > 2
+        for window in windows:
+            counters = window.counters
+            n = int(counters["serve.requests"])
+            assert (
+                counters["sim.hit_bytes"] + counters["sim.miss_bytes"]
+                == sum(sizes[served:served + n])
+            )
+            served += n
+        assert served == len(trace)
+        assert sum(
+            window.counters["sim.hit_bytes"] + window.counters["sim.miss_bytes"]
+            for window in windows
+        ) == sum(sizes)
+        assert sum(
+            window.counters["serve.model_handoffs"] for window in windows
+        ) == loop.report.model_handoffs >= 1
 
 
 class TestServeCli:

@@ -82,16 +82,10 @@ class TestSampledConfig:
         with pytest.raises(ValueError):
             SampledEvictionConfig(k=0)
 
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            SampledEvictionConfig(stale_compact_ratio=1.0)
-        with pytest.raises(ValueError):
-            SampledEvictionConfig(stale_compact_ratio=0.0)
-
     def test_defaults(self):
         config = SampledEvictionConfig()
         assert config.k == 64
-        assert config.stale_compact_ratio == 0.5
+        assert config.seed == 0
 
 
 class TestSeededDeterminism:
