@@ -43,6 +43,7 @@ from repro.obs import (
     HealthMonitor,
     MetricsRegistry,
     SloEngine,
+    SloSpec,
     WindowedRegistry,
     use_registry,
     write_json,
@@ -53,7 +54,7 @@ from repro.resilience import (
     SimulatedTrainerExecutor,
     use_fault_plan,
 )
-from repro.serve import ServingLoop, TraceReplayDriver, default_serving_slo
+from repro.serve import ServingLoop, TraceReplayDriver
 from repro.trace import read_text_trace, write_text_trace
 
 N_REQUESTS = int(os.environ.get("SERVING_BENCH_REQUESTS", "12000"))
@@ -96,7 +97,7 @@ def _serve(trace, lfo, plan):
         every_requests=TELEMETRY_WINDOW, request_counter="serve.requests"
     )
     monitor = HealthMonitor(HealthConfig()).attach(registry)
-    engine = SloEngine(default_serving_slo()).attach(registry)
+    engine = SloEngine(SloSpec.default()).attach(registry)
     executor = lfo.trainer.executor
     with use_registry(registry), use_fault_plan(plan):
         loop = ServingLoop(lfo, TraceReplayDriver(trace))

@@ -44,7 +44,6 @@ from .serve import (
     ServingLoop,
     SyntheticArrivalDriver,
     TraceReplayDriver,
-    default_serving_slo,
 )
 from .sim import compare_policies, format_table, simulate
 from .trace import (
@@ -84,7 +83,6 @@ __all__ = [
     "ServingLoop",
     "SyntheticArrivalDriver",
     "TraceReplayDriver",
-    "default_serving_slo",
     "compare_policies",
     "format_table",
     "simulate",

@@ -28,7 +28,7 @@ DETERMINISTIC_SCOPES = (
     "repro.core",
     "repro.trace.synthetic",
     # Telemetry windows must replay bit-identically under seeded runs:
-    # the wall-interval mode takes an injectable clock and the default is
+    # window edges are stamped by an injectable clock whose default is
     # the monotonic perf_counter, never the wall clock.
     "repro.obs",
     # The serving harness replays traces deterministically: arrival

@@ -8,8 +8,7 @@ Installed as the ``lfo`` console script::
     lfo compare trace.bin --cache-fraction 10 --policies LRU,GDSF,S4LRU
     lfo simulate trace.bin --cache-fraction 10 --window 5000
     lfo simulate trace.bin --window 5000 --metrics-out metrics.json
-    lfo health trace.bin --check
-    lfo health trace.bin --follow --serve-metrics 9100
+    lfo serve trace.bin --trainer inline --check
     lfo serve trace.bin --serve-metrics 9100 --follow
     lfo serve --synthetic 20000 --slo slo.json --check
     lfo lint --format json
@@ -26,7 +25,10 @@ eviction, see docs/architecture.md "Eviction at scale") and the
 resilience knobs ``--fault-plan``, ``--staleness-limit`` and
 ``--retry-backoff``, and every trace-reading subcommand accepts
 ``--tolerant-trace`` (skip-and-count malformed lines); see
-docs/robustness.md for the operations runbook.
+docs/robustness.md for the operations runbook.  ``serve`` runs online
+LFO under windowed telemetry, the health detectors and an SLO verdict;
+with ``--trainer inline`` it makes exactly the decisions ``simulate``
+makes.
 """
 
 from __future__ import annotations
@@ -240,16 +242,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def _telemetry(
-    args: argparse.Namespace, spec, health_config, render, **registry_kwargs
-):
-    """The observability stack ``health`` and ``serve`` run under.
+def _telemetry(args: argparse.Namespace, spec):
+    """The observability stack ``serve`` runs under.
 
-    A windowed registry with the health detectors and the SLO engine
-    attached, the ``--follow`` renderer, the ``--jsonl`` sink and the
-    ``--serve-metrics`` endpoint; installed (with any ``--fault-plan``)
-    for the body, the endpoint stopped on the way out.  Yields
-    ``(registry, monitor, engine)``.
+    A windowed registry over ``serve.requests`` with the health detectors
+    and the SLO engine attached, the ``--follow`` renderer, the
+    ``--jsonl`` sink and the ``--serve-metrics`` endpoint; installed
+    (with any ``--fault-plan``) for the body, the endpoint stopped on the
+    way out.  Yields ``(registry, monitor, engine)``.
     """
     from .obs import (
         HealthMonitor,
@@ -260,13 +260,14 @@ def _telemetry(
     )
 
     registry = WindowedRegistry(
-        every_requests=args.every, ring=args.ring, **registry_kwargs
+        every_requests=args.every, ring=args.ring,
+        request_counter="serve.requests",
     )
-    monitor = HealthMonitor(health_config).attach(registry)
+    monitor = HealthMonitor().attach(registry)
     engine = SloEngine(spec).attach(registry)
     if args.follow:
-        registry.on_close(render)
-    if getattr(args, "jsonl", None):
+        registry.on_close(_render_window)
+    if args.jsonl:
         JsonlSink(args.jsonl).attach(registry)
         _diag(f"streaming closed windows to {args.jsonl}")
     server = None
@@ -286,90 +287,16 @@ def _telemetry(
             server.stop()
 
 
-def _report_verdict(
-    args: argparse.Namespace, registry, monitor, engine,
-    verdict: dict, summary: list[str],
-) -> int:
-    """Write ``--windows-out``, then print the verdict: the JSON under
-    ``--check``, else ``summary`` between the headline and the alert/SLO
-    table.  Returns 0 when the verdict is ok, else 1."""
-    if args.windows_out:
-        with open(args.windows_out, "w") as handle:
-            json.dump(registry.to_windows_dict(), handle, indent=2)
-            handle.write("\n")
-        _diag(f"window ring written to {args.windows_out}")
-    code = 0 if verdict["ok"] else 1
-    if args.check:
-        print(json.dumps(verdict, indent=2))
-        return code
-    print(f"verdict    {'HEALTHY' if verdict['ok'] else 'UNHEALTHY'}")
-    for line in summary:
-        print(line)
-    print(f"alerts     {len(monitor.alerts)}")
-    for alert in monitor.alerts:
-        print(f"  [{alert.kind}] window {alert.window_index}: "
-              f"{alert.message}")
-    for name, objective in engine.verdict()["objectives"].items():
-        state = "ok" if objective["ok"] else "BREACHED"
-        print(
-            f"slo {name:<24} {state:<9} "
-            f"burn {objective['burn_rate']:.2f} "
-            f"last {objective['last_value']:.6g}"
-        )
-    return code
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    from .obs import HealthConfig, SloSpec
-
-    spec = SloSpec.from_json(args.slo) if args.slo else SloSpec.default()
-    health_config = HealthConfig(
-        bhr_ph_lambda=args.bhr_lambda,
-        score_psi_threshold=args.psi_threshold,
-        staleness_windows=args.staleness_alert,
-    )
-    with _telemetry(args, spec, health_config, _render_window) as (
-        registry, monitor, engine,
-    ):
-        trace = _trace_from_args(args)
-        cache_size = _resolve_cache(args, trace)
-        _diag(
-            f"health run over {len(trace)} requests, cache "
-            f"{cache_size} bytes, telemetry window {args.every} requests"
-        )
-        lfo = LFOOnline(
-            cache_size,
-            window=args.window,
-            cutoff=args.cutoff,
-            label_config=_label_config(args),
-            staleness_limit=args.staleness_limit,
-        )
-        result = simulate(trace, lfo, warmup_fraction=args.warmup)
-        registry.flush()  # close the partial tail window, if any
-    verdict = {
-        "ok": engine.ok and monitor.ok,
-        "slo": engine.verdict(),
-        "health": monitor.status(),
-        "result": {"bhr": result.bhr, "ohr": result.ohr},
-    }
-    code = _report_verdict(args, registry, monitor, engine, verdict, [
-        f"BHR        {result.bhr:.4f}",
-        f"windows    {monitor.windows_observed}",
-    ])
-    return code if args.check else 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .obs import HealthConfig, SloSpec
+    from .obs import SloSpec
     from .resilience import SimulatedTrainerExecutor
     from .serve import (
         ServeConfig,
         ServingLoop,
         SyntheticArrivalDriver,
         TraceReplayDriver,
-        default_serving_slo,
     )
 
     if args.slo:
@@ -379,12 +306,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             _diag(f"invalid SLO spec {args.slo}: {exc}")
             return 2
     else:
-        spec = default_serving_slo()
+        spec = SloSpec.default()
     interrupted = False
-    with _telemetry(
-        args, spec, HealthConfig(), _render_serve_window,
-        request_counter="serve.requests",
-    ) as (registry, monitor, engine):
+    with _telemetry(args, spec) as (registry, monitor, engine):
         if args.synthetic:
             trace = generate_trace(
                 SyntheticConfig(n_requests=args.synthetic, seed=args.seed)
@@ -497,18 +421,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "health": monitor.status(),
         "serve": report.as_dict(),
     }
+    if args.windows_out:
+        with open(args.windows_out, "w") as handle:
+            json.dump(registry.to_windows_dict(), handle, indent=2)
+            handle.write("\n")
+        _diag(f"window ring written to {args.windows_out}")
+    code = 0 if verdict["ok"] else 1
+    if args.check:
+        print(json.dumps(verdict, indent=2))
+        return code
     bhr = report.bhr
-    return _report_verdict(args, registry, monitor, engine, verdict, [
-        f"requests   {report.requests}"
-        f"{' (interrupted, drained)' if interrupted else ''}",
-        f"BHR        {'  --  ' if bhr is None else format(bhr, '.4f')}",
-        f"handoffs   {report.model_handoffs}",
-        f"dropped    {report.dropped}",
-        f"waits      {report.backpressure_waits} (backpressure)",
-    ])
+    print(f"verdict    {'HEALTHY' if verdict['ok'] else 'UNHEALTHY'}")
+    print(f"requests   {report.requests}"
+          f"{' (interrupted, drained)' if interrupted else ''}")
+    print(f"BHR        {'  --  ' if bhr is None else format(bhr, '.4f')}")
+    print(f"handoffs   {report.model_handoffs}")
+    print(f"dropped    {report.dropped}")
+    print(f"waits      {report.backpressure_waits} (backpressure)")
+    print(f"alerts     {len(monitor.alerts)}")
+    for alert in monitor.alerts:
+        print(f"  [{alert.kind}] window {alert.window_index}: "
+              f"{alert.message}")
+    for name, objective in engine.verdict()["objectives"].items():
+        state = "ok" if objective["ok"] else "BREACHED"
+        print(
+            f"slo {name:<24} {state:<9} "
+            f"burn {objective['burn_rate']:.2f} "
+            f"last {objective['last_value']:.6g}"
+        )
+    return code
 
 
-def _render_serve_window(snapshot) -> None:
+def _render_window(snapshot) -> None:
     """One ``--follow`` line per closed serving window (stderr)."""
     bhr = snapshot.bhr
     p99 = snapshot.quantile("serve.decision_latency_seconds", 0.99)
@@ -518,18 +462,6 @@ def _render_serve_window(snapshot) -> None:
         f"p99 {p99 * 1e6:9.1f}us  "
         f"queue {int(snapshot.gauges.get('serve.queue_depth', 0)):>5}  "
         f"handoffs {int(snapshot.delta('serve.model_handoffs')):>3}"
-    )
-
-
-def _render_window(snapshot) -> None:
-    """One ``--follow`` line per closed telemetry window (stderr)."""
-    bhr = snapshot.bhr
-    p99 = snapshot.quantile("sim.decision_latency_seconds", 0.99)
-    _diag(
-        f"window {snapshot.index:>4}  requests {snapshot.requests:>7}  "
-        f"bhr {'  --  ' if bhr is None else format(bhr, '.4f')}  "
-        f"p99 {p99 * 1e6:9.1f}us  "
-        f"evictions {int(snapshot.delta('sim.evictions')):>6}"
     )
 
 
@@ -646,39 +578,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_fault_args(
         p: argparse.ArgumentParser,
         plan_help: str = "JSON fault plan installed for the run",
-        staleness_help: str = "degrade admission to the LRU fallback after "
-                              "this many windows without a fresh model",
-        retry_backoff: bool = True,
     ) -> None:
         p.add_argument("--fault-plan", metavar="PATH", default=None,
                        help=plan_help)
         p.add_argument("--staleness-limit", type=int, default=None,
-                       help=staleness_help)
-        if retry_backoff:
-            p.add_argument("--retry-backoff", type=int, default=0,
-                           help="windows to skip after a training failure "
-                                "(doubles per consecutive failure)")
-
-    def add_telemetry_args(
-        p: argparse.ArgumentParser,
-        slo_default: str, check_help: str, follow_help: str,
-    ) -> None:
-        p.add_argument("--every", type=int, default=2_000,
-                       help="telemetry window (requests per snapshot)")
-        p.add_argument("--ring", type=int, default=120,
-                       help="telemetry windows retained in the ring")
-        p.add_argument("--slo", metavar="PATH", default=None,
-                       help="SLO spec JSON (SloSpec.as_dict shape); "
-                            f"default: {slo_default}")
-        p.add_argument("--check", action="store_true", help=check_help)
-        p.add_argument("--follow", action="store_true", help=follow_help)
-        p.add_argument("--serve-metrics", type=int, metavar="PORT",
-                       default=None,
-                       help="serve /metrics, /health and /windows over "
-                            "HTTP on PORT for the duration of the run "
-                            "(0 = ephemeral port, printed to stderr)")
-        p.add_argument("--windows-out", metavar="PATH", default=None,
-                       help="write the final window-ring dump as JSON")
+                       help="degrade admission to the LRU fallback after "
+                            "this many windows without a fresh model")
+        p.add_argument("--retry-backoff", type=int, default=0,
+                       help="windows to skip after a training failure "
+                            "(doubles per consecutive failure)")
 
     def add_metrics_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -727,37 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_metrics_out(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_health = sub.add_parser(
-        "health",
-        help="run online LFO with windowed telemetry, drift detection "
-             "and SLO evaluation",
-    )
-    add_cache_args(p_health)
-    add_training_args(p_health, window_help="training window (requests)")
-    p_health.add_argument("--warmup", type=float, default=0.25)
-    add_telemetry_args(
-        p_health,
-        slo_default="built-in objectives",
-        check_help="one-shot mode: print the verdict JSON and exit 1 when "
-                   "any SLO is breached or any health alert fired",
-        follow_help="render each telemetry window live to stderr as it "
-                    "closes",
-    )
-    p_health.add_argument("--bhr-lambda", type=float, default=0.10,
-                          help="Page-Hinkley budget for BHR-drop alerts")
-    p_health.add_argument("--psi-threshold", type=float, default=0.25,
-                          help="admission-score PSI alert threshold")
-    p_health.add_argument("--staleness-alert", type=int, default=0,
-                          help="alert after this many training windows "
-                               "without a model install (0 = off)")
-    add_fault_args(
-        p_health,
-        staleness_help="degrade admission to the LRU fallback after this "
-                       "many stale windows",
-        retry_backoff=False,
-    )
-    p_health.set_defaults(func=_cmd_health)
-
     p_serve = sub.add_parser(
         "serve",
         help="run the always-on serving loop: bounded queue, batched "
@@ -777,15 +654,27 @@ def build_parser() -> argparse.ArgumentParser:
                               "--arrival-rate process")
     add_cache_size_args(p_serve)
     add_training_args(p_serve, window_help="training window (requests)")
-    add_telemetry_args(
-        p_serve,
-        slo_default="serving objectives (p50/p99/p999 decision latency, "
-                    "BHR, staleness)",
-        check_help="print the verdict JSON and exit 1 when any SLO is "
-                   "breached, any health alert fired, or any request was "
-                   "dropped",
-        follow_help="render each telemetry window live to stderr",
-    )
+    p_serve.add_argument("--every", type=int, default=2_000,
+                         help="telemetry window (requests per snapshot)")
+    p_serve.add_argument("--ring", type=int, default=120,
+                         help="telemetry windows retained in the ring")
+    p_serve.add_argument("--slo", metavar="PATH", default=None,
+                         help="SLO spec JSON (SloSpec.as_dict shape); "
+                              "default: serving objectives (p50/p99/p999 "
+                              "decision latency, BHR, staleness)")
+    p_serve.add_argument("--check", action="store_true",
+                         help="print the verdict JSON and exit 1 when any "
+                              "SLO is breached, any health alert fired, or "
+                              "any request was dropped")
+    p_serve.add_argument("--follow", action="store_true",
+                         help="render each telemetry window live to stderr")
+    p_serve.add_argument("--serve-metrics", type=int, metavar="PORT",
+                         default=None,
+                         help="serve /metrics, /health and /windows over "
+                              "HTTP on PORT for the duration of the run "
+                              "(0 = ephemeral port, printed to stderr)")
+    p_serve.add_argument("--windows-out", metavar="PATH", default=None,
+                         help="write the final window-ring dump as JSON")
     p_serve.add_argument("--queue-depth", type=int, default=1024,
                          help="ingestion queue bound: a full queue waits "
                               "the driver (backpressure), never drops")

@@ -108,16 +108,9 @@ class DecisionEngine:
         max_window: rows probed per step (and the cap on the adaptive
             scoring chunk).
         poll / cap / tap: the driver hooks (module docstring).
-        latency: histogram the time of each timed ``apply_scored`` call
-            is observed into (None = time nothing).
-        timed_per_window: how many leading decisions of each window are
-            timed; None times every decision.  Two values are in use
-            and cannot be one: the serving SLO reads p999 per telemetry
-            window and needs every decision, while timing one costs
-            ~0.4 µs (two clock reads, one histogram observe) — ~5% of a
-            ~7 µs batched-simulator decision, over the <3% telemetry
-            budget ``bench_ext_obs_overhead`` holds the simulator to —
-            so the simulator times a leading cluster of 8.
+        latency: histogram every ``apply_scored`` call's time is
+            observed into (None = time nothing).  The serving SLO reads
+            p999 per telemetry window, so it needs every decision.
 
     Single-consumer: one ``step`` at a time.  ``rows_probed`` (rows
     extracted, one per request unless a swap ended a step),
@@ -136,7 +129,6 @@ class DecisionEngine:
         cap: Callable[[], int] | None = None,
         tap: Callable[[int, bool, float], None] | None = None,
         latency: "Histogram | None" = None,
-        timed_per_window: int | None = None,
     ) -> None:
         if max_window < 1:
             raise ValueError("max_window must be at least 1")
@@ -154,7 +146,6 @@ class DecisionEngine:
         self._cap = cap
         self._tap = tap
         self._latency = latency
-        self._timed_per_window = timed_per_window
         self._window = min(_MIN_WINDOW * 4, max_window)
         self._polled = False
         self._model = None
@@ -241,12 +232,6 @@ class DecisionEngine:
         w_hits: list[bool] = []  # one per decision: ``consumed`` of them
         cache_size = policy.cache_size  # fixed at construction
         self.rows_probed += limit
-        if latency is None:
-            timed_limit = 0
-        elif self._timed_per_window is None:
-            timed_limit = limit
-        else:
-            timed_limit = self._timed_per_window
         apply_scored = policy.apply_scored
         polls = poll is not None
         #: The next row still owes its poll (row 0 had it above).
@@ -302,16 +287,16 @@ class DecisionEngine:
                             # carry the value their decision sees.
                             free = live
                             X[j:m, FREE_BYTES_COLUMN] = free
-                    if j < timed_limit:
+                    if latency is None:
+                        hit = apply_scored(
+                            time, obj, size, cost, features, score
+                        )
+                    else:
                         began = perf_counter()
                         hit = apply_scored(
                             time, obj, size, cost, features, score
                         )
                         latency.observe(perf_counter() - began)
-                    else:
-                        hit = apply_scored(
-                            time, obj, size, cost, features, score
-                        )
                     if capped:
                         evicted = tracker.last_evicted
                         if evicted is not None:

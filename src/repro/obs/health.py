@@ -28,7 +28,7 @@ produces the same alerts in the same windows (asserted by
 ``benchmarks/bench_ext_drift.py``).  Alerts are routed as counters plus
 ``registry.event()`` markers so the span ring shows *where* in the run a
 detector fired, and retained on the monitor for the ``/health`` endpoint
-and ``lfo health``.
+and the ``lfo serve`` verdict.
 """
 
 from __future__ import annotations

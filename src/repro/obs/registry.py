@@ -228,7 +228,6 @@ class MetricsRegistry:
 
     enabled = True
     every_requests = 0
-    every_seconds = 0.0
 
     def __init__(
         self,
@@ -347,7 +346,6 @@ class MetricsRegistry:
         return {
             "mode": "disabled",
             "every_requests": 0,
-            "every_seconds": 0.0,
             "ring": 0,
             "next_index": 0,
             "windows": [],
@@ -368,7 +366,6 @@ class NullRegistry:
 
     enabled = False
     every_requests = 0
-    every_seconds = 0.0
 
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
@@ -432,7 +429,6 @@ class NullRegistry:
         return {
             "mode": "disabled",
             "every_requests": 0,
-            "every_seconds": 0.0,
             "ring": 0,
             "next_index": 0,
             "windows": [],

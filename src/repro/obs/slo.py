@@ -6,7 +6,7 @@ module evaluates a declarative :class:`SloSpec` against every closed
 window of a :class:`~repro.obs.windows.WindowedRegistry`:
 
 * **latency_quantile** — a window quantile of a latency histogram
-  (default ``sim.decision_latency_seconds`` — the per-decision budget
+  (default ``serve.decision_latency_seconds`` — the per-decision budget
   Cold-RL enforces inside NGINX) must stay ≤ ``max_value``;
 * **window_bhr** — the window byte hit ratio must stay ≥ ``min_value``;
 * **staleness** — ``online.windows_since_model`` (train-to-install lag)
@@ -38,7 +38,7 @@ from .windows import WindowSnapshot, window_bhr
 
 __all__ = ["SloObjective", "SloSpec", "SloEngine"]
 
-DECISION_LATENCY_HISTOGRAM = "sim.decision_latency_seconds"
+DECISION_LATENCY_HISTOGRAM = "serve.decision_latency_seconds"
 #: Bounds for every per-decision latency histogram: 1µs .. 10ms with 1-2-5
 #: steps, fine enough that p99/p999 interpolation stays meaningful for a
 #: sub-millisecond decision budget (Cold-RL's deployment constraint).
@@ -141,32 +141,26 @@ class SloSpec:
 
     @classmethod
     def default(cls) -> "SloSpec":
-        """Sane defaults for the simulator: p99 decision latency under
-        1 ms, window BHR above 0.2, model no more than 8 windows stale."""
-        return cls(
-            objectives=(
-                SloObjective(
-                    name="decision_latency_p99",
-                    kind="latency_quantile",
-                    quantile=0.99,
-                    max_value=1e-3,
-                    budget=0.1,
-                    min_count=10,
-                ),
-                SloObjective(
-                    name="window_bhr",
-                    kind="window_bhr",
-                    min_value=0.2,
-                    budget=0.2,
-                ),
-                SloObjective(
-                    name="train_to_install",
-                    kind="staleness",
-                    max_value=8.0,
-                    budget=0.1,
-                ),
-            ),
-        )
+        """Tail decision latency, window BHR and model freshness.
+
+        Decision-latency ceilings (p50 ≤ 1 ms, p99 ≤ 2 ms, p999 ≤ 5 ms on
+        ``serve.decision_latency_seconds``) are deliberately generous
+        against the microsecond-scale decisions the engine makes — they
+        gate *pathology* (a stall on the scoring path, training leaking
+        into it), not CPU luck, so the gate holds on noisy CI hosts.
+        """
+        latency = "latency_quantile"
+        return cls(objectives=(
+            SloObjective("decision_latency_p50", latency, quantile=0.5,
+                         max_value=1e-3, min_count=10),
+            SloObjective("decision_latency_p99", latency, quantile=0.99,
+                         max_value=2e-3, min_count=10),
+            SloObjective("decision_latency_p999", latency, quantile=0.999,
+                         max_value=5e-3, min_count=50),
+            SloObjective("window_bhr", "window_bhr", min_value=0.2,
+                         budget=0.2),
+            SloObjective("train_to_install", "staleness", max_value=8.0),
+        ))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SloSpec":
@@ -219,7 +213,7 @@ class SloEngine:
         engine = SloEngine(SloSpec.default()).attach(registry)
         ...run...
         registry.flush()
-        verdict = engine.verdict()   # JSON for /health and `lfo health`
+        verdict = engine.verdict()   # JSON for /health and `lfo serve`
         ok = engine.ok               # exit-code material
 
     An objective is **breached** while its bad-window count over the

@@ -22,10 +22,10 @@ Design constraints, in order:
   per-window differences, so window rates (req/s, evictions/s, window
   BHR) and window quantiles (p50/p99/p999 via
   :func:`estimate_quantile`) come straight out of one snapshot.
-* **Deterministic replay.**  Window boundaries in ``every_requests``
-  mode depend only on a designated request counter; the wall-interval
-  mode takes an injectable ``clock`` (monotonic ``perf_counter`` by
-  default) so seeded tests can drive it logically.
+* **Deterministic replay.**  Window boundaries depend only on a
+  designated request counter; the injectable ``clock`` (monotonic
+  ``perf_counter`` by default) only stamps the window edges, so seeded
+  tests can drive durations logically.
 
 Downstream consumers subscribe with :meth:`WindowedRegistry.on_close`:
 :class:`repro.obs.health.HealthMonitor` and
@@ -206,16 +206,13 @@ def window_bhr(snapshot: WindowSnapshot) -> float | None:
 class WindowedRegistry(MetricsRegistry):
     """A ``MetricsRegistry`` that rolls periodic delta windows into a ring.
 
-    Exactly one trigger mode must be chosen:
-
-    * ``every_requests=N`` — a window closes once the designated request
-      counter (``request_counter``, default ``sim.requests``) has grown
-      by at least N since the last close.  Purely logical, so seeded
-      replays produce bit-identical rings.
-    * ``every_seconds=S`` — a window closes once the injected ``clock``
-      has advanced by S.  The default clock is the monotonic
-      :func:`time.perf_counter` (never the wall clock — see the
-      det-wallclock lint rule); tests inject a fake clock.
+    A window closes once the designated request counter
+    (``request_counter``, default ``sim.requests``) has grown by at
+    least ``every_requests`` since the last close.  Purely logical, so
+    seeded replays produce bit-identical rings.  The ``clock`` only
+    stamps window edges (``started`` / ``ended``); the default is the
+    monotonic :func:`time.perf_counter` (never the wall clock — see the
+    det-wallclock lint rule), and tests inject a fake one.
 
     Producers call :meth:`maybe_roll` at natural checkpoints (the
     simulator's counter-fold boundaries, a serving loop's batch edges).
@@ -224,18 +221,16 @@ class WindowedRegistry(MetricsRegistry):
     ``--follow`` renderers) run after the lock is released.
 
     Args:
-        every_requests: request-count window length (0 disables).
-        every_seconds: wall-interval window length (0.0 disables).
+        every_requests: request-count window length (at least 1).
         ring: maximum retained windows (older ones fall off).
-        clock: monotonic time source for window edges and wall mode.
-        request_counter: counter watched in request mode.
+        clock: monotonic time source for window edges.
+        request_counter: counter whose growth closes a window.
         ring_size / time_buckets: forwarded to :class:`MetricsRegistry`.
     """
 
     def __init__(
         self,
-        every_requests: int = 0,
-        every_seconds: float = 0.0,
+        every_requests: int,
         ring: int = 120,
         clock: Callable[[], float] = perf_counter,
         request_counter: str = REQUESTS_COUNTER,
@@ -243,15 +238,11 @@ class WindowedRegistry(MetricsRegistry):
         time_buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
     ) -> None:
         super().__init__(ring_size=ring_size, time_buckets=time_buckets)
-        if (every_requests > 0) == (every_seconds > 0):
-            raise ValueError(
-                "choose exactly one window mode: every_requests=N "
-                "or every_seconds=S"
-            )
+        if every_requests <= 0:
+            raise ValueError("every_requests must be at least 1")
         if ring <= 0:
             raise ValueError("ring must hold at least one window")
         self.every_requests = int(every_requests)
-        self.every_seconds = float(every_seconds)
         self.request_counter = request_counter
         self._clock = clock
         self._ring: deque[WindowSnapshot] = deque(maxlen=ring)
@@ -274,19 +265,15 @@ class WindowedRegistry(MetricsRegistry):
     def maybe_roll(self) -> WindowSnapshot | None:
         """Close the current window if its trigger has fired.
 
-        Cheap enough for producer checkpoints: in request mode one dict
-        get plus a compare, in wall mode one clock read plus a compare.
-        Returns the closed snapshot, or None when the window stays open.
+        Cheap enough for producer checkpoints: one dict get plus a
+        compare.  Returns the closed snapshot, or None when the window
+        stays open.
         """
-        if self.every_requests:
-            counter = self._counters.get(self.request_counter)
-            if counter is None:
-                return None
-            if counter.value - self._last_requests < self.every_requests:
-                return None
-        else:
-            if self._clock() - self._window_started < self.every_seconds:
-                return None
+        counter = self._counters.get(self.request_counter)
+        if counter is None:
+            return None
+        if counter.value - self._last_requests < self.every_requests:
+            return None
         return self.roll()
 
     def flush(self) -> WindowSnapshot | None:
@@ -402,9 +389,8 @@ class WindowedRegistry(MetricsRegistry):
             ring_capacity = self._ring.maxlen
             next_index = self._index
         return {
-            "mode": "requests" if self.every_requests else "seconds",
+            "mode": "requests",
             "every_requests": self.every_requests,
-            "every_seconds": self.every_seconds,
             "ring": ring_capacity,
             "next_index": next_index,
             "windows": [snap.as_dict() for snap in snapshots],

@@ -13,7 +13,7 @@ runbook in ``docs/serving.md``.
 
 from .drivers import SyntheticArrivalDriver, TraceReplayDriver
 from .engine import BatchScorer
-from .loop import ServeConfig, ServeReport, ServingLoop, default_serving_slo
+from .loop import ServeConfig, ServeReport, ServingLoop
 
 __all__ = [
     "BatchScorer",
@@ -22,5 +22,4 @@ __all__ = [
     "ServingLoop",
     "SyntheticArrivalDriver",
     "TraceReplayDriver",
-    "default_serving_slo",
 ]

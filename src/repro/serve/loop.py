@@ -32,74 +32,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, AsyncIterable, Callable
 
 from ..obs import get_registry
-from ..obs.slo import SloObjective, SloSpec
 from ..trace import Request
 from .engine import BatchScorer
 
 if TYPE_CHECKING:  # annotation only; avoids repro.core import at runtime.
     from ..core.online import LFOOnline
 
-__all__ = ["ServeConfig", "ServeReport", "ServingLoop", "default_serving_slo"]
+__all__ = ["ServeConfig", "ServeReport", "ServingLoop"]
 
 #: Queue sentinel: the producer posts it after the driver is exhausted so
 #: the consumer can finish in-flight batches and return cleanly.
 _EOF = object()
-
-
-def default_serving_slo() -> SloSpec:
-    """The serving-harness SLO: tail latency, BHR, and model freshness.
-
-    Decision-latency ceilings (p50 ≤ 1 ms, p99 ≤ 2 ms, p999 ≤ 5 ms on
-    ``serve.decision_latency_seconds``) are deliberately generous against
-    the microsecond-scale decisions the engine actually makes — they gate
-    *pathology* (a stall on the scoring path, training leaking into it),
-    not CPU luck, so the gate holds on noisy CI hosts.  BHR and staleness
-    mirror :meth:`repro.obs.SloSpec.default` — same objectives, evaluated
-    over the serving windows.
-    """
-    return SloSpec(
-        objectives=(
-            SloObjective(
-                name="decision_latency_p50",
-                kind="latency_quantile",
-                metric="serve.decision_latency_seconds",
-                quantile=0.5,
-                max_value=1e-3,
-                budget=0.1,
-                min_count=10,
-            ),
-            SloObjective(
-                name="decision_latency_p99",
-                kind="latency_quantile",
-                metric="serve.decision_latency_seconds",
-                quantile=0.99,
-                max_value=2e-3,
-                budget=0.1,
-                min_count=10,
-            ),
-            SloObjective(
-                name="decision_latency_p999",
-                kind="latency_quantile",
-                metric="serve.decision_latency_seconds",
-                quantile=0.999,
-                max_value=5e-3,
-                budget=0.1,
-                min_count=50,
-            ),
-            SloObjective(
-                name="window_bhr",
-                kind="window_bhr",
-                min_value=0.2,
-                budget=0.2,
-            ),
-            SloObjective(
-                name="train_to_install",
-                kind="staleness",
-                max_value=8.0,
-                budget=0.1,
-            ),
-        ),
-    )
 
 
 @dataclass(frozen=True)

@@ -11,31 +11,15 @@ protocol) in lookahead windows.  Policies that retrain mid-stream
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
 from ..cache import CachePolicy
 from ..obs import get_registry
-from ..obs.slo import DECISION_LATENCY_BUCKETS
 from ..trace import Trace
 
 __all__ = ["SimResult", "simulate", "record_free_bytes"]
-
-#: Requests folded per checkpoint when telemetry is enabled and the
-#:  registry has no request-window hint of its own.
-_FOLD_CHUNK = 1024
-
-#: Per-chunk decision-latency sample size.  Timing every request would
-#: put two ``perf_counter`` calls (~100ns) on a ~1µs LRU decision and
-#: blow the <3% observability budget; a leading cluster per chunk keeps
-#: the sampling fraction ~3% while still filling the window histogram.
-_LATENCY_SAMPLE = 32
-
-#: Decisions timed per lookahead window of the batched loop — clustered
-#: sampling, same rationale as the scalar loop's per-chunk cluster.
-_TIMED_PER_WINDOW = 8
 
 
 class _MetricsFolder:
@@ -111,102 +95,6 @@ class _MetricsFolder:
         self._folded = upto
         self._registry.maybe_roll()
 
-    @property
-    def chunk(self) -> int:
-        """Periodic checkpoint distance, or 0 when none is needed.
-
-        Only windowed registries need mid-run folds: request-window mode
-        folds exactly at window edges — however large, since a fold is a
-        pair of vectorised slice reductions and its cost is dominated by
-        the fixed cold-dispatch price of entering numpy mid-run, not the
-        slice length.  Wall-interval mode folds on a fixed chunk so
-        ``maybe_roll`` sees fresh counters.  A plain cumulative registry
-        folds once at the end of the run — 20 small-slice numpy folds on
-        a 20k-request LRU run measurably breach the <3% budget.
-        """
-        every = getattr(self._registry, "every_requests", 0)
-        if getattr(self._registry, "every_seconds", 0.0) > 0.0:
-            return min(every, _FOLD_CHUNK) if every > 0 else _FOLD_CHUNK
-        return every
-
-
-def _run_observed(
-    trace: Trace,
-    policy: CachePolicy,
-    hits: np.ndarray,
-    on_request: Callable[[int, bool], None] | None,
-    folder: _MetricsFolder,
-    registry,
-) -> None:
-    """The scalar loop with telemetry: clustered decision-latency
-    sampling, plus chunked folding when the registry is windowed.
-
-    Timed requests are clustered so the sampled fraction — not
-    per-request timing — is the only overhead added.  A windowed
-    registry needs mid-run checkpoints, so its loop advances in
-    fold-sized chunks (window edges land exactly) and times the leading
-    cluster of each chunk, filling every window's latency histogram.  A
-    plain cumulative registry gets the cheaper shape: one timed prefix
-    cluster, then the *identical* bare loop the unobserved path runs —
-    restructuring that loop (list + index chunking) alone measures
-    several percent on a sub-µs policy, which the <3% budget can't
-    absorb.
-    """
-    latency = registry.histogram(
-        "sim.decision_latency_seconds", DECISION_LATENCY_BUCKETS
-    )
-    n = len(trace)
-    fold_every = folder.chunk
-    if not fold_every:
-        samples: list[float] = []
-        prefix = min(8 * _LATENCY_SAMPLE, n)
-        it = iter(trace)
-        with registry.span("sim.latency_cluster"):
-            for i in range(prefix):
-                request = next(it)
-                began = perf_counter()
-                hit = policy.on_request(request)
-                samples.append(perf_counter() - began)
-                hits[i] = hit
-                if on_request is not None:
-                    on_request(i, hit)
-            latency.observe_batch(samples)
-        for i, request in enumerate(it, start=prefix):
-            hit = policy.on_request(request)
-            hits[i] = hit
-            if on_request is not None:
-                on_request(i, hit)
-        return
-    # Index the trace's backing list directly — copying 20k request
-    # pointers is both avoidable work and allocator churn next to the
-    # policy's dict-heavy hot loop.
-    requests = getattr(trace, "requests", None)
-    if requests is None:
-        requests = list(trace)
-    start = 0
-    while start < n:
-        end = min(start + fold_every, n)
-        timed_end = min(start + _LATENCY_SAMPLE, end)
-        with registry.span("sim.latency_cluster"):
-            for i in range(start, timed_end):
-                began = perf_counter()
-                hit = policy.on_request(requests[i])
-                # Scalar observe, deliberately: for a 32-sample cluster
-                # the pure-Python bisect is cheaper than one
-                # ``observe_batch`` numpy round-trip from a cold mid-run
-                # cache context.
-                latency.observe(perf_counter() - began)
-                hits[i] = hit
-                if on_request is not None:
-                    on_request(i, hit)
-        for i in range(timed_end, end):
-            hit = policy.on_request(requests[i])
-            hits[i] = hit
-            if on_request is not None:
-                on_request(i, hit)
-        folder.fold(end)
-        start = end
-
 
 def _run_batched(
     trace: Trace,
@@ -235,13 +123,6 @@ def _run_batched(
             None if on_request is None
             else lambda index, hit, _score: on_request(index, hit)
         ),
-        latency=(
-            registry.histogram(
-                "sim.decision_latency_seconds", DECISION_LATENCY_BUCKETS
-            )
-            if observing else None
-        ),
-        timed_per_window=_TIMED_PER_WINDOW,
     )
     if observing:
         rows_hist = registry.histogram("sim.batch_rows")
@@ -386,14 +267,27 @@ def simulate(
     with registry.span("sim.request_loop"):
         if batched:
             _run_batched(trace, policy, batch_size, hits, on_request, folder)
-        elif folder is None:
+        elif folder is None or not registry.every_requests:
             for i, request in enumerate(trace):
                 hit = policy.on_request(request)
                 hits[i] = hit
                 if on_request is not None:
                     on_request(i, hit)
         else:
-            _run_observed(trace, policy, hits, on_request, folder, registry)
+            # A windowed registry: the same loop, folded exactly at each
+            # window edge.  A fold's cost is the fixed price of entering
+            # numpy mid-run, not its length, so a cumulative registry
+            # folds once, after the loop.
+            every = registry.every_requests
+            requests = trace.requests
+            for start in range(0, n, every):
+                end = min(start + every, n)
+                for i in range(start, end):
+                    hit = policy.on_request(requests[i])
+                    hits[i] = hit
+                    if on_request is not None:
+                        on_request(i, hit)
+                folder.fold(end)
     if folder is not None:
         folder.fold(n)
     warmup = int(warmup_fraction * n)

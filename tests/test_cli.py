@@ -20,7 +20,7 @@ def trace_file(tmp_path):
     return str(path)
 
 
-#: Option strings and defaults of the three sub-parsers that share option
+#: Option strings and defaults of the two sub-parsers that share option
 #: groups, plus a digest of everything else an option declares (help,
 #: choices, type, nargs, metavar), order-insensitive.
 _CACHE = {
@@ -42,12 +42,6 @@ PINNED_OPTIONS = {
         "--evict-sample-seed": 0, "--fault-plan": None,
         "--staleness-limit": None, "--retry-backoff": 0,
         "--metrics-out": None,
-    }),
-    "health": ("ffff6fcd24105854", {
-        **_CACHE, **_TRAINING, **_TELEMETRY, "--warmup": 0.25,
-        "--bhr-lambda": 0.1, "--psi-threshold": 0.25,
-        "--staleness-alert": 0, "--staleness-limit": None,
-        "--fault-plan": None,
     }),
     "serve": ("6ac1e959923cb291", {
         **_CACHE, **_TRAINING, **_TELEMETRY, "--synthetic": None,
@@ -294,21 +288,40 @@ class TestHrc:
 
 
 class TestHealth:
+    """The health and SLO verdict of online LFO: ``lfo serve`` with the
+    deterministic inline trainer."""
+
     ARGS = [
         "--cache-fraction", "10", "--window", "600", "--segment", "300",
-        "--every", "400", "--warmup", "0",
+        "--every", "400", "--trainer", "inline",
     ]
 
     def test_check_healthy_exit_zero(self, trace_file, capsys):
-        code = main(["health", trace_file, *self.ARGS, "--check"])
-        captured = capsys.readouterr()
-        verdict = json.loads(captured.out)
+        code = main(["serve", trace_file, *self.ARGS, "--check"])
+        verdict = json.loads(capsys.readouterr().out)
         assert code == 0
         assert verdict["ok"] is True
         assert verdict["slo"]["ok"] is True
         assert verdict["health"]["alerts"] == 0
         assert verdict["health"]["windows_observed"] > 0
-        assert 0.0 <= verdict["result"]["bhr"] <= 1.0
+
+    def test_inline_serve_decides_like_simulate(self, trace_file, capsys):
+        """The served verdict reports exactly the hits and byte hit ratio
+        of ``simulate`` over the same trace and policy arguments."""
+        from repro.core import LFOOnline, OptLabelConfig
+        from repro.sim import simulate
+        from repro.trace import compute_stats
+
+        assert main(["serve", trace_file, *self.ARGS, "--check"]) == 0
+        served = json.loads(capsys.readouterr().out)["serve"]
+        trace = read_binary_trace(trace_file)
+        result = simulate(trace, LFOOnline(
+            compute_stats(trace).footprint_bytes // 10, window=600,
+            label_config=OptLabelConfig("segmented", segment_length=300),
+        ))
+        assert served["requests"] == len(trace)
+        assert served["hits"] == int(result.hits.sum())
+        assert served["bhr"] == result.bhr_full
 
     def test_check_unhealthy_exit_one(self, trace_file, tmp_path, capsys):
         # An impossible BHR floor with zero budget breaches immediately.
@@ -321,7 +334,7 @@ class TestHealth:
             }],
         }))
         code = main([
-            "health", trace_file, *self.ARGS,
+            "serve", trace_file, *self.ARGS,
             "--check", "--slo", str(slo_path),
         ])
         verdict = json.loads(capsys.readouterr().out)
@@ -332,7 +345,7 @@ class TestHealth:
     def test_windows_out_artifact(self, trace_file, tmp_path, capsys):
         out_path = tmp_path / "windows.json"
         code = main([
-            "health", trace_file, *self.ARGS,
+            "serve", trace_file, *self.ARGS,
             "--check", "--windows-out", str(out_path),
         ])
         assert code == 0
@@ -340,55 +353,29 @@ class TestHealth:
         assert dump["mode"] == "requests"
         assert dump["every_requests"] == 400
         assert dump["windows"]
-        first = dump["windows"][0]
-        assert first["counters"]["sim.requests"] == 400
-        assert "sim.decision_latency_seconds" in first["histograms"]
+        # Windows close at batch edges, once 400 requests were served;
+        # every decision is timed.
+        for window in dump["windows"]:
+            latency = window["histograms"]["serve.decision_latency_seconds"]
+            assert latency["count"] == window["counters"]["serve.requests"]
+        assert dump["windows"][0]["requests"] >= 400
+        assert sum(w["requests"] for w in dump["windows"]) == 2000
 
     def test_human_summary(self, trace_file, capsys):
-        code = main(["health", trace_file, *self.ARGS])
+        code = main(["serve", trace_file, *self.ARGS])
         assert code == 0
         out = capsys.readouterr().out
         assert "verdict    HEALTHY" in out
-        assert "slo decision_latency_p99" in out
-        assert "slo window_bhr" in out
-        assert "slo train_to_install" in out
+        for name in (
+            "decision_latency_p50", "decision_latency_p99",
+            "decision_latency_p999", "window_bhr", "train_to_install",
+        ):
+            assert f"slo {name}" in out
 
     def test_follow_renders_window_lines(self, trace_file, capsys):
-        code = main(["health", trace_file, *self.ARGS, "--follow"])
+        code = main(["serve", trace_file, *self.ARGS, "--follow"])
         assert code == 0
         err = capsys.readouterr().err
         lines = [l for l in err.splitlines() if l.startswith("window ")]
-        assert len(lines) >= 4  # 2000 requests / 400 per window
+        assert len(lines) >= 3  # 2000 requests, >= 400 per window
         assert "bhr" in lines[-1] and "p99" in lines[-1]
-
-    def test_serve_metrics_endpoints_live(self, trace_file, capsys):
-        import re
-        import urllib.request
-
-        code = main([
-            "health", trace_file, *self.ARGS,
-            "--serve-metrics", "0", "--check",
-        ])
-        assert code == 0
-        captured = capsys.readouterr()
-        match = re.search(r"http://127\.0\.0\.1:(\d+)", captured.err)
-        assert match, captured.err
-        # The run has finished and the server is stopped: the port must
-        # no longer accept connections (no leaked daemon listener).
-        port = int(match.group(1))
-        with pytest.raises(OSError):
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=1.0
-            )
-
-    def test_staleness_alert_flag(self, trace_file, capsys):
-        code = main([
-            "health", trace_file, *self.ARGS,
-            "--staleness-alert", "1", "--check",
-        ])
-        captured = capsys.readouterr()
-        verdict = json.loads(captured.out)
-        # The detector ran; whether it fired depends on training cadence,
-        # but the posture block must reflect the configured detector.
-        assert "alerts_by_kind" in verdict["health"]
-        assert code in (0, 1)

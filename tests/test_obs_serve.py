@@ -35,7 +35,7 @@ def windowed_registry():
     registry.counter("sim.hit_bytes").inc(700)
     registry.counter("sim.miss_bytes").inc(300)
     registry.histogram(
-        "sim.decision_latency_seconds", bounds=(1e-4, 1e-3)
+        "serve.decision_latency_seconds", bounds=(1e-4, 1e-3)
     ).observe(5e-5)
     registry.roll()
     return registry
@@ -49,7 +49,7 @@ class TestMetricsEndpoint:
         assert headers["Content-Type"].startswith("text/plain")
         text = body.decode()
         assert "repro_sim_requests_total 100" in text
-        assert "repro_sim_decision_latency_seconds_count 1" in text
+        assert "repro_serve_decision_latency_seconds_count 1" in text
 
     def test_custom_prefix(self, windowed_registry):
         with MetricsServer(

@@ -13,7 +13,7 @@ def latency_objective(**overrides):
     kwargs = dict(
         name="p99",
         kind="latency_quantile",
-        metric="sim.decision_latency_seconds",
+        metric="serve.decision_latency_seconds",
         quantile=0.99,
         max_value=1e-3,
         budget=0.2,
@@ -27,7 +27,7 @@ def close_window(registry, *, latencies=(), hit_bytes=0, miss_bytes=0,
                  staleness=None):
     if latencies:
         hist = registry.histogram(
-            "sim.decision_latency_seconds", bounds=LATENCY_BUCKETS
+            "serve.decision_latency_seconds", bounds=LATENCY_BUCKETS
         )
         for value in latencies:
             hist.observe(value)
@@ -103,9 +103,17 @@ class TestSloObjective:
 class TestSloSpec:
     def test_default_spec(self):
         spec = SloSpec.default()
-        names = {o.name for o in spec.objectives}
-        assert names == {"decision_latency_p99", "window_bhr",
-                         "train_to_install"}
+        assert [o.name for o in spec.objectives] == [
+            "decision_latency_p50", "decision_latency_p99",
+            "decision_latency_p999", "window_bhr", "train_to_install",
+        ]
+        latency = [o for o in spec.objectives if o.kind == "latency_quantile"]
+        assert {o.metric for o in latency} == {
+            "serve.decision_latency_seconds"
+        }
+        assert [(o.quantile, o.max_value, o.min_count) for o in latency] == [
+            (0.5, 1e-3, 10), (0.99, 2e-3, 10), (0.999, 5e-3, 50),
+        ]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from repro.obs.windows import WindowSnapshot, window_bhr
 
 
 class FakeClock:
-    """Injectable monotonic clock for deterministic wall-mode tests."""
+    """Injectable monotonic clock for deterministic window edges."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -60,9 +60,7 @@ class TestEstimateQuantile:
 class TestWindowedRegistryModes:
     def test_exactly_one_mode_required(self):
         with pytest.raises(ValueError):
-            WindowedRegistry()
-        with pytest.raises(ValueError):
-            WindowedRegistry(every_requests=10, every_seconds=1.0)
+            WindowedRegistry(every_requests=0)
         with pytest.raises(ValueError):
             WindowedRegistry(every_requests=10, ring=0)
 
@@ -148,17 +146,6 @@ class TestWindowedRegistryModes:
         assert len(lines) == 2
         assert json.loads(lines[1])["requests"] == 2
 
-    def test_wall_mode_with_injected_clock(self):
-        clock = FakeClock()
-        registry = WindowedRegistry(every_seconds=10.0, clock=clock)
-        registry.counter("sim.requests").inc(3)
-        clock.advance(9.9)
-        assert registry.maybe_roll() is None
-        clock.advance(0.2)
-        snap = registry.maybe_roll()
-        assert snap is not None
-        assert snap.duration == pytest.approx(10.1)
-
 
 class TestWindowDeltas:
     def test_counter_deltas_and_gauge_values(self):
@@ -206,7 +193,7 @@ class TestWindowDeltas:
 
     def test_rate_and_per_request(self):
         clock = FakeClock()
-        registry = WindowedRegistry(every_seconds=1.0, clock=clock)
+        registry = WindowedRegistry(every_requests=20, clock=clock)
         registry.counter("sim.requests").inc(20)
         registry.counter("sim.evictions").inc(10)
         clock.advance(2.0)

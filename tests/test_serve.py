@@ -27,6 +27,7 @@ from repro.obs import (
     HealthMonitor,
     JsonlSink,
     SloEngine,
+    SloSpec,
     WindowedRegistry,
     use_registry,
 )
@@ -42,7 +43,6 @@ from repro.serve import (
     ServingLoop,
     SyntheticArrivalDriver,
     TraceReplayDriver,
-    default_serving_slo,
 )
 from repro.trace import SyntheticConfig, generate_trace
 
@@ -117,7 +117,7 @@ class TestWarmHandoff:
             every_requests=500, ring=64, request_counter="serve.requests"
         )
         monitor = HealthMonitor(HealthConfig()).attach(registry)
-        engine = SloEngine(default_serving_slo()).attach(registry)
+        engine = SloEngine(SloSpec.default()).attach(registry)
         with use_registry(registry):
             policy = make_policy(trace)
             report = serve(trace, policy)
@@ -209,6 +209,46 @@ class TestFaultComposition:
         executor.shutdown(cancel_futures=True)
 
 
+class TestDecisionLatency:
+    def test_one_sample_per_request_served(self, trace):
+        """``BatchScorer`` times every decision exactly once: through the
+        cold start, the first install, and a step a model swap ended early
+        (rows probed past the swap are decided, and timed, by the next
+        step)."""
+        plan = FaultPlan(
+            [FaultSpec(site="trainer.submit", kind="hang", at=(0,))], seed=5
+        )
+        executor = SimulatedTrainerExecutor()
+        registry = WindowedRegistry(
+            every_requests=500, request_counter="serve.requests"
+        )
+        requests = list(trace)[:3000]
+        with use_registry(registry), use_fault_plan(plan):
+            policy = make_policy(trace, executor=executor)
+            inner, decided = policy.apply_scored, [0]
+
+            def apply_scored(*args):
+                decided[0] += 1
+                if decided[0] == 1250:  # mid-step: the parked job lands
+                    executor.release_hung()
+                return inner(*args)
+
+            policy.apply_scored = apply_scored
+            scorer = BatchScorer(policy)
+            latency = registry.histogram("serve.decision_latency_seconds")
+            counts, models = [], []
+            for start in range(0, len(requests), 100):
+                scorer.process(requests[start:start + 100])
+                counts.append(latency.count)
+                models.append(policy.model)
+        policy.close()
+        executor.shutdown(cancel_futures=True)
+        assert counts == list(range(100, len(requests) + 1, 100))
+        assert models[11] is None and models[12] is not None  # cold, then live
+        assert scorer.n_handoffs == 2  # the released job, then window 2's
+        assert scorer._engine.rows_probed > len(requests)  # a swap cut a step
+
+
 class TestValidation:
     def test_scorer_rejects_rescore_interval(self, trace):
         policy = make_policy(trace, rescore_interval=100)
@@ -235,7 +275,7 @@ class TestValidation:
             SyntheticArrivalDriver(trace, rate=0.0)
 
     def test_default_slo_shape(self):
-        spec = default_serving_slo()
+        spec = SloSpec.default()
         names = {o.name for o in spec.objectives}
         assert {
             "decision_latency_p50",
