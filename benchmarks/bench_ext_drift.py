@@ -80,35 +80,32 @@ def test_drift_retraining(benchmark):
 # -- streaming health detection ----------------------------------------------
 #
 # The same mix shift, watched from the outside: a WindowedRegistry slices
-# the run into fixed telemetry windows and a HealthMonitor scores each
-# closed window (BHR Page-Hinkley + admission-score PSI).  The claim under
-# test is the operational one — the health layer localises the shift to
+# the run into fixed telemetry windows and an SloEngine judges each closed
+# window with the default spec's drift detectors (BHR Page-Hinkley,
+# admission-score PSI, arena-summary EWMA, training halt).  The claim
+# under test is the operational one — the detectors localise the shift to
 # within a few windows, with zero false alarms on a stationary control.
 
 HEALTH_WINDOW = 1_500
 #: The shift lands at request PHASE, i.e. telemetry window PHASE/1500 = 6.
 SHIFT_WINDOW = PHASE // HEALTH_WINDOW
-#: Detection budget: the alert must land within this many windows of the
+#: Detection budget: the violation must land within this many windows of the
 #: shift.  The BHR detector needs a few windows of sustained shortfall to
 #: integrate past its Page-Hinkley budget, so "within 4" is the bound the
 #: detectors are tuned to (and the paper's "minutes, not hours" scale).
 DETECTION_BUDGET = 4
+DETECTORS = ("bhr_drift", "score_drift", "feature_drift", "training_halted")
 
 
 def _watched_run(transitions):
     from repro.core import LFOOnline as _LFO
-    from repro.obs import (
-        HealthConfig,
-        HealthMonitor,
-        WindowedRegistry,
-        use_registry,
-    )
+    from repro.obs import SloEngine, SloSpec, WindowedRegistry, use_registry
 
     # The adaptive-LFO experiment above shifts to a *cache-friendly*
     # class (300 hot objects) because it studies recovery speed; byte
     # hit ratio barely moves through that shift, so it is exactly the
     # kind of change a BHR detector must NOT be expected to see.  The
-    # health layer's claim is about detecting degradation, so its shift
+    # detectors' claim is about detecting degradation, so its shift
     # goes to a cache-hostile class: a long-tail catalogue with flatter
     # popularity, which drives sustained misses the moment it dominates
     # the mix.
@@ -119,42 +116,55 @@ def _watched_run(transitions):
     )
     cache_size = compute_stats(trace).footprint_bytes // 10
     registry = WindowedRegistry(every_requests=HEALTH_WINDOW)
-    monitor = HealthMonitor(
-        HealthConfig(bhr_ph_delta=0.01, bhr_ph_lambda=0.10, bhr_warmup=3)
-    ).attach(registry)
+    engine = SloEngine(SloSpec(tuple(
+        o for o in SloSpec.default().objectives if o.kind in DETECTORS
+    ))).attach(registry)
+    violations = []
+    seen = dict.fromkeys(DETECTORS, 0)
+
+    def record(snapshot):
+        for name, detail in engine.verdict()["objectives"].items():
+            if detail["violations"] > seen[name]:
+                violations.append(
+                    (name, snapshot.index, detail["last_value"],
+                     detail["threshold"])
+                )
+            seen[name] = detail["violations"]
+
+    registry.on_close(record)
     policy = _LFO(
         cache_size, window=WINDOW,
         label_config=OptLabelConfig(mode="segmented", segment_length=1_000),
     )
     with use_registry(registry):
         simulate(trace, policy)
-        registry.roll()
+        registry.flush()
     bhr_series = [
         s.bhr if s.bhr is not None else 0.0 for s in registry.windows()
     ]
-    return monitor.alerts, bhr_series
+    return violations, bhr_series
 
 
 def run_health_detection():
-    shifted_alerts, shifted_bhr = _watched_run(
+    shifted_violations, shifted_bhr = _watched_run(
         [[0.9, 0.1], [0.2, 0.8]]
     )
-    control_alerts, control_bhr = _watched_run(
+    control_violations, control_bhr = _watched_run(
         [[0.9, 0.1], [0.9, 0.1]]  # same generator, no shift
     )
-    return shifted_alerts, shifted_bhr, control_alerts, control_bhr
+    return shifted_violations, shifted_bhr, control_violations, control_bhr
 
 
 def test_health_detects_mix_shift(benchmark):
-    shifted_alerts, shifted_bhr, control_alerts, control_bhr = (
+    shifted_violations, shifted_bhr, control_violations, control_bhr = (
         benchmark.pedantic(run_health_detection, rounds=1, iterations=1)
     )
     drift = [
-        a for a in shifted_alerts if a.kind in ("bhr_drift", "score_drift")
+        v for v in shifted_violations if v[0] in ("bhr_drift", "score_drift")
     ]
     lines = [
-        f"[{a.kind}] window {a.window_index}: {a.message}"
-        for a in shifted_alerts
+        f"[{kind}] window {index}: {value:.4f} > {threshold:g}"
+        for kind, index, value, threshold in shifted_violations
     ]
     report(
         "ext_drift_health",
@@ -163,13 +173,13 @@ def test_health_detects_mix_shift(benchmark):
         f"shifted  BHR {sparkline(shifted_bhr)}\n"
         f"control  BHR {sparkline(control_bhr)}\n"
         + "\n".join(lines)
-        + f"\ncontrol alerts: {len(control_alerts)}",
+        + f"\ncontrol violations: {len(control_violations)}",
     )
 
-    # The health layer localised the shift: at least one BHR/score drift
-    # alert inside the detection budget after the shift window.
-    assert drift, "no drift alert raised on the mix-shift trace"
-    first = min(a.window_index for a in drift)
+    # The detectors localised the shift: at least one BHR/score drift
+    # violation inside the detection budget after the shift window.
+    assert drift, "no drift violation on the mix-shift trace"
+    first = min(index for _, index, _, _ in drift)
     assert SHIFT_WINDOW <= first <= SHIFT_WINDOW + DETECTION_BUDGET, first
     # ... and stayed quiet on the stationary control: zero false alarms.
-    assert control_alerts == []
+    assert control_violations == []

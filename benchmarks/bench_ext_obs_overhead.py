@@ -10,8 +10,8 @@ feature-extraction histogram is the single instrument on the hot path.
 This benchmark runs end-to-end ``simulate`` three ways per policy —
 under the default ``NullRegistry`` (observability off), under a live
 ``MetricsRegistry``, and under a ``WindowedRegistry`` with the full
-streaming stack attached (telemetry windows scaled to the trace,
-``HealthMonitor`` drift detectors, ``SloEngine`` on the default spec) —
+streaming stack attached (telemetry windows scaled to the trace and
+``SloEngine`` on the default spec, drift detectors included) —
 and gates on the registry's *self-accounted* request-path bill: the
 ``sim.metrics_fold`` span divided by run wall time must stay below 3% in
 both enabled modes.  ``simulate`` times no decisions (the per-decision
@@ -47,7 +47,6 @@ from repro.cache import LRUCache
 from repro.core import LFOOnline, OptLabelConfig
 from repro.gbdt import GBDTParams
 from repro.obs import (
-    HealthMonitor,
     MetricsRegistry,
     NullRegistry,
     SloEngine,
@@ -138,9 +137,9 @@ def _accounted_overhead(registry, total_wall: float) -> float:
 
 
 def _windowed_registry() -> WindowedRegistry:
-    """The full streaming stack: windows + drift detectors + SLO engine."""
+    """The full streaming stack: windows + the SLO engine (drift
+    detectors included)."""
     registry = WindowedRegistry(every_requests=TELEMETRY_WINDOW)
-    HealthMonitor().attach(registry)
     SloEngine(SloSpec.default()).attach(registry)
     return registry
 
@@ -211,7 +210,7 @@ def test_obs_overhead(benchmark):
         "(the sim.metrics_fold span: every fold and window roll) "
         f"over total run wall; limit {100 * OVERHEAD_LIMIT:.0f}%; "
         f"windowed = telemetry ring every {TELEMETRY_WINDOW} requests + "
-        "health detectors + SLO engine)\n\n"
+        "SLO engine with its drift detectors)\n\n"
         "per-stage breakdown of the instrumented LFO run:\n"
         + stage_table(registry),
     )

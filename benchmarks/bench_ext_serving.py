@@ -18,8 +18,8 @@ The headline gates:
   path (the inline executor runs training synchronously at window
   boundaries, *between* speculation windows, so even a 20 ms solve stall
   leaves per-decision latency untouched);
-* **warm handoff raises no score-drift false alarm** — the health
-  monitor's PSI burn-in absorbs each model install;
+* **warm handoff raises no score-drift false alarm** — the
+  ``score_drift`` objective's PSI burn-in absorbs each model install;
 * **no single fault moves serving BHR more than 5 points** off the
   fault-free serving baseline, and each scenario's degradation path
   demonstrably engaged.
@@ -39,8 +39,6 @@ from common import RESULTS_DIR, cache_for, cdn_mix_trace, report, table
 from repro.core import LFOOnline, OptLabelConfig
 from repro.gbdt import GBDTParams
 from repro.obs import (
-    HealthConfig,
-    HealthMonitor,
     MetricsRegistry,
     SloEngine,
     SloSpec,
@@ -96,7 +94,6 @@ def _serve(trace, lfo, plan):
     registry = WindowedRegistry(
         every_requests=TELEMETRY_WINDOW, request_counter="serve.requests"
     )
-    monitor = HealthMonitor(HealthConfig()).attach(registry)
     engine = SloEngine(SloSpec.default()).attach(registry)
     executor = lfo.trainer.executor
     with use_registry(registry), use_fault_plan(plan):
@@ -110,7 +107,6 @@ def _serve(trace, lfo, plan):
         "report": serve_report,
         "counters": counters,
         "slo": engine.verdict(),
-        "health": monitor.status(),
     }
 
 
@@ -218,10 +214,6 @@ def test_serving_matrix(benchmark, tmp_path):
             "serve": serve_report.as_dict(),
             "delta_vs_baseline": serve_report.bhr - baseline_bhr,
             "slo": data["slo"],
-            "health": {
-                "ok": data["health"]["ok"],
-                "alerts_by_kind": data["health"]["alerts_by_kind"],
-            },
             "counters": {
                 k: v for k, v in data["counters"].items()
                 if k.startswith(("resilience.", "serve.", "online."))
@@ -239,7 +231,7 @@ def test_serving_matrix(benchmark, tmp_path):
         )
         + f"\n(gates: dropped == 0 and latency SLOs ok in every scenario; "
         f"|delta| <= {BHR_TOLERANCE:.2f}; baseline handoffs >= 1 with "
-        "zero score-drift alerts)",
+        "zero score-drift violations)",
     )
 
     for name, data in scenarios.items():
@@ -256,4 +248,4 @@ def test_serving_matrix(benchmark, tmp_path):
     # the baseline at each install window.
     baseline = scenarios["baseline"]
     assert baseline["report"].model_handoffs >= 1
-    assert baseline["health"]["alerts_by_kind"].get("score_drift", 0) == 0
+    assert baseline["slo"]["objectives"]["score_drift"]["violations"] == 0

@@ -17,10 +17,11 @@ structurally cannot:
   None instead of a plan list, request-path overrides silently
   inheriting a maybe-True ``supports_batched_scoring``, and ``_restore``
   overrides that drop the victim's true retrieval cost.
-* ``xf-detector-purity`` — ``HealthMonitor`` ``_check_*`` detectors must
-  be replay-pure (fold window state, append findings, nothing else);
-  transitive I/O, registry mutation, global writes, or nondeterminism
-  make replayed verdicts diverge from live ones.
+* ``xf-detector-purity`` — ``SloObjective.evaluate``, which judges every
+  objective kind and folds the drift detectors' memory, must be
+  replay-pure (fold the objective state, return the verdict, nothing
+  else); transitive I/O, registry mutation, global writes, or
+  nondeterminism make replayed verdicts diverge from live ones.
 * ``xf-metric-surface`` — the generated reference table in
   ``docs/architecture.md`` must be what generating it from the registered
   metric surface yields now, and the Prometheus exposition names must not
@@ -57,8 +58,8 @@ __all__ = [
 #: deterministic scope.
 _TAINT_KINDS = frozenset({"wallclock", "rng"})
 
-#: Effect kinds a health detector may not reach (state folds on
-#: ``self._state`` and ``out.append`` are invisible to the summaries by
+#: Effect kinds an objective evaluation may not reach (folds on the
+#: passed-in objective state are invisible to the summaries by
 #: construction, which is exactly the allowed remainder).
 _IMPURE_KINDS = frozenset({"io", "registry", "global", "wallclock", "rng"})
 
@@ -167,7 +168,7 @@ class PolicyContractRule(Rule):
                             f"`self._on_miss_observed(...)` (directly or "
                             f"via `super().{name}(...)`); misses handled "
                             f"here are invisible to admission training "
-                            f"and the health monitor"
+                            f"and the drift detectors"
                         ),
                     )
                 )
@@ -318,8 +319,8 @@ def _may_return_true(node: ast.AST) -> bool:
 class DetectorPurityRule(Rule):
     rule_id = "xf-detector-purity"
     summary = (
-        "HealthMonitor window detector has externally visible side "
-        "effects (must stay replay-pure)"
+        "SLO objective evaluation has externally visible side effects "
+        "(must stay replay-pure)"
     )
 
     def check(self, model: "ProjectModel") -> list[Violation]:
@@ -327,36 +328,30 @@ class DetectorPurityRule(Rule):
         out: list[Violation] = []
         for qualname in sorted(model.classes):
             cls = model.classes[qualname]
-            if not (
-                cls.name == "HealthMonitor"
-                or model.is_subclass_of(qualname, "HealthMonitor")
+            method = cls.methods.get("evaluate")
+            if method is None or not (
+                cls.name == "SloObjective"
+                or model.is_subclass_of(qualname, "SloObjective")
             ):
                 continue
-            for name in sorted(cls.methods):
-                if not name.startswith("_check_"):
-                    continue
-                method = cls.methods[name]
-                for chain in index.reachable(
-                    method.qualname, _IMPURE_KINDS
-                ):
-                    effect = chain.effect
-                    out.append(
-                        self.report_at(
-                            path=method.path,
-                            line=method.lineno,
-                            col=method.node.col_offset + 1,
-                            message=(
-                                f"detector `{cls.name}.{name}` must be "
-                                f"replay-pure (fold `self._state`, "
-                                f"append findings) but reaches "
-                                f"{effect.detail} at "
-                                f"{effect.path}:{effect.line} "
-                                f"(via {chain.render_chain()}); emit "
-                                f"through the monitor's `_emit` path "
-                                f"instead"
-                            ),
-                        )
+            for chain in index.reachable(method.qualname, _IMPURE_KINDS):
+                effect = chain.effect
+                out.append(
+                    self.report_at(
+                        path=method.path,
+                        line=method.lineno,
+                        col=method.node.col_offset + 1,
+                        message=(
+                            f"`{cls.name}.evaluate` must be replay-pure "
+                            f"(fold the objective state, return the "
+                            f"verdict) but reaches {effect.detail} at "
+                            f"{effect.path}:{effect.line} "
+                            f"(via {chain.render_chain()}); publish "
+                            f"through the engine's `_publish` path "
+                            f"instead"
+                        ),
                     )
+                )
         return out
 
 

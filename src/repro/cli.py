@@ -26,7 +26,7 @@ resilience knobs ``--fault-plan``, ``--staleness-limit`` and
 ``--retry-backoff``, and every trace-reading subcommand accepts
 ``--tolerant-trace`` (skip-and-count malformed lines); see
 docs/robustness.md for the operations runbook.  ``serve`` runs online
-LFO under windowed telemetry, the health detectors and an SLO verdict;
+LFO under windowed telemetry and an SLO verdict (drift detectors included);
 with ``--trainer inline`` it makes exactly the decisions ``simulate``
 makes.
 """
@@ -245,25 +245,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _telemetry(args: argparse.Namespace, spec):
     """The observability stack ``serve`` runs under.
 
-    A windowed registry over ``serve.requests`` with the health detectors
-    and the SLO engine attached, the ``--follow`` renderer, the
-    ``--jsonl`` sink and the ``--serve-metrics`` endpoint; installed
-    (with any ``--fault-plan``) for the body, the endpoint stopped on the
-    way out.  Yields ``(registry, monitor, engine)``.
+    A windowed registry over ``serve.requests`` with the SLO engine
+    attached, the ``--follow`` renderer, the ``--jsonl`` sink and the
+    ``--serve-metrics`` endpoint; installed (with any ``--fault-plan``)
+    for the body, the endpoint stopped on the way out.  Yields
+    ``(registry, engine)``.
     """
-    from .obs import (
-        HealthMonitor,
-        JsonlSink,
-        MetricsServer,
-        SloEngine,
-        WindowedRegistry,
-    )
+    from .obs import JsonlSink, MetricsServer, SloEngine, WindowedRegistry
 
     registry = WindowedRegistry(
         every_requests=args.every, ring=args.ring,
         request_counter="serve.requests",
     )
-    monitor = HealthMonitor().attach(registry)
     engine = SloEngine(spec).attach(registry)
     if args.follow:
         registry.on_close(_render_window)
@@ -273,7 +266,7 @@ def _telemetry(args: argparse.Namespace, spec):
     server = None
     if args.serve_metrics is not None:
         server = MetricsServer(
-            registry, port=args.serve_metrics, health=monitor, slo=engine
+            registry, port=args.serve_metrics, slo=engine
         ).start()
         _diag(
             "serving /metrics /health /windows on "
@@ -281,7 +274,7 @@ def _telemetry(args: argparse.Namespace, spec):
         )
     try:
         with use_registry(registry), _fault_plan_scope(args):
-            yield registry, monitor, engine
+            yield registry, engine
     finally:
         if server is not None:
             server.stop()
@@ -308,7 +301,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         spec = SloSpec.default()
     interrupted = False
-    with _telemetry(args, spec) as (registry, monitor, engine):
+    with _telemetry(args, spec) as (registry, engine):
         if args.synthetic:
             trace = generate_trace(
                 SyntheticConfig(n_requests=args.synthetic, seed=args.seed)
@@ -415,10 +408,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if executor is not None:
                 executor.shutdown(cancel_futures=True)
     verdict = {
-        "ok": engine.ok and monitor.ok and report.dropped == 0,
+        "ok": engine.ok and report.dropped == 0,
         "interrupted": interrupted,
         "slo": engine.verdict(),
-        "health": monitor.status(),
         "serve": report.as_dict(),
     }
     if args.windows_out:
@@ -438,10 +430,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"handoffs   {report.model_handoffs}")
     print(f"dropped    {report.dropped}")
     print(f"waits      {report.backpressure_waits} (backpressure)")
-    print(f"alerts     {len(monitor.alerts)}")
-    for alert in monitor.alerts:
-        print(f"  [{alert.kind}] window {alert.window_index}: "
-              f"{alert.message}")
     for name, objective in engine.verdict()["objectives"].items():
         state = "ok" if objective["ok"] else "BREACHED"
         print(
@@ -661,11 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--slo", metavar="PATH", default=None,
                          help="SLO spec JSON (SloSpec.as_dict shape); "
                               "default: serving objectives (p50/p99/p999 "
-                              "decision latency, BHR, staleness)")
+                              "decision latency, BHR, staleness, drift)")
     p_serve.add_argument("--check", action="store_true",
                          help="print the verdict JSON and exit 1 when any "
-                              "SLO is breached, any health alert fired, or "
-                              "any request was dropped")
+                              "SLO is breached or any request was dropped")
     p_serve.add_argument("--follow", action="store_true",
                          help="render each telemetry window live to stderr")
     p_serve.add_argument("--serve-metrics", type=int, metavar="PORT",

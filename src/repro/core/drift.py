@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from ..obs.health import population_stability_index
+from ..obs.slo import population_stability_index
 from ..trace import Request
 from .online import LFOOnline, OptLabelConfig
 

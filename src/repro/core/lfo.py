@@ -53,7 +53,7 @@ __all__ = ["LFOModel", "LFOCache", "SampledEvictionConfig"]
 #: Bucket edges for the admission-score histogram: deciles of the
 #: predicted likelihood (a sigmoid output in [0, 1]; the overflow bucket
 #: is (0.9, 1.0]).  Ten bins is the conventional PSI granularity — the
-#: health layer computes per-window population-stability indices over
+#: ``score_drift`` SLO computes per-window population-stability indices over
 #: exactly these buckets to spot covariate shift under a fixed model.
 ADMISSION_SCORE_BUCKETS = (
     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,

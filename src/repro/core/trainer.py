@@ -47,7 +47,7 @@ traffic", stated as a contract.
 Every transition is loud: ``online.*`` / ``resilience.*`` counters and
 gauges plus span-tree events on the active :mod:`repro.obs` registry,
 and the ``logging.getLogger("repro.online")`` channel.  The three
-training-posture gauges the staleness SLO and ``HealthMonitor`` read
+training-posture gauges the ``staleness`` SLO objective reads
 (``online.windows_since_model``, ``online.consecutive_failures``,
 ``online.last_train_seconds``) are published at every window close.
 """

@@ -482,8 +482,8 @@ class FeatureTracker:
         One vectorised pass over the live rows — gather, subtract, mean —
         cheap enough to run at every training-window close, which is where
         :class:`repro.core.LFOOnline` publishes it as the
-        ``online.feature_*`` gauges the health layer's feature-drift
-        detectors watch.
+        ``online.feature_*`` gauges the ``feature_drift`` SLO objective
+        watches.
 
         Returns ``tracked`` (live objects), ``recency_mean`` (mean trace
         time since each object's last request — the gap_1 population), and

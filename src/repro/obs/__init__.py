@@ -27,17 +27,15 @@ On top of the cumulative registry sits the streaming layer:
 
 * :class:`WindowedRegistry` — delta-encoded telemetry windows in a
   bounded ring (``repro.obs.windows``);
-* :class:`HealthMonitor` — EWMA / Page-Hinkley / PSI drift detectors
-  over those windows (``repro.obs.health``);
 * :class:`SloEngine` — declarative objectives with error-budget burn
-  tracking (``repro.obs.slo``);
+  tracking, the Page-Hinkley / PSI / EWMA drift detectors among them
+  (``repro.obs.slo``);
 * :class:`MetricsServer` — stdlib HTTP export of ``/metrics``,
   ``/health``, ``/windows`` (``repro.obs.serve``).
 """
 
 from .export import JsonlSink, render_prometheus, write_json
 from .fold import fold_deltas
-from .health import HealthAlert, HealthConfig, HealthMonitor
 from .serve import MetricsServer
 from .slo import SloEngine, SloObjective, SloSpec
 from .windows import WindowedRegistry, WindowSnapshot, estimate_quantile
@@ -77,9 +75,6 @@ __all__ = [
     "WindowedRegistry",
     "WindowSnapshot",
     "estimate_quantile",
-    "HealthAlert",
-    "HealthConfig",
-    "HealthMonitor",
     "SloEngine",
     "SloObjective",
     "SloSpec",

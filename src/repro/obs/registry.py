@@ -317,7 +317,7 @@ class MetricsRegistry:
 
     # -- windowed-telemetry parity (see repro.obs.windows) -------------------
     # A cumulative registry has no window ring; these no-ops let producers
-    # call ``registry.maybe_roll()`` at checkpoints and health/SLO layers
+    # call ``registry.maybe_roll()`` at checkpoints and SLO engines
     # ``attach`` unconditionally.  :class:`repro.obs.WindowedRegistry`
     # overrides all of them.
 
@@ -334,12 +334,6 @@ class MetricsRegistry:
         return None
 
     def windows(self) -> list:
-        return []
-
-    def last_window(self) -> None:
-        return None
-
-    def window_series(self, name: str) -> list[float]:
         return []
 
     def to_windows_dict(self) -> dict:
@@ -359,8 +353,8 @@ class NullRegistry:
     nothing; counters/gauges/histograms are one shared inert instrument.
     The windowed-telemetry surface (:class:`repro.obs.WindowedRegistry`)
     is mirrored too — ``maybe_roll``/``roll`` return nothing, the ring is
-    always empty, ``on_close`` subscriptions are dropped — so health
-    monitors and SLO engines attach to a disabled registry without a
+    always empty, ``on_close`` subscriptions are dropped — so SLO
+    engines attach to a disabled registry without a
     single conditional at the call site.
     """
 
@@ -417,12 +411,6 @@ class NullRegistry:
         return None
 
     def windows(self) -> list:
-        return []
-
-    def last_window(self) -> None:
-        return None
-
-    def window_series(self, name: str) -> list[float]:
         return []
 
     def to_windows_dict(self) -> dict:

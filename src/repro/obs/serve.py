@@ -2,9 +2,9 @@
 
 A stdlib ``http.server`` wrapper that makes a running registry scrapeable
 without adding a single package: ``/metrics`` serves the Prometheus text
-exposition, ``/health`` a JSON verdict combining the SLO engine and
-health monitor (HTTP 503 while unhealthy, so a plain liveness probe
-works), and ``/windows`` the telemetry ring dump.
+exposition, ``/health`` the SLO engine's JSON verdict (HTTP 503 while an
+objective is breached, so a plain liveness probe works), and
+``/windows`` the telemetry ring dump.
 
 The server runs on a daemon thread and reads only snapshot methods that
 take the registry lock briefly — the simulation hot path never blocks on
@@ -18,7 +18,6 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .health import HealthMonitor
 from .registry import MetricsRegistry, NullRegistry
 from .slo import SloEngine
 
@@ -33,8 +32,6 @@ class MetricsServer:
         port: TCP port (0 = ephemeral, read :attr:`port` after start).
         host: bind address (loopback by default — this is a diagnostics
             port, not a public service).
-        health: optional :class:`~repro.obs.health.HealthMonitor` whose
-            status feeds ``/health``.
         slo: optional :class:`~repro.obs.slo.SloEngine` whose verdict
             feeds ``/health`` and decides the 200-vs-503 status code.
         prefix: Prometheus metric-name prefix for ``/metrics``.
@@ -45,12 +42,10 @@ class MetricsServer:
         registry: MetricsRegistry | NullRegistry,
         port: int = 0,
         host: str = "127.0.0.1",
-        health: HealthMonitor | None = None,
         slo: SloEngine | None = None,
         prefix: str = "repro",
     ) -> None:
         self.registry = registry
-        self.health = health
         self.slo = slo
         self.prefix = prefix
         self._httpd = ThreadingHTTPServer(
@@ -63,18 +58,11 @@ class MetricsServer:
     def health_payload(self) -> tuple[bool, dict]:
         """``(ok, body)`` for the ``/health`` endpoint (also used by the
         CLI's one-shot ``--check`` so both agree on the verdict)."""
-        ok = True
-        body: dict = {}
+        body: dict = {"ok": True}
         if self.slo is not None:
-            verdict = self.slo.verdict()
-            ok = ok and verdict["ok"]
-            body["slo"] = verdict
-        if self.health is not None:
-            status = self.health.status()
-            ok = ok and status["ok"]
-            body["health"] = status
-        body["ok"] = ok
-        return ok, body
+            body["slo"] = self.slo.verdict()
+            body["ok"] = body["slo"]["ok"]
+        return body["ok"], body
 
     def _make_handler(self):
         server = self

@@ -1,28 +1,46 @@
-"""Declarative SLOs with error-budget burn tracking over telemetry windows.
+"""Declarative SLOs and drift detectors judged over telemetry windows.
 
-The serving harness (ROADMAP item 5) needs a yes/no answer to "is the
-policy meeting its objectives *right now*", not a post-hoc report.  This
-module evaluates a declarative :class:`SloSpec` against every closed
-window of a :class:`~repro.obs.windows.WindowedRegistry`:
+The paper's robustness claim is that LFO keeps working *while traffic
+changes*, and the serving harness needs a yes/no answer to "is the
+policy meeting its objectives *right now*".  This module evaluates a
+declarative :class:`SloSpec` against every closed window of a
+:class:`~repro.obs.windows.WindowedRegistry`.  Threshold kinds:
 
 * **latency_quantile** — a window quantile of a latency histogram
   (default ``serve.decision_latency_seconds`` — the per-decision budget
   Cold-RL enforces inside NGINX) must stay ≤ ``max_value``;
 * **window_bhr** — the window byte hit ratio must stay ≥ ``min_value``;
 * **staleness** — ``online.windows_since_model`` (train-to-install lag)
-  must stay ≤ ``max_value`` windows.
+  must stay ≤ ``max_value`` windows;
+* **training_halted** — the ``resilience.training_halted`` flag must
+  stay ≤ ``max_value`` (0: retraining never gave up).
+
+Drift kinds, which carry detector memory from window to window:
+
+* **bhr_drift** — a one-sided Page-Hinkley test over the window BHR; the
+  accumulated shortfall must stay ≤ ``max_value`` (λ);
+* **score_drift** — the population-stability index between consecutive
+  windows of the ``metric`` histogram (``lfo.admission_score``).  A
+  score distribution that jumps while the model is fixed means the
+  *inputs* moved: covariate shift, visible before BHR sags;
+* **feature_drift** — the worst EWMA relative deviation of the
+  ``online.feature_*`` arena-summary gauges ``LFOOnline`` publishes.
+
+Every kind is a pure function of the window and its objective's own
+state, so a seeded replay violates in the same windows.
 
 Each objective carries an *error budget*: the fraction of windows over a
 rolling ``horizon`` that may violate it before the objective is
-**breached**.  The burn rate is the fraction of that budget currently
-consumed (1.0 = fully burned); a transition into breach raises an
-``slo.breach`` event and is reflected in the ``slo.breached_objectives``
-gauge, so breaches land in the same span ring and export surfaces as the
-health alerts.
+**breached** (budget 0: one bad window breaches, and the breach clears
+once that window ages out of the horizon).  The burn rate is the
+fraction of that budget currently consumed (1.0 = fully burned); a
+transition into breach raises an ``slo.breach`` event and is reflected
+in the ``slo.breached_objectives`` gauge.
 
 Windows with too little signal (fewer than ``min_count`` histogram
-observations, no request bytes) are *skipped*, not counted against the
-budget — an idle window is not an outage.
+observations, no request bytes, a detector still warming up) are
+*skipped*, not counted against the budget — an idle window is not an
+outage.
 """
 
 from __future__ import annotations
@@ -30,13 +48,21 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from math import log
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 from .registry import MetricsRegistry, NullRegistry
 from .windows import WindowSnapshot, window_bhr
 
-__all__ = ["SloObjective", "SloSpec", "SloEngine"]
+__all__ = [
+    "EwmaDetector",
+    "PageHinkley",
+    "SloObjective",
+    "SloSpec",
+    "SloEngine",
+    "population_stability_index",
+]
 
 DECISION_LATENCY_HISTOGRAM = "serve.decision_latency_seconds"
 #: Bounds for every per-decision latency histogram: 1µs .. 10ms with 1-2-5
@@ -47,8 +73,121 @@ DECISION_LATENCY_BUCKETS = (
     1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2,
 )
 STALENESS_GAUGE = "online.windows_since_model"
+_HALTED_GAUGE = "resilience.training_halted"
+_SCORE_HISTOGRAM = "lfo.admission_score"
+_MODEL_INSTALLS = "online.model_installs"
+#: Arena summaries ``LFOOnline`` publishes that describe the *workload*.
+#: The tracked-object count is absent: it saturates at the tracker
+#: capacity and would self-trigger.
+_FEATURE_GAUGES = ("online.feature_recency_mean", "online.feature_cost_mean")
 
-_KINDS = ("latency_quantile", "window_bhr", "staleness")
+#: Detector constants: Page-Hinkley per-window noise tolerance on BHR,
+#: windows that only build a baseline, and the feature EWMA smoothing.
+_PH_DELTA = 0.01
+_WARMUP = 3
+_EWMA_ALPHA = 0.3
+#: Probability floor for PSI bins: empty bins would make the log diverge.
+_PSI_EPS = 1e-6
+
+_KINDS = (
+    "latency_quantile", "window_bhr", "staleness", "training_halted",
+    "bhr_drift", "score_drift", "feature_drift",
+)
+
+
+def population_stability_index(
+    reference: Sequence[float], live: Sequence[float]
+) -> float:
+    """PSI between two aligned bucket-count vectors.
+
+    ``sum((p - q) * ln(p / q))`` over the shared buckets, with counts
+    normalised to probabilities and floored at ``1e-6``.  By convention
+    PSI < 0.1 is stable, 0.1–0.25 moderate shift, > 0.25 major shift.
+    """
+    if len(reference) != len(live):
+        raise ValueError("bucket vectors must be aligned")
+    ref_total = float(sum(reference))
+    live_total = float(sum(live))
+    if ref_total <= 0.0 or live_total <= 0.0:
+        return 0.0
+    psi = 0.0
+    for r, l in zip(reference, live):
+        p = max(l / live_total, _PSI_EPS)
+        q = max(r / ref_total, _PSI_EPS)
+        psi += (p - q) * log(p / q)
+    return psi
+
+
+class EwmaDetector:
+    """Exponentially weighted baseline with relative-deviation scores.
+
+    ``update(x)`` returns the relative deviation of ``x`` from the
+    baseline *before* folding ``x`` in, so a step change scores against
+    the pre-shift history.  The first ``warmup`` updates only build the
+    baseline (deviation 0.0).
+    """
+
+    def __init__(
+        self, alpha: float = _EWMA_ALPHA, warmup: int = _WARMUP
+    ) -> None:
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        self.alpha = alpha
+        self.warmup = warmup
+        self.mean: float | None = None
+        self.n = 0
+
+    def update(self, value: float) -> float:
+        previous = self.mean
+        self.n += 1
+        if previous is None:
+            self.mean = value
+            return 0.0
+        self.mean = previous + self.alpha * (value - previous)
+        if self.n <= self.warmup:
+            return 0.0
+        return abs(value - previous) / max(abs(previous), _PSI_EPS)
+
+
+class PageHinkley:
+    """One-sided Page-Hinkley test for a sustained *drop* in the mean.
+
+    Accumulates ``mean_so_far - x_t - delta`` (clamped at zero), where
+    ``delta`` absorbs benign noise; ``update`` returns the accumulator,
+    and an accumulator above ``lamb`` is an alarm — the series has run
+    below its historical mean by more than ``delta`` for long enough to
+    integrate to ``lamb``.  The test restarts after an alarm so a single
+    regime change raises one alarm, not one per window.
+    """
+
+    def __init__(
+        self, delta: float = _PH_DELTA, lamb: float = 0.1,
+        warmup: int = _WARMUP,
+    ) -> None:
+        if lamb <= 0.0:
+            raise ValueError("lamb must be positive")
+        self.delta = delta
+        self.lamb = lamb
+        self.warmup = warmup
+        self.reset()
+
+    def update(self, value: float) -> float:
+        self.n += 1
+        self._sum += value
+        if self.n <= self.warmup:
+            return 0.0
+        self.cumulative = max(
+            0.0, self.cumulative + (self._sum / self.n - value - self.delta)
+        )
+        statistic = self.cumulative
+        if statistic > self.lamb:
+            self.reset()
+        return statistic
+
+    def reset(self) -> None:
+        self.cumulative = 0.0
+        self._sum = 0.0
+        self.n = 0
 
 
 @dataclass(frozen=True)
@@ -57,15 +196,16 @@ class SloObjective:
 
     Attributes:
         name: stable identifier used in verdicts and events.
-        kind: one of ``latency_quantile`` / ``window_bhr`` / ``staleness``.
-        metric: histogram name for ``latency_quantile`` (ignored by the
-            other kinds, which read fixed signals).
+        kind: one of the module's threshold or drift kinds.
+        metric: histogram name for ``latency_quantile`` and
+            ``score_drift`` (ignored by the other kinds, which read fixed
+            signals).
         quantile: the percentile point for ``latency_quantile``.
-        max_value / min_value: the threshold (which one applies depends
-            on the kind).
+        max_value / min_value: the threshold (``window_bhr`` reads
+            ``min_value``, every other kind ``max_value``).
         budget: allowed bad-window *fraction* over the engine's horizon.
-        min_count: minimum observations for a window to be evaluable
-            (``latency_quantile`` only).
+        min_count: minimum histogram observations for a window to be
+            evaluable (``latency_quantile`` and ``score_drift``).
     """
 
     name: str
@@ -90,25 +230,71 @@ class SloObjective:
         if self.kind == "latency_quantile" and not 0.0 < self.quantile < 1.0:
             raise ValueError("quantile must be in (0, 1)")
 
-    def evaluate(self, snapshot: WindowSnapshot) -> tuple[bool | None, float]:
+    def evaluate(
+        self, snapshot: WindowSnapshot, state: "_ObjectiveState | None" = None
+    ) -> tuple[bool | None, float]:
         """``(ok, value)`` for one window; ``ok`` is None when the window
-        carries too little signal to judge (skipped, not counted)."""
-        if self.kind == "latency_quantile":
+        carries too little signal to judge (skipped, not counted).  The
+        drift kinds fold their detector memory into ``state``."""
+        state = state if state is not None else _ObjectiveState()
+        kind = self.kind
+        if kind == "latency_quantile":
             if snapshot.histogram_count(self.metric) < self.min_count:
                 return None, 0.0
             value = snapshot.quantile(self.metric, self.quantile)
-            assert self.max_value is not None
-            return value <= self.max_value, value
-        if self.kind == "window_bhr":
+        elif kind == "window_bhr":
             bhr = window_bhr(snapshot)
             if bhr is None:
                 return None, 0.0
             assert self.min_value is not None
             return bhr >= self.min_value, bhr
-        # staleness
-        value = snapshot.gauges.get(STALENESS_GAUGE)
-        if value is None:
-            return None, 0.0
+        elif kind in ("staleness", "training_halted"):
+            value = snapshot.gauges.get(
+                STALENESS_GAUGE if kind == "staleness" else _HALTED_GAUGE
+            )
+            if value is None:
+                return None, 0.0
+        elif kind == "bhr_drift":
+            bhr = window_bhr(snapshot)
+            if bhr is None:
+                return None, 0.0
+            if state.page_hinkley is None:
+                state.page_hinkley = PageHinkley(lamb=self.max_value)
+            value = state.page_hinkley.update(bhr)
+        elif kind == "score_drift":
+            hist = snapshot.histograms.get(self.metric)
+            if hist is None or hist["count"] < self.min_count:
+                return None, 0.0
+            if snapshot.delta(_MODEL_INSTALLS) > 0:
+                # A fresh model landed in this window, so its scores mix
+                # two models.  Drop the baseline AND burn one more window:
+                # the first full window under a new model is still
+                # transient (the feature state it scores against was
+                # accumulated for its predecessor), so PSI only compares
+                # windows scored by one settled model.
+                state.prev_counts = None
+                state.burn_in = 1
+                return None, 0.0
+            if state.burn_in > 0:
+                state.burn_in -= 1
+                return None, 0.0
+            previous, state.prev_counts = state.prev_counts, list(
+                hist["counts"]
+            )
+            if previous is None:
+                return None, 0.0
+            value = population_stability_index(previous, state.prev_counts)
+        else:  # feature_drift
+            deviations = [
+                state.ewma.setdefault(name, EwmaDetector()).update(
+                    snapshot.gauges[name]
+                )
+                for name in _FEATURE_GAUGES
+                if name in snapshot.gauges
+            ]
+            if not deviations:
+                return None, 0.0
+            value = max(deviations)
         assert self.max_value is not None
         return value <= self.max_value, value
 
@@ -141,13 +327,15 @@ class SloSpec:
 
     @classmethod
     def default(cls) -> "SloSpec":
-        """Tail decision latency, window BHR and model freshness.
+        """Tail decision latency, window BHR, model freshness and drift.
 
         Decision-latency ceilings (p50 ≤ 1 ms, p99 ≤ 2 ms, p999 ≤ 5 ms on
         ``serve.decision_latency_seconds``) are deliberately generous
         against the microsecond-scale decisions the engine makes — they
         gate *pathology* (a stall on the scoring path, training leaking
-        into it), not CPU luck, so the gate holds on noisy CI hosts.
+        into it), not CPU luck, so the gate holds on noisy CI hosts.  The
+        drift detectors and the halt flag have no budget: one bad window
+        breaches.
         """
         latency = "latency_quantile"
         return cls(objectives=(
@@ -160,6 +348,15 @@ class SloSpec:
             SloObjective("window_bhr", "window_bhr", min_value=0.2,
                          budget=0.2),
             SloObjective("train_to_install", "staleness", max_value=8.0),
+            SloObjective("bhr_drift", "bhr_drift", max_value=0.10,
+                         budget=0.0),
+            SloObjective("score_drift", "score_drift",
+                         metric=_SCORE_HISTOGRAM, max_value=0.25,
+                         budget=0.0, min_count=200),
+            SloObjective("feature_drift", "feature_drift", max_value=2.0,
+                         budget=0.0),
+            SloObjective("training_halted", "training_halted",
+                         max_value=0.0, budget=0.0),
         ))
 
     @classmethod
@@ -196,19 +393,22 @@ class SloSpec:
 
 @dataclass
 class _ObjectiveState:
-    """Rolling verdict window for one objective."""
+    """Rolling verdict window for one objective, plus the detector memory
+    the drift kinds fold window by window."""
 
     verdicts: deque = field(default_factory=deque)
     last_value: float = 0.0
     evaluated: int = 0
     violations: int = 0
     breached: bool = False
+    page_hinkley: PageHinkley | None = None
+    prev_counts: list[float] | None = None
+    burn_in: int = 0
+    ewma: dict[str, EwmaDetector] = field(default_factory=dict)
 
 
 class SloEngine:
-    """Evaluates an :class:`SloSpec` against the window stream.
-
-    Usage mirrors :class:`~repro.obs.health.HealthMonitor`::
+    """Evaluates an :class:`SloSpec` against the window stream::
 
         engine = SloEngine(SloSpec.default()).attach(registry)
         ...run...
@@ -251,7 +451,7 @@ class SloEngine:
         newly_breached: list[str] = []
         for objective in self.spec.objectives:
             state = self._states[objective.name]
-            ok, value = objective.evaluate(snapshot)
+            ok, value = objective.evaluate(snapshot, state)
             if ok is None:
                 continue
             state.evaluated += 1

@@ -28,8 +28,8 @@ Design constraints, in order:
   tests can drive durations logically.
 
 Downstream consumers subscribe with :meth:`WindowedRegistry.on_close`:
-:class:`repro.obs.health.HealthMonitor` and
-:class:`repro.obs.slo.SloEngine` both attach this way.
+:class:`repro.obs.slo.SloEngine` (objectives and drift detectors alike)
+attaches this way.
 """
 
 from __future__ import annotations
@@ -137,18 +137,6 @@ class WindowSnapshot:
         """This window's delta of counter ``name`` (0.0 if absent)."""
         return self.counters.get(name, 0.0)
 
-    def rate(self, name: str) -> float:
-        """Counter delta per second of window wall time (0.0 if unknown)."""
-        if self.duration <= 0.0:
-            return 0.0
-        return self.delta(name) / self.duration
-
-    def per_request(self, name: str) -> float:
-        """Counter delta per request observed in the window."""
-        if self.requests <= 0:
-            return 0.0
-        return self.delta(name) / self.requests
-
     def quantile(self, name: str, q: float) -> float:
         """Window quantile of histogram ``name`` (0.0 when absent/empty)."""
         hist = self.histograms.get(name)
@@ -217,8 +205,8 @@ class WindowedRegistry(MetricsRegistry):
     Producers call :meth:`maybe_roll` at natural checkpoints (the
     simulator's counter-fold boundaries, a serving loop's batch edges).
     The check is O(1); the roll itself takes the registry lock once per
-    window.  ``on_close`` callbacks (health detectors, SLO engines,
-    ``--follow`` renderers) run after the lock is released.
+    window.  ``on_close`` callbacks (SLO engines, ``--follow``
+    renderers) run after the lock is released.
 
     Args:
         every_requests: request-count window length (at least 1).
@@ -372,15 +360,6 @@ class WindowedRegistry(MetricsRegistry):
         """The retained windows, oldest first."""
         with self._lock:
             return list(self._ring)
-
-    def last_window(self) -> WindowSnapshot | None:
-        """The most recently closed window, or None before the first roll."""
-        with self._lock:
-            return self._ring[-1] if self._ring else None
-
-    def window_series(self, name: str) -> list[float]:
-        """Counter ``name``'s delta across the retained windows."""
-        return [snap.delta(name) for snap in self.windows()]
 
     def to_windows_dict(self) -> dict:
         """JSON-safe dump of the ring (the ``/windows`` endpoint body)."""

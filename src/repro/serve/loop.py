@@ -111,7 +111,7 @@ class ServingLoop:
     consumer (the :meth:`run` coroutine itself) drains it in batches
     through a :class:`~repro.serve.BatchScorer`.  Telemetry rolls at
     batch edges (``registry.maybe_roll()``), so window closes — and the
-    SLO/health engines subscribed to them — happen on the serving path
+    SLO engine subscribed to them — happen on the serving path
     with bounded staleness.
 
     ``on_decision(request, hit)`` is invoked per request after its batch

@@ -446,15 +446,15 @@ class DetectorPurityRuleTest(unittest.TestCase):
         found = check_sources(
             {
                 "repro.obs.custom": textwrap.dedent(
-                    "from repro.obs.health import HealthMonitor\n"
-                    "class Direct(HealthMonitor):\n"
-                    "    def _check_thing(self, snapshot, out):\n"
+                    "from repro.obs.slo import SloObjective\n"
+                    "class Direct(SloObjective):\n"
+                    "    def evaluate(self, snapshot, state=None):\n"
                     "        print(snapshot)\n"
-                    "class Transitive(HealthMonitor):\n"
-                    "    def _check_thing(self, snapshot, out):\n"
-                    "        self._note(snapshot)\n"
+                    "class Transitive(SloObjective):\n"
+                    "    def evaluate(self, snapshot, state=None):\n"
+                    "        return self._note(snapshot)\n"
                     "    def _note(self, snapshot):\n"
-                    "        self._registry.counter('health.notes').inc()\n"
+                    "        self._registry.counter('slo.notes').inc()\n"
                 ),
             },
             select=["xf-detector-purity"],
@@ -470,13 +470,13 @@ class DetectorPurityRuleTest(unittest.TestCase):
             fired(
                 {
                     "repro.obs.custom": (
-                        "from repro.obs.health import HealthMonitor\n"
-                        "class Pure(HealthMonitor):\n"
-                        "    def _check_thing(self, snapshot, out):\n"
-                        "        self._state['last'] = snapshot.bhr\n"
-                        "        if snapshot.bhr is not None "
-                        "and snapshot.bhr < 0.1:\n"
-                        "            out.append(('bhr', snapshot.index))\n"
+                        "from repro.obs.slo import SloObjective\n"
+                        "class Pure(SloObjective):\n"
+                        "    def evaluate(self, snapshot, state=None):\n"
+                        "        state.last_value = snapshot.bhr\n"
+                        "        if snapshot.bhr is None:\n"
+                        "            return None, 0.0\n"
+                        "        return snapshot.bhr >= 0.1, snapshot.bhr\n"
                     )
                 },
                 select=["xf-detector-purity"],
@@ -489,8 +489,8 @@ class DetectorPurityRuleTest(unittest.TestCase):
             fired(
                 {
                     "repro.obs.custom": (
-                        "class NotAMonitor:\n"
-                        "    def _check_thing(self, snapshot, out):\n"
+                        "class NotAnObjective:\n"
+                        "    def evaluate(self, snapshot, state=None):\n"
                         "        print(snapshot)\n"
                     )
                 },

@@ -7,8 +7,6 @@ import urllib.request
 import pytest
 
 from repro.obs import (
-    HealthConfig,
-    HealthMonitor,
     MetricsRegistry,
     MetricsServer,
     SloEngine,
@@ -72,20 +70,17 @@ class TestHealthEndpoint:
 
     def test_healthy_returns_200(self, windowed_registry):
         engine = SloEngine(self.spec()).attach(windowed_registry)
-        monitor = HealthMonitor().attach(windowed_registry)
         windowed_registry.counter("sim.hit_bytes").inc(700)
         windowed_registry.counter("sim.miss_bytes").inc(300)
         windowed_registry.roll()
-        with MetricsServer(
-            windowed_registry, port=0, health=monitor, slo=engine
-        ) as server:
+        with MetricsServer(windowed_registry, port=0, slo=engine) as server:
             status, body, headers = fetch(server.port, "/health")
         assert status == 200
         assert headers["Content-Type"] == "application/json"
         payload = json.loads(body)
         assert payload["ok"] is True
         assert payload["slo"]["ok"] is True
-        assert payload["health"]["ok"] is True
+        assert set(payload) == {"ok", "slo"}
 
     def test_breached_slo_returns_503(self):
         registry = WindowedRegistry(every_requests=100)
@@ -99,6 +94,33 @@ class TestHealthEndpoint:
         payload = json.loads(body)
         assert payload["ok"] is False
         assert payload["slo"]["objectives"]["bhr"]["ok"] is False
+
+    def test_detector_breach_clears_after_horizon(self):
+        """A detector violation answers 503 until ``horizon`` clean
+        windows age it out, then /health is 200 again."""
+        registry = WindowedRegistry(every_requests=100)
+        engine = SloEngine(SloSpec(
+            objectives=(
+                SloObjective("training_halted", "training_halted",
+                             max_value=0.0, budget=0.0),
+            ),
+            horizon=3,
+        )).attach(registry)
+        halted = registry.gauge("resilience.training_halted")
+        halted.set(1.0)
+        registry.roll()
+        with MetricsServer(registry, port=0, slo=engine) as server:
+            status, body, _ = fetch(server.port, "/health")
+            assert status == 503
+            assert json.loads(body)["slo"]["objectives"][
+                "training_halted"]["violations"] == 1
+            halted.set(0.0)
+            for clean in range(3):
+                assert fetch(server.port, "/health")[0] == 503
+                registry.roll()
+            status, body, _ = fetch(server.port, "/health")
+        assert status == 200
+        assert json.loads(body)["ok"] is True
 
     def test_no_attachments_is_vacuously_healthy(self, windowed_registry):
         with MetricsServer(windowed_registry, port=0) as server:

@@ -106,7 +106,14 @@ class TestSloSpec:
         assert [o.name for o in spec.objectives] == [
             "decision_latency_p50", "decision_latency_p99",
             "decision_latency_p999", "window_bhr", "train_to_install",
+            "bhr_drift", "score_drift", "feature_drift", "training_halted",
         ]
+        drift = {o.name: o for o in spec.objectives[5:]}
+        assert all(o.kind == o.name and o.budget == 0.0
+                   for o in drift.values())
+        assert [o.max_value for o in drift.values()] == [0.10, 0.25, 2.0, 0.0]
+        assert drift["score_drift"].metric == "lfo.admission_score"
+        assert drift["score_drift"].min_count == 200
         latency = [o for o in spec.objectives if o.kind == "latency_quantile"]
         assert {o.metric for o in latency} == {
             "serve.decision_latency_seconds"

@@ -7,8 +7,8 @@ The load-bearing claims, each pinned here:
   ``tests/test_engines_differential.py``;)
 * **zero dropped requests** is structural — a full queue backpressures
   the producer, and cancellation drains everything queued;
-* warm model handoff raises **no PSI false alarm** — the health
-  monitor's burn-in skips the install window;
+* warm model handoff raises **no PSI false alarm** — the
+  ``score_drift`` objective's burn-in skips the install window;
 * abrupt cancellation flushes the final partial telemetry window
   **exactly once** (the JSONL sink sees every window, no duplicates);
 * fault plans compose: a hung trainer engages the watchdog without
@@ -23,8 +23,6 @@ import pytest
 from repro.core import LFOOnline, OptLabelConfig
 from repro.gbdt import GBDTParams
 from repro.obs import (
-    HealthConfig,
-    HealthMonitor,
     JsonlSink,
     SloEngine,
     SloSpec,
@@ -113,22 +111,23 @@ class TestBackpressure:
 
 class TestWarmHandoff:
     def test_handoff_raises_no_score_drift_alert(self, trace):
+        # 250-request windows: each 1000-request training window leaves
+        # settled windows between installs for the PSI to compare.
         registry = WindowedRegistry(
-            every_requests=500, ring=64, request_counter="serve.requests"
+            every_requests=250, ring=64, request_counter="serve.requests"
         )
-        monitor = HealthMonitor(HealthConfig()).attach(registry)
         engine = SloEngine(SloSpec.default()).attach(registry)
         with use_registry(registry):
             policy = make_policy(trace)
             report = serve(trace, policy)
         assert report.model_handoffs >= 1
-        assert monitor.windows_observed > 0
         # PSI burn-in: the install window resets the score baseline, so
-        # a warm handoff must never read as score drift.
-        by_kind = monitor.status()["alerts_by_kind"]
-        assert by_kind.get("score_drift", 0) == 0
-        verdict = engine.verdict()
-        assert verdict["objectives"]["decision_latency_p999"]["ok"]
+        # a warm handoff must never read as score drift — and the detector
+        # must actually have judged windows for that to mean anything.
+        objectives = engine.verdict()["objectives"]
+        assert objectives["score_drift"]["violations"] == 0
+        assert objectives["score_drift"]["evaluated_windows"] > 0
+        assert objectives["decision_latency_p999"]["ok"]
 
     def test_handoff_counter_matches_report(self, trace):
         registry = WindowedRegistry(

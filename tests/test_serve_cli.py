@@ -1,7 +1,8 @@
 """Tests for the ``lfo serve`` command-line surface.
 
 Exit-code contract: 0 = run completed and the verdict is healthy,
-1 = verdict breached (SLO burn, health alert, or a dropped request),
+1 = verdict breached (an SLO objective — drift detectors included — or a
+dropped request),
 2 = unusable invocation (bad SLO spec, no trace source).
 """
 
@@ -98,7 +99,7 @@ class TestCleanRun:
         assert verdict["serve"]["requests"] == 2000
         assert verdict["serve"]["dropped"] == 0
         assert verdict["serve"]["drained"] is True
-        assert verdict["health"]["ok"] is True
+        assert "health" not in verdict
         assert "decision_latency_p999" in verdict["slo"]["objectives"]
 
     def test_human_summary(self, trace_file, capsys):
