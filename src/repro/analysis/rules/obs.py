@@ -25,19 +25,15 @@ __all__ = ["ObsLiteralNameRule", "ObsNameStyleRule", "ObsNameUniqueRule"]
 #: Dotted snake_case: ``online.skipped_retrains``, ``sim.hits`` ...
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
 
-#: Functions allowed to forward a ``name`` parameter into a factory call:
-#: the registry/tracer wrapper layer itself.
-_FORWARDER_NAMES = FACTORY_ATTRS | {"traced"}
-
 
 def _is_forwarded_param(name_arg: ast.AST, stack: list) -> bool:
     """True when the name argument is a parameter the enclosing wrapper
-    (itself named counter/gauge/histogram/span/traced) forwards verbatim —
+    (itself named counter/gauge/histogram/span/event) forwards verbatim —
     the registry implementation layer, not an instrumentation call site."""
     if not isinstance(name_arg, ast.Name):
         return False
     for fn in stack:
-        if fn.name not in _FORWARDER_NAMES:
+        if fn.name not in FACTORY_ATTRS:
             continue
         params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
         if any(p.arg == name_arg.id for p in params):

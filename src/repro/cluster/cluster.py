@@ -56,7 +56,6 @@ from .worker import ShardConfig, shard_main
 
 if TYPE_CHECKING:  # annotation only; avoids repro.core import at runtime.
     from ..core.lfo import LFOModel
-    from ..gbdt import CompiledPredictor
 
 __all__ = ["CacheCluster"]
 
@@ -208,22 +207,11 @@ class CacheCluster:
         cluster-wide at the shards' next batch boundary.
         """
         generation = self.slab.publish_model(model)
-        self._note_publish(generation)
-        return generation
-
-    def publish_predictor(
-        self, predictor: "CompiledPredictor", cutoff: float, n_gaps: int
-    ) -> int:
-        """Publish a bare compiled predictor (no ``LFOModel`` wrapper)."""
-        generation = self.slab.publish(predictor, cutoff, n_gaps)
-        self._note_publish(generation)
-        return generation
-
-    def _note_publish(self, generation: int) -> None:
         registry = get_registry()
         if registry.enabled:
             registry.counter("cluster.publishes").inc()
             registry.gauge("cluster.generation").set(float(generation))
+        return generation
 
     # -- request path --------------------------------------------------------
 

@@ -103,7 +103,6 @@ class LFOModel:
         dataset: Dataset,
         params: GBDTParams | None = None,
         cutoff: float = 0.5,
-        eval_set: tuple[np.ndarray, np.ndarray] | None = None,
         binning: tuple | None = None,
     ) -> "LFOModel":
         """Train a model on a (features, OPT labels) dataset.
@@ -114,7 +113,7 @@ class LFOModel:
         request path never pays compilation cost.
         """
         classifier = GBDTClassifier(params or GBDTParams())
-        classifier.fit(dataset.X, dataset.y, eval_set=eval_set, binning=binning)
+        classifier.fit(dataset.X, dataset.y, binning=binning)
         classifier.compiled()
         n_gaps = len(dataset.names) - 3
         return cls(classifier=classifier, cutoff=cutoff, n_gaps=n_gaps)

@@ -489,7 +489,6 @@ class WindowTrainer:
         self.n_failed_retrains += 1
         registry = get_registry()
         registry.counter("online.failed_retrains").inc()
-        registry.counter("online_trainer_errors").inc()
         logger.warning(
             "%s (%s); keeping current model",
             what, type(exc).__name__, exc_info=exc,

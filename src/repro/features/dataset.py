@@ -1,22 +1,17 @@
-"""Assembling (features, OPT label) training datasets from a trace window.
+"""The (features, OPT label) training dataset and its gap thinning.
 
-This ties the substrates together: walk the window once, emitting each
-request's online feature vector *as it would have been observed live* (the
-free-bytes feature comes from simulating a cache alongside), paired with the
-OPT decision computed offline for the same window.
+:func:`repro.core.prepare_windows` assembles one per window: each
+request's online feature vector *as it would have been observed live*,
+paired with the OPT decision computed offline for the same window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..trace import Trace
-from .tracker import FeatureTracker, feature_names
-
-__all__ = ["Dataset", "build_features", "build_dataset", "thin_gaps"]
+__all__ = ["Dataset", "thin_gaps"]
 
 
 @dataclass
@@ -33,68 +28,6 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         """Row subset (e.g. for subsampling experiments)."""
         return Dataset(self.X[idx], self.y[idx], self.names)
-
-
-def build_features(
-    trace: Trace,
-    tracker: FeatureTracker,
-    free_bytes_fn: Callable[[int], int] | None = None,
-    cache_size: int = 0,
-) -> np.ndarray:
-    """Feature matrix for every request of a window, in trace order.
-
-    Args:
-        trace: the window to featurise.
-        tracker: feature state, mutated in place (pass a fresh tracker for
-            an isolated window, or carry one across windows for the online
-            pipeline).
-        free_bytes_fn: called with the request index, returns the cache's
-            free bytes observed at that request.  When None, a pessimistic
-            constant (``cache_size``) is used.
-        cache_size: fallback free-bytes value when ``free_bytes_fn`` is None.
-    """
-    if free_bytes_fn is not None:
-        free = np.array(
-            [free_bytes_fn(i) for i in range(len(trace))],
-            dtype=np.float64,
-        )
-    else:
-        free = float(cache_size)
-    return tracker.features_batch(
-        trace.objs.tolist(), trace.times, trace.sizes, trace.costs, free,
-        update=True,
-    )
-
-
-def build_dataset(
-    trace: Trace,
-    decisions: np.ndarray,
-    tracker: FeatureTracker | None = None,
-    free_bytes: np.ndarray | None = None,
-    cache_size: int = 0,
-) -> Dataset:
-    """Pair per-request features with OPT labels for a window.
-
-    Args:
-        trace: the window.
-        decisions: OPT's per-request admission decisions (same length).
-        tracker: optional pre-warmed tracker (fresh one created if None).
-        free_bytes: optional per-request observed free bytes; constant
-            ``cache_size`` when omitted.
-        cache_size: fallback free-bytes constant.
-    """
-    if len(decisions) != len(trace):
-        raise ValueError("decisions length must match trace length")
-    if tracker is None:
-        tracker = FeatureTracker()
-    fn = None
-    if free_bytes is not None:
-        if len(free_bytes) != len(trace):
-            raise ValueError("free_bytes length must match trace length")
-        fn = lambda i: int(free_bytes[i])  # noqa: E731
-    X = build_features(trace, tracker, free_bytes_fn=fn, cache_size=cache_size)
-    y = np.asarray(decisions, dtype=np.float64)
-    return Dataset(X, y, feature_names(tracker.n_gaps))
 
 
 def thin_gaps(dataset: Dataset, keep_gaps: list[int]) -> Dataset:

@@ -7,20 +7,14 @@ both claims testable:
 
 * :func:`quantize_features` rounds features to a given number of
   significand bits (what a lossy fixed-width encoding would store);
-* :func:`add_relative_noise` perturbs features multiplicatively;
-* :func:`feature_bits_required` reports the naive storage width a column
-  needs after quantisation.
+* :func:`add_relative_noise` perturbs features multiplicatively.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "quantize_features",
-    "add_relative_noise",
-    "feature_bits_required",
-]
+__all__ = ["quantize_features", "add_relative_noise"]
 
 
 def quantize_features(X: np.ndarray, bits: int) -> np.ndarray:
@@ -63,20 +57,3 @@ def add_relative_noise(
         rng = np.random.default_rng(0)
     X = np.asarray(X, dtype=np.float64)
     return X * (1.0 + rng.normal(0.0, scale, size=X.shape))
-
-
-def feature_bits_required(X: np.ndarray, bits: int) -> int:
-    """Bits per value of a naive (exponent + mantissa) encoding.
-
-    The exponent range is derived from the data; the mantissa takes
-    ``bits`` bits.  Used by the memory-accounting ablation to translate
-    quantisation levels into tracker bytes.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    mags = np.abs(X[X != 0])
-    if len(mags) == 0:
-        return bits
-    exponents = np.floor(np.log2(mags))
-    exp_range = int(exponents.max() - exponents.min()) + 1
-    exponent_bits = max(1, int(np.ceil(np.log2(exp_range + 1))))
-    return exponent_bits + bits

@@ -1,9 +1,9 @@
 """Histogram-based gradient-boosted decision trees (LightGBM substitute)."""
 
 from .binning import BinMapper
-from .boosting import GBDTClassifier, GBDTParams, GBDTRegressor
+from .boosting import GBDTClassifier, GBDTParams
 from .compiled import CompiledPredictor, kernel_available
-from .losses import LogisticLoss, SquaredLoss, sigmoid
+from .losses import LogisticLoss, sigmoid
 from .tree import Tree, TreeGrowthParams, grow_tree
 
 __all__ = [
@@ -11,9 +11,7 @@ __all__ = [
     "CompiledPredictor",
     "GBDTClassifier",
     "GBDTParams",
-    "GBDTRegressor",
     "LogisticLoss",
-    "SquaredLoss",
     "kernel_available",
     "sigmoid",
     "Tree",

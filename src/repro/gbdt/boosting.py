@@ -9,7 +9,7 @@ in Figure 5c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -17,10 +17,10 @@ import numpy as np
 from ..obs import get_registry
 from .binning import BinMapper
 from .compiled import CompiledPredictor
-from .losses import LogisticLoss, SquaredLoss
+from .losses import LogisticLoss
 from .tree import Tree, TreeGrowthParams, _bin_counts, _grow, _split_tables
 
-__all__ = ["GBDTParams", "GBDTClassifier", "GBDTRegressor", "bin_matrix"]
+__all__ = ["GBDTParams", "GBDTClassifier", "bin_matrix"]
 
 
 def bin_matrix(X: np.ndarray, max_bins: int) -> tuple:
@@ -45,7 +45,6 @@ class GBDTParams:
     bagging_fraction: float = 1.0
     feature_fraction: float = 1.0
     seed: int = 0
-    early_stopping_rounds: int = 0  # 0 disables early stopping
 
     def tree_params(self) -> TreeGrowthParams:
         """Per-tree growth parameters derived from the boosting params."""
@@ -59,10 +58,8 @@ class GBDTParams:
         )
 
 
-class _GBDTBase:
-    """Shared fit/predict machinery for classifier and regressor."""
-
-    _loss_cls: type
+class GBDTClassifier:
+    """Binary classifier with logistic loss (the LFO predictor)."""
 
     def __init__(self, params: GBDTParams | None = None, **overrides) -> None:
         base = params or GBDTParams()
@@ -73,8 +70,6 @@ class _GBDTBase:
         self.mapper: BinMapper | None = None
         self.init_score: float = 0.0
         self.n_features: int | None = None
-        self.best_iteration: int | None = None
-        self.eval_history: list[float] = []
         self._compiled: CompiledPredictor | None = None
 
     # -- training ---------------------------------------------------------
@@ -83,16 +78,13 @@ class _GBDTBase:
         self,
         X: np.ndarray,
         y: np.ndarray,
-        eval_set: tuple[np.ndarray, np.ndarray] | None = None,
         binning: tuple[np.ndarray, BinMapper, np.ndarray] | None = None,
-    ) -> "_GBDTBase":
+    ) -> "GBDTClassifier":
         """Fit the ensemble.
 
         Args:
             X: (n_samples, n_features) float matrix; must be finite.
-            y: labels — {0,1} for the classifier, reals for the regressor.
-            eval_set: optional (X_val, y_val) used for loss tracking and,
-                when ``early_stopping_rounds > 0``, early stopping.
+            y: {0,1} labels.
             binning: :func:`bin_matrix` of this very ``X``, made in advance.
         """
         params = self.params
@@ -106,28 +98,17 @@ class _GBDTBase:
             raise ValueError("X and y length mismatch")
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        loss = self._loss_cls
 
         self.n_features = X.shape[1]
         _, self.mapper, binned = binning or bin_matrix(X, params.max_bins)
-        self.init_score = loss.init_score(y)
+        self.init_score = LogisticLoss.init_score(y)
         raw = np.full(len(y), self.init_score, dtype=np.float64)
-
-        if eval_set is not None:
-            X_val = np.asarray(eval_set[0], dtype=np.float64)
-            y_val = np.asarray(eval_set[1], dtype=np.float64)
-            raw_val = np.full(len(y_val), self.init_score, dtype=np.float64)
-        else:
-            X_val = y_val = raw_val = None
 
         self._compiled = None
         rng = np.random.default_rng(params.seed)
         n = len(y)
         tree_params = params.tree_params()
         self.trees = []
-        self.eval_history = []
-        best_val = np.inf
-        best_iter = 0
 
         # Per-iteration training time (gradients + tree growth + score
         # update); gated so a disabled registry costs nothing per iteration.
@@ -144,9 +125,9 @@ class _GBDTBase:
                 binned, n_bins, np.arange(self.n_features, dtype=np.int64)
             )
 
-        for iteration in range(params.num_iterations):
+        for _ in range(params.num_iterations):
             iteration_start = perf_counter() if timing else 0.0
-            grad, hess = loss.grad_hess(y, raw)
+            grad, hess = LogisticLoss.grad_hess(y, raw)
             sample_idx = None
             if params.bagging_fraction < 1.0:
                 k = max(1, int(round(params.bagging_fraction * n)))
@@ -171,21 +152,6 @@ class _GBDTBase:
                 raw += params.learning_rate * tree.predict_binned(binned)
             if timing:
                 iteration_hist.observe(perf_counter() - iteration_start)
-
-            if X_val is not None:
-                raw_val += params.learning_rate * tree.predict_raw_values(X_val)
-                val_loss = loss.loss(y_val, raw_val)
-                self.eval_history.append(val_loss)
-                if val_loss < best_val - 1e-12:
-                    best_val = val_loss
-                    best_iter = iteration + 1
-                if (
-                    params.early_stopping_rounds > 0
-                    and iteration + 1 - best_iter >= params.early_stopping_rounds
-                ):
-                    self.trees = self.trees[:best_iter]
-                    break
-        self.best_iteration = best_iter if X_val is not None else len(self.trees)
         return self
 
     # -- prediction ---------------------------------------------------------
@@ -225,16 +191,13 @@ class _GBDTBase:
             raw += self.params.learning_rate * tree.predict_raw_values(X)
         return raw
 
-    def staged_predict_raw(self, X: np.ndarray):
-        """Yield raw scores after each boosting iteration (for learning
-        curves and iteration-count diagnostics)."""
-        if self.mapper is None:
-            raise RuntimeError("model is not fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        raw = np.full(X.shape[0], self.init_score, dtype=np.float64)
-        for tree in self.trees:
-            raw = raw + self.params.learning_rate * tree.predict_raw_values(X)
-            yield raw
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Probability of the positive class per sample."""
+        return LogisticLoss.transform(self.predict_raw(X))
+
+    def predict(self, X: np.ndarray, cutoff: float = 0.5) -> np.ndarray:
+        """Boolean predictions at a probability cutoff."""
+        return self.predict_proba(X) >= cutoff
 
     def feature_importance(self, kind: str = "split") -> np.ndarray:
         """Per-feature importance.
@@ -281,7 +244,7 @@ class _GBDTBase:
         }
 
     @classmethod
-    def from_dict(cls, state: dict) -> "_GBDTBase":
+    def from_dict(cls, state: dict) -> "GBDTClassifier":
         """Inverse of :meth:`to_dict`."""
         model = cls(GBDTParams(**state["params"]))
         model.init_score = state["init_score"]
@@ -289,27 +252,3 @@ class _GBDTBase:
         model.mapper = BinMapper.from_dict(state["mapper"])
         model.trees = [Tree.from_dict(t) for t in state["trees"]]
         return model
-
-
-class GBDTClassifier(_GBDTBase):
-    """Binary classifier with logistic loss (the LFO predictor)."""
-
-    _loss_cls = LogisticLoss
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Probability of the positive class per sample."""
-        return LogisticLoss.transform(self.predict_raw(X))
-
-    def predict(self, X: np.ndarray, cutoff: float = 0.5) -> np.ndarray:
-        """Boolean predictions at a probability cutoff."""
-        return self.predict_proba(X) >= cutoff
-
-
-class GBDTRegressor(_GBDTBase):
-    """Squared-loss regressor (generic substrate reuse)."""
-
-    _loss_cls = SquaredLoss
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted values."""
-        return self.predict_raw(X)

@@ -1,6 +1,6 @@
 """Compiled ensemble inference: the scoring hot path in flat-array form.
 
-The reference predictor (:meth:`repro.gbdt.boosting._GBDTBase.predict_raw`)
+The reference predictor (:meth:`repro.gbdt.boosting.GBDTClassifier.predict_raw`)
 walks every tree's Python-list node tables per call.  That is fine for
 training-time evaluation but far too slow for the paper's Figure 7 claim
 that LFO inference sustains CDN line rate.  :class:`CompiledPredictor`

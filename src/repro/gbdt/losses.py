@@ -1,6 +1,6 @@
-"""Loss functions for gradient boosting.
+"""The logistic loss of gradient boosting.
 
-Each loss provides the per-sample gradient and hessian of the objective with
+It provides the per-sample gradient and hessian of the objective with
 respect to the raw (pre-link) score, plus the constant initial score that
 minimises the loss — the standard second-order boosting setup.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LogisticLoss", "SquaredLoss", "sigmoid"]
+__all__ = ["LogisticLoss", "sigmoid"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -48,29 +48,3 @@ class LogisticLoss:
         """Mean binary cross-entropy."""
         p = np.clip(sigmoid(raw), 1e-12, 1 - 1e-12)
         return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
-
-
-class SquaredLoss:
-    """Mean squared error on raw scores (regression)."""
-
-    name = "l2"
-
-    @staticmethod
-    def init_score(y: np.ndarray) -> float:
-        """The mean minimises squared error."""
-        return float(y.mean())
-
-    @staticmethod
-    def grad_hess(y: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient ``raw - y`` and unit hessian."""
-        return raw - y, np.ones_like(raw)
-
-    @staticmethod
-    def transform(raw: np.ndarray) -> np.ndarray:
-        """Identity link."""
-        return raw
-
-    @staticmethod
-    def loss(y: np.ndarray, raw: np.ndarray) -> float:
-        """Mean squared error."""
-        return float(((raw - y) ** 2).mean())

@@ -48,7 +48,6 @@ from .registry import (
     NullRegistry,
     get_registry,
     set_registry,
-    traced,
     use_registry,
 )
 from .tracing import NullSpan, Span, SpanAggregate, Tracer
@@ -63,7 +62,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "traced",
     "Span",
     "NullSpan",
     "SpanAggregate",

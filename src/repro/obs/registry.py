@@ -25,13 +25,9 @@ import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from math import isfinite
-from functools import wraps
-from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator
 
 from .tracing import NullSpan, Span, Tracer
-
-_F = TypeVar("_F", bound=Callable[..., Any])
 
 __all__ = [
     "Counter",
@@ -43,7 +39,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "traced",
 ]
 
 #: Default histogram bounds for durations in seconds: 1µs .. 10s, decades.
@@ -216,7 +211,43 @@ class _NullInstrument:
 _NULL_INSTRUMENT = _NullInstrument()
 
 
-class MetricsRegistry:
+class _NoWindows:
+    """The windowed-telemetry surface of a registry with no window ring.
+
+    A cumulative or disabled registry has no windows; these no-ops let
+    producers call ``registry.maybe_roll()`` at checkpoints and SLO
+    engines ``attach`` unconditionally.  :class:`repro.obs.WindowedRegistry`
+    overrides all of them.
+    """
+
+    every_requests = 0
+
+    def on_close(self, callback: Callable[[Any], None]) -> None:
+        pass
+
+    def maybe_roll(self) -> None:
+        return None
+
+    def roll(self) -> None:
+        return None
+
+    def flush(self) -> None:
+        return None
+
+    def windows(self) -> list:
+        return []
+
+    def to_windows_dict(self) -> dict:
+        return {
+            "mode": "disabled",
+            "every_requests": 0,
+            "ring": 0,
+            "next_index": 0,
+            "windows": [],
+        }
+
+
+class MetricsRegistry(_NoWindows):
     """Named instruments plus a span tracer, with snapshot exporters.
 
     Args:
@@ -227,7 +258,6 @@ class MetricsRegistry:
     """
 
     enabled = True
-    every_requests = 0
 
     def __init__(
         self,
@@ -301,12 +331,6 @@ class MetricsRegistry:
 
         return render_prometheus(self.to_dict(), prefix=prefix)
 
-    def write_jsonl(self, path: str | Path) -> None:
-        """Append the current snapshot as one JSON line to ``path``."""
-        from .export import JsonlSink
-
-        JsonlSink(path).write(self.to_dict())
-
     def reset(self) -> None:
         """Drop every instrument and all span state."""
         with self._lock:
@@ -315,38 +339,8 @@ class MetricsRegistry:
             self._histograms.clear()
         self.tracer.reset()
 
-    # -- windowed-telemetry parity (see repro.obs.windows) -------------------
-    # A cumulative registry has no window ring; these no-ops let producers
-    # call ``registry.maybe_roll()`` at checkpoints and SLO engines
-    # ``attach`` unconditionally.  :class:`repro.obs.WindowedRegistry`
-    # overrides all of them.
 
-    def on_close(self, callback: Callable[[Any], None]) -> None:
-        pass
-
-    def maybe_roll(self) -> None:
-        return None
-
-    def roll(self) -> None:
-        return None
-
-    def flush(self) -> None:
-        return None
-
-    def windows(self) -> list:
-        return []
-
-    def to_windows_dict(self) -> dict:
-        return {
-            "mode": "disabled",
-            "every_requests": 0,
-            "ring": 0,
-            "next_index": 0,
-            "windows": [],
-        }
-
-
-class NullRegistry:
+class NullRegistry(_NoWindows):
     """Disabled observability: same interface, every operation a no-op.
 
     ``span()`` still measures ``elapsed`` (callers consume it) but records
@@ -359,7 +353,6 @@ class NullRegistry:
     """
 
     enabled = False
-    every_requests = 0
 
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
@@ -390,37 +383,8 @@ class NullRegistry:
     def to_prometheus(self, prefix: str = "repro") -> str:
         return ""
 
-    def write_jsonl(self, path: str | Path) -> None:
-        pass
-
     def reset(self) -> None:
         pass
-
-    # -- windowed-telemetry parity (see repro.obs.windows) -------------------
-
-    def on_close(self, callback: Callable[[Any], None]) -> None:
-        pass
-
-    def maybe_roll(self) -> None:
-        return None
-
-    def roll(self) -> None:
-        return None
-
-    def flush(self) -> None:
-        return None
-
-    def windows(self) -> list:
-        return []
-
-    def to_windows_dict(self) -> dict:
-        return {
-            "mode": "disabled",
-            "every_requests": 0,
-            "ring": 0,
-            "next_index": 0,
-            "windows": [],
-        }
 
 
 # -- process-wide default registry -------------------------------------------
@@ -453,21 +417,3 @@ def use_registry(
         yield registry
     finally:
         set_registry(previous)
-
-
-def traced(name: str) -> Callable[[_F], _F]:
-    """Decorator form of the tracer: time every call as a span ``name``.
-
-    The registry is looked up at *call* time, so functions decorated at
-    import keep honouring :func:`use_registry` scopes.
-    """
-
-    def decorate(fn: _F) -> _F:
-        @wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with get_registry().span(name):
-                return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

@@ -7,17 +7,15 @@ from .comparison import (
     policy_factories,
 )
 from .experiment import load_spec, run_experiment
-from .metrics import BootstrapCI, bootstrap_bhr_ci, paired_bootstrap_diff
+from .metrics import BootstrapCI, paired_bootstrap_diff
 from .hrc import (
     HitRatioCurve,
-    che_hit_ratio_curve,
     lru_hit_ratio_curve,
     partition_cache,
     reuse_distance_bytes,
 )
 from .runner import SimResult, record_free_bytes, simulate
 from .server import ServerConfig, ServerReport, simulate_server
-from .sweep import crossover_size, policy_hit_ratio_curve, sweep_policies
 
 __all__ = [
     "ComparisonRow",
@@ -27,10 +25,8 @@ __all__ = [
     "load_spec",
     "run_experiment",
     "BootstrapCI",
-    "bootstrap_bhr_ci",
     "paired_bootstrap_diff",
     "HitRatioCurve",
-    "che_hit_ratio_curve",
     "lru_hit_ratio_curve",
     "partition_cache",
     "reuse_distance_bytes",
@@ -40,7 +36,4 @@ __all__ = [
     "ServerConfig",
     "ServerReport",
     "simulate_server",
-    "crossover_size",
-    "policy_hit_ratio_curve",
-    "sweep_policies",
 ]

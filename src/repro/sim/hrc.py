@@ -13,9 +13,6 @@ This module provides:
   distances via a Fenwick tree (Mattson's algorithm, O(n log n));
 * :func:`lru_hit_ratio_curve` — the exact LRU HRC from those distances
   (one pass, every cache size at once);
-* :func:`che_hit_ratio_curve` — the Che/TTL approximation of the LRU HRC
-  from per-object request rates (the analytic form provisioning models
-  use);
 * :func:`partition_cache` — provision a byte budget across tenants by
   maximising the sum of their HRCs (greedy marginal-gain water-filling).
 """
@@ -32,7 +29,6 @@ __all__ = [
     "HitRatioCurve",
     "reuse_distance_bytes",
     "lru_hit_ratio_curve",
-    "che_hit_ratio_curve",
     "partition_cache",
 ]
 
@@ -133,50 +129,6 @@ def lru_hit_ratio_curve(
         hit = finite & (dist <= c)
         bhr[k] = float(weight[hit].sum()) / total if total else 0.0
     return HitRatioCurve(sizes=grid.astype(np.float64), bhr=bhr)
-
-
-def che_hit_ratio_curve(
-    trace: Trace, n_points: int = 64
-) -> HitRatioCurve:
-    """Che-approximation byte-HRC from per-object rates.
-
-    Solves the characteristic time ``T`` such that the expected resident
-    bytes equal the cache size, with per-object in-cache probability
-    ``1 - exp(-lambda_i T)`` — the analytic workhorse of provisioning
-    models like footprint descriptors.
-    """
-    objs = trace.objs
-    sizes = trace.sizes
-    unique, first_idx, counts = np.unique(
-        objs, return_index=True, return_counts=True
-    )
-    obj_sizes = sizes[first_idx].astype(np.float64)
-    n = len(trace)
-    lam = counts.astype(np.float64) / n
-    total_bytes = float(sizes.sum())
-    footprint = float(obj_sizes.sum())
-
-    grid = np.unique(
-        np.linspace(1, footprint, n_points).astype(np.int64)
-    ).astype(np.float64)
-    bhr = np.empty(len(grid))
-    for k, c in enumerate(grid):
-        lo, hi = 0.0, 64.0 * n
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            occupancy = float(
-                (obj_sizes * -np.expm1(-lam * mid)).sum()
-            )
-            if occupancy > c:
-                hi = mid
-            else:
-                lo = mid
-        p_in = -np.expm1(-lam * lo)
-        # A request to object i hits with probability ~ p_in(i); weighting
-        # by bytes moved (size_i per request, count_i requests):
-        hit_bytes = float((obj_sizes * counts * p_in).sum())
-        bhr[k] = hit_bytes / total_bytes if total_bytes else 0.0
-    return HitRatioCurve(sizes=grid, bhr=bhr)
 
 
 def partition_cache(

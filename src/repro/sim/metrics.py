@@ -1,15 +1,11 @@
 """Statistical utilities for comparing cache policies.
 
 Hit ratios are means over correlated request streams, so eyeballing a
-0.5% BHR difference is not evidence.  These helpers put error bars on the
-comparisons:
-
-* :func:`bootstrap_bhr_ci` — a block-bootstrap confidence interval for one
-  policy's byte hit ratio (blocks preserve the local request correlation
-  that i.i.d. resampling would destroy);
-* :func:`paired_bootstrap_diff` — the same for the *difference* between two
-  policies simulated on the same trace, resampling the shared blocks so
-  trace randomness cancels;
+0.5% BHR difference is not evidence.  :func:`paired_bootstrap_diff` puts
+error bars on the *difference* between two policies simulated on the same
+trace: a block bootstrap (blocks preserve the local request correlation
+that i.i.d. resampling would destroy) that resamples the shared blocks so
+trace randomness cancels.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BootstrapCI", "bootstrap_bhr_ci", "paired_bootstrap_diff"]
+__all__ = ["BootstrapCI", "paired_bootstrap_diff"]
 
 
 @dataclass(frozen=True)
@@ -43,54 +39,15 @@ class BootstrapCI:
 def _block_indices(
     n: int, block: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample block starts with replacement and expand to request indices."""
+    """Sample block starts with replacement and expand to request indices.
+
+    Starts are drawn from ``[0, n - block]`` inclusive (``block <= n``), so
+    every request, the last one included, can land in a resample.
+    """
     n_blocks = int(np.ceil(n / block))
-    starts = rng.integers(0, max(n - block, 1), size=n_blocks)
+    starts = rng.integers(0, n - block + 1, size=n_blocks)
     idx = (starts[:, None] + np.arange(block)[None, :]).ravel()
     return idx[:n]
-
-
-def bootstrap_bhr_ci(
-    hits: np.ndarray,
-    sizes: np.ndarray,
-    n_resamples: int = 500,
-    block: int = 500,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> BootstrapCI:
-    """Block-bootstrap CI for a byte hit ratio.
-
-    Args:
-        hits: per-request hit flags of one simulation.
-        sizes: per-request byte sizes (same length).
-        n_resamples: bootstrap iterations.
-        block: resampling block length in requests.
-        confidence: two-sided coverage.
-        seed: RNG seed.
-    """
-    hits = np.asarray(hits, dtype=bool)
-    sizes = np.asarray(sizes, dtype=np.float64)
-    if len(hits) != len(sizes):
-        raise ValueError("hits and sizes must align")
-    if len(hits) == 0:
-        raise ValueError("cannot bootstrap an empty simulation")
-    rng = np.random.default_rng(seed)
-    n = len(hits)
-    block = min(block, n)
-    point = float(sizes[hits].sum() / sizes.sum())
-    stats = np.empty(n_resamples)
-    for b in range(n_resamples):
-        idx = _block_indices(n, block, rng)
-        s = sizes[idx]
-        h = hits[idx]
-        stats[b] = s[h].sum() / s.sum()
-    alpha = (1.0 - confidence) / 2.0
-    return BootstrapCI(
-        estimate=point,
-        lower=float(np.quantile(stats, alpha)),
-        upper=float(np.quantile(stats, 1.0 - alpha)),
-        confidence=confidence,
-    )
 
 
 def paired_bootstrap_diff(

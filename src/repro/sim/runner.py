@@ -5,7 +5,8 @@
 (a static model, no periodic rescore) — through the decision engine
 (:mod:`repro.core.engine`, which owns the probe → score → replay
 protocol) in lookahead windows.  Policies that retrain mid-stream
-(``LFOOnline``) opt out here and are served by :mod:`repro.serve`.
+(``LFOOnline``) opt out of the engine and run in the scalar loop, one
+``on_request`` per request, retraining as their windows close.
 """
 
 from __future__ import annotations

@@ -8,13 +8,7 @@ from .calibration import (
     fit_zipf,
 )
 from .record import CostModel, Request, Trace
-from .transform import (
-    concat,
-    interleave,
-    modulate_rate,
-    sample_objects,
-    sample_requests,
-)
+from .transform import interleave
 from .readers import (
     iter_text_requests,
     read_binary_trace,
@@ -22,12 +16,8 @@ from .readers import (
     write_binary_trace,
     write_text_trace,
 )
-from .stats import TraceStats, compute_stats, popularity_histogram, reuse_distances
+from .stats import TraceStats, compute_stats
 from .synthetic import (
-    PHOTO_CLASS,
-    SOFTWARE_CLASS,
-    VIDEO_CLASS,
-    WEB_CLASS,
     ContentClass,
     SyntheticConfig,
     generate_adversarial_scan,
@@ -44,11 +34,7 @@ __all__ = [
     "calibration_report",
     "fit_sizes",
     "fit_zipf",
-    "concat",
     "interleave",
-    "modulate_rate",
-    "sample_objects",
-    "sample_requests",
     "CostModel",
     "Request",
     "Trace",
@@ -59,14 +45,8 @@ __all__ = [
     "write_text_trace",
     "TraceStats",
     "compute_stats",
-    "popularity_histogram",
-    "reuse_distances",
     "ContentClass",
     "SyntheticConfig",
-    "WEB_CLASS",
-    "PHOTO_CLASS",
-    "VIDEO_CLASS",
-    "SOFTWARE_CLASS",
     "generate_adversarial_scan",
     "generate_mix_shift_trace",
     "generate_mixed_trace",

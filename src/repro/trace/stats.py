@@ -1,9 +1,8 @@
 """Trace statistics used to sanity-check workloads against CDN lore.
 
 These summarise the properties the paper's arguments depend on: popularity
-skew (long tail of barely-requested objects, §2.2), size variability (§2.2
-free-bytes discussion), and reuse distances (what makes gap features
-informative).
+skew (long tail of barely-requested objects, §2.2) and size variability
+(§2.2 free-bytes discussion).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from .record import Trace
 
-__all__ = ["TraceStats", "compute_stats", "popularity_histogram", "reuse_distances"]
+__all__ = ["TraceStats", "compute_stats"]
 
 
 @dataclass(frozen=True)
@@ -80,27 +79,3 @@ def compute_stats(trace: Trace) -> TraceStats:
         max_size=int(sizes.max()),
         compulsory_miss_ratio=n_objects / len(trace),
     )
-
-
-def popularity_histogram(trace: Trace, buckets: int = 20) -> np.ndarray:
-    """Histogram of per-object request counts (log2 buckets).
-
-    Bucket ``b`` counts objects with request count in ``[2**b, 2**(b+1))``.
-    """
-    _, counts = np.unique(trace.objs, return_counts=True)
-    logs = np.floor(np.log2(counts)).astype(np.int64)
-    logs = np.clip(logs, 0, buckets - 1)
-    hist = np.bincount(logs, minlength=buckets)
-    return hist
-
-
-def reuse_distances(trace: Trace) -> np.ndarray:
-    """Inter-request distance (in requests) to each request's next use.
-
-    Returns -1 where an object is never requested again.  This is the
-    ``L_i`` quantity in the paper's ranking function ``C_i / (S_i * L_i)``.
-    """
-    nxt = trace.next_occurrence()
-    idx = np.arange(len(nxt))
-    out = np.where(nxt >= 0, nxt - idx, -1)
-    return out

@@ -19,8 +19,8 @@ relies on (see DESIGN.md, "Substitutions"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,10 +28,6 @@ from .record import Request, Trace
 
 __all__ = [
     "ContentClass",
-    "WEB_CLASS",
-    "PHOTO_CLASS",
-    "VIDEO_CLASS",
-    "SOFTWARE_CLASS",
     "SyntheticConfig",
     "generate_trace",
     "generate_mixed_trace",
@@ -94,13 +90,6 @@ class ContentClass:
     size_max: int
     cost_median: float | None = None
     cost_sigma: float = 0.5
-
-
-# Calibrated loosely to the content types the paper's introduction names.
-WEB_CLASS = ContentClass("web", 4000, 0.9, 12_000, 1.2, 2_000_000)
-PHOTO_CLASS = ContentClass("photo", 8000, 0.7, 40_000, 0.9, 4_000_000)
-VIDEO_CLASS = ContentClass("video", 1500, 1.1, 1_500_000, 0.8, 50_000_000)
-SOFTWARE_CLASS = ContentClass("software", 200, 1.3, 20_000_000, 1.0, 1_000_000_000)
 
 
 @dataclass

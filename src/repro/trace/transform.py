@@ -1,73 +1,17 @@
-"""Trace transformations: sampling, interleaving, rate modulation.
+"""Trace transformation: timestamp-ordered interleaving.
 
-CDN measurement practice (and the webcachesim line of tools the paper's
-evaluation methodology descends from) routinely needs to reshape traces:
-
-* :func:`sample_objects` — consistent per-object sampling ("sharding"), the
-  standard way to scale a trace down without destroying per-object request
-  sequences;
-* :func:`sample_requests` — i.i.d. request thinning (kept for comparison;
-  note it *does* bias reuse distances, which :func:`sample_objects` avoids);
-* :func:`interleave` — merge several traces by timestamp (multi-tenant
-  servers, or mixing a synthetic attack into a base load);
-* :func:`modulate_rate` — re-time a trace with a diurnal-style rate
-  profile;
-* :func:`concat` — play traces back-to-back with shifted timestamps.
+:func:`interleave` merges several traces by timestamp — multi-tenant
+servers, or mixing a synthetic attack into a base load.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Sequence
+from typing import Sequence
 
-import numpy as np
+from .record import Trace
 
-from .record import Request, Trace
-
-__all__ = [
-    "sample_objects",
-    "sample_requests",
-    "interleave",
-    "modulate_rate",
-    "concat",
-]
-
-
-def sample_objects(trace: Trace, fraction: float, seed: int = 0) -> Trace:
-    """Keep all requests of a ``fraction`` of objects (consistent shard).
-
-    Hash-based object selection keeps every request of a kept object, so
-    reuse distances *within* an object are preserved — the property cache
-    experiments need.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    unique = np.unique(trace.objs)
-    keep_count = max(1, int(round(fraction * len(unique))))
-    kept = set(
-        int(o) for o in rng.choice(unique, size=keep_count, replace=False)
-    )
-    return Trace(
-        [r for r in trace if r.obj in kept],
-        name=f"{trace.name}|shard({fraction:g})",
-    )
-
-
-def sample_requests(trace: Trace, fraction: float, seed: int = 0) -> Trace:
-    """Keep each request independently with probability ``fraction``.
-
-    Biases reuse distances (they stretch by ~1/fraction); prefer
-    :func:`sample_objects` for hit-ratio experiments.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    keep = rng.random(len(trace)) < fraction
-    return Trace(
-        [r for r, k in zip(trace, keep) if k],
-        name=f"{trace.name}|thin({fraction:g})",
-    )
+__all__ = ["interleave"]
 
 
 def interleave(traces: Sequence[Trace], name: str = "interleaved") -> Trace:
@@ -81,50 +25,3 @@ def interleave(traces: Sequence[Trace], name: str = "interleaved") -> Trace:
     streams = [iter(t.requests) for t in traces]
     merged = heapq.merge(*streams, key=lambda r: r.time)
     return Trace(list(merged), name=name)
-
-
-def modulate_rate(
-    trace: Trace,
-    rate_fn: Callable[[float], float],
-    name: str | None = None,
-) -> Trace:
-    """Re-time a trace according to a positive, time-varying rate profile.
-
-    ``rate_fn(t)`` gives the *speed-up factor* at original time ``t``: new
-    inter-arrival gaps are the original gaps divided by the rate.  A
-    diurnal profile is e.g. ``lambda t: 1.5 + sin(2 pi t / 86400)``.
-    Request order, objects and sizes are unchanged — only timestamps move,
-    which is exactly what gap-based features observe.
-    """
-    if len(trace) == 0:
-        return Trace([], name=name or trace.name)
-    times = trace.times
-    new_times = np.empty(len(trace))
-    new_times[0] = times[0]
-    for i in range(1, len(times)):
-        rate = rate_fn(float(times[i]))
-        if rate <= 0:
-            raise ValueError(f"rate_fn must be positive, got {rate} at t={times[i]}")
-        gap = (times[i] - times[i - 1]) / rate
-        new_times[i] = new_times[i - 1] + gap
-    requests = [
-        Request(float(new_times[i]), r.obj, r.size, r.cost)
-        for i, r in enumerate(trace)
-    ]
-    return Trace(requests, name=name or f"{trace.name}|modulated")
-
-
-def concat(traces: Sequence[Trace], gap: float = 1.0, name: str = "concat") -> Trace:
-    """Play traces back-to-back, shifting timestamps to stay monotone."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    requests: list[Request] = []
-    offset = 0.0
-    for t in traces:
-        if len(t) == 0:
-            continue
-        base = float(t.times[0])
-        for r in t:
-            requests.append(Request(offset + (r.time - base), r.obj, r.size, r.cost))
-        offset = requests[-1].time + gap if requests else offset
-    return Trace(requests, name=name)

@@ -11,7 +11,6 @@ import pytest
 from repro.cli import main
 from repro.core import TieredLFOCache
 from repro.flow import FlowNetwork, solve_min_cost_flow
-from repro.gbdt import GBDTParams, GBDTRegressor
 from repro.opt import opt_hit_ratios, solve_opt
 from repro.sim import HitRatioCurve, run_experiment
 from repro.trace import CostModel, Request, Trace
@@ -65,17 +64,6 @@ class TestTieredPlacementKnobs:
         assert cache.cache_size == 100
         cache.on_request(Request(0, 1, 20))
         assert cache.free_bytes == 80
-
-
-class TestRegressorStaged:
-    def test_staged_matches_final(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(600, 2))
-        y = X[:, 0] * 2.0
-        model = GBDTRegressor(GBDTParams(num_iterations=6)).fit(X, y)
-        stages = list(model.staged_predict_raw(X[:50]))
-        assert len(stages) == 6
-        assert np.allclose(stages[-1], model.predict(X[:50]))
 
 
 class TestVizCorners:
@@ -175,3 +163,41 @@ def test_analysis_package_exports_one_of_each():
         "run_deep_analysis", "check_source", "check_project_sources",
     ):
         assert not hasattr(analysis, gone), gone
+
+
+def test_names_no_caller_reached_are_gone():
+    """Size sweeps, the Che curve, four trace transforms, the callback
+    dataset builders, the GBDT regressor and early stopping had no caller
+    but their own tests; none of them is public any more."""
+    import dataclasses
+
+    import repro.features as features
+    import repro.gbdt as gbdt
+    import repro.obs as obs
+    import repro.sim as sim
+    import repro.trace as trace
+    from repro.cluster import CacheCluster
+    from repro.gbdt import GBDTClassifier, GBDTParams
+    from repro.obs import MetricsRegistry
+
+    gone = {
+        sim: ("sweep_policies", "policy_hit_ratio_curve", "crossover_size",
+              "che_hit_ratio_curve", "bootstrap_bhr_ci"),
+        trace: ("sample_objects", "sample_requests", "modulate_rate",
+                "concat", "popularity_histogram", "reuse_distances",
+                "WEB_CLASS", "PHOTO_CLASS", "VIDEO_CLASS", "SOFTWARE_CLASS"),
+        features: ("build_features", "build_dataset",
+                   "feature_bits_required"),
+        gbdt: ("GBDTRegressor", "SquaredLoss"),
+        obs: ("traced",),
+        MetricsRegistry: ("write_jsonl",),
+        CacheCluster: ("publish_predictor",),
+        GBDTClassifier: ("staged_predict_raw",),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), name
+            assert name not in getattr(owner, "__all__", ()), name
+    assert "early_stopping_rounds" not in {
+        f.name for f in dataclasses.fields(GBDTParams)
+    }

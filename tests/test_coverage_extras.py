@@ -5,17 +5,9 @@ import pytest
 
 from repro.cache import GDWheelCache, LRUCache
 from repro.core import CutoffSweep
-from repro.features import FeatureTracker, build_dataset
 from repro.flow import FlowNetwork, flow_cost, solve_min_cost_flow
-from repro.sim import che_hit_ratio_curve, record_free_bytes
-from repro.trace import (
-    Request,
-    SyntheticConfig,
-    Trace,
-    generate_trace,
-    read_text_trace,
-    write_text_trace,
-)
+from repro.sim import record_free_bytes
+from repro.trace import Request, Trace, read_text_trace, write_text_trace
 from repro.viz import line_chart
 
 
@@ -35,49 +27,6 @@ class TestFlowCost:
         net = FlowNetwork(2)
         net.add_arc(0, 1, 5, 9.0)
         assert flow_cost(net, {}) == 0.0
-
-
-class TestCheCurveEdges:
-    def test_single_object_trace(self):
-        trace = Trace([Request(i, 1, 10) for i in range(20)])
-        curve = che_hit_ratio_curve(trace)
-        # One 10-byte object: a cache >= 10 bytes holds it essentially
-        # always, so the curve's right end approaches the re-request share.
-        assert curve.at(10) > 0.7
-
-    def test_monotone(self):
-        trace = generate_trace(
-            SyntheticConfig(n_requests=3000, n_objects=300, alpha=1.0,
-                            size_median=20, size_max=400, seed=2)
-        )
-        curve = che_hit_ratio_curve(trace)
-        assert (np.diff(curve.bhr) >= -1e-9).all()
-
-
-class TestDatasetFreeBytesArray:
-    def test_explicit_free_bytes_column(self, paper_trace):
-        free = np.arange(len(paper_trace)) * 7
-        ds = build_dataset(
-            paper_trace, np.zeros(len(paper_trace)), free_bytes=free
-        )
-        assert (ds.X[:, 2] == free).all()
-
-    def test_free_bytes_length_mismatch(self, paper_trace):
-        with pytest.raises(ValueError):
-            build_dataset(
-                paper_trace, np.zeros(len(paper_trace)),
-                free_bytes=np.zeros(3),
-            )
-
-    def test_warm_tracker_carries_state(self, paper_trace):
-        tracker = FeatureTracker(n_gaps=4)
-        tracker.update(0, -5.0, 3.0)  # object 'a' seen before window
-        ds = build_dataset(
-            paper_trace, np.zeros(len(paper_trace)), tracker=tracker,
-            cache_size=10,
-        )
-        # First request (object a at t=0) now has a finite gap_1 of 5.
-        assert ds.X[0, 3] == pytest.approx(5.0)
 
 
 class TestCutoffSweepDataclass:

@@ -11,12 +11,20 @@ from repro.features import (
     MISSING_GAP,
     Dataset,
     FeatureTracker,
-    build_dataset,
-    build_features,
     feature_names,
     thin_gaps,
 )
 from repro.trace import Request, Trace
+
+
+def window_dataset(trace, n_gaps=50):
+    """Each request's features before its own update, all labels 0."""
+    tracker = FeatureTracker(n_gaps=n_gaps)
+    X = tracker.features_batch(
+        trace.objs.tolist(), trace.times, trace.sizes, trace.costs, 10.0,
+        update=True,
+    )
+    return Dataset(X, np.zeros(len(trace)), feature_names(n_gaps))
 
 
 def record(tracker, request):
@@ -180,32 +188,8 @@ class TestFeatureTracker:
 
 
 class TestBuildDataset:
-    def test_feature_matrix_shape(self, paper_trace):
-        tracker = FeatureTracker(n_gaps=4)
-        X = build_features(paper_trace, tracker, cache_size=100)
-        assert X.shape == (12, 7)
-
-    def test_free_bytes_fn_used(self, paper_trace):
-        tracker = FeatureTracker(n_gaps=2)
-        X = build_features(
-            paper_trace, tracker, free_bytes_fn=lambda i: i * 10
-        )
-        assert (X[:, 2] == np.arange(12) * 10).all()
-
-    def test_build_dataset_pairs_labels(self, paper_trace):
-        decisions = np.zeros(12, dtype=bool)
-        decisions[0] = True
-        ds = build_dataset(paper_trace, decisions, cache_size=10)
-        assert len(ds) == 12
-        assert ds.y[0] == 1.0
-        assert ds.names[0] == "size"
-
-    def test_label_length_mismatch_rejected(self, paper_trace):
-        with pytest.raises(ValueError):
-            build_dataset(paper_trace, np.zeros(5), cache_size=10)
-
     def test_subset(self, paper_trace):
-        ds = build_dataset(paper_trace, np.zeros(12), cache_size=10)
+        ds = window_dataset(paper_trace)
         sub = ds.subset(np.array([0, 3, 5]))
         assert len(sub) == 3
         assert (sub.X[1] == ds.X[3]).all()
@@ -213,7 +197,7 @@ class TestBuildDataset:
 
 class TestThinGaps:
     def test_keeps_requested_gaps(self, paper_trace):
-        ds = build_dataset(paper_trace, np.zeros(12), cache_size=10)
+        ds = window_dataset(paper_trace)
         thinned = thin_gaps(ds, [1, 2, 4, 8, 16])
         assert thinned.names == [
             "size", "cost", "free_bytes",
@@ -222,7 +206,7 @@ class TestThinGaps:
         assert thinned.X.shape == (12, 8)
 
     def test_column_content_preserved(self, paper_trace):
-        ds = build_dataset(paper_trace, np.zeros(12), cache_size=10)
+        ds = window_dataset(paper_trace)
         thinned = thin_gaps(ds, [3])
         original_col = ds.names.index("gap_3")
         assert (thinned.X[:, 3] == ds.X[:, original_col]).all()

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features import (
-    add_relative_noise,
-    feature_bits_required,
-    quantize_features,
-)
+from repro.features import add_relative_noise, quantize_features
 
 
 class TestQuantize:
@@ -83,15 +79,3 @@ class TestNoise:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             add_relative_noise(np.ones((1, 1)), -0.1)
-
-
-class TestBitsRequired:
-    def test_wider_range_more_exponent_bits(self):
-        narrow = np.array([[1.0, 2.0, 4.0]])
-        wide = np.array([[1.0, 2.0**40]])
-        assert feature_bits_required(wide, 4) > feature_bits_required(
-            narrow, 4
-        )
-
-    def test_all_zero_column(self):
-        assert feature_bits_required(np.zeros((5, 1)), 6) == 6

@@ -18,7 +18,6 @@ from repro.gbdt import (
     BinMapper,
     GBDTClassifier,
     GBDTParams,
-    GBDTRegressor,
     TreeGrowthParams,
     grow_tree,
 )
@@ -64,13 +63,12 @@ _gbdt_params = st.builds(
 class TestWholeFitIdenticalAcrossBackends:
     @given(params=_gbdt_params, data_seed=st.integers(0, 5))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @pytest.mark.parametrize("model_cls", [GBDTClassifier, GBDTRegressor])
-    def test_generated_params(self, native, model_cls, params, data_seed):
+    def test_generated_params(self, native, params, data_seed):
         X, target = _awkward_dataset(data_seed)
-        y = target if model_cls is GBDTRegressor else (target > 0).astype(float)
-        fast = model_cls(params).fit(X, y).compiled().to_bytes()
+        y = (target > 0).astype(float)
+        fast = GBDTClassifier(params).fit(X, y).compiled().to_bytes()
         with mock.patch.object(_native, "_state", False):
-            slow = model_cls(params).fit(X, y).compiled().to_bytes()
+            slow = GBDTClassifier(params).fit(X, y).compiled().to_bytes()
         assert fast == slow
 
     @pytest.mark.parametrize("seed", range(4))

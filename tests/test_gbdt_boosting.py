@@ -1,4 +1,4 @@
-"""Tests for the boosting loop, losses, and the classifier/regressor API."""
+"""Tests for the boosting loop, the logistic loss, and the classifier API."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.gbdt import (
     GBDTClassifier,
     GBDTParams,
-    GBDTRegressor,
     LogisticLoss,
-    SquaredLoss,
     sigmoid,
 )
 
@@ -40,17 +38,6 @@ class TestLosses:
     def test_logistic_init_score_is_log_odds(self):
         y = np.array([1.0, 1.0, 1.0, 0.0])
         assert LogisticLoss.init_score(y) == pytest.approx(np.log(3.0))
-
-    def test_squared_init_is_mean(self):
-        y = np.array([1.0, 3.0])
-        assert SquaredLoss.init_score(y) == 2.0
-
-    def test_squared_grad(self):
-        grad, hess = SquaredLoss.grad_hess(
-            np.array([1.0]), np.array([4.0])
-        )
-        assert grad[0] == 3.0
-        assert hess[0] == 1.0
 
 
 class TestClassifier:
@@ -96,25 +83,6 @@ class TestClassifier:
             y, few.predict_raw(X)
         )
 
-    def test_early_stopping(self):
-        X, y = _xor_data(3000, seed=5)
-        # Random validation labels: no iteration helps for long.
-        rng = np.random.default_rng(0)
-        y_val = rng.integers(0, 2, size=500).astype(float)
-        X_val = rng.normal(size=(500, 4))
-        model = GBDTClassifier(
-            GBDTParams(num_iterations=100, early_stopping_rounds=3)
-        ).fit(X, y, eval_set=(X_val, y_val))
-        assert len(model.trees) < 100
-
-    def test_eval_history_recorded(self):
-        X, y = _xor_data(1000)
-        model = GBDTClassifier(GBDTParams(num_iterations=5)).fit(
-            X, y, eval_set=(X[:200], y[:200])
-        )
-        assert len(model.eval_history) == 5
-        assert model.eval_history[-1] < model.eval_history[0]
-
     def test_feature_importance_identifies_informative(self):
         X, y = _xor_data()
         model = GBDTClassifier(GBDTParams(num_iterations=15)).fit(X, y)
@@ -158,22 +126,6 @@ class TestClassifier:
             GBDTClassifier().fit(np.zeros((5, 2)), np.zeros(4))
 
 
-class TestRegressor:
-    def test_fits_smooth_function(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(-3, 3, size=(3000, 1))
-        y = np.sin(X[:, 0])
-        model = GBDTRegressor(GBDTParams(num_iterations=50)).fit(X, y)
-        mse = float(((model.predict(X) - y) ** 2).mean())
-        assert mse < 0.01
-
-    def test_constant_target(self):
-        X = np.random.default_rng(1).normal(size=(100, 2))
-        y = np.full(100, 5.0)
-        model = GBDTRegressor(GBDTParams(num_iterations=3)).fit(X, y)
-        assert np.allclose(model.predict(X), 5.0)
-
-
 class TestRobustnessProperty:
     """Figure 5c's claim in miniature: seeds barely move accuracy."""
 
@@ -205,21 +157,6 @@ class TestImportanceAndStaged:
         model = GBDTClassifier(GBDTParams(num_iterations=2)).fit(X, y)
         with pytest.raises(ValueError):
             model.feature_importance(kind="shap")
-
-    def test_staged_predictions_converge_to_final(self):
-        X, y = _xor_data(1500)
-        model = GBDTClassifier(GBDTParams(num_iterations=8)).fit(X, y)
-        stages = list(model.staged_predict_raw(X[:100]))
-        assert len(stages) == 8
-        assert np.allclose(stages[-1], model.predict_raw(X[:100]))
-
-    def test_staged_loss_decreases(self):
-        X, y = _xor_data(3000, seed=11)
-        model = GBDTClassifier(GBDTParams(num_iterations=20)).fit(X, y)
-        losses = [
-            LogisticLoss.loss(y, raw) for raw in model.staged_predict_raw(X)
-        ]
-        assert losses[-1] < losses[0]
 
     def test_gain_survives_serialisation(self):
         X, y = _xor_data(800)

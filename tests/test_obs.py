@@ -18,7 +18,6 @@ from repro.obs import (
     get_registry,
     render_prometheus,
     set_registry,
-    traced,
     use_registry,
     write_json,
 )
@@ -138,17 +137,6 @@ class TestSpans:
         # The other thread's span must not pick up this thread's parent.
         assert seen == [None]
 
-    def test_traced_decorator_honours_scopes(self):
-        @traced("decorated")
-        def work(x):
-            return x + 1
-
-        registry = MetricsRegistry()
-        assert work(1) == 2  # default NullRegistry: nothing recorded
-        with use_registry(registry):
-            assert work(2) == 3
-        assert registry.to_dict()["spans"]["decorated"]["count"] == 1
-
 
 class TestNullRegistry:
     def test_everything_noop(self):
@@ -230,7 +218,7 @@ class TestExporters:
         sink = JsonlSink(path)
         sink.write(registry.to_dict())
         registry.counter("sim.hits").inc()
-        registry.write_jsonl(path)  # convenience method appends too
+        sink.write(registry.to_dict())
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["counters"]["sim.hits"] == 7

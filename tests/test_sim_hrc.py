@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.cache import LRUCache
 from repro.sim import (
-    che_hit_ratio_curve,
     lru_hit_ratio_curve,
     partition_cache,
     reuse_distance_bytes,
@@ -99,12 +98,6 @@ class TestLRUHitRatioCurve:
         compulsory_bytes = float(zipf.sizes[prv < 0].sum())
         limit = 1.0 - compulsory_bytes / float(zipf.sizes.sum())
         assert curve.bhr[-1] == pytest.approx(limit, abs=1e-9)
-
-    def test_che_approximation_tracks_exact(self, zipf):
-        exact = lru_hit_ratio_curve(zipf)
-        che = che_hit_ratio_curve(zipf)
-        for c in (2_000, 8_000, 20_000):
-            assert che.at(c) == pytest.approx(exact.at(c), abs=0.08)
 
 
 class TestPartitionCache:

@@ -4,44 +4,22 @@ import numpy as np
 import pytest
 
 from repro.cache import LRUCache, RandomCache, S4LRUCache
-from repro.sim import bootstrap_bhr_ci, paired_bootstrap_diff, simulate
+from repro.sim import paired_bootstrap_diff, simulate
+from repro.sim.metrics import _block_indices
 
 
-class TestBootstrapBHR:
-    def test_point_estimate_matches_simulation(self, small_zipf_trace):
-        result = simulate(small_zipf_trace, LRUCache(500), warmup_fraction=0.0)
-        ci = bootstrap_bhr_ci(result.hits, small_zipf_trace.sizes)
-        expected = float(
-            small_zipf_trace.sizes[result.hits].sum()
-            / small_zipf_trace.sizes.sum()
-        )
-        assert ci.estimate == pytest.approx(expected)
-
-    def test_interval_contains_estimate(self, small_zipf_trace):
-        result = simulate(small_zipf_trace, LRUCache(500), warmup_fraction=0.0)
-        ci = bootstrap_bhr_ci(result.hits, small_zipf_trace.sizes, seed=1)
-        assert ci.lower <= ci.estimate <= ci.upper
-        assert 0.0 <= ci.lower and ci.upper <= 1.0
-
-    def test_more_data_narrower_interval(self):
+class TestBlockIndices:
+    def test_last_request_is_drawn(self):
         rng = np.random.default_rng(0)
-        sizes = np.ones(8000)
-        hits = rng.random(8000) < 0.5
-        narrow = bootstrap_bhr_ci(hits, sizes, block=50)
-        wide = bootstrap_bhr_ci(hits[:500], sizes[:500], block=50)
-        assert narrow.width < wide.width
+        seen = np.zeros(1000, dtype=bool)
+        for _ in range(2000):
+            seen[_block_indices(1000, 100, rng)] = True
+        assert seen.all()
 
-    def test_deterministic_given_seed(self, small_zipf_trace):
-        result = simulate(small_zipf_trace, LRUCache(500), warmup_fraction=0.0)
-        a = bootstrap_bhr_ci(result.hits, small_zipf_trace.sizes, seed=3)
-        b = bootstrap_bhr_ci(result.hits, small_zipf_trace.sizes, seed=3)
-        assert (a.lower, a.upper) == (b.lower, b.upper)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_bhr_ci(np.zeros(3, dtype=bool), np.ones(4))
-        with pytest.raises(ValueError):
-            bootstrap_bhr_ci(np.zeros(0, dtype=bool), np.ones(0))
+    def test_both_starts_occur_one_past_a_block(self):
+        rng = np.random.default_rng(0)
+        starts = {int(_block_indices(101, 100, rng)[0]) for _ in range(200)}
+        assert starts == {0, 1}
 
 
 class TestPairedDiff:
@@ -68,8 +46,37 @@ class TestPairedDiff:
         assert ci.lower == ci.upper == 0.0
         assert not ci.excludes_zero()
 
+    def test_interval_contains_estimate(self, small_zipf_trace):
+        good = simulate(small_zipf_trace, S4LRUCache(400), warmup_fraction=0.0)
+        bad = simulate(small_zipf_trace, LRUCache(400), warmup_fraction=0.0)
+        ci = paired_bootstrap_diff(
+            good.hits, bad.hits, small_zipf_trace.sizes, seed=1
+        )
+        assert ci.lower <= ci.estimate <= ci.upper
+        assert -1.0 <= ci.lower and ci.upper <= 1.0
+
+    def test_more_data_narrower_interval(self):
+        rng = np.random.default_rng(0)
+        sizes = np.ones(8000)
+        a = rng.random(8000) < 0.5
+        b = rng.random(8000) < 0.5
+        narrow = paired_bootstrap_diff(a, b, sizes, block=50)
+        wide = paired_bootstrap_diff(a[:500], b[:500], sizes[:500], block=50)
+        assert narrow.width < wide.width
+
+    def test_deterministic_given_seed(self, small_zipf_trace):
+        good = simulate(small_zipf_trace, S4LRUCache(400), warmup_fraction=0.0)
+        bad = simulate(small_zipf_trace, LRUCache(400), warmup_fraction=0.0)
+        sizes = small_zipf_trace.sizes
+        a = paired_bootstrap_diff(good.hits, bad.hits, sizes, seed=3)
+        b = paired_bootstrap_diff(good.hits, bad.hits, sizes, seed=3)
+        assert (a.lower, a.upper) == (b.lower, b.upper)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             paired_bootstrap_diff(
                 np.zeros(3, dtype=bool), np.zeros(4, dtype=bool), np.ones(3)
             )
+        empty = np.zeros(0, dtype=bool)
+        with pytest.raises(ValueError):
+            paired_bootstrap_diff(empty, empty, np.ones(0))

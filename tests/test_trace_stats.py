@@ -1,15 +1,8 @@
 """Tests for trace statistics."""
 
-import numpy as np
 import pytest
 
-from repro.trace import (
-    Request,
-    Trace,
-    compute_stats,
-    popularity_histogram,
-    reuse_distances,
-)
+from repro.trace import Request, Trace, compute_stats
 
 
 class TestComputeStats:
@@ -35,24 +28,3 @@ class TestComputeStats:
         d = compute_stats(paper_trace).as_dict()
         assert d["n_requests"] == 12
         assert "p99_size" in d
-
-
-class TestPopularityHistogram:
-    def test_bucket_assignment(self):
-        # Object 0: 1 request (bucket 0); object 1: 5 requests (bucket 2).
-        reqs = [Request(0, 0, 1)] + [Request(i + 1, 1, 1) for i in range(5)]
-        hist = popularity_histogram(Trace(reqs))
-        assert hist[0] == 1
-        assert hist[2] == 1
-        assert hist.sum() == 2
-
-
-class TestReuseDistances:
-    def test_paper_trace(self, paper_trace):
-        d = reuse_distances(paper_trace)
-        assert d[0] == 5  # a at 0, next a at 5
-        assert d[11] == -1  # final request never reused
-
-    def test_all_unique_trace(self):
-        t = Trace([Request(i, i, 1) for i in range(5)])
-        assert (reuse_distances(t) == -1).all()

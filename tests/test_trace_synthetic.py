@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from repro.trace import (
-    PHOTO_CLASS,
-    SOFTWARE_CLASS,
-    VIDEO_CLASS,
-    WEB_CLASS,
     ContentClass,
     SyntheticConfig,
     compute_stats,
@@ -19,6 +15,12 @@ from repro.trace import (
     zipf_weights,
 )
 from repro.trace import synthetic
+
+# Four content classes loosely shaped like the types a CDN serves.
+WEB_CLASS = ContentClass("web", 4000, 0.9, 12_000, 1.2, 2_000_000)
+PHOTO_CLASS = ContentClass("photo", 8000, 0.7, 40_000, 0.9, 4_000_000)
+VIDEO_CLASS = ContentClass("video", 1500, 1.1, 1_500_000, 0.8, 50_000_000)
+SOFTWARE_CLASS = ContentClass("software", 200, 1.3, 20_000_000, 1.0, 1_000_000_000)
 
 
 class TestZipfWeights:

@@ -1,4 +1,4 @@
-"""Tests for trace transformations and calibration."""
+"""Tests for trace interleaving and calibration."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,10 @@ from repro.trace import (
     SyntheticConfig,
     Trace,
     calibration_report,
-    concat,
     fit_sizes,
     fit_zipf,
     generate_trace,
     interleave,
-    modulate_rate,
-    sample_objects,
-    sample_requests,
 )
 
 
@@ -27,48 +23,6 @@ def zipf_trace():
             size_median=100, size_sigma=0.8, size_max=10_000, seed=4,
         )
     )
-
-
-class TestSampleObjects:
-    def test_preserves_object_sequences(self, zipf_trace):
-        shard = sample_objects(zipf_trace, 0.3, seed=1)
-        kept = set(shard.objs.tolist())
-        # Every request of every kept object survives.
-        expected = [r for r in zipf_trace if r.obj in kept]
-        assert shard.requests == expected
-
-    def test_fraction_of_objects(self, zipf_trace):
-        shard = sample_objects(zipf_trace, 0.25, seed=2)
-        n_total = len(np.unique(zipf_trace.objs))
-        n_kept = len(np.unique(shard.objs))
-        assert n_kept == max(1, round(0.25 * n_total))
-
-    def test_full_fraction_identity(self, zipf_trace):
-        assert sample_objects(zipf_trace, 1.0).requests == zipf_trace.requests
-
-    def test_invalid_fraction(self, zipf_trace):
-        with pytest.raises(ValueError):
-            sample_objects(zipf_trace, 0.0)
-
-    def test_reuse_distances_preserved_within_objects(self, zipf_trace):
-        """Sharding keeps per-object inter-request counts intact (relative
-        to other kept requests this shrinks, but the *sequence* of an
-        object's timestamps is untouched)."""
-        shard = sample_objects(zipf_trace, 0.5, seed=3)
-        obj = int(shard.objs[0])
-        orig_times = [r.time for r in zipf_trace if r.obj == obj]
-        shard_times = [r.time for r in shard if r.obj == obj]
-        assert shard_times == orig_times
-
-
-class TestSampleRequests:
-    def test_roughly_thins(self, zipf_trace):
-        thin = sample_requests(zipf_trace, 0.5, seed=0)
-        assert 0.4 * len(zipf_trace) < len(thin) < 0.6 * len(zipf_trace)
-
-    def test_invalid_fraction(self, zipf_trace):
-        with pytest.raises(ValueError):
-            sample_requests(zipf_trace, 1.5)
 
 
 class TestInterleave:
@@ -90,41 +44,6 @@ class TestInterleave:
         merged = interleave([zipf_trace, other])
         times = merged.times
         assert (np.diff(times) >= 0).all()
-
-
-class TestModulateRate:
-    def test_constant_rate_scales_gaps(self):
-        t = Trace([Request(float(i), 1, 1) for i in range(5)])
-        fast = modulate_rate(t, lambda _: 2.0)
-        gaps = np.diff(fast.times)
-        assert np.allclose(gaps, 0.5)
-
-    def test_order_and_objects_unchanged(self, zipf_trace):
-        mod = modulate_rate(zipf_trace, lambda t: 1.5 + np.sin(t / 100.0) ** 2)
-        assert (mod.objs == zipf_trace.objs).all()
-        assert (np.diff(mod.times) >= 0).all()
-
-    def test_nonpositive_rate_rejected(self):
-        t = Trace([Request(0, 1, 1), Request(1, 1, 1)])
-        with pytest.raises(ValueError):
-            modulate_rate(t, lambda _: 0.0)
-
-    def test_empty_trace(self):
-        assert len(modulate_rate(Trace(), lambda _: 1.0)) == 0
-
-
-class TestConcat:
-    def test_monotone_times(self):
-        a = Trace([Request(10, 1, 1), Request(12, 1, 1)])
-        b = Trace([Request(0, 2, 1), Request(5, 2, 1)])
-        joined = concat([a, b], gap=2.0)
-        times = [r.time for r in joined]
-        assert times == [0, 2, 4, 9]
-
-    def test_empty_traces_skipped(self):
-        a = Trace([Request(0, 1, 1)])
-        joined = concat([Trace(), a, Trace()])
-        assert len(joined) == 1
 
 
 class TestCalibration:
