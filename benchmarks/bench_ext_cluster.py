@@ -37,13 +37,7 @@ import numpy as np
 from common import RESULTS_DIR, cache_for, cdn_mix_trace, report, table
 
 from repro.cluster import CacheCluster, HashRing
-from repro.core import (
-    DecisionEngine,
-    LFOCache,
-    LFOModel,
-    LFOOnline,
-    OptLabelConfig,
-)
+from repro.core import DecisionEngine, LFOCache, LFOModel, LFOOnline
 from repro.gbdt import GBDTParams
 from repro.obs import write_json
 from repro.sim import simulate
@@ -72,7 +66,6 @@ def _train_model(requests: list, cache_size: int) -> LFOModel:
         cache_size,
         window=len(prefix) // 2,
         gbdt_params=FAST_PARAMS,
-        label_config=OptLabelConfig(mode="greedy"),
     )
     for request in prefix:
         online.on_request(request)

@@ -560,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=5_000, help=window_help)
         p.add_argument("--cutoff", type=float, default=0.5)
         p.add_argument("--segment", type=int, default=1_000)
-        p.add_argument("--label-mode", default="segmented",
-                       choices=("exact", "segmented", "pruned"))
+        p.add_argument("--label-mode", default=OptLabelConfig.mode,
+                       choices=("exact", "segmented", "pruned", "greedy"))
 
     def add_fault_args(
         p: argparse.ArgumentParser,

@@ -5,12 +5,11 @@ from .drift import AdaptiveLFOOnline, DriftDetector
 from .engine import DecisionEngine
 from .hierarchy import TieredLFOCache, TieredLFOOnline, TierStats
 from .irl import IRLCache, IRLOnline, LinearRewardIRL
-from .lfo import LFOCache, LFOModel, SampledEvictionConfig
+from .lfo import LFOCache, LFOModel, SampledEvictionConfig, error_rates
 from .online import LabelFitJob, LFOOnline, OptLabelConfig
 from .pipeline import (
     AccuracyReport,
     WindowData,
-    error_rates,
     prepare_windows,
     train_and_evaluate,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import error_rates
+from .lfo import error_rates
 
 __all__ = ["CutoffSweep", "cutoff_sweep", "equal_error_cutoff"]
 

@@ -48,7 +48,7 @@ from ..cache.ranked import RankedHeap
 from ..obs import get_registry
 from ..trace import Request
 
-__all__ = ["LFOModel", "LFOCache", "SampledEvictionConfig"]
+__all__ = ["LFOModel", "LFOCache", "SampledEvictionConfig", "error_rates"]
 
 #: Bucket edges for the admission-score histogram: deciles of the
 #: predicted likelihood (a sigmoid output in [0, 1]; the overflow bucket
@@ -126,10 +126,21 @@ class LFOModel:
         """Admission decision for a single feature vector."""
         return self.classifier.compiled().predict_proba_single(features) >= self.cutoff
 
-    def prediction_error(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Fraction of requests where the model disagrees with OPT."""
-        predictions = self.likelihood(X) >= self.cutoff
-        return float((predictions != (np.asarray(y) > 0.5)).mean())
+
+def error_rates(
+    likelihoods: np.ndarray, labels: np.ndarray, cutoff: float
+) -> tuple[float, float, float]:
+    """(prediction error, FP rate, FN rate) at a cutoff.
+
+    Rates follow the paper's Figure 5a convention: both are normalised by
+    the total number of requests, so they sum to the prediction error.
+    """
+    predictions = likelihoods >= cutoff
+    truth = labels > 0.5
+    n = len(labels)
+    fp = float((predictions & ~truth).sum()) / n
+    fn = float((~predictions & truth).sum()) / n
+    return fp + fn, fp, fn
 
 
 class LFOCache(CachePolicy):

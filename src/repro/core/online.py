@@ -11,7 +11,8 @@ is :class:`repro.core.trainer.WindowTrainer` (read its module docstring
 for the contract).  This module holds what is LFO-specific:
 
 * :class:`LabelFitJob`, the training job: label the window with OPT
-  (:class:`OptLabelConfig`) and fit a GBDT on the live features;
+  (:class:`OptLabelConfig`), score it with the deployed model (the
+  ``online.opt_agreement`` gauges) and fit a GBDT on the live features;
 * :class:`LFOOnline`, an :class:`~repro.core.LFOCache` whose model slot is
   the trainer's install target, whose admission and eviction degrade to a
   heuristic ``fallback`` while the trainer reports the model stale, and
@@ -38,8 +39,8 @@ from ..opt import (
     solve_segmented,
 )
 from ..trace import Request, Trace
-from .lfo import LFOCache, LFOModel, SampledEvictionConfig
-from .trainer import WindowTrainer
+from .lfo import LFOCache, LFOModel, SampledEvictionConfig, error_rates
+from .trainer import WindowTrainer, deployed_model
 
 __all__ = ["LFOOnline", "LabelFitJob", "OptLabelConfig"]
 
@@ -57,11 +58,12 @@ class OptLabelConfig:
       plus overlap to avoid boundary mislabels);
     * ``"pruned"`` — the paper's ranking-axis split, keeping the
       ``keep_fraction`` top-ranked requests (optionally also segmented);
-    * ``"greedy"`` — rank-ordered greedy interval packing (fastest; a
-      feasible approximation rather than the flow optimum).
+    * ``"greedy"`` — rank-ordered greedy interval packing (the default:
+      fastest, a feasible approximation rather than the flow optimum;
+      the ``online.opt_agreement`` gauge measures what it costs).
     """
 
-    mode: str = "segmented"
+    mode: str = "greedy"
     segment_length: int = 1000
     keep_fraction: float = 0.3
     lookahead: int | None = None
@@ -119,12 +121,27 @@ class LabelFitJob:
     ) -> LFOModel | None:
         """Label + fit, under ``online.label_solve`` / ``online.gbdt_fit``
         spans (nested in the trainer's ``online.train_window``); the fit's
-        binning needs no label, so an idle core makes it during the solve."""
+        binning needs no label, so an idle core makes it during the solve.
+
+        Between the two, the :data:`~repro.core.trainer.deployed_model`
+        (none on a cold window) scores the rows it served in one batched
+        call (``online.agreement``), published as how often its decisions
+        agree with these labels, split into false admits and false
+        rejects as in Figure 5a."""
         binning = start(bin_matrix, features, self.gbdt_params.max_bins)
         registry = get_registry()
         window = Trace(requests, name=name)
         with registry.span("online.label_solve"):
             labels = self.label_config.compute(window, self.cache_size)
+        deployed = deployed_model.get()
+        if deployed is not None:
+            with registry.span("online.agreement"):
+                error, false_admit, false_reject = error_rates(
+                    deployed.likelihood(features), labels, deployed.cutoff
+                )
+            registry.gauge("online.opt_agreement").set(1.0 - error)
+            registry.gauge("online.opt_false_admit").set(false_admit)
+            registry.gauge("online.opt_false_reject").set(false_reject)
         if labels.sum() < self.min_positive_labels:
             return None
         dataset = Dataset(

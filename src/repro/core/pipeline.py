@@ -19,7 +19,7 @@ from ..gbdt import GBDTParams
 from ..opt import solve_segmented
 from ..sim import record_free_bytes
 from ..trace import Trace
-from .lfo import LFOModel
+from .lfo import LFOModel, error_rates
 from .online import OptLabelConfig
 
 __all__ = ["WindowData", "prepare_windows", "AccuracyReport", "train_and_evaluate"]
@@ -48,9 +48,10 @@ def prepare_windows(
     whole span (the reference deployment whose telemetry a cold-started
     LFO would see); the feature tracker runs continuously across both
     windows so the eval window sees warm gap histories, as in the online
-    system.
+    system.  Labels default to segmented OPT, not the training loop's
+    greedy default: the eval window is Figure 5's ground truth.
     """
-    label_config = label_config or OptLabelConfig()
+    label_config = label_config or OptLabelConfig(mode="segmented")
     end = start + train_size + test_size
     if end > len(trace):
         raise ValueError(
@@ -103,22 +104,6 @@ class AccuracyReport:
     def rates_at_cutoff(self, cutoff: float) -> tuple[float, float, float]:
         """(error, FP rate, FN rate) if the cutoff were ``cutoff``."""
         return error_rates(self.likelihoods, self.labels, cutoff)
-
-
-def error_rates(
-    likelihoods: np.ndarray, labels: np.ndarray, cutoff: float
-) -> tuple[float, float, float]:
-    """(prediction error, FP rate, FN rate) at a cutoff.
-
-    Rates follow the paper's Figure 5a convention: both are normalised by
-    the total number of requests, so they sum to the prediction error.
-    """
-    predictions = likelihoods >= cutoff
-    truth = labels > 0.5
-    n = len(labels)
-    fp = float((predictions & ~truth).sum()) / n
-    fn = float((~predictions & truth).sum()) / n
-    return fp + fn, fp, fn
 
 
 def train_and_evaluate(

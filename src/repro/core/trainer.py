@@ -10,7 +10,8 @@ composes one with an :class:`~repro.core.LFOCache`;
 :class:`repro.cluster.ClusterScorer` drives a bare one in the router.
 
 **One road.**  Every closed window becomes ``job(requests, features,
-name) -> model | None`` submitted to an executor; every resulting future
+name) -> model | None`` submitted to an executor, run with the model it
+was served by as :data:`deployed_model`; every resulting future
 is consumed by :meth:`WindowTrainer._consume`; every failure — a job that
 raised, a future that was cancelled, a submit the executor refused —
 goes through :meth:`WindowTrainer._failed` (counted, logged with the
@@ -64,6 +65,7 @@ from concurrent.futures import (
     Future,
     ThreadPoolExecutor,
 )
+from contextvars import ContextVar
 from typing import Any, Callable
 
 import numpy as np
@@ -73,7 +75,7 @@ from ..obs import get_registry
 from ..resilience.faults import get_fault_plan
 from ..trace import Request
 
-__all__ = ["WindowTrainer"]
+__all__ = ["WindowTrainer", "deployed_model"]
 
 #: Production log channel for the retraining loop: dropped windows, failed
 #: or unsubmittable training jobs (with tracebacks via ``exc_info``).
@@ -89,15 +91,22 @@ _MAX_BACKOFF_WINDOWS = 8
 #: means "this window is not worth a model" and is not a failure.
 TrainingJob = Callable[[list[Request], np.ndarray, str], Any]
 
+#: The model the trainer had installed when the running job's window
+#: closed (None on a cold window) — set by :func:`_run_job` for the job's
+#: duration, like the registry a job reports to, so a job can score its
+#: window with what served it.
+deployed_model: ContextVar[Any] = ContextVar("deployed_model", default=None)
+
 
 def _run_job(
     job: TrainingJob, requests: list[Request], features: np.ndarray, name: str,
-    submitter: int,
+    deployed: Any, submitter: int,
 ) -> tuple[Any, float]:
     """Run one training job wherever the executor put it — beside
     ``submitter``, the serving thread, leaving that thread its core.
 
-    Returns ``(model, seconds)``; the seconds come from the
+    ``deployed`` is :data:`deployed_model` while the job runs.  Returns
+    ``(model, seconds)``; the seconds come from the
     ``online.train_window`` span, which also aggregates into the active
     registry (a no-op in process-pool workers, whose registry defaults to
     ``NullRegistry``).
@@ -113,8 +122,12 @@ def _run_job(
     if plan is not None:
         plan.inject("online.train_window")
     reservation.cores = int(threading.get_native_id() != submitter)
-    with get_registry().span("online.train_window") as span:
-        model = job(requests, features, name)
+    token = deployed_model.set(deployed)
+    try:
+        with get_registry().span("online.train_window") as span:
+            model = job(requests, features, name)
+    finally:
+        deployed_model.reset(token)
     return model, span.elapsed
 
 
@@ -251,7 +264,9 @@ class WindowTrainer:
         self._clock = 0  # polls so far: the watchdog's logical time
         self._windows_closed = 0
         self._backoff_remaining = 0
-        self._has_model = False
+        #: The model ``install`` last received: what served the window
+        #: being closed, handed to its job as :data:`deployed_model`.
+        self._model: Any = None
 
     # -- status ----------------------------------------------------------------
 
@@ -432,11 +447,13 @@ class WindowTrainer:
                 max_workers=1, thread_name_prefix="lfo-trainer"
             )
             self._owns_executor = True
-        job = self.job  # snapshot: the worker must not reach back into self
+        # Snapshots: the worker must not reach back into self.
+        job, deployed = self.job, self._model
         features = np.vstack(rows)
         try:
             future = self.executor.submit(
-                _run_job, job, requests, features, name, threading.get_native_id()
+                _run_job, job, requests, features, name, deployed,
+                threading.get_native_id(),
             )
         # The two submit-time failures (shut-down executor, broken pool);
         # neither must ever break serving.  Loud inside ``_failed``.
@@ -466,6 +483,7 @@ class WindowTrainer:
         registry = get_registry()
         with registry.span("online.model_install"):
             self.install(model)
+        self._model = model
         self.n_retrains += 1
         registry.counter("online.model_installs").inc()
         self._note_success(registry)
@@ -551,7 +569,6 @@ class WindowTrainer:
 
     def _note_success(self, registry) -> None:
         """A fresh model landed: clear failure state, leave degraded mode."""
-        self._has_model = True
         self.consecutive_failures = 0
         self._backoff_remaining = 0
         self.windows_since_model = 0
@@ -569,7 +586,7 @@ class WindowTrainer:
         if (
             self.staleness_limit is None
             or self.degraded
-            or not self._has_model
+            or self._model is None
             or self.windows_since_model < self.staleness_limit
         ):
             return

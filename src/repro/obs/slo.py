@@ -10,6 +10,9 @@ declarative :class:`SloSpec` against every closed window of a
   (default ``serve.decision_latency_seconds`` — the per-decision budget
   Cold-RL enforces inside NGINX) must stay ≤ ``max_value``;
 * **window_bhr** — the window byte hit ratio must stay ≥ ``min_value``;
+* **opt_agreement** — ``online.opt_agreement``, the share of the last
+  labelled window on which the deployed model decided as OPT did, must
+  stay ≥ ``min_value`` (skipped until a warm window has been labelled);
 * **staleness** — ``online.windows_since_model`` (train-to-install lag)
   must stay ≤ ``max_value`` windows;
 * **training_halted** — the ``resilience.training_halted`` flag must
@@ -74,6 +77,7 @@ DECISION_LATENCY_BUCKETS = (
 )
 STALENESS_GAUGE = "online.windows_since_model"
 _HALTED_GAUGE = "resilience.training_halted"
+_AGREEMENT_GAUGE = "online.opt_agreement"
 _SCORE_HISTOGRAM = "lfo.admission_score"
 _MODEL_INSTALLS = "online.model_installs"
 #: Arena summaries ``LFOOnline`` publishes that describe the *workload*.
@@ -90,9 +94,11 @@ _EWMA_ALPHA = 0.3
 _PSI_EPS = 1e-6
 
 _KINDS = (
-    "latency_quantile", "window_bhr", "staleness", "training_halted",
-    "bhr_drift", "score_drift", "feature_drift",
+    "latency_quantile", "window_bhr", "opt_agreement", "staleness",
+    "training_halted", "bhr_drift", "score_drift", "feature_drift",
 )
+#: The kinds judged against a floor (``min_value``) rather than a ceiling.
+_FLOOR_KINDS = ("window_bhr", "opt_agreement")
 
 
 def population_stability_index(
@@ -201,8 +207,9 @@ class SloObjective:
             ``score_drift`` (ignored by the other kinds, which read fixed
             signals).
         quantile: the percentile point for ``latency_quantile``.
-        max_value / min_value: the threshold (``window_bhr`` reads
-            ``min_value``, every other kind ``max_value``).
+        max_value / min_value: the threshold (``window_bhr`` and
+            ``opt_agreement`` read ``min_value``, every other kind
+            ``max_value``).
         budget: allowed bad-window *fraction* over the engine's horizon.
         min_count: minimum histogram observations for a window to be
             evaluable (``latency_quantile`` and ``score_drift``).
@@ -222,9 +229,9 @@ class SloObjective:
             raise ValueError(f"unknown SLO kind {self.kind!r}; use {_KINDS}")
         if not 0.0 <= self.budget < 1.0:
             raise ValueError("budget must be a fraction in [0, 1)")
-        if self.kind == "window_bhr":
+        if self.kind in _FLOOR_KINDS:
             if self.min_value is None:
-                raise ValueError("window_bhr objective needs min_value")
+                raise ValueError(f"{self.kind} objective needs min_value")
         elif self.max_value is None:
             raise ValueError(f"{self.kind} objective needs max_value")
         if self.kind == "latency_quantile" and not 0.0 < self.quantile < 1.0:
@@ -242,12 +249,15 @@ class SloObjective:
             if snapshot.histogram_count(self.metric) < self.min_count:
                 return None, 0.0
             value = snapshot.quantile(self.metric, self.quantile)
-        elif kind == "window_bhr":
-            bhr = window_bhr(snapshot)
-            if bhr is None:
+        elif kind in _FLOOR_KINDS:
+            value = (
+                window_bhr(snapshot) if kind == "window_bhr"
+                else snapshot.gauges.get(_AGREEMENT_GAUGE)
+            )
+            if value is None:
                 return None, 0.0
             assert self.min_value is not None
-            return bhr >= self.min_value, bhr
+            return value >= self.min_value, value
         elif kind in ("staleness", "training_halted"):
             value = snapshot.gauges.get(
                 STALENESS_GAUGE if kind == "staleness" else _HALTED_GAUGE
@@ -516,7 +526,7 @@ class SloEngine:
                 "last_value": state.last_value,
                 "threshold": (
                     objective.min_value
-                    if objective.kind == "window_bhr"
+                    if objective.kind in _FLOOR_KINDS
                     else objective.max_value
                 ),
                 "evaluated_windows": state.evaluated,

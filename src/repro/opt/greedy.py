@@ -12,8 +12,8 @@ the paper's own ranking function ``C_i / (S_i * L_i)`` (savings per
 byte-timestep) and accept an interval when capacity remains over its whole
 span.  It is orders of magnitude faster than the flow solve, produces a
 *feasible* decision vector (so its miss cost upper-bounds OPT's), and
-serves both as a cross-check on the exact solver and as a cheap label
-generator (``OptLabelConfig(mode="greedy")``).
+serves both as a cross-check on the exact solver and as the default
+label generator of the online loop (``OptLabelConfig()``).
 """
 
 from __future__ import annotations

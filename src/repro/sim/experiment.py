@@ -102,7 +102,7 @@ def run_experiment(spec: dict) -> dict[str, Any]:
             window=int(lfo_spec.get("window", 5_000)),
             cutoff=float(lfo_spec.get("cutoff", 0.5)),
             label_config=OptLabelConfig(
-                mode=lfo_spec.get("label_mode", "segmented"),
+                mode=lfo_spec.get("label_mode", OptLabelConfig.mode),
                 segment_length=int(lfo_spec.get("segment_length", 1_000)),
             ),
         )
@@ -119,7 +119,7 @@ def run_experiment(spec: dict) -> dict[str, Any]:
             cache_size,
             window=int(irl_spec.get("window", 5_000)),
             label_config=OptLabelConfig(
-                mode=irl_spec.get("label_mode", "segmented"),
+                mode=irl_spec.get("label_mode", OptLabelConfig.mode),
                 segment_length=int(irl_spec.get("segment_length", 1_000)),
             ),
         )

@@ -24,7 +24,7 @@ from repro.cache import (
     TinyLFUCache,
 )
 from repro.core import (
-    IRLOnline, LFOCache, LFOModel, OptLabelConfig, TieredLFOOnline,
+    IRLOnline, LFOCache, LFOModel, TieredLFOOnline,
 )
 from repro.features import Dataset, FeatureTracker, feature_names
 from repro.gbdt import GBDTParams
@@ -388,10 +388,7 @@ def _lfo(eviction, batch_size):
 
 def _irl_online(name):
     trace, cache_size = _pin_trace(name)
-    policy = IRLOnline(
-        cache_size, window=1000, label_config=OptLabelConfig("greedy"),
-        n_gaps=_N_GAPS,
-    )
+    policy = IRLOnline(cache_size, window=1000, n_gaps=_N_GAPS)
     return simulate(trace, policy).hits, (policy.n_retrains,)
 
 
@@ -400,7 +397,7 @@ def _tiered_online(name):
     policy = TieredLFOOnline(
         cache_size // 4, cache_size - cache_size // 4, window=1000,
         ram_horizon=200, gbdt_params=GBDTParams(num_iterations=8),
-        label_config=OptLabelConfig("greedy"), n_gaps=_N_GAPS,
+        n_gaps=_N_GAPS,
     )
     hits = [policy.on_request(request) for request in trace]
     stats = policy.stats

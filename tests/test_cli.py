@@ -29,21 +29,21 @@ _CACHE = {
 }
 _TRAINING = {
     "--window": 5000, "--cutoff": 0.5, "--segment": 1000,
-    "--label-mode": "segmented",
+    "--label-mode": "greedy",
 }
 _TELEMETRY = {
     "--every": 2000, "--ring": 120, "--slo": None, "--check": False,
     "--follow": False, "--serve-metrics": None, "--windows-out": None,
 }
 PINNED_OPTIONS = {
-    "simulate": ("72c65831d44ae9ae", {
+    "simulate": ("03ebbdd711ce44f7", {
         **_CACHE, **_TRAINING, "--warmup": 0.25,
         "--eviction": "likelihood", "--evict-sample-k": 64,
         "--evict-sample-seed": 0, "--fault-plan": None,
         "--staleness-limit": None, "--retry-backoff": 0,
         "--metrics-out": None,
     }),
-    "serve": ("2730f3d2811dc288", {
+    "serve": ("5b28283dbbbaf27c", {
         **_CACHE, **_TRAINING, **_TELEMETRY, "--synthetic": None,
         "--seed": 42, "--queue-depth": 1024, "--max-batch": 256,
         "--arrival-rate": 0.0, "--shards": 1, "--vnodes": 64,
@@ -321,7 +321,7 @@ class TestHealth:
         trace = read_binary_trace(trace_file)
         result = simulate(trace, LFOOnline(
             compute_stats(trace).footprint_bytes // 10, window=600,
-            label_config=OptLabelConfig("segmented", segment_length=300),
+            label_config=OptLabelConfig(segment_length=300),
         ))
         assert served["requests"] == len(trace)
         assert served["hits"] == int(result.hits.sum())

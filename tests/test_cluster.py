@@ -45,7 +45,7 @@ from repro.cluster import (
 from repro.cluster.wire import RECORD, pack_requests, unpack_requests
 from repro.cluster.worker import _ShardState
 from repro.core import (
-    DecisionEngine, LabelFitJob, LFOCache, LFOOnline, OptLabelConfig,
+    DecisionEngine, LabelFitJob, LFOCache, LFOOnline,
     WindowTrainer,
 )
 from repro.gbdt import GBDTParams
@@ -84,7 +84,6 @@ def model(trace, cache_size):
         window=1000,
         gbdt_params=FAST_PARAMS,
         n_gaps=N_GAPS,
-        label_config=OptLabelConfig(mode="greedy"),
     )
     for request in list(trace)[:2000]:
         online.on_request(request)
@@ -628,7 +627,6 @@ class TestClusterScorer:
         """A bare trainer sized from the cluster it trains for."""
         job = LabelFitJob(
             cluster.shard_size,
-            label_config=OptLabelConfig(mode="greedy"),
             gbdt_params=FAST_PARAMS,
             n_gaps=cluster.n_gaps,
         )
@@ -696,7 +694,7 @@ class TestClusterScorer:
             else:
                 policy = LFOOnline(
                     cache_size, window=800, gbdt_params=FAST_PARAMS,
-                    n_gaps=N_GAPS, label_config=OptLabelConfig(mode="greedy"),
+                    n_gaps=N_GAPS,
                 )
                 trainer = policy.trainer
                 scorer = None

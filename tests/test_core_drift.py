@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AdaptiveLFOOnline, DriftDetector, OptLabelConfig
+from repro.core import AdaptiveLFOOnline, DriftDetector
 from repro.gbdt import GBDTParams
 from repro.sim import simulate
 from repro.trace import ContentClass, generate_mix_shift_trace
@@ -69,7 +69,6 @@ class TestAdaptiveLFOOnline:
             cache, window=6_000,  # boundary would come long after the shift
             drift_threshold=0.25, check_interval=500,
             gbdt_params=GBDTParams(num_iterations=10),
-            label_config=OptLabelConfig(mode="greedy"),
             n_gaps=10,
         )
         simulate(shift_trace, adaptive)
@@ -86,7 +85,6 @@ class TestAdaptiveLFOOnline:
         adaptive = AdaptiveLFOOnline(
             cache, window=2_000, drift_threshold=0.25, check_interval=500,
             gbdt_params=GBDTParams(num_iterations=10),
-            label_config=OptLabelConfig(mode="greedy"),
             n_gaps=10,
         )
         simulate(stationary, adaptive)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import LFOCache, LFOModel, LFOOnline, OptLabelConfig
+from repro.core import LFOCache, LFOModel, LFOOnline, error_rates
 from repro.features import Dataset, FeatureTracker, feature_names
 from repro.gbdt import CompiledPredictor, GBDTParams
 from repro.trace import Request
@@ -65,7 +65,8 @@ class TestLFOModel:
         X[:, 0] = np.linspace(1, 99, 100)
         X[:, 1] = X[:, 0]
         y = (X[:, 0] < 50).astype(float)
-        assert model.prediction_error(X, y) < 0.05
+        error, _, _ = error_rates(model.likelihood(X), y, model.cutoff)
+        assert error < 0.05
 
     def test_cutoff_changes_decisions(self):
         lenient = _toy_model(cutoff=0.01)
@@ -445,7 +446,6 @@ class TestPredictorResolvedOncePerModel:
         policy = LFOOnline(
             small_zipf_trace.footprint() // 10, window=500, n_gaps=4,
             gbdt_params=GBDTParams(num_iterations=4), min_positive_labels=1,
-            label_config=OptLabelConfig(mode="greedy"),
         )
         models = []
         for request in list(small_zipf_trace)[:1600]:

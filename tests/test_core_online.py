@@ -1,14 +1,18 @@
 """Tests for the online windowed LFO loop (the paper's Figure 2)."""
 
+import threading
 from concurrent.futures import Future
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.cache import LRUCache
-from repro.core import LFOOnline, OptLabelConfig
+from repro.core import LabelFitJob, LFOOnline, OptLabelConfig
+from repro.core.trainer import _run_job
 from repro.gbdt import GBDTParams
+from repro.obs import MetricsRegistry, use_registry
 from repro.sim import simulate
 from repro.trace import (
     Request,
@@ -312,3 +316,99 @@ class TestBackgroundRetraining:
         assert policy.model is not None
         closed = policy.n_retrains + policy.n_skipped_retrains
         assert closed == len(online_trace) // 1000
+
+
+AGREEMENT_GAUGES = (
+    "online.opt_agreement", "online.opt_false_admit", "online.opt_false_reject",
+)
+
+
+def agreement_gauges(registry):
+    gauges = registry.to_dict()["gauges"]
+    return {name: gauges[name] for name in AGREEMENT_GAUGES if name in gauges}
+
+
+class TestOptAgreement:
+    """The deployed model scored against each window's OPT labels."""
+
+    def _run(self, deployed):
+        labels = np.array([1, 1, 0, 0, 1, 0, 1, 0], dtype=bool)
+        # Column 0 is the stub model's likelihood: admit, reject, admit,
+        # reject, admit, reject, admit, reject at its 0.5 cutoff.  Rows 1
+        # (a false reject) and 2 (a false admit) disagree with OPT.
+        features = np.array([
+            [0.9], [0.2], [0.7], [0.1], [0.8], [0.3], [0.6], [0.4],
+        ])
+        requests = [Request(float(i), i, 10) for i in range(8)]
+        hand_labels = SimpleNamespace(compute=lambda window, size: labels)
+        job = LabelFitJob(100, label_config=hand_labels,
+                          min_positive_labels=100)  # publish, fit nothing
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            model, _ = _run_job(
+                job, requests, features, "W[1]", deployed,
+                threading.get_native_id(),
+            )
+        assert model is None
+        return registry
+
+    def test_agreement_equals_the_hand_count(self):
+        stub = SimpleNamespace(likelihood=lambda rows: rows[:, 0], cutoff=0.5)
+        registry = self._run(stub)
+        assert agreement_gauges(registry) == {
+            "online.opt_agreement": 6 / 8,
+            "online.opt_false_admit": 1 / 8,
+            "online.opt_false_reject": 1 / 8,
+        }
+        assert registry.to_dict()["spans"]["online.agreement"]["count"] == 1
+
+    def test_a_cold_window_publishes_nothing(self):
+        registry = self._run(None)
+        assert agreement_gauges(registry) == {}
+        assert "online.agreement" not in registry.to_dict()["spans"]
+
+    def test_split_sums_to_the_disagreement(self, online_trace):
+        registry = MetricsRegistry()
+        policy = LFOOnline(
+            online_trace.footprint() // 8, window=1000,
+            gbdt_params=FAST_PARAMS, n_gaps=5,
+        )
+        with use_registry(registry):
+            for request in online_trace[:1000]:
+                policy.on_request(request)
+            assert agreement_gauges(registry) == {}  # W[0] ran cold
+            for request in online_trace[1000:2000]:
+                policy.on_request(request)
+        gauges = agreement_gauges(registry)
+        assert 0.5 < gauges["online.opt_agreement"] <= 1.0
+        assert gauges["online.opt_false_admit"] + gauges[
+            "online.opt_false_reject"
+        ] == pytest.approx(1.0 - gauges["online.opt_agreement"])
+
+    def test_a_thread_trainer_window_publishes(self, online_trace):
+        registry = MetricsRegistry()
+        policy = LFOOnline(
+            online_trace.footprint() // 8, window=500,
+            gbdt_params=FAST_PARAMS, n_gaps=5, background=True,
+        )
+        with use_registry(registry):
+            for request in online_trace[:500]:
+                policy.on_request(request)
+            policy.finish_training()  # W[0]'s model is now deployed
+            for request in online_trace[500:1000]:
+                policy.on_request(request)
+            policy.finish_training()
+            policy.close()
+        assert policy.n_retrains == 2
+        assert set(agreement_gauges(registry)) == set(AGREEMENT_GAUGES)
+
+    def test_reset_forgets_the_deployed_model(self, online_trace):
+        policy = LFOOnline(
+            online_trace.footprint() // 8, window=1000,
+            gbdt_params=FAST_PARAMS, n_gaps=5,
+        )
+        for request in online_trace[:1000]:
+            policy.on_request(request)
+        assert policy.trainer._model is policy.model is not None
+        policy.reset()
+        assert policy.trainer._model is None

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core import LabelFitJob, OptLabelConfig, WindowTrainer
+from repro.core import LabelFitJob, WindowTrainer
 from repro.core.trainer import _run_job
 from repro.gbdt import GBDTParams
 from repro.obs import MetricsRegistry, use_registry
@@ -260,14 +260,17 @@ def test_what_crosses_a_process_boundary_pickles():
     requests = [Request(float(i), i % 10, 10) for i in range(200)]
     features = np.random.default_rng(0).random((200, 3 + 5))
     job = LabelFitJob(
-        60, label_config=OptLabelConfig(mode="greedy"),
-        gbdt_params=GBDTParams(num_iterations=3),
+        60, gbdt_params=GBDTParams(num_iterations=3),
         min_positive_labels=1, n_gaps=5,
     )
+    deployed, _ = _run_job(
+        job, requests, features, "W[0]", None, threading.get_native_id()
+    )
     runner, *args = pickle.loads(
-        pickle.dumps(
-            (_run_job, job, requests, features, "W[0]", threading.get_native_id())
-        )
+        pickle.dumps((
+            _run_job, job, requests, features, "W[1]", deployed,
+            threading.get_native_id(),
+        ))
     )
     assert args[0] == job
     model, seconds = runner(*args)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cache import AdaptSizeCache, GDWheelCache, LRUCache
 from repro.cache.adaptsize import _modelled_ohr
-from repro.core import LFOOnline, OptLabelConfig
+from repro.core import LFOOnline
 from repro.gbdt import GBDTParams
 from repro.opt import solve_opt, solve_segmented
 from repro.sim import simulate
@@ -85,7 +85,6 @@ class TestObjectLargerThanWindowInteractions:
         policy = LFOOnline(
             cache_size=100, window=300,
             gbdt_params=GBDTParams(num_iterations=5),
-            label_config=OptLabelConfig(mode="greedy"),
             n_gaps=5,
         )
         result = simulate(trace, policy)

@@ -24,7 +24,7 @@ def latency_objective(**overrides):
 
 
 def close_window(registry, *, latencies=(), hit_bytes=0, miss_bytes=0,
-                 staleness=None):
+                 staleness=None, agreement=None):
     if latencies:
         hist = registry.histogram(
             "serve.decision_latency_seconds", bounds=LATENCY_BUCKETS
@@ -37,6 +37,8 @@ def close_window(registry, *, latencies=(), hit_bytes=0, miss_bytes=0,
         registry.counter("sim.miss_bytes").inc(miss_bytes)
     if staleness is not None:
         registry.gauge("online.windows_since_model").set(staleness)
+    if agreement is not None:
+        registry.gauge("online.opt_agreement").set(agreement)
     return registry.roll()
 
 
@@ -52,6 +54,8 @@ class TestSloObjective:
             SloObjective(name="x", kind="window_bhr")
         with pytest.raises(ValueError):
             SloObjective(name="x", kind="staleness")
+        with pytest.raises(ValueError):
+            SloObjective(name="x", kind="opt_agreement", max_value=0.9)
 
     def test_invalid_budget_and_quantile_rejected(self):
         with pytest.raises(ValueError):
@@ -98,6 +102,21 @@ class TestSloObjective:
         # Gauge never published: skip.
         other = WindowedRegistry(every_requests=10)
         assert objective.evaluate(other.roll())[0] is None
+
+    def test_opt_agreement_evaluate(self):
+        objective = SloObjective(
+            name="agree", kind="opt_agreement", min_value=0.8
+        )
+        registry = WindowedRegistry(every_requests=10)
+        # No warm window labelled yet: the gauge is absent, skip.
+        assert objective.evaluate(close_window(registry))[0] is None
+        snap = close_window(registry, agreement=0.85)
+        assert objective.evaluate(snap) == (True, 0.85)
+        snap = close_window(registry, agreement=0.75)
+        assert objective.evaluate(snap) == (False, 0.75)
+        engine = SloEngine(SloSpec(objectives=(objective,)))
+        engine.observe_window(snap)
+        assert engine.verdict()["objectives"]["agree"]["threshold"] == 0.8
 
 
 class TestSloSpec:

@@ -149,7 +149,7 @@ class TestGBDTInvariances:
 class TestLFODeterminism:
     def test_full_pipeline_deterministic(self):
         """Same trace + same seeds -> bit-identical online behaviour."""
-        from repro.core import LFOOnline, OptLabelConfig
+        from repro.core import LFOOnline
         from repro.gbdt import GBDTParams
 
         trace = _random_trace(5, n=800, n_objects=40)
@@ -158,7 +158,6 @@ class TestLFODeterminism:
             policy = LFOOnline(
                 cache_size=60, window=300,
                 gbdt_params=GBDTParams(num_iterations=5),
-                label_config=OptLabelConfig(mode="greedy"),
                 n_gaps=5,
             )
             return simulate(trace, policy).hits

@@ -1,11 +1,13 @@
 """What "same labels, same models" means for the training job: the
 three 4000-request windows of the perf ledger's ``mix-12000`` trace,
-driven through ``LabelFitJob`` with library defaults, digest by digest.
+driven through ``LabelFitJob``, digest by digest.
 
-The constants were recorded at the commit before the indexed heap, the
-array-built OPT network, the partition score update, batched percentiles
-and the splittable-feature inheritance landed (PR 20); the native module
-and its Python/numpy references must both reproduce them.
+The segmented constants were recorded at the commit before the indexed
+heap, the array-built OPT network, the partition score update, batched
+percentiles and the splittable-feature inheritance landed (PR 20); the
+native SSP kernel and its Python/numpy references must both reproduce
+them.  The greedy constants are the library defaults, recorded when
+greedy labels became the default.
 """
 
 from hashlib import blake2b
@@ -29,6 +31,13 @@ _SHARES = (0.55, 0.35, 0.10)
 _TRACE_DIGEST = "0a142d21569885fe"
 _LABEL_DIGESTS = ["224b5c937931de75", "492b8665fdfaee19", "c65790b5e14b9956"]
 _MODEL_DIGESTS = ["c7db1f0b6aedaf1b", "02500fa71c9eb6c7", "fa784c9b636942f5"]
+#: ``OptLabelConfig()``: greedy labels.
+_GREEDY_LABEL_DIGESTS = [
+    "4e281b4a4dfac811", "767418888af8fdcd", "52ef0ab25395cef2",
+]
+_GREEDY_MODEL_DIGESTS = [
+    "975754102c4163e6", "121df23ef8ec7ec7", "c6edc2415cf23170",
+]
 
 
 def _digest(blob: bytes) -> str:
@@ -47,9 +56,10 @@ def mix_trace():
     return trace
 
 
-def _window_digests(trace):
+def _window_digests(trace, **label_config):
     """``(labels, models)``: the digests of every window's labels and
-    compiled model, on the scalar online loop with library defaults."""
+    compiled model, on the scalar online loop with library defaults but
+    ``label_config``."""
     labels, models = [], []
 
     class Recording(OptLabelConfig):
@@ -59,7 +69,8 @@ def _window_digests(trace):
             return found
 
     policy = LFOOnline(
-        trace.footprint() // 10, window=4_000, label_config=Recording()
+        trace.footprint() // 10, window=4_000,
+        label_config=Recording(**label_config),
     )
     job = policy.trainer.job
 
@@ -77,7 +88,17 @@ def _window_digests(trace):
 @pytest.mark.parametrize("backend", ["native", "python_fallback"])
 def test_window_labels_and_models_pinned(request, mix_trace, backend):
     request.getfixturevalue(backend)
-    assert _window_digests(mix_trace) == (_LABEL_DIGESTS, _MODEL_DIGESTS)
+    assert _window_digests(mix_trace, mode="segmented") == (
+        _LABEL_DIGESTS, _MODEL_DIGESTS
+    )
+
+
+@pytest.mark.parametrize("backend", ["native", "python_fallback"])
+def test_greedy_default_labels_and_models_pinned(request, mix_trace, backend):
+    request.getfixturevalue(backend)
+    assert _window_digests(mix_trace) == (
+        _GREEDY_LABEL_DIGESTS, _GREEDY_MODEL_DIGESTS
+    )
 
 
 @pytest.mark.parametrize("helpers", [0, 1, 3])
@@ -90,7 +111,9 @@ def test_pins_hold_at_every_width(monkeypatch, mix_trace, helpers):
     )
     monkeypatch.setattr(_native, "_pool", None)
     try:
-        assert _window_digests(mix_trace) == (_LABEL_DIGESTS, _MODEL_DIGESTS)
+        assert _window_digests(mix_trace, mode="segmented") == (
+            _LABEL_DIGESTS, _MODEL_DIGESTS
+        )
     finally:
         if _native._pool is not None:
             _native._pool.shutdown(wait=True)
