@@ -11,7 +11,9 @@ a retraining ``LFOOnline`` (training inline and submitted), and one
 ``HashRing.partition`` — its requests through the cluster's wire records
 — with a cold -> warm model attach.  Equal means equal hit vectors and
 equal digests of every score that reached ``apply_scored``;
-``used_bytes <= cache_size`` is checked on every run.
+``used_bytes <= cache_size`` is checked on every run.  Every library
+policy with its own request path keeps its hit stream at any
+``batch_size``, so none can inherit a batched flag that bypasses it.
 """
 
 import struct
@@ -24,11 +26,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import CachePolicy, OptReplayCache
 from repro.cluster import HashRing
 from repro.cluster.wire import pack_requests, unpack_requests
 from repro.core import (
-    AdaptiveLFOOnline, DecisionEngine, LFOCache, LFOModel, LFOOnline,
-    OptLabelConfig, SampledEvictionConfig,
+    AdaptiveLFOOnline, DecisionEngine, IRLCache, IRLOnline, LFOCache,
+    LFOModel, LFOOnline, LinearRewardIRL, OptLabelConfig,
+    SampledEvictionConfig,
 )
 from repro.features import Dataset, FeatureTracker, feature_names
 from repro.gbdt import GBDTParams
@@ -43,11 +47,9 @@ N_GAPS = 4
 SAMPLED = SampledEvictionConfig(k=4, seed=3)
 
 
-@pytest.fixture(scope="module")
-def model():
-    """Splits on size, cost, free bytes and the last gap, so admission,
-    bucket drift, the probe's in-window shift (gaps and cost) and
-    dirty-row rescoring all change outcomes."""
+def demonstrations():
+    """``(X, y)``: labels that split on size, cost, free bytes and the
+    last gap."""
     rng = np.random.default_rng(0)
     X = np.zeros((3000, 3 + N_GAPS))
     X[:, 0] = rng.integers(1, 160, size=len(X))
@@ -57,6 +59,15 @@ def model():
     y = (
         (X[:, 0] < 60) ^ (X[:, 1] > 15) ^ (X[:, 2] % 97 < 30) ^ (X[:, 3] < 2)
     ).astype(float)
+    return X, y
+
+
+@pytest.fixture(scope="module")
+def model():
+    """Splits on size, cost, free bytes and the last gap, so admission,
+    bucket drift, the probe's in-window shift (gaps and cost) and
+    dirty-row rescoring all change outcomes."""
+    X, y = demonstrations()
     return LFOModel.train(
         Dataset(X, y, feature_names(N_GAPS)), GBDTParams(num_iterations=8)
     )
@@ -464,3 +475,62 @@ def test_batch_size_is_a_noop_for_non_lfo_policies(name):
         simulate(trace, factory(cache_size), batch_size=512).hits,
         simulate(trace, factory(cache_size)).hits,
     )
+
+
+#: One constructor per library ``CachePolicy`` subclass with its own
+#: request path (``on_request`` or ``apply_scored``) that
+#: ``policy_factories`` does not build, given a fitted model where the
+#: class takes one: ``(cache_size, trace, model, reward)``.
+REQUEST_PATHS = {
+    LFOCache: lambda size, trace, model, reward: LFOCache(
+        size, model, n_gaps=N_GAPS
+    ),
+    LFOOnline: lambda size, trace, model, reward: LFOOnline(
+        size, window=500, gbdt_params=GBDTParams(num_iterations=4),
+        n_gaps=N_GAPS,
+    ),
+    IRLCache: lambda size, trace, model, reward: IRLCache(
+        size, reward, n_gaps=N_GAPS
+    ),
+    IRLOnline: lambda size, trace, model, reward: IRLOnline(
+        size, window=500, n_gaps=N_GAPS
+    ),
+    OptReplayCache: lambda size, trace, model, reward: OptReplayCache(
+        size, np.arange(len(trace)) % 3 > 0, trace
+    ),
+}
+
+
+def test_every_request_path_override_is_in_a_batched_leg():
+    covered = set(REQUEST_PATHS) | {
+        type(factory(1000)) for factory in policy_factories().values()
+    }
+    found, stack = set(), [CachePolicy]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro.") and (
+                "on_request" in vars(sub) or "apply_scored" in vars(sub)
+            ):
+                found.add(sub)
+    assert found <= covered, found - covered
+
+
+@pytest.mark.parametrize(
+    "cls", list(REQUEST_PATHS), ids=lambda cls: cls.__name__
+)
+def test_batch_size_keeps_every_request_path(model, cls):
+    """A class that overrides the request path but inherits a true
+    ``supports_batched_scoring`` would be bypassed by the decision engine
+    at ``batch_size > 1``: the hit stream must not depend on it."""
+    trace = generate_trace(
+        SyntheticConfig(n_requests=1500, n_objects=120, seed=13)
+    )
+    cache_size = trace.footprint() // 8
+    reward = LinearRewardIRL(epochs=2).fit(*demonstrations())
+
+    def hits(batch_size):
+        policy = REQUEST_PATHS[cls](cache_size, trace, model, reward)
+        return simulate(trace, policy, batch_size=batch_size).hits
+
+    assert np.array_equal(hits(1), hits(64))

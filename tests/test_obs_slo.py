@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.obs import SloEngine, SloObjective, SloSpec, WindowedRegistry
+from repro.obs import (
+    MetricsRegistry, SloEngine, SloObjective, SloSpec, WindowedRegistry,
+    use_registry,
+)
+from repro.obs.slo import _ObjectiveState
 
 LATENCY_BUCKETS = (1e-4, 1e-3, 1e-2)
 
@@ -235,3 +239,44 @@ class TestSloEngine:
         assert detail["violations"] == 0
         assert detail["burn_rate"] == 0.0
         json.dumps(verdict)  # JSON-safe for the /health endpoint
+
+
+def test_evaluation_is_replay_pure():
+    """Judging a recorded window sequence twice, each time from fresh
+    objective state, gives the same verdicts and writes nothing to the
+    process registry: a replay violates in the windows the live run did."""
+    recorder = WindowedRegistry(every_requests=10)
+    scores = recorder.histogram(
+        "lfo.admission_score", bounds=tuple(i / 10 for i in range(1, 10))
+    )
+    windows = []
+    for i in range(10):
+        for j in range(300):
+            scores.observe(((i * 7 + j) % 10) / 10 + (0.05 if i > 6 else 0))
+        recorder.gauge("online.feature_recency_mean").set(1.0 + i % 3)
+        recorder.gauge("online.feature_cost_mean").set(5.0 * (1 + (i > 7)))
+        recorder.gauge("resilience.training_halted").set(0.0)
+        if i == 4:
+            recorder.counter("online.model_installs").inc()
+        windows.append(close_window(
+            recorder, latencies=[2e-4 * (1 + i)] * 60,
+            hit_bytes=100 * (10 - i), miss_bytes=100 * i, staleness=i % 3,
+            agreement=0.8 + 0.01 * i if i >= 4 else None,
+        ))
+    objectives = SloSpec.default().objectives + (
+        SloObjective("agree", "opt_agreement", min_value=0.85),
+    )
+
+    def judge():
+        verdicts = []
+        for objective in objectives:
+            state = _ObjectiveState()
+            verdicts += [objective.evaluate(w, state) for w in windows]
+        return verdicts
+
+    probe = MetricsRegistry()
+    with use_registry(probe):
+        first, second = judge(), judge()
+    assert first == second
+    assert {ok for ok, _ in first} == {True, False, None}
+    assert probe.to_dict() == MetricsRegistry().to_dict()
