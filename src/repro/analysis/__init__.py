@@ -4,15 +4,14 @@ The production claims this codebase makes — deterministic relabeling,
 lock-free request path, bounded-cardinality observability — are invariants
 of the *source*, so they are enforced by an AST-level checker rather than
 review comments.  The framework is self-contained (stdlib ``ast`` only)
-and has one pass: build the whole-program model, run every rule over it,
-apply the suppression markers, report.  The public names:
+and has one pass: parse the program, run every rule over it, apply the
+suppression markers, report.  The public names:
 
 * :class:`Rule` — the plugin API; each rule owns a stable ``rule_id``
   used by ``--select`` and suppressions.  A visitor rule overrides
-  ``visit_*``; a whole-program rule overrides ``check(model)``;
+  ``visit_*``; a repo-wide rule overrides ``check(model)``;
 * :class:`ProjectModel` — what ``check`` receives: every parsed
-  :class:`FileContext`, the repo-wide symbol table, import/call graph
-  and class hierarchy (dataflow effect summaries are computed over it);
+  :class:`FileContext`, plus the docs the metric table lives in;
 * :func:`run_analysis` — build the model over the tree, run the
   (selected) rules, return an :class:`AnalysisReport` of
   :class:`Violation` findings; ``paths`` narrows what is reported, never

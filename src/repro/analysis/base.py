@@ -3,10 +3,10 @@ and the :class:`Rule` plugin API.
 
 A rule is an :class:`ast.NodeVisitor` subclass with a stable ``rule_id``.
 The engine instantiates each selected rule once per run and calls
-:meth:`Rule.check` with the whole-program model.  The default walks every
+:meth:`Rule.check` with the program model.  The default walks every
 in-scope file's AST (a visitor rule only overrides ``visit_*``); a
-whole-program rule overrides :meth:`Rule.check` and reads the model's
-symbol table, call graph or metric surface instead.
+repo-wide rule overrides :meth:`Rule.check` and reads the model's metric
+surface instead.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ class FileContext:
     #: Line-scoped suppressions: line number -> rule ids silenced there
     #: (populated from ``# lint: ignore-next-line[...]`` markers).
     line_suppressed: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: Whether this file is a package ``__init__`` (drives relative-import
-    #: resolution in the whole-program model).
-    is_package: bool = False
 
     @classmethod
     def from_source(
@@ -88,7 +85,6 @@ class FileContext:
             tree=ast.parse(source, filename=path),
             suppressed=parse_suppressions(source),
             line_suppressed=parse_line_suppressions(source),
-            is_package=path.endswith("__init__.py"),
         )
 
     def in_package(self, *prefixes: str) -> bool:
@@ -139,7 +135,7 @@ class Rule(ast.NodeVisitor):
     suppressions match) and ``summary`` (one line for reports).  A visitor
     rule overrides ``visit_*`` methods, calls :meth:`report` on findings
     and may override :meth:`applies_to` to scope itself to particular
-    modules.  A whole-program rule overrides :meth:`check` and builds its
+    modules.  A repo-wide rule overrides :meth:`check` and builds its
     findings with :meth:`report_at`; they still anchor to a concrete
     ``path:line`` so suppression markers apply to both kinds alike.
     """
@@ -211,10 +207,3 @@ def dotted_name(node: ast.AST) -> str:
         return ".".join(reversed(parts))
     return ""
 
-
-def references_name(node: ast.AST, name: str) -> bool:
-    """True when any ``Name`` node inside ``node`` loads ``name``."""
-    return any(
-        isinstance(child, ast.Name) and child.id == name
-        for child in ast.walk(node)
-    )

@@ -4,7 +4,7 @@ the suppression markers once, report.
 :func:`run_analysis` builds one :class:`~repro.analysis.project.ProjectModel`
 over the default roots, hands it to every selected rule, and returns an
 :class:`AnalysisReport`.  ``paths`` narrows which files' findings are
-*reported*, never what the rules see: a whole-program rule run over one
+*reported*, never what the rules see: a repo-wide rule run over one
 file would report everything the rest of the program explains.
 :func:`check_sources` is the same pass over in-memory fixtures.
 """

@@ -3,7 +3,7 @@
 Adding a rule is three steps: subclass :class:`repro.analysis.Rule` in
 one of the modules here (or a new one), give it a stable ``rule_id``, and
 list the class in :data:`ALL_RULES`.  Visitor rules override ``visit_*``;
-whole-program rules override ``check(model)``.  Every rule runs on every
+repo-wide rules override ``check(model)``.  Every rule runs on every
 ``lfo lint``.
 """
 
@@ -12,14 +12,13 @@ from __future__ import annotations
 from ..base import Rule
 from .api import PublicApiAnnotationRule
 from .concurrency import ExecutorSharedStateRule, RequestPathLockRule
-from .crossfile import (
-    DetectorPurityRule,
-    MetricSurfaceRule,
-    PolicyContractRule,
-    RngTaintRule,
-)
 from .determinism import DeterminismRngRule, DeterminismWallClockRule
-from .obs import ObsLiteralNameRule, ObsNameStyleRule, ObsNameUniqueRule
+from .obs import (
+    MetricSurfaceRule,
+    ObsLiteralNameRule,
+    ObsNameStyleRule,
+    ObsNameUniqueRule,
+)
 from .robustness import BroadExceptRule, FloatEqualityRule, SilentDegradeRule
 
 __all__ = ["ALL_RULES", "all_rules", "rule_ids"]
@@ -36,9 +35,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     FloatEqualityRule,
     SilentDegradeRule,
     PublicApiAnnotationRule,
-    RngTaintRule,
-    PolicyContractRule,
-    DetectorPurityRule,
     MetricSurfaceRule,
 )
 

@@ -83,10 +83,10 @@ class DeterminismRngRule(_ScopedRule):
 
     rule_id = "det-rng"
     summary = (
-        "sim/opt/gbdt/features/core/trace.synthetic and benchmarks must draw randomness "
-        "from an explicitly seeded np.random.Generator, never the stdlib "
-        "`random` module, the np.random legacy singleton, or an unseeded "
-        "default_rng()"
+        "sim/opt/gbdt/features/core/obs/serve/cluster/trace.synthetic and "
+        "benchmarks must draw randomness from an explicitly seeded "
+        "np.random.Generator, never the stdlib `random` module, the "
+        "np.random legacy singleton, or an unseeded default_rng()"
     )
 
     def __init__(self) -> None:
@@ -161,10 +161,11 @@ class DeterminismWallClockRule(_ScopedRule):
 
     rule_id = "det-wallclock"
     summary = (
-        "sim/opt/gbdt/features/core/trace.synthetic and benchmarks must not read the wall "
-        "clock (time.time, datetime.now, ...); use the trace's logical "
-        "timestamps or an injected clock (monotonic perf_counter timing for "
-        "observability is fine)"
+        "sim/opt/gbdt/features/core/obs/serve/cluster/trace.synthetic and "
+        "benchmarks must not read the wall clock (time.time, "
+        "datetime.now, ...); use the trace's logical timestamps or an "
+        "injected clock (monotonic perf_counter timing for observability "
+        "is fine)"
     )
 
     def __init__(self) -> None:

@@ -6,6 +6,11 @@ debug: dynamic names (an f-string interpolating an object id turns one
 counter into a million — the classic cardinality bomb) and one name used
 as two different instrument kinds in different files.  Names are therefore
 required to be literal, dotted snake_case, and kind-unique repo-wide.
+``obs-name-unique`` and ``xf-metric-surface`` both read the registered
+surface (:func:`~repro.analysis.metrics.collect_metric_surface`); the
+latter checks that the generated reference table in
+``docs/architecture.md`` is what generating it now yields and that no two
+Prometheus exposition names collide after sanitisation.
 """
 
 from __future__ import annotations
@@ -15,12 +20,25 @@ import re
 from typing import TYPE_CHECKING
 
 from ..base import Rule, Violation
-from ..metrics import FACTORY_ATTRS, collect_metric_surface, iter_factory_calls
+from ..metrics import (
+    FACTORY_ATTRS,
+    MARKER_END,
+    MARKER_START,
+    collect_metric_surface,
+    iter_factory_calls,
+    render_metrics_markdown,
+    splice_doc_table,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..project import ProjectModel
 
-__all__ = ["ObsLiteralNameRule", "ObsNameStyleRule", "ObsNameUniqueRule"]
+__all__ = [
+    "MetricSurfaceRule",
+    "ObsLiteralNameRule",
+    "ObsNameStyleRule",
+    "ObsNameUniqueRule",
+]
 
 #: Dotted snake_case: ``online.skipped_retrains``, ``sim.hits`` ...
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
@@ -131,3 +149,73 @@ class ObsNameUniqueRule(Rule):
                     )
                 )
         return violations
+
+
+class MetricSurfaceRule(Rule):
+    rule_id = "xf-metric-surface"
+    summary = (
+        "The docs metric reference table is stale against the registered "
+        "metric surface, or two metrics share a Prometheus series name"
+    )
+
+    #: The docs artifact carrying the generated reference table.
+    doc_path = "docs/architecture.md"
+
+    def check(self, model: "ProjectModel") -> list[Violation]:
+        out: list[Violation] = []
+        infos = collect_metric_surface(model)
+
+        # Post-sanitisation exposition collisions (code-only check).
+        by_prom: dict[str, object] = {}
+        for info in infos:
+            other = by_prom.get(info.prom)
+            if other is not None and other.name != info.name:
+                out.append(
+                    self.report_at(
+                        path=info.path,
+                        line=info.line,
+                        col=1,
+                        message=(
+                            f"metric `{info.name}` and `{other.name}` "
+                            f"({other.path}:{other.line}) both expose "
+                            f"Prometheus series `{info.prom}`; dotted "
+                            f"names must stay distinct after "
+                            f"sanitisation"
+                        ),
+                    )
+                )
+            else:
+                by_prom.setdefault(info.prom, info)
+
+        # The table is generated, so it is checked the way it is made.
+        text = model.read_text(self.doc_path)
+        updated = splice_doc_table(text or "", render_metrics_markdown(infos))
+        if updated is None:
+            out.append(
+                self.report_at(
+                    path=self.doc_path,
+                    line=1,
+                    col=1,
+                    message=(
+                        f"metric reference table not found in "
+                        f"`{self.doc_path}`: expected a generated table "
+                        f"between `{MARKER_START}` and `{MARKER_END}` "
+                        f"(regenerate with tools/update_metrics_doc.py)"
+                    ),
+                )
+            )
+        elif updated != text:
+            out.append(
+                self.report_at(
+                    path=self.doc_path,
+                    line=text[: text.index(MARKER_START)].count("\n") + 1,
+                    col=1,
+                    message=(
+                        f"metric reference table in `{self.doc_path}` is "
+                        f"stale: it is not what the registered metric "
+                        f"surface generates — run "
+                        f"`python tools/update_metrics_doc.py`"
+                    ),
+                )
+            )
+        return out

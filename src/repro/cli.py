@@ -12,7 +12,7 @@ Installed as the ``lfo`` console script::
     lfo serve trace.bin --serve-metrics 9100 --follow
     lfo serve --synthetic 20000 --slo slo.json --check
     lfo lint --format json
-    lfo lint src/repro/core --select det-rng,xf-rng-taint
+    lfo lint src/repro/core --select det-rng,det-wallclock
 
 Results go to stdout; progress and diagnostics go to stderr, so output
 stays pipeable.  ``--metrics-out PATH`` (on ``simulate``, ``compare`` and

@@ -828,21 +828,21 @@ class LintCliTest(unittest.TestCase):
         self.assertGreater(document["files_checked"], 50)
 
     def test_select_subset_and_explicit_path(self) -> None:
-        # Visitor and whole-program ids select alike; no tier flag exists.
+        # Visitor and repo-wide ids select alike; no tier flag exists.
         code, out, _ = self._lint(
-            "--select", "det-rng,det-wallclock,xf-rng-taint",
+            "--select", "det-rng,det-wallclock,xf-metric-surface",
             "--format", "json",
             str(REPO_ROOT / "src" / "repro" / "sim"),
         )
         self.assertEqual(0, code, out)
         self.assertEqual(
-            ["det-rng", "det-wallclock", "xf-rng-taint"],
+            ["det-rng", "det-wallclock", "xf-metric-surface"],
             json.loads(out)["rules"],
         )
 
     def test_one_real_file_is_reported_alone(self) -> None:
         # `paths` filters what is printed; the program stays the whole
-        # tree, so whole-program rules do not misfire on a one-file run
+        # tree, so repo-wide rules do not misfire on a one-file run
         # (a one-file "program" drew 65 false xf-metric-surface findings).
         code, out, _ = self._lint("src/repro/core/lfo.py", "--format", "json")
         self.assertEqual(0, code, out)

@@ -37,7 +37,7 @@ def _report(**overrides: object) -> AnalysisReport:
     base: dict = dict(
         violations=[],
         files_checked=4,
-        rule_ids=["det-rng", "xf-policy-contract"],
+        rule_ids=["det-rng", "xf-metric-surface"],
         duration_seconds=0.1234,
     )
     base.update(overrides)

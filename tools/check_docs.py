@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Execute the fenced Python blocks in markdown docs and check their links.
 
-CI's docs job runs this over ``docs/usage.md`` and ``docs/robustness.md``
+CI's docs job runs this over the handbook (``docs/usage.md``,
+``docs/robustness.md``, ``docs/serving.md``, ``docs/architecture.md``)
 so the recipes in the handbook cannot silently rot: every ````` ```python
 ````` block is executed, in order, in one shared namespace per file (so a
 ``trace`` built in an early block is usable by later ones — exactly how a
