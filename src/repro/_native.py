@@ -11,10 +11,13 @@ compiler on first use and bound through :mod:`ctypes`:
   around an indexed heap where that loop pushes duplicates, finishing
   the same nodes in the same order (see :mod:`repro.flow.ssp` for why
   the two are bit-identical);
-* ``hist_best_split`` — the per-leaf histogram build and split scan of
-  :func:`repro.gbdt.tree.grow_tree`: the additions, in the order, of the
-  numpy search it stands in for (see ``_find_best_split`` there), less
-  the features a leaf's parent found in one bin;
+* ``grow_tree`` — one whole leaf-wise tree of
+  :func:`repro.gbdt.tree.grow_tree`: root and child sums (numpy's
+  pairwise summation), the per-leaf histogram build and split scan (the
+  additions, in the order, of the numpy search it stands in for, see
+  ``_find_best_split`` there, less the features a leaf's parent found in
+  one bin), the best-first queue and the stable row partition of the
+  reference loop in ``_grow``;
 * ``tracker_gather`` — the cost and gap columns of a
   :meth:`repro.features.FeatureTracker.features_batch` probe window:
   the subtractions over the arena's stored times that the numpy gather
@@ -74,6 +77,7 @@ _CC_TIMEOUT_SECONDS = 60.0
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef struct {
@@ -287,8 +291,10 @@ typedef struct {
    min_data >= 1 skipping it changes no histogram that is read and no
    gain that competes.  Returns slot * 256 + bin of the first strictly
    greatest gain above `min_gain`, or -1, and stores that gain in
-   *best_gain. */
-int64_t hist_best_split(const uint8_t *binned, int64_t n_cols,
+   *best_gain.  Out of line, as is pairwise_sum: called once a search
+   (a node), inlining them buys no time and makes the build slower. */
+__attribute__((noinline))
+static int64_t hist_best_split(const uint8_t *binned, int64_t n_cols,
                         const int64_t *rows, int64_t n_rows,
                         const int64_t *features, const int64_t *offsets,
                         int64_t n_features,
@@ -382,6 +388,186 @@ int64_t hist_best_split(const uint8_t *binned, int64_t n_cols,
     return best;
 }
 
+/* float(values[rows].sum()): numpy's pairwise summation of the gathered
+   values (PW_BLOCKSIZE 128, eight accumulators), which one add.reduce
+   over a contiguous float64 array makes in a single inner-loop call,
+   added to the reduction's +0.0 start. */
+__attribute__((noinline))
+static double pairwise_sum(const double *values, const int64_t *rows,
+                           int64_t n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (int64_t i = 0; i < n; i++)
+            res += values[rows[i]];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = values[rows[j]];
+        for (i = 8; i < n - (n %% 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += values[rows[i + j]];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += values[rows[i]];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 %% 8;
+    return pairwise_sum(values, rows, n2)
+           + pairwise_sum(values, rows + n2, n - n2);
+}
+
+/* Python's x ** 2 is libm's pow(|x|, 2), which need not round as x * x
+   does; called through a pointer the compiler may not fold into x * x. */
+static double (*volatile py_pow)(double, double) = pow;
+
+typedef struct {
+    double key;  /* -gain */
+    int64_t counter;
+    int64_t node;
+} Entry;
+
+#define ENTRY_LESS(a, b) \
+    ((a).key < (b).key || ((a).key == (b).key && (a).counter < (b).counter))
+
+/* Node k is nodes[k * N_INTS ..] and sums[k * N_FLOATS ..]. */
+enum { N_FEATURE, N_BIN, N_LEFT, N_RIGHT, N_START, N_COUNT, N_INTS };
+enum { S_GAIN, S_GRAD, S_HESS, N_FLOATS };
+
+/* One leaf-wise tree: the reference loop of repro.gbdt.tree._grow in one
+   call.  `rows` holds the sample's rows on entry and, on return, every
+   node's rows at [start, start + count), children in their parent's
+   order.  Nodes come in the order the loop makes them, room for
+   2 * num_leaves - 1: (feature, bin, left, right, start, count; feature
+   -1 = leaf) and (split gain, grad sum, hess sum).  A leaf is searched
+   when its depth is below max_depth (< 0 = no cap) and, below the root,
+   when it is wide enough for two children and the tree may still grow;
+   the leaves that found a split queue on (-gain, counter), a total
+   order, so taking the least entry pops what heapq pops.  With `inherit`
+   a leaf's children search only the features it held in two bins or
+   more (see hist_best_split).  stats receives the number of searches,
+   of those given candidate flags and of those writing flags.  Returns
+   the node count, or -1 when the work space cannot be allocated. */
+int64_t grow_tree(const uint8_t *binned, int64_t n_cols,
+                  int64_t *rows, int64_t n_rows,
+                  const int64_t *features, const int64_t *offsets,
+                  int64_t n_features,
+                  const double *grad, const double *hess,
+                  int64_t num_leaves, int64_t max_depth, int64_t min_data,
+                  double min_hess, double lam, double min_gain,
+                  int64_t inherit, void *scratch,
+                  int64_t *nodes, double *sums, int64_t *stats)
+{
+    const int64_t capacity = num_leaves > 1 ? 2 * num_leaves - 1 : 1;
+    const int64_t n_flags = inherit ? capacity * n_features : 0;
+    /* per node: a queue entry, depth, best cell and best gain */
+    char *work = malloc((size_t)(capacity * (int64_t)(sizeof(Entry) + 24)
+                                 + n_rows * 8 + n_flags + 1));
+    if (!work)
+        return -1;
+    Entry *queue = (Entry *)work;
+    int64_t *depth = (int64_t *)(queue + capacity);
+    int64_t *best = depth + capacity;
+    double *best_gain = (double *)(best + capacity);
+    int64_t *right_rows = (int64_t *)(best_gain + capacity);
+    uint8_t *flags = inherit ? (uint8_t *)(right_rows + n_rows) : NULL;
+    int64_t n_nodes = 0, n_leaves = 1, n_queued = 0, counter = 0;
+    int64_t parent = -1, start = 0, n_left = n_rows;
+    stats[0] = stats[1] = stats[2] = 0;
+
+    /* A round makes the root, or the two children of the last split,
+       searches those that could be split in turn, then pops that leaf. */
+    for (;;) {
+        const int64_t first = n_nodes;
+        const int64_t d = parent < 0 ? 0 : depth[parent] + 1;
+        const int64_t n_made = parent < 0 ? 1 : 2;
+        for (int64_t k = first; k < first + n_made; k++) {
+            int64_t *nd = nodes + k * N_INTS;
+            double *sm = sums + k * N_FLOATS;
+            const int64_t at = k == first ? start : start + n_left;
+            const int64_t n = k == first
+                ? n_left : nodes[parent * N_INTS + N_COUNT] - n_left;
+            nd[N_FEATURE] = -1;
+            nd[N_BIN] = 0;
+            nd[N_LEFT] = nd[N_RIGHT] = -1;
+            nd[N_START] = at;
+            nd[N_COUNT] = n;
+            sm[S_GAIN] = 0.0;
+            sm[S_GRAD] = 0.0 + pairwise_sum(grad, rows + at, n);
+            sm[S_HESS] = 0.0 + pairwise_sum(hess, rows + at, n);
+            depth[k] = d;
+        }
+        n_nodes += n_made;
+        const int capped = max_depth >= 0 && d >= max_depth;
+        for (int64_t k = first; k < n_nodes && !capped; k++) {
+            const int64_t *nd = nodes + k * N_INTS;
+            const double gs = sums[k * N_FLOATS + S_GRAD];
+            const double hs = sums[k * N_FLOATS + S_HESS];
+            if (parent >= 0
+                && !(nd[N_COUNT] >= 2 * min_data && n_leaves < num_leaves))
+                continue;
+            const uint8_t *candidates =
+                flags && parent >= 0 ? flags + parent * n_features : NULL;
+            uint8_t *splittable = flags ? flags + k * n_features : NULL;
+            stats[0]++;
+            stats[1] += candidates != NULL;
+            stats[2] += splittable != NULL;
+            best[k] = hist_best_split(
+                binned, n_cols, rows + nd[N_START], nd[N_COUNT], features,
+                offsets, n_features, grad, hess, gs, hs,
+                py_pow(fabs(gs), 2.0) / (hs + lam), min_data, min_hess, lam,
+                min_gain, scratch, &best_gain[k], candidates, splittable);
+            if (best[k] >= 0)
+                queue[n_queued++] = (Entry){-best_gain[k], counter++, k};
+        }
+
+        int64_t k = -1;
+        while (k < 0 && n_queued > 0 && n_leaves < num_leaves) {
+            int64_t least = 0;
+            for (int64_t q = 1; q < n_queued; q++)
+                if (ENTRY_LESS(queue[q], queue[least]))
+                    least = q;
+            k = queue[least].node;
+            queue[least] = queue[--n_queued];
+
+            /* stable partition: lefts in place, rights through a buffer */
+            const int64_t f = features[best[k] / 256];
+            const int64_t b = best[k] %% 256;
+            int64_t *seg = rows + nodes[k * N_INTS + N_START];
+            int64_t n_right = 0;
+            n_left = 0;
+            for (int64_t i = 0; i < nodes[k * N_INTS + N_COUNT]; i++) {
+                const int64_t r = seg[i];
+                if (binned[r * n_cols + f] <= b)
+                    seg[n_left++] = r;
+                else
+                    right_rows[n_right++] = r;
+            }
+            memcpy(seg + n_left, right_rows, (size_t)n_right * sizeof(int64_t));
+            if (n_left == 0 || n_right == 0)
+                k = -1;
+        }
+        if (k < 0)
+            break;
+        int64_t *nd = nodes + k * N_INTS;
+        nd[N_FEATURE] = features[best[k] / 256];
+        nd[N_BIN] = best[k] %% 256;
+        nd[N_LEFT] = n_nodes;
+        nd[N_RIGHT] = n_nodes + 1;
+        sums[k * N_FLOATS + S_GAIN] = best_gain[k];
+        n_leaves++;
+        parent = k;
+        start = nd[N_START];
+    }
+    free(work);
+    return n_nodes;
+}
+
 /* Cost and gap columns of a probe window (`X` is n x n_features,
    row-major; columns 0 and 2 are the caller's).  Row i takes them from
    the same object's previous in-window row previous[i] (shifted one
@@ -473,16 +659,16 @@ class Native:
             ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
             ctypes.c_void_p,
         ]
-        self.hist_best_split = lib.hist_best_split
-        self.hist_best_split.restype = ctypes.c_int64
-        self.hist_best_split.argtypes = [
+        self.grow_tree = lib.grow_tree
+        self.grow_tree.restype = ctypes.c_int64
+        self.grow_tree.argtypes = [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
             ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_void_p, ctypes.POINTER(ctypes.c_double),
-            ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         ]
         self.tracker_gather = lib.tracker_gather
         self.tracker_gather.restype = None
@@ -530,7 +716,7 @@ def _build() -> Native | bool:
             handle.write(_SOURCE)
         subprocess.run(
             ["cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared",
-             "-o", lib_path, source_path],
+             "-o", lib_path, source_path, "-lm"],
             check=True,
             capture_output=True,
             timeout=_CC_TIMEOUT_SECONDS,

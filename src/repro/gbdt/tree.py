@@ -9,7 +9,6 @@ split search is O(n_bins) per feature.
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 from dataclasses import dataclass, field
 
@@ -332,62 +331,6 @@ def _split_tables(
     )
 
 
-def _native_addresses(
-    tables: _SplitTables, grad: np.ndarray, hess: np.ndarray
-) -> tuple[int, int, int, int, int, int]:
-    """Where ``hist_best_split`` finds the four per-fit and two per-tree
-    arrays.  For locals only: an address stored on an object would
-    outlive a reallocation and survive pickle or deepcopy, and a C store
-    through it is memory corruption where numpy raised."""
-    return (
-        tables.binned.ctypes.data, tables.features.ctypes.data,
-        tables.offsets.ctypes.data, tables.scratch.ctypes.data,
-        grad.ctypes.data, hess.ctypes.data,
-    )
-
-
-def _native_best_split(
-    leaf: _LeafState,
-    tables: _SplitTables,
-    params: TreeGrowthParams,
-    addresses: tuple[int, int, int, int, int, int],
-    candidates: int = 0,
-    splittable: int = 0,
-) -> None:
-    """:func:`_find_best_split` by ``hist_best_split``.
-
-    ``candidates`` / ``splittable`` are the addresses (0 = none) of one
-    byte per candidate feature: which to search, and where to leave the
-    same flags for this leaf's children (see the routine's comment).
-    :func:`_split_tables` and :func:`_grow` have checked every index the
-    routine dereferences.
-    """
-    leaf.best_gain = params.min_gain_to_split
-    leaf.best_feature = -1
-    leaf.best_bin = -1
-    n_features = len(tables.features)
-    if n_features == 0:
-        return
-    binned, features, offsets, scratch, grad, hess = addresses
-    idx = leaf.sample_idx
-    best_gain = ctypes.c_double()
-    # The parent's score is computed here, as in the numpy search: C's
-    # pow() need not round x**2 the way Python's does.
-    cell = tables.native.hist_best_split(
-        binned, tables.binned.shape[1], idx.ctypes.data, len(idx),
-        features, offsets, n_features, grad, hess,
-        leaf.grad_sum, leaf.hess_sum,
-        leaf.grad_sum**2 / (leaf.hess_sum + params.lambda_l2),
-        params.min_data_in_leaf, params.min_sum_hessian_in_leaf,
-        params.lambda_l2, params.min_gain_to_split,
-        scratch, ctypes.byref(best_gain), candidates, splittable,
-    )
-    if cell >= 0:
-        slot, leaf.best_bin = divmod(cell, 256)
-        leaf.best_gain = best_gain.value
-        leaf.best_feature = int(tables.features[slot])
-
-
 def _find_best_split(
     leaf: _LeafState,
     grad: np.ndarray,
@@ -405,16 +348,10 @@ def _find_best_split(
     tie-breaks of scanning the features one by one.  Gains are evaluated
     only on the cells whose child counts allow a split.
 
-    That numpy body is the reference, and what runs without a C
-    toolchain; with one, ``hist_best_split`` in :mod:`repro._native`
-    makes the same additions in the same order and returns the same
-    split (:func:`_native_best_split`).
+    This is the reference, and what runs without a C toolchain; with
+    one, ``grow_tree`` in :mod:`repro._native` makes the same additions
+    in the same order for every leaf of a tree (:func:`_native_grow`).
     """
-    if tables.native is not None:
-        _native_best_split(
-            leaf, tables, params, _native_addresses(tables, grad, hess)
-        )
-        return
     leaf.best_gain = params.min_gain_to_split
     leaf.best_feature = -1
     leaf.best_bin = -1
@@ -566,6 +503,17 @@ def _grow(
         )
     sample_idx = np.ascontiguousarray(sample_idx)
 
+    if tables.native is not None:
+        # The loop below, in one C call.
+        nodes, sums, rows, _ = _native_grow(
+            tables, grad, hess, params, sample_idx,
+            inherit=params.min_data_in_leaf >= 1,
+        )
+        return _tree_from_nodes(nodes, sums, rows, mapper, params)
+
+    def searchable(leaf: _LeafState) -> bool:
+        return params.max_depth < 0 or leaf.depth < params.max_depth
+
     tree = Tree()
     root = tree._new_node()
     root_leaf = _LeafState(
@@ -578,30 +526,8 @@ def _grow(
     tree._set_value(
         root, _leaf_value(root_leaf.grad_sum, root_leaf.hess_sum, params.lambda_l2)
     )
-    if tables.native is not None:
-        # Addresses are read once per tree and live in this frame only,
-        # as do the arrays behind them.
-        addresses = _native_addresses(tables, grad, hess)
-        # One byte per (node, candidate): a leaf's children search only
-        # the features that occupied two bins or more in it.  Exact only
-        # when a split needs a row on each side.
-        n_candidates = len(tables.features)
-        flags = np.empty(
-            (max(2 * params.num_leaves - 1, 1), n_candidates), dtype=np.uint8
-        )
-        flags_at = flags.ctypes.data if params.min_data_in_leaf >= 1 else 0
-
-        def search(leaf: _LeafState, parent: int) -> None:
-            _native_best_split(
-                leaf, tables, params, addresses,
-                flags_at + parent * n_candidates if flags_at and parent >= 0 else 0,
-                flags_at + leaf.node * n_candidates if flags_at else 0,
-            )
-    else:
-        def search(leaf: _LeafState, parent: int) -> None:
-            _find_best_split(leaf, grad, hess, tables, params)
-
-    search(root_leaf, -1)
+    if searchable(root_leaf):
+        _find_best_split(root_leaf, grad, hess, tables, params)
     leaves = {root: sample_idx}
 
     # Max-heap of splittable leaves keyed by gain; counter breaks ties
@@ -615,10 +541,6 @@ def _grow(
     n_leaves = 1
     while heap and n_leaves < params.num_leaves:
         _, _, leaf = heapq.heappop(heap)
-        if leaf.best_feature < 0:
-            continue
-        if params.max_depth >= 0 and leaf.depth >= params.max_depth:
-            continue
         f, b = leaf.best_feature, leaf.best_bin
         idx = leaf.sample_idx
         mask = binned[:, f][idx] <= b
@@ -650,13 +572,91 @@ def _grow(
                 _leaf_value(child.grad_sum, child.hess_sum, params.lambda_l2),
             )
             leaves[child_node] = child_idx
+            # A leaf at the depth cap, too narrow for two children, or
+            # made by the last split would never be popped: not searched.
             wide = len(child_idx) >= 2 * params.min_data_in_leaf
-            if wide and n_leaves < params.num_leaves:  # else never popped
-                search(child, node)
+            if wide and n_leaves < params.num_leaves and searchable(child):
+                _find_best_split(child, grad, hess, tables, params)
                 if child.best_feature >= 0:
                     heapq.heappush(heap, (-child.best_gain, counter, child))
                     counter += 1
     # Growth is over: build the node arrays once, here, for every reader
     # that follows (tree walks, the ensemble compiler).
     tree._materialise()
+    return tree, leaves
+
+
+def _native_grow(
+    tables: _SplitTables,
+    grad: np.ndarray,
+    hess: np.ndarray,
+    params: TreeGrowthParams,
+    sample_idx: np.ndarray,
+    inherit: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The reference loop of :func:`_grow` as one ``grow_tree`` call.
+
+    Returns the routine's node table ``(n_nodes, 6)`` int64 (feature,
+    bin, left, right, start, count), its ``(n_nodes, 3)`` float64 sums
+    (split gain, grad sum, hess sum), ``sample_idx`` grouped so that node
+    ``k`` owns ``rows[start:start + count]``, and its three counts: leaves
+    searched, of those given candidate flags, of those writing flags.
+    ``inherit`` lets a leaf's children skip the features it held in one
+    bin (exact only when ``min_data_in_leaf >= 1``).  :func:`_split_tables`
+    and :func:`_grow` have checked every index the routine dereferences;
+    every address lives in this frame only.
+    """
+    capacity = max(2 * params.num_leaves - 1, 1)
+    nodes = np.empty((capacity, 6), dtype=np.int64)
+    sums = np.empty((capacity, 3), dtype=np.float64)
+    rows = sample_idx.copy()
+    stats = np.empty(3, dtype=np.int64)
+    n_nodes = tables.native.grow_tree(
+        tables.binned.ctypes.data, tables.binned.shape[1],
+        rows.ctypes.data, len(rows),
+        tables.features.ctypes.data, tables.offsets.ctypes.data,
+        len(tables.features), grad.ctypes.data, hess.ctypes.data,
+        params.num_leaves, params.max_depth, params.min_data_in_leaf,
+        params.min_sum_hessian_in_leaf, params.lambda_l2,
+        params.min_gain_to_split, inherit, tables.scratch.ctypes.data,
+        nodes.ctypes.data, sums.ctypes.data, stats.ctypes.data,
+    )
+    if n_nodes < 0:
+        raise MemoryError("grow_tree could not allocate its work space")
+    return nodes[:n_nodes], sums[:n_nodes], rows, stats
+
+
+def _tree_from_nodes(
+    nodes: np.ndarray,
+    sums: np.ndarray,
+    rows: np.ndarray,
+    mapper: BinMapper,
+    params: TreeGrowthParams,
+) -> tuple[Tree, dict[int, np.ndarray]]:
+    """The :class:`Tree` and leaf partition of a :func:`_native_grow`
+    result: thresholds and leaf values made as the reference loop makes
+    them, one Python float at a time."""
+    feature, bins, left, right, start, count = nodes.T.tolist()
+    gain, grad_sums, hess_sums = sums.T.tolist()
+    tree = Tree(
+        feature=feature,
+        bin_threshold=bins,
+        threshold=[
+            mapper.threshold_value(f, b) if f >= 0 else 0.0
+            for f, b in zip(feature, bins)
+        ],
+        left=left,
+        right=right,
+        value=[
+            _leaf_value(g, h, params.lambda_l2)
+            for g, h in zip(grad_sums, hess_sums)
+        ],
+        gain=gain,
+    )
+    tree._materialise()
+    leaves = {
+        node: rows[s : s + c]
+        for node, (f, s, c) in enumerate(zip(feature, start, count))
+        if f < 0
+    }
     return tree, leaves

@@ -6,6 +6,7 @@ a compiler that never returns."""
 import logging
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
+from hashlib import blake2b
 from unittest import mock
 
 import numpy as np
@@ -300,49 +301,128 @@ class TestSplittableInheritance:
             TreeGrowthParams(num_leaves=12, min_data_in_leaf=min_data_in_leaf),
         )
 
-    @staticmethod
-    def _flag_arguments(monkeypatch):
-        """(candidates, splittable) of every `hist_best_split` call."""
-        seen = []
-        routine = _native.load().hist_best_split
-
-        def spy(*args):
-            seen.append(args[-2:])
-            return routine(*args)
-
-        handle = mock.Mock(wraps=_native.load(), hist_best_split=spy)
-        monkeypatch.setattr(_native, "load", lambda: handle)
-        return seen
-
     @pytest.mark.parametrize("min_data_in_leaf", [1, 5])
     def test_same_tree_with_the_inheritance_disabled(
         self, native, monkeypatch, min_data_in_leaf
     ):
-        flags = self._flag_arguments(monkeypatch)
+        reports = test_gbdt_tree._native_reports(monkeypatch)
         inherited = self._grow(min_data_in_leaf)
-        (root_candidates, _), *below = flags
-        assert root_candidates == 0
-        assert below and all(c and s for c, s in below)
+        # The root is given no flags; every leaf below it is given its
+        # parent's, and every searched leaf leaves its own.
+        ((searched, given, written),) = reports
+        assert searched > 1
+        assert (given, written) == (searched - 1, searched)
 
-        search = tree_module._native_best_split
-        monkeypatch.setattr(
-            tree_module, "_native_best_split",
-            lambda leaf, tables, params, addresses, *_: search(
-                leaf, tables, params, addresses
-            ),
-        )
-        del flags[:]
+        reports = test_gbdt_tree._native_reports(monkeypatch, inherit=False)
         unfiltered = self._grow(min_data_in_leaf)
-        assert flags and all(pair == (0, 0) for pair in flags)
+        ((searched, given, written),) = reports
+        assert searched > 1 and given == written == 0
         assert inherited.n_leaves > 2
         assert inherited.to_dict() == unfiltered.to_dict()
 
     def test_no_flags_when_a_split_may_leave_a_side_empty(
         self, native, monkeypatch
     ):
-        flags = self._flag_arguments(monkeypatch)
+        reports = test_gbdt_tree._native_reports(monkeypatch)
         fast = self._grow(min_data_in_leaf=0)
-        assert flags and all(pair == (0, 0) for pair in flags)
+        ((searched, given, written),) = reports
+        assert searched > 0 and given == written == 0
         with mock.patch.object(_native, "_state", False):
             slow = self._grow(min_data_in_leaf=0)
         assert fast.to_dict() == slow.to_dict()
+
+
+class TestDepthCappedLeavesAreNotSearched:
+    """A leaf at ``max_depth`` is never split, so neither backend
+    searches it.  Growth used to search it and drop it when it was
+    popped; the entries left in the heap keep their order, so the models
+    are the ones pinned here from before, and the search count is the
+    number of leaves above the cap (4 trees, 4 + 8 + 16 + ... each)."""
+
+    @pytest.mark.parametrize(
+        "max_depth,digest,searches",
+        [(2, "e6dfb6c1eb7a887b", 12), (3, "a3c1b2928d2d8697", 28)],
+    )
+    def test_same_models_without_searching_at_the_cap(
+        self, backend, monkeypatch, max_depth, digest, searches
+    ):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(1200, 6))
+        X[:, 5] = np.round(X[:, 5])
+        noise = 0.3 * rng.normal(size=1200)
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + noise > 0).astype(np.float64)
+        params = GBDTParams(
+            num_iterations=4, num_leaves=31, min_data_in_leaf=5,
+            max_depth=max_depth,
+        )
+        searched = test_gbdt_tree._searched_leaves(monkeypatch)
+        reports = test_gbdt_tree._native_reports(monkeypatch)
+        blob = GBDTClassifier(params).fit(X, y).compiled().to_bytes()
+        assert blake2b(blob, digest_size=8).hexdigest() == digest
+        if _native.load() is None:
+            assert max(depth for _, depth in searched) == max_depth - 1
+            assert len(searched) == searches
+        else:
+            assert len(reports) == params.num_iterations
+            assert sum(report[0] for report in reports) == searches
+
+
+class TestLeafSumsArePairwise:
+    """A node's sums are ``float(grad[rows].sum())`` to the bit: numpy's
+    pairwise summation over the gathered values, which ``grow_tree``
+    copies.  A numpy whose reduction adds in another order fails here
+    before it moves a pinned model."""
+
+    LENGTHS = [*range(10), 127, 128, 129, 4000, 8191, 8192, 8193]
+
+    @staticmethod
+    def _sums(grad, hess, idx, **params):
+        binned = np.zeros((len(grad), 1), dtype=np.uint8)
+        binned[::2] = 1
+        tables = tree_module._split_tables(binned, [2], np.arange(1))
+        nodes, sums, rows, _ = tree_module._native_grow(
+            tables, grad, hess, TreeGrowthParams(**params), idx, inherit=True
+        )
+        return nodes, sums, rows
+
+    @staticmethod
+    def _values(rng, n, kind):
+        if kind == "signed_zero":
+            return np.full(n, -0.0)
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-9, 9, size=n)
+        if kind == "infinite" and n:
+            values[rng.integers(0, n, size=2)] = [np.inf, -np.inf][: min(n, 2)]
+        if kind == "nan" and n:
+            values[rng.integers(0, n)] = np.nan
+        return values
+
+    @pytest.mark.parametrize("kind", ["finite", "signed_zero", "infinite", "nan"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_root_sums_equal_numpy(self, native, n, kind):
+        rng = np.random.default_rng(n)
+        grad = self._values(rng, n + 40, kind)
+        hess = self._values(rng, n + 40, kind)
+        idx = rng.choice(n + 40, size=n, replace=False).astype(np.int64)
+        _, sums, _ = self._sums(grad, hess, idx, num_leaves=1)
+        for found, values in ((sums[0, 1], grad), (sums[0, 2], hess)):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                expected = np.sum(values[idx])
+            assert float(found).hex() == float(expected).hex()
+
+    def test_every_node_sums_its_rows_in_parent_order(self, native):
+        rng = np.random.default_rng(5)
+        n = 5000
+        grad = self._values(rng, n, "finite")
+        hess = rng.uniform(0.1, 1.0, size=n)
+        idx = np.sort(rng.choice(n, size=4500, replace=False))
+        nodes, sums, rows = self._sums(
+            grad, hess, idx, num_leaves=2, min_data_in_leaf=1
+        )
+        assert len(nodes) == 3
+        # The root was summed before its rows were split in two.
+        spans = [idx] + [rows[start : start + count] for *_, start, count in nodes[1:]]
+        assert np.array_equal(np.sort(np.concatenate(spans[1:])), idx)
+        for members, (_, g, h) in zip(spans, sums):
+            assert np.all(np.diff(members) > 0)  # the parent's order
+            assert float(g).hex() == float(grad[members].sum()).hex()
+            assert float(h).hex() == float(hess[members].sum()).hex()

@@ -1,10 +1,13 @@
 """Tests for single-tree growth (leaf-wise, histogram-based)."""
 
+from dataclasses import replace
 from hashlib import blake2b
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.gbdt import (
     BinMapper,
     GBDTClassifier,
@@ -14,7 +17,44 @@ from repro.gbdt import (
     grow_tree,
 )
 from repro.gbdt import tree as tree_module
-from repro.gbdt.tree import _LeafState, _find_best_split, _split_tables
+from repro.gbdt.tree import (
+    _find_best_split,
+    _LeafState,
+    _native_grow,
+    _split_tables,
+)
+
+
+def _searched_leaves(monkeypatch):
+    """(node, depth) of every leaf the numpy backend searches."""
+    searched = []
+    inner = tree_module._find_best_split
+
+    def search(leaf, *args, **kwargs):
+        searched.append((leaf.node, leaf.depth))
+        return inner(leaf, *args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "_find_best_split", search)
+    return searched
+
+
+def _native_reports(monkeypatch, inherit=None):
+    """The counts ``grow_tree`` reports for each tree it grows — leaves
+    searched, of those given candidate flags, of those writing flags —
+    with the flag inheritance forced on or off unless ``inherit`` is
+    None."""
+    reports = []
+    inner = tree_module._native_grow
+
+    def grow(*args, **kwargs):
+        if inherit is not None:
+            kwargs["inherit"] = inherit
+        result = inner(*args, **kwargs)
+        reports.append(tuple(result[3].tolist()))
+        return result
+
+    monkeypatch.setattr(tree_module, "_native_grow", grow)
+    return reports
 
 
 def _fit_tree(X, grad, hess=None, **kwargs):
@@ -56,37 +96,43 @@ class TestGrowTree:
         assert tree.n_leaves <= 8
 
     @pytest.mark.parametrize(
-        "backend,search",
-        [("native", "_native_best_split"), ("python_fallback", "_find_best_split")],
+        "backend",
+        ["native", "python_fallback"],
+        ids=["native-routine", "python_fallback-_find_best_split"],
     )
     def test_children_of_the_last_split_are_not_searched(
-        self, request, monkeypatch, backend, search
+        self, request, monkeypatch, backend
     ):
         """The loop exits once ``num_leaves`` is reached: a split search
-        for the two leaves made last could never be used."""
+        for the two leaves made last could never be used.  The routine
+        reports how many leaves it searched: as many as the numpy loop,
+        whose searched nodes are checked one by one."""
         request.getfixturevalue(backend)
-        searched = []
-        inner = getattr(tree_module, search)
-
-        def counted(leaf, *args, **kwargs):
-            searched.append(leaf.node)
-            return inner(leaf, *args, **kwargs)
-
-        monkeypatch.setattr(tree_module, search, counted)
+        searched = _searched_leaves(monkeypatch)
+        reports = _native_reports(monkeypatch)
         rng = np.random.default_rng(0)
         X = rng.normal(size=(500, 3))
         grad = rng.normal(size=500)
         for num_leaves in (2, 8):
-            searched.clear()
+            del searched[:], reports[:]
             tree, _, _ = _fit_tree(
                 X, grad, num_leaves=num_leaves, min_data_in_leaf=5
             )
+            if backend == "native":
+                ((n_searched, _, _),) = reports
+                with mock.patch.object(_native, "_state", False):
+                    reference, _, _ = _fit_tree(
+                        X, grad, num_leaves=num_leaves, min_data_in_leaf=5
+                    )
+                assert tree.to_dict() == reference.to_dict()
+                assert n_searched == len(searched)
             assert tree.n_leaves == num_leaves
             n_nodes = 2 * num_leaves - 1
+            nodes = [node for node, _ in searched]
             # Every node but the last two, less the leaves too small
             # to split (none at two leaves: only the root is searched).
-            assert set(searched) <= set(range(n_nodes - 2))
-            assert len(searched) == len(set(searched)) >= num_leaves - 1
+            assert set(nodes) <= set(range(n_nodes - 2))
+            assert len(nodes) == len(set(nodes)) >= num_leaves - 1
 
     def test_min_data_in_leaf_respected(self):
         rng = np.random.default_rng(1)
@@ -227,10 +273,10 @@ def _reference_best_split(leaf, binned, grad, hess, n_bins, feature_subset, para
 
 
 class TestSplitSearchMatchesPerFeatureScan:
-    """`_find_best_split` against the per-feature loop it replaced:
-    equal (feature, bin, gain), gain compared as a bit pattern.  This
-    class holds the C routine to that oracle, the subclass below the
-    numpy search."""
+    """The split search against the per-feature loop it replaced: equal
+    (feature, bin, gain), gain compared as a bit pattern.  This class
+    holds the C routine to that oracle through the root of a
+    ``num_leaves=2`` stump, the subclass below `_find_best_split`."""
 
     backend = "native"
 
@@ -265,9 +311,20 @@ class TestSplitSearchMatchesPerFeatureScan:
             )
 
         found = leaf()
-        _find_best_split(
-            found, grad, hess, _split_tables(binned, n_bins, subset), params
-        )
+        tables = _split_tables(binned, n_bins, subset)
+        if tables.native is None:
+            _find_best_split(found, grad, hess, tables, params)
+        else:
+            # The routine searches inside whole trees: a stump's root.
+            nodes, sums, _, _ = _native_grow(
+                tables, grad, hess, replace(params, num_leaves=2), idx,
+                inherit=True,
+            )
+            if len(nodes) > 1:
+                found.best_feature, found.best_bin = nodes[0, :2].tolist()
+                found.best_gain = float(sums[0, 0])
+            else:
+                found.best_gain = params.min_gain_to_split
         expected = _reference_best_split(
             leaf(), binned, grad, hess, n_bins, subset, params
         )
