@@ -30,9 +30,8 @@ from repro.viz import bar_chart
 
 WARMUP = 1 / 3
 
-#: The paper's Figure 6 policy set (we add RND, GDSF, TinyLFU and RLC for
-#: context; extras like FIFO/CLOCK/GDS/2Q stay out to keep the table the
-#: paper's).
+#: The paper's Figure 6 policy set plus the Figure 1 baselines (RND, GDSF,
+#: RLC) and TinyLFU: every name ``policy_factories`` builds, in its order.
 FIG6_POLICIES = [
     "RND", "LRU", "LRU-K", "LFUDA", "S4LRU", "GDSF", "GD-Wheel",
     "AdaptSize", "Hyperbolic", "LHD", "TinyLFU", "RLC",

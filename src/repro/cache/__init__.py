@@ -2,20 +2,18 @@
 
 from .adaptsize import AdaptSizeCache
 from .base import CachePolicy
-from .classic import LFUCache, LFUDACache, LRUCache, LRUKCache, RandomCache
+from .classic import LFUDACache, LRUCache, LRUKCache, RandomCache
 from .greedydual import GDSFCache, GDWheelCache
 from .hyperbolic import HyperbolicCache
 from .lhd import LHDCache
 from .optreplay import OptReplayCache
 from .rl import RLCache
-from .scan_resistant import ClockCache, FIFOCache, GDSCache, TwoQCache
 from .segmented import S4LRUCache
 from .tinylfu import CountMinSketch, TinyLFUCache
 
 __all__ = [
     "CachePolicy",
     "AdaptSizeCache",
-    "LFUCache",
     "LFUDACache",
     "LRUCache",
     "LRUKCache",
@@ -26,10 +24,6 @@ __all__ = [
     "LHDCache",
     "OptReplayCache",
     "RLCache",
-    "ClockCache",
-    "FIFOCache",
-    "GDSCache",
-    "TwoQCache",
     "S4LRUCache",
     "CountMinSketch",
     "TinyLFUCache",

@@ -1,4 +1,4 @@
-"""Classic baseline policies: RND, LRU, LRU-K, LFU, LFUDA.
+"""Classic baseline policies: RND, LRU, LRU-K, LFUDA.
 
 These are the simple end of the paper's Figure 6 comparison (plus RND and
 LRU from Figure 1).
@@ -14,7 +14,7 @@ from ..trace import Request
 from .base import CachePolicy
 from .ranked import RankedHeap
 
-__all__ = ["RandomCache", "LRUCache", "LRUKCache", "LFUCache", "LFUDACache"]
+__all__ = ["RandomCache", "LRUCache", "LRUKCache", "LFUDACache"]
 
 
 class RandomCache(CachePolicy):
@@ -146,10 +146,8 @@ class _AgedFrequencyCache(CachePolicy):
 
     Priority of an object is ``age_offset + key(request, frequency)``; the
     aging offset is bumped to the victim's priority on eviction, which is
-    the classic GreedyDual trick for O(log n) aging (LFU turns it off).
+    the classic GreedyDual trick for O(log n) aging.
     """
-
-    _aging = True
 
     def __init__(self, cache_size: int) -> None:
         super().__init__(cache_size)
@@ -179,7 +177,7 @@ class _AgedFrequencyCache(CachePolicy):
         super()._remove(obj)
         self._ranked.discard(obj)
         victim_prio = self._prio.pop(obj, None)
-        if victim_prio is not None and self._aging:
+        if victim_prio is not None:
             self._age = max(self._age, victim_prio)
         self._freq.pop(obj, None)
 
@@ -191,16 +189,6 @@ class _AgedFrequencyCache(CachePolicy):
         self._freq.clear()
         self._prio.clear()
         self._ranked.clear()
-
-
-class LFUCache(_AgedFrequencyCache):
-    """Plain least-frequently-used (no aging)."""
-
-    name = "LFU"
-    _aging = False
-
-    def _key(self, request: Request, freq: int) -> float:
-        return float(freq)
 
 
 class LFUDACache(_AgedFrequencyCache):

@@ -1,5 +1,5 @@
-"""The one heap every score-ordered policy (LFO, IRL, LRU-K, LFU, LFUDA,
-GDSF, GDS, OPT replay, the tiers) ranks its residents in.  A re-rank
+"""The one heap every score-ordered policy (LFO, IRL, LRU-K, LFUDA, GDSF,
+OPT replay, the tiers) ranks its residents in.  A re-rank
 leaves the superseded entry behind, so once stale entries exceed
 ``_STALE_RATIO`` of it the heap is compacted in place
 (``evict.compactions`` / ``evict.heap_stale_ratio``): O(residents)

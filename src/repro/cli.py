@@ -14,11 +14,13 @@ Installed as the ``lfo`` console script::
     lfo lint --format json
     lfo lint src/repro/core --select det-rng,det-wallclock
 
-Results go to stdout; progress and diagnostics go to stderr, so output
-stays pipeable.  ``--metrics-out PATH`` (on ``simulate``, ``compare`` and
-``experiment``) installs a :class:`repro.obs.MetricsRegistry` for the run
-and writes its snapshot — request counters, per-stage histograms, and the
-retraining span tree — plus the run's result as one JSON document.
+``compare`` runs any subset of the paper's Figure 1 and 6 policies
+(:func:`repro.sim.policy_factories`) on one trace; ``simulate`` runs
+online LFO.  Results go to stdout; progress and diagnostics go to stderr,
+so output stays pipeable.  ``--metrics-out PATH`` (on both) installs a
+:class:`repro.obs.MetricsRegistry` for the run and writes its snapshot —
+request counters, per-stage histograms, and the retraining span tree —
+plus the run's result as one JSON document.
 ``simulate`` additionally takes the eviction-engine knobs ``--eviction
 sampled --evict-sample-k K`` (minimal-overhead sampled-candidate
 eviction, see docs/architecture.md "Eviction at scale") and the
@@ -49,14 +51,7 @@ from .core import (
 from .obs import MetricsRegistry, get_registry, use_registry
 from .opt import opt_bhr_bounds, solve_segmented
 from .resilience import FaultPlan, use_fault_plan
-from .sim import (
-    compare_policies,
-    format_table,
-    load_spec,
-    policy_factories,
-    run_experiment,
-    simulate,
-)
+from .sim import compare_policies, format_table, policy_factories, simulate
 from .trace import (
     SyntheticConfig,
     Trace,
@@ -174,17 +169,22 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    subset = args.policies.split(",") if args.policies else None
+    try:
+        factories = policy_factories(subset)
+    except KeyError as exc:  # unknown --policies name
+        _diag(exc.args[0])
+        return 2
     trace = _trace_from_args(args)
     cache_size = _resolve_cache(args, trace)
-    subset = args.policies.split(",") if args.policies else None
     _diag(
-        f"comparing {len(policy_factories(subset))} policies over "
+        f"comparing {len(factories)} policies over "
         f"{len(trace)} requests, cache {cache_size} bytes"
     )
     registry = _make_registry(args)
     with use_registry(registry):
         results = compare_policies(
-            trace, cache_size, factories=policy_factories(subset),
+            trace, cache_size, factories=factories,
             warmup_fraction=args.warmup,
         )
     print(format_table(results, sort_by=args.sort_by))
@@ -485,35 +485,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    spec = load_spec(args.spec)
-    _diag(f"running experiment spec {args.spec}")
-    registry = _make_registry(args)
-    with use_registry(registry):
-        outcome = run_experiment(spec)
-    if args.metrics_out:
-        _write_metrics(args.metrics_out, registry, outcome)
-    if args.json:
-        print(json.dumps(outcome, indent=2))
-    else:
-        print(f"trace      {outcome['trace']['name']} "
-              f"({outcome['trace']['n_requests']} requests)")
-        print(f"cache      {outcome['cache_size']} bytes")
-        for name, metrics in sorted(
-            outcome["results"].items(), key=lambda kv: -kv[1]["bhr"]
-        ):
-            extra = (
-                f"  retrains={metrics['retrains']}"
-                if "retrains" in metrics
-                else ""
-            )
-            print(
-                f"{name:<12} BHR={metrics['bhr']:.4f} "
-                f"OHR={metrics['ohr']:.4f}{extra}"
-            )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``lfo`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -714,15 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_exp = sub.add_parser(
-        "experiment", help="run a declarative experiment spec (JSON)"
-    )
-    p_exp.add_argument("spec", help="path to a JSON experiment spec")
-    p_exp.add_argument("--json", action="store_true",
-                       help="emit the full result as JSON")
-    add_metrics_out(p_exp)
-    p_exp.set_defaults(func=_cmd_experiment)
 
     return parser
 

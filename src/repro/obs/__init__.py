@@ -20,7 +20,7 @@ nothing; enable collection with::
         result = simulate(trace, policy)
     print(registry.to_prometheus())
 
-``lfo simulate/compare/experiment --metrics-out m.json`` does exactly this
+``lfo simulate/compare --metrics-out m.json`` does exactly this
 from the command line.
 
 On top of the cumulative registry sits the streaming layer:

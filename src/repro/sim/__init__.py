@@ -1,12 +1,6 @@
 """Simulation engine and multi-policy comparison harness."""
 
-from .comparison import (
-    ComparisonRow,
-    compare_policies,
-    format_table,
-    policy_factories,
-)
-from .experiment import load_spec, run_experiment
+from .comparison import compare_policies, format_table, policy_factories
 from .metrics import BootstrapCI, paired_bootstrap_diff
 from .hrc import (
     HitRatioCurve,
@@ -18,12 +12,9 @@ from .runner import SimResult, record_free_bytes, simulate
 from .server import ServerConfig, ServerReport, simulate_server
 
 __all__ = [
-    "ComparisonRow",
     "compare_policies",
     "format_table",
     "policy_factories",
-    "load_spec",
-    "run_experiment",
     "BootstrapCI",
     "paired_bootstrap_diff",
     "HitRatioCurve",

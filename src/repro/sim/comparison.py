@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..cache import (
     AdaptSizeCache,
     CachePolicy,
-    ClockCache,
-    FIFOCache,
-    GDSCache,
     GDSFCache,
     GDWheelCache,
     HyperbolicCache,
@@ -22,30 +18,25 @@ from ..cache import (
     RLCache,
     S4LRUCache,
     TinyLFUCache,
-    TwoQCache,
 )
 from ..trace import Trace
 from .runner import SimResult, simulate
 
-__all__ = ["ComparisonRow", "policy_factories", "compare_policies", "format_table"]
+__all__ = ["policy_factories", "compare_policies", "format_table"]
 
 PolicyFactory = Callable[[int], CachePolicy]
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One policy's results in a comparison table."""
-
-    policy: str
-    bhr: float
-    ohr: float
-
-
 def policy_factories(subset: Sequence[str] | None = None) -> dict[str, PolicyFactory]:
-    """Factories for the paper's comparison policies, keyed by name.
+    """Factories for the paper's comparison policies, keyed by name: the
+    Figure 1 set (RND, LRU, RLC against GDSF) and the Figure 6 zoo.
 
     Args:
         subset: optional list of names to keep (order preserved).
+
+    Raises:
+        KeyError: a name in ``subset`` is not one of them; the message
+            names the unknown and the known policies.
     """
     all_factories: dict[str, PolicyFactory] = {
         "RND": lambda size: RandomCache(size),
@@ -60,16 +51,15 @@ def policy_factories(subset: Sequence[str] | None = None) -> dict[str, PolicyFac
         "LHD": lambda size: LHDCache(size),
         "TinyLFU": lambda size: TinyLFUCache(size),
         "RLC": lambda size: RLCache(size),
-        "FIFO": lambda size: FIFOCache(size),
-        "CLOCK": lambda size: ClockCache(size),
-        "GDS": lambda size: GDSCache(size),
-        "2Q": lambda size: TwoQCache(size),
     }
     if subset is None:
         return all_factories
     missing = [name for name in subset if name not in all_factories]
     if missing:
-        raise KeyError(f"unknown policies: {missing}")
+        raise KeyError(
+            f"unknown policies: {', '.join(missing)}; "
+            f"known: {', '.join(all_factories)}"
+        )
     return {name: all_factories[name] for name in subset}
 
 

@@ -8,12 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import TieredLFOCache
 from repro.flow import FlowNetwork, solve_min_cost_flow
 from repro.opt import opt_hit_ratios, solve_opt
-from repro.sim import HitRatioCurve, run_experiment
-from repro.trace import CostModel, Request, Trace
+from repro.sim import HitRatioCurve, compare_policies, policy_factories
+from repro.trace import (
+    CostModel,
+    Request,
+    SyntheticConfig,
+    Trace,
+    generate_trace,
+)
 from repro.viz import bar_chart, line_chart
 
 
@@ -83,18 +89,23 @@ class TestCostModelComposition:
         assert [r.cost for r in back] == [float(r.size) for r in paper_trace]
 
 
-class TestExperimentWarmup:
+class TestCompareWarmup:
     def test_warmup_changes_reported_ratio(self):
-        spec = {
-            "trace": {"kind": "zipf", "n_requests": 1500, "n_objects": 150,
-                      "size_median": 20, "size_max": 300, "seed": 8},
-            "cache": {"fraction": 5},
-            "policies": ["LRU"],
-        }
-        cold = run_experiment({**spec, "warmup": 0.0})
-        warm = run_experiment({**spec, "warmup": 0.5})
+        trace = generate_trace(SyntheticConfig(
+            n_requests=1500, n_objects=150, size_median=20, size_max=300,
+            seed=8,
+        ))
+        cache_size = trace.footprint() // 5
+
+        def bhr(warmup):
+            results = compare_policies(
+                trace, cache_size, factories=policy_factories(["LRU"]),
+                warmup_fraction=warmup,
+            )
+            return results["LRU"].bhr
+
         # Warm measurement excludes the cold-start misses.
-        assert warm["results"]["LRU"]["bhr"] >= cold["results"]["LRU"]["bhr"]
+        assert bhr(0.5) >= bhr(0.0)
 
 
 class TestCLICacheMb:
@@ -167,10 +178,13 @@ def test_analysis_package_exports_one_of_each():
 
 def test_names_no_caller_reached_are_gone():
     """Size sweeps, the Che curve, four trace transforms, the callback
-    dataset builders, the GBDT regressor and early stopping had no caller
-    but their own tests; none of them is public any more."""
+    dataset builders, the GBDT regressor, early stopping, the policies
+    outside the paper's Figure 1 and 6 set and the declarative experiment
+    runner had no caller but their own tests; none of them is public any
+    more."""
     import dataclasses
 
+    import repro.cache as cache
     import repro.features as features
     import repro.gbdt as gbdt
     import repro.obs as obs
@@ -182,7 +196,10 @@ def test_names_no_caller_reached_are_gone():
 
     gone = {
         sim: ("sweep_policies", "policy_hit_ratio_curve", "crossover_size",
-              "che_hit_ratio_curve", "bootstrap_bhr_ci"),
+              "che_hit_ratio_curve", "bootstrap_bhr_ci", "run_experiment",
+              "load_spec", "ComparisonRow"),
+        cache: ("FIFOCache", "ClockCache", "GDSCache", "TwoQCache",
+                "LFUCache"),
         trace: ("sample_objects", "sample_requests", "modulate_rate",
                 "concat", "popularity_histogram", "reuse_distances",
                 "WEB_CLASS", "PHOTO_CLASS", "VIDEO_CLASS", "SOFTWARE_CLASS"),
@@ -201,3 +218,5 @@ def test_names_no_caller_reached_are_gone():
     assert "early_stopping_rounds" not in {
         f.name for f in dataclasses.fields(GBDTParams)
     }
+    with pytest.raises(SystemExit):  # `lfo experiment` is not a command
+        build_parser().parse_args(["experiment", "spec.json"])

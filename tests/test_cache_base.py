@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from repro.cache import (
     AdaptSizeCache,
-    ClockCache,
-    FIFOCache,
-    GDSCache,
     GDSFCache,
     GDWheelCache,
     HyperbolicCache,
-    LFUCache,
     LFUDACache,
     LHDCache,
     LRUCache,
@@ -22,7 +18,6 @@ from repro.cache import (
     RLCache,
     S4LRUCache,
     TinyLFUCache,
-    TwoQCache,
 )
 from repro.trace import Request, SyntheticConfig, Trace, generate_trace
 
@@ -30,7 +25,6 @@ ALL_POLICIES = [
     RandomCache,
     LRUCache,
     LRUKCache,
-    LFUCache,
     LFUDACache,
     S4LRUCache,
     GDSFCache,
@@ -40,10 +34,6 @@ ALL_POLICIES = [
     LHDCache,
     TinyLFUCache,
     RLCache,
-    FIFOCache,
-    ClockCache,
-    GDSCache,
-    TwoQCache,
 ]
 
 

@@ -12,7 +12,6 @@ from repro.cache import (
     GDSFCache,
     GDWheelCache,
     HyperbolicCache,
-    LFUCache,
     LFUDACache,
     LHDCache,
     LRUCache,
@@ -411,7 +410,6 @@ _PIN_RUNS = {
         name: _simulated(lambda _n, size, factory=factory: factory(size))
         for name, factory in policy_factories().items()
     },
-    "LFU": _simulated(lambda _n, size: LFUCache(size)),
     "OPT-replay-belady": _opt_replay("belady"),
     "OPT-replay-lru": _opt_replay("lru"),
     "IRL-online": _irl_online,
@@ -446,11 +444,6 @@ PIN_DIGESTS = {
     ('zipf', 'LHD'): 'f4129966bb8a399e',
     ('zipf', 'TinyLFU'): 'c659ea92a7f88cfe',
     ('zipf', 'RLC'): '0718998a108e9410',
-    ('zipf', 'FIFO'): 'f7e70ca2f251b818',
-    ('zipf', 'CLOCK'): '13f6aa0d27721f81',
-    ('zipf', 'GDS'): '559a99c6cbdec9b0',
-    ('zipf', '2Q'): '2be25c825e459d10',
-    ('zipf', 'LFU'): 'c23b60c2aba98a1a',
     ('zipf', 'OPT-replay-belady'): '971fa5c5c7add58b',
     ('zipf', 'OPT-replay-lru'): '5d56aa563e5080be',
     ('zipf', 'IRL-online'): 'ae09b732a8972f3c',
@@ -473,11 +466,6 @@ PIN_DIGESTS = {
     ('mix', 'LHD'): 'a484e7c69986c624',
     ('mix', 'TinyLFU'): 'da0186328cf6dcf6',
     ('mix', 'RLC'): '16b8d0842b33bcee',
-    ('mix', 'FIFO'): 'b8b3e1ac928a94d9',
-    ('mix', 'CLOCK'): '85e672f686ebede0',
-    ('mix', 'GDS'): 'dbea556cccc8f26f',
-    ('mix', '2Q'): '9f1f8a04ce930d9c',
-    ('mix', 'LFU'): '0cfec9fc6f70555f',
     ('mix', 'OPT-replay-belady'): '1810d59613fd461c',
     ('mix', 'OPT-replay-lru'): '52a932380f23cf93',
     ('mix', 'IRL-online'): '3ff2d2c10ae70ae2',

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache import (
-    GDSCache,
     GDSFCache,
-    LFUCache,
     LFUDACache,
     LRUKCache,
     OptReplayCache,
@@ -87,10 +85,8 @@ def _tiered(size):
 # LFO's own heap is checked by ``TestHeapBounded`` in test_core_lfo.py.
 _HEAPS = {
     "LRU-K": (LRUKCache, lambda policy: policy._ranked),
-    "LFU": (LFUCache, lambda policy: policy._ranked),
     "LFUDA": (LFUDACache, lambda policy: policy._ranked),
     "GDSF": (GDSFCache, lambda policy: policy._ranked),
-    "GDS": (GDSCache, lambda policy: policy._ranked),
     "OPT-replay": (_opt_replay, lambda policy: policy._ranked),
     "IRL": (lambda size: IRLCache(size, n_gaps=4), lambda policy: policy._ranked),
     "RAM tier": (_tiered, lambda cache: cache.ram.ranked),

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim import policy_factories
 from repro.trace import read_binary_trace
 
 
@@ -135,6 +136,18 @@ class TestCompare:
             "--cache-bytes", "2000",
         ]) == 0
         assert "LRU" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("policies", ["LRU,FOO", "FIFO"])
+    def test_unknown_policy_is_usage_error(self, trace_file, capsys,
+                                           policies):
+        capsys.readouterr()
+        assert main(["compare", trace_file, "--policies", policies]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()  # one line, no traceback
+        assert policies.split(",")[-1] in line
+        for name in policy_factories():  # every known name listed
+            assert name in line
 
 
 class TestSimulate:

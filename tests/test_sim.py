@@ -90,6 +90,13 @@ class TestComparison:
         with pytest.raises(KeyError):
             policy_factories(["LRU", "NOPE"])
 
+    def test_factories_are_the_paper_set(self):
+        """Figure 1 (RND, LRU, RLC, GDSF) and Figure 6, in table order."""
+        assert list(policy_factories()) == [
+            "RND", "LRU", "LRU-K", "LFUDA", "S4LRU", "GDSF", "GD-Wheel",
+            "AdaptSize", "Hyperbolic", "LHD", "TinyLFU", "RLC",
+        ]
+
     def test_format_table_sorted(self, small_zipf_trace):
         results = compare_policies(
             small_zipf_trace, cache_size=500,
