@@ -121,7 +121,9 @@ class LabelFitJob:
     ) -> LFOModel | None:
         """Label + fit, under ``online.label_solve`` / ``online.gbdt_fit``
         spans (nested in the trainer's ``online.train_window``); the fit's
-        binning needs no label, so an idle core makes it during the solve.
+        binning needs no label, so an idle core makes it during the solve
+        (measured on two cores against binning after the solve:
+        ``online_serve`` ~2% faster, 30 alternating pairs).
 
         Between the two, the :data:`~repro.core.trainer.deployed_model`
         (none on a cold window) scores the rows it served in one batched

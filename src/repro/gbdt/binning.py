@@ -13,6 +13,38 @@ import numpy as np
 
 __all__ = ["BinMapper"]
 
+_BIN_IDS = np.arange(256, dtype=np.uint8)
+
+
+def _quantiles(max_bins: int) -> np.ndarray:
+    """The percentiles whose values cut a column into ``max_bins`` bins."""
+    return np.linspace(0, 100, max_bins + 1)[1:-1]
+
+
+def _sorted_percentiles(ordered: np.ndarray, max_bins: int) -> np.ndarray:
+    """``np.percentile(row, _quantiles(max_bins))`` of each sorted row
+    (at least two values), by numpy's own ``"linear"`` rule: the same
+    floats, read off the sort instead of a partition."""
+    n = ordered.shape[1]
+    virtual = (n - 1) * np.true_divide(_quantiles(max_bins), 100)
+    below = np.floor(virtual)
+    gamma = virtual - below
+    index = below.astype(np.intp)
+    lo, hi = ordered[:, index], ordered[:, index + 1]
+    diff = hi - lo
+    # numpy's ``_lerp``: up from ``lo``, or down from ``hi`` where
+    # ``gamma >= 0.5``.
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
+
+
+def _column_bounds(column: np.ndarray, max_bins: int) -> np.ndarray:
+    """One column's bounds from ``np.unique`` and ``np.percentile``: the
+    definition :meth:`BinMapper.fit` reproduces from its sort."""
+    values = np.unique(column)
+    if len(values) > max_bins:
+        return np.unique(np.percentile(column, _quantiles(max_bins)))
+    return (values[:-1] + values[1:]) / 2.0
+
 
 class BinMapper:
     """Learns and applies per-feature quantile binning.
@@ -34,34 +66,53 @@ class BinMapper:
 
     def fit(self, X: np.ndarray) -> "BinMapper":
         """Learn bin boundaries from a (n_samples, n_features) matrix."""
+        self._fit_sorted(X)
+        return self
+
+    def _fit_sorted(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`fit` from one argsort of every column.
+
+        Returns ``(ordered, order)``: the ``(n_features, n_samples)``
+        sorted columns, and where each sorted value sits in the flattened
+        ``X.T``.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         if not np.isfinite(X).all():
             raise ValueError("X must be finite; encode missing values "
                              "as finite sentinels before binning")
-        self.n_features = X.shape[1]
-        uniques = [np.unique(X[:, f]) for f in range(self.n_features)]
-        wide = [
-            f for f, values in enumerate(uniques)
-            if len(values) > self.max_bins
-        ]
-        # One call for every quantile-binned column: numpy selects and
-        # interpolates along the axis lane by lane, so column f's cuts
-        # are the floats ``np.percentile(X[:, f], qs)`` returns.
-        qs = np.linspace(0, 100, self.max_bins + 1)[1:-1]
-        cuts = dict(zip(wide, np.percentile(X[:, wide], qs, axis=0).T))
+        n_samples, self.n_features = X.shape
+        columns = np.ascontiguousarray(X.T)
+        order = np.argsort(columns, axis=1)
+        order += np.arange(self.n_features)[:, None] * n_samples
+        ordered = columns.ravel()[order]
+        fresh = np.ones(ordered.shape, dtype=bool)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=fresh[:, 1:])
+        wide = np.count_nonzero(fresh, axis=1) > self.max_bins
+        if wide.any():  # then n_samples > max_bins >= 2
+            cuts = _sorted_percentiles(ordered, self.max_bins)
+        # -0.0 and 0.0 compare equal, so which one lands on an order
+        # statistic is the sort's (or the partition's) choice: a column
+        # holding both takes the per-column calls.  -0.0 is the one value
+        # >= 0 with its sign bit set, 0.0 the one <= 0 without.
+        sign = np.signbit(ordered)
+        mixed = (
+            (sign & (ordered >= 0)).any(axis=1)
+            & (~sign & (ordered <= 0)).any(axis=1)
+        )
         self.upper_bounds = []
-        for f, values in enumerate(uniques):
-            if f in cuts:
+        for f in range(self.n_features):
+            if mixed[f]:
+                bounds = _column_bounds(X[:, f], self.max_bins)
+            elif wide[f]:
                 bounds = np.unique(cuts[f])
-            elif len(values) == 1:
-                bounds = np.array([], dtype=np.float64)
             else:
                 # One bin per distinct value; boundaries at midpoints.
+                values = ordered[f][fresh[f]]
                 bounds = (values[:-1] + values[1:]) / 2.0
-            self.upper_bounds.append(bounds.astype(np.float64))
-        return self
+            self.upper_bounds.append(bounds)
+        return ordered, order
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Map raw values to uint8 bin indices via the learned boundaries."""
@@ -80,8 +131,22 @@ class BinMapper:
         return binned
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        """Fit and transform in one call."""
-        return self.fit(X).transform(X)
+        """``fit(X).transform(X)`` byte for byte, binned from the fit's
+        sort: each column's bounds cut its sorted values into runs of one
+        bin id, and one scatter puts every value's id back in its row."""
+        ordered, order = self._fit_sorted(X)
+        n_samples = ordered.shape[1]
+        ends, ids = [], []
+        for f, bounds in enumerate(self.upper_bounds):
+            # Where each of the column's bins ends in the flattened sort.
+            start = f * n_samples
+            edges = np.searchsorted(ordered[f], bounds, side="right") + start
+            ends += (edges, [start + n_samples])
+            ids.append(_BIN_IDS[: len(bounds) + 1])
+        runs = np.diff(np.concatenate(ends), prepend=0)
+        binned = np.empty(ordered.size, dtype=np.uint8)
+        binned[order.ravel()] = np.repeat(np.concatenate(ids), runs)
+        return np.ascontiguousarray(binned.reshape(ordered.shape).T)
 
     def n_bins(self, feature: int) -> int:
         """Number of occupied bins for a feature."""

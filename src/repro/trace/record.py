@@ -71,9 +71,10 @@ class CostModel:
 class Trace:
     """An ordered sequence of requests with columnar accessors.
 
-    The columnar views (`times`, `objs`, `sizes`, `costs`) are materialised
-    lazily as numpy arrays and cached; they are invalidated whenever requests
-    are appended.
+    The columnar views (`times`, `objs`, `sizes`, `costs`) and the
+    occurrence links behind `next_occurrence` / `prev_occurrence` are
+    materialised lazily as numpy arrays and cached; they are invalidated
+    whenever requests are appended.
     """
 
     requests: list[Request] = field(default_factory=list)
@@ -149,11 +150,17 @@ class Trace:
 
     def _occurrence_links(self) -> tuple[np.ndarray, np.ndarray]:
         """``(earlier, later)`` index pairs of consecutive requests to one
-        object: a stable sort groups each object's requests in trace order."""
-        objs = self.objs
-        order = np.argsort(objs, kind="stable")
-        same = objs[order[1:]] == objs[order[:-1]]
-        return order[:-1][same], order[1:][same]
+        object: a stable sort groups each object's requests in trace order.
+        Cached with the columns (one sort serves every solver pass over a
+        window); callers must not write to them."""
+        columns = self._materialise()
+        if "later" not in columns:
+            objs = columns["objs"]
+            order = np.argsort(objs, kind="stable")
+            same = objs[order[1:]] == objs[order[:-1]]
+            columns["earlier"] = order[:-1][same]
+            columns["later"] = order[1:][same]
+        return columns["earlier"], columns["later"]
 
     def next_occurrence(self) -> np.ndarray:
         """Index of the next request to the same object, or -1 if none.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gbdt import BinMapper
+from repro.gbdt.binning import _quantiles, _sorted_percentiles
 
 
 class TestBinMapper:
@@ -146,3 +147,61 @@ def test_batched_percentiles_equal_per_column_calls(seed, max_bins):
     assert len(found) == len(expected)
     for a, b in zip(found, expected):
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def _exactness_matrix(n, max_bins, seed):
+    """Columns that exercise every way `BinMapper.fit` can bound one."""
+    rng = np.random.default_rng(seed)
+    at_budget = rng.permutation(np.resize(np.arange(max_bins), n))
+    past_budget = rng.permutation(np.resize(np.arange(max_bins + 1), n))
+    return np.column_stack([
+        rng.normal(size=n),
+        np.full(n, 4.0),
+        np.where(rng.random(n) < 0.9, 3.0, rng.normal(size=n)),  # heavy ties
+        at_budget.astype(np.float64) * 0.5,
+        past_budget.astype(np.float64) - 2.0,
+        rng.choice([-0.0, 0.0, 1.0, 2.5], size=n),  # both zeros, narrow
+        np.where(rng.random(n) < 0.3, rng.choice([-0.0, 0.0], size=n),
+                 rng.normal(size=n)),  # both zeros, wide
+        np.where(rng.random(n) < 0.3, -0.0, rng.normal(size=n)),  # one zero
+        rng.lognormal(sigma=3.0, size=n),
+    ])
+
+
+@pytest.mark.parametrize("max_bins", [2, 7, 255])
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 4000])
+def test_sorted_fit_equals_per_column_calls(n, max_bins):
+    """The bounds from one sort of every column, and the bins read off
+    that sort, are the per-column oracle's and `transform`'s bytes."""
+    for seed in range(2):
+        X = _exactness_matrix(n, max_bins, seed)
+        mapper = BinMapper(max_bins=max_bins).fit(X)
+        expected = _bounds_column_by_column(X, max_bins)
+        assert len(mapper.upper_bounds) == len(expected)
+        for a, b in zip(mapper.upper_bounds, expected):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        binned = BinMapper(max_bins=max_bins).fit_transform(X)
+        reference = mapper.transform(X)
+        assert binned.dtype == np.uint8 and binned.flags.c_contiguous
+        assert binned.shape == X.shape
+        assert binned.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("max_bins", [2, 7, 255])
+def test_sorted_lerp_is_numpys_percentile(max_bins):
+    """`BinMapper.fit` reads quantile cuts off its sort with numpy's
+    ``"linear"`` rule written out; a numpy whose `np.percentile` rounds
+    differently fails here, by name.  (Rows hold at most one of the two
+    zeros: which one a partition picks is not a rule.)"""
+    rng = np.random.default_rng(max_bins)
+    for n in (2, 3, 256, 257, 1000, 4000):
+        rows = np.stack([
+            rng.normal(size=n),
+            rng.lognormal(sigma=3.0, size=n),
+            np.round(rng.lognormal(size=n), 1),  # ties, and only +0.0
+            np.where(rng.random(n) < 0.5, -0.0, rng.normal(size=n)),
+        ])
+        found = _sorted_percentiles(np.sort(rows, axis=1), max_bins)
+        for row, cuts in zip(rows, found):
+            expected = np.percentile(row, _quantiles(max_bins))
+            assert cuts.tobytes() == expected.tobytes()

@@ -162,3 +162,39 @@ def test_occurrence_links_match_the_dict_walk(objs):
         (trace.next_occurrence(), nxt), (trace.prev_occurrence(), prv)
     ):
         assert found.dtype == np.int64 and found.tolist() == expected
+
+
+def _links(trace):
+    return trace.next_occurrence().tolist(), trace.prev_occurrence().tolist()
+
+
+class TestOccurrenceLinkCache:
+    """The links are sorted once per trace state and cached with the
+    columns: growing the trace recomputes them, callers get copies."""
+
+    def test_append_recomputes_the_links(self, paper_trace):
+        _links(paper_trace)
+        paper_trace.append(Request(12, 1, 1))
+        assert _links(paper_trace) == _links(Trace(list(paper_trace)))
+        assert paper_trace.next_occurrence()[10] == 12
+
+    def test_extend_recomputes_the_links(self, paper_trace):
+        _links(paper_trace)
+        paper_trace.extend([Request(12, 3, 2), Request(13, 0, 3)])
+        assert _links(paper_trace) == _links(Trace(list(paper_trace)))
+        assert paper_trace.prev_occurrence()[13] == 11
+
+    def test_returned_arrays_are_the_callers(self, paper_trace):
+        expected = _links(paper_trace)
+        paper_trace.next_occurrence()[:] = 99
+        paper_trace.prev_occurrence()[:] = 99
+        assert _links(paper_trace) == expected
+
+    def test_slices_and_windows_link_their_own_requests(self, paper_trace):
+        _links(paper_trace)
+        parts = [paper_trace[2:9], *paper_trace.windows(5)]
+        for part in parts:
+            assert _links(part) == _links(Trace(list(part)))
+        # Request 2's next `c` is request 6, position 4 of the slice.
+        assert parts[0].next_occurrence()[0] == 4
+        assert parts[1].next_occurrence().tolist() == [-1, 3, -1, -1, -1]
