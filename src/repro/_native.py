@@ -1,7 +1,8 @@
-"""The repo's one native module: a C source built once per process.
+"""The repo's one native module: a C source built once per machine.
 
 Five routines live in one shared object, compiled with the system C
-compiler on first use and bound through :mod:`ctypes`:
+compiler on first use, kept in a per-user build cache that later
+processes load without compiling, and bound through :mod:`ctypes`:
 
 * ``predict_raw`` — the GBDT scoring kernel behind
   :class:`repro.gbdt.CompiledPredictor` (branchless fixed-depth walk,
@@ -40,10 +41,13 @@ twice.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import itertools
 import logging
 import os
+import platform
 import shutil
+import stat
 import subprocess
 import tempfile
 import threading
@@ -73,6 +77,9 @@ _LANES = 8
 #: without a bound a wedged ``cc`` would hang the first fit, the first
 #: label solve and the request thread's first prediction together.
 _CC_TIMEOUT_SECONDS = 60.0
+
+#: What ``cc`` is given besides the paths and ``-lm`` (part of the cache key).
+_FLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
 
 _SOURCE = r"""
 #include <math.h>
@@ -702,25 +709,33 @@ _state: Native | bool | None = None
 _lock = threading.Lock()
 
 
-def _build() -> Native | bool:
-    """Compile and load the shared object; False when that cannot be done."""
+def _build(entry: str | None = None) -> Native | bool:
+    """Compile and load the shared object; False when that cannot be done.
+    Built in a fresh tempdir, beside ``entry`` when given (see :func:`_cached`),
+    then sealed with its own sha256 and renamed onto that cache entry."""
     if os.environ.get(_NO_CC_ENV):
         logger.info("%s set; using the pure-Python/numpy paths", _NO_CC_ENV)
         return False
     build_dir = None
     try:
-        build_dir = tempfile.mkdtemp(prefix="repro-native-")
+        where = entry and os.path.dirname(entry)
+        build_dir = tempfile.mkdtemp(prefix="repro-native-", dir=where)
         source_path = os.path.join(build_dir, "repro_native.c")
         lib_path = os.path.join(build_dir, "repro_native.so")
         with open(source_path, "w") as handle:
             handle.write(_SOURCE)
         subprocess.run(
-            ["cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared",
-             "-o", lib_path, source_path, "-lm"],
+            ["cc", *_FLAGS, "-o", lib_path, source_path, "-lm"],
             check=True,
             capture_output=True,
             timeout=_CC_TIMEOUT_SECONDS,
         )
+        if entry:
+            with open(lib_path, "rb+") as handle:
+                handle.write(hashlib.sha256(handle.read()).digest())
+            os.chmod(lib_path, 0o700)
+            # Atomic: racing processes each map one whole object.
+            os.replace(lib_path, lib_path := entry)
         return Native(ctypes.CDLL(lib_path))
     except (OSError, subprocess.SubprocessError) as exc:
         # Missing `cc`, a sandboxed tempdir, a failed or timed-out compile:
@@ -738,8 +753,56 @@ def _build() -> Native | bool:
             shutil.rmtree(build_dir, ignore_errors=True)
 
 
+def _private(info: os.stat_result, kind: Callable[[int], bool], mask: int) -> bool:
+    """An lstat result of the right kind, owned by this user, no ``mask`` bits."""
+    return kind(info.st_mode) and info.st_uid == os.getuid() and not info.st_mode & mask
+
+
+def _cached() -> Native | str | None:
+    """The object from the per-user build cache, or the entry to build.
+
+    The entry is ``${XDG_CACHE_HOME:-~/.cache}/repro-native/<key>.so``,
+    keyed by the source, the flags, the compiler binary and the machine,
+    and trusted only when the directory (no group/other bits) and the
+    entry (a regular file nobody else can write) are this user's.  An
+    entry that does not end in the sha256 of the bytes before it (a
+    truncated object would crash ``dlopen``) is built over.  None, with a
+    warning, when the cache cannot be trusted or used.
+    """
+    if os.environ.get(_NO_CC_ENV) or not (compiler := shutil.which("cc")):
+        return None  # _build says why, before anything touches the disk
+    try:
+        info = os.stat(compiler := os.path.realpath(compiler))
+        key = repr((_SOURCE, _FLAGS, compiler, info.st_size, info.st_mtime_ns,
+                    platform.machine()))
+        root = os.path.expanduser(os.environ.get("XDG_CACHE_HOME") or "~/.cache")
+        root = os.path.join(root, "repro-native")
+        os.makedirs(root, mode=0o700, exist_ok=True)
+        entry = os.path.join(root, hashlib.sha256(key.encode()).hexdigest() + ".so")
+        found = os.lstat(entry) if os.path.lexists(entry) else None
+        if not _private(os.lstat(root), stat.S_ISDIR, 0o077) or (
+            found and not _private(found, stat.S_ISREG, 0o022)
+        ):
+            raise PermissionError(f"{root} is not private to this user")
+        if found:
+            with open(entry, "rb") as handle:
+                body = handle.read()
+            if hashlib.sha256(body[:-32]).digest() == body[-32:]:
+                return Native(ctypes.CDLL(entry))
+        if not os.access(root, os.W_OK):
+            raise PermissionError(f"{root} is read-only and has no entry")
+        return entry
+    except OSError as exc:
+        logger.warning(
+            "native build cache unusable (%s); building in a temporary directory",
+            exc,
+        )
+        return None
+
+
 def load() -> Native | None:
-    """The process-wide native handle, building it on first call."""
+    """The process-wide native handle: on first call, from the build cache
+    (see :func:`_cached`) or else compiled in a tempdir."""
     global _state
     state = _state
     if state is None:
@@ -747,7 +810,9 @@ def load() -> Native | None:
             state = _state
             if state is None:
                 started = perf_counter()
-                state = _build()
+                state = _cached()
+                if not isinstance(state, Native):
+                    state = _build(state)
                 _state = state
                 if state:
                     registry = get_registry()

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .. import _native
 from ..obs import get_registry
 from ..obs.fold import fold_deltas
 from ..trace import Request
@@ -121,6 +122,7 @@ class CacheCluster:
             return self
         if self._closed:
             raise RuntimeError("start on a closed CacheCluster")
+        _native.load()  # one compile here, a build-cache hit in every shard
         context = multiprocessing.get_context("spawn")
         for shard_id in range(self.n_shards):
             parent_conn, child_conn = context.Pipe(duplex=True)

@@ -22,7 +22,7 @@ Two execution backends share that layout:
 * **kernel** — the ``predict_raw`` routine of :mod:`repro._native`
   (branchless fixed-depth walk, several interleaved rows to hide load
   latency).  That module is the repo's one native build — it also holds
-  the min-cost-flow augmentation loop — compiled once per process and
+  the min-cost-flow augmentation loop — compiled once per machine and
   bound through :mod:`ctypes`.  The kernel is model-independent: every
   predictor in the process reuses the same shared object.  ctypes
   releases the GIL for the call, so predictor *threads* scale too, not

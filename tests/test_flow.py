@@ -584,15 +584,17 @@ class TestIndexedHeapOrder:
         _run_tied_leg(_native.load())
 
     @pytest.mark.parametrize("old, new", _HEAP_MUTANTS)
-    def test_mutants_are_caught(self, native, monkeypatch, old, new):
+    def test_mutants_are_caught(self, native, monkeypatch, tmp_path, old, new):
         # Each mutant keeps every heap index inside [0, size) and pushes a
         # node at most once, so a wrong answer is all it can produce.
         assert _native._SOURCE.count(old) == 1
         monkeypatch.setattr(
             _native, "_SOURCE", _native._SOURCE.replace(old, new)
         )
-        mutant = _native._build()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        mutant = _native._build()  # uncached: no mutant object outlives it
         assert isinstance(mutant, _native.Native)
+        assert list(tmp_path.iterdir()) == []
         with pytest.raises(AssertionError):
             # The first counterexample will do: no shrinking.
             _run_tied_leg(mutant, phases=(Phase.explicit, Phase.generate))

@@ -199,10 +199,13 @@ class TestGrowTreeRefusesWhatCWouldNotSurvive:
                 )
 
 
-def test_wedged_compiler_times_out_onto_the_fallbacks(monkeypatch, caplog):
+def test_wedged_compiler_times_out_onto_the_fallbacks(
+    monkeypatch, caplog, tmp_path
+):
     """`cc` runs under the module's lock: it gets a deadline, and missing
     it is one more way of having no toolchain — one warning, then the
-    numpy fit, which is the pinned model."""
+    numpy fit, which is the pinned model.  The build cache starts empty,
+    so the compiler is called (a warm entry is tests/test_native_cache.py's)."""
     seen = []
 
     def never_returns(command, **kwargs):
@@ -210,6 +213,7 @@ def test_wedged_compiler_times_out_onto_the_fallbacks(monkeypatch, caplog):
         raise subprocess.TimeoutExpired(command, kwargs.get("timeout"))
 
     monkeypatch.delenv("REPRO_GBDT_NO_CC", raising=False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_native, "_state", None)
     monkeypatch.setattr(subprocess, "run", never_returns)
     with caplog.at_level(logging.WARNING, logger="repro.native"):

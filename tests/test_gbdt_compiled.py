@@ -9,6 +9,7 @@ the throughput benchmarks build on.
 
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -282,19 +283,30 @@ class TestFeatureThresholds:
 
 
 def test_native_build_leaves_no_temp_directory(tmp_path):
-    """Every process that loads the native module builds it in a fresh
-    temp directory — and must remove it once the object is mapped."""
+    """A process that loads the native module builds it in a fresh
+    directory — a tempdir, or on a build-cache miss one inside the cache —
+    and must remove it once the object is mapped: a cold cache keeps
+    exactly ``<key>.so``, and a cache it may not trust (group-writable)
+    leaves no trace in the tempdir."""
     if not kernel_available():
         pytest.skip("no C toolchain in this environment")
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.gbdt import kernel_available; print(kernel_available())"],
-        env={
-            **os.environ,
-            "TMPDIR": str(tmp_path),
-            "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
-        },
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.stdout.strip() == "True", done.stderr
-    assert list(tmp_path.iterdir()) == []
+    temp, cache = tmp_path / "tmp", tmp_path / "cache"
+    temp.mkdir()
+    (cache / "repro-native").mkdir(parents=True)
+    for mode in (0o700, 0o770):
+        os.chmod(cache / "repro-native", mode)
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.gbdt import kernel_available; print(kernel_available())"],
+            env={
+                **os.environ,
+                "TMPDIR": str(temp),
+                "XDG_CACHE_HOME": str(cache),
+                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+            },
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.strip() == "True", done.stderr
+        assert list(temp.iterdir()) == []
+        (entry,) = (cache / "repro-native").iterdir()
+        assert re.fullmatch(r"[0-9a-f]{64}\.so", entry.name)
