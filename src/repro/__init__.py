@@ -19,7 +19,6 @@ Quickstart::
 """
 
 from .core import (
-    AdaptiveLFOOnline,
     IRLOnline,
     LFOCache,
     LFOModel,
@@ -59,7 +58,6 @@ from .trace import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptiveLFOOnline",
     "IRLOnline",
     "TieredLFOOnline",
     "LFOCache",

@@ -85,8 +85,7 @@ class ClusterScorer:
         trainer = self.trainer
         for request, features in zip(requests, rows):
             trainer.poll()
-            if trainer.record(request, features):
-                trainer.close_window()
+            trainer.record(request, features)
         generation = self.cluster.generation
         self.n_handoffs += generation - self._generation
         self._generation = generation

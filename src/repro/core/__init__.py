@@ -1,7 +1,6 @@
 """LFO core: model, cache policy, online loop, and experiment pipeline."""
 
 from .cutoff import CutoffSweep, cutoff_sweep, equal_error_cutoff
-from .drift import AdaptiveLFOOnline, DriftDetector
 from .engine import DecisionEngine
 from .hierarchy import TieredLFOCache, TieredLFOOnline, TierStats
 from .irl import IRLCache, IRLOnline, LinearRewardIRL
@@ -17,8 +16,6 @@ from .throughput import ThroughputPoint, gbits_served, measure_throughput
 from .trainer import WindowTrainer
 
 __all__ = [
-    "AdaptiveLFOOnline",
-    "DriftDetector",
     "DecisionEngine",
     "CutoffSweep",
     "cutoff_sweep",

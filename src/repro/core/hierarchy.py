@@ -335,8 +335,7 @@ class TieredLFOOnline:
         """Process one request through the tiered cache, retraining at
         window boundaries."""
         hit = self.cache.on_request(request)
-        if self.trainer.record(request, self.cache.last_features):
-            self.trainer.close_window()
+        self.trainer.record(request, self.cache.last_features)
         return hit
 
     def _install(self, models: tuple[LFOModel, LFOModel | None]) -> None:

@@ -218,6 +218,5 @@ class IRLOnline(IRLCache):
     def on_request(self, request: Request) -> bool:
         """Process one request, retraining at window boundaries."""
         hit = super().on_request(request)
-        if self.trainer.record(request, self.last_features):
-            self.trainer.close_window()
+        self.trainer.record(request, self.last_features)
         return hit

@@ -321,11 +321,7 @@ class LFOOnline(LFOCache):
         (``last_features`` after :meth:`~repro.core.LFOCache.apply_scored`).
         """
         if self.trainer.record(request, features):
-            self._retrain()
-
-    def _retrain(self) -> None:
-        self.trainer.close_window()
-        self._publish_model_health()
+            self._publish_model_health()
 
     def _publish_model_health(self) -> None:
         """Per-window-close gauges only a cache can compute: the feature

@@ -17,15 +17,15 @@ raised, a future that was cancelled, a submit the executor refused —
 goes through :meth:`WindowTrainer._failed` (counted, logged with the
 traceback, warned) into the consecutive-failure state machine.
 ``background=False`` runs the job on the caller's thread and consumes it
-before :meth:`~WindowTrainer.close_window` returns, so the model is live
-for the very next request; ``background=True`` leaves the future pending
-and :meth:`~WindowTrainer.poll` installs it (an O(1) swap) on the first
-request after it completes.  A still-busy trainer or a failed job never
-blocks or breaks the request path: the window is dropped
-(``n_skipped_retrains``) or the failure recorded (``n_failed_retrains``)
-and serving continues on the current model — the paper's Section 4
-warning that "training tasks [must] not interfere with the request
-traffic", stated as a contract.
+before the :meth:`~WindowTrainer.record` that filled the window returns,
+so the model is live for the very next request; ``background=True``
+leaves the future pending and :meth:`~WindowTrainer.poll` installs it (an
+O(1) swap) on the first request after it completes.  A still-busy
+trainer or a failed job never blocks or breaks the request path: the
+window is dropped (``n_skipped_retrains``) or the failure recorded
+(``n_failed_retrains``) and serving continues on the current model — the
+paper's Section 4 warning that "training tasks [must] not interfere with
+the request traffic", stated as a contract.
 
 **Graceful degradation** (drilled by :mod:`repro.resilience` and the
 ``bench_ext_fault_matrix`` benchmark):
@@ -158,7 +158,8 @@ class WindowTrainer:
             the atomic swap that makes it live.  Not guarded: an install
             that raises is a bug in the serving path, not a training
             failure.
-        background: False runs each job inside :meth:`close_window`;
+        background: False runs each job inside the :meth:`record` that
+            filled its window;
             True submits it to ``executor`` and lets :meth:`poll` pick
             the result up.
         executor: the trainer used in background mode.  ``None`` lazily
@@ -335,16 +336,13 @@ class WindowTrainer:
         """Buffer one served request; True when it filled the window.
 
         ``features`` must be the row the request was actually scored with
-        — training must see exactly what serving saw.  The caller answers
-        True with :meth:`close_window` (after whatever it wants to do
-        with the full buffer first).
+        — training must see exactly what serving saw.  A full window is
+        handed to the job and an empty one started before this returns.
         """
         self.requests.append(request)
         self.features.append(features)
-        return len(self.requests) >= self.window
-
-    def close_window(self) -> None:
-        """Hand the buffered window to the job and start an empty one."""
+        if len(self.requests) < self.window:
+            return False
         registry = get_registry()
         with registry.span("online.window_close"):
             self._submit_window(registry)
@@ -358,6 +356,7 @@ class WindowTrainer:
             registry.gauge("online.last_train_seconds").set(
                 self.last_training_seconds
             )
+        return True
 
     def finish(self, timeout: float | None = None) -> bool:
         """Wait for an in-flight job and consume it.

@@ -1,8 +1,9 @@
 """The training supervisor on its own: a stub job, no OPT, no GBDT.
 
 ``WindowTrainer`` is driven the way every serving path drives it — poll,
-record, close the window when it fills — with a job that returns its
-window's name as the "model" and an ``install`` that appends to a list.
+then record, which closes the window when it fills — with a job that
+returns its window's name as the "model" and an ``install`` that appends
+to a list.
 """
 
 import pickle
@@ -40,8 +41,7 @@ def make(installs, **kwargs):
 def drive(trainer, n_requests):
     for _ in range(n_requests):
         trainer.poll()
-        if trainer.record(REQUEST, ROW):
-            trainer.close_window()
+        trainer.record(REQUEST, ROW)
 
 
 def crash(**selector):
@@ -80,6 +80,30 @@ class TestOneRoad:
         # W[1] crashed, W[2] was the one-window backoff.
         assert runs[0][0] == ["W[0]", "W[3]", "W[4]", "W[5]"]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("background", [False, True])
+    def test_the_record_that_fills_the_window_closes_it(self, background):
+        """``record`` is the whole boundary: the W-th call runs the job
+        once and starts an empty window before it returns True."""
+        names = []
+
+        def job(requests, features, name):
+            names.append((name, len(requests), features.shape))
+            return name
+
+        installs = []
+        trainer = WindowTrainer(WINDOW, job, installs.append,
+                                background=background)
+        filled = [trainer.record(REQUEST, ROW) for _ in range(WINDOW - 1)]
+        assert names == [] and trainer.remaining == 1
+        filled.append(trainer.record(REQUEST, ROW))
+        assert filled == [False] * (WINDOW - 1) + [True]
+        assert trainer.remaining == WINDOW and trainer.features == []
+        if background:
+            assert trainer.finish()  # the W-th record submitted the job
+        assert names == [("W[0]", WINDOW, (WINDOW, len(ROW)))]
+        assert installs == ["W[0]"]
+        trainer.close()
 
     def test_inline_model_is_live_before_the_next_request(self):
         installs = []
