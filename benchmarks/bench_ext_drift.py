@@ -28,7 +28,7 @@ WINDOW = 6_000  # the shift at request 9000 falls mid-window (6000..12000)
 # The shift is watched from the outside: a WindowedRegistry slices
 # the run into fixed telemetry windows and an SloEngine judges each closed
 # window with the default spec's drift detectors (BHR Page-Hinkley,
-# admission-score PSI, arena-summary EWMA, training halt).  The claim
+# admission-score PSI).  The claim
 # under test is the operational one — the detectors localise the shift to
 # within a few windows, with zero false alarms on a stationary control.
 
@@ -40,7 +40,7 @@ SHIFT_WINDOW = PHASE // HEALTH_WINDOW
 #: integrate past its Page-Hinkley budget, so "within 4" is the bound the
 #: detectors are tuned to (and the paper's "minutes, not hours" scale).
 DETECTION_BUDGET = 4
-DETECTORS = ("bhr_drift", "score_drift", "feature_drift", "training_halted")
+DETECTORS = ("bhr_drift", "score_drift")
 
 
 def _watched_run(transitions):

@@ -6,7 +6,7 @@ it closes, trains a fresh model, and serves window ``W[t+1]`` with it.  The
 first window runs in cold-start (admit-all LRU) mode.
 
 The loop itself — window buffer, submit → wait → install, watchdog,
-backoff, halt, staleness guard, and what happens when any of it fails —
+backoff, staleness guard, and what happens when any of it fails —
 is :class:`repro.core.trainer.WindowTrainer` (read its module docstring
 for the contract).  This module holds what is LFO-specific:
 
@@ -14,9 +14,8 @@ for the contract).  This module holds what is LFO-specific:
   (:class:`OptLabelConfig`), score it with the deployed model (the
   ``online.opt_agreement`` gauges) and fit a GBDT on the live features;
 * :class:`LFOOnline`, an :class:`~repro.core.LFOCache` whose model slot is
-  the trainer's install target, whose admission and eviction degrade to a
-  heuristic ``fallback`` while the trainer reports the model stale, and
-  which publishes the feature-arena gauges at every window close.
+  the trainer's install target, and whose admission and eviction degrade
+  to LRU while the trainer reports the model stale.
 """
 
 from __future__ import annotations
@@ -165,9 +164,9 @@ class LFOOnline(LFOCache):
     buffer and the training supervisor.  ``window`` and the arguments
     from ``background`` on are the trainer's (documented there);
     everything about a training run beyond the members below —
-    ``training_pending``, ``degraded``, ``training_halted``,
-    ``last_training_seconds``, ``publish_hook``, the ``n_watchdog_*`` /
-    ``n_backoff_*`` / ``n_staleness_*`` counters — is read as
+    ``training_pending``, ``degraded``, ``last_training_seconds``,
+    ``publish_hook``, the ``n_watchdog_*`` / ``n_backoff_*`` /
+    ``n_staleness_*`` counters — is read as
     ``policy.trainer.<name>``.
 
     Args:
@@ -179,10 +178,10 @@ class LFOOnline(LFOCache):
         n_gaps: gap-feature count.
         min_positive_labels: skip retraining when a window contains fewer
             positive OPT decisions than this (degenerate windows).
-        fallback: admission heuristic while the trainer reports the model
-            stale (``staleness_limit``) — ``"lru"`` admits everything and
-            evicts LRU (cold-start behaviour), ``"bypass"`` admits
-            nothing (serves the resident set read-only).
+
+    While the trainer reports the model stale (``staleness_limit``),
+    admission falls back to LRU: admit everything, evict the least
+    recently used (cold-start behaviour), until the next install.
     """
 
     name = "LFO-online"
@@ -203,9 +202,7 @@ class LFOOnline(LFOCache):
         executor: Executor | None = None,
         train_deadline: int | None = None,
         staleness_limit: int | None = None,
-        fallback: str = "lru",
         retry_backoff: int = 0,
-        max_train_failures: int | None = None,
         publish_hook: Callable[[LFOModel], None] | None = None,
     ) -> None:
         super().__init__(
@@ -213,11 +210,6 @@ class LFOOnline(LFOCache):
             eviction=eviction, rescore_interval=rescore_interval,
             sampled=sampled,
         )
-        if fallback not in ("lru", "bypass"):
-            raise ValueError(
-                f"unknown fallback {fallback!r}; expected 'lru' or 'bypass'"
-            )
-        self.fallback = fallback
         self.trainer = WindowTrainer(
             window,
             LabelFitJob(
@@ -234,7 +226,6 @@ class LFOOnline(LFOCache):
             train_deadline=train_deadline,
             staleness_limit=staleness_limit,
             retry_backoff=retry_backoff,
-            max_train_failures=max_train_failures,
             publish_hook=publish_hook,
         )
 
@@ -315,42 +306,25 @@ class LFOOnline(LFOCache):
     def record_for_training(
         self, request: Request, features: np.ndarray
     ) -> None:
-        """Buffer one served request's live features; retrain at the edge.
+        """Buffer one served request's live features; retrain at the edge
+        (:meth:`WindowTrainer.record`).
 
         ``features`` must be the row the request was actually scored with
         (``last_features`` after :meth:`~repro.core.LFOCache.apply_scored`).
         """
-        if self.trainer.record(request, features):
-            self._publish_model_health()
-
-    def _publish_model_health(self) -> None:
-        """Per-window-close gauges only a cache can compute: the feature
-        arena summary.  Runs once per training window, off the request
-        path; the training-posture gauges are the trainer's.
-        """
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        summary = self._tracker.arena_summary(self._now)
-        registry.gauge("online.feature_tracked").set(
-            float(summary["tracked"])
-        )
-        registry.gauge("online.feature_recency_mean").set(
-            summary["recency_mean"]
-        )
-        registry.gauge("online.feature_cost_mean").set(summary["cost_mean"])
+        self.trainer.record(request, features)
 
     # -- degraded-mode serving -----------------------------------------------
 
     def _should_admit(self, score: float) -> bool:
         if self.trainer.degraded:
-            # The stale model's scores are no longer trusted: "lru" admits
-            # everything (cold-start behaviour), "bypass" admits nothing.
-            return self.fallback == "lru"
+            # The stale model's scores are no longer trusted: admit
+            # everything, as LRU does (cold-start behaviour).
+            return True
         return super()._should_admit(score)
 
     def _select_victim(self, incoming: Request) -> int | None:
-        if self.trainer.degraded and self.fallback == "lru":
+        if self.trainer.degraded:
             return next(iter(self._lru), None)
         return super()._select_victim(incoming)
 
@@ -358,7 +332,7 @@ class LFOOnline(LFOCache):
         # The staleness fallback outranks sampled eviction: a stale
         # model's candidate scores are exactly what degraded mode stops
         # trusting, so victims come from the LRU order until recovery.
-        if self.trainer.degraded and self.fallback == "lru":
+        if self.trainer.degraded:
             victim = next(iter(self._lru), None)
             return [] if victim is None else [victim]
         return super()._select_victims(incoming)

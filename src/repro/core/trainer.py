@@ -36,14 +36,12 @@ the request traffic", stated as a contract.
   logical time (one tick per :meth:`~WindowTrainer.poll`), not wall
   clock, so drills replay deterministically;
 * **backoff** — ``retry_backoff`` skips a doubling number of windows
-  after consecutive failures instead of re-failing every boundary;
-* **bounded retries** — ``max_train_failures`` halts retraining for good
-  after that many consecutive failures (a crash-looping trainer should
-  stop burning CPU);
+  (capped at 8) after consecutive failures instead of re-failing every
+  boundary, so a crash-looping trainer stops burning a job per window;
 * **staleness guard** — after ``staleness_limit`` windows without a
   fresh install, :attr:`~WindowTrainer.degraded` turns on until the next
   successful install.  What "degraded" means is the caller's business
-  (``LFOOnline`` switches admission to its heuristic ``fallback``).
+  (``LFOOnline`` switches admission and eviction to LRU).
 
 Every transition is loud: ``online.*`` / ``resilience.*`` counters and
 gauges plus span-tree events on the active :mod:`repro.obs` registry,
@@ -175,8 +173,6 @@ class WindowTrainer:
             model can go stale: the guard stays off until the first one.
         retry_backoff: windows skipped after a failure, doubling per
             consecutive failure up to 8 (0 = retry at the next boundary).
-        max_train_failures: consecutive failures before retraining halts
-            for good (None = never).
         publish_hook: called with each freshly *installed* model, right
             after ``install`` — the cluster publish path
             (:meth:`repro.cluster.CacheCluster.publish` writes the
@@ -201,7 +197,7 @@ class WindowTrainer:
     * ``n_staleness_fallbacks`` / ``n_staleness_recoveries`` — staleness
       engagements and the recoveries that ended them;
     * ``consecutive_failures`` / ``windows_since_model``;
-    * ``degraded`` / ``training_halted`` — the current mode flags.
+    * ``degraded`` — the current mode flag.
     """
 
     def __init__(
@@ -214,7 +210,6 @@ class WindowTrainer:
         train_deadline: int | None = None,
         staleness_limit: int | None = None,
         retry_backoff: int = 0,
-        max_train_failures: int | None = None,
         publish_hook: Callable[[Any], None] | None = None,
     ) -> None:
         if window <= 0:
@@ -225,8 +220,6 @@ class WindowTrainer:
             raise ValueError("staleness_limit must be positive (in windows)")
         if retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
-        if max_train_failures is not None and max_train_failures <= 0:
-            raise ValueError("max_train_failures must be positive")
         self.window = window
         self.job = job
         self.install = install
@@ -236,7 +229,6 @@ class WindowTrainer:
         self.train_deadline = train_deadline
         self.staleness_limit = staleness_limit
         self.retry_backoff = retry_backoff
-        self.max_train_failures = max_train_failures
         self.publish_hook = publish_hook
         self._clear()
 
@@ -258,8 +250,6 @@ class WindowTrainer:
         self.windows_since_model = 0
         #: True while the installed model is too stale to trust.
         self.degraded = False
-        #: True once ``max_train_failures`` consecutive failures hit.
-        self.training_halted = False
         self._pending: Future | None = None
         self._pending_since = 0
         self._clock = 0  # polls so far: the watchdog's logical time
@@ -298,7 +288,6 @@ class WindowTrainer:
             "consecutive_failures": self.consecutive_failures,
             "windows_since_model": self.windows_since_model,
             "degraded": self.degraded,
-            "training_halted": self.training_halted,
         }
 
     @property
@@ -404,15 +393,6 @@ class WindowTrainer:
         name = f"W[{self._windows_closed}]"
         self._windows_closed += 1
         self.windows_since_model += 1
-
-        if self.training_halted:
-            registry.counter("resilience.halted_window_drops").inc()
-            logger.info(
-                "training halted after %d consecutive failures; "
-                "dropping window %s",
-                self.consecutive_failures, name,
-            )
-            return
 
         if self._backoff_remaining > 0:
             self._backoff_remaining -= 1
@@ -536,23 +516,8 @@ class WindowTrainer:
         self._note_failure(registry)
 
     def _note_failure(self, registry) -> None:
-        """Advance the consecutive-failure state machine: halt or back off."""
+        """Advance the consecutive-failure state machine: back off."""
         self.consecutive_failures += 1
-        if (
-            self.max_train_failures is not None
-            and self.consecutive_failures >= self.max_train_failures
-        ):
-            if not self.training_halted:
-                self.training_halted = True
-                registry.counter("resilience.training_halts").inc()
-                registry.gauge("resilience.training_halted").set(1.0)
-                registry.event("resilience.training_halt")
-                logger.error(
-                    "halting retraining after %d consecutive failures; "
-                    "serving continues without fresh models",
-                    self.consecutive_failures,
-                )
-            return
         if self.retry_backoff > 0:
             backoff = min(
                 self.retry_backoff * 2 ** (self.consecutive_failures - 1),

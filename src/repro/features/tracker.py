@@ -35,12 +35,12 @@ uncapped tracker (:meth:`FeatureTracker.defer_updates`),
 :meth:`~FeatureTracker.update` only appends, and the pending records are
 resolved to rows in request order and written by one call before the
 next read.  The invariant is **no read sees an unflushed arena**: every
-public reader — ``features``, ``features_batch``, ``arena_summary``,
-``n_tracked``, ``memory_bytes_naive``, ``forget``, an immediate
-``update`` — flushes first.  Nothing native is stored on the instance
-(no handle, no address): array addresses are read off the live arrays
-at each call, after any ``_grow``, so a grown, deep-copied or unpickled
-tracker cannot hand C a stale pointer.
+public reader — ``features``, ``features_batch``, ``n_tracked``,
+``memory_bytes_naive``, ``forget``, an immediate ``update`` — flushes
+first.  Nothing native is stored on the instance (no handle, no
+address): array addresses are read off the live arrays at each call,
+after any ``_grow``, so a grown, deep-copied or unpickled tracker
+cannot hand C a stale pointer.
 """
 
 from __future__ import annotations
@@ -475,33 +475,6 @@ class FeatureTracker:
             times.ctypes.data, costs.ctypes.data, self._times.ctypes.data,
             self._seen.ctypes.data, self._last_cost.ctypes.data,
         )
-
-    def arena_summary(self, now: float) -> dict:
-        """Distribution summary of the live arena state at time ``now``.
-
-        One vectorised pass over the live rows — gather, subtract, mean —
-        cheap enough to run at every training-window close, which is where
-        :class:`repro.core.LFOOnline` publishes it as the
-        ``online.feature_*`` gauges the ``feature_drift`` SLO objective
-        watches.
-
-        Returns ``tracked`` (live objects), ``recency_mean`` (mean trace
-        time since each object's last request — the gap_1 population), and
-        ``cost_mean`` (mean last retrieval cost), both summed in ascending
-        arena-row order, whatever order the map is in.
-        """
-        n = self.n_tracked
-        if n == 0:
-            return {"tracked": 0, "recency_mean": 0.0, "cost_mean": 0.0}
-        rows = np.sort(np.fromiter(self._rows.values(), dtype=np.int64, count=n))
-        # Every mapped row has seen >= 1 (update records before mapping
-        # is observable), so the slot behind the head is a real time.
-        last_times = self._times[rows, (self._seen[rows] - 1) % self._n_slots]
-        return {
-            "tracked": n,
-            "recency_mean": float(now - last_times.mean()),
-            "cost_mean": float(self._last_cost[rows].mean()),
-        }
 
     def memory_bytes_naive(self) -> int:
         """The paper's back-of-envelope accounting: a dense per-object record

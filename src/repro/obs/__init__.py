@@ -28,7 +28,7 @@ On top of the cumulative registry sits the streaming layer:
 * :class:`WindowedRegistry` — delta-encoded telemetry windows in a
   bounded ring (``repro.obs.windows``);
 * :class:`SloEngine` — declarative objectives with error-budget burn
-  tracking, the Page-Hinkley / PSI / EWMA drift detectors among them
+  tracking, the Page-Hinkley / PSI drift detectors among them
   (``repro.obs.slo``);
 * :class:`MetricsServer` — stdlib HTTP export of ``/metrics``,
   ``/health``, ``/windows`` (``repro.obs.serve``).

@@ -14,9 +14,8 @@ declarative :class:`SloSpec` against every closed window of a
   labelled window on which the deployed model decided as OPT did, must
   stay ≥ ``min_value`` (skipped until a warm window has been labelled);
 * **staleness** — ``online.windows_since_model`` (train-to-install lag)
-  must stay ≤ ``max_value`` windows;
-* **training_halted** — the ``resilience.training_halted`` flag must
-  stay ≤ ``max_value`` (0: retraining never gave up).
+  must stay ≤ ``max_value`` windows (a crash-looping trainer breaches
+  it).
 
 Drift kinds, which carry detector memory from window to window:
 
@@ -25,9 +24,7 @@ Drift kinds, which carry detector memory from window to window:
 * **score_drift** — the population-stability index between consecutive
   windows of the ``metric`` histogram (``lfo.admission_score``).  A
   score distribution that jumps while the model is fixed means the
-  *inputs* moved: covariate shift, visible before BHR sags;
-* **feature_drift** — the worst EWMA relative deviation of the
-  ``online.feature_*`` arena-summary gauges ``LFOOnline`` publishes.
+  *inputs* moved: covariate shift, visible before BHR sags.
 
 Every kind is a pure function of the window and its objective's own
 state, so a seeded replay violates in the same windows.
@@ -59,7 +56,6 @@ from .registry import MetricsRegistry, NullRegistry
 from .windows import WindowSnapshot, window_bhr
 
 __all__ = [
-    "EwmaDetector",
     "PageHinkley",
     "SloObjective",
     "SloSpec",
@@ -76,26 +72,20 @@ DECISION_LATENCY_BUCKETS = (
     1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2,
 )
 STALENESS_GAUGE = "online.windows_since_model"
-_HALTED_GAUGE = "resilience.training_halted"
 _AGREEMENT_GAUGE = "online.opt_agreement"
 _SCORE_HISTOGRAM = "lfo.admission_score"
 _MODEL_INSTALLS = "online.model_installs"
-#: Arena summaries ``LFOOnline`` publishes that describe the *workload*.
-#: The tracked-object count is absent: it saturates at the tracker
-#: capacity and would self-trigger.
-_FEATURE_GAUGES = ("online.feature_recency_mean", "online.feature_cost_mean")
 
-#: Detector constants: Page-Hinkley per-window noise tolerance on BHR,
-#: windows that only build a baseline, and the feature EWMA smoothing.
+#: Detector constants: Page-Hinkley per-window noise tolerance on BHR and
+#: the windows that only build its baseline.
 _PH_DELTA = 0.01
 _WARMUP = 3
-_EWMA_ALPHA = 0.3
 #: Probability floor for PSI bins: empty bins would make the log diverge.
 _PSI_EPS = 1e-6
 
 _KINDS = (
     "latency_quantile", "window_bhr", "opt_agreement", "staleness",
-    "training_halted", "bhr_drift", "score_drift", "feature_drift",
+    "bhr_drift", "score_drift",
 )
 #: The kinds judged against a floor (``min_value``) rather than a ceiling.
 _FLOOR_KINDS = ("window_bhr", "opt_agreement")
@@ -122,37 +112,6 @@ def population_stability_index(
         q = max(r / ref_total, _PSI_EPS)
         psi += (p - q) * log(p / q)
     return psi
-
-
-class EwmaDetector:
-    """Exponentially weighted baseline with relative-deviation scores.
-
-    ``update(x)`` returns the relative deviation of ``x`` from the
-    baseline *before* folding ``x`` in, so a step change scores against
-    the pre-shift history.  The first ``warmup`` updates only build the
-    baseline (deviation 0.0).
-    """
-
-    def __init__(
-        self, alpha: float = _EWMA_ALPHA, warmup: int = _WARMUP
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.warmup = warmup
-        self.mean: float | None = None
-        self.n = 0
-
-    def update(self, value: float) -> float:
-        previous = self.mean
-        self.n += 1
-        if previous is None:
-            self.mean = value
-            return 0.0
-        self.mean = previous + self.alpha * (value - previous)
-        if self.n <= self.warmup:
-            return 0.0
-        return abs(value - previous) / max(abs(previous), _PSI_EPS)
 
 
 class PageHinkley:
@@ -258,10 +217,8 @@ class SloObjective:
                 return None, 0.0
             assert self.min_value is not None
             return value >= self.min_value, value
-        elif kind in ("staleness", "training_halted"):
-            value = snapshot.gauges.get(
-                STALENESS_GAUGE if kind == "staleness" else _HALTED_GAUGE
-            )
+        elif kind == "staleness":
+            value = snapshot.gauges.get(STALENESS_GAUGE)
             if value is None:
                 return None, 0.0
         elif kind == "bhr_drift":
@@ -271,7 +228,7 @@ class SloObjective:
             if state.page_hinkley is None:
                 state.page_hinkley = PageHinkley(lamb=self.max_value)
             value = state.page_hinkley.update(bhr)
-        elif kind == "score_drift":
+        else:  # score_drift
             hist = snapshot.histograms.get(self.metric)
             if hist is None or hist["count"] < self.min_count:
                 return None, 0.0
@@ -294,17 +251,6 @@ class SloObjective:
             if previous is None:
                 return None, 0.0
             value = population_stability_index(previous, state.prev_counts)
-        else:  # feature_drift
-            deviations = [
-                state.ewma.setdefault(name, EwmaDetector()).update(
-                    snapshot.gauges[name]
-                )
-                for name in _FEATURE_GAUGES
-                if name in snapshot.gauges
-            ]
-            if not deviations:
-                return None, 0.0
-            value = max(deviations)
         assert self.max_value is not None
         return value <= self.max_value, value
 
@@ -344,8 +290,7 @@ class SloSpec:
         against the microsecond-scale decisions the engine makes — they
         gate *pathology* (a stall on the scoring path, training leaking
         into it), not CPU luck, so the gate holds on noisy CI hosts.  The
-        drift detectors and the halt flag have no budget: one bad window
-        breaches.
+        drift detectors have no budget: one bad window breaches.
         """
         latency = "latency_quantile"
         return cls(objectives=(
@@ -363,10 +308,6 @@ class SloSpec:
             SloObjective("score_drift", "score_drift",
                          metric=_SCORE_HISTOGRAM, max_value=0.25,
                          budget=0.0, min_count=200),
-            SloObjective("feature_drift", "feature_drift", max_value=2.0,
-                         budget=0.0),
-            SloObjective("training_halted", "training_halted",
-                         max_value=0.0, budget=0.0),
         ))
 
     @classmethod
@@ -414,7 +355,6 @@ class _ObjectiveState:
     page_hinkley: PageHinkley | None = None
     prev_counts: list[float] | None = None
     burn_in: int = 0
-    ewma: dict[str, EwmaDetector] = field(default_factory=dict)
 
 
 class SloEngine:

@@ -179,8 +179,8 @@ class SimResult:
         resilience: degradation counters for policies that expose
             ``resilience_stats`` (``n_watchdog_cancels``,
             ``n_backoff_skips``, ``n_staleness_fallbacks``,
-            ``n_staleness_recoveries``, ``degraded``, ``training_halted``
-            — see :class:`repro.core.LFOOnline`), or None otherwise.
+            ``n_staleness_recoveries``, ``degraded`` — see
+            :class:`repro.core.LFOOnline`), or None otherwise.
     """
 
     policy: str

@@ -386,8 +386,10 @@ class TestHealth:
         for name in (
             "decision_latency_p50", "decision_latency_p99",
             "decision_latency_p999", "window_bhr", "train_to_install",
+            "bhr_drift", "score_drift",
         ):
             assert f"slo {name}" in out
+        assert sum(line.startswith("slo ") for line in out.splitlines()) == 7
 
     def test_follow_renders_window_lines(self, trace_file, capsys):
         code = main(["serve", trace_file, *self.ARGS, "--follow"])

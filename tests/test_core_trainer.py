@@ -16,7 +16,9 @@ import pytest
 from repro.core import LabelFitJob, WindowTrainer
 from repro.core.trainer import _run_job
 from repro.gbdt import GBDTParams
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import (
+    MetricsRegistry, SloEngine, WindowedRegistry, use_registry,
+)
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -133,13 +135,13 @@ class TestOneRoad:
         installs = []
         trainer = make(installs, background=True)
         drive(trainer, WINDOW + 3)
-        trainer.degraded = trainer.training_halted = True
+        trainer.degraded = True
         trainer.n_watchdog_cancels = 3
         trainer.reset()
         assert installs == ["W[0]"]
         assert trainer.n_retrains == 0 and trainer.remaining == WINDOW
         assert not trainer.training_pending
-        assert not trainer.degraded and not trainer.training_halted
+        assert not trainer.degraded
         assert trainer.resilience_stats["n_watchdog_cancels"] == 0
         trainer.close()
         assert trainer.executor is None
@@ -160,28 +162,48 @@ class TestBackoffAndHalt:
         assert snapshot["counters"]["resilience.backoff_skips"] == 22
         assert snapshot["gauges"]["resilience.backoff_windows"] == 8.0
 
-    def test_max_train_failures_halts_and_drops_windows(self):
-        trainer = make([], max_train_failures=2)
-        registry = MetricsRegistry()
-        with use_registry(registry), use_fault_plan(crash(every=1)):
-            with pytest.warns(RuntimeWarning):
-                drive(trainer, 6 * WINDOW)
-        assert trainer.training_halted
-        assert trainer.n_failed_retrains == 2  # halted windows don't retry
-        snapshot = registry.to_dict()
-        assert snapshot["counters"]["resilience.training_halts"] == 1
-        assert snapshot["counters"]["resilience.halted_window_drops"] == 4
-        assert snapshot["gauges"]["resilience.training_halted"] == 1.0
-
     def test_success_resets_consecutive_failures(self):
+        """The second failure follows a success, so it backs off one
+        window, not two: jobs 0 and 2 crash, W[1] and W[4] are skipped."""
         installs = []
-        trainer = make(installs, max_train_failures=2)
+        trainer = make(installs, retry_backoff=1)
         with use_fault_plan(crash(at=(0, 2))):
             with pytest.warns(RuntimeWarning):
-                drive(trainer, 5 * WINDOW)
-        assert not trainer.training_halted
+                drive(trainer, 6 * WINDOW)
         assert trainer.n_failed_retrains == 2
-        assert installs == ["W[1]", "W[3]", "W[4]"]
+        assert trainer.n_backoff_skips == 2
+        assert trainer.consecutive_failures == 0
+        assert installs == ["W[2]", "W[5]"]
+
+    @pytest.mark.parametrize("retry_backoff", [0, 1])
+    def test_a_crash_loop_breaches_train_to_install(self, retry_backoff):
+        """Every job raises.  Retraining never gives up, and the verdict
+        sees it through the lag: telemetry window ``i`` (one per training
+        window here) reads ``windows_since_model == i + 1``, so the
+        default spec's ``train_to_install`` (≤ 8, two bad windows of
+        twenty allowed) is bad from window 8 and breaches in window 10,
+        with or without backoff."""
+        trainer = make([], retry_backoff=retry_backoff)
+        registry = WindowedRegistry(every_requests=WINDOW)
+        engine = SloEngine().attach(registry)
+        breached = []
+        registry.on_close(
+            lambda snapshot: breached.append(snapshot.index)
+            if not engine.ok else None
+        )
+        with use_registry(registry), use_fault_plan(crash(every=1)):
+            with pytest.warns(RuntimeWarning, match="retrain failed"):
+                for _ in range(12):
+                    drive(trainer, WINDOW)
+                    registry.roll()
+        assert trainer.n_retrains == 0 and trainer.n_failed_retrains > 0
+        assert breached[0] == 10
+        verdict = engine.verdict()["objectives"]
+        assert verdict["train_to_install"]["violations"] == 4  # 8 .. 11
+        assert verdict["train_to_install"]["last_value"] == 12.0
+        assert [name for name, d in verdict.items() if not d["ok"]] == [
+            "train_to_install"
+        ]
 
 
 class TestWatchdog:

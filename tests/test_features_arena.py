@@ -303,8 +303,9 @@ def test_capped_probe_agrees_up_to_the_first_cap_eviction(case):
 
 def test_one_counter_is_head_and_count(monkeypatch):
     """``update`` keeps one counter per row; ring head and fill level
-    derive from it.  Against the reference: summary, tracked count, row
-    recycling after ``forget`` and growth across two doublings."""
+    derive from it.  Against the reference: each object's last time and
+    cost, tracked count, row recycling after ``forget`` and growth across
+    two doublings."""
     monkeypatch.setattr(tracker_module, "_INITIAL_CAPACITY", 4)
     tracker = FeatureTracker(n_gaps=3)
     reference = ReferenceTracker(n_gaps=3)
@@ -321,13 +322,14 @@ def test_one_counter_is_head_and_count(monkeypatch):
             tracker.forget(i % 13)
             reference.forget(i % 13)
         assert tracker.n_tracked == len(reference.state)
-        last = np.array([st["times"][0] for st in reference.state.values()])
-        costs = np.array([st["cost"] for st in reference.state.values()])
-        assert tracker.arena_summary(now) == {
-            "tracked": len(reference.state),
-            "recency_mean": float(now - last.mean()),
-            "cost_mean": float(costs.mean()),
-        }
+        rows = np.array([tracker._rows[obj] for obj in reference.state])
+        head = (tracker._seen[rows] - 1) % tracker._n_slots
+        assert tracker._times[rows, head].tolist() == [
+            st["times"][0] for st in reference.state.values()
+        ]
+        assert tracker._last_cost[rows].tolist() == [
+            st["cost"] for st in reference.state.values()
+        ]
     assert len(tracker._seen) == 16  # 4 -> 8 -> 16 for 13 objects
     assert tracker._next_row == 13  # forgotten rows were recycled
     for obj in range(13):
@@ -452,7 +454,7 @@ def test_probe_straight_after_growth_reads_the_new_arena(native):
 
 
 _read = st.sampled_from(
-    ["features", "batch", "n_tracked", "summary", "forget", "memory",
+    ["features", "batch", "n_tracked", "forget", "memory",
      "close", "open", "copy", "pickle"]
 )
 
@@ -492,11 +494,6 @@ def test_deferred_record_is_the_immediate_loop(native, n_gaps, ops):
         elif op == "memory":
             got, want = (
                 t.memory_bytes_naive() for t in (deferred, immediate)
-            )
-        elif op == "summary":
-            got, want = (
-                list(t.arena_summary(now).values())
-                for t in (deferred, immediate)
             )
         elif op == "forget":
             got, want = deferred.forget(1), immediate.forget(1)
@@ -718,41 +715,3 @@ def test_row_formula_mutants_are_caught(monkeypatch, old, new):
     for n_gaps in (5, 50):
         with pytest.raises(AssertionError):
             _check_rows_against_reference("numpy", n_gaps, COVERING_HISTORY)
-
-
-# -- arena_summary: summed in row order, whatever order the map is in ---------
-
-
-def test_arena_summary_does_not_depend_on_map_order():
-    """The map of a capped tracker is in LRU order, an uncapped one's in
-    insertion order, a recycled row sits out of either: all of them sum
-    the same rows in ascending row order, to the last bit."""
-    rng = np.random.default_rng(8)
-    capped = FeatureTracker(n_gaps=3, max_objects=64)  # never reached
-    plain, deferred = FeatureTracker(n_gaps=3), FeatureTracker(n_gaps=3)
-    deferred.defer_updates(True)
-    now = 0.0
-    for i in range(900):
-        now += float(rng.exponential(1.0))
-        obj, cost = int(rng.zipf(1.4)) % 40, float(rng.uniform(0.1, 9.0))
-        for tracker in (capped, plain, deferred):
-            tracker.update(obj, now, cost)
-        if i % 97 == 96:
-            for tracker in (capped, plain, deferred):
-                tracker.forget(i % 40)
-    assert deferred._pending or _native.load() is None
-    assert list(capped._rows) != list(plain._rows)  # LRU vs insertion
-    assert dict(capped._rows) == dict(plain._rows)
-    rows = np.sort(np.fromiter(plain._rows.values(), dtype=np.int64))
-    assert not np.array_equal(rows, list(plain._rows.values()))
-    last = plain._times[rows, (plain._seen[rows] - 1) % plain._n_slots]
-    want = {
-        "tracked": len(rows),
-        "recency_mean": float(now - last.mean()),
-        "cost_mean": float(plain._last_cost[rows].mean()),
-    }
-    for tracker in (
-        capped, plain, deferred, copy.deepcopy(plain),
-        pickle.loads(pickle.dumps(capped)),
-    ):
-        assert tracker.arena_summary(now) == want

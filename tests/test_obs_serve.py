@@ -101,20 +101,20 @@ class TestHealthEndpoint:
         registry = WindowedRegistry(every_requests=100)
         engine = SloEngine(SloSpec(
             objectives=(
-                SloObjective("training_halted", "training_halted",
-                             max_value=0.0, budget=0.0),
+                SloObjective("stale", "staleness", max_value=2.0,
+                             budget=0.0),
             ),
             horizon=3,
         )).attach(registry)
-        halted = registry.gauge("resilience.training_halted")
-        halted.set(1.0)
+        lag = registry.gauge("online.windows_since_model")
+        lag.set(3.0)
         registry.roll()
         with MetricsServer(registry, port=0, slo=engine) as server:
             status, body, _ = fetch(server.port, "/health")
             assert status == 503
             assert json.loads(body)["slo"]["objectives"][
-                "training_halted"]["violations"] == 1
-            halted.set(0.0)
+                "stale"]["violations"] == 1
+            lag.set(0.0)
             for clean in range(3):
                 assert fetch(server.port, "/health")[0] == 503
                 registry.roll()

@@ -48,8 +48,11 @@ def close_window(registry, *, latencies=(), hit_bytes=0, miss_bytes=0,
 
 class TestSloObjective:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            SloObjective(name="x", kind="throughput", max_value=1.0)
+        # A spec naming feature_drift or training_halted must fail at
+        # load, not judge nothing.
+        for kind in ("throughput", "feature_drift", "training_halted"):
+            with pytest.raises(ValueError, match="unknown SLO kind"):
+                SloObjective(name="x", kind=kind, max_value=1.0)
 
     def test_missing_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -129,12 +132,12 @@ class TestSloSpec:
         assert [o.name for o in spec.objectives] == [
             "decision_latency_p50", "decision_latency_p99",
             "decision_latency_p999", "window_bhr", "train_to_install",
-            "bhr_drift", "score_drift", "feature_drift", "training_halted",
+            "bhr_drift", "score_drift",
         ]
         drift = {o.name: o for o in spec.objectives[5:]}
         assert all(o.kind == o.name and o.budget == 0.0
                    for o in drift.values())
-        assert [o.max_value for o in drift.values()] == [0.10, 0.25, 2.0, 0.0]
+        assert [o.max_value for o in drift.values()] == [0.10, 0.25]
         assert drift["score_drift"].metric == "lfo.admission_score"
         assert drift["score_drift"].min_count == 200
         latency = [o for o in spec.objectives if o.kind == "latency_quantile"]
@@ -253,9 +256,6 @@ def test_evaluation_is_replay_pure():
     for i in range(10):
         for j in range(300):
             scores.observe(((i * 7 + j) % 10) / 10 + (0.05 if i > 6 else 0))
-        recorder.gauge("online.feature_recency_mean").set(1.0 + i % 3)
-        recorder.gauge("online.feature_cost_mean").set(5.0 * (1 + (i > 7)))
-        recorder.gauge("resilience.training_halted").set(0.0)
         if i == 4:
             recorder.counter("online.model_installs").inc()
         windows.append(close_window(

@@ -282,4 +282,6 @@ class TestValidation:
             "decision_latency_p999",
             "window_bhr",
             "train_to_install",
-        } <= names
+            "bhr_drift",
+            "score_drift",
+        } == names
