@@ -18,78 +18,29 @@ Quickstart::
     print(simulate(trace, LRUCache(cache_size)).bhr)
 """
 
-from .core import (
-    IRLOnline,
-    LFOCache,
-    LFOModel,
-    LFOOnline,
-    OptLabelConfig,
-    SampledEvictionConfig,
-    TieredLFOOnline,
-    prepare_windows,
-    train_and_evaluate,
-)
-from .obs import (
-    MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    set_registry,
-    use_registry,
-)
-from .opt import opt_hit_ratios, solve_opt, solve_pruned, solve_segmented
-from .serve import (
-    ServeConfig,
-    ServeReport,
-    ServingLoop,
-    SyntheticArrivalDriver,
-    TraceReplayDriver,
-)
-from .sim import compare_policies, format_table, simulate
-from .trace import (
-    CostModel,
-    Request,
-    SyntheticConfig,
-    Trace,
-    generate_mix_shift_trace,
-    generate_mixed_trace,
-    generate_trace,
-)
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "IRLOnline",
-    "TieredLFOOnline",
-    "LFOCache",
-    "LFOModel",
-    "LFOOnline",
-    "OptLabelConfig",
-    "SampledEvictionConfig",
-    "prepare_windows",
-    "train_and_evaluate",
-    "MetricsRegistry",
-    "NullRegistry",
-    "get_registry",
-    "set_registry",
-    "use_registry",
-    "opt_hit_ratios",
-    "solve_opt",
-    "solve_pruned",
-    "solve_segmented",
-    "ServeConfig",
-    "ServeReport",
-    "ServingLoop",
-    "SyntheticArrivalDriver",
-    "TraceReplayDriver",
-    "compare_policies",
-    "format_table",
-    "simulate",
-    "CostModel",
-    "Request",
-    "SyntheticConfig",
-    "Trace",
-    "generate_mix_shift_trace",
-    "generate_mixed_trace",
-    "generate_trace",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "core": (
+        "IRLOnline", "TieredLFOOnline", "LFOCache", "LFOModel", "LFOOnline",
+        "OptLabelConfig", "SampledEvictionConfig", "prepare_windows",
+        "train_and_evaluate",
+    ),
+    "obs": (
+        "MetricsRegistry", "NullRegistry", "get_registry", "set_registry",
+        "use_registry",
+    ),
+    "opt": ("opt_hit_ratios", "solve_opt", "solve_pruned", "solve_segmented"),
+    "serve": (
+        "ServeConfig", "ServeReport", "ServingLoop", "SyntheticArrivalDriver",
+        "TraceReplayDriver",
+    ),
+    "sim": ("compare_policies", "format_table", "simulate"),
+    "trace": (
+        "CostModel", "Request", "SyntheticConfig", "Trace",
+        "generate_mix_shift_trace", "generate_mixed_trace", "generate_trace",
+    ),
+})
+__all__ += ["__version__"]

@@ -48,16 +48,15 @@ import os
 import platform
 import shutil
 import stat
-import subprocess
-import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .obs import get_registry
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
 __all__ = ["Native", "Shared", "all_below", "fan_out", "load", "reservation", "start"]
@@ -716,6 +715,9 @@ def _build(entry: str | None = None) -> Native | bool:
     if os.environ.get(_NO_CC_ENV):
         logger.info("%s set; using the pure-Python/numpy paths", _NO_CC_ENV)
         return False
+    import subprocess  # only a build needs these; a cache hit never does
+    import tempfile
+
     build_dir = None
     try:
         where = entry and os.path.dirname(entry)
@@ -857,6 +859,8 @@ class Shared:
             wanted = 0
         with _lock:
             if wanted > 0 and _pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
                 _pool = ThreadPoolExecutor(cores, "repro-helper")
         self.helpers = [_pool.submit(_claim, *work) for _ in range(wanted)]
 

@@ -31,29 +31,13 @@ The built-in suite lives in :mod:`repro.analysis.rules`; see
 catalogue.
 """
 
-from __future__ import annotations
+from .. import _lazy
 
-from .base import FileContext, Rule, Violation
-from .engine import AnalysisReport, check_sources, run_analysis
-from .metrics import collect_metric_surface, render_metrics_markdown
-from .project import ProjectModel, iter_python_files
-from .report import render_json, render_text
-from .rules import ALL_RULES, all_rules, rule_ids
-
-__all__ = [
-    "ALL_RULES",
-    "AnalysisReport",
-    "FileContext",
-    "ProjectModel",
-    "Rule",
-    "Violation",
-    "all_rules",
-    "check_sources",
-    "collect_metric_surface",
-    "iter_python_files",
-    "render_json",
-    "render_metrics_markdown",
-    "render_text",
-    "rule_ids",
-    "run_analysis",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "base": ("FileContext", "Rule", "Violation"),
+    "engine": ("AnalysisReport", "check_sources", "run_analysis"),
+    "metrics": ("collect_metric_surface", "render_metrics_markdown"),
+    "project": ("ProjectModel", "iter_python_files"),
+    "report": ("render_json", "render_text"),
+    "rules": ("ALL_RULES", "all_rules", "rule_ids"),
+})

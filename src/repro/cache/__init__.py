@@ -1,30 +1,16 @@
 """Cache policies: the paper's full comparison zoo plus OPT replay."""
 
-from .adaptsize import AdaptSizeCache
-from .base import CachePolicy
-from .classic import LFUDACache, LRUCache, LRUKCache, RandomCache
-from .greedydual import GDSFCache, GDWheelCache
-from .hyperbolic import HyperbolicCache
-from .lhd import LHDCache
-from .optreplay import OptReplayCache
-from .rl import RLCache
-from .segmented import S4LRUCache
-from .tinylfu import CountMinSketch, TinyLFUCache
+from .. import _lazy
 
-__all__ = [
-    "CachePolicy",
-    "AdaptSizeCache",
-    "LFUDACache",
-    "LRUCache",
-    "LRUKCache",
-    "RandomCache",
-    "GDSFCache",
-    "GDWheelCache",
-    "HyperbolicCache",
-    "LHDCache",
-    "OptReplayCache",
-    "RLCache",
-    "S4LRUCache",
-    "CountMinSketch",
-    "TinyLFUCache",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "adaptsize": ("AdaptSizeCache",),
+    "base": ("CachePolicy",),
+    "classic": ("LFUDACache", "LRUCache", "LRUKCache", "RandomCache"),
+    "greedydual": ("GDSFCache", "GDWheelCache"),
+    "hyperbolic": ("HyperbolicCache",),
+    "lhd": ("LHDCache",),
+    "optreplay": ("OptReplayCache",),
+    "rl": ("RLCache",),
+    "segmented": ("S4LRUCache",),
+    "tinylfu": ("CountMinSketch", "TinyLFUCache"),
+})

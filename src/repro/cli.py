@@ -35,33 +35,19 @@ makes.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from contextlib import contextmanager, nullcontext
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import (
-    LabelFitJob,
-    LFOOnline,
-    OptLabelConfig,
-    SampledEvictionConfig,
-    WindowTrainer,
-)
-from .obs import MetricsRegistry, get_registry, use_registry
-from .opt import opt_bhr_bounds, solve_segmented
-from .resilience import FaultPlan, use_fault_plan
-from .sim import compare_policies, format_table, policy_factories, simulate
-from .trace import (
-    SyntheticConfig,
-    Trace,
-    compute_stats,
-    generate_trace,
-    read_binary_trace,
-    read_text_trace,
-    write_binary_trace,
-    write_text_trace,
-)
+if TYPE_CHECKING:
+    import argparse
+
+    from .core import OptLabelConfig
+    from .trace import Trace
+
+# Each command imports what it runs, inside its function: a shard that
+# ``lfo serve --shards N`` spawns re-imports this module as ``__mp_main__``,
+# and must load no more than a shard worker does.
 
 __all__ = ["main", "build_parser"]
 
@@ -72,6 +58,8 @@ def _diag(message: str) -> None:
 
 
 def _load_trace(path: str, tolerant: bool = False) -> Trace:
+    from .trace import read_binary_trace, read_text_trace
+
     if path.endswith(".bin"):
         return read_binary_trace(path)
     return read_text_trace(path, tolerant=tolerant)
@@ -84,6 +72,8 @@ def _trace_from_args(args: argparse.Namespace) -> Trace:
 
 def _fault_plan_scope(args: argparse.Namespace):
     """A ``use_fault_plan`` context for ``--fault-plan PATH`` (else a no-op)."""
+    from .resilience import FaultPlan, use_fault_plan
+
     path = getattr(args, "fault_plan", None)
     if not path:
         return nullcontext(None)
@@ -97,6 +87,8 @@ def _fault_plan_scope(args: argparse.Namespace):
 def _make_registry(args: argparse.Namespace):
     """A fresh metrics registry when ``--metrics-out`` asks for one,
     otherwise whatever is already installed (``NullRegistry`` by default)."""
+    from .obs import MetricsRegistry, get_registry
+
     if getattr(args, "metrics_out", None):
         return MetricsRegistry()
     return get_registry()
@@ -104,6 +96,8 @@ def _make_registry(args: argparse.Namespace):
 
 def _write_metrics(path: str, registry, result) -> None:
     """Dump the run's registry snapshot plus the result as one JSON doc."""
+    import json
+
     document = {"metrics": registry.to_dict(), "result": result}
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2)
@@ -116,11 +110,20 @@ def _resolve_cache(args: argparse.Namespace, trace: Trace) -> int:
         return int(args.cache_bytes)
     if getattr(args, "cache_mb", None):
         return int(args.cache_mb * 1_000_000)
+    from .trace import compute_stats
+
     stats = compute_stats(trace)
     return max(1, stats.footprint_bytes // args.cache_fraction)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .trace import (
+        SyntheticConfig,
+        generate_trace,
+        write_binary_trace,
+        write_text_trace,
+    )
+
     config = SyntheticConfig(
         n_requests=args.requests,
         n_objects=args.objects,
@@ -141,6 +144,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .trace import compute_stats
+
     trace = _trace_from_args(args)
     stats = compute_stats(trace)
     for key, value in stats.as_dict().items():
@@ -152,6 +157,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_opt(args: argparse.Namespace) -> int:
+    from .opt import opt_bhr_bounds, solve_segmented
+
     trace = _trace_from_args(args)
     cache_size = _resolve_cache(args, trace)
     _diag(f"solving {len(trace)} requests, cache {cache_size} bytes")
@@ -169,6 +176,9 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .obs import use_registry
+    from .sim import compare_policies, format_table, policy_factories
+
     subset = args.policies.split(",") if args.policies else None
     try:
         factories = policy_factories(subset)
@@ -199,10 +209,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _label_config(args: argparse.Namespace) -> OptLabelConfig:
+    from .core import OptLabelConfig
+
     return OptLabelConfig(mode=args.label_mode, segment_length=args.segment)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .core import LFOOnline, SampledEvictionConfig
+    from .obs import use_registry
+    from .sim import simulate
+
     registry = _make_registry(args)
     # Trace loading happens inside both scopes so a --fault-plan with
     # trace.read_line faults corrupts lines and --tolerant-trace skips land
@@ -251,7 +267,13 @@ def _telemetry(args: argparse.Namespace, spec):
     for the body, the endpoint stopped on the way out.  Yields
     ``(registry, engine)``.
     """
-    from .obs import JsonlSink, MetricsServer, SloEngine, WindowedRegistry
+    from .obs import (
+        JsonlSink,
+        MetricsServer,
+        SloEngine,
+        WindowedRegistry,
+        use_registry,
+    )
 
     registry = WindowedRegistry(
         every_requests=args.every, ring=args.ring,
@@ -282,7 +304,9 @@ def _telemetry(args: argparse.Namespace, spec):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import json
 
+    from .core import LabelFitJob, LFOOnline, WindowTrainer
     from .obs import SloSpec
     from .resilience import SimulatedTrainerExecutor
     from .serve import (
@@ -291,6 +315,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         SyntheticArrivalDriver,
         TraceReplayDriver,
     )
+    from .trace import SyntheticConfig, generate_trace
 
     if args.slo:
         try:
@@ -487,6 +512,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``lfo`` argument parser."""
+    import argparse
+
+    from .core import OptLabelConfig
+
     parser = argparse.ArgumentParser(
         prog="lfo",
         description="LFO: Learning From OPT for CDN caching (HotNets'18).",

@@ -33,19 +33,12 @@ into the always-on serving loop with a bare
 (``lfo serve --shards N``).
 """
 
-from .cluster import CacheCluster
-from .ring import HashRing
-from .serving import ClusterScorer
-from .slab import ModelSlab, SlabModel, SlabReader
-from .worker import ShardConfig, shard_main
+from .. import _lazy
 
-__all__ = [
-    "CacheCluster",
-    "ClusterScorer",
-    "HashRing",
-    "ModelSlab",
-    "ShardConfig",
-    "SlabModel",
-    "SlabReader",
-    "shard_main",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "cluster": ("CacheCluster",),
+    "ring": ("HashRing",),
+    "serving": ("ClusterScorer",),
+    "slab": ("ModelSlab", "SlabModel", "SlabReader"),
+    "worker": ("ShardConfig", "shard_main"),
+})

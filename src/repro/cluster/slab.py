@@ -49,7 +49,6 @@ from __future__ import annotations
 import itertools
 import os
 import struct
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,6 +56,8 @@ import numpy as np
 from ..gbdt.compiled import CompiledPredictor
 
 if TYPE_CHECKING:  # annotation only; avoids repro.core import at runtime.
+    from multiprocessing import shared_memory
+
     from ..core.lfo import LFOModel
 
 __all__ = ["ModelSlab", "SlabModel", "SlabReader"]
@@ -81,6 +82,17 @@ _SEQ_WORD = struct.Struct("<Q")
 #: concurrent clusters in one process never collide and names stay
 #: deterministic (no RNG, no wall clock).
 _token_counter = itertools.count()
+
+
+def _segment(name: str, size: int | None = None) -> shared_memory.SharedMemory:
+    """Segment ``name``: created with ``size`` bytes, else attached.
+    Imported here, not with the module: ``multiprocessing.shared_memory``
+    brings ``subprocess`` along, and importing the shard worker must not."""
+    from multiprocessing import shared_memory
+
+    if size is None:
+        return shared_memory.SharedMemory(name=name)
+    return shared_memory.SharedMemory(name=name, create=True, size=size)
 
 
 class SlabModel:
@@ -137,9 +149,7 @@ class ModelSlab:
         self._seq = 0
         self._data: shared_memory.SharedMemory | None = None
         self._closed = False
-        self._ctrl = shared_memory.SharedMemory(
-            name=f"{self.token}-ctrl", create=True, size=_CTRL_SIZE
-        )
+        self._ctrl = _segment(f"{self.token}-ctrl", _CTRL_SIZE)
         self._write_control(payload=0, cutoff=0.5, n_gaps=0, name=b"")
 
     def _write_control(
@@ -171,9 +181,7 @@ class ModelSlab:
             raise RuntimeError("publish on a closed ModelSlab")
         payload = predictor.to_bytes()
         generation = self.generation + 1
-        segment = shared_memory.SharedMemory(
-            name=f"{self.token}-g{generation}", create=True, size=len(payload)
-        )
+        segment = _segment(f"{self.token}-g{generation}", len(payload))
         segment.buf[: len(payload)] = payload
         previous = self._data
         self.generation = generation
@@ -231,7 +239,7 @@ class SlabReader:
 
     def __init__(self, token: str) -> None:
         self.token = token
-        self._ctrl = shared_memory.SharedMemory(name=f"{token}-ctrl")
+        self._ctrl = _segment(f"{token}-ctrl")
         self._attached: list[shared_memory.SharedMemory] = []
         self._closed = False
 
@@ -279,7 +287,7 @@ class SlabReader:
         generation, payload, cutoff, n_gaps, name = self._read_control()
         if generation == 0:
             return None
-        segment = shared_memory.SharedMemory(name=name)
+        segment = _segment(name)
         self._attached.append(segment)
         predictor = CompiledPredictor.from_buffer(segment.buf[:payload])
         return generation, SlabModel(predictor, cutoff, n_gaps, segment)

@@ -1,15 +1,9 @@
 """Online features (Section 2.2): sparse tracker and dataset assembly."""
 
-from .dataset import Dataset, thin_gaps
-from .noise import add_relative_noise, quantize_features
-from .tracker import MISSING_GAP, FeatureTracker, feature_names
+from .. import _lazy
 
-__all__ = [
-    "Dataset",
-    "thin_gaps",
-    "add_relative_noise",
-    "quantize_features",
-    "MISSING_GAP",
-    "FeatureTracker",
-    "feature_names",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "dataset": ("Dataset", "thin_gaps"),
+    "noise": ("add_relative_noise", "quantize_features"),
+    "tracker": ("MISSING_GAP", "FeatureTracker", "feature_names"),
+})

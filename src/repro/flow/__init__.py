@@ -1,15 +1,9 @@
 """Min-cost flow substrate (graph model, exact solver, verification)."""
 
-from .graph import FlowNetwork
-from .ssp import InfeasibleFlowError, MinCostFlowResult, solve_min_cost_flow
-from .verify import check_flow, flow_cost, solve_with_networkx
+from .. import _lazy
 
-__all__ = [
-    "FlowNetwork",
-    "InfeasibleFlowError",
-    "MinCostFlowResult",
-    "solve_min_cost_flow",
-    "check_flow",
-    "flow_cost",
-    "solve_with_networkx",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "graph": ("FlowNetwork",),
+    "ssp": ("InfeasibleFlowError", "MinCostFlowResult", "solve_min_cost_flow"),
+    "verify": ("check_flow", "flow_cost", "solve_with_networkx"),
+})

@@ -1,20 +1,11 @@
 """Histogram-based gradient-boosted decision trees (LightGBM substitute)."""
 
-from .binning import BinMapper
-from .boosting import GBDTClassifier, GBDTParams
-from .compiled import CompiledPredictor, kernel_available
-from .losses import LogisticLoss, sigmoid
-from .tree import Tree, TreeGrowthParams, grow_tree
+from .. import _lazy
 
-__all__ = [
-    "BinMapper",
-    "CompiledPredictor",
-    "GBDTClassifier",
-    "GBDTParams",
-    "LogisticLoss",
-    "kernel_available",
-    "sigmoid",
-    "Tree",
-    "TreeGrowthParams",
-    "grow_tree",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "binning": ("BinMapper",),
+    "boosting": ("GBDTClassifier", "GBDTParams"),
+    "compiled": ("CompiledPredictor", "kernel_available"),
+    "losses": ("LogisticLoss", "sigmoid"),
+    "tree": ("Tree", "TreeGrowthParams", "grow_tree"),
+})

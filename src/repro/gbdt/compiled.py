@@ -50,6 +50,7 @@ import numpy as np
 
 from .. import _native
 from ..obs import get_registry
+from .binning import sorted_unique
 from .losses import sigmoid
 from .tree import Tree
 
@@ -392,7 +393,7 @@ class CompiledPredictor:
             len(self._nodes), dtype=np.int64
         )
         mask = internal & (self._nodes["feature"] == feature)
-        return np.unique(self._nodes["threshold"][mask])
+        return sorted_unique(self._nodes["threshold"][mask])
 
     # -- pickling -----------------------------------------------------------
 

@@ -34,47 +34,18 @@ On top of the cumulative registry sits the streaming layer:
   ``/health``, ``/windows`` (``repro.obs.serve``).
 """
 
-from .export import JsonlSink, render_prometheus, write_json
-from .fold import fold_deltas
-from .serve import MetricsServer
-from .slo import SloEngine, SloObjective, SloSpec
-from .windows import WindowedRegistry, WindowSnapshot, estimate_quantile
-from .registry import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    set_registry,
-    use_registry,
-)
-from .tracing import NullSpan, Span, SpanAggregate, Tracer
+from .. import _lazy
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "DEFAULT_TIME_BUCKETS",
-    "get_registry",
-    "set_registry",
-    "use_registry",
-    "Span",
-    "NullSpan",
-    "SpanAggregate",
-    "Tracer",
-    "JsonlSink",
-    "fold_deltas",
-    "render_prometheus",
-    "write_json",
-    "WindowedRegistry",
-    "WindowSnapshot",
-    "estimate_quantile",
-    "SloEngine",
-    "SloObjective",
-    "SloSpec",
-    "MetricsServer",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "export": ("JsonlSink", "render_prometheus", "write_json"),
+    "fold": ("fold_deltas",),
+    "serve": ("MetricsServer",),
+    "slo": ("SloEngine", "SloObjective", "SloSpec"),
+    "windows": ("WindowedRegistry", "WindowSnapshot", "estimate_quantile"),
+    "registry": (
+        "DEFAULT_TIME_BUCKETS", "Counter", "Gauge", "Histogram",
+        "MetricsRegistry", "NullRegistry", "get_registry", "set_registry",
+        "use_registry",
+    ),
+    "tracing": ("NullSpan", "Span", "SpanAggregate", "Tracer"),
+})

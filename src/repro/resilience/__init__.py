@@ -14,24 +14,12 @@ tolerant trace reading) lives in the hardened components;
 behaviour → recovery together.
 """
 
-from .faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    InjectedFaultError,
-    get_fault_plan,
-    set_fault_plan,
-    use_fault_plan,
-)
-from .harness import SimulatedTrainerExecutor
+from .. import _lazy
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFaultError",
-    "SimulatedTrainerExecutor",
-    "get_fault_plan",
-    "set_fault_plan",
-    "use_fault_plan",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "faults": (
+        "FAULT_KINDS", "FaultPlan", "FaultSpec", "InjectedFaultError",
+        "get_fault_plan", "set_fault_plan", "use_fault_plan",
+    ),
+    "harness": ("SimulatedTrainerExecutor",),
+})

@@ -11,15 +11,10 @@ on shutdown.  Surfaced on the command line as ``lfo serve``; operations
 runbook in ``docs/serving.md``.
 """
 
-from .drivers import SyntheticArrivalDriver, TraceReplayDriver
-from .engine import BatchScorer
-from .loop import ServeConfig, ServeReport, ServingLoop
+from .. import _lazy
 
-__all__ = [
-    "BatchScorer",
-    "ServeConfig",
-    "ServeReport",
-    "ServingLoop",
-    "SyntheticArrivalDriver",
-    "TraceReplayDriver",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "drivers": ("SyntheticArrivalDriver", "TraceReplayDriver"),
+    "engine": ("BatchScorer",),
+    "loop": ("ServeConfig", "ServeReport", "ServingLoop"),
+})

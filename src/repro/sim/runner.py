@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ..cache import CachePolicy
+from ..core.engine import DecisionEngine
 from ..obs import get_registry
 from ..trace import Trace
 
@@ -113,8 +114,6 @@ def _run_batched(
     post-decision tap, and ``folder`` folds counters and offers window
     rolls at window edges, so nothing is added to the per-request path.
     """
-    from ..core.engine import DecisionEngine  # repro.core imports repro.sim
-
     registry = get_registry()
     observing = registry.enabled
     engine = DecisionEngine(

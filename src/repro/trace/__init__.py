@@ -1,56 +1,21 @@
 """Trace model, serialisation, synthetic workloads and statistics."""
 
-from .calibration import (
-    SizeFit,
-    ZipfFit,
-    calibration_report,
-    fit_sizes,
-    fit_zipf,
-)
-from .record import CostModel, Request, Trace
-from .transform import interleave
-from .readers import (
-    iter_text_requests,
-    read_binary_trace,
-    read_text_trace,
-    write_binary_trace,
-    write_text_trace,
-)
-from .stats import TraceStats, compute_stats
-from .synthetic import (
-    ContentClass,
-    SyntheticConfig,
-    generate_adversarial_scan,
-    generate_mix_shift_trace,
-    generate_mixed_trace,
-    generate_trace,
-    sample_sizes,
-    zipf_weights,
-)
+from .. import _lazy
 
-__all__ = [
-    "SizeFit",
-    "ZipfFit",
-    "calibration_report",
-    "fit_sizes",
-    "fit_zipf",
-    "interleave",
-    "CostModel",
-    "Request",
-    "Trace",
-    "iter_text_requests",
-    "read_binary_trace",
-    "read_text_trace",
-    "write_binary_trace",
-    "write_text_trace",
-    "TraceStats",
-    "compute_stats",
-    "ContentClass",
-    "SyntheticConfig",
-    "generate_adversarial_scan",
-    "generate_mix_shift_trace",
-    "generate_mixed_trace",
-    "generate_trace",
-    "sample_sizes",
-    "zipf_weights",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "calibration": (
+        "SizeFit", "ZipfFit", "calibration_report", "fit_sizes", "fit_zipf",
+    ),
+    "record": ("CostModel", "Request", "Trace"),
+    "transform": ("interleave",),
+    "readers": (
+        "iter_text_requests", "read_binary_trace", "read_text_trace",
+        "write_binary_trace", "write_text_trace",
+    ),
+    "stats": ("TraceStats", "compute_stats"),
+    "synthetic": (
+        "ContentClass", "SyntheticConfig", "generate_adversarial_scan",
+        "generate_mix_shift_trace", "generate_mixed_trace", "generate_trace",
+        "sample_sizes", "zipf_weights",
+    ),
+})
