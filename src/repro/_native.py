@@ -1,12 +1,14 @@
 """The repo's one native module: a C source built once per machine.
 
-Five routines live in one shared object, compiled with the system C
-compiler on first use, kept in a per-user build cache that later
-processes load without compiling, and bound through :mod:`ctypes`:
+Its routines, compiled with the system C compiler on first use into one
+CPython extension module (multi-phase init, no module state), kept in a
+per-user build cache that later processes load without compiling:
 
 * ``predict_raw`` — the GBDT scoring kernel behind
   :class:`repro.gbdt.CompiledPredictor` (branchless fixed-depth walk,
-  several interleaved rows to hide load latency);
+  several interleaved rows to hide load latency), bound as a batch
+  (``predict_raw``, which can also write ``-|score|`` for the logistic
+  link that ``logistic`` finishes) and as one row (``predict_row``);
 * ``ssp_augment`` — the augmentation loop of
   :func:`repro.flow.solve_min_cost_flow`: the Python loop's statements
   around an indexed heap where that loop pushes duplicates, finishing
@@ -19,28 +21,35 @@ processes load without compiling, and bound through :mod:`ctypes`:
   ``_find_best_split`` there, less the features a leaf's parent found in
   one bin), the best-first queue and the stable row partition of the
   reference loop in ``_grow``;
-* ``tracker_gather`` — the cost and gap columns of a
-  :meth:`repro.features.FeatureTracker.features_batch` probe window:
-  the subtractions over the arena's stored times that the numpy gather
-  makes, row by row, in-window repeats included;
+* ``tracker_row`` and ``tracker_gather`` — one
+  :meth:`repro.features.FeatureTracker.features` row, and the cost and
+  gap columns of a :meth:`~repro.features.FeatureTracker.features_batch`
+  probe window: the subtractions over the arena's stored times that the
+  numpy row and gather make, by one ring walk, in-window repeats
+  included;
 * ``tracker_record`` — a run of deferred
   :meth:`~repro.features.FeatureTracker.update` records written to the
   arena in request order.
 
-:func:`load` returns the process-wide handle, or ``None`` when there is
-no toolchain (``cc`` missing, a sandboxed tempdir, a failed or timed-out
-compile) or ``REPRO_GBDT_NO_CC`` is set; every caller keeps a
-pure-Python/numpy path for that case.  ctypes releases the GIL around
-each call, so a trainer thread inside any routine does not hold the
-request thread, and :func:`fan_out` / :func:`start` can share work with
-idle cores.  The source is compiled with ``-ffp-contract=off``: no fused
-multiply-add may change a float the Python reference would have rounded
-twice.
+Each entry point is a ``METH_FASTCALL`` wrapper that takes the numpy
+arrays themselves through the buffer protocol and checks, before its
+routine writes anything, each array's element type, C-contiguity and
+writability and every length and index the routine dereferences
+(``ValueError`` otherwise; the binding at the end of :data:`_SOURCE`
+lists them).  :func:`load` returns the process-wide module, or ``None``
+when there is no toolchain (``cc`` or ``Python.h`` missing, a sandboxed
+tempdir, a failed or timed-out compile) or ``REPRO_GBDT_NO_CC`` is set;
+every caller keeps a pure-Python/numpy path for that case.  The
+wrappers of ``predict_raw``, ``grow_tree`` and ``ssp_augment`` release
+the GIL around the routine, so a trainer thread inside one does not hold
+the request thread, and :func:`fan_out` / :func:`start` can share work
+with idle cores.  The source is compiled with ``-ffp-contract=off``: no
+fused multiply-add may change a float the Python reference would have
+rounded twice.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import itertools
 import logging
@@ -50,6 +59,7 @@ import shutil
 import stat
 import threading
 from time import perf_counter
+from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .obs import get_registry
@@ -80,7 +90,10 @@ _CC_TIMEOUT_SECONDS = 60.0
 #: What ``cc`` is given besides the paths and ``-lm`` (part of the cache key).
 _FLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
 
-_SOURCE = r"""
+#: The routines, each called by its wrapper in :data:`_SOURCE`.
+_KERNELS = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -96,7 +109,7 @@ typedef struct {
 
 #define LANES %(lanes)d
 
-void predict_raw(const double *X, long n, long d,
+static void predict_raw(const double *X, long n, long d,
                  const Node *nodes, const int32_t *roots,
                  const int32_t *depths, long n_trees,
                  double init_score, double *out)
@@ -155,8 +168,7 @@ void predict_raw(const double *X, long n, long d,
    reached, unfinished nodes, so both finish the nodes in one order.
    Returns the supply that could not be routed (0 = solved); stores the
    routed cost in *total_cost and the path count in *augmentations. */
-int64_t ssp_augment(int64_t n_total, int64_t n_arcs,
-                    int64_t source, int64_t sink,
+static int64_t ssp_augment(int64_t n_total, int64_t source, int64_t sink,
                     const int64_t *adj_start, const int64_t *adj_arcs,
                     const int64_t *arc_to, const int64_t *arc_tail,
                     int64_t *arc_cap, const double *arc_cost,
@@ -171,7 +183,6 @@ int64_t ssp_augment(int64_t n_total, int64_t n_arcs,
     int64_t *visited = parent_arc + n_total;
     double cost_sum = 0.0;
     int64_t paths = 0;
-    (void)n_arcs;
 
     while (remaining > 0) {
         for (int64_t v = 0; v < n_total; v++) {
@@ -459,7 +470,7 @@ enum { S_GAIN, S_GRAD, S_HESS, N_FLOATS };
    more (see hist_best_split).  stats receives the number of searches,
    of those given candidate flags and of those writing flags.  Returns
    the node count, or -1 when the work space cannot be allocated. */
-int64_t grow_tree(const uint8_t *binned, int64_t n_cols,
+static int64_t grow_tree(const uint8_t *binned, int64_t n_cols,
                   int64_t *rows, int64_t n_rows,
                   const int64_t *features, const int64_t *offsets,
                   int64_t n_features,
@@ -574,20 +585,36 @@ int64_t grow_tree(const uint8_t *binned, int64_t n_cols,
     return n_nodes;
 }
 
+/* The gaps of one arena row from `now`: its ring (n_gaps + 1 slots,
+   `seen` requests recorded) walked backwards from the head, newest
+   first, `missing` past the recorded requests. */
+static inline void ring_gaps(const double *ring, int64_t seen, int64_t n_gaps,
+                             double now, double missing, double *gaps)
+{
+    const int64_t n_slots = n_gaps + 1;
+    const int64_t m = seen < n_gaps ? seen : n_gaps;
+    int64_t slot = seen %% n_slots;  /* the head: next write */
+    for (int64_t k = 0; k < m; k++) {
+        slot = slot ? slot - 1 : n_slots - 1;
+        gaps[k] = now - ring[slot];
+        now = ring[slot];
+    }
+    for (int64_t k = m; k < n_gaps; k++)
+        gaps[k] = missing;
+}
+
 /* Cost and gap columns of a probe window (`X` is n x n_features,
    row-major; columns 0 and 2 are the caller's).  Row i takes them from
    the same object's previous in-window row previous[i] (shifted one
-   gap), else from arena row rows[i] (the ring walked backwards from its
-   head, `missing` past the recorded requests), else — rows[i] < 0, an
+   gap), else from arena row rows[i] (ring_gaps), else — rows[i] < 0, an
    unseen object — from costs[i] and `missing`.  `previous` may be NULL
    (no in-window repeats).  Subtractions and copies only. */
-void tracker_gather(int64_t n, int64_t n_gaps, int64_t n_features,
-                    const int64_t *rows, const int64_t *previous,
-                    const double *times, const double *costs,
-                    const double *slab, const int64_t *seen,
-                    const double *last_cost, double missing, double *X)
+static void tracker_gather(int64_t n, int64_t n_gaps, int64_t n_features,
+                           const int64_t *rows, const int64_t *previous,
+                           const double *times, const double *costs,
+                           const double *slab, const int64_t *seen,
+                           const double *last_cost, double missing, double *X)
 {
-    const int64_t n_slots = n_gaps + 1;
     for (int64_t i = 0; i < n; i++) {
         double *out = X + i * n_features;
         double *gaps = out + 3;
@@ -600,18 +627,9 @@ void tracker_gather(int64_t n, int64_t n_gaps, int64_t n_features,
             for (int64_t k = 1; k < n_gaps; k++)
                 gaps[k] = before[k - 1];
         } else if (r >= 0) {
-            const double *ring = slab + r * n_slots;
-            const int64_t m = seen[r] < n_gaps ? seen[r] : n_gaps;
-            int64_t slot = seen[r] %% n_slots;  /* the head: next write */
-            double newer = times[i];
             out[1] = last_cost[r];
-            for (int64_t k = 0; k < m; k++) {
-                slot = slot ? slot - 1 : n_slots - 1;
-                gaps[k] = newer - ring[slot];
-                newer = ring[slot];
-            }
-            for (int64_t k = m; k < n_gaps; k++)
-                gaps[k] = missing;
+            ring_gaps(slab + r * (n_gaps + 1), seen[r], n_gaps, times[i],
+                      missing, gaps);
         } else {
             out[1] = costs[i];
             for (int64_t k = 0; k < n_gaps; k++)
@@ -624,9 +642,9 @@ void tracker_gather(int64_t n, int64_t n_gaps, int64_t n_features,
    ring head of arena row rows[i], advances the head and overwrites the
    row's last cost.  In-run repeats and a ring that wraps inside the run
    are the same three stores. */
-void tracker_record(int64_t n, int64_t n_slots, const int64_t *rows,
-                    const double *times, const double *costs,
-                    double *slab, int64_t *seen, double *last_cost)
+static void tracker_record(int64_t n, int64_t n_slots, const int64_t *rows,
+                           const double *times, const double *costs,
+                           double *slab, int64_t *seen, double *last_cost)
 {
     for (int64_t i = 0; i < n; i++) {
         const int64_t r = rows[i];
@@ -637,65 +655,512 @@ void tracker_record(int64_t n, int64_t n_slots, const int64_t *rows,
 }
 """ % {"lanes": _LANES}
 
+#: What ``cc`` compiles: the routines and their CPython binding.
+_SOURCE = _KERNELS + r"""
+/* ---- the CPython binding ----------------------------------------------
+   One METH_FASTCALL wrapper per routine.  Arrays arrive through the
+   buffer protocol; a wrapper checks each one's element format,
+   C-contiguity and writability, then every length and every index its
+   routine dereferences, and raises ValueError before the routine writes
+   anything.  Each view it took is released on every path. */
 
-class Native:
-    """The loaded shared object's five entry points.
+/* What numpy exports for repro.gbdt.compiled._NODE_DTYPE. */
+#define NODE_FORMAT "T{d:threshold:i:feature:i:kid_le:i:kid_gt:i:pad:d:value:}"
+#define COUNT(v) ((v)->len / (v)->itemsize)
+#define AT(v, type, i) (((const type *)(v)->buf)[i])
+/* Bound on capacities, supplies and min_data: sums of two stay in int64. */
+#define HALF_RANGE ((int64_t)1 << 62)
+/* Refuse the call, before any write, unless `ok`. */
+#define REQUIRE(ok, message) \
+    do { if (!(ok)) { PyErr_SetString(PyExc_ValueError, message); goto done; } } while (0)
 
-    Array arguments are declared ``void*`` so callers can pass the plain
-    integer addresses from ``ndarray.ctypes.data`` — this skips the
-    ``data_as``/``cast`` machinery, which costs more than a single-row
-    tree walk.  Callers own dtype, contiguity and bounds.
-    """
+/* The views one call holds, released together: room for the most
+   arrays one entry point takes (grow_tree's ten). */
+typedef struct {
+    Py_buffer view[10];
+    int n;
+} Held;
 
-    def __init__(self, lib: ctypes.CDLL) -> None:
-        self.predict_raw = lib.predict_raw
-        self.predict_raw.restype = None
-        self.predict_raw.argtypes = [
-            ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
-        ]
-        self.ssp_augment = lib.ssp_augment
-        self.ssp_augment.restype = ctypes.c_int64
-        self.ssp_augment.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_int64,
-            ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
-            ctypes.c_void_p,
-        ]
-        self.grow_tree = lib.grow_tree
-        self.grow_tree.restype = ctypes.c_int64
-        self.grow_tree.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_int64, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ]
-        self.tracker_gather = lib.tracker_gather
-        self.tracker_gather.restype = None
-        self.tracker_gather.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
-        ]
-        self.tracker_record = lib.tracker_record
-        self.tracker_record.restype = None
-        self.tracker_record.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ]
+static void release(Held *held)
+{
+    while (held->n > 0)
+        PyBuffer_Release(&held->view[--held->n]);
+}
+
+static const char KINDS[] = "dqiBN";
+static const char *const KIND_NAME[] = {
+    "float64", "int64", "int32", "uint8", "node-record",
+};
+
+/* Whether a view's elements are of array letter `kind` (see parse). */
+static int kind_is(const Py_buffer *v, char kind)
+{
+    const char *f = v->format ? v->format : "B";
+    if (kind == 'N')
+        return v->itemsize == (Py_ssize_t)sizeof(Node) && !strcmp(f, NODE_FORMAT);
+    if (*f == '@' || *f == '=' || (PY_LITTLE_ENDIAN && *f == '<'))
+        f++;
+    if (!f[0] || f[1])
+        return 0;
+    switch (kind) {
+    case 'd': return f[0] == 'd' && v->itemsize == 8;
+    case 'q': return (f[0] == 'q' || f[0] == 'l') && v->itemsize == 8;
+    case 'i': return (f[0] == 'i' || f[0] == 'l') && v->itemsize == 4;
+    default: return f[0] == 'B' && v->itemsize == 1;
+    }
+}
+
+/* A call's arguments by `spec`, one letter each, into the next pointer
+   of `out`: d q i B N — a C-contiguous array (a held Py_buffer *) of
+   float64, int64, int32, uint8 or node records, upper case D Q one the
+   routine writes, and after '?' None (NULL) too; l — an int64; f — a
+   double.  0 with an exception set otherwise: ValueError for a buffer
+   of the wrong kind, layout or writability. */
+static int parse(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                 const char *spec, Held *held, void *const *out)
+{
+    Py_ssize_t wanted = (Py_ssize_t)strlen(spec);
+    for (const char *c = spec; *c; c++)
+        wanted -= *c == '?';
+    if (nargs != wanted) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
+                     name, wanted, nargs);
+        return 0;
+    }
+    for (Py_ssize_t k = 0; *spec; spec++, k++) {
+        const int optional = *spec == '?';
+        spec += optional;
+        PyObject *obj = args[k];
+        if (*spec == 'l') {
+            int64_t *value = out[k];
+            *value = PyLong_AsLongLong(obj);
+            if (*value == -1 && PyErr_Occurred())
+                return 0;
+            continue;
+        }
+        if (*spec == 'f') {
+            double *value = out[k];
+            *value = PyFloat_AsDouble(obj);
+            if (*value == -1.0 && PyErr_Occurred())
+                return 0;
+            continue;
+        }
+        Py_buffer **array = out[k];
+        *array = NULL;
+        if (optional && obj == Py_None)
+            continue;
+        const int written = *spec == 'D' || *spec == 'Q';
+        Py_buffer *v = &held->view[held->n];
+        if (PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                               | (written ? PyBUF_WRITABLE : 0)) < 0) {
+            if (!PyErr_ExceptionMatches(PyExc_TypeError)) {
+                PyObject *type, *value, *trace;
+                PyErr_Fetch(&type, &value, &trace);
+                PyErr_Format(PyExc_ValueError, "%s argument %zd: %S", name,
+                             k, value ? value : Py_None);
+                Py_XDECREF(type);
+                Py_XDECREF(value);
+                Py_XDECREF(trace);
+            }
+            return 0;
+        }
+        held->n++;
+        const char kind = written ? *spec + ('a' - 'A') : *spec;
+        if (!kind_is(v, kind)) {
+            PyErr_Format(PyExc_ValueError, "%s argument %zd must be a "
+                         "C-contiguous %s array", name, k,
+                         KIND_NAME[strchr(KINDS, kind) - KINDS]);
+            return 0;
+        }
+        *array = v;
+    }
+    return 1;
+}
+
+/* Every value in [low, bound). */
+static int all_in(const int64_t *values, Py_ssize_t n, int64_t low,
+                  int64_t bound)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (values[i] < low || values[i] >= bound)
+            return 0;
+    return 1;
+}
+
+/* The roots of a model inside its node table.  The table's own links
+   (children, and features below d) are the predictor's invariant,
+   checked once where it is made (repro.gbdt.compiled.CompiledPredictor). */
+static int roots_ok(const Py_buffer *nodes, const Py_buffer *roots,
+                    const Py_buffer *depths)
+{
+    if (COUNT(depths) != COUNT(roots))
+        return 0;
+    for (Py_ssize_t t = 0; t < COUNT(roots); t++)
+        if (AT(roots, int32_t, t) < 0 || AT(roots, int32_t, t) >= COUNT(nodes))
+            return 0;
+    return 1;
+}
+
+/* predict_raw(X, d, nodes, roots, depths, init_score, out, neg): the
+   pre-link score of each of the len(out) rows of X (d features each)
+   into out, and -|score| into neg unless it is None. */
+static PyObject *py_predict_raw(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    Py_buffer *X, *nodes, *roots, *depths, *out, *neg;
+    int64_t d;
+    double init_score;
+    if (!parse("predict_raw", args, nargs, "dlNiifD?D", &held,
+               (void *[]){&X, &d, &nodes, &roots, &depths, &init_score, &out,
+                          &neg}))
+        goto done;
+    const Py_ssize_t n = COUNT(out);
+    REQUIRE(roots_ok(nodes, roots, depths),
+            "roots must lie in the node table, one depth each");
+    REQUIRE(d >= 1 && COUNT(X) % d == 0 && COUNT(X) / d == n,
+            "X must hold len(out) rows of d features");
+    REQUIRE(!neg || COUNT(neg) == n, "neg must be as long as out");
+    double *raw = out->buf, *negated = neg ? neg->buf : NULL;
+    Py_BEGIN_ALLOW_THREADS
+    predict_raw(X->buf, n, d, nodes->buf, roots->buf, depths->buf,
+                COUNT(roots), init_score, raw);
+    for (Py_ssize_t i = 0; negated && i < n; i++)
+        negated[i] = -fabs(raw[i]);
+    Py_END_ALLOW_THREADS
+    result = Py_NewRef(Py_None);
+done:
+    release(&held);
+    return result;
+}
+
+/* predict_row(x, d, nodes, roots, depths, init_score) -> float: one
+   row's pre-link score.  The walk is shorter than a hand-off of the
+   GIL, so the GIL stays held. */
+static PyObject *py_predict_row(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    Py_buffer *x, *nodes, *roots, *depths;
+    int64_t d;
+    double init_score, raw;
+    if (!parse("predict_row", args, nargs, "dlNiif", &held,
+               (void *[]){&x, &d, &nodes, &roots, &depths, &init_score}))
+        goto done;
+    REQUIRE(roots_ok(nodes, roots, depths),
+            "roots must lie in the node table, one depth each");
+    REQUIRE(d >= 1 && COUNT(x) == d, "x must hold d features");
+    predict_raw(x->buf, 1, d, nodes->buf, roots->buf, depths->buf,
+                COUNT(roots), init_score, &raw);
+    result = PyFloat_FromDouble(raw);
+done:
+    release(&held);
+    return result;
+}
+
+/* logistic(raw, e): e holds exp(-|raw|) and receives the logistic link
+   of raw, repro.gbdt.losses.sigmoid's expressions over the same e. */
+static PyObject *py_logistic(PyObject *module, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    Py_buffer *raw, *e;
+    if (!parse("logistic", args, nargs, "dD", &held, (void *[]){&raw, &e}))
+        goto done;
+    REQUIRE(COUNT(raw) == COUNT(e), "raw and e differ in length");
+    double *p = e->buf;
+    for (Py_ssize_t i = 0; i < COUNT(e); i++) {
+        const double denominator = 1.0 + p[i];
+        p[i] = AT(raw, double, i) >= 0 ? 1.0 / denominator : p[i] / denominator;
+    }
+    result = Py_NewRef(Py_None);
+done:
+    release(&held);
+    return result;
+}
+
+/* ssp_augment(source, sink, adj_start, adj_arcs, arc_to, arc_tail,
+   arc_cap, arc_cost, potential, remaining) -> (stranded, cost, paths).
+   Besides the ranges, every arc in node u's adjacency must leave u: the
+   path walk back from the sink follows arc_tail. */
+static PyObject *py_ssp_augment(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    void *scratch = NULL;
+    Py_buffer *adj_start, *adj_arcs, *arc_to, *arc_tail, *arc_cap;
+    Py_buffer *arc_cost, *potential;
+    int64_t source, sink, remaining;
+    if (!parse("ssp_augment", args, nargs, "llqqqqQdDl", &held,
+               (void *[]){&source, &sink, &adj_start, &adj_arcs, &arc_to,
+                          &arc_tail, &arc_cap, &arc_cost, &potential,
+                          &remaining}))
+        goto done;
+    const int64_t n_total = COUNT(potential), n_arcs = COUNT(arc_cap);
+    const int64_t *start = adj_start->buf, *arcs = adj_arcs->buf;
+    REQUIRE(COUNT(adj_start) == n_total + 1 && start[0] == 0
+            && start[n_total] == COUNT(adj_arcs),
+            "adj_start must run from 0 to len(adj_arcs) over the nodes");
+    for (int64_t u = 0; u < n_total; u++)
+        REQUIRE(start[u] <= start[u + 1], "adj_start must not decrease");
+    REQUIRE(n_arcs % 2 == 0 && COUNT(arc_to) == n_arcs
+            && COUNT(arc_tail) == n_arcs && COUNT(arc_cost) == n_arcs,
+            "arc tables must hold one entry per arc, in residual pairs");
+    REQUIRE(all_in(arc_to->buf, n_arcs, 0, n_total)
+            && all_in(arc_tail->buf, n_arcs, 0, n_total)
+            && all_in(&source, 1, 0, n_total) && all_in(&sink, 1, 0, n_total),
+            "an arc endpoint outside the network");
+    REQUIRE(all_in(arcs, COUNT(adj_arcs), 0, n_arcs),
+            "an adjacency entry outside the arc tables");
+    for (int64_t u = 0; u < n_total; u++)
+        for (int64_t k = start[u]; k < start[u + 1]; k++)
+            REQUIRE(AT(arc_tail, int64_t, arcs[k]) == u,
+                    "an adjacency entry that does not leave its node");
+    REQUIRE(all_in(arc_cap->buf, n_arcs, 0, HALF_RANGE)
+            && all_in(&remaining, 1, 0, HALF_RANGE),
+            "capacities and supply must lie in [0, 2**62)");
+    if (!(scratch = malloc((size_t)(5 * n_total + 1) * 8))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    double cost;
+    int64_t paths, stranded;
+    Py_BEGIN_ALLOW_THREADS
+    stranded = ssp_augment(n_total, source, sink, start, arcs, arc_to->buf,
+                           arc_tail->buf, arc_cap->buf, arc_cost->buf,
+                           potential->buf, remaining, &cost, &paths, scratch);
+    Py_END_ALLOW_THREADS
+    result = Py_BuildValue("(LdL)", (long long)stranded, cost,
+                           (long long)paths);
+done:
+    free(scratch);
+    release(&held);
+    return result;
+}
+
+/* grow_tree(binned, rows, features, offsets, grad, hess, num_leaves,
+   max_depth, min_data, min_hess, lam, min_gain, inherit, scratch, nodes,
+   sums, stats) -> node count.  Feature s owns histogram cells
+   [offsets[s], offsets[s + 1]), one per bin: each bin the rows hold in
+   column features[s] must be below that width. */
+static PyObject *py_grow_tree(PyObject *module, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    uint8_t *top = NULL;
+    Py_buffer *binned, *rows, *features, *offsets, *grad, *hess;
+    Py_buffer *scratch, *nodes, *sums, *stats;
+    int64_t num_leaves, max_depth, min_data, inherit;
+    double min_hess, lam, min_gain;
+    if (!parse("grow_tree", args, nargs, "BQqqddlllffflDQDQ", &held,
+               (void *[]){&binned, &rows, &features, &offsets, &grad, &hess,
+                          &num_leaves, &max_depth, &min_data, &min_hess,
+                          &lam, &min_gain, &inherit, &scratch, &nodes, &sums,
+                          &stats}))
+        goto done;
+    REQUIRE(binned->ndim == 2, "binned must be a 2-D array");
+    const int64_t n_samples = binned->shape[0], n_cols = binned->shape[1];
+    const int64_t n_rows = COUNT(rows), n_features = COUNT(features);
+    const int64_t *row = rows->buf, *feature = features->buf;
+    const int64_t *offset = offsets->buf;
+    REQUIRE(COUNT(grad) == n_samples && COUNT(hess) == n_samples,
+            "grad and hess must hold one value per sample");
+    REQUIRE(all_in(row, n_rows, 0, n_samples), "a sample row outside binned");
+    REQUIRE(all_in(feature, n_features, 0, n_cols), "a feature outside binned");
+    REQUIRE(COUNT(offsets) == n_features + 1 && offset[0] == 0,
+            "offsets must run from 0 over the features");
+    for (int64_t s = 0; s < n_features; s++)
+        REQUIRE(offset[s + 1] - offset[s] >= 1 && offset[s + 1] - offset[s] <= 256,
+                "a feature must own 1 to 256 histogram cells");
+    REQUIRE(COUNT(scratch) >= 3 * (offset[n_features] + n_features),
+            "scratch is too small for the histogram");
+    REQUIRE(nodes->ndim == 2 && nodes->shape[0] >= 1 && nodes->shape[1] == N_INTS
+            && sums->ndim == 2 && sums->shape[1] == N_FLOATS
+            && sums->shape[0] == nodes->shape[0]
+            && num_leaves <= (nodes->shape[0] + 1) / 2 && COUNT(stats) == 3,
+            "nodes, sums and stats must have room for the whole tree");
+    REQUIRE(min_data >= -HALF_RANGE && min_data <= HALF_RANGE,
+            "min_data must lie in [-2**62, 2**62]");
+    /* the largest bin of each column over the rows, against its width */
+    if (!(top = calloc((size_t)n_cols + 1, 1))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const uint8_t *matrix = binned->buf;
+    for (int64_t r = 0; r < n_rows; r++) {
+        const uint8_t *values = matrix + row[r] * n_cols;
+        for (int64_t c = 0; c < n_cols; c++)
+            top[c] = values[c] > top[c] ? values[c] : top[c];
+    }
+    for (int64_t s = 0; s < n_features; s++)
+        REQUIRE(top[feature[s]] < offset[s + 1] - offset[s],
+                "a bin at or past its feature's histogram width");
+    int64_t n_nodes;
+    Py_BEGIN_ALLOW_THREADS
+    n_nodes = grow_tree(matrix, n_cols, rows->buf, n_rows, feature, offset,
+                        n_features, grad->buf, hess->buf, num_leaves,
+                        max_depth, min_data, min_hess, lam, min_gain,
+                        inherit, scratch->buf, nodes->buf, sums->buf,
+                        stats->buf);
+    Py_END_ALLOW_THREADS
+    result = n_nodes < 0 ? PyErr_NoMemory() : PyLong_FromLongLong(n_nodes);
+done:
+    free(top);
+    release(&held);
+    return result;
+}
+
+/* A tracker's arena — a (capacity, n_gaps + 1) slab of request times,
+   capacity request counts and last costs — and `n` of its rows, each
+   in [low, capacity) with a count >= 0. */
+static int arena_ok(const Py_buffer *slab, const Py_buffer *seen,
+                    const Py_buffer *last_cost, const int64_t *rows,
+                    Py_ssize_t n, int64_t low)
+{
+    if (slab->ndim != 2 || slab->shape[1] < 1 || COUNT(seen) != slab->shape[0]
+        || COUNT(last_cost) != slab->shape[0]) {
+        PyErr_SetString(PyExc_ValueError, "the arena must be a (capacity, "
+                        "n_gaps + 1) slab with capacity counts and costs");
+        return 0;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (rows[i] < low || rows[i] >= COUNT(seen)
+            || (rows[i] >= 0 && AT(seen, int64_t, rows[i]) < 0)) {
+            PyErr_SetString(PyExc_ValueError, "tracked row outside the arena");
+            return 0;
+        }
+    return 1;
+}
+
+/* tracker_gather(rows, previous, times, costs, slab, seen, last_cost,
+   missing, X): previous is None or each previous[i] in [-1, i). */
+static PyObject *py_tracker_gather(PyObject *module, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    Py_buffer *rows, *previous, *times, *costs, *slab, *seen, *last_cost, *X;
+    double missing;
+    if (!parse("tracker_gather", args, nargs, "q?qdddqdfD", &held,
+               (void *[]){&rows, &previous, &times, &costs, &slab, &seen,
+                          &last_cost, &missing, &X})
+        || !arena_ok(slab, seen, last_cost, rows->buf, COUNT(rows), -1))
+        goto done;
+    const Py_ssize_t n = COUNT(rows);
+    const int64_t n_gaps = slab->shape[1] - 1;
+    REQUIRE(COUNT(times) == n && COUNT(costs) == n
+            && (!previous || COUNT(previous) == n),
+            "request columns differ in length");
+    REQUIRE(X->ndim == 2 && X->shape[0] == n && X->shape[1] == n_gaps + 3,
+            "X must be a (len(rows), n_gaps + 3) matrix");
+    for (Py_ssize_t i = 0; previous && i < n; i++)
+        REQUIRE(AT(previous, int64_t, i) >= -1 && AT(previous, int64_t, i) < i,
+                "a repeat must follow its previous row");
+    tracker_gather(n, n_gaps, n_gaps + 3, rows->buf,
+                   previous ? previous->buf : NULL, times->buf, costs->buf,
+                   slab->buf, seen->buf, last_cost->buf, missing, X->buf);
+    result = Py_NewRef(Py_None);
+done:
+    release(&held);
+    return result;
+}
+
+/* tracker_record(rows, times, costs, slab, seen, last_cost) */
+static PyObject *py_tracker_record(PyObject *module, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    Py_buffer *rows, *times, *costs, *slab, *seen, *last_cost;
+    if (!parse("tracker_record", args, nargs, "qddDQD", &held,
+               (void *[]){&rows, &times, &costs, &slab, &seen, &last_cost})
+        || !arena_ok(slab, seen, last_cost, rows->buf, COUNT(rows), 0))
+        goto done;
+    REQUIRE(COUNT(times) == COUNT(rows) && COUNT(costs) == COUNT(rows),
+            "request columns differ in length");
+    tracker_record(COUNT(rows), slab->shape[1], rows->buf, times->buf,
+                   costs->buf, slab->buf, seen->buf, last_cost->buf);
+    result = Py_NewRef(Py_None);
+done:
+    release(&held);
+    return result;
+}
+
+/* tracker_row(vec, slab, seen, last_cost, row, time, size, cost,
+   free_bytes, missing): one request's feature row — size, cost, free
+   bytes, then the gaps of arena row `row` (ring_gaps, as the gather), or
+   `cost` and `missing` for row -1, an unseen object. */
+static PyObject *py_tracker_row(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    Py_buffer *vec, *slab, *seen, *last_cost;
+    int64_t row;
+    double time, size, cost, free_bytes, missing;
+    if (!parse("tracker_row", args, nargs, "Ddqdlfffff", &held,
+               (void *[]){&vec, &slab, &seen, &last_cost, &row, &time, &size,
+                          &cost, &free_bytes, &missing})
+        || !arena_ok(slab, seen, last_cost, &row, 1, -1))
+        goto done;
+    const int64_t n_gaps = slab->shape[1] - 1;
+    REQUIRE(COUNT(vec) == n_gaps + 3, "vec must hold n_gaps + 3 features");
+    double *out = vec->buf;
+    out[0] = size;
+    out[1] = row < 0 ? cost : AT(last_cost, double, row);
+    out[2] = free_bytes;
+    if (row >= 0)
+        ring_gaps((const double *)slab->buf + row * (n_gaps + 1),
+                  AT(seen, int64_t, row), n_gaps, time, missing, out + 3);
+    else
+        for (int64_t k = 0; k < n_gaps; k++)
+            out[3 + k] = missing;
+    result = Py_NewRef(Py_None);
+done:
+    release(&held);
+    return result;
+}
+
+#define ENTRY(name) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
+static PyMethodDef methods[] = {
+    ENTRY(predict_raw), ENTRY(predict_row), ENTRY(logistic),
+    ENTRY(ssp_augment), ENTRY(grow_tree), ENTRY(tracker_gather),
+    ENTRY(tracker_record), ENTRY(tracker_row), {NULL, NULL, 0, NULL},
+};
+
+static PyModuleDef_Slot slots[] = {{0, NULL}};
+
+static struct PyModuleDef definition = {
+    PyModuleDef_HEAD_INIT, "repro_native", NULL, 0, methods, slots,
+    NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit_repro_native(void)
+{
+    return PyModuleDef_Init(&definition);
+}
+"""
+
+
+#: The loaded extension module: the entry points are its functions,
+#: ``predict_raw``, ``predict_row``, ``logistic``, ``ssp_augment``,
+#: ``grow_tree``, ``tracker_gather``, ``tracker_record`` and
+#: ``tracker_row``, each taking the arrays themselves (see the binding
+#: at the end of :data:`_SOURCE` for its arguments and checks).
+Native = ModuleType
+
+#: The extension's name: ``PyInit_<name>`` in :data:`_SOURCE`.
+_MODULE = "repro_native"
 
 
 def all_below(indices: np.ndarray, bound: int) -> bool:
-    """True when every index lies in ``[0, bound)`` — the bounds check a
-    caller owes a routine that will dereference ``indices`` unchecked."""
+    """True when every index lies in ``[0, bound)``."""
     return indices.size == 0 or (
         int(indices.min()) >= 0 and int(indices.max()) < bound
     )
@@ -708,12 +1173,43 @@ _state: Native | bool | None = None
 _lock = threading.Lock()
 
 
+def _interpreter() -> tuple[str, str]:
+    """This interpreter's extension suffix and C header directory: an
+    object built against one interpreter's headers loads into that one."""
+    import sysconfig  # only a load needs it: ~2 ms, once a process
+
+    return sysconfig.get_config_var("EXT_SUFFIX"), sysconfig.get_paths()["include"]
+
+
+def _has_headers(include: str) -> bool:
+    return os.path.isfile(os.path.join(include, "Python.h"))
+
+
+def _import(path: str) -> Native:
+    """The extension at ``path``, loaded and initialised (not entered in
+    ``sys.modules``: each build is its own module object)."""
+    from importlib.machinery import ExtensionFileLoader, ModuleSpec
+
+    loader = ExtensionFileLoader(_MODULE, path)
+    module = loader.create_module(ModuleSpec(_MODULE, loader, origin=path))
+    loader.exec_module(module)
+    return module
+
+
 def _build(entry: str | None = None) -> Native | bool:
-    """Compile and load the shared object; False when that cannot be done.
+    """Compile and load the extension; False when that cannot be done.
     Built in a fresh tempdir, beside ``entry`` when given (see :func:`_cached`),
     then sealed with its own sha256 and renamed onto that cache entry."""
     if os.environ.get(_NO_CC_ENV):
         logger.info("%s set; using the pure-Python/numpy paths", _NO_CC_ENV)
+        return False
+    include = _interpreter()[1]
+    if not _has_headers(include):
+        logger.warning(
+            "could not build the native module (no Python.h in %s); falling "
+            "back to the pure-Python/numpy paths",
+            include,
+        )
         return False
     import subprocess  # only a build needs these; a cache hit never does
     import tempfile
@@ -727,7 +1223,7 @@ def _build(entry: str | None = None) -> Native | bool:
         with open(source_path, "w") as handle:
             handle.write(_SOURCE)
         subprocess.run(
-            ["cc", *_FLAGS, "-o", lib_path, source_path, "-lm"],
+            ["cc", *_FLAGS, f"-I{include}", "-o", lib_path, source_path, "-lm"],
             check=True,
             capture_output=True,
             timeout=_CC_TIMEOUT_SECONDS,
@@ -738,8 +1234,8 @@ def _build(entry: str | None = None) -> Native | bool:
             os.chmod(lib_path, 0o700)
             # Atomic: racing processes each map one whole object.
             os.replace(lib_path, lib_path := entry)
-        return Native(ctypes.CDLL(lib_path))
-    except (OSError, subprocess.SubprocessError) as exc:
+        return _import(lib_path)
+    except (OSError, ImportError, subprocess.SubprocessError) as exc:
         # Missing `cc`, a sandboxed tempdir, a failed or timed-out compile:
         # every caller still works on its fallback path, just slower.
         logger.warning(
@@ -749,8 +1245,8 @@ def _build(entry: str | None = None) -> Native | bool:
         )
         return False
     finally:
-        # The mapping outlives the file: once CDLL has mapped the object
-        # (or the build has failed) nothing needs the directory.
+        # The mapping outlives the file: once the object is loaded (or
+        # the build has failed) nothing needs the directory.
         if build_dir is not None:
             shutil.rmtree(build_dir, ignore_errors=True)
 
@@ -764,19 +1260,23 @@ def _cached() -> Native | str | None:
     """The object from the per-user build cache, or the entry to build.
 
     The entry is ``${XDG_CACHE_HOME:-~/.cache}/repro-native/<key>.so``,
-    keyed by the source, the flags, the compiler binary and the machine,
-    and trusted only when the directory (no group/other bits) and the
-    entry (a regular file nobody else can write) are this user's.  An
+    keyed by the source, the flags, the compiler binary, the machine and
+    the interpreter (extension suffix and header directory), and trusted
+    only when the directory (no group/other bits) and the entry (a
+    regular file nobody else can write) are this user's.  An
     entry that does not end in the sha256 of the bytes before it (a
     truncated object would crash ``dlopen``) is built over.  None, with a
     warning, when the cache cannot be trusted or used.
     """
     if os.environ.get(_NO_CC_ENV) or not (compiler := shutil.which("cc")):
         return None  # _build says why, before anything touches the disk
+    suffix, include = _interpreter()
+    if not _has_headers(include):
+        return None  # as for no `cc`
     try:
         info = os.stat(compiler := os.path.realpath(compiler))
         key = repr((_SOURCE, _FLAGS, compiler, info.st_size, info.st_mtime_ns,
-                    platform.machine()))
+                    platform.machine(), suffix, include))
         root = os.path.expanduser(os.environ.get("XDG_CACHE_HOME") or "~/.cache")
         root = os.path.join(root, "repro-native")
         os.makedirs(root, mode=0o700, exist_ok=True)
@@ -790,11 +1290,11 @@ def _cached() -> Native | str | None:
             with open(entry, "rb") as handle:
                 body = handle.read()
             if hashlib.sha256(body[:-32]).digest() == body[-32:]:
-                return Native(ctypes.CDLL(entry))
+                return _import(entry)
         if not os.access(root, os.W_OK):
             raise PermissionError(f"{root} is read-only and has no entry")
         return entry
-    except OSError as exc:
+    except (OSError, ImportError) as exc:
         logger.warning(
             "native build cache unusable (%s); building in a temporary directory",
             exc,

@@ -25,10 +25,12 @@ subtraction over the slab — no per-gap Python loop — and
 given as columns, in one shot for the decision engine, the eviction
 probes and dataset construction.
 
-With the native module (:mod:`repro._native`) the window gather and the
-arena writes are two of its routines.  ``tracker_gather`` fills a probe
-window's cost and gap columns row by row — the numpy gather below stays
-as the reference and the no-compiler path, and the two are bit-identical
+With the native module (:mod:`repro._native`) the row, the window
+gather and the arena writes are three of its routines.  ``tracker_row``
+fills :meth:`FeatureTracker.features`' row in one call and
+``tracker_gather`` a probe window's cost and gap columns row by row,
+both by one ring walk — the numpy row and gather below stay as the
+references and the no-compiler path, and each pair is bit-identical
 (subtractions over the same stored floats).  ``tracker_record`` writes a
 *deferred window*: while the decision engine replays a window on an
 uncapped tracker (:meth:`FeatureTracker.defer_updates`),
@@ -37,10 +39,9 @@ resolved to rows in request order and written by one call before the
 next read.  The invariant is **no read sees an unflushed arena**: every
 public reader — ``features``, ``features_batch``, ``n_tracked``,
 ``memory_bytes_naive``, ``forget``, an immediate ``update`` — flushes
-first.  Nothing native is stored on the instance (no handle, no
-address): array addresses are read off the live arrays at each call,
-after any ``_grow``, so a grown, deep-copied or unpickled tracker
-cannot hand C a stale pointer.
+first.  Nothing native is stored on the instance: each call is handed
+the live arena arrays, after any ``_grow``, and checks their shapes and
+every row index itself.
 """
 
 from __future__ import annotations
@@ -199,14 +200,14 @@ class FeatureTracker:
         """
         registry = get_registry()
         if not registry.enabled:
-            return self._extract(
+            return self._row(
                 request.obj, request.time, request.size, request.cost,
                 free_bytes,
             )
         if registry is not self._obs_registry:
             self._bind_instruments(registry)
         started = perf_counter()
-        vec = self._extract(
+        vec = self._row(
             request.obj, request.time, request.size, request.cost, free_bytes
         )
         self._obs_hist.observe(perf_counter() - started)
@@ -220,9 +221,28 @@ class FeatureTracker:
         )
         self._obs_batch_rows = registry.histogram("features.batch_rows")
 
+    def _row(
+        self, obj: int, time: float, size: int, cost: float, free_bytes
+    ) -> np.ndarray:
+        """One feature row: one ``tracker_row`` call, or :meth:`_extract`
+        without the native module."""
+        native = _native.load()
+        if native is None:
+            return self._extract(obj, time, size, cost, free_bytes)
+        if self._pending:
+            self._flush()
+        vec = np.empty(self._n_slots + 2, dtype=np.float64)
+        native.tracker_row(
+            vec, self._times, self._seen, self._last_cost,
+            self._rows.get(obj, -1), time, size, cost, free_bytes, MISSING_GAP,
+        )
+        return vec
+
     def _extract(
         self, obj: int, time: float, size: int, cost: float, free_bytes
     ) -> np.ndarray:
+        """One feature row in numpy: the reference for ``tracker_row``
+        and the no-compiler path."""
         if self._pending:
             self._flush()
         vec = np.empty(3 + self.n_gaps, dtype=np.float64)
@@ -313,7 +333,7 @@ class FeatureTracker:
             for i, (obj, time, size, cost) in enumerate(
                 zip(objs, times, sizes, costs)
             ):
-                X[i] = self._extract(obj, time, size, cost, fb[i])
+                X[i] = self._row(obj, time, size, cost, fb[i])
                 self.update(obj, time, cost)
             return X
         if not len(times) == len(sizes) == len(costs) == n:
@@ -350,14 +370,9 @@ class FeatureTracker:
         if repeat is not None:
             before = np.full(n, -1, dtype=np.int64)
             before[repeat] = previous
-        # Addresses are read off the live arrays here, never kept: the
-        # arena arrays move on ``_grow`` and on every copy of the tracker.
         native.tracker_gather(
-            n, self.n_gaps, self.n_features, rows.ctypes.data,
-            None if before is None else before.ctypes.data,
-            times.ctypes.data, costs.ctypes.data,
-            self._times.ctypes.data, self._seen.ctypes.data,
-            self._last_cost.ctypes.data, MISSING_GAP, X.ctypes.data,
+            rows, before, times, costs, self._times, self._seen,
+            self._last_cost, MISSING_GAP, X,
         )
         return X
 
@@ -471,9 +486,7 @@ class FeatureTracker:
         costs = np.array(costs, dtype=np.float64)
         # After the loop above: ``_alloc_row`` may have grown the arena.
         native.tracker_record(
-            len(rows), self._n_slots, rows.ctypes.data,
-            times.ctypes.data, costs.ctypes.data, self._times.ctypes.data,
-            self._seen.ctypes.data, self._last_cost.ctypes.data,
+            rows, times, costs, self._times, self._seen, self._last_cost
         )
 
     def memory_bytes_naive(self) -> int:

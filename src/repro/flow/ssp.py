@@ -43,7 +43,6 @@ heavily tied ones included, and shows that mutants of the C heap fail.
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 from dataclasses import dataclass
 from itertools import chain
@@ -205,9 +204,9 @@ def _augment_native(
     ``ssp_augment`` and writes the residual capacities back into
     ``network.arc_cap`` and the final potentials into ``potential``.
     Returns ``None`` — nothing touched — when a capacity or the supply
-    is too large for the routine's fixed-width arithmetic.  Scratch is
-    allocated per call: a trainer thread and a foreground solve may be
-    in here concurrently.
+    is too large for the routine's fixed-width arithmetic.  The routine
+    allocates its scratch per call: a trainer thread and a foreground
+    solve may be in here concurrently.
     """
     n_total = network.n_nodes
     adjacency = network.adjacency
@@ -230,8 +229,8 @@ def _augment_native(
     arc_to = np.array(network.arc_to, dtype=np.int64)
     arc_tail = np.array(network._arc_tail, dtype=np.int64)
     pot = np.array(potential, dtype=np.float64)
-    # The routine indexes with these unchecked.  `add_arc` keeps them
-    # consistent, but they are public lists all the same.
+    # `add_arc` keeps these consistent, but they are public lists all the
+    # same; the routine's wrapper checks them again, and more.
     if not (
         len(arc_to) == len(arc_tail) == len(arc_cost) == n_arcs
         and int(adj_start[-1]) == n_arcs
@@ -241,21 +240,13 @@ def _augment_native(
         and _native.all_below(arc_tail, n_total)
     ):
         raise ValueError("flow network arc tables are inconsistent")
-    scratch = np.empty(5 * n_total, dtype=np.int64)
-    total_cost = ctypes.c_double()
-    augmentations = ctypes.c_int64()
-    stranded = native.ssp_augment(
-        n_total, n_arcs, source, sink,
-        adj_start.ctypes.data, adj_arcs.ctypes.data,
-        arc_to.ctypes.data, arc_tail.ctypes.data,
-        arc_cap.ctypes.data, arc_cost.ctypes.data,
-        pot.ctypes.data, remaining,
-        ctypes.byref(total_cost), ctypes.byref(augmentations),
-        scratch.ctypes.data,
+    stranded, total_cost, augmentations = native.ssp_augment(
+        source, sink, adj_start, adj_arcs, arc_to, arc_tail, arc_cap,
+        arc_cost, pot, remaining,
     )
     network.arc_cap[:] = arc_cap.tolist()
     potential[:] = pot.tolist()
-    return total_cost.value, augmentations.value, stranded
+    return total_cost, augmentations, stranded
 
 
 def solve_min_cost_flow(network: FlowNetwork) -> MinCostFlowResult:

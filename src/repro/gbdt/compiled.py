@@ -22,11 +22,13 @@ Two execution backends share that layout:
 * **kernel** — the ``predict_raw`` routine of :mod:`repro._native`
   (branchless fixed-depth walk, several interleaved rows to hide load
   latency).  That module is the repo's one native build — it also holds
-  the min-cost-flow augmentation loop — compiled once per machine and
-  bound through :mod:`ctypes`.  The kernel is model-independent: every
-  predictor in the process reuses the same shared object.  ctypes
-  releases the GIL for the call, so predictor *threads* scale too, not
-  just processes.
+  the min-cost-flow augmentation loop — compiled once per machine into a
+  CPython extension whose functions take the node tables and rows as
+  arrays.  The kernel is model-independent: every predictor in the
+  process calls the same module.  A batch call releases the GIL, so
+  predictor *threads* scale too, not just processes; one row
+  (:meth:`CompiledPredictor.predict_raw_single`) is one call that keeps
+  it.
 * **numpy** — a vectorised self-loop level walk over the same arrays,
   used when the native module is unavailable (``cc`` missing, sandboxed,
   or ``REPRO_GBDT_NO_CC=1``).  Slower than the kernel but still far
@@ -136,8 +138,7 @@ class CompiledPredictor:
         self._kernel_resolved = False
         # numpy-backend views, built on first fallback use.
         self._numpy_views: tuple[np.ndarray, ...] | None = None
-        # single-row reusable buffers + raw pointers, built on first use.
-        self._fast: tuple | None = None
+        self._check_links()
 
     # -- construction -------------------------------------------------------
 
@@ -184,6 +185,22 @@ class CompiledPredictor:
             )
         return predictor
 
+    def _check_links(self) -> None:
+        """Refuse a node table whose walk would leave it: every child and
+        root inside the table, every feature inside the row.  The kernel
+        follows these links unchecked, and the table never changes after
+        this, so they are checked once, here — a slab mapped from another
+        process included."""
+        nodes, n = self._nodes, len(self._nodes)
+        if not (
+            _native.all_below(nodes["kid_le"], n)
+            and _native.all_below(nodes["kid_gt"], n)
+            and _native.all_below(nodes["feature"], self.n_features)
+            and _native.all_below(self._roots, n)
+            and len(self._depths) == len(self._roots)
+        ):
+            raise ValueError("model node table links outside itself")
+
     # -- prediction ---------------------------------------------------------
 
     @property
@@ -202,8 +219,8 @@ class CompiledPredictor:
             self._kernel_resolved = True
         return self._kernel
 
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        """Pre-link scores for a ``(n, n_features)`` batch (or one row)."""
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as a C-contiguous float64 ``(n, n_features)`` matrix."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
@@ -211,62 +228,60 @@ class CompiledPredictor:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        X = np.ascontiguousarray(X)
+        return np.ascontiguousarray(X)
+
+    def predict_raw(self, X: np.ndarray) -> np.ndarray:
+        """Pre-link scores for a ``(n, n_features)`` batch (or one row)."""
+        X = self._rows(X)
         kernel = self._resolve_kernel()
         out = np.empty(X.shape[0], dtype=np.float64)
-        if kernel is not None:
-            # The model-side addresses are cached: deriving one costs
-            # about as much as scoring three rows.
-            nodes_ptr, roots_ptr, depths_ptr, n_trees = (
-                self._fast_buffers()[4:]
-            )
-            kernel.predict_raw(
-                X.ctypes.data, X.shape[0], X.shape[1],
-                nodes_ptr, roots_ptr, depths_ptr, n_trees,
-                self.init_score, out.ctypes.data,
-            )
-            return out
-        return self._predict_raw_numpy(X, out)
-
-    def _fast_buffers(self) -> tuple:
-        fast = self._fast
-        if fast is None:
-            row = np.empty(self.n_features, dtype=np.float64)
-            out = np.empty(1, dtype=np.float64)
-            fast = (
-                row, out, row.ctypes.data, out.ctypes.data,
-                self._nodes.ctypes.data, self._roots.ctypes.data,
-                self._depths.ctypes.data, len(self._roots),
-            )
-            self._fast = fast
-        return fast
+        if kernel is None:
+            return self._predict_raw_numpy(X, out)
+        kernel.predict_raw(
+            X, self.n_features, self._nodes, self._roots, self._depths,
+            self.init_score, out, None,
+        )
+        return out
 
     def predict_raw_single(self, x: np.ndarray) -> float:
         """Pre-link score for one feature vector (scalar fast path).
 
         Bit-identical to ``predict_raw(x[None, :])[0]`` on either
-        backend — the batched simulator relies on that.  Reuses
-        persistent row/output buffers, so the only per-call work is one
-        52-element copy and the kernel walk itself.
+        backend — the batched simulator relies on that.  On the kernel a
+        contiguous float64 row is one call, with no copy.
         """
-        fast = self._fast
-        if fast is None:
-            if self._resolve_kernel() is None:
-                return float(self.predict_raw(x)[0])
-            fast = self._fast_buffers()
-        row, out, row_ptr, out_ptr, nodes_ptr, roots_ptr, depths_ptr, \
-            n_trees = fast
-        row[:] = x
-        self._kernel.predict_raw(  # loaded, or ``_fast`` would not exist
-            row_ptr, 1, self.n_features,
-            nodes_ptr, roots_ptr, depths_ptr, n_trees,
-            self.init_score, out_ptr,
-        )
-        return out.item(0)
+        kernel = self._kernel if self._kernel_resolved else self._resolve_kernel()
+        if kernel is not None:
+            try:
+                return kernel.predict_row(
+                    x, self.n_features, self._nodes, self._roots,
+                    self._depths, self.init_score,
+                )
+            except (TypeError, ValueError):
+                pass  # not a contiguous float64 row: converted, or refused, below
+        return float(self.predict_raw(x)[0])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probability per row (logistic link)."""
-        return sigmoid(self.predict_raw(X))
+        """Positive-class probability per row (logistic link).
+
+        Bit-identical to :func:`repro.gbdt.losses.sigmoid` of
+        :meth:`predict_raw`: on the kernel, the one ``np.exp`` that
+        function makes runs over the ``-|raw|`` column the kernel writes,
+        and its other expressions are made in C (``logistic``).
+        """
+        X = self._rows(X)
+        kernel = self._resolve_kernel()
+        if kernel is None:
+            return sigmoid(self._predict_raw_numpy(X, np.empty(X.shape[0])))
+        raw = np.empty(X.shape[0])
+        p = np.empty(X.shape[0])
+        kernel.predict_raw(
+            X, self.n_features, self._nodes, self._roots, self._depths,
+            self.init_score, raw, p,
+        )
+        np.exp(p, out=p)
+        kernel.logistic(raw, p)
+        return p
 
     def predict_proba_single(self, x: np.ndarray) -> float:
         """Positive-class probability for one feature vector."""
@@ -399,9 +414,7 @@ class CompiledPredictor:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        # ctypes bindings and raw buffer addresses are process-local;
-        # re-resolve/rebuild after unpickling.
+        # The loaded module is process-local: re-resolved after unpickling.
         state["_kernel"] = None
         state["_kernel_resolved"] = False
-        state["_fast"] = None
         return state

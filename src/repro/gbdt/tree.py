@@ -603,8 +603,9 @@ def _native_grow(
     searched, of those given candidate flags, of those writing flags.
     ``inherit`` lets a leaf's children skip the features it held in one
     bin (exact only when ``min_data_in_leaf >= 1``).  :func:`_split_tables`
-    and :func:`_grow` have checked every index the routine dereferences;
-    every address lives in this frame only.
+    and :func:`_grow` have checked every index the routine dereferences,
+    and its wrapper checks them again; ``MemoryError`` when the routine
+    cannot allocate its work space.
     """
     capacity = max(2 * params.num_leaves - 1, 1)
     nodes = np.empty((capacity, 6), dtype=np.int64)
@@ -612,17 +613,11 @@ def _native_grow(
     rows = sample_idx.copy()
     stats = np.empty(3, dtype=np.int64)
     n_nodes = tables.native.grow_tree(
-        tables.binned.ctypes.data, tables.binned.shape[1],
-        rows.ctypes.data, len(rows),
-        tables.features.ctypes.data, tables.offsets.ctypes.data,
-        len(tables.features), grad.ctypes.data, hess.ctypes.data,
+        tables.binned, rows, tables.features, tables.offsets, grad, hess,
         params.num_leaves, params.max_depth, params.min_data_in_leaf,
         params.min_sum_hessian_in_leaf, params.lambda_l2,
-        params.min_gain_to_split, inherit, tables.scratch.ctypes.data,
-        nodes.ctypes.data, sums.ctypes.data, stats.ctypes.data,
+        params.min_gain_to_split, inherit, tables.scratch, nodes, sums, stats,
     )
-    if n_nodes < 0:
-        raise MemoryError("grow_tree could not allocate its work space")
     return nodes[:n_nodes], sums[:n_nodes], rows, stats
 
 

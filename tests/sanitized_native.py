@@ -2,8 +2,9 @@
 
 Loaded with ``-p tests.sanitized_native``, it compiles
 ``repro._native._SOURCE`` with AddressSanitizer and
-UndefinedBehaviorSanitizer (``-O1 -g``, every report fatal) and installs
-it as the process-wide handle before the first test, so each test that
+UndefinedBehaviorSanitizer (``-O1 -g``, every report fatal) against the
+interpreter's headers, as the regular build, and installs the extension
+as the process-wide handle before the first test, so each test that
 reaches a C routine runs it instrumented: an out-of-bounds read or write,
 a use after free or an overflowing shift aborts the run.  Python itself
 is not instrumented, so the sanitizer runtimes go first in the process::
@@ -24,7 +25,6 @@ and no optimisation level may reorder an IEEE addition.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import subprocess
 import tempfile
@@ -45,11 +45,12 @@ def build(build_dir: str) -> _native.Native:
     library = os.path.join(build_dir, "repro_native.so")
     with open(source, "w") as handle:
         handle.write(_native._SOURCE)
+    include = _native._interpreter()[1]
     subprocess.run(
-        ["cc", *FLAGS, "-o", library, source, "-lm"],
+        ["cc", *FLAGS, f"-I{include}", "-o", library, source, "-lm"],
         check=True, capture_output=True, timeout=120,
     )
-    return _native.Native(ctypes.CDLL(library))
+    return _native._import(library)
 
 
 def pytest_configure(config) -> None:

@@ -652,8 +652,9 @@ COVERING_HISTORY = (
 
 def _check_rows_against_reference(name, n_gaps, ops):
     """Apply ``ops`` — inside a deferred window where the backend has
-    one — and compare every object's row, and an unseen object's, with
-    the reference after each op."""
+    one — and compare every object's row, and an unseen object's, as the
+    backend makes it (``tracker_row``, or ``_extract`` on numpy) with the
+    reference after each op."""
     with backend(name):
         tracker = small_tracker(n_gaps)
         tracker.defer_updates(True)
@@ -671,7 +672,7 @@ def _check_rows_against_reference(name, n_gaps, ops):
                 tracker.update(obj, now, cost)
             for obj in (*range(10), 99):
                 probe = (obj, now + 0.25, 7, 1.5, 1234)
-                got = tracker._extract(*probe)
+                got = tracker._row(*probe)
                 want = reference_extract(tracker, *probe)
                 assert got.tobytes() == want.tobytes(), (obj, got, want)
         seen = tracker._seen[tracker._rows[0]] if 0 in tracker._rows else 0

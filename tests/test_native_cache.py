@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro import _native
+from repro.gbdt import kernel_available
 
 _LOAD = "from repro import _native; assert _native.load() is not None"
 
@@ -80,7 +81,7 @@ def test_a_warm_entry_loads_without_the_compiler(cache, monkeypatch):
     assert _listing(cache) == before
 
 
-@pytest.mark.parametrize("mutate", ["source", "flags"])
+@pytest.mark.parametrize("mutate", ["source", "flags", "ext_suffix"])
 def test_a_changed_source_or_flag_list_gets_its_own_entry(
     cache, monkeypatch, mutate
 ):
@@ -88,8 +89,13 @@ def test_a_changed_source_or_flag_list_gets_its_own_entry(
     real = _listing(cache)
     if mutate == "source":
         monkeypatch.setattr(_native, "_SOURCE", _native._SOURCE + "/* other */\n")
-    else:
+    elif mutate == "flags":
         monkeypatch.setattr(_native, "_FLAGS", [*_native._FLAGS, "-DREPRO_OTHER"])
+    else:  # another interpreter's ABI, same headers
+        suffix, include = _native._interpreter()
+        monkeypatch.setattr(
+            _native, "_interpreter", lambda: (".other" + suffix, include)
+        )
     assert isinstance(_native.load(), _native.Native)
     after = _listing(cache)
     assert len(after) == 2
@@ -179,6 +185,25 @@ def test_concurrent_cold_processes_leave_one_entry(cache):
         assert racer.returncode == 0, stderr
     (entry,) = (cache / "repro-native").iterdir()
     assert entry.is_file() and entry.suffix == ".so"
+
+
+def test_no_python_headers_is_no_module(cache, monkeypatch, caplog):
+    """A host with ``cc`` but no ``Python.h``: one warning naming the
+    header, as for a missing compiler, no cache entry, and every caller
+    on its numpy/Python path."""
+    empty = cache / "include"
+    empty.mkdir()
+    suffix = _native._interpreter()[0]
+    monkeypatch.setattr(_native, "_interpreter", lambda: (suffix, str(empty)))
+    monkeypatch.setattr(subprocess, "run", _no_compiler)
+    with caplog.at_level(logging.WARNING, logger="repro.native"):
+        assert _native.load() is None
+        assert _native.load() is None
+    warnings = [r for r in caplog.records if r.name == "repro.native"]
+    assert len(warnings) == 1, warnings
+    assert "Python.h" in warnings[0].getMessage()
+    assert not (cache / "repro-native").exists()
+    assert not kernel_available()
 
 
 def test_no_cc_never_touches_the_cache(monkeypatch, tmp_path):
