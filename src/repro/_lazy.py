@@ -3,7 +3,7 @@
 A package ``__init__`` maps each exported name to the submodule that
 defines it and imports nothing, so a process loads only the modules it
 touches: a shard worker that needs ``repro.core.lfo`` does not pay for
-the policy zoo, the serving loop or the linter.  ::
+the policy zoo or the serving loop.  ::
 
     __getattr__, __dir__, __all__ = _lazy.exports(__name__, {
         "lfo": ("LFOCache", "LFOModel"),

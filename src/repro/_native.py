@@ -1338,7 +1338,7 @@ def _claim(fn, items, claims, results, errors) -> None:
         try:
             results[i] = fn(items[i])
         # Kept for ``Shared.result``, which raises it once all started items end.
-        # lint: ignore-next-line[rob-broad-except, rob-silent-degrade]
+        # lint: ignore-next-line[rob-broad-except]
         except Exception as exc:
             errors[i] = exc
 

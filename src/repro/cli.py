@@ -11,8 +11,6 @@ Installed as the ``lfo`` console script::
     lfo serve trace.bin --trainer inline --check
     lfo serve trace.bin --serve-metrics 9100 --follow
     lfo serve --synthetic 20000 --slo slo.json --check
-    lfo lint --format json
-    lfo lint src/repro/core --select det-rng,det-wallclock
 
 ``compare`` runs any subset of the paper's Figure 1 and 6 policies
 (:func:`repro.sim.policy_factories`) on one trace; ``simulate`` runs
@@ -494,22 +492,6 @@ def _cmd_hrc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import render_json, render_text, run_analysis
-
-    select = args.select.split(",") if args.select else None
-    try:
-        report = run_analysis(args.paths or None, select=select)
-    except ValueError as exc:  # unknown --select rule id
-        _diag(str(exc))
-        return 2
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
-    return 0 if report.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``lfo`` argument parser."""
     import argparse
@@ -698,22 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_arg(p_hrc)
     p_hrc.add_argument("--points", type=int, default=64)
     p_hrc.set_defaults(func=_cmd_hrc)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="check repo invariants (determinism, concurrency, obs hygiene)",
-    )
-    p_lint.add_argument(
-        "paths", nargs="*",
-        help="report only findings in these files/dirs (default: all of "
-             "src, benchmarks, examples; the whole tree is always analysed)",
-    )
-    p_lint.add_argument("--format", choices=("text", "json"), default="text")
-    p_lint.add_argument(
-        "--select", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    p_lint.set_defaults(func=_cmd_lint)
 
     return parser
 

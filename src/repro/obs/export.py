@@ -43,7 +43,7 @@ def prom_series_name(name: str, kind: str, prefix: str = "repro") -> str:
     sanitised name directly; histograms return the metric *family* base
     name (the ``_bucket``/``_sum``/``_count`` series hang off it).  This
     is the single naming authority shared by :func:`render_prometheus`
-    and the ``xf-metric-surface`` deep-lint rule, so the documented
+    and the generated docs metric table, so the documented
     exposition names cannot drift from what the exporter emits.
     """
     base = _prom_name(prefix, name)

@@ -13,7 +13,7 @@ cluster-wide unchanged.
 
 This module is the registry *forwarding layer*: metric names arrive as
 data (picked from the wire records the shards produced at literal call
-sites), so the literal-name lint rule is suppressed here — and only
+sites), so the ``obs-literal-name`` check is suppressed here — and only
 here.
 """
 # lint: ignore[obs-literal-name]

@@ -200,7 +200,7 @@ class WindowedRegistry(MetricsRegistry):
     seeded replays produce bit-identical rings.  The ``clock`` only
     stamps window edges (``started`` / ``ended``); the default is the
     monotonic :func:`time.perf_counter` (never the wall clock — see the
-    det-wallclock lint rule), and tests inject a fake one.
+    det-wallclock source check), and tests inject a fake one.
 
     Producers call :meth:`maybe_roll` at natural checkpoints (the
     simulator's counter-fold boundaries, a serving loop's batch edges).

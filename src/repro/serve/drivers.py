@@ -55,7 +55,7 @@ class SyntheticArrivalDriver:
 
     Inter-arrival gaps are exponential with mean ``1 / rate`` seconds of
     loop time, drawn from a seeded generator so a run is reproducible
-    end-to-end (the determinism lint holds ``repro.serve`` to the same
+    end-to-end (the ``det-rng`` source check holds ``repro.serve`` to the same
     seeded-RNG bar as the simulator).  Useful when the run should exercise
     idle windows and arrival bursts rather than saturate the queue.
     """

@@ -175,7 +175,6 @@ class ServingLoop:
             self._drain(queue)
             raise
         # Consumer failure: stop feeding the queue before propagating.
-        # lint: ignore-next-line[rob-broad-except]
         except BaseException:
             producer.cancel()
             raise

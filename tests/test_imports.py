@@ -17,7 +17,7 @@ from repro.gbdt.binning import sorted_unique
 PACKAGES = (
     "repro", "repro.core", "repro.obs", "repro.sim", "repro.serve",
     "repro.cluster", "repro.trace", "repro.cache", "repro.opt", "repro.gbdt",
-    "repro.features", "repro.flow", "repro.resilience", "repro.analysis",
+    "repro.features", "repro.flow", "repro.resilience",
 )
 
 
@@ -45,7 +45,7 @@ def test_import_repro_loads_only_the_helper():
 def test_shard_worker_leaves_the_serving_stack_out():
     unwanted = [
         "asyncio", "http.server", "subprocess", "numpy.ma",
-        "repro.serve", "repro.sim", "repro.opt", "repro.analysis",
+        "repro.serve", "repro.sim", "repro.opt",
     ]
     loaded = _fresh(
         "import json, sys; import repro.cluster.worker; "
@@ -81,8 +81,7 @@ print(json.dumps({{"missing": missing, "error": error,
 
 @pytest.mark.parametrize(
     ("package", "submodule"),
-    [("repro", "_native"), ("repro.core", "lfo"), ("repro.obs", "serve"),
-     ("repro.analysis", "rules")],
+    [("repro", "_native"), ("repro.core", "lfo"), ("repro.obs", "serve")],
 )
 def test_a_submodule_name_resolves_to_the_submodule(package, submodule):
     same = _fresh(

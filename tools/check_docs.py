@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Execute the fenced Python blocks in markdown docs and check their links.
 
-CI's docs job runs this over the handbook (``docs/usage.md``,
+CI's docs job runs this over the top-level docs (``README.md``,
+``DESIGN.md``, ``EXPERIMENTS.md``) and the handbook (``docs/usage.md``,
 ``docs/robustness.md``, ``docs/serving.md``, ``docs/architecture.md``)
-so the recipes in the handbook cannot silently rot: every ````` ```python
+so the recipes cannot silently rot: every ````` ```python
 ````` block is executed, in order, in one shared namespace per file (so a
 ``trace`` built in an early block is usable by later ones — exactly how a
 reader would paste them into a REPL).  Blocks that are illustrative rather
