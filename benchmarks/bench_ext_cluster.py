@@ -2,8 +2,8 @@
 
 ``bench_fig7_throughput`` sweeps predictor *threads* over a static
 feature matrix; this benchmark extends the sweep to the full cluster
-data plane — consistent-hash routing, shard worker processes, the
-shared-memory model slab, and the columnar request wire — and gates two
+data plane — consistent-hash routing, shard worker processes, models
+riding the batch messages, and the columnar request wire — and gates two
 properties at once:
 
 * **scaling that is measured** — the *wall* request rate (this host's

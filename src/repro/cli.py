@@ -370,8 +370,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Nothing serves in the router, so there is no policy: a bare
             # trainer labels against one shard's capacity — the cache
             # each OPT decision actually lands in — and a trained model
-            # goes live through the slab publish hook ClusterScorer
-            # installs, not through a local swap.
+            # goes live through the publish hook ClusterScorer installs
+            # (each shard's next batch carries it), not a local swap.
             trainer = WindowTrainer(
                 args.window,
                 LabelFitJob(
@@ -424,9 +424,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 executor.release_hung()
             trainer.close()
             if cluster is not None:
-                # Drain-then-flush: stop the shards, fold their last
-                # replies' telemetry, then unlink the slab segments
-                # exactly once (also the SIGINT path).
+                # Drain-then-flush: stop the shards and fold their last
+                # replies' telemetry (also the SIGINT path).
                 cluster.close()
             if executor is not None:
                 executor.shutdown(cancel_futures=True)
@@ -655,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shards", type=int, default=1,
                          help="shard worker processes: >1 routes batches "
                               "across a consistent-hash cache cluster with "
-                              "the trainer publishing models through a "
-                              "shared-memory slab (default 1 = in-process)")
+                              "the trainer's models riding each shard's next "
+                              "batch (default 1 = in-process)")
     p_serve.add_argument("--vnodes", type=int, default=64,
                          help="virtual nodes per shard on the routing ring "
                               "(more = flatter load, longer ring)")

@@ -1,20 +1,13 @@
-"""Sharded multi-process cache cluster with a shared-memory model slab.
+"""Sharded multi-process cache cluster: one trainer, N shard caches.
 
 Scaling the single-process LFO loop out over cores (the deployment shape
-a CDN node actually runs) needs three mechanisms, and this package is
-exactly those three plus the router that composes them:
+a CDN node actually runs) needs two mechanisms, and this package is
+exactly those two plus the router that composes them:
 
 * **consistent-hash routing** (:class:`HashRing`, ``ring.py``) — a
   seeded ring with configurable virtual nodes maps every object id to
   one shard, deterministically across processes and runs, with ~1/(N+1)
   keys remapped when a shard is added;
-* **the model slab** (:class:`ModelSlab` / :class:`SlabReader`,
-  ``slab.py``) — one trainer serializes each compiled model's
-  contiguous node array into ``multiprocessing.shared_memory`` and
-  flips a generation counter; every shard attaches zero-copy
-  (``np.frombuffer``) with bit-identical scores.  Publish is
-  write-new-then-flip, never in-place: readers either see the old
-  generation or the complete new one;
 * **a columnar wire** (``wire.py``) — a routed bucket goes down a
   shard's pipe as fixed-width request records and comes back as one
   reply per batch (hit bytes, cumulative stats, telemetry deltas and,
@@ -22,14 +15,17 @@ exactly those three plus the router that composes them:
   object is pickled in either direction.
 
 :class:`CacheCluster` (``cluster.py``) wires them together — spawn-safe
-shard workers (``worker.py``), fan-out/collect batch dispatch, and
+shard workers (``worker.py``), fan-out/collect batch dispatch, model
+publication (a trained model's compiled bytes, ~59 KB at library
+defaults, ride each shard's next batch message; the shard rebuilds the
+predictor with bit-identical scores and swaps it in before scoring), and
 folding the shards' own telemetry (``cluster.*``, the admission-score
 histogram) into the registry.  It is a backend:
 ``CacheCluster.process(requests[, rows])`` decides and fills rows the
 way ``DecisionEngine.run`` does, and the driver counts requests, hits
 and bytes.  :class:`ClusterScorer` (``serving.py``) drops the cluster
 into the always-on serving loop with a bare
-:class:`repro.core.WindowTrainer` in the router publishing into the slab
+:class:`repro.core.WindowTrainer` in the router publishing to the shards
 (``lfo serve --shards N``).
 """
 
@@ -39,6 +35,5 @@ __getattr__, __dir__, __all__ = _lazy.exports(__name__, {
     "cluster": ("CacheCluster",),
     "ring": ("HashRing",),
     "serving": ("ClusterScorer",),
-    "slab": ("ModelSlab", "SlabModel", "SlabReader"),
     "worker": ("ShardConfig", "shard_main"),
 })

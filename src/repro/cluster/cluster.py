@@ -7,10 +7,11 @@ them together:
   every request batch by object id, preserving per-shard request order
   (an object's whole request stream lands on one shard, so each shard's
   cache behaves exactly like a single-process cache over its split);
-* the **model slab** — one :class:`~repro.cluster.ModelSlab` publishes
-  each trained model into shared memory; shards attach zero-copy at
-  batch boundaries.  :meth:`publish` is shaped to be handed directly to
-  :class:`repro.core.LFOOnline` as its ``publish_hook``;
+* **model publication** — :meth:`publish` keeps each trained model's
+  compiled bytes, and the next batch message to each shard carries
+  them; a shard swaps the model in before scoring that batch.
+  :meth:`publish` is shaped to be handed directly to
+  :class:`repro.core.WindowTrainer` as its ``publish_hook``;
 * the **telemetry fold** — the counter/histogram deltas in every
   shard's reply are folded into the active registry
   (:func:`repro.obs.fold_deltas`), so the driver's
@@ -34,8 +35,8 @@ requests, hits and bytes, and rolls telemetry windows.
 
 Shutdown (:meth:`close`, idempotent, also the context-manager exit and
 the SIGINT path) mirrors the serve loop's drain-then-flush: every shard
-is stopped and its last reply folded, workers are joined, and only then
-are the shared-memory segments unlinked — exactly once.
+is stopped and its last reply folded, then workers are joined (and
+terminated if they do not exit).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from ..obs import get_registry
 from ..obs.fold import fold_deltas
 from ..trace import Request
 from .ring import HashRing
-from .slab import ModelSlab
 from .wire import pack_requests
 from .worker import ShardConfig, shard_main
 
@@ -67,7 +67,7 @@ _BATCH_SECONDS_BUCKETS = (
 
 
 class CacheCluster:
-    """N shard caches behind a consistent-hash router and a shared slab.
+    """N shard caches behind a consistent-hash router.
 
     Args:
         cache_size: total capacity in bytes, split evenly across shards.
@@ -76,8 +76,6 @@ class CacheCluster:
         seed: ring seed (key→shard mapping is a pure function of
             ``(seed, n_shards, vnodes)``).
         n_gaps: gap-feature count of each shard's tracker.
-        eviction: shard cache eviction mode.
-        slab_token: override the shared-memory token (testing).
     """
 
     def __init__(
@@ -88,16 +86,20 @@ class CacheCluster:
         vnodes: int = 64,
         seed: int = 0,
         n_gaps: int = 50,
-        eviction: str = "likelihood",
-        slab_token: str | None = None,
     ) -> None:
         if cache_size < n_shards:
             raise ValueError("cache_size must be at least n_shards bytes")
         self.ring = HashRing(n_shards, vnodes=vnodes, seed=seed)
-        self.slab = ModelSlab(slab_token)
         self.n_shards = n_shards
         self.shard_size = cache_size // n_shards
-        self._config = dict(n_gaps=n_gaps, eviction=eviction)
+        #: Gap-feature count of every shard's tracker.
+        self.n_gaps = n_gaps
+        #: The currently published model generation (0 = none yet).
+        self.generation = 0
+        #: ``(generation, predictor bytes, cutoff, n_gaps)`` of the
+        #: latest publish, and the generation each shard was last sent.
+        self._model: tuple | None = None
+        self._sent = [0] * n_shards
         self._processes: list[multiprocessing.process.BaseProcess] = []
         self._conns: list = []
         self._stats: list[dict] = [{} for _ in range(n_shards)]
@@ -108,11 +110,6 @@ class CacheCluster:
         #: without touching the pipes (live shards may hold unread
         #: replies to the batch the failure interrupted).
         self._failed: str | None = None
-
-    @property
-    def n_gaps(self) -> int:
-        """Gap-feature count of every shard's tracker."""
-        return int(self._config["n_gaps"])
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -126,12 +123,7 @@ class CacheCluster:
         context = multiprocessing.get_context("spawn")
         for shard_id in range(self.n_shards):
             parent_conn, child_conn = context.Pipe(duplex=True)
-            config = ShardConfig(
-                shard_id=shard_id,
-                slab_token=self.slab.token,
-                cache_size=self.shard_size,
-                **self._config,
-            )
+            config = ShardConfig(shard_id, self.shard_size, self.n_gaps)
             process = context.Process(
                 target=shard_main,
                 args=(config, child_conn),
@@ -155,65 +147,61 @@ class CacheCluster:
         self.close()
 
     def close(self) -> None:
-        """Stop shards, fold their last replies, unlink shared memory.
+        """Stop shards, fold their last replies, join the workers.
 
-        Idempotent and exception-safe: whatever happens while stopping
-        workers, the slab segments are unlinked exactly once — the
-        serve loop's drain-then-flush discipline applied to process and
-        shared-memory lifetime.
+        Idempotent: the serve loop's drain-then-flush discipline applied
+        to process lifetime.
         """
         if self._closed:
             return
         self._closed = True
-        try:
-            if self._started:
-                for conn in self._conns:
-                    try:
-                        conn.send(("stop",))
-                    except (BrokenPipeError, OSError):
-                        continue
-                for shard_id, conn in enumerate(self._conns):
-                    try:
-                        stats, deltas, *_ = self._receive(
-                            shard_id, "stopped"
-                        )
-                        self._absorb(shard_id, stats, deltas)
-                    except RuntimeError:
-                        # Shutdown is best-effort: a shard that died or
-                        # errored must not keep the others from stopping
-                        # or the slab from unlinking.
-                        continue
-                    finally:
-                        conn.close()
-                for process in self._processes:
-                    process.join(timeout=10)
-                    if process.is_alive():
-                        process.terminate()
-                        process.join(timeout=5)
-        finally:
-            self._started = False
-            self.slab.close()
+        if not self._started:
+            return
+        self._started = False
+        for conn in self._conns:
+            try:
+                conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                continue
+        for shard_id, conn in enumerate(self._conns):
+            try:
+                stats, deltas, *_ = self._receive(shard_id, "stopped")
+                self._absorb(shard_id, stats, deltas)
+            except RuntimeError:
+                # Shutdown is best-effort: a shard that died or errored
+                # must not keep the others from stopping.
+                continue
+            finally:
+                conn.close()
+        for process in self._processes:
+            process.join(timeout=10)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5)
 
     # -- model publication ---------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """The currently published model generation (0 = none yet)."""
-        return self.slab.generation
 
     def publish(self, model: "LFOModel") -> int:
         """Publish ``model`` to every shard; returns the new generation.
 
-        Hand this method to :class:`repro.core.LFOOnline` as its
-        ``publish_hook`` — each installed model then goes live
-        cluster-wide at the shards' next batch boundary.
+        Hand this method to :class:`repro.core.WindowTrainer` as its
+        ``publish_hook`` — each installed model then goes live at each
+        shard's next batch, which carries the model's compiled bytes
+        (:meth:`CompiledPredictor.to_bytes`).  Two publishes between
+        batches send only the later model.
         """
-        generation = self.slab.publish_model(model)
+        self.generation += 1
+        self._model = (
+            self.generation,
+            model.classifier.compiled().to_bytes(),
+            model.cutoff,
+            model.n_gaps,
+        )
         registry = get_registry()
         if registry.enabled:
             registry.counter("cluster.publishes").inc()
-            registry.gauge("cluster.generation").set(float(generation))
-        return generation
+            registry.gauge("cluster.generation").set(float(self.generation))
+        return self.generation
 
     # -- request path --------------------------------------------------------
 
@@ -229,7 +217,8 @@ class CacheCluster:
         sub-batch is dispatched before any reply is awaited), then
         collect every reply — shards compute concurrently — and only then
         fold telemetry and fill ``hits`` / ``rows``, so an exception out
-        of either leaves no reply unread.
+        of either leaves no reply unread.  A shard's first batch after a
+        :meth:`publish` carries the model.
         """
         if not self._started:
             raise RuntimeError("CacheCluster.process before start()")
@@ -244,12 +233,15 @@ class CacheCluster:
         try:
             for shard_id, bucket in enumerate(buckets):
                 if bucket:
+                    fresh = self._sent[shard_id] < self.generation
                     try:
-                        self._conns[shard_id].send(
-                            ("batch", pack_requests(bucket), with_rows)
-                        )
+                        self._conns[shard_id].send((
+                            "batch", pack_requests(bucket), with_rows,
+                            self._model if fresh else None,
+                        ))
                     except OSError:
                         raise self._exited(shard_id) from None
+                    self._sent[shard_id] = self.generation
                     dispatched.append(shard_id)
             replies = [
                 self._receive(shard_id, "done") for shard_id in dispatched

@@ -15,9 +15,9 @@ feature tracker behind it — keeps the paper's Figure-2 loop intact:
    ``BatchScorer`` drives through its policy), so training sees exactly
    what the shards served;
 3. when a window closes and a fresh model installs, the trainer's
-   ``publish_hook`` (installed by this class when unset) writes it into
-   the shared slab — and every shard warm-hands-off to the new
-   generation at its next batch boundary.
+   ``publish_hook`` (installed by this class when unset) hands it to the
+   cluster — and every shard warm-hands-off to the new generation at
+   its next batch, which carries the model.
 
 The scorer exposes the two members the serving loop consumes —
 ``process(requests) -> hits`` and ``n_handoffs``; the loop counts the

@@ -8,10 +8,10 @@ ship *deltas*).
 
 Per batch the worker:
 
-1. polls the model slab's generation word (two shared-memory reads);
-   on a new generation it attaches the published model zero-copy
-   (:class:`repro.cluster.SlabReader`) and swaps it in with
-   ``cache.set_model`` — the cross-process warm handoff;
+1. when the batch message carries a model (the router sends one with
+   a shard's first batch after each publish), rebuilds its predictor
+   from the wire bytes (:meth:`CompiledPredictor.from_buffer`) and swaps
+   it in with ``cache.set_model`` — the cross-process warm handoff;
 2. views the batch's records as four columns
    (:func:`repro.cluster.wire.unpack_requests` — no ``Request`` is
    built) and decides them through the decision engine
@@ -48,8 +48,8 @@ import numpy as np
 
 from ..core.engine import DecisionEngine
 from ..core.lfo import ADMISSION_SCORE_BUCKETS, LFOCache
+from ..gbdt.compiled import CompiledPredictor
 from ..obs.registry import Histogram
-from .slab import SlabReader
 from .wire import unpack_requests
 
 if TYPE_CHECKING:
@@ -64,34 +64,52 @@ class ShardConfig:
 
     Attributes:
         shard_id: this worker's index in the ring.
-        slab_token: the :class:`repro.cluster.ModelSlab` token to attach.
         cache_size: this shard's capacity in bytes (the cluster splits
             the total evenly).
         n_gaps: gap-feature count of the shard's feature tracker.
-        eviction: the shard cache's eviction mode.
     """
 
     shard_id: int
-    slab_token: str
     cache_size: int
     n_gaps: int = 50
-    eviction: str = "likelihood"
+
+
+class _ShardModel:
+    """A duck-typed :class:`~repro.core.LFOModel` over a shipped predictor.
+
+    Exposes exactly the surface :class:`~repro.core.LFOCache` touches —
+    ``classifier.compiled()``, ``cutoff``, ``n_gaps``, ``likelihood``.
+    """
+
+    def __init__(
+        self, predictor: CompiledPredictor, cutoff: float, n_gaps: int
+    ) -> None:
+        self.predictor = predictor
+        self.cutoff = float(cutoff)
+        self.n_gaps = int(n_gaps)
+
+    @property
+    def classifier(self) -> "_ShardModel":
+        """``model.classifier.compiled()`` compatibility shim."""
+        return self
+
+    def compiled(self) -> CompiledPredictor:
+        """The predictor rebuilt from the published bytes."""
+        return self.predictor
+
+    def likelihood(self, features: np.ndarray) -> np.ndarray:
+        """Predicted admission probability per feature row."""
+        return self.predictor.predict_proba(features)
 
 
 class _ShardState:
-    """One worker's live state: cache, slab reader, counters, deltas."""
+    """One worker's live state: cache, model generation, counters, deltas."""
 
     def __init__(self, config: ShardConfig, conn: "Connection") -> None:
         self.config = config
         self.conn = conn
-        self.cache = LFOCache(
-            config.cache_size,
-            model=None,
-            n_gaps=config.n_gaps,
-            eviction=config.eviction,
-        )
+        self.cache = LFOCache(config.cache_size, model=None, n_gaps=config.n_gaps)
         self.engine = DecisionEngine(self.cache)
-        self.reader = SlabReader(config.slab_token)
         self.generation = 0
         self.attaches = 0
         self.requests = 0
@@ -108,24 +126,28 @@ class _ShardState:
         #: since the last reply.
         self._deltas: list[tuple] = []
 
-    def maybe_attach(self) -> None:
-        """Batch-boundary model check: attach a new generation if flipped."""
-        generation = self.reader.poll()
-        if generation == self.generation:
-            return
-        attached = self.reader.attach()
-        if attached is None:
-            return
-        self.generation, model = attached
-        self.cache.set_model(model)
+    def attach(
+        self, generation: int, payload: bytes, cutoff: float, n_gaps: int
+    ) -> None:
+        """Swap in a published model; the previous one is dropped."""
+        predictor = CompiledPredictor.from_buffer(payload)
+        self.cache.set_model(_ShardModel(predictor, cutoff, n_gaps))
+        self.generation = generation
         self.attaches += 1
         self._deltas.append(("counter", "cluster.shard_attaches", 1))
 
-    def process(self, data: bytes, with_rows: bool = False) -> None:
-        """Score one routed batch of request records and reply."""
+    def process(
+        self, data: bytes, with_rows: bool = False, model: tuple | None = None
+    ) -> None:
+        """Score one routed batch of request records and reply.
+
+        ``model``, when the router sends one, is ``(generation, bytes,
+        cutoff, n_gaps)`` and goes live before the batch is scored.
+        """
         times, objs, sizes, costs = unpack_requests(data)
         n = len(objs)
-        self.maybe_attach()
+        if model is not None:
+            self.attach(*model)
         cache = self.cache
         scores = np.empty(n, dtype="<f8")
         rows = None
@@ -193,9 +215,11 @@ class _ShardState:
 def shard_main(config: ShardConfig, conn: "Connection") -> None:
     """Worker entry point: serve routed batches until ``stop``.
 
-    Message protocol (parent → worker): ``("batch", records,
-    with_rows)`` — the bucket's requests as :mod:`repro.cluster.wire`
-    records, and whether to ship feature rows back — and ``("stop",)``.
+    Message protocol (parent → worker): ``("batch", records, with_rows,
+    model)`` — the bucket's requests as :mod:`repro.cluster.wire`
+    records, whether to ship feature rows back, and the model published
+    since this shard's last batch (``(generation, predictor bytes,
+    cutoff, n_gaps)``, else ``None``) — and ``("stop",)``.
     Worker → parent: exactly one ``("done", shard, stats, deltas, hits,
     features)`` per batch, where ``hits`` is one byte per request in
     bucket order, ``deltas`` the telemetry records since the last reply
@@ -217,7 +241,7 @@ def shard_main(config: ShardConfig, conn: "Connection") -> None:
             message = conn.recv()
             kind = message[0]
             if kind == "batch":
-                state.process(message[1], message[2])
+                state.process(*message[1:])
             elif kind == "stop":
                 state.reply("stopped")
                 return
@@ -229,12 +253,3 @@ def shard_main(config: ShardConfig, conn: "Connection") -> None:
         except (BrokenPipeError, OSError):
             pass
         raise
-    finally:
-        # Drop the zero-copy model (and the engine caching its predictor)
-        # before detaching: its numpy views pin the shared mapping, and a
-        # pinned mapping can be closed neither here nor in
-        # ``SharedMemory.__del__`` (interpreter-exit noise).
-        state.cache.model = None
-        del state.engine
-        state.reader.close()
-        conn.close()

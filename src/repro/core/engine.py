@@ -61,7 +61,7 @@ Three hooks let a driver put its own work on the request path:
 While ``policy.model`` is ``None`` (cold start) every score is 0.0 and
 no free-bytes threshold splits a window.  The per-model predictor and
 thresholds are cached by model identity, so a swap between steps (a shard
-attaching a new slab generation) costs one lookup.  The dirty rows are the
+attaching a newly published model) costs one lookup.  The dirty rows are the
 only place a ``Request`` is built here (``FeatureTracker.features`` takes one).
 
 Sampled eviction composes unchanged: candidate scoring happens inside

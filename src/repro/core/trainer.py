@@ -5,7 +5,7 @@ job returns, serve ``W[t+1]`` with it.  :class:`WindowTrainer` owns the
 window buffer and everything that can happen between "the window closed"
 and "a model is live" — and nothing about caching: the *job* (label with
 OPT and fit, for LFO) and the *install* target (a policy's model slot, a
-cluster's shared slab) are the caller's.  :class:`repro.core.LFOOnline`
+cluster's shards) are the caller's.  :class:`repro.core.LFOOnline`
 composes one with an :class:`~repro.core.LFOCache`;
 :class:`repro.cluster.ClusterScorer` drives a bare one in the router.
 
@@ -175,8 +175,8 @@ class WindowTrainer:
             consecutive failure up to 8 (0 = retry at the next boundary).
         publish_hook: called with each freshly *installed* model, right
             after ``install`` — the cluster publish path
-            (:meth:`repro.cluster.CacheCluster.publish` writes the
-            compiled model into the shared slab here).  A raising hook is
+            (:meth:`repro.cluster.CacheCluster.publish` keeps the
+            compiled model for the shards' next batches).  A raising hook is
             absorbed loudly (``online.publish_failures``): downstream
             consumers keep the previous generation, the install stands.
 
@@ -472,7 +472,7 @@ class WindowTrainer:
                 registry.counter("online.model_publishes").inc()
             except Exception as exc:
                 # Publishing is off the install path by contract: a
-                # failed slab write must never undo the swap that already
+                # failed publish must never undo the swap that already
                 # happened.  Loud — counted and logged with the traceback.
                 registry.counter("online.publish_failures").inc()
                 logger.warning(

@@ -72,9 +72,9 @@ _NODE_DTYPE = np.dtype(
     ]
 )
 
-#: Magic prefix of the wire/shared-memory slab format (see
+#: Magic prefix of the wire format (see
 #: :meth:`CompiledPredictor.to_bytes`).  Bump the trailing digit on any
-#: layout change so stale cross-process segments fail loudly.
+#: layout change so bytes of the old layout fail loudly.
 _SLAB_MAGIC = b"LFOSLAB1"
 
 #: ``<`` = little-endian, no struct padding: magic, n_trees u32,
@@ -189,8 +189,8 @@ class CompiledPredictor:
         """Refuse a node table whose walk would leave it: every child and
         root inside the table, every feature inside the row.  The kernel
         follows these links unchecked, and the table never changes after
-        this, so they are checked once, here — a slab mapped from another
-        process included."""
+        this, so they are checked once, here — a predictor rebuilt from
+        another process's bytes included."""
         nodes, n = self._nodes, len(self._nodes)
         if not (
             _native.all_below(nodes["kid_le"], n)
@@ -320,7 +320,7 @@ class CompiledPredictor:
         out += self.init_score
         return out
 
-    # -- slab serialisation -------------------------------------------------
+    # -- wire serialisation -------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Serialise the predictor into one contiguous, position-independent
@@ -329,11 +329,10 @@ class CompiledPredictor:
         Layout (all little-endian): a 32-byte header (magic, ``n_trees``
         u32, ``n_features`` u32, ``n_nodes`` u64, ``init_score`` f8),
         then ``roots`` i4, ``depths`` i4, then the ``_NODE_DTYPE`` node
-        slab.  Section offsets are pure functions of the header, so
-        :meth:`from_buffer` can map the same bytes zero-copy from a
-        ``multiprocessing.shared_memory`` segment in another process —
-        that mapping is how the cluster publishes models (see
-        :mod:`repro.cluster.slab`).
+        table.  Section offsets are pure functions of the header, so
+        :meth:`from_buffer` can rebuild the predictor from the same bytes
+        in another process — how the cluster publishes models to its
+        shards (see :meth:`repro.cluster.CacheCluster.publish`).
         """
         header = _SLAB_HEADER.pack(
             _SLAB_MAGIC,
@@ -355,11 +354,10 @@ class CompiledPredictor:
     def from_buffer(cls, buffer) -> "CompiledPredictor":
         """Rebuild a predictor as zero-copy views over ``buffer``.
 
-        ``buffer`` is anything exposing the buffer protocol — typically a
-        ``multiprocessing.shared_memory.SharedMemory.buf`` memoryview, in
-        which case the node tables are never copied: every attached
-        process walks the same physical pages.  The returned arrays keep
-        the buffer alive, and scoring is bit-identical to the predictor
+        ``buffer`` is anything exposing the buffer protocol — typically
+        the ``bytes`` a cluster shard received in its batch message; the
+        node tables are never copied.  The returned arrays keep the
+        buffer alive (a ``bytearray`` cannot be resized while they do), and scoring is bit-identical to the predictor
         that produced the bytes (same node records, same walk, same
         accumulation order on both backends).
 
@@ -368,7 +366,7 @@ class CompiledPredictor:
         view = memoryview(buffer)
         if len(view) < _SLAB_HEADER.size:
             raise ValueError(
-                f"model slab truncated: {len(view)} bytes is smaller than "
+                f"model bytes truncated: {len(view)} bytes is smaller than "
                 f"the {_SLAB_HEADER.size}-byte header"
             )
         magic, n_trees, n_features, n_nodes, init_score = (
@@ -376,13 +374,13 @@ class CompiledPredictor:
         )
         if magic != _SLAB_MAGIC:
             raise ValueError(
-                f"model slab has magic {magic!r}, expected {_SLAB_MAGIC!r}"
+                f"model bytes have magic {magic!r}, expected {_SLAB_MAGIC!r}"
             )
         offset = _SLAB_HEADER.size
         total = offset + 8 * n_trees + _NODE_DTYPE.itemsize * n_nodes
         if len(view) < total:
             raise ValueError(
-                f"model slab truncated: header promises {total} bytes, "
+                f"model bytes truncated: header promises {total} bytes, "
                 f"buffer holds {len(view)}"
             )
         roots = np.frombuffer(view, dtype="<i4", count=n_trees, offset=offset)

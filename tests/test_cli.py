@@ -44,7 +44,7 @@ PINNED_OPTIONS = {
         "--staleness-limit": None, "--retry-backoff": 0,
         "--metrics-out": None,
     }),
-    "serve": ("5b28283dbbbaf27c", {
+    "serve": ("fb9fc0eb9ec38385", {
         **_CACHE, **_TRAINING, **_TELEMETRY, "--synthetic": None,
         "--seed": 42, "--queue-depth": 1024, "--max-batch": 256,
         "--arrival-rate": 0.0, "--shards": 1, "--vnodes": 64,

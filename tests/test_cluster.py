@@ -8,10 +8,11 @@ The load-bearing claims, each pinned here:
   them onto the new shard;
 * **the wire is lossless and validating** — request records round-trip
   field by field, and a shard rejects a malformed one;
-* **the shared-memory slab is bit-exact and leak-free** — publish/attach
-  round-trips reproduce the publisher's scores exactly, generations
-  flip atomically, and shutdown (normal or SIGINT) unlinks every
-  segment exactly once with nothing on stderr;
+* **a published model rides the next batch, and a shard holds one** —
+  each shard attaches once per batch that carries a newer generation
+  (however many publishes came between its batches), drops the model it
+  replaced, and shutdown (normal, killed shard or SIGINT) stays silent
+  on stderr with no shared memory loaded;
 * **sharding never changes decisions** — a 2-shard cluster's hits and
   score digests equal a single-process replay of the same splits, cold
   and warm;
@@ -21,11 +22,13 @@ The load-bearing claims, each pinned here:
   under either scorer.
 """
 
+import gc
 import signal
 import struct
 import subprocess
 import sys
 import textwrap
+import weakref
 from hashlib import blake2b
 from pathlib import Path
 
@@ -34,14 +37,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    CacheCluster,
-    ClusterScorer,
-    HashRing,
-    ModelSlab,
-    ShardConfig,
-    SlabReader,
-)
+from repro.cluster import CacheCluster, ClusterScorer, HashRing, ShardConfig
 from repro.cluster.wire import RECORD, pack_requests, unpack_requests
 from repro.cluster.worker import _ShardState
 from repro.core import (
@@ -62,6 +58,13 @@ def columns(requests):
     """What ``DecisionEngine.run`` takes for a list of requests."""
     trace = Trace(list(requests))
     return trace.times, trace.objs, trace.sizes, trace.costs
+
+
+def published(model):
+    """The model a batch message carries after ``publish(model)``."""
+    router = CacheCluster(2, 1)  # never started
+    router.publish(model)
+    return router._model
 
 
 @pytest.fixture(scope="module")
@@ -237,19 +240,11 @@ class TestShardReply:
         ).run(*columns(requests))
 
         outbox = _Outbox()
-        with ModelSlab() as slab:
-            slab.publish_model(model)
-            state = _ShardState(
-                ShardConfig(0, slab.token, cache_size, n_gaps=N_GAPS), outbox
-            )
-            try:
-                state.process(
-                    pack_requests(list(enumerate(requests))), with_rows
-                )
-            finally:  # what shard_main's ``finally`` does before detaching
-                state.cache.model = None
-                del state.engine
-                state.reader.close()
+        state = _ShardState(ShardConfig(0, cache_size, N_GAPS), outbox)
+        state.process(
+            pack_requests(list(enumerate(requests))), with_rows,
+            published(model),
+        )
 
         (kind, shard, stats, deltas, hits, features), = outbox.sent
         assert (kind, shard) == ("done", 0)
@@ -275,23 +270,47 @@ class TestShardReply:
             [(0, Request(1.0, 2, 3)), (1, Request(2.0, 4, 5))]
         )
         outbox = _Outbox()
-        with ModelSlab() as slab:
-            slab.publish_model(model)
-            state = _ShardState(
-                ShardConfig(0, slab.token, cache_size, n_gaps=N_GAPS), outbox
+        state = _ShardState(ShardConfig(0, cache_size, N_GAPS), outbox)
+        for bad in (good[:-1], good + RECORD.pack(3.0, 6, 0, 1.0)):
+            with pytest.raises(ValueError):
+                state.process(bad, False, published(model))
+        assert outbox.sent == []
+        assert state.stats()["requests"] == 0
+        assert state.stats()["attaches"] == 0
+        assert state.cache.n_objects == 0
+        assert state.cache.tracker.n_tracked == 0
+
+    def test_a_shard_holds_one_model(self, trace, cache_size, model):
+        """Each batch that carries a model swaps it in and lets the one
+        it replaced go: after the last generation attaches, nothing in
+        the shard keeps the first one's predictor or the bytes it was
+        rebuilt from.  ``attaches`` counts models received, not
+        publishes (two publishes come before each batch here)."""
+        requests = list(trace)[:800]
+        # Never started: its ``publish`` is what a batch message carries.
+        router = CacheCluster(cache_size, 1, n_gaps=N_GAPS)
+        state = _ShardState(ShardConfig(0, cache_size, N_GAPS), _Outbox())
+        first = None
+        for start in range(0, len(requests), 200):
+            router.publish(model)
+            router.publish(model)
+            generation, payload, cutoff, n_gaps = router._model
+            # An ndarray copy: bytes cannot be weakly referenced.
+            payload = np.frombuffer(payload, dtype=np.uint8).copy()
+            state.process(
+                pack_requests(list(enumerate(requests[start:start + 200]))),
+                False, (generation, payload, cutoff, n_gaps),
             )
-            try:
-                for bad in (good[:-1], good + RECORD.pack(3.0, 6, 0, 1.0)):
-                    with pytest.raises(ValueError):
-                        state.process(bad)
-                assert outbox.sent == []
-                assert state.stats()["requests"] == 0
-                assert state.cache.n_objects == 0
-                assert state.cache.tracker.n_tracked == 0
-            finally:
-                state.cache.model = None
-                del state.engine
-                state.reader.close()
+            if first is None:
+                first = [
+                    weakref.ref(state.cache.model.compiled()),
+                    weakref.ref(payload),
+                ]
+            del payload
+        gc.collect()
+        assert [ref() is None for ref in first] == [True, True]
+        stats = state.stats()
+        assert (stats["attaches"], stats["generation"]) == (4, 8)
 
 
 class TestFoldDeltas:
@@ -324,61 +343,6 @@ class TestFoldDeltas:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown telemetry"):
             fold_deltas(MetricsRegistry(), [("gauge", "x", 1.0)])
-
-
-class TestModelSlab:
-    def test_attach_before_publish_is_none(self):
-        with ModelSlab() as slab, SlabReader(slab.token) as reader:
-            assert reader.poll() == 0
-            assert reader.attach() is None
-
-    def test_publish_attach_roundtrip_bit_identical(self, model):
-        predictor = model.classifier.compiled()
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(64, predictor.n_features))
-        with ModelSlab() as slab, SlabReader(slab.token) as reader:
-            assert slab.publish(predictor, cutoff=0.6, n_gaps=N_GAPS) == 1
-            assert reader.poll() == 1
-            generation, attached = reader.attach()
-            assert generation == 1
-            assert attached.cutoff == 0.6
-            assert attached.n_gaps == N_GAPS
-            assert np.array_equal(
-                attached.compiled().predict_raw(X), predictor.predict_raw(X)
-            )
-            for i in range(8):
-                assert (
-                    attached.compiled().predict_proba_single(X[i])
-                    == predictor.predict_proba_single(X[i])
-                )
-
-    def test_generations_flip_and_old_segment_unlinks(self, model):
-        from multiprocessing import shared_memory
-
-        predictor = model.classifier.compiled()
-        with ModelSlab() as slab, SlabReader(slab.token) as reader:
-            slab.publish(predictor, cutoff=0.5, n_gaps=N_GAPS)
-            slab.publish(predictor, cutoff=0.7, n_gaps=N_GAPS)
-            assert reader.poll() == 2
-            generation, attached = reader.attach()
-            assert generation == 2 and attached.cutoff == 0.7
-            # The generation-1 segment name is gone (unlinked on flip).
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=f"{slab.token}-g1")
-
-    def test_close_is_idempotent_and_unlinks(self, model):
-        from multiprocessing import shared_memory
-
-        slab = ModelSlab()
-        token = slab.token
-        slab.publish_model(model)
-        slab.close()
-        slab.close()  # second close is a no-op, not a double unlink
-        for name in (f"{token}-ctrl", f"{token}-g1"):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        with pytest.raises(RuntimeError):
-            slab.publish_model(model)
 
 
 class TestClusterEndToEnd:
@@ -421,6 +385,31 @@ class TestClusterEndToEnd:
         assert [s["score_digest"] for s in stats] == digests
         assert all(s["generation"] == 1 for s in stats)
         assert all(s["attaches"] == 1 for s in stats)
+
+    def test_a_shard_attaches_at_its_next_batch(self, trace, cache_size, model):
+        """A shard with no requests in the batch after a publish, and two
+        publishes between batches, each give one attach at the shard's
+        next batch, to the latest generation."""
+        requests = list(trace)[:1500]
+        cluster = CacheCluster(cache_size, 2, seed=7, n_gaps=N_GAPS)
+        only_shard_0 = [
+            request for request in requests[500:1000]
+            if cluster.ring.shard_of(request.obj) == 0
+        ]
+        with cluster:
+            cluster.process(requests[:500])
+            assert cluster.publish(model) == 1
+            cluster.process(only_shard_0)
+            assert [
+                (s["attaches"], s["generation"]) for s in cluster.shard_stats()
+            ] == [(1, 1), (0, 0)]
+            cluster.publish(model)
+            assert cluster.publish(model) == 3
+            cluster.process(requests[1000:1250])
+            cluster.process(requests[1250:])  # nothing newer to send
+            assert [
+                (s["attaches"], s["generation"]) for s in cluster.shard_stats()
+            ] == [(2, 3), (1, 3)]
 
     def test_report_and_folded_telemetry(self, trace, cache_size, model):
         """A bare cluster folds its own telemetry — ``cluster.*`` and the
@@ -516,13 +505,10 @@ _SHUTDOWN_SCRIPT = textwrap.dedent("""
         )
         cluster = CacheCluster(50_000, 2, seed=1).start()
         try:
-            # Shards must exit without their attached model's zero-copy
-            # views still pinning the shared mapping (BufferError noise).
             cluster.publish(model)
             cluster.process(trace[:500])
             if "--kill-shard" in sys.argv:
                 import os, signal
-                print("TOKEN", cluster.slab.token, flush=True)
                 os.kill(cluster._processes[0].pid, signal.SIGKILL)
                 for _ in range(2):
                     try:
@@ -543,16 +529,22 @@ _SHUTDOWN_SCRIPT = textwrap.dedent("""
         finally:
             cluster.close()
         print("CLOSED", flush=True)
+        # Models travel in the batch messages: nothing maps shared memory.
+        print("SHARED", sorted(
+            name for name in sys.modules
+            if name.startswith("multiprocessing.shared")
+        ), flush=True)
 
     if __name__ == "__main__":
         main()
 """)
 
-_NOISE = ("leaked shared_memory", "Traceback", "KeyError", "BufferError")
+_NOISE = ("leaked", "Traceback", "KeyError", "BufferError")
 
 
 class TestShutdownLeakFree:
-    """Satellite gate: segments unlink exactly once, stderr stays silent."""
+    """Shutdown stays silent on stderr, and the router never loads shared
+    memory (``SHARED []``)."""
 
     def _write_script(self, tmp_path: Path) -> str:
         path = tmp_path / "cluster_shutdown.py"
@@ -575,25 +567,22 @@ class TestShutdownLeakFree:
             capture_output=True, text=True, timeout=120, env=self._env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert "CLOSED" in proc.stdout
+        assert proc.stdout.split("\n")[-3:] == ["CLOSED", "SHARED []", ""]
         for marker in _NOISE:
             assert marker not in proc.stderr, proc.stderr
 
     def test_killed_shard_fails_the_cluster_by_name(self, tmp_path):
         """A dead worker is named with its exit code, the failure latches
         (live shards still hold unread replies to the interrupted batch),
-        and shutdown stays silent and unlinks the slab."""
+        and shutdown stays silent."""
         proc = subprocess.run(
             [sys.executable, self._write_script(tmp_path), "--kill-shard"],
             capture_output=True, text=True, timeout=120, env=self._env(),
         )
         assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.split("\n")
-        assert lines[1:4] == ["FAILED shard 0 exited (code -9)"] * 2 + [
-            "CLOSED"
-        ]
-        token = lines[0].removeprefix("TOKEN ")
-        assert not Path("/dev/shm", f"{token}-ctrl").exists()
+        assert proc.stdout.split("\n") == [
+            "FAILED shard 0 exited (code -9)"
+        ] * 2 + ["CLOSED", "SHARED []", ""]
         for marker in _NOISE:
             assert marker not in proc.stderr, proc.stderr
 
@@ -617,7 +606,7 @@ class TestShutdownLeakFree:
             if proc.poll() is None:
                 proc.kill()
         assert proc.returncode == 0, err
-        assert "CLOSED" in out
+        assert out.split("\n")[-3:] == ["CLOSED", "SHARED []", ""]
         for marker in _NOISE:
             assert marker not in err, err
 

@@ -165,7 +165,7 @@ class TestLifecycle:
 
 
 class TestSlabWire:
-    """``to_bytes``/``from_buffer`` — the cluster's shared-memory wire."""
+    """``to_bytes``/``from_buffer`` — how the cluster ships a model."""
 
     def test_roundtrip_bit_identical_batch_and_single(self, fitted):
         clf, X_eval = fitted

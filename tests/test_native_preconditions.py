@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro import _native
-from repro.cluster.slab import ModelSlab, SlabReader
 from repro.features import FeatureTracker
 from repro.flow import FlowNetwork
 from repro.flow.ssp import _augment_native, _initial_potentials
@@ -302,31 +301,26 @@ def test_a_broken_precondition_is_refused_before_any_write(
 
 
 def test_a_refusal_leaves_no_export_on_a_slab_model(native, predictor):
-    """A wrapper that raises after taking a view of the shared node
-    table has released it: once the model is dropped, the segment
-    closes (an export left behind is a ``BufferError`` here)."""
-    slab = ModelSlab()
-    reader = SlabReader(slab.token)
-    try:
-        slab.publish(predictor, cutoff=0.5, n_gaps=3)
-        _, model = reader.attach()
-        attached = model.compiled()
-        args = _predict_raw(attached)
-        for position, spoil in ((6, read_only(6)), (6, short(6))):
-            spoiled = list(args)
-            spoiled[position] = spoil(args)
-            with pytest.raises(ValueError):
-                _native.load().predict_raw(*spoiled)
-        x = np.zeros(attached.n_features + 1)
+    """A wrapper that raises after taking a view of a node slab rebuilt
+    over a buffer (``from_buffer``, as a cluster shard does) has released
+    it: once the model is dropped, the buffer resizes (an export left
+    behind is a ``BufferError`` here)."""
+    buffer = bytearray(predictor.to_bytes())
+    rebuilt = CompiledPredictor.from_buffer(buffer)
+    args = _predict_raw(rebuilt)
+    for position, spoil in ((6, read_only(6)), (6, short(6))):
+        spoiled = list(args)
+        spoiled[position] = spoil(args)
         with pytest.raises(ValueError):
-            _native.load().predict_row(x, attached.n_features, *_model(attached))
-        del model, attached, args, spoiled
-        gc.collect()
-        for segment in reader._attached:
-            segment.close()  # raises BufferError on a leaked export
-    finally:
-        reader.close()
-        slab.close()
+            _native.load().predict_raw(*spoiled)
+    x = np.zeros(rebuilt.n_features + 1)
+    with pytest.raises(ValueError):
+        _native.load().predict_row(x, rebuilt.n_features, *_model(rebuilt))
+    with pytest.raises(BufferError):
+        buffer.append(0)  # the live model's node tables export it
+    del rebuilt, args, spoiled
+    gc.collect()
+    buffer.append(0)
 
 
 # -- the refusals both backends share, through their callers ------------------
