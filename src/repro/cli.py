@@ -475,22 +475,6 @@ def _render_window(snapshot) -> None:
     )
 
 
-def _cmd_hrc(args: argparse.Namespace) -> int:
-    from .sim import lru_hit_ratio_curve
-    from .viz import sparkline
-
-    trace = _trace_from_args(args)
-    curve = lru_hit_ratio_curve(trace, n_points=args.points)
-    print("LRU byte hit-ratio curve")
-    print(f"sizes  {int(curve.sizes[0])} .. {int(curve.sizes[-1])} bytes")
-    print(f"curve  {sparkline(curve.bhr)}")
-    print(f"max    {curve.bhr[-1]:.4f} (compulsory-miss limit)")
-    for fraction in (0.01, 0.05, 0.1, 0.25, 0.5):
-        size = fraction * curve.sizes[-1]
-        print(f"BHR at {fraction:>5.0%} of max working set: {curve.at(size):.4f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``lfo`` argument parser."""
     import argparse
@@ -672,13 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append each closed telemetry window to PATH "
                               "as one JSON line")
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_hrc = sub.add_parser(
-        "hrc", help="print the trace's LRU hit-ratio curve"
-    )
-    add_trace_arg(p_hrc)
-    p_hrc.add_argument("--points", type=int, default=64)
-    p_hrc.set_defaults(func=_cmd_hrc)
 
     return parser
 

@@ -116,10 +116,13 @@ class Histogram:
     def observe_batch(self, values: Iterable[float]) -> None:
         """Fold a whole array of observations in one vectorised pass.
 
-        Bit-identical bucketing to per-value :meth:`observe`
-        (``np.searchsorted(..., side="left")`` matches the bisect), at
-        O(len + buckets) instead of one Python call per sample — how the
-        server simulation folds tens of thousands of latency samples.
+        Bit-identical to per-value :meth:`observe`: the bucketing
+        (``np.searchsorted(..., side="left")`` matches the bisect) and the
+        total, which ``np.add.accumulate`` folds left to right as
+        :meth:`observe` does (``values.sum()`` adds pairwise, so it
+        rounds differently).  O(len + buckets) instead of one Python call
+        per sample — how the server simulation folds tens of thousands of
+        latency samples.
         """
         import numpy as np
 
@@ -132,7 +135,9 @@ class Histogram:
             if n:
                 self.bucket_counts[i] += int(n)
         self.count += int(values.size)
-        self.total += float(values.sum())
+        self.total = float(
+            np.add.accumulate(np.concatenate(([self.total], values)))[-1]
+        )
         top = float(values.max())
         if top > self.max:
             self.max = top
@@ -148,10 +153,12 @@ class Histogram:
 
         The cross-process folding primitive: shard workers observe into
         local histograms with identical bounds and ship per-window bucket
-        deltas (see :mod:`repro.obs.fold`); merging is pure integer adds,
-        so folded windows are bit-identical to having observed every
-        sample locally — except ``max``, which is a cumulative high-water
-        mark on both sides and merges by comparison.
+        deltas (see :mod:`repro.obs.fold`).  Bucket counts and ``count``
+        merge by integer adds, so they are bit-identical to having
+        observed every sample locally.  ``total`` is a sum of shipped
+        cumulative-total deltas, so it matches to rounding, not bit for
+        bit.  ``max`` is a cumulative high-water mark on both sides and
+        merges by comparison.
         """
         counts = list(bucket_counts)
         if len(counts) != len(self.bucket_counts):

@@ -3,9 +3,6 @@
 from .. import _lazy
 
 __getattr__, __dir__, __all__ = _lazy.exports(__name__, {
-    "calibration": (
-        "SizeFit", "ZipfFit", "calibration_report", "fit_sizes", "fit_zipf",
-    ),
     "record": ("CostModel", "Request", "Trace"),
     "transform": ("interleave",),
     "readers": (

@@ -5,14 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import TieredLFOCache
 from repro.flow import FlowNetwork, solve_min_cost_flow
 from repro.opt import opt_hit_ratios, solve_opt
-from repro.sim import HitRatioCurve, compare_policies, policy_factories
+from repro.sim import compare_policies, policy_factories
 from repro.trace import (
     CostModel,
     Request,
@@ -124,21 +123,11 @@ class TestCLICacheMb:
         assert "LRU" in capsys.readouterr().out
 
 
-class TestHitRatioCurveAt:
-    def test_interpolation_and_clamping(self):
-        curve = HitRatioCurve(
-            sizes=np.array([10.0, 20.0]), bhr=np.array([0.2, 0.6])
-        )
-        assert curve.at(15) == pytest.approx(0.4)
-        assert curve.at(5) == pytest.approx(0.2)   # clamped below
-        assert curve.at(100) == pytest.approx(0.6)  # clamped above
-
-
 def test_serving_imports_leave_scipy_and_networkx_out():
-    """The router, every shard and every trainer import these packages;
-    `scipy` (one calibration fit) and `networkx` (the solver's
-    cross-check) are imported by the functions that use them — ~0.6 s
-    and ~55 MB a process otherwise."""
+    """The router, every shard and every trainer import these packages.
+    `networkx` (the solver's cross-check) is imported by the function
+    that uses it; `scipy` has no caller in the package at all. Either
+    one would cost ~0.6 s and ~55 MB a process."""
     code = (
         "import sys; import repro.core, repro.sim, repro.serve, repro.cluster; "
         "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
@@ -158,9 +147,10 @@ def test_names_no_caller_reached_are_gone():
     """Size sweeps, the Che curve, four trace transforms, the callback
     dataset builders, the GBDT regressor, early stopping, the policies
     outside the paper's Figure 1 and 6 set, the declarative experiment
-    runner and the PSI-triggered early retrain (the plain window loop
-    recovers as fast) had no caller but their own tests; none of them is
-    public any more."""
+    runner, the PSI-triggered early retrain (the plain window loop
+    recovers as fast), the LRU hit-ratio curves with their tenant
+    provisioning, and the Zipf/size fits of a measured trace had no
+    caller but their own tests; none of them is public any more."""
     import dataclasses
 
     import repro
@@ -178,12 +168,16 @@ def test_names_no_caller_reached_are_gone():
     gone = {
         sim: ("sweep_policies", "policy_hit_ratio_curve", "crossover_size",
               "che_hit_ratio_curve", "bootstrap_bhr_ci", "run_experiment",
-              "load_spec", "ComparisonRow"),
+              "load_spec", "ComparisonRow", "HitRatioCurve",
+              "lru_hit_ratio_curve", "partition_cache",
+              "reuse_distance_bytes"),
         cache: ("FIFOCache", "ClockCache", "GDSCache", "TwoQCache",
                 "LFUCache"),
         trace: ("sample_objects", "sample_requests", "modulate_rate",
                 "concat", "popularity_histogram", "reuse_distances",
-                "WEB_CLASS", "PHOTO_CLASS", "VIDEO_CLASS", "SOFTWARE_CLASS"),
+                "WEB_CLASS", "PHOTO_CLASS", "VIDEO_CLASS", "SOFTWARE_CLASS",
+                "ZipfFit", "SizeFit", "fit_zipf", "fit_sizes",
+                "calibration_report"),
         features: ("build_features", "build_dataset",
                    "feature_bits_required"),
         gbdt: ("GBDTRegressor", "SquaredLoss"),
@@ -201,5 +195,6 @@ def test_names_no_caller_reached_are_gone():
     assert "early_stopping_rounds" not in {
         f.name for f in dataclasses.fields(GBDTParams)
     }
-    with pytest.raises(SystemExit):  # `lfo experiment` is not a command
-        build_parser().parse_args(["experiment", "spec.json"])
+    for command in ("experiment", "hrc"):  # neither is a command
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "spec.json"])

@@ -292,14 +292,6 @@ class TestFaultPlanFlag:
         assert "BHR" in capsys.readouterr().out
 
 
-class TestHrc:
-    def test_curve_printed(self, trace_file, capsys):
-        assert main(["hrc", trace_file]) == 0
-        out = capsys.readouterr().out
-        assert "hit-ratio curve" in out
-        assert "compulsory-miss limit" in out
-
-
 class TestHealth:
     """The SLO verdict of online LFO: ``lfo serve`` with the
     deterministic inline trainer."""

@@ -3,10 +3,13 @@ and import nothing, so every check here runs in a fresh interpreter."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +93,26 @@ def test_a_submodule_name_resolves_to_the_submodule(package, submodule):
         f"print(json.dumps(m is sys.modules[{package + '.' + submodule!r}]))"
     )
     assert same is True
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    """Every third-party package that ``src/repro`` imports anywhere (a
+    function-local import counts) is declared in ``pyproject.toml``, and
+    every declared one is imported."""
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"repro"}
+    with open(root / "pyproject.toml", "rb") as file:
+        declared = tomllib.load(file)["project"]["dependencies"]
+    assert imported == {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared
+    }
 
 
 def test_binning_and_thresholds_leave_numpy_ma_out():

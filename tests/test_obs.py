@@ -345,18 +345,25 @@ class TestHistogramEdgeCases:
         assert hist.bucket_counts == [0, 1, 0]
 
     def test_observe_batch_matches_scalar_observe(self):
+        """Bit for bit, ``total`` too: numpy's pairwise ``sum`` rounds
+        differently from adding one value at a time (2048 draws differ
+        in the last bits), and a batch continues a running total."""
         import numpy as np
 
-        values = [0.5, 1.0, 1.5, 2.0, 9.0, 1e6]
-        scalar = Histogram("a", bounds=(1.0, 2.0))
-        batched = Histogram("b", bounds=(1.0, 2.0))
-        for value in values:
-            scalar.observe(value)
-        batched.observe_batch(np.asarray(values))
-        assert scalar.bucket_counts == batched.bucket_counts
-        assert scalar.count == batched.count
-        assert scalar.total == pytest.approx(batched.total)
-        assert scalar.max == batched.max
+        rng = np.random.default_rng(11)
+        edges = np.asarray([0.5, 1.0, 1.5, 2.0, 9.0, 1e6])
+        for values in [edges, *(rng.random(n) for n in (1, 7, 8, 2048))]:
+            scalar = Histogram("a", bounds=(0.25, 1.0, 2.0))
+            batched = Histogram("b", bounds=(0.25, 1.0, 2.0))
+            for hist in (scalar, batched):
+                hist.observe(0.1)
+            for value in values:
+                scalar.observe(float(value))
+            batched.observe_batch(values)
+            assert batched.bucket_counts == scalar.bucket_counts
+            assert batched.count == scalar.count
+            assert batched.total == scalar.total
+            assert batched.max == scalar.max
 
     def test_observe_batch_empty_is_noop(self):
         import numpy as np

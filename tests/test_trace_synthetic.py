@@ -99,6 +99,41 @@ class TestGenerateTrace:
             generate_trace(base)
         )
 
+    def test_zipf_alpha_recovered(self):
+        """The Zipf exponent that maximises the likelihood of the ranked
+        popularity counts, on a 0.01 grid over [0, 5], is the one asked
+        for."""
+        grid = np.linspace(0.0, 5.0, 501)
+        for alpha in (0.6, 1.0, 1.4):
+            trace = generate_trace(
+                SyntheticConfig(
+                    n_requests=30_000, n_objects=500, alpha=alpha, seed=8
+                )
+            )
+            _, counts = np.unique(trace.objs, return_counts=True)
+            counts = np.sort(counts)[::-1].astype(np.float64)
+            log_ranks = np.log(np.arange(1, len(counts) + 1, dtype=np.float64))
+            log_weights = -grid[:, None] * log_ranks[None, :]
+            top = log_weights.max(axis=1, keepdims=True)
+            log_norm = top + np.log(
+                np.exp(log_weights - top).sum(axis=1, keepdims=True)
+            )
+            log_likelihood = ((log_weights - log_norm) * counts).sum(axis=1)
+            fitted = grid[np.argmax(log_likelihood)]
+            assert fitted == pytest.approx(alpha, abs=0.12)
+
+    def test_size_median_and_sigma_recovered(self):
+        trace = generate_trace(
+            SyntheticConfig(
+                n_requests=8000, n_objects=600, alpha=1.0,
+                size_median=100, size_sigma=0.8, size_max=10_000, seed=4,
+            )
+        )
+        _, first = np.unique(trace.objs, return_index=True)  # first-seen sizes
+        sizes = trace.sizes[first].astype(np.float64)
+        assert 60 < np.median(sizes) < 170
+        assert 0.4 < np.log(sizes).std() < 1.2
+
 
 class TestMixedTraces:
     def test_mixed_disjoint_id_spaces(self):

@@ -1,4 +1,4 @@
-"""Tests for trace interleaving and calibration."""
+"""Tests for trace interleaving."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,6 @@ from repro.trace import (
     Request,
     SyntheticConfig,
     Trace,
-    calibration_report,
-    fit_sizes,
-    fit_zipf,
     generate_trace,
     interleave,
 )
@@ -44,44 +41,3 @@ class TestInterleave:
         merged = interleave([zipf_trace, other])
         times = merged.times
         assert (np.diff(times) >= 0).all()
-
-
-class TestCalibration:
-    def test_zipf_alpha_recovered(self):
-        for alpha in (0.6, 1.0, 1.4):
-            trace = generate_trace(
-                SyntheticConfig(
-                    n_requests=30_000, n_objects=500, alpha=alpha, seed=8
-                )
-            )
-            fit = fit_zipf(trace)
-            assert fit.alpha == pytest.approx(alpha, abs=0.12)
-
-    def test_size_fit_recovers_median(self, zipf_trace):
-        fit = fit_sizes(zipf_trace)
-        assert 60 < fit.median < 170  # generated with median 100
-        assert 0.4 < fit.sigma < 1.2  # generated with sigma 0.8
-
-    def test_calibration_report_roundtrip(self, zipf_trace):
-        """A trace generated from a calibration report resembles the
-        original (closing the measurement -> generator loop)."""
-        report = calibration_report(zipf_trace)
-        clone = generate_trace(
-            SyntheticConfig(
-                n_requests=8000,
-                n_objects=report["n_objects"],
-                alpha=report["alpha"],
-                size_median=report["size_median"],
-                size_sigma=report["size_sigma"],
-                size_max=report["size_max"],
-                seed=99,
-            )
-        )
-        refit = fit_zipf(clone)
-        assert refit.alpha == pytest.approx(report["alpha"], abs=0.15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fit_zipf(Trace())
-        with pytest.raises(ValueError):
-            fit_sizes(Trace())
