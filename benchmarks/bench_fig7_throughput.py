@@ -32,7 +32,7 @@ def run_fig7(acc_report, acc_windows):
     points = [
         measure_throughput(
             acc_report.model, X, threads=t, batch_size=4_096,
-            min_duration=0.6, mode="process",
+            min_duration=0.6,
         )
         for t in THREADS
     ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -203,7 +202,6 @@ class LFOOnline(LFOCache):
         train_deadline: int | None = None,
         staleness_limit: int | None = None,
         retry_backoff: int = 0,
-        publish_hook: Callable[[LFOModel], None] | None = None,
     ) -> None:
         super().__init__(
             cache_size, model=None, n_gaps=n_gaps,
@@ -226,7 +224,6 @@ class LFOOnline(LFOCache):
             train_deadline=train_deadline,
             staleness_limit=staleness_limit,
             retry_backoff=retry_backoff,
-            publish_hook=publish_hook,
         )
 
     # -- the trainer's surface, as the serving loop and simulate see it --------

@@ -7,16 +7,16 @@ mean object size on their hardware).
 
 Scoring goes through the model's :class:`repro.gbdt.CompiledPredictor`.
 With its C kernel available the call releases the GIL, so predictor
-*threads* scale like the paper's; on the numpy fallback fancy indexing
-holds the GIL and threads collapse — worker *processes* (the default
-mode) give real parallelism either way.  The scaling shape and the
-Gbit/s arithmetic carry over to both backends.
+threads would scale like the paper's; on the numpy fallback fancy
+indexing holds the GIL and threads collapse — worker *processes* give
+real parallelism either way, so they are what is measured.  The scaling
+shape and the Gbit/s arithmetic carry over to both backends.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,6 @@ class ThroughputPoint:
     threads: int
     requests_per_second: float
     batch_size: int
-    mode: str = "process"
 
 
 # Module-level state for process workers (set by the pool initializer so the
@@ -68,23 +67,19 @@ def measure_throughput(
     threads: int,
     batch_size: int = 4096,
     min_duration: float = 0.5,
-    mode: str = "process",
 ) -> ThroughputPoint:
     """Measure sustained predictions/second at a given worker count.
 
     Args:
         model: the predictor to score with.
         X: feature rows to draw scoring batches from.
-        threads: number of parallel workers.
+        threads: number of parallel worker processes (one scores in the
+            calling process).
         batch_size: rows per scoring call.
         min_duration: measurement window per worker, in seconds.
-        mode: ``"process"`` (default; real parallelism) or ``"thread"``
-            (GIL-bound, kept to demonstrate why processes are needed).
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if mode not in ("process", "thread"):
-        raise ValueError("mode must be 'process' or 'thread'")
     n = len(X)
     if n == 0:
         raise ValueError("X must be non-empty")
@@ -95,12 +90,6 @@ def measure_throughput(
         start = time.perf_counter()
         total = _scoring_loop(min_duration)
         elapsed = time.perf_counter() - start
-    elif mode == "thread":
-        _init_worker(model, batch)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            start = time.perf_counter()
-            total = sum(pool.map(_scoring_loop, [min_duration] * threads))
-            elapsed = time.perf_counter() - start
     else:
         with ProcessPoolExecutor(
             max_workers=threads,
@@ -117,7 +106,6 @@ def measure_throughput(
         threads=threads,
         requests_per_second=total / elapsed,
         batch_size=len(batch),
-        mode=mode,
     )
 
 

@@ -160,10 +160,12 @@ class WindowTrainer:
             filled its window;
             True submits it to ``executor`` and lets :meth:`poll` pick
             the result up.
-        executor: the trainer used in background mode.  ``None`` lazily
-            creates a private single-worker :class:`ThreadPoolExecutor`;
-            pass a :class:`~concurrent.futures.ProcessPoolExecutor` to
-            keep training off the GIL entirely (the submitted arguments
+        executor: the trainer used in background mode (``ValueError``
+            without ``background=True``: an inline trainer would ignore
+            it).  ``None`` lazily creates a private single-worker
+            :class:`ThreadPoolExecutor`; pass a
+            :class:`~concurrent.futures.ProcessPoolExecutor` to keep
+            training off the GIL entirely (the submitted arguments
             and the returned model pickle cleanly), or a
             :class:`repro.resilience.SimulatedTrainerExecutor` for
             deterministic fault drills.
@@ -220,6 +222,9 @@ class WindowTrainer:
             raise ValueError("staleness_limit must be positive (in windows)")
         if retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
+        if executor is not None and not background:
+            raise ValueError("an executor trains in the background: "
+                             "pass background=True with it")
         self.window = window
         self.job = job
         self.install = install

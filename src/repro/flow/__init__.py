@@ -1,9 +1,7 @@
-"""Min-cost flow substrate (graph model, exact solver, verification)."""
+"""Min-cost flow substrate (the exact solver OPT's labels come from)."""
 
 from .. import _lazy
 
 __getattr__, __dir__, __all__ = _lazy.exports(__name__, {
-    "graph": ("FlowNetwork",),
     "ssp": ("InfeasibleFlowError", "MinCostFlowResult", "solve_min_cost_flow"),
-    "verify": ("check_flow", "flow_cost", "solve_with_networkx"),
 })

@@ -4,23 +4,30 @@ The solver repeatedly finds a cheapest residual path from a super-source
 (connected to all remaining supplies) to a super-sink (connected from all
 remaining demands) using Dijkstra on *reduced* costs, then augments by the
 path bottleneck.  Node potentials keep reduced costs non-negative, so
-Dijkstra stays valid after augmentation; with all-non-negative input costs
-(true for the OPT caching graphs) the initial potentials are zero.
+Dijkstra stays valid after augmentation; input costs must be non-negative
+(as they are in the OPT caching graphs), so the initial potentials are
+zero.
 
 This is the same optimum as LEMON's network simplex used by the paper, just
 a different exact algorithm that is short enough to implement and verify.
 
-The augmentation loop exists twice: :func:`_augment_python` is the
-reference (and the path taken without a C toolchain), ``ssp_augment`` in
-:mod:`repro._native` runs the same algorithm over a CSR copy of the
-residual graph flattened *in adjacency order*.  Everything but the
-priority queue is a statement-by-statement transliteration; the queue is
-``heapq`` with lazy deletion here and an indexed binary heap with
-decrease-key there.  What is guaranteed is the outcome: the two are
-bit-identical — flow, residual capacities, potentials, total cost, path
-count — not merely both optimal.  The OPT graphs are massively degenerate
-(every bypass arc of a ``cost == size`` trace costs 1.0/byte), so the
-labels are whatever the tie-breaks say:
+The residual graph is built once as numpy columns: arc ``2i`` is input
+arc ``i`` and arc ``2i + 1`` its partner (reversed, zero capacity, negated
+cost), so ``arc ^ 1`` is always the partner; then one arc from the
+super-source or to the super-sink per node with a supply or demand, in
+node order.  A node's adjacency is its arcs in index order (a stable sort
+on the arcs' tails), stored CSR.
+
+The augmentation loop over those columns exists twice:
+:func:`_augment_python` is the reference (and the path taken without a C
+toolchain), ``ssp_augment`` in :mod:`repro._native` runs the same
+algorithm.  Everything but the priority queue is a statement-by-statement
+transliteration; the queue is ``heapq`` with lazy deletion here and an
+indexed binary heap with decrease-key there.  What is guaranteed is the
+outcome: the two are bit-identical — flow, residual capacities,
+potentials, total cost, path count — not merely both optimal.  The OPT
+graphs are massively degenerate (every bypass arc of a ``cost == size``
+trace costs 1.0/byte), so the labels are whatever the tie-breaks say:
 
 * both queues order entries lexicographically on ``(dist, node)``, a
   *total* order, and a node's live key is its current ``dist`` (a stale
@@ -34,8 +41,8 @@ labels are whatever the tie-breaks say:
   is compiled with ``-ffp-contract=off``;
 * arcs are scanned in adjacency order, potentials advance by the final
   distance of every visited node, capacities are ``int64`` (a network
-  whose capacities or supply do not convert to ``double`` exactly stays
-  on the Python loop).
+  whose capacities or supply do not convert to ``double`` exactly takes
+  the Python loop).
 
 ``tests/test_flow.py`` holds the two paths equal on generated networks,
 heavily tied ones included, and shows that mutants of the C heap fail.
@@ -45,12 +52,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import _native
-from .graph import FlowNetwork
+
+if TYPE_CHECKING:  # annotation only
+    from numpy.typing import ArrayLike
 
 __all__ = ["MinCostFlowResult", "solve_min_cost_flow", "InfeasibleFlowError"]
 
@@ -70,64 +79,107 @@ class MinCostFlowResult:
 
     Attributes:
         total_cost: objective value of the optimal flow.
-        flow: flow on each forward arc, indexed by forward arc id.
+        flow: ``int64`` flow on each input arc, in input order.
         augmentations: number of augmenting-path iterations (diagnostic).
     """
 
     total_cost: float
-    flow: dict[int, int]
+    flow: np.ndarray
     augmentations: int
 
 
-def _initial_potentials(network: FlowNetwork, n_total: int) -> list[float]:
-    """Bellman-Ford potentials; trivial when no usable arc has negative cost.
-
-    Only arcs that can carry flow count: every residual partner holds the
-    *negated* cost, so scanning all arcs would send any network with one
-    positive-cost arc through Bellman-Ford to rediscover zeros.
-    """
-    if all(
-        cost >= 0
-        for cost, cap in zip(network.arc_cost, network.arc_cap)
-        if cap > 0
+def _int64(values) -> np.ndarray:
+    """``values`` as an ``int64`` column, refusing what would not convert
+    exactly: floats, and integers ``int64`` cannot hold."""
+    column = np.asarray(values)
+    if column.size and (
+        column.dtype.kind not in "iu"
+        or column.max() > np.iinfo(np.int64).max
     ):
-        return [0.0] * n_total
-    # Bellman-Ford from a virtual node connected to everything at cost 0.
-    dist = [0.0] * n_total
-    for _ in range(n_total - 1):
-        changed = False
-        for arc in range(len(network.arc_to)):
-            if network.arc_cap[arc] <= 0:
-                continue
-            tail = network.arc_tail(arc)
-            head = network.arc_to[arc]
-            candidate = dist[tail] + network.arc_cost[arc]
-            if candidate < dist[head] - 1e-12:
-                dist[head] = candidate
-                changed = True
-        if not changed:
-            break
-    return dist
+        raise ValueError(
+            "endpoints, capacities and supplies must be int64 integers"
+        )
+    return column.astype(np.int64, copy=False)
+
+
+def _residual_graph(tails, heads, capacities, costs, supply) -> tuple:
+    """Check the columns and build the residual graph: the arguments of
+    ``ssp_augment`` (and :func:`_augment_python`), in its order.
+
+    New arrays throughout; the caller's columns are only read.
+    """
+    tails, heads, capacities, supply = (
+        _int64(column) for column in (tails, heads, capacities, supply)
+    )
+    costs = np.asarray(costs, dtype=np.float64)
+    n, m = len(supply), len(tails)
+    if n == 0:
+        raise ValueError("a flow network needs at least one node")
+    if not len(heads) == len(capacities) == len(costs) == m:
+        raise ValueError("arc columns differ in length")
+    if not (_native.all_below(tails, n) and _native.all_below(heads, n)):
+        raise ValueError("arc endpoint out of range")
+    if (capacities < 0).any():
+        raise ValueError("arc capacity must be non-negative")
+    if not np.isfinite(costs).all() or (costs < 0).any():
+        raise ValueError("arc costs must be finite and non-negative")
+    balance = sum(supply.tolist())
+    if balance:
+        raise InfeasibleFlowError(
+            f"total supply {balance} != 0; instance unbalanced"
+        )
+
+    source, sink = n, n + 1
+    ends = np.flatnonzero(supply)
+    feeds = supply[ends] > 0
+    forward_tails = np.concatenate((tails, np.where(feeds, source, ends)))
+    forward_heads = np.concatenate((heads, np.where(feeds, ends, sink)))
+    arc_tail = np.column_stack((forward_tails, forward_heads)).ravel()
+    arc_to = np.column_stack((forward_heads, forward_tails)).ravel()
+    arc_cap = np.zeros(len(arc_tail), dtype=np.int64)
+    arc_cap[0::2] = np.concatenate((capacities, np.abs(supply[ends])))
+    arc_cost = np.empty(len(arc_tail), dtype=np.float64)
+    arc_cost[0::2] = np.concatenate((costs, np.zeros(len(ends))))
+    arc_cost[1::2] = -arc_cost[0::2]
+    adj_start = np.zeros(n + 3, dtype=np.int64)
+    np.cumsum(np.bincount(arc_tail, minlength=n + 2), out=adj_start[1:])
+    adj_arcs = np.argsort(arc_tail, kind="stable").astype(np.int64)
+    remaining = sum(supply[supply > 0].tolist())
+    return (
+        source, sink, adj_start, adj_arcs, arc_to, arc_tail, arc_cap,
+        arc_cost, np.zeros(n + 2), remaining,
+    )
 
 
 def _augment_python(
-    network: FlowNetwork,
-    potential: list[float],
     source: int,
     sink: int,
+    adj_start: np.ndarray,
+    adj_arcs: np.ndarray,
+    arc_to: np.ndarray,
+    arc_tail: np.ndarray,
+    arc_cap: np.ndarray,
+    arc_cost: np.ndarray,
+    potential: np.ndarray,
     remaining: int,
-) -> tuple[float, int, int]:
+) -> tuple[int, float, int]:
     """Augment along cheapest residual paths until the supply is routed.
 
-    Returns ``(total_cost, augmentations, stranded)``; ``stranded`` is the
-    supply left when no residual path reaches the sink (0 = solved).
-    Residual capacities are updated in place on ``network.arc_cap``.
+    Takes ``ssp_augment``'s arguments and returns what it returns,
+    ``(stranded, total_cost, augmentations)``; ``stranded`` is the supply
+    left when no residual path reaches the sink (0 = solved).  Writes the
+    residual capacities into ``arc_cap`` and the final potentials into
+    ``potential``.  Runs on Python lists, whose integers do not wrap.
     """
-    arc_to = network.arc_to
-    arc_cap = network.arc_cap
-    arc_cost = network.arc_cost
-    adjacency = network.adjacency
-    n_total = network.n_nodes
+    starts = adj_start.tolist()
+    arcs = adj_arcs.tolist()
+    adjacency = [arcs[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    to = arc_to.tolist()
+    tail = arc_tail.tolist()
+    cap = arc_cap.tolist()
+    cost = arc_cost.tolist()
+    pot = potential.tolist()
+    n_total = len(pot)
     total_cost = 0.0
     augmentations = 0
     INF = float("inf")
@@ -144,14 +196,14 @@ def _augment_python(
             if visited[u]:
                 continue
             visited[u] = True
-            pot_u = potential[u]
+            pot_u = pot[u]
             for arc in adjacency[u]:
-                if arc_cap[arc] <= 0:
+                if cap[arc] <= 0:
                     continue
-                v = arc_to[arc]
+                v = to[arc]
                 if visited[v]:
                     continue
-                nd = d + arc_cost[arc] + pot_u - potential[v]
+                nd = d + cost[arc] + pot_u - pot[v]
                 if nd < dist[v] - 1e-12:
                     dist[v] = nd
                     parent_arc[v] = arc
@@ -166,169 +218,70 @@ def _augment_python(
         # reachable set), so their potentials never matter.
         for v in range(n_total):
             if visited[v]:
-                potential[v] += dist[v]
+                pot[v] += dist[v]
 
         # Bottleneck along the path.
         bottleneck = remaining
         v = sink
         while v != source:
             arc = parent_arc[v]
-            if arc_cap[arc] < bottleneck:
-                bottleneck = arc_cap[arc]
-            v = network.arc_tail(arc)
+            if cap[arc] < bottleneck:
+                bottleneck = cap[arc]
+            v = tail[arc]
 
         # Augment.
         v = sink
         while v != source:
             arc = parent_arc[v]
-            arc_cap[arc] -= bottleneck
-            arc_cap[arc ^ 1] += bottleneck
-            total_cost += bottleneck * arc_cost[arc]
-            v = network.arc_tail(arc)
+            cap[arc] -= bottleneck
+            cap[arc ^ 1] += bottleneck
+            total_cost += bottleneck * cost[arc]
+            v = tail[arc]
         remaining -= bottleneck
         augmentations += 1
-    return total_cost, augmentations, remaining
+    arc_cap[:] = cap
+    potential[:] = pot
+    return remaining, total_cost, augmentations
 
 
-def _augment_native(
-    native: _native.Native,
-    network: FlowNetwork,
-    potential: list[float],
-    source: int,
-    sink: int,
-    remaining: int,
-) -> tuple[float, int, int] | None:
-    """:func:`_augment_python` run by the C routine, same return value.
-
-    Flattens the residual graph to CSR in adjacency order, runs
-    ``ssp_augment`` and writes the residual capacities back into
-    ``network.arc_cap`` and the final potentials into ``potential``.
-    Returns ``None`` — nothing touched — when a capacity or the supply
-    is too large for the routine's fixed-width arithmetic.  The routine
-    allocates its scratch per call: a trainer thread and a foreground
-    solve may be in here concurrently.
-    """
-    n_total = network.n_nodes
-    adjacency = network.adjacency
-    try:
-        arc_cap = np.array(network.arc_cap, dtype=np.int64)
-        arc_cost = np.array(network.arc_cost, dtype=np.float64)
-    except OverflowError:
-        return None
-    n_arcs = len(arc_cap)
-    if max(remaining, int(arc_cap.max(initial=0))) >= _NATIVE_CAPACITY_LIMIT:
-        return None
-    adj_start = np.zeros(n_total + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter(map(len, adjacency), dtype=np.int64, count=n_total),
-        out=adj_start[1:],
-    )
-    adj_arcs = np.fromiter(
-        chain.from_iterable(adjacency), dtype=np.int64, count=n_arcs
-    )
-    arc_to = np.array(network.arc_to, dtype=np.int64)
-    arc_tail = np.array(network._arc_tail, dtype=np.int64)
-    pot = np.array(potential, dtype=np.float64)
-    # `add_arc` keeps these consistent, but they are public lists all the
-    # same; the routine's wrapper checks them again, and more.
-    if not (
-        len(arc_to) == len(arc_tail) == len(arc_cost) == n_arcs
-        and int(adj_start[-1]) == n_arcs
-        and len(pot) == n_total
-        and _native.all_below(adj_arcs, n_arcs)
-        and _native.all_below(arc_to, n_total)
-        and _native.all_below(arc_tail, n_total)
-    ):
-        raise ValueError("flow network arc tables are inconsistent")
-    stranded, total_cost, augmentations = native.ssp_augment(
-        source, sink, adj_start, adj_arcs, arc_to, arc_tail, arc_cap,
-        arc_cost, pot, remaining,
-    )
-    network.arc_cap[:] = arc_cap.tolist()
-    potential[:] = pot.tolist()
-    return total_cost, augmentations, stranded
-
-
-def solve_min_cost_flow(network: FlowNetwork) -> MinCostFlowResult:
+def solve_min_cost_flow(
+    tails: ArrayLike,
+    heads: ArrayLike,
+    capacities: ArrayLike,
+    costs: ArrayLike,
+    supply: ArrayLike,
+) -> MinCostFlowResult:
     """Route all supplies to demands at minimum cost.
 
-    The ``network`` is modified in place (residual capacities encode the
-    flow); call :meth:`FlowNetwork.arc_flow` or read the returned ``flow``
-    mapping for per-arc flow values.
+    Arc ``i`` runs from node ``tails[i]`` to node ``heads[i]`` and carries
+    up to ``capacities[i]`` units at ``costs[i]`` each; ``supply[v]`` is
+    positive where flow enters the network and negative where it leaves,
+    and its length is the node count.  The columns are only read.
 
     Raises:
+        ValueError: if the arc columns differ in length, an endpoint is
+            not a node, a capacity is negative, a cost is negative or not
+            finite, an endpoint, capacity or supply is not an integer
+            ``int64`` can hold, or there are no nodes.
         InfeasibleFlowError: if supplies and demands are unbalanced or
             cannot be routed under the capacities.
     """
-    if not network.is_balanced():
+    graph = _residual_graph(tails, heads, capacities, costs, supply)
+    arc_cap, remaining = graph[6], graph[-1]
+    augment = _augment_python
+    native = _native.load()
+    if native is not None and max(
+        remaining, int(arc_cap.max(initial=0))
+    ) < _NATIVE_CAPACITY_LIMIT:
+        augment = native.ssp_augment
+    stranded, total_cost, augmentations = augment(*graph)
+    if stranded:
         raise InfeasibleFlowError(
-            f"total supply {sum(network.supply)} != 0; instance unbalanced"
+            f"{stranded} unit(s) of supply cannot reach a demand"
         )
-
-    n = network.n_nodes
-    source = n
-    sink = n + 1
-    n_total = n + 2
-    first_virtual_arc = len(network.arc_to)
-    supply_nodes: list[int] = []
-
-    # Extend adjacency for the two virtual nodes without copying arc arrays.
-    network.adjacency.append([])  # source
-    network.adjacency.append([])  # sink
-    network.n_nodes = n_total
-    try:
-        remaining = 0
-        for node, supply in enumerate(network.supply):
-            if supply > 0:
-                network.add_arc(source, node, supply, 0.0)
-                supply_nodes.append(node)
-                remaining += supply
-            elif supply < 0:
-                network.add_arc(node, sink, -supply, 0.0)
-                supply_nodes.append(node)
-
-        potential = _initial_potentials(network, n_total)
-        solved = None
-        native = _native.load()
-        if native is not None:
-            solved = _augment_native(
-                native, network, potential, source, sink, remaining
-            )
-        if solved is None:
-            solved = _augment_python(
-                network, potential, source, sink, remaining
-            )
-        total_cost, augmentations, stranded = solved
-        if stranded:
-            raise InfeasibleFlowError(
-                f"{stranded} unit(s) of supply cannot reach a demand"
-            )
-
-        # Virtual arcs were appended after every real arc, so the forward
-        # arcs below the first of them are exactly the caller's.
-        flow = dict(zip(
-            range(0, first_virtual_arc, 2),
-            network.arc_cap[1:first_virtual_arc:2],
-        ))
-        return MinCostFlowResult(
-            total_cost=total_cost, flow=flow, augmentations=augmentations
-        )
-    finally:
-        # Strip the virtual source/sink arcs entirely, not just their
-        # adjacency lists: their residual partners live in *real* nodes'
-        # adjacency, and leaving them in ``arc_to``/``arc_cap``/``arc_cost``
-        # with mutated capacities would feed stale, out-of-range arcs to a
-        # later solve or ``_initial_potentials`` on the same network.  Each
-        # real endpoint gained at most one virtual arc, appended after all
-        # real arcs, so popping tails restores the exact input arc set
-        # (with residual capacities on real arcs encoding the flow).
-        for node in supply_nodes:
-            adjacency = network.adjacency[node]
-            while adjacency and adjacency[-1] >= first_virtual_arc:
-                adjacency.pop()
-        del network.arc_to[first_virtual_arc:]
-        del network.arc_cap[first_virtual_arc:]
-        del network.arc_cost[first_virtual_arc:]
-        del network._arc_tail[first_virtual_arc:]
-        network.adjacency = network.adjacency[:n]
-        network.n_nodes = n
+    # An input arc's flow is its partner's residual capacity.
+    return MinCostFlowResult(
+        total_cost=total_cost,
+        flow=arc_cap[1:2 * len(tails):2].copy(),
+        augmentations=augmentations,
+    )

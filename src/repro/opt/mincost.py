@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..flow import FlowNetwork, solve_min_cost_flow
+from ..flow import solve_min_cost_flow
 from ..trace import Trace
 
 __all__ = ["OptResult", "build_opt_network", "solve_opt", "opt_hit_ratios"]
@@ -62,15 +62,17 @@ class OptResult:
 
 def build_opt_network(
     trace: Trace, cache_size: int
-) -> tuple[FlowNetwork, dict[int, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Build the min-cost flow instance for a trace window.
 
     Returns:
-        The network and a mapping ``request index -> bypass arc index`` for
-        every request that has a next occurrence.
+        The columns :func:`repro.flow.solve_min_cost_flow` takes,
+        ``(tails, heads, capacities, costs, supply)``: the ``n - 1``
+        central arcs first, then one bypass arc per request that has a
+        next occurrence, in trace order.
     """
-    if cache_size <= 0:
-        raise ValueError("cache size must be positive")
+    if not 0 < cache_size <= np.iinfo(np.int64).max:
+        raise ValueError("cache size must be positive and fit in int64")
     n = len(trace)
     if n == 0:
         raise ValueError("cannot build OPT network for an empty trace")
@@ -80,28 +82,21 @@ def build_opt_network(
     nxt = trace.next_occurrence()
     prv = trace.prev_occurrence()
 
-    # Arc order is part of the labels (it breaks the solver's ties):
-    # the n - 1 central arcs first, then one bypass arc per recurring
-    # request, in trace order.
+    # Arc order is part of the labels (it breaks the solver's ties).
     opens = np.flatnonzero(nxt >= 0)
     chain = np.arange(n - 1, dtype=np.int64)
-    network = FlowNetwork(n)
-    first_bypass = network.add_arcs(
-        np.concatenate((chain, opens)),
-        np.concatenate((chain + 1, nxt[opens])),
-        [cache_size] * (n - 1) + sizes[opens].tolist(),
-        np.concatenate((np.zeros(n - 1), costs[opens] / sizes[opens])),
-    ) + 2 * (n - 1)
-    bypass_arc = dict(zip(
-        opens.tolist(), range(first_bypass, first_bypass + 2 * len(opens), 2)
-    ))
-
+    tails = np.concatenate((chain, opens))
+    heads = np.concatenate((chain + 1, nxt[opens]))
+    capacities = np.concatenate(
+        (np.full(n - 1, cache_size, dtype=np.int64), sizes[opens])
+    )
+    arc_costs = np.concatenate((np.zeros(n - 1), costs[opens] / sizes[opens]))
     # Supply at an object's first request, demand at its last; single
     # occurrences and middle occurrences have no net supply.
-    network.supply[:] = np.where(
+    supply = np.where(
         prv < 0, np.where(nxt >= 0, sizes, 0), np.where(nxt < 0, -sizes, 0)
-    ).tolist()
-    return network, bypass_arc
+    )
+    return tails, heads, capacities, arc_costs, supply
 
 
 def solve_opt(trace: Trace, cache_size: int) -> OptResult:
@@ -113,8 +108,7 @@ def solve_opt(trace: Trace, cache_size: int) -> OptResult:
     pruning of :func:`repro.opt.segmentation.solve_pruned`.
     """
     n = len(trace)
-    network, bypass_arc = build_opt_network(trace, cache_size)
-    result = solve_min_cost_flow(network)
+    result = solve_min_cost_flow(*build_opt_network(trace, cache_size))
 
     sizes = trace.sizes
     costs = trace.costs
@@ -123,15 +117,10 @@ def solve_opt(trace: Trace, cache_size: int) -> OptResult:
     has_prev = prv >= 0
 
     # Bytes of each recurring interval that bypass the cache (a miss at
-    # the object's next request), by the request that opens the interval.
+    # the object's next request), by the request that opens the interval:
+    # the bypass arcs follow the n - 1 central ones, in trace order.
     missed = np.zeros(n, dtype=np.int64)
-    missed[np.fromiter(bypass_arc, dtype=np.intp, count=len(bypass_arc))] = (
-        np.fromiter(
-            map(result.flow.__getitem__, bypass_arc.values()),
-            dtype=np.int64,
-            count=len(bypass_arc),
-        )
-    )
+    missed[has_next] = result.flow[n - 1:]
 
     cached_fraction = np.zeros(n, dtype=np.float64)
     cached_fraction[has_next] = 1.0 - missed[has_next] / sizes[has_next]

@@ -294,7 +294,6 @@ def generate_mix_shift_trace(
 def generate_adversarial_scan(
     n_requests: int,
     object_size: int = 64_000,
-    seed: int = 0,
     start_obj: int = 10_000_000,
     start_time: float = 0.0,
 ) -> Trace:
@@ -304,7 +303,6 @@ def generate_adversarial_scan(
     LRU cache pollutes completely, while OPT admits nothing.  Useful for
     robustness tests (§1: "unexpected (or even adversarial) traffic").
     """
-    del seed  # deterministic by construction; kept for API symmetry
     requests = [
         Request(start_time + i, start_obj + i, object_size)
         for i in range(n_requests)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import TieredLFOCache
-from repro.flow import FlowNetwork, solve_min_cost_flow
 from repro.opt import opt_hit_ratios, solve_opt
 from repro.sim import compare_policies, policy_factories
 from repro.trace import (
@@ -20,28 +19,6 @@ from repro.trace import (
     generate_trace,
 )
 from repro.viz import bar_chart, line_chart
-
-
-class TestFlowAccessors:
-    def test_arc_flow_rejects_reverse_index(self):
-        net = FlowNetwork(2)
-        arc = net.add_arc(0, 1, 5, 1.0)
-        with pytest.raises(ValueError):
-            net.arc_flow(arc + 1)
-
-    def test_arc_flow_after_solve(self):
-        net = FlowNetwork(2)
-        arc = net.add_arc(0, 1, 5, 1.0)
-        net.add_supply(0, 3)
-        net.add_supply(1, -3)
-        solve_min_cost_flow(net)
-        assert net.arc_flow(arc) == 3
-
-    def test_forward_arcs_iteration(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 1, 0.0)
-        net.add_arc(1, 2, 1, 0.0)
-        assert list(net.forward_arcs()) == [0, 2]
 
 
 class TestOptHitRatioEdges:
@@ -125,9 +102,9 @@ class TestCLICacheMb:
 
 def test_serving_imports_leave_scipy_and_networkx_out():
     """The router, every shard and every trainer import these packages.
-    `networkx` (the solver's cross-check) is imported by the function
-    that uses it; `scipy` has no caller in the package at all. Either
-    one would cost ~0.6 s and ~55 MB a process."""
+    Neither `networkx` (only the tests' cross-check of the flow solver
+    uses it) nor `scipy` has a caller in the package at all. Either one
+    would cost ~0.6 s and ~55 MB a process."""
     code = (
         "import sys; import repro.core, repro.sim, repro.serve, repro.cluster; "
         "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
@@ -149,14 +126,17 @@ def test_names_no_caller_reached_are_gone():
     outside the paper's Figure 1 and 6 set, the declarative experiment
     runner, the PSI-triggered early retrain (the plain window loop
     recovers as fast), the LRU hit-ratio curves with their tenant
-    provisioning, and the Zipf/size fits of a measured trace had no
-    caller but their own tests; none of them is public any more."""
+    provisioning, the Zipf/size fits of a measured trace, and the mutable
+    flow network with its verification helpers (the solver takes the arc
+    columns OPT builds; the checks live beside the tests) had no caller
+    but their own tests; none of them is public any more."""
     import dataclasses
 
     import repro
     import repro.cache as cache
     import repro.core as core
     import repro.features as features
+    import repro.flow as flow
     import repro.gbdt as gbdt
     import repro.obs as obs
     import repro.sim as sim
@@ -180,6 +160,8 @@ def test_names_no_caller_reached_are_gone():
                 "calibration_report"),
         features: ("build_features", "build_dataset",
                    "feature_bits_required"),
+        flow: ("FlowNetwork", "check_flow", "flow_cost",
+               "solve_with_networkx"),
         gbdt: ("GBDTRegressor", "SquaredLoss"),
         obs: ("traced",),
         MetricsRegistry: ("write_jsonl",),

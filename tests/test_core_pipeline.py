@@ -169,20 +169,6 @@ class TestThroughput:
 
 
 class TestThroughputModes:
-    def test_thread_mode_runs(self, report, windows):
-        point = measure_throughput(
-            report.model, windows.test.X, threads=2, min_duration=0.1,
-            mode="thread",
-        )
-        assert point.mode == "thread"
-        assert point.requests_per_second > 0
-
-    def test_invalid_mode_rejected(self, report, windows):
-        with pytest.raises(ValueError):
-            measure_throughput(
-                report.model, windows.test.X, threads=1, mode="fiber"
-            )
-
     def test_batch_capped_at_data(self, report, windows):
         point = measure_throughput(
             report.model, windows.test.X[:10], threads=1,

@@ -53,17 +53,6 @@ class TestMeasureThroughput:
         )
         assert point.batch_size == 128
 
-    def test_thread_mode(self, tiny_model, feature_rows):
-        # GIL-bound mode still measures; it just doesn't scale.  Two
-        # threads keep the test cheap and avoid process pools entirely.
-        point = measure_throughput(
-            tiny_model, feature_rows, threads=2,
-            min_duration=0.05, mode="thread",
-        )
-        assert point.mode == "thread"
-        assert point.threads == 2
-        assert point.requests_per_second > 0
-
     def test_rate_counts_whole_batches(self, tiny_model, feature_rows):
         point = measure_throughput(
             tiny_model, feature_rows, threads=1,
@@ -76,12 +65,6 @@ class TestMeasureThroughput:
     def test_invalid_threads(self, tiny_model, feature_rows):
         with pytest.raises(ValueError):
             measure_throughput(tiny_model, feature_rows, threads=0)
-
-    def test_invalid_mode(self, tiny_model, feature_rows):
-        with pytest.raises(ValueError):
-            measure_throughput(
-                tiny_model, feature_rows, threads=1, mode="fiber"
-            )
 
     def test_empty_features(self, tiny_model):
         with pytest.raises(ValueError):

@@ -129,6 +129,12 @@ class TestOneRoad:
         assert trainer.n_failed_retrains == 1
         assert not trainer.training_pending and installs == []
 
+    def test_an_executor_needs_background(self):
+        """An inline trainer would train on the caller's thread and leave
+        the pool it was given idle, without a word."""
+        with pytest.raises(ValueError, match="background=True"):
+            make([], executor=SimulatedTrainerExecutor())
+
     def test_private_executor_and_reset_drain(self):
         """``executor=None`` trains on an owned thread; ``reset`` waits
         for the job in flight, consumes it, then clears every counter."""

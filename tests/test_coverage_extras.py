@@ -5,28 +5,24 @@ import pytest
 
 from repro.cache import GDWheelCache, LRUCache
 from repro.core import CutoffSweep
-from repro.flow import FlowNetwork, flow_cost, solve_min_cost_flow
+from repro.flow import solve_min_cost_flow
 from repro.sim import record_free_bytes
 from repro.trace import Request, Trace, read_text_trace, write_text_trace
 from repro.viz import line_chart
 
+from .test_flow import flow_cost
+
 
 class TestFlowCost:
     def test_matches_solver_objective(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 10, 2.0)
-        net.add_arc(1, 2, 10, 3.0)
-        net.add_supply(0, 4)
-        net.add_supply(2, -4)
-        result = solve_min_cost_flow(net)
-        assert flow_cost(net, result.flow) == pytest.approx(
+        costs = [2.0, 3.0]
+        result = solve_min_cost_flow([0, 1], [1, 2], [10, 10], costs, [4, 0, -4])
+        assert flow_cost(costs, result.flow.tolist()) == pytest.approx(
             result.total_cost
         )
 
     def test_empty_flow_costs_nothing(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 5, 9.0)
-        assert flow_cost(net, {}) == 0.0
+        assert flow_cost([9.0], [0]) == 0.0
 
 
 class TestCutoffSweepDataclass:

@@ -1,4 +1,4 @@
-"""Tests for the min-cost flow substrate, including randomised
+"""Tests for the min-cost flow solver, including randomised
 cross-validation against networkx's exact network simplex."""
 
 from unittest import mock
@@ -9,157 +9,144 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro import _native
-from repro.flow import (
-    FlowNetwork,
-    InfeasibleFlowError,
-    check_flow,
-    solve_min_cost_flow,
-    solve_with_networkx,
-)
-from repro.flow.ssp import (
-    _augment_native,
-    _augment_python,
-    _initial_potentials,
-)
+from repro.flow import InfeasibleFlowError, solve_min_cost_flow
+from repro.flow.ssp import _augment_python, _residual_graph
 
 
-def _snapshot_capacities(net: FlowNetwork) -> dict[int, int]:
-    return {arc: net.arc_cap[arc] for arc in net.forward_arcs()}
+def flow_cost(costs, flow) -> float:
+    """Objective value of a per-arc flow assignment."""
+    return sum(float(cost) * units for cost, units in zip(costs, flow))
 
 
-class TestFlowNetwork:
-    def test_arc_indexing(self):
-        net = FlowNetwork(3)
-        a = net.add_arc(0, 1, 5, 2.0)
-        b = net.add_arc(1, 2, 3, 1.0)
-        assert a == 0 and b == 2  # forward arcs at even indices
-        assert net.n_arcs == 2
-        assert net.arc_tail(a) == 0
-        assert net.arc_to[a] == 1
+def check_flow(columns, result) -> None:
+    """Assert that ``result.flow`` is feasible for the instance
+    ``(tails, heads, capacities, costs, supply)`` and costs what the
+    solver reported.
 
-    def test_supply_balance(self):
-        net = FlowNetwork(2)
-        net.add_supply(0, 5)
-        assert not net.is_balanced()
-        net.add_supply(1, -5)
-        assert net.is_balanced()
-        assert net.total_supply() == 5
-
-    def test_invalid_node_rejected(self):
-        net = FlowNetwork(2)
-        with pytest.raises(IndexError):
-            net.add_arc(0, 5, 1, 0.0)
-
-    def test_negative_capacity_rejected(self):
-        net = FlowNetwork(2)
-        with pytest.raises(ValueError):
-            net.add_arc(0, 1, -1, 0.0)
-
-    def test_zero_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            FlowNetwork(0)
-
-    def test_add_arcs_rejects_what_add_arc_rejects(self):
-        net = FlowNetwork(3)
-        with pytest.raises(IndexError):
-            net.add_arcs([0, 1], [1, 3], [1, 1], [0.0, 0.0])
-        with pytest.raises(IndexError):
-            net.add_arcs([-1], [1], [1], [0.0])
-        with pytest.raises(ValueError):
-            net.add_arcs([0], [1], [-1], [0.0])
-        with pytest.raises(ValueError):
-            net.add_arcs([0, 1], [1, 2], [1], [0.0, 0.0])
-        assert net.arc_to == [] and net.adjacency == [[], [], []]
-        assert net.add_arcs([], [], [], []) == 0
+    Raises:
+        AssertionError: on any capacity or conservation violation, or if
+            the recomputed cost disagrees with the reported one.
+    """
+    tails, heads, capacities, costs, supply = columns
+    flow = result.flow
+    assert flow.dtype == np.int64 and flow.shape == (len(tails),)
+    balance = [0] * len(supply)
+    for arc, (tail, head, cap, units) in enumerate(
+        zip(tails, heads, capacities, flow.tolist())
+    ):
+        assert units >= 0, f"negative flow {units} on arc {arc}"
+        assert units <= cap, f"arc {arc}: flow {units} exceeds capacity {cap}"
+        balance[tail] -= units
+        balance[head] += units
+    for node, amount in enumerate(supply):
+        assert balance[node] == -amount, (
+            f"node {node}: net inflow {balance[node]} != {-amount} "
+            "(conservation violated)"
+        )
+    recomputed = flow_cost(costs, flow.tolist())
+    assert abs(recomputed - result.total_cost) < 1e-6 * max(
+        1.0, abs(result.total_cost)
+    ), f"cost mismatch: reported {result.total_cost}, recomputed {recomputed}"
 
 
-def _network_lists(net):
-    """Every list a FlowNetwork exposes, floats as bit patterns (the
-    reverse of a zero-cost arc costs -0.0)."""
-    return (
-        net.n_nodes, net.arc_to, net._arc_tail, net.arc_cap,
-        [cost.hex() for cost in net.arc_cost], net.adjacency, net.supply,
-    )
+def solve_with_networkx(
+    supplies: list[int],
+    arcs: list[tuple[int, int, int, float]],
+    cost_scale: int = 1_000_000,
+) -> float:
+    """Exact optimum via networkx network simplex, for cross-validation.
+
+    Args:
+        supplies: per-node supply (positive = source).
+        arcs: ``(tail, head, capacity, cost)`` tuples.
+        cost_scale: networkx requires integer costs; floats are scaled by
+            this factor and the result scaled back.
+    """
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    for node, supply in enumerate(supplies):
+        # networkx uses "demand" = -supply.
+        graph.add_node(node, demand=-supply)
+    for tail, head, capacity, cost in arcs:
+        scaled = int(round(cost * cost_scale))
+        if graph.has_edge(tail, head):
+            # networkx DiGraph cannot hold parallel edges; merge by adding a
+            # relay node with the same capacity/cost split.
+            relay = graph.number_of_nodes()
+            graph.add_node(relay, demand=0)
+            graph.add_edge(tail, relay, capacity=capacity, weight=scaled)
+            graph.add_edge(relay, head, capacity=capacity, weight=0)
+        else:
+            graph.add_edge(tail, head, capacity=capacity, weight=scaled)
+    cost, _ = nx.network_simplex(graph)
+    return cost / cost_scale
+
+
+def _columns(instance):
+    """``(tails, heads, capacities, costs, supply)`` of an ``(n, arcs,
+    supplies)`` instance, ``arcs`` as ``(tail, head, capacity, cost)``."""
+    n, arcs, supplies = instance
+    assert len(supplies) == n
+    if not arcs:
+        return [], [], [], [], list(supplies)
+    return (*(list(column) for column in zip(*arcs)), list(supplies))
+
+
+def _solve(n, arcs, supplies):
+    return solve_min_cost_flow(*_columns((n, arcs, supplies)))
 
 
 class TestSolver:
     def test_single_path(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 10, 1.0)
-        net.add_arc(1, 2, 10, 2.0)
-        net.add_supply(0, 4)
-        net.add_supply(2, -4)
-        result = solve_min_cost_flow(net)
+        result = _solve(3, [(0, 1, 10, 1.0), (1, 2, 10, 2.0)], [4, 0, -4])
         assert result.total_cost == 4 * 3.0
 
     def test_prefers_cheap_path(self):
-        net = FlowNetwork(4)
-        cheap = net.add_arc(0, 1, 10, 1.0)
-        net.add_arc(1, 3, 10, 1.0)
-        expensive = net.add_arc(0, 2, 10, 5.0)
-        net.add_arc(2, 3, 10, 5.0)
-        net.add_supply(0, 5)
-        net.add_supply(3, -5)
-        result = solve_min_cost_flow(net)
+        result = _solve(
+            4,
+            [(0, 1, 10, 1.0), (1, 3, 10, 1.0), (0, 2, 10, 5.0),
+             (2, 3, 10, 5.0)],
+            [5, 0, 0, -5],
+        )
         assert result.total_cost == 10.0
-        assert result.flow[cheap] == 5
-        assert result.flow[expensive] == 0
+        assert result.flow.tolist() == [5, 5, 0, 0]  # one entry per arc
 
     def test_splits_when_capacity_binds(self):
-        net = FlowNetwork(4)
-        net.add_arc(0, 1, 3, 1.0)
-        net.add_arc(1, 3, 3, 1.0)
-        net.add_arc(0, 2, 10, 5.0)
-        net.add_arc(2, 3, 10, 5.0)
-        net.add_supply(0, 5)
-        net.add_supply(3, -5)
-        result = solve_min_cost_flow(net)
+        result = _solve(
+            4,
+            [(0, 1, 3, 1.0), (1, 3, 3, 1.0), (0, 2, 10, 5.0),
+             (2, 3, 10, 5.0)],
+            [5, 0, 0, -5],
+        )
         assert result.total_cost == 3 * 2 + 2 * 10
 
     def test_multiple_sources_sinks(self):
-        net = FlowNetwork(4)
-        net.add_arc(0, 2, 10, 1.0)
-        net.add_arc(1, 3, 10, 1.0)
-        net.add_arc(0, 3, 10, 3.0)
-        net.add_arc(1, 2, 10, 3.0)
-        net.add_supply(0, 2)
-        net.add_supply(1, 2)
-        net.add_supply(2, -2)
-        net.add_supply(3, -2)
-        result = solve_min_cost_flow(net)
+        result = _solve(
+            4,
+            [(0, 2, 10, 1.0), (1, 3, 10, 1.0), (0, 3, 10, 3.0),
+             (1, 2, 10, 3.0)],
+            [2, 2, -2, -2],
+        )
         assert result.total_cost == 4.0
 
     def test_unbalanced_rejected(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 1, 0.0)
-        net.add_supply(0, 2)
         with pytest.raises(InfeasibleFlowError):
-            solve_min_cost_flow(net)
+            _solve(2, [(0, 1, 1, 0.0)], [2, 0])
 
     def test_insufficient_capacity_rejected(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 1, 0.0)
-        net.add_supply(0, 5)
-        net.add_supply(1, -5)
         with pytest.raises(InfeasibleFlowError):
-            solve_min_cost_flow(net)
+            _solve(2, [(0, 1, 1, 0.0)], [5, -5])
 
     def test_zero_supply_trivial(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 1, 1.0)
-        result = solve_min_cost_flow(net)
+        result = _solve(2, [(0, 1, 1, 1.0)], [0, 0])
         assert result.total_cost == 0.0
         assert result.augmentations == 0
+        assert result.flow.tolist() == [0]
 
     def test_flow_feasibility_checked(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 10, 1.0)
-        net.add_arc(1, 2, 10, 1.0)
-        net.add_supply(0, 7)
-        net.add_supply(2, -7)
-        caps = _snapshot_capacities(net)
-        result = solve_min_cost_flow(net)
-        check_flow(net, result, caps)
+        instance = (3, [(0, 1, 10, 1.0), (1, 2, 10, 1.0)], [7, 0, -7])
+        check_flow(_columns(instance), _solve(*instance))
 
 
 class TestRandomisedCrossCheck:
@@ -170,7 +157,6 @@ class TestRandomisedCrossCheck:
     def test_matches_networkx(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 10))
-        net = FlowNetwork(n)
         arcs = []
         for _ in range(int(rng.integers(8, 24))):
             u, v = rng.integers(0, n, size=2)
@@ -178,154 +164,224 @@ class TestRandomisedCrossCheck:
                 continue
             cap = int(rng.integers(1, 12))
             cost = float(rng.integers(0, 9))
-            net.add_arc(int(u), int(v), cap, cost)
             arcs.append((int(u), int(v), cap, cost))
         # Guarantee feasibility with an expensive bidirectional backbone.
         for i in range(n - 1):
             for tail, head in ((i, i + 1), (i + 1, i)):
-                net.add_arc(tail, head, 10_000, 99.0)
                 arcs.append((tail, head, 10_000, 99.0))
         supply = int(rng.integers(1, 20))
         src = int(rng.integers(0, n))
         dst = (src + 1 + int(rng.integers(0, n - 1))) % n
-        net.add_supply(src, supply)
-        net.add_supply(dst, -supply)
         supplies = [0] * n
         supplies[src] = supply
         supplies[dst] = -supply
 
-        caps = _snapshot_capacities(net)
-        result = solve_min_cost_flow(net)
-        check_flow(net, result, caps)
+        result = _solve(n, arcs, supplies)
+        check_flow(_columns((n, arcs, supplies)), result)
         reference = solve_with_networkx(supplies, arcs)
         assert result.total_cost == pytest.approx(reference, abs=1e-6)
 
 
-class TestSolverReentrancy:
-    """The solver must leave the caller's network structurally intact:
-    virtual source/sink arcs are stripped on exit (regression: their
-    residual partners lingered in real nodes' adjacency with mutated
-    capacities, corrupting any later pass over the same network)."""
+@pytest.fixture(params=["native", "python_fallback"])
+def backend(request):
+    request.getfixturevalue(request.param)
 
-    def _chain(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 10, 1.0)
-        net.add_arc(1, 2, 10, 2.0)
-        net.add_supply(0, 4)
-        net.add_supply(2, -4)
-        return net
+
+def _good_columns():
+    """Two paths from node 0 to node 3, four units to route: the cheap
+    one takes three, the dear one the fourth."""
+    return [
+        np.array([0, 1, 0, 2]), np.array([1, 3, 2, 3]),
+        np.array([3, 3, 10, 10]), np.array([1.0, 1.0, 5.0, 5.0]),
+        np.array([4, 0, 0, -4]),
+    ]
+
+
+def _edit(column, index, value):
+    def edit(columns):
+        columns[column] = columns[column].copy()
+        if index is None:
+            columns[column] = value
+        else:
+            columns[column][index] = value
+    return edit
+
+
+#: ``(edit of the good columns, error, message)``: every instance the
+#: solver refuses at its entry, then the two it cannot route.
+_REFUSALS = [
+    pytest.param(_edit(1, None, np.array([1, 3, 2])), ValueError,
+                 "arc columns differ in length", id="columns differ in length"),
+    pytest.param(_edit(3, None, np.array([1.0])), ValueError,
+                 "arc columns differ in length", id="costs differ in length"),
+    pytest.param(_edit(1, 2, 4), ValueError, "arc endpoint out of range",
+                 id="head past the last node"),
+    pytest.param(_edit(0, 0, -1), ValueError, "arc endpoint out of range",
+                 id="negative tail"),
+    pytest.param(_edit(2, 1, -1), ValueError,
+                 "arc capacity must be non-negative", id="negative capacity"),
+    pytest.param(_edit(2, None, [3, 3, 2**70, 10]), ValueError,
+                 "endpoints, capacities and supplies must be int64 integers",
+                 id="capacity past int64"),
+    pytest.param(_edit(2, None, np.array([3, 3, 2**63, 10], dtype=np.uint64)),
+                 ValueError,
+                 "endpoints, capacities and supplies must be int64 integers",
+                 id="uint64 capacity past int64"),
+    pytest.param(_edit(2, None, np.array([3.0, 3.0, 10.5, 10.0])), ValueError,
+                 "endpoints, capacities and supplies must be int64 integers",
+                 id="fractional capacity"),
+    pytest.param(_edit(4, None, [4.0, 0.0, 0.0, -4.0]), ValueError,
+                 "endpoints, capacities and supplies must be int64 integers",
+                 id="float supply"),
+    pytest.param(_edit(3, 2, -0.5), ValueError,
+                 "arc costs must be finite and non-negative",
+                 id="negative cost"),
+    pytest.param(_edit(3, 2, np.nan), ValueError,
+                 "arc costs must be finite and non-negative", id="NaN cost"),
+    pytest.param(_edit(3, 2, np.inf), ValueError,
+                 "arc costs must be finite and non-negative",
+                 id="infinite cost"),
+    pytest.param(lambda columns: columns.__setitem__(
+        slice(None), [np.array([], dtype=np.int64)] * 4 + [np.array([])]
+    ), ValueError, "a flow network needs at least one node", id="no nodes"),
+    pytest.param(_edit(4, 3, -3), InfeasibleFlowError,
+                 "total supply 1 != 0; instance unbalanced", id="unbalanced"),
+    pytest.param(_edit(2, None, np.array([3, 3, 0, 10])), InfeasibleFlowError,
+                 "1 unit(s) of supply cannot reach a demand",
+                 id="supply stranded"),
+]
+
+
+class TestEntry:
+    """What the solver refuses, on both backends, and that a solve —
+    routed, refused or stranded — only reads the caller's columns."""
+
+    def test_a_solve_leaves_its_columns_alone(self, backend):
+        columns = _good_columns()
+        kept = [column.copy() for column in columns]
+        result = solve_min_cost_flow(*columns)
+        assert (result.total_cost, result.flow.tolist()) == (16.0, [3, 3, 1, 1])
+        for column, before in zip(columns, kept):
+            assert column.tobytes() == before.tobytes()
+        again = solve_min_cost_flow(*columns)
+        assert again.flow.tolist() == result.flow.tolist()
+
+    @pytest.mark.parametrize("edit, error, message", _REFUSALS)
+    def test_a_refused_instance_leaves_its_columns_alone(
+        self, backend, edit, error, message
+    ):
+        columns = _good_columns()
+        edit(columns)
+        kept = [np.array(column, copy=True) for column in columns]
+        with pytest.raises(error) as caught:
+            solve_min_cost_flow(*columns)
+        assert type(caught.value) is error and str(caught.value) == message
+        for column, before in zip(columns, kept):
+            column = np.asarray(column)
+            assert column.dtype == before.dtype
+            assert column.tobytes() == before.tobytes()
+
+
+def _chain_columns():
+    """Four units from node 0 to node 2 over a two-arc chain."""
+    return [0, 1], [1, 2], [10, 10], [1.0, 2.0], [4, 0, -4]
+
+
+class TestFlowNetwork:
+    """What the arc-at-a-time network builder checked and how it indexed
+    arcs, now held by the columns the solver takes."""
+
+    def test_arc_indexing(self):
+        graph = _residual_graph([0, 1], [1, 2], [5, 3], [2.0, 1.0], [0, 0, 0])
+        arc_to, arc_tail = graph[4].tolist(), graph[5].tolist()
+        # Input arc i is residual arc 2i; 2i + 1 is its partner.
+        assert arc_tail == [0, 1, 1, 2] and arc_to == [1, 0, 2, 1]
+        assert graph[6].tolist() == [5, 0, 3, 0]
+        result = solve_min_cost_flow([0, 1], [1, 2], [5, 3], [2.0, 1.0],
+                                     [0, 0, 0])
+        assert result.flow.dtype == np.int64 and result.flow.tolist() == [0, 0]
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity must be non-negative"):
+            solve_min_cost_flow([0], [1], [-1], [0.0], [0, 0])
+
+    def test_add_arcs_rejects_what_add_arc_rejects(self):
+        """Python lists and numpy columns are refused alike, and neither
+        is changed by the refusal."""
+        bad = [
+            ([0, 1], [1, 3], [1, 1], [0.0, 0.0], "arc endpoint out of range"),
+            ([-1], [1], [1], [0.0], "arc endpoint out of range"),
+            ([0], [1], [-1], [0.0], "arc capacity must be non-negative"),
+            ([0, 1], [1, 2], [1], [0.0, 0.0], "arc columns differ in length"),
+        ]
+        for *arcs, message in bad:
+            for columns in (
+                [list(column) for column in (*arcs, [0, 0, 0])],
+                [np.array(column) for column in (*arcs, [0, 0, 0])],
+            ):
+                kept = [np.array(column, copy=True) for column in columns]
+                with pytest.raises(ValueError) as caught:
+                    solve_min_cost_flow(*columns)
+                assert str(caught.value) == message
+                for column, before in zip(columns, kept):
+                    assert np.array_equal(column, before)
+        empty = solve_min_cost_flow([], [], [], [], [0, 0, 0])
+        assert empty.flow.tolist() == [] and empty.total_cost == 0.0
+
+
+class TestSolverReentrancy:
+    """A solve builds its residual graph afresh from the columns, so
+    nothing of one solve reaches the caller or the next solve."""
 
     def test_virtual_arcs_stripped_after_solve(self):
-        net = self._chain()
-        n_arcs = len(net.arc_to)
-        adjacency = [list(a) for a in net.adjacency]
-        solve_min_cost_flow(net)
-        assert len(net.arc_to) == n_arcs
-        assert len(net.arc_cap) == n_arcs
-        assert len(net.arc_cost) == n_arcs
-        assert len(net._arc_tail) == n_arcs
-        assert net.n_nodes == 3
-        assert [list(a) for a in net.adjacency] == adjacency
-        # The flow itself stays encoded in the real arcs' residuals.
-        assert net.arc_flow(0) == 4 and net.arc_flow(2) == 4
-
-    def test_virtual_arcs_stripped_after_infeasible(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 1, 1.0)
-        net.add_supply(0, 5)
-        net.add_supply(1, -5)
-        n_arcs = len(net.arc_to)
-        with pytest.raises(InfeasibleFlowError):
-            solve_min_cost_flow(net)
-        assert len(net.arc_to) == n_arcs
-        assert net.n_nodes == 2
-        assert all(a < n_arcs for adj in net.adjacency for a in adj)
+        columns = _chain_columns()
+        kept = [list(column) for column in columns]
+        result = solve_min_cost_flow(*columns)
+        assert [list(column) for column in columns] == kept
+        # One flow entry per input arc: no super-source or sink arc.
+        assert result.flow.tolist() == [4, 4]
+        assert result.total_cost == 12.0
 
     def test_second_solve_sees_no_stale_arcs(self):
-        net = self._chain()
-        first = solve_min_cost_flow(net)
-        assert first.total_cost == pytest.approx(12.0)
-        # Supplies are untouched, so a second solve routes 4 more units
-        # through the residual graph — exercising every arc iteration that
-        # previously hit the stale virtual arcs.
-        second = solve_min_cost_flow(net)
-        assert second.total_cost == pytest.approx(12.0)
-        assert net.arc_flow(0) == 8 and net.arc_flow(2) == 8
-
-
-def _reference_initial_potentials(network, n_total):
-    """`_initial_potentials` before its fast path looked at capacities:
-    any negative cost — every residual partner of a positive-cost arc —
-    sent it through Bellman-Ford."""
-    if all(c >= 0 for c in network.arc_cost):
-        return [0.0] * n_total
-    dist = [0.0] * n_total
-    for _ in range(n_total - 1):
-        changed = False
-        for arc in range(len(network.arc_to)):
-            if network.arc_cap[arc] <= 0:
-                continue
-            candidate = dist[network.arc_tail(arc)] + network.arc_cost[arc]
-            if candidate < dist[network.arc_to[arc]] - 1e-12:
-                dist[network.arc_to[arc]] = candidate
-                changed = True
-        if not changed:
-            break
-    return dist
+        columns = _chain_columns()
+        first = solve_min_cost_flow(*columns)
+        second = solve_min_cost_flow(*columns)
+        assert first.total_cost == second.total_cost == 12.0
+        assert first.flow.tolist() == second.flow.tolist() == [4, 4]
+        assert first.augmentations == second.augmentations
 
 
 class TestInitialPotentials:
-    def test_zero_without_bellman_ford_on_non_negative_costs(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 5, 2.0)
-        net.add_arc(1, 2, 5, 0.0)
-
-        class NoTails(list):
-            def __getitem__(self, index):
-                raise AssertionError("Bellman-Ford ran on non-negative costs")
-
-        net._arc_tail = NoTails(net._arc_tail)
-        assert _initial_potentials(net, 3) == [0.0, 0.0, 0.0]
-
     def test_negative_cost_dag_unchanged(self):
-        net = FlowNetwork(4)
-        net.add_arc(0, 1, 3, -2.0)
-        net.add_arc(1, 2, 3, 1.5)
-        net.add_arc(0, 2, 0, -9.0)  # no capacity: must not count
-        net.add_arc(2, 3, 3, -0.25)
-        expected = _reference_initial_potentials(net, 4)
-        assert expected == [0.0, -2.0, -0.5, -0.75]
-        assert _initial_potentials(net, 4) == expected
-
-    def test_augmented_network_still_runs_bellman_ford(self):
-        """After a solve the residual partners of the used arcs have
-        capacity *and* negative cost."""
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 10, 1.0)
-        net.add_arc(1, 2, 10, 2.0)
-        net.add_supply(0, 4)
-        net.add_supply(2, -4)
-        solve_min_cost_flow(net)
-        expected = _reference_initial_potentials(net, 3)
-        assert expected == [-3.0, -2.0, 0.0]
-        assert _initial_potentials(net, 3) == expected
+        """The negative-cost DAG Bellman-Ford once priced is refused, and
+        left as it was; with its costs made non-negative the potentials
+        start at zero."""
+        tails, heads, capacities = [0, 1, 0, 2], [1, 2, 2, 3], [3, 3, 0, 3]
+        costs, supply = [-2.0, 1.5, -9.0, -0.25], [3, 0, 0, -3]
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            solve_min_cost_flow(tails, heads, capacities, costs, supply)
+        assert costs == [-2.0, 1.5, -9.0, -0.25]
+        graph = _residual_graph(
+            tails, heads, capacities, [abs(c) for c in costs], supply
+        )
+        assert [p.hex() for p in graph[8].tolist()] == [0.0.hex()] * 6
 
 
 #: Cost palettes.  Unit costs tie constantly, so which path wins is down
 #: to the solver's tie-breaks (as in the OPT graphs); the decimal ones tie
 #: on paper but round differently under a different association.
 _PALETTES = st.sampled_from(
-    [(0.0, 1.0), (0.1, 0.2, 0.3, 0.4, 0.7), (-2.0, -0.5, 0.0, 1.0 / 3.0, 3.0)]
+    [(0.0, 1.0), (0.1, 0.2, 0.3, 0.4, 0.7), (0.0, 1.0 / 3.0, 3.0)]
 )
 
 
 @st.composite
 def _flow_instances(draw):
-    """Small dense networks whose arcs all point forward (``tail < head``),
-    so negative costs cannot form a cycle.  Parallel and zero-capacity
-    arcs included; demands sit downstream of their supplies and most
-    instances get a roomy chain, so many route — over tied paths — while
-    the rest strand some supply or are unbalanced."""
+    """Small dense networks whose arcs all point forward (``tail < head``).
+    Parallel and zero-capacity arcs included; demands sit downstream of
+    their supplies and most instances get a roomy chain, so many route —
+    over tied paths — while the rest strand some supply or are
+    unbalanced."""
     n = draw(st.integers(3, 8))
     costs = st.sampled_from(draw(_PALETTES))
     pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(
@@ -362,92 +418,46 @@ _TIED_SUPPLIES = (
 )
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_add_arcs_equals_the_add_arc_loop(data):
-    """In every list, adjacency order included — whether the arcs go in
-    as one bulk call, several, or mixed with single adds."""
-    n, arcs, _ = data.draw(_flow_instances())
-    cut = data.draw(st.integers(0, len(arcs)))
-    looped, bulk = FlowNetwork(n), FlowNetwork(n)
-    for arc in arcs:
-        looped.add_arc(*arc)
-    first = None
-    for part in (arcs[:cut], arcs[cut:]):
-        if len(part) == 1:
-            bulk.add_arc(*part[0])
-        elif part:
-            tails, heads, capacities, costs = zip(*part)
-            index = bulk.add_arcs(
-                np.array(tails), np.array(heads), capacities, np.array(costs)
-            )
-            first = index if first is None else first
-    assert _network_lists(bulk) == _network_lists(looped)
-    assert first in (None, 0, 2)
-    assert all(type(cap) is int for cap in bulk.arc_cap)
-
-
-def _build(instance):
-    n, arcs, supplies = instance
-    net = FlowNetwork(n)
-    for arc in arcs:
-        net.add_arc(*arc)
-    for node, amount in enumerate(supplies):
-        net.add_supply(node, amount)
-    return net
-
-
-def _outcome(net):
-    """Everything a solve leaves behind, floats as bit patterns."""
+def _outcome(columns):
+    """What a solve returns, floats as bit patterns, or its error text."""
     try:
-        result = solve_min_cost_flow(net)
-        outcome = (result.total_cost.hex(), result.flow, result.augmentations)
+        result = solve_min_cost_flow(*columns)
     except InfeasibleFlowError as exc:
-        outcome = str(exc)
-    return outcome, list(net.arc_cap), [list(a) for a in net.adjacency]
+        return str(exc)
+    return result.total_cost.hex(), result.flow.tolist(), result.augmentations
 
 
 class TestNativeMatchesPython:
     """The C augmentation loop is a transliteration: same cost bits, same
-    flow, same path count, same residual capacities, same error text."""
+    flow, same path count, same error text."""
 
     @given(_flow_instances())
     @example(_TIED_SUPPLIES)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_generated_networks(self, native, instance):
-        fast, slow = _build(instance), _build(instance)
-        capacities = _snapshot_capacities(fast)
-        for attempt in ("first solve", "second solve on the residual"):
-            found = _outcome(fast)
-            with mock.patch.object(_native, "_state", False):
-                expected = _outcome(slow)
-            assert found == expected, attempt
-        # (the second solve re-routes the supply, so only the first
-        # is a flow of the original instance)
-        verified = _build(instance)
-        try:
-            result = solve_min_cost_flow(verified)
-        except InfeasibleFlowError:
-            return
-        check_flow(verified, result, capacities)
+        columns = _columns(instance)
+        found = _outcome(columns)
+        with mock.patch.object(_native, "_state", False):
+            expected = _outcome(columns)
+        assert found == expected
+        if not isinstance(found, str):
+            check_flow(columns, solve_min_cost_flow(*columns))
 
     def test_oversized_capacity_takes_the_python_loop(self):
-        """Beyond 2**53 a capacity no longer converts to double exactly
-        (and 2**70 does not fit int64 at all)."""
+        """From 2**53 a capacity or supply no longer converts to double
+        exactly."""
 
         class Unreachable:
             def ssp_augment(self, *args):
                 raise AssertionError("fixed-width routine got a big integer")
 
-        for capacity in (2**53, 2**70):
-            net = FlowNetwork(2)
-            net.add_arc(0, 1, capacity, 1.0)
-            net.add_supply(0, 3)
-            net.add_supply(1, -3)
+        for capacity, units in ((2**53, 3), (2**62, 2**53)):
             with mock.patch.object(_native, "load", return_value=Unreachable()):
-                result = solve_min_cost_flow(net)
-            assert result.total_cost == 3.0
-            assert net.arc_cap == [capacity - 3, 3]
+                result = solve_min_cost_flow(
+                    [0], [1], [capacity], [1.0], [units, -units]
+                )
+            assert result.total_cost == float(units)
+            assert result.flow.tolist() == [units]
 
 
 #: Few distinct costs: distances tie constantly, so the finishing order is
@@ -485,6 +495,59 @@ def _tied_instances(draw):
     return n, arcs, supplies
 
 
+def _residual_by_add_arc(instance):
+    """The residual graph as it was built one ``add_arc`` at a time: the
+    input arcs, then a super-source or super-sink arc per node with a
+    supply, in node order; each arc appended with its partner, each
+    node's adjacency grown in arc order."""
+    n, arcs, supplies = instance
+    source, sink = n, n + 1
+    arcs = list(arcs) + [
+        (source, node, amount, 0.0) if amount > 0 else (node, sink, -amount, 0.0)
+        for node, amount in enumerate(supplies) if amount
+    ]
+    arc_to, arc_tail, arc_cap, arc_cost = [], [], [], []
+    adjacency = [[] for _ in range(n + 2)]
+    for tail, head, capacity, cost in arcs:
+        for u, v, cap, c in ((tail, head, capacity, cost), (head, tail, 0, -cost)):
+            adjacency[u].append(len(arc_to))
+            arc_to.append(v)
+            arc_tail.append(u)
+            arc_cap.append(cap)
+            arc_cost.append(c.hex())
+    adj_start = [0]
+    for arcs_out in adjacency:
+        adj_start.append(adj_start[-1] + len(arcs_out))
+    return (
+        source, sink, adj_start, sum(adjacency, []), arc_to, arc_tail,
+        arc_cap, arc_cost, [0.0.hex()] * (n + 2),
+        sum(amount for amount in supplies if amount > 0),
+    )
+
+
+@given(st.one_of(
+    _tied_instances(),
+    _flow_instances().filter(lambda instance: sum(instance[2]) == 0),
+))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_residual_graph_equals_the_add_arc_loop(instance):
+    """Arc order and adjacency order break the solver's ties, so the
+    arrays the augmentation loops take are held to the loop that built
+    them one arc at a time — element for element, costs as bit patterns
+    (a zero cost's partner is -0.0)."""
+    graph = _residual_graph(*_columns(instance))
+    found = []
+    for value in graph:
+        if isinstance(value, np.ndarray):
+            assert value.dtype in (np.int64, np.float64)
+            assert value.flags.c_contiguous and value.flags.writeable
+            value = value.tolist()
+            if value and isinstance(value[0], float):
+                value = [v.hex() for v in value]
+        found.append(value)
+    assert tuple(found) == _residual_by_add_arc(instance)
+
+
 #: Node 3 is relaxed three times (9, then 6, then 3) before it is popped:
 #: each relaxation moves it up the heap from the slot it is in.
 _RELAXED_THRICE = (
@@ -508,28 +571,13 @@ def _augmented(instance, native):
     and potentials as bit patterns, path count, stranded supply, residual
     capacities (the flow is their odd entries) — by the C routine behind
     ``native``, or by the Python loop when ``native`` is None."""
-    net = _build(instance)
-    source, sink = net.n_nodes, net.n_nodes + 1
-    net.adjacency += [[], []]
-    net.n_nodes += 2
-    remaining = 0
-    for node, supply in enumerate(net.supply):
-        if supply > 0:
-            net.add_arc(source, node, supply, 0.0)
-            remaining += supply
-        elif supply < 0:
-            net.add_arc(node, sink, -supply, 0.0)
-    potential = _initial_potentials(net, net.n_nodes)
-    if native is None:
-        solved = _augment_python(net, potential, source, sink, remaining)
-    else:
-        solved = _augment_native(
-            native, net, potential, source, sink, remaining
-        )
-    total_cost, augmentations, stranded = solved
+    graph = _residual_graph(*_columns(instance))
+    augment = _augment_python if native is None else native.ssp_augment
+    stranded, total_cost, augmentations = augment(*graph)
+    arc_cap, potential = graph[6], graph[8]
     return (
-        total_cost.hex(), augmentations, stranded, net.arc_cap,
-        [p.hex() for p in potential],
+        total_cost.hex(), augmentations, stranded, arc_cap.tolist(),
+        [p.hex() for p in potential.tolist()],
     )
 
 

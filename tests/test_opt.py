@@ -1,6 +1,7 @@
 """Tests for the OPT computation (min-cost flow encoding and extraction)."""
 
 from dataclasses import fields
+from hashlib import blake2b
 from unittest import mock
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _native
-from repro.flow import FlowNetwork, solve_min_cost_flow
+from repro.flow import solve_min_cost_flow
 from repro.opt import (
     OptResult,
     belady_unit_size,
     build_opt_network,
     opt_hit_ratios,
     solve_opt,
+    solve_pruned,
     solve_segmented,
 )
 from repro.trace import Request, Trace
@@ -23,59 +25,62 @@ from repro.trace import Request, Trace
 
 class TestBuildNetwork:
     def test_paper_figure4_structure(self, paper_trace):
-        net, bypass = build_opt_network(paper_trace, cache_size=3)
-        # 11 central arcs + one bypass per request with a next occurrence.
+        tails, heads, _, _, _ = build_opt_network(paper_trace, cache_size=3)
+        # 11 central arcs, then one bypass per request with a next
+        # occurrence, in trace order.
         nxt = paper_trace.next_occurrence()
-        expected_bypass = int((nxt >= 0).sum())
-        assert net.n_arcs == 11 + expected_bypass
-        assert set(bypass) == {i for i in range(12) if nxt[i] >= 0}
+        opens = [i for i in range(12) if nxt[i] >= 0]
+        assert len(tails) == len(heads) == 11 + len(opens)
+        assert tails[:11].tolist() == list(range(11))
+        assert heads[:11].tolist() == list(range(1, 12))
+        assert tails[11:].tolist() == opens
+        assert heads[11:].tolist() == [int(nxt[i]) for i in opens]
 
     def test_supplies_at_first_and_last(self, paper_trace):
-        net, _ = build_opt_network(paper_trace, cache_size=3)
+        *_, supply = build_opt_network(paper_trace, cache_size=3)
         # a: first at 0 (+3), last at 11 (-3); b: 1 (+1), 10 (-1);
         # c: 2 (+1), 6 (-1); d: 4 (+2), 7 (-2).
-        assert net.supply[0] == 3 and net.supply[11] == -3
-        assert net.supply[1] == 1 and net.supply[10] == -1
-        assert net.supply[2] == 1 and net.supply[6] == -1
-        assert net.supply[4] == 2 and net.supply[7] == -2
-        assert net.is_balanced()
+        assert supply[0] == 3 and supply[11] == -3
+        assert supply[1] == 1 and supply[10] == -1
+        assert supply[2] == 1 and supply[6] == -1
+        assert supply[4] == 2 and supply[7] == -2
+        assert supply.sum() == 0
 
     def test_single_request_object_has_no_supply(self):
         t = Trace([Request(0, 1, 5), Request(1, 2, 3)])
-        net, bypass = build_opt_network(t, cache_size=10)
-        assert net.supply == [0, 0]
-        assert bypass == {}
+        tails, heads, _, _, supply = build_opt_network(t, cache_size=10)
+        assert supply.tolist() == [0, 0]
+        assert (tails.tolist(), heads.tolist()) == ([0], [1])  # chain only
 
     def test_invalid_inputs(self, paper_trace):
         with pytest.raises(ValueError):
             build_opt_network(paper_trace, cache_size=0)
+        with pytest.raises(ValueError):  # a capacity int64 cannot hold
+            build_opt_network(paper_trace, cache_size=2**63)
         with pytest.raises(ValueError):
             build_opt_network(Trace(), cache_size=5)
 
 
 def _build_opt_network_arc_by_arc(trace: Trace, cache_size: int):
-    """`build_opt_network` as the `add_arc` / `add_supply` loops it was
-    before it built its columns with numpy: the oracle of arc order,
-    adjacency order and every float."""
+    """`build_opt_network` as the per-arc / per-node loops it was before
+    it built its columns with numpy: the oracle of arc order and every
+    float."""
     n = len(trace)
     sizes, costs = trace.sizes, trace.costs
     nxt, prv = trace.next_occurrence(), trace.prev_occurrence()
-    network = FlowNetwork(n)
-    for i in range(n - 1):
-        network.add_arc(i, i + 1, cache_size, 0.0)
-    bypass_arc = {}
+    arcs = [(i, i + 1, cache_size, 0.0) for i in range(n - 1)]
     for i in range(n):
         if nxt[i] >= 0:
             size = int(sizes[i])
-            bypass_arc[i] = network.add_arc(
-                i, int(nxt[i]), size, float(costs[i]) / size
-            )
+            arcs.append((i, int(nxt[i]), size, float(costs[i]) / size))
+    supply = [0] * n
     for i in range(n):
         if prv[i] < 0 <= nxt[i]:
-            network.add_supply(i, int(sizes[i]))
+            supply[i] += int(sizes[i])
         elif nxt[i] < 0 <= prv[i]:
-            network.add_supply(i, -int(sizes[i]))
-    return network, bypass_arc
+            supply[i] -= int(sizes[i])
+    tails, heads, capacities, arc_costs = (list(c) for c in zip(*arcs))
+    return tails, heads, capacities, arc_costs, supply
 
 
 @pytest.mark.parametrize("lognormal_costs", [False, True])
@@ -83,23 +88,23 @@ def _build_opt_network_arc_by_arc(trace: Trace, cache_size: int):
 def test_array_built_network_equals_arc_by_arc(seed, lognormal_costs):
     trace = _generated_trace(seed, lognormal_costs)
     cache_size = 2**62 if seed == 3 else 150
-    found, found_bypass = build_opt_network(trace, cache_size)
-    expected, expected_bypass = _build_opt_network_arc_by_arc(
+    found = build_opt_network(trace, cache_size)
+    tails, heads, capacities, costs, supply = _build_opt_network_arc_by_arc(
         trace, cache_size
     )
-    assert list(found_bypass.items()) == list(expected_bypass.items())
-    for name in ("n_nodes", "arc_to", "_arc_tail", "arc_cap", "adjacency",
-                 "supply"):
-        assert getattr(found, name) == getattr(expected, name), name
-    assert [c.hex() for c in found.arc_cost] == [
-        c.hex() for c in expected.arc_cost
-    ]
-    assert {type(c) for c in found.arc_cap + found.supply} == {int}
+    for name, column, expected in (
+        ("tails", found[0], tails), ("heads", found[1], heads),
+        ("capacities", found[2], capacities), ("supply", found[4], supply),
+    ):
+        assert column.dtype == np.int64, name
+        assert column.tolist() == expected, name
+    assert found[3].dtype == np.float64
+    assert [c.hex() for c in found[3].tolist()] == [c.hex() for c in costs]
 
 
 def test_single_request_network():
-    net, bypass = build_opt_network(Trace([Request(0, 1, 5)]), cache_size=9)
-    assert (net.arc_to, net.adjacency, net.supply, bypass) == ([], [[]], [0], {})
+    columns = build_opt_network(Trace([Request(0, 1, 5)]), cache_size=9)
+    assert [c.tolist() for c in columns] == [[], [], [], [], [0]]
 
 
 class TestSolveOpt:
@@ -245,14 +250,18 @@ def _solve_opt_row_by_row(trace: Trace, cache_size: int) -> OptResult:
     """`solve_opt`'s extraction as one Python loop per field — the oracle
     of its columnar form."""
     n = len(trace)
-    network, bypass_arc = build_opt_network(trace, cache_size)
-    result = solve_min_cost_flow(network)
+    result = solve_min_cost_flow(*build_opt_network(trace, cache_size))
     sizes, costs = trace.sizes, trace.costs
     nxt, prv = trace.next_occurrence(), trace.prev_occurrence()
     cached_fraction = np.zeros(n, dtype=np.float64)
     decisions = np.zeros(n, dtype=bool)
     hit_bytes = np.zeros(n, dtype=np.int64)
-    bypass_flow = {i: result.flow.get(arc, 0) for i, arc in bypass_arc.items()}
+    bypass_flow = {}
+    arc = n - 1  # the first bypass arc
+    for i in range(n):
+        if int(nxt[i]) >= 0:
+            bypass_flow[i] = int(result.flow[arc])
+            arc += 1
     for i in range(n):
         if int(nxt[i]) >= 0:
             missed = bypass_flow[i]
@@ -284,6 +293,63 @@ def test_columnar_extraction_matches_row_by_row(seed, lognormal_costs):
             solve_opt(trace, cache_size),
             _solve_opt_row_by_row(trace, cache_size),
         )
+
+
+def _result_digest(result) -> str:
+    """Every field of an OPT result: arrays with their dtype, floats as
+    bit patterns."""
+    digest = blake2b(digest_size=8)
+    for spec in fields(result):
+        value = getattr(result, spec.name)
+        if isinstance(value, np.ndarray):
+            digest.update(value.dtype.str.encode() + value.tobytes())
+        elif isinstance(value, float):
+            digest.update(value.hex().encode())
+        else:
+            digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
+#: ``(seed, lognormal_costs) -> (solve_opt digests, solve_pruned
+#: digests)`` at cache sizes 25 and 200 on 400-request traces; the
+#: ``cost == size`` ones tie on every bypass arc.  Recorded on both
+#: backends before the solver took arc columns; a change meant to keep
+#: the labels leaves them alone.
+_SOLVE_PINS = {
+    (0, False): (("6e4b5692e7287630", "6e4bf51007d46987"),
+                 ("b28057d78ad26a12", "69dcd115014835f7")),
+    (0, True): (("208986134ef4a71a", "c8b060d624a5f500"),
+                ("759da382ace6fb61", "9132ccb62090ff9b")),
+    (1, False): (("0450a15b77cbdc9a", "244d236df39e9983"),
+                 ("db81cb52aa7c2160", "08305f4c7b3ab892")),
+    (1, True): (("314ef07eb9b9f310", "014a1f704f102994"),
+                ("238fa3dfac9f3aaf", "f973faff0c42fad4")),
+    (2, False): (("8a3ec0c7a3209e8a", "b1491ae8a429969b"),
+                 ("2c3e082d3e9a6cf8", "060c6b2867c7ffb8")),
+    (2, True): (("056a1527c29a5244", "33b11128e8d58341"),
+                ("8b8acee117918bbd", "a58ae863b478859c")),
+    (3, False): (("b6070a77a7a8cb29", "509cd9ccc84c1168"),
+                 ("882d6aace4ecf6c6", "49dd2780c8c2394b")),
+    (3, True): (("30ad14f240949155", "19b976a791ad7d9e"),
+                ("be45227d3fc887fa", "081bb80208054031")),
+}
+
+
+@pytest.mark.parametrize("seed, lognormal_costs", sorted(_SOLVE_PINS))
+def test_exact_and_pruned_solves_match_the_recorded_digests(
+    seed, lognormal_costs
+):
+    """On whichever backend this run has: the default one, or the
+    Python loop under ``REPRO_GBDT_NO_CC=1``."""
+    trace = _generated_trace(seed, lognormal_costs, n=400)
+    found = (
+        tuple(_result_digest(solve_opt(trace, c)) for c in (25, 200)),
+        tuple(
+            _result_digest(solve_pruned(trace, c, keep_fraction=0.3))
+            for c in (25, 200)
+        ),
+    )
+    assert found == _SOLVE_PINS[seed, lognormal_costs]
 
 
 class TestNativeMatchesPython:
