@@ -121,7 +121,9 @@ class LabelFitJob:
         spans (nested in the trainer's ``online.train_window``); the fit's
         binning needs no label, so an idle core makes it during the solve
         (measured on two cores against binning after the solve:
-        ``online_serve`` ~2% faster, 30 alternating pairs).
+        ``online_serve`` ~2% faster, 30 alternating pairs).  ``features``
+        is the trainer's window matrix itself, and binning it adds only
+        its ``uint8`` bins and column-sized temporaries.
 
         Between the two, the :data:`~repro.core.trainer.deployed_model`
         (none on a cold window) scores the rows it served in one batched

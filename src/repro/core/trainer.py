@@ -149,6 +149,11 @@ class _CallerThreadExecutor(Executor):
 class WindowTrainer:
     """Window buffer plus trainer supervisor: submit → wait → install.
 
+    The buffer is one ``(window, d)`` float64 matrix, allocated at a
+    window's first :meth:`record` (``d`` is that row's length).  Each
+    ``record`` copies its row in; the full matrix is the job's
+    ``features`` as it stands, and the next window starts a new one.
+
     Args:
         window: requests per training window ``W[t]``.
         job: the :data:`TrainingJob` run on each closed window.
@@ -239,10 +244,11 @@ class WindowTrainer:
 
     def _clear(self) -> None:
         """Constructed state: empty buffer, zero counters, flags off."""
-        #: The open window: served requests and the live feature row each
-        #: was scored with, in order.
+        #: The open window: served requests, and the ``(window, d)``
+        #: matrix whose first ``len(requests)`` rows are the feature rows
+        #: each was scored with (None until the window's first record).
         self.requests: list[Request] = []
-        self.features: list[np.ndarray] = []
+        self.rows: np.ndarray | None = None
         self.n_retrains = 0
         self.n_skipped_retrains = 0
         self.n_failed_retrains = 0
@@ -330,12 +336,16 @@ class WindowTrainer:
         """Buffer one served request; True when it filled the window.
 
         ``features`` must be the row the request was actually scored with
-        — training must see exactly what serving saw.  A full window is
-        handed to the job and an empty one started before this returns.
+        — training must see exactly what serving saw; it is copied, so
+        the caller may reuse its array.  A full window is handed to the
+        job and an empty one started before this returns.
         """
+        n = len(self.requests)
+        if self.rows is None:
+            self.rows = np.empty((self.window, len(features)))
+        self.rows[n] = features
         self.requests.append(request)
-        self.features.append(features)
-        if len(self.requests) < self.window:
+        if n + 1 < self.window:
             return False
         registry = get_registry()
         with registry.span("online.window_close"):
@@ -394,7 +404,7 @@ class WindowTrainer:
 
     def _submit_window(self, registry) -> None:
         requests, self.requests = self.requests, []
-        rows, self.features = self.features, []
+        features, self.rows = self.rows, None
         name = f"W[{self._windows_closed}]"
         self._windows_closed += 1
         self.windows_since_model += 1
@@ -433,7 +443,6 @@ class WindowTrainer:
             self._owns_executor = True
         # Snapshots: the worker must not reach back into self.
         job, deployed = self.job, self._model
-        features = np.vstack(rows)
         try:
             future = self.executor.submit(
                 _run_job, job, requests, features, name, deployed,

@@ -22,15 +22,15 @@ def _quantiles(max_bins: int) -> np.ndarray:
 
 
 def _sorted_percentiles(ordered: np.ndarray, max_bins: int) -> np.ndarray:
-    """``np.percentile(row, _quantiles(max_bins))`` of each sorted row
-    (at least two values), by numpy's own ``"linear"`` rule: the same
-    floats, read off the sort instead of a partition."""
-    n = ordered.shape[1]
+    """``np.percentile(ordered, _quantiles(max_bins), axis=-1)`` of sorted
+    values (at least two per row), by numpy's own ``"linear"`` rule: the
+    same floats, read off the sort instead of a partition."""
+    n = ordered.shape[-1]
     virtual = (n - 1) * np.true_divide(_quantiles(max_bins), 100)
     below = np.floor(virtual)
     gamma = virtual - below
     index = below.astype(np.intp)
-    lo, hi = ordered[:, index], ordered[:, index + 1]
+    lo, hi = ordered[..., index], ordered[..., index + 1]
     diff = hi - lo
     # numpy's ``_lerp``: up from ``lo``, or down from ``hi`` where
     # ``gamma >= 0.5``.
@@ -79,53 +79,72 @@ class BinMapper:
 
     def fit(self, X: np.ndarray) -> "BinMapper":
         """Learn bin boundaries from a (n_samples, n_features) matrix."""
-        self._fit_sorted(X)
+        self._fit_columns(X, None)
         return self
 
-    def _fit_sorted(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`fit` from one argsort of every column.
+    def fit_transform(self, X: np.ndarray) -> np.ndarray:
+        """``fit(X).transform(X)`` byte for byte, binned from the fit's
+        sorts: the ``uint8`` result is its only ``(n, d)`` allocation."""
+        X = np.asarray(X, dtype=np.float64)
+        binned = np.empty(X.shape, dtype=np.uint8)
+        self._fit_columns(X, binned)
+        return binned
 
-        Returns ``(ordered, order)``: the ``(n_features, n_samples)``
-        sorted columns, and where each sorted value sits in the flattened
-        ``X.T``.
+    def _fit_columns(self, X: np.ndarray, binned: np.ndarray | None) -> None:
+        """:meth:`fit`, one column at a time from that column's argsort;
+        with ``binned``, each column's bin ids are scattered into it too.
+
+        The bounds cut the sorted column into runs of one bin id each, so
+        the ids need no search per value.  Nothing held here is larger
+        than a column: the fit costs no temporary the size of ``X``.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
-        if not np.isfinite(X).all():
-            raise ValueError("X must be finite; encode missing values "
-                             "as finite sentinels before binning")
-        n_samples, self.n_features = X.shape
-        columns = np.ascontiguousarray(X.T)
-        order = np.argsort(columns, axis=1)
-        order += np.arange(self.n_features)[:, None] * n_samples
-        ordered = columns.ravel()[order]
-        fresh = np.ones(ordered.shape, dtype=bool)
-        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=fresh[:, 1:])
-        wide = np.count_nonzero(fresh, axis=1) > self.max_bins
-        if wide.any():  # then n_samples > max_bins >= 2
-            cuts = _sorted_percentiles(ordered, self.max_bins)
-        # -0.0 and 0.0 compare equal, so which one lands on an order
-        # statistic is the sort's (or the partition's) choice: a column
-        # holding both takes the per-column calls.  -0.0 is the one value
-        # >= 0 with its sign bit set, 0.0 the one <= 0 without.
-        sign = np.signbit(ordered)
-        mixed = (
-            (sign & (ordered >= 0)).any(axis=1)
-            & (~sign & (ordered <= 0)).any(axis=1)
-        )
-        self.upper_bounds = []
-        for f in range(self.n_features):
-            if mixed[f]:
-                bounds = _column_bounds(X[:, f], self.max_bins)
-            elif wide[f]:
-                bounds = sorted_unique(cuts[f])
+        n_samples, n_features = X.shape
+        upper_bounds = []
+        for f in range(n_features):
+            column = X[:, f]
+            order = np.argsort(column)
+            ordered = column[order]
+            # The sort puts -inf first and +inf, then NaN, last.
+            if n_samples and not (
+                np.isfinite(ordered[0]) and np.isfinite(ordered[-1])
+            ):
+                raise ValueError("X must be finite; encode missing values "
+                                 "as finite sentinels before binning")
+            fresh = np.empty(n_samples, dtype=bool)
+            fresh[:1] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+            # -0.0 and 0.0 compare equal, so which one lands on an order
+            # statistic is the sort's (or the partition's) choice: a
+            # column holding both takes the per-column calls.  The zeros
+            # are one run of the sort.
+            zeros = np.signbit(ordered[
+                np.searchsorted(ordered, 0.0, side="left"):
+                np.searchsorted(ordered, 0.0, side="right")
+            ])
+            if zeros.any() and not zeros.all():
+                bounds = _column_bounds(column, self.max_bins)
+            elif np.count_nonzero(fresh) > self.max_bins:
+                # Then n_samples > max_bins >= 2.
+                bounds = sorted_unique(
+                    _sorted_percentiles(ordered, self.max_bins)
+                )
             else:
                 # One bin per distinct value; boundaries at midpoints.
-                values = ordered[f][fresh[f]]
+                values = ordered[fresh]
                 bounds = (values[:-1] + values[1:]) / 2.0
-            self.upper_bounds.append(bounds)
-        return ordered, order
+            upper_bounds.append(bounds)
+            if binned is not None:
+                # Where each bin starts and ends in the sort.
+                edges = np.zeros(len(bounds) + 2, dtype=np.intp)
+                edges[1:-1] = np.searchsorted(ordered, bounds, side="right")
+                edges[-1] = n_samples
+                ids = _BIN_IDS[: len(bounds) + 1]
+                binned[:, f][order] = np.repeat(ids, edges[1:] - edges[:-1])
+        self.n_features = n_features
+        self.upper_bounds = upper_bounds
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Map raw values to uint8 bin indices via the learned boundaries."""
@@ -142,24 +161,6 @@ class BinMapper:
                 self.upper_bounds[f], X[:, f], side="left"
             )
         return binned
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        """``fit(X).transform(X)`` byte for byte, binned from the fit's
-        sort: each column's bounds cut its sorted values into runs of one
-        bin id, and one scatter puts every value's id back in its row."""
-        ordered, order = self._fit_sorted(X)
-        n_samples = ordered.shape[1]
-        ends, ids = [], []
-        for f, bounds in enumerate(self.upper_bounds):
-            # Where each of the column's bins ends in the flattened sort.
-            start = f * n_samples
-            edges = np.searchsorted(ordered[f], bounds, side="right") + start
-            ends += (edges, [start + n_samples])
-            ids.append(_BIN_IDS[: len(bounds) + 1])
-        runs = np.diff(np.concatenate(ends), prepend=0)
-        binned = np.empty(ordered.size, dtype=np.uint8)
-        binned[order.ravel()] = np.repeat(np.concatenate(ids), runs)
-        return np.ascontiguousarray(binned.reshape(ordered.shape).T)
 
     def n_bins(self, feature: int) -> int:
         """Number of occupied bins for a feature."""

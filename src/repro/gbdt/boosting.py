@@ -24,7 +24,9 @@ __all__ = ["GBDTParams", "GBDTClassifier", "bin_matrix"]
 
 
 def bin_matrix(X: np.ndarray, max_bins: int) -> tuple:
-    """The fit's binning, ``(X, mapper, binned)``; it needs no label."""
+    """The fit's binning, ``(X, mapper, binned)``; it needs no label.
+    Each column is fitted and binned on its own, so beside ``X`` it
+    allocates the ``uint8`` ``binned`` and column-sized temporaries."""
     mapper = BinMapper(max_bins=max_bins)
     return X, mapper, mapper.fit_transform(X)
 

@@ -190,13 +190,15 @@ class Trace:
         return int(self.sizes.sum())
 
     def footprint(self) -> int:
-        """Sum of distinct object sizes (working-set size in bytes)."""
-        objs = self.objs
-        sizes = self.sizes
-        seen: dict[int, int] = {}
-        for o, s in zip(objs.tolist(), sizes.tolist()):
-            seen[o] = s
-        return int(sum(seen.values()))
+        """Sum of distinct object sizes (working-set size in bytes), each
+        object at the size of its last request: a stable sort groups an
+        object's requests in trace order, and the last of each run counts."""
+        order = np.argsort(self.objs, kind="stable")
+        objs = self.objs[order]
+        last = np.empty(len(objs), dtype=bool)
+        last[-1:] = True
+        np.not_equal(objs[1:], objs[:-1], out=last[:-1])
+        return int(self.sizes[order[last]].sum())
 
     def windows(self, window: int) -> Iterator["Trace"]:
         """Yield consecutive fixed-size windows ``W[t]`` (the paper's Fig. 2).

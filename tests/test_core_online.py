@@ -172,7 +172,7 @@ class TestRetrainBoundaries:
         for request in online_trace[:500]:
             policy.on_request(request)
         assert policy.window_remaining == 500
-        assert policy.trainer.features == []
+        assert policy.trainer.rows is None
         assert policy.n_retrains == 1
         assert policy.model is not None
 

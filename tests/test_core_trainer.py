@@ -8,6 +8,7 @@ to a list.
 
 import pickle
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -100,12 +101,57 @@ class TestOneRoad:
         assert names == [] and trainer.remaining == 1
         filled.append(trainer.record(REQUEST, ROW))
         assert filled == [False] * (WINDOW - 1) + [True]
-        assert trainer.remaining == WINDOW and trainer.features == []
+        assert trainer.remaining == WINDOW and trainer.rows is None
         if background:
             assert trainer.finish()  # the W-th record submitted the job
         assert names == [("W[0]", WINDOW, (WINDOW, len(ROW)))]
         assert installs == ["W[0]"]
         trainer.close()
+
+    @pytest.mark.parametrize("background", [False, True])
+    def test_the_job_gets_the_recorded_rows_as_one_matrix(self, background):
+        """One C-contiguous ``(W, d)`` float64 matrix whose rows are what
+        each ``record`` saw, though the caller wrote over its row array
+        after every call."""
+        seen = []
+
+        def job(requests, features, name):
+            seen.append(features)
+            return name
+
+        trainer = WindowTrainer(WINDOW, job, [].append, background=background)
+        row = np.empty(5)
+        for i in range(WINDOW):
+            row[:] = np.arange(5) + 10.0 * i
+            trainer.record(REQUEST, row)
+        row[:] = -1.0
+        trainer.finish()
+        (features,) = seen
+        assert features.dtype == np.float64 and features.flags.c_contiguous
+        expected = np.arange(5) + 10.0 * np.arange(WINDOW)[:, None]
+        assert features.tobytes() == expected.tobytes()
+        trainer.close()
+
+    def test_closing_the_window_copies_no_matrix(self):
+        """The buffer the rows were written into is the job's matrix, so
+        the record that closes the window allocates no second one."""
+        window, d = 2000, 53
+        jobs = []
+        trainer = WindowTrainer(
+            window, lambda r, f, n: jobs.append(f), [].append
+        )
+        row = np.ones(d)
+        for _ in range(window - 1):
+            trainer.record(REQUEST, row)
+        buffer = trainer.rows
+        tracemalloc.start()
+        try:
+            trainer.record(REQUEST, row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert jobs[0] is buffer and buffer.shape == (window, d)
+        assert peak < buffer.nbytes / 4
 
     def test_inline_model_is_live_before_the_next_request(self):
         installs = []

@@ -1,5 +1,7 @@
 """Tests for quantile feature binning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.gbdt import BinMapper
 from repro.gbdt.binning import _quantiles, _sorted_percentiles
+from repro.gbdt.boosting import bin_matrix
 
 
 class TestBinMapper:
@@ -205,3 +208,26 @@ def test_sorted_lerp_is_numpys_percentile(max_bins):
         for row, cuts in zip(rows, found):
             expected = np.percentile(row, _quantiles(max_bins))
             assert cuts.tobytes() == expected.tobytes()
+
+
+def test_binning_allocates_no_matrix_sized_temporary():
+    """`bin_matrix` of a ledger-shaped matrix holds little beyond its
+    uint8 result (an eighth of ``X``): no copy, sort or mask of the whole
+    matrix is ever alive.  A third of the columns hold both zeros and
+    take the per-column fallback."""
+    rng = np.random.default_rng(11)
+    n = 50_000
+    X = np.column_stack([
+        rng.lognormal(sigma=2.0, size=n) if f % 3 else
+        np.round(rng.normal(size=n), 1)
+        for f in range(53)
+    ])
+    bin_matrix(X[:1000], 255)  # first-call imports are not the fit's
+    tracemalloc.start()
+    try:
+        _, _, binned = bin_matrix(X, 255)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert binned.shape == X.shape
+    assert peak <= 0.25 * X.nbytes

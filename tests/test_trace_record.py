@@ -103,6 +103,13 @@ class TestTrace:
     def test_footprint_counts_each_object_once(self, paper_trace):
         assert paper_trace.footprint() == 3 + 1 + 1 + 2
 
+    def test_footprint_takes_each_objects_last_size(self):
+        """An object whose size changes counts once, at its last size."""
+        t = Trace([Request(0, 7, 5), Request(1, 3, 2), Request(2, 7, 40),
+                   Request(3, 3, 9), Request(4, 1, 4), Request(5, 3, 6)])
+        assert t.footprint() == 40 + 6 + 4
+        assert Trace([]).footprint() == 0
+
     def test_total_bytes(self, paper_trace):
         assert paper_trace.total_bytes() == sum(r.size for r in paper_trace)
 
@@ -162,6 +169,17 @@ def test_occurrence_links_match_the_dict_walk(objs):
         (trace.next_occurrence(), nxt), (trace.prev_occurrence(), prv)
     ):
         assert found.dtype == np.int64 and found.tolist() == expected
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 2**40)),
+                max_size=40))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_footprint_matches_the_dict_walk(pairs):
+    trace = Trace([Request(float(t), o, s) for t, (o, s) in enumerate(pairs)])
+    last = {}
+    for o, s in pairs:
+        last[o] = s
+    assert trace.footprint() == sum(last.values())
 
 
 def _links(trace):
