@@ -71,7 +71,7 @@ def main() -> None:
         path = f.name
     with open(path) as f:
         restored = GBDTClassifier.from_dict(json.load(f))
-    clone = LFOModel(classifier=restored, cutoff=report.model.cutoff)
+    clone = LFOModel(restored.compiled(), report.model.cutoff, restored)
     assert np.allclose(
         clone.likelihood(windows.test.X), report.likelihoods
     )

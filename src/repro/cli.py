@@ -378,7 +378,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     cluster.shard_size,
                     label_config=_label_config(args),
                     cutoff=args.cutoff,
-                    n_gaps=cluster.n_gaps,
                 ),
                 install=lambda model: None,
                 **supervision,

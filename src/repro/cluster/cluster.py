@@ -96,8 +96,8 @@ class CacheCluster:
         self.n_gaps = n_gaps
         #: The currently published model generation (0 = none yet).
         self.generation = 0
-        #: ``(generation, predictor bytes, cutoff, n_gaps)`` of the
-        #: latest publish, and the generation each shard was last sent.
+        #: ``(generation, predictor bytes, cutoff)`` of the latest
+        #: publish, and the generation each shard was last sent.
         self._model: tuple | None = None
         self._sent = [0] * n_shards
         self._processes: list[multiprocessing.process.BaseProcess] = []
@@ -186,16 +186,13 @@ class CacheCluster:
 
         Hand this method to :class:`repro.core.WindowTrainer` as its
         ``publish_hook`` — each installed model then goes live at each
-        shard's next batch, which carries the model's compiled bytes
+        shard's next batch, which carries ``model.predictor``'s bytes
         (:meth:`CompiledPredictor.to_bytes`).  Two publishes between
         batches send only the later model.
         """
         self.generation += 1
         self._model = (
-            self.generation,
-            model.classifier.compiled().to_bytes(),
-            model.cutoff,
-            model.n_gaps,
+            self.generation, model.predictor.to_bytes(), model.cutoff
         )
         registry = get_registry()
         if registry.enabled:

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..features.tracker import feature_names
 from ..obs import get_registry
 from ..obs.slo import DECISION_LATENCY_BUCKETS
 from ..trace import Request
@@ -48,10 +49,9 @@ class ClusterScorer:
     Args:
         trainer: the router-process
             :class:`~repro.core.WindowTrainer`.  Build its job from the
-            cluster — ``LabelFitJob(cluster.shard_size,
-            n_gaps=cluster.n_gaps, ...)`` — so the OPT oracle labels
-            against the capacity each shard actually serves, over the
-            columns the shards ship.  Nothing serves in the router, so
+            cluster — ``LabelFitJob(cluster.shard_size, ...)`` — so the
+            OPT oracle labels against the capacity each shard actually
+            serves.  Nothing serves in the router, so
             its ``install`` has nothing to swap; when its
             ``publish_hook`` is unset, :meth:`CacheCluster.publish` is
             installed — every trained model then goes live cluster-wide.
@@ -67,6 +67,8 @@ class ClusterScorer:
             trainer.publish_hook = cluster.publish
         self.n_handoffs = 0
         self._generation = cluster.generation
+        #: One column per feature the shards' trackers emit.
+        self._width = len(feature_names(cluster.n_gaps))
         self._latency_hist = get_registry().histogram(
             "serve.decision_latency_seconds", DECISION_LATENCY_BUCKETS
         )
@@ -77,8 +79,7 @@ class ClusterScorer:
         The shards fill one feature row per request, so the trainer is
         fed in exactly the order the requests were served.
         """
-        # Size, cost and free bytes, then the gaps (``feature_names``).
-        rows = np.empty((len(requests), 3 + self.cluster.n_gaps))
+        rows = np.empty((len(requests), self._width))
         began = perf_counter()
         hits = self.cluster.process(requests, rows)
         elapsed = perf_counter() - began

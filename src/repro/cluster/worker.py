@@ -11,7 +11,8 @@ Per batch the worker:
 1. when the batch message carries a model (the router sends one with
    a shard's first batch after each publish), rebuilds its predictor
    from the wire bytes (:meth:`CompiledPredictor.from_buffer`) and swaps
-   it in with ``cache.set_model`` — the cross-process warm handoff;
+   in an ``LFOModel(predictor, cutoff)`` — the cross-process warm
+   handoff;
 2. views the batch's records as four columns
    (:func:`repro.cluster.wire.unpack_requests` — no ``Request`` is
    built) and decides them through the decision engine
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.engine import DecisionEngine
-from ..core.lfo import ADMISSION_SCORE_BUCKETS, LFOCache
+from ..core.lfo import ADMISSION_SCORE_BUCKETS, LFOCache, LFOModel
 from ..gbdt.compiled import CompiledPredictor
 from ..obs.registry import Histogram
 from .wire import unpack_requests
@@ -74,34 +75,6 @@ class ShardConfig:
     n_gaps: int = 50
 
 
-class _ShardModel:
-    """A duck-typed :class:`~repro.core.LFOModel` over a shipped predictor.
-
-    Exposes exactly the surface :class:`~repro.core.LFOCache` touches —
-    ``classifier.compiled()``, ``cutoff``, ``n_gaps``, ``likelihood``.
-    """
-
-    def __init__(
-        self, predictor: CompiledPredictor, cutoff: float, n_gaps: int
-    ) -> None:
-        self.predictor = predictor
-        self.cutoff = float(cutoff)
-        self.n_gaps = int(n_gaps)
-
-    @property
-    def classifier(self) -> "_ShardModel":
-        """``model.classifier.compiled()`` compatibility shim."""
-        return self
-
-    def compiled(self) -> CompiledPredictor:
-        """The predictor rebuilt from the published bytes."""
-        return self.predictor
-
-    def likelihood(self, features: np.ndarray) -> np.ndarray:
-        """Predicted admission probability per feature row."""
-        return self.predictor.predict_proba(features)
-
-
 class _ShardState:
     """One worker's live state: cache, model generation, counters, deltas."""
 
@@ -126,12 +99,11 @@ class _ShardState:
         #: since the last reply.
         self._deltas: list[tuple] = []
 
-    def attach(
-        self, generation: int, payload: bytes, cutoff: float, n_gaps: int
-    ) -> None:
+    def attach(self, generation: int, payload: bytes, cutoff: float) -> None:
         """Swap in a published model; the previous one is dropped."""
-        predictor = CompiledPredictor.from_buffer(payload)
-        self.cache.set_model(_ShardModel(predictor, cutoff, n_gaps))
+        self.cache.set_model(
+            LFOModel(CompiledPredictor.from_buffer(payload), cutoff)
+        )
         self.generation = generation
         self.attaches += 1
         self._deltas.append(("counter", "cluster.shard_attaches", 1))
@@ -142,7 +114,7 @@ class _ShardState:
         """Score one routed batch of request records and reply.
 
         ``model``, when the router sends one, is ``(generation, bytes,
-        cutoff, n_gaps)`` and goes live before the batch is scored.
+        cutoff)`` and goes live before the batch is scored.
         """
         times, objs, sizes, costs = unpack_requests(data)
         n = len(objs)
@@ -219,7 +191,8 @@ def shard_main(config: ShardConfig, conn: "Connection") -> None:
     model)`` — the bucket's requests as :mod:`repro.cluster.wire`
     records, whether to ship feature rows back, and the model published
     since this shard's last batch (``(generation, predictor bytes,
-    cutoff, n_gaps)``, else ``None``) — and ``("stop",)``.
+    cutoff)``, else ``None``, attached as an :class:`~repro.core.LFOModel`
+    with no classifier) — and ``("stop",)``.
     Worker → parent: exactly one ``("done", shard, stats, deltas, hits,
     features)`` per batch, where ``hits`` is one byte per request in
     bucket order, ``deltas`` the telemetry records since the last reply

@@ -59,10 +59,11 @@ Three hooks let a driver put its own work on the request path:
   requests they hold, and the row used is ``policy.last_features``.
 
 While ``policy.model`` is ``None`` (cold start) every score is 0.0 and
-no free-bytes threshold splits a window.  The per-model predictor and
-thresholds are cached by model identity, so a swap between steps (a shard
-attaching a newly published model) costs one lookup.  The dirty rows are the
-only place a ``Request`` is built here (``FeatureTracker.features`` takes one).
+no free-bytes threshold splits a window.  Scores come from
+``model.predictor``; its free-bytes thresholds are cached by model
+identity, so a swap between steps (a shard attaching a newly published
+model) costs one lookup.  The dirty rows are the only place a
+``Request`` is built here (``FeatureTracker.features`` takes one).
 
 Sampled eviction composes unchanged: candidate scoring happens inside
 ``apply_scored``'s eviction plan against the *live* state at that replay
@@ -149,7 +150,6 @@ class DecisionEngine:
         self._window = min(_MIN_WINDOW * 4, max_window)
         self._polled = False
         self._model = None
-        self._predictor = None
         self._thresholds: list[float] = []
 
     def run(
@@ -203,16 +203,14 @@ class DecisionEngine:
             poll()
         self._polled = False
         model = policy.model
+        predictor = None if model is None else model.predictor
         if model is not self._model:
-            predictor = None if model is None else model.classifier.compiled()
             self._model = model
-            self._predictor = predictor
             # Python floats: the bisect costs the comparisons of
             # ``np.searchsorted(side="left")`` without the call overhead.
             self._thresholds = [] if predictor is None else (
                 predictor.feature_thresholds(FREE_BYTES_COLUMN).tolist()
             )
-        predictor = self._predictor
         thresholds = self._thresholds
         limit = min(self.max_window, len(objs) - start)
         if self._cap is not None:

@@ -261,7 +261,6 @@ class TieredFitJob:
     ram_horizon: int
     gbdt_params: GBDTParams
     label_config: OptLabelConfig
-    n_gaps: int
     min_positive_labels: int
 
     def __call__(
@@ -280,7 +279,7 @@ class TieredFitJob:
         return admission, self._fit(features, place)
 
     def _fit(self, features: np.ndarray, labels: np.ndarray) -> LFOModel:
-        names = feature_names(self.n_gaps)
+        names = feature_names(features.shape[1] - 3)
         return LFOModel.train(
             Dataset(features, labels.astype(np.float64), names),
             params=self.gbdt_params,
@@ -315,8 +314,7 @@ class TieredLFOOnline:
             self.window,
             TieredFitJob(
                 self.ram_size + self.ssd_size, self.ram_horizon,
-                self.gbdt_params, self.label_config, self.n_gaps,
-                self.min_positive_labels,
+                self.gbdt_params, self.label_config, self.min_positive_labels,
             ),
             self._install,
         )

@@ -138,10 +138,6 @@ class IRLCache(LFOCache):
         """Never: the decision engine scores with a compiled GBDT."""
         return False
 
-    def set_model(self, model: LinearRewardIRL) -> None:
-        """Swap in a freshly fitted reward (nothing to compile)."""
-        self.model = model
-
     def on_request(self, request: Request) -> bool:
         """Process one request under the learned-reward policy."""
         features = self._tracker.features(request, self.free_bytes)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import Dataset, FeatureTracker
-from ..gbdt import GBDTClassifier, GBDTParams
+from ..gbdt import CompiledPredictor, GBDTClassifier, GBDTParams
 from ..cache import CachePolicy
 from ..cache.ranked import RankedHeap
 from ..obs import get_registry
@@ -87,15 +87,17 @@ class LFOModel:
     """A trained admission predictor plus its decision cutoff.
 
     Attributes:
-        classifier: fitted :class:`GBDTClassifier`.
+        predictor: the compiled boosted-tree predictor every scorer reads.
         cutoff: admission threshold on the predicted likelihood (0.5 in the
             paper; ~0.65 equalises false positives and negatives, §3).
-        n_gaps: gap-feature count the classifier was trained with.
+        classifier: the fitted :class:`GBDTClassifier` the predictor was
+            compiled from (feature importance, JSON export); None for a
+            model rebuilt from predictor bytes, as a cluster shard's is.
     """
 
-    classifier: GBDTClassifier
+    predictor: CompiledPredictor
     cutoff: float = 0.5
-    n_gaps: int = 50
+    classifier: GBDTClassifier | None = None
 
     @classmethod
     def train(
@@ -114,17 +116,15 @@ class LFOModel:
         """
         classifier = GBDTClassifier(params or GBDTParams())
         classifier.fit(dataset.X, dataset.y, binning=binning)
-        classifier.compiled()
-        n_gaps = len(dataset.names) - 3
-        return cls(classifier=classifier, cutoff=cutoff, n_gaps=n_gaps)
+        return cls(classifier.compiled(), cutoff, classifier)
 
     def likelihood(self, features: np.ndarray) -> np.ndarray:
         """Predicted probability that OPT would cache each row."""
-        return self.classifier.compiled().predict_proba(features)
+        return self.predictor.predict_proba(features)
 
     def admit(self, features: np.ndarray) -> bool:
         """Admission decision for a single feature vector."""
-        return self.classifier.compiled().predict_proba_single(features) >= self.cutoff
+        return self.predictor.predict_proba_single(features) >= self.cutoff
 
 
 def error_rates(
@@ -194,8 +194,6 @@ class LFOCache(CachePolicy):
         self.sampled_config = sampled or SampledEvictionConfig()
         self._rng = np.random.default_rng(self.sampled_config.seed)
         self._tracker = tracker or FeatureTracker(n_gaps=n_gaps)
-        self._predictor = None  # of ``_predictor_model``, for on_request
-        self._predictor_model: LFOModel | None = None
         self._ranked = RankedHeap()
         self._lru: OrderedDict[int, None] = OrderedDict()  # cold-start rank
         #: Residents as a swap-remove list + position map, so the sampler
@@ -221,15 +219,7 @@ class LFOCache(CachePolicy):
         return self._tracker
 
     def set_model(self, model: LFOModel) -> None:
-        """Swap in a freshly trained model (window hand-over, Fig. 2).
-
-        Ensures the model's compiled predictor exists before the swap:
-        for models arriving from a trainer process the flattened arrays
-        travelled in the pickle, so this is a cache hit; for models built
-        any other way it pulls the one-time flattening off the request
-        path.
-        """
-        model.classifier.compiled()
+        """Swap in a freshly trained model (window hand-over, Fig. 2)."""
         self.model = model
 
     @property
@@ -286,13 +276,10 @@ class LFOCache(CachePolicy):
             self._rescore_all()
         features = self._tracker.features(request, self.free_bytes)
         model = self.model
-        if model is None:
-            score = 0.0
-        else:
-            if model is not self._predictor_model:
-                self._predictor = model.classifier.compiled()
-                self._predictor_model = model
-            score = self._predictor.predict_proba_single(features)
+        score = (
+            0.0 if model is None
+            else model.predictor.predict_proba_single(features)
+        )
         return self.apply_scored(
             request.time, request.obj, request.size, request.cost,
             features, score,

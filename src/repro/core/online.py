@@ -104,7 +104,6 @@ class LabelFitJob:
         min_positive_labels: return no model when the window contains
             fewer positive OPT decisions than this (e.g. a pure scan),
             where training would produce a broken all-negative predictor.
-        n_gaps: gap-feature count of the rows the window was scored with.
     """
 
     cache_size: int
@@ -112,7 +111,6 @@ class LabelFitJob:
     gbdt_params: GBDTParams = field(default_factory=GBDTParams)
     cutoff: float = 0.5
     min_positive_labels: int = 10
-    n_gaps: int = 50
 
     def __call__(
         self, requests: list[Request], features: np.ndarray, name: str
@@ -149,7 +147,7 @@ class LabelFitJob:
         dataset = Dataset(
             X=features,
             y=labels.astype(np.float64),
-            names=feature_names(self.n_gaps),
+            names=feature_names(features.shape[1] - 3),
         )
         with registry.span("online.gbdt_fit"):
             return LFOModel.train(
@@ -218,7 +216,6 @@ class LFOOnline(LFOCache):
                 gbdt_params=gbdt_params or GBDTParams(),
                 cutoff=cutoff,
                 min_positive_labels=min_positive_labels,
-                n_gaps=n_gaps,
             ),
             self.set_model,
             background=background,

@@ -13,8 +13,8 @@ policy's serving hooks to the decision engine
   overdue one is watchdog-cancelled (the policy's
   :class:`repro.core.WindowTrainer`).  The engine runs it exactly once
   per request and abandons a window the install lands in.  The
-  swapped-in predictor was compiled at train time (``set_model``
-  guarantees it), so a handoff costs one aborted lookahead, never a
+  swapped-in model carries the predictor compiled at train time
+  (``model.predictor``), so a handoff costs one aborted lookahead, never a
   compile on the request path; every new model seen after a poll counts
   as one handoff;
 * **cap** — :attr:`repro.core.LFOOnline.window_remaining`, so a

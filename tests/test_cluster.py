@@ -294,16 +294,16 @@ class TestShardReply:
         for start in range(0, len(requests), 200):
             router.publish(model)
             router.publish(model)
-            generation, payload, cutoff, n_gaps = router._model
+            generation, payload, cutoff = router._model
             # An ndarray copy: bytes cannot be weakly referenced.
             payload = np.frombuffer(payload, dtype=np.uint8).copy()
             state.process(
                 pack_requests(list(enumerate(requests[start:start + 200]))),
-                False, (generation, payload, cutoff, n_gaps),
+                False, (generation, payload, cutoff),
             )
             if first is None:
                 first = [
-                    weakref.ref(state.cache.model.compiled()),
+                    weakref.ref(state.cache.model.predictor),
                     weakref.ref(payload),
                 ]
             del payload
@@ -617,7 +617,6 @@ class TestClusterScorer:
         job = LabelFitJob(
             cluster.shard_size,
             gbdt_params=FAST_PARAMS,
-            n_gaps=cluster.n_gaps,
         )
         return WindowTrainer(800, job, install=lambda model: None)
 

@@ -369,9 +369,9 @@ class TestProbesCarryTheRealCost:
 
 
 class TestPredictorResolvedOncePerModel:
-    """``on_request`` keeps the compiled predictor of the model it last
-    scored with and resolves again when ``policy.model`` is another
-    object — however it got there."""
+    """``on_request`` scores with ``policy.model.predictor``, read at
+    every request, so a swapped model scores from the next request on —
+    however it got there."""
 
     @staticmethod
     def _tap_scores(policy):
@@ -422,9 +422,7 @@ class TestPredictorResolvedOncePerModel:
                 reference.model = large
             features = reference.tracker.features(request, reference.free_bytes)
             want.append(
-                reference.model.classifier.compiled().predict_proba_single(
-                    features
-                )
+                reference.model.predictor.predict_proba_single(features)
             )
             reference.apply_scored(
                 request.time, request.obj, request.size, request.cost,
@@ -453,7 +451,7 @@ class TestPredictorResolvedOncePerModel:
             policy.on_request(request)
             if live is not None:
                 models.append(live)
-                assert scored_by[-1][0] is live.classifier.compiled()
+                assert scored_by[-1][0] is live.predictor
         assert len(scored_by) == len(models) == 1100  # cold for 500
         assert policy.n_retrains == 3
         assert len(set(map(id, models))) == 3  # every install was used

@@ -359,7 +359,7 @@ def test_what_crosses_a_process_boundary_pickles():
     features = np.random.default_rng(0).random((200, 3 + 5))
     job = LabelFitJob(
         60, gbdt_params=GBDTParams(num_iterations=3),
-        min_positive_labels=1, n_gaps=5,
+        min_positive_labels=1,
     )
     deployed, _ = _run_job(
         job, requests, features, "W[0]", None, threading.get_native_id()
@@ -374,6 +374,9 @@ def test_what_crosses_a_process_boundary_pickles():
     model, seconds = runner(*args)
     assert seconds > 0.0
     back = pickle.loads(pickle.dumps(model))
+    # One node table crosses: the predictor is the classifier's own, not
+    # a second copy or a recompile.
+    assert back.predictor is back.classifier.compiled()
     assert np.array_equal(
         back.likelihood(features), model.likelihood(features)
     )

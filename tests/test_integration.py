@@ -91,9 +91,9 @@ class TestFullPipeline:
             windows, params=GBDTParams(num_iterations=10)
         )
         payload = json.dumps(report.model.classifier.to_dict())
+        classifier = GBDTClassifier.from_dict(json.loads(payload))
         restored = LFOModel(
-            classifier=GBDTClassifier.from_dict(json.loads(payload)),
-            cutoff=report.model.cutoff,
+            classifier.compiled(), report.model.cutoff, classifier
         )
         assert np.allclose(
             restored.likelihood(windows.test.X), report.likelihoods
