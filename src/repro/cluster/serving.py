@@ -10,10 +10,10 @@ feature tracker behind it — keeps the paper's Figure-2 loop intact:
 1. shards serve each routed batch and fill, through
    ``CacheCluster.process(requests, rows)``, the *live* feature rows the
    requests were scored with;
-2. the scorer feeds those rows, in request order, into the trainer's
-   window buffer (``poll`` + ``record`` — the same two steps
-   ``BatchScorer`` drives through its policy), so training sees exactly
-   what the shards served;
+2. the scorer polls the trainer once per request and feeds those rows,
+   in request order and in blocks cut at the window edge, into its
+   window buffer (``record`` — as ``BatchScorer`` does through its
+   policy), so training sees exactly what the shards served;
 3. when a window closes and a fresh model installs, the trainer's
    ``publish_hook`` (installed by this class when unset) hands it to the
    cluster — and every shard warm-hands-off to the new generation at
@@ -77,16 +77,21 @@ class ClusterScorer:
         """Route one batch through the cluster; per-request hits in order.
 
         The shards fill one feature row per request, so the trainer is
-        fed in exactly the order the requests were served.
+        fed in exactly the order the requests were served, one block per
+        window the batch touches.
         """
         rows = np.empty((len(requests), self._width))
         began = perf_counter()
         hits = self.cluster.process(requests, rows)
         elapsed = perf_counter() - began
         trainer = self.trainer
-        for request, features in zip(requests, rows):
-            trainer.poll()
-            trainer.record(request, features)
+        start = 0
+        while start < len(requests):
+            end = min(start + trainer.remaining, len(requests))
+            for _ in range(start, end):
+                trainer.poll()
+            trainer.record(requests[start:end], rows[start:end])
+            start = end
         generation = self.cluster.generation
         self.n_handoffs += generation - self._generation
         self._generation = generation

@@ -49,12 +49,10 @@ tracker ``apply_scored``'s ``update`` calls only queue their records,
 and whoever reads the tracker next — the next window's probe, an
 eviction probe mid-window — writes them first, in one run.
 
-Three hooks let a driver put its own work on the request path:
+Two hooks let a driver put its own work on the request path:
 
 * ``poll()`` runs exactly once per request, *before* it is decided — the
   flag that says so is carried across a step a swap ended;
-* ``cap()`` bounds each window (``LFOOnline.window_remaining``), so a
-  training-window boundary and its retrain fall *between* windows;
 * ``tap(index, hit, score)`` runs after each decision; drivers index the
   requests they hold, and the row used is ``policy.last_features``.
 
@@ -108,7 +106,7 @@ class DecisionEngine:
             is refused.
         max_window: rows probed per step (and the cap on the adaptive
             scoring chunk).
-        poll / cap / tap: the driver hooks (module docstring).
+        poll / tap: the driver hooks (module docstring).
         latency: histogram every ``apply_scored`` call's time is
             observed into (None = time nothing).  The serving SLO reads
             p999 per telemetry window, so it needs every decision.
@@ -127,7 +125,6 @@ class DecisionEngine:
         max_window: int = MAX_LOOKAHEAD,
         *,
         poll: Callable[[], None] | None = None,
-        cap: Callable[[], int] | None = None,
         tap: Callable[[int, bool, float], None] | None = None,
         latency: "Histogram | None" = None,
     ) -> None:
@@ -144,7 +141,6 @@ class DecisionEngine:
         self.n_respeculations = 0
         self.rows_probed = 0
         self._poll = poll
-        self._cap = cap
         self._tap = tap
         self._latency = latency
         self._window = min(_MIN_WINDOW * 4, max_window)
@@ -213,8 +209,6 @@ class DecisionEngine:
             )
         thresholds = self._thresholds
         limit = min(self.max_window, len(objs) - start)
-        if self._cap is not None:
-            limit = min(limit, self._cap())
         # Per window, not per trace: the replay wants Python scalars, and
         # a whole-trace copy of them would sit in memory for the run.
         window = slice(start, start + limit)

@@ -333,7 +333,7 @@ class TieredLFOOnline:
         """Process one request through the tiered cache, retraining at
         window boundaries."""
         hit = self.cache.on_request(request)
-        self.trainer.record(request, self.cache.last_features)
+        self.trainer.record((request,), self.cache.last_features[None])
         return hit
 
     def _install(self, models: tuple[LFOModel, LFOModel | None]) -> None:

@@ -214,5 +214,5 @@ class IRLOnline(IRLCache):
     def on_request(self, request: Request) -> bool:
         """Process one request, retraining at window boundaries."""
         hit = super().on_request(request)
-        self.trainer.record(request, self.last_features)
+        self.trainer.record((request,), self.last_features[None])
         return hit

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -291,7 +292,7 @@ class LFOOnline(LFOCache):
         hit = super().on_request(request)
         # ``last_features`` was computed inside LFOCache.on_request with the
         # live free-bytes observation — exactly what training must see.
-        self.record_for_training(request, self.last_features)
+        self.record_for_training((request,), self.last_features[None])
         return hit
 
     def poll_training(self) -> None:
@@ -300,15 +301,12 @@ class LFOOnline(LFOCache):
         self.trainer.poll()
 
     def record_for_training(
-        self, request: Request, features: np.ndarray
+        self, requests: Sequence[Request], rows: np.ndarray
     ) -> None:
-        """Buffer one served request's live features; retrain at the edge
-        (:meth:`WindowTrainer.record`).
-
-        ``features`` must be the row the request was actually scored with
-        (``last_features`` after :meth:`~repro.core.LFOCache.apply_scored`).
+        """Buffer a block of served requests with the live rows they were
+        scored with; retrain at the edge (:meth:`WindowTrainer.record`).
         """
-        self.trainer.record(request, features)
+        self.trainer.record(requests, rows)
 
     # -- degraded-mode serving -----------------------------------------------
 

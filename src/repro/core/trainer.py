@@ -64,7 +64,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from contextvars import ContextVar
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -150,8 +150,8 @@ class WindowTrainer:
     """Window buffer plus trainer supervisor: submit → wait → install.
 
     The buffer is one ``(window, d)`` float64 matrix, allocated at a
-    window's first :meth:`record` (``d`` is that row's length).  Each
-    ``record`` copies its row in; the full matrix is the job's
+    window's first :meth:`record` (``d`` is its rows' width).  Each
+    ``record`` copies its block of rows in; the full matrix is the job's
     ``features`` as it stands, and the next window starts a new one.
 
     Args:
@@ -303,12 +303,8 @@ class WindowTrainer:
 
     @property
     def remaining(self) -> int:
-        """Requests left before the open window is full.
-
-        The serving loop caps each speculation batch here so no batch
-        straddles a window boundary: the retrain (and any model swap it
-        triggers) lands between batches, never under speculated scores.
-        """
+        """Requests left before the open window is full: the longest
+        block :meth:`record` takes."""
         return self.window - len(self.requests)
 
     # -- request path ----------------------------------------------------------
@@ -332,21 +328,25 @@ class WindowTrainer:
             ):
                 self._watchdog_cancel(pending)
 
-    def record(self, request: Request, features: np.ndarray) -> bool:
-        """Buffer one served request; True when it filled the window.
-
-        ``features`` must be the row the request was actually scored with
-        — training must see exactly what serving saw; it is copied, so
-        the caller may reuse its array.  A full window is handed to the
-        job and an empty one started before this returns.
+    def record(self, requests: Sequence[Request], rows: np.ndarray) -> None:
+        """Buffer a block of served requests and the ``(len(requests), d)``
+        rows they were actually scored with — training must see exactly
+        what serving saw; the rows are copied, so the caller may reuse
+        its array.  The block must fit in the open window
+        (:attr:`remaining`): a longer one is refused with ``ValueError``
+        by the slice assignment, before anything is buffered.  A full
+        window is handed to the job and an empty one started before this
+        returns.
         """
         n = len(self.requests)
-        if self.rows is None:
-            self.rows = np.empty((self.window, len(features)))
-        self.rows[n] = features
-        self.requests.append(request)
-        if n + 1 < self.window:
-            return False
+        buffer = self.rows
+        if buffer is None:
+            buffer = np.empty((self.window, rows.shape[1]))
+        buffer[n:n + len(requests)] = rows
+        self.rows = buffer
+        self.requests.extend(requests)
+        if len(self.requests) < self.window:
+            return
         registry = get_registry()
         with registry.span("online.window_close"):
             self._submit_window(registry)
@@ -360,7 +360,6 @@ class WindowTrainer:
             registry.gauge("online.last_train_seconds").set(
                 self.last_training_seconds
             )
-        return True
 
     def finish(self, timeout: float | None = None) -> bool:
         """Wait for an in-flight job and consume it.

@@ -4,9 +4,10 @@
 would silently go stale across a model swap, which is why
 ``LFOOnline.supports_batched_scoring`` is false.  The serving loop wants
 both: batched scoring throughput *and* continuous window retraining with
-warm model handoff.  :class:`BatchScorer` gets them by handing the
-policy's serving hooks to the decision engine
-(:mod:`repro.core.engine`, which owns the window protocol):
+warm model handoff.  :class:`BatchScorer` cuts each batch at the
+training-window edge (:attr:`repro.core.LFOOnline.window_remaining`) and,
+for each part, runs the decision engine (:mod:`repro.core.engine`, which
+owns the speculation protocol) with one hook, then records the part:
 
 * **poll** — :meth:`repro.core.LFOOnline.poll_training` before each
   request is scored: a completed background model installs here, an
@@ -17,13 +18,10 @@ policy's serving hooks to the decision engine
   (``model.predictor``), so a handoff costs one aborted lookahead, never a
   compile on the request path; every new model seen after a poll counts
   as one handoff;
-* **cap** — :attr:`repro.core.LFOOnline.window_remaining`, so a
-  training-window boundary (and the retrain it triggers) always falls
-  *between* speculation windows;
-* **tap** — :meth:`repro.core.LFOOnline.record_for_training` with the
-  request (the scorer holds the batch; the engine only sees its four
-  columns, built once per batch) and the live feature row its decision
-  used.
+* **record** — one :meth:`repro.core.LFOOnline.record_for_training`
+  call with the part's requests and the live feature rows the engine
+  filled, so a window closes (and its retrain runs) *between* engine
+  runs, never under speculated scores.
 
 The result is bit-identical to the scalar ``policy.on_request`` loop:
 speculation changes how fast a decision was computed, never what it was.
@@ -32,6 +30,8 @@ speculation changes how fast a decision was computed, never what it was.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from ..core.engine import MAX_LOOKAHEAD, DecisionEngine
 from ..obs import get_registry
@@ -72,16 +72,8 @@ class BatchScorer:
                 "serve.decision_latency_seconds", DECISION_LATENCY_BUCKETS
             )
         self._engine = DecisionEngine(
-            policy,
-            max_batch,
-            poll=self._poll,
-            cap=lambda: policy.window_remaining,
-            tap=lambda index, _hit, _score: policy.record_for_training(
-                self._batch[index], policy.last_features
-            ),
-            latency=latency,
+            policy, max_batch, poll=self._poll, latency=latency
         )
-        self._batch: Sequence[Request] = ()
 
     def process(self, requests: Sequence[Request]) -> list[bool]:
         """Score and apply ``requests`` in order; returns per-request hits.
@@ -89,11 +81,21 @@ class BatchScorer:
         Decisions are bit-identical to calling ``policy.on_request`` for
         each request in sequence.
         """
-        self._batch = requests
+        policy = self.policy
         columns = Trace(requests)  # materialises the four columns once
-        return self._engine.run(
-            columns.times, columns.objs, columns.sizes, columns.costs
-        )
+        hits: list[bool] = []
+        start = 0
+        while start < len(requests):
+            end = min(start + policy.window_remaining, len(requests))
+            part = slice(start, end)
+            rows = np.empty((end - start, policy.tracker.n_features))
+            hits += self._engine.run(
+                columns.times[part], columns.objs[part],
+                columns.sizes[part], columns.costs[part], rows=rows,
+            )
+            policy.record_for_training(requests[part], rows)
+            start = end
+        return hits
 
     def _poll(self) -> None:
         """Poll the trainer; count a model that went live as a handoff."""

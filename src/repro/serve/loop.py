@@ -4,8 +4,9 @@ Deployment shape (see ``docs/serving.md`` for the operations runbook)::
 
     driver ──await put──▶ asyncio.Queue(queue_depth) ──get──▶ BatchScorer
       (trace replay /        bounded: backpressure,              │
-       synthetic arrivals)   never silent loss            apply_scored +
-                                                          record_for_training
+       synthetic arrivals)   never silent loss   per window-bounded part:
+                                                 apply_scored each, then one
+                                                 record_for_training
                                                                  │
                              background trainer ◀── window boundary
                              (repro.core.trainer; warm handoff at

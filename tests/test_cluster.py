@@ -656,6 +656,46 @@ class TestClusterScorer:
             gauges = registry.to_dict()["gauges"]
             assert "online.windows_since_model" in gauges
 
+    def test_the_trainer_gets_the_served_rows_cut_every_window(
+        self, trace, cache_size
+    ):
+        """Batches of 300 against windows of 800, so blocks split at
+        window edges: each window the job receives is the rows the shards
+        filled, concatenated in request order and cut every 800."""
+        requests = list(trace)
+        windows, served = [], []
+        with use_registry(MetricsRegistry()):
+            cluster = CacheCluster(
+                cache_size, 2, seed=7, n_gaps=N_GAPS
+            ).start()
+            trainer = self._trainer(cluster)
+            job, process = trainer.job, cluster.process
+
+            def recording(window_requests, features, name):
+                windows.append((list(window_requests), features.tobytes()))
+                return job(window_requests, features, name)
+
+            def keeping_rows(batch, rows):
+                hits = process(batch, rows)
+                served.append(rows.copy())
+                return hits
+
+            trainer.job, cluster.process = recording, keeping_rows
+            scorer = ClusterScorer(trainer, cluster)
+            try:
+                for start in range(0, len(requests), 300):
+                    scorer.process(requests[start:start + 300])
+            finally:
+                trainer.close()
+                cluster.close()
+        rows = np.concatenate(served)
+        assert len(rows) == len(requests)
+        assert len(windows) == len(requests) // 800 == 3
+        for w, (window_requests, features) in enumerate(windows):
+            cut = slice(w * 800, (w + 1) * 800)
+            assert window_requests == requests[cut]
+            assert features == rows[cut].tobytes()
+
     @pytest.mark.parametrize("backend", ["batch", "cluster"])
     def test_every_window_counts_each_byte_once(
         self, trace, cache_size, backend

@@ -44,7 +44,7 @@ def make(installs, **kwargs):
 def drive(trainer, n_requests):
     for _ in range(n_requests):
         trainer.poll()
-        trainer.record(REQUEST, ROW)
+        trainer.record([REQUEST], ROW[None])
 
 
 def crash(**selector):
@@ -87,7 +87,7 @@ class TestOneRoad:
     @pytest.mark.parametrize("background", [False, True])
     def test_the_record_that_fills_the_window_closes_it(self, background):
         """``record`` is the whole boundary: the W-th call runs the job
-        once and starts an empty window before it returns True."""
+        once and starts an empty window before it returns."""
         names = []
 
         def job(requests, features, name):
@@ -97,10 +97,11 @@ class TestOneRoad:
         installs = []
         trainer = WindowTrainer(WINDOW, job, installs.append,
                                 background=background)
-        filled = [trainer.record(REQUEST, ROW) for _ in range(WINDOW - 1)]
+        for _ in range(WINDOW - 1):
+            trainer.record([REQUEST], ROW[None])
         assert names == [] and trainer.remaining == 1
-        filled.append(trainer.record(REQUEST, ROW))
-        assert filled == [False] * (WINDOW - 1) + [True]
+        assert trainer.rows.shape == (WINDOW, len(ROW))
+        trainer.record([REQUEST], ROW[None])
         assert trainer.remaining == WINDOW and trainer.rows is None
         if background:
             assert trainer.finish()  # the W-th record submitted the job
@@ -123,7 +124,7 @@ class TestOneRoad:
         row = np.empty(5)
         for i in range(WINDOW):
             row[:] = np.arange(5) + 10.0 * i
-            trainer.record(REQUEST, row)
+            trainer.record([REQUEST], row[None])
         row[:] = -1.0
         trainer.finish()
         (features,) = seen
@@ -131,6 +132,47 @@ class TestOneRoad:
         expected = np.arange(5) + 10.0 * np.arange(WINDOW)[:, None]
         assert features.tobytes() == expected.tobytes()
         trainer.close()
+
+    @pytest.mark.parametrize("background", [False, True])
+    def test_uneven_blocks_fill_one_window(self, background):
+        """Blocks of ``W - 3`` and 3 rows: only the block that fills the
+        window submits the job, and the job gets every row in order."""
+        seen = []
+
+        def job(requests, features, name):
+            seen.append((list(requests), features.tobytes()))
+            return name
+
+        trainer = WindowTrainer(WINDOW, job, [].append, background=background)
+        requests = [Request(float(t), t, 10) for t in range(WINDOW)]
+        rows = np.arange(3.0 * WINDOW).reshape(WINDOW, 3)
+        trainer.record(requests[:-3], rows[:-3])
+        assert trainer.remaining == 3 and not trainer.finish()
+        assert seen == []
+        trainer.record(requests[-3:], rows[-3:])
+        assert trainer.remaining == WINDOW and trainer.rows is None
+        trainer.finish()
+        assert seen == [(requests, rows.tobytes())]
+        assert trainer.n_retrains == 1
+        trainer.close()
+
+    @pytest.mark.parametrize("open_rows", [0, WINDOW - 3])
+    def test_a_block_past_the_window_edge_is_refused(self, open_rows):
+        """A block longer than ``remaining`` raises ``ValueError`` before
+        anything is buffered: the open window, its matrix and every
+        counter are as they were."""
+        trainer = make([])
+        drive(trainer, open_rows)
+        requests, buffer = list(trainer.requests), trainer.rows
+        contents = None if buffer is None else buffer.tobytes()
+        stats = (trainer.training_stats, trainer.resilience_stats)
+        block = trainer.remaining + 1
+        with pytest.raises(ValueError):
+            trainer.record([REQUEST] * block, np.ones((block, len(ROW))))
+        assert trainer.requests == requests and trainer.rows is buffer
+        assert contents == (None if buffer is None else buffer.tobytes())
+        assert (trainer.training_stats, trainer.resilience_stats) == stats
+        assert trainer.remaining == WINDOW - open_rows
 
     def test_closing_the_window_copies_no_matrix(self):
         """The buffer the rows were written into is the job's matrix, so
@@ -142,11 +184,11 @@ class TestOneRoad:
         )
         row = np.ones(d)
         for _ in range(window - 1):
-            trainer.record(REQUEST, row)
+            trainer.record([REQUEST], row[None])
         buffer = trainer.rows
         tracemalloc.start()
         try:
-            trainer.record(REQUEST, row)
+            trainer.record([REQUEST], row[None])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -232,7 +232,7 @@ def test_a_job_beside_the_serving_thread_reserves_one_core():
 
     def close_one_window(**supervision):
         trainer = WindowTrainer(1, job, lambda model: None, **supervision)
-        trainer.record(Request(0.0, 1, 1), np.zeros(3))
+        trainer.record([Request(0.0, 1, 1)], np.zeros((1, 3)))
         trainer.close()
 
     with ThreadPoolExecutor(1) as pool:
