@@ -10,13 +10,17 @@ decision engine's shape), the scalar ``update``, single-row prediction,
 and batch prediction, plus the reference (uncompiled) predictor for
 scale — and reports nanoseconds per request.
 
-Two regression gates, both machine-invariant ratios rather than absolute
-times (CI machines vary wildly):
+Three regression gates, all machine-invariant ratios rather than
+absolute times (CI machines vary wildly):
 
 * the compiled batch path must beat the reference tree-walk by at least
   ``0.85 ×`` the speedup recorded in the committed baseline
   (``results/ext_hotpath.json``), when the baseline was measured on the
   same backend;
+* one row must cost at most ``1 / 0.85 ×`` the baseline's multiple of a
+  batched row (``predict_single_ns / predict_batch_ns``), on the same
+  condition: the single-row call's fixed cost and its tree lanes are
+  what the scalar decision pays per request;
 * columnar feature extraction must amortise to cheaper than scalar
   extraction per row.
 
@@ -52,6 +56,11 @@ def _best_ns_per(fn, count: int) -> float:
         fn()
         best = min(best, perf_counter() - started)
     return best * 1e9 / count
+
+
+def _single_vs_batch(timings: dict) -> float:
+    """One row's scoring cost in batched rows."""
+    return timings["predict_single_ns"] / timings["predict_batch_ns"]
 
 
 def run_hotpath(acc_report, acc_windows, acc_trace, acc_cache):
@@ -115,6 +124,7 @@ def run_hotpath(acc_report, acc_windows, acc_trace, acc_cache):
     timings["compiled_vs_reference_speedup"] = (
         timings["predict_reference_ns"] / timings["predict_batch_ns"]
     )
+    timings["single_vs_batch_ratio"] = _single_vs_batch(timings)
     return predictor.backend, timings
 
 
@@ -153,4 +163,9 @@ def test_hotpath(benchmark, acc_report, acc_windows, acc_trace, acc_cache):
         assert timings["compiled_vs_reference_speedup"] >= floor, (
             timings["compiled_vs_reference_speedup"],
             floor,
+        )
+        ceiling = _single_vs_batch(baseline) / SPEEDUP_RETENTION
+        assert timings["single_vs_batch_ratio"] <= ceiling, (
+            timings["single_vs_batch_ratio"],
+            ceiling,
         )

@@ -5,10 +5,12 @@ CPython extension module (multi-phase init, no module state), kept in a
 per-user build cache that later processes load without compiling:
 
 * ``predict_raw`` — the GBDT scoring kernel behind
-  :class:`repro.gbdt.CompiledPredictor` (branchless fixed-depth walk,
-  several interleaved rows to hide load latency), bound as a batch
-  (``predict_raw``, which can also write ``-|score|`` for the logistic
-  link that ``logistic`` finishes) and as one row (``predict_row``);
+  :class:`repro.gbdt.CompiledPredictor` (branchless fixed-depth walk
+  over the predictor's byte slab, read in place; a batch walks eight
+  rows as interleaved chains and a lone row eight trees, to hide load
+  latency), bound as a batch (``predict_raw``, which can also write
+  ``-|score|`` for the logistic link that ``logistic`` finishes) and as
+  one row (``predict_row``);
 * ``ssp_augment`` — the augmentation loop of
   :func:`repro.flow.solve_min_cost_flow`: the Python loop's statements
   around an indexed heap where that loop pushes duplicates, finishing
@@ -32,14 +34,16 @@ per-user build cache that later processes load without compiling:
   arena in request order.
 
 Each entry point is a ``METH_FASTCALL`` wrapper that takes the numpy
-arrays themselves through the buffer protocol and checks, before its
-routine writes anything, each array's element type, C-contiguity and
-writability and every length and index the routine dereferences
-(``ValueError`` otherwise; the binding at the end of :data:`_SOURCE`
-lists them).  :func:`load` returns the process-wide module, or ``None``
-when there is no toolchain (``cc`` or ``Python.h`` missing, a sandboxed
-tempdir, a failed or timed-out compile) or ``REPRO_GBDT_NO_CC`` is set;
-every caller keeps a pure-Python/numpy path for that case.  The
+arrays (and, for scoring, the model's bytes) themselves through the
+buffer protocol and checks, before its routine writes anything, each
+array's element type, C-contiguity and writability and every length and
+index the routine dereferences — for a model slab, its header (magic,
+exact length, a node, alignment, roots) — ``ValueError`` otherwise; the
+binding at the end of :data:`_SOURCE` lists them.  :func:`load` returns
+the process-wide module, or ``None`` when there is no toolchain (``cc``
+or ``Python.h`` missing, a sandboxed tempdir, a failed or timed-out
+compile) or ``REPRO_GBDT_NO_CC`` is set; every caller keeps a
+pure-Python/numpy path for that case.  The
 wrappers of ``predict_raw``, ``grow_tree`` and ``ssp_augment`` release
 the GIL around the routine, so a trainer thread inside one does not hold
 the request thread, and :func:`fan_out` / :func:`start` can share work
@@ -77,9 +81,9 @@ logger = logging.getLogger("repro.native")
 #: fallbacks' own tests and for machines without a C toolchain).
 _NO_CC_ENV = "REPRO_GBDT_NO_CC"
 
-#: Interleaved rows per ``predict_raw`` iteration: enough independent
-#: dependency chains to hide node-table load latency without spilling
-#: registers.
+#: Interleaved chains per ``predict_raw`` step — rows of a batch, or
+#: trees of a lone row: enough independent dependency chains to hide
+#: node-table load latency without spilling registers.
 _LANES = 8
 
 #: Seconds the one compiler call may take.  It runs under ``_lock``, so
@@ -107,13 +111,22 @@ typedef struct {
     double value;
 } Node;
 
+/* A model slab read in place (repro.gbdt.compiled.CompiledPredictor's
+   bytes): roots and depths, one each per tree, and the node table. */
+typedef struct {
+    long n_trees, n_features;
+    const int32_t *roots, *depths;
+    const Node *nodes;
+    double init_score;
+} Model;
+
 #define LANES %(lanes)d
 
-static void predict_raw(const double *X, long n, long d,
-                 const Node *nodes, const int32_t *roots,
-                 const int32_t *depths, long n_trees,
-                 double init_score, double *out)
+static void predict_raw(const double *X, long n, const Model *m, double *out)
 {
+    const Node *nodes = m->nodes;
+    const int32_t *roots = m->roots, *depths = m->depths;
+    const long d = m->n_features, n_trees = m->n_trees;
     long i = 0;
     for (; i + LANES <= n; i += LANES) {
         const double *x[LANES];
@@ -121,7 +134,7 @@ static void predict_raw(const double *X, long n, long d,
         int32_t cur[LANES];
         for (int l = 0; l < LANES; l++) {
             x[l] = X + (i + l) * d;
-            acc[l] = init_score;
+            acc[l] = m->init_score;
         }
         for (long t = 0; t < n_trees; t++) {
             const int32_t root = roots[t];
@@ -139,10 +152,28 @@ static void predict_raw(const double *X, long n, long d,
         for (int l = 0; l < LANES; l++)
             out[i + l] = acc[l];
     }
+    /* A lone row (one call, or a batch's tail) walks LANES trees at a
+       time as interleaved chains, all to the deepest one's depth (a leaf
+       steps to itself), and adds their leaves in tree order. */
     for (; i < n; i++) {
         const double *x = X + i * d;
-        double acc = init_score;
-        for (long t = 0; t < n_trees; t++) {
+        double acc = m->init_score;
+        long t = 0;
+        for (; t + LANES <= n_trees; t += LANES) {
+            int32_t cur[LANES], depth = 0;
+            for (int l = 0; l < LANES; l++) {
+                cur[l] = roots[t + l];
+                depth = depths[t + l] > depth ? depths[t + l] : depth;
+            }
+            for (int32_t k = 0; k < depth; k++)
+                for (int l = 0; l < LANES; l++) {
+                    const Node *nd = nodes + cur[l];
+                    cur[l] = nd->kids[x[nd->feature] > nd->threshold];
+                }
+            for (int l = 0; l < LANES; l++)
+                acc += nodes[cur[l]].value;
+        }
+        for (; t < n_trees; t++) {
             int32_t cur = roots[t];
             for (int32_t k = 0, depth = depths[t]; k < depth; k++) {
                 const Node *nd = nodes + cur;
@@ -664,8 +695,6 @@ _SOURCE = _KERNELS + r"""
    routine dereferences, and raises ValueError before the routine writes
    anything.  Each view it took is released on every path. */
 
-/* What numpy exports for repro.gbdt.compiled._NODE_DTYPE. */
-#define NODE_FORMAT "T{d:threshold:i:feature:i:kid_le:i:kid_gt:i:pad:d:value:}"
 #define COUNT(v) ((v)->len / (v)->itemsize)
 #define AT(v, type, i) (((const type *)(v)->buf)[i])
 /* Bound on capacities, supplies and min_data: sums of two stay in int64. */
@@ -687,17 +716,13 @@ static void release(Held *held)
         PyBuffer_Release(&held->view[--held->n]);
 }
 
-static const char KINDS[] = "dqiBN";
-static const char *const KIND_NAME[] = {
-    "float64", "int64", "int32", "uint8", "node-record",
-};
+static const char KINDS[] = "dqiB";
+static const char *const KIND_NAME[] = {"float64", "int64", "int32", "uint8"};
 
 /* Whether a view's elements are of array letter `kind` (see parse). */
 static int kind_is(const Py_buffer *v, char kind)
 {
     const char *f = v->format ? v->format : "B";
-    if (kind == 'N')
-        return v->itemsize == (Py_ssize_t)sizeof(Node) && !strcmp(f, NODE_FORMAT);
     if (*f == '@' || *f == '=' || (PY_LITTLE_ENDIAN && *f == '<'))
         f++;
     if (!f[0] || f[1])
@@ -711,8 +736,8 @@ static int kind_is(const Py_buffer *v, char kind)
 }
 
 /* A call's arguments by `spec`, one letter each, into the next pointer
-   of `out`: d q i B N — a C-contiguous array (a held Py_buffer *) of
-   float64, int64, int32, uint8 or node records, upper case D Q one the
+   of `out`: d q i B — a C-contiguous array (a held Py_buffer *) of
+   float64, int64, int32 or uint8 (any bytes object), upper case D Q one the
    routine writes, and after '?' None (NULL) too; l — an int64; f — a
    double.  0 with an exception set otherwise: ValueError for a buffer
    of the wrong kind, layout or writability. */
@@ -787,45 +812,66 @@ static int all_in(const int64_t *values, Py_ssize_t n, int64_t low,
     return 1;
 }
 
-/* The roots of a model inside its node table.  The table's own links
-   (children, and features below d) are the predictor's invariant,
-   checked once where it is made (repro.gbdt.compiled.CompiledPredictor). */
-static int roots_ok(const Py_buffer *nodes, const Py_buffer *roots,
-                    const Py_buffer *depths)
+/* The model in `slab`, the bytes of CompiledPredictor.to_bytes(): a
+   32-byte header (magic, n_trees u32, n_features u32, n_nodes u64,
+   init_score f8, little-endian), roots and depths (int32, n_trees each)
+   and the node table.  NULL when it can be walked, else why not.  The
+   table's own links (children, and features below n_features) are the
+   predictor's invariant, checked once where it is made
+   (repro.gbdt.compiled.CompiledPredictor). */
+static const char *slab_model(const Py_buffer *slab, Model *m)
 {
-    if (COUNT(depths) != COUNT(roots))
-        return 0;
-    for (Py_ssize_t t = 0; t < COUNT(roots); t++)
-        if (AT(roots, int32_t, t) < 0 || AT(roots, int32_t, t) >= COUNT(nodes))
-            return 0;
-    return 1;
+    const char *base = slab->buf;
+    const uint64_t len = (uint64_t)slab->len;
+    uint32_t n_trees, n_features;
+    uint64_t n_nodes;
+    if (!PY_LITTLE_ENDIAN || len < 32 || memcmp(base, "LFOSLAB1", 8))
+        return "slab must start with the LFOSLAB1 magic";
+    memcpy(&n_trees, base + 8, 4);
+    memcpy(&n_features, base + 12, 4);
+    memcpy(&n_nodes, base + 16, 8);
+    memcpy(&m->init_score, base + 24, 8);
+    const uint64_t tables = 32 + 8 * (uint64_t)n_trees;
+    if (len < tables || (len - tables) % sizeof(Node)
+        || (len - tables) / sizeof(Node) != n_nodes)
+        return "slab must be 32 + 8 n_trees + 32 n_nodes bytes long";
+    if (n_nodes < 1 || n_features < 1)
+        return "slab must hold a node and a feature";
+    if ((uintptr_t)(base + tables) % 8)
+        return "slab's node table must be 8-byte aligned";
+    m->n_trees = n_trees;
+    m->n_features = n_features;
+    m->roots = (const int32_t *)(base + 32);
+    m->depths = m->roots + n_trees;
+    m->nodes = (const Node *)(base + tables);
+    for (long t = 0; t < m->n_trees; t++)
+        if (m->roots[t] < 0 || (uint64_t)m->roots[t] >= n_nodes)
+            return "slab's roots must lie in its node table";
+    return NULL;
 }
 
-/* predict_raw(X, d, nodes, roots, depths, init_score, out, neg): the
-   pre-link score of each of the len(out) rows of X (d features each)
-   into out, and -|score| into neg unless it is None. */
+/* predict_raw(X, slab, out, neg): the pre-link score of each of the
+   len(out) rows of X (n_features each) into out, and -|score| into neg
+   unless it is None. */
 static PyObject *py_predict_raw(PyObject *module, PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     Held held = {.n = 0};
     PyObject *result = NULL;
-    Py_buffer *X, *nodes, *roots, *depths, *out, *neg;
-    int64_t d;
-    double init_score;
-    if (!parse("predict_raw", args, nargs, "dlNiifD?D", &held,
-               (void *[]){&X, &d, &nodes, &roots, &depths, &init_score, &out,
-                          &neg}))
+    Py_buffer *X, *slab, *out, *neg;
+    Model m;
+    const char *bad;
+    if (!parse("predict_raw", args, nargs, "dBD?D", &held,
+               (void *[]){&X, &slab, &out, &neg}))
         goto done;
     const Py_ssize_t n = COUNT(out);
-    REQUIRE(roots_ok(nodes, roots, depths),
-            "roots must lie in the node table, one depth each");
-    REQUIRE(d >= 1 && COUNT(X) % d == 0 && COUNT(X) / d == n,
-            "X must hold len(out) rows of d features");
+    REQUIRE(!(bad = slab_model(slab, &m)), bad);
+    REQUIRE(COUNT(X) % m.n_features == 0 && COUNT(X) / m.n_features == n,
+            "X must hold len(out) rows of n_features");
     REQUIRE(!neg || COUNT(neg) == n, "neg must be as long as out");
     double *raw = out->buf, *negated = neg ? neg->buf : NULL;
     Py_BEGIN_ALLOW_THREADS
-    predict_raw(X->buf, n, d, nodes->buf, roots->buf, depths->buf,
-                COUNT(roots), init_score, raw);
+    predict_raw(X->buf, n, &m, raw);
     for (Py_ssize_t i = 0; negated && i < n; i++)
         negated[i] = -fabs(raw[i]);
     Py_END_ALLOW_THREADS
@@ -835,25 +881,23 @@ done:
     return result;
 }
 
-/* predict_row(x, d, nodes, roots, depths, init_score) -> float: one
-   row's pre-link score.  The walk is shorter than a hand-off of the
-   GIL, so the GIL stays held. */
+/* predict_row(x, slab) -> float: one row's pre-link score.  The walk is
+   shorter than a hand-off of the GIL, so the GIL stays held. */
 static PyObject *py_predict_row(PyObject *module, PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     Held held = {.n = 0};
     PyObject *result = NULL;
-    Py_buffer *x, *nodes, *roots, *depths;
-    int64_t d;
-    double init_score, raw;
-    if (!parse("predict_row", args, nargs, "dlNiif", &held,
-               (void *[]){&x, &d, &nodes, &roots, &depths, &init_score}))
+    Py_buffer *x, *slab;
+    Model m;
+    const char *bad;
+    double raw;
+    if (!parse("predict_row", args, nargs, "dB", &held,
+               (void *[]){&x, &slab}))
         goto done;
-    REQUIRE(roots_ok(nodes, roots, depths),
-            "roots must lie in the node table, one depth each");
-    REQUIRE(d >= 1 && COUNT(x) == d, "x must hold d features");
-    predict_raw(x->buf, 1, d, nodes->buf, roots->buf, depths->buf,
-                COUNT(roots), init_score, &raw);
+    REQUIRE(!(bad = slab_model(slab, &m)), bad);
+    REQUIRE(COUNT(x) == m.n_features, "x must hold n_features");
+    predict_raw(x->buf, 1, &m, &raw);
     result = PyFloat_FromDouble(raw);
 done:
     release(&held);

@@ -10,7 +10,7 @@ Per batch the worker:
 
 1. when the batch message carries a model (the router sends one with
    a shard's first batch after each publish), rebuilds its predictor
-   from the wire bytes (:meth:`CompiledPredictor.from_buffer`) and swaps
+   over the wire bytes (``CompiledPredictor(payload)``, no copy) and swaps
    in an ``LFOModel(predictor, cutoff)`` — the cross-process warm
    handoff;
 2. views the batch's records as four columns
@@ -102,7 +102,7 @@ class _ShardState:
     def attach(self, generation: int, payload: bytes, cutoff: float) -> None:
         """Swap in a published model; the previous one is dropped."""
         self.cache.set_model(
-            LFOModel(CompiledPredictor.from_buffer(payload), cutoff)
+            LFOModel(CompiledPredictor(payload), cutoff)
         )
         self.generation = generation
         self.attaches += 1

@@ -4,12 +4,13 @@ The reference predictor (:meth:`repro.gbdt.boosting.GBDTClassifier.predict_raw`)
 walks every tree's Python-list node tables per call.  That is fine for
 training-time evaluation but far too slow for the paper's Figure 7 claim
 that LFO inference sustains CDN line rate.  :class:`CompiledPredictor`
-flattens a fitted ensemble *once* into contiguous node tables so scoring
-never touches Python lists again:
+flattens a fitted ensemble *once* into one contiguous byte slab, and that
+slab is all it holds:
 
-* per-tree node records are concatenated into one array-of-structs slab
-  (``threshold``, ``feature``, ``kid_le``/``kid_gt`` child ids, leaf
-  ``value`` pre-scaled by the learning rate) with per-tree root offsets;
+* a 32-byte header (magic, tree, feature and node counts, base score),
+  then per-tree root offsets and depths, then one array-of-structs node
+  table (``threshold``, ``feature``, ``kid_le``/``kid_gt`` child ids,
+  leaf ``value`` pre-scaled by the learning rate);
 * thresholds are the *raw-value* thresholds recorded at growth time, so
   prediction skips re-binning entirely;
 * leaves are self-referential (``feature=0``, ``threshold=+inf``, both
@@ -17,22 +18,26 @@ never touches Python lists again:
   idempotent — a walk can run for a fixed per-tree depth with no
   leaf checks at all.
 
+The same bytes are the wire format (:meth:`CompiledPredictor.to_bytes`
+returns the slab itself) and what the native kernel is handed.
+
 Two execution backends share that layout:
 
 * **kernel** — the ``predict_raw`` routine of :mod:`repro._native`
-  (branchless fixed-depth walk, several interleaved rows to hide load
-  latency).  That module is the repo's one native build — it also holds
-  the min-cost-flow augmentation loop — compiled once per machine into a
-  CPython extension whose functions take the node tables and rows as
-  arrays.  The kernel is model-independent: every predictor in the
-  process calls the same module.  A batch call releases the GIL, so
-  predictor *threads* scale too, not just processes; one row
+  (branchless fixed-depth walk; a batch walks eight rows as interleaved
+  chains, a lone row eight trees, to hide load latency).  That module is
+  the repo's one native build — it also holds the min-cost-flow
+  augmentation loop — compiled once per machine into a CPython extension
+  whose functions take the rows and the slab, whose header they check.
+  The kernel is model-independent: every predictor in the process calls
+  the same module.  A batch call releases the GIL, so predictor
+  *threads* scale too, not just processes; one row
   (:meth:`CompiledPredictor.predict_raw_single`) is one call that keeps
   it.
-* **numpy** — a vectorised self-loop level walk over the same arrays,
-  used when the native module is unavailable (``cc`` missing, sandboxed,
-  or ``REPRO_GBDT_NO_CC=1``).  Slower than the kernel but still far
-  ahead of the reference path, and always available.
+* **numpy** — a vectorised self-loop level walk over numpy views of the
+  slab, used when the native module is unavailable (``cc`` missing,
+  sandboxed, or ``REPRO_GBDT_NO_CC=1``).  Slower than the kernel but
+  still far ahead of the reference path, and always available.
 
 Numerical contract (pinned by ``tests/test_gbdt_compiled.py``): the
 kernel accumulates ``init_score + Σ value`` in tree order, exactly like
@@ -72,9 +77,9 @@ _NODE_DTYPE = np.dtype(
     ]
 )
 
-#: Magic prefix of the wire format (see
-#: :meth:`CompiledPredictor.to_bytes`).  Bump the trailing digit on any
-#: layout change so bytes of the old layout fail loudly.
+#: Magic prefix of the slab (see :meth:`CompiledPredictor.to_bytes`).
+#: Bump the trailing digit on any layout change so bytes of the old
+#: layout fail loudly; the native kernel checks it too.
 _SLAB_MAGIC = b"LFOSLAB1"
 
 #: ``<`` = little-endian, no struct padding: magic, n_trees u32,
@@ -107,10 +112,21 @@ def kernel_available() -> bool:
 class CompiledPredictor:
     """Flattened, backend-accelerated inference over a fitted ensemble.
 
-    Build one with :meth:`from_ensemble` (or, more commonly, via
-    :meth:`repro.gbdt.GBDTClassifier.compiled`, which caches it on the
+    ``CompiledPredictor(slab)`` scores with the model held in ``slab``,
+    anything exposing the bytes of :meth:`to_bytes` through the buffer
+    protocol — how a cluster shard rebuilds the model it received (see
+    :meth:`repro.cluster.CacheCluster.publish`).  Nothing is copied: the
+    node tables are numpy views of the slab, which they keep alive (a
+    ``bytearray`` cannot be resized while they do), and scoring is
+    bit-identical to the predictor that produced the bytes.  Build one
+    from a fitted ensemble with :meth:`from_ensemble` (or, more commonly,
+    via :meth:`repro.gbdt.GBDTClassifier.compiled`, which caches it on the
     model).  The predictor is immutable: refitting the model compiles a
     fresh one.
+
+    Raises ``ValueError`` on a bad magic, a buffer that is not exactly
+    the length its header promises, a misaligned node table or links
+    that leave the table.
 
     Attributes:
         n_trees: number of flattened trees.
@@ -121,19 +137,42 @@ class CompiledPredictor:
             binding never crosses process boundaries).
     """
 
-    def __init__(
-        self,
-        nodes: np.ndarray,
-        roots: np.ndarray,
-        depths: np.ndarray,
-        init_score: float,
-        n_features: int,
-    ) -> None:
-        self._nodes = nodes
-        self._roots = roots
-        self._depths = depths
+    def __init__(self, slab) -> None:
+        view = memoryview(slab).cast("B")
+        if len(view) < _SLAB_HEADER.size:
+            raise ValueError(
+                f"model bytes truncated: {len(view)} bytes is smaller than "
+                f"the {_SLAB_HEADER.size}-byte header"
+            )
+        magic, n_trees, n_features, n_nodes, init_score = (
+            _SLAB_HEADER.unpack_from(view, 0)
+        )
+        if magic != _SLAB_MAGIC:
+            raise ValueError(
+                f"model bytes have magic {magic!r}, expected {_SLAB_MAGIC!r}"
+            )
+        offset = _SLAB_HEADER.size
+        total = offset + 8 * n_trees + _NODE_DTYPE.itemsize * n_nodes
+        if len(view) < total:
+            raise ValueError(
+                f"model bytes truncated: header promises {total} bytes, "
+                f"buffer holds {len(view)}"
+            )
+        if len(view) > total:
+            raise ValueError(
+                f"model bytes run {len(view) - total} bytes past the "
+                f"{total} their header promises"
+            )
+        self._slab = slab if isinstance(slab, (bytes, bytearray)) else view
         self.init_score = float(init_score)
         self.n_features = int(n_features)
+        self._roots = np.frombuffer(view, dtype="<i4", count=n_trees, offset=offset)
+        offset += 4 * n_trees
+        self._depths = np.frombuffer(view, dtype="<i4", count=n_trees, offset=offset)
+        offset += 4 * n_trees
+        self._nodes = np.frombuffer(
+            view, dtype=_NODE_DTYPE, count=n_nodes, offset=offset
+        )
         self._kernel: _native.Native | None = None
         self._kernel_resolved = False
         # numpy-backend views, built on first fallback use.
@@ -141,6 +180,32 @@ class CompiledPredictor:
         self._check_links()
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def from_tables(
+        cls,
+        nodes: np.ndarray,
+        roots: np.ndarray,
+        depths: np.ndarray,
+        init_score: float,
+        n_features: int,
+    ) -> "CompiledPredictor":
+        """A predictor over the slab that packs these tables: a
+        ``_NODE_DTYPE`` node table, one root offset and one walk depth
+        per tree."""
+        header = _SLAB_HEADER.pack(
+            _SLAB_MAGIC, len(roots), n_features, len(nodes), init_score
+        )
+        return cls(
+            b"".join(
+                (
+                    header,
+                    np.ascontiguousarray(roots, dtype="<i4").tobytes(),
+                    np.ascontiguousarray(depths, dtype="<i4").tobytes(),
+                    np.ascontiguousarray(nodes, dtype=_NODE_DTYPE).tobytes(),
+                )
+            )
+        )
 
     @classmethod
     def from_ensemble(
@@ -178,7 +243,7 @@ class CompiledPredictor:
             roots[t] = offset
             depths[t] = tree.max_depth()
             offset += size
-        predictor = cls(nodes, roots, depths, init_score, n_features)
+        predictor = cls.from_tables(nodes, roots, depths, init_score, n_features)
         if registry.enabled:
             registry.histogram("gbdt.compile_seconds").observe(
                 perf_counter() - started
@@ -186,18 +251,20 @@ class CompiledPredictor:
         return predictor
 
     def _check_links(self) -> None:
-        """Refuse a node table whose walk would leave it: every child and
+        """Refuse a slab the kernel would refuse or whose walk would leave
+        the node table: at least one node, 8-byte aligned, every child and
         root inside the table, every feature inside the row.  The kernel
-        follows these links unchecked, and the table never changes after
+        follows the links unchecked, and the table never changes after
         this, so they are checked once, here — a predictor rebuilt from
         another process's bytes included."""
         nodes, n = self._nodes, len(self._nodes)
+        if n == 0 or nodes.ctypes.data % 8:
+            raise ValueError("model node table empty or not 8-byte aligned")
         if not (
             _native.all_below(nodes["kid_le"], n)
             and _native.all_below(nodes["kid_gt"], n)
             and _native.all_below(nodes["feature"], self.n_features)
             and _native.all_below(self._roots, n)
-            and len(self._depths) == len(self._roots)
         ):
             raise ValueError("model node table links outside itself")
 
@@ -237,10 +304,7 @@ class CompiledPredictor:
         out = np.empty(X.shape[0], dtype=np.float64)
         if kernel is None:
             return self._predict_raw_numpy(X, out)
-        kernel.predict_raw(
-            X, self.n_features, self._nodes, self._roots, self._depths,
-            self.init_score, out, None,
-        )
+        kernel.predict_raw(X, self._slab, out, None)
         return out
 
     def predict_raw_single(self, x: np.ndarray) -> float:
@@ -248,15 +312,12 @@ class CompiledPredictor:
 
         Bit-identical to ``predict_raw(x[None, :])[0]`` on either
         backend — the batched simulator relies on that.  On the kernel a
-        contiguous float64 row is one call, with no copy.
+        contiguous float64 row is one call with the slab, with no copy.
         """
         kernel = self._kernel if self._kernel_resolved else self._resolve_kernel()
         if kernel is not None:
             try:
-                return kernel.predict_row(
-                    x, self.n_features, self._nodes, self._roots,
-                    self._depths, self.init_score,
-                )
+                return kernel.predict_row(x, self._slab)
             except (TypeError, ValueError):
                 pass  # not a contiguous float64 row: converted, or refused, below
         return float(self.predict_raw(x)[0])
@@ -275,10 +336,7 @@ class CompiledPredictor:
             return sigmoid(self._predict_raw_numpy(X, np.empty(X.shape[0])))
         raw = np.empty(X.shape[0])
         p = np.empty(X.shape[0])
-        kernel.predict_raw(
-            X, self.n_features, self._nodes, self._roots, self._depths,
-            self.init_score, raw, p,
-        )
+        kernel.predict_raw(X, self._slab, raw, p)
         np.exp(p, out=p)
         kernel.logistic(raw, p)
         return p
@@ -323,74 +381,20 @@ class CompiledPredictor:
     # -- wire serialisation -------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialise the predictor into one contiguous, position-independent
-        blob.
+        """The slab: one contiguous, position-independent blob.
 
         Layout (all little-endian): a 32-byte header (magic, ``n_trees``
         u32, ``n_features`` u32, ``n_nodes`` u64, ``init_score`` f8),
         then ``roots`` i4, ``depths`` i4, then the ``_NODE_DTYPE`` node
-        table.  Section offsets are pure functions of the header, so
-        :meth:`from_buffer` can rebuild the predictor from the same bytes
-        in another process — how the cluster publishes models to its
-        shards (see :meth:`repro.cluster.CacheCluster.publish`).
+        table.  Section offsets are pure functions of the header, so the
+        constructor rebuilds the predictor from the same bytes in another
+        process — how the cluster publishes models to its shards (see
+        :meth:`repro.cluster.CacheCluster.publish`).  A predictor built
+        over ``bytes`` returns that very object; over another buffer, a
+        copy of it.
         """
-        header = _SLAB_HEADER.pack(
-            _SLAB_MAGIC,
-            self.n_trees,
-            self.n_features,
-            len(self._nodes),
-            self.init_score,
-        )
-        return b"".join(
-            (
-                header,
-                np.ascontiguousarray(self._roots, dtype="<i4").tobytes(),
-                np.ascontiguousarray(self._depths, dtype="<i4").tobytes(),
-                np.ascontiguousarray(self._nodes, dtype=_NODE_DTYPE).tobytes(),
-            )
-        )
-
-    @classmethod
-    def from_buffer(cls, buffer) -> "CompiledPredictor":
-        """Rebuild a predictor as zero-copy views over ``buffer``.
-
-        ``buffer`` is anything exposing the buffer protocol — typically
-        the ``bytes`` a cluster shard received in its batch message; the
-        node tables are never copied.  The returned arrays keep the
-        buffer alive (a ``bytearray`` cannot be resized while they do), and scoring is bit-identical to the predictor
-        that produced the bytes (same node records, same walk, same
-        accumulation order on both backends).
-
-        Raises ``ValueError`` on a bad magic or a truncated buffer.
-        """
-        view = memoryview(buffer)
-        if len(view) < _SLAB_HEADER.size:
-            raise ValueError(
-                f"model bytes truncated: {len(view)} bytes is smaller than "
-                f"the {_SLAB_HEADER.size}-byte header"
-            )
-        magic, n_trees, n_features, n_nodes, init_score = (
-            _SLAB_HEADER.unpack_from(view, 0)
-        )
-        if magic != _SLAB_MAGIC:
-            raise ValueError(
-                f"model bytes have magic {magic!r}, expected {_SLAB_MAGIC!r}"
-            )
-        offset = _SLAB_HEADER.size
-        total = offset + 8 * n_trees + _NODE_DTYPE.itemsize * n_nodes
-        if len(view) < total:
-            raise ValueError(
-                f"model bytes truncated: header promises {total} bytes, "
-                f"buffer holds {len(view)}"
-            )
-        roots = np.frombuffer(view, dtype="<i4", count=n_trees, offset=offset)
-        offset += 4 * n_trees
-        depths = np.frombuffer(view, dtype="<i4", count=n_trees, offset=offset)
-        offset += 4 * n_trees
-        nodes = np.frombuffer(
-            view, dtype=_NODE_DTYPE, count=n_nodes, offset=offset
-        )
-        return cls(nodes, roots, depths, init_score, n_features)
+        slab = self._slab
+        return slab if isinstance(slab, bytes) else bytes(slab)
 
     # -- threshold introspection -------------------------------------------
 
@@ -410,9 +414,7 @@ class CompiledPredictor:
 
     # -- pickling -----------------------------------------------------------
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # The loaded module is process-local: re-resolved after unpickling.
-        state["_kernel"] = None
-        state["_kernel_resolved"] = False
-        return state
+    def __reduce__(self):
+        # The slab alone: views, numpy arrays and the process-local kernel
+        # binding are rebuilt on load.
+        return (type(self), (self.to_bytes(),))

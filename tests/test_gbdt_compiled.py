@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import _native
 from repro.gbdt import (
     CompiledPredictor,
     GBDTClassifier,
@@ -163,14 +164,24 @@ class TestLifecycle:
         assert np.array_equal(clone.predict_raw(X_eval), before)
         assert clone.predict_raw_single(X_eval[0]) == before[0]
 
+    def test_pickle_carries_only_the_slab(self, fitted, python_fallback):
+        """Not the numpy backend's arrays: a model scored on a host without
+        a compiler pickles as small as a fresh one."""
+        clf, X_eval = fitted
+        predictor = fresh_compiled(clf)
+        predictor.predict_raw(X_eval)
+        assert predictor._numpy_views is not None
+        assert len(pickle.dumps(predictor)) < len(predictor.to_bytes()) + 200
+
 
 class TestSlabWire:
-    """``to_bytes``/``from_buffer`` — how the cluster ships a model."""
+    """``to_bytes`` / ``CompiledPredictor(bytes)`` — how the cluster ships
+    a model."""
 
     def test_roundtrip_bit_identical_batch_and_single(self, fitted):
         clf, X_eval = fitted
         predictor = fresh_compiled(clf)
-        clone = CompiledPredictor.from_buffer(predictor.to_bytes())
+        clone = CompiledPredictor(predictor.to_bytes())
         assert np.array_equal(
             clone.predict_raw(X_eval), predictor.predict_raw(X_eval)
         )
@@ -193,7 +204,7 @@ class TestSlabWire:
         clf, X_eval = fitted
         predictor = fresh_compiled(clf)
         assert predictor.backend == "kernel"
-        clone = CompiledPredictor.from_buffer(predictor.to_bytes())
+        clone = CompiledPredictor(predictor.to_bytes())
         assert clone.backend == "kernel"
         assert np.array_equal(
             clone.predict_raw(X_eval), predictor.predict_raw(X_eval)
@@ -206,7 +217,7 @@ class TestSlabWire:
         clf, X_eval = fitted
         predictor = fresh_compiled(clf)
         assert predictor.backend == "numpy"
-        clone = CompiledPredictor.from_buffer(predictor.to_bytes())
+        clone = CompiledPredictor(predictor.to_bytes())
         assert clone.backend == "numpy"
         assert np.array_equal(
             clone.predict_raw(X_eval), predictor.predict_raw(X_eval)
@@ -220,7 +231,7 @@ class TestSlabWire:
         clf, X_eval = fitted
         predictor = fresh_compiled(clf)
         blob = bytearray(predictor.to_bytes())
-        clone = CompiledPredictor.from_buffer(blob)
+        clone = CompiledPredictor(blob)
         before = clone.predict_raw(X_eval)
         assert np.array_equal(before, predictor.predict_raw(X_eval))
         # Mutate one node's leaf value through the backing buffer; the
@@ -237,26 +248,113 @@ class TestSlabWire:
         clf, _ = fitted
         blob = fresh_compiled(clf).to_bytes()
         with pytest.raises(ValueError, match="truncated"):
-            CompiledPredictor.from_buffer(blob[: len(blob) // 2])
+            CompiledPredictor(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="truncated"):
-            CompiledPredictor.from_buffer(blob[:8])
+            CompiledPredictor(blob[:8])
+
+    def test_overlong_or_misaligned_buffer_rejected(self, fitted):
+        clf, _ = fitted
+        blob = fresh_compiled(clf).to_bytes()
+        with pytest.raises(ValueError, match="past"):
+            CompiledPredictor(blob + b"\0")
+        room = np.zeros(len(blob) + 12, dtype=np.uint8)
+        start = -room.ctypes.data % 8 + 4
+        room[start:start + len(blob)] = np.frombuffer(blob, dtype=np.uint8)
+        with pytest.raises(ValueError, match="aligned"):
+            CompiledPredictor(room[start:start + len(blob)])
+
+    def test_to_bytes_is_the_slab_itself(self, fitted):
+        blob = fresh_compiled(fitted[0]).to_bytes()
+        assert CompiledPredictor(blob).to_bytes() is blob
 
     def test_bad_magic_rejected(self, fitted):
         clf, _ = fitted
         blob = bytearray(fresh_compiled(clf).to_bytes())
         blob[:8] = b"NOTASLAB"
         with pytest.raises(ValueError, match="magic"):
-            CompiledPredictor.from_buffer(bytes(blob))
+            CompiledPredictor(bytes(blob))
 
     def test_roundtrip_survives_pickle(self, fitted):
-        """A from_buffer clone re-materialises its views when pickled."""
+        """A clone over received bytes re-materialises its views when
+        pickled."""
         clf, X_eval = fitted
         predictor = fresh_compiled(clf)
-        clone = CompiledPredictor.from_buffer(predictor.to_bytes())
+        clone = CompiledPredictor(predictor.to_bytes())
         copied = pickle.loads(pickle.dumps(clone))
         assert np.array_equal(
             copied.predict_raw(X_eval), predictor.predict_raw(X_eval)
         )
+
+
+#: Ensemble sizes around the kernel's lane width (8): all tail, one
+#: group, a group and a tail, several groups.
+LANE_TREES = (1, 7, 8, 9, 17, 30)
+
+
+@pytest.fixture(scope="module")
+def lane_ensembles():
+    """Classifiers of each :data:`LANE_TREES` size whose trees differ in
+    depth, and rows to score."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(400, 6))
+    y = (X[:, 0] * X[:, 1] + X[:, 2] - 0.5 * X[:, 4] > 0).astype(np.float64)
+    ensembles = [
+        GBDTClassifier(GBDTParams(num_iterations=n, num_leaves=12, seed=5)).fit(X, y)
+        for n in LANE_TREES
+    ]
+    depths = ensembles[-1].compiled()._depths
+    # Some group of eight trees walks deeper than its first tree.
+    assert any(depths[g:g + 8].max() > depths[g] for g in range(0, 23, 8))
+    return ensembles, np.vstack([X[:40], rng.normal(scale=3.0, size=(40, 6))])
+
+
+def _check_lanes(kernel, ensembles, X):
+    """One row on ``kernel`` equals the reference walk bit for bit, and
+    equals its entry in every batch of 1–9 and 17 rows."""
+    for clf in ensembles:
+        slab = clf.compiled().to_bytes()
+        single = np.array([kernel.predict_row(x, slab) for x in X])
+        assert single.tobytes() == clf.predict_raw(X).tobytes(), len(clf.trees)
+        for n in (*range(1, 10), 17):
+            out = np.empty(n)
+            kernel.predict_raw(X[:n], slab, out, None)
+            assert out.tobytes() == single[:n].tobytes(), (len(clf.trees), n)
+
+
+class TestTreeLanes:
+    """A lone row walks eight trees at a time as interleaved chains."""
+
+    def test_one_row_is_the_reference_walk(self, native, lane_ensembles):
+        assert [len(clf.trees) for clf in lane_ensembles[0]] == list(LANE_TREES)
+        _check_lanes(_native.load(), *lane_ensembles)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            pytest.param(
+                "acc += nodes[cur[l]].value;",
+                "acc += nodes[cur[LANES - 1 - l]].value;",
+                id="leaves added out of tree order",
+            ),
+            pytest.param(
+                "depth = depths[t + l] > depth ? depths[t + l] : depth;",
+                "depth = depths[t];",
+                id="lanes walked to their group's first depth",
+            ),
+        ],
+    )
+    def test_mutants_are_caught(
+        self, native, lane_ensembles, monkeypatch, tmp_path, old, new
+    ):
+        assert _native._SOURCE.count(old) == 1
+        monkeypatch.setattr(
+            _native, "_SOURCE", _native._SOURCE.replace(old, new)
+        )
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        mutant = _native._build()  # uncached: no mutant object outlives it
+        assert isinstance(mutant, _native.Native)
+        with pytest.raises(AssertionError):
+            _check_lanes(mutant, *lane_ensembles)
 
 
 class TestFeatureThresholds:

@@ -44,22 +44,14 @@ def predictor():
     return GBDTClassifier(GBDTParams(num_iterations=4)).fit(X, y).compiled()
 
 
-def _model(predictor):
-    return [predictor._nodes, predictor._roots, predictor._depths,
-            predictor.init_score]
-
-
 def _predict_raw(predictor):
     X = np.random.default_rng(0).normal(size=(11, predictor.n_features))
-    nodes, roots, depths, init = _model(predictor)
-    return [X, X.shape[1], nodes, roots, depths, init, np.zeros(11),
-            np.zeros(11)]
+    return [X, predictor._slab, np.zeros(11), np.zeros(11)]
 
 
 def _predict_row(predictor):
     x = np.random.default_rng(1).normal(size=predictor.n_features)
-    nodes, roots, depths, init = _model(predictor)
-    return [x, len(x), nodes, roots, depths, init]
+    return [x, predictor._slab]
 
 
 def _logistic(_):
@@ -155,7 +147,7 @@ def _tracker_row(_):
 
 #: entry point -> (valid arguments, positions of its outputs)
 ENTRIES = {
-    "predict_raw": (_predict_raw, [6, 7]),
+    "predict_raw": (_predict_raw, [2, 3]),
     "predict_row": (_predict_row, []),
     "logistic": (_logistic, [1]),
     "ssp_augment": (_ssp_augment, [6, 8]),
@@ -199,21 +191,67 @@ def _capacity(args, slab=4):
     return len(args[slab])
 
 
+def edit_slab(i, edit):
+    """``args[i]``, a model slab, copied into a ``bytearray`` that
+    ``edit(slab, n_trees)`` changes in place."""
+    def spoil(args):
+        slab = bytearray(args[i])
+        edit(slab, int.from_bytes(slab[8:12], "little"))
+        return slab
+    return spoil
+
+
+def _other_magic(slab, n_trees):
+    slab[7] = ord("0")  # LFOSLAB0
+
+
+def _no_nodes(slab, n_trees):
+    slab[16:24] = bytes(8)
+    del slab[32 + 8 * n_trees:]
+
+
+def _root_past_the_nodes(slab, n_trees):
+    slab[32:36] = slab[16:20]  # roots[0] = n_nodes
+
+
+def misaligned(i):
+    """``args[i]`` as uint8 at an address 4 past a multiple of 8."""
+    def spoil(args):
+        data = np.frombuffer(args[i], dtype=np.uint8)
+        room = np.zeros(len(data) + 12, dtype=np.uint8)
+        start = -room.ctypes.data % 8 + 4
+        room[start:start + len(data)] = data
+        return room[start:start + len(data)]
+    return spoil
+
+
+def slab_cases(entry, i):
+    """The header checks both scoring entry points share, on ``args[i]``."""
+    return [
+        (entry, "slab of another magic", i, edit_slab(i, _other_magic)),
+        (entry, "slab one byte short", i, lambda a: a[i][:-1]),
+        (entry, "slab one byte long", i, lambda a: a[i] + b"\0"),
+        (entry, "slab misaligned by 4", i, misaligned(i)),
+        (entry, "slab of zero nodes", i, edit_slab(i, _no_nodes)),
+        (entry, "root past the nodes", i, edit_slab(i, _root_past_the_nodes)),
+    ]
+
+
 #: (entry, case, argument position, spoiler: the arguments -> the value
 #: that replaces that one) — each precondition once.
 CASES = [
     ("predict_raw", "int64 X", 0, as_int64(0)),
     ("predict_raw", "strided X", 0, strided(0)),
-    ("predict_raw", "read-only out", 6, read_only(6)),
-    ("predict_raw", "out one short", 6, short(6)),
-    ("predict_raw", "neg one short", 7, short(7)),
-    ("predict_raw", "root past the nodes", 3, poke(3, 0, lambda a: len(a[2]))),
+    ("predict_raw", "X one feature short of the header's n_features", 0,
+     lambda a: np.ascontiguousarray(a[0][:, :-1])),
+    ("predict_raw", "read-only out", 2, read_only(2)),
+    ("predict_raw", "out one short", 2, short(2)),
+    ("predict_raw", "neg one short", 3, short(3)),
+    *slab_cases("predict_raw", 1),
     ("predict_row", "int64 x", 0, as_int64(0)),
     ("predict_row", "strided x", 0, strided(0)),
-    ("predict_row", "x one short", 0, short(0)),
-    ("predict_row", "root past the nodes", 3, poke(3, 1, lambda a: len(a[2]))),
-    ("predict_row", "nodes of another dtype", 2,
-     lambda a: np.zeros((len(a[2]), 4))),
+    ("predict_row", "x one short of the header's n_features", 0, short(0)),
+    *slab_cases("predict_row", 1),
     ("logistic", "int64 raw", 0, as_int64(0)),
     ("logistic", "strided raw", 0, strided(0)),
     ("logistic", "read-only e", 1, read_only(1)),
@@ -300,21 +338,22 @@ def test_a_broken_precondition_is_refused_before_any_write(
 
 
 def test_a_refusal_leaves_no_export_on_a_slab_model(native, predictor):
-    """A wrapper that raises after taking a view of a node slab rebuilt
-    over a buffer (``from_buffer``, as a cluster shard does) has released
-    it: once the model is dropped, the buffer resizes (an export left
-    behind is a ``BufferError`` here)."""
+    """A wrapper that raises after taking a view of a model slab over a
+    buffer (``CompiledPredictor(buffer)``, as a cluster shard does) has
+    released it: once the model is dropped, the buffer resizes (an export
+    left behind is a ``BufferError`` here)."""
     buffer = bytearray(predictor.to_bytes())
-    rebuilt = CompiledPredictor.from_buffer(buffer)
+    rebuilt = CompiledPredictor(buffer)
     args = _predict_raw(rebuilt)
-    for position, spoil in ((6, read_only(6)), (6, short(6))):
+    assert args[1] is buffer
+    for position, spoil in ((2, read_only(2)), (2, short(2))):
         spoiled = list(args)
         spoiled[position] = spoil(args)
         with pytest.raises(ValueError):
             _native.load().predict_raw(*spoiled)
     x = np.zeros(rebuilt.n_features + 1)
     with pytest.raises(ValueError):
-        _native.load().predict_row(x, rebuilt.n_features, *_model(rebuilt))
+        _native.load().predict_row(x, buffer)
     with pytest.raises(BufferError):
         buffer.append(0)  # the live model's node tables export it
     del rebuilt, args, spoiled
@@ -361,7 +400,7 @@ def test_a_node_table_link_outside_itself(backend, predictor):
         nodes = predictor._nodes.copy()
         nodes[field][0] = value
         assert _refusal(
-            lambda: CompiledPredictor(
+            lambda: CompiledPredictor.from_tables(
                 nodes, predictor._roots, predictor._depths,
                 predictor.init_score, predictor.n_features,
             )
@@ -417,7 +456,7 @@ def test_predict_proba_is_the_sigmoid_of_predict_raw(native):
     nodes["threshold"][leaves] = np.inf
     nodes["kid_le"][leaves] = nodes["kid_gt"][leaves] = leaves
     nodes["value"][leaves] = values
-    lookup = CompiledPredictor(
+    lookup = CompiledPredictor.from_tables(
         nodes, np.zeros(1, dtype=np.int32), np.array([depth], dtype=np.int32),
         -0.0, 1,
     )
