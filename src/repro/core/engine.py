@@ -35,19 +35,14 @@ requests of the same window change both.  One :meth:`step`:
    row: same rows, new free bytes.  The chunk length follows the
    observed drift interval (shrinks to the distance consumed, doubles
    back toward ``max_window`` on fully consumed chunks);
-4. **keeps a dirty set for the one thing a probe cannot foresee** — a
-   bounded tracker (``max_objects``) evicting another object's history
-   mid-window (:attr:`~repro.features.FeatureTracker.last_evicted`).
-   A dirty object's later rows are extracted and scored live, one at a
-   time, as the scalar loop would.  Unbounded trackers never fill it;
-5. **ends early only on a model swap** seen after a mid-window
+4. **ends early only on a model swap** seen after a mid-window
    ``poll()``: the remaining scores came from the old model.
 
 The replay runs inside the tracker's *deferred window*
-(:meth:`~repro.features.FeatureTracker.defer_updates`): on an uncapped
-tracker ``apply_scored``'s ``update`` calls only queue their records,
-and whoever reads the tracker next — the next window's probe, an
-eviction probe mid-window — writes them first, in one run.
+(:meth:`~repro.features.FeatureTracker.defer_updates`): the cache's
+tracker is unbounded, so ``apply_scored``'s ``update`` calls only queue
+their records, and whoever reads the tracker next — the next window's
+probe, an eviction probe mid-window — writes them first, in one run.
 
 Two hooks let a driver put its own work on the request path:
 
@@ -60,8 +55,7 @@ While ``policy.model`` is ``None`` (cold start) every score is 0.0 and
 no free-bytes threshold splits a window.  Scores come from
 ``model.predictor``; its free-bytes thresholds are cached by model
 identity, so a swap between steps (a shard attaching a newly published
-model) costs one lookup.  The dirty rows are the only place a
-``Request`` is built here (``FeatureTracker.features`` takes one).
+model) costs one lookup.
 
 Sampled eviction composes unchanged: candidate scoring happens inside
 ``apply_scored``'s eviction plan against the *live* state at that replay
@@ -76,8 +70,6 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, MutableSequence
 
 import numpy as np
-
-from ..trace import Request
 
 if TYPE_CHECKING:
     from ..obs.registry import Histogram
@@ -112,11 +104,9 @@ class DecisionEngine:
             p999 per telemetry window, so it needs every decision.
 
     Single-consumer: one ``step`` at a time.  ``rows_probed`` (rows
-    extracted, one per request unless a swap ended a step),
+    extracted, one per request unless a swap ended a step) and
     ``n_respeculations`` (chunks re-scored because the free bytes left
-    their bucket) and ``n_rescored`` (rows extracted and scored live
-    because the tracker's cap evicted their object) count the protocol's
-    work.
+    their bucket) count the protocol's work.
     """
 
     def __init__(
@@ -137,7 +127,6 @@ class DecisionEngine:
             )
         self.policy = policy
         self.max_window = max_window
-        self.n_rescored = 0
         self.n_respeculations = 0
         self.rows_probed = 0
         self._poll = poll
@@ -228,14 +217,10 @@ class DecisionEngine:
         polls = poll is not None
         #: The next row still owes its poll (row 0 had it above).
         due = False
-        capped = tracker.max_objects > 0
-        #: Objects the tracker's cap evicted since the probe: their
-        #: probed rows are stale and are recomputed live.
-        dirty: set[int] = set()
         consumed = limit
         k = 0
         # The replay's ``update`` calls are written in one run before the
-        # next read of the tracker (a capped one records immediately).
+        # next read of the tracker.
         tracker.defer_updates(True)
         try:
             while k < limit:
@@ -260,25 +245,14 @@ class DecisionEngine:
                             # twice for this request.
                             self._polled = True
                             break
-                    if dirty and obj in dirty:
-                        features = tracker.features(
-                            Request(time, obj, size, cost), policy.free_bytes
-                        )
-                        score = 0.0 if predictor is None else (
-                            predictor.predict_proba_single(features)
-                        )
-                        X[j] = features
-                        w_scores[j] = score
-                        self.n_rescored += 1
-                    else:
-                        live = cache_size - policy.used_bytes
-                        if live != free:
-                            if bisect_left(thresholds, float(live)) != bucket:
-                                break
-                            # Same bucket, same scores; the rows still
-                            # carry the value their decision sees.
-                            free = live
-                            X[j:m, FREE_BYTES_COLUMN] = free
+                    live = cache_size - policy.used_bytes
+                    if live != free:
+                        if bisect_left(thresholds, float(live)) != bucket:
+                            break
+                        # Same bucket, same scores; the rows still carry
+                        # the value their decision sees.
+                        free = live
+                        X[j:m, FREE_BYTES_COLUMN] = free
                     if latency is None:
                         hit = apply_scored(
                             time, obj, size, cost, features, score
@@ -289,10 +263,6 @@ class DecisionEngine:
                             time, obj, size, cost, features, score
                         )
                         latency.observe(perf_counter() - began)
-                    if capped:
-                        evicted = tracker.last_evicted
-                        if evicted is not None:
-                            dirty.add(evicted)
                     w_hits.append(hit)
                     due = polls
                     if tap is not None:

@@ -158,7 +158,6 @@ class LFOCache(CachePolicy):
         cache_size: int,
         model: LFOModel | None = None,
         n_gaps: int = 50,
-        tracker: FeatureTracker | None = None,
         eviction: str = "likelihood",
         rescore_interval: int = 0,
         sampled: SampledEvictionConfig | None = None,
@@ -166,8 +165,7 @@ class LFOCache(CachePolicy):
         """Args:
             cache_size: capacity in bytes.
             model: trained predictor (None = cold-start admit-all LRU).
-            n_gaps: gap-feature count of the tracker.
-            tracker: optional shared feature state.
+            n_gaps: gap-feature count of the cache's own tracker.
             eviction: ``"likelihood"`` (the paper's rule: evict the lowest
                 predicted likelihood), ``"lru"`` (admission-only LFO — a
                 §5 "policy design" variant), or ``"sampled"`` (score only
@@ -193,7 +191,7 @@ class LFOCache(CachePolicy):
         self.rescore_interval = rescore_interval
         self.sampled_config = sampled or SampledEvictionConfig()
         self._rng = np.random.default_rng(self.sampled_config.seed)
-        self._tracker = tracker or FeatureTracker(n_gaps=n_gaps)
+        self._tracker = FeatureTracker(n_gaps=n_gaps)
         self._ranked = RankedHeap()
         self._lru: OrderedDict[int, None] = OrderedDict()  # cold-start rank
         #: Residents as a swap-remove list + position map, so the sampler
@@ -242,10 +240,9 @@ class LFOCache(CachePolicy):
         """Fresh likelihoods of resident ``objs``: one read-only columnar
         probe of live tracker state, one compiled-predictor call.
 
-        The cost column is the resident's recorded retrieval cost (its
-        size where :meth:`CachePolicy._evict_until_fits` falls back to
-        it too) — it shows only for a resident whose tracker row the
-        ``max_objects`` cap dropped; a tracked row carries its own.
+        Every resident has a row in the cache's unbounded tracker, so the
+        probe always overwrites the cost column passed in (the recorded
+        retrieval cost) with that row's own last cost.
         """
         sizes = [self._entries[obj] for obj in objs]
         known = self._costs

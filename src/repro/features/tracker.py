@@ -16,8 +16,8 @@ Storage is an *arena*: every tracked object owns one row of a dense
 ``(capacity, n_gaps + 1)`` float64 slab of request times, plus parallel
 ``seen`` (requests recorded — ring head and fill level both derive from
 it) and ``last_cost`` vectors.  The object → row map is in LRU order
-**iff the tracker is capped** (``max_objects``) — only the cap's
-eviction reads recency — and evicted rows go on a free list for
+**iff the tracker was built capped** (``max_objects``) — only the
+cap's eviction reads recency — and evicted rows go on a free list for
 recycling, so memory stays bounded on adversarial one-touch scans and
 the slab never fragments.  A feature row is one ring read and one
 subtraction over the slab — no per-gap Python loop — and
@@ -38,10 +38,11 @@ uncapped tracker (:meth:`FeatureTracker.defer_updates`),
 resolved to rows in request order and written by one call before the
 next read.  The invariant is **no read sees an unflushed arena**: every
 public reader — ``features``, ``features_batch``, ``n_tracked``,
-``memory_bytes_naive``, ``forget``, an immediate ``update`` — flushes
-first.  Nothing native is stored on the instance: each call is handed
-the live arena arrays, after any ``_grow``, and checks their shapes and
-every row index itself.
+``memory_bytes_naive``, an immediate ``update`` — flushes first.  A
+deferred window never meets a recycled row: only the cap frees rows.
+Nothing native is stored on the instance: each call is handed the live
+arena arrays, after any ``_grow``, and checks their shapes and every
+row index itself.
 """
 
 from __future__ import annotations
@@ -104,13 +105,9 @@ class FeatureTracker:
         self._seen = np.zeros(capacity, dtype=np.int64)
         #: object id → arena row, in LRU order (oldest first) iff capped.
         self._rows: OrderedDict[int, int] = OrderedDict()
-        #: rows released by eviction/forget, recycled before slab growth.
+        #: rows released by cap eviction, recycled before slab growth.
         self._free: list[int] = []
         self._next_row = 0
-        #: object evicted by the LRU cap during the most recent
-        #: :meth:`update` (None when nothing was evicted).  The batched
-        #: scoring engine uses this to invalidate speculated rows.
-        self.last_evicted: int | None = None
         #: Records of the open deferred window, in request order and
         #: flat — ``obj, time, cost, obj, time, cost, ...`` — so that a
         #: record leaves no container behind for the collector to walk;
@@ -137,19 +134,9 @@ class FeatureTracker:
 
     @property
     def max_objects(self) -> int:
-        """LRU bound on tracked objects (0 = unbounded).  ``_rows`` is in
-        LRU order iff it is set: a cap is imposed only on an empty tracker
-        (``ValueError`` otherwise), changed or lifted on any."""
+        """LRU bound on tracked objects (0 = unbounded), fixed at
+        construction: ``_rows`` is in LRU order iff it is set."""
         return self._max_objects
-
-    @max_objects.setter
-    def max_objects(self, value: int) -> None:
-        if value < 0:
-            raise ValueError("max_objects must be >= 0")
-        if value and not self._max_objects and self.n_tracked:
-            raise ValueError("a tracker that already tracks objects kept no LRU order")
-        self._max_objects = value
-        self._deferring = self._deferring and not value
 
     @property
     def n_tracked(self) -> int:
@@ -413,9 +400,9 @@ class FeatureTracker:
     def update(self, obj: int, time: float, cost: float) -> None:
         """Record one request in the object's history — as scalars: this
         runs once per request on every path, and the decision engine's
-        callers hold columns, not ``Request`` objects.  ``last_evicted``
-        afterwards names the object the ``max_objects`` cap dropped to
-        make room (None = nothing).
+        callers hold columns, not ``Request`` objects.  On a capped
+        tracker the least recently recorded object is dropped to make
+        room.
         """
         if self._deferring:
             self._pending.extend((obj, time, cost))
@@ -433,11 +420,8 @@ class FeatureTracker:
         self._times[row, seen % self._n_slots] = time
         self._seen[row] = seen + 1
         self._last_cost[row] = cost
-        evicted = None
         if cap and len(rows) > cap:
-            evicted, released = rows.popitem(last=False)
-            self._free.append(released)
-        self.last_evicted = evicted
+            self._free.append(rows.popitem(last=False)[1])
 
     def defer_updates(self, on: bool) -> None:
         """Open (``True``) or close the deferred window.
@@ -445,9 +429,8 @@ class FeatureTracker:
         While it is open :meth:`update` only appends; the records are
         written, in request order, by one ``tracker_record`` call before
         the next read (module docstring).  The decision engine opens it
-        around each window's replay.  A tracker with a ``max_objects``
-        cap (read here, at each opening: the cap may be set after
-        construction) and a process without the native module never
+        around each window's replay.  A tracker built with a
+        ``max_objects`` cap and a process without the native module never
         defer — :meth:`update` records immediately, as it does for the
         scalar loop.  Closing writes nothing: what is pending is flushed
         by whoever reads next.
@@ -468,7 +451,6 @@ class FeatureTracker:
                 if obj not in tracked:
                     tracked[obj] = self._alloc_row()
             rows = [tracked[obj] for obj in objs]
-        self.last_evicted = None
         native = _native.load()
         if native is None:
             # Records deferred where the module was loaded (a tracker
@@ -494,11 +476,3 @@ class FeatureTracker:
         of 50 gaps (4 B each) plus size, cost, and bookkeeping ≈ 208 B."""
         per_object = 4 * self.n_gaps + 8  # gaps + size/cost words
         return per_object * self.n_tracked
-
-    def forget(self, obj: int) -> None:
-        """Drop state for an object (e.g. after long inactivity)."""
-        if self._pending:
-            self._flush()
-        row = self._rows.pop(obj, None)
-        if row is not None:
-            self._free.append(row)

@@ -138,13 +138,10 @@ def _run_batched(
             rows_hist.observe(engine.rows_probed - probed)
         if folder is not None:
             folder.fold(i)
-    if observing:
-        if engine.n_rescored:
-            registry.counter("sim.batch_rescored").inc(engine.n_rescored)
-        if engine.n_respeculations:
-            registry.counter("sim.batch_respeculations").inc(
-                engine.n_respeculations
-            )
+    if observing and engine.n_respeculations:
+        registry.counter("sim.batch_respeculations").inc(
+            engine.n_respeculations
+        )
 
 
 @dataclass
@@ -267,27 +264,23 @@ def simulate(
     with registry.span("sim.request_loop"):
         if batched:
             _run_batched(trace, policy, batch_size, hits, on_request, folder)
-        elif folder is None or not registry.every_requests:
-            for i, request in enumerate(trace):
-                hit = policy.on_request(request)
-                hits[i] = hit
-                if on_request is not None:
-                    on_request(i, hit)
         else:
-            # A windowed registry: the same loop, folded exactly at each
-            # window edge.  A fold's cost is the fixed price of entering
-            # numpy mid-run, not its length, so a cumulative registry
-            # folds once, after the loop.
-            every = registry.every_requests
+            # A windowed registry is folded exactly at each window edge.
+            # A fold's cost is the fixed price of entering numpy mid-run,
+            # not its length, so a cumulative registry folds once, after
+            # the loop.
+            edges = folder is not None and registry.every_requests
+            every = edges or n
             requests = trace.requests
             for start in range(0, n, every):
-                end = min(start + every, n)
-                for i in range(start, end):
-                    hit = policy.on_request(requests[i])
+                chunk = requests[start:start + every]
+                for i, request in enumerate(chunk, start):
+                    hit = policy.on_request(request)
                     hits[i] = hit
                     if on_request is not None:
                         on_request(i, hit)
-                folder.fold(end)
+                if edges:
+                    folder.fold(start + len(chunk))
     if folder is not None:
         folder.fold(n)
     warmup = int(warmup_fraction * n)

@@ -181,10 +181,6 @@ class Trace:
         prv[later] = earlier
         return prv
 
-    def unique_objects(self) -> np.ndarray:
-        """Sorted array of distinct object ids."""
-        return np.unique(self.objs)
-
     def total_bytes(self) -> int:
         """Sum of request sizes (bytes moved if nothing were cached)."""
         return int(self.sizes.sum())

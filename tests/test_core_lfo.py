@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import LFOCache, LFOModel, LFOOnline, error_rates
-from repro.features import Dataset, FeatureTracker, feature_names
+from repro.features import Dataset, feature_names
 from repro.gbdt import CompiledPredictor, GBDTParams
 from repro.trace import Request
 
@@ -147,12 +147,6 @@ class TestLFOCache:
         policy.reset()
         assert policy.used_bytes == 0
         assert policy.last_features is None
-
-    def test_tracker_shared(self):
-        tracker = FeatureTracker(n_gaps=4)
-        policy = LFOCache(cache_size=100, n_gaps=4, tracker=tracker)
-        policy.on_request(Request(0, 1, 10))
-        assert tracker.n_tracked == 1
 
 
 class TestLFOVariants:
@@ -320,52 +314,6 @@ class TestEvictionAbortRestore:
         policy.on_request(Request(3, 3, 90))
         assert policy.contains(3)
         assert not policy.contains(1) and not policy.contains(2)
-
-
-class TestProbesCarryTheRealCost:
-    """Eviction and restore probes score a resident with the retrieval
-    cost the cache recorded for it.  It only shows for a resident whose
-    tracker row the ``max_objects`` cap dropped (a tracked object's row
-    carries the tracker's own last cost): the probe used to build
-    ``Request(now, obj, size)``, whose cost defaults to the size."""
-
-    def _policy_with_untracked_resident(self, eviction="likelihood"):
-        model = _toy_model(cutoff=0.0)  # admit everything
-        policy = LFOCache(
-            cache_size=1000, model=model, eviction=eviction,
-            tracker=FeatureTracker(n_gaps=4, max_objects=2),
-        )
-        for t, obj in enumerate((1, 2, 3)):
-            policy.on_request(Request(float(t), obj, 100, 1.0))
-        assert policy.contains(1) and policy.entry_cost(1) == 1.0
-        assert policy.tracker.n_tracked == 2  # object 1 was capped away
-        probed = []
-        inner = policy.tracker.features_batch
-
-        def features_batch(objs, *columns, **kwargs):
-            X = inner(objs, *columns, **kwargs)
-            probed.extend(zip(objs, X[:, 1].tolist()))
-            return X
-
-        policy.tracker.features_batch = features_batch
-        return policy, probed
-
-    def test_rescore_all(self):
-        policy, probed = self._policy_with_untracked_resident()
-        policy._rescore_all()
-        assert dict(probed) == {1: 1.0, 2: 1.0, 3: 1.0}
-
-    def test_sampled_plan(self):
-        policy, probed = self._policy_with_untracked_resident("sampled")
-        assert sorted(policy._sampled_plan()) == [1, 2, 3]
-        assert dict(probed) == {1: 1.0, 2: 1.0, 3: 1.0}
-
-    def test_restore(self):
-        policy, probed = self._policy_with_untracked_resident()
-        policy._remove(1)
-        policy._restore(1, 100, Request(3.0, 4, 950, 7.0), cost=1.0)
-        assert probed == [(1, 1.0)]
-        assert policy.entry_cost(1) == 1.0
 
 
 class TestPredictorResolvedOncePerModel:

@@ -3,9 +3,9 @@
 ``policy.on_request`` per request is the reference.  Against it, on
 hypothesis-generated traces (objects larger than the cache, zero cost,
 timestamp ties, one hot key, a cache of a few objects, a bucket drift
-ahead of an in-window repeat, a cap eviction ahead of one, an eviction
-probe of objects updated earlier in its window) x eviction
-mode x capped/uncapped tracker: ``simulate(batch_size=N)``, ``BatchScorer`` over
+ahead of an in-window repeat, an object gone for a while ahead of
+repeats, an eviction probe of objects updated earlier in its window) x
+eviction mode: ``simulate(batch_size=N)``, ``BatchScorer`` over
 a retraining ``LFOOnline`` (training inline and submitted), and one
 ``DecisionEngine`` per shard over
 ``HashRing.partition`` — its requests through the cluster's wire records
@@ -33,7 +33,7 @@ from repro.core import (
     DecisionEngine, IRLCache, IRLOnline, LFOCache, LFOModel, LFOOnline,
     LinearRewardIRL, OptLabelConfig, SampledEvictionConfig,
 )
-from repro.features import Dataset, FeatureTracker, feature_names
+from repro.features import Dataset, feature_names
 from repro.gbdt import GBDTParams
 from repro.resilience import (
     FaultPlan, FaultSpec, SimulatedTrainerExecutor, use_fault_plan,
@@ -64,8 +64,8 @@ def demonstrations():
 @pytest.fixture(scope="module")
 def model():
     """Splits on size, cost, free bytes and the last gap, so admission,
-    bucket drift, the probe's in-window shift (gaps and cost) and
-    dirty-row rescoring all change outcomes."""
+    bucket drift and the probe's in-window shift (gaps and cost) all
+    change outcomes."""
     X, y = demonstrations()
     return LFOModel.train(
         Dataset(X, y, feature_names(N_GAPS)), GBDTParams(num_iterations=8)
@@ -112,9 +112,9 @@ DRIFT_THEN_REPEAT = (
     ],
     150,
 )
-# With the capped legs' three tracked objects, 0 is capped away by the
-# time it returns, returns twice in a row, and 1 and 2 follow suit — all
-# inside one lookahead window.
+# Object 0 returns after three others have overfilled the 120-byte
+# cache, returns twice in a row, and 1 and 2 follow suit — all inside
+# one lookahead window.
 _CAP_SIZES = [40, 30, 25, 35, 20, 45]
 CAP_EVICTS_THEN_REPEATS = (
     [
@@ -202,7 +202,6 @@ def attach_between(model, cold, warm, run):
 
 
 @pytest.mark.parametrize("eviction", ["likelihood", "lru", "sampled"])
-@pytest.mark.parametrize("capped", [False, True])
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(traces())
 @example(HOT_KEY)
@@ -211,14 +210,12 @@ def attach_between(model, cold, warm, run):
 @example(CAP_EVICTS_THEN_REPEATS)
 @example(COST_CHANGES)
 @example(EVICTION_PROBES_A_WINDOW_UPDATE)
-def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
+def test_every_engine_matches_the_scalar_loop(model, eviction, case):
     requests, cache_size = case
-    cap = 3 if capped else 0
 
     def static(size=cache_size, model=model):
-        tracker = FeatureTracker(n_gaps=N_GAPS, max_objects=cap)
         return LFOCache(
-            size, model, tracker=tracker, eviction=eviction, sampled=SAMPLED
+            size, model, n_gaps=N_GAPS, eviction=eviction, sampled=SAMPLED
         )
 
     def online(background):
@@ -229,7 +226,6 @@ def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
             sampled=SAMPLED, background=background,
             executor=SimulatedTrainerExecutor() if background else None,
         )
-        policy.tracker.max_objects = cap
         policy.set_model(model)
         return policy
 
@@ -275,9 +271,8 @@ def test_every_engine_matches_the_scalar_loop(model, eviction, capped, case):
         )), "shard engine over the wire"
 
 
-@pytest.mark.parametrize("capped", [False, True])
 @pytest.mark.parametrize("lands_at", [None, 37, 150])
-def test_cold_windows_match_the_scalar_loop(model, capped, lands_at):
+def test_cold_windows_match_the_scalar_loop(model, lands_at):
     """No model yet: the engine's cold windows (every score 0.0, live free
     bytes patched row by row) decide and record exactly what the scalar
     loop does — hits, scores, and the bytes of every training window —
@@ -292,7 +287,6 @@ def test_cold_windows_match_the_scalar_loop(model, capped, lands_at):
             n_gaps=N_GAPS, min_positive_labels=1,
             label_config=OptLabelConfig(mode="greedy"),
         )
-        policy.tracker.max_objects = 3 if capped else 0
         polls, poll = count(1), policy.poll_training
 
         def poll_training():
@@ -371,7 +365,7 @@ def test_poll_hook_runs_once_per_request(model):
     )))
 
     def policy():
-        return LFOCache(300, model, tracker=FeatureTracker(n_gaps=N_GAPS))
+        return LFOCache(300, model, n_gaps=N_GAPS)
 
     polled, polls = policy(), count(1)
 
@@ -398,7 +392,7 @@ def test_step_writes_exactly_the_rows_it_consumed(model, blank):
     requests = list(generate_trace(SyntheticConfig(
         n_requests=400, n_objects=60, size_median=40.0, size_max=150, seed=3,
     )))
-    policy = LFOCache(300, model, tracker=FeatureTracker(n_gaps=N_GAPS))
+    policy = LFOCache(300, model, n_gaps=N_GAPS)
     polls = count(1)
 
     def poll():
@@ -420,7 +414,7 @@ def test_step_writes_exactly_the_rows_it_consumed(model, blank):
     assert len(hits) == len(requests)
     # 149 = 64 + 64 + 21: the swap cut the third window short.
     assert steps[:3] == [64, 64, 21] and sum(steps) == len(requests)
-    reference = LFOCache(300, model, tracker=FeatureTracker(n_gaps=N_GAPS))
+    reference = LFOCache(300, model, n_gaps=N_GAPS)
     assert [bool(h) for h in hits] == scalar(requests)(reference)
 
 

@@ -118,10 +118,9 @@ class TestFeatureTracker:
             tracker.update(obj, float(t), 1.0)
             model[obj] = None
             model.move_to_end(obj)
-            victim = None
             if len(model) > cap:
-                victim, _ = model.popitem(last=False)
-            assert tracker.last_evicted == victim
+                model.popitem(last=False)
+            assert tracker.n_tracked == len(model)
             assert list(tracker._rows) == list(model)
 
     def test_uncapped_tracker_keeps_no_recency(self):
@@ -132,32 +131,11 @@ class TestFeatureTracker:
             tracker.update(obj, float(t), 1.0)
         assert list(tracker._rows) == [1, 2, 3]
 
-    def test_cap_is_imposed_only_on_an_empty_tracker(self):
-        tracker = FeatureTracker(n_gaps=2)
-        tracker.max_objects = 0  # not a cap
-        tracker.max_objects = 2
-        for t, obj in enumerate([1, 2, 1, 3]):
-            tracker.update(obj, float(t), 1.0)
-        assert tracker.last_evicted == 2 and tracker.n_tracked == 2
-        tracker.max_objects = 3  # a kept order serves any cap
-        tracker.update(2, 4.0, 1.0)
-        assert tracker.last_evicted is None and tracker.n_tracked == 3
-        tracker.max_objects = 0  # lifting one is always possible
-        with pytest.raises(ValueError, match="already tracks"):
-            tracker.max_objects = 2
-        assert tracker.max_objects == 0
-        with pytest.raises(ValueError):
-            tracker.max_objects = -1
-        for obj in (1, 2, 3):
-            tracker.forget(obj)
-        tracker.max_objects = 1
-        assert tracker.max_objects == 1
-
-    def test_forget(self):
-        tracker = FeatureTracker(n_gaps=2)
-        record(tracker, Request(0.0, 1, 10))
-        tracker.forget(1)
-        assert tracker.n_tracked == 0
+    def test_cap_is_fixed_at_construction(self):
+        tracker = FeatureTracker(n_gaps=2, max_objects=2)
+        with pytest.raises(AttributeError):
+            tracker.max_objects = 0
+        assert tracker.max_objects == 2
 
     def test_memory_accounting_positive(self):
         tracker = FeatureTracker(n_gaps=50)

@@ -4,8 +4,8 @@ The arena rewrite (dense time slab + free-list row recycling) must be
 observationally identical to the straightforward per-object bookkeeping
 it replaced.  A minimal reference implementation lives here, and the
 tests drive both through randomised request streams — including LRU-cap
-churn that forces row recycling, explicit forgets, and slab growth — and
-demand bit-identical feature vectors throughout.
+churn that forces row recycling, and slab growth — and demand
+bit-identical feature vectors throughout.
 """
 
 import copy
@@ -73,9 +73,6 @@ class ReferenceTracker:
             oldest = next(iter(self.state))
             del self.state[oldest]
 
-    def forget(self, obj: int) -> None:
-        self.state.pop(obj, None)
-
 
 def request_stream(n, n_objects, seed):
     rng = np.random.default_rng(seed)
@@ -107,10 +104,6 @@ def test_bit_identical_to_reference_under_churn(max_objects, n_gaps):
         assert np.array_equal(got, want), f"diverged at request {i}"
         record(tracker, request)
         reference.update(request)
-        if rng.random() < 0.01:
-            victim = int(rng.integers(0, 60))
-            tracker.forget(victim)
-            reference.forget(victim)
     assert tracker.n_tracked == len(reference.state)
 
 
@@ -139,17 +132,6 @@ def test_recycled_rows_start_clean():
     vec = tracker.features(Request(6.0, 2, 10), free_bytes=0)
     assert vec[3] == 1.0
     assert (vec[4:] == MISSING_GAP).all()
-
-
-def test_last_evicted_reported():
-    tracker = FeatureTracker(n_gaps=2, max_objects=2)
-    record(tracker, Request(0.0, 1, 10))
-    assert tracker.last_evicted is None
-    record(tracker, Request(1.0, 2, 10))
-    record(tracker, Request(2.0, 3, 10))
-    assert tracker.last_evicted == 1
-    record(tracker, Request(3.0, 3, 10))
-    assert tracker.last_evicted is None
 
 
 class TestFeaturesBatch:
@@ -254,19 +236,23 @@ def _state(tracker):
     return (
         tracker._times.copy(), tracker._seen.copy(),
         tracker._last_cost.copy(), list(tracker._rows.items()),
-        list(tracker._free), tracker._next_row, tracker.last_evicted,
+        list(tracker._free), tracker._next_row,
     )
 
 
 def _loop_rows(tracker, window, free):
     """Rows of a features/update loop, and the index of the row whose
-    ``update`` performed the first cap eviction (``len(window)`` = none)."""
+    ``update`` performed the first cap eviction (``len(window)`` = none):
+    the first that records a new object into a full capped tracker."""
     rows, first_eviction = [], len(window)
     for i, request in enumerate(window):
         rows.append(tracker.features(request, free))
-        record(tracker, request)
-        if tracker.last_evicted is not None:
+        full = tracker.max_objects and (
+            tracker.n_tracked == tracker.max_objects
+        )
+        if full and request.obj not in tracker._rows:
             first_eviction = min(first_eviction, i)
+        record(tracker, request)
     return np.array(rows), first_eviction
 
 
@@ -281,7 +267,7 @@ def test_probe_rows_are_the_loops_rows_bitwise(case):
     before = _state(tracker)
     X = tracker.features_batch(*columns(window), 4242)
     for was, now in zip(before, _state(tracker)):
-        assert np.array_equal(was, now)  # arena, LRU order, last_evicted
+        assert np.array_equal(was, now)  # arena, LRU order
     want, _ = _loop_rows(copy.deepcopy(tracker), window, 4242)
     assert np.array_equal(X, want)  # bitwise: no allclose anywhere
 
@@ -304,8 +290,7 @@ def test_capped_probe_agrees_up_to_the_first_cap_eviction(case):
 def test_one_counter_is_head_and_count(monkeypatch):
     """``update`` keeps one counter per row; ring head and fill level
     derive from it.  Against the reference: each object's last time and
-    cost, tracked count, row recycling after ``forget`` and growth across
-    two doublings."""
+    cost, tracked count and growth across two doublings."""
     monkeypatch.setattr(tracker_module, "_INITIAL_CAPACITY", 4)
     tracker = FeatureTracker(n_gaps=3)
     reference = ReferenceTracker(n_gaps=3)
@@ -318,9 +303,6 @@ def test_one_counter_is_head_and_count(monkeypatch):
         )
         record(tracker, request)
         reference.update(request)
-        if i % 41 == 40:
-            tracker.forget(i % 13)
-            reference.forget(i % 13)
         assert tracker.n_tracked == len(reference.state)
         rows = np.array([tracker._rows[obj] for obj in reference.state])
         head = (tracker._seen[rows] - 1) % tracker._n_slots
@@ -331,7 +313,7 @@ def test_one_counter_is_head_and_count(monkeypatch):
             st["cost"] for st in reference.state.values()
         ]
     assert len(tracker._seen) == 16  # 4 -> 8 -> 16 for 13 objects
-    assert tracker._next_row == 13  # forgotten rows were recycled
+    assert tracker._next_row == 13  # one row per object
     for obj in range(13):
         probe = Request(now + 1.0, obj, 10)
         assert np.array_equal(
@@ -379,31 +361,19 @@ def _assert_same_arena(left, right):
         assert np.array_equal(a, b)
 
 
-#: update | forget, weighted to updates; object 0 and 1 dominate, so with
-#: ``n_gaps <= 3`` one object fills its ring many times inside one window.
-_warm_op = st.one_of(
-    st.tuples(st.just("update"), _event),
-    st.tuples(st.just("update"), _event),
-    st.tuples(st.just("update"), _event),
-    st.tuples(st.just("forget"), st.integers(0, 9)),
-)
-
-
 @st.composite
 def churned_tracker_and_window(draw):
-    """A tracker that grew from two rows and recycled forgotten ones, as
-    built, deep-copied or unpickled, and the window probed next (objects
-    10.. are unseen; ``grow`` makes the window's own flush allocate)."""
+    """A tracker that grew from two rows, as built, deep-copied or
+    unpickled, and the window probed next (objects 10.. are unseen;
+    ``grow`` makes the window's own flush allocate).  Object 0 and 1
+    dominate, so with ``n_gaps <= 3`` one object fills its ring many
+    times inside one window."""
     n_gaps = draw(st.integers(1, 3))
     tracker = small_tracker(n_gaps)
     now = 0.0
-    for kind, arg in draw(st.lists(_warm_op, max_size=80)):
-        if kind == "forget":
-            tracker.forget(arg)
-        else:
-            obj, gap, _size, cost = arg
-            now += gap
-            tracker.update(obj, now, cost)
+    for obj, gap, _size, cost in draw(st.lists(_event, max_size=80)):
+        now += gap
+        tracker.update(obj, now, cost)
     window = []
     for obj, gap, size, cost in draw(
         st.lists(_event, min_size=1, max_size=120)
@@ -454,8 +424,8 @@ def test_probe_straight_after_growth_reads_the_new_arena(native):
 
 
 _read = st.sampled_from(
-    ["features", "batch", "n_tracked", "forget", "memory",
-     "close", "open", "copy", "pickle"]
+    ["features", "batch", "n_tracked", "memory", "close", "open", "copy",
+     "pickle"]
 )
 
 
@@ -467,8 +437,8 @@ _read = st.sampled_from(
 def test_deferred_record_is_the_immediate_loop(native, n_gaps, ops):
     """No read sees an unflushed arena: whatever is read, wherever, the
     deferred tracker answers as the immediate one, and the arenas agree
-    to the last field — rings that wrap inside one run, rows allocated,
-    grown and recycled by the flush, LRU order."""
+    to the last field — rings that wrap inside one run, rows allocated
+    and grown by the flush, their order."""
     deferred, immediate = small_tracker(n_gaps), small_tracker(n_gaps)
     deferred.defer_updates(True)
     now = 0.0
@@ -495,8 +465,6 @@ def test_deferred_record_is_the_immediate_loop(native, n_gaps, ops):
             got, want = (
                 t.memory_bytes_naive() for t in (deferred, immediate)
             )
-        elif op == "forget":
-            got, want = deferred.forget(1), immediate.forget(1)
         elif op in ("close", "open"):
             # Closing writes nothing; the next immediate update flushes.
             got, want = deferred.defer_updates(op == "open"), None
@@ -524,36 +492,15 @@ def test_records_deferred_elsewhere_are_written_without_the_module(native):
         _assert_same_arena(shipped, immediate)
 
 
-def test_imposing_a_cap_closes_the_deferred_window(native):
-    tracker = FeatureTracker(n_gaps=2)
+def test_a_capped_tracker_records_immediately(native):
+    """A deferred flush keeps no recency and recycles no row, so a
+    tracker built capped never defers."""
+    tracker = FeatureTracker(n_gaps=2, max_objects=2)
     tracker.defer_updates(True)
-    tracker.max_objects = 2
     for t, obj in enumerate([1, 2, 1, 3]):
         tracker.update(obj, float(t), 1.0)
-    assert not tracker._pending
-    assert tracker.last_evicted == 2 and list(tracker._rows) == [1, 3]
-
-
-def test_cap_set_after_construction_records_immediately(native):
-    tracker = FeatureTracker(n_gaps=2)
-    tracker.max_objects = 2
-    tracker.defer_updates(True)
-    for t, obj in enumerate([1, 2, 3]):
-        tracker.update(obj, float(t), 1.0)
-    assert not tracker._pending
-    assert tracker.last_evicted == 1 and tracker.n_tracked == 2
-
-
-def test_cap_is_refused_while_records_are_pending(native):
-    """Pending records are tracked objects: the setter writes them, then
-    refuses — their recency was never kept."""
-    tracker = FeatureTracker(n_gaps=2)
-    tracker.defer_updates(True)
-    tracker.update(1, 0.0, 1.0)
-    assert tracker._pending
-    with pytest.raises(ValueError, match="already tracks"):
-        tracker.max_objects = 2
-    assert not tracker._pending and tracker.n_tracked == 1
+        assert not tracker._pending
+    assert list(tracker._rows) == [1, 3] and tracker.n_tracked == 2
 
 
 def test_no_module_records_immediately(python_fallback):
@@ -630,22 +577,21 @@ def reference_extract(tracker, obj, time, size, cost, free_bytes):
     return vec
 
 
-#: One op of a history: a request (``_event``), ``("forget", obj)``, or
-#: ``("burst", k)`` — object 0 requested ``k`` more times, ties included,
-#: which is how a ring of 51 slots gets past its second wrap.
+#: One op of a history: a request (``_event``) or ``("burst", k)`` —
+#: object 0 requested ``k`` more times, ties included, which is how a ring
+#: of 51 slots gets past its second wrap.
 _history_op = st.one_of(
     _event, _event, _event,
-    st.tuples(st.just("forget"), st.integers(0, 9)),
     st.tuples(st.just("burst"), st.integers(1, 40)),
 )
 
 #: Every row class at ``n_gaps`` 5 and 50 in one history: an unseen
 #: object, ``seen`` = 1, 2, .. through two ring wraps of object 0 (ties
-#: inside), a forgotten object's row recycled by a new one.
+#: inside).
 COVERING_HISTORY = (
     [(0, 1.0, 10, 1.0), (1, 0.5, 10, 2.0), (2, 0.0, 10, 0.0)]
     + [("burst", 1)] * 7
-    + [("forget", 1), (3, 7.0, 10, 3.5), (3, 0.0, 10, 1.0)]
+    + [(3, 7.0, 10, 3.5), (3, 0.0, 10, 1.0)]
     + [("burst", 40), ("burst", 40), ("burst", 30)]
 )
 
@@ -660,9 +606,7 @@ def _check_rows_against_reference(name, n_gaps, ops):
         tracker.defer_updates(True)
         now = 0.0
         for op in ops:
-            if op[0] == "forget":
-                tracker.forget(op[1])
-            elif op[0] == "burst":
+            if op[0] == "burst":
                 for i in range(op[1]):
                     now += (0.0, 0.5, 3.0)[i % 3]
                     tracker.update(0, now, float(i))
