@@ -62,6 +62,7 @@ from concurrent.futures import (
     Executor,
     Future,
     ThreadPoolExecutor,
+    TimeoutError as FutureTimeout,
 )
 from contextvars import ContextVar
 from typing import Any, Callable, Sequence
@@ -376,7 +377,7 @@ class WindowTrainer:
             return False
         try:
             pending.exception(timeout)  # waits; doesn't raise job errors
-        except TimeoutError:
+        except FutureTimeout:  # not the builtin before Python 3.11
             logger.debug(
                 "finish timed out after %s s; job still pending", timeout
             )

@@ -7,5 +7,5 @@ __getattr__, __dir__, __all__ = _lazy.exports(__name__, {
     "boosting": ("GBDTClassifier", "GBDTParams"),
     "compiled": ("CompiledPredictor", "kernel_available"),
     "losses": ("LogisticLoss", "sigmoid"),
-    "tree": ("Tree", "TreeGrowthParams", "grow_tree"),
+    "tree": ("Tree", "grow_tree"),
 })

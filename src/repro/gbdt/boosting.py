@@ -18,7 +18,7 @@ from ..obs import get_registry
 from .binning import BinMapper
 from .compiled import CompiledPredictor
 from .losses import LogisticLoss
-from .tree import Tree, TreeGrowthParams, _bin_counts, _grow, _split_tables
+from .tree import Tree, _bin_counts, _grow, _split_tables
 
 __all__ = ["GBDTParams", "GBDTClassifier", "bin_matrix"]
 
@@ -47,17 +47,6 @@ class GBDTParams:
     bagging_fraction: float = 1.0
     feature_fraction: float = 1.0
     seed: int = 0
-
-    def tree_params(self) -> TreeGrowthParams:
-        """Per-tree growth parameters derived from the boosting params."""
-        return TreeGrowthParams(
-            num_leaves=self.num_leaves,
-            min_data_in_leaf=self.min_data_in_leaf,
-            min_sum_hessian_in_leaf=self.min_sum_hessian_in_leaf,
-            lambda_l2=self.lambda_l2,
-            min_gain_to_split=self.min_gain_to_split,
-            max_depth=self.max_depth,
-        )
 
 
 class GBDTClassifier:
@@ -109,7 +98,6 @@ class GBDTClassifier:
         self._compiled = None
         rng = np.random.default_rng(params.seed)
         n = len(y)
-        tree_params = params.tree_params()
         self.trees = []
 
         # Per-iteration training time (gradients + tree growth + score
@@ -142,7 +130,7 @@ class GBDTClassifier:
                 )
                 tables = _split_tables(binned, n_bins, feature_subset)
             tree, leaves = _grow(
-                tables, grad, hess, self.mapper, tree_params, sample_idx
+                tables, grad, hess, self.mapper, params, sample_idx
             )
             self.trees.append(tree)
             if sample_idx is None:
@@ -184,8 +172,8 @@ class GBDTClassifier:
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         """Sum of tree outputs plus the init score (pre-link scores).
 
-        Reference implementation: walks every tree's node table in
-        Python.  Kept as the numerical ground truth the compiled
+        Reference implementation: walks every tree's node arrays level
+        by level.  Kept as the numerical ground truth the compiled
         predictor is tested against; hot paths go through
         :meth:`compiled` instead.
         """
@@ -215,19 +203,16 @@ class GBDTClassifier:
         """
         if self.n_features is None:
             raise RuntimeError("model is not fitted")
-        if kind == "split":
-            counts = np.zeros(self.n_features, dtype=np.int64)
-            for tree in self.trees:
-                for f in tree.split_features():
-                    counts[f] += 1
-            return counts
-        if kind == "gain":
-            gains = np.zeros(self.n_features, dtype=np.float64)
-            for tree in self.trees:
-                for f, g in tree.split_gains():
-                    gains[f] += g
-            return gains
-        raise ValueError("kind must be 'split' or 'gain'")
+        if kind not in ("split", "gain"):
+            raise ValueError("kind must be 'split' or 'gain'")
+        trees = self.trees
+        feature = np.concatenate([np.empty(0, np.int64)] + [t.feature for t in trees])
+        gain = np.concatenate([np.empty(0)] + [t.gain for t in trees])
+        split = feature >= 0
+        # bincount adds each bin's weights in input order: tree by tree,
+        # node by node.
+        weights = gain[split] if kind == "gain" else None
+        return np.bincount(feature[split], weights, minlength=self.n_features)
 
     def feature_importance_fraction(self) -> np.ndarray:
         """Split counts normalised to fractions (Fig. 8's y-axis)."""

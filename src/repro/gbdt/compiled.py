@@ -1,7 +1,7 @@
 """Compiled ensemble inference: the scoring hot path in flat-array form.
 
 The reference predictor (:meth:`repro.gbdt.boosting.GBDTClassifier.predict_raw`)
-walks every tree's Python-list node tables per call.  That is fine for
+walks every tree's node arrays level by level per call.  That is fine for
 training-time evaluation but far too slow for the paper's Figure 7 claim
 that LFO inference sustains CDN line rate.  :class:`CompiledPredictor`
 flattens a fitted ensemble *once* into one contiguous byte slab, and that
@@ -230,16 +230,15 @@ class CompiledPredictor:
         depths = np.zeros(len(trees), dtype=np.int32)
         offset = 0
         for t, tree in enumerate(trees):
-            feature, _, threshold, left, right, value = tree._materialise()
-            size = len(feature)
+            size = len(tree.feature)
             block = nodes[offset:offset + size]
-            is_leaf = feature < 0
+            is_leaf = tree.feature < 0
             node_ids = np.arange(offset, offset + size, dtype=np.int64)
-            block["threshold"] = np.where(is_leaf, np.inf, threshold)
-            block["feature"] = np.where(is_leaf, 0, feature)
-            block["kid_le"] = np.where(is_leaf, node_ids, left + offset)
-            block["kid_gt"] = np.where(is_leaf, node_ids, right + offset)
-            block["value"] = value * learning_rate
+            block["threshold"] = np.where(is_leaf, np.inf, tree.threshold)
+            block["feature"] = np.where(is_leaf, 0, tree.feature)
+            block["kid_le"] = np.where(is_leaf, node_ids, tree.left + offset)
+            block["kid_gt"] = np.where(is_leaf, node_ids, tree.right + offset)
+            block["value"] = tree.value * learning_rate
             roots[t] = offset
             depths[t] = tree.max_depth()
             offset += size

@@ -10,206 +10,127 @@ split search is O(n_bins) per feature.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import _native
 from .binning import BinMapper
 
-__all__ = ["Tree", "TreeGrowthParams", "grow_tree"]
+if TYPE_CHECKING:
+    from .boosting import GBDTParams
+
+__all__ = ["Tree", "grow_tree"]
 
 
-@dataclass(frozen=True)
-class TreeGrowthParams:
-    """Regularisation and shape parameters for a single tree."""
+#: ``Tree``'s node arrays in constructor order, with their dtypes.
+_NODE_ARRAYS = (
+    ("feature", np.int64),
+    ("bin_threshold", np.int64),
+    ("threshold", np.float64),
+    ("left", np.int64),
+    ("right", np.int64),
+    ("value", np.float64),
+    ("gain", np.float64),
+)
 
-    num_leaves: int = 31
-    min_data_in_leaf: int = 20
-    min_sum_hessian_in_leaf: float = 1e-3
-    lambda_l2: float = 0.0
-    min_gain_to_split: float = 0.0
-    max_depth: int = -1  # -1 = unlimited
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """A fitted regression tree in flat-array form.
+    """A fitted regression tree: seven read-only node arrays.
 
     Internal nodes hold ``feature``, a ``bin_threshold`` (go left when the
-    sample's bin ≤ threshold) and the equivalent raw-value ``threshold``
-    (go left when raw value ≤ threshold); leaves hold ``value``.
-    ``feature[i] == -1`` marks a leaf.
-
-    The node lists are the canonical state (kept for growth and
-    serialisation); prediction runs on numpy views that are materialised
-    once and cached.  All structural mutation goes through
-    :meth:`_new_node`, :meth:`_set_split` and :meth:`_set_value`, which
-    invalidate the cache — mutating the lists directly after a predict
-    call would leave it stale.
+    sample's bin ≤ threshold), the equivalent raw-value ``threshold`` (go
+    left when raw value ≤ threshold), the ``left``/``right`` child ids and
+    the split's ``gain``; ``feature[i] == -1`` marks a leaf.  Every node
+    holds the ``value`` it had as a leaf.  Children come after their
+    parent.  The constructor copies each array and makes the copy
+    read-only, and so does unpickling, so nothing compiled from a tree
+    can go stale against it.
     """
 
-    feature: list[int] = field(default_factory=list)
-    bin_threshold: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-    gain: list[float] = field(default_factory=list)
+    feature: np.ndarray
+    bin_threshold: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    gain: np.ndarray
 
     def __post_init__(self) -> None:
-        self._arrays: tuple[np.ndarray, ...] | None = None
-        self._n_leaves: int | None = None
+        for name, dtype in _NODE_ARRAYS:
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    def _invalidate(self) -> None:
-        self._arrays = None
-        self._n_leaves = None
-
-    def _materialise(self) -> tuple[np.ndarray, ...]:
-        """Node lists as numpy arrays, built once and reused per predict."""
-        arrays = self._arrays
-        if arrays is None:
-            arrays = (
-                np.asarray(self.feature, dtype=np.int64),
-                np.asarray(self.bin_threshold, dtype=np.int64),
-                np.asarray(self.threshold, dtype=np.float64),
-                np.asarray(self.left, dtype=np.int64),
-                np.asarray(self.right, dtype=np.int64),
-                np.asarray(self.value, dtype=np.float64),
-            )
-            self._arrays = arrays
-        return arrays
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.bin_threshold.append(0)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        self.gain.append(0.0)
-        self._invalidate()
-        return len(self.feature) - 1
-
-    def _set_split(
-        self,
-        node: int,
-        feature: int,
-        bin_threshold: int,
-        threshold: float,
-        left: int,
-        right: int,
-        gain: float,
-    ) -> None:
-        """Turn a leaf into an internal node (cache-invalidating)."""
-        self.feature[node] = feature
-        self.bin_threshold[node] = bin_threshold
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
-        self.gain[node] = gain
-        self._invalidate()
-
-    def _set_value(self, node: int, value: float) -> None:
-        """Assign a node's leaf value (cache-invalidating)."""
-        self.value[node] = value
-        self._invalidate()
+    def __reduce__(self):
+        return Tree, tuple(getattr(self, name) for name, _ in _NODE_ARRAYS)
 
     @property
     def n_leaves(self) -> int:
-        """Number of leaf nodes (cached; recounted only after mutation)."""
-        count = self._n_leaves
-        if count is None:
-            count = int((self._materialise()[0] == -1).sum())
-            self._n_leaves = count
-        return count
+        """Number of leaf nodes."""
+        return int(np.count_nonzero(self.feature < 0))
 
     def max_depth(self) -> int:
         """Longest root-to-leaf edge count (0 for a single-leaf tree)."""
-        if not self.feature:
-            return 0
         depth = [0] * len(self.feature)
-        deepest = 0
-        # Children are appended after their parent, so one forward pass
-        # sees every parent before its children.
-        for i, f in enumerate(self.feature):
+        # Children come after their parent, so one forward pass sees
+        # every parent before its children.
+        nodes = zip(self.feature.tolist(), self.left.tolist(), self.right.tolist())
+        for i, (f, left, right) in enumerate(nodes):
             if f >= 0:
-                child_depth = depth[i] + 1
-                depth[self.left[i]] = child_depth
-                depth[self.right[i]] = child_depth
-                deepest = max(deepest, child_depth)
-        return deepest
+                depth[left] = depth[right] = depth[i] + 1
+        return max(depth, default=0)
 
-    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        """Predict from uint8 bin indices (vectorised level walk)."""
-        n = binned.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        feature, bin_threshold, _, left, right, value = self._materialise()
+    def _walk(self, X: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+        """Every row's leaf value, walking the levels vectorised."""
+        feature, left, right = self.feature, self.left, self.right
+        node = np.zeros(X.shape[0], dtype=np.int64)
         active = feature[node] >= 0
         while active.any():
             idx = np.nonzero(active)[0]
             cur = node[idx]
-            feats = feature[cur]
-            go_left = binned[idx, feats] <= bin_threshold[cur]
+            go_left = X[idx, feature[cur]] <= threshold[cur]
             node[idx] = np.where(go_left, left[cur], right[cur])
             active[idx] = feature[node[idx]] >= 0
-        return value[node]
+        return self.value[node]
+
+    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
+        """Predict from uint8 bin indices."""
+        return self._walk(binned, self.bin_threshold)
 
     def predict_raw_values(self, X: np.ndarray) -> np.ndarray:
         """Predict from raw float features using stored value thresholds."""
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        feature, _, threshold, left, right, value = self._materialise()
-        active = feature[node] >= 0
-        while active.any():
-            idx = np.nonzero(active)[0]
-            cur = node[idx]
-            feats = feature[cur]
-            go_left = X[idx, feats] <= threshold[cur]
-            node[idx] = np.where(go_left, left[cur], right[cur])
-            active[idx] = feature[node[idx]] >= 0
-        return value[node]
+        return self._walk(X, self.threshold)
 
     def split_features(self) -> list[int]:
         """Features used by internal nodes (one entry per split) — the raw
         material of the paper's Figure 8 importance measure."""
-        return [f for f in self.feature if f >= 0]
-
-    def split_gains(self) -> list[tuple[int, float]]:
-        """(feature, gain) pairs for every internal node — the basis of
-        gain-weighted importance."""
-        return [
-            (f, g) for f, g in zip(self.feature, self.gain) if f >= 0
-        ]
+        return self.feature[self.feature >= 0].tolist()
 
     def to_dict(self) -> dict:
         """JSON-serialisable state."""
-        return {
-            "feature": self.feature,
-            "bin_threshold": self.bin_threshold,
-            "threshold": [
-                t if np.isfinite(t) else "inf" for t in self.threshold
-            ],
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-            "gain": self.gain,
-        }
+        state = {name: getattr(self, name).tolist() for name, _ in _NODE_ARRAYS}
+        state["threshold"] = [
+            t if np.isfinite(t) else "inf" for t in state["threshold"]
+        ]
+        return state
 
     @classmethod
     def from_dict(cls, state: dict) -> "Tree":
         """Inverse of :meth:`to_dict`."""
         return cls(
-            feature=list(state["feature"]),
-            bin_threshold=list(state["bin_threshold"]),
+            feature=state["feature"],
+            bin_threshold=state["bin_threshold"],
             threshold=[
                 float("inf") if t == "inf" else float(t)
                 for t in state["threshold"]
             ],
-            left=list(state["left"]),
-            right=list(state["right"]),
-            value=list(state["value"]),
-            gain=list(state.get("gain", [0.0] * len(state["feature"]))),
+            left=state["left"],
+            right=state["right"],
+            value=state["value"],
+            gain=state.get("gain", np.zeros(len(state["feature"]))),
         )
 
 
@@ -225,10 +146,6 @@ class _LeafState:
     best_gain: float = -np.inf
     best_feature: int = -1
     best_bin: int = -1
-
-
-def _leaf_value(grad_sum: float, hess_sum: float, lambda_l2: float) -> float:
-    return -grad_sum / (hess_sum + lambda_l2)
 
 
 #: Element budget (rows × features) of one histogram block in the numpy
@@ -336,7 +253,7 @@ def _find_best_split(
     grad: np.ndarray,
     hess: np.ndarray,
     tables: _SplitTables,
-    params: TreeGrowthParams,
+    params: GBDTParams,
 ) -> None:
     """Fill ``leaf.best_*`` with the highest-gain (feature, bin) split.
 
@@ -429,7 +346,7 @@ def grow_tree(
     grad: np.ndarray,
     hess: np.ndarray,
     mapper: BinMapper,
-    params: TreeGrowthParams,
+    params: GBDTParams,
     sample_idx: np.ndarray | None = None,
     feature_subset: np.ndarray | None = None,
 ) -> Tree:
@@ -465,11 +382,13 @@ def _grow(
     grad: np.ndarray,
     hess: np.ndarray,
     mapper: BinMapper,
-    params: TreeGrowthParams,
+    params: GBDTParams,
     sample_idx: np.ndarray | None,
 ) -> tuple[Tree, dict[int, np.ndarray]]:
     """:func:`grow_tree` over split tables the caller already built (one
-    set serves every tree of a fit that subsamples no features).
+    set serves every tree of a fit that subsamples no features).  The
+    native routine and the numpy loop make the same node tables, and
+    :func:`_tree_from_nodes` builds the tree of either.
 
     Also returns the partition growth ends with — leaf node -> its rows
     of ``sample_idx`` — so a caller that needs the tree's value on those
@@ -509,26 +428,41 @@ def _grow(
             tables, grad, hess, params, sample_idx,
             inherit=params.min_data_in_leaf >= 1,
         )
-        return _tree_from_nodes(nodes, sums, rows, mapper, params)
+        is_leaf = nodes[:, 0] < 0
+        leaves = {
+            node: rows[s : s + c]
+            for node, s, c in zip(
+                np.flatnonzero(is_leaf).tolist(), *nodes[is_leaf, 4:].T.tolist()
+            )
+        }
+        return _tree_from_nodes(nodes, sums, mapper, params.lambda_l2), leaves
 
     def searchable(leaf: _LeafState) -> bool:
         return params.max_depth < 0 or leaf.depth < params.max_depth
 
-    tree = Tree()
-    root = tree._new_node()
-    root_leaf = _LeafState(
-        node=root,
-        sample_idx=sample_idx,
-        grad_sum=float(grad[sample_idx].sum()),
-        hess_sum=float(hess[sample_idx].sum()),
-        depth=0,
-    )
-    tree._set_value(
-        root, _leaf_value(root_leaf.grad_sum, root_leaf.hess_sum, params.lambda_l2)
-    )
+    # One row per node in the order the nodes are made, as the native
+    # routine returns them: (feature, bin, left, right) and (split gain,
+    # grad sum, hess sum).
+    nodes: list[list[int]] = []
+    sums: list[list[float]] = []
+    leaves: dict[int, np.ndarray] = {}
+
+    def new_leaf(idx: np.ndarray, depth: int) -> _LeafState:
+        leaf = _LeafState(
+            node=len(nodes),
+            sample_idx=idx,
+            grad_sum=float(grad[idx].sum()),
+            hess_sum=float(hess[idx].sum()),
+            depth=depth,
+        )
+        nodes.append([-1, 0, -1, -1])
+        sums.append([0.0, leaf.grad_sum, leaf.hess_sum])
+        leaves[leaf.node] = idx
+        return leaf
+
+    root_leaf = new_leaf(sample_idx, 0)
     if searchable(root_leaf):
         _find_best_split(root_leaf, grad, hess, tables, params)
-    leaves = {root: sample_idx}
 
     # Max-heap of splittable leaves keyed by gain; counter breaks ties
     # deterministically.
@@ -549,29 +483,13 @@ def _grow(
         if len(left_idx) == 0 or len(right_idx) == 0:
             continue
 
-        node = leaf.node
-        left_node = tree._new_node()
-        right_node = tree._new_node()
-        tree._set_split(
-            node, f, b, mapper.threshold_value(f, b),
-            left_node, right_node, leaf.best_gain,
-        )
+        nodes[leaf.node] = [f, b, len(nodes), len(nodes) + 1]
+        sums[leaf.node][0] = leaf.best_gain
         n_leaves += 1
-        del leaves[node]
+        del leaves[leaf.node]
 
-        for child_node, child_idx in ((left_node, left_idx), (right_node, right_idx)):
-            child = _LeafState(
-                node=child_node,
-                sample_idx=child_idx,
-                grad_sum=float(grad[child_idx].sum()),
-                hess_sum=float(hess[child_idx].sum()),
-                depth=leaf.depth + 1,
-            )
-            tree._set_value(
-                child_node,
-                _leaf_value(child.grad_sum, child.hess_sum, params.lambda_l2),
-            )
-            leaves[child_node] = child_idx
+        for child_idx in (left_idx, right_idx):
+            child = new_leaf(child_idx, leaf.depth + 1)
             # A leaf at the depth cap, too narrow for two children, or
             # made by the last split would never be popped: not searched.
             wide = len(child_idx) >= 2 * params.min_data_in_leaf
@@ -580,9 +498,10 @@ def _grow(
                 if child.best_feature >= 0:
                     heapq.heappush(heap, (-child.best_gain, counter, child))
                     counter += 1
-    # Growth is over: build the node arrays once, here, for every reader
-    # that follows (tree walks, the ensemble compiler).
-    tree._materialise()
+    tree = _tree_from_nodes(
+        np.array(nodes, dtype=np.int64), np.array(sums), mapper,
+        params.lambda_l2,
+    )
     return tree, leaves
 
 
@@ -590,7 +509,7 @@ def _native_grow(
     tables: _SplitTables,
     grad: np.ndarray,
     hess: np.ndarray,
-    params: TreeGrowthParams,
+    params: GBDTParams,
     sample_idx: np.ndarray,
     inherit: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -622,36 +541,20 @@ def _native_grow(
 
 
 def _tree_from_nodes(
-    nodes: np.ndarray,
-    sums: np.ndarray,
-    rows: np.ndarray,
-    mapper: BinMapper,
-    params: TreeGrowthParams,
-) -> tuple[Tree, dict[int, np.ndarray]]:
-    """The :class:`Tree` and leaf partition of a :func:`_native_grow`
-    result: thresholds and leaf values made as the reference loop makes
-    them, one Python float at a time."""
-    feature, bins, left, right, start, count = nodes.T.tolist()
-    gain, grad_sums, hess_sums = sums.T.tolist()
-    tree = Tree(
-        feature=feature,
-        bin_threshold=bins,
-        threshold=[
-            mapper.threshold_value(f, b) if f >= 0 else 0.0
-            for f, b in zip(feature, bins)
-        ],
-        left=left,
-        right=right,
-        value=[
-            _leaf_value(g, h, params.lambda_l2)
-            for g, h in zip(grad_sums, hess_sums)
-        ],
-        gain=gain,
-    )
-    tree._materialise()
-    leaves = {
-        node: rows[s : s + c]
-        for node, (f, s, c) in enumerate(zip(feature, start, count))
-        if f < 0
-    }
-    return tree, leaves
+    nodes: np.ndarray, sums: np.ndarray, mapper: BinMapper, lambda_l2: float
+) -> Tree:
+    """The :class:`Tree` of either backend's node tables: ``nodes`` rows
+    begin (feature, bin, left, right), ``sums`` rows are (split gain,
+    grad sum, hess sum).  Internal nodes take the raw-value threshold of
+    their bin from ``mapper``; every node the value
+    ``-grad / (hess + lambda_l2)``."""
+    feature, bins, left, right = nodes[:, :4].T
+    gain, grad_sums, hess_sums = sums.T
+    split = np.flatnonzero(feature >= 0)
+    threshold = np.zeros(len(nodes))
+    threshold[split] = [
+        mapper.threshold_value(f, b)
+        for f, b in zip(feature[split].tolist(), bins[split].tolist())
+    ]
+    value = -grad_sums / (hess_sums + lambda_l2)
+    return Tree(feature, bins, threshold, left, right, value, gain)

@@ -19,7 +19,6 @@ from repro.gbdt import (
     BinMapper,
     GBDTClassifier,
     GBDTParams,
-    TreeGrowthParams,
     grow_tree,
 )
 from repro.gbdt import tree as tree_module
@@ -85,7 +84,7 @@ class TestWholeFitIdenticalAcrossBackends:
         grad = np.where(dead, 0.0, -target)
         hess = np.where(dead, 0.0, rng.uniform(0.05, 0.25, size=len(X)))
         kwargs = dict(
-            params=TreeGrowthParams(
+            params=GBDTParams(
                 num_leaves=10, min_data_in_leaf=1, min_sum_hessian_in_leaf=0.0
             ),
             sample_idx=np.sort(rng.choice(len(X), size=180, replace=False)),
@@ -134,10 +133,10 @@ class TestGrowTreeRefusesWhatCWouldNotSurvive:
         binned, grad, hess, mapper = self._inputs()
         binned[7, 3] = mapper.n_bins(3)
         with pytest.raises(ValueError, match="bin index >= its feature's n_bins"):
-            grow_tree(binned, grad, hess, mapper, TreeGrowthParams())
+            grow_tree(binned, grad, hess, mapper, GBDTParams())
         # ... unless the column is no candidate
         grow_tree(
-            binned, grad, hess, mapper, TreeGrowthParams(),
+            binned, grad, hess, mapper, GBDTParams(),
             feature_subset=np.array([0, 1]),
         )
 
@@ -147,7 +146,7 @@ class TestGrowTreeRefusesWhatCWouldNotSurvive:
         sample_idx = np.array([0, 5, bad, 9], dtype=np.int64)
         with pytest.raises(ValueError, match=r"sample_idx must be .* in \[0, 240\)"):
             grow_tree(
-                binned, grad, hess, mapper, TreeGrowthParams(),
+                binned, grad, hess, mapper, GBDTParams(),
                 sample_idx=sample_idx,
             )
 
@@ -155,7 +154,7 @@ class TestGrowTreeRefusesWhatCWouldNotSurvive:
         binned, grad, hess, mapper = self._inputs()
         with pytest.raises(ValueError, match="sample_idx must be a 1-D int64"):
             grow_tree(
-                binned, grad, hess, mapper, TreeGrowthParams(),
+                binned, grad, hess, mapper, GBDTParams(),
                 sample_idx=np.arange(10, dtype=np.int32),
             )
 
@@ -171,7 +170,7 @@ class TestGrowTreeRefusesWhatCWouldNotSurvive:
     def test_binned_of_the_wrong_kind(self, backend, spoil):
         binned, grad, hess, mapper = self._inputs()
         with pytest.raises(ValueError, match="binned|n_bins"):
-            grow_tree(spoil(binned), grad, hess, mapper, TreeGrowthParams())
+            grow_tree(spoil(binned), grad, hess, mapper, GBDTParams())
 
     @pytest.mark.parametrize(
         "spoil",
@@ -185,16 +184,16 @@ class TestGrowTreeRefusesWhatCWouldNotSurvive:
     def test_gradients_of_the_wrong_kind(self, backend, spoil):
         binned, grad, hess, mapper = self._inputs()
         with pytest.raises(ValueError, match="grad must be a contiguous float64"):
-            grow_tree(binned, spoil(grad), hess, mapper, TreeGrowthParams())
+            grow_tree(binned, spoil(grad), hess, mapper, GBDTParams())
         with pytest.raises(ValueError, match="hess must be a contiguous float64"):
-            grow_tree(binned, grad, spoil(hess), mapper, TreeGrowthParams())
+            grow_tree(binned, grad, spoil(hess), mapper, GBDTParams())
 
     def test_feature_subset_out_of_range(self, backend):
         binned, grad, hess, mapper = self._inputs()
         for subset in ([0, 8], [-1, 2]):
             with pytest.raises(ValueError, match="feature_subset"):
                 grow_tree(
-                    binned, grad, hess, mapper, TreeGrowthParams(),
+                    binned, grad, hess, mapper, GBDTParams(),
                     feature_subset=np.array(subset),
                 )
 
@@ -247,7 +246,7 @@ class TestScoreUpdateThroughThePartition:
         for sample_idx in (None, bag):
             tree, leaves = tree_module._grow(
                 tables, raw - target, hess, mapper,
-                TreeGrowthParams(num_leaves=9, min_data_in_leaf=3), sample_idx,
+                GBDTParams(num_leaves=9, min_data_in_leaf=3), sample_idx,
             )
             rows = np.arange(len(X)) if sample_idx is None else sample_idx
             assert sorted(leaves) == [
@@ -285,7 +284,7 @@ class TestScoreUpdateThroughThePartition:
                 k = max(1, int(round(bagging_fraction * len(y))))
                 sample_idx = np.sort(rng.choice(len(y), size=k, replace=False))
             expected = grow_tree(
-                binned, grad, hess, mapper, params.tree_params(), sample_idx
+                binned, grad, hess, mapper, params, sample_idx
             )
             assert tree.to_dict() == expected.to_dict()
             raw += params.learning_rate * expected.predict_binned(binned)
@@ -302,7 +301,7 @@ class TestSplittableInheritance:
         mapper = BinMapper(max_bins=16).fit(X)
         return grow_tree(
             mapper.transform(X), -target, np.ones(len(X)), mapper,
-            TreeGrowthParams(num_leaves=12, min_data_in_leaf=min_data_in_leaf),
+            GBDTParams(num_leaves=12, min_data_in_leaf=min_data_in_leaf),
         )
 
     @pytest.mark.parametrize("min_data_in_leaf", [1, 5])
@@ -385,7 +384,7 @@ class TestLeafSumsArePairwise:
         binned[::2] = 1
         tables = tree_module._split_tables(binned, [2], np.arange(1))
         nodes, sums, rows, _ = tree_module._native_grow(
-            tables, grad, hess, TreeGrowthParams(**params), idx, inherit=True
+            tables, grad, hess, GBDTParams(**params), idx, inherit=True
         )
         return nodes, sums, rows
 

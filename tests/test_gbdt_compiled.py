@@ -85,14 +85,11 @@ class TestAgainstReference:
         """A hand-grown stump ensemble scores exactly as summed by hand."""
         from repro.gbdt.tree import Tree
 
-        tree = Tree()
-        root = tree._new_node()
-        left = tree._new_node()
-        right = tree._new_node()
-        tree._set_split(root, feature=1, bin_threshold=0, threshold=0.5,
-                        left=left, right=right, gain=1.0)
-        tree._set_value(left, -1.0)
-        tree._set_value(right, 2.0)
+        tree = Tree(
+            feature=[1, -1, -1], bin_threshold=[0, 0, 0],
+            threshold=[0.5, 0.0, 0.0], left=[1, -1, -1], right=[2, -1, -1],
+            value=[0.0, -1.0, 2.0], gain=[1.0, 0.0, 0.0],
+        )
         predictor = CompiledPredictor.from_ensemble(
             [tree], init_score=0.25, learning_rate=0.1, n_features=3
         )

@@ -1,5 +1,7 @@
 """Tests for single-tree growth (leaf-wise, histogram-based)."""
 
+import json
+import pickle
 from dataclasses import replace
 from hashlib import blake2b
 from unittest import mock
@@ -13,7 +15,6 @@ from repro.gbdt import (
     GBDTClassifier,
     GBDTParams,
     Tree,
-    TreeGrowthParams,
     grow_tree,
 )
 from repro.gbdt import tree as tree_module
@@ -62,7 +63,7 @@ def _fit_tree(X, grad, hess=None, **kwargs):
     binned = mapper.transform(X)
     if hess is None:
         hess = np.ones(len(X))
-    params = TreeGrowthParams(**kwargs)
+    params = GBDTParams(**kwargs)
     return grow_tree(binned, grad, hess, mapper, params), mapper, binned
 
 
@@ -192,7 +193,7 @@ class TestGrowTree:
         binned = mapper.transform(X)
         subset = np.arange(0, 300, 2)
         tree = grow_tree(
-            binned, grad, hess, mapper, TreeGrowthParams(min_data_in_leaf=5),
+            binned, grad, hess, mapper, GBDTParams(min_data_in_leaf=5),
             sample_idx=subset,
         )
         # Tree still learns the pattern from half the data.
@@ -208,7 +209,7 @@ class TestGrowTree:
         binned = mapper.transform(X)
         tree = grow_tree(
             binned, grad, hess, mapper,
-            TreeGrowthParams(min_data_in_leaf=5),
+            GBDTParams(min_data_in_leaf=5),
             feature_subset=np.array([1, 2]),
         )
         assert 0 not in tree.split_features()
@@ -347,7 +348,7 @@ class TestSplitSearchMatchesPerFeatureScan:
     )
     def test_random_leaves(self, seed, kwargs):
         binned, n_bins, grad, hess, rng = self._dataset(seed)
-        params = TreeGrowthParams(**kwargs)
+        params = GBDTParams(**kwargs)
         everything = np.arange(len(grad))
         all_features = np.arange(binned.shape[1])
         self._compare(binned, n_bins, grad, hess, everything, all_features, params)
@@ -359,7 +360,7 @@ class TestSplitSearchMatchesPerFeatureScan:
     def test_equal_gain_goes_to_first_feature_in_subset_order(self):
         binned, n_bins, grad, hess, _ = self._dataset(0)
         idx = np.arange(len(grad))
-        params = TreeGrowthParams()
+        params = GBDTParams()
         for subset, winner in ((np.array([1, 5]), 1), (np.array([5, 1]), 5)):
             found = self._compare(binned, n_bins, grad, hess, idx, subset, params)
             assert found.best_feature == winner
@@ -368,7 +369,7 @@ class TestSplitSearchMatchesPerFeatureScan:
         binned, n_bins, grad, hess, _ = self._dataset(1)
         found = self._compare(
             binned, n_bins, grad, hess, np.arange(len(grad)),
-            np.array([2]), TreeGrowthParams(),
+            np.array([2]), GBDTParams(),
         )
         assert found.best_feature == -1
 
@@ -382,7 +383,7 @@ class TestSplitSearchMatchesPerFeatureScan:
             monkeypatch.setattr(tree_module, "_HIST_BLOCK_ELEMENTS", budget)
             self._compare(
                 binned, n_bins, grad, hess, idx, all_features,
-                TreeGrowthParams(),
+                GBDTParams(),
             )
 
     def test_nan_gain_disqualifies_only_its_feature(self):
@@ -393,7 +394,7 @@ class TestSplitSearchMatchesPerFeatureScan:
         low = binned[:, 0] == 0
         grad = np.where(low, 0.0, grad)
         hess = np.where(low, 0.0, hess)
-        params = TreeGrowthParams(
+        params = GBDTParams(
             min_data_in_leaf=1, min_sum_hessian_in_leaf=0.0
         )
         found = self._compare(
@@ -409,7 +410,7 @@ class TestSplitSearchMatchesPerFeatureScan:
         found = self._compare(
             binned, n_bins, np.sign(grad), np.ones(len(grad)),
             np.arange(len(grad)), np.arange(binned.shape[1]),
-            TreeGrowthParams(min_data_in_leaf=0, min_sum_hessian_in_leaf=0.0),
+            GBDTParams(min_data_in_leaf=0, min_sum_hessian_in_leaf=0.0),
         )
         assert found.best_feature != -1
 
@@ -424,7 +425,7 @@ class TestSplitSearchMatchesPerFeatureScan:
         for floor, winner_is_0 in ((1e-3, True), (0.0, False)):
             found = self._compare(
                 binned, n_bins, grad, hess, idx, np.arange(binned.shape[1]),
-                TreeGrowthParams(
+                GBDTParams(
                     min_data_in_leaf=1, min_sum_hessian_in_leaf=floor
                 ),
             )
@@ -437,10 +438,9 @@ class TestNumpySplitSearchMatchesPerFeatureScan(
     backend = "python_fallback"
 
 
-def test_model_digest_pinned():
-    """A float-order change in binning, split search or boosting moves
-    this digest (value recorded before the one-pass split search landed);
-    `benchmarks/perf/pins.json` pins the same thing at ledger scale."""
+def _pinned_classifier():
+    """A bagged, feature-subsampled fit over constant and few-valued
+    columns: the model both pins below hold."""
     rng = np.random.default_rng(2018)
     X = rng.normal(size=(400, 6))
     X[:, 4] = 1.0
@@ -450,5 +450,38 @@ def test_model_digest_pinned():
         num_iterations=8, num_leaves=7, min_data_in_leaf=5,
         bagging_fraction=0.8, feature_fraction=0.8, lambda_l2=0.5, seed=5,
     )
-    blob = GBDTClassifier(params).fit(X, y).compiled().to_bytes()
+    return GBDTClassifier(params).fit(X, y)
+
+
+def test_model_digest_pinned():
+    """A float-order change in binning, split search or boosting moves
+    this digest (value recorded before the one-pass split search landed);
+    `benchmarks/perf/pins.json` pins the same thing at ledger scale."""
+    blob = _pinned_classifier().compiled().to_bytes()
     assert blake2b(blob, digest_size=8).hexdigest() == "0bb3bf36ea56a533"
+
+
+def test_persisted_model_format_pinned():
+    """The JSON a model is saved as (``examples/offline_training.py``
+    writes it to disk) keeps its bytes, and reading it back compiles to
+    the very slab of the model that wrote it."""
+    clf = _pinned_classifier()
+    text = json.dumps(clf.to_dict(), sort_keys=True)
+    digest = blake2b(text.encode(), digest_size=8).hexdigest()
+    assert digest == "b7fd03e537517a72"
+    clone = GBDTClassifier.from_dict(json.loads(text))
+    assert clone.compiled().to_bytes() == clf.compiled().to_bytes()
+
+
+def test_fitted_trees_are_read_only():
+    """Every node array of a grown tree refuses writes, a pickled copy's
+    too, so a compiled predictor cannot go stale against its trees."""
+    tree = _pinned_classifier().trees[0]
+    for grown in (tree, pickle.loads(pickle.dumps(tree))):
+        assert grown.to_dict() == tree.to_dict()
+        for name in (
+            "feature", "bin_threshold", "threshold", "left", "right",
+            "value", "gain",
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grown, name)[0] = 0

@@ -29,7 +29,6 @@ from repro.gbdt import (
     CompiledPredictor,
     GBDTClassifier,
     GBDTParams,
-    TreeGrowthParams,
     grow_tree,
 )
 from repro.gbdt.compiled import _NODE_DTYPE
@@ -390,7 +389,7 @@ def test_a_bin_at_its_features_n_bins(backend):
     binned[4, 1] = mapper.n_bins(1)
     assert _refusal(
         lambda: grow_tree(binned, np.ones(50), np.ones(50), mapper,
-                          TreeGrowthParams())
+                          GBDTParams())
     ) == "binned holds a bin index >= its feature's n_bins"
 
 
