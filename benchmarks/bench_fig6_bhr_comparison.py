@@ -47,9 +47,12 @@ def run_fig6(n_requests: int = 30_000):
         warmup_fraction=WARMUP,
     )
 
+    # The paper's loop (PAPER.md §1) trains a fresh model on every window,
+    # so both LFOs grow every window instead of refitting between.
     lfo = LFOOnline(
         cache_size, window=5_000,
         label_config=OptLabelConfig(mode="segmented", segment_length=1_250),
+        regrow_every=1,
     )
     results["LFO"] = simulate(trace, lfo, warmup_fraction=WARMUP)
 
@@ -58,6 +61,7 @@ def run_fig6(n_requests: int = 30_000):
     lfo_ohr = LFOOnline(
         cache_size, window=5_000,
         label_config=OptLabelConfig(mode="segmented", segment_length=1_250),
+        regrow_every=1,
     )
     results["LFO(OHR)"] = simulate(ohr_trace, lfo_ohr, warmup_fraction=WARMUP)
 

@@ -93,11 +93,15 @@ class LFOModel:
         classifier: the fitted :class:`GBDTClassifier` the predictor was
             compiled from (feature importance, JSON export); None for a
             model rebuilt from predictor bytes, as a cluster shard's is.
+        refits: windows since the classifier's trees were grown — 0 for
+            a fit, one more per :meth:`GBDTClassifier.refit` on a later
+            window (how :class:`repro.core.LabelFitJob` schedules regrowth).
     """
 
     predictor: CompiledPredictor
     cutoff: float = 0.5
     classifier: GBDTClassifier | None = None
+    refits: int = 0
 
     @classmethod
     def train(

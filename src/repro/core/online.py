@@ -2,8 +2,10 @@
 
 ``LFOOnline`` records each window ``W[t]`` of requests together with the
 online features observed live, computes OPT's decisions for the window once
-it closes, trains a fresh model, and serves window ``W[t+1]`` with it.  The
-first window runs in cold-start (admit-all LRU) mode.
+it closes, trains a model, and serves window ``W[t+1]`` with it.  The
+first window runs in cold-start (admit-all LRU) mode.  A model's trees are
+grown fresh in one window of every ``regrow_every`` (2 by default; 1 is
+the paper's loop) and refit on the windows between.
 
 The loop itself — window buffer, submit → wait → install, watchdog,
 backoff, staleness guard, and what happens when any of it fails —
@@ -12,7 +14,8 @@ for the contract).  This module holds what is LFO-specific:
 
 * :class:`LabelFitJob`, the training job: label the window with OPT
   (:class:`OptLabelConfig`), score it with the deployed model (the
-  ``online.opt_agreement`` gauges) and fit a GBDT on the live features;
+  ``online.opt_agreement`` gauges) and fit a GBDT on the live features
+  (or refit the deployed one's leaves);
 * :class:`LFOOnline`, an :class:`~repro.core.LFOCache` whose model slot is
   the trainer's install target, and whose admission and eviction degrade
   to LRU while the trainer reports the model stale.
@@ -105,6 +108,10 @@ class LabelFitJob:
         min_positive_labels: return no model when the window contains
             fewer positive OPT decisions than this (e.g. a pure scan),
             where training would produce a broken all-negative predictor.
+        regrow_every: grow fresh trees in one window of every this many
+            and refit the deployed model's trees in the others
+            (:meth:`repro.gbdt.GBDTClassifier.refit`); 1 grows every
+            window, the paper's loop.
     """
 
     cache_size: int
@@ -112,6 +119,11 @@ class LabelFitJob:
     gbdt_params: GBDTParams = field(default_factory=GBDTParams)
     cutoff: float = 0.5
     min_positive_labels: int = 10
+    regrow_every: int = 2
+
+    def __post_init__(self) -> None:
+        if self.regrow_every < 1:
+            raise ValueError("regrow_every must be at least 1")
 
     def __call__(
         self, requests: list[Request], features: np.ndarray, name: str
@@ -128,13 +140,27 @@ class LabelFitJob:
         (none on a cold window) scores the rows it served in one batched
         call (``online.agreement``), published as how often its decisions
         agree with these labels, split into false admits and false
-        rejects as in Figure 5a."""
-        binning = start(bin_matrix, features, self.gbdt_params.max_bins)
+        rejects as in Figure 5a.
+
+        The window refits instead of growing (``online.gbdt_refit``
+        inside ``online.gbdt_fit``, no binning) when the deployed model
+        has a classifier of this width whose trees are fewer than
+        ``regrow_every - 1`` refits old (:attr:`LFOModel.refits`); a cold
+        window, a model built from bytes or a test double (no
+        classifier) or another width grows."""
+        deployed = deployed_model.get()
+        grown = getattr(deployed, "classifier", None)
+        refit = (
+            grown is not None
+            and grown.n_features == features.shape[1]
+            and deployed.refits + 1 < self.regrow_every
+        )
+        if not refit:
+            binning = start(bin_matrix, features, self.gbdt_params.max_bins)
         registry = get_registry()
         window = Trace(requests, name=name)
         with registry.span("online.label_solve"):
             labels = self.label_config.compute(window, self.cache_size)
-        deployed = deployed_model.get()
         if deployed is not None:
             with registry.span("online.agreement"):
                 error, false_admit, false_reject = error_rates(
@@ -145,12 +171,19 @@ class LabelFitJob:
             registry.gauge("online.opt_false_reject").set(false_reject)
         if labels.sum() < self.min_positive_labels:
             return None
-        dataset = Dataset(
-            X=features,
-            y=labels.astype(np.float64),
-            names=feature_names(features.shape[1] - 3),
-        )
         with registry.span("online.gbdt_fit"):
+            if refit:
+                with registry.span("online.gbdt_refit"):
+                    classifier = grown.refit(features, labels)
+                    return LFOModel(
+                        classifier.compiled(), self.cutoff, classifier,
+                        deployed.refits + 1,
+                    )
+            dataset = Dataset(
+                X=features,
+                y=labels.astype(np.float64),
+                names=feature_names(features.shape[1] - 3),
+            )
             return LFOModel.train(
                 dataset, self.gbdt_params, self.cutoff, binning=binning.result()[0]
             )
@@ -178,6 +211,8 @@ class LFOOnline(LFOCache):
         n_gaps: gap-feature count.
         min_positive_labels: skip retraining when a window contains fewer
             positive OPT decisions than this (degenerate windows).
+        regrow_every: windows per fresh fit; the others refit the last
+            grown trees (:class:`LabelFitJob`; 1 = grow every window).
 
     While the trainer reports the model stale (``staleness_limit``),
     admission falls back to LRU: admit everything, evict the least
@@ -203,6 +238,7 @@ class LFOOnline(LFOCache):
         train_deadline: int | None = None,
         staleness_limit: int | None = None,
         retry_backoff: int = 0,
+        regrow_every: int = 2,
     ) -> None:
         super().__init__(
             cache_size, model=None, n_gaps=n_gaps,
@@ -217,6 +253,7 @@ class LFOOnline(LFOCache):
                 gbdt_params=gbdt_params or GBDTParams(),
                 cutoff=cutoff,
                 min_positive_labels=min_positive_labels,
+                regrow_every=regrow_every,
             ),
             self.set_model,
             background=background,

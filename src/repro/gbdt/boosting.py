@@ -148,6 +148,52 @@ class GBDTClassifier:
                 iteration_hist.observe(perf_counter() - iteration_start)
         return self
 
+    def refit(self, X: np.ndarray, y: np.ndarray) -> "GBDTClassifier":
+        """A new classifier with these trees' splits and leaves solved on
+        ``(X, y)`` — LightGBM's ``Booster.refit``.
+
+        Structure, thresholds, gains and the bin mapper are kept; the
+        init score is ``y``'s log-odds, and each tree in turn gets every
+        leaf's Newton step ``-G / (H + lambda_l2)`` over the rows
+        :meth:`CompiledPredictor.leaves` routes to it, with gradients at
+        the raw score of the trees before it.  A leaf no row reaches, or
+        whose hessian sum is below ``min_sum_hessian_in_leaf``, keeps its
+        value, as do the internal nodes.  On the fit's own ``(X, y)`` (no
+        bagging) this reproduces the fitted leaves up to summation order.
+        """
+        if self.mapper is None or self.n_features is None:
+            raise RuntimeError("model is not fitted")
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"X must be (n, {self.n_features})")
+        if len(X) != len(y):
+            raise ValueError("X and y length mismatch")
+        if len(X) == 0:
+            raise ValueError("cannot refit on an empty dataset")
+        params = self.params
+        leaves = self.compiled().leaves(X)
+        model = GBDTClassifier(params)
+        model.mapper, model.n_features = self.mapper, self.n_features
+        model.init_score = LogisticLoss.init_score(y)
+        raw = np.full(len(y), model.init_score, dtype=np.float64)
+        for tree, leaf in zip(self.trees, leaves.T):
+            grad, hess = LogisticLoss.grad_hess(y, raw)
+            size = len(tree.value)
+            g = np.bincount(leaf, grad, minlength=size)
+            h = np.bincount(leaf, hess, minlength=size)
+            solved = (tree.feature < 0) & (h > 0) & (
+                h >= params.min_sum_hessian_in_leaf
+            )
+            value = tree.value.copy()
+            np.divide(-g, h + params.lambda_l2, out=value, where=solved)
+            model.trees.append(
+                Tree(tree.feature, tree.bin_threshold, tree.threshold,
+                     tree.left, tree.right, value, tree.gain)
+            )
+            raw += params.learning_rate * value[leaf]
+        return model
+
     # -- prediction ---------------------------------------------------------
 
     def compiled(self) -> CompiledPredictor:

@@ -363,19 +363,57 @@ class CompiledPredictor:
         return views
 
     def _predict_raw_numpy(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Self-loop level walk over all (row, tree) pairs at once."""
-        feature, threshold, kids, value, roots = self._numpy_arrays()
+        """Every (row, tree) pair's leaf value, summed per row."""
+        _, _, _, value, _ = self._numpy_arrays()
+        np.sum(value[self._walk_numpy(X)], axis=1, out=out)
+        out += self.init_score
+        return out
+
+    def _walk_numpy(self, X: np.ndarray) -> np.ndarray:
+        """``(n, n_trees)`` node each row reaches in each tree: one
+        self-loop level walk over all (row, tree) pairs at once."""
+        feature, threshold, kids, _, roots = self._numpy_arrays()
         n = X.shape[0]
-        node = np.repeat(roots[None, :], n, axis=0)  # (n, n_trees)
+        node = np.repeat(roots[None, :], n, axis=0)
         x_flat = X.ravel()
         row_base = (np.arange(n, dtype=np.int64) * X.shape[1])[:, None]
         for _ in range(int(self._depths.max(initial=0))):
             gathered = x_flat[row_base + feature[node]]
             go_right = gathered > threshold[node]
             node = kids[(node << 1) + go_right]
-        np.sum(value[node], axis=1, out=out)
-        out += self.init_score
-        return out
+        return node
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """``(n, n_trees)`` int64 leaf each row reaches in each tree,
+        counted from the tree's root — for an ensemble compiled by
+        :meth:`from_ensemble`, the index into that :class:`Tree`'s node
+        arrays.  What :meth:`repro.gbdt.GBDTClassifier.refit` re-solves
+        the leaf values over.
+
+        The kernel scores one one-tree slab per tree whose leaf values
+        are those ids (exact in float64), through the same
+        ``predict_raw`` call as scoring; the numpy backend is the level
+        walk of its scoring path.  A tree owns the nodes from its root to
+        the next tree's, the layout :meth:`from_ensemble` writes.
+        """
+        X = self._rows(X)
+        kernel = self._resolve_kernel()
+        if kernel is None:
+            return self._walk_numpy(X) - self._roots.astype(np.int64)
+        ids = np.empty(X.shape[0])
+        leaves = np.empty((self.n_trees, X.shape[0]), dtype=np.int64)
+        ends = np.append(self._roots[1:], len(self._nodes)).tolist()
+        for t, (start, end) in enumerate(zip(self._roots.tolist(), ends)):
+            nodes = self._nodes[start:end].copy()
+            nodes["kid_le"] -= start
+            nodes["kid_gt"] -= start
+            nodes["value"] = np.arange(end - start)
+            tree = CompiledPredictor.from_tables(
+                nodes, [0], self._depths[t:t + 1], 0.0, self.n_features
+            )
+            kernel.predict_raw(X, tree._slab, ids, None)
+            leaves[t] = ids
+        return leaves.T
 
     # -- wire serialisation -------------------------------------------------
 

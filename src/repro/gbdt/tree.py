@@ -84,7 +84,7 @@ class Tree:
         return max(depth, default=0)
 
     def _walk(self, X: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-        """Every row's leaf value, walking the levels vectorised."""
+        """Every row's leaf id, walking the levels vectorised."""
         feature, left, right = self.feature, self.left, self.right
         node = np.zeros(X.shape[0], dtype=np.int64)
         active = feature[node] >= 0
@@ -94,15 +94,15 @@ class Tree:
             go_left = X[idx, feature[cur]] <= threshold[cur]
             node[idx] = np.where(go_left, left[cur], right[cur])
             active[idx] = feature[node[idx]] >= 0
-        return self.value[node]
+        return node
 
     def predict_binned(self, binned: np.ndarray) -> np.ndarray:
         """Predict from uint8 bin indices."""
-        return self._walk(binned, self.bin_threshold)
+        return self.value[self._walk(binned, self.bin_threshold)]
 
     def predict_raw_values(self, X: np.ndarray) -> np.ndarray:
         """Predict from raw float features using stored value thresholds."""
-        return self._walk(X, self.threshold)
+        return self.value[self._walk(X, self.threshold)]
 
     def split_features(self) -> list[int]:
         """Features used by internal nodes (one entry per split) — the raw

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.cache import LRUCache
-from repro.core import LabelFitJob, LFOOnline, OptLabelConfig
+from repro.core import LabelFitJob, LFOModel, LFOOnline, OptLabelConfig
 from repro.core.trainer import _run_job
-from repro.gbdt import GBDTParams
+from repro.gbdt import CompiledPredictor, GBDTClassifier, GBDTParams
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim import simulate
 from repro.trace import (
@@ -412,3 +412,100 @@ class TestOptAgreement:
         assert policy.trainer._model is policy.model is not None
         policy.reset()
         assert policy.trainer._model is None
+
+
+class TestRegrowSchedule:
+    """Which windows grow fresh trees and which refit the deployed ones."""
+
+    @staticmethod
+    def _spied(monkeypatch):
+        """Record "grow" / "refit" per fitting call, in order."""
+        calls = []
+        fit, refit = GBDTClassifier.fit, GBDTClassifier.refit
+
+        def spy_fit(self, *args, **kwargs):
+            calls.append("grow")
+            return fit(self, *args, **kwargs)
+
+        def spy_refit(self, *args, **kwargs):
+            calls.append("refit")
+            return refit(self, *args, **kwargs)
+
+        monkeypatch.setattr(GBDTClassifier, "fit", spy_fit)
+        monkeypatch.setattr(GBDTClassifier, "refit", spy_refit)
+        return calls
+
+    @pytest.mark.parametrize(
+        "regrow_every, schedule",
+        [(2, ["grow", "refit", "grow", "refit"]), (1, ["grow"] * 4),
+         (3, ["grow", "refit", "refit", "grow"])],
+    )
+    def test_schedule(self, monkeypatch, online_trace, regrow_every, schedule):
+        calls = self._spied(monkeypatch)
+        policy = LFOOnline(
+            online_trace.footprint() // 8, window=1000,
+            gbdt_params=FAST_PARAMS, n_gaps=5, regrow_every=regrow_every,
+        )
+        models = []
+        for index, request in enumerate(online_trace):
+            policy.on_request(request)
+            if index % 1000 == 999:
+                models.append(policy.model)
+        assert calls == schedule
+        assert [m.refits for m in models] == [
+            0 if kind == "grow" else models[i - 1].refits + 1
+            for i, kind in enumerate(schedule)
+        ]
+        for i, kind in enumerate(schedule):
+            if kind == "refit":  # the deployed model's splits, new leaves
+                old, new = models[i - 1].classifier, models[i].classifier
+                assert new.mapper is old.mapper
+                for a, b in zip(old.trees, new.trees):
+                    assert np.array_equal(a.threshold, b.threshold)
+                    assert np.array_equal(a.left, b.left)
+                assert models[i].predictor is new.compiled()
+
+    def _job_run(self, monkeypatch, online_trace, deployed, width=8):
+        calls = self._spied(monkeypatch)
+        requests = list(online_trace[:1000])
+        features = np.random.default_rng(0).random((1000, width))
+        model, _ = _run_job(
+            LabelFitJob(online_trace.footprint() // 8, gbdt_params=FAST_PARAMS),
+            requests, features, "W[1]", deployed, threading.get_native_id(),
+        )
+        return calls, model
+
+    def test_a_cold_window_grows(self, monkeypatch, online_trace):
+        calls, model = self._job_run(monkeypatch, online_trace, None)
+        assert calls == ["grow"] and model.refits == 0
+
+    def test_a_grown_model_is_refit_then_regrown(self, monkeypatch, online_trace):
+        _, grown = self._job_run(monkeypatch, online_trace, None)
+        calls, refit = self._job_run(monkeypatch, online_trace, grown)
+        assert calls == ["refit"] and refit.refits == 1
+        calls, regrown = self._job_run(monkeypatch, online_trace, refit)
+        assert calls == ["grow"] and regrown.refits == 0
+
+    def test_a_bytes_built_model_grows(self, monkeypatch, online_trace):
+        """A cluster shard's model: predictor bytes, no classifier."""
+        _, grown = self._job_run(monkeypatch, online_trace, None)
+        shard_model = LFOModel(
+            CompiledPredictor(grown.predictor.to_bytes()), grown.cutoff
+        )
+        calls, model = self._job_run(monkeypatch, online_trace, shard_model)
+        assert calls == ["grow"] and model.refits == 0
+
+    def test_another_width_grows(self, monkeypatch, online_trace):
+        _, grown = self._job_run(monkeypatch, online_trace, None)
+        wider = SimpleNamespace(  # scores any width, so agreement runs
+            likelihood=lambda rows: rows[:, 0], cutoff=0.5,
+            classifier=grown.classifier, refits=0,
+        )
+        calls, model = self._job_run(
+            monkeypatch, online_trace, wider, width=9
+        )
+        assert calls == ["grow"] and model.classifier.n_features == 9
+
+    def test_a_period_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="regrow_every"):
+            LabelFitJob(100, regrow_every=0)

@@ -1,5 +1,8 @@
 """Tests for the boosting loop, the logistic loss, and the classifier API."""
 
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +127,87 @@ class TestClassifier:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GBDTClassifier().fit(np.zeros((5, 2)), np.zeros(4))
+
+
+_STRUCTURE = ("feature", "bin_threshold", "threshold", "left", "right", "gain")
+
+
+class TestRefit:
+    """``refit`` keeps every split and re-solves the leaves on new rows."""
+
+    @pytest.fixture(params=["native", "python_fallback"])
+    def backend(self, request):
+        request.getfixturevalue(request.param)
+
+    def test_own_data_reproduces_the_fit(self, backend):
+        X, y = _xor_data(1500)
+        model = GBDTClassifier(GBDTParams(num_iterations=8, lambda_l2=0.5))
+        model.fit(X, y)
+        refit = model.refit(X, y)
+        assert refit is not model and refit.mapper is model.mapper
+        assert refit.init_score == model.init_score
+        for old, new in zip(model.trees, refit.trees, strict=True):
+            for name in _STRUCTURE:
+                assert np.array_equal(getattr(new, name), getattr(old, name))
+            np.testing.assert_allclose(new.value, old.value, rtol=1e-9)
+
+    def test_leaves_follow_the_new_labels(self, backend):
+        X, y = _xor_data(1500)
+        model = GBDTClassifier(GBDTParams(num_iterations=8)).fit(X, y)
+        flipped = 1.0 - y
+        refit = model.refit(X, flipped)
+        assert LogisticLoss.loss(flipped, refit.predict_raw(X)) < 0.5 * (
+            LogisticLoss.loss(flipped, model.predict_raw(X))
+        )
+        assert refit.init_score == LogisticLoss.init_score(flipped)
+
+    def test_light_leaves_keep_their_values(self, backend):
+        """A leaf under ``min_sum_hessian_in_leaf`` (here: one no row of
+        the refit reaches) keeps its value; internal nodes always do."""
+        X, y = _xor_data(1500)
+        model = GBDTClassifier(GBDTParams(num_iterations=4)).fit(X, y)
+        rows = X[:3]
+        refit = model.refit(rows, y[:3])
+        reached = model.compiled().leaves(rows)
+        for t, (old, new) in enumerate(zip(model.trees, refit.trees)):
+            kept = np.ones(len(old.value), dtype=bool)
+            kept[reached[:, t]] = False
+            assert np.array_equal(new.value[kept], old.value[kept])
+            assert not np.array_equal(new.value[~kept], old.value[~kept])
+
+    def test_compiled_is_bit_identical_to_the_reference(self, native):
+        X, y = _xor_data(1500)
+        model = GBDTClassifier(GBDTParams(num_iterations=8)).fit(X, y)
+        X_new, y_new = _xor_data(1000, seed=1)
+        refit = model.refit(X_new, 1.0 - y_new)
+        assert np.array_equal(
+            refit.compiled().predict_raw(X_new), refit.predict_raw(X_new)
+        )
+
+    def test_survives_pickle_and_json(self):
+        X, y = _xor_data(1500)
+        model = GBDTClassifier(GBDTParams(num_iterations=8)).fit(X, y)
+        X_new, y_new = _xor_data(1000, seed=1)
+        refit = model.refit(X_new, y_new)
+        slab = refit.compiled().to_bytes()
+        for clone in (
+            pickle.loads(pickle.dumps(refit)),
+            GBDTClassifier.from_dict(json.loads(json.dumps(refit.to_dict()))),
+        ):
+            assert clone.compiled().to_bytes() == slab
+            assert np.array_equal(clone.predict_raw(X_new), refit.predict_raw(X_new))
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(RuntimeError):
+            GBDTClassifier().refit(np.zeros((1, 2)), np.zeros(1))
+        X, y = _xor_data(500)
+        model = GBDTClassifier(GBDTParams(num_iterations=2)).fit(X, y)
+        with pytest.raises(ValueError):
+            model.refit(X[:, :3], y)
+        with pytest.raises(ValueError):
+            model.refit(X, y[:-1])
+        with pytest.raises(ValueError):
+            model.refit(X[:0], y[:0])
 
 
 class TestRobustnessProperty:

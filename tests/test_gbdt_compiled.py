@@ -100,6 +100,48 @@ class TestAgainstReference:
         )
 
 
+class TestLeaves:
+    """``leaves`` is the tree's own raw-threshold walk, on both backends,
+    rows lying exactly on a threshold included."""
+
+    @staticmethod
+    def _rows_on_thresholds(clf, X_eval):
+        rows = [X_eval]
+        for tree in clf.trees:
+            for feature, threshold in zip(tree.feature, tree.threshold):
+                if feature >= 0:
+                    row = X_eval[:1].copy()
+                    row[0, feature] = threshold
+                    rows.append(row)
+        return np.vstack(rows)
+
+    def test_backends_and_the_tree_walk_agree(self, fitted, monkeypatch):
+        clf, X_eval = fitted
+        X = self._rows_on_thresholds(clf, X_eval)
+        walked = np.column_stack([t._walk(X, t.threshold) for t in clf.trees])
+        for tree, ids in zip(clf.trees, walked.T):
+            assert (tree.feature[ids] < 0).all()
+        found = {}
+        if kernel_available():
+            predictor = fresh_compiled(clf)
+            assert predictor.backend == "kernel"
+            found["kernel"] = predictor.leaves(X)
+        monkeypatch.setattr(_native, "_state", False)
+        predictor = fresh_compiled(clf)
+        assert predictor.backend == "numpy"
+        found["numpy"] = predictor.leaves(X)
+        for backend, leaves in found.items():
+            assert leaves.dtype == np.int64, backend
+            assert np.array_equal(leaves, walked), backend
+
+    def test_one_row_and_no_trees(self, fitted):
+        clf, X_eval = fitted
+        predictor = fresh_compiled(clf)
+        assert predictor.leaves(X_eval[0]).shape == (1, clf.params.num_iterations)
+        empty = CompiledPredictor.from_ensemble([], 0.0, 0.1, 8)
+        assert empty.leaves(X_eval).shape == (len(X_eval), 0)
+
+
 class TestSingleVsBatch:
     def test_single_equals_batch_bitwise(self, fitted):
         clf, X_eval = fitted

@@ -6,8 +6,12 @@ The segmented constants were recorded at the commit before the indexed
 heap, the array-built OPT network, the partition score update, batched
 percentiles and the splittable-feature inheritance landed (PR 20); the
 native SSP kernel and its Python/numpy references must both reproduce
-them.  The greedy constants are the library defaults, recorded when
-greedy labels became the default.
+them.  The greedy constants are the library's default labels, recorded
+when greedy labels became the default.  Both sets grow every window
+(``regrow_every=1``).  The ``_REFIT_*`` constants are the default loop,
+which refits ``W[0]``'s trees on ``W[1]``: ``W[0]`` and every window's
+labels are the same (OPT reads only the requests), ``W[1]``'s model is
+the refit and ``W[2]``'s model grows on rows the refit model served.
 """
 
 from hashlib import blake2b
@@ -38,6 +42,13 @@ _GREEDY_LABEL_DIGESTS = [
 _GREEDY_MODEL_DIGESTS = [
     "975754102c4163e6", "121df23ef8ec7ec7", "c6edc2415cf23170",
 ]
+#: The default ``regrow_every=2``: grow, refit, grow.
+_REFIT_MODEL_DIGESTS = [
+    "c7db1f0b6aedaf1b", "9ee77492bf2bdc19", "c8f9c0412abba1ea",
+]
+_REFIT_GREEDY_MODEL_DIGESTS = [
+    "975754102c4163e6", "394baf556bc70aec", "82e2174bfa53fd19",
+]
 
 
 def _digest(blob: bytes) -> str:
@@ -56,10 +67,10 @@ def mix_trace():
     return trace
 
 
-def _window_digests(trace, **label_config):
+def _window_digests(trace, regrow_every=2, **label_config):
     """``(labels, models)``: the digests of every window's labels and
     compiled model, on the scalar online loop with library defaults but
-    ``label_config``."""
+    ``regrow_every`` and ``label_config``."""
     labels, models = [], []
 
     class Recording(OptLabelConfig):
@@ -70,7 +81,7 @@ def _window_digests(trace, **label_config):
 
     policy = LFOOnline(
         trace.footprint() // 10, window=4_000,
-        label_config=Recording(**label_config),
+        label_config=Recording(**label_config), regrow_every=regrow_every,
     )
     job = policy.trainer.job
 
@@ -88,7 +99,7 @@ def _window_digests(trace, **label_config):
 @pytest.mark.parametrize("backend", ["native", "python_fallback"])
 def test_window_labels_and_models_pinned(request, mix_trace, backend):
     request.getfixturevalue(backend)
-    assert _window_digests(mix_trace, mode="segmented") == (
+    assert _window_digests(mix_trace, regrow_every=1, mode="segmented") == (
         _LABEL_DIGESTS, _MODEL_DIGESTS
     )
 
@@ -96,8 +107,20 @@ def test_window_labels_and_models_pinned(request, mix_trace, backend):
 @pytest.mark.parametrize("backend", ["native", "python_fallback"])
 def test_greedy_default_labels_and_models_pinned(request, mix_trace, backend):
     request.getfixturevalue(backend)
-    assert _window_digests(mix_trace) == (
+    assert _window_digests(mix_trace, regrow_every=1) == (
         _GREEDY_LABEL_DIGESTS, _GREEDY_MODEL_DIGESTS
+    )
+
+
+@pytest.mark.parametrize("backend", ["native", "python_fallback"])
+def test_refit_loop_labels_and_models_pinned(request, mix_trace, backend):
+    """The kernel's and the numpy walk's leaf ids refit one model."""
+    request.getfixturevalue(backend)
+    assert _window_digests(mix_trace, mode="segmented") == (
+        _LABEL_DIGESTS, _REFIT_MODEL_DIGESTS
+    )
+    assert _window_digests(mix_trace) == (
+        _GREEDY_LABEL_DIGESTS, _REFIT_GREEDY_MODEL_DIGESTS
     )
 
 
@@ -111,7 +134,7 @@ def test_pins_hold_at_every_width(monkeypatch, mix_trace, helpers):
     )
     monkeypatch.setattr(_native, "_pool", None)
     try:
-        assert _window_digests(mix_trace, mode="segmented") == (
+        assert _window_digests(mix_trace, regrow_every=1, mode="segmented") == (
             _LABEL_DIGESTS, _MODEL_DIGESTS
         )
     finally:
