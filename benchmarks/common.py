@@ -13,11 +13,9 @@ that ``pytest benchmarks/ --benchmark-only`` leaves a readable record.
 from __future__ import annotations
 
 import io
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
 
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry
 from repro.trace import (
     ContentClass,
     SyntheticConfig,
@@ -81,23 +79,6 @@ def report(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(RESULTS_DIR / f"{name}.txt", "w") as handle:
         handle.write(text + "\n")
-
-
-@contextmanager
-def observed(ring_size: int = 256) -> Iterator[MetricsRegistry]:
-    """Install a fresh :class:`repro.obs.MetricsRegistry` for the block.
-
-    Benchmarks that want per-stage breakdowns wrap the measured run::
-
-        with observed() as registry:
-            simulate(trace, policy)
-        report("my_bench", stage_table(registry))
-
-    instead of sprinkling their own ``time.perf_counter()`` pairs.
-    """
-    registry = MetricsRegistry(ring_size=ring_size)
-    with use_registry(registry):
-        yield registry
 
 
 def stage_table(registry: MetricsRegistry) -> str:

@@ -370,8 +370,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Nothing serves in the router, so there is no policy: a bare
             # trainer labels against one shard's capacity — the cache
             # each OPT decision actually lands in — and a trained model
-            # goes live through the publish hook ClusterScorer installs
-            # (each shard's next batch carries it), not a local swap.
+            # installs by being published to the cluster (each shard's
+            # next batch carries it), not by a local swap.
             trainer = WindowTrainer(
                 args.window,
                 LabelFitJob(
@@ -379,7 +379,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     label_config=_label_config(args),
                     cutoff=args.cutoff,
                 ),
-                install=lambda model: None,
+                install=cluster.publish,
                 **supervision,
             )
             scorer = ClusterScorer(trainer, cluster)

@@ -11,7 +11,7 @@ them together:
   compiled bytes, and the next batch message to each shard carries
   them; a shard swaps the model in before scoring that batch.
   :meth:`publish` is shaped to be handed directly to
-  :class:`repro.core.WindowTrainer` as its ``publish_hook``;
+  :class:`repro.core.WindowTrainer` as its ``install``;
 * the **telemetry fold** — the counter/histogram deltas in every
   shard's reply are folded into the active registry
   (:func:`repro.obs.fold_deltas`), so the driver's
@@ -185,7 +185,7 @@ class CacheCluster:
         """Publish ``model`` to every shard; returns the new generation.
 
         Hand this method to :class:`repro.core.WindowTrainer` as its
-        ``publish_hook`` — each installed model then goes live at each
+        ``install`` — each trained model then goes live at each
         shard's next batch, which carries ``model.predictor``'s bytes
         (:meth:`CompiledPredictor.to_bytes`).  Two publishes between
         batches send only the later model.

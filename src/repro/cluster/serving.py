@@ -14,10 +14,10 @@ feature tracker behind it — keeps the paper's Figure-2 loop intact:
    in request order and in blocks cut at the window edge, into its
    window buffer (``record`` — as ``BatchScorer`` does through its
    policy), so training sees exactly what the shards served;
-3. when a window closes and a fresh model installs, the trainer's
-   ``publish_hook`` (installed by this class when unset) hands it to the
-   cluster — and every shard warm-hands-off to the new generation at
-   its next batch, which carries the model.
+3. when a window closes, the trainer installs the fresh model by
+   publishing it to the cluster (its ``install`` is
+   :meth:`CacheCluster.publish`) — and every shard warm-hands-off to the
+   new generation at its next batch, which carries the model.
 
 The scorer exposes the two members the serving loop consumes —
 ``process(requests) -> hits`` and ``n_handoffs``; the loop counts the
@@ -51,10 +51,9 @@ class ClusterScorer:
             :class:`~repro.core.WindowTrainer`.  Build its job from the
             cluster — ``LabelFitJob(cluster.shard_size, ...)`` — so the
             OPT oracle labels against the capacity each shard actually
-            serves.  Nothing serves in the router, so
-            its ``install`` has nothing to swap; when its
-            ``publish_hook`` is unset, :meth:`CacheCluster.publish` is
-            installed — every trained model then goes live cluster-wide.
+            serves — and its ``install`` as :meth:`CacheCluster.publish`:
+            nothing serves in the router, so every trained model goes
+            live cluster-wide instead.
         cluster: a started-or-startable cluster.
     """
 
@@ -63,8 +62,6 @@ class ClusterScorer:
     ) -> None:
         self.trainer = trainer
         self.cluster = cluster
-        if trainer.publish_hook is None:
-            trainer.publish_hook = cluster.publish
         self.n_handoffs = 0
         self._generation = cluster.generation
         #: One column per feature the shards' trackers emit.

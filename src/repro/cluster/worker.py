@@ -21,7 +21,8 @@ Per batch the worker:
    a scores column.  After the batch, the scores column goes into a
    running ``blake2b`` digest — what the cluster benchmark compares
    against an in-process engine over the same trace split: equal digests
-   mean bit-identical scores — and into the admission-score histogram;
+   mean bit-identical scores — and, when a model scored them, into the
+   batch's own admission-score histogram, shipped whole as the delta;
 3. answers with one message: cumulative stats, the batch's hits as a
    byte string, the telemetry deltas the router folds into its windowed
    registry and — when the batch asked for them — the live feature rows
@@ -89,12 +90,6 @@ class _ShardState:
         self.cpu_seconds = 0.0
         self.busy_seconds = 0.0
         self.digest = blake2b(digest_size=16)
-        self.score_hist = Histogram(
-            "lfo.admission_score", ADMISSION_SCORE_BUCKETS
-        )
-        self._hist_shipped = [0] * len(self.score_hist.bucket_counts)
-        self._hist_shipped_count = 0
-        self._hist_shipped_total = 0.0
         #: Telemetry records (:func:`repro.obs.fold.fold_deltas` shapes)
         #: since the last reply.
         self._deltas: list[tuple] = []
@@ -133,12 +128,16 @@ class _ShardState:
         hits = self.engine.run(times, objs, sizes, costs, scores, rows)
         # The same byte stream as one ``<d`` pack per decision.
         self.digest.update(scores.tobytes())
-        if scored:
-            self.score_hist.observe_batch(scores)
+        if scored and n:
+            hist = Histogram("lfo.admission_score", ADMISSION_SCORE_BUCKETS)
+            hist.observe_batch(scores)
+            self._deltas.append((
+                "hist", hist.name, hist.bounds,
+                hist.bucket_counts, hist.count, hist.total, hist.max,
+            ))
         self.cpu_seconds += process_time() - began_cpu
         self.busy_seconds += perf_counter() - began_wall
         self.requests += n
-        self._note_histogram_delta()
         self.reply(
             "done", bytes(hits), None if rows is None else rows.tobytes()
         )
@@ -151,25 +150,6 @@ class _ShardState:
         self.conn.send(
             (kind, self.config.shard_id, self.stats(), deltas, hits, features)
         )
-
-    def _note_histogram_delta(self) -> None:
-        """Record the admission-score histogram's since-last-reply delta."""
-        hist = self.score_hist
-        delta = [
-            now - before
-            for now, before in zip(hist.bucket_counts, self._hist_shipped)
-        ]
-        count_delta = hist.count - self._hist_shipped_count
-        if count_delta == 0:
-            return
-        total_delta = hist.total - self._hist_shipped_total
-        self._hist_shipped = list(hist.bucket_counts)
-        self._hist_shipped_count = hist.count
-        self._hist_shipped_total = hist.total
-        self._deltas.append((
-            "hist", hist.name, hist.bounds,
-            delta, count_delta, total_delta, hist.max,
-        ))
 
     def stats(self) -> dict:
         """Cumulative per-shard stats (in every reply)."""

@@ -55,11 +55,12 @@ class OptLabelConfig:
 
     * ``"exact"`` — full min-cost-flow solve of the window (slow beyond a
       few thousand requests);
-    * ``"segmented"`` — time-axis split into ``segment_length`` chunks with
-      ``lookahead`` extra requests per solve (the approximation of [8],
-      plus overlap to avoid boundary mislabels);
-    * ``"pruned"`` — the paper's ranking-axis split, keeping the
-      ``keep_fraction`` top-ranked requests (optionally also segmented);
+    * ``"segmented"`` — time-axis split into ``segment_length`` chunks,
+      each solved with :func:`~repro.opt.solve_segmented`'s default
+      overlap (the approximation of [8], plus overlap to avoid boundary
+      mislabels);
+    * ``"pruned"`` — the paper's ranking-axis split, keeping the top 30%
+      of requests by rank (also segmented);
     * ``"greedy"`` — rank-ordered greedy interval packing (the default:
       fastest, a feasible approximation rather than the flow optimum;
       the ``online.opt_agreement`` gauge measures what it costs).
@@ -67,8 +68,6 @@ class OptLabelConfig:
 
     mode: str = "greedy"
     segment_length: int = 1000
-    keep_fraction: float = 0.3
-    lookahead: int | None = None
 
     def compute(self, window: Trace, cache_size: int) -> np.ndarray:
         """Return per-request OPT admission labels for a window."""
@@ -76,14 +75,11 @@ class OptLabelConfig:
             return solve_opt(window, cache_size).decisions
         if self.mode == "segmented":
             return solve_segmented(
-                window, cache_size, self.segment_length,
-                lookahead=self.lookahead,
+                window, cache_size, self.segment_length
             ).decisions
         if self.mode == "pruned":
             return solve_pruned(
-                window,
-                cache_size,
-                keep_fraction=self.keep_fraction,
+                window, cache_size, keep_fraction=0.3,
                 segment_length=self.segment_length,
             ).decisions
         if self.mode == "greedy":
@@ -144,17 +140,15 @@ class LabelFitJob:
 
         The window refits instead of growing (``online.gbdt_refit``
         inside ``online.gbdt_fit``, no binning) when the deployed model
-        has a classifier of this width whose trees are fewer than
-        ``regrow_every - 1`` refits old (:attr:`LFOModel.refits`); a cold
-        window, a model built from bytes or a test double (no
-        classifier) or another width grows."""
+        has a classifier whose trees are fewer than ``regrow_every - 1``
+        refits old (:attr:`LFOModel.refits`); a cold window, or a model
+        built from bytes or a test double (no classifier), grows.  Every
+        window a trainer closes has one width, that of the model it
+        deployed: a deployed model of another width fails the job when
+        it scores the window."""
         deployed = deployed_model.get()
         grown = getattr(deployed, "classifier", None)
-        refit = (
-            grown is not None
-            and grown.n_features == features.shape[1]
-            and deployed.refits + 1 < self.regrow_every
-        )
+        refit = grown is not None and deployed.refits + 1 < self.regrow_every
         if not refit:
             binning = start(bin_matrix, features, self.gbdt_params.max_bins)
         registry = get_registry()
@@ -197,10 +191,9 @@ class LFOOnline(LFOCache):
     buffer and the training supervisor.  ``window`` and the arguments
     from ``background`` on are the trainer's (documented there);
     everything about a training run beyond the members below —
-    ``training_pending``, ``degraded``, ``last_training_seconds``,
-    ``publish_hook``, the ``n_watchdog_*`` / ``n_backoff_*`` /
-    ``n_staleness_*`` counters — is read as
-    ``policy.trainer.<name>``.
+    ``training_pending``, ``degraded``, ``last_training_seconds``, the
+    ``n_watchdog_*`` / ``n_backoff_*`` / ``n_staleness_*`` counters —
+    is read as ``policy.trainer.<name>``.
 
     Args:
         cache_size: capacity in bytes.

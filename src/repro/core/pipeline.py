@@ -46,10 +46,10 @@ def prepare_windows(
 
     Free-bytes observations come from simulating an LRU cache over the
     whole span (the reference deployment whose telemetry a cold-started
-    LFO would see); the feature tracker runs continuously across both
-    windows so the eval window sees warm gap histories, as in the online
-    system.  Labels default to segmented OPT, not the training loop's
-    greedy default: the eval window is Figure 5's ground truth.
+    LFO would see); one probe of a fresh feature tracker covers both
+    windows, so the eval window sees warm gap histories, as in the
+    online system.  Labels default to segmented OPT, not the training
+    loop's greedy default: the eval window is Figure 5's ground truth.
     """
     label_config = label_config or OptLabelConfig(mode="segmented")
     end = start + train_size + test_size
@@ -60,11 +60,10 @@ def prepare_windows(
     span = trace[start:end]
     free = record_free_bytes(span, LRUCache(cache_size))
 
-    tracker = FeatureTracker(n_gaps=n_gaps)
     names = feature_names(n_gaps)
-    X = tracker.features_batch(
+    X = FeatureTracker(n_gaps=n_gaps).features_batch(
         span.objs.tolist(), span.times, span.sizes, span.costs,
-        free.astype(np.float64), update=True,
+        free.astype(np.float64),
     )
 
     train_trace = span[:train_size]

@@ -62,7 +62,6 @@ from concurrent.futures import (
     Executor,
     Future,
     ThreadPoolExecutor,
-    TimeoutError as FutureTimeout,
 )
 from contextvars import ContextVar
 from typing import Any, Callable, Sequence
@@ -181,12 +180,6 @@ class WindowTrainer:
             model can go stale: the guard stays off until the first one.
         retry_backoff: windows skipped after a failure, doubling per
             consecutive failure up to 8 (0 = retry at the next boundary).
-        publish_hook: called with each freshly *installed* model, right
-            after ``install`` — the cluster publish path
-            (:meth:`repro.cluster.CacheCluster.publish` keeps the
-            compiled model for the shards' next batches).  A raising hook is
-            absorbed loudly (``online.publish_failures``): downstream
-            consumers keep the previous generation, the install stands.
 
     Counters (bundled by :attr:`training_stats`):
 
@@ -218,7 +211,6 @@ class WindowTrainer:
         train_deadline: int | None = None,
         staleness_limit: int | None = None,
         retry_backoff: int = 0,
-        publish_hook: Callable[[Any], None] | None = None,
     ) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
@@ -240,7 +232,6 @@ class WindowTrainer:
         self.train_deadline = train_deadline
         self.staleness_limit = staleness_limit
         self.retry_backoff = retry_backoff
-        self.publish_hook = publish_hook
         self._clear()
 
     def _clear(self) -> None:
@@ -377,7 +368,7 @@ class WindowTrainer:
             return False
         try:
             pending.exception(timeout)  # waits; doesn't raise job errors
-        except FutureTimeout:  # not the builtin before Python 3.11
+        except TimeoutError:
             logger.debug(
                 "finish timed out after %s s; job still pending", timeout
             )
@@ -480,20 +471,6 @@ class WindowTrainer:
         self.n_retrains += 1
         registry.counter("online.model_installs").inc()
         self._note_success(registry)
-        if self.publish_hook is not None:
-            try:
-                self.publish_hook(model)
-                registry.counter("online.model_publishes").inc()
-            except Exception as exc:
-                # Publishing is off the install path by contract: a
-                # failed publish must never undo the swap that already
-                # happened.  Loud — counted and logged with the traceback.
-                registry.counter("online.publish_failures").inc()
-                logger.warning(
-                    "model publish hook failed (%s); downstream consumers "
-                    "keep the previous generation",
-                    type(exc).__name__, exc_info=exc,
-                )
 
     def _failed(self, what: str, exc: Exception) -> None:
         """The one failure sink: count, log with traceback, warn, degrade."""

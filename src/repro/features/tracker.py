@@ -258,33 +258,30 @@ class FeatureTracker:
         sizes: Sequence[int],
         costs: Sequence[float],
         free_bytes,
-        update: bool = False,
     ) -> np.ndarray:
-        """Feature matrix for a window of requests given as columns.
+        """Feature matrix for a window of requests given as columns,
+        probed: it records nothing and leaves the tracker exactly as
+        found (a dataset probes a fresh tracker over its whole span).
 
         Args:
             objs / times / sizes / costs: the window's request columns
                 (lists or arrays of equal length), in stream order.
             free_bytes: free cache bytes — one scalar applied to every
                 row, or a per-request sequence.
-            update: ``False`` (probe mode) records nothing and leaves the
-                tracker exactly as found; ``True`` extracts and records
-                request by request (dataset construction).
 
         Returns:
-            ``(len(objs), n_features)`` float64 matrix, bit-identical in
-            either mode to the rows of a :meth:`features` /
-            :meth:`update` loop over the window.  A probe gets there
-            without recording: objects new to the window are one
-            vectorised gather from the arena, and a row whose object
-            last occurred in the window at row ``p`` is row ``p``
-            shifted — ``gap_1 = times[i] - times[p]``, ``gap_2.. =
-            gap_1..`` of row ``p``, cost ``costs[p]``.  That is exact,
-            not approximate: ``update`` would have stored ``times[p]``
-            and ``costs[p]``, the next extraction computes gap_1 as this
-            very subtraction and every older gap from the same pair of
-            stored floats row ``p`` was computed from, and the
-            ``MISSING_GAP`` padding moves along.  What a probe cannot
+            ``(len(objs), n_features)`` float64 matrix, bit-identical to
+            the rows of a :meth:`features` / :meth:`update` loop over the
+            window.  A probe gets there without recording: objects new
+            to the window are one vectorised gather from the arena, and
+            a row whose object last occurred in the window at row ``p``
+            is row ``p`` shifted — ``gap_1 = times[i] - times[p]``,
+            ``gap_2.. = gap_1..`` of row ``p``, cost ``costs[p]``.  That
+            is exact, not approximate: the loop would have stored
+            ``times[p]`` and ``costs[p]``, the next extraction computes
+            gap_1 as this very subtraction and every older gap from the
+            same pair of stored floats row ``p`` was computed from, and
+            the ``MISSING_GAP`` padding moves along.  What a probe cannot
             foresee is the ``max_objects`` cap evicting an object
             mid-window: its rows agree with the loop's up to the first
             cap eviction.
@@ -297,32 +294,20 @@ class FeatureTracker:
         """
         registry = get_registry()
         if not registry.enabled:
-            return self._extract_batch(
-                objs, times, sizes, costs, free_bytes, update
-            )
+            return self._extract_batch(objs, times, sizes, costs, free_bytes)
         if registry is not self._obs_registry:
             self._bind_instruments(registry)
         started = perf_counter()
-        X = self._extract_batch(objs, times, sizes, costs, free_bytes, update)
+        X = self._extract_batch(objs, times, sizes, costs, free_bytes)
         self._obs_batch_hist.observe(perf_counter() - started)
         self._obs_batch_rows.observe(len(objs))
         return X
 
     def _extract_batch(
-        self, objs, times, sizes, costs, free_bytes, update: bool
+        self, objs, times, sizes, costs, free_bytes
     ) -> np.ndarray:
         n = len(objs)
         X = np.empty((n, self.n_features), dtype=np.float64)
-        if update:
-            fb = np.broadcast_to(
-                np.asarray(free_bytes, dtype=np.float64), (n,)
-            )
-            for i, (obj, time, size, cost) in enumerate(
-                zip(objs, times, sizes, costs)
-            ):
-                X[i] = self._row(obj, time, size, cost, fb[i])
-                self.update(obj, time, cost)
-            return X
         if not len(times) == len(sizes) == len(costs) == n:
             raise ValueError("request columns differ in length")
         if self._pending:

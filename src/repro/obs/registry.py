@@ -151,14 +151,13 @@ class Histogram:
     ) -> None:
         """Fold another histogram's per-bucket *delta* into this one.
 
-        The cross-process folding primitive: shard workers observe into
-        local histograms with identical bounds and ship per-window bucket
-        deltas (see :mod:`repro.obs.fold`).  Bucket counts and ``count``
-        merge by integer adds, so they are bit-identical to having
-        observed every sample locally.  ``total`` is a sum of shipped
-        cumulative-total deltas, so it matches to rounding, not bit for
-        bit.  ``max`` is a cumulative high-water mark on both sides and
-        merges by comparison.
+        The cross-process folding primitive: a shard worker observes each
+        batch into its own histogram with identical bounds and ships it
+        whole as the delta (see :mod:`repro.obs.fold`).  Bucket counts
+        and ``count`` merge by integer adds, so they are bit-identical to
+        having observed every sample locally.  ``total`` is a sum of
+        shipped per-batch totals, so it matches to rounding, not bit for
+        bit.  ``max`` merges by comparison into a high-water mark.
         """
         counts = list(bucket_counts)
         if len(counts) != len(self.bucket_counts):
@@ -257,26 +256,19 @@ class _NoWindows:
 class MetricsRegistry(_NoWindows):
     """Named instruments plus a span tracer, with snapshot exporters.
 
-    Args:
-        ring_size: recent raw spans retained for debugging (0 disables the
-            ring buffer; aggregates are always kept).
-        time_buckets: default histogram bounds for ``histogram()`` calls
-            that do not pass their own.
+    A ``histogram()`` call that passes no bounds gets
+    ``DEFAULT_TIME_BUCKETS``; the tracer keeps every span's aggregate and
+    the most recent 256 raw spans.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        ring_size: int = 256,
-        time_buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._time_buckets = tuple(time_buckets)
-        self.tracer = Tracer(ring_size=ring_size)
+        self.tracer = Tracer()
 
     # -- instruments ---------------------------------------------------------
 
@@ -304,7 +296,7 @@ class MetricsRegistry(_NoWindows):
         if histogram is None:
             with self._lock:
                 histogram = self._histograms.setdefault(
-                    name, Histogram(name, bounds or self._time_buckets)
+                    name, Histogram(name, bounds or DEFAULT_TIME_BUCKETS)
                 )
         return histogram
 

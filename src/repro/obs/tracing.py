@@ -6,8 +6,8 @@ and feeds two sinks:
 * **aggregates** — one ``SpanAggregate`` (count / total / max seconds) per
   span *name*, so memory stays O(distinct stages) no matter how long the
   process runs;
-* an optional **ring buffer** of the most recent raw spans (name, parent,
-  start, duration) for debugging span trees, bounded by ``ring_size``.
+* a **ring buffer** of the most recent raw spans (name, parent, start,
+  duration) for debugging span trees, bounded at ``_RING_SIZE`` spans.
 
 Nesting is tracked per thread: the innermost open span on the current
 thread becomes the ``parent`` of a new span, which is how a retraining
@@ -24,6 +24,9 @@ from collections import deque
 from time import perf_counter
 
 __all__ = ["SpanAggregate", "Span", "NullSpan", "Tracer"]
+
+#: Recent raw spans the ring keeps; older ones fall off.
+_RING_SIZE = 256
 
 
 class SpanAggregate:
@@ -108,13 +111,11 @@ class NullSpan:
 class Tracer:
     """Per-name span aggregation plus a recent-span ring buffer."""
 
-    def __init__(self, ring_size: int = 256) -> None:
-        if ring_size < 0:
-            raise ValueError("ring_size must be >= 0")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._local = threading.local()
         self.aggregates: dict[str, SpanAggregate] = {}
-        self.ring: deque | None = deque(maxlen=ring_size) if ring_size else None
+        self.ring: deque = deque(maxlen=_RING_SIZE)
 
     def _stack(self) -> list[str]:
         stack = getattr(self._local, "stack", None)
@@ -148,8 +149,7 @@ class Tracer:
             if aggregate is None:
                 aggregate = self.aggregates[name] = SpanAggregate()
             aggregate.add(elapsed)
-            if self.ring is not None:
-                self.ring.append((name, parent, start, elapsed))
+            self.ring.append((name, parent, start, elapsed))
 
     def snapshot(self) -> dict[str, dict[str, float | int]]:
         """Aggregates keyed by span name (JSON-safe)."""
@@ -160,8 +160,6 @@ class Tracer:
 
     def recent(self) -> list[dict[str, float | str | None]]:
         """The ring buffer's raw spans, oldest first (JSON-safe)."""
-        if self.ring is None:
-            return []
         with self._lock:
             return [
                 {
@@ -177,5 +175,4 @@ class Tracer:
         """Drop all aggregates and buffered spans."""
         with self._lock:
             self.aggregates.clear()
-            if self.ring is not None:
-                self.ring.clear()
+            self.ring.clear()

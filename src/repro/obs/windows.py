@@ -37,9 +37,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .registry import DEFAULT_TIME_BUCKETS, MetricsRegistry
+from .registry import MetricsRegistry
 
 __all__ = [
     "WindowSnapshot",
@@ -213,7 +213,6 @@ class WindowedRegistry(MetricsRegistry):
         ring: maximum retained windows (older ones fall off).
         clock: monotonic time source for window edges.
         request_counter: counter whose growth closes a window.
-        ring_size / time_buckets: forwarded to :class:`MetricsRegistry`.
     """
 
     def __init__(
@@ -222,10 +221,8 @@ class WindowedRegistry(MetricsRegistry):
         ring: int = 120,
         clock: Callable[[], float] = perf_counter,
         request_counter: str = REQUESTS_COUNTER,
-        ring_size: int = 256,
-        time_buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
     ) -> None:
-        super().__init__(ring_size=ring_size, time_buckets=time_buckets)
+        super().__init__()
         if every_requests <= 0:
             raise ValueError("every_requests must be at least 1")
         if ring <= 0:

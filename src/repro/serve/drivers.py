@@ -30,23 +30,17 @@ class TraceReplayDriver:
 
     The driver itself applies no pacing — backpressure comes from the
     loop's ``await put`` when the queue is full, which is the mechanism
-    the zero-drop guarantee rests on.
+    the zero-drop guarantee rests on.  It yields the event loop every
+    ``_YIELD_EVERY`` requests.
     """
 
-    def __init__(
-        self,
-        requests: Iterable[Request],
-        yield_every: int = _YIELD_EVERY,
-    ) -> None:
-        if yield_every < 1:
-            raise ValueError("yield_every must be at least 1")
+    def __init__(self, requests: Iterable[Request]) -> None:
         self.requests = requests
-        self.yield_every = yield_every
 
     async def __aiter__(self) -> AsyncIterator[Request]:
         for n, request in enumerate(self.requests, start=1):
             yield request
-            if n % self.yield_every == 0:
+            if n % _YIELD_EVERY == 0:
                 await asyncio.sleep(0)
 
 

@@ -618,7 +618,7 @@ class TestClusterScorer:
             cluster.shard_size,
             gbdt_params=FAST_PARAMS,
         )
-        return WindowTrainer(800, job, install=lambda model: None)
+        return WindowTrainer(800, job, install=cluster.publish)
 
     def test_serving_loop_trains_and_hands_off(self, trace, cache_size):
         """Figure-2 loop over shards: serve → train → publish → attach."""
@@ -632,7 +632,7 @@ class TestClusterScorer:
             ).start()
             trainer = self._trainer(cluster)
             scorer = ClusterScorer(trainer, cluster)
-            assert trainer.publish_hook == cluster.publish
+            assert trainer.install == cluster.publish
             loop = ServingLoop(
                 None,
                 TraceReplayDriver(trace),

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.cache import LRUCache
-from repro.core import LabelFitJob, LFOModel, LFOOnline, OptLabelConfig
+from repro.core import (
+    LabelFitJob, LFOModel, LFOOnline, OptLabelConfig, WindowTrainer,
+)
 from repro.core.trainer import _run_job
 from repro.gbdt import CompiledPredictor, GBDTClassifier, GBDTParams
 from repro.obs import MetricsRegistry, use_registry
@@ -83,9 +85,9 @@ class TestOptLabelConfig:
         assert (exact == seg).mean() > 0.85
 
     def test_pruned_mode(self, small_zipf_trace):
-        labels = OptLabelConfig(
-            mode="pruned", keep_fraction=0.5, segment_length=500
-        ).compute(small_zipf_trace, 500)
+        labels = OptLabelConfig(mode="pruned", segment_length=500).compute(
+            small_zipf_trace, 500
+        )
         assert labels.dtype == bool
 
     def test_unknown_mode_rejected(self, small_zipf_trace):
@@ -495,16 +497,26 @@ class TestRegrowSchedule:
         calls, model = self._job_run(monkeypatch, online_trace, shard_model)
         assert calls == ["grow"] and model.refits == 0
 
-    def test_another_width_grows(self, monkeypatch, online_trace):
-        _, grown = self._job_run(monkeypatch, online_trace, None)
-        wider = SimpleNamespace(  # scores any width, so agreement runs
-            likelihood=lambda rows: rows[:, 0], cutoff=0.5,
-            classifier=grown.classifier, refits=0,
+    def test_a_foreign_width_model_fails_the_window(self, online_trace):
+        """A deployed model of another width fails the job as one counted
+        retrain failure: nothing installs, and the trainer serves on."""
+        installs = []
+        trainer = WindowTrainer(
+            1000,
+            LabelFitJob(online_trace.footprint() // 8, gbdt_params=FAST_PARAMS),
+            installs.append,
         )
-        calls, model = self._job_run(
-            monkeypatch, online_trace, wider, width=9
-        )
-        assert calls == ["grow"] and model.classifier.n_features == 9
+        requests = list(online_trace[:3000])
+        rng = np.random.default_rng(0)
+        trainer.record(requests[:1000], rng.random((1000, 8)))
+        assert len(installs) == 1
+        with pytest.warns(RuntimeWarning, match="retrain failed"):
+            trainer.record(requests[1000:2000], rng.random((1000, 9)))
+        assert trainer.n_failed_retrains == 1 and trainer.n_retrains == 1
+        assert len(installs) == 1
+        trainer.record(requests[2000:], rng.random((1000, 8)))
+        assert trainer.n_failed_retrains == 1 and trainer.n_retrains == 2
+        assert installs[1].refits == 1
 
     def test_a_period_below_one_is_refused(self):
         with pytest.raises(ValueError, match="regrow_every"):

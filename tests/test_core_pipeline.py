@@ -1,5 +1,7 @@
 """Tests for the offline pipeline, cutoff analysis, and throughput harness."""
 
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,29 @@ class TestPrepareWindows:
     def test_trace_too_short_rejected(self, pipeline_trace):
         with pytest.raises(ValueError, match="too short"):
             prepare_windows(pipeline_trace, CACHE, 2500, 2500)
+
+    @pytest.mark.parametrize("backend", ["native", "python_fallback"])
+    def test_windows_pinned(self, request, pipeline_trace, backend):
+        """The train/test matrices and labels, digest by digest, on both
+        feature backends (recorded before the window gather replaced the
+        tracker's record-while-probing pass)."""
+        request.getfixturevalue(backend)
+        windows = prepare_windows(
+            pipeline_trace, CACHE, train_size=1500, test_size=1500,
+            label_config=OptLabelConfig(mode="segmented", segment_length=750),
+            n_gaps=10,
+        )
+        digests = [
+            blake2b(array.tobytes(), digest_size=8).hexdigest()
+            for array in (
+                windows.train.X, windows.train.y,
+                windows.test.X, windows.test.y,
+            )
+        ]
+        assert digests == [
+            "df446e61ac2d49c6", "38746c05f0a56fea",
+            "364f7a015297f280", "26ecb070bb53148e",
+        ]
 
 
 class TestTrainAndEvaluate:

@@ -376,24 +376,6 @@ class TestStaleness:
         assert trainer.resilience_stats["windows_since_model"] == 5
 
 
-class TestPublishHook:
-    def test_raising_hook_is_counted_and_the_install_stands(self):
-        def hook(model):
-            if model == "W[1]":
-                raise OSError("slab full")
-
-        installs = []
-        trainer = make(installs, publish_hook=hook)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            drive(trainer, 2 * WINDOW)
-        assert installs == ["W[0]", "W[1]"]
-        assert trainer.n_retrains == 2 and trainer.n_failed_retrains == 0
-        counters = registry.to_dict()["counters"]
-        assert counters["online.model_publishes"] == 1
-        assert counters["online.publish_failures"] == 1
-
-
 def test_what_crosses_a_process_boundary_pickles():
     """The ``ProcessPoolExecutor`` claim: everything submitted, and the
     model that comes back, survives a pickle round trip."""

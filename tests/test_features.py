@@ -18,11 +18,10 @@ from repro.trace import Request, Trace
 
 
 def window_dataset(trace, n_gaps=50):
-    """Each request's features before its own update, all labels 0."""
-    tracker = FeatureTracker(n_gaps=n_gaps)
-    X = tracker.features_batch(
+    """Each request's features before its own update, all labels 0: a
+    probe of a fresh tracker resolves the in-window repeats."""
+    X = FeatureTracker(n_gaps=n_gaps).features_batch(
         trace.objs.tolist(), trace.times, trace.sizes, trace.costs, 10.0,
-        update=True,
     )
     return Dataset(X, np.zeros(len(trace)), feature_names(n_gaps))
 

@@ -174,20 +174,6 @@ class TestFeaturesBatch:
         tracker.features_batch(*columns([Request(t + 1, 9999, 10)]), 0)
         assert tracker.n_tracked == before
 
-    def test_update_mode_matches_sequential_loop(self):
-        tracker_a, rng, t = self._warm(max_objects=8, seed=5)
-        tracker_b, _, _ = self._warm(max_objects=8, seed=5)
-        batch = [
-            Request(t + i * 0.5, int(i % 12), 10 + i) for i in range(40)
-        ]
-        free = np.linspace(0, 4000, 40)
-        X = tracker_a.features_batch(*columns(batch), free, update=True)
-        for i, request in enumerate(batch):
-            expected = tracker_b.features(request, free[i])
-            record(tracker_b, request)
-            assert np.array_equal(X[i], expected), f"row {i}"
-        assert tracker_a.n_tracked == tracker_b.n_tracked
-
     def test_unknown_objects_all_missing(self):
         tracker = FeatureTracker(n_gaps=4)
         X = tracker.features_batch(*columns([Request(1.0, 5, 30, 2.5)]), 100)

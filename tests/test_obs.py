@@ -10,11 +10,11 @@ from repro.cache import LRUCache
 from repro.core import LFOOnline, OptLabelConfig
 from repro.gbdt import GBDTParams
 from repro.obs import (
+    DEFAULT_TIME_BUCKETS,
     Histogram,
     JsonlSink,
     MetricsRegistry,
     NullRegistry,
-    Tracer,
     get_registry,
     render_prometheus,
     set_registry,
@@ -60,9 +60,8 @@ class TestCounterGaugeHistogram:
             Histogram("h", bounds=())
 
     def test_registry_histogram_default_bounds(self):
-        registry = MetricsRegistry(time_buckets=(0.5, 5.0))
-        hist = registry.histogram("h")
-        assert hist.bounds == (0.5, 5.0)
+        hist = MetricsRegistry().histogram("h")
+        assert hist.bounds == DEFAULT_TIME_BUCKETS
 
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()
@@ -87,13 +86,13 @@ class TestSpans:
         assert by_name["outer"]["parent"] is None
 
     def test_aggregation_bounded_by_name(self):
-        registry = MetricsRegistry(ring_size=4)
-        for _ in range(100):
+        registry = MetricsRegistry()
+        for _ in range(300):
             with registry.span("stage"):
                 pass
         snapshot = registry.to_dict()
-        assert snapshot["spans"]["stage"]["count"] == 100
-        assert len(snapshot["recent_spans"]) == 4  # ring buffer bound
+        assert snapshot["spans"]["stage"]["count"] == 300
+        assert len(snapshot["recent_spans"]) == 256  # ring buffer bound
 
     def test_span_elapsed_exposed(self):
         registry = MetricsRegistry()
@@ -103,17 +102,6 @@ class TestSpans:
         aggregate = registry.to_dict()["spans"]["s"]
         assert aggregate["total_seconds"] == pytest.approx(span.elapsed)
         assert aggregate["mean_seconds"] == pytest.approx(span.elapsed)
-
-    def test_ring_disabled(self):
-        registry = MetricsRegistry(ring_size=0)
-        with registry.span("s"):
-            pass
-        assert registry.to_dict()["recent_spans"] == []
-        assert registry.to_dict()["spans"]["s"]["count"] == 1
-
-    def test_negative_ring_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(ring_size=-1)
 
     def test_span_recorded_on_exception(self):
         registry = MetricsRegistry()

@@ -156,7 +156,7 @@ class TestCancellationDrain:
                 policy = make_policy(trace)
                 loop = ServingLoop(
                     policy,
-                    TraceReplayDriver(trace, yield_every=16),
+                    TraceReplayDriver(trace),
                     config=ServeConfig(queue_depth=64, max_batch=16),
                 )
                 task = asyncio.create_task(loop.run())
@@ -172,8 +172,9 @@ class TestCancellationDrain:
         report = loop.report
         assert report.dropped == 0
         assert report.drained
-        # The drain scored everything the producer had queued.
-        assert report.requests >= 1200
+        # The drain scored everything the producer had queued, and the
+        # cancel landed mid-run.
+        assert 1200 <= report.requests < len(trace)
         lines = [
             json.loads(line)
             for line in jsonl.read_text().splitlines()
@@ -268,8 +269,6 @@ class TestValidation:
             ServeConfig(max_batch=0)
 
     def test_driver_bounds(self, trace):
-        with pytest.raises(ValueError):
-            TraceReplayDriver(trace, yield_every=0)
         with pytest.raises(ValueError):
             SyntheticArrivalDriver(trace, rate=0.0)
 
