@@ -28,7 +28,8 @@ per-user build cache that later processes load without compiling:
   gap columns of a :meth:`~repro.features.FeatureTracker.features_batch`
   probe window: the subtractions over the arena's stored times that the
   numpy row and gather make, by one ring walk, in-window repeats
-  included;
+  included.  ``tracker_row`` can record the request after reading its
+  row, which is :meth:`~repro.features.FeatureTracker.advance`;
 * ``tracker_record`` — a run of deferred
   :meth:`~repro.features.FeatureTracker.update` records written to the
   arena in request order.
@@ -1135,23 +1136,27 @@ done:
     return result;
 }
 
-/* tracker_row(vec, slab, seen, last_cost, row, time, size, cost,
-   free_bytes, missing): one request's feature row — size, cost, free
-   bytes, then the gaps of arena row `row` (ring_gaps, as the gather), or
-   `cost` and `missing` for row -1, an unseen object. */
+/* tracker_row(vec, slab, seen, last_cost, row, record, time, size,
+   cost, free_bytes, missing): one request's feature row — size, cost,
+   free bytes, then the gaps of arena row `row` (ring_gaps, as the
+   gather), or `cost` and `missing` for row -1, an unseen object — and
+   then, unless `record` is -1, the request recorded into arena row
+   `record` (tracker_record's stores, after the row read the state
+   before them). */
 static PyObject *py_tracker_row(PyObject *module, PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     Held held = {.n = 0};
     PyObject *result = NULL;
     Py_buffer *vec, *slab, *seen, *last_cost;
-    int64_t row;
+    int64_t rows[2];
     double time, size, cost, free_bytes, missing;
-    if (!parse("tracker_row", args, nargs, "Ddqdlfffff", &held,
-               (void *[]){&vec, &slab, &seen, &last_cost, &row, &time, &size,
-                          &cost, &free_bytes, &missing})
-        || !arena_ok(slab, seen, last_cost, &row, 1, -1))
+    if (!parse("tracker_row", args, nargs, "DDQDllfffff", &held,
+               (void *[]){&vec, &slab, &seen, &last_cost, &rows[0], &rows[1],
+                          &time, &size, &cost, &free_bytes, &missing})
+        || !arena_ok(slab, seen, last_cost, rows, 2, -1))
         goto done;
+    const int64_t row = rows[0], record = rows[1];
     const int64_t n_gaps = slab->shape[1] - 1;
     REQUIRE(COUNT(vec) == n_gaps + 3, "vec must hold n_gaps + 3 features");
     double *out = vec->buf;
@@ -1164,6 +1169,9 @@ static PyObject *py_tracker_row(PyObject *module, PyObject *const *args,
     else
         for (int64_t k = 0; k < n_gaps; k++)
             out[3 + k] = missing;
+    if (record >= 0)
+        tracker_record(1, n_gaps + 1, &record, &time, &cost, slab->buf,
+                       seen->buf, last_cost->buf);
     result = Py_NewRef(Py_None);
 done:
     release(&held);

@@ -38,11 +38,14 @@ requests of the same window change both.  One :meth:`step`:
 4. **ends early only on a model swap** seen after a mid-window
    ``poll()``: the remaining scores came from the old model.
 
-The replay runs inside the tracker's *deferred window*
-(:meth:`~repro.features.FeatureTracker.defer_updates`): the cache's
-tracker is unbounded, so ``apply_scored``'s ``update`` calls only queue
-their records, and whoever reads the tracker next — the next window's
-probe, an eviction probe mid-window — writes them first, in one run.
+``apply_scored`` records nothing: the replay records each decided
+request right after it returns, inside the tracker's *deferred window*
+(:meth:`~repro.features.FeatureTracker.defer_updates`).  The cache's
+tracker is unbounded, so those ``update`` calls only queue their
+records, and whoever reads the tracker next — the next window's probe,
+an eviction probe mid-window — writes them first, in one run.  (The
+scalar loop records while extracting, before its decision; neither a
+hit nor an eviction probe, which reads residents only, can tell.)
 
 Two hooks let a driver put its own work on the request path:
 
@@ -99,8 +102,9 @@ class DecisionEngine:
         max_window: rows probed per step (and the cap on the adaptive
             scoring chunk).
         poll / tap: the driver hooks (module docstring).
-        latency: histogram every ``apply_scored`` call's time is
-            observed into (None = time nothing).  The serving SLO reads
+        latency: histogram every decision's time — its
+            ``apply_scored`` call and its record — is observed into
+            (None = time nothing).  The serving SLO reads
             p999 per telemetry window, so it needs every decision.
 
     Single-consumer: one ``step`` at a time.  ``rows_probed`` (rows
@@ -214,13 +218,14 @@ class DecisionEngine:
         cache_size = policy.cache_size  # fixed at construction
         self.rows_probed += limit
         apply_scored = policy.apply_scored
+        record = tracker.update
         polls = poll is not None
         #: The next row still owes its poll (row 0 had it above).
         due = False
         consumed = limit
         k = 0
-        # The replay's ``update`` calls are written in one run before the
-        # next read of the tracker.
+        # The replay's records are written in one run before the next
+        # read of the tracker.
         tracker.defer_updates(True)
         try:
             while k < limit:
@@ -257,11 +262,13 @@ class DecisionEngine:
                         hit = apply_scored(
                             time, obj, size, cost, features, score
                         )
+                        record(obj, time, cost)
                     else:
                         began = perf_counter()
                         hit = apply_scored(
                             time, obj, size, cost, features, score
                         )
+                        record(obj, time, cost)
                         latency.observe(perf_counter() - began)
                     w_hits.append(hit)
                     due = polls

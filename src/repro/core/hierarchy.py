@@ -194,8 +194,14 @@ class TieredLFOCache:
         return True
 
     def on_request(self, request: Request) -> bool:
-        """Process one request; returns True on a hit (either tier)."""
-        features = self._tracker.features(request, self.free_bytes)
+        """Process one request; returns True on a hit (either tier).
+
+        The tracker records the request while extracting its row
+        (:meth:`~repro.features.FeatureTracker.advance`): the tiers rank
+        by stored scores and never read the tracker, so recording before
+        the decision is invisible.
+        """
+        features = self._tracker.advance(request, self.free_bytes)
         self.last_features = features
         admit_score, place_score = self._scores(features)
 
@@ -222,8 +228,6 @@ class TieredLFOCache:
             self.stats.misses += 1
             self.stats.miss_bytes += request.size
             self._admit(request, admit_score, place_score)
-
-        self._tracker.update(request.obj, request.time, request.cost)
         return hit
 
     def _admit(

@@ -139,8 +139,9 @@ class IRLCache(LFOCache):
         return False
 
     def on_request(self, request: Request) -> bool:
-        """Process one request under the learned-reward policy."""
-        features = self._tracker.features(request, self.free_bytes)
+        """Process one request under the learned-reward policy (the
+        request recorded as :meth:`LFOCache.on_request` records it)."""
+        features = self._tracker.advance(request, self.free_bytes)
         score = 0.0 if self.model is None else self._score_rows(features)[0]
         return self.apply_scored(
             request.time, request.obj, request.size, request.cost,

@@ -268,14 +268,21 @@ class LFOCache(CachePolicy):
             self._ranked.push(obj, score)
 
     def on_request(self, request: Request) -> bool:
-        """Process one request: score, admit/evict, learn features."""
+        """Process one request: learn features, score, admit/evict.
+
+        The tracker records the request in the call that extracts its
+        row (:meth:`~repro.features.FeatureTracker.advance`), before the
+        decision.  No decision can tell: a hit never evicts, and the
+        eviction probes (``_sampled_plan``, ``_restore``) read residents
+        only, which on a miss the incoming object is not.
+        """
         self._now = request.time
         if (
             self.rescore_interval
             and (self._requests_seen + 1) % self.rescore_interval == 0
         ):
             self._rescore_all()
-        features = self._tracker.features(request, self.free_bytes)
+        features = self._tracker.advance(request, self.free_bytes)
         model = self.model
         score = (
             0.0 if model is None
@@ -295,12 +302,14 @@ class LFOCache(CachePolicy):
         features: np.ndarray,
         score: float,
     ) -> bool:
-        """Apply one already-scored request: admit/evict/record.
+        """Apply one already-scored request: admit/evict.
 
         Everything :meth:`on_request` does *after* feature extraction and
         model scoring, so the decision engine (:mod:`repro.core.engine`)
         can score lookahead windows and replay decisions through exactly
-        this code path.  The request arrives as scalars: the engine
+        this code path.  It records nothing in the tracker: the scalar
+        loop recorded while extracting, the engine records after this
+        returns.  The request arrives as scalars: the engine
         holds columns, and hits and refused admissions need nothing
         else.  A ``Request`` is built only where a :class:`CachePolicy`
         hook takes one — the admit branch and a subclass's own
@@ -330,7 +339,6 @@ class LFOCache(CachePolicy):
                 if self._evict_until_fits(request):
                     self._insert(request)
                     self._ranked.push(obj, score)
-        self._tracker.update(obj, time, cost)
         return hit
 
     def _bind_score_instrument(self, registry) -> None:

@@ -27,7 +27,8 @@ probes and dataset construction.
 
 With the native module (:mod:`repro._native`) the row, the window
 gather and the arena writes are three of its routines.  ``tracker_row``
-fills :meth:`FeatureTracker.features`' row in one call and
+fills :meth:`FeatureTracker.features`' row in one call (and, for
+:meth:`FeatureTracker.advance`, records the request after reading it) and
 ``tracker_gather`` a probe window's cost and gap columns row by row,
 both by one ring walk — the numpy row and gather below stay as the
 references and the no-compiler path, and each pair is bit-identical
@@ -81,6 +82,10 @@ class FeatureTracker:
 
         features = tracker.features(request, free_bytes)  # before updating
         tracker.update(request.obj, request.time, request.cost)  # then record
+
+    That pair is the definition of :meth:`advance`, the scalar request
+    loops' one call.  The decision engine probes with
+    :meth:`features_batch` and records with :meth:`update`.
 
     Attributes:
         n_gaps: number of gap features (the paper uses 50).
@@ -221,7 +226,8 @@ class FeatureTracker:
         vec = np.empty(self._n_slots + 2, dtype=np.float64)
         native.tracker_row(
             vec, self._times, self._seen, self._last_cost,
-            self._rows.get(obj, -1), time, size, cost, free_bytes, MISSING_GAP,
+            self._rows.get(obj, -1), -1, time, size, cost, free_bytes,
+            MISSING_GAP,
         )
         return vec
 
@@ -382,10 +388,51 @@ class FeatureTracker:
 
     # -- recording ----------------------------------------------------------
 
+    def advance(self, request: Request, free_bytes: int) -> np.ndarray:
+        """:meth:`features` then :meth:`update` for one request — that is
+        its definition, bit for bit: the row reads the state before the
+        request is recorded.
+
+        With the native module it is one ``tracker_row`` call that reads
+        the row and then makes the record's stores.  Python keeps the
+        map: a new object gets its row first (growing the arena if
+        needed; the row is still read as unseen), and on a capped
+        tracker the object moves to the recent end and the oldest drops
+        after the call.  Without the module, with records pending or a
+        deferred window open, or while a registry is active (it observes
+        the extraction), it makes the two calls.
+        """
+        native = _native.load()
+        if (
+            native is None or self._pending or self._deferring
+            or get_registry().enabled
+        ):
+            vec = self.features(request, free_bytes)
+            self.update(request.obj, request.time, request.cost)
+            return vec
+        obj = request.obj
+        rows = self._rows
+        row = rows.get(obj, -1)
+        record = row
+        cap = self._max_objects
+        if row < 0:
+            record = rows[obj] = self._alloc_row()
+        elif cap:
+            rows.move_to_end(obj)
+        vec = np.empty(self._n_slots + 2)
+        # After ``_alloc_row``: it may have grown the arena.
+        native.tracker_row(
+            vec, self._times, self._seen, self._last_cost, row, record,
+            request.time, request.size, request.cost, free_bytes, MISSING_GAP,
+        )
+        if cap and len(rows) > cap:
+            self._free.append(rows.popitem(last=False)[1])
+        return vec
+
     def update(self, obj: int, time: float, cost: float) -> None:
-        """Record one request in the object's history — as scalars: this
-        runs once per request on every path, and the decision engine's
-        callers hold columns, not ``Request`` objects.  On a capped
+        """Record one request in the object's history — as scalars: the
+        decision engine records each request it replays, and holds
+        columns, not ``Request`` objects.  On a capped
         tracker the least recently recorded object is dropped to make
         room.
         """

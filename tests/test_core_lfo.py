@@ -376,6 +376,7 @@ class TestPredictorResolvedOncePerModel:
                 request.time, request.obj, request.size, request.cost,
                 features, want[-1],
             )
+            reference.tracker.update(request.obj, request.time, request.cost)
         assert got == want
         never_swapped = LFOCache(cache_size=400, model=small, n_gaps=4)
         stale = self._tap_scores(never_swapped)

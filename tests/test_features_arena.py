@@ -646,3 +646,134 @@ def test_row_formula_mutants_are_caught(monkeypatch, old, new):
     for n_gaps in (5, 50):
         with pytest.raises(AssertionError):
             _check_rows_against_reference("numpy", n_gaps, COVERING_HISTORY)
+
+
+
+# -- advance: features then update, in one call --------------------------------
+
+
+def _advance_is_the_loop(name, advanced, requests, free=4242):
+    """Drive ``advanced`` with ``advance`` and a deep copy of it with
+    ``features`` then ``update`` on backend ``name``; the rows, and after
+    each request the arenas, object maps and ``n_tracked``, must agree
+    bitwise."""
+    looped = copy.deepcopy(advanced)
+    with backend(name):
+        for i, request in enumerate(requests):
+            got = advanced.advance(request, free)
+            want = looped.features(request, free)
+            looped.update(request.obj, request.time, request.cost)
+            assert got.tobytes() == want.tobytes(), (i, got, want)
+            assert advanced.n_tracked == looped.n_tracked
+            _assert_same_arena(advanced, looped)
+
+
+#: Each advance test runs on the native backend and on numpy.
+both_backends = pytest.mark.parametrize("name", ["native", "numpy"])
+
+
+def _available(name):
+    if name == "native" and _native.load() is None:
+        pytest.skip("native module unavailable")
+
+
+@both_backends
+def test_advance_reads_before_it_records(name):
+    """A new object, then the same object known: gap_1 is the distance
+    to the previous request, not 0 (the request's own record)."""
+    _available(name)
+    tracker = FeatureTracker(n_gaps=3)
+    requests = [Request(1.0, 5, 10, 2.0), Request(4.0, 5, 10, 3.0),
+                Request(4.5, 6, 20, 1.0), Request(6.0, 5, 10, 0.5)]
+    _advance_is_the_loop(name, tracker, requests)
+    with backend(name):
+        vec = tracker.advance(Request(7.0, 5, 10, 9.0), 0)
+    assert vec[1] == 0.5 and vec[3:6].tolist() == [1.0, 2.0, 3.0]
+    assert tracker._seen[tracker._rows[5]] == 4
+
+
+@both_backends
+def test_advance_through_ring_wraps(name):
+    """Object 0 past its fourth ring wrap, ties included."""
+    _available(name)
+    requests = [Request(float(t // 2), 0, 10, float(t)) for t in range(17)]
+    tracker = FeatureTracker(n_gaps=3)
+    _advance_is_the_loop(name, tracker, requests)
+    assert tracker._seen[tracker._rows[0]] == 17 > 4 * tracker._n_slots
+
+
+@both_backends
+def test_advance_grows_the_arena_inside_the_call(name):
+    """The 1 025th object's row is allocated, by doubling the arena, in
+    the call that reads it as unseen and records it."""
+    _available(name)
+    tracker = FeatureTracker(n_gaps=2)
+    with backend(name):
+        for obj in range(1024):
+            tracker.advance(Request(float(obj), obj, 10, 1.0), 0)
+    assert len(tracker._seen) == 1024
+    requests = [Request(1024.0, 1024, 10, 2.0), Request(1025.0, 1024, 10, 3.0),
+                Request(1026.0, 3, 10, 4.0)]
+    _advance_is_the_loop(name, tracker, requests)
+    assert len(tracker._seen) == 2048 and tracker._rows[1024] == 1024
+
+
+@both_backends
+@pytest.mark.parametrize("window", ["closed", "open"])
+def test_advance_writes_pending_records_first(name, window):
+    """Records an engine window left pending (the window closed, as
+    ``DecisionEngine.step`` leaves it, or still open) are written before
+    the row is read."""
+    _available(name)
+    tracker = small_tracker(2)
+    with backend(name):
+        tracker.defer_updates(True)
+        for t in range(30):
+            tracker.update(t % 5, float(t), 0.5 * t)
+        tracker.defer_updates(window == "open")
+    assert bool(tracker._pending) == (name == "native")
+    requests = [Request(30.0 + t, t % 7, 10, 1.0) for t in range(12)]
+    _advance_is_the_loop(name, tracker, requests)
+
+
+@both_backends
+def test_advance_on_a_capped_tracker(name):
+    """The cap's bookkeeping stays in Python: a known object moves to the
+    recent end, a new one past the cap drops the oldest, and the next new
+    object reuses the freed row."""
+    _available(name)
+    tracker = FeatureTracker(n_gaps=2, max_objects=3)
+    requests = [Request(float(t), obj, 10, 1.0 + t)
+                for t, obj in enumerate([1, 2, 3, 1, 4, 1, 5, 5, 2])]
+    _advance_is_the_loop(name, tracker, requests[:5])
+    # 1 was re-requested, so 4 dropped 2 (row 1), not 1.
+    assert list(tracker._rows) == [3, 1, 4] and tracker._free == [1]
+    assert tracker._rows[4] == 3
+    _advance_is_the_loop(name, tracker, requests[5:7])
+    # 5 took the freed row 1 and dropped 3 (row 2).
+    assert list(tracker._rows) == [4, 1, 5] and tracker._rows[5] == 1
+    assert tracker._free == [2]
+    _advance_is_the_loop(name, tracker, requests[7:])
+    assert tracker._rows[2] == 2 and tracker._seen[2] == 1
+
+
+@both_backends
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from([0, 0, 1, 3]),
+    st.lists(_event, min_size=1, max_size=120),
+)
+def test_advance_is_features_then_update(name, n_gaps, cap, events):
+    """Random streams, with and without a cap, from an arena of two rows
+    (uncapped) that grows several times."""
+    _available(name)
+    if cap:
+        tracker = FeatureTracker(n_gaps=n_gaps, max_objects=cap)
+    else:
+        tracker = small_tracker(n_gaps)
+    now, requests = 0.0, []
+    for obj, gap, size, cost in events:
+        now += gap
+        requests.append(Request(now, obj, size, cost))
+    _advance_is_the_loop(name, tracker, requests)

@@ -139,9 +139,11 @@ def _tracker_record(_):
 
 
 def _tracker_row(_):
+    """Object 7's row, read and then recorded into (``advance``)."""
     tracker = _tracker()
-    return [np.zeros(tracker.n_features), *_arena(tracker), tracker._rows[7],
-            9.0, 10, 2.0, 100, 1e9]
+    row = tracker._rows[7]
+    return [np.zeros(tracker.n_features), *_arena(tracker), row, row, 9.0,
+            10, 2.0, 100, 1e9]
 
 
 #: entry point -> (valid arguments, positions of its outputs)
@@ -297,6 +299,9 @@ CASES = [
     ("tracker_row", "vec one short", 0, short(0)),
     ("tracker_row", "row at capacity", 4, lambda a: _capacity(a, 1)),
     ("tracker_row", "row below -1", 4, lambda a: -2),
+    ("tracker_row", "read-only seen", 2, read_only(2)),
+    ("tracker_row", "record row at capacity", 5, lambda a: _capacity(a, 1)),
+    ("tracker_row", "record row below -1", 5, lambda a: -2),
 ]
 
 
