@@ -30,9 +30,9 @@ per-user build cache that later processes load without compiling:
   numpy row and gather make, by one ring walk, in-window repeats
   included.  ``tracker_row`` can record the request after reading its
   row, which is :meth:`~repro.features.FeatureTracker.advance`;
-* ``tracker_record`` — a run of deferred
-  :meth:`~repro.features.FeatureTracker.update` records written to the
-  arena in request order.
+* ``tracker_record`` — the decided records of a
+  :meth:`~repro.features.FeatureTracker.features_window` window written
+  to the arena in request order.
 
 Each entry point is a ``METH_FASTCALL`` wrapper that takes the numpy
 arrays (and, for scoring, the model's bytes) themselves through the

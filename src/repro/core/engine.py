@@ -16,11 +16,12 @@ The hazard is the feedback loop: a request's features include the
 cache's *current* free bytes and the object's gap history, and earlier
 requests of the same window change both.  One :meth:`step`:
 
-1. **probes once** — one vectorised, read-only
-   :meth:`~repro.features.FeatureTracker.features_batch` call, which
-   resolves in-window repeats itself (a repeat's row is its object's
-   previous row shifted one gap; why that is bit-exact is argued in its
-   docstring).  The matrix then holds every row the scalar loop will
+1. **probes once** — one vectorised
+   :meth:`~repro.features.FeatureTracker.features_window` call (a
+   read-only ``features_batch`` that also keeps the window to record),
+   which resolves in-window repeats itself (a repeat's row is its
+   object's previous row shifted one gap; why that is bit-exact is
+   argued in its docstring).  The matrix then holds every row the scalar loop will
    see, except the free-bytes column: nothing is re-extracted, nothing
    probed is thrown away;
 2. **scores in chunks** — what goes stale is scores, not rows.  The live
@@ -38,14 +39,15 @@ requests of the same window change both.  One :meth:`step`:
 4. **ends early only on a model swap** seen after a mid-window
    ``poll()``: the remaining scores came from the old model.
 
-``apply_scored`` records nothing: the replay records each decided
-request right after it returns, inside the tracker's *deferred window*
-(:meth:`~repro.features.FeatureTracker.defer_updates`).  The cache's
-tracker is unbounded, so those ``update`` calls only queue their
-records, and whoever reads the tracker next — the next window's probe,
-an eviction probe mid-window — writes them first, in one run.  (The
-scalar loop records while extracting, before its decision; neither a
-hit nor an eviction probe, which reads residents only, can tell.)
+``apply_scored`` records nothing, and neither does the replay: the
+probe is :meth:`~repro.features.FeatureTracker.features_window`, handed
+the window's hit list, and the tracker counts request ``i`` as recorded
+once that list holds it.  Whoever reads the tracker next — the next
+window's probe, an eviction probe mid-window — writes the decided
+records not yet written first, in one run; nothing is called per
+decision.  (The scalar loop records while extracting, before its
+decision; neither a hit nor an eviction probe, which reads residents
+only, can tell.)
 
 Two hooks let a driver put its own work on the request path:
 
@@ -103,8 +105,8 @@ class DecisionEngine:
             scoring chunk).
         poll / tap: the driver hooks (module docstring).
         latency: histogram every decision's time — its
-            ``apply_scored`` call and its record — is observed into
-            (None = time nothing).  The serving SLO reads
+            ``apply_scored`` call — is observed into (None = time
+            nothing).  The serving SLO reads
             p999 per telemetry window, so it needs every decision.
 
     Single-consumer: one ``step`` at a time.  ``rows_probed`` (rows
@@ -207,92 +209,79 @@ class DecisionEngine:
         window = slice(start, start + limit)
         w_objs = objs[window].tolist()
         w_times, w_sizes, w_costs = times[window], sizes[window], costs[window]
-        X = tracker.features_batch(
-            w_objs, w_times, w_sizes, w_costs, policy.free_bytes
+        w_hits: list[bool] = []  # one per decision: ``consumed`` of them
+        # The tracker records request i of the window once ``w_hits``
+        # holds it, before its next read.
+        X = tracker.features_window(
+            w_objs, w_times, w_sizes, w_costs, policy.free_bytes, w_hits
         )
         w_times, w_sizes, w_costs = (
             w_times.tolist(), w_sizes.tolist(), w_costs.tolist()
         )
         w_scores = [0.0] * limit
-        w_hits: list[bool] = []  # one per decision: ``consumed`` of them
         cache_size = policy.cache_size  # fixed at construction
         self.rows_probed += limit
         apply_scored = policy.apply_scored
-        record = tracker.update
         polls = poll is not None
         #: The next row still owes its poll (row 0 had it above).
         due = False
         consumed = limit
         k = 0
-        # The replay's records are written in one run before the next
-        # read of the tracker.
-        tracker.defer_updates(True)
-        try:
-            while k < limit:
-                # One scoring chunk: rows [k, m) under the live free bytes.
-                m = min(k + self._window, limit)
-                free = cache_size - policy.used_bytes
-                bucket = bisect_left(thresholds, float(free))
-                X[k:m, FREE_BYTES_COLUMN] = free
-                chunk = [0.0] * (m - k) if predictor is None else (
-                    predictor.predict_proba(X[k:m]).tolist()
-                )
-                w_scores[k:m] = chunk
-                for j, obj, time, size, cost, score, features in zip(
-                    range(k, m), w_objs[k:m], w_times[k:m], w_sizes[k:m],
-                    w_costs[k:m], chunk, X[k:m],
-                ):
-                    if due:
-                        poll()
-                        due = False
-                        if policy.model is not model:
-                            # Stays set, so re-entry does not run the hook
-                            # twice for this request.
-                            self._polled = True
-                            break
-                    live = cache_size - policy.used_bytes
-                    if live != free:
-                        if bisect_left(thresholds, float(live)) != bucket:
-                            break
-                        # Same bucket, same scores; the rows still carry
-                        # the value their decision sees.
-                        free = live
-                        X[j:m, FREE_BYTES_COLUMN] = free
-                    if latency is None:
-                        hit = apply_scored(
-                            time, obj, size, cost, features, score
-                        )
-                        record(obj, time, cost)
-                    else:
-                        began = perf_counter()
-                        hit = apply_scored(
-                            time, obj, size, cost, features, score
-                        )
-                        record(obj, time, cost)
-                        latency.observe(perf_counter() - began)
-                    w_hits.append(hit)
-                    due = polls
-                    if tap is not None:
-                        tap(start + j, hit, score)
+        while k < limit:
+            # One scoring chunk: rows [k, m) under the live free bytes.
+            m = min(k + self._window, limit)
+            free = cache_size - policy.used_bytes
+            bucket = bisect_left(thresholds, float(free))
+            X[k:m, FREE_BYTES_COLUMN] = free
+            chunk = [0.0] * (m - k) if predictor is None else (
+                predictor.predict_proba(X[k:m]).tolist()
+            )
+            w_scores[k:m] = chunk
+            for j, obj, time, size, cost, score, features in zip(
+                range(k, m), w_objs[k:m], w_times[k:m], w_sizes[k:m],
+                w_costs[k:m], chunk, X[k:m],
+            ):
+                if due:
+                    poll()
+                    due = False
+                    if policy.model is not model:
+                        # Stays set, so re-entry does not run the hook
+                        # twice for this request.
+                        self._polled = True
+                        break
+                live = cache_size - policy.used_bytes
+                if live != free:
+                    if bisect_left(thresholds, float(live)) != bucket:
+                        break
+                    # Same bucket, same scores; the rows still carry
+                    # the value their decision sees.
+                    free = live
+                    X[j:m, FREE_BYTES_COLUMN] = free
+                if latency is None:
+                    hit = apply_scored(time, obj, size, cost, features, score)
                 else:
-                    # A chunk the window's end cut short is no evidence.
-                    if m - k == self._window:
-                        self._window = min(self._window * 2, self.max_window)
-                    k = m
-                    continue
-                if self._polled:
-                    consumed = j
-                    break
-                # Free bytes left the bucket at row j (never the chunk's
-                # first, which was scored under this very value): track the
-                # observed drift interval and score again from there.
-                self.n_respeculations += 1
-                self._window = min(
-                    max(_MIN_WINDOW, j - k + 1), self.max_window
-                )
-                k = j
-        finally:
-            tracker.defer_updates(False)
+                    began = perf_counter()
+                    hit = apply_scored(time, obj, size, cost, features, score)
+                    latency.observe(perf_counter() - began)
+                w_hits.append(hit)
+                due = polls
+                if tap is not None:
+                    tap(start + j, hit, score)
+            else:
+                # A chunk the window's end cut short is no evidence.
+                if m - k == self._window:
+                    self._window = min(self._window * 2, self.max_window)
+                k = m
+                continue
+            if self._polled:
+                consumed = j
+                break
+            # Free bytes left the bucket at row j (never the chunk's
+            # first, which was scored under this very value): track the
+            # observed drift interval and score again from there.
+            self.n_respeculations += 1
+            self._window = min(max(_MIN_WINDOW, j - k + 1), self.max_window)
+            k = j
         hits[start:start + consumed] = w_hits
         if scores is not None:
             scores[start:start + consumed] = w_scores[:consumed]

@@ -33,14 +33,16 @@ fills :meth:`FeatureTracker.features`' row in one call (and, for
 both by one ring walk — the numpy row and gather below stay as the
 references and the no-compiler path, and each pair is bit-identical
 (subtractions over the same stored floats).  ``tracker_record`` writes a
-*deferred window*: while the decision engine replays a window on an
-uncapped tracker (:meth:`FeatureTracker.defer_updates`),
-:meth:`~FeatureTracker.update` only appends, and the pending records are
-resolved to rows in request order and written by one call before the
-next read.  The invariant is **no read sees an unflushed arena**: every
-public reader — ``features``, ``features_batch``, ``n_tracked``,
-``memory_bytes_naive``, an immediate ``update`` — flushes first.  A
-deferred window never meets a recycled row: only the cap frees rows.
+*record window*: the decision engine probes each window it replays with
+:meth:`FeatureTracker.features_window`, which keeps the probe's columns
+and arena rows, and request ``i`` of the window counts as recorded once
+the caller's decision list holds more than ``i`` entries.  Nothing is
+called per decision: the decided records not yet written are written —
+new objects given one block of rows, then one ``tracker_record`` call
+over array slices (numpy stores without the module) — before the next
+read.  The invariant is **no read sees an unwritten record**: every
+public reader — ``features``, ``advance``, ``features_batch``,
+``n_tracked``, ``memory_bytes_naive``, ``update`` — writes them first.
 Nothing native is stored on the instance: each call is handed the live
 arena arrays, after any ``_grow``, and checks their shapes and every
 row index itself.
@@ -49,7 +51,7 @@ row index itself.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from time import perf_counter
 
 import numpy as np
@@ -84,8 +86,8 @@ class FeatureTracker:
         tracker.update(request.obj, request.time, request.cost)  # then record
 
     That pair is the definition of :meth:`advance`, the scalar request
-    loops' one call.  The decision engine probes with
-    :meth:`features_batch` and records with :meth:`update`.
+    loops' one call.  The decision engine probes and records a whole
+    window with :meth:`features_window`.
 
     Attributes:
         n_gaps: number of gap features (the paper uses 50).
@@ -113,12 +115,13 @@ class FeatureTracker:
         #: rows released by cap eviction, recycled before slab growth.
         self._free: list[int] = []
         self._next_row = 0
-        #: Records of the open deferred window, in request order and
-        #: flat — ``obj, time, cost, obj, time, cost, ...`` — so that a
-        #: record leaves no container behind for the collector to walk;
-        #: every reader flushes them first.
-        self._pending: list = []
-        self._deferring = False
+        #: The open record window, ``(objs, times, costs, rows,
+        #: decided)`` (:meth:`features_window`), or None; its first
+        #: ``_written`` records are in the arena.
+        self._window: tuple | None = None
+        self._written = 0
+        #: The decision list :meth:`features_window` hands its probe.
+        self._decided: Sized | None = None
         # Most-recent-first slab positions for every possible head value:
         # row ``h`` lists ``(h - 1 - k) % n_slots`` for k = 0.., so a
         # ring-buffer read is one table row away.
@@ -146,7 +149,7 @@ class FeatureTracker:
     @property
     def n_tracked(self) -> int:
         """Number of objects with live state."""
-        if self._pending:
+        if self._window is not None:
             self._flush()
         return len(self._rows)
 
@@ -221,7 +224,7 @@ class FeatureTracker:
         native = _native.load()
         if native is None:
             return self._extract(obj, time, size, cost, free_bytes)
-        if self._pending:
+        if self._window is not None:
             self._flush()
         vec = np.empty(self._n_slots + 2, dtype=np.float64)
         native.tracker_row(
@@ -236,7 +239,7 @@ class FeatureTracker:
     ) -> np.ndarray:
         """One feature row in numpy: the reference for ``tracker_row``
         and the no-compiler path."""
-        if self._pending:
+        if self._window is not None:
             self._flush()
         vec = np.empty(3 + self.n_gaps, dtype=np.float64)
         vec[0] = size
@@ -309,14 +312,40 @@ class FeatureTracker:
         self._obs_batch_rows.observe(len(objs))
         return X
 
+    def features_window(
+        self,
+        objs: list[int],
+        times: Sequence[float],
+        sizes: Sequence[int],
+        costs: Sequence[float],
+        free_bytes,
+        decided: Sized,
+    ) -> np.ndarray:
+        """:meth:`features_batch` for a window the caller decides in
+        order, recording it as it goes: request ``i`` counts as recorded
+        once ``len(decided) > i`` (the engine hands its hit list).
+
+        Nothing is called per decision.  The next read — the next
+        window's probe included — first writes the decided records not
+        yet written, as :meth:`update` calls right after each decision
+        would have; a window left early keeps its decided prefix.  The
+        window holds ``objs`` and the probe's arrays, so they must not
+        change while it is open.
+        """
+        # Through ``features_batch``, so that a window's probe — and the
+        # write of the window before it — is observed like every probe.
+        self._decided = decided
+        return self.features_batch(objs, times, sizes, costs, free_bytes)
+
     def _extract_batch(
         self, objs, times, sizes, costs, free_bytes
     ) -> np.ndarray:
+        decided, self._decided = self._decided, None
         n = len(objs)
         X = np.empty((n, self.n_features), dtype=np.float64)
         if not len(times) == len(sizes) == len(costs) == n:
             raise ValueError("request columns differ in length")
-        if self._pending:
+        if self._window is not None:
             self._flush()
         X[:, 0] = sizes
         X[:, 2] = free_bytes
@@ -340,6 +369,9 @@ class FeatureTracker:
             previous = order[again]
             if not (previous < repeat).all():
                 raise ValueError("a repeat must follow its previous row")
+        if decided is not None:
+            self._window = (objs, times, costs, rows, decided)
+            self._written = 0
         native = _native.load()
         if native is None:
             self._gather_numpy(X, rows, repeat, previous, times, costs)
@@ -395,18 +427,16 @@ class FeatureTracker:
 
         With the native module it is one ``tracker_row`` call that reads
         the row and then makes the record's stores.  Python keeps the
-        map: a new object gets its row first (growing the arena if
-        needed; the row is still read as unseen), and on a capped
-        tracker the object moves to the recent end and the oldest drops
-        after the call.  Without the module, with records pending or a
-        deferred window open, or while a registry is active (it observes
-        the extraction), it makes the two calls.
+        map and does :meth:`update`'s bookkeeping first: a new object
+        gets its row (growing the arena if needed; the row is still read
+        as unseen), and on a capped tracker a known object moves to the
+        recent end.  Without the module, or while a registry is active
+        (it observes the extraction), it makes the two calls.
         """
+        if self._window is not None:
+            self._flush()
         native = _native.load()
-        if (
-            native is None or self._pending or self._deferring
-            or get_registry().enabled
-        ):
+        if native is None or get_registry().enabled:
             vec = self.features(request, free_bytes)
             self.update(request.obj, request.time, request.cost)
             return vec
@@ -416,6 +446,8 @@ class FeatureTracker:
         record = row
         cap = self._max_objects
         if row < 0:
+            if cap and len(rows) >= cap:
+                self._free.append(rows.popitem(last=False)[1])
             record = rows[obj] = self._alloc_row()
         elif cap:
             rows.move_to_end(obj)
@@ -425,80 +457,80 @@ class FeatureTracker:
             vec, self._times, self._seen, self._last_cost, row, record,
             request.time, request.size, request.cost, free_bytes, MISSING_GAP,
         )
-        if cap and len(rows) > cap:
-            self._free.append(rows.popitem(last=False)[1])
         return vec
 
     def update(self, obj: int, time: float, cost: float) -> None:
-        """Record one request in the object's history — as scalars: the
-        decision engine records each request it replays, and holds
-        columns, not ``Request`` objects.  On a capped
-        tracker the least recently recorded object is dropped to make
-        room.
+        """Record one request in the object's history — as scalars, the
+        three values a record stores.  On a capped tracker a known object
+        moves to the recent end, and a new object past the cap first
+        drops the least recently recorded one, whose row it then takes.
         """
-        if self._deferring:
-            self._pending.extend((obj, time, cost))
-            return
-        if self._pending:
+        if self._window is not None:
             self._flush()
         rows = self._rows
         row = rows.get(obj)
         cap = self._max_objects
         if row is None:
+            if cap and len(rows) >= cap:
+                self._free.append(rows.popitem(last=False)[1])
             row = rows[obj] = self._alloc_row()
         elif cap:
             rows.move_to_end(obj)
+        self._store(row, time, cost)
+
+    def _store(self, row: int, time: float, cost: float) -> None:
+        """One record's three stores, in numpy: the reference for
+        ``tracker_record``."""
         seen = self._seen.item(row)
         self._times[row, seen % self._n_slots] = time
         self._seen[row] = seen + 1
         self._last_cost[row] = cost
-        if cap and len(rows) > cap:
-            self._free.append(rows.popitem(last=False)[1])
-
-    def defer_updates(self, on: bool) -> None:
-        """Open (``True``) or close the deferred window.
-
-        While it is open :meth:`update` only appends; the records are
-        written, in request order, by one ``tracker_record`` call before
-        the next read (module docstring).  The decision engine opens it
-        around each window's replay.  A tracker built with a
-        ``max_objects`` cap and a process without the native module never
-        defer — :meth:`update` records immediately, as it does for the
-        scalar loop.  Closing writes nothing: what is pending is flushed
-        by whoever reads next.
-        """
-        self._deferring = (
-            on and not self._max_objects and _native.load() is not None
-        )
 
     def _flush(self) -> None:
-        """Write the pending records to the arena, in request order."""
-        pending = self._pending
-        self._pending = []
-        objs, times, costs = pending[0::3], pending[1::3], pending[2::3]
-        tracked = self._rows
-        rows = list(map(tracked.get, objs))  # uncapped: no recency to keep
-        if None in rows:
-            for obj in objs:  # rows are handed out in request order
-                if obj not in tracked:
-                    tracked[obj] = self._alloc_row()
-            rows = [tracked[obj] for obj in objs]
-        native = _native.load()
-        if native is None:
-            # Records deferred where the module was loaded (a tracker
-            # unpickled elsewhere): the stores ``update`` makes.
-            for row, time, cost in zip(rows, times, costs):
-                seen = self._seen.item(row)
-                self._times[row, seen % self._n_slots] = time
-                self._seen[row] = seen + 1
-                self._last_cost[row] = cost
+        """Write the open window's decided records not written yet, in
+        request order (:meth:`features_window`)."""
+        objs, times, costs, rows, decided = self._window
+        start, end = self._written, len(decided)
+        if end == len(rows):
+            self._window = None
+        self._written = end
+        if start == end:
             return
-        rows = np.array(rows, dtype=np.int64)
+        if self._max_objects:
+            # The cap keeps recency and recycles rows: record by record
+            # (``update`` finds nothing left to write first).
+            for i in range(start, end):
+                self.update(objs[i], times[i], costs[i])
+            return
+        rows = rows[start:end]
+        unseen = np.flatnonzero(rows < 0)
+        if len(unseen):
+            # Objects the probe did not know.  An earlier write or an
+            # ``update`` may have mapped one since; the others get one
+            # block of rows in first-occurrence order (uncapped: no row
+            # is ever freed, so the block is where ``_alloc_row`` would
+            # have put them one by one).
+            tracked = self._rows
+            names = [objs[i] for i in (unseen + start).tolist()]
+            new = [obj for obj in dict.fromkeys(names) if obj not in tracked]
+            if new:
+                first = self._next_row
+                self._next_row += len(new)
+                while self._next_row > len(self._seen):
+                    self._grow()
+                tracked.update(zip(new, range(first, self._next_row)))
+            rows[unseen] = [tracked[obj] for obj in names]
         if not _native.all_below(rows, len(self._seen)):
             raise ValueError("tracked row outside the arena")
-        times = np.array(times, dtype=np.float64)
-        costs = np.array(costs, dtype=np.float64)
-        # After the loop above: ``_alloc_row`` may have grown the arena.
+        times, costs = times[start:end], costs[start:end]
+        native = _native.load()
+        if native is None:
+            for row, time, cost in zip(
+                rows.tolist(), times.tolist(), costs.tolist()
+            ):
+                self._store(row, time, cost)
+            return
+        # After the block above: it may have grown the arena.
         native.tracker_record(
             rows, times, costs, self._times, self._seen, self._last_cost
         )

@@ -37,6 +37,9 @@ __all__ = [
     "sample_sizes",
 ]
 
+#: Size of the recent working set the locality re-draw picks from.
+_LOCALITY_WINDOW = 256
+
 
 def zipf_weights(n_objects: int, alpha: float) -> np.ndarray:
     """Normalised Zipf popularity weights for ranks 1..n (rank 1 hottest)."""
@@ -105,10 +108,9 @@ class SyntheticConfig:
     #: Mean logical time between requests (Poisson arrivals when > 0).
     mean_interarrival: float = 1.0
     #: Temporal-locality knob: probability that the next request re-draws
-    #: from the recent working set instead of the global catalogue.
+    #: from the recent working set (the last ``_LOCALITY_WINDOW``
+    #: requests) instead of the global catalogue.
     locality: float = 0.0
-    #: Size of the recent working set used by the locality re-draw.
-    locality_window: int = 256
     seed: int = 42
 
 
@@ -120,7 +122,6 @@ def _emit_requests(
     n_requests: int,
     mean_interarrival: float,
     locality: float,
-    locality_window: int,
     start_time: float = 0.0,
 ) -> list[Request]:
     """Draw ``n_requests`` requests from a weighted catalogue."""
@@ -136,7 +137,8 @@ def _emit_requests(
     use_locality = locality > 0.0
     local_flags = rng.random(n_requests) < locality if use_locality else None
     local_picks = (
-        rng.integers(0, locality_window, size=n_requests) if use_locality else None
+        rng.integers(0, _LOCALITY_WINDOW, size=n_requests)
+        if use_locality else None
     )
     for i in range(n_requests):
         obj = int(draws[i])
@@ -145,7 +147,7 @@ def _emit_requests(
         requests.append(Request(float(times[i]), obj, sizes_by_id[obj]))
         if use_locality:
             recent.append(obj)
-            if len(recent) > locality_window:
+            if len(recent) > _LOCALITY_WINDOW:
                 recent.pop(0)
     return requests
 
@@ -162,7 +164,7 @@ def generate_trace(config: SyntheticConfig) -> Trace:
     sizes_by_id = {int(o): int(s) for o, s in zip(object_ids, sizes)}
     requests = _emit_requests(
         rng, object_ids, weights, sizes_by_id, config.n_requests,
-        config.mean_interarrival, config.locality, config.locality_window,
+        config.mean_interarrival, config.locality,
     )
     return Trace(requests, name=f"zipf(a={config.alpha},n={config.n_objects})")
 

@@ -21,7 +21,7 @@ def native():
 def python_fallback(monkeypatch):
     """Run the test as if the native module could not be built: numpy
     prediction backend and split search, Python min-cost-flow loop, the
-    tracker's numpy window gather and immediate (never deferred) records."""
+    tracker's numpy window gather and the numpy stores of its records."""
     monkeypatch.setattr(_native, "_state", False)
 
 

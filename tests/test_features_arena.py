@@ -307,7 +307,7 @@ def test_one_counter_is_head_and_count(monkeypatch):
         )
 
 
-# -- the native routines: gather == numpy == loop, deferred == immediate ------
+# -- the native routines: gather == numpy == loop, window == immediate --------
 
 
 @contextmanager
@@ -336,10 +336,23 @@ def small_tracker(n_gaps, capacity=2):
 
 
 def _arena(tracker):
-    """Full arena state, pending records written first."""
+    """Full arena state, decided records written first."""
     tracker.n_tracked
-    assert not tracker._pending
+    window = tracker._window
+    assert window is None or tracker._written == len(window[-1])
     return _state(tracker)
+
+
+def open_window(tracker, requests, free=7):
+    """Probe ``requests`` as the decision engine does: the list a
+    decision is appended to (recording its request), and the rows."""
+    decided = []
+    return decided, tracker.features_window(*columns(requests), free, decided)
+
+
+def _backends():
+    """numpy always; the native module where it loads."""
+    return ["numpy"] + (["native"] if _native.load() is not None else [])
 
 
 def _assert_same_arena(left, right):
@@ -392,27 +405,95 @@ def test_native_gather_is_the_numpy_gather_is_the_loop(native, case):
 
 
 def test_probe_straight_after_growth_reads_the_new_arena(native):
-    """The flush a probe triggers may double the arena (here three
+    """The write a probe triggers may double the arena (here three
     times): the gather must take its addresses after that."""
-    deferred, immediate = small_tracker(2), small_tracker(2)
-    deferred.defer_updates(True)
-    for t in range(40):
-        deferred.update(t % 13, float(t), 1.0 + t)
-        immediate.update(t % 13, float(t), 1.0 + t)
-    assert len(deferred._seen) == 2 and deferred._pending
+    windowed, immediate = small_tracker(2), small_tracker(2)
+    requests = [Request(float(t), t % 13, 10, 1.0 + t) for t in range(40)]
+    decided, _ = open_window(windowed, requests)
+    for request in requests:
+        decided.append(True)
+        record(immediate, request)
+    assert len(windowed._seen) == 2 and windowed._written == 0
     window = [Request(40.0 + t, t % 17, 10, 2.0) for t in range(34)]
     assert np.array_equal(
-        deferred.features_batch(*columns(window), 5),
+        windowed.features_batch(*columns(window), 5),
         immediate.features_batch(*columns(window), 5),
     )
-    assert len(deferred._seen) == 16
-    _assert_same_arena(deferred, immediate)
+    assert len(windowed._seen) == 16
+    _assert_same_arena(windowed, immediate)
 
 
 _read = st.sampled_from(
-    ["features", "batch", "n_tracked", "memory", "close", "open", "copy",
-     "pickle"]
+    ["features", "advance", "batch", "n_tracked", "memory", "update",
+     "open", "open", "cut", "copy", "pickle"]
 )
+
+
+def _windows_are_the_immediate_loop(n_gaps, stream):
+    """Replay ``stream`` on a tracker that records through windows and
+    on one that records each request with ``update``; compare every
+    read and, at the end, the arenas.  ``"open"`` probes the requests
+    up to the next ``"open"`` as one window, decided one by one as they
+    come; ``"cut"`` leaves the window early (its caller stops deciding:
+    the rest is recorded with ``update``)."""
+    windowed, immediate = small_tracker(n_gaps), small_tracker(n_gaps)
+    decided, todo, now = None, 0, 0.0
+    for i, op in enumerate(stream):
+        if isinstance(op, Request):
+            now = op.time
+            if todo:
+                decided.append(True)
+                todo -= 1
+            else:
+                record(windowed, op)
+            record(immediate, op)
+            continue
+        probe = [Request(now + 1.0, obj, 10, 2.0) for obj in (0, 1, 0, 5, 11)]
+        got = want = None
+        if op == "features":
+            got, want = (
+                t.features(probe[0], 7) for t in (windowed, immediate)
+            )
+        elif op == "advance":
+            # An object the next window may hold, new or not.
+            extra = Request(now, i % 12, 10, 1.0)
+            got = windowed.advance(extra, 7)
+            want = immediate.features(extra, 7)
+            record(immediate, extra)
+        elif op == "batch":
+            got, want = (
+                t.features_batch(*columns(probe), 7)
+                for t in (windowed, immediate)
+            )
+        elif op == "n_tracked":
+            got, want = windowed.n_tracked, immediate.n_tracked
+        elif op == "memory":
+            got, want = (
+                t.memory_bytes_naive() for t in (windowed, immediate)
+            )
+        elif op == "update":
+            extra = Request(now, i % 12, 10, 1.0)
+            record(windowed, extra)
+            record(immediate, extra)
+        elif op == "open":
+            window = []
+            for later in stream[i + 1:]:
+                if later == "open":
+                    break
+                if isinstance(later, Request):
+                    window.append(later)
+            if window:
+                decided, got = open_window(windowed, window)
+                want = immediate.features_batch(*columns(window), 7)
+                todo = len(window)
+        elif op == "cut":
+            todo = 0
+        elif op == "copy":
+            windowed, decided = copy.deepcopy((windowed, decided))
+        else:
+            windowed, decided = pickle.loads(pickle.dumps((windowed, decided)))
+        assert np.array_equal(got, want), op
+    _assert_same_arena(windowed, immediate)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -420,80 +501,68 @@ _read = st.sampled_from(
     st.integers(1, 3),
     st.lists(st.one_of(_event, _event, _event, _read), max_size=200),
 )
-def test_deferred_record_is_the_immediate_loop(native, n_gaps, ops):
-    """No read sees an unflushed arena: whatever is read, wherever, the
-    deferred tracker answers as the immediate one, and the arenas agree
-    to the last field — rings that wrap inside one run, rows allocated
-    and grown by the flush, their order."""
-    deferred, immediate = small_tracker(n_gaps), small_tracker(n_gaps)
-    deferred.defer_updates(True)
-    now = 0.0
+def test_deferred_record_is_the_immediate_loop(n_gaps, ops):
+    """No read sees an unwritten record: whatever is read, wherever —
+    inside a window, after one cut short, around ``update`` and
+    ``advance`` calls, across copies and pickles — the windowed tracker
+    answers as the immediate one, and the arenas agree to the last field
+    (rings that wrap inside one write, rows allocated and grown by the
+    write, their order), on both backends."""
+    now, stream = 0.0, []
     for op in ops:
         if isinstance(op, tuple):
-            obj, gap, _size, cost = op
+            obj, gap, size, cost = op
             now += gap
-            deferred.update(obj, now, cost)
-            immediate.update(obj, now, cost)
-            continue
-        probe = [Request(now + 1.0, obj, 10, 2.0) for obj in (0, 1, 0, 5, 11)]
-        if op == "features":
-            got, want = (
-                t.features(probe[0], 7) for t in (deferred, immediate)
-            )
-        elif op == "batch":
-            got, want = (
-                t.features_batch(*columns(probe), 7)
-                for t in (deferred, immediate)
-            )
-        elif op == "n_tracked":
-            got, want = deferred.n_tracked, immediate.n_tracked
-        elif op == "memory":
-            got, want = (
-                t.memory_bytes_naive() for t in (deferred, immediate)
-            )
-        elif op in ("close", "open"):
-            # Closing writes nothing; the next immediate update flushes.
-            got, want = deferred.defer_updates(op == "open"), None
-        elif op == "copy":
-            got, want = None, None
-            deferred = copy.deepcopy(deferred)
-        else:
-            got, want = None, None
-            deferred = pickle.loads(pickle.dumps(deferred))
-        assert np.array_equal(got, want), op
-    _assert_same_arena(deferred, immediate)
+            op = Request(now, obj, size, cost)
+        stream.append(op)
+    for name in _backends():
+        with backend(name):
+            _windows_are_the_immediate_loop(n_gaps, stream)
 
 
 def test_records_deferred_elsewhere_are_written_without_the_module(native):
-    """A tracker pickled with records pending and opened where the
-    module cannot be built writes them with ``update``'s own stores."""
-    deferred, immediate = small_tracker(2), small_tracker(2)
-    deferred.defer_updates(True)
-    for t in range(30):
-        deferred.update(t % 4, float(t), 0.5 * t)
-        immediate.update(t % 4, float(t), 0.5 * t)
-    shipped = pickle.loads(pickle.dumps(deferred))
+    """A tracker pickled with decided records unwritten and opened where
+    the module cannot be built writes them with numpy stores."""
+    windowed, immediate = small_tracker(2), small_tracker(2)
+    requests = [Request(float(t), t % 4, 10, 0.5 * t) for t in range(30)]
+    decided, _ = open_window(windowed, requests)
+    for request in requests:
+        decided.append(True)
+        record(immediate, request)
+    shipped = pickle.loads(pickle.dumps(windowed))
     with backend("numpy"):
-        assert shipped._pending
+        assert shipped._window is not None and shipped._written == 0
         _assert_same_arena(shipped, immediate)
 
 
-def test_a_capped_tracker_records_immediately(native):
-    """A deferred flush keeps no recency and recycles no row, so a
-    tracker built capped never defers."""
-    tracker = FeatureTracker(n_gaps=2, max_objects=2)
-    tracker.defer_updates(True)
-    for t, obj in enumerate([1, 2, 1, 3]):
-        tracker.update(obj, float(t), 1.0)
-        assert not tracker._pending
-    assert list(tracker._rows) == [1, 3] and tracker.n_tracked == 2
+def test_a_capped_tracker_writes_its_window_through_the_cap():
+    """The cap keeps recency and recycles rows, so a capped tracker
+    writes a window record by record, as ``update`` would have."""
+    requests = [
+        Request(float(t), obj, 10, 1.0) for t, obj in enumerate([1, 2, 1, 3])
+    ]
+    for name in _backends():
+        with backend(name):
+            windowed = FeatureTracker(n_gaps=2, max_objects=2)
+            immediate = FeatureTracker(n_gaps=2, max_objects=2)
+            decided, _ = open_window(windowed, requests)
+            for request in requests:
+                decided.append(True)
+                record(immediate, request)
+            _assert_same_arena(windowed, immediate)
+        assert list(windowed._rows) == [1, 3] and windowed.n_tracked == 2
+        assert len(windowed._seen) == 2
 
 
-def test_no_module_records_immediately(python_fallback):
+def test_no_module_writes_the_window_with_numpy_stores(python_fallback):
     tracker = FeatureTracker(n_gaps=2)
-    tracker.defer_updates(True)
-    tracker.update(1, 0.0, 1.0)
-    assert not tracker._pending and tracker._seen[0] == 1
+    decided, _ = open_window(tracker, [Request(0.0, 1, 10, 1.0)] * 2)
+    decided.append(True)
+    assert tracker._seen[0] == 0 and tracker._window is not None
+    assert tracker.n_tracked == 1 and tracker._seen[0] == 1
+    decided.append(True)
+    assert tracker.n_tracked == 1 and tracker._seen[0] == 2
+    assert tracker._window is None and tracker._next_row == 1
 
 
 @pytest.mark.parametrize("name", ["native", "numpy"])
@@ -524,14 +593,32 @@ def test_bad_windows_are_refused_alike_on_both_backends(name):
         assert tracker.features_batch(objs, times, sizes, costs, 0)[2, 3] == 2.0
 
 
-def test_a_deferred_record_to_a_row_outside_the_arena_is_refused(native):
-    tracker = FeatureTracker(n_gaps=2)
-    tracker.update(7, 0.0, 1.0)
-    tracker._rows[7] = len(tracker._seen)
-    tracker.defer_updates(True)
-    tracker.update(7, 1.0, 1.0)
-    with pytest.raises(ValueError, match="outside the arena"):
-        tracker.n_tracked
+def test_a_deferred_record_to_a_row_outside_the_arena_is_refused():
+    """Before any write, on either backend: through the probe's row of a
+    known object, and through the map's row of an object new to the
+    window that an earlier write mapped."""
+    window = [Request(1.0, 7, 10), Request(2.0, 8, 10), Request(3.0, 8, 10)]
+    for name in _backends():
+        with backend(name):
+            tracker = FeatureTracker(n_gaps=2)
+            tracker.update(7, 0.0, 1.0)
+            decided, _ = open_window(tracker, window)
+            tracker._window[3][0] = len(tracker._seen)  # 7's probed row
+            decided.append(True)
+            before = _state(tracker)
+            with pytest.raises(ValueError, match="outside the arena"):
+                tracker.n_tracked
+            for was, now in zip(before, _state(tracker)):
+                assert np.array_equal(was, now)
+            decided.append(True)
+            assert tracker.n_tracked == 2  # maps 8 to row 1
+            tracker._rows[8] = -3
+            decided.append(True)
+            before = _state(tracker)
+            with pytest.raises(ValueError, match="outside the arena"):
+                tracker.n_tracked
+            for was, now in zip(before, _state(tracker)):
+                assert np.array_equal(was, now)
 
 
 # -- the row formula: one ring read, one subtraction ---------------------------
@@ -542,7 +629,7 @@ def reference_extract(tracker, obj, time, size, cost, free_bytes):
     read of the ``min(seen, n_gaps)`` valid slots, two slice fills, two
     subtractions — kept as the reference the one-read form must equal
     bitwise."""
-    tracker.n_tracked  # pending records first, as every reader
+    tracker.n_tracked  # decided records first, as every reader
     vec = np.empty(tracker.n_features, dtype=np.float64)
     vec[0] = size
     vec[2] = free_bytes
@@ -583,23 +670,25 @@ COVERING_HISTORY = (
 
 
 def _check_rows_against_reference(name, n_gaps, ops):
-    """Apply ``ops`` — inside a deferred window where the backend has
-    one — and compare every object's row, and an unseen object's, as the
-    backend makes it (``tracker_row``, or ``_extract`` on numpy) with the
-    reference after each op."""
+    """Apply ``ops`` — each one record window, decided whole, so that a
+    burst wraps rings inside one write — and compare every object's row,
+    and an unseen object's, as the backend makes it (``tracker_row``, or
+    ``_extract`` on numpy) with the reference after each op."""
     with backend(name):
         tracker = small_tracker(n_gaps)
-        tracker.defer_updates(True)
         now = 0.0
         for op in ops:
             if op[0] == "burst":
+                window = []
                 for i in range(op[1]):
                     now += (0.0, 0.5, 3.0)[i % 3]
-                    tracker.update(0, now, float(i))
+                    window.append(Request(now, 0, 10, float(i)))
             else:
                 obj, gap, _size, cost = op
                 now += gap
-                tracker.update(obj, now, cost)
+                window = [Request(now, obj, 10, cost)]
+            decided, _ = open_window(tracker, window)
+            decided.extend([True] * len(window))
             for obj in (*range(10), 99):
                 probe = (obj, now + 0.25, 7, 1.5, 1234)
                 got = tracker._row(*probe)
@@ -721,40 +810,63 @@ def test_advance_grows_the_arena_inside_the_call(name):
 @both_backends
 @pytest.mark.parametrize("window", ["closed", "open"])
 def test_advance_writes_pending_records_first(name, window):
-    """Records an engine window left pending (the window closed, as
-    ``DecisionEngine.step`` leaves it, or still open) are written before
-    the row is read."""
+    """Records an engine window left unwritten (the window decided
+    whole, as ``DecisionEngine.step`` leaves it, or still open, two
+    thirds decided) are written before the row is read."""
     _available(name)
-    tracker = small_tracker(2)
+    tracker, reference = small_tracker(2), small_tracker(2)
+    requests = [Request(float(t), t % 5, 10, 0.5 * t) for t in range(30)]
     with backend(name):
-        tracker.defer_updates(True)
-        for t in range(30):
-            tracker.update(t % 5, float(t), 0.5 * t)
-        tracker.defer_updates(window == "open")
-    assert bool(tracker._pending) == (name == "native")
+        decided, _ = open_window(tracker, requests)
+    decided.extend([True] * (30 if window == "closed" else 20))
+    assert tracker._written == 0 and tracker._next_row == 0
+    for request in requests[:len(decided)]:
+        record(reference, request)
     requests = [Request(30.0 + t, t % 7, 10, 1.0) for t in range(12)]
     _advance_is_the_loop(name, tracker, requests)
+    for request in requests:
+        record(reference, request)
+    _assert_same_arena(tracker, reference)
 
 
 @both_backends
 def test_advance_on_a_capped_tracker(name):
     """The cap's bookkeeping stays in Python: a known object moves to the
-    recent end, a new one past the cap drops the oldest, and the next new
-    object reuses the freed row."""
+    recent end, and a new one past the cap first drops the oldest, then
+    takes its row."""
     _available(name)
     tracker = FeatureTracker(n_gaps=2, max_objects=3)
     requests = [Request(float(t), obj, 10, 1.0 + t)
                 for t, obj in enumerate([1, 2, 3, 1, 4, 1, 5, 5, 2])]
     _advance_is_the_loop(name, tracker, requests[:5])
-    # 1 was re-requested, so 4 dropped 2 (row 1), not 1.
-    assert list(tracker._rows) == [3, 1, 4] and tracker._free == [1]
-    assert tracker._rows[4] == 3
+    # 1 was re-requested, so 4 dropped 2 and took its row 1, not 1's.
+    assert list(tracker._rows) == [3, 1, 4] and tracker._rows[4] == 1
     _advance_is_the_loop(name, tracker, requests[5:7])
-    # 5 took the freed row 1 and dropped 3 (row 2).
-    assert list(tracker._rows) == [4, 1, 5] and tracker._rows[5] == 1
-    assert tracker._free == [2]
+    # 5 dropped 3 and took its row 2.
+    assert list(tracker._rows) == [4, 1, 5] and tracker._rows[5] == 2
     _advance_is_the_loop(name, tracker, requests[7:])
-    assert tracker._rows[2] == 2 and tracker._seen[2] == 1
+    assert tracker._rows[2] == 1 and tracker._seen[1] == 1
+    assert len(tracker._seen) == 3 and not tracker._free
+
+
+@both_backends
+@pytest.mark.parametrize("call", ["update", "advance"])
+def test_a_capped_arena_never_outgrows_the_cap(name, call):
+    """A new object past the cap takes the row of the oldest, dropped
+    first: after 5 000 distinct objects a 1 000-object tracker still
+    holds a 1 000-row slab."""
+    _available(name)
+    tracker = FeatureTracker(n_gaps=50, max_objects=1000)
+    with backend(name):
+        for obj in range(5000):
+            request = Request(float(obj), obj, 10, 1.0)
+            if call == "update":
+                record(tracker, request)
+            else:
+                tracker.advance(request, 0)
+    assert tracker._times.shape == (1000, 51) and len(tracker._seen) == 1000
+    assert list(tracker._rows) == list(range(4000, 5000))
+    assert tracker._next_row == 1000 and not tracker._free
 
 
 @both_backends
