@@ -244,9 +244,9 @@ class LFOCache(CachePolicy):
         """Fresh likelihoods of resident ``objs``: one read-only columnar
         probe of live tracker state, one compiled-predictor call.
 
-        Every resident has a row in the cache's unbounded tracker, so the
-        probe always overwrites the cost column passed in (the recorded
-        retrieval cost) with that row's own last cost.
+        Every resident has a row in the cache's tracker (no tracker drops
+        one), so the probe always overwrites the cost column passed in
+        (the recorded retrieval cost) with that row's own last cost.
         """
         sizes = [self._entries[obj] for obj in objs]
         known = self._costs

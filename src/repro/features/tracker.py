@@ -15,42 +15,40 @@ important for robustness, unlike LRU-K's absolute-age representation.
 Storage is an *arena*: every tracked object owns one row of a dense
 ``(capacity, n_gaps + 1)`` float64 slab of request times, plus parallel
 ``seen`` (requests recorded — ring head and fill level both derive from
-it) and ``last_cost`` vectors.  The object → row map is in LRU order
-**iff the tracker was built capped** (``max_objects``) — only the
-cap's eviction reads recency — and evicted rows go on a free list for
-recycling, so memory stays bounded on adversarial one-touch scans and
-the slab never fragments.  A feature row is one ring read and one
-subtraction over the slab — no per-gap Python loop — and
+it) and ``last_cost`` vectors.  A new object always takes the next row
+and no row is ever freed, so the slab never fragments and the object →
+row map's insertion order is row order.  A feature row is one ring read
+and one subtraction over the slab — no per-gap Python loop — and
 :meth:`FeatureTracker.features_batch` gathers whole request windows,
 given as columns, in one shot for the decision engine, the eviction
 probes and dataset construction.
 
-With the native module (:mod:`repro._native`) the row, the window
-gather and the arena writes are three of its routines.  ``tracker_row``
-fills :meth:`FeatureTracker.features`' row in one call (and, for
-:meth:`FeatureTracker.advance`, records the request after reading it) and
-``tracker_gather`` a probe window's cost and gap columns row by row,
-both by one ring walk — the numpy row and gather below stay as the
-references and the no-compiler path, and each pair is bit-identical
-(subtractions over the same stored floats).  ``tracker_record`` writes a
-*record window*: the decision engine probes each window it replays with
-:meth:`FeatureTracker.features_window`, which keeps the probe's columns
-and arena rows, and request ``i`` of the window counts as recorded once
-the caller's decision list holds more than ``i`` entries.  Nothing is
-called per decision: the decided records not yet written are written —
-new objects given one block of rows, then one ``tracker_record`` call
-over array slices (numpy stores without the module) — before the next
-read.  The invariant is **no read sees an unwritten record**: every
-public reader — ``features``, ``advance``, ``features_batch``,
-``n_tracked``, ``memory_bytes_naive``, ``update`` — writes them first.
-Nothing native is stored on the instance: each call is handed the live
-arena arrays, after any ``_grow``, and checks their shapes and every
-row index itself.
+With the native module (:mod:`repro._native`) the row, the window gather
+and the arena writes are three of its routines.  ``tracker_row`` reads
+one arena row and, given a row to record into, stores the request there
+(:meth:`FeatureTracker.features` and :meth:`FeatureTracker.advance` are
+one call each), and ``tracker_gather`` fills a probe window's cost and
+gap columns row by row, both by one ring walk — the numpy row and gather
+below stay as the references and the no-compiler path, and each pair is
+bit-identical (subtractions over the same stored floats).
+``tracker_record`` writes a *record window*: the decision engine probes
+each window it replays with :meth:`FeatureTracker.features_window`,
+which keeps the probe's columns and arena rows, and request ``i`` of the
+window counts as recorded once the caller's decision list holds more
+than ``i`` entries.  Nothing is called per decision: the decided records
+not yet written are written — new objects given one block of rows by the
+allocator ``update`` and ``advance`` use for one, then one
+``tracker_record`` call over array slices (numpy stores without the
+module) — before the next read.  The invariant is **no read sees an
+unwritten record**: every public reader — ``features``, ``advance``,
+``features_batch``, ``n_tracked``, ``memory_bytes_naive``, ``update`` —
+writes them first.  Nothing native is stored on the instance: each call
+is handed the live arena arrays, after any ``_alloc``, and checks their
+shapes and every row index itself.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence, Sized
 from time import perf_counter
 
@@ -66,7 +64,7 @@ __all__ = ["FeatureTracker", "MISSING_GAP", "feature_names"]
 #: learner can separate "long ago" from "never".
 MISSING_GAP = 1e9
 
-#: Arena capacity for unbounded trackers starts here and doubles on demand.
+#: Arena capacity starts here and doubles on demand.
 _INITIAL_CAPACITY = 1024
 
 
@@ -87,33 +85,28 @@ class FeatureTracker:
 
     That pair is the definition of :meth:`advance`, the scalar request
     loops' one call.  The decision engine probes and records a whole
-    window with :meth:`features_window`.
+    window with :meth:`features_window`.  The state is unbounded: every
+    object ever recorded keeps its row.
 
     Attributes:
         n_gaps: number of gap features (the paper uses 50).
-        max_objects: optional LRU bound on tracked objects (0 = unbounded).
     """
 
-    def __init__(self, n_gaps: int = 50, max_objects: int = 0) -> None:
+    def __init__(self, n_gaps: int = 50) -> None:
         if n_gaps <= 0:
             raise ValueError("n_gaps must be positive")
-        if max_objects < 0:
-            raise ValueError("max_objects must be >= 0")
         self.n_gaps = n_gaps
         # One extra slot so gap_1 (now - last request) plus n_gaps-1
         # historical gaps are all available.
         self._n_slots = n_gaps + 1
-        self._max_objects = max_objects
-        capacity = max_objects if max_objects else _INITIAL_CAPACITY
+        capacity = _INITIAL_CAPACITY
         self._times = np.zeros((capacity, self._n_slots), dtype=np.float64)
         self._last_cost = np.zeros(capacity, dtype=np.float64)
         #: requests recorded per row: the ring head is ``seen % n_slots``,
         #: the fill level ``min(seen, n_slots)``.
         self._seen = np.zeros(capacity, dtype=np.int64)
-        #: object id → arena row, in LRU order (oldest first) iff capped.
-        self._rows: OrderedDict[int, int] = OrderedDict()
-        #: rows released by cap eviction, recycled before slab growth.
-        self._free: list[int] = []
+        #: object id → arena row, in row order.
+        self._rows: dict[int, int] = {}
         self._next_row = 0
         #: The open record window, ``(objs, times, costs, rows,
         #: decided)`` (:meth:`features_window`), or None; its first
@@ -141,12 +134,6 @@ class FeatureTracker:
         return 3 + self.n_gaps
 
     @property
-    def max_objects(self) -> int:
-        """LRU bound on tracked objects (0 = unbounded), fixed at
-        construction: ``_rows`` is in LRU order iff it is set."""
-        return self._max_objects
-
-    @property
     def n_tracked(self) -> int:
         """Number of objects with live state."""
         if self._window is not None:
@@ -155,9 +142,17 @@ class FeatureTracker:
 
     # -- arena bookkeeping --------------------------------------------------
 
-    def _grow(self) -> None:
-        capacity = len(self._seen)
-        new_capacity = capacity * 2
+    def _alloc(self, n: int) -> int:
+        """Hand out the next ``n`` rows (never handed out: all zeros) and
+        return the first.  A full arena grows once, to the capacity that
+        doubling row by row would reach."""
+        first = self._next_row
+        self._next_row = end = first + n
+        capacity = new_capacity = len(self._seen)
+        if end <= capacity:
+            return first
+        while new_capacity < end:
+            new_capacity *= 2
         times = np.zeros((new_capacity, self._n_slots), dtype=np.float64)
         times[:capacity] = self._times
         self._times = times
@@ -165,20 +160,7 @@ class FeatureTracker:
         self._last_cost[capacity:] = 0.0
         self._seen = np.resize(self._seen, new_capacity)
         self._seen[capacity:] = 0
-
-    def _alloc_row(self) -> int:
-        if self._free:
-            row = self._free.pop()
-            # Stale times are invisible while nothing is recorded, the
-            # stale cost until the first record overwrites it.
-            self._seen[row] = 0
-        else:
-            # A row never handed out is still all zeros.
-            if self._next_row >= len(self._seen):
-                self._grow()
-            row = self._next_row
-            self._next_row += 1
-        return row
+        return first
 
     # -- extraction ---------------------------------------------------------
 
@@ -191,22 +173,14 @@ class FeatureTracker:
         When a :class:`repro.obs.MetricsRegistry` is active, the
         extraction latency is observed into the
         ``features.extract_seconds`` histogram; with the default
-        ``NullRegistry`` the only overhead is one attribute check.
+        ``NullRegistry`` the only overhead is an attribute check.
         """
-        registry = get_registry()
-        if not registry.enabled:
-            return self._row(
-                request.obj, request.time, request.size, request.cost,
-                free_bytes,
-            )
-        if registry is not self._obs_registry:
-            self._bind_instruments(registry)
-        started = perf_counter()
-        vec = self._row(
-            request.obj, request.time, request.size, request.cost, free_bytes
+        if self._window is not None:
+            self._flush()
+        return self._row(
+            self._rows.get(request.obj, -1), -1, request.time, request.size,
+            request.cost, free_bytes,
         )
-        self._obs_hist.observe(perf_counter() - started)
-        return vec
 
     def _bind_instruments(self, registry) -> None:
         self._obs_registry = registry
@@ -216,36 +190,40 @@ class FeatureTracker:
         )
         self._obs_batch_rows = registry.histogram("features.batch_rows")
 
-    def _row(
-        self, obj: int, time: float, size: int, cost: float, free_bytes
-    ) -> np.ndarray:
-        """One feature row: one ``tracker_row`` call, or :meth:`_extract`
-        without the native module."""
+    def _row(self, row, record, time, size, cost, free_bytes) -> np.ndarray:
+        """The feature row of arena row ``row`` (-1 = unseen), then, when
+        ``record >= 0``, the request stored in row ``record``: one
+        ``tracker_row`` call, or :meth:`_extract` then :meth:`_store`
+        without the native module.  An active registry observes it."""
+        registry = get_registry()
+        if registry.enabled:
+            if registry is not self._obs_registry:
+                self._bind_instruments(registry)
+            started = perf_counter()
         native = _native.load()
         if native is None:
-            return self._extract(obj, time, size, cost, free_bytes)
-        if self._window is not None:
-            self._flush()
-        vec = np.empty(self._n_slots + 2, dtype=np.float64)
-        native.tracker_row(
-            vec, self._times, self._seen, self._last_cost,
-            self._rows.get(obj, -1), -1, time, size, cost, free_bytes,
-            MISSING_GAP,
-        )
+            vec = self._extract(row, time, size, cost, free_bytes)
+            if record >= 0:
+                self._store(record, time, cost)
+        else:
+            vec = np.empty(self._n_slots + 2, dtype=np.float64)
+            native.tracker_row(
+                vec, self._times, self._seen, self._last_cost, row, record,
+                time, size, cost, free_bytes, MISSING_GAP,
+            )
+        if registry.enabled:
+            self._obs_hist.observe(perf_counter() - started)
         return vec
 
     def _extract(
-        self, obj: int, time: float, size: int, cost: float, free_bytes
+        self, row: int, time: float, size: int, cost: float, free_bytes
     ) -> np.ndarray:
-        """One feature row in numpy: the reference for ``tracker_row``
-        and the no-compiler path."""
-        if self._window is not None:
-            self._flush()
+        """Arena row ``row``'s feature row (-1 = unseen) in numpy: the
+        reference for ``tracker_row`` and the no-compiler path."""
         vec = np.empty(3 + self.n_gaps, dtype=np.float64)
         vec[0] = size
         vec[2] = free_bytes
-        row = self._rows.get(obj)
-        if row is None:
+        if row < 0:
             vec[1] = cost
             vec[3:] = MISSING_GAP
         else:
@@ -290,10 +268,7 @@ class FeatureTracker:
             ``times[p]`` and ``costs[p]``, the next extraction computes
             gap_1 as this very subtraction and every older gap from the
             same pair of stored floats row ``p`` was computed from, and
-            the ``MISSING_GAP`` padding moves along.  What a probe cannot
-            foresee is the ``max_objects`` cap evicting an object
-            mid-window: its rows agree with the loop's up to the first
-            cap eviction.
+            the ``MISSING_GAP`` padding moves along.
 
         Raises:
             ValueError: the columns differ in length, or the object →
@@ -425,34 +400,26 @@ class FeatureTracker:
         its definition, bit for bit: the row reads the state before the
         request is recorded.
 
-        With the native module it is one ``tracker_row`` call that reads
-        the row and then makes the record's stores.  Python keeps the
-        map and does :meth:`update`'s bookkeeping first: a new object
-        gets its row (growing the arena if needed; the row is still read
-        as unseen), and on a capped tracker a known object moves to the
-        recent end.  Without the module, or while a registry is active
-        (it observes the extraction), it makes the two calls.
+        A new object is mapped to its row first (growing the arena if
+        needed; the row is still read as unseen), then one :meth:`_row`
+        reads the old row and records into the mapped one.  The native,
+        unobserved case is that ``tracker_row`` call, made here.
         """
         if self._window is not None:
             self._flush()
-        native = _native.load()
-        if native is None or get_registry().enabled:
-            vec = self.features(request, free_bytes)
-            self.update(request.obj, request.time, request.cost)
-            return vec
         obj = request.obj
         rows = self._rows
-        row = rows.get(obj, -1)
-        record = row
-        cap = self._max_objects
+        row = record = rows.get(obj, -1)
         if row < 0:
-            if cap and len(rows) >= cap:
-                self._free.append(rows.popitem(last=False)[1])
-            record = rows[obj] = self._alloc_row()
-        elif cap:
-            rows.move_to_end(obj)
+            record = rows[obj] = self._alloc(1)
+        native = _native.load()
+        if native is None or get_registry().enabled:
+            return self._row(
+                row, record, request.time, request.size, request.cost,
+                free_bytes,
+            )
         vec = np.empty(self._n_slots + 2)
-        # After ``_alloc_row``: it may have grown the arena.
+        # After ``_alloc``: it may have grown the arena.
         native.tracker_row(
             vec, self._times, self._seen, self._last_cost, row, record,
             request.time, request.size, request.cost, free_bytes, MISSING_GAP,
@@ -461,26 +428,18 @@ class FeatureTracker:
 
     def update(self, obj: int, time: float, cost: float) -> None:
         """Record one request in the object's history — as scalars, the
-        three values a record stores.  On a capped tracker a known object
-        moves to the recent end, and a new object past the cap first
-        drops the least recently recorded one, whose row it then takes.
+        three values a record stores.  A new object takes the next row.
         """
         if self._window is not None:
             self._flush()
-        rows = self._rows
-        row = rows.get(obj)
-        cap = self._max_objects
+        row = self._rows.get(obj)
         if row is None:
-            if cap and len(rows) >= cap:
-                self._free.append(rows.popitem(last=False)[1])
-            row = rows[obj] = self._alloc_row()
-        elif cap:
-            rows.move_to_end(obj)
+            row = self._rows[obj] = self._alloc(1)
         self._store(row, time, cost)
 
     def _store(self, row: int, time: float, cost: float) -> None:
         """One record's three stores, in numpy: the reference for
-        ``tracker_record``."""
+        ``tracker_record`` and ``tracker_row``'s record."""
         seen = self._seen.item(row)
         self._times[row, seen % self._n_slots] = time
         self._seen[row] = seen + 1
@@ -496,28 +455,18 @@ class FeatureTracker:
         self._written = end
         if start == end:
             return
-        if self._max_objects:
-            # The cap keeps recency and recycles rows: record by record
-            # (``update`` finds nothing left to write first).
-            for i in range(start, end):
-                self.update(objs[i], times[i], costs[i])
-            return
         rows = rows[start:end]
         unseen = np.flatnonzero(rows < 0)
         if len(unseen):
             # Objects the probe did not know.  An earlier write or an
             # ``update`` may have mapped one since; the others get one
-            # block of rows in first-occurrence order (uncapped: no row
-            # is ever freed, so the block is where ``_alloc_row`` would
-            # have put them one by one).
+            # block of rows in first-occurrence order, where ``update``
+            # would have put them one by one.
             tracked = self._rows
             names = [objs[i] for i in (unseen + start).tolist()]
             new = [obj for obj in dict.fromkeys(names) if obj not in tracked]
             if new:
-                first = self._next_row
-                self._next_row += len(new)
-                while self._next_row > len(self._seen):
-                    self._grow()
+                first = self._alloc(len(new))
                 tracked.update(zip(new, range(first, self._next_row)))
             rows[unseen] = [tracked[obj] for obj in names]
         if not _native.all_below(rows, len(self._seen)):

@@ -25,6 +25,19 @@ def python_fallback(monkeypatch):
     monkeypatch.setattr(_native, "_state", False)
 
 
+def small_tracker(n_gaps, capacity=2):
+    """A feature tracker whose arena starts at ``capacity`` rows, so that
+    a handful of objects doubles it several times."""
+    from repro.features import FeatureTracker, tracker
+
+    initial = tracker._INITIAL_CAPACITY
+    tracker._INITIAL_CAPACITY = capacity
+    try:
+        return FeatureTracker(n_gaps=n_gaps)
+    finally:
+        tracker._INITIAL_CAPACITY = initial
+
+
 @pytest.fixture
 def paper_trace() -> Trace:
     """The exact example trace of the paper's Figure 3.

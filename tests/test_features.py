@@ -1,7 +1,5 @@
 """Tests for the online feature tracker and dataset assembly."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,47 +92,13 @@ class TestFeatureTracker:
         vec = tracker.features(Request(5.0, 2, 20), free_bytes=0)
         assert (vec[3:] == MISSING_GAP).all()
 
-    def test_max_objects_evicts_lru_state(self):
-        tracker = FeatureTracker(n_gaps=2, max_objects=2)
-        record(tracker, Request(0.0, 1, 10))
-        record(tracker, Request(1.0, 2, 10))
-        record(tracker, Request(2.0, 3, 10))
-        assert tracker.n_tracked == 2
-        vec = tracker.features(Request(3.0, 1, 10), free_bytes=0)
-        assert (vec[3:] == MISSING_GAP).all()  # object 1 was forgotten
-
-    @given(
-        st.integers(1, 6),
-        st.lists(st.integers(0, 9) | st.just(0), min_size=1, max_size=200),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_capped_tracker_evicts_in_exact_lru_order(self, cap, objs):
-        """Against an ``OrderedDict`` model, hits interleaved: the same
-        victim at the same request, the same recency order after each."""
-        tracker = FeatureTracker(n_gaps=2, max_objects=cap)
-        model = OrderedDict()
-        for t, obj in enumerate(objs):
-            tracker.update(obj, float(t), 1.0)
-            model[obj] = None
-            model.move_to_end(obj)
-            if len(model) > cap:
-                model.popitem(last=False)
-            assert tracker.n_tracked == len(model)
-            assert list(tracker._rows) == list(model)
-
     def test_uncapped_tracker_keeps_no_recency(self):
-        """``_rows`` is in LRU order iff capped: nothing reads the order
-        of an uncapped tracker, so a hit does not pay for it."""
+        """``_rows`` keeps first-request order: nothing reads recency, so
+        a hit does not pay for it."""
         tracker = FeatureTracker(n_gaps=2)
         for t, obj in enumerate([1, 2, 3, 1, 2, 1]):
             tracker.update(obj, float(t), 1.0)
         assert list(tracker._rows) == [1, 2, 3]
-
-    def test_cap_is_fixed_at_construction(self):
-        tracker = FeatureTracker(n_gaps=2, max_objects=2)
-        with pytest.raises(AttributeError):
-            tracker.max_objects = 0
-        assert tracker.max_objects == 2
 
     def test_memory_accounting_positive(self):
         tracker = FeatureTracker(n_gaps=50)
@@ -145,8 +109,6 @@ class TestFeatureTracker:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             FeatureTracker(n_gaps=0)
-        with pytest.raises(ValueError):
-            FeatureTracker(max_objects=-1)
 
     @given(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=80))
     @settings(max_examples=30, deadline=None)

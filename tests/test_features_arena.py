@@ -1,11 +1,12 @@
 """Equivalence tests for the arena-backed feature tracker.
 
-The arena rewrite (dense time slab + free-list row recycling) must be
+The arena (a dense time slab, one row per object ever recorded) must be
 observationally identical to the straightforward per-object bookkeeping
 it replaced.  A minimal reference implementation lives here, and the
-tests drive both through randomised request streams — including LRU-cap
-churn that forces row recycling, and slab growth — and demand
-bit-identical feature vectors throughout.
+tests drive both through randomised request streams — churn over many
+objects and slab growth — and demand bit-identical feature vectors
+throughout; every record path (``advance``, ``update``, a window's
+deferred write) on both backends must leave the same arena.
 """
 
 import copy
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 from repro import _native
 from repro.features import MISSING_GAP, FeatureTracker
 from repro.features import tracker as tracker_module
+from repro.obs import MetricsRegistry, use_registry
 from repro.trace import Request, Trace
+from tests.conftest import small_tracker
 
 
 def record(tracker, request: Request) -> None:
@@ -39,10 +42,9 @@ def columns(requests):
 class ReferenceTracker:
     """The pre-arena semantics: one ring buffer per tracked object."""
 
-    def __init__(self, n_gaps: int, max_objects: int = 0) -> None:
+    def __init__(self, n_gaps: int) -> None:
         self.n_gaps = n_gaps
-        self.max_objects = max_objects
-        self.state: dict[int, dict] = {}  # insertion order = LRU order
+        self.state: dict[int, dict] = {}  # insertion order = first request
 
     def features(self, request: Request, free_bytes) -> np.ndarray:
         vec = np.empty(3 + self.n_gaps)
@@ -63,15 +65,9 @@ class ReferenceTracker:
         return vec
 
     def update(self, request: Request) -> None:
-        st = self.state.pop(request.obj, None)
-        if st is None:
-            st = {"times": [], "cost": 0.0}
+        st = self.state.setdefault(request.obj, {"times": [], "cost": 0.0})
         st["times"] = ([request.time] + st["times"])[: self.n_gaps + 1]
         st["cost"] = request.cost
-        self.state[request.obj] = st
-        if self.max_objects and len(self.state) > self.max_objects:
-            oldest = next(iter(self.state))
-            del self.state[oldest]
 
 
 def request_stream(n, n_objects, seed):
@@ -84,13 +80,11 @@ def request_stream(n, n_objects, seed):
         yield Request(t, obj, size, float(rng.uniform(0.5, 20.0))), rng
 
 
-@pytest.mark.parametrize(
-    "max_objects,n_gaps", [(0, 50), (16, 50), (5, 7), (0, 3)]
-)
-def test_bit_identical_to_reference_under_churn(max_objects, n_gaps):
-    tracker = FeatureTracker(n_gaps=n_gaps, max_objects=max_objects)
-    reference = ReferenceTracker(n_gaps=n_gaps, max_objects=max_objects)
-    rng = np.random.default_rng(max_objects * 101 + n_gaps)
+@pytest.mark.parametrize("n_gaps", [50, 3])
+def test_bit_identical_to_reference_under_churn(n_gaps):
+    tracker = FeatureTracker(n_gaps=n_gaps)
+    reference = ReferenceTracker(n_gaps=n_gaps)
+    rng = np.random.default_rng(n_gaps)
     t = 0.0
     for i in range(4000):
         t += float(rng.exponential(1.0))
@@ -122,21 +116,9 @@ def test_slab_growth_preserves_state(monkeypatch):
     assert tracker.n_tracked == 37
 
 
-def test_recycled_rows_start_clean():
-    """A row freed by the LRU cap must not leak its history to the next
-    object allocated into it."""
-    tracker = FeatureTracker(n_gaps=3, max_objects=1)
-    for t in range(5):
-        record(tracker, Request(float(t), 1, 10))
-    record(tracker, Request(5.0, 2, 10))  # evicts object 1, recycles its row
-    vec = tracker.features(Request(6.0, 2, 10), free_bytes=0)
-    assert vec[3] == 1.0
-    assert (vec[4:] == MISSING_GAP).all()
-
-
 class TestFeaturesBatch:
-    def _warm(self, n_gaps=5, max_objects=0, seed=11, n=500):
-        tracker = FeatureTracker(n_gaps=n_gaps, max_objects=max_objects)
+    def _warm(self, n_gaps=5, seed=11, n=500):
+        tracker = FeatureTracker(n_gaps=n_gaps)
         rng = np.random.default_rng(seed)
         t = 0.0
         for _ in range(n):
@@ -201,11 +183,11 @@ _event = st.tuples(
 
 
 @st.composite
-def warm_tracker_and_window(draw, max_objects=st.just(0)):
+def warm_tracker_and_window(draw):
     """A tracker warmed by a features/update loop (so object 0 usually
     holds ``n_gaps + 1`` recorded times) and the window that follows."""
     n_gaps = draw(st.integers(1, 5))
-    tracker = FeatureTracker(n_gaps=n_gaps, max_objects=draw(max_objects))
+    tracker = FeatureTracker(n_gaps=n_gaps)
     now, window = 0.0, []
     for obj, gap, _size, cost in draw(st.lists(_event, max_size=60)):
         now += gap
@@ -222,24 +204,17 @@ def _state(tracker):
     return (
         tracker._times.copy(), tracker._seen.copy(),
         tracker._last_cost.copy(), list(tracker._rows.items()),
-        list(tracker._free), tracker._next_row,
+        tracker._next_row,
     )
 
 
 def _loop_rows(tracker, window, free):
-    """Rows of a features/update loop, and the index of the row whose
-    ``update`` performed the first cap eviction (``len(window)`` = none):
-    the first that records a new object into a full capped tracker."""
-    rows, first_eviction = [], len(window)
-    for i, request in enumerate(window):
+    """Rows of a features/update loop over ``window``."""
+    rows = []
+    for request in window:
         rows.append(tracker.features(request, free))
-        full = tracker.max_objects and (
-            tracker.n_tracked == tracker.max_objects
-        )
-        if full and request.obj not in tracker._rows:
-            first_eviction = min(first_eviction, i)
         record(tracker, request)
-    return np.array(rows), first_eviction
+    return np.array(rows)
 
 
 HOT_WINDOW = [Request(float(t // 3), t % 2, 10 + t % 7, 0.0) for t in range(300)]
@@ -253,24 +228,9 @@ def test_probe_rows_are_the_loops_rows_bitwise(case):
     before = _state(tracker)
     X = tracker.features_batch(*columns(window), 4242)
     for was, now in zip(before, _state(tracker)):
-        assert np.array_equal(was, now)  # arena, LRU order
-    want, _ = _loop_rows(copy.deepcopy(tracker), window, 4242)
+        assert np.array_equal(was, now)  # arena, object map
+    want = _loop_rows(copy.deepcopy(tracker), window, 4242)
     assert np.array_equal(X, want)  # bitwise: no allclose anywhere
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(warm_tracker_and_window(max_objects=st.integers(1, 4)))
-@example((FeatureTracker(n_gaps=3, max_objects=1), HOT_WINDOW))
-def test_capped_probe_agrees_up_to_the_first_cap_eviction(case):
-    """What the probe cannot know is exactly the cap: rows up to and
-    including the one whose ``update`` first evicts are the loop's."""
-    tracker, window = case
-    before = _state(tracker)
-    X = tracker.features_batch(*columns(window), 0)
-    for was, now in zip(before, _state(tracker)):
-        assert np.array_equal(was, now)
-    want, first_eviction = _loop_rows(copy.deepcopy(tracker), window, 0)
-    assert np.array_equal(X[: first_eviction + 1], want[: first_eviction + 1])
 
 
 def test_one_counter_is_head_and_count(monkeypatch):
@@ -322,17 +282,6 @@ def backend(name):
         yield
     finally:
         _native._state = state
-
-
-def small_tracker(n_gaps, capacity=2):
-    """A tracker whose arena starts at ``capacity`` rows, so that a
-    handful of objects doubles it several times."""
-    initial = tracker_module._INITIAL_CAPACITY
-    tracker_module._INITIAL_CAPACITY = capacity
-    try:
-        return FeatureTracker(n_gaps=n_gaps)
-    finally:
-        tracker_module._INITIAL_CAPACITY = initial
 
 
 def _arena(tracker):
@@ -400,7 +349,7 @@ def test_native_gather_is_the_numpy_gather_is_the_loop(native, case):
     for was, now in zip(before, _state(tracker)):
         assert np.array_equal(was, now)
     assert got.tobytes() == reference.tobytes()
-    want, _ = _loop_rows(tracker, window, 4242)
+    want = _loop_rows(tracker, window, 4242)
     assert got.tobytes() == want.tobytes()
 
 
@@ -535,25 +484,6 @@ def test_records_deferred_elsewhere_are_written_without_the_module(native):
         _assert_same_arena(shipped, immediate)
 
 
-def test_a_capped_tracker_writes_its_window_through_the_cap():
-    """The cap keeps recency and recycles rows, so a capped tracker
-    writes a window record by record, as ``update`` would have."""
-    requests = [
-        Request(float(t), obj, 10, 1.0) for t, obj in enumerate([1, 2, 1, 3])
-    ]
-    for name in _backends():
-        with backend(name):
-            windowed = FeatureTracker(n_gaps=2, max_objects=2)
-            immediate = FeatureTracker(n_gaps=2, max_objects=2)
-            decided, _ = open_window(windowed, requests)
-            for request in requests:
-                decided.append(True)
-                record(immediate, request)
-            _assert_same_arena(windowed, immediate)
-        assert list(windowed._rows) == [1, 3] and windowed.n_tracked == 2
-        assert len(windowed._seen) == 2
-
-
 def test_no_module_writes_the_window_with_numpy_stores(python_fallback):
     tracker = FeatureTracker(n_gaps=2)
     decided, _ = open_window(tracker, [Request(0.0, 1, 10, 1.0)] * 2)
@@ -673,7 +603,8 @@ def _check_rows_against_reference(name, n_gaps, ops):
     """Apply ``ops`` — each one record window, decided whole, so that a
     burst wraps rings inside one write — and compare every object's row,
     and an unseen object's, as the backend makes it (``tracker_row``, or
-    ``_extract`` on numpy) with the reference after each op."""
+    ``_extract`` on numpy, from the object's arena row) with the
+    reference after each op."""
     with backend(name):
         tracker = small_tracker(n_gaps)
         now = 0.0
@@ -689,10 +620,11 @@ def _check_rows_against_reference(name, n_gaps, ops):
                 window = [Request(now, obj, 10, cost)]
             decided, _ = open_window(tracker, window)
             decided.extend([True] * len(window))
+            tracker.n_tracked  # decided records first, as every reader
             for obj in (*range(10), 99):
-                probe = (obj, now + 0.25, 7, 1.5, 1234)
-                got = tracker._row(*probe)
-                want = reference_extract(tracker, *probe)
+                probe = (now + 0.25, 7, 1.5, 1234)
+                got = tracker._row(tracker._rows.get(obj, -1), -1, *probe)
+                want = reference_extract(tracker, obj, *probe)
                 assert got.tobytes() == want.tobytes(), (obj, got, want)
         seen = tracker._seen[tracker._rows[0]] if 0 in tracker._rows else 0
     return int(seen)
@@ -830,62 +762,35 @@ def test_advance_writes_pending_records_first(name, window):
 
 
 @both_backends
-def test_advance_on_a_capped_tracker(name):
-    """The cap's bookkeeping stays in Python: a known object moves to the
-    recent end, and a new one past the cap first drops the oldest, then
-    takes its row."""
-    _available(name)
-    tracker = FeatureTracker(n_gaps=2, max_objects=3)
-    requests = [Request(float(t), obj, 10, 1.0 + t)
-                for t, obj in enumerate([1, 2, 3, 1, 4, 1, 5, 5, 2])]
-    _advance_is_the_loop(name, tracker, requests[:5])
-    # 1 was re-requested, so 4 dropped 2 and took its row 1, not 1's.
-    assert list(tracker._rows) == [3, 1, 4] and tracker._rows[4] == 1
-    _advance_is_the_loop(name, tracker, requests[5:7])
-    # 5 dropped 3 and took its row 2.
-    assert list(tracker._rows) == [4, 1, 5] and tracker._rows[5] == 2
-    _advance_is_the_loop(name, tracker, requests[7:])
-    assert tracker._rows[2] == 1 and tracker._seen[1] == 1
-    assert len(tracker._seen) == 3 and not tracker._free
-
-
-@both_backends
-@pytest.mark.parametrize("call", ["update", "advance"])
-def test_a_capped_arena_never_outgrows_the_cap(name, call):
-    """A new object past the cap takes the row of the oldest, dropped
-    first: after 5 000 distinct objects a 1 000-object tracker still
-    holds a 1 000-row slab."""
-    _available(name)
-    tracker = FeatureTracker(n_gaps=50, max_objects=1000)
-    with backend(name):
-        for obj in range(5000):
-            request = Request(float(obj), obj, 10, 1.0)
-            if call == "update":
-                record(tracker, request)
-            else:
-                tracker.advance(request, 0)
-    assert tracker._times.shape == (1000, 51) and len(tracker._seen) == 1000
-    assert list(tracker._rows) == list(range(4000, 5000))
-    assert tracker._next_row == 1000 and not tracker._free
-
-
-@both_backends
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(
-    st.integers(1, 3),
-    st.sampled_from([0, 0, 1, 3]),
-    st.lists(_event, min_size=1, max_size=120),
-)
-def test_advance_is_features_then_update(name, n_gaps, cap, events):
-    """Random streams, with and without a cap, from an arena of two rows
-    (uncapped) that grows several times."""
+@given(st.integers(1, 3), st.lists(_event, min_size=1, max_size=120))
+def test_advance_is_features_then_update(name, n_gaps, events):
+    """Random streams from an arena of two rows that grows several
+    times."""
     _available(name)
-    if cap:
-        tracker = FeatureTracker(n_gaps=n_gaps, max_objects=cap)
-    else:
-        tracker = small_tracker(n_gaps)
+    tracker = small_tracker(n_gaps)
     now, requests = 0.0, []
     for obj, gap, size, cost in events:
         now += gap
         requests.append(Request(now, obj, size, cost))
     _advance_is_the_loop(name, tracker, requests)
+
+
+@both_backends
+def test_an_observed_advance_is_the_unobserved_one(name):
+    """Under an active registry ``advance`` takes the same row routine:
+    the same row bytes and the same arena as with the registry off, and
+    one ``features.extract_seconds`` sample per call."""
+    _available(name)
+    requests = [Request(float(t), t % 7, 10, 1.0 + t % 3) for t in range(40)]
+    plain, observed = small_tracker(2), small_tracker(2)
+    registry = MetricsRegistry()
+    with backend(name):
+        for i, request in enumerate(requests, start=1):
+            want = plain.advance(request, 4242)
+            with use_registry(registry):
+                got = observed.advance(request, 4242)
+            assert got.tobytes() == want.tobytes(), i
+            samples = registry.histogram("features.extract_seconds").count
+            assert samples == i
+            _assert_same_arena(observed, plain)

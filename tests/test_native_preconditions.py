@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro import _native
-from repro.features import FeatureTracker
 from repro.flow import solve_min_cost_flow
 from repro.gbdt import (
     BinMapper,
@@ -33,6 +32,7 @@ from repro.gbdt import (
 )
 from repro.gbdt.compiled import _NODE_DTYPE
 from repro.gbdt.losses import sigmoid
+from tests.conftest import small_tracker
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def _grow_tree(_):
 
 def _tracker():
     """A tracker of capacity 4 holding objects 7 (three requests) and 8."""
-    tracker = FeatureTracker(n_gaps=3, max_objects=4)
+    tracker = small_tracker(3, capacity=4)
     for time, obj in enumerate([7, 8, 7, 7]):
         tracker.update(obj, float(time), 1.0 + time)
     return tracker
