@@ -63,7 +63,7 @@ def run_adaptation():
         if isinstance(policy, LFOOnline):
             policy.finish_training()
             policy.close()
-            training[name] = dict(policy.training_stats)
+            training[name] = policy.trainer.training_stats
     return series, training
 
 

@@ -112,7 +112,7 @@ def run_request_path_stall():
         boundary = latencies[
             np.arange(len(trace)) % STALL_WINDOW == STALL_WINDOW - 1
         ]
-        stats[mode] = (latencies, boundary, dict(policy.training_stats))
+        stats[mode] = (latencies, boundary, policy.trainer.training_stats)
     return stats
 
 

@@ -27,8 +27,11 @@ resilience knobs ``--fault-plan``, ``--staleness-limit`` and
 ``--tolerant-trace`` (skip-and-count malformed lines); see
 docs/robustness.md for the operations runbook.  ``serve`` runs online
 LFO under windowed telemetry and an SLO verdict (drift detectors included);
-with ``--trainer inline`` it makes exactly the decisions ``simulate``
-makes.
+with ``--trainer inline`` the trainer is inline (``background=False``; a
+fault plan's ``trainer.submit`` hang parks a job until
+``--train-deadline`` cancels it), so the in-process loop makes exactly
+the decisions ``simulate`` makes and ``--shards N`` hands each model over
+at its window's edge.
 """
 
 from __future__ import annotations
@@ -306,7 +309,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .core import LabelFitJob, LFOOnline, WindowTrainer
     from .obs import SloSpec
-    from .resilience import SimulatedTrainerExecutor
     from .serve import (
         ServeConfig,
         ServingLoop,
@@ -346,14 +348,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             + (f", {args.shards} shard processes"
                if args.shards > 1 else "")
         )
-        executor = (
-            SimulatedTrainerExecutor()
-            if args.trainer == "inline"
-            else None  # the trainer owns a background thread
-        )
         supervision = dict(
-            background=True,
-            executor=executor,
+            background=args.trainer == "thread",
             train_deadline=args.train_deadline,
             staleness_limit=args.staleness_limit,
             retry_backoff=args.retry_backoff,
@@ -416,18 +412,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "telemetry flushed"
             )
         finally:
-            if executor is not None:
-                # End of drill: un-park any fault-plan-hung training
-                # job so close() can drain it instead of waiting on a
-                # future that will never complete.
-                executor.release_hung()
             trainer.close()
             if cluster is not None:
                 # Drain-then-flush: stop the shards and fold their last
                 # replies' telemetry (also the SIGINT path).
                 cluster.close()
-            if executor is not None:
-                executor.shutdown(cancel_futures=True)
     verdict = {
         "ok": engine.ok and report.dropped == 0,
         "interrupted": interrupted,

@@ -7,17 +7,19 @@ cache, while the control plane — one bare
 :class:`repro.core.WindowTrainer` in the router process, no cache and no
 feature tracker behind it — keeps the paper's Figure-2 loop intact:
 
-1. shards serve each routed batch and fill, through
+1. the scorer cuts each batch at the training-window edge, as
+   ``BatchScorer`` does, and polls the trainer once per request of a
+   part before dispatching it;
+2. shards serve each routed part and fill, through
    ``CacheCluster.process(requests, rows)``, the *live* feature rows the
-   requests were scored with;
-2. the scorer polls the trainer once per request and feeds those rows,
-   in request order and in blocks cut at the window edge, into its
-   window buffer (``record`` — as ``BatchScorer`` does through its
-   policy), so training sees exactly what the shards served;
-3. when a window closes, the trainer installs the fresh model by
-   publishing it to the cluster (its ``install`` is
+   requests were scored with, and the scorer records them in the
+   trainer's window buffer (``record``), so training sees exactly what
+   the shards served;
+3. the ``record`` that closes a window has the trainer install the fresh
+   model by publishing it to the cluster (its ``install`` is
    :meth:`CacheCluster.publish`) — and every shard warm-hands-off to the
-   new generation at its next batch, which carries the model.
+   new generation at its next batch, which carries the model: with an
+   inline trainer, the part right after the window's edge.
 
 The scorer exposes the two members the serving loop consumes —
 ``process(requests) -> hits`` and ``n_handoffs``; the loop counts the
@@ -73,27 +75,27 @@ class ClusterScorer:
     def process(self, requests: Sequence[Request]) -> list[bool]:
         """Route one batch through the cluster; per-request hits in order.
 
-        The shards fill one feature row per request, so the trainer is
-        fed in exactly the order the requests were served, one block per
-        window the batch touches.
+        One cluster round per part of the batch cut at the window edge;
+        a part dispatched under a generation no earlier part was is one
+        handoff, so a model counts once it serves.
         """
-        rows = np.empty((len(requests), self._width))
-        began = perf_counter()
-        hits = self.cluster.process(requests, rows)
-        elapsed = perf_counter() - began
         trainer = self.trainer
+        rows = np.empty((len(requests), self._width))
+        hits: list[bool] = []
         start = 0
         while start < len(requests):
             end = min(start + trainer.remaining, len(requests))
             for _ in range(start, end):
                 trainer.poll()
+            generation = self.cluster.generation
+            if generation != self._generation:
+                self._generation = generation
+                self.n_handoffs += 1
+            began = perf_counter()
+            hits += self.cluster.process(requests[start:end], rows[start:end])
+            self._latency_hist.observe_batch(
+                np.full(end - start, (perf_counter() - began) / (end - start))
+            )
             trainer.record(requests[start:end], rows[start:end])
             start = end
-        generation = self.cluster.generation
-        self.n_handoffs += generation - self._generation
-        self._generation = generation
-        if requests:
-            self._latency_hist.observe_batch(
-                np.full(len(requests), elapsed / len(requests))
-            )
         return hits

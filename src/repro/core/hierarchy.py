@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cache.ranked import RankedHeap
-from ..features import Dataset, FeatureTracker, feature_names
-from ..gbdt import GBDTParams
+from ..features import FeatureTracker
+from ..gbdt import GBDTClassifier, GBDTParams
 from ..trace import Request, Trace
 from .lfo import LFOModel
 from .online import OptLabelConfig
@@ -268,7 +268,8 @@ class TieredFitJob:
     min_positive_labels: int
 
     def __call__(
-        self, requests: list[Request], features: np.ndarray, name: str
+        self, requests: list[Request], features: np.ndarray, name: str,
+        deployed: tuple[LFOModel, LFOModel | None] | None,
     ) -> tuple[LFOModel, LFOModel | None] | None:
         window = Trace(requests, name=name)
         admit = self.label_config.compute(window, self.cache_size)
@@ -283,11 +284,8 @@ class TieredFitJob:
         return admission, self._fit(features, place)
 
     def _fit(self, features: np.ndarray, labels: np.ndarray) -> LFOModel:
-        names = feature_names(features.shape[1] - 3)
-        return LFOModel.train(
-            Dataset(features, labels.astype(np.float64), names),
-            params=self.gbdt_params,
-        )
+        classifier = GBDTClassifier(self.gbdt_params).fit(features, labels)
+        return LFOModel(classifier.compiled(), classifier=classifier)
 
 
 @dataclass

@@ -169,7 +169,8 @@ class IRLFitJob:
     min_positive_labels: int
 
     def __call__(
-        self, requests: list[Request], features: np.ndarray, name: str
+        self, requests: list[Request], features: np.ndarray, name: str,
+        deployed: LinearRewardIRL | None,
     ) -> LinearRewardIRL | None:
         labels = self.label_config.compute(
             Trace(requests, name=name), self.cache_size

@@ -109,17 +109,15 @@ class LFOModel:
         dataset: Dataset,
         params: GBDTParams | None = None,
         cutoff: float = 0.5,
-        binning: tuple | None = None,
     ) -> "LFOModel":
         """Train a model on a (features, OPT labels) dataset.
 
         The fitted ensemble is flattened into its
-        :class:`repro.gbdt.CompiledPredictor` here, at training time —
-        in the online pipeline that is the background trainer, so the
-        request path never pays compilation cost.
+        :class:`repro.gbdt.CompiledPredictor` here, at training time, so
+        the request path never pays compilation cost.
         """
         classifier = GBDTClassifier(params or GBDTParams())
-        classifier.fit(dataset.X, dataset.y, binning=binning)
+        classifier.fit(dataset.X, dataset.y)
         return cls(classifier.compiled(), cutoff, classifier)
 
     def likelihood(self, features: np.ndarray) -> np.ndarray:

@@ -30,8 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .._native import start
-from ..features import Dataset, feature_names
-from ..gbdt import GBDTParams
+from ..gbdt import GBDTClassifier, GBDTParams
 from ..gbdt.boosting import bin_matrix
 from ..obs import get_registry
 from ..opt import (
@@ -42,7 +41,7 @@ from ..opt import (
 )
 from ..trace import Request, Trace
 from .lfo import LFOCache, LFOModel, SampledEvictionConfig, error_rates
-from .trainer import WindowTrainer, deployed_model
+from .trainer import WindowTrainer
 
 __all__ = ["LFOOnline", "LabelFitJob", "OptLabelConfig"]
 
@@ -122,7 +121,8 @@ class LabelFitJob:
             raise ValueError("regrow_every must be at least 1")
 
     def __call__(
-        self, requests: list[Request], features: np.ndarray, name: str
+        self, requests: list[Request], features: np.ndarray, name: str,
+        deployed: LFOModel | None,
     ) -> LFOModel | None:
         """Label + fit, under ``online.label_solve`` / ``online.gbdt_fit``
         spans (nested in the trainer's ``online.train_window``); the fit's
@@ -132,8 +132,8 @@ class LabelFitJob:
         is the trainer's window matrix itself, and binning it adds only
         its ``uint8`` bins and column-sized temporaries.
 
-        Between the two, the :data:`~repro.core.trainer.deployed_model`
-        (none on a cold window) scores the rows it served in one batched
+        Between the two, ``deployed``, the model that served the window
+        (None on a cold window), scores the rows it served in one batched
         call (``online.agreement``), published as how often its decisions
         agree with these labels, split into false admits and false
         rejects as in Figure 5a.
@@ -146,7 +146,6 @@ class LabelFitJob:
         window a trainer closes has one width, that of the model it
         deployed: a deployed model of another width fails the job when
         it scores the window."""
-        deployed = deployed_model.get()
         grown = getattr(deployed, "classifier", None)
         refit = grown is not None and deployed.refits + 1 < self.regrow_every
         if not refit:
@@ -173,14 +172,10 @@ class LabelFitJob:
                         classifier.compiled(), self.cutoff, classifier,
                         deployed.refits + 1,
                     )
-            dataset = Dataset(
-                X=features,
-                y=labels.astype(np.float64),
-                names=feature_names(features.shape[1] - 3),
+            classifier = GBDTClassifier(self.gbdt_params).fit(
+                features, labels, binning=binning.result()[0]
             )
-            return LFOModel.train(
-                dataset, self.gbdt_params, self.cutoff, binning=binning.result()[0]
-            )
+            return LFOModel(classifier.compiled(), self.cutoff, classifier)
 
 
 class LFOOnline(LFOCache):
@@ -191,9 +186,9 @@ class LFOOnline(LFOCache):
     buffer and the training supervisor.  ``window`` and the arguments
     from ``background`` on are the trainer's (documented there);
     everything about a training run beyond the members below —
-    ``training_pending``, ``degraded``, ``last_training_seconds``, the
-    ``n_watchdog_*`` / ``n_backoff_*`` / ``n_staleness_*`` counters —
-    is read as ``policy.trainer.<name>``.
+    ``training_stats``, ``resilience_stats``, ``training_pending``,
+    ``degraded``, the ``n_watchdog_*`` / ``n_backoff_*`` /
+    ``n_staleness_*`` counters — is read as ``policy.trainer.<name>``.
 
     Args:
         cache_size: capacity in bytes.
@@ -288,16 +283,6 @@ class LFOOnline(LFOCache):
     def n_failed_retrains(self) -> int:
         """Training jobs that failed (model kept)."""
         return self.trainer.n_failed_retrains
-
-    @property
-    def training_stats(self) -> dict[str, float | int | bool]:
-        """The retraining counters as one dict (surfaced by ``simulate``)."""
-        return self.trainer.training_stats
-
-    @property
-    def resilience_stats(self) -> dict[str, float | int | bool]:
-        """Degradation counters/flags as one dict (``SimResult.resilience``)."""
-        return self.trainer.resilience_stats
 
     def finish_training(self, timeout: float | None = None) -> bool:
         """Wait for an in-flight training job and install its model

@@ -10,17 +10,20 @@ composes one with an :class:`~repro.core.LFOCache`;
 :class:`repro.cluster.ClusterScorer` drives a bare one in the router.
 
 **One road.**  Every closed window becomes ``job(requests, features,
-name) -> model | None`` submitted to an executor, run with the model it
-was served by as :data:`deployed_model`; every resulting future
-is consumed by :meth:`WindowTrainer._consume`; every failure — a job that
-raised, a future that was cancelled, a submit the executor refused —
-goes through :meth:`WindowTrainer._failed` (counted, logged with the
-traceback, warned) into the consecutive-failure state machine.
-``background=False`` runs the job on the caller's thread and consumes it
-before the :meth:`~WindowTrainer.record` that filled the window returns,
-so the model is live for the very next request; ``background=True``
-leaves the future pending and :meth:`~WindowTrainer.poll` installs it (an
-O(1) swap) on the first request after it completes.  A still-busy
+name, deployed) -> model | None``, ``deployed`` being the model that
+served it (None on a cold window), submitted to an executor; every
+resulting future is consumed by :meth:`WindowTrainer._consume`; every
+failure — a job that raised, a future that was cancelled, a submit the
+executor refused — goes through :meth:`WindowTrainer._failed` (counted,
+logged with the traceback, warned) into the consecutive-failure state
+machine.  ``background=False`` submits to the trainer's own
+:class:`~repro.resilience.SimulatedTrainerExecutor`, which runs the job
+inside ``submit``, and consumes it before the
+:meth:`~WindowTrainer.record` that filled the window returns, so the
+model is live for the very next request; ``background=True`` leaves the
+future pending and :meth:`~WindowTrainer.poll` installs it (an O(1)
+swap) on the first request after it completes.  A job a
+``trainer.submit`` hang parks stays pending in either mode.  A busy
 trainer or a failed job never blocks or breaks the request path: the
 window is dropped (``n_skipped_retrains``) or the failure recorded
 (``n_failed_retrains``) and serving continues on the current model — the
@@ -31,7 +34,7 @@ the request traffic", stated as a contract.
 ``bench_ext_fault_matrix`` benchmark):
 
 * **watchdog** — ``train_deadline`` bounds how many *requests* a
-  background job may stay in flight; past it the job is cancelled (or, if
+  job may stay in flight; past it the job is cancelled (or, if
   already running, abandoned) and counted as a failure.  The deadline is
   logical time (one tick per :meth:`~WindowTrainer.poll`), not wall
   clock, so drills replay deterministically;
@@ -63,7 +66,6 @@ from concurrent.futures import (
     Future,
     ThreadPoolExecutor,
 )
-from contextvars import ContextVar
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -71,9 +73,10 @@ import numpy as np
 from .._native import reservation
 from ..obs import get_registry
 from ..resilience.faults import get_fault_plan
+from ..resilience.harness import SimulatedTrainerExecutor
 from ..trace import Request
 
-__all__ = ["WindowTrainer", "deployed_model"]
+__all__ = ["WindowTrainer"]
 
 #: Production log channel for the retraining loop: dropped windows, failed
 #: or unsubmittable training jobs (with tracebacks via ``exc_info``).
@@ -83,17 +86,13 @@ logger = logging.getLogger("repro.online")
 #: past it the trainer keeps probing at a fixed, bounded cadence.
 _MAX_BACKOFF_WINDOWS = 8
 
-#: ``job(requests, features, window_name) -> model | None``.  Must pickle
-#: (a module-level function or a dataclass instance, never a closure) so a
-#: :class:`~concurrent.futures.ProcessPoolExecutor` can run it; ``None``
-#: means "this window is not worth a model" and is not a failure.
-TrainingJob = Callable[[list[Request], np.ndarray, str], Any]
-
-#: The model the trainer had installed when the running job's window
-#: closed (None on a cold window) — set by :func:`_run_job` for the job's
-#: duration, like the registry a job reports to, so a job can score its
-#: window with what served it.
-deployed_model: ContextVar[Any] = ContextVar("deployed_model", default=None)
+#: ``job(requests, features, window_name, deployed) -> model | None``,
+#: ``deployed`` being the model that served the window (None on a cold
+#: window).  Must pickle (a module-level function or a dataclass instance,
+#: never a closure) so a :class:`~concurrent.futures.ProcessPoolExecutor`
+#: can run it; ``None`` means "this window is not worth a model" and is
+#: not a failure.
+TrainingJob = Callable[[list[Request], np.ndarray, str, Any], Any]
 
 
 def _run_job(
@@ -103,8 +102,7 @@ def _run_job(
     """Run one training job wherever the executor put it — beside
     ``submitter``, the serving thread, leaving that thread its core.
 
-    ``deployed`` is :data:`deployed_model` while the job runs.  Returns
-    ``(model, seconds)``; the seconds come from the
+    Returns ``(model, seconds)``; the seconds come from the
     ``online.train_window`` span, which also aggregates into the active
     registry (a no-op in process-pool workers, whose registry defaults to
     ``NullRegistry``).
@@ -120,30 +118,9 @@ def _run_job(
     if plan is not None:
         plan.inject("online.train_window")
     reservation.cores = int(threading.get_native_id() != submitter)
-    token = deployed_model.set(deployed)
-    try:
-        with get_registry().span("online.train_window") as span:
-            model = job(requests, features, name)
-    finally:
-        deployed_model.reset(token)
+    with get_registry().span("online.train_window") as span:
+        model = job(requests, features, name, deployed)
     return model, span.elapsed
-
-
-class _CallerThreadExecutor(Executor):
-    """``background=False``: the job runs inside ``submit``."""
-
-    def submit(
-        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
-    ) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        # Executor contract: capture everything into the future; the
-        # consumer counts an Exception and re-raises anything else.
-        # lint: ignore-next-line[rob-broad-except, rob-silent-degrade]
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
 
 
 class WindowTrainer:
@@ -162,7 +139,8 @@ class WindowTrainer:
             that raises is a bug in the serving path, not a training
             failure.
         background: False runs each job inside the :meth:`record` that
-            filled its window;
+            filled its window, on the trainer's own
+            :class:`~repro.resilience.SimulatedTrainerExecutor`;
             True submits it to ``executor`` and lets :meth:`poll` pick
             the result up.
         executor: the trainer used in background mode (``ValueError``
@@ -188,7 +166,8 @@ class WindowTrainer:
     * ``n_failed_retrains`` — jobs that raised, were cancelled, or could
       not be submitted (current model kept);
     * ``last_training_seconds`` — duration of the latest job;
-    * ``training_pending`` — True while a background job is in flight.
+    * ``training_pending`` — True while a job is in flight (a parked
+      one included).
 
     Degradation state (bundled by :attr:`resilience_stats`, mirrored as
     ``resilience.*`` metrics):
@@ -227,7 +206,7 @@ class WindowTrainer:
         self.job = job
         self.install = install
         self.background = background
-        self.executor = executor if background else _CallerThreadExecutor()
+        self.executor = executor if background else SimulatedTrainerExecutor()
         self._owns_executor = False
         self.train_deadline = train_deadline
         self.staleness_limit = staleness_limit
@@ -259,14 +238,14 @@ class WindowTrainer:
         self._windows_closed = 0
         self._backoff_remaining = 0
         #: The model ``install`` last received: what served the window
-        #: being closed, handed to its job as :data:`deployed_model`.
+        #: being closed, handed to its job as ``deployed``.
         self._model: Any = None
 
     # -- status ----------------------------------------------------------------
 
     @property
     def training_pending(self) -> bool:
-        """True while a background training job is in flight."""
+        """True while a training job is in flight."""
         return self._pending is not None and not self._pending.done()
 
     @property
@@ -304,7 +283,7 @@ class WindowTrainer:
     def poll(self) -> None:
         """Advance the watchdog clock one request and poll the trainer.
 
-        Installs a completed background model or cancels a job past its
+        Installs a completed model or cancels a job past its
         ``train_deadline``.  Must run exactly once per request, *before*
         the request is scored, so an install lands ahead of the request
         it precedes on every serving path.
@@ -357,12 +336,17 @@ class WindowTrainer:
         """Wait for an in-flight job and consume it.
 
         Useful at end-of-trace (the final window's model would otherwise
-        only land on the next request) and in tests.  Returns True when a
-        pending job was drained (completed, failed, or cancelled) within
-        ``timeout`` seconds; False when nothing was pending or the job is
-        still running at the deadline (it stays pending and can be
-        drained later).
+        only land on the next request) and in tests.  An inline trainer
+        first runs what a ``trainer.submit`` hang parked in its own
+        executor (a watchdog-cancelled job stays cancelled), so neither
+        this wait nor :meth:`close` / :meth:`reset` outlasts it.  Returns
+        True when a pending job was drained (completed, failed, or
+        cancelled) within ``timeout`` seconds; False when nothing was
+        pending or the job is still running at the deadline (it stays
+        pending and can be drained later).
         """
+        if not self.background:
+            self.executor.release_hung()
         pending = self._pending
         if pending is None:
             return False
@@ -381,7 +365,7 @@ class WindowTrainer:
     def close(self) -> None:
         """Drain pending training and release a privately owned executor."""
         self.finish()
-        if self._owns_executor and self.executor is not None:
+        if self._owns_executor:
             self.executor.shutdown(wait=True)
             self.executor = None
             self._owns_executor = False
@@ -447,7 +431,7 @@ class WindowTrainer:
             return
         self._pending = future
         self._pending_since = self._clock
-        if not self.background:
+        if not self.background and future.done():
             self._consume(future)
 
     def _consume(self, future: Future) -> None:
@@ -499,7 +483,7 @@ class WindowTrainer:
         registry.counter("resilience.watchdog_cancels").inc()
         registry.event("resilience.watchdog_cancel")
         logger.warning(
-            "background retrain exceeded its deadline (%s requests); %s; "
+            "retrain exceeded its deadline (%s requests); %s; "
             "keeping current model",
             self.train_deadline,
             "job cancelled" if cancelled else "job abandoned (already running)",

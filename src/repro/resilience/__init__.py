@@ -5,8 +5,8 @@ Two halves, one goal — proving the caching loop degrades instead of dying:
 * :mod:`repro.resilience.faults` — deterministic, declarative fault plans
   (:class:`FaultPlan` / :class:`FaultSpec`) installed process-wide and
   consulted by hooks in ``core.online`` and ``trace.readers``;
-* :mod:`repro.resilience.harness` — :class:`SimulatedTrainerExecutor`, the
-  deterministic trainer used to drill hang/watchdog scenarios.
+* :mod:`repro.resilience.harness` — :class:`SimulatedTrainerExecutor`, an
+  inline trainer's executor, which parks the jobs a hang fault names.
 
 The degradation machinery itself (watchdog, backoff, staleness fallback,
 tolerant trace reading) lives in the hardened components;

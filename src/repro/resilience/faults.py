@@ -13,9 +13,10 @@ Known fault sites and the fault kinds they honour:
 ========================  =======================  ==========================
 site                      kinds                    hooked in
 ========================  =======================  ==========================
-``online.train_window``   ``crash``, ``latency``   ``repro.core.online``
-``trainer.submit``        ``hang``                 :class:`repro.resilience.\
-SimulatedTrainerExecutor`
+``online.train_window``   ``crash``, ``latency``   ``repro.core.trainer``
+``trainer.submit``        ``hang``                 every inline trainer's
+                                                   executor (:class:`repro.\
+resilience.SimulatedTrainerExecutor`)
 ``trace.read_line``       ``corrupt``              ``repro.trace.readers``
                                                    (selector matches the
                                                    data-line index)
@@ -72,7 +73,7 @@ class FaultSpec:
     Args:
         site: the hook name (see the site table in the module docstring).
         kind: ``"crash"`` raises :class:`InjectedFaultError`, ``"hang"``
-            parks the submission forever (honoured by
+            parks the submission for the watchdog (honoured by
             :class:`~repro.resilience.SimulatedTrainerExecutor`),
             ``"latency"`` sleeps ``latency_seconds`` before proceeding,
             ``"corrupt"`` mangles the payload (trace lines).

@@ -1,19 +1,20 @@
-"""Deterministic trainer harness for fault drills and benchmarks.
+"""The inline trainer executor, deterministic under fault plans.
 
-``LFOOnline(background=True)`` normally trains on a worker thread, whose
-scheduling makes *which window installs when* nondeterministic.  The fault
-matrix benchmark needs the opposite: identical behaviour on every run.
-:class:`SimulatedTrainerExecutor` provides it — submissions run inline
-(synchronously, on the caller's thread) unless the active
-:class:`~repro.resilience.FaultPlan` says the trainer hangs, in which case
-the returned future simply never resolves.  To ``LFOOnline`` that is
+An inline :class:`repro.core.WindowTrainer` (``background=False``)
+submits every job to a :class:`SimulatedTrainerExecutor` of its own.
+Fault drills and benchmarks may pass one to a ``background=True``
+trainer too: a worker thread's scheduling makes *which window installs
+when* nondeterministic, and this executor replays identically.  A
+submission runs on the caller's thread inside ``submit`` unless the
+active :class:`~repro.resilience.FaultPlan` says the trainer hangs, in
+which case the returned future stays pending.  To the trainer that is
 indistinguishable from a deadlocked trainer, which is exactly what the
 watchdog exists to catch.
 
-The ``except BaseException`` handlers below mirror the stdlib executor
+The ``except BaseException`` handler below mirrors the stdlib executor
 contract — every outcome, including KeyboardInterrupt, is captured into
-the future for the consumer to re-raise — so they are not swallowed
-faults; each carries a line-scoped lint marker at the handler.
+the future for the consumer to re-raise — so it swallows no fault; it
+carries a line-scoped lint marker.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ __all__ = ["SimulatedTrainerExecutor"]
 
 
 class SimulatedTrainerExecutor(Executor):
-    """Inline, plan-aware stand-in for the background trainer.
+    """Inline, plan-aware trainer executor.
 
     * No fault plan (or no matching spec): ``submit`` runs the callable
-      immediately and returns an already-resolved future, so background
-      mode behaves exactly like serial mode — deterministically.
+      immediately and returns an already-resolved future.
     * A ``trainer.submit`` spec of kind ``"hang"``: the call is parked and
-      the returned future stays pending forever.  ``Future.cancel()``
-      succeeds (the job never starts), which is the path ``LFOOnline``'s
-      watchdog takes.  :meth:`release_hung` later runs any still-wanted
-      parked jobs, modelling a trainer that eventually comes back.
+      the returned future stays pending.  ``Future.cancel()`` succeeds
+      (the job never starts), which is the path the trainer's watchdog
+      takes.  :meth:`release_hung` later runs any still-wanted parked
+      jobs, modelling a trainer that eventually comes back.
     """
 
     def __init__(self) -> None:
@@ -53,15 +53,8 @@ class SimulatedTrainerExecutor(Executor):
         spec = plan.should_fire("trainer.submit") if plan is not None else None
         if spec is not None and spec.kind == "hang":
             self._hung.append((future, fn, args, kwargs))
-            return future
-        if not future.set_running_or_notify_cancel():
-            return future
-        try:
-            future.set_result(fn(*args, **kwargs))
-        # Executor contract: capture everything into the future.
-        # lint: ignore-next-line[rob-broad-except]
-        except BaseException as exc:
-            future.set_exception(exc)
+        else:
+            _run(future, fn, args, kwargs)
         return future
 
     @property
@@ -78,16 +71,7 @@ class SimulatedTrainerExecutor(Executor):
         """
         released = 0
         while self._hung:
-            future, fn, args, kwargs = self._hung.pop(0)
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(fn(*args, **kwargs))
-            # Executor contract: capture everything into the future.
-            # lint: ignore-next-line[rob-broad-except]
-            except BaseException as exc:
-                future.set_exception(exc)
-            released += 1
+            released += _run(*self._hung.pop(0))
         return released
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
@@ -96,3 +80,18 @@ class SimulatedTrainerExecutor(Executor):
             for future, _fn, _args, _kwargs in self._hung:
                 future.cancel()
         self._hung.clear()
+
+
+def _run(
+    future: Future, fn: Callable[..., Any], args: tuple, kwargs: dict
+) -> bool:
+    """Run ``fn`` into ``future`` unless it was cancelled; True if it ran."""
+    if not future.set_running_or_notify_cancel():
+        return False
+    try:
+        future.set_result(fn(*args, **kwargs))
+    # Executor contract: capture everything into the future.
+    # lint: ignore-next-line[rob-broad-except]
+    except BaseException as exc:
+        future.set_exception(exc)
+    return True

@@ -8,9 +8,9 @@ Deployment shape (see ``docs/serving.md`` for the operations runbook)::
                                                  apply_scored each, then one
                                                  record_for_training
                                                                  │
-                             background trainer ◀── window boundary
-                             (repro.core.trainer; warm handoff at
-                              next poll)
+                             trainer ◀── window boundary
+                             (repro.core.trainer; the model is live
+                              by the next request's poll)
 
 Zero dropped requests is structural, not aspirational: the only buffer is
 the bounded queue, producers ``await put`` into it (they *wait* when it is

@@ -165,18 +165,19 @@ class SimResult:
         series: windowed BHR time series (window size in ``series_window``).
         training: retraining counters for self-training policies
             (``n_retrains``, ``n_skipped_retrains``, ``n_failed_retrains``,
-            ``last_training_seconds``, ``training_pending`` — see
-            :class:`repro.core.LFOOnline`), or None for static policies.
+            ``last_training_seconds``, ``training_pending`` — the
+            ``training_stats`` of the policy's
+            :class:`repro.core.WindowTrainer`), or None for static policies.
         metrics: snapshot of the active :mod:`repro.obs` registry taken when
             the simulation finished (counters, histograms, span aggregates),
             or None when observability is disabled.  Note the registry is
             process-wide: back-to-back simulations under one registry see
             cumulative values.
-        resilience: degradation counters for policies that expose
-            ``resilience_stats`` (``n_watchdog_cancels``,
-            ``n_backoff_skips``, ``n_staleness_fallbacks``,
-            ``n_staleness_recoveries``, ``degraded`` — see
-            :class:`repro.core.LFOOnline`), or None otherwise.
+        resilience: degradation counters of the same trainer
+            (``n_watchdog_cancels``, ``n_backoff_skips``,
+            ``n_staleness_fallbacks``, ``n_staleness_recoveries``,
+            ``degraded`` — its ``resilience_stats``), or None for static
+            policies.
     """
 
     policy: str
@@ -308,12 +309,9 @@ def simulate(
             sl = slice(w * series_window, (w + 1) * series_window)
             series[w], _, _ = ratios(sl)
 
-    training = getattr(policy, "training_stats", None)
-    if training is not None:
-        training = dict(training)  # snapshot: the policy keeps mutating
-    resilience = getattr(policy, "resilience_stats", None)
-    if resilience is not None:
-        resilience = dict(resilience)
+    trainer = getattr(policy, "trainer", None)  # its stats are snapshots
+    training = None if trainer is None else trainer.training_stats
+    resilience = None if trainer is None else trainer.resilience_stats
 
     # Counters were folded at chunk boundaries by the _MetricsFolder —
     # identical totals to per-request increments, zero cost on the

@@ -180,34 +180,47 @@ def generate_mixed_trace(
 
     ``class_shares`` gives the fraction of requests drawn from each class;
     shares are normalised if they do not sum to one.  Object-id spaces of the
-    classes are disjoint.
+    classes are disjoint.  The trace is one phase of
+    :func:`generate_mix_shift_trace`.
     """
     if len(classes) != len(class_shares):
         raise ValueError("classes and class_shares must have the same length")
     shares = np.asarray(class_shares, dtype=np.float64)
     if (shares < 0).any() or shares.sum() <= 0:
         raise ValueError("class_shares must be non-negative and sum > 0")
-    shares = shares / shares.sum()
+    return _emit_mix(
+        classes, [shares], n_requests, seed, mean_interarrival, "mixed"
+    )
 
+
+def _emit_mix(
+    classes: Sequence[ContentClass],
+    phase_shares: Sequence[Sequence[float]],
+    requests_per_phase: int,
+    seed: int,
+    mean_interarrival: float,
+    name: str,
+) -> Trace:
+    """Phases of ``requests_per_phase`` requests over one catalogue, each
+    drawing its requests' classes with its own (normalised) shares."""
     rng = np.random.default_rng(seed)
     catalogues = _build_catalogues(rng, classes)
-
-    class_draw = rng.choice(len(classes), size=n_requests, p=shares)
-    gaps = rng.exponential(mean_interarrival, size=n_requests)
-    times = np.cumsum(gaps)
-
-    objs = _draw_objects(rng, catalogues, class_draw)
     requests: list[Request] = []
-    for i in range(n_requests):
-        _ids, _weights, sizes_by_id, costs_by_id = catalogues[class_draw[i]]
-        obj = objs[i]
-        requests.append(
-            Request(
-                float(times[i]), obj, sizes_by_id[obj],
-                costs_by_id.get(obj, -1.0),
-            )
+    time = 0.0
+    for shares_raw in phase_shares:
+        shares = np.asarray(shares_raw, dtype=np.float64)
+        class_draw = rng.choice(
+            len(classes), size=requests_per_phase, p=shares / shares.sum()
         )
-    return Trace(requests, name="mixed")
+        gaps = rng.exponential(mean_interarrival, size=requests_per_phase)
+        objs = _draw_objects(rng, catalogues, class_draw)
+        for i, obj in enumerate(objs):
+            time += float(gaps[i])
+            _ids, _weights, sizes_by_id, costs_by_id = catalogues[class_draw[i]]
+            requests.append(
+                Request(time, obj, sizes_by_id[obj], costs_by_id.get(obj, -1.0))
+            )
+    return Trace(requests, name=name)
 
 
 def _draw_objects(
@@ -272,25 +285,9 @@ def generate_mix_shift_trace(
     requests with its own class shares, over a shared catalogue so object
     history carries across phases.
     """
-    rng = np.random.default_rng(seed)
-    catalogues = _build_catalogues(rng, classes)
-
-    requests: list[Request] = []
-    time = 0.0
-    for shares_raw in phase_shares:
-        shares = np.asarray(shares_raw, dtype=np.float64)
-        shares = shares / shares.sum()
-        class_draw = rng.choice(len(classes), size=requests_per_phase, p=shares)
-        gaps = rng.exponential(1.0, size=requests_per_phase)
-        objs = _draw_objects(rng, catalogues, class_draw)
-        for i in range(requests_per_phase):
-            time += float(gaps[i])
-            _ids, _weights, sizes_by_id, costs_by_id = catalogues[class_draw[i]]
-            obj = objs[i]
-            requests.append(
-                Request(time, obj, sizes_by_id[obj], costs_by_id.get(obj, -1.0))
-            )
-    return Trace(requests, name="mix-shift")
+    return _emit_mix(
+        classes, phase_shares, requests_per_phase, seed, 1.0, "mix-shift"
+    )
 
 
 def generate_adversarial_scan(

@@ -671,9 +671,9 @@ class TestClusterScorer:
             trainer = self._trainer(cluster)
             job, process = trainer.job, cluster.process
 
-            def recording(window_requests, features, name):
+            def recording(window_requests, features, name, deployed):
                 windows.append((list(window_requests), features.tobytes()))
-                return job(window_requests, features, name)
+                return job(window_requests, features, name, deployed)
 
             def keeping_rows(batch, rows):
                 hits = process(batch, rows)
@@ -695,6 +695,43 @@ class TestClusterScorer:
             cut = slice(w * 800, (w + 1) * 800)
             assert window_requests == requests[cut]
             assert features == rows[cut].tobytes()
+
+    def test_an_inline_trainer_publishes_at_the_window_edge(
+        self, trace, cache_size
+    ):
+        """Windows of 300, batches of 128: each model goes out with the
+        part right after its window's edge, and only a model that served
+        a part counts as a handoff (the last one serves nothing)."""
+        requests = list(trace)[:900]
+        dispatched, published = [0], []
+        with use_registry(MetricsRegistry()):
+            cluster = CacheCluster(
+                cache_size, 2, seed=7, n_gaps=N_GAPS
+            ).start()
+            process, publish = cluster.process, cluster.publish
+
+            def counting(batch, rows):
+                dispatched[0] += len(batch)
+                return process(batch, rows)
+
+            def noting(model):
+                published.append(dispatched[0])
+                publish(model)
+
+            cluster.process, cluster.publish = counting, noting
+            trainer = WindowTrainer(
+                300, LabelFitJob(cluster.shard_size, gbdt_params=FAST_PARAMS),
+                install=cluster.publish,
+            )
+            scorer = ClusterScorer(trainer, cluster)
+            try:
+                for start in range(0, len(requests), 128):
+                    scorer.process(requests[start:start + 128])
+            finally:
+                trainer.close()
+                cluster.close()
+        assert published == [300, 600, 900]
+        assert scorer.n_handoffs == 2
 
     @pytest.mark.parametrize("backend", ["batch", "cluster"])
     def test_every_window_counts_each_byte_once(

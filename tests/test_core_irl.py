@@ -134,11 +134,21 @@ class TestIRLOnline:
         assert irl.n_retrains >= 3
         assert r_irl.bhr > r_rnd.bhr
 
+    def test_simulate_reports_the_trainers_windows(self):
+        """``SimResult.training`` is the policy's trainer's counters."""
+        trace = generate_trace(
+            SyntheticConfig(n_requests=1500, n_objects=200, seed=3)
+        )
+        policy = IRLOnline(trace.footprint() // 10, window=500, n_gaps=4)
+        result = simulate(trace, policy)
+        assert policy.n_retrains >= 1
+        assert result.training["n_retrains"] == policy.n_retrains
+
     def test_a_failed_fit_is_counted_not_raised(self):
         """Retraining rides the trainer's one failure sink."""
         irl = IRLOnline(cache_size=500, window=50, n_gaps=4)
 
-        def failing(requests, features, name):
+        def failing(requests, features, name, deployed):
             raise RuntimeError("fit exploded")
 
         irl.trainer.job = failing

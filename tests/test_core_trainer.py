@@ -33,7 +33,7 @@ REQUEST = Request(0.0, 1, 10)
 ROW = np.zeros(3)
 
 
-def name_job(_requests, _features, name):
+def name_job(_requests, _features, name, _deployed):
     return name
 
 
@@ -90,7 +90,7 @@ class TestOneRoad:
         once and starts an empty window before it returns."""
         names = []
 
-        def job(requests, features, name):
+        def job(requests, features, name, deployed):
             names.append((name, len(requests), features.shape))
             return name
 
@@ -116,7 +116,7 @@ class TestOneRoad:
         after every call."""
         seen = []
 
-        def job(requests, features, name):
+        def job(requests, features, name, deployed):
             seen.append(features)
             return name
 
@@ -139,7 +139,7 @@ class TestOneRoad:
         window submits the job, and the job gets every row in order."""
         seen = []
 
-        def job(requests, features, name):
+        def job(requests, features, name, deployed):
             seen.append((list(requests), features.tobytes()))
             return name
 
@@ -180,7 +180,7 @@ class TestOneRoad:
         window, d = 2000, 53
         jobs = []
         trainer = WindowTrainer(
-            window, lambda r, f, n: jobs.append(f), [].append
+            window, lambda r, f, n, d: jobs.append(f), [].append
         )
         row = np.ones(d)
         for _ in range(window - 1):
@@ -320,6 +320,30 @@ class TestWatchdog:
         assert trainer.n_failed_retrains == 0  # a cancel is its own count
         assert registry.counter("resilience.watchdog_cancels").value == 1
         assert "resilience.watchdog_cancel" in registry.to_dict()["spans"]
+
+    def test_an_inline_trainer_parks_a_hung_job_for_the_watchdog(self):
+        """``background=False`` under a ``trainer.submit`` hang: the job
+        parks in the trainer's own executor, the next window is dropped
+        as busy, the deadline cancels the job, and ``close`` / ``reset``
+        run what is still parked instead of waiting on it forever."""
+        installs = []
+        trainer = make(installs, train_deadline=WINDOW + 10)
+        with use_fault_plan(hang(at=(0, 1, 2))):
+            drive(trainer, WINDOW)
+            assert trainer.training_pending and installs == []
+            drive(trainer, WINDOW)
+            assert trainer.n_skipped_retrains == 1
+            drive(trainer, 10)  # the deadline's poll since the submit
+            assert trainer.n_watchdog_cancels == 1
+            assert not trainer.training_pending
+            drive(trainer, WINDOW - 10)  # W[2] parks too
+            assert trainer.training_pending
+            trainer.close()
+            assert installs == ["W[2]"] and not trainer.training_pending
+            drive(trainer, WINDOW)  # W[3] parks
+            trainer.reset()
+        assert installs == ["W[2]", "W[3]"]
+        assert trainer.n_retrains == 0 and not trainer.training_pending
 
     def test_no_deadline_keeps_waiting_and_drops_windows(self):
         pool = SimulatedTrainerExecutor()

@@ -296,9 +296,9 @@ def test_cold_windows_match_the_scalar_loop(model, lands_at):
 
         rows, job = [], policy.trainer.job
 
-        def recording(requests, features, name):
+        def recording(requests, features, name, deployed):
             rows.append(features.tobytes())
-            return job(requests, features, name)
+            return job(requests, features, name, deployed)
 
         policy.poll_training = poll_training
         policy.trainer.job = recording

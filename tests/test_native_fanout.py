@@ -227,7 +227,7 @@ def test_start_raises_the_calls_exception(width):
 def test_a_job_beside_the_serving_thread_reserves_one_core():
     seen = []
 
-    def job(requests, features, name):
+    def job(requests, features, name, deployed):
         seen.append(_native.reservation.cores)
 
     def close_one_window(**supervision):

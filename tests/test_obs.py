@@ -443,7 +443,7 @@ class TestSimulateIntegration:
             label_config=OptLabelConfig(mode="segmented", segment_length=500),
         )
         simulate(obs_trace, policy)
-        assert policy.training_stats["last_training_seconds"] > 0.0
+        assert policy.trainer.training_stats["last_training_seconds"] > 0.0
 
     def test_simresult_to_dict_json_safe(self, obs_trace):
         registry = MetricsRegistry()

@@ -268,7 +268,7 @@ class TestStalenessFallback:
 class TestResilienceSurfacing:
     def test_resilience_stats_keys(self):
         lfo = make_online()
-        stats = lfo.resilience_stats
+        stats = lfo.trainer.resilience_stats
         assert set(stats) == {
             "n_watchdog_cancels",
             "n_backoff_skips",

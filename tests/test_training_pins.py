@@ -85,8 +85,8 @@ def _window_digests(trace, regrow_every=2, **label_config):
     )
     job = policy.trainer.job
 
-    def recording(requests, features, name):
-        model = job(requests, features, name)
+    def recording(requests, features, name, deployed):
+        model = job(requests, features, name, deployed)
         models.append(_digest(model.classifier.compiled().to_bytes()))
         return model
 
