@@ -2,7 +2,7 @@
 
 ``bench_fig7_throughput`` sweeps predictor *threads* over a static
 feature matrix; this benchmark extends the sweep to the full cluster
-data plane — consistent-hash routing, shard worker processes, models
+data plane — seeded hash routing, shard worker processes, models
 riding the batch messages, and the columnar request wire — and gates two
 properties at once:
 

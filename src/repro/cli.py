@@ -360,9 +360,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.shards > 1:
             from .cluster import CacheCluster, ClusterScorer
 
-            cluster = CacheCluster(
-                cache_size, args.shards, vnodes=args.vnodes, seed=args.seed
-            ).start()
+            cluster = CacheCluster(cache_size, args.shards, seed=args.seed).start()
             # Nothing serves in the router, so there is no policy: a bare
             # trainer labels against one shard's capacity — the cache
             # each OPT decision actually lands in — and a trained model
@@ -625,12 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "driver (0 = replay at queue speed)")
     p_serve.add_argument("--shards", type=int, default=1,
                          help="shard worker processes: >1 routes batches "
-                              "across a consistent-hash cache cluster with "
-                              "the trainer's models riding each shard's next "
+                              "across a seeded hash split with the "
+                              "trainer's models riding each shard's next "
                               "batch (default 1 = in-process)")
-    p_serve.add_argument("--vnodes", type=int, default=64,
-                         help="virtual nodes per shard on the routing ring "
-                              "(more = flatter load, longer ring)")
     p_serve.add_argument("--trainer", choices=("thread", "inline"),
                          default="thread",
                          help="background trainer: a worker thread "

@@ -4,10 +4,9 @@ Scaling the single-process LFO loop out over cores (the deployment shape
 a CDN node actually runs) needs two mechanisms, and this package is
 exactly those two plus the router that composes them:
 
-* **consistent-hash routing** (:class:`HashRing`, ``ring.py``) — a
-  seeded ring with configurable virtual nodes maps every object id to
-  one shard, deterministically across processes and runs, with ~1/(N+1)
-  keys remapped when a shard is added;
+* **seeded hash routing** (:class:`HashRing`, ``ring.py``) —
+  ``splitmix64(id + key seed) % N`` maps every object id to one shard,
+  deterministically across processes, runs and shard restarts;
 * **a columnar wire** (``wire.py``) — a routed bucket goes down a
   shard's pipe as fixed-width request records and comes back as one
   reply per batch (hit bytes, cumulative stats, telemetry deltas and,

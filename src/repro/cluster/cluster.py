@@ -1,12 +1,13 @@
-"""The cache cluster: a consistent-hash router over shard processes.
+"""The cache cluster: a seeded hash router over shard processes.
 
 :class:`CacheCluster` owns the three cluster-scale mechanisms and wires
 them together:
 
 * the **router** — a seeded :class:`~repro.cluster.HashRing` partitions
-  every request batch by object id, preserving per-shard request order
-  (an object's whole request stream lands on one shard, so each shard's
-  cache behaves exactly like a single-process cache over its split);
+  every request batch by ``splitmix64(object id + key seed) % n_shards``,
+  preserving per-shard request order (an object's whole request stream
+  lands on one shard, so each shard's cache behaves exactly like a
+  single-process cache over its split);
 * **model publication** — :meth:`publish` keeps each trained model's
   compiled bytes, and the next batch message to each shard carries
   them; a shard swaps the model in before scoring that batch.
@@ -67,14 +68,13 @@ _BATCH_SECONDS_BUCKETS = (
 
 
 class CacheCluster:
-    """N shard caches behind a consistent-hash router.
+    """N shard caches behind a seeded hash router.
 
     Args:
         cache_size: total capacity in bytes, split evenly across shards.
         n_shards: worker process count.
-        vnodes: virtual nodes per shard on the routing ring.
-        seed: ring seed (key→shard mapping is a pure function of
-            ``(seed, n_shards, vnodes)``).
+        seed: routing seed (key→shard mapping is a pure function of
+            ``(seed, n_shards)``).
         n_gaps: gap-feature count of each shard's tracker.
     """
 
@@ -83,13 +83,12 @@ class CacheCluster:
         cache_size: int,
         n_shards: int,
         *,
-        vnodes: int = 64,
         seed: int = 0,
         n_gaps: int = 50,
     ) -> None:
         if cache_size < n_shards:
             raise ValueError("cache_size must be at least n_shards bytes")
-        self.ring = HashRing(n_shards, vnodes=vnodes, seed=seed)
+        self.ring = HashRing(n_shards, seed=seed)
         self.n_shards = n_shards
         self.shard_size = cache_size // n_shards
         #: Gap-feature count of every shard's tracker.

@@ -44,10 +44,10 @@ PINNED_OPTIONS = {
         "--staleness-limit": None, "--retry-backoff": 0,
         "--metrics-out": None,
     }),
-    "serve": ("fb9fc0eb9ec38385", {
+    "serve": ("a19e273c738c3e77", {
         **_CACHE, **_TRAINING, **_TELEMETRY, "--synthetic": None,
         "--seed": 42, "--queue-depth": 1024, "--max-batch": 256,
-        "--arrival-rate": 0.0, "--shards": 1, "--vnodes": 64,
+        "--arrival-rate": 0.0, "--shards": 1,
         "--trainer": "thread", "--train-deadline": None,
         "--staleness-limit": None, "--retry-backoff": 0,
         "--fault-plan": None, "--jsonl": None,

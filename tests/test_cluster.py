@@ -2,10 +2,10 @@
 
 The load-bearing claims, each pinned here:
 
-* **routing is deterministic and minimally disruptive** — the same
-  ``(seed, n_shards, vnodes)`` triple always yields the same key→shard
-  mapping, and growing N→N+1 remaps at most ``2/N`` of keys, all of
-  them onto the new shard;
+* **routing is deterministic and balanced** — the same
+  ``(seed, n_shards)`` pair always yields the same key→shard mapping,
+  and no shard holds more than 8% over a uniform share of consecutive
+  ids;
 * **the wire is lossless and validating** — request records round-trip
   field by field, and a shard rejects a malformed one;
 * **a published model rides the next batch, and a shard holds one** —
@@ -98,48 +98,27 @@ def model(trace, cache_size):
 class TestHashRing:
     def test_same_seed_same_assignment(self):
         keys = np.arange(5000)
-        a = HashRing(4, vnodes=64, seed=9).shard_of_batch(keys)
-        b = HashRing(4, vnodes=64, seed=9).shard_of_batch(keys)
+        a = HashRing(4, seed=9).shard_of_batch(keys)
+        b = HashRing(4, seed=9).shard_of_batch(keys)
         assert np.array_equal(a, b)
 
     def test_different_seed_different_assignment(self):
         keys = np.arange(5000)
-        a = HashRing(4, vnodes=64, seed=9).shard_of_batch(keys)
-        c = HashRing(4, vnodes=64, seed=10).shard_of_batch(keys)
+        a = HashRing(4, seed=9).shard_of_batch(keys)
+        c = HashRing(4, seed=10).shard_of_batch(keys)
         assert not np.array_equal(a, c)
 
-    def test_scalar_matches_batch(self):
-        ring = HashRing(5, seed=3)
-        keys = list(range(200))
-        batch = ring.shard_of_batch(keys)
-        for key in keys:
-            assert ring.shard_of(key) == batch[key]
-
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_growth_remaps_bounded_fraction(self, n):
-        """Growing N→N+1 moves ≤ 2/N of keys (expected 1/(N+1))."""
-        keys = np.arange(20_000)
-        before = HashRing(n, seed=42).shard_of_batch(keys)
-        after = HashRing(n + 1, seed=42).shard_of_batch(keys)
-        moved = before != after
-        assert moved.mean() <= 2.0 / n
-        assert moved.any(), "the new shard must receive some keys"
-
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_moved_keys_land_on_new_shard_only(self, n):
-        """Consistent hashing: every remapped key moves TO the new shard."""
-        keys = np.arange(20_000)
-        before = HashRing(n, seed=42).shard_of_batch(keys)
-        after = HashRing(n + 1, seed=42).shard_of_batch(keys)
-        moved = before != after
-        assert np.all(after[moved] == n)
-
     def test_spread_is_roughly_uniform(self):
-        counts = HashRing(4, vnodes=64, seed=0).spread(np.arange(20_000))
-        assert counts.sum() == 20_000
-        uniform = 20_000 / 4
-        assert counts.min() >= 0.5 * uniform
-        assert counts.max() <= 1.6 * uniform
+        """The busiest shard stays within 8% of uniform at every seed (a
+        consistent-hash ring of 64 points per shard reads 25-30% over)."""
+        keys = np.arange(20_000)
+        for n in (2, 4, 8):
+            for seed in range(20):
+                counts = np.bincount(
+                    HashRing(n, seed=seed).shard_of_batch(keys), minlength=n
+                )
+                assert counts.sum() == len(keys)
+                assert counts.max() <= 1.08 * len(keys) / n, (n, seed, counts)
 
     def test_partition_preserves_order_and_indices(self):
         ring = HashRing(3, seed=1)
@@ -148,21 +127,20 @@ class TestHashRing:
         )
         buckets = ring.partition(requests)
         assert sum(len(b) for b in buckets) == len(requests)
+        shards = ring.shard_of_batch([request.obj for request in requests])
         seen = set()
         for shard, bucket in enumerate(buckets):
             indices = [index for index, _request in bucket]
             assert indices == sorted(indices), "per-shard order must hold"
             for index, request in bucket:
                 assert requests[index] is request
-                assert ring.shard_of(request.obj) == shard
+                assert shards[index] == shard
             seen.update(indices)
         assert seen == set(range(len(requests)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             HashRing(0)
-        with pytest.raises(ValueError):
-            HashRing(2, vnodes=0)
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -392,9 +370,10 @@ class TestClusterEndToEnd:
         next batch, to the latest generation."""
         requests = list(trace)[:1500]
         cluster = CacheCluster(cache_size, 2, seed=7, n_gaps=N_GAPS)
+        middle = requests[500:1000]
+        shards = cluster.ring.shard_of_batch([request.obj for request in middle])
         only_shard_0 = [
-            request for request in requests[500:1000]
-            if cluster.ring.shard_of(request.obj) == 0
+            request for request, shard in zip(middle, shards) if shard == 0
         ]
         with cluster:
             cluster.process(requests[:500])

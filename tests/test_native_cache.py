@@ -151,9 +151,18 @@ def test_a_group_writable_entry_is_not_trusted(cache, caplog):
     assert _listing(cache) == before
 
 
-@pytest.mark.skipif(os.getuid() == 0, reason="root may write a read-only directory")
-def test_a_read_only_cache_without_the_entry_is_not_used(cache, caplog):
+def test_a_read_only_cache_without_the_entry_is_not_used(cache, monkeypatch, caplog):
     (cache / "repro-native").mkdir(mode=0o500)
+    real_access = os.access
+    read_only = str(cache / "repro-native")
+
+    def unwritable(path, mode, *args, **kwargs):
+        # root may write a 0o500 directory: report it read-only under any uid.
+        if str(path) == read_only and mode & os.W_OK:
+            return False
+        return real_access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(_native.os, "access", unwritable)
     try:
         _fallback(caplog)
     finally:
