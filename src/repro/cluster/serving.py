@@ -7,9 +7,10 @@ cache, while the control plane — one bare
 :class:`repro.core.WindowTrainer` in the router process, no cache and no
 feature tracker behind it — keeps the paper's Figure-2 loop intact:
 
-1. the scorer cuts each batch at the training-window edge, as
-   ``BatchScorer`` does, and polls the trainer once per request of a
-   part before dispatching it;
+1. the scorer cuts each batch at the training-window edge and polls
+   the trainer once per request of a part before dispatching it, as
+   ``BatchScorer`` does (the install rule of
+   :meth:`repro.core.WindowTrainer.poll`);
 2. shards serve each routed part and fill, through
    ``CacheCluster.process(requests, rows)``, the *live* feature rows the
    requests were scored with, and the scorer records them in the

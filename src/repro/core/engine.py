@@ -35,9 +35,12 @@ requests of the same window change both.  One :meth:`step`:
    admission into a full cache) a new chunk is scored from the current
    row: same rows, new free bytes.  The chunk length follows the
    observed drift interval (shrinks to the distance consumed, doubles
-   back toward ``max_window`` on fully consumed chunks);
-4. **ends early only on a model swap** seen after a mid-window
-   ``poll()``: the remaining scores came from the old model.
+   back toward ``max_window`` on fully consumed chunks).
+
+A step reads ``policy.model`` once and always decides its whole window,
+so the one condition the replay relies on is that drivers change the
+model only between steps (:meth:`repro.core.WindowTrainer.poll` states
+the install rule every serving path follows).
 
 ``apply_scored`` records nothing, and neither does the replay: the
 probe is :meth:`~repro.features.FeatureTracker.features_window`, handed
@@ -49,12 +52,8 @@ decision.  (The scalar loop records while extracting, before its
 decision; neither a hit nor an eviction probe, which reads residents
 only, can tell.)
 
-Two hooks let a driver put its own work on the request path:
-
-* ``poll()`` runs exactly once per request, *before* it is decided — the
-  flag that says so is carried across a step a swap ended;
-* ``tap(index, hit, score)`` runs after each decision; drivers index the
-  requests they hold, and the row used is ``policy.last_features``.
+``tap(index, hit, score)`` runs after each decision; drivers index the
+requests they hold, and the row used is ``policy.last_features``.
 
 While ``policy.model`` is ``None`` (cold start) every score is 0.0 and
 no free-bytes threshold splits a window.  Scores come from
@@ -101,18 +100,16 @@ class DecisionEngine:
         policy: the cache to decide for.  Periodic full rescore
             (``rescore_interval``) is entangled with request order and
             is refused.
-        max_window: rows probed per step (and the cap on the adaptive
+        max_window: rows decided per step (and the cap on the adaptive
             scoring chunk).
-        poll / tap: the driver hooks (module docstring).
+        tap: the post-decision hook (module docstring).
         latency: histogram every decision's time — its
             ``apply_scored`` call — is observed into (None = time
             nothing).  The serving SLO reads
             p999 per telemetry window, so it needs every decision.
 
-    Single-consumer: one ``step`` at a time.  ``rows_probed`` (rows
-    extracted, one per request unless a swap ended a step) and
-    ``n_respeculations`` (chunks re-scored because the free bytes left
-    their bucket) count the protocol's work.
+    Single-consumer: one ``step`` at a time.  ``n_respeculations``
+    counts chunks re-scored because the free bytes left their bucket.
     """
 
     def __init__(
@@ -120,7 +117,6 @@ class DecisionEngine:
         policy: "LFOCache",
         max_window: int = MAX_LOOKAHEAD,
         *,
-        poll: Callable[[], None] | None = None,
         tap: Callable[[int, bool, float], None] | None = None,
         latency: "Histogram | None" = None,
     ) -> None:
@@ -134,12 +130,9 @@ class DecisionEngine:
         self.policy = policy
         self.max_window = max_window
         self.n_respeculations = 0
-        self.rows_probed = 0
-        self._poll = poll
         self._tap = tap
         self._latency = latency
         self._window = min(_MIN_WINDOW * 4, max_window)
-        self._polled = False
         self._model = None
         self._thresholds: list[float] = []
 
@@ -176,23 +169,19 @@ class DecisionEngine:
         rows: np.ndarray | None = None,
     ) -> int:
         """Decide one window from row ``start`` of the request columns
-        (numpy arrays of equal length); returns the rows consumed.
+        (numpy arrays of equal length); returns the rows decided,
+        ``min(max_window, len(objs) - start)``.
 
-        ``hits[start:start + consumed]`` — a list or a boolean array at
+        ``hits[start:start + decided]`` — a list or a boolean array at
         least ``len(objs)`` long, nothing else of it — is written once,
         after the replay; ``scores`` (a float64 array) and ``rows`` (an
         ``(n, n_features)`` float64 matrix) receive, per window, each
-        decision's score and the feature row it used.  Always consumes
-        at least one: row 0 is polled before the probe.
+        decision's score and the feature row it used.
         """
         policy = self.policy
         tracker = policy.tracker
-        poll = self._poll
         tap = self._tap
         latency = self._latency
-        if poll is not None and not self._polled:
-            poll()
-        self._polled = False
         model = policy.model
         predictor = None if model is None else model.predictor
         if model is not self._model:
@@ -209,7 +198,7 @@ class DecisionEngine:
         window = slice(start, start + limit)
         w_objs = objs[window].tolist()
         w_times, w_sizes, w_costs = times[window], sizes[window], costs[window]
-        w_hits: list[bool] = []  # one per decision: ``consumed`` of them
+        w_hits: list[bool] = []  # one per decision
         # The tracker records request i of the window once ``w_hits``
         # holds it, before its next read.
         X = tracker.features_window(
@@ -220,12 +209,7 @@ class DecisionEngine:
         )
         w_scores = [0.0] * limit
         cache_size = policy.cache_size  # fixed at construction
-        self.rows_probed += limit
         apply_scored = policy.apply_scored
-        polls = poll is not None
-        #: The next row still owes its poll (row 0 had it above).
-        due = False
-        consumed = limit
         k = 0
         while k < limit:
             # One scoring chunk: rows [k, m) under the live free bytes.
@@ -241,14 +225,6 @@ class DecisionEngine:
                 range(k, m), w_objs[k:m], w_times[k:m], w_sizes[k:m],
                 w_costs[k:m], chunk, X[k:m],
             ):
-                if due:
-                    poll()
-                    due = False
-                    if policy.model is not model:
-                        # Stays set, so re-entry does not run the hook
-                        # twice for this request.
-                        self._polled = True
-                        break
                 live = cache_size - policy.used_bytes
                 if live != free:
                     if bisect_left(thresholds, float(live)) != bucket:
@@ -264,7 +240,6 @@ class DecisionEngine:
                     hit = apply_scored(time, obj, size, cost, features, score)
                     latency.observe(perf_counter() - began)
                 w_hits.append(hit)
-                due = polls
                 if tap is not None:
                     tap(start + j, hit, score)
             else:
@@ -273,18 +248,15 @@ class DecisionEngine:
                     self._window = min(self._window * 2, self.max_window)
                 k = m
                 continue
-            if self._polled:
-                consumed = j
-                break
             # Free bytes left the bucket at row j (never the chunk's
             # first, which was scored under this very value): track the
             # observed drift interval and score again from there.
             self.n_respeculations += 1
             self._window = min(max(_MIN_WINDOW, j - k + 1), self.max_window)
             k = j
-        hits[start:start + consumed] = w_hits
+        hits[start:start + limit] = w_hits
         if scores is not None:
-            scores[start:start + consumed] = w_scores[:consumed]
+            scores[start:start + limit] = w_scores
         if rows is not None:
-            rows[start:start + consumed] = X[:consumed]
-        return consumed
+            rows[start:start + limit] = X
+        return limit

@@ -332,8 +332,8 @@ class TieredLFOOnline:
         return self.trainer.n_retrains
 
     def on_request(self, request: Request) -> bool:
-        """Process one request through the tiered cache, retraining at
-        window boundaries."""
+        """Poll, decide, record: :meth:`repro.core.LFOOnline.on_request`."""
+        self.trainer.poll()
         hit = self.cache.on_request(request)
         self.trainer.record((request,), self.cache.last_features[None])
         return hit

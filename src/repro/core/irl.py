@@ -214,7 +214,8 @@ class IRLOnline(IRLCache):
         return self.trainer.n_retrains
 
     def on_request(self, request: Request) -> bool:
-        """Process one request, retraining at window boundaries."""
+        """Poll, decide, record: :meth:`repro.core.LFOOnline.on_request`."""
+        self.trainer.poll()
         hit = super().on_request(request)
         self.trainer.record((request,), self.last_features[None])
         return hit

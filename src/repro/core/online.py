@@ -298,10 +298,10 @@ class LFOOnline(LFOCache):
     def on_request(self, request: Request) -> bool:
         """Process one request, retraining at window boundaries.
 
-        The scalar composition of the three steps the serving loop
-        (:mod:`repro.serve`) drives itself around speculative batches —
-        poll, decide, record — so both paths stay bit-identical.  In
-        background mode this never solves labels or fits a model inline.
+        Poll, decide, record: the serving loop (:mod:`repro.serve`) runs
+        the same three steps over a part of one or more requests, and
+        this is its part of one.  In background mode this never solves
+        labels or fits a model inline.
         """
         self.poll_training()
         hit = super().on_request(request)

@@ -285,8 +285,11 @@ class WindowTrainer:
 
         Installs a completed model or cancels a job past its
         ``train_deadline``.  Must run exactly once per request, *before*
-        the request is scored, so an install lands ahead of the request
-        it precedes on every serving path.
+        the request is scored.  The install rule every serving path
+        follows: a driver polls every request of a part, in order,
+        before it decides any of them, so a model that completes goes
+        live at the next part edge (the scalar loop's part is one
+        request).
         """
         self._clock += 1
         pending = self._pending

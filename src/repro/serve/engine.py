@@ -6,25 +6,27 @@ would silently go stale across a model swap, which is why
 both: batched scoring throughput *and* continuous window retraining with
 warm model handoff.  :class:`BatchScorer` cuts each batch at the
 training-window edge (:attr:`repro.core.LFOOnline.window_remaining`) and,
-for each part, runs the decision engine (:mod:`repro.core.engine`, which
-owns the speculation protocol) with one hook, then records the part:
+for each part, polls, decides, then records it:
 
-* **poll** — :meth:`repro.core.LFOOnline.poll_training` before each
-  request is scored: a completed background model installs here, an
-  overdue one is watchdog-cancelled (the policy's
-  :class:`repro.core.WindowTrainer`).  The engine runs it exactly once
-  per request and abandons a window the install lands in.  The
-  swapped-in model carries the predictor compiled at train time
-  (``model.predictor``), so a handoff costs one aborted lookahead, never a
-  compile on the request path; every new model seen after a poll counts
-  as one handoff;
+* **poll** — :meth:`repro.core.LFOOnline.poll_training` once per
+  request of the part, in order, before the engine
+  (:mod:`repro.core.engine`) decides any of them: a completed background
+  model installs here, an overdue one is watchdog-cancelled — the part
+  edge install rule of :meth:`repro.core.WindowTrainer.poll`, which
+  :class:`repro.cluster.ClusterScorer` follows too.  The swapped-in
+  model carries the predictor compiled at train time
+  (``model.predictor``), so a handoff never compiles on the request
+  path; a model that changed across a part's polls counts as one
+  handoff;
 * **record** — one :meth:`repro.core.LFOOnline.record_for_training`
   call with the part's requests and the live feature rows the engine
   filled, so a window closes (and its retrain runs) *between* engine
   runs, never under speculated scores.
 
-The result is bit-identical to the scalar ``policy.on_request`` loop:
-speculation changes how fast a decision was computed, never what it was.
+The result is bit-identical to the scalar ``policy.on_request`` loop
+whenever each model completes between two parts (always, with an inline
+or simulated trainer): speculation changes how fast a decision was
+computed, never what it was.
 """
 
 from __future__ import annotations
@@ -71,15 +73,13 @@ class BatchScorer:
             latency = registry.histogram(
                 "serve.decision_latency_seconds", DECISION_LATENCY_BUCKETS
             )
-        self._engine = DecisionEngine(
-            policy, max_batch, poll=self._poll, latency=latency
-        )
+        self._engine = DecisionEngine(policy, max_batch, latency=latency)
 
     def process(self, requests: Sequence[Request]) -> list[bool]:
         """Score and apply ``requests`` in order; returns per-request hits.
 
-        Decisions are bit-identical to calling ``policy.on_request`` for
-        each request in sequence.
+        Decisions are those of ``policy.on_request`` per request in
+        sequence, under the part edge install rule (module docstring).
         """
         policy = self.policy
         columns = Trace(requests)  # materialises the four columns once
@@ -88,6 +88,11 @@ class BatchScorer:
         while start < len(requests):
             end = min(start + policy.window_remaining, len(requests))
             part = slice(start, end)
+            for _ in range(start, end):
+                policy.poll_training()
+            if policy.model is not self._active_model:
+                self._active_model = policy.model
+                self.n_handoffs += 1
             rows = np.empty((end - start, policy.tracker.n_features))
             hits += self._engine.run(
                 columns.times[part], columns.objs[part],
@@ -96,11 +101,3 @@ class BatchScorer:
             policy.record_for_training(requests[part], rows)
             start = end
         return hits
-
-    def _poll(self) -> None:
-        """Poll the trainer; count a model that went live as a handoff."""
-        policy = self.policy
-        policy.poll_training()
-        if policy.model is not self._active_model:
-            self._active_model = policy.model
-            self.n_handoffs += 1

@@ -10,7 +10,7 @@ Deployment shape (see ``docs/serving.md`` for the operations runbook)::
                                                                  │
                              trainer ◀── window boundary
                              (repro.core.trainer; the model is live
-                              by the next request's poll)
+                              from the next part's polls on)
 
 Zero dropped requests is structural, not aspirational: the only buffer is
 the bounded queue, producers ``await put`` into it (they *wait* when it is

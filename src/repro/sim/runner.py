@@ -124,18 +124,13 @@ def _run_batched(
             else lambda index, hit, _score: on_request(index, hit)
         ),
     )
-    if observing:
-        rows_hist = registry.histogram("sim.batch_rows")
     times, objs, sizes, costs = (
         trace.times, trace.objs, trace.sizes, trace.costs
     )
     n = len(objs)
     i = 0
     while i < n:
-        probed = engine.rows_probed
         i += engine.step(times, objs, sizes, costs, i, hits)
-        if observing:
-            rows_hist.observe(engine.rows_probed - probed)
         if folder is not None:
             folder.fold(i)
     if observing and engine.n_respeculations:

@@ -30,6 +30,7 @@ import sys
 import textwrap
 import weakref
 from hashlib import blake2b
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,10 @@ from repro.gbdt import GBDTParams
 from repro.obs import MetricsRegistry, WindowedRegistry, use_registry
 from repro.obs.fold import fold_deltas
 from repro.obs.registry import Histogram
+from repro.resilience import (
+    FaultPlan, FaultSpec, SimulatedTrainerExecutor, use_fault_plan,
+)
+from repro.serve import BatchScorer
 from repro.trace import Request, SyntheticConfig, Trace, generate_trace
 
 FAST_PARAMS = GBDTParams(num_iterations=8)
@@ -711,6 +716,61 @@ class TestClusterScorer:
                 cluster.close()
         assert published == [300, 600, 900]
         assert scorer.n_handoffs == 2
+
+    def test_both_scorers_install_at_the_same_part_edge(self):
+        """One shard, a background trainer and a job a ``trainer.submit``
+        hang parks, released inside poll 1700 — mid-part with batches of
+        256: ``BatchScorer`` and ``ClusterScorer`` both poll a whole part
+        before deciding it, so its model serves from that part on in
+        either, and the two decide alike."""
+        requests = list(generate_trace(SyntheticConfig(
+            n_requests=6000, n_objects=500, size_median=30.0, size_max=800,
+            seed=7,
+        )))
+        cache_size = Trace(requests).footprint() // 10
+        params = GBDTParams(num_iterations=8)
+
+        def served(scorer, trainer):
+            executor, poll, polls = trainer.executor, trainer.poll, count(1)
+
+            def releasing():
+                if next(polls) == 1700:
+                    executor.release_hung()
+                poll()
+
+            trainer.poll = releasing
+            hits = []
+            for start in range(0, len(requests), 256):
+                hits += scorer.process(requests[start:start + 256])
+            trainer.close()
+            executor.shutdown(cancel_futures=True)
+            return sum(hits), scorer.n_handoffs, trainer.n_retrains
+
+        def hung():
+            return use_fault_plan(FaultPlan(
+                [FaultSpec(site="trainer.submit", kind="hang", at=(0,))],
+                seed=5,
+            ))
+
+        with use_registry(MetricsRegistry()), hung():
+            policy = LFOOnline(
+                cache_size, window=1500, gbdt_params=params, n_gaps=N_GAPS,
+                background=True, executor=SimulatedTrainerExecutor(),
+            )
+            in_process = served(BatchScorer(policy), policy.trainer)
+        with use_registry(MetricsRegistry()), hung():
+            cluster = CacheCluster(cache_size, 1, seed=7, n_gaps=N_GAPS).start()
+            trainer = WindowTrainer(
+                1500, LabelFitJob(cluster.shard_size, gbdt_params=params),
+                install=cluster.publish, background=True,
+                executor=SimulatedTrainerExecutor(),
+            )
+            try:
+                sharded = served(ClusterScorer(trainer, cluster), trainer)
+            finally:
+                cluster.close()
+        assert in_process == sharded
+        assert in_process[1:] == (3, 4)  # released at 1700, then 3001, 4501
 
     @pytest.mark.parametrize("backend", ["batch", "cluster"])
     def test_every_window_counts_each_byte_once(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import OptLabelConfig, TieredLFOCache, TieredLFOOnline
 from repro.gbdt import GBDTParams
+from repro.resilience import FaultPlan, FaultSpec, use_fault_plan
 from repro.trace import Request, SyntheticConfig, generate_trace
 
 
@@ -93,6 +94,29 @@ class TestTieredLFOCache:
 
 
 class TestTieredLFOOnline:
+    def test_a_released_job_installs_at_the_next_request(self, tier_trace):
+        """The loop polls its trainer before each decision: a job a
+        ``trainer.submit`` hang parked at the first window's close goes
+        live on the first request after its release, not at the next
+        window's close."""
+        requests = list(tier_trace)
+        online = TieredLFOOnline(
+            ram_size=tier_trace.footprint() // 20,
+            ssd_size=tier_trace.footprint() // 7,
+            window=500, ram_horizon=100,
+            gbdt_params=GBDTParams(num_iterations=5), n_gaps=8,
+        )
+        plan = FaultPlan([FaultSpec(site="trainer.submit", kind="hang",
+                                    at=(0,))])
+        with use_fault_plan(plan):
+            for request in requests[:700]:
+                online.on_request(request)
+            online.trainer.executor.release_hung()
+            assert online.cache.admission_model is None
+            online.on_request(requests[700])
+        assert online.cache.admission_model is not None
+        assert online.n_retrains == 1
+
     def test_trains_both_models(self, tier_trace):
         online = TieredLFOOnline(
             ram_size=tier_trace.footprint() // 20,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cache import LRUCache, RandomCache
 from repro.core import IRLCache, IRLOnline, LinearRewardIRL, OptLabelConfig
+from repro.resilience import FaultPlan, FaultSpec, use_fault_plan
 from repro.sim import simulate
 from repro.trace import Request, SyntheticConfig, generate_trace
 
@@ -157,6 +158,25 @@ class TestIRLOnline:
                 irl.on_request(Request(float(t), t % 7, 10))
         assert irl.trainer.n_failed_retrains == 1
         assert irl.n_retrains == 0
+
+    def test_a_released_job_installs_at_the_next_request(self):
+        """The loop polls its trainer before each decision: a job a
+        ``trainer.submit`` hang parked at the first window's close goes
+        live on the first request after its release, not at the next
+        window's close."""
+        requests = list(generate_trace(
+            SyntheticConfig(n_requests=1000, n_objects=200, seed=3)
+        ))
+        policy = IRLOnline(3000, window=500, n_gaps=4)
+        plan = FaultPlan([FaultSpec(site="trainer.submit", kind="hang",
+                                    at=(0,))])
+        with use_fault_plan(plan):
+            for request in requests[:700]:
+                policy.on_request(request)
+            policy.trainer.executor.release_hung()
+            assert policy.model is None and policy.n_retrains == 0
+            policy.on_request(requests[700])
+        assert policy.model is not None and policy.n_retrains == 1
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

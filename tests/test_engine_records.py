@@ -84,34 +84,29 @@ def probes(policy):
 
 
 @backends
-def test_a_window_a_swap_cuts_short_records_its_decided_prefix(
-    request, backend, model
-):
-    """After every step — the one a mid-window swap ends after 21 of its
-    64 rows included — the arena is the scalar loop's after as many
-    requests."""
+def test_a_swap_between_steps_keeps_the_scalar_arena(request, backend, model):
+    """A model swapped in between the second and third steps, as drivers
+    swap one: after every step the arena is the scalar loop's after as
+    many requests, the scalar loop swapping at the same request."""
     request.getfixturevalue(backend)
     requests = requests_of(400, 60)
     policy = LFOCache(300, model, n_gaps=N_GAPS)
-    polls = count(1)
-
-    def poll():
-        if next(polls) == 150:
-            policy.set_model(replace(model))
-
-    engine = DecisionEngine(policy, max_window=64, poll=poll)
+    engine = DecisionEngine(policy, max_window=64)
     reference = LFOCache(300, model, n_gaps=N_GAPS)
     cols = columns(requests)
     hits = [None] * len(requests)
-    start, steps = 0, []
+    start = 0
     while start < len(requests):
+        if start == 128:
+            swapped = replace(model)
+            policy.set_model(swapped)
+            reference.set_model(swapped)
         consumed = engine.step(*cols, start, hits)
-        steps.append(consumed)
+        assert consumed == min(64, len(requests) - start)
         want = scalar(reference, requests[start:start + consumed])
         assert hits[start:start + consumed] == want
         assert arena(policy) == arena(reference), start
         start += consumed
-    assert steps[:3] == [64, 64, 21]
 
 
 @backends

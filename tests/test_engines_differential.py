@@ -17,7 +17,6 @@ policy with its own request path keeps its hit stream at any
 """
 
 import struct
-from dataclasses import replace
 from hashlib import blake2b
 from itertools import count
 
@@ -276,12 +275,19 @@ def test_cold_windows_match_the_scalar_loop(model, lands_at):
     """No model yet: the engine's cold windows (every score 0.0, live free
     bytes patched row by row) decide and record exactly what the scalar
     loop does — hits, scores, and the bytes of every training window —
-    also when a model lands after a mid-window poll."""
+    also when a model lands mid-window, at the poll that starts the
+    first part at or after request ``lands_at`` of a served drive (parts
+    start every ``chunk`` requests and at every 300-request window edge);
+    the scalar loop gets it at the same request."""
     requests = list(generate_trace(SyntheticConfig(
         n_requests=900, n_objects=80, size_median=40.0, size_max=150, seed=11,
     )))
 
-    def run(drive):
+    def run(drive, chunk=1):
+        edges = sorted({*range(0, 900, chunk), *range(0, 900, 300)})
+        landing = None if lands_at is None else 1 + min(
+            edge for edge in edges if edge >= lands_at
+        )
         policy = LFOOnline(
             600, window=300, gbdt_params=GBDTParams(num_iterations=3),
             n_gaps=N_GAPS, min_positive_labels=1,
@@ -291,7 +297,7 @@ def test_cold_windows_match_the_scalar_loop(model, lands_at):
 
         def poll_training():
             poll()
-            if next(polls) == lands_at:
+            if next(polls) == landing:
                 policy.set_model(model)
 
         rows, job = [], policy.trainer.job
@@ -304,18 +310,20 @@ def test_cold_windows_match_the_scalar_loop(model, lands_at):
         policy.trainer.job = recording
         return outcome(policy, drive), rows, policy.n_retrains
 
-    reference = run(scalar(requests))
-    assert reference[2] == 3
-    assert reference == run(served(requests, 256, 64))
-    assert reference == run(served(requests, 7, 50))
+    assert run(scalar(requests))[2] == 3
+    for max_batch, chunk in ((256, 64), (7, 50)):
+        assert run(scalar(requests), chunk) == run(
+            served(requests, max_batch, chunk), chunk
+        ), (max_batch, chunk)
 
 
 def test_batch_scorer_under_a_hung_trainer(model):
     """The watchdog counts requests through ``poll``, and its deadline is
     one request past a window edge: a request polled twice (or never)
     moves the cancel across the edge and changes which windows train.
-    Releasing the first hung job mid-window makes its model install under
-    in-flight speculated scores."""
+    The first hung job is released mid-window at a part edge (decision
+    1500 of batches of 300), so its model installs at the next poll on
+    both paths."""
     trace = generate_trace(
         SyntheticConfig(n_requests=4000, n_objects=300, seed=7)
     )
@@ -339,7 +347,7 @@ def test_batch_scorer_under_a_hung_trainer(model):
 
             def apply_scored(*args):
                 hit = inner(*args)
-                if next(decided) == 1537:
+                if next(decided) == 1500:
                     executor.release_hung()
                 return hit
 
@@ -356,28 +364,19 @@ def test_batch_scorer_under_a_hung_trainer(model):
     assert reference[1:] == (1, 1, 1)  # second hang cancelled, one skip
 
 
-def test_poll_hook_runs_once_per_request(model):
-    """Also for a row a swap ended the step at (polled, decided by the
-    next step) and a row a bucket drift re-scored from (polled, then its
-    chunk scored again)."""
+def test_bucket_drift_re_scores_and_decides_like_the_scalar_loop(model):
+    """Free bytes leave their bucket often on this trace: the engine
+    scores chunks again mid-window and still decides, and scores, what
+    the scalar loop does."""
     requests = list(generate_trace(SyntheticConfig(
         n_requests=600, n_objects=60, size_median=40.0, size_max=150, seed=3,
     )))
-
-    def policy():
-        return LFOCache(300, model, n_gaps=N_GAPS)
-
-    polled, polls = policy(), count(1)
-
-    def poll():
-        if next(polls) in (70, 71, 300):
-            polled.set_model(replace(model))
-
-    engine = DecisionEngine(polled, poll=poll)
-    hits = engine.run(*columns(requests))
+    engine = DecisionEngine(LFOCache(300, model, n_gaps=N_GAPS))
+    batched = outcome(engine.policy, lambda _p: engine.run(*columns(requests)))
+    assert batched == outcome(
+        LFOCache(300, model, n_gaps=N_GAPS), scalar(requests)
+    )
     assert engine.n_respeculations > 10
-    assert next(polls) == len(requests) + 1
-    assert hits == scalar(requests)(policy())
 
 
 @pytest.mark.parametrize(
@@ -387,33 +386,25 @@ def test_poll_hook_runs_once_per_request(model):
 )
 def test_step_writes_exactly_the_rows_it_consumed(model, blank):
     """A window's hits land in one slice assignment after the replay;
-    when a swap ends the window early nothing past the consumed rows —
-    and nothing before ``start`` — is touched, in a list or an array."""
+    every step decides ``min(64, remaining)`` rows, and nothing past them
+    — and nothing before ``start`` — is touched, in a list or an array."""
     requests = list(generate_trace(SyntheticConfig(
         n_requests=400, n_objects=60, size_median=40.0, size_max=150, seed=3,
     )))
     policy = LFOCache(300, model, n_gaps=N_GAPS)
-    polls = count(1)
-
-    def poll():
-        if next(polls) == 150:
-            policy.set_model(replace(model))
-
-    engine = DecisionEngine(policy, max_window=64, poll=poll)
+    engine = DecisionEngine(policy, max_window=64)
     cols = columns(requests)
     hits = blank(len(requests))
-    start, steps = 0, []
+    start = 0
     while start < len(requests):
         before = list(hits)
         consumed = engine.step(*cols, start, hits)
-        steps.append(consumed)
+        assert consumed == min(64, len(requests) - start)
         assert list(hits[:start]) == before[:start]
         assert list(hits[start + consumed:]) == before[start + consumed:]
         assert all(flag in (0, 1) for flag in hits[start:start + consumed])
         start += consumed
     assert len(hits) == len(requests)
-    # 149 = 64 + 64 + 21: the swap cut the third window short.
-    assert steps[:3] == [64, 64, 21] and sum(steps) == len(requests)
     reference = LFOCache(300, model, n_gaps=N_GAPS)
     assert [bool(h) for h in hits] == scalar(requests)(reference)
 

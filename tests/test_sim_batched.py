@@ -79,7 +79,7 @@ class TestObservability:
         with use_registry(registry):
             run(tail, LFOCache(CACHE_SIZE, model=model), 128)
         snapshot = registry.to_dict()
-        assert snapshot["histograms"]["sim.batch_rows"]["count"] > 0
+        assert snapshot["histograms"]["features.batch_rows"]["count"] > 0
         assert (
             snapshot["histograms"]["features.batch_extract_seconds"]["count"]
             > 0
