@@ -29,10 +29,17 @@ per-user build cache that later processes load without compiling:
   probe window: the subtractions over the arena's stored times that the
   numpy row and gather make, by one ring walk, in-window repeats
   included.  ``tracker_row`` can record the request after reading its
-  row, which is :meth:`~repro.features.FeatureTracker.advance`;
-* ``tracker_record`` — the decided records of a
-  :meth:`~repro.features.FeatureTracker.features_window` window written
-  to the arena in request order.
+  row, which is :meth:`~repro.features.FeatureTracker.advance`.
+  ``tracker_gather`` takes the window's object list and the tracker's
+  object → row dict and resolves the ids itself, in one pass before the
+  walk: each id's arena row through the dict, each in-window repeat's
+  previous position through a hash table local to the call, and the
+  rows column the record window keeps;
+* ``tracker_map`` and ``tracker_record`` — the decided records of a
+  :meth:`~repro.features.FeatureTracker.features_window` window: the
+  objects the probe did not know given rows in first-occurrence order,
+  inserted into the same dict (all or nothing), then the run written to
+  the arena in request order.
 
 Each entry point is a ``METH_FASTCALL`` wrapper that takes the numpy
 arrays (and, for scoring, the model's bytes) themselves through the
@@ -40,7 +47,10 @@ buffer protocol and checks, before its routine writes anything, each
 array's element type, C-contiguity and writability and every length and
 index the routine dereferences — for a model slab, its header (magic,
 exact length, a node, alignment, roots) — ``ValueError`` otherwise; the
-binding at the end of :data:`_SOURCE` lists them.  :func:`load` returns
+binding at the end of :data:`_SOURCE` lists them.  The two that read
+Python objects take only an exact ``list`` of exact ``int`` ids in
+int64 and an exact ``dict``, so no ``__index__``, ``__hash__`` or
+``__eq__`` of a caller's type runs mid-pass.  :func:`load` returns
 the process-wide module, or ``None`` when there is no toolchain (``cc``
 or ``Python.h`` missing, a sandboxed tempdir, a failed or timed-out
 compile) or ``REPRO_GBDT_NO_CC`` is set; every caller keeps a
@@ -381,7 +391,7 @@ static int64_t hist_best_split(const uint8_t *binned, int64_t n_cols,
             cell->count++;
         }
     }
-    if (splittable)
+    if (splittable && n_features > 0)
         memset(splittable, 0, (size_t)n_features);
 
     int64_t best = -1;
@@ -637,10 +647,10 @@ static inline void ring_gaps(const double *ring, int64_t seen, int64_t n_gaps,
 
 /* Cost and gap columns of a probe window (`X` is n x n_features,
    row-major; columns 0 and 2 are the caller's).  Row i takes them from
-   the same object's previous in-window row previous[i] (shifted one
-   gap), else from arena row rows[i] (ring_gaps), else — rows[i] < 0, an
-   unseen object — from costs[i] and `missing`.  `previous` may be NULL
-   (no in-window repeats).  Subtractions and copies only. */
+   the same object's previous in-window row previous[i] >= 0 (shifted
+   one gap), else from arena row rows[i] (ring_gaps), else — rows[i] < 0,
+   an unseen object — from costs[i] and `missing`.  Subtractions and
+   copies only. */
 static void tracker_gather(int64_t n, int64_t n_gaps, int64_t n_features,
                            const int64_t *rows, const int64_t *previous,
                            const double *times, const double *costs,
@@ -650,7 +660,7 @@ static void tracker_gather(int64_t n, int64_t n_gaps, int64_t n_features,
     for (int64_t i = 0; i < n; i++) {
         double *out = X + i * n_features;
         double *gaps = out + 3;
-        const int64_t p = previous ? previous[i] : -1;
+        const int64_t p = previous[i];
         const int64_t r = rows[i];
         if (p >= 0) {
             const double *before = X + p * n_features + 3;
@@ -684,6 +694,36 @@ static void tracker_record(int64_t n, int64_t n_slots, const int64_t *rows,
         seen[r]++;
         last_cost[r] = costs[i];
     }
+}
+
+/* A hash table local to one call: object id -> the value stored under
+   it, a window position or an arena row (`at` < 0: an empty slot). */
+typedef struct {
+    int64_t id, at;
+} Slot;
+
+/* A table for up to n ids, every slot empty, of a power-of-two size at
+   least 2n (so a probe ends at an empty slot); NULL without memory. */
+static Slot *new_table(int64_t n, uint64_t *mask)
+{
+    uint64_t size = 8;
+    while (size < 2 * (uint64_t)n)
+        size *= 2;
+    Slot *table = malloc(size * sizeof(Slot));
+    if (table)
+        memset(table, 0xff, size * sizeof(Slot));  /* every `at` -1 */
+    *mask = size - 1;
+    return table;
+}
+
+/* The slot holding `id`, else the empty slot where it would go. */
+static Slot *slot_of(Slot *table, uint64_t mask, int64_t id)
+{
+    uint64_t s = (uint64_t)id * 0x9E3779B97F4A7C15u;
+    for (s = (s ^ s >> 32) & mask; table[s].at >= 0 && table[s].id != id;
+         s = (s + 1) & mask)
+        ;
+    return table + s;
 }
 """ % {"lanes": _LANES}
 
@@ -740,8 +780,9 @@ static int kind_is(const Py_buffer *v, char kind)
    of `out`: d q i B — a C-contiguous array (a held Py_buffer *) of
    float64, int64, int32 or uint8 (any bytes object), upper case D Q one the
    routine writes, and after '?' None (NULL) too; l — an int64; f — a
-   double.  0 with an exception set otherwise: ValueError for a buffer
-   of the wrong kind, layout or writability. */
+   double; O — any object (a borrowed PyObject *, its type the
+   wrapper's to check).  0 with an exception set otherwise: ValueError
+   for a buffer of the wrong kind, layout or writability. */
 static int parse(const char *name, PyObject *const *args, Py_ssize_t nargs,
                  const char *spec, Held *held, void *const *out)
 {
@@ -769,6 +810,10 @@ static int parse(const char *name, PyObject *const *args, Py_ssize_t nargs,
             *value = PyFloat_AsDouble(obj);
             if (*value == -1.0 && PyErr_Occurred())
                 return 0;
+            continue;
+        }
+        if (*spec == 'O') {
+            *(PyObject **)out[k] = obj;
             continue;
         }
         Py_buffer **array = out[k];
@@ -1082,35 +1127,196 @@ static int arena_ok(const Py_buffer *slab, const Py_buffer *seen,
     return 1;
 }
 
-/* tracker_gather(rows, previous, times, costs, slab, seen, last_cost,
-   missing, X): previous is None or each previous[i] in [-1, i). */
+/* Item i of list `list`.  PyList_GET_ITEM is not used: its assert, in
+   a build without NDEBUG, would put the path of the compiled file into
+   the module, whose bytes the build cache must reproduce. */
+#define LIST_ITEM(list, i) (((PyListObject *)(list))->ob_item[i])
+
+/* The int64 value of object id `obj`: an exact int, so that no
+   __index__, __hash__ or __eq__ of the caller's runs mid-pass, in int64
+   as repro.cluster.wire ships ids.  0 with ValueError otherwise. */
+static int object_id(PyObject *obj, int64_t *id)
+{
+    int overflow = 1;
+    *id = PyLong_CheckExact(obj) ? PyLong_AsLongLongAndOverflow(obj, &overflow)
+                                 : 0;
+    if (overflow)
+        PyErr_SetString(PyExc_ValueError, "an object id must be an int in int64");
+    return !overflow;
+}
+
+/* The arena row the dict rows_of maps `obj` to, an exact int in
+   [0, bound); -1 when it maps none, -2 with an exception set otherwise.
+   The caller holds a reference to `obj`: a key of another type may run
+   Python code to compare. */
+static int64_t row_of(PyObject *rows_of, PyObject *obj, int64_t bound)
+{
+    PyObject *value = PyDict_GetItemWithError(rows_of, obj);
+    if (!value)
+        return PyErr_Occurred() ? -2 : -1;
+    int overflow = 1;
+    long long row = -1;
+    if (PyLong_CheckExact(value))
+        row = PyLong_AsLongLongAndOverflow(value, &overflow);
+    if (!overflow && row >= 0 && row < bound)
+        return row;
+    PyErr_SetString(PyExc_ValueError, "tracked row outside the arena");
+    return -2;
+}
+
+/* tracker_gather(objs, rows_of, rows, times, costs, slab, seen,
+   last_cost, missing, X): the window's ids, a list of ints, resolved in
+   one pass — a repeat's previous position in the window from a table
+   local to the call (it shares that position's row), any other id's
+   arena row from the dict rows_of (-1 = unmapped) — and the rows
+   written to `rows`, then tracker_gather. */
 static PyObject *py_tracker_gather(PyObject *module, PyObject *const *args,
                                    Py_ssize_t nargs)
 {
     Held held = {.n = 0};
-    PyObject *result = NULL;
-    Py_buffer *rows, *previous, *times, *costs, *slab, *seen, *last_cost, *X;
+    PyObject *result = NULL, *objs, *rows_of;
+    Py_buffer *rows, *times, *costs, *slab, *seen, *last_cost, *X;
+    Slot *table = NULL;
+    int64_t *found = NULL;
     double missing;
-    if (!parse("tracker_gather", args, nargs, "q?qdddqdfD", &held,
-               (void *[]){&rows, &previous, &times, &costs, &slab, &seen,
-                          &last_cost, &missing, &X})
-        || !arena_ok(slab, seen, last_cost, rows->buf, COUNT(rows), -1))
+    if (!parse("tracker_gather", args, nargs, "OOQdddqdfD", &held,
+               (void *[]){&objs, &rows_of, &rows, &times, &costs, &slab,
+                          &seen, &last_cost, &missing, &X})
+        || !arena_ok(slab, seen, last_cost, NULL, 0, -1))
         goto done;
-    const Py_ssize_t n = COUNT(rows);
+    REQUIRE(PyList_CheckExact(objs), "objs must be a list");
+    REQUIRE(PyDict_CheckExact(rows_of), "rows_of must be a dict");
+    const Py_ssize_t n = PyList_GET_SIZE(objs);
     const int64_t n_gaps = slab->shape[1] - 1;
-    REQUIRE(COUNT(times) == n && COUNT(costs) == n
-            && (!previous || COUNT(previous) == n),
+    REQUIRE(COUNT(rows) == n && COUNT(times) == n && COUNT(costs) == n,
             "request columns differ in length");
     REQUIRE(X->ndim == 2 && X->shape[0] == n && X->shape[1] == n_gaps + 3,
-            "X must be a (len(rows), n_gaps + 3) matrix");
-    for (Py_ssize_t i = 0; previous && i < n; i++)
-        REQUIRE(AT(previous, int64_t, i) >= -1 && AT(previous, int64_t, i) < i,
-                "a repeat must follow its previous row");
-    tracker_gather(n, n_gaps, n_gaps + 3, rows->buf,
-                   previous ? previous->buf : NULL, times->buf, costs->buf,
-                   slab->buf, seen->buf, last_cost->buf, missing, X->buf);
+            "X must be a (len(objs), n_gaps + 3) matrix");
+    uint64_t mask;
+    if (!(table = new_table(n, &mask))
+        || !(found = malloc(2 * (size_t)n * sizeof(int64_t) + 1))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t *previous = found + n;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        REQUIRE(PyList_GET_SIZE(objs) == n, "objs changed during the call");
+        PyObject *obj = LIST_ITEM(objs, i);
+        int64_t id;
+        if (!object_id(obj, &id))
+            goto done;
+        Slot *slot = slot_of(table, mask, id);
+        previous[i] = slot->at;
+        slot->id = id;
+        slot->at = i;
+        if (previous[i] >= 0) {
+            found[i] = found[previous[i]];
+            continue;
+        }
+        Py_INCREF(obj);
+        found[i] = row_of(rows_of, obj, COUNT(seen));
+        Py_DECREF(obj);
+        if (found[i] < -1)
+            goto done;
+    }
+    if (!arena_ok(slab, seen, last_cost, found, n, -1))
+        goto done;
+    memcpy(rows->buf, found, (size_t)n * sizeof(int64_t));
+    tracker_gather(n, n_gaps, n_gaps + 3, found, previous, times->buf,
+                   costs->buf, slab->buf, seen->buf, last_cost->buf, missing,
+                   X->buf);
     result = Py_NewRef(Py_None);
 done:
+    free(table);
+    free(found);
+    release(&held);
+    return result;
+}
+
+/* tracker_map(objs, start, rows, rows_of, next_row) -> next_row: the rows
+   of the run objs[start:start + len(rows)] of a record window that the
+   probe left -1 (unmapped then), mapped: through the dict rows_of to a
+   row in [0, next_row), or, for an object it still does not map, to the
+   next row from next_row on, inserted into rows_of in first-occurrence
+   order.  All or nothing: on an error the keys it inserted are removed
+   and `rows` is as it was.  Returns the row after the last handed out. */
+static PyObject *py_tracker_map(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL, *objs, *rows_of, **inserted = NULL;
+    Py_ssize_t n_inserted = 0;
+    Py_buffer *rows;
+    Slot *table = NULL;
+    int64_t start, next_row, *mapped = NULL;
+    if (!parse("tracker_map", args, nargs, "OlQOl", &held,
+               (void *[]){&objs, &start, &rows, &rows_of, &next_row}))
+        goto done;
+    REQUIRE(PyList_CheckExact(objs), "objs must be a list");
+    REQUIRE(PyDict_CheckExact(rows_of), "rows_of must be a dict");
+    const Py_ssize_t n = COUNT(rows);
+    REQUIRE(start >= 0 && start <= PyList_GET_SIZE(objs) - n,
+            "rows must pair with objs[start:start + len(rows)]");
+    REQUIRE(next_row >= 0 && next_row <= HALF_RANGE,
+            "next_row must lie in [0, 2**62]");
+    uint64_t mask;
+    if (!(table = new_table(n, &mask))
+        || !(mapped = malloc((size_t)n * sizeof(int64_t) + 1))
+        || !(inserted = malloc((size_t)n * sizeof(PyObject *) + 1))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(mapped, rows->buf, (size_t)n * sizeof(int64_t));
+    int64_t row = next_row;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        if (mapped[k] >= 0)
+            continue;
+        REQUIRE(PyList_GET_SIZE(objs) >= start + n,
+                "objs changed during the call");
+        PyObject *obj = LIST_ITEM(objs, start + k);
+        int64_t id;
+        if (!object_id(obj, &id))
+            goto done;
+        Slot *slot = slot_of(table, mask, id);
+        if (slot->at >= 0) {
+            mapped[k] = slot->at;
+            continue;
+        }
+        Py_INCREF(obj);
+        if ((mapped[k] = row_of(rows_of, obj, next_row)) == -1) {
+            PyObject *value = PyLong_FromLongLong(row);
+            const int failed = !value || PyDict_SetItem(rows_of, obj, value) < 0;
+            Py_XDECREF(value);
+            if (failed) {
+                Py_DECREF(obj);
+                goto done;
+            }
+            inserted[n_inserted++] = obj;  /* keeps the reference */
+            mapped[k] = row++;
+        } else {
+            Py_DECREF(obj);
+            if (mapped[k] < -1)
+                goto done;
+        }
+        slot->id = id;
+        slot->at = mapped[k];
+    }
+    memcpy(rows->buf, mapped, (size_t)n * sizeof(int64_t));
+    result = PyLong_FromLongLong(row);
+done:
+    if (!result && n_inserted) {
+        PyObject *type, *value, *trace;
+        PyErr_Fetch(&type, &value, &trace);
+        for (Py_ssize_t m = 0; m < n_inserted; m++)
+            if (PyDict_DelItem(rows_of, inserted[m]) < 0)
+                PyErr_Clear();
+        PyErr_Restore(type, value, trace);
+    }
+    for (Py_ssize_t m = 0; m < n_inserted; m++)
+        Py_DECREF(inserted[m]);
+    free(inserted);
+    free(mapped);
+    free(table);
     release(&held);
     return result;
 }
@@ -1183,7 +1389,8 @@ done:
 static PyMethodDef methods[] = {
     ENTRY(predict_raw), ENTRY(predict_row), ENTRY(logistic),
     ENTRY(ssp_augment), ENTRY(grow_tree), ENTRY(tracker_gather),
-    ENTRY(tracker_record), ENTRY(tracker_row), {NULL, NULL, 0, NULL},
+    ENTRY(tracker_map), ENTRY(tracker_record), ENTRY(tracker_row),
+    {NULL, NULL, 0, NULL},
 };
 
 static PyModuleDef_Slot slots[] = {{0, NULL}};
@@ -1202,9 +1409,10 @@ PyMODINIT_FUNC PyInit_repro_native(void)
 
 #: The loaded extension module: the entry points are its functions,
 #: ``predict_raw``, ``predict_row``, ``logistic``, ``ssp_augment``,
-#: ``grow_tree``, ``tracker_gather``, ``tracker_record`` and
-#: ``tracker_row``, each taking the arrays themselves (see the binding
-#: at the end of :data:`_SOURCE` for its arguments and checks).
+#: ``grow_tree``, ``tracker_gather``, ``tracker_map``, ``tracker_record``
+#: and ``tracker_row``, each taking the arrays themselves (the two
+#: tracker resolvers also the object list and the object → row dict; see
+#: the binding at the end of :data:`_SOURCE` for the arguments and checks).
 Native = ModuleType
 
 #: The extension's name: ``PyInit_<name>`` in :data:`_SOURCE`.

@@ -23,32 +23,39 @@ and one subtraction over the slab — no per-gap Python loop — and
 given as columns, in one shot for the decision engine, the eviction
 probes and dataset construction.
 
-With the native module (:mod:`repro._native`) the row, the window gather
-and the arena writes are three of its routines.  ``tracker_row`` reads
-one arena row and, given a row to record into, stores the request there
+With the native module (:mod:`repro._native`) the row, the window probe
+and the arena writes are its routines.  ``tracker_row`` reads one arena
+row and, given a row to record into, stores the request there
 (:meth:`FeatureTracker.features` and :meth:`FeatureTracker.advance` are
-one call each), and ``tracker_gather`` fills a probe window's cost and
-gap columns row by row, both by one ring walk — the numpy row and gather
-below stay as the references and the no-compiler path, and each pair is
-bit-identical (subtractions over the same stored floats).
-``tracker_record`` writes a *record window*: the decision engine probes
-each window it replays with :meth:`FeatureTracker.features_window`,
-which keeps the probe's columns and arena rows, and request ``i`` of the
-window counts as recorded once the caller's decision list holds more
-than ``i`` entries.  Nothing is called per decision: the decided records
-not yet written are written — new objects given one block of rows by the
-allocator ``update`` and ``advance`` use for one, then one
-``tracker_record`` call over array slices (numpy stores without the
-module) — before the next read.  The invariant is **no read sees an
-unwritten record**: every public reader — ``features``, ``advance``,
-``features_batch``, ``n_tracked``, ``memory_bytes_naive``, ``update`` —
-writes them first.  Nothing native is stored on the instance: each call
-is handed the live arena arrays, after any ``_alloc``, and checks their
-shapes and every row index itself.
+one call each).  ``tracker_gather`` takes a probe window's object list
+and the object → row dict, resolves each id — its arena row, and for an
+in-window repeat its previous position — in one C pass, and fills the
+window's cost and gap columns row by row, both routines by one ring walk.
+The numpy row and gather below (the gather's ids resolved by a dict
+comprehension and one stable ``argsort``) stay as the references and the
+no-compiler path, and each pair is bit-identical (subtractions over the
+same stored floats).  ``tracker_map`` and ``tracker_record`` write a
+*record window*: the decision engine probes each window it replays with
+:meth:`FeatureTracker.features_window`, which keeps the probe's columns
+and arena rows, and request ``i`` of the window counts as recorded once
+the caller's decision list holds more than ``i`` entries.  Nothing is
+called per decision: the decided records not yet written are written —
+the objects the probe did not know mapped in first-occurrence order by
+one ``tracker_map`` call, which inserts them into the dict, and given
+one block of rows by the allocator ``update`` and ``advance`` use for
+one, then one ``tracker_record`` call over array slices (a dict pass and
+numpy stores without the module) — before the next read.  The invariant
+is **no read sees an unwritten record**: every public reader —
+``features``, ``advance``, ``features_batch``, ``n_tracked``,
+``memory_bytes_naive``, ``update`` — writes them first.  Nothing native
+is stored on the instance: each call is handed the live arena arrays and
+dict, after any ``_alloc``, and checks their shapes and every row index
+itself.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence, Sized
 from time import perf_counter
 
@@ -252,7 +259,9 @@ class FeatureTracker:
 
         Args:
             objs / times / sizes / costs: the window's request columns
-                (lists or arrays of equal length), in stream order.
+                (lists or arrays of equal length), in stream order; ids
+                that are not a list of ints are converted once with
+                ``operator.index``.
             free_bytes: free cache bytes — one scalar applied to every
                 row, or a per-request sequence.
 
@@ -274,7 +283,8 @@ class FeatureTracker:
             ValueError: the columns differ in length, or the object →
                 row map names a row outside the arena — checked before
                 the gather on either backend (the native one would read
-                foreign memory where numpy raised).
+                foreign memory where numpy raised); with the module, an
+                id outside int64 too.
         """
         registry = get_registry()
         if not registry.enabled:
@@ -316,6 +326,8 @@ class FeatureTracker:
         self, objs, times, sizes, costs, free_bytes
     ) -> np.ndarray:
         decided, self._decided = self._decided, None
+        if type(objs) is not list:
+            objs = list(map(operator.index, objs))
         n = len(objs)
         X = np.empty((n, self.n_features), dtype=np.float64)
         if not len(times) == len(sizes) == len(costs) == n:
@@ -328,42 +340,36 @@ class FeatureTracker:
             return X
         times = np.ascontiguousarray(times, dtype=np.float64)
         costs = np.ascontiguousarray(costs, dtype=np.float64)
+        native = _native.load()
+        if native is None:
+            rows = self._gather_numpy(X, objs, times, costs)
+        else:
+            rows = np.empty(n, dtype=np.int64)
+            args = (self._rows, rows, times, costs, self._times, self._seen,
+                    self._last_cost, MISSING_GAP, X)
+            try:
+                native.tracker_gather(objs, *args)
+            except ValueError:
+                # The C pass takes exact ints only: a list holding other
+                # integers (numpy's) is converted once, and any other
+                # refusal raises again, as it wrote nothing.
+                objs = list(map(operator.index, objs))
+                native.tracker_gather(objs, *args)
+        if decided is not None:
+            self._window = (objs, times, costs, rows, decided)
+            self._written = 0
+        return X
+
+    def _gather_numpy(self, X, objs, times, costs) -> np.ndarray:
+        """The cost and gap columns of a probe window in numpy, and its
+        rows column: the reference for ``tracker_gather`` and the
+        no-compiler path.  The arena rows come from one pass over the
+        object → row map and the in-window repeats from one stable
+        ``argsort`` of the ids."""
         lookup = self._rows.get
         rows = np.array([lookup(obj, -1) for obj in objs], dtype=np.int64)
         if not _native.all_below(rows + 1, len(self._seen) + 1):
             raise ValueError("tracked row outside the arena")
-        if len(set(objs)) == n:
-            repeat = previous = None
-        else:
-            # In-window repeats: (row, the same object's previous row).
-            ids = np.asarray(objs)
-            order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            again = np.flatnonzero(ids[1:] == ids[:-1])
-            repeat = order[again + 1]
-            previous = order[again]
-            if not (previous < repeat).all():
-                raise ValueError("a repeat must follow its previous row")
-        if decided is not None:
-            self._window = (objs, times, costs, rows, decided)
-            self._written = 0
-        native = _native.load()
-        if native is None:
-            self._gather_numpy(X, rows, repeat, previous, times, costs)
-            return X
-        before = None
-        if repeat is not None:
-            before = np.full(n, -1, dtype=np.int64)
-            before[repeat] = previous
-        native.tracker_gather(
-            rows, before, times, costs, self._times, self._seen,
-            self._last_cost, MISSING_GAP, X,
-        )
-        return X
-
-    def _gather_numpy(self, X, rows, repeat, previous, times, costs) -> None:
-        """The cost and gap columns of a probe window in numpy: the
-        reference for ``tracker_gather`` and the no-compiler path."""
         X[:, 1] = costs
         gaps = X[:, 3:]
         gaps[:] = MISSING_GAP
@@ -382,16 +388,22 @@ class FeatureTracker:
                 MISSING_GAP
             )
             gaps[known] = found
-        if repeat is None:
-            return
-        # In row order, so that chains of repeats resolve front to back.
+        if len(set(objs)) == len(objs):
+            return rows
+        # In-window repeats: (row, the same object's previous row), in
+        # row order, so that chains of repeats resolve front to back.
+        ids = np.asarray(objs)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        again = np.flatnonzero(ids[1:] == ids[:-1])
+        repeat, previous = order[again + 1], order[again]
         in_order = np.argsort(repeat)
-        repeat = repeat[in_order]
-        previous = previous[in_order]
+        repeat, previous = repeat[in_order], previous[in_order]
         X[repeat, 1] = costs[previous]
         gaps[repeat, 0] = times[repeat] - times[previous]
         for i, p in zip(repeat.tolist(), previous.tolist()):
             gaps[i, 1:] = gaps[p, :-1]
+        return rows
 
     # -- recording ----------------------------------------------------------
 
@@ -447,7 +459,11 @@ class FeatureTracker:
 
     def _flush(self) -> None:
         """Write the open window's decided records not written yet, in
-        request order (:meth:`features_window`)."""
+        request order (:meth:`features_window`).  Objects the probe did
+        not know, and that no earlier write or ``update`` has mapped
+        since, get one block of rows in first-occurrence order, where
+        ``update`` would have put them one by one: ``tracker_map`` then
+        ``_alloc``, or :meth:`_map_numpy` without the module."""
         objs, times, costs, rows, decided = self._window
         start, end = self._written, len(decided)
         if end == len(rows):
@@ -456,33 +472,45 @@ class FeatureTracker:
         if start == end:
             return
         rows = rows[start:end]
-        unseen = np.flatnonzero(rows < 0)
-        if len(unseen):
-            # Objects the probe did not know.  An earlier write or an
-            # ``update`` may have mapped one since; the others get one
-            # block of rows in first-occurrence order, where ``update``
-            # would have put them one by one.
-            tracked = self._rows
-            names = [objs[i] for i in (unseen + start).tolist()]
-            new = [obj for obj in dict.fromkeys(names) if obj not in tracked]
-            if new:
-                first = self._alloc(len(new))
-                tracked.update(zip(new, range(first, self._next_row)))
-            rows[unseen] = [tracked[obj] for obj in names]
-        if not _native.all_below(rows, len(self._seen)):
-            raise ValueError("tracked row outside the arena")
         times, costs = times[start:end], costs[start:end]
         native = _native.load()
         if native is None:
+            self._map_numpy(objs, start, rows)
+            if not _native.all_below(rows, len(self._seen)):
+                raise ValueError("tracked row outside the arena")
             for row, time, cost in zip(
                 rows.tolist(), times.tolist(), costs.tolist()
             ):
                 self._store(row, time, cost)
             return
-        # After the block above: it may have grown the arena.
+        first = self._next_row
+        self._alloc(
+            native.tracker_map(objs, start, rows, self._rows, first) - first
+        )
+        # After ``_alloc``: it may have grown the arena.
         native.tracker_record(
             rows, times, costs, self._times, self._seen, self._last_cost
         )
+
+    def _map_numpy(self, objs, start, rows) -> None:
+        """``rows``' unmapped entries (-1), the run of ``objs`` from
+        ``start``, mapped in numpy: the reference for ``tracker_map`` and
+        the no-compiler path.  All or nothing: a mapped row outside
+        ``[0, _next_row)`` is refused before any new row is handed out."""
+        unseen = np.flatnonzero(rows < 0)
+        if not len(unseen):
+            return
+        tracked = self._rows
+        names = [objs[i] for i in (unseen + start).tolist()]
+        known = [tracked[obj] for obj in names if obj in tracked]
+        if not _native.all_below(np.array(known, dtype=np.int64),
+                                 self._next_row):
+            raise ValueError("tracked row outside the arena")
+        new = [obj for obj in dict.fromkeys(names) if obj not in tracked]
+        if new:
+            first = self._alloc(len(new))
+            tracked.update(zip(new, range(first, self._next_row)))
+        rows[unseen] = [tracked[obj] for obj in names]
 
     def memory_bytes_naive(self) -> int:
         """The paper's back-of-envelope accounting: a dense per-object record

@@ -222,3 +222,21 @@ def test_no_cc_never_touches_the_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(subprocess, "run", _no_compiler)
     assert _native.load() is None
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_source_builds_without_a_warning(tmp_path):
+    """``-Wall -Werror`` over the flags every build uses: a warning a new
+    routine brings fails here, not on every build's stderr."""
+    if os.environ.get("REPRO_GBDT_NO_CC") or shutil.which("cc") is None:
+        pytest.skip("needs a C compiler and the native module on")
+    include = _native._interpreter()[1]
+    if not _native._has_headers(include):
+        pytest.skip(f"no Python.h in {include}")
+    source = tmp_path / "repro_native.c"
+    source.write_text(_native._SOURCE)
+    done = subprocess.run(
+        ["cc", *_native._FLAGS, "-Wall", "-Werror", f"-I{include}",
+         "-o", str(tmp_path / "repro_native.so"), str(source), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

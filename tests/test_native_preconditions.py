@@ -5,11 +5,13 @@ end of ``repro._native._SOURCE``).  One table breaks each precondition of
 each entry point once — an int64 array where float64 is expected (the
 old ``void*`` binding reinterpreted its bits), a strided view, a
 read-only output, an output one element short, an index one past its
-table — and every case must raise ``ValueError`` (or the exporter's
-``BufferError``) with every output left as it was.  Without the module
-(``REPRO_GBDT_NO_CC=1``) those cases skip, and the refusals both backends
-share, through the public callers, run on numpy.  The last tests hold
-that the wrappers of the two long routines release the GIL.
+table, an object id that is not an int in int64 — and every case must
+raise ``ValueError`` (or the exporter's ``BufferError``) with every
+output, the tracker's object → row dict included, left as it was.
+Without the module (``REPRO_GBDT_NO_CC=1``) those cases skip, and the
+refusals both backends share, through the public callers, run on numpy.
+The last tests hold that the wrappers of the two long routines release
+the GIL.
 """
 
 from __future__ import annotations
@@ -123,12 +125,21 @@ def _arena(tracker):
 
 
 def _tracker_gather(_):
+    """A window of known (7, 8) and unseen (5) objects, 7 and 5 repeated."""
     tracker = _tracker()
-    rows = np.array([tracker._rows[7], -1, tracker._rows[8], -1])
-    previous = np.array([-1, -1, -1, 1])
-    n = len(rows)
-    return [rows, previous, np.arange(10.0, 10.0 + n), np.full(n, 2.0),
-            *_arena(tracker), 1e9, np.zeros((n, tracker.n_features))]
+    objs = [7, 5, 8, 5, 7]
+    n = len(objs)
+    return [objs, dict(tracker._rows), np.full(n, -9),
+            np.arange(10.0, 10.0 + n), np.full(n, 2.0), *_arena(tracker), 1e9,
+            np.zeros((n, tracker.n_features))]
+
+
+def _tracker_map(_):
+    """The run from position 1 of a window over the map of 7 (row 0) and
+    8 (row 1): 9, 10 and 11 unmapped (9 twice), 8 mapped since the probe,
+    so the bad ids and rows below come after two new keys."""
+    objs = [7, 9, 7, 9, 10, 8, 11]
+    return [objs, 1, np.array([-1, 0, -1, -1, -1, -1]), {7: 0, 8: 1}, 2]
 
 
 def _tracker_record(_):
@@ -146,14 +157,16 @@ def _tracker_row(_):
             10, 2.0, 100, 1e9]
 
 
-#: entry point -> (valid arguments, positions of its outputs)
+#: entry point -> (valid arguments, positions of its outputs: arrays and
+#: object maps it writes)
 ENTRIES = {
     "predict_raw": (_predict_raw, [2, 3]),
     "predict_row": (_predict_row, []),
     "logistic": (_logistic, [1]),
     "ssp_augment": (_ssp_augment, [6, 8]),
     "grow_tree": (_grow_tree, [1, 13, 14, 15, 16]),
-    "tracker_gather": (_tracker_gather, [8]),
+    "tracker_gather": (_tracker_gather, [1, 2, 9]),
+    "tracker_map": (_tracker_map, [2, 3]),
     "tracker_record": (_tracker_record, [3, 4, 5]),
     "tracker_row": (_tracker_row, [0, 1, 2, 3]),
 }
@@ -180,7 +193,8 @@ def short(i):
 
 
 def poke(i, index, value):
-    """``args[i]`` with entry ``index`` set to ``value(args)``."""
+    """``args[i]`` (an array, list or dict) with entry ``index`` set to
+    ``value(args)``."""
     def spoil(args):
         changed = args[i].copy()
         changed[index] = value(args)
@@ -279,13 +293,38 @@ CASES = [
     ("grow_tree", "feature past binned", 2, poke(2, 0, lambda a: a[0].shape[1])),
     ("grow_tree", "bin at its feature's n_bins", 0,
      poke(0, (3, 2), lambda a: a[3][3] - a[3][2])),
-    ("tracker_gather", "int64 times", 2, as_int64(2)),
-    ("tracker_gather", "strided rows", 0, strided(0)),
-    ("tracker_gather", "read-only X", 8, read_only(8)),
-    ("tracker_gather", "X one short", 8, short(8)),
-    ("tracker_gather", "row at capacity", 0, poke(0, 1, _capacity)),
-    ("tracker_gather", "row below -1", 0, poke(0, 1, lambda a: -2)),
-    ("tracker_gather", "previous[i] at i", 1, poke(1, 2, lambda a: 2)),
+    ("tracker_gather", "int64 times", 3, as_int64(3)),
+    ("tracker_gather", "strided rows", 2, strided(2)),
+    ("tracker_gather", "read-only rows", 2, read_only(2)),
+    ("tracker_gather", "rows one short", 2, short(2)),
+    ("tracker_gather", "read-only X", 9, read_only(9)),
+    ("tracker_gather", "X one short", 9, short(9)),
+    ("tracker_gather", "objs a tuple", 0, lambda a: tuple(a[0])),
+    ("tracker_gather", "rows_of a list of pairs", 1,
+     lambda a: list(a[1].items())),
+    ("tracker_gather", "a numpy id", 0, poke(0, 4, lambda a: np.int64(7))),
+    ("tracker_gather", "a bool id", 0, poke(0, 4, lambda a: True)),
+    ("tracker_gather", "id 2**63", 0, poke(0, 4, lambda a: 2**63)),
+    ("tracker_gather", "id below -2**63", 0,
+     poke(0, 4, lambda a: -2**63 - 1)),
+    ("tracker_gather", "row at capacity", 1,
+     poke(1, 8, lambda a: _capacity(a, 5))),
+    ("tracker_gather", "row below 0", 1, poke(1, 8, lambda a: -1)),
+    ("tracker_gather", "row a float", 1, poke(1, 8, lambda a: 1.0)),
+    ("tracker_map", "int32 rows", 2, lambda a: a[2].astype(np.int32)),
+    ("tracker_map", "strided rows", 2, strided(2)),
+    ("tracker_map", "read-only rows", 2, read_only(2)),
+    ("tracker_map", "rows one past objs", 2, lambda a: np.append(a[2], -1)),
+    ("tracker_map", "start one past", 1, lambda a: a[1] + 1),
+    ("tracker_map", "negative start", 1, lambda a: -1),
+    ("tracker_map", "objs a tuple", 0, lambda a: tuple(a[0])),
+    ("tracker_map", "rows_of a list of pairs", 3,
+     lambda a: list(a[3].items())),
+    ("tracker_map", "a numpy id", 0, poke(0, 6, lambda a: np.int64(11))),
+    ("tracker_map", "id 2**63", 0, poke(0, 6, lambda a: 2**63)),
+    ("tracker_map", "row at next_row", 3, poke(3, 8, lambda a: a[4])),
+    ("tracker_map", "row below 0", 3, poke(3, 8, lambda a: -1)),
+    ("tracker_map", "negative next_row", 4, lambda a: -1),
     ("tracker_record", "int64 costs", 2, as_int64(2)),
     ("tracker_record", "strided times", 1, strided(1)),
     ("tracker_record", "read-only slab", 3, read_only(3)),
@@ -332,13 +371,19 @@ def test_a_broken_precondition_is_refused_before_any_write(
     args = make(predictor)
     args[position] = spoil(args)
     watched = [args[i] for i in outputs]
-    if position in outputs:
-        watched.append(args[position])
-    before = [np.array(array, copy=True) for array in watched]
+    before = [_snapshot(output) for output in watched]
     with pytest.raises((ValueError, BufferError)):
         getattr(_native.load(), entry)(*args)
-    for was, now in zip(before, watched):
-        assert was.tobytes() == np.asarray(now).tobytes()
+    assert [_snapshot(output) for output in watched] == before
+
+
+def _snapshot(output):
+    """What a refused call must leave as it was: a dict's items in order
+    (a map the call inserted into and rolled back included), an array's
+    bytes."""
+    if isinstance(output, dict):
+        return list(output.items())
+    return np.array(output, copy=True).tobytes()
 
 
 def test_a_refusal_leaves_no_export_on_a_slab_model(native, predictor):
