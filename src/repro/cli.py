@@ -341,6 +341,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.shards < 1:
             _diag("--shards must be at least 1")
             return 2
+        if args.shards > 1 and args.staleness_limit is not None:
+            # The router's trainer would turn degraded on, but no shard
+            # reads it: admission would never fall back to LRU.
+            _diag("--staleness-limit needs --shards 1: the sharded router "
+                  "has no staleness fallback")
+            return 2
         _diag(
             f"serving {len(trace)} requests, cache {cache_size} bytes, "
             f"training window {args.window}, queue {args.queue_depth}, "

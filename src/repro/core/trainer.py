@@ -31,7 +31,8 @@ paper's Section 4 warning that "training tasks [must] not interfere with
 the request traffic", stated as a contract.
 
 **Graceful degradation** (drilled by :mod:`repro.resilience` and the
-``bench_ext_fault_matrix`` benchmark):
+``bench_ext_fault_matrix`` benchmark, through ``simulate`` and the
+serving loop alike):
 
 * **watchdog** — ``train_deadline`` bounds how many *requests* a
   job may stay in flight; past it the job is cancelled (or, if

@@ -465,32 +465,35 @@ class FeatureTracker:
         ``update`` would have put them one by one: ``tracker_map`` then
         ``_alloc``, or :meth:`_map_numpy` without the module."""
         objs, times, costs, rows, decided = self._window
-        start, end = self._written, len(decided)
-        if end == len(rows):
-            self._window = None
+        start, end, n = self._written, len(decided), len(rows)
+        if start < end:
+            rows = rows[start:end]
+            times, costs = times[start:end], costs[start:end]
+            native = _native.load()
+            if native is None:
+                self._map_numpy(objs, start, rows)
+                if not _native.all_below(rows, len(self._seen)):
+                    raise ValueError("tracked row outside the arena")
+                for row, time, cost in zip(
+                    rows.tolist(), times.tolist(), costs.tolist()
+                ):
+                    self._store(row, time, cost)
+            else:
+                first = self._next_row
+                self._alloc(
+                    native.tracker_map(objs, start, rows, self._rows, first)
+                    - first
+                )
+                # After ``_alloc``: it may have grown the arena.
+                native.tracker_record(
+                    rows, times, costs, self._times, self._seen,
+                    self._last_cost,
+                )
+        # Marked written only once written: a refused run stays open, and
+        # the next read refuses it again.
         self._written = end
-        if start == end:
-            return
-        rows = rows[start:end]
-        times, costs = times[start:end], costs[start:end]
-        native = _native.load()
-        if native is None:
-            self._map_numpy(objs, start, rows)
-            if not _native.all_below(rows, len(self._seen)):
-                raise ValueError("tracked row outside the arena")
-            for row, time, cost in zip(
-                rows.tolist(), times.tolist(), costs.tolist()
-            ):
-                self._store(row, time, cost)
-            return
-        first = self._next_row
-        self._alloc(
-            native.tracker_map(objs, start, rows, self._rows, first) - first
-        )
-        # After ``_alloc``: it may have grown the arena.
-        native.tracker_record(
-            rows, times, costs, self._times, self._seen, self._last_cost
-        )
+        if end == n:
+            self._window = None
 
     def _map_numpy(self, objs, start, rows) -> None:
         """``rows``' unmapped entries (-1), the run of ``objs`` from

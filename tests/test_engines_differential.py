@@ -6,7 +6,8 @@ timestamp ties, one hot key, a cache of a few objects, a bucket drift
 ahead of an in-window repeat, an object gone for a while ahead of
 repeats, an eviction probe of objects updated earlier in its window) x
 eviction mode: ``simulate(batch_size=N)``, ``BatchScorer`` over
-a retraining ``LFOOnline`` (training inline and submitted), and one
+a retraining ``LFOOnline`` (training inline and submitted, and degraded
+to LRU after a crashed retrain), and one
 ``DecisionEngine`` per shard over
 ``HashRing.partition`` — its requests through the cluster's wire records
 — with a cold -> warm model attach.  Equal means equal hit vectors and
@@ -362,6 +363,42 @@ def test_batch_scorer_under_a_hung_trainer(model):
     reference = run(scalar(requests))
     assert reference == run(served(requests, 256, 300))
     assert reference[1:] == (1, 1, 1)  # second hang cancelled, one skip
+
+
+def test_batch_scorer_in_degraded_mode():
+    """A crashed retrain and the backoff skip after it leave the model
+    two windows stale: admission and eviction fall back to LRU until the
+    next install, which decides differently from a policy that never
+    degrades.  The served hits follow the scalar loop through the
+    fallback and the recovery."""
+    trace = generate_trace(
+        SyntheticConfig(n_requests=2000, n_objects=300, seed=7)
+    )
+    requests = list(trace)
+
+    def run(drive, staleness_limit=2):
+        plan = FaultPlan(
+            [FaultSpec(site="online.train_window", kind="crash", at=(1,))]
+        )
+        with use_fault_plan(plan):
+            policy = LFOOnline(
+                trace.footprint() // 10, window=400,
+                gbdt_params=GBDTParams(num_iterations=8), n_gaps=N_GAPS,
+                label_config=OptLabelConfig("segmented", segment_length=200),
+                staleness_limit=staleness_limit, retry_backoff=1,
+            )
+            with pytest.warns(RuntimeWarning, match="retrain failed"):
+                result = outcome(policy, drive)
+        trainer = policy.trainer
+        return (
+            result, trainer.n_staleness_fallbacks,
+            trainer.n_staleness_recoveries,
+        )
+
+    reference = run(scalar(requests))
+    assert reference == run(served(requests, 256, 300))
+    assert reference[1:] == (1, 1)
+    assert reference[0] != run(scalar(requests), None)[0]
 
 
 def test_bucket_drift_re_scores_and_decides_like_the_scalar_loop(model):

@@ -526,14 +526,16 @@ def test_bad_windows_are_refused_alike_on_both_backends(name):
 def test_a_deferred_record_to_a_row_outside_the_arena_is_refused():
     """Before any write, on either backend: through the probe's row of a
     known object, and through the map's row of an object new to the
-    window that an earlier write mapped."""
+    window that an earlier write mapped.  A refused run is not skipped:
+    the next read refuses it again, the arena still unwritten."""
     window = [Request(1.0, 7, 10), Request(2.0, 8, 10), Request(3.0, 8, 10)]
     for name in _backends():
         with backend(name):
             tracker = FeatureTracker(n_gaps=2)
             tracker.update(7, 0.0, 1.0)
             decided, _ = open_window(tracker, window)
-            tracker._window[3][0] = len(tracker._seen)  # 7's probed row
+            probed = tracker._window[3]
+            probed[0] = len(tracker._seen)  # 7's probed row
             decided.append(True)
             before = _state(tracker)
             with pytest.raises(ValueError, match="outside the arena"):
@@ -541,6 +543,11 @@ def test_a_deferred_record_to_a_row_outside_the_arena_is_refused():
             for was, now in zip(before, _state(tracker)):
                 assert np.array_equal(was, now)
             decided.append(True)
+            with pytest.raises(ValueError, match="outside the arena"):
+                tracker.n_tracked
+            for was, now in zip(before[:3], _state(tracker)[:3]):
+                assert np.array_equal(was, now)  # the arena arrays
+            probed[0] = 0
             assert tracker.n_tracked == 2  # maps 8 to row 1
             tracker._rows[8] = -3
             decided.append(True)

@@ -89,6 +89,13 @@ class TestBadInvocation:
         assert main(serve_args(trace_file, "--slo", str(spec))) == 2
         assert "no objectives" in capsys.readouterr().err
 
+    def test_staleness_limit_over_shards_exits_2(self, trace_file, capsys):
+        code = main(serve_args(
+            trace_file, "--shards", "2", "--staleness-limit", "2"
+        ))
+        assert code == 2
+        assert "no staleness fallback" in capsys.readouterr().err
+
 
 class TestCleanRun:
     def test_check_verdict_json(self, trace_file, capsys):
